@@ -27,15 +27,17 @@
 //! * `SWAP16` — payload = 16-byte new value; returns the original.
 
 use crate::store::SparseMemory;
-use hmc_types::{HmcError, HmcRqst};
+use hmc_types::{HmcError, HmcRqst, PayloadBuf};
 
 /// Result of executing an AMO: the response data payload (already in
 /// 64-bit words, padded to whole FLITs by the caller's packetizer) and
 /// the atomic flag.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AmoResult {
-    /// Response data words (empty for ack-only AMOs such as INC8/EQ8).
-    pub payload: Vec<u64>,
+    /// Response data words (empty for ack-only AMOs such as INC8/EQ8),
+    /// in the packet payload representation so the vault moves them
+    /// into the response without a heap round trip.
+    pub payload: PayloadBuf,
     /// The AF (atomic flag) bit: comparison outcome for CAS/EQ ops.
     pub af: bool,
 }
@@ -77,7 +79,11 @@ pub fn execute(
             let old1 = mem.read_u64(addr + 8)?;
             mem.write_u64(addr, (old0 as i64).wrapping_add(operand[0] as i64) as u64)?;
             mem.write_u64(addr + 8, (old1 as i64).wrapping_add(operand[1] as i64) as u64)?;
-            let payload = if cmd == HmcRqst::TwoAddS8R { vec![old0, old1] } else { vec![] };
+            let payload = if cmd == HmcRqst::TwoAddS8R {
+                [old0, old1].into()
+            } else {
+                PayloadBuf::new()
+            };
             Ok(AmoResult { payload, af: false })
         }
         // ---- single 16-byte signed add immediate ----
@@ -88,9 +94,9 @@ pub fn execute(
             let imm = (operand[0] as u128) | ((operand[1] as u128) << 64);
             mem.write_u128(addr, (old as i128).wrapping_add(imm as i128) as u128)?;
             let payload = if cmd == HmcRqst::AddS16R {
-                vec![old as u64, (old >> 64) as u64]
+                [old as u64, (old >> 64) as u64].into()
             } else {
-                vec![]
+                PayloadBuf::new()
             };
             Ok(AmoResult { payload, af: false })
         }
@@ -117,7 +123,7 @@ pub fn execute(
                 _ => unreachable!("boolean arm"),
             };
             mem.write_u128(addr, new)?;
-            Ok(AmoResult { payload: vec![old as u64, (old >> 64) as u64], af: false })
+            Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: false })
         }
         // ---- 8-byte compare-and-swap family ----
         HmcRqst::CasGt8 | HmcRqst::CasLt8 | HmcRqst::CasEq8 => {
@@ -134,7 +140,7 @@ pub fn execute(
             if hit {
                 mem.write_u64(addr, swap)?;
             }
-            Ok(AmoResult { payload: vec![old, 0], af: hit })
+            Ok(AmoResult { payload: [old, 0].into(), af: hit })
         }
         // ---- 16-byte compare-and-swap family ----
         HmcRqst::CasGt16 | HmcRqst::CasLt16 | HmcRqst::CasZero16 => {
@@ -153,21 +159,21 @@ pub fn execute(
             if hit {
                 mem.write_u128(addr, swap)?;
             }
-            Ok(AmoResult { payload: vec![old as u64, (old >> 64) as u64], af: hit })
+            Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: hit })
         }
         // ---- equality probes (ack-only responses, AF = outcome) ----
         HmcRqst::Eq8 => {
             check_align(addr, 8)?;
             want_operands(cmd, operand.len(), 2)?;
             let old = mem.read_u64(addr)?;
-            Ok(AmoResult { payload: vec![], af: old == operand[0] })
+            Ok(AmoResult { payload: PayloadBuf::new(), af: old == operand[0] })
         }
         HmcRqst::Eq16 => {
             check_align(addr, 16)?;
             want_operands(cmd, operand.len(), 2)?;
             let old = mem.read_u128(addr)?;
             let cmp = (operand[0] as u128) | ((operand[1] as u128) << 64);
-            Ok(AmoResult { payload: vec![], af: old == cmp })
+            Ok(AmoResult { payload: PayloadBuf::new(), af: old == cmp })
         }
         // ---- 8-byte bit write ----
         HmcRqst::Bwr | HmcRqst::PBwr | HmcRqst::Bwr8R => {
@@ -176,7 +182,11 @@ pub fn execute(
             let (data, mask) = (operand[0], operand[1]);
             let old = mem.read_u64(addr)?;
             mem.write_u64(addr, (old & !mask) | (data & mask))?;
-            let payload = if cmd == HmcRqst::Bwr8R { vec![old, 0] } else { vec![] };
+            let payload = if cmd == HmcRqst::Bwr8R {
+                [old, 0].into()
+            } else {
+                PayloadBuf::new()
+            };
             Ok(AmoResult { payload, af: false })
         }
         // ---- 16-byte swap/exchange ----
@@ -186,7 +196,7 @@ pub fn execute(
             let new = (operand[0] as u128) | ((operand[1] as u128) << 64);
             let old = mem.read_u128(addr)?;
             mem.write_u128(addr, new)?;
-            Ok(AmoResult { payload: vec![old as u64, (old >> 64) as u64], af: false })
+            Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: false })
         }
         other => Err(HmcError::MalformedPacket(format!(
             "{other} is not an atomic memory operation"

@@ -28,6 +28,10 @@ const SHARD_COUNT: usize = 16;
 
 type PageMap = HashMap<u64, Box<[u8; PAGE_BYTES]>>;
 
+/// Words converted per stack buffer by the word accessors: the payload
+/// of the largest packet (17 FLITs), so one packet is one pass.
+const WORD_CHUNK: usize = 32;
+
 /// A sparse, zero-initialized, byte-addressable memory of fixed
 /// capacity. Shareable across threads: all accessors take `&self`.
 #[derive(Default)]
@@ -190,21 +194,41 @@ impl SparseMemory {
 
     /// Reads `n` little-endian 64-bit words starting at `addr`.
     pub fn read_words(&self, addr: u64, n: usize) -> Result<Vec<u64>, HmcError> {
-        let mut bytes = vec![0u8; n * 8];
-        self.read(addr, &mut bytes)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
+        let mut words = vec![0u64; n];
+        self.read_words_into(addr, &mut words)?;
+        Ok(words)
     }
 
-    /// Writes 64-bit words starting at `addr`.
-    pub fn write_words(&self, addr: u64, words: &[u64]) -> Result<(), HmcError> {
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
+    /// Fills `out` with the little-endian 64-bit words starting at
+    /// `addr` — the vault data path's read, straight into a response
+    /// payload with no heap temporary.
+    pub fn read_words_into(&self, addr: u64, out: &mut [u64]) -> Result<(), HmcError> {
+        self.check_range(addr, out.len() * 8)?;
+        let mut bytes = [0u8; WORD_CHUNK * 8];
+        for (i, chunk) in out.chunks_mut(WORD_CHUNK).enumerate() {
+            let bytes = &mut bytes[..chunk.len() * 8];
+            self.read(addr + (i * WORD_CHUNK * 8) as u64, bytes)?;
+            for (w, b) in chunk.iter_mut().zip(bytes.chunks_exact(8)) {
+                *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+            }
         }
-        self.write(addr, &bytes)
+        Ok(())
+    }
+
+    /// Writes 64-bit words starting at `addr`. The whole range is
+    /// checked before the first byte moves, so a rejected write leaves
+    /// memory untouched.
+    pub fn write_words(&self, addr: u64, words: &[u64]) -> Result<(), HmcError> {
+        self.check_range(addr, words.len() * 8)?;
+        let mut bytes = [0u8; WORD_CHUNK * 8];
+        for (i, chunk) in words.chunks(WORD_CHUNK).enumerate() {
+            let bytes = &mut bytes[..chunk.len() * 8];
+            for (b, w) in bytes.chunks_exact_mut(8).zip(chunk) {
+                b.copy_from_slice(&w.to_le_bytes());
+            }
+            self.write(addr + (i * WORD_CHUNK * 8) as u64, bytes)?;
+        }
+        Ok(())
     }
 }
 
@@ -290,6 +314,25 @@ mod tests {
         let words: Vec<u64> = (0..32).map(|i| i * 0x0101_0101).collect();
         mem.write_words(0x200, &words).unwrap();
         assert_eq!(mem.read_words(0x200, 32).unwrap(), words);
+    }
+
+    #[test]
+    fn word_accessors_span_chunks_and_pages_and_check_before_writing() {
+        let mem = SparseMemory::new(2 * PAGE_BYTES as u64);
+        // 70 words from an unaligned address: three stack-buffer
+        // chunks, crossing the page boundary mid-word.
+        let words: Vec<u64> = (1..=70).map(|i| i * 0x0123_4567_89ab).collect();
+        let addr = PAGE_BYTES as u64 - 259;
+        mem.write_words(addr, &words).unwrap();
+        let mut back = [0u64; 70];
+        mem.read_words_into(addr, &mut back).unwrap();
+        assert_eq!(back[..], words[..]);
+        assert_eq!(mem.read_u64(addr + 8 * 69).unwrap(), words[69]);
+        // A range that ends past capacity is rejected whole.
+        let tail = 2 * PAGE_BYTES as u64 - 8 * 40;
+        assert!(mem.write_words(tail + 8, &words[..40]).is_err());
+        assert_eq!(mem.read_words(tail, 40).unwrap(), vec![0; 40], "nothing was written");
+        assert!(mem.read_words_into(tail + 8, &mut back[..40]).is_err());
     }
 
     #[test]

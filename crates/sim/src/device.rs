@@ -25,7 +25,7 @@ use crate::dram::Bank;
 use crate::fault::{FaultRng, ERRSTAT_VAULT_FAULT};
 use crate::timing::{TimingEngine, TimingSelect, TimingStats};
 use crate::power::{PowerConfig, PowerModel};
-use crate::queue::BoundedQueue;
+use crate::queue::{BoundedQueue, FreeList};
 use crate::regs::RegisterFile;
 use crate::stats::DeviceStats;
 use crate::trace::{CmdRef, TraceKind, TraceLane, TraceLevel, TraceRecord, Tracer};
@@ -33,7 +33,9 @@ use hmc_cmc::{CmcContext, CmcRegistry};
 use hmc_mem::SparseMemory;
 use hmc_types::packet::payload_words;
 use hmc_types::rsp::HmcResponse;
-use hmc_types::{CmdKind, Cub, HmcError, HmcRqst, PayloadBuf, Request, Response, RspHead, RspTail, Slid};
+use hmc_types::{
+    CmdKind, Cub, HmcError, HmcRqst, PayloadBuf, Request, Response, RspHead, RspTail, Slid, Tag,
+};
 use std::sync::Arc;
 
 /// A request in flight inside the simulator, carrying the host-side
@@ -84,11 +86,65 @@ pub struct TrackedResponse {
     pub stages: crate::telemetry::StageStamps,
 }
 
+impl TrackedResponse {
+    /// Placeholder contents of a freshly allocated response envelope;
+    /// stage 3 overwrites every field before the envelope is queued.
+    fn blank() -> Self {
+        TrackedResponse {
+            rsp: Response {
+                head: RspHead {
+                    cmd: HmcResponse::RspNone,
+                    lng: 1,
+                    tag: Tag::default(),
+                    af: false,
+                    slid: Slid::default(),
+                    cub: Cub::default(),
+                },
+                payload: PayloadBuf::new(),
+                tail: RspTail::default(),
+            },
+            issue_cycle: 0,
+            complete_cycle: 0,
+            latency: 0,
+            entry_device: 0,
+            entry_link: 0,
+            class: crate::stats::CmdClass::Other,
+            stages: Default::default(),
+        }
+    }
+}
+
+/// A request's heap envelope: written once at `HmcSim::send`, moved
+/// as a pointer through every queue, retired after stage 3.
+pub(crate) type RqstEnvelope = Box<TrackedRequest>;
+
+/// A response's heap envelope: filled in place at stage 3, moved as a
+/// pointer to the host receive buffer, copied out and retired at
+/// `HmcSim::recv`.
+pub(crate) type RspEnvelope = Box<TrackedResponse>;
+
+/// The free lists retired envelopes return to. Owned by the
+/// simulation context and lent to the device stages that create or
+/// retire envelopes, the way the tracer is. Not simulation state:
+/// never snapshotted, never fingerprinted.
+#[derive(Debug, Default)]
+pub(crate) struct EnvelopePool {
+    pub(crate) rqst: FreeList<TrackedRequest>,
+    pub(crate) rsp: FreeList<TrackedResponse>,
+}
+
+impl EnvelopePool {
+    /// A response envelope for stage 3 to fill in place.
+    pub(crate) fn response(&mut self) -> RspEnvelope {
+        self.rsp.stale_or(TrackedResponse::blank)
+    }
+}
+
 /// One vault: request/response queues plus per-bank busy tracking.
 #[derive(Debug, Clone)]
 pub(crate) struct Vault {
-    pub(crate) rqst: BoundedQueue<TrackedRequest>,
-    pub(crate) rsp: BoundedQueue<TrackedResponse>,
+    pub(crate) rqst: BoundedQueue<RqstEnvelope>,
+    pub(crate) rsp: BoundedQueue<RspEnvelope>,
     pub(crate) banks: Vec<Bank>,
 }
 
@@ -106,11 +162,13 @@ impl Vault {
 /// with a packet destined for another cube.
 #[derive(Debug)]
 pub(crate) struct ForwardRequest {
-    pub(crate) item: TrackedRequest,
+    pub(crate) item: RqstEnvelope,
     pub(crate) from_link: usize,
 }
 
-/// The result of one request-routing stage.
+/// The result of one request-routing stage. Caller-owned and refilled
+/// by every [`Device::route_requests`] call, so the per-device,
+/// per-cycle stage allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct RouteOutcome {
     /// Packets destined for other cubes.
@@ -126,8 +184,8 @@ pub(crate) struct RouteOutcome {
 /// response through a surviving link.
 #[derive(Debug)]
 pub(crate) enum Egress {
-    Deliver(TrackedResponse, usize),
-    Forward(TrackedResponse),
+    Deliver(RspEnvelope, usize),
+    Forward(RspEnvelope),
 }
 
 /// Why a vault's planned execution window stopped short this cycle.
@@ -164,11 +222,25 @@ pub(crate) struct VaultPlan {
 }
 
 /// The work handed to a compute lane for one vault: the popped
-/// requests paired with their decoded locations, in queue order.
+/// requests in queue order. The same items come back in the lane's
+/// result, so both envelopes of every request return to the
+/// coordinating thread for queueing or recycling.
 #[derive(Debug)]
 pub(crate) struct VaultWork {
     pub(crate) vault: usize,
-    pub(crate) items: Vec<(TrackedRequest, crate::addr::Location)>,
+    pub(crate) items: Vec<WorkItem>,
+}
+
+/// One planned request with its decoded location and the response
+/// envelope the lane fills in place.
+#[derive(Debug)]
+pub(crate) struct WorkItem {
+    pub(crate) rqst: RqstEnvelope,
+    pub(crate) loc: crate::addr::Location,
+    pub(crate) rsp: RspEnvelope,
+    /// Set by the lane: whether `rsp` holds a response to queue
+    /// (false for an absorbed posted/flow request).
+    pub(crate) responded: bool,
 }
 
 /// A single simulated HMC device.
@@ -177,8 +249,8 @@ pub struct Device {
     id: usize,
     config: DeviceConfig,
     map: AddressMap,
-    xbar_rqst: Vec<BoundedQueue<TrackedRequest>>,
-    xbar_rsp: Vec<BoundedQueue<TrackedResponse>>,
+    xbar_rqst: Vec<BoundedQueue<RqstEnvelope>>,
+    xbar_rsp: Vec<BoundedQueue<RspEnvelope>>,
     vaults: Vec<Vault>,
     /// Behind an `Arc` so parallel vault workers can hold a `'static`
     /// handle during the compute phase; between cycles the device is
@@ -385,14 +457,13 @@ impl Device {
     }
 
     /// Injects a packet into a link's crossbar request queue
-    /// (`hmc_send_packet`). Returns the packet on stall so the host
+    /// (`hmc_send_packet`). Returns the envelope on stall so the host
     /// can retry.
-    #[allow(clippy::result_large_err)] // stalls hand the packet back by value
     pub(crate) fn send(
         &mut self,
         link: usize,
-        item: TrackedRequest,
-    ) -> Result<(), (TrackedRequest, HmcError)> {
+        item: RqstEnvelope,
+    ) -> Result<(), (RqstEnvelope, HmcError)> {
         if link >= self.config.links {
             return Err((item, HmcError::InvalidLink(link)));
         }
@@ -411,23 +482,21 @@ impl Device {
     }
 
     /// Accepts a packet forwarded from a chained neighbour.
-    #[allow(clippy::result_large_err)] // stalls hand the packet back by value
     pub(crate) fn accept_forward(
         &mut self,
         link: usize,
-        item: TrackedRequest,
-    ) -> Result<(), (TrackedRequest, HmcError)> {
+        item: RqstEnvelope,
+    ) -> Result<(), (RqstEnvelope, HmcError)> {
         let link = link % self.config.links;
         self.xbar_rqst[link].push(item)
     }
 
     /// Accepts a response travelling back toward its entry device.
-    #[allow(clippy::result_large_err)] // stalls hand the packet back by value
     pub(crate) fn accept_return(
         &mut self,
         link: usize,
-        item: TrackedResponse,
-    ) -> Result<(), (TrackedResponse, HmcError)> {
+        item: RspEnvelope,
+    ) -> Result<(), (RspEnvelope, HmcError)> {
         let link = link % self.config.links;
         self.xbar_rsp[link].push(item)
     }
@@ -482,9 +551,9 @@ impl Device {
     }
 
     /// Stage 2: crossbar response queues → egress (host delivery or
-    /// chained return). The simulation context completes delivery.
-    pub(crate) fn drain_responses(&mut self, cycle: u64) -> Vec<Egress> {
-        let mut out = Vec::new();
+    /// chained return), appended to the caller's buffer. The
+    /// simulation context completes delivery.
+    pub(crate) fn drain_responses(&mut self, cycle: u64, out: &mut Vec<Egress>) {
         for link in 0..self.config.links {
             if !self.link_up[link] {
                 // A downed link transmits nothing; queued responses
@@ -504,14 +573,22 @@ impl Device {
                 }
             }
         }
-        out
     }
 
     /// Stage 3: vault execution — the `hmcsim_process_rqst`
     /// equivalent. Returns the number of requests retired *without* a
     /// response (posted writes, flow packets, posted vault faults) —
     /// the sanitizer's "absorbed" tally for packet conservation.
-    pub(crate) fn execute_vaults(&mut self, cycle: u64, tracer: &mut Tracer) -> u64 {
+    ///
+    /// Envelopes change hands here: each executed request's envelope
+    /// retires to `pool`, and its response is built in place in an
+    /// envelope drawn from `pool`.
+    pub(crate) fn execute_vaults(
+        &mut self,
+        cycle: u64,
+        tracer: &mut Tracer,
+        pool: &mut EnvelopePool,
+    ) -> u64 {
         let mut absorbed = 0u64;
         let Device {
             id,
@@ -580,6 +657,7 @@ impl Device {
                     break;
                 }
                 let item = vault.rqst.pop().expect("peeked");
+                let mut out = pool.response();
                 // Injected vault internal error: the controller
                 // answers with ERRSTAT before touching DRAM, so the
                 // request has no side effects and a host retry is
@@ -596,32 +674,32 @@ impl Device {
                     });
                     if !posted {
                         stats.responses += 1;
+                        error_response(&mut out, *id, &item, cycle, ERRSTAT_VAULT_FAULT);
                         vault
                             .rsp
-                            .push(tracked_response(
-                                error_response(*id, &item, ERRSTAT_VAULT_FAULT),
-                                &item,
-                                cycle,
-                            ))
+                            .push(out)
                             .unwrap_or_else(|_| unreachable!("rsp queue checked above"));
                     } else {
                         absorbed += 1;
+                        pool.rsp.give(out);
                     }
+                    pool.rqst.give(item);
                     continue;
                 }
                 timing.serve(&mut vault.banks[bank], cycle, loc.row, global_bank);
                 power.add_dram_access();
-                let rsp = execute_request(
+                let responded = execute_request(
                     *id, config, &item, &loc, mem, cmc, regs, stats, power, cycle, tracer,
+                    &mut out,
                 );
-                if let Some(mut rsp) = rsp {
+                if responded {
                     // Poison: a read response may be delivered with
                     // the data-invalid bit set. Reads are idempotent,
                     // so the host can safely re-issue.
-                    if matches!(rsp.head.cmd, HmcResponse::RdRs | HmcResponse::MdRdRs)
+                    if matches!(out.rsp.head.cmd, HmcResponse::RdRs | HmcResponse::MdRdRs)
                         && fault_rng.chance(config.fault.poison_per_million)
                     {
-                        rsp.tail.dinv = true;
+                        out.rsp.tail.dinv = true;
                         stats.poisoned_responses += 1;
                         tracer.emit(TraceRecord {
                             dev: *id as u16,
@@ -633,11 +711,13 @@ impl Device {
                     stats.responses += 1;
                     vault
                         .rsp
-                        .push(tracked_response(rsp, &item, cycle))
+                        .push(out)
                         .unwrap_or_else(|_| unreachable!("rsp queue checked above"));
                 } else {
                     absorbed += 1;
+                    pool.rsp.give(out);
                 }
+                pool.rqst.give(item);
             }
         }
         absorbed
@@ -779,20 +859,27 @@ impl Device {
     /// banks advance — and observations record — exactly as the
     /// sequential path would, in vault order), and books the stall and
     /// DRAM-access accounting the sequential path performs inline.
-    /// Must run on the coordinating thread before the compute phase.
-    pub(crate) fn take_parallel_work(&mut self, cycle: u64, plans: &[VaultPlan]) -> Vec<VaultWork> {
+    /// Each popped request is paired with a response envelope from
+    /// `pool` for its lane to fill. Must run on the coordinating
+    /// thread before the compute phase.
+    pub(crate) fn take_parallel_work(
+        &mut self,
+        cycle: u64,
+        plans: &[VaultPlan],
+        pool: &mut EnvelopePool,
+    ) -> Vec<VaultWork> {
         let Device { config, vaults, timing, stats, power, .. } = self;
         let mut work = Vec::with_capacity(plans.len());
         for plan in plans {
             let vault = &mut vaults[plan.vault];
             let mut items = Vec::with_capacity(plan.take);
             for loc in &plan.locs {
-                let item = vault.rqst.pop().expect("planned item present");
+                let rqst = vault.rqst.pop().expect("planned item present");
                 let bank = loc.bank as usize % config.banks_per_vault;
                 let global_bank = (plan.vault * config.banks_per_vault + bank) as u64;
                 timing.serve(&mut vault.banks[bank], cycle, loc.row, global_bank);
                 power.add_dram_access();
-                items.push((item, *loc));
+                items.push(WorkItem { rqst, loc: *loc, rsp: pool.response(), responded: false });
             }
             if plan.stall.is_some() {
                 stats.vault_stalls += 1;
@@ -807,7 +894,8 @@ impl Device {
     /// queue (occupancy was reserved by the plan), folds the shard-
     /// local stat/power deltas in, and re-emits the planned stall
     /// events — all in vault-index order, so the observable effect is
-    /// bit-identical to [`Device::execute_vaults`]. Returns the
+    /// bit-identical to [`Device::execute_vaults`]. Request envelopes
+    /// and unused response envelopes retire to `pool`. Returns the
     /// absorbed-request tally for the sanitizer.
     pub(crate) fn commit_parallel_vaults(
         &mut self,
@@ -815,6 +903,7 @@ impl Device {
         plans: &[VaultPlan],
         results: Vec<crate::parallel::VaultResult>,
         tracer: &mut Tracer,
+        pool: &mut EnvelopePool,
     ) -> u64 {
         let mut absorbed = 0u64;
         let mut results = results.into_iter().peekable();
@@ -822,16 +911,17 @@ impl Device {
             if results.peek().is_some_and(|r| r.vault == plan.vault) {
                 let r = results.next().expect("peeked");
                 tracer.replay(&r.events);
-                for rsp in r.responses {
-                    match rsp {
-                        Some(tr) => {
-                            self.stats.responses += 1;
-                            self.vaults[plan.vault]
-                                .rsp
-                                .push(tr)
-                                .unwrap_or_else(|_| unreachable!("rsp occupancy reserved by plan"));
-                        }
-                        None => absorbed += 1,
+                for item in r.items {
+                    pool.rqst.give(item.rqst);
+                    if item.responded {
+                        self.stats.responses += 1;
+                        self.vaults[plan.vault]
+                            .rsp
+                            .push(item.rsp)
+                            .unwrap_or_else(|_| unreachable!("rsp occupancy reserved by plan"));
+                    } else {
+                        absorbed += 1;
+                        pool.rsp.give(item.rsp);
                     }
                 }
                 self.stats.merge(&r.stats);
@@ -858,11 +948,16 @@ impl Device {
 
     /// Stage 4: crossbar request queues → vault request queues, or
     /// hand packets for other cubes back to the simulation context.
-    pub(crate) fn route_requests(&mut self, cycle: u64, tracer: &mut Tracer) -> RouteOutcome {
-        let mut out = RouteOutcome {
-            forwards: Vec::new(),
-            freed_flits: vec![0; self.config.links],
-        };
+    /// `out` is reset and refilled.
+    pub(crate) fn route_requests(
+        &mut self,
+        cycle: u64,
+        tracer: &mut Tracer,
+        out: &mut RouteOutcome,
+    ) {
+        out.forwards.clear();
+        out.freed_flits.clear();
+        out.freed_flits.resize(self.config.links, 0);
         // Arbitration: fixed priority serves links in index order;
         // round-robin rotates the first-served link each cycle.
         let start = match self.config.arbitration {
@@ -921,7 +1016,6 @@ impl Device {
                     .unwrap_or_else(|_| unreachable!("checked not full"));
             }
         }
-        out
     }
 
     /// Aggregate row-buffer statistics across all banks:
@@ -1043,7 +1137,7 @@ impl Device {
     #[doc(hidden)]
     pub fn debug_inject_response(&mut self, link: usize, item: TrackedResponse) {
         let link = link % self.config.links;
-        let _ = self.xbar_rsp[link].push(item);
+        let _ = self.xbar_rsp[link].push(Box::new(item));
     }
 
     /// Total crossbar-queue stall count (for diagnostics).
@@ -1124,64 +1218,97 @@ fn data_footprint(req: &Request) -> Option<(u64, u64, bool)> {
     }
 }
 
-/// Builds an error response for a failed request.
-fn error_response(dev: usize, item: &TrackedRequest, errstat: u8) -> Response {
-    Response {
-        head: RspHead {
-            cmd: HmcResponse::Error,
-            lng: 1,
-            tag: item.req.head.tag,
-            af: false,
-            slid: Slid::new((item.entry_link % 8) as u8).expect("link < 8"),
-            cub: Cub::new(dev as u8).expect("contexts hold at most Cub::MAX_CUBES devices"),
-        },
-        payload: PayloadBuf::new(),
-        tail: RspTail { errstat, ..RspTail::default() },
-    }
-}
-
-/// Builds a success response.
-fn make_response(
+/// Completes `out` as the response to `item`: the header (LNG follows
+/// from the payload already in `out`), a clean tail and the in-flight
+/// bookkeeping copied from the request. This is the single
+/// construction point for stage-3 responses, shared by the sequential
+/// path and the parallel workers, and it overwrites every field of a
+/// recycled envelope except the payload — the exhaustive destructuring
+/// makes a newly added field a compile error here rather than stale
+/// data in a fingerprint.
+fn finish_response(
+    out: &mut TrackedResponse,
     dev: usize,
     item: &TrackedRequest,
+    cycle: u64,
     cmd: HmcResponse,
-    payload: impl Into<PayloadBuf>,
     af: bool,
-) -> Response {
-    let payload = payload.into();
-    let lng = (1 + payload.len() / 2) as u8;
-    Response {
-        head: RspHead {
-            cmd,
-            lng,
-            tag: item.req.head.tag,
-            af,
-            slid: Slid::new((item.entry_link % 8) as u8).expect("link < 8"),
-            cub: Cub::new(dev as u8).expect("contexts hold at most Cub::MAX_CUBES devices"),
-        },
-        payload,
-        tail: RspTail::default(),
-    }
+) {
+    let TrackedResponse {
+        rsp: Response { head, payload, tail },
+        issue_cycle,
+        complete_cycle,
+        latency,
+        entry_device,
+        entry_link,
+        class,
+        stages,
+    } = out;
+    *head = RspHead {
+        cmd,
+        lng: (1 + payload.len() / 2) as u8,
+        tag: item.req.head.tag,
+        af,
+        slid: Slid::new((item.entry_link % 8) as u8).expect("link < 8"),
+        cub: Cub::new(dev as u8).expect("contexts hold at most Cub::MAX_CUBES devices"),
+    };
+    *tail = RspTail::default();
+    *issue_cycle = item.issue_cycle;
+    *complete_cycle = 0;
+    *latency = 0;
+    *entry_device = item.entry_device;
+    *entry_link = item.entry_link;
+    *class = crate::stats::CmdClass::of(item.req.head.cmd.kind());
+    *stages = crate::telemetry::StageStamps {
+        vault_enq: item.vault_enq_cycle,
+        exec: cycle,
+        ..Default::default()
+    };
 }
 
-/// Wraps a response packet with the in-flight bookkeeping copied from
-/// its originating request (the single construction point for stage-3
-/// responses, shared by the sequential path and the parallel workers).
-pub(crate) fn tracked_response(rsp: Response, item: &TrackedRequest, cycle: u64) -> TrackedResponse {
-    TrackedResponse {
-        rsp,
-        issue_cycle: item.issue_cycle,
-        complete_cycle: 0,
-        latency: 0,
-        entry_device: item.entry_device,
-        entry_link: item.entry_link,
-        class: crate::stats::CmdClass::of(item.req.head.cmd.kind()),
-        stages: crate::telemetry::StageStamps {
-            vault_enq: item.vault_enq_cycle,
-            exec: cycle,
-            ..Default::default()
-        },
+/// Fills `out` with a data-less success response (write and mode-write
+/// acknowledgements, ack-only atomics).
+fn ack_response(
+    out: &mut TrackedResponse,
+    dev: usize,
+    item: &TrackedRequest,
+    cycle: u64,
+    cmd: HmcResponse,
+    af: bool,
+) {
+    out.rsp.payload.clear();
+    finish_response(out, dev, item, cycle, cmd, af);
+}
+
+/// Fills `out` with the error response for a failed request.
+fn error_response(
+    out: &mut TrackedResponse,
+    dev: usize,
+    item: &TrackedRequest,
+    cycle: u64,
+    errstat: u8,
+) {
+    ack_response(out, dev, item, cycle, HmcResponse::Error, false);
+    out.rsp.tail.errstat = errstat;
+}
+
+/// Books a failed request: counts the error and, unless the command
+/// was posted, answers it with `errstat`. Returns whether `out` holds
+/// a response.
+fn reject(
+    stats: &mut DeviceStats,
+    out: &mut TrackedResponse,
+    dev: usize,
+    item: &TrackedRequest,
+    cycle: u64,
+    errstat: u8,
+    posted: bool,
+) -> bool {
+    stats.error_responses += 1;
+    if !posted {
+        error_response(out, dev, item, cycle, errstat);
     }
+    !posted
 }
 
 /// Executes one *data-path* request — flow, read, write or atomic —
@@ -1193,6 +1320,11 @@ pub(crate) fn tracked_response(rsp: Response, item: &TrackedRequest, cycle: u64)
 /// phase merges the deltas. Mode and CMC commands are *not* handled
 /// here (they touch the register file / CMC registry and execute only
 /// on the sequential path).
+///
+/// The response is built in place in `out`, a (possibly recycled)
+/// envelope: read data lands directly in its payload. Returns whether
+/// `out` now holds a response; `false` (posted and flow commands)
+/// leaves it unspecified and the caller recycles it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_data_request(
     dev: usize,
@@ -1204,7 +1336,8 @@ pub(crate) fn execute_data_request(
     power: &mut PowerModel,
     cycle: u64,
     lane: &mut TraceLane<'_>,
-) -> Option<Response> {
+    out: &mut TrackedResponse,
+) -> bool {
     let cmd = item.req.head.cmd;
     let addr = item.req.head.addr;
     let kind = cmd.kind();
@@ -1224,6 +1357,10 @@ pub(crate) fn execute_data_request(
         ..TraceRecord::new(cycle, TraceKind::Cmd)
     };
 
+    let fail = |stats: &mut DeviceStats, out: &mut TrackedResponse, errstat: u8, posted: bool| {
+        reject(stats, out, dev, item, cycle, errstat, posted)
+    };
+
     // Revision gate: a Gen1 part rejects Gen2-only commands with an
     // error response (HMC-Sim 1.0 never accepted them).
     if !revision.supports(cmd) {
@@ -1231,30 +1368,24 @@ pub(crate) fn execute_data_request(
             b: matches!(revision, SpecRevision::Gen2) as u64,
             ..TraceRecord { kind: TraceKind::CmdReject, ..cmd_rec }
         });
-        stats.error_responses += 1;
-        return if cmd.is_posted() { None } else { Some(error_response(dev, item, 0x20)) };
+        return fail(stats, out, 0x20, cmd.is_posted());
     }
-
-    let fail = |stats: &mut DeviceStats, errstat: u8, posted: bool| {
-        stats.error_responses += 1;
-        if posted {
-            None
-        } else {
-            Some(error_response(dev, item, errstat))
-        }
-    };
 
     match kind {
         CmdKind::Flow => {
             lane.emit(cmd_rec);
-            None
+            false
         }
         CmdKind::Read => {
             lane.emit(cmd_rec);
             let bytes = cmd.fixed_info().expect("standard").data_bytes as usize;
-            match mem.read_words(addr, bytes / 8) {
-                Ok(payload) => Some(make_response(dev, item, HmcResponse::RdRs, payload, false)),
-                Err(_) => fail(stats, 0x01, false),
+            out.rsp.payload.resize(bytes / 8, 0);
+            match mem.read_words_into(addr, &mut out.rsp.payload) {
+                Ok(()) => {
+                    finish_response(out, dev, item, cycle, HmcResponse::RdRs, false);
+                    true
+                }
+                Err(_) => fail(stats, out, 0x01, false),
             }
         }
         CmdKind::Write | CmdKind::PostedWrite => {
@@ -1262,13 +1393,12 @@ pub(crate) fn execute_data_request(
             let posted = kind == CmdKind::PostedWrite;
             match mem.write_words(addr, &item.req.payload) {
                 Ok(()) => {
-                    if posted {
-                        None
-                    } else {
-                        Some(make_response(dev, item, HmcResponse::WrRs, vec![], false))
+                    if !posted {
+                        ack_response(out, dev, item, cycle, HmcResponse::WrRs, false);
                     }
+                    !posted
                 }
-                Err(_) => fail(stats, 0x01, posted),
+                Err(_) => fail(stats, out, 0x01, posted),
             }
         }
         CmdKind::Atomic | CmdKind::PostedAtomic => {
@@ -1276,19 +1406,21 @@ pub(crate) fn execute_data_request(
             power.add_logic_op();
             let posted = kind == CmdKind::PostedAtomic;
             match hmc_mem::amo::execute(cmd, mem, addr, &item.req.payload) {
-                Ok(out) => {
+                Ok(amo) => {
                     let rsp_flits = cmd.fixed_info().expect("standard").rsp_flits;
                     if rsp_flits == 0 {
-                        None
+                        false
                     } else if rsp_flits == 1 {
-                        Some(make_response(dev, item, HmcResponse::WrRs, vec![], out.af))
+                        ack_response(out, dev, item, cycle, HmcResponse::WrRs, amo.af);
+                        true
                     } else {
-                        let mut payload = out.payload;
-                        payload.resize(payload_words(rsp_flits), 0);
-                        Some(make_response(dev, item, HmcResponse::RdRs, payload, out.af))
+                        out.rsp.payload = amo.payload;
+                        out.rsp.payload.resize(payload_words(rsp_flits), 0);
+                        finish_response(out, dev, item, cycle, HmcResponse::RdRs, amo.af);
+                        true
                     }
                 }
-                Err(_) => fail(stats, 0x03, posted),
+                Err(_) => fail(stats, out, 0x03, posted),
             }
         }
         CmdKind::ModeRead | CmdKind::ModeWrite | CmdKind::Cmc => {
@@ -1297,8 +1429,9 @@ pub(crate) fn execute_data_request(
     }
 }
 
-/// Executes one request against the device state, returning the
-/// response packet (None for posted/flow commands). Data-path kinds
+/// Executes one request against the device state, building the
+/// response in place in `out` (returns `false` for posted/flow
+/// commands, which produce none). Data-path kinds
 /// delegate to [`execute_data_request`]; mode and CMC commands (which
 /// touch the register file and CMC registry) are handled here, on the
 /// sequential path only.
@@ -1315,7 +1448,8 @@ fn execute_request(
     power: &mut PowerModel,
     cycle: u64,
     tracer: &mut Tracer,
-) -> Option<Response> {
+    out: &mut TrackedResponse,
+) -> bool {
     let cmd = item.req.head.cmd;
     let addr = item.req.head.addr;
     let kind = cmd.kind();
@@ -1331,6 +1465,7 @@ fn execute_request(
             power,
             cycle,
             &mut lane,
+            out,
         );
     }
     stats.count_kind(kind);
@@ -1350,39 +1485,40 @@ fn execute_request(
         ..TraceRecord::new(cycle, TraceKind::Cmd)
     };
 
+    let fail = |stats: &mut DeviceStats, out: &mut TrackedResponse, errstat: u8, posted: bool| {
+        reject(stats, out, dev, item, cycle, errstat, posted)
+    };
+
     // Revision gate, as in `execute_data_request`.
     if !config.revision.supports(cmd) {
         tracer.emit(TraceRecord {
             b: matches!(config.revision, SpecRevision::Gen2) as u64,
             ..TraceRecord { kind: TraceKind::CmdReject, ..cmd_rec }
         });
-        stats.error_responses += 1;
-        return if cmd.is_posted() { None } else { Some(error_response(dev, item, 0x20)) };
+        return fail(stats, out, 0x20, cmd.is_posted());
     }
-
-    let fail = |stats: &mut DeviceStats, errstat: u8, posted: bool| {
-        stats.error_responses += 1;
-        if posted {
-            None
-        } else {
-            Some(error_response(dev, item, errstat))
-        }
-    };
 
     match kind {
         CmdKind::ModeRead => {
             tracer.emit(cmd_rec);
             match regs.read(addr as u32) {
-                Ok(v) => Some(make_response(dev, item, HmcResponse::MdRdRs, vec![v, 0], false)),
-                Err(_) => fail(stats, 0x02, false),
+                Ok(v) => {
+                    out.rsp.payload = [v, 0].into();
+                    finish_response(out, dev, item, cycle, HmcResponse::MdRdRs, false);
+                    true
+                }
+                Err(_) => fail(stats, out, 0x02, false),
             }
         }
         CmdKind::ModeWrite => {
             tracer.emit(cmd_rec);
             let value = item.req.payload.first().copied().unwrap_or(0);
             match regs.write(addr as u32, value) {
-                Ok(()) => Some(make_response(dev, item, HmcResponse::MdWrRs, vec![], false)),
-                Err(_) => fail(stats, 0x02, false),
+                Ok(()) => {
+                    ack_response(out, dev, item, cycle, HmcResponse::MdWrRs, false);
+                    true
+                }
+                Err(_) => fail(stats, out, 0x02, false),
             }
         }
         CmdKind::Cmc => {
@@ -1404,17 +1540,21 @@ fn execute_request(
                     // Paper §IV-C2: packets for a command not marked
                     // active return an error.
                     tracer.emit(TraceRecord { cmd: CmdRef::Inactive(code), ..cmd_rec });
-                    return fail(stats, 0x10, false);
+                    return fail(stats, out, 0x10, false);
                 }
             };
-            let reg = loaded.registration().clone();
+            let reg = loaded.registration();
             if item.req.head.lng != reg.rqst_len {
                 let rec = named(tracer, loaded.trace_name());
                 tracer.emit(rec);
-                return fail(stats, 0x11, reg.is_posted());
+                return fail(stats, out, 0x11, reg.is_posted());
             }
             power.add_logic_op();
-            let mut rsp_payload = vec![0u64; reg.rsp_payload_words()];
+            // The operation writes its response words straight into
+            // the envelope (zeroed first, as the C plugin ABI hands
+            // over a cleared buffer).
+            out.rsp.payload.clear();
+            out.rsp.payload.resize(reg.rsp_payload_words(), 0);
             let mut ctx = CmcContext {
                 dev: dev as u32,
                 quad: loc.quad,
@@ -1426,7 +1566,7 @@ fn execute_request(
                 tail: item.req.tail.encode(),
                 cycle,
                 rqst_payload: &item.req.payload,
-                rsp_payload: &mut rsp_payload,
+                rsp_payload: &mut out.rsp.payload,
                 mem,
             };
             match loaded.execute(&mut ctx) {
@@ -1442,16 +1582,15 @@ fn execute_request(
                         b: reg.rsp_len as u64,
                         ..rec
                     });
-                    if reg.is_posted() {
-                        None
-                    } else {
-                        Some(make_response(dev, item, reg.rsp_cmd, rsp_payload, result.af))
+                    if !reg.is_posted() {
+                        finish_response(out, dev, item, cycle, reg.rsp_cmd, result.af);
                     }
+                    !reg.is_posted()
                 }
                 Err(_) => {
                     let rec = named(tracer, loaded.trace_name());
                     tracer.emit(rec);
-                    fail(stats, 0x12, reg.is_posted())
+                    fail(stats, out, 0x12, reg.is_posted())
                 }
             }
         }
@@ -1471,8 +1610,8 @@ mod tests {
     use super::*;
     use hmc_types::Tag;
 
-    fn tracked(req: Request) -> TrackedRequest {
-        TrackedRequest {
+    fn tracked(req: Request) -> RqstEnvelope {
+        Box::new(TrackedRequest {
             req,
             entry_device: 0,
             entry_link: 0,
@@ -1480,11 +1619,116 @@ mod tests {
             hops: 0,
             ready_cycle: 0,
             vault_enq_cycle: 0,
-        }
+        })
+    }
+
+    fn route(dev: &mut Device, cycle: u64, tracer: &mut Tracer) -> RouteOutcome {
+        let mut out = RouteOutcome::default();
+        dev.route_requests(cycle, tracer, &mut out);
+        out
+    }
+
+    fn execute(dev: &mut Device, cycle: u64, tracer: &mut Tracer) -> u64 {
+        dev.execute_vaults(cycle, tracer, &mut EnvelopePool::default())
+    }
+
+    fn drain(dev: &mut Device, cycle: u64) -> Vec<Egress> {
+        let mut out = Vec::new();
+        dev.drain_responses(cycle, &mut out);
+        out
     }
 
     fn device() -> Device {
         Device::new(0, DeviceConfig::gen2_4link_4gb()).unwrap()
+    }
+
+    #[test]
+    fn queue_elements_are_pointer_sized() {
+        // A hop between queues moves one element; a stalled push hands
+        // one back. Both must stay a pointer, whatever the packets grow to.
+        assert!(std::mem::size_of::<RqstEnvelope>() <= 8);
+        assert!(std::mem::size_of::<RspEnvelope>() <= 8);
+        assert!(std::mem::size_of::<TrackedRequest>() > 64, "the packet itself is not small");
+    }
+
+    #[test]
+    fn envelopes_print_like_the_packets_they_hold() {
+        // The state fingerprint hashes the `Debug` text of the queues,
+        // so an envelope must be invisible in it: a queue of envelopes
+        // prints exactly like the same packets queued by value.
+        let request = |tag: u32| {
+            let payload: Vec<u64> = (0..8).map(|w| w + tag as u64).collect();
+            let req = Request::new(
+                HmcRqst::Wr64,
+                Tag::new(tag).unwrap(),
+                0x40 * tag as u64,
+                Cub::new(1).unwrap(),
+                payload,
+            )
+            .unwrap();
+            TrackedRequest { issue_cycle: 7, hops: 2, ..*tracked(req) }
+        };
+        let mut boxed = BoundedQueue::new(4);
+        let mut by_value = BoundedQueue::new(4);
+        for tag in [3, 9, 2047] {
+            boxed.push(Box::new(request(tag))).unwrap();
+            by_value.push(request(tag)).unwrap();
+        }
+        boxed.pop();
+        by_value.pop();
+        assert_eq!(format!("{boxed:?}"), format!("{by_value:?}"));
+
+        let response = |tag: u32| {
+            let mut out = TrackedResponse::blank();
+            out.rsp.payload = [tag as u64, 5].into();
+            finish_response(&mut out, 1, &request(tag), 11, HmcResponse::RdRs, true);
+            out
+        };
+        let boxed: std::collections::VecDeque<RspEnvelope> =
+            [4, 8].into_iter().map(|t| Box::new(response(t))).collect();
+        let by_value: std::collections::VecDeque<TrackedResponse> =
+            [4, 8].into_iter().map(response).collect();
+        assert_eq!(format!("{boxed:?}"), format!("{by_value:?}"));
+        assert_eq!(format!("{:#?}", boxed), format!("{:#?}", by_value));
+    }
+
+    #[test]
+    fn a_recycled_response_envelope_carries_nothing_over() {
+        // Stage 3 fills retired envelopes in place; whatever the last
+        // packet left behind must not survive into the next one.
+        let read = tracked(
+            Request::new(HmcRqst::Rd64, Tag::new(5).unwrap(), 0, Cub::new(0).unwrap(), vec![])
+                .unwrap(),
+        );
+        let mut stale = TrackedResponse::blank();
+        stale.rsp.payload = [1, 2, 3, 4].into();
+        finish_response(&mut stale, 3, &read, 99, HmcResponse::RdRs, true);
+        stale.rsp.tail = RspTail { dinv: true, errstat: 0x7f, seq: 5, ..RspTail::default() };
+        stale.complete_cycle = 120;
+        stale.latency = 21;
+        stale.stages.rsp_route = 100;
+        stale.stages.egress = 101;
+
+        let write = TrackedRequest {
+            entry_link: 2,
+            issue_cycle: 200,
+            vault_enq_cycle: 201,
+            ..*tracked(
+                Request::new(
+                    HmcRqst::Wr16,
+                    Tag::new(6).unwrap(),
+                    0x80,
+                    Cub::new(0).unwrap(),
+                    vec![1, 2],
+                )
+                .unwrap(),
+            )
+        };
+        let mut fresh = TrackedResponse::blank();
+        ack_response(&mut stale, 0, &write, 202, HmcResponse::WrRs, false);
+        ack_response(&mut fresh, 0, &write, 202, HmcResponse::WrRs, false);
+        assert_eq!(format!("{stale:?}"), format!("{fresh:?}"));
+        assert_eq!(stale.rsp.head.lng, 1);
     }
 
     #[test]
@@ -1556,12 +1800,12 @@ mod tests {
         let mut tracer = Tracer::disabled();
 
         // Cycle 0: request routes to its vault.
-        dev.route_requests(0, &mut tracer);
+        route(&mut dev, 0, &mut tracer);
         // Cycle 1: vault executes.
-        dev.execute_vaults(1, &mut tracer);
+        execute(&mut dev, 1, &mut tracer);
         // Cycle 2: response routes and drains.
         dev.route_responses(2, &mut tracer);
-        let egress = dev.drain_responses(2);
+        let egress = drain(&mut dev, 2);
         assert_eq!(egress.len(), 1);
         match &egress[0] {
             Egress::Deliver(rsp, _) => {
@@ -1589,10 +1833,10 @@ mod tests {
         .unwrap();
         dev.send(0, tracked(req)).unwrap();
         let mut tracer = Tracer::disabled();
-        dev.route_requests(0, &mut tracer);
-        dev.execute_vaults(1, &mut tracer);
+        route(&mut dev, 0, &mut tracer);
+        execute(&mut dev, 1, &mut tracer);
         dev.route_responses(2, &mut tracer);
-        assert!(dev.drain_responses(2).is_empty());
+        assert!(drain(&mut dev, 2).is_empty());
         assert_eq!(dev.mem().read_u64(0x80).unwrap(), 0x11);
         assert_eq!(dev.stats().posted_writes, 1);
         assert_eq!(dev.stats().responses, 0);
@@ -1612,10 +1856,10 @@ mod tests {
         .unwrap();
         dev.send(0, tracked(req)).unwrap();
         let mut tracer = Tracer::disabled();
-        dev.route_requests(0, &mut tracer);
-        dev.execute_vaults(1, &mut tracer);
+        route(&mut dev, 0, &mut tracer);
+        execute(&mut dev, 1, &mut tracer);
         dev.route_responses(2, &mut tracer);
-        let egress = dev.drain_responses(2);
+        let egress = drain(&mut dev, 2);
         match &egress[0] {
             Egress::Deliver(rsp, _) => {
                 assert_eq!(rsp.rsp.head.cmd, HmcResponse::Error);
@@ -1639,7 +1883,7 @@ mod tests {
         .unwrap();
         dev.send(0, tracked(req)).unwrap();
         let mut tracer = Tracer::disabled();
-        let outcome = dev.route_requests(0, &mut tracer);
+        let outcome = route(&mut dev, 0, &mut tracer);
         assert_eq!(outcome.forwards.len(), 1);
         assert_eq!(outcome.forwards[0].from_link, 0);
         assert_eq!(outcome.freed_flits[0], 1, "forwarded packet freed its flit");
@@ -1659,10 +1903,10 @@ mod tests {
         .unwrap();
         dev.send(0, tracked(req)).unwrap();
         let mut tracer = Tracer::disabled();
-        dev.route_requests(0, &mut tracer);
-        dev.execute_vaults(1, &mut tracer);
+        route(&mut dev, 0, &mut tracer);
+        execute(&mut dev, 1, &mut tracer);
         dev.route_responses(2, &mut tracer);
-        match &dev.drain_responses(2)[0] {
+        match &drain(&mut dev, 2)[0] {
             Egress::Deliver(rsp, _) => {
                 assert_eq!(rsp.rsp.head.cmd, HmcResponse::MdRdRs);
                 assert_eq!(rsp.rsp.payload[0], 0x44);
@@ -1691,13 +1935,13 @@ mod tests {
         dev.send(0, mk(1)).unwrap();
         dev.send(0, mk(2)).unwrap();
         let mut tracer = Tracer::disabled();
-        dev.route_requests(0, &mut tracer);
-        dev.route_requests(1, &mut tracer);
-        dev.execute_vaults(2, &mut tracer); // first executes, bank busy until 6
-        dev.execute_vaults(3, &mut tracer); // second stalls
+        route(&mut dev, 0, &mut tracer);
+        route(&mut dev, 1, &mut tracer);
+        execute(&mut dev, 2, &mut tracer); // first executes, bank busy until 6
+        execute(&mut dev, 3, &mut tracer); // second stalls
         assert_eq!(dev.stats().reads, 1);
         assert!(dev.stats().vault_stalls >= 1);
-        dev.execute_vaults(7, &mut tracer); // bank free again
+        execute(&mut dev, 7, &mut tracer); // bank free again
         assert_eq!(dev.stats().reads, 2);
     }
 
@@ -1715,8 +1959,8 @@ mod tests {
         )
         .unwrap();
         dev.send(0, tracked(req)).unwrap();
-        dev.route_requests(0, &mut tracer);
-        dev.execute_vaults(1, &mut tracer);
+        route(&mut dev, 0, &mut tracer);
+        execute(&mut dev, 1, &mut tracer);
         let cmds = buf.grep("CMD=INC8");
         assert_eq!(cmds.len(), 1);
         assert!(cmds[0].contains("TAG=9"));

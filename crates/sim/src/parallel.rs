@@ -16,9 +16,11 @@
 //! 2. **Compute**: the planned [`VaultWork`] units execute on a fixed
 //!    worker pool. Each lane runs the same single execution core the
 //!    sequential path uses ([`execute_data_request`]), against the
-//!    shared sparse store (interior-mutable, sharded locks), but
-//!    records responses, stat/power deltas and trace events into
-//!    shard-local accumulators — no shared counters, no atomics.
+//!    shared sparse store (interior-mutable, sharded locks), building
+//!    each response in place in the envelope the take stage paired
+//!    with its request, and records stat/power deltas and trace
+//!    events into shard-local accumulators — no shared counters, no
+//!    atomics.
 //! 3. **Commit** ([`Device::commit_parallel_vaults`]): the
 //!    coordinating thread folds every lane's buffered effects back in
 //!    fixed device/vault order. Because merge operands are additive
@@ -34,9 +36,7 @@
 //! are re-sorted by `(device, vault)` before commit.
 
 use crate::config::SpecRevision;
-use crate::device::{
-    execute_data_request, tracked_response, Device, TrackedRequest, TrackedResponse, VaultWork,
-};
+use crate::device::{execute_data_request, Device, EnvelopePool, VaultWork, WorkItem};
 use crate::power::PowerModel;
 use crate::stats::DeviceStats;
 use crate::trace::{EventBuffer, TraceKind, TraceLane, TraceLevel, TraceRecord, Tracer};
@@ -57,7 +57,7 @@ pub(crate) struct WorkUnit {
     /// the forensic ring is active).
     pub(crate) capture: bool,
     pub(crate) mem: Arc<SparseMemory>,
-    pub(crate) items: Vec<(TrackedRequest, crate::addr::Location)>,
+    pub(crate) items: Vec<WorkItem>,
 }
 
 /// Everything a lane produced for one vault, buffered for ordered
@@ -66,9 +66,9 @@ pub(crate) struct WorkUnit {
 pub(crate) struct VaultResult {
     pub(crate) dev: usize,
     pub(crate) vault: usize,
-    /// Per planned request, in queue order: `Some` response to push
-    /// or `None` for an absorbed (posted/flow) request.
-    pub(crate) responses: Vec<Option<TrackedResponse>>,
+    /// The unit's items, in queue order, each response envelope
+    /// filled where `responded` is set.
+    pub(crate) items: Vec<WorkItem>,
     /// Shard-local stat delta (kind counters, error responses).
     pub(crate) stats: DeviceStats,
     /// Shard-local power delta (logic ops).
@@ -80,32 +80,29 @@ pub(crate) struct VaultResult {
 /// Executes one unit on the calling thread. This is the entire
 /// compute phase for a vault: the same core as the sequential path,
 /// writing into lane-local accumulators.
-fn execute_unit(unit: WorkUnit) -> VaultResult {
+fn execute_unit(mut unit: WorkUnit) -> VaultResult {
     let mut stats = DeviceStats::default();
     let mut power = PowerModel::default();
     let mut buffer = EventBuffer::new(unit.capture);
-    let mut responses = Vec::with_capacity(unit.items.len());
-    for (item, loc) in &unit.items {
-        let rsp = {
-            let mut lane = TraceLane::Deferred(&mut buffer);
-            execute_data_request(
-                unit.dev,
-                unit.revision,
-                item,
-                loc,
-                &unit.mem,
-                &mut stats,
-                &mut power,
-                unit.cycle,
-                &mut lane,
-            )
-        };
-        responses.push(rsp.map(|r| tracked_response(r, item, unit.cycle)));
+    for item in &mut unit.items {
+        let mut lane = TraceLane::Deferred(&mut buffer);
+        item.responded = execute_data_request(
+            unit.dev,
+            unit.revision,
+            &item.rqst,
+            &item.loc,
+            &unit.mem,
+            &mut stats,
+            &mut power,
+            unit.cycle,
+            &mut lane,
+            &mut item.rsp,
+        );
     }
     VaultResult {
         dev: unit.dev,
         vault: unit.vault,
-        responses,
+        items: unit.items,
         stats,
         power,
         events: buffer.into_records(),
@@ -225,6 +222,7 @@ pub(crate) fn execute_vaults_parallel(
     pool: &mut WorkerPool,
     cycle: u64,
     tracer: &mut Tracer,
+    envelopes: &mut EnvelopePool,
 ) -> Vec<u64> {
     let capture = tracer.captures(TraceLevel::CMD);
     let plans: Vec<_> = devices.iter().map(|d| d.plan_vault_stage(cycle)).collect();
@@ -234,7 +232,7 @@ pub(crate) fn execute_vaults_parallel(
         let revision = dev.config().revision;
         let id = dev.id();
         let mem = dev.mem_arc();
-        for VaultWork { vault, items } in dev.take_parallel_work(cycle, plan) {
+        for VaultWork { vault, items } in dev.take_parallel_work(cycle, plan, envelopes) {
             if items.is_empty() {
                 continue;
             }
@@ -264,7 +262,7 @@ pub(crate) fn execute_vaults_parallel(
                         ..TraceRecord::new(cycle, TraceKind::SerialFallback)
                     });
                 }
-                absorbed.push(dev.execute_vaults(cycle, tracer));
+                absorbed.push(dev.execute_vaults(cycle, tracer, envelopes));
             }
             Some(plan) => {
                 let mut own = Vec::new();
@@ -282,7 +280,7 @@ pub(crate) fn execute_vaults_parallel(
                         ..TraceRecord::new(cycle, TraceKind::PlanStage)
                     });
                 }
-                absorbed.push(dev.commit_parallel_vaults(cycle, plan, own, tracer));
+                absorbed.push(dev.commit_parallel_vaults(cycle, plan, own, tracer, envelopes));
                 if engine && items > 0 {
                     tracer.emit(TraceRecord {
                         dev: dev.id() as u16,

@@ -4,6 +4,13 @@
 //! request/response queues) is a [`BoundedQueue`]; a full queue
 //! produces [`HmcError::Stall`], the back-pressure signal that shapes
 //! the paper's contention results.
+//!
+//! The device queues hold packet *envelopes* — `Box<TrackedRequest>`
+//! and `Box<TrackedResponse>` — so a hop between queues moves one
+//! pointer and a stalled push hands one pointer back. `Box<T>` prints
+//! exactly like `T`, which keeps the `Debug`-derived state fingerprint
+//! independent of where a packet is stored. Retired envelopes wait on
+//! a [`FreeList`] for the next packet.
 
 use hmc_types::HmcError;
 use std::collections::VecDeque;
@@ -19,11 +26,14 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// Creates a queue with `depth` slots.
+    /// Creates a queue with `depth` slots. Storage grows with the
+    /// occupancy actually reached (a 16-cube mesh has over a thousand
+    /// queues, most of them shallow or idle), so construction
+    /// allocates nothing.
     pub fn new(depth: usize) -> Self {
         assert!(depth > 0, "queue depth must be nonzero");
         BoundedQueue {
-            items: VecDeque::with_capacity(depth),
+            items: VecDeque::new(),
             depth,
             high_water: 0,
             stalls: 0,
@@ -125,6 +135,46 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+/// A lazily grown stack of retired heap envelopes. Nothing is
+/// allocated up front; once a workload's peak in-flight population
+/// has passed through, every new packet reuses a retired envelope and
+/// the steady-state cycle allocates nothing per packet.
+#[derive(Debug)]
+pub(crate) struct FreeList<T> {
+    free: Vec<Box<T>>,
+}
+
+impl<T> Default for FreeList<T> {
+    fn default() -> Self {
+        FreeList { free: Vec::new() }
+    }
+}
+
+impl<T> FreeList<T> {
+    /// An envelope holding `value`.
+    pub(crate) fn boxed(&mut self, value: T) -> Box<T> {
+        match self.free.pop() {
+            Some(mut envelope) => {
+                *envelope = value;
+                envelope
+            }
+            None => Box::new(value),
+        }
+    }
+
+    /// An envelope for the caller to fill in place: a retired one
+    /// still holding its last packet (every field must be
+    /// overwritten), or a fresh one holding `blank()`.
+    pub(crate) fn stale_or(&mut self, blank: impl FnOnce() -> T) -> Box<T> {
+        self.free.pop().unwrap_or_else(|| Box::new(blank()))
+    }
+
+    /// Retires an envelope for reuse.
+    pub(crate) fn give(&mut self, envelope: Box<T>) {
+        self.free.push(envelope);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +248,20 @@ mod tests {
         assert_eq!(q.high_water(), 5);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pushes(), 6, "cumulative throughput counts every accepted push");
+    }
+
+    #[test]
+    fn free_list_reuses_retired_envelopes() {
+        let mut list = FreeList::default();
+        let first = list.boxed(1u64);
+        let addr = &*first as *const u64;
+        list.give(first);
+        let second = list.boxed(2);
+        assert_eq!((*second, &*second as *const u64), (2, addr), "same allocation, new value");
+        list.give(second);
+        let stale = list.stale_or(|| unreachable!("a retired envelope is available"));
+        assert_eq!((*stale, &*stale as *const u64), (2, addr), "handed out as retired");
+        assert_eq!(*list.stale_or(|| 7), 7, "empty list falls back to a fresh envelope");
     }
 
     #[test]

@@ -35,7 +35,6 @@ use crate::config::LinkTopology;
 use crate::sim::HmcSim;
 use crate::snapshot::{ForensicDump, SimSnapshot};
 use crate::trace::{TraceKind, TraceLevel, TraceRecord, TraceRing};
-use hmc_types::Tag;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -290,8 +289,8 @@ impl Sanitizer {
         self.shadow.live_tags.clear();
         for (dev, links) in sim.pool_tags.iter().enumerate() {
             for (link, set) in links.iter().enumerate() {
-                for &tag in set {
-                    self.shadow.live_tags.insert((dev, link, tag));
+                for tag in set.iter() {
+                    self.shadow.live_tags.insert((dev, link, tag.value()));
                 }
             }
         }
@@ -560,17 +559,15 @@ impl Sanitizer {
                         detail: format!("dev {dev} link {link}: {e}"),
                     });
                 }
-                let mut tags: Vec<u16> = sim.pool_tags[dev][link].iter().copied().collect();
-                tags.sort_unstable();
-                for tag in tags {
-                    let live = Tag::new(tag as u32).map(|t| pool.is_live(t)).unwrap_or(false);
-                    if !live {
+                for tag in sim.pool_tags[dev][link].iter() {
+                    if !pool.is_live(tag) {
                         out.push(Violation {
                             cycle,
                             kind: ViolationKind::TagLiveAndFree,
                             detail: format!(
-                                "dev {dev} link {link}: registered in-flight tag {tag} is \
-                                 free in its pool"
+                                "dev {dev} link {link}: registered in-flight tag {} is \
+                                 free in its pool",
+                                tag.value()
                             ),
                         });
                     }
@@ -711,8 +708,7 @@ impl Sanitizer {
         for dev in 0..sim.tag_pools.len() {
             for link in 0..sim.tag_pools[dev].len() {
                 let pool = &sim.tag_pools[dev][link];
-                sim.pool_tags[dev][link]
-                    .retain(|&t| Tag::new(t as u32).map(|tag| pool.is_live(tag)).unwrap_or(false));
+                sim.pool_tags[dev][link].retain(|tag| pool.is_live(tag));
             }
         }
         for (dev, set) in sim.zombie_tags.iter_mut().enumerate() {

@@ -6,8 +6,11 @@
 //! register access path and statistics.
 
 use crate::config::{DeviceConfig, ExecMode, LinkTopology, SimConfig, SkipMode};
-use crate::device::{Device, Egress, TrackedRequest, TrackedResponse};
-use crate::events::EventHeap;
+use crate::device::{
+    Device, Egress, EnvelopePool, RouteOutcome, RqstEnvelope, RspEnvelope, TrackedRequest,
+    TrackedResponse,
+};
+use crate::events::{EventHeap, EventKey};
 use crate::fault::LinkErrorMode;
 use crate::link::{LinkConfig, LinkControl, LinkStats};
 use crate::parallel::{execute_vaults_parallel, WorkerPool};
@@ -18,14 +21,14 @@ use crate::timing::{TimingSelect, TimingStats};
 use crate::topology::Topology;
 use crate::trace::{FlightRecorder, FlightSnapshot, TraceKind, TraceLevel, TraceRecord, Tracer};
 use hmc_cmc::{CmcOp, CmcRegistration};
-use hmc_types::{Cub, Flit, HmcError, HmcRqst, Request, Response, Tag, TagPool};
+use hmc_types::{Cub, Flit, HmcError, HmcRqst, Request, Response, Tag, TagPool, TagSet};
 use std::collections::{HashSet, VecDeque};
 
 /// A packet crossing a fabric edge between devices.
 #[derive(Debug, Clone)]
 pub(crate) enum Transit {
-    Rqst { from_dev: usize, to_dev: usize, link: usize, item: TrackedRequest, ready: u64 },
-    Rsp { from_dev: usize, to_dev: usize, link: usize, item: TrackedResponse, ready: u64 },
+    Rqst { from_dev: usize, to_dev: usize, link: usize, item: RqstEnvelope, ready: u64 },
+    Rsp { from_dev: usize, to_dev: usize, link: usize, item: RspEnvelope, ready: u64 },
 }
 
 impl Transit {
@@ -60,8 +63,24 @@ impl Transit {
 pub(crate) struct RetryEntry {
     pub(crate) dev: usize,
     pub(crate) link: usize,
-    pub(crate) item: TrackedRequest,
+    pub(crate) item: RqstEnvelope,
     pub(crate) ready: u64,
+}
+
+/// Buffers `clock_full` refills every cycle, kept between cycles so
+/// the steady-state cycle allocates nothing. Always empty at a cycle
+/// boundary; not simulation state.
+#[derive(Debug, Default)]
+struct CycleScratch {
+    /// Due link-layer retries that could not deliver this cycle.
+    deferred_retries: Vec<(EventKey, RetryEntry)>,
+    /// Due transits of the edge being committed whose destination
+    /// queue was full.
+    deferred_transits: Vec<(EventKey, Transit)>,
+    /// One device's stage-2 egress.
+    egress: Vec<Egress>,
+    /// One device's stage-4 routing outcome.
+    route: RouteOutcome,
 }
 
 /// The HMC-Sim simulation context.
@@ -70,9 +89,11 @@ pub struct HmcSim {
     pub(crate) config: SimConfig,
     pub(crate) devices: Vec<Device>,
     pub(crate) cycle: u64,
-    pub(crate) host_rx: Vec<Vec<VecDeque<TrackedResponse>>>,
+    pub(crate) host_rx: Vec<Vec<VecDeque<RspEnvelope>>>,
     pub(crate) tag_pools: Vec<Vec<TagPool>>,
-    pub(crate) pool_tags: Vec<Vec<HashSet<u16>>>,
+    /// Tags `send_with_pool` handed out per entry link, released back
+    /// to [`HmcSim::tag_pools`] automatically at `recv`.
+    pub(crate) pool_tags: Vec<Vec<TagSet>>,
     /// The fabric wiring: routing tables and the directed edge list.
     pub(crate) topology: Topology,
     /// Inter-device transits, one queue per directed fabric edge (in
@@ -123,6 +144,11 @@ pub struct HmcSim {
     /// invalidate the cache alongside [`HmcSim::dev_maybe_busy`].
     /// Not simulation state.
     dev_timing_horizon: Vec<Option<Option<u64>>>,
+    /// Free lists of retired packet envelopes, lent to the device
+    /// stages the way the tracer is. Grown lazily (construction
+    /// allocates nothing for them). Not simulation state.
+    envelopes: EnvelopePool,
+    scratch: CycleScratch,
 }
 
 impl HmcSim {
@@ -155,7 +181,7 @@ impl HmcSim {
         let pool_tags = config
             .devices
             .iter()
-            .map(|c| (0..c.links).map(|_| HashSet::new()).collect())
+            .map(|c| (0..c.links).map(|_| TagSet::new()).collect())
             .collect();
         let links = config
             .devices
@@ -198,6 +224,8 @@ impl HmcSim {
             skip_mode,
             dev_maybe_busy: vec![true; n],
             dev_timing_horizon: vec![None; n],
+            envelopes: EnvelopePool::default(),
+            scratch: CycleScratch::default(),
         };
         if sim.config.sanitizer.enabled {
             sim.enable_sanitizer(sim.config.sanitizer.clone());
@@ -384,21 +412,24 @@ impl HmcSim {
         // (only consulted when a sanitizer is attached).
         let tag = req.head.tag.value();
         let tracked = self.sanitizer.is_some() && request_expects_response(&self.devices, &req);
-        let mut item = TrackedRequest {
-            req,
-            entry_device: dev,
-            entry_link: link,
-            issue_cycle: cycle,
-            hops: 0,
-            ready_cycle: 0,
-            vault_enq_cycle: 0,
-        };
         let result = match self.links[dev][link].send(flits) {
             Err(()) => {
                 self.devices[dev].count_send_stall();
                 Err(HmcError::Stall)
             }
             Ok(grant) => {
+                // The link accepted the packet: this is the one place
+                // it is written into its envelope. From here on every
+                // hop moves the pointer.
+                let mut item = self.envelopes.rqst.boxed(TrackedRequest {
+                    req,
+                    entry_device: dev,
+                    entry_link: link,
+                    issue_cycle: cycle,
+                    hops: 0,
+                    ready_cycle: 0,
+                    vault_enq_cycle: 0,
+                });
                 // The link layer owns the SEQ sequence: stamp the
                 // granted value into the packet tail. A retry replays
                 // this packet with the SEQ intact — the retry path
@@ -424,10 +455,10 @@ impl HmcSim {
                     if self.devices[dev].fault_rng_mut().chance(per_million) {
                         self.transmit_corrupted(dev, link, item)
                     } else {
-                        self.devices[dev].send(link, item).map_err(|(_, e)| e)
+                        self.inject(dev, link, item)
                     }
                 } else {
-                    self.devices[dev].send(link, item).map_err(|(_, e)| e)
+                    self.inject(dev, link, item)
                 }
             }
         };
@@ -449,6 +480,16 @@ impl HmcSim {
         result
     }
 
+    /// Hands an accepted packet to the device's crossbar queue. The
+    /// caller has checked the queue has room, so a rejection is not
+    /// expected; if one happens the envelope is recycled, not leaked.
+    fn inject(&mut self, dev: usize, link: usize, item: RqstEnvelope) -> Result<(), HmcError> {
+        self.devices[dev].send(link, item).map_err(|(item, e)| {
+            self.envelopes.rqst.give(item);
+            e
+        })
+    }
+
     /// Models a random transmission error: one wire bit of the packet
     /// flips and the receive path verifies the CRC. A detected
     /// corruption keeps the original packet in the transmitter's
@@ -459,7 +500,7 @@ impl HmcSim {
         &mut self,
         dev: usize,
         link: usize,
-        item: TrackedRequest,
+        item: RqstEnvelope,
     ) -> Result<(), HmcError> {
         let cycle = self.cycle;
         let mut flits = item.req.pack();
@@ -492,7 +533,7 @@ impl HmcSim {
             Ok(req) => {
                 let mut item = item;
                 item.req = req;
-                self.devices[dev].send(link, item).map_err(|(_, e)| e)
+                self.inject(dev, link, item)
             }
         }
     }
@@ -552,7 +593,8 @@ impl HmcSim {
     /// Pops the next delivered response on a host link
     /// (`hmc_recv_packet`).
     pub fn recv(&mut self, dev: usize, link: usize) -> Option<TrackedResponse> {
-        let rsp = self.host_rx.get_mut(dev)?.get_mut(link)?.pop_front()?;
+        let envelope = self.host_rx.get_mut(dev)?.get_mut(link)?.pop_front()?;
+        let rsp = self.copy_out(envelope);
         // Failover may deliver on a different physical link than the
         // request entered on; the tag belongs to the entry link's pool.
         self.release_pool_tag(dev, rsp.entry_link, rsp.rsp.head.tag);
@@ -564,9 +606,27 @@ impl HmcSim {
     pub fn recv_tag(&mut self, dev: usize, link: usize, tag: Tag) -> Option<TrackedResponse> {
         let queue = self.host_rx.get_mut(dev)?.get_mut(link)?;
         let idx = queue.iter().position(|r| r.rsp.head.tag == tag)?;
-        let rsp = queue.remove(idx)?;
+        let envelope = queue.remove(idx)?;
+        let rsp = self.copy_out(envelope);
         self.release_pool_tag(dev, rsp.entry_link, tag);
         Some(rsp)
+    }
+
+    /// The one by-value move of a response: the host API hands
+    /// responses out by value (callers own them for as long as they
+    /// like), so the packet is copied out of its envelope here — the
+    /// payload moves, leaving nothing behind to free — and the
+    /// envelope retires to the free list.
+    fn copy_out(&mut self, mut envelope: RspEnvelope) -> TrackedResponse {
+        let rsp = TrackedResponse {
+            rsp: Response {
+                payload: std::mem::take(&mut envelope.rsp.payload),
+                ..envelope.rsp
+            },
+            ..*envelope
+        };
+        self.envelopes.rsp.give(envelope);
+        rsp
     }
 
     /// Abandons an in-flight request (host-side timeout reclamation).
@@ -590,7 +650,9 @@ impl HmcSim {
                 .iter()
                 .position(|r| r.entry_link == link && r.rsp.head.tag == tag)
             {
-                queue.remove(idx);
+                if let Some(envelope) = queue.remove(idx) {
+                    self.envelopes.rsp.give(envelope);
+                }
                 self.devices[dev].count_abandoned();
                 self.release_pool_tag(dev, link, tag);
                 return Ok(());
@@ -616,7 +678,7 @@ impl HmcSim {
 
     fn release_pool_tag(&mut self, dev: usize, link: usize, tag: Tag) {
         if let Some(set) = self.pool_tags.get_mut(dev).and_then(|d| d.get_mut(link)) {
-            if set.remove(&tag.value()) {
+            if set.remove(tag) {
                 let _ = self.tag_pools[dev][link].release(tag);
             }
         }
@@ -657,7 +719,7 @@ impl HmcSim {
                 if posted {
                     Ok(None)
                 } else {
-                    self.pool_tags[dev][link].insert(tag.value());
+                    self.pool_tags[dev][link].insert(tag);
                     Ok(Some(tag))
                 }
             }
@@ -784,7 +846,7 @@ impl HmcSim {
         // whose ready cycle is still in the future are never touched;
         // a due entry that cannot deliver re-enters the heap with its
         // original priority.
-        let mut deferred = Vec::new();
+        let mut deferred = std::mem::take(&mut self.scratch.deferred_retries);
         while let Some((key, entry)) = self.retry_pending.pop_ready(cycle) {
             if self.devices[entry.dev].link_is_up(entry.link)
                 && self.devices[entry.dev].link_can_accept(entry.link)
@@ -797,16 +859,17 @@ impl HmcSim {
                 deferred.push((key, entry));
             }
         }
-        for (key, entry) in deferred {
+        for (key, entry) in deferred.drain(..) {
             self.retry_pending.reinsert(key, entry);
         }
+        self.scratch.deferred_retries = deferred;
 
         // Inter-device transits whose hop latency elapsed, committed
         // edge by edge in the topology's fixed edge order (then
         // (ready, insertion) order within an edge) — a total delivery
         // order that no execution mode or thread count can perturb.
+        let mut deferred = std::mem::take(&mut self.scratch.deferred_transits);
         for e in 0..self.transit_queues.len() {
-            let mut deferred = Vec::new();
             while let Some((key, t)) = self.transit_queues[e].pop_ready(cycle) {
                 match t {
                     Transit::Rqst { from_dev, to_dev, link, item, ready } => {
@@ -824,10 +887,11 @@ impl HmcSim {
                     }
                 }
             }
-            for (key, t) in deferred {
+            for (key, t) in deferred.drain(..) {
                 self.transit_queues[e].reinsert(key, t);
             }
         }
+        self.scratch.deferred_transits = deferred;
 
         // Stage 1: vault responses -> crossbar response queues.
         for dev in &mut self.devices {
@@ -835,12 +899,16 @@ impl HmcSim {
         }
 
         // Stage 2: crossbar response queues -> host / chained return.
+        let mut drained = std::mem::take(&mut self.scratch.egress);
         for d in 0..self.devices.len() {
-            for egress in self.devices[d].drain_responses(cycle) {
+            self.devices[d].drain_responses(cycle, &mut drained);
+            for egress in drained.drain(..) {
                 match egress {
                     Egress::Deliver(mut rsp, egress_link) => {
                         let key = (rsp.entry_link, rsp.rsp.head.tag.value());
-                        if self.zombie_tags[d].remove(&key) {
+                        // The set is empty outside timeout
+                        // reclamation: skip hashing the key then.
+                        if !self.zombie_tags[d].is_empty() && self.zombie_tags[d].remove(&key) {
                             // The host abandoned this tag; the stale
                             // response dies here and the tag finally
                             // returns to its pool.
@@ -855,12 +923,14 @@ impl HmcSim {
                             if let Some(san) = self.sanitizer.as_deref_mut() {
                                 san.note_zombie(d, key.0, key.1, cycle);
                             }
+                            self.envelopes.rsp.give(rsp);
                             continue;
                         }
                         if let Some(san) = self.sanitizer.as_deref_mut() {
                             if !san.note_delivered(d, key.0, key.1, cycle) {
                                 // Phantom response dropped under the
                                 // Recover policy.
+                                self.envelopes.rsp.give(rsp);
                                 continue;
                             }
                         }
@@ -904,6 +974,7 @@ impl HmcSim {
                 }
             }
         }
+        self.scratch.egress = drained;
 
         // Stage 3: vault execution — sequential reference path or
         // the deterministic parallel engine (bit-identical results;
@@ -911,7 +982,8 @@ impl HmcSim {
         match self.exec_mode {
             ExecMode::Sequential => {
                 for dev in &mut self.devices {
-                    let absorbed = dev.execute_vaults(cycle, &mut self.tracer);
+                    let absorbed =
+                        dev.execute_vaults(cycle, &mut self.tracer, &mut self.envelopes);
                     if absorbed > 0 {
                         if let Some(san) = self.sanitizer.as_deref_mut() {
                             san.note_absorbed(absorbed);
@@ -921,8 +993,13 @@ impl HmcSim {
             }
             ExecMode::Parallel { threads } => {
                 let pool = self.pool.get_or_insert_with(|| WorkerPool::new(threads));
-                let absorbed =
-                    execute_vaults_parallel(&mut self.devices, pool, cycle, &mut self.tracer);
+                let absorbed = execute_vaults_parallel(
+                    &mut self.devices,
+                    pool,
+                    cycle,
+                    &mut self.tracer,
+                    &mut self.envelopes,
+                );
                 for a in absorbed {
                     if a > 0 {
                         if let Some(san) = self.sanitizer.as_deref_mut() {
@@ -934,15 +1011,16 @@ impl HmcSim {
         }
 
         // Stage 4: crossbar request routing (+ chained forwarding).
+        let mut outcome = std::mem::take(&mut self.scratch.route);
         for d in 0..self.devices.len() {
-            let outcome = self.devices[d].route_requests(cycle, &mut self.tracer);
+            self.devices[d].route_requests(cycle, &mut self.tracer, &mut outcome);
             // Token return: FLITs freed from the input buffers.
             for (link, &flits) in outcome.freed_flits.iter().enumerate() {
                 if flits > 0 {
                     self.links[d][link].return_tokens(flits as u32);
                 }
             }
-            for fwd in outcome.forwards {
+            for fwd in outcome.forwards.drain(..) {
                 let target = fwd.item.req.head.cub.value() as usize;
                 let to_dev = self
                     .topology
@@ -968,6 +1046,7 @@ impl HmcSim {
                 });
             }
         }
+        self.scratch.route = outcome;
 
         for dev in &mut self.devices {
             dev.tick_power();
@@ -1370,6 +1449,21 @@ impl HmcSim {
     /// `(row_hits, row_misses)`.
     pub fn row_buffer_stats(&self, dev: usize) -> Result<(u64, u64), HmcError> {
         Ok(self.device(dev)?.row_buffer_stats())
+    }
+}
+
+/// Tears the devices down newest first. Sweeps build, run and drop a
+/// context per point (the paper's section V evaluation does), and a
+/// device's allocations sit in the heap in construction order: freeing
+/// from the high end first leaves the allocator's small-chunk caches
+/// holding chunks at the top of the heap, which keeps glibc from
+/// trimming the heap on every teardown and faulting every page of the
+/// next context in again. Oldest-first teardown of a 16-cube mesh with
+/// prefilled memory re-faulted ~30 MiB per construction on the
+/// benchmark host; this order re-faults none.
+impl Drop for HmcSim {
+    fn drop(&mut self) {
+        while self.devices.pop().is_some() {}
     }
 }
 

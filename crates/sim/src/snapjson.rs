@@ -34,7 +34,7 @@
 //!   lists) keep their order; unordered sets are sorted on write and
 //!   rebuilt on read.
 
-use crate::device::{TrackedRequest, TrackedResponse, Vault};
+use crate::device::{RqstEnvelope, RspEnvelope, TrackedRequest, TrackedResponse, Vault};
 use crate::trace::{CmdRef, FlightLaneSnapshot, FlightSnapshot, TraceKind, TraceRecord};
 use crate::dram::Bank;
 use crate::fault::FaultRng;
@@ -53,7 +53,7 @@ use hmc_mem::store::PAGE_BYTES;
 use hmc_mem::SparseMemory;
 use hmc_types::{
     Cub, HmcResponse, HmcRqst, ReqHead, ReqTail, Request, Response, RspHead, RspTail, Slid, Tag,
-    TagPool,
+    TagPool, TagSet,
 };
 use std::collections::{HashSet, VecDeque};
 
@@ -297,7 +297,7 @@ fn tracked_request_json(t: &TrackedRequest) -> Json {
     ])
 }
 
-fn tracked_request_from_json(v: &Json) -> Result<TrackedRequest, JsonError> {
+fn tracked_request_from_json(v: &Json) -> Result<RqstEnvelope, JsonError> {
     let mut r = ObjReader::new("tracked_request", v)?;
     let req = request_from_json(r.required("req")?)?;
     let out = TrackedRequest {
@@ -310,7 +310,7 @@ fn tracked_request_from_json(v: &Json) -> Result<TrackedRequest, JsonError> {
         vault_enq_cycle: r.u64("vault_enq_cycle")?,
     };
     r.finish()?;
-    Ok(out)
+    Ok(Box::new(out))
 }
 
 fn class_name(class: crate::stats::CmdClass) -> &'static str {
@@ -345,7 +345,7 @@ fn tracked_response_json(t: &TrackedResponse) -> Json {
     ])
 }
 
-fn tracked_response_from_json(v: &Json) -> Result<TrackedResponse, JsonError> {
+fn tracked_response_from_json(v: &Json) -> Result<RspEnvelope, JsonError> {
     let mut r = ObjReader::new("tracked_response", v)?;
     let rsp = response_from_json(r.required("rsp")?)?;
     let out = TrackedResponse {
@@ -364,20 +364,21 @@ fn tracked_response_from_json(v: &Json) -> Result<TrackedResponse, JsonError> {
         },
     };
     r.finish()?;
-    Ok(out)
+    Ok(Box::new(out))
 }
 
 // ---------------------------------------------------------------------------
 // Queues
 // ---------------------------------------------------------------------------
 
-fn queue_json<T>(q: &BoundedQueue<T>, item: impl Fn(&T) -> Json) -> Json {
+/// Serializes a queue of envelopes; `item` sees the packets.
+fn queue_json<T>(q: &BoundedQueue<Box<T>>, item: impl Fn(&T) -> Json) -> Json {
     obj(vec![
         ("depth", int_usize(q.depth())),
         ("high_water", int_usize(q.high_water())),
         ("stalls", int(q.stalls())),
         ("pushes", int(q.pushes())),
-        ("items", Json::Arr(q.iter().map(item).collect())),
+        ("items", Json::Arr(q.iter().map(|envelope| item(envelope)).collect())),
     ])
 }
 
@@ -1230,7 +1231,9 @@ impl SimSnapshot {
                             Json::Arr(
                                 dev.iter()
                                     .map(|q| {
-                                        Json::Arr(q.iter().map(tracked_response_json).collect())
+                                        Json::Arr(
+                                            q.iter().map(|r| tracked_response_json(r)).collect(),
+                                        )
                                     })
                                     .collect(),
                             )
@@ -1256,11 +1259,9 @@ impl SimSnapshot {
                             Json::Arr(
                                 dev.iter()
                                     .map(|set| {
-                                        let mut v: Vec<u16> = set.iter().copied().collect();
-                                        v.sort_unstable();
                                         Json::Arr(
-                                            v.into_iter()
-                                                .map(|t| Json::Int(t as i128))
+                                            set.iter()
+                                                .map(|t| Json::Int(t.value() as i128))
                                                 .collect(),
                                         )
                                     })
@@ -1351,15 +1352,15 @@ impl SimSnapshot {
         })?;
         let pool_tags = json_vec(r.required("pool_tags")?, "snapshot pool_tags", |dev| {
             json_vec(dev, "pool_tags device", |set| {
-                let mut out = HashSet::new();
+                let mut out = TagSet::new();
                 for t in set
                     .as_arr()
                     .ok_or_else(|| JsonError { message: "pool_tags: expected an array".into() })?
                 {
-                    let value = t.as_u32().and_then(|v| u16::try_from(v).ok()).ok_or_else(
-                        || JsonError { message: "pool_tags: entries must be u16".into() },
-                    )?;
-                    out.insert(value);
+                    let tag = t.as_u32().and_then(|v| Tag::new(v).ok()).ok_or_else(|| {
+                        JsonError { message: "pool_tags: entries must be 11-bit tags".into() }
+                    })?;
+                    out.insert(tag);
                 }
                 Ok(out)
             })

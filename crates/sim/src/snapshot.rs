@@ -21,13 +21,13 @@
 //! captured: `restore` requires a context with the same geometry and
 //! keeps those parts from the live context.
 
-use crate::device::{Device, TrackedRequest, TrackedResponse, Vault};
+use crate::device::{Device, RqstEnvelope, RspEnvelope, Vault};
 use crate::link::LinkControl;
 use crate::queue::BoundedQueue;
 use crate::sanitizer::{SanitizerShadow, Violation};
 use crate::sim::{HmcSim, RetryEntry, Transit};
 use crate::trace::FlightSnapshot;
-use hmc_types::{HmcError, TagPool};
+use hmc_types::{HmcError, Tag, TagPool, TagSet};
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
@@ -35,8 +35,8 @@ use std::hash::{Hash, Hasher};
 /// [`SimSnapshot`]).
 #[derive(Debug, Clone)]
 pub struct DeviceSnapshot {
-    pub(crate) xbar_rqst: Vec<BoundedQueue<TrackedRequest>>,
-    pub(crate) xbar_rsp: Vec<BoundedQueue<TrackedResponse>>,
+    pub(crate) xbar_rqst: Vec<BoundedQueue<RqstEnvelope>>,
+    pub(crate) xbar_rsp: Vec<BoundedQueue<RspEnvelope>>,
     pub(crate) vaults: Vec<Vault>,
     pub(crate) mem: hmc_mem::SparseMemory,
     pub(crate) regs: crate::regs::RegisterFile,
@@ -58,9 +58,9 @@ pub struct DeviceSnapshot {
 pub struct SimSnapshot {
     pub(crate) cycle: u64,
     pub(crate) devices: Vec<DeviceSnapshot>,
-    pub(crate) host_rx: Vec<Vec<VecDeque<TrackedResponse>>>,
+    pub(crate) host_rx: Vec<Vec<VecDeque<RspEnvelope>>>,
     pub(crate) tag_pools: Vec<Vec<TagPool>>,
-    pub(crate) pool_tags: Vec<Vec<HashSet<u16>>>,
+    pub(crate) pool_tags: Vec<Vec<TagSet>>,
     pub(crate) in_transit: Vec<Transit>,
     pub(crate) links: Vec<Vec<LinkControl>>,
     pub(crate) retry_pending: Vec<RetryEntry>,
@@ -210,7 +210,7 @@ impl SimSnapshot {
                 if j > 0 {
                     s.push(',');
                 }
-                bounded_u16_set(&mut s, set.iter().copied());
+                bounded_u16_set(&mut s, set.iter().map(Tag::value));
             }
             s.push(']');
         }
@@ -299,6 +299,12 @@ impl SimSnapshot {
     /// identical fingerprints. The sanitizer shadow is excluded so a
     /// sanitizer-on run fingerprints identically to a sanitizer-off
     /// run of the same machine state.
+    ///
+    /// Queues, transits and receive buffers are hashed through their
+    /// `Debug` text, so the text must not depend on where a packet is
+    /// stored: the envelopes are `Box<T>`, which prints exactly as
+    /// `T` does (pinned by `envelopes_print_like_the_packets_they_hold`
+    /// in `device.rs`).
     pub fn fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.cycle.hash(&mut h);
@@ -326,8 +332,9 @@ impl SimSnapshot {
         }
         for dev_sets in &self.pool_tags {
             for set in dev_sets {
-                let mut v: Vec<_> = set.iter().copied().collect();
-                v.sort_unstable();
+                // Ascending by construction — the sorted tag list the
+                // fingerprint has always hashed.
+                let v: Vec<u16> = set.iter().map(Tag::value).collect();
                 v.hash(&mut h);
             }
         }
@@ -383,7 +390,7 @@ fn bounded_u16_set(s: &mut String, items: impl Iterator<Item = u16>) {
     s.push(']');
 }
 
-fn rqst_queue_json(s: &mut String, q: &BoundedQueue<TrackedRequest>) {
+fn rqst_queue_json(s: &mut String, q: &BoundedQueue<RqstEnvelope>) {
     s.push_str(&format!("{{\"len\":{},\"depth\":{},\"packets\":[", q.len(), q.depth()));
     for (i, item) in q.iter().take(64).enumerate() {
         if i > 0 {
@@ -404,7 +411,7 @@ fn rqst_queue_json(s: &mut String, q: &BoundedQueue<TrackedRequest>) {
     s.push_str("]}");
 }
 
-fn rsp_queue_json(s: &mut String, q: &BoundedQueue<TrackedResponse>) {
+fn rsp_queue_json(s: &mut String, q: &BoundedQueue<RspEnvelope>) {
     s.push_str(&format!("{{\"len\":{},\"depth\":{},\"packets\":[", q.len(), q.depth()));
     for (i, item) in q.iter().take(64).enumerate() {
         if i > 0 {

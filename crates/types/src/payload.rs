@@ -66,6 +66,33 @@ impl PayloadBuf {
         }
     }
 
+    /// Sets the length to `new_len` words, truncating or appending
+    /// copies of `value` (`Vec::resize` semantics). Stays inline up to
+    /// the inline capacity and reuses a spilled buffer's capacity, so
+    /// a recycled payload is resized without allocating.
+    pub fn resize(&mut self, new_len: usize, value: u64) {
+        match &mut self.0 {
+            Repr::Inline { buf, len } if new_len <= PAYLOAD_INLINE_WORDS => {
+                if new_len > *len as usize {
+                    buf[*len as usize..new_len].fill(value);
+                }
+                *len = new_len as u8;
+            }
+            Repr::Inline { buf, len } => {
+                let mut v = Vec::with_capacity(new_len);
+                v.extend_from_slice(&buf[..*len as usize]);
+                v.resize(new_len, value);
+                self.0 = Repr::Spilled(v);
+            }
+            Repr::Spilled(v) => v.resize(new_len, value),
+        }
+    }
+
+    /// Empties the payload (a spilled buffer keeps its capacity).
+    pub fn clear(&mut self) {
+        self.resize(0, 0);
+    }
+
     /// The payload as a word slice.
     pub fn as_slice(&self) -> &[u64] {
         match &self.0 {
@@ -238,6 +265,25 @@ mod tests {
         };
         assert_eq!(format!("{inline:?}"), format!("{:?}", [1u64, 2, 3]));
         assert_eq!(format!("{spilled:?}"), format!("{:?}", [1u64, 2, 3, 4]));
+    }
+
+    #[test]
+    fn resize_matches_vec_semantics_across_the_spill_boundary() {
+        let mut buf = PayloadBuf::from_slice(&[1, 2, 3]);
+        buf.resize(2, 9);
+        assert_eq!(buf, vec![1, 2]);
+        // Growing fills with the value, never with stale inline words.
+        buf.resize(4, 9);
+        assert_eq!(buf, vec![1, 2, 9, 9]);
+        assert!(buf.is_inline());
+        buf.resize(PAYLOAD_INLINE_WORDS + 2, 0);
+        assert!(!buf.is_inline());
+        assert_eq!(buf.len(), PAYLOAD_INLINE_WORDS + 2);
+        assert_eq!(&buf[..5], &[1, 2, 9, 9, 0]);
+        buf.clear();
+        assert!(buf.is_empty());
+        buf.resize(2, 7);
+        assert_eq!(buf, vec![7, 7]);
     }
 
     #[test]

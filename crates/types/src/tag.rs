@@ -184,6 +184,78 @@ impl Default for TagPool {
     }
 }
 
+/// A set of tags stored as a fixed [`TAG_SPACE`]-bit map: membership
+/// updates are one shift and mask (no hashing), and iteration yields
+/// the members in ascending order — the sorted view checkpoints and
+/// state fingerprints are defined over.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct TagSet {
+    bits: [u64; (TAG_SPACE / 64) as usize],
+}
+
+impl TagSet {
+    /// An empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The word index and bit mask of `tag`.
+    fn slot(tag: Tag) -> (usize, u64) {
+        (tag.0 as usize / 64, 1u64 << (tag.0 % 64))
+    }
+
+    /// Adds `tag`; returns whether it was newly inserted.
+    pub fn insert(&mut self, tag: Tag) -> bool {
+        let (word, bit) = Self::slot(tag);
+        let fresh = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        fresh
+    }
+
+    /// Removes `tag`; returns whether it was present.
+    pub fn remove(&mut self, tag: Tag) -> bool {
+        let (word, bit) = Self::slot(tag);
+        let present = self.bits[word] & bit != 0;
+        self.bits[word] &= !bit;
+        present
+    }
+
+    /// True when `tag` is a member.
+    pub fn contains(&self, tag: Tag) -> bool {
+        let (word, bit) = Self::slot(tag);
+        self.bits[word] & bit != 0
+    }
+
+    /// The members in ascending order. Costs one step per word plus
+    /// one per member — the sanitizer walks every link's set every
+    /// cycle, and the sets are mostly empty.
+    pub fn iter(&self) -> impl Iterator<Item = Tag> + '_ {
+        self.bits.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as u16)?;
+                rest &= rest - 1;
+                Some(Tag(i as u16 * 64 + bit))
+            })
+        })
+    }
+
+    /// Keeps only the members `keep` approves.
+    pub fn retain(&mut self, mut keep: impl FnMut(Tag) -> bool) {
+        for tag in (0..TAG_SPACE as u16).map(Tag) {
+            if self.contains(tag) && !keep(tag) {
+                self.remove(tag);
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for TagSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter().map(Tag::value)).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +313,24 @@ mod tests {
         assert!(!pool.is_live(Tag(100)), "out-of-range tag is never live");
         pool.release(a).unwrap();
         assert!(!pool.is_live(a));
+    }
+
+    #[test]
+    fn tag_set_tracks_membership_and_iterates_sorted() {
+        let mut set = TagSet::new();
+        assert_eq!(set.iter().count(), 0);
+        for v in [2047u32, 0, 64, 63, 1000] {
+            assert!(set.insert(Tag::new(v).unwrap()));
+        }
+        assert!(!set.insert(Tag(64)), "second insert reports the tag present");
+        assert_eq!(set.iter().count(), 5);
+        assert!(set.contains(Tag(1000)) && !set.contains(Tag(1001)));
+        let values: Vec<u16> = set.iter().map(Tag::value).collect();
+        assert_eq!(values, vec![0, 63, 64, 1000, 2047]);
+        assert!(set.remove(Tag(63)));
+        assert!(!set.remove(Tag(63)), "second remove reports the tag absent");
+        set.retain(|t| t.value() != 1000);
+        assert_eq!(format!("{set:?}"), "{0, 64, 2047}");
     }
 
     #[test]

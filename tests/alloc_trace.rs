@@ -3,12 +3,17 @@
 //! structured emission path must not allocate at all with tracing off
 //! — no deferred `String`s, no format machinery — on either engine.
 //!
+//! The same counter pins the sequential cycle itself: once a closed
+//! send → clock → recv loop has warmed up (queue storage, envelope free
+//! lists and per-cycle scratch buffers at their working size), it runs
+//! without a single heap allocation.
+//!
 //! Everything runs inside one `#[test]` so no concurrently-running
 //! test can perturb the global counter.
 
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
-use hmcsim::sim::{FlightRecorder, TraceKind, TraceRecord, Tracer};
+use hmcsim::sim::{FlightRecorder, SimConfig, TraceKind, TraceRecord, Tracer};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +83,109 @@ fn run_allocations(mode: ExecMode, record: bool) -> u64 {
     })
 }
 
+/// A closed loop over every host link of a context: a fixed window of
+/// outstanding RD64 / WR64 / XOR16 requests per link, every
+/// `remote_every`-th one addressed to the next cube (0 = all local).
+struct WindowLoop {
+    sim: HmcSim,
+    outstanding: Vec<Vec<usize>>,
+    issued: u64,
+    remote_every: u64,
+    received: u64,
+}
+
+impl WindowLoop {
+    const WINDOW: usize = 24;
+
+    fn new(config: SimConfig, remote_every: u64) -> Self {
+        let mut sim = HmcSim::with_config(config).unwrap();
+        // The pin is for the reference engine, whatever the CI
+        // matrix's environment overrides say.
+        sim.set_exec_mode(ExecMode::Sequential);
+        sim.set_skip_mode(SkipMode::Off);
+        sim.set_timing_model(TimingSelect::FixedLatency);
+        let outstanding = (0..sim.device_count())
+            .map(|d| vec![0; sim.device_config(d).unwrap().links])
+            .collect();
+        WindowLoop { sim, outstanding, issued: 0, remote_every, received: 0 }
+    }
+
+    /// Runs `cycles` iterations of recv → send → clock, taking write
+    /// and atomic operands from `payloads` (built by the caller, so
+    /// the loop itself never allocates on the host side). A stalled
+    /// send consumes its operand, like any by-value call.
+    fn run(&mut self, cycles: usize, payloads: &mut Vec<Vec<u64>>) {
+        let devs = self.sim.device_count();
+        for _ in 0..cycles {
+            for dev in 0..devs {
+                for link in 0..self.outstanding[dev].len() {
+                    while let Some(rsp) = self.sim.recv(dev, link) {
+                        assert_eq!(rsp.rsp.tail.errstat, 0);
+                        self.outstanding[dev][rsp.entry_link] -= 1;
+                        self.received += 1;
+                    }
+                    while self.outstanding[dev][link] < Self::WINDOW {
+                        let i = self.issued;
+                        let (cmd, words) = match i % 3 {
+                            0 => (HmcRqst::Rd64, 0),
+                            1 => (HmcRqst::Wr64, 8),
+                            _ => (HmcRqst::Xor16, 2),
+                        };
+                        let payload = if words == 0 {
+                            Vec::new()
+                        } else {
+                            let mut p = payloads.pop().expect("operand stock lasts the window");
+                            p.truncate(words);
+                            p
+                        };
+                        // 64-byte blocks spread over vaults and banks.
+                        let addr = (i.wrapping_mul(0x9E37_79B9) % (1 << 16)) * 64;
+                        let target = if self.remote_every != 0 && i.is_multiple_of(self.remote_every) {
+                            (dev + 1) % devs
+                        } else {
+                            dev
+                        };
+                        let cub = Cub::new(target as u8).unwrap();
+                        match self.sim.send_to_cube(dev, link, cub, cmd, addr, payload) {
+                            Ok(_) => {
+                                self.outstanding[dev][link] += 1;
+                                self.issued += 1;
+                            }
+                            Err(HmcError::Stall) => break,
+                            Err(e) => panic!("send failed: {e}"),
+                        }
+                    }
+                }
+            }
+            self.sim.clock();
+        }
+    }
+
+    /// Least allocation count of a `cycles`-long window over three
+    /// consecutive windows, after a warm-up of `warm_up` cycles.
+    fn steady_state_allocations(&mut self, warm_up: usize, cycles: usize) -> u64 {
+        let links: usize = self.outstanding.iter().map(Vec::len).sum();
+        // Every link sends at most its window plus one stalled attempt
+        // per cycle.
+        let stock = |n: usize| vec![vec![7u64; 8]; n * links * (Self::WINDOW + 1)];
+        self.run(warm_up, &mut stock(warm_up));
+        let before = self.received;
+        let least = (0..3)
+            .map(|_| {
+                let mut payloads = stock(cycles);
+                allocations_in(|| self.run(cycles, &mut payloads))
+            })
+            .min()
+            .expect("three windows");
+        assert!(
+            self.received - before > 3 * cycles as u64,
+            "the measured windows carried saturating traffic ({} responses)",
+            self.received - before
+        );
+        least
+    }
+}
+
 #[test]
 fn traced_off_emission_is_allocation_free() {
     // --- The emission path itself. -----------------------------------
@@ -115,6 +223,21 @@ fn traced_off_emission_is_allocation_free() {
         }
     });
     assert_eq!(count, 0, "flight-recorder steady state allocated {count} times");
+
+    // --- The sequential cycle, steady state. -------------------------
+    // Packets live in recycled heap envelopes and every per-cycle
+    // buffer is reused, so a warmed-up loop allocates nothing: not per
+    // cycle, not per packet. (a) One saturated cube, reads, writes and
+    // atomics on all four links.
+    let mut single = WindowLoop::new(SimConfig::single(DeviceConfig::gen2_4link_4gb()), 0);
+    let count = single.steady_state_allocations(4_000, 1_000);
+    assert_eq!(count, 0, "single-cube steady state allocated {count} times in 1000 cycles");
+    // (b) A 2x2 mesh with a quarter of the traffic crossing to the
+    // neighbouring cube: forwarding, transit heaps and chained returns.
+    let mut mesh = WindowLoop::new(SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 2, 2), 4);
+    let count = mesh.steady_state_allocations(4_000, 1_000);
+    assert_eq!(count, 0, "2x2-mesh steady state allocated {count} times in 1000 cycles");
+    assert!(mesh.sim.stats(0).unwrap().forwarded > 1_000, "the mesh loop really forwards");
 
     // --- The whole engine, differentially. ---------------------------
     // How many structured events does the pinned run emit? (Retained
