@@ -136,8 +136,6 @@ fn main() {
     let engine_matrix = [
         (ExecMode::Sequential, SkipMode::Off),
         (ExecMode::Sequential, SkipMode::On),
-        (ExecMode::Parallel { threads: 1 }, SkipMode::Off),
-        (ExecMode::Parallel { threads: 1 }, SkipMode::On),
         (ExecMode::Parallel { threads: 2 }, SkipMode::Off),
         (ExecMode::Parallel { threads: 2 }, SkipMode::On),
         (ExecMode::Parallel { threads: 8 }, SkipMode::Off),

@@ -17,10 +17,9 @@
 //! Each workload is split into a `*_sim` constructor and a `*_run`
 //! body so the measurement harness can keep device construction
 //! (memory arena, vault state — milliseconds of allocator work that
-//! is identical under both skip settings) outside the timed region,
-//! the same protocol `parallel_scaling` uses. Every run returns
-//! `(simulated cycles, state fingerprint)` so callers can gate
-//! speedup numbers on bit-identical final state.
+//! is identical under both skip settings) outside the timed region.
+//! Every run returns `(simulated cycles, state fingerprint)` so callers
+//! can gate speedup numbers on bit-identical final state.
 
 use hmc_sim::{DeviceConfig, HmcSim, SkipMode};
 use hmc_types::HmcRqst;

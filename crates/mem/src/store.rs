@@ -5,13 +5,11 @@
 //! reads as zero, matching HMC-Sim's calloc'd vault storage.
 //!
 //! The page table is split across a fixed number of mutex-guarded
-//! shards (`page_id % SHARD_COUNT`) so the parallel tick engine's vault
-//! workers can read *and* write through a shared `&SparseMemory`.
-//! Every access method therefore takes `&self`; the mutation methods
-//! keep their old names. Within one simulated cycle the engine only
-//! runs data-independent accesses concurrently (conflicting cycles fall
-//! back to the sequential reference path), so shard locking is a memory
-//! -safety device, not an ordering device — results never depend on
+//! shards (`page_id % SHARD_COUNT`) and every access method takes
+//! `&self`; the mutation methods keep their old names. The simulator
+//! never accesses one store from two threads at once (a device and its
+//! memory run on one thread at a time), so shard locking is a memory-
+//! safety device, not an ordering device — results never depend on
 //! lock acquisition order.
 
 use hmc_types::HmcError;
@@ -22,8 +20,8 @@ use std::collections::HashMap;
 pub const PAGE_BYTES: usize = 4096;
 
 /// Number of page-table shards. A small power of two: enough to keep
-/// vault workers off each other's locks, few enough that cloning and
-/// digesting stay cheap.
+/// concurrent users off each other's locks, few enough that cloning
+/// and digesting stay cheap.
 const SHARD_COUNT: usize = 16;
 
 type PageMap = HashMap<u64, Box<[u8; PAGE_BYTES]>>;

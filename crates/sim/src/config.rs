@@ -243,81 +243,34 @@ impl Default for DeviceConfig {
     }
 }
 
-/// How the tick loop advances the vault stage of each cycle.
+/// Where stage 3 (vault execution) of each cycle runs.
 ///
-/// `Sequential` is the reference semantics; `Parallel` shards the
-/// vault-execution stage of [`crate::HmcSim::clock`] across a fixed
-/// worker pool using a bound-then-commit discipline that is
-/// bit-identical to `Sequential` for every cycle (the differential
-/// determinism suite pins this). See DESIGN.md "Execution model".
+/// `Sequential` is the reference semantics; `Parallel` hands
+/// contiguous ranges of whole devices to worker threads, each running
+/// the same `Device::execute_vaults` the sequential loop runs, and
+/// takes them back in device order — bit-identical to `Sequential`
+/// for every cycle (the differential determinism suite pins this).
+/// See DESIGN.md §13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Advance every component in fixed order on the calling thread
     /// (the reference semantics; the default).
     #[default]
     Sequential,
-    /// Shard the vault-execution stage across `threads` lanes (the
-    /// calling thread plus `threads - 1` pool workers). `threads == 1`
-    /// exercises the plan/commit machinery without spawning workers.
+    /// Shard stage 3 by device across `min(threads, devices)` lanes
+    /// (the calling thread plus that many minus one workers). With one
+    /// lane — `threads == 1` or a single cube — or with a tracer that
+    /// captures anything, the cycle runs the sequential loop inline.
     Parallel {
         /// Total execution lanes (1..=64).
         threads: usize,
     },
 }
 
-/// Environment variable consulted by [`ExecMode::resolve_env`]; set to
-/// an integer > 1 to opt unconfigured simulations into parallel mode.
-pub const EXEC_THREADS_ENV: &str = "HMCSIM_THREADS";
-
 impl ExecMode {
-    /// Upper bound on worker lanes (far beyond any useful shard count —
-    /// there are at most 8 devices × 32 vaults to spread).
+    /// Upper bound on `threads`. A context holds at most 16 devices,
+    /// so lanes beyond that are never spawned.
     pub const MAX_THREADS: usize = 64;
-
-    /// Parses an explicit `HMCSIM_THREADS` value. `"1"` resolves to
-    /// [`ExecMode::Sequential`]; `"2"..="64"` to [`ExecMode::Parallel`].
-    /// Anything else — empty, non-numeric, zero, out of range, or
-    /// overflowing — is rejected with a descriptive error rather than
-    /// silently falling back: a typo in a CI matrix must fail the job,
-    /// not quietly run the wrong engine.
-    pub fn parse_env_value(raw: &str) -> Result<Self, HmcError> {
-        let bad = |why: String| Err(HmcError::MalformedPacket(why));
-        let t = raw.trim();
-        if t.is_empty() {
-            return bad(format!("{EXEC_THREADS_ENV} is set but empty (expected 1..={})", Self::MAX_THREADS));
-        }
-        match t.parse::<u64>() {
-            Ok(0) => bad(format!("{EXEC_THREADS_ENV} must be >= 1, got 0")),
-            Ok(n) if n > Self::MAX_THREADS as u64 => bad(format!(
-                "{EXEC_THREADS_ENV}={n} exceeds the maximum of {}",
-                Self::MAX_THREADS
-            )),
-            Ok(1) => Ok(ExecMode::Sequential),
-            Ok(n) => Ok(ExecMode::Parallel { threads: n as usize }),
-            Err(_) => bad(format!(
-                "{EXEC_THREADS_ENV}={t:?} is not an integer (expected 1..={})",
-                Self::MAX_THREADS
-            )),
-        }
-    }
-
-    /// Resolves the effective mode, letting the `HMCSIM_THREADS`
-    /// environment variable upgrade an unconfigured (`Sequential`)
-    /// mode — this is how the CI matrix drives the whole test suite
-    /// through the parallel engine without touching call sites. An
-    /// explicit `Parallel` setting always wins; `HMCSIM_THREADS=1`
-    /// leaves `Sequential` in place; an invalid value (empty, garbage,
-    /// zero, overflow, out of range) is an error — see
-    /// [`ExecMode::parse_env_value`].
-    pub fn resolve_env(self) -> Result<Self, HmcError> {
-        match self {
-            ExecMode::Sequential => match std::env::var(EXEC_THREADS_ENV) {
-                Ok(raw) => Self::parse_env_value(&raw),
-                Err(_) => Ok(ExecMode::Sequential),
-            },
-            explicit => Ok(explicit),
-        }
-    }
 
     /// Number of execution lanes (1 for sequential mode).
     pub fn threads(self) -> usize {
@@ -384,11 +337,10 @@ impl SkipMode {
 
     /// Resolves the effective mode, letting the `HMCSIM_SKIP`
     /// environment variable upgrade an unconfigured (`Off`) mode —
-    /// mirroring [`ExecMode::resolve_env`], this lets the CI matrix
-    /// drive the whole test suite through the event-horizon engine
-    /// without touching call sites. An explicit `On` setting always
-    /// wins; an unrecognised value is an error — see
-    /// [`SkipMode::parse_env_value`].
+    /// this lets the CI matrix drive the whole test suite through the
+    /// event-horizon engine without touching call sites. An explicit
+    /// `On` setting always wins; an unrecognised value is an error —
+    /// see [`SkipMode::parse_env_value`].
     pub fn resolve_env(self) -> Result<Self, HmcError> {
         match self {
             SkipMode::Off => match std::env::var(SKIP_MODE_ENV) {
@@ -445,9 +397,7 @@ pub struct SimConfig {
     /// guaranteed zero-perturbation, and even enabled telemetry only
     /// observes).
     pub telemetry: crate::telemetry::TelemetryConfig,
-    /// Tick execution mode ([`ExecMode::Sequential`] by default; the
-    /// `HMCSIM_THREADS` environment variable can upgrade the default,
-    /// see [`ExecMode::resolve_env`]).
+    /// Tick execution mode ([`ExecMode::Sequential`] by default).
     pub exec_mode: ExecMode,
     /// Idle-cycle compression ([`SkipMode::Off`] by default; the
     /// `HMCSIM_SKIP` environment variable can upgrade the default, see
@@ -619,7 +569,7 @@ mod tests {
         assert_eq!(SimConfig::single(DeviceConfig::default()).timing, TimingSelect::FixedLatency);
         assert_eq!(SimConfig::chain(DeviceConfig::default(), 2).timing, TimingSelect::FixedLatency);
         // An explicit non-default selection is never overridden by the
-        // environment (mirrors ExecMode/SkipMode).
+        // environment (mirrors SkipMode).
         assert_eq!(
             TimingSelect::RowBuffer.resolve_env().unwrap(),
             TimingSelect::RowBuffer
@@ -636,32 +586,6 @@ mod tests {
         let mut c = SimConfig::single(DeviceConfig::default());
         c.exec_mode = ExecMode::Parallel { threads: 0 };
         assert!(c.validate().is_err());
-        // An explicit setting is never overridden by the environment.
-        assert_eq!(
-            ExecMode::Parallel { threads: 2 }.resolve_env().unwrap(),
-            ExecMode::Parallel { threads: 2 }
-        );
-    }
-
-    #[test]
-    fn exec_env_values_parse_or_reject_loudly() {
-        // Valid values.
-        assert_eq!(ExecMode::parse_env_value("1").unwrap(), ExecMode::Sequential);
-        assert_eq!(ExecMode::parse_env_value(" 8 ").unwrap(), ExecMode::Parallel { threads: 8 });
-        assert_eq!(ExecMode::parse_env_value("64").unwrap(), ExecMode::Parallel { threads: 64 });
-        // Invalid values are errors, not silent fallbacks.
-        for bad in ["", "   ", "0", "65", "garbage", "-2", "4.5", "8 threads",
-                    "99999999999999999999999999"] {
-            let err = ExecMode::parse_env_value(bad)
-                .expect_err(&format!("{bad:?} should be rejected"));
-            let msg = err.to_string();
-            assert!(msg.contains(EXEC_THREADS_ENV), "error names the variable: {msg}");
-        }
-        // Overflow specifically mentions the integer requirement.
-        let msg = ExecMode::parse_env_value("99999999999999999999999999")
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("not an integer"), "{msg}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::power::{PowerConfig, PowerModel};
 use crate::queue::{BoundedQueue, FreeList};
 use crate::regs::RegisterFile;
 use crate::stats::DeviceStats;
-use crate::trace::{CmdRef, TraceKind, TraceLane, TraceLevel, TraceRecord, Tracer};
+use crate::trace::{CmdRef, TraceKind, TraceLevel, TraceRecord, Tracer};
 use hmc_cmc::{CmcContext, CmcRegistry};
 use hmc_mem::SparseMemory;
 use hmc_types::packet::payload_words;
@@ -36,7 +36,6 @@ use hmc_types::rsp::HmcResponse;
 use hmc_types::{
     CmdKind, Cub, HmcError, HmcRqst, PayloadBuf, Request, Response, RspHead, RspTail, Slid, Tag,
 };
-use std::sync::Arc;
 
 /// A request in flight inside the simulator, carrying the host-side
 /// bookkeeping the C implementation keeps in its packet envelopes.
@@ -188,61 +187,6 @@ pub(crate) enum Egress {
     Forward(RspEnvelope),
 }
 
-/// Why a vault's planned execution window stopped short this cycle.
-/// Replayed at commit so stall traces and counters are bit-identical
-/// to the sequential path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StallKind {
-    /// The head request's bank is blocked by a refresh window.
-    Refresh {
-        /// Bank index within the vault.
-        bank: usize,
-    },
-    /// The head request's bank is still serving a prior access.
-    BankBusy {
-        /// Bank index within the vault.
-        bank: usize,
-    },
-    /// The vault response queue has no room for the head's response.
-    RspFull,
-}
-
-/// The per-vault outcome of the pure planning pass: how many queued
-/// requests the vault retires this cycle, their decoded locations, and
-/// the stall (if any) that terminated the window. The take stage
-/// replays the planned accesses through the timing engine, so bank
-/// evolution (and observation recording) happens exactly once, in
-/// vault order.
-#[derive(Debug)]
-pub(crate) struct VaultPlan {
-    pub(crate) vault: usize,
-    pub(crate) take: usize,
-    pub(crate) locs: Vec<crate::addr::Location>,
-    pub(crate) stall: Option<StallKind>,
-}
-
-/// The work handed to a compute lane for one vault: the popped
-/// requests in queue order. The same items come back in the lane's
-/// result, so both envelopes of every request return to the
-/// coordinating thread for queueing or recycling.
-#[derive(Debug)]
-pub(crate) struct VaultWork {
-    pub(crate) vault: usize,
-    pub(crate) items: Vec<WorkItem>,
-}
-
-/// One planned request with its decoded location and the response
-/// envelope the lane fills in place.
-#[derive(Debug)]
-pub(crate) struct WorkItem {
-    pub(crate) rqst: RqstEnvelope,
-    pub(crate) loc: crate::addr::Location,
-    pub(crate) rsp: RspEnvelope,
-    /// Set by the lane: whether `rsp` holds a response to queue
-    /// (false for an absorbed posted/flow request).
-    pub(crate) responded: bool,
-}
-
 /// A single simulated HMC device.
 #[derive(Debug)]
 pub struct Device {
@@ -252,10 +196,7 @@ pub struct Device {
     xbar_rqst: Vec<BoundedQueue<RqstEnvelope>>,
     xbar_rsp: Vec<BoundedQueue<RspEnvelope>>,
     vaults: Vec<Vault>,
-    /// Behind an `Arc` so parallel vault workers can hold a `'static`
-    /// handle during the compute phase; between cycles the device is
-    /// the sole owner. `SparseMemory`'s accessors take `&self`.
-    mem: Arc<SparseMemory>,
+    mem: SparseMemory,
     cmc: CmcRegistry,
     regs: RegisterFile,
     stats: DeviceStats,
@@ -295,7 +236,7 @@ impl Device {
                 .map(|_| BoundedQueue::new(config.xbar_queue_depth))
                 .collect(),
             vaults: (0..config.total_vaults()).map(|_| Vault::new(&config)).collect(),
-            mem: Arc::new(SparseMemory::new(config.capacity)),
+            mem: SparseMemory::new(config.capacity),
             cmc: CmcRegistry::new(),
             regs: RegisterFile::new(config.capacity, config.links),
             stats: DeviceStats::default(),
@@ -378,16 +319,10 @@ impl Device {
     }
 
     /// Host backdoor: direct memory write. The store's mutation
-    /// methods take `&self` (interior mutability), but the backdoor
-    /// keeps requiring `&mut Device` so setup writes cannot race a
-    /// parallel compute phase.
+    /// methods take `&self` (interior mutability); the backdoor asks
+    /// for `&mut Device` all the same, as a write path should.
     pub fn mem_mut(&mut self) -> &SparseMemory {
         &self.mem
-    }
-
-    /// A shared handle to the backing store for parallel vault workers.
-    pub(crate) fn mem_arc(&self) -> Arc<SparseMemory> {
-        Arc::clone(&self.mem)
     }
 
     /// Counts a host-visible send stall (link layer rejected the
@@ -723,229 +658,6 @@ impl Device {
         absorbed
     }
 
-    /// Pure planning pass for the parallel engine: replays the exact
-    /// head-of-line decision sequence of [`Device::execute_vaults`]
-    /// without mutating anything, deciding per vault how many requests
-    /// retire this cycle and which stall (if any) ends the window.
-    ///
-    /// Returns `None` when the cycle must run on the serial reference
-    /// path instead:
-    /// - any probabilistic fault injection is enabled (each executed
-    ///   request consumes `FaultRng` state, and that stream must be
-    ///   drawn in sequential order),
-    /// - a mode or CMC command is in the planned window (register
-    ///   file and CMC registry are serial device state),
-    /// - two planned requests from different vaults touch overlapping
-    ///   byte ranges with at least one writer (the compute phase
-    ///   would race; the footprint test over-approximates, which is
-    ///   safe because `check_range` rejects out-of-bounds accesses
-    ///   before any mutation).
-    pub(crate) fn plan_vault_stage(&self, cycle: u64) -> Option<Vec<VaultPlan>> {
-        if self.config.fault.vault_error_per_million > 0
-            || self.config.fault.poison_per_million > 0
-        {
-            return None;
-        }
-        let mut plans = Vec::with_capacity(self.vaults.len());
-        // (start, end, write, vault) byte-range footprints of every
-        // planned request, for the cross-vault conflict sweep.
-        let mut footprints: Vec<(u64, u64, bool, usize)> = Vec::new();
-        for (vidx, vault) in self.vaults.iter().enumerate() {
-            let mut plan = VaultPlan {
-                vault: vidx,
-                take: 0,
-                locs: Vec::new(),
-                stall: None,
-            };
-            // Plan-local advanced bank copies: the window's earlier
-            // accesses must be visible to its later busy checks, but
-            // live banks stay untouched until take time.
-            let mut banks: Vec<(usize, Bank)> = Vec::new();
-            // Virtual response-queue occupancy: grows as planned
-            // requests promise responses, exactly as the real queue
-            // grows during sequential execution.
-            let mut virt_rsp = vault.rsp.len();
-            for i in 0..self.config.vault_bandwidth {
-                let Some(head) = vault.rqst.peek_at(i) else { break };
-                if head.ready_cycle > cycle {
-                    break;
-                }
-                let cmd = head.req.head.cmd;
-                let kind = cmd.kind();
-                if matches!(kind, CmdKind::ModeRead | CmdKind::ModeWrite | CmdKind::Cmc) {
-                    return None;
-                }
-                let loc = match self.map.decompose(head.req.head.addr) {
-                    Ok(loc) => loc,
-                    Err(_) => crate::addr::Location {
-                        quad: 0,
-                        vault: vidx as u32,
-                        bank: 0,
-                        row: 0,
-                        offset: 0,
-                    },
-                };
-                let bank = loc.bank as usize % self.config.banks_per_vault;
-                let global_bank = (vidx * self.config.banks_per_vault + bank) as u64;
-                if let Some(refresh) = &self.config.refresh {
-                    let total =
-                        (self.config.total_vaults() * self.config.banks_per_vault) as u64;
-                    if refresh.blocks(cycle, global_bank, total) {
-                        plan.stall = Some(StallKind::Refresh { bank });
-                        break;
-                    }
-                }
-                // Check the plan-local bank copy if this window
-                // already touched the bank, else the live bank.
-                let bank_state = banks
-                    .iter()
-                    .find(|(b, _)| *b == bank)
-                    .map(|(_, s)| s)
-                    .unwrap_or(&vault.banks[bank]);
-                if bank_state.is_busy(cycle) {
-                    plan.stall = Some(StallKind::BankBusy { bank });
-                    break;
-                }
-                let posted = is_posted(&head.req, &self.cmc);
-                if !posted && virt_rsp >= vault.rsp.depth() {
-                    plan.stall = Some(StallKind::RspFull);
-                    break;
-                }
-                let will_respond = if !self.config.revision.supports(cmd) {
-                    !cmd.is_posted()
-                } else {
-                    !posted && kind != CmdKind::Flow
-                };
-                if will_respond {
-                    virt_rsp += 1;
-                }
-                if let Some((start, end, write)) = data_footprint(&head.req) {
-                    footprints.push((start, end, write, vidx));
-                }
-                // Advance a copy of the bank exactly as the timing
-                // backend will at take time (plan/serve equality is a
-                // trait contract, pinned by the timing unit tests).
-                let mut state = bank_state.clone();
-                self.timing.plan_serve(&mut state, cycle, loc.row, global_bank);
-                match banks.iter_mut().find(|(b, _)| *b == bank) {
-                    Some(slot) => slot.1 = state,
-                    None => banks.push((bank, state)),
-                }
-                plan.locs.push(loc);
-                plan.take += 1;
-            }
-            plans.push(plan);
-        }
-        // Cross-vault conflict sweep over the sorted footprints: for
-        // each range, scan forward while ranges still start before it
-        // ends.
-        footprints.sort_unstable();
-        for i in 0..footprints.len() {
-            let (_, end_i, write_i, vault_i) = footprints[i];
-            for &(start_j, _, write_j, vault_j) in &footprints[i + 1..] {
-                if start_j >= end_i {
-                    break;
-                }
-                if vault_j != vault_i && (write_i || write_j) {
-                    return None;
-                }
-            }
-        }
-        Some(plans)
-    }
-
-    /// Applies the *take* side of a plan: pops the planned requests,
-    /// replays their bank accesses through the timing backend (so live
-    /// banks advance — and observations record — exactly as the
-    /// sequential path would, in vault order), and books the stall and
-    /// DRAM-access accounting the sequential path performs inline.
-    /// Each popped request is paired with a response envelope from
-    /// `pool` for its lane to fill. Must run on the coordinating
-    /// thread before the compute phase.
-    pub(crate) fn take_parallel_work(
-        &mut self,
-        cycle: u64,
-        plans: &[VaultPlan],
-        pool: &mut EnvelopePool,
-    ) -> Vec<VaultWork> {
-        let Device { config, vaults, timing, stats, power, .. } = self;
-        let mut work = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let vault = &mut vaults[plan.vault];
-            let mut items = Vec::with_capacity(plan.take);
-            for loc in &plan.locs {
-                let rqst = vault.rqst.pop().expect("planned item present");
-                let bank = loc.bank as usize % config.banks_per_vault;
-                let global_bank = (plan.vault * config.banks_per_vault + bank) as u64;
-                timing.serve(&mut vault.banks[bank], cycle, loc.row, global_bank);
-                power.add_dram_access();
-                items.push(WorkItem { rqst, loc: *loc, rsp: pool.response(), responded: false });
-            }
-            if plan.stall.is_some() {
-                stats.vault_stalls += 1;
-            }
-            work.push(VaultWork { vault: plan.vault, items });
-        }
-        work
-    }
-
-    /// Commit phase for one device: replays each vault's deferred
-    /// trace events, pushes its responses into the vault response
-    /// queue (occupancy was reserved by the plan), folds the shard-
-    /// local stat/power deltas in, and re-emits the planned stall
-    /// events — all in vault-index order, so the observable effect is
-    /// bit-identical to [`Device::execute_vaults`]. Request envelopes
-    /// and unused response envelopes retire to `pool`. Returns the
-    /// absorbed-request tally for the sanitizer.
-    pub(crate) fn commit_parallel_vaults(
-        &mut self,
-        cycle: u64,
-        plans: &[VaultPlan],
-        results: Vec<crate::parallel::VaultResult>,
-        tracer: &mut Tracer,
-        pool: &mut EnvelopePool,
-    ) -> u64 {
-        let mut absorbed = 0u64;
-        let mut results = results.into_iter().peekable();
-        for plan in plans {
-            if results.peek().is_some_and(|r| r.vault == plan.vault) {
-                let r = results.next().expect("peeked");
-                tracer.replay(&r.events);
-                for item in r.items {
-                    pool.rqst.give(item.rqst);
-                    if item.responded {
-                        self.stats.responses += 1;
-                        self.vaults[plan.vault]
-                            .rsp
-                            .push(item.rsp)
-                            .unwrap_or_else(|_| unreachable!("rsp occupancy reserved by plan"));
-                    } else {
-                        absorbed += 1;
-                        pool.rsp.give(item.rsp);
-                    }
-                }
-                self.stats.merge(&r.stats);
-                self.power.merge_counts(&r.power);
-            }
-            let base = |kind| TraceRecord {
-                dev: self.id as u16,
-                vault: plan.vault as u16,
-                ..TraceRecord::new(cycle, kind)
-            };
-            match plan.stall {
-                Some(StallKind::Refresh { bank }) => {
-                    tracer.emit(TraceRecord { bank: bank as u16, ..base(TraceKind::Refresh) })
-                }
-                Some(StallKind::BankBusy { bank }) => {
-                    tracer.emit(TraceRecord { bank: bank as u16, ..base(TraceKind::BankBusy) })
-                }
-                Some(StallKind::RspFull) => tracer.emit(base(TraceKind::VaultRspFull)),
-                None => {}
-            }
-        }
-        absorbed
-    }
-
     /// Stage 4: crossbar request queues → vault request queues, or
     /// hand packets for other cubes back to the simulation context.
     /// `out` is reset and refilled.
@@ -1104,7 +816,7 @@ impl Device {
             xbar_rqst: self.xbar_rqst.clone(),
             xbar_rsp: self.xbar_rsp.clone(),
             vaults: self.vaults.clone(),
-            mem: (*self.mem).clone(),
+            mem: self.mem.clone(),
             regs: self.regs.clone(),
             stats: self.stats.clone(),
             power: self.power.clone(),
@@ -1121,7 +833,7 @@ impl Device {
         self.xbar_rqst = s.xbar_rqst.clone();
         self.xbar_rsp = s.xbar_rsp.clone();
         self.vaults = s.vaults.clone();
-        self.mem = Arc::new(s.mem.clone());
+        self.mem = s.mem.clone();
         self.regs = s.regs.clone();
         self.stats = s.stats.clone();
         self.power = s.power.clone();
@@ -1195,37 +907,13 @@ fn is_posted(req: &Request, cmc: &CmcRegistry) -> bool {
     }
 }
 
-/// The byte range `[start, end)` a data-path request may touch, plus
-/// whether it writes; `None` for footprint-free packets (flow). An
-/// over-approximation is safe here: `check_range` rejects
-/// out-of-bounds accesses before any mutation, so a request that
-/// would fail touches nothing regardless of its nominal range.
-fn data_footprint(req: &Request) -> Option<(u64, u64, bool)> {
-    let cmd = req.head.cmd;
-    let addr = req.head.addr;
-    match cmd.kind() {
-        CmdKind::Read => {
-            let bytes = cmd.fixed_info().map(|i| i.data_bytes as u64).unwrap_or(0);
-            Some((addr, addr.saturating_add(bytes), false))
-        }
-        CmdKind::Write | CmdKind::PostedWrite => {
-            Some((addr, addr.saturating_add(req.payload.len() as u64 * 8), true))
-        }
-        // Every atomic operates on at most 16 bytes at the target
-        // address.
-        CmdKind::Atomic | CmdKind::PostedAtomic => Some((addr, addr.saturating_add(16), true)),
-        CmdKind::Flow | CmdKind::ModeRead | CmdKind::ModeWrite | CmdKind::Cmc => None,
-    }
-}
-
 /// Completes `out` as the response to `item`: the header (LNG follows
 /// from the payload already in `out`), a clean tail and the in-flight
 /// bookkeeping copied from the request. This is the single
-/// construction point for stage-3 responses, shared by the sequential
-/// path and the parallel workers, and it overwrites every field of a
-/// recycled envelope except the payload — the exhaustive destructuring
-/// makes a newly added field a compile error here rather than stale
-/// data in a fingerprint.
+/// construction point for stage-3 responses, and it overwrites every
+/// field of a recycled envelope except the payload — the exhaustive
+/// destructuring makes a newly added field a compile error here rather
+/// than stale data in a fingerprint.
 fn finish_response(
     out: &mut TrackedResponse,
     dev: usize,
@@ -1311,31 +999,24 @@ fn reject(
     !posted
 }
 
-/// Executes one *data-path* request — flow, read, write or atomic —
-/// against the backing store. This is the single execution core shared
-/// by the sequential reference path and the parallel vault workers:
-/// it touches only `mem` (interior-mutable, `&self`) plus the caller's
-/// accumulators, so a worker lane can run it with a shard-local
-/// `DeviceStats`/`PowerModel`/[`TraceLane::Deferred`] and the commit
-/// phase merges the deltas. Mode and CMC commands are *not* handled
-/// here (they touch the register file / CMC registry and execute only
-/// on the sequential path).
-///
-/// The response is built in place in `out`, a (possibly recycled)
-/// envelope: read data lands directly in its payload. Returns whether
-/// `out` now holds a response; `false` (posted and flow commands)
-/// leaves it unspecified and the caller recycles it.
+/// Executes one request against the device state — the single stage-3
+/// execution core. The response is built in place in `out`, a
+/// (possibly recycled) envelope: read data lands directly in its
+/// payload. Returns whether `out` now holds a response; `false` (posted
+/// and flow commands) leaves it unspecified and the caller recycles it.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_data_request(
+fn execute_request(
     dev: usize,
-    revision: SpecRevision,
+    config: &DeviceConfig,
     item: &TrackedRequest,
     loc: &crate::addr::Location,
     mem: &SparseMemory,
+    cmc: &CmcRegistry,
+    regs: &mut RegisterFile,
     stats: &mut DeviceStats,
     power: &mut PowerModel,
     cycle: u64,
-    lane: &mut TraceLane<'_>,
+    tracer: &mut Tracer,
     out: &mut TrackedResponse,
 ) -> bool {
     let cmd = item.req.head.cmd;
@@ -1343,9 +1024,9 @@ pub(crate) fn execute_data_request(
     let kind = cmd.kind();
     stats.count_kind(kind);
 
-    // One record template covers the whole data path: the mnemonic is
-    // derived from the command code at render time, so worker lanes
-    // never format or allocate here.
+    // One record template covers every command: the mnemonic is
+    // derived from the command code at render time, so nothing is
+    // formatted or allocated here.
     let cmd_rec = TraceRecord {
         dev: dev as u16,
         quad: loc.quad as u8,
@@ -1363,9 +1044,9 @@ pub(crate) fn execute_data_request(
 
     // Revision gate: a Gen1 part rejects Gen2-only commands with an
     // error response (HMC-Sim 1.0 never accepted them).
-    if !revision.supports(cmd) {
-        lane.emit(TraceRecord {
-            b: matches!(revision, SpecRevision::Gen2) as u64,
+    if !config.revision.supports(cmd) {
+        tracer.emit(TraceRecord {
+            b: matches!(config.revision, SpecRevision::Gen2) as u64,
             ..TraceRecord { kind: TraceKind::CmdReject, ..cmd_rec }
         });
         return fail(stats, out, 0x20, cmd.is_posted());
@@ -1373,11 +1054,11 @@ pub(crate) fn execute_data_request(
 
     match kind {
         CmdKind::Flow => {
-            lane.emit(cmd_rec);
+            tracer.emit(cmd_rec);
             false
         }
         CmdKind::Read => {
-            lane.emit(cmd_rec);
+            tracer.emit(cmd_rec);
             let bytes = cmd.fixed_info().expect("standard").data_bytes as usize;
             out.rsp.payload.resize(bytes / 8, 0);
             match mem.read_words_into(addr, &mut out.rsp.payload) {
@@ -1389,7 +1070,7 @@ pub(crate) fn execute_data_request(
             }
         }
         CmdKind::Write | CmdKind::PostedWrite => {
-            lane.emit(cmd_rec);
+            tracer.emit(cmd_rec);
             let posted = kind == CmdKind::PostedWrite;
             match mem.write_words(addr, &item.req.payload) {
                 Ok(()) => {
@@ -1402,7 +1083,7 @@ pub(crate) fn execute_data_request(
             }
         }
         CmdKind::Atomic | CmdKind::PostedAtomic => {
-            lane.emit(cmd_rec);
+            tracer.emit(cmd_rec);
             power.add_logic_op();
             let posted = kind == CmdKind::PostedAtomic;
             match hmc_mem::amo::execute(cmd, mem, addr, &item.req.payload) {
@@ -1423,82 +1104,6 @@ pub(crate) fn execute_data_request(
                 Err(_) => fail(stats, out, 0x03, posted),
             }
         }
-        CmdKind::ModeRead | CmdKind::ModeWrite | CmdKind::Cmc => {
-            unreachable!("serial-only command kinds are routed to execute_request")
-        }
-    }
-}
-
-/// Executes one request against the device state, building the
-/// response in place in `out` (returns `false` for posted/flow
-/// commands, which produce none). Data-path kinds
-/// delegate to [`execute_data_request`]; mode and CMC commands (which
-/// touch the register file and CMC registry) are handled here, on the
-/// sequential path only.
-#[allow(clippy::too_many_arguments)]
-fn execute_request(
-    dev: usize,
-    config: &DeviceConfig,
-    item: &TrackedRequest,
-    loc: &crate::addr::Location,
-    mem: &SparseMemory,
-    cmc: &CmcRegistry,
-    regs: &mut RegisterFile,
-    stats: &mut DeviceStats,
-    power: &mut PowerModel,
-    cycle: u64,
-    tracer: &mut Tracer,
-    out: &mut TrackedResponse,
-) -> bool {
-    let cmd = item.req.head.cmd;
-    let addr = item.req.head.addr;
-    let kind = cmd.kind();
-    if !matches!(kind, CmdKind::ModeRead | CmdKind::ModeWrite | CmdKind::Cmc) {
-        let mut lane = TraceLane::Live(tracer);
-        return execute_data_request(
-            dev,
-            config.revision,
-            item,
-            loc,
-            mem,
-            stats,
-            power,
-            cycle,
-            &mut lane,
-            out,
-        );
-    }
-    stats.count_kind(kind);
-
-    // Record template, as in `execute_data_request`. Mode and CMC
-    // commands only run on the sequential path, so the CMC trace name
-    // (a dynamic string registered at load time) can be interned in
-    // the live tracer — and only when something captures it.
-    let cmd_rec = TraceRecord {
-        dev: dev as u16,
-        quad: loc.quad as u8,
-        vault: loc.vault as u16,
-        bank: loc.bank as u16,
-        tag: item.req.head.tag.value(),
-        cmd: CmdRef::Rqst(cmd),
-        a: addr,
-        ..TraceRecord::new(cycle, TraceKind::Cmd)
-    };
-
-    let fail = |stats: &mut DeviceStats, out: &mut TrackedResponse, errstat: u8, posted: bool| {
-        reject(stats, out, dev, item, cycle, errstat, posted)
-    };
-
-    // Revision gate, as in `execute_data_request`.
-    if !config.revision.supports(cmd) {
-        tracer.emit(TraceRecord {
-            b: matches!(config.revision, SpecRevision::Gen2) as u64,
-            ..TraceRecord { kind: TraceKind::CmdReject, ..cmd_rec }
-        });
-        return fail(stats, out, 0x20, cmd.is_posted());
-    }
-
-    match kind {
         CmdKind::ModeRead => {
             tracer.emit(cmd_rec);
             match regs.read(addr as u32) {
@@ -1593,14 +1198,6 @@ fn execute_request(
                     fail(stats, out, 0x12, reg.is_posted())
                 }
             }
-        }
-        CmdKind::Flow
-        | CmdKind::Read
-        | CmdKind::Write
-        | CmdKind::PostedWrite
-        | CmdKind::Atomic
-        | CmdKind::PostedAtomic => {
-            unreachable!("data-path kinds are dispatched to execute_data_request")
         }
     }
 }

@@ -63,7 +63,7 @@ pub use addr::AddressMap;
 pub use ckpt::{atomic_write, CheckpointRecord, CheckpointStore, OpenReport, QuarantinedFile};
 pub use config::{
     Arbitration, DeviceConfig, ExecMode, LinkTopology, SimConfig, SkipMode, SpecRevision,
-    EXEC_THREADS_ENV, SKIP_MODE_ENV,
+    SKIP_MODE_ENV,
 };
 pub use device::{TrackedRequest, TrackedResponse};
 pub use dram::{BankTiming, RefreshConfig, RowPolicy};

@@ -8,8 +8,9 @@
 //! * **process (`pid`)** — the device id;
 //! * **track (`tid`)** — the logical [`FlightLane`] (host, link,
 //!   vault, bank, engine). Tracks are *cycle-domain* lanes, never OS
-//!   worker threads: the parallel engine commits in fixed order, so
-//!   the export is byte-identical for every thread count;
+//!   worker threads: a recording tracer keeps every stage on the
+//!   calling thread, so the export is byte-identical for every
+//!   thread count;
 //! * **slice (`ph:"X"`)** — one record, `ts` = cycle, `dur` = 1
 //!   (idle-skip spans stretch over their compressed extent);
 //! * **flows (`ph:"s"/"t"/"f"`)** — packet lifecycles: a host send
@@ -27,8 +28,8 @@ use crate::trace::{FlightLane, FlightSnapshot, TraceKind, TraceRecord};
 /// Options controlling what [`export`] renders.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfettoOptions {
-    /// Include engine-internal spans (plan/commit phases, serial
-    /// fallbacks, idle skips, sanitizer audits, checkpoints). Packet
+    /// Include engine-internal spans (idle skips, sanitizer audits,
+    /// checkpoints). Packet
     /// lifecycle events are always included. Disable to compare
     /// packet timelines across engine configurations (skip on/off)
     /// whose internal spans legitimately differ.

@@ -85,16 +85,6 @@ impl PowerModel {
         self.add_cycles(cycles);
     }
 
-    /// Folds a shard-local accumulator's event counts into this model
-    /// (the delta's coefficients are ignored — the authoritative model
-    /// keeps its own). Pure addition, so merge order is irrelevant.
-    pub fn merge_counts(&mut self, delta: &PowerModel) {
-        self.link_flits += delta.link_flits;
-        self.dram_accesses += delta.dram_accesses;
-        self.logic_ops += delta.logic_ops;
-        self.cycles += delta.cycles;
-    }
-
     /// The model's coefficients.
     pub fn config(&self) -> PowerConfig {
         self.config

@@ -68,13 +68,6 @@ impl<T> BoundedQueue<T> {
         self.items.front()
     }
 
-    /// Peeks at the `i`-th oldest item (0 = front) without removing
-    /// it. The parallel planner uses this to replay the sequential
-    /// head-of-line decision sequence non-destructively.
-    pub fn peek_at(&self, i: usize) -> Option<&T> {
-        self.items.get(i)
-    }
-
     /// Iterates over queued items, oldest first (snapshot/sanitizer
     /// introspection; does not disturb the queue).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
@@ -172,6 +165,22 @@ impl<T> FreeList<T> {
     /// Retires an envelope for reuse.
     pub(crate) fn give(&mut self, envelope: Box<T>) {
         self.free.push(envelope);
+    }
+
+    /// Retired envelopes waiting for reuse.
+    pub(crate) fn len(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Moves up to `n` retired envelopes to `other`.
+    pub(crate) fn lend(&mut self, other: &mut FreeList<T>, n: usize) {
+        let keep = self.free.len().saturating_sub(n);
+        other.free.extend(self.free.drain(keep..));
+    }
+
+    /// Takes every retired envelope of `other`.
+    pub(crate) fn absorb(&mut self, other: &mut FreeList<T>) {
+        self.free.append(&mut other.free);
     }
 }
 

@@ -174,41 +174,6 @@ impl DeviceStats {
         self.class_latency.record(class, latency);
     }
 
-    /// Folds a shard-local accumulator into this one. Every field is
-    /// either an additive counter or a mergeable histogram, so merge
-    /// order cannot change the result — the property the parallel
-    /// engine's commit phase relies on. (In practice the vault-stage
-    /// deltas never carry latency samples: round trips are timed at
-    /// delivery, on the coordinating thread.)
-    pub fn merge(&mut self, delta: &DeviceStats) {
-        self.reads += delta.reads;
-        self.writes += delta.writes;
-        self.posted_writes += delta.posted_writes;
-        self.atomics += delta.atomics;
-        self.cmc_ops += delta.cmc_ops;
-        self.mode_ops += delta.mode_ops;
-        self.flow_packets += delta.flow_packets;
-        self.responses += delta.responses;
-        self.error_responses += delta.error_responses;
-        self.forwarded += delta.forwarded;
-        self.remote_quad_requests += delta.remote_quad_requests;
-        self.send_stalls += delta.send_stalls;
-        self.xbar_stalls += delta.xbar_stalls;
-        self.vault_stalls += delta.vault_stalls;
-        self.rqst_flits += delta.rqst_flits;
-        self.rsp_flits += delta.rsp_flits;
-        self.vault_faults += delta.vault_faults;
-        self.poisoned_responses += delta.poisoned_responses;
-        self.failover_responses += delta.failover_responses;
-        self.abandoned_responses += delta.abandoned_responses;
-        self.latency.merge(&delta.latency);
-        self.class_latency.read.merge(&delta.class_latency.read);
-        self.class_latency.write.merge(&delta.class_latency.write);
-        self.class_latency.atomic.merge(&delta.class_latency.atomic);
-        self.class_latency.cmc.merge(&delta.class_latency.cmc);
-        self.class_latency.other.merge(&delta.class_latency.other);
-    }
-
     /// Total requests executed.
     pub fn total_requests(&self) -> u64 {
         self.reads
@@ -286,35 +251,6 @@ mod tests {
         assert_eq!(s.atomics, 2);
         assert_eq!(s.cmc_ops, 1);
         assert_eq!(s.total_requests(), 4);
-    }
-
-    #[test]
-    fn shard_merge_is_order_invariant() {
-        let mk = |n: u64| {
-            let mut s = DeviceStats {
-                reads: n,
-                responses: 2 * n,
-                vault_stalls: n / 2,
-                ..Default::default()
-            };
-            s.record_latency(CmdClass::Read, n + 1);
-            s
-        };
-        let (a, b, c) = (mk(3), mk(7), mk(11));
-        let mut fwd = DeviceStats::default();
-        for d in [&a, &b, &c] {
-            fwd.merge(d);
-        }
-        let mut rev = DeviceStats::default();
-        for d in [&c, &b, &a] {
-            rev.merge(d);
-        }
-        assert_eq!(fwd.reads, rev.reads);
-        assert_eq!(fwd.responses, rev.responses);
-        assert_eq!(fwd.vault_stalls, rev.vault_stalls);
-        assert_eq!(fwd.latency, rev.latency);
-        assert_eq!(fwd.reads, 21);
-        assert_eq!(fwd.latency.count(), 3);
     }
 
     #[test]

@@ -46,10 +46,6 @@ impl TimingModel for FixedLatency {
         TimingSelect::FixedLatency
     }
 
-    fn plan_serve(&self, bank: &mut Bank, cycle: u64, row: u64, _global_bank: u64) {
-        bank.access(cycle, row, &self.timing);
-    }
-
     fn serve(&mut self, bank: &mut Bank, cycle: u64, row: u64, _global_bank: u64) -> u64 {
         let hit = bank.would_hit(row, &self.timing);
         let latency = bank.access(cycle, row, &self.timing);

@@ -29,10 +29,7 @@
 //! ## Contracts
 //!
 //! * **Determinism** — a backend's bank-state evolution is a pure
-//!   function of the access stream; [`TimingModel::plan_serve`] and
-//!   [`TimingModel::serve`] advance a bank identically, which is what
-//!   lets the parallel engine's plan stage predict execution on virtual
-//!   bank copies and the take stage replay it on the live banks.
+//!   function of the access stream.
 //! * **Horizon** — [`TimingModel::next_event_cycle`] returns the
 //!   earliest cycle (strictly after `cycle`) at which any bank the
 //!   backend tracks changes availability. The event-horizon engine
@@ -112,7 +109,7 @@ impl TimingSelect {
     /// Resolves the effective backend, letting the `HMCSIM_TIMING`
     /// environment variable upgrade an unconfigured
     /// ([`TimingSelect::FixedLatency`]) selection — mirroring
-    /// [`crate::ExecMode::resolve_env`], this is how the CI timing
+    /// [`crate::SkipMode::resolve_env`], this is how the CI timing
     /// matrix drives the whole test suite through each backend without
     /// touching call sites. An explicit non-default setting always
     /// wins; an invalid value is an error — see
@@ -199,11 +196,6 @@ pub struct TimingSnapshot {
 pub trait TimingModel {
     /// Which backend this is.
     fn select(&self) -> TimingSelect;
-
-    /// Advances `bank` for one access exactly as [`TimingModel::serve`]
-    /// would, without recording any observation — the pure variant the
-    /// parallel plan stage applies to its virtual bank copies.
-    fn plan_serve(&self, bank: &mut Bank, cycle: u64, row: u64, global_bank: u64);
 
     /// Serves one access on the live `bank` at `cycle`: advances the
     /// bank (busy window, row state, hit/miss counters), records the
@@ -304,15 +296,6 @@ impl TimingEngine {
     #[inline]
     pub(crate) fn stats(&self) -> &TimingStats {
         self.model().stats()
-    }
-
-    #[inline]
-    pub(crate) fn plan_serve(&self, bank: &mut Bank, cycle: u64, row: u64, global_bank: u64) {
-        match self {
-            TimingEngine::Fixed(m) => m.plan_serve(bank, cycle, row, global_bank),
-            TimingEngine::Row(m) => m.plan_serve(bank, cycle, row, global_bank),
-            TimingEngine::Validated(m) => m.plan_serve(bank, cycle, row, global_bank),
-        }
     }
 
     #[inline]
@@ -425,30 +408,6 @@ mod tests {
         let total = (c.total_vaults() * c.banks_per_vault) as u64;
         engine.serve(&mut far_bank, 20, 5, total - 1);
         assert_eq!(engine.serve(&mut far_bank, 50, 5, total - 1), 3, "no window crossed: hit");
-    }
-
-    #[test]
-    fn plan_serve_matches_serve_exactly() {
-        for select in
-            [TimingSelect::FixedLatency, TimingSelect::RowBuffer, TimingSelect::Validated]
-        {
-            let mut c = config();
-            c.refresh = Some(RefreshConfig { interval: 64, duration: 4 });
-            let mut engine = TimingEngine::new(select, &c);
-            let mut live = Bank::default();
-            let mut planned = Bank::default();
-            let mut cycle = 5;
-            for row in [1u64, 1, 2, 1, 7, 7, 1] {
-                engine.plan_serve(&mut planned, cycle, row, 3);
-                engine.serve(&mut live, cycle, row, 3);
-                assert_eq!(
-                    format!("{live:?}"),
-                    format!("{planned:?}"),
-                    "{select:?}: plan and serve must advance banks identically"
-                );
-                cycle += 16;
-            }
-        }
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl TimingModel for RowBuffer {
         TimingSelect::RowBuffer
     }
 
-    fn plan_serve(&self, bank: &mut Bank, cycle: u64, row: u64, global_bank: u64) {
-        self.apply_refresh(bank, cycle, global_bank);
-        bank.access(cycle, row, &self.timing);
-    }
-
     fn serve(&mut self, bank: &mut Bank, cycle: u64, row: u64, global_bank: u64) -> u64 {
         self.apply_refresh(bank, cycle, global_bank);
         let hit = bank.would_hit(row, &self.timing);

@@ -48,12 +48,6 @@ impl TimingModel for Validated {
         TimingSelect::Validated
     }
 
-    fn plan_serve(&self, bank: &mut Bank, cycle: u64, row: u64, global_bank: u64) {
-        // Only the primary touches fingerprinted state; the plan stage
-        // must predict exactly that.
-        self.primary.plan_serve(bank, cycle, row, global_bank);
-    }
-
     fn serve(&mut self, bank: &mut Bank, cycle: u64, row: u64, global_bank: u64) -> u64 {
         let hit = bank.would_hit(row, self.primary.timing());
         let latency = bank.access(cycle, row, self.primary.timing());

@@ -56,8 +56,8 @@ impl TraceLevel {
     /// Fault injection and recovery events (CRC errors, vault
     /// faults, poisoned responses, link state changes, failover).
     pub const FAULT: TraceLevel = TraceLevel(1 << 7);
-    /// Engine-internal spans: parallel plan/commit phases, idle-skip
-    /// horizon jumps, sanitizer audits, checkpoint commits.
+    /// Engine-internal spans: idle-skip horizon jumps, sanitizer
+    /// audits, checkpoint commits.
     pub const ENGINE: TraceLevel = TraceLevel(1 << 8);
     /// Everything.
     pub const ALL: TraceLevel = TraceLevel(u32::MAX);
@@ -96,8 +96,8 @@ pub enum FlightLane {
     Vault,
     /// Bank-service events: command execution, refresh, bank-busy.
     Bank,
-    /// Engine-internal spans: plan/commit, idle skips, sanitizer
-    /// audits, checkpoints.
+    /// Engine-internal spans: idle skips, sanitizer audits,
+    /// checkpoints.
     Engine,
 }
 
@@ -200,14 +200,6 @@ pub enum TraceKind {
     /// A loaded CMC operation executed (`a` = command code, `quad` =
     /// active flag, `b` = response length).
     CmcOp,
-    /// Parallel engine planned vault work (`a` = vaults with work,
-    /// `b` = items taken).
-    PlanStage,
-    /// Parallel engine fell back to the serial path this device-cycle.
-    SerialFallback,
-    /// Parallel engine committed worker results (`a` = vaults
-    /// committed).
-    CommitStage,
     /// Idle-skip horizon jump (`a` = first skipped cycle, `b` =
     /// skipped-cycle extent).
     IdleSkip,
@@ -247,10 +239,7 @@ impl TraceKind {
             TraceKind::Refresh | TraceKind::BankBusy => TraceLevel::BANK,
             TraceKind::Cmd | TraceKind::CmdReject => TraceLevel::CMD,
             TraceKind::CmcOp => TraceLevel::CMC,
-            TraceKind::PlanStage
-            | TraceKind::SerialFallback
-            | TraceKind::CommitStage
-            | TraceKind::IdleSkip
+            TraceKind::IdleSkip
             | TraceKind::SanitizerAudit
             | TraceKind::Checkpoint => TraceLevel::ENGINE,
         }
@@ -276,10 +265,7 @@ impl TraceKind {
             TraceKind::Refresh | TraceKind::BankBusy => "BANK",
             TraceKind::Cmd | TraceKind::CmdReject => "RQST",
             TraceKind::CmcOp => "CMC",
-            TraceKind::PlanStage
-            | TraceKind::SerialFallback
-            | TraceKind::CommitStage
-            | TraceKind::IdleSkip
+            TraceKind::IdleSkip
             | TraceKind::SanitizerAudit
             | TraceKind::Checkpoint => "ENGINE",
         }
@@ -307,10 +293,7 @@ impl TraceKind {
             TraceKind::Refresh | TraceKind::BankBusy | TraceKind::Cmd | TraceKind::CmdReject => {
                 FlightLane::Bank
             }
-            TraceKind::PlanStage
-            | TraceKind::SerialFallback
-            | TraceKind::CommitStage
-            | TraceKind::IdleSkip
+            TraceKind::IdleSkip
             | TraceKind::SanitizerAudit
             | TraceKind::Checkpoint => FlightLane::Engine,
         }
@@ -339,9 +322,6 @@ impl TraceKind {
             TraceKind::Cmd => "cmd",
             TraceKind::CmdReject => "cmd_reject",
             TraceKind::CmcOp => "cmc_op",
-            TraceKind::PlanStage => "plan",
-            TraceKind::SerialFallback => "serial_fallback",
-            TraceKind::CommitStage => "commit",
             TraceKind::IdleSkip => "idle_skip",
             TraceKind::SanitizerAudit => "sanitizer_audit",
             TraceKind::Checkpoint => "checkpoint",
@@ -350,48 +330,51 @@ impl TraceKind {
         }
     }
 
-    /// Every kind, in stable wire order — the snapshot codec encodes
+    /// Every kind at its stable wire code — the snapshot codec encodes
     /// a kind as its index here, so the order must never change
-    /// (append new kinds at the end).
-    pub const ALL: [TraceKind; 28] = [
-        TraceKind::HostSend,
-        TraceKind::Deliver,
-        TraceKind::Zombie,
-        TraceKind::LinkRetry,
-        TraceKind::LinkCrc,
-        TraceKind::IngressCrc,
-        TraceKind::LinkDown,
-        TraceKind::LinkUp,
-        TraceKind::XbarRspFull,
-        TraceKind::Failover,
-        TraceKind::XbarToVault,
-        TraceKind::VaultRqstFull,
-        TraceKind::VaultRspFull,
-        TraceKind::VaultFault,
-        TraceKind::Poison,
-        TraceKind::Refresh,
-        TraceKind::BankBusy,
-        TraceKind::Cmd,
-        TraceKind::CmdReject,
-        TraceKind::CmcOp,
-        TraceKind::PlanStage,
-        TraceKind::SerialFallback,
-        TraceKind::CommitStage,
-        TraceKind::IdleSkip,
-        TraceKind::SanitizerAudit,
-        TraceKind::Checkpoint,
-        TraceKind::HopRqst,
-        TraceKind::HopRsp,
+    /// (append new kinds at the end). Codes 20–22 were the vault-level
+    /// parallel engine's plan/fallback/commit spans: retired, decoded
+    /// as unknown, never reused.
+    const WIRE: [Option<TraceKind>; 28] = [
+        Some(TraceKind::HostSend),
+        Some(TraceKind::Deliver),
+        Some(TraceKind::Zombie),
+        Some(TraceKind::LinkRetry),
+        Some(TraceKind::LinkCrc),
+        Some(TraceKind::IngressCrc),
+        Some(TraceKind::LinkDown),
+        Some(TraceKind::LinkUp),
+        Some(TraceKind::XbarRspFull),
+        Some(TraceKind::Failover),
+        Some(TraceKind::XbarToVault),
+        Some(TraceKind::VaultRqstFull),
+        Some(TraceKind::VaultRspFull),
+        Some(TraceKind::VaultFault),
+        Some(TraceKind::Poison),
+        Some(TraceKind::Refresh),
+        Some(TraceKind::BankBusy),
+        Some(TraceKind::Cmd),
+        Some(TraceKind::CmdReject),
+        Some(TraceKind::CmcOp),
+        None,
+        None,
+        None,
+        Some(TraceKind::IdleSkip),
+        Some(TraceKind::SanitizerAudit),
+        Some(TraceKind::Checkpoint),
+        Some(TraceKind::HopRqst),
+        Some(TraceKind::HopRsp),
     ];
 
-    /// The stable wire code (index in [`TraceKind::ALL`]).
+    /// The stable wire code (index in the wire table).
     pub fn code(self) -> u8 {
-        TraceKind::ALL.iter().position(|k| *k == self).expect("kind in ALL") as u8
+        Self::WIRE.iter().position(|k| *k == Some(self)).expect("kind in the wire table") as u8
     }
 
-    /// The kind for a wire code, `None` for out-of-range codes.
+    /// The kind for a wire code, `None` for retired and out-of-range
+    /// codes.
     pub fn from_code(code: u8) -> Option<TraceKind> {
-        TraceKind::ALL.get(code as usize).copied()
+        Self::WIRE.get(code as usize).copied().flatten()
     }
 }
 
@@ -535,11 +518,6 @@ impl TraceRecord {
                 r.quad != 0,
                 r.b
             ),
-            TraceKind::PlanStage => {
-                format!("plan: dev={} vaults={} items={}", r.dev, r.a, r.b)
-            }
-            TraceKind::SerialFallback => format!("serial fallback: dev={}", r.dev),
-            TraceKind::CommitStage => format!("commit: dev={} vaults={}", r.dev, r.a),
             TraceKind::IdleSkip => format!("idle skip: from={} len={}", r.a, r.b),
             TraceKind::SanitizerAudit => format!("sanitizer: violations={}", r.a),
             TraceKind::Checkpoint => format!("checkpoint: cycle={}", r.a),
@@ -1095,24 +1073,13 @@ impl Tracer {
 
     /// True when events of `class` reach *any* destination — the sink
     /// (level permitting), an attached forensic ring or an attached
-    /// flight recorder (both capture every class). The parallel
-    /// engine uses this to decide whether worker lanes must record
-    /// deferred events at all; when it is false for CMD events the
-    /// fast path skips them entirely, exactly like [`Tracer::emit`]'s
-    /// early return.
+    /// flight recorder (both capture every class). When it is false
+    /// for [`TraceLevel::ALL`] every [`Tracer::emit`] is a no-op, which
+    /// is what lets `ExecMode::Parallel` run devices on other threads
+    /// without the tracer.
     #[inline]
     pub fn captures(&self, class: TraceLevel) -> bool {
         self.enabled(class) || self.ring.is_some() || self.flight.is_some()
-    }
-
-    /// Replays deferred records produced on a worker lane, in the
-    /// order given. Each record goes through [`Tracer::emit`], so
-    /// level masking, ring capture and flight capture behave exactly
-    /// as for live events.
-    pub(crate) fn replay(&mut self, records: &[TraceRecord]) {
-        for rec in records {
-            self.emit(*rec);
-        }
     }
 
     /// Emits one structured record — the single emission path.
@@ -1184,63 +1151,6 @@ impl Tracer {
     }
 }
 
-/// A shard-local trace accumulator. Worker lanes cannot touch the
-/// shared [`Tracer`], so they record raw [`TraceRecord`]s into one of
-/// these; the commit phase replays each vault's records in vault
-/// order, reproducing the sequential emission order byte for byte.
-/// Records are `Copy` — a worker lane never formats text or allocates
-/// per event; when `capture` is false it does not even store them
-/// (the common case: tracing off, no ring, no flight recorder).
-#[derive(Debug, Default)]
-pub(crate) struct EventBuffer {
-    capture: bool,
-    records: Vec<TraceRecord>,
-}
-
-impl EventBuffer {
-    pub(crate) fn new(capture: bool) -> Self {
-        EventBuffer { capture, records: Vec::new() }
-    }
-
-    #[inline]
-    pub(crate) fn emit(&mut self, rec: TraceRecord) {
-        if self.capture {
-            self.records.push(rec);
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
-
-    /// Consumes the buffer, yielding the captured records for the
-    /// commit phase.
-    pub(crate) fn into_records(self) -> Vec<TraceRecord> {
-        self.records
-    }
-}
-
-/// Either the live tracer (sequential path) or a deferred buffer
-/// (worker lanes): the single execution core in `device.rs` writes
-/// through this so both paths share one implementation.
-pub(crate) enum TraceLane<'a> {
-    /// Records go straight to the simulation's tracer.
-    Live(&'a mut Tracer),
-    /// Records are buffered for ordered replay at commit.
-    Deferred(&'a mut EventBuffer),
-}
-
-impl TraceLane<'_> {
-    #[inline]
-    pub(crate) fn emit(&mut self, rec: TraceRecord) {
-        match self {
-            TraceLane::Live(t) => t.emit(rec),
-            TraceLane::Deferred(b) => b.emit(rec),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1256,30 +1166,6 @@ mod tests {
             a: 0x1000,
             ..TraceRecord::new(cycle, TraceKind::Cmd)
         }
-    }
-
-    #[test]
-    fn deferred_records_replay_in_order() {
-        let buf = TraceBuffer::new();
-        let mut t = Tracer::to_buffer(TraceLevel::CMD, buf.clone());
-        let mut lane = EventBuffer::new(t.captures(TraceLevel::CMD));
-        lane.emit(cmd_record(5));
-        lane.emit(TraceRecord { tag: 8, ..cmd_record(5) });
-        t.replay(lane.records());
-        let lines = buf.lines();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "HMCSIM_TRACE : 5 : RQST : CMD=RD16 CUB=0 QUAD=1 VAULT=5 BANK=2 ADDR=0x1000 TAG=7"
-        );
-        assert!(lines[1].ends_with("TAG=8"));
-    }
-
-    #[test]
-    fn uncaptured_buffer_skips_storage() {
-        let mut lane = EventBuffer::new(false);
-        lane.emit(cmd_record(1));
-        assert!(lane.records().is_empty());
     }
 
     #[test]

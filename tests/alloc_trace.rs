@@ -265,9 +265,9 @@ fn traced_off_emission_is_allocation_free() {
         "sequential traced-off allocation floor is not reproducible"
     );
 
-    // ...the parallel floor jitters by a handful of `mpsc` internals,
-    // but never by anything scaling with the event count: one string
-    // per event would move it by `events` allocations.
+    // ...the parallel floor (one cube, so stage 3 runs on the calling
+    // thread) never moves by anything scaling with the event count:
+    // one string per event would move it by `events` allocations.
     let par_off = run_allocations(ExecMode::Parallel { threads: 4 }, false);
     let par_off_again = run_allocations(ExecMode::Parallel { threads: 4 }, false);
     let spread = par_off.abs_diff(par_off_again);
@@ -278,7 +278,7 @@ fn traced_off_emission_is_allocation_free() {
     );
 
     // ...and attaching the recorder strictly adds allocations (ring
-    // growth, deferred worker records): if the traced-off run were
+    // growth): if the traced-off run were
     // secretly paying for tracing, these could not differ.
     let par_on = run_allocations(ExecMode::Parallel { threads: 4 }, true);
     assert!(

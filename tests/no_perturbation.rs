@@ -95,10 +95,9 @@ fn telemetry_full_mode_is_zero_perturbation() {
 }
 
 /// The parallel engine is itself a zero-perturbation feature: the
-/// mutex evaluation (CMC traffic, which falls back to the serial path
-/// inside parallel mode) and a pure data-path Triad run (which
-/// exercises the planned parallel fast path) must both reproduce the
-/// sequential pinned numbers and fingerprints at every thread count.
+/// mutex evaluation (CMC traffic) and a pure data-path Triad run must
+/// both reproduce the sequential pinned numbers and fingerprints at
+/// every thread count.
 #[test]
 fn parallel_mode_is_zero_perturbation() {
     use hmcsim::workloads::kernels::triad::{TriadConfig, TriadKernel};

@@ -92,8 +92,7 @@ fn drive(sim: &mut HmcSim, ops: &[Op], drain_cycles: u64) -> Vec<u64> {
     fingerprints
 }
 
-/// Builds a sim pinned to an explicit execution mode (immune to an
-/// ambient `HMCSIM_THREADS`, which the CI matrix sets).
+/// Builds a sim pinned to an explicit execution mode.
 fn sim_with_mode(config: DeviceConfig, mode: ExecMode) -> HmcSim {
     let mut sim = HmcSim::new(config).unwrap();
     sim.set_exec_mode(mode);
@@ -202,9 +201,8 @@ proptest! {
         }
     }
 
-    /// With probabilistic fault injection armed, the planner refuses
-    /// every cycle and parallel mode degenerates to the serial
-    /// reference path — which must still be bit-identical, RNG stream
+    /// Probabilistic fault injection draws from a per-device PRNG at
+    /// stage 3; parallel mode must stay bit-identical, RNG stream
     /// included.
     #[test]
     fn parallel_with_fault_injection_is_bit_identical(
@@ -682,6 +680,76 @@ fn fabric_skip_with_idle_cubes_and_link_outage_is_bit_identical() {
         let skipped = run(mode, SkipMode::On);
         assert_eq!(reference.0, skipped.0, "fabric fingerprints diverged: mode={mode:?}");
         assert_eq!(reference.1, skipped.1, "fabric stats diverged: mode={mode:?}");
+    }
+}
+
+/// Stage-3 traffic that reads or writes per-device state beyond the
+/// memory array — the fault PRNG (vault errors, poisoned reads), the
+/// CMC registry (mutex lock/unlock) and the register file (MD_RD /
+/// MD_WR) — on every cube of a ring and a 2x2 mesh, sharded by device
+/// at lane counts below, equal to and above the cube count. Lockstep
+/// fingerprints against the sequential engine: the devices a lane
+/// hands back must land where they came from, in device order.
+#[test]
+fn fabric_fault_cmc_and_mode_traffic_is_bit_identical_when_sharded() {
+    use hmcsim::sim::regs::{REG_EDR0, REG_GC};
+    hmcsim::cmc::ops::register_builtin_libraries();
+    let mut device = DeviceConfig::gen2_4link_4gb();
+    device.fault = FaultPlan::seeded(41).with_vault_errors(60_000).with_poison(40_000);
+    let run = |config: &SimConfig, mode: ExecMode| {
+        let mut sim = fabric_sim(config, mode, SkipMode::Off);
+        let n = sim.device_count();
+        let links = sim.device_config(0).unwrap().links;
+        for d in 0..n {
+            sim.load_cmc_library(d, hmcsim::cmc::ops::MUTEX_LIBRARY).unwrap();
+        }
+        let mut fingerprints = Vec::new();
+        for i in 0..300usize {
+            let entry = i % n;
+            let link = i % links;
+            let remote = Cub::new(((i * 3 + 1) % n) as u8).unwrap();
+            let word = i as u64;
+            let sent = match i % 6 {
+                0 => sim.send_cmc(entry, link, 125, 0x4000, vec![word % 7 + 1, 0]),
+                1 => sim.send_cmc(entry, link, 127, 0x4000, vec![word % 7 + 1, 0]),
+                2 => sim.send_to_cube(entry, link, remote, HmcRqst::MdWr, REG_GC as u64, vec![word, 0]),
+                3 => sim.send_to_cube(entry, link, remote, HmcRqst::MdRd, REG_EDR0 as u64, vec![]),
+                4 => sim.send_to_cube(entry, link, remote, HmcRqst::Rd16, word % 512 * 16, vec![]),
+                _ => sim.send_to_cube(entry, link, remote, HmcRqst::PWr16, word % 512 * 16, vec![word, !word]),
+            };
+            match sent {
+                Ok(_) | Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => {}
+                Err(e) => panic!("unexpected fabric send error: {e}"),
+            }
+            sim.clock();
+            fingerprints.push(sim.state_fingerprint());
+            for d in 0..n {
+                for l in 0..links {
+                    while sim.recv(d, l).is_some() {}
+                }
+            }
+        }
+        sim.clock_n(300);
+        fingerprints.push(sim.state_fingerprint());
+        let stats: Vec<_> = (0..n).map(|d| sim.stats(d).unwrap().clone()).collect();
+        (fingerprints, stats)
+    };
+    for (name, config) in [
+        ("ring5", SimConfig::ring(device.clone(), 5)),
+        ("mesh2x2", SimConfig::mesh(device.clone(), 2, 2)),
+    ] {
+        let (reference, stats) = run(&config, ExecMode::Sequential);
+        let cubes_with = |f: fn(&hmcsim::sim::DeviceStats) -> u64| {
+            stats.iter().filter(|s| f(s) > 0).count()
+        };
+        assert!(cubes_with(|s| s.cmc_ops) >= 2, "{name}: CMC ops ran on several cubes");
+        assert!(cubes_with(|s| s.mode_ops) >= 2, "{name}: mode ops ran on several cubes");
+        assert!(cubes_with(|s| s.vault_faults) >= 2, "{name}: vault faults were drawn");
+        assert!(cubes_with(|s| s.poisoned_responses) >= 1, "{name}: reads were poisoned");
+        for threads in [2usize, 3, 16, 64] {
+            let (sharded, _) = run(&config, ExecMode::Parallel { threads });
+            assert_lockstep_equal(name, threads, &reference, &sharded);
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
 use hmcsim::sim::perfetto::{self, PerfettoOptions};
-use hmcsim::sim::FlightSnapshot;
+use hmcsim::sim::{FlightSnapshot, SimConfig, TraceBuffer, Tracer};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig};
 
 /// The pinned mutex evaluation (16 threads) with the flight recorder
@@ -69,7 +69,7 @@ fn export_has_all_event_phases_and_no_drops() {
 
 /// The flight recorder observes the cycle domain, not the worker
 /// threads: the full export (engine spans included) must be
-/// byte-identical at every parallel pool width, for both skip modes.
+/// byte-identical at every lane count, for both skip modes.
 #[test]
 fn export_is_byte_identical_across_thread_counts() {
     for skip in [SkipMode::Off, SkipMode::On] {
@@ -86,10 +86,10 @@ fn export_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// Engine spans legitimately differ across engines (the sequential
-/// engine plans nothing; the skipping engine jumps). The packet
-/// timeline does not: with engine spans filtered out, the export is
-/// byte-identical across every engine combination.
+/// Engine spans legitimately differ with the skip mode (the skipping
+/// engine jumps). The packet timeline does not: with engine spans
+/// filtered out, the export is byte-identical across every engine
+/// combination.
 #[test]
 fn packet_timeline_is_invariant_across_engines() {
     let packets_only = PerfettoOptions { engine: false };
@@ -103,6 +103,54 @@ fn packet_timeline_is_invariant_across_engines() {
             let other = perfetto::export(&traced_run(mode, skip), &packets_only);
             assert_eq!(reference, other, "packet timeline diverged: {mode:?} {skip:?}");
         }
+    }
+}
+
+/// A multi-cube context under `Parallel` with a capturing tracer runs
+/// stage 3 on the calling thread, so the observation stream — the text
+/// trace and the full Perfetto export, engine spans included — is the
+/// sequential engine's, byte for byte.
+#[test]
+fn traced_fabric_run_is_byte_identical_across_engines() {
+    let run = |mode: ExecMode| {
+        let mut sim =
+            HmcSim::with_config(SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 2, 2)).unwrap();
+        sim.set_exec_mode(mode);
+        sim.set_skip_mode(SkipMode::On);
+        let text = TraceBuffer::new();
+        sim.set_tracer(Tracer::to_buffer(TraceLevel::ALL, text.clone()));
+        sim.enable_flight_recorder(8192);
+        for i in 0..96usize {
+            let (entry, target) = (i % 4, Cub::new(((i * 3 + 1) % 4) as u8).unwrap());
+            let addr = (i as u64 % 64) * 16;
+            let (cmd, payload) = match i % 3 {
+                0 => (HmcRqst::Wr16, vec![i as u64, 0]),
+                1 => (HmcRqst::Rd16, vec![]),
+                _ => (HmcRqst::Xor16, vec![i as u64, 0]),
+            };
+            sim.send_to_cube(entry, i % 4, target, cmd, addr, payload).unwrap();
+            sim.clock();
+            if i % 8 == 7 {
+                sim.clock_n(200);
+            }
+            for d in 0..4 {
+                for l in 0..4 {
+                    while sim.recv(d, l).is_some() {}
+                }
+            }
+        }
+        sim.clock_n(300);
+        let snap = sim.flight_snapshot().expect("recorder attached");
+        assert_eq!(snap.lanes.iter().map(|l| l.dropped).sum::<u64>(), 0, "capacity ample");
+        (text.lines(), perfetto::export(&snap, &PerfettoOptions::default()))
+    };
+    let (text, export) = run(ExecMode::Sequential);
+    assert!(text.iter().any(|l| l.contains(": HOP :")), "traffic crossed cubes");
+    assert!(text.iter().any(|l| l.contains(": ENGINE : idle skip")), "engine spans traced");
+    for threads in [2usize, 3] {
+        let (par_text, par_export) = run(ExecMode::Parallel { threads });
+        assert_eq!(text, par_text, "text trace diverged at {threads} threads");
+        assert_eq!(export, par_export, "export diverged at {threads} threads");
     }
 }
 

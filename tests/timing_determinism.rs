@@ -50,8 +50,7 @@ fn row_heavy_config() -> DeviceConfig {
 
 type Observation = (u64, u64, u64, hmcsim::sim::DeviceStats);
 
-/// Pure data path: exercises the planned parallel fast path and the
-/// event-horizon clamp.
+/// Pure data path: saturating traffic plus the event-horizon clamp.
 fn triad_obs(
     config: &DeviceConfig,
     timing: TimingSelect,
@@ -68,7 +67,7 @@ fn triad_obs(
     (out.cycles, sim.cycle(), sim.state_fingerprint(), sim.stats(0).unwrap().clone())
 }
 
-/// CMC traffic: exercises the serial fallback inside parallel mode.
+/// CMC traffic: sparse, contended, through the CMC registry.
 fn mutex_obs(
     config: &DeviceConfig,
     timing: TimingSelect,
