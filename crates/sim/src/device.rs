@@ -794,20 +794,13 @@ impl Device {
         None
     }
 
-    /// Hashes every queue occupancy into `h` (the stall watchdog's
-    /// progress fingerprint).
-    pub(crate) fn occupancy_signature(&self, h: &mut impl std::hash::Hasher) {
-        use std::hash::Hash;
-        for q in &self.xbar_rqst {
-            q.len().hash(h);
-        }
-        for q in &self.xbar_rsp {
-            q.len().hash(h);
-        }
-        for v in &self.vaults {
-            v.rqst.len().hash(h);
-            v.rsp.len().hash(h);
-        }
+    /// Every queue's occupancy, in a fixed order (the stall watchdog's
+    /// progress signature).
+    pub(crate) fn occupancies(&self) -> impl Iterator<Item = u64> + '_ {
+        let rqst = self.xbar_rqst.iter().map(|q| q.len() as u64);
+        let rsp = self.xbar_rsp.iter().map(|q| q.len() as u64);
+        let vaults = self.vaults.iter().flat_map(|v| [v.rqst.len() as u64, v.rsp.len() as u64]);
+        rqst.chain(rsp).chain(vaults)
     }
 
     /// Deep-copies the device's dynamic state into a snapshot.

@@ -57,11 +57,23 @@ fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
 
+/// True for the bytes a string literal cannot hold as they are:
+/// controls, the quote and the backslash.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser { text, bytes: text.as_bytes(), pos: 0 }
+    }
+
     fn fail<T>(&self, what: impl fmt::Display) -> Result<T, JsonError> {
         err(format!("{what} at byte {}", self.pos))
     }
@@ -106,6 +118,13 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // A run of plain ASCII is copied whole (memory pages are
+            // kilobytes of hex); everything else goes byte by byte.
+            let rest = &self.bytes[self.pos..];
+            let plain = |b: u8| b < 0x80 && !needs_escape(b);
+            let run = rest.iter().position(|&b| !plain(b)).unwrap_or(rest.len());
+            s.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.bump() {
                 None => return self.fail("unterminated string"),
                 Some(b'"') => return Ok(s),
@@ -251,10 +270,22 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Appends `v` as a JSON string literal. Only a string that holds a
+/// quote, a backslash or a control character is rewritten.
+fn write_str(out: &mut String, v: &str) {
+    out.push('"');
+    if v.bytes().any(needs_escape) {
+        out.push_str(&crate::snapshot::json_escape(v));
+    } else {
+        out.push_str(v);
+    }
+    out.push('"');
+}
+
 impl Json {
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser::new(text);
         let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -275,11 +306,7 @@ impl Json {
             Json::Null => s.push_str("null"),
             Json::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
             Json::Int(v) => s.push_str(&v.to_string()),
-            Json::Str(v) => {
-                s.push('"');
-                s.push_str(&crate::snapshot::json_escape(v));
-                s.push('"');
-            }
+            Json::Str(v) => write_str(s, v),
             Json::Arr(items) => {
                 s.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -296,9 +323,8 @@ impl Json {
                     if i > 0 {
                         s.push(',');
                     }
-                    s.push('"');
-                    s.push_str(&crate::snapshot::json_escape(k));
-                    s.push_str("\":");
+                    write_str(s, k);
+                    s.push(':');
                     v.write(s);
                 }
                 s.push('}');
@@ -539,5 +565,158 @@ mod tests {
     fn parses_unicode_and_escapes() {
         let v = Json::parse("\"caf\\u00e9 → ok\"").unwrap();
         assert_eq!(v.as_str(), Some("café → ok"));
+    }
+
+    /// The string parser and writer as they were before they moved
+    /// plain runs in one piece: the parser one byte, one `push` at a
+    /// time, the writer every string through `json_escape`. Kept as
+    /// the oracle for the property below.
+    mod reference {
+        use super::super::{Json, JsonError, Parser};
+        use crate::snapshot::json_escape as escape;
+
+        pub fn string(p: &mut Parser<'_>) -> Result<String, JsonError> {
+            p.expect(b'"')?;
+            let mut s = String::new();
+            loop {
+                match p.bump() {
+                    None => return p.fail("unterminated string"),
+                    Some(b'"') => return Ok(s),
+                    Some(b'\\') => match p.bump() {
+                        Some(b'"') => s.push('"'),
+                        Some(b'\\') => s.push('\\'),
+                        Some(b'/') => s.push('/'),
+                        Some(b'n') => s.push('\n'),
+                        Some(b't') => s.push('\t'),
+                        Some(b'r') => s.push('\r'),
+                        Some(b'b') => s.push('\u{8}'),
+                        Some(b'f') => s.push('\u{c}'),
+                        Some(b'u') => {
+                            if p.pos + 4 > p.bytes.len() {
+                                return p.fail("truncated \\u escape");
+                            }
+                            let hex = std::str::from_utf8(&p.bytes[p.pos..p.pos + 4])
+                                .ok()
+                                .and_then(|h| u32::from_str_radix(h, 16).ok());
+                            let Some(code) = hex else {
+                                return p.fail("invalid \\u escape");
+                            };
+                            p.pos += 4;
+                            match char::from_u32(code) {
+                                Some(c) => s.push(c),
+                                None => return p.fail("unsupported surrogate \\u escape"),
+                            }
+                        }
+                        _ => return p.fail("invalid escape"),
+                    },
+                    Some(b) if b < 0x20 => return p.fail("raw control character in string"),
+                    Some(b) => {
+                        let len = match b {
+                            0x00..=0x7f => 1,
+                            0xc0..=0xdf => 2,
+                            0xe0..=0xef => 3,
+                            0xf0..=0xf7 => 4,
+                            _ => return p.fail("invalid UTF-8 byte in string"),
+                        };
+                        let start = p.pos - 1;
+                        if start + len > p.bytes.len() {
+                            return p.fail("truncated UTF-8 sequence");
+                        }
+                        match std::str::from_utf8(&p.bytes[start..start + len]) {
+                            Ok(chunk) => {
+                                s.push_str(chunk);
+                                p.pos = start + len;
+                            }
+                            Err(_) => return p.fail("invalid UTF-8 sequence in string"),
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn render(v: &Json, s: &mut String) {
+            match v {
+                Json::Str(v) => {
+                    s.push('"');
+                    s.push_str(&escape(v));
+                    s.push('"');
+                }
+                Json::Obj(fields) => {
+                    s.push('{');
+                    for (i, (k, v)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            s.push(',');
+                        }
+                        s.push('"');
+                        s.push_str(&escape(k));
+                        s.push_str("\":");
+                        render(v, s);
+                    }
+                    s.push('}');
+                }
+                other => unreachable!("the property renders strings and objects, not {other:?}"),
+            }
+        }
+    }
+
+    /// One piece of a string body as it stands in the JSON text.
+    fn arb_piece() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let pick = |options: &[&str]| {
+            prop::sample::select(options.iter().map(|o| o.to_string()).collect::<Vec<_>>())
+        };
+        prop_oneof![
+            // Plain ASCII runs, short and page-sized.
+            prop::collection::vec(0x20u8..0x7f, 1..12)
+                .prop_map(|b| String::from_utf8(b).unwrap().replace(['"', '\\'], "x")),
+            (1usize..600).prop_map(|n| "0123456789abcdef".repeat(n)),
+            pick(&["\\\"", "\\\\", "\\/", "\\n", "\\t", "\\r", "\\b", "\\f"]),
+            pick(&["\\u0041", "\\u00e9", "\\u20AC", "\\u0000", "\\ud800", "\\u12g4", "\\u+123", "\\u12"]),
+            pick(&["\u{e9}", "\u{20ac}", "\u{2192}", "\u{1f600}", "\u{7f}", "\u{80}"]),
+            // What a string may not hold raw, and escapes that are not.
+            pick(&["\u{1}", "\n", "\t", "\u{1f}", "\\x", "\\ ", "\\\u{e9}", "\""]),
+        ]
+    }
+
+    proptest::proptest! {
+        /// On any string body — plain runs, every escape, `\u` forms
+        /// good and bad, multibyte characters, raw controls, a cut at
+        /// any character — the parser that copies runs returns what
+        /// the byte-at-a-time parser returns: the same string and end
+        /// position, or the same message at the same offset. What
+        /// parses renders to the same bytes as before, and back.
+        #[test]
+        fn string_scans_match_the_byte_at_a_time_loops(
+            pieces in proptest::collection::vec(arb_piece(), 0..8),
+            cut in proptest::prelude::any::<u16>(),
+            closed in proptest::prelude::any::<bool>(),
+        ) {
+            let mut text = format!("\"{}", pieces.concat());
+            if cut.is_multiple_of(4) {
+                let mut at = cut as usize % (text.len() + 1);
+                while !text.is_char_boundary(at) {
+                    at -= 1;
+                }
+                text.truncate(at);
+            }
+            if closed {
+                text.push('"');
+            }
+            let (mut new, mut old) = (Parser::new(&text), Parser::new(&text));
+            let (got, want) = (new.string(), reference::string(&mut old));
+            proptest::prop_assert_eq!(&got, &want, "on {:?}", text);
+            proptest::prop_assert_eq!(new.pos, old.pos);
+
+            let Ok(value) = got else { return Ok(()) };
+            let doc = Json::Obj(vec![
+                (value.clone(), Json::Str(value.clone())),
+                // A key no parsed body can equal (a raw control).
+                ("\u{2}".into(), Json::Str("0123456789abcdef".repeat(64))),
+            ]);
+            let mut before = String::new();
+            reference::render(&doc, &mut before);
+            proptest::prop_assert_eq!(doc.render(), before.clone());
+            proptest::prop_assert_eq!(Json::parse(&before), Ok(doc));
+        }
     }
 }

@@ -35,9 +35,7 @@ use crate::config::LinkTopology;
 use crate::sim::HmcSim;
 use crate::snapshot::{ForensicDump, SimSnapshot};
 use crate::trace::{TraceKind, TraceLevel, TraceRecord, TraceRing};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
 /// What the sanitizer does when an invariant violation is detected.
@@ -252,8 +250,9 @@ pub struct Sanitizer {
     pub(crate) shadow: SanitizerShadow,
     pub(crate) ring: Option<TraceRing>,
     report: SanitizerReport,
-    /// Watchdog: fingerprint of the last observed progress state.
-    watch_fp: Option<u64>,
+    /// Watchdog: the last observed [`Sanitizer::progress_signature`]
+    /// (empty = nothing observed yet; a real one never is).
+    watch_sig: Vec<u64>,
     stalled_cycles: u64,
     last_checkpoint: Option<SimSnapshot>,
     last_dump: Option<ForensicDump>,
@@ -268,7 +267,7 @@ impl Sanitizer {
             shadow: SanitizerShadow::default(),
             ring,
             report: SanitizerReport::default(),
-            watch_fp: None,
+            watch_sig: Vec::new(),
             stalled_cycles: 0,
             last_checkpoint: None,
             last_dump: None,
@@ -308,9 +307,9 @@ impl Sanitizer {
     }
 
     /// Clears the stall watchdog (after a restore, where the
-    /// fingerprint would compare states across a discontinuity).
+    /// signature would compare states across a discontinuity).
     pub(crate) fn reset_watchdog(&mut self) {
-        self.watch_fp = None;
+        self.watch_sig.clear();
         self.stalled_cycles = 0;
     }
 
@@ -411,11 +410,10 @@ impl Sanitizer {
     pub(crate) fn end_of_cycle(&mut self, sim: &mut HmcSim, cycle: u64) -> Option<String> {
         self.report.cycles_checked += 1;
         let mut violations = std::mem::take(&mut self.shadow.pending);
-        self.check_tokens(sim, cycle, &mut violations);
-        self.check_tags(sim, cycle, &mut violations);
-        self.check_queues(sim, cycle, &mut violations);
-        self.check_conservation(sim, cycle, &mut violations);
-        self.check_watchdog(sim, cycle, &mut violations);
+        // One walk of the queues serves conservation and the watchdog.
+        let live = sim.live_packets();
+        self.check_structure(sim, cycle, live, &mut |v| violations.push(v));
+        self.check_watchdog(sim, cycle, live, &mut violations);
 
         let mut fatal = None;
         if !violations.is_empty() {
@@ -492,12 +490,28 @@ impl Sanitizer {
         fatal
     }
 
-    fn check_tokens(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
+    /// The structural checks: pure reads of `sim` and the shadow, each
+    /// violation handed to `found` as it is met. A clean state formats
+    /// and allocates nothing. `live` is `sim.live_packets()`.
+    fn check_structure(
+        &self,
+        sim: &HmcSim,
+        cycle: u64,
+        live: u64,
+        found: &mut impl FnMut(Violation),
+    ) {
+        self.check_tokens(sim, cycle, found);
+        self.check_tags(sim, cycle, found);
+        self.check_queues(sim, cycle, found);
+        self.check_conservation(live, cycle, found);
+    }
+
+    fn check_tokens(&self, sim: &HmcSim, cycle: u64, found: &mut impl FnMut(Violation)) {
         for (dev, links) in sim.links.iter().enumerate() {
             for (link, lc) in links.iter().enumerate() {
                 if let Some(cap) = sim.config.devices[dev].link_config.tokens {
                     if lc.tokens_available() > cap {
-                        out.push(Violation {
+                        found(Violation {
                             cycle,
                             kind: ViolationKind::TokenPoolOverflow,
                             detail: format!(
@@ -521,7 +535,7 @@ impl Sanitizer {
                                 .sum::<u64>();
                         let outstanding = cap.saturating_sub(lc.tokens_available()) as u64;
                         if outstanding != held {
-                            out.push(Violation {
+                            found(Violation {
                                 cycle,
                                 kind: ViolationKind::TokenConservation,
                                 detail: format!(
@@ -534,7 +548,7 @@ impl Sanitizer {
                 }
                 let seen = self.shadow.seen_token_overflows[dev][link];
                 if lc.stats.token_overflows > seen {
-                    out.push(Violation {
+                    found(Violation {
                         cycle,
                         kind: ViolationKind::TokenOverReturn,
                         detail: format!(
@@ -549,11 +563,11 @@ impl Sanitizer {
         }
     }
 
-    fn check_tags(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
+    fn check_tags(&self, sim: &HmcSim, cycle: u64, found: &mut impl FnMut(Violation)) {
         for (dev, pools) in sim.tag_pools.iter().enumerate() {
             for (link, pool) in pools.iter().enumerate() {
                 if let Err(e) = pool.audit() {
-                    out.push(Violation {
+                    found(Violation {
                         cycle,
                         kind: ViolationKind::TagPoolCorrupt,
                         detail: format!("dev {dev} link {link}: {e}"),
@@ -561,7 +575,7 @@ impl Sanitizer {
                 }
                 for tag in sim.pool_tags[dev][link].iter() {
                     if !pool.is_live(tag) {
-                        out.push(Violation {
+                        found(Violation {
                             cycle,
                             kind: ViolationKind::TagLiveAndFree,
                             detail: format!(
@@ -575,11 +589,15 @@ impl Sanitizer {
             }
         }
         for (dev, set) in sim.zombie_tags.iter().enumerate() {
+            // Almost always empty; the sorted view is for the report.
+            if set.is_empty() {
+                continue;
+            }
             let mut zombies: Vec<(usize, u16)> = set.iter().copied().collect();
             zombies.sort_unstable();
             for (link, tag) in zombies {
                 if !self.shadow.live_tags.contains(&(dev, link, tag)) {
-                    out.push(Violation {
+                    found(Violation {
                         cycle,
                         kind: ViolationKind::ZombieTagLeak,
                         detail: format!(
@@ -592,10 +610,10 @@ impl Sanitizer {
         }
     }
 
-    fn check_queues(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
+    fn check_queues(&self, sim: &HmcSim, cycle: u64, found: &mut impl FnMut(Violation)) {
         for (dev, d) in sim.devices.iter().enumerate() {
             if let Some(msg) = d.queue_bound_violation() {
-                out.push(Violation {
+                found(Violation {
                     cycle,
                     kind: ViolationKind::QueueOverflow,
                     detail: format!("dev {dev}: {msg}"),
@@ -604,12 +622,11 @@ impl Sanitizer {
         }
     }
 
-    fn check_conservation(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
-        let live = sim.live_packets();
+    fn check_conservation(&self, live: u64, cycle: u64, found: &mut impl FnMut(Violation)) {
         let accounted =
             live + self.shadow.delivered + self.shadow.absorbed + self.shadow.zombie_dropped;
         if self.shadow.injected != accounted {
-            out.push(Violation {
+            found(Violation {
                 cycle,
                 kind: ViolationKind::PacketConservation,
                 detail: format!(
@@ -624,29 +641,17 @@ impl Sanitizer {
         }
     }
 
-    fn check_watchdog(&mut self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
+    fn check_watchdog(&mut self, sim: &HmcSim, cycle: u64, live: u64, out: &mut Vec<Violation>) {
         if self.config.watchdog_cycles == 0 {
             return;
         }
-        if sim.live_packets() == 0 {
-            self.watch_fp = None;
-            self.stalled_cycles = 0;
-            return;
-        }
-        let fp = self.progress_fingerprint(sim);
-        if self.watch_fp == Some(fp) {
-            self.stalled_cycles += 1;
-        } else {
-            self.watch_fp = Some(fp);
-            self.stalled_cycles = 0;
-        }
+        self.observe_progress(sim, live, 1);
         if self.stalled_cycles >= self.config.watchdog_cycles {
             out.push(Violation {
                 cycle,
                 kind: ViolationKind::StallWatchdog,
                 detail: format!(
-                    "{} packet(s) resident but nothing moved for {} cycles",
-                    sim.live_packets(),
+                    "{live} packet(s) resident but nothing moved for {} cycles",
                     self.stalled_cycles
                 ),
             });
@@ -655,30 +660,46 @@ impl Sanitizer {
         }
     }
 
-    /// Hash of everything that changes when the simulation makes
-    /// progress: queue occupancies, transit/retry population, shadow
-    /// counters and link packet counts. Deliberately excludes the
-    /// cycle counter.
-    fn progress_fingerprint(&self, sim: &HmcSim) -> u64 {
-        let mut h = DefaultHasher::new();
-        for d in &sim.devices {
-            d.occupancy_signature(&mut h);
+    /// Folds `k` consecutive observations of one unchanging state into
+    /// the stall count: an empty fabric clears the watchdog, a changed
+    /// signature restarts the count at the first of the `k`.
+    fn observe_progress(&mut self, sim: &HmcSim, live: u64, k: u64) {
+        if live == 0 {
+            self.reset_watchdog();
+        } else if self.progress_unchanged(sim) {
+            self.stalled_cycles += k;
+        } else {
+            self.watch_sig.clear();
+            self.watch_sig.extend(Self::progress_signature(&self.shadow, sim));
+            self.stalled_cycles = k - 1;
         }
-        for q in &sim.transit_queues {
-            q.len().hash(&mut h);
-        }
-        sim.retry_pending.len().hash(&mut h);
-        for q in sim.host_rx.iter().flatten() {
-            q.len().hash(&mut h);
-        }
-        self.shadow.injected.hash(&mut h);
-        self.shadow.delivered.hash(&mut h);
-        self.shadow.absorbed.hash(&mut h);
-        self.shadow.zombie_dropped.hash(&mut h);
-        for l in sim.links.iter().flatten() {
-            l.stats.packets_sent.hash(&mut h);
-        }
-        h.finish()
+    }
+
+    /// Everything that changes when the simulation makes progress:
+    /// queue occupancies, transit/retry population, shadow counters
+    /// and link packet counts. Deliberately excludes the cycle
+    /// counter. Compared value by value, so no two states alias.
+    fn progress_signature<'a>(
+        shadow: &'a SanitizerShadow,
+        sim: &'a HmcSim,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let queues = sim.devices.iter().flat_map(|d| d.occupancies());
+        let transit = sim.transit_queues.iter().map(|q| q.len() as u64);
+        let host_rx = sim.host_rx.iter().flatten().map(|q| q.len() as u64);
+        let counters = [
+            sim.retry_pending.len() as u64,
+            shadow.injected,
+            shadow.delivered,
+            shadow.absorbed,
+            shadow.zombie_dropped,
+        ];
+        let sent = sim.links.iter().flatten().map(|l| l.stats.packets_sent);
+        queues.chain(transit).chain(host_rx).chain(counters).chain(sent)
+    }
+
+    /// True when the state's signature is the one last observed.
+    fn progress_unchanged(&self, sim: &HmcSim) -> bool {
+        Self::progress_signature(&self.shadow, sim).eq(self.watch_sig.iter().copied())
     }
 
     /// [`SanitizerPolicy::Recover`]: repairs token pools to match the
@@ -740,22 +761,20 @@ impl Sanitizer {
         // The structural checks are pure reads; in a quiescent fabric
         // their verdict is the same for every cycle of the region, so
         // one evaluation covers all of it.
-        let mut scratch = Vec::new();
-        self.check_tokens(sim, cycle, &mut scratch);
-        self.check_tags(sim, cycle, &mut scratch);
-        self.check_queues(sim, cycle, &mut scratch);
-        self.check_conservation(sim, cycle, &mut scratch);
-        if !scratch.is_empty() {
+        let live = sim.live_packets();
+        let mut clean = true;
+        self.check_structure(sim, cycle, live, &mut |_| clean = false);
+        if !clean {
             return 0;
         }
         let mut k = k;
-        if self.config.watchdog_cycles > 0 && sim.live_packets() > 0 {
-            // In an idle region the progress fingerprint is constant,
+        if self.config.watchdog_cycles > 0 && live > 0 {
+            // In an idle region the progress signature is constant,
             // so the per-cycle watchdog would count every skipped
             // cycle as stalled. Cap the region so the threshold is
             // reached — and the violation recorded — under the full
             // per-cycle path.
-            let headroom = if self.watch_fp == Some(self.progress_fingerprint(sim)) {
+            let headroom = if self.progress_unchanged(sim) {
                 (self.config.watchdog_cycles - 1).saturating_sub(self.stalled_cycles)
             } else {
                 self.config.watchdog_cycles
@@ -783,22 +802,8 @@ impl Sanitizer {
     /// no-ops).
     pub(crate) fn advance_idle(&mut self, sim: &HmcSim, k: u64) {
         self.report.cycles_checked += k;
-        if self.config.watchdog_cycles == 0 {
-            return;
-        }
-        if sim.live_packets() == 0 {
-            self.watch_fp = None;
-            self.stalled_cycles = 0;
-            return;
-        }
-        let fp = self.progress_fingerprint(sim);
-        if self.watch_fp == Some(fp) {
-            self.stalled_cycles += k;
-        } else {
-            // The first skipped cycle observes a fresh fingerprint
-            // (stall count 0); the remaining k - 1 see it unchanged.
-            self.watch_fp = Some(fp);
-            self.stalled_cycles = k - 1;
+        if self.config.watchdog_cycles > 0 {
+            self.observe_progress(sim, sim.live_packets(), k);
         }
     }
 }

@@ -18,8 +18,8 @@
 //!
 //! - a level-masked text [`Sink`] (buffer or writer) — the user-facing
 //!   trace, unchanged semantics;
-//! - an optional [`TraceRing`] of formatted lines — the sanitizer's
-//!   bounded forensic tail (captures every class);
+//! - an optional [`TraceRing`] — the sanitizer's bounded forensic tail
+//!   (captures every class as raw records, rendered when a dump asks);
 //! - an optional [`FlightRecorder`] — per-lane, drop-counting rings of
 //!   raw [`TraceRecord`]s, cheap enough to leave on for a whole run,
 //!   snapshot-included and exportable to Perfetto
@@ -554,7 +554,14 @@ pub(crate) struct NameTable {
 
 #[derive(Debug, Default)]
 struct NameInner {
+    /// `names[..live]` is the table. Slots past it are what a
+    /// [`NameTable::replace`] with a shorter table left behind: the
+    /// forensic ring may still hold records captured before the
+    /// restore that name them, so they stay resolvable until a newly
+    /// interned name takes the slot (the same string, when the run
+    /// replays what it did before).
     names: Vec<String>,
+    live: usize,
     index: std::collections::HashMap<String, u16>,
 }
 
@@ -567,11 +574,15 @@ impl NameTable {
         if let Some(&idx) = inner.index.get(name) {
             return idx;
         }
-        let idx = inner.names.len();
+        let idx = inner.live;
         if idx >= u16::MAX as usize {
             return u16::MAX;
         }
-        inner.names.push(name.to_owned());
+        match inner.names.get_mut(idx) {
+            Some(slot) => *slot = name.to_owned(),
+            None => inner.names.push(name.to_owned()),
+        }
+        inner.live += 1;
         inner.index.insert(name.to_owned(), idx as u16);
         idx as u16
     }
@@ -589,7 +600,8 @@ impl NameTable {
 
     /// All interned names, in index order.
     pub(crate) fn snapshot(&self) -> Vec<String> {
-        self.inner.lock().expect("name table lock").names.clone()
+        let inner = self.inner.lock().expect("name table lock");
+        inner.names[..inner.live].to_vec()
     }
 
     /// Replaces the table contents (snapshot restore).
@@ -600,7 +612,11 @@ impl NameTable {
             .enumerate()
             .map(|(i, n)| (n.clone(), i as u16))
             .collect();
+        inner.live = names.len();
+        let kept = names.len().min(inner.names.len());
+        let left_over = inner.names.split_off(kept);
         inner.names = names;
+        inner.names.extend(left_over);
     }
 }
 
@@ -875,11 +891,16 @@ impl TraceBuffer {
     }
 }
 
-/// A bounded ring buffer of recent trace lines, shared between the
+/// A bounded ring buffer of recent trace events, shared between the
 /// tracer and the sanitizer's forensic-dump machinery. Unlike the
 /// sinks, an attached ring captures *every* event class regardless of
 /// the tracer's level mask, so a forensic dump carries the events
 /// leading up to a violation even when user-facing tracing is off.
+///
+/// The ring stores the raw [`TraceRecord`]s, as the flight recorder
+/// does, and renders text only in [`TraceRing::lines`] — capturing an
+/// event costs one lock and one record copy, and nothing is formatted
+/// unless a dump reads the tail.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRing {
     inner: Arc<Mutex<RingInner>>,
@@ -887,30 +908,35 @@ pub struct TraceRing {
 
 #[derive(Debug, Default)]
 struct RingInner {
-    lines: VecDeque<String>,
+    records: VecDeque<TraceRecord>,
     capacity: usize,
+    /// The name table of the tracer the ring is attached to, which
+    /// [`CmdRef::Name`] records are rendered against.
+    names: NameTable,
 }
 
 impl TraceRing {
-    /// Creates a ring holding the most recent `capacity` lines.
+    /// Creates a ring holding the most recent `capacity` events.
     pub fn new(capacity: usize) -> Self {
         TraceRing {
             inner: Arc::new(Mutex::new(RingInner {
-                lines: VecDeque::with_capacity(capacity),
+                records: VecDeque::with_capacity(capacity),
                 capacity: capacity.max(1),
+                names: NameTable::default(),
             })),
         }
     }
 
-    /// Snapshot of the retained lines, oldest first.
+    /// The retained events as historic text trace lines, oldest first
+    /// — one render per retained event, on the caller's time.
     pub fn lines(&self) -> Vec<String> {
         let inner = self.inner.lock().expect("trace ring lock");
-        inner.lines.iter().cloned().collect()
+        inner.records.iter().map(|r| r.render_line(|idx| inner.names.resolve(idx))).collect()
     }
 
-    /// Number of retained lines.
+    /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace ring lock").lines.len()
+        self.inner.lock().expect("trace ring lock").records.len()
     }
 
     /// True when nothing has been captured yet.
@@ -918,12 +944,12 @@ impl TraceRing {
         self.len() == 0
     }
 
-    fn record(&self, line: &str) {
+    fn record(&self, rec: TraceRecord) {
         let mut inner = self.inner.lock().expect("trace ring lock");
-        if inner.lines.len() >= inner.capacity {
-            inner.lines.pop_front();
+        if inner.records.len() >= inner.capacity {
+            inner.records.pop_front();
         }
-        inner.lines.push_back(line.to_owned());
+        inner.records.push_back(rec);
     }
 }
 
@@ -946,10 +972,9 @@ impl fmt::Debug for Sink {
 /// The trace recorder attached to a simulation context.
 ///
 /// [`Tracer::emit`] is the single emission path: every structured
-/// [`TraceRecord`] first lands in the attached [`FlightRecorder`] (if
-/// any, unformatted), then is rendered to text at most once and fanned
-/// out to the forensic [`TraceRing`] (every class) and the level-masked
-/// sink.
+/// [`TraceRecord`] lands unformatted in the attached [`FlightRecorder`]
+/// and forensic [`TraceRing`] (if any, every class), and is rendered to
+/// text only for the level-masked sink.
 #[derive(Debug)]
 pub struct Tracer {
     level: TraceLevel,
@@ -990,8 +1015,10 @@ impl Tracer {
     }
 
     /// Attaches a forensic ring that captures every event class
-    /// independently of the level mask.
+    /// independently of the level mask. The ring renders against this
+    /// tracer's name table from here on.
     pub fn attach_ring(&mut self, ring: TraceRing) {
+        ring.inner.lock().expect("trace ring lock").names = self.names.clone();
         self.ring = Some(ring);
     }
 
@@ -1022,13 +1049,13 @@ impl Tracer {
     /// sanitizer's ring or the flight recorder's timeline (whose
     /// records reference the old name table).
     pub(crate) fn adopt_stream(&mut self, other: &Tracer) {
-        if self.ring.is_none() {
-            self.ring = other.ring.clone();
+        self.names = other.names.clone();
+        if let Some(ring) = self.ring.take().or_else(|| other.ring.clone()) {
+            self.attach_ring(ring);
         }
         if self.flight.is_none() {
             self.flight = other.flight.clone();
         }
-        self.names = other.names.clone();
     }
 
     /// The active level mask.
@@ -1084,26 +1111,21 @@ impl Tracer {
 
     /// Emits one structured record — the single emission path.
     ///
-    /// The flight recorder receives the raw record (no formatting);
-    /// the text line is rendered at most once, fanned out to the
-    /// forensic ring (every class) and the sink (level permitting).
+    /// The flight recorder and the forensic ring receive the raw
+    /// record (no formatting); the text line is rendered only when the
+    /// sink's level asks for this class.
     pub fn emit(&mut self, rec: TraceRecord) {
         if let Some(flight) = &self.flight {
             flight.record(rec);
         }
-        let sink_on = self.enabled(rec.kind.class());
-        let ring_on = self.ring.is_some();
-        if !sink_on && !ring_on {
+        if let Some(ring) = &self.ring {
+            ring.record(rec);
+        }
+        if !self.enabled(rec.kind.class()) {
             return;
         }
         let names = &self.names;
         let line = rec.render_line(|idx| names.resolve(idx));
-        if let Some(ring) = &self.ring {
-            ring.record(&line);
-        }
-        if !sink_on {
-            return;
-        }
         match &mut self.sink {
             Sink::Null => {}
             Sink::Buffer(buf) => buf.record(line),
@@ -1118,35 +1140,6 @@ impl Tracer {
         match &self.sink {
             Sink::Buffer(buf) => buf.dropped(),
             _ => 0,
-        }
-    }
-
-    /// Records one free-form event line in HMC-Sim's trace format:
-    /// `HMCSIM_TRACE : <cycle> : <CLASS> : <detail>`.
-    ///
-    /// This is the raw text view, kept for ad-hoc annotations; it
-    /// feeds the sink (level permitting) and the forensic ring, but
-    /// **not** the flight recorder — structured instrumentation goes
-    /// through [`Tracer::emit`].
-    pub fn event(&mut self, class: TraceLevel, cycle: u64, tag: &str, detail: fmt::Arguments<'_>) {
-        let sink_on = self.enabled(class);
-        let ring_on = self.ring.is_some();
-        if !sink_on && !ring_on {
-            return;
-        }
-        let line = format!("HMCSIM_TRACE : {cycle} : {tag} : {detail}");
-        if let Some(ring) = &self.ring {
-            ring.record(&line);
-        }
-        if !sink_on {
-            return;
-        }
-        match &mut self.sink {
-            Sink::Null => {}
-            Sink::Buffer(buf) => buf.record(line),
-            Sink::Writer(w) => {
-                let _ = writeln!(w, "{line}");
-            }
         }
     }
 }
@@ -1231,7 +1224,6 @@ mod tests {
         let mut t = Tracer::disabled();
         assert!(!t.enabled(TraceLevel::CMD));
         t.emit(cmd_record(0));
-        t.event(TraceLevel::CMD, 0, "RQST", format_args!("dropped"));
     }
 
     #[test]
@@ -1386,5 +1378,22 @@ mod tests {
         other.replace(snap);
         assert_eq!(other.resolve(b), "hmc_unlock");
         assert_eq!(other.intern("hmc_lock"), a, "index survives replace");
+    }
+
+    #[test]
+    fn replaced_names_stay_resolvable_until_their_slot_is_reused() {
+        // A restore rewinds the table to the snapshot's; records the
+        // forensic ring captured since then still name later slots.
+        let names = NameTable::default();
+        let ids: Vec<u16> = ["a", "b", "c"].iter().map(|n| names.intern(n)).collect();
+        names.replace(vec!["a".to_owned()]);
+        assert_eq!(names.snapshot(), ["a"], "the table is the snapshot's");
+        assert_eq!(names.resolve(ids[2]), "c", "older records still render");
+        assert_eq!(names.intern("b2"), ids[1], "interning resumes after the snapshot's names");
+        assert_eq!(names.resolve(ids[1]), "b2");
+        assert_eq!(names.resolve(ids[2]), "c");
+        assert_eq!(names.snapshot(), ["a", "b2"]);
+        names.replace(vec!["x".to_owned(), "y".to_owned(), "z".to_owned(), "w".to_owned()]);
+        assert_eq!(names.snapshot(), ["x", "y", "z", "w"], "a longer table replaces every slot");
     }
 }

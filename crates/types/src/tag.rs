@@ -52,10 +52,14 @@ impl std::fmt::Display for Tag {
 /// assert_ne!(t0, t1);
 /// pool.release(t0).unwrap();
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct TagPool {
+    /// Recycling order (front = next tag handed out).
     free: VecDeque<Tag>,
-    in_flight: Vec<bool>,
+    /// Membership of `free`, kept in step by every mutator so that
+    /// [`TagPool::audit`] never has to walk the list.
+    is_free: TagSet,
+    in_flight: TagSet,
     capacity: u32,
 }
 
@@ -71,7 +75,8 @@ impl TagPool {
         let capacity = capacity.min(TAG_SPACE);
         TagPool {
             free: (0..capacity).map(|v| Tag(v as u16)).collect(),
-            in_flight: vec![false; capacity as usize],
+            is_free: TagSet::below(capacity),
+            in_flight: TagSet::new(),
             capacity,
         }
     }
@@ -80,7 +85,8 @@ impl TagPool {
     /// every tag is in flight.
     pub fn acquire(&mut self) -> Result<Tag, HmcError> {
         let tag = self.free.pop_front().ok_or(HmcError::TagsExhausted)?;
-        self.in_flight[tag.0 as usize] = true;
+        self.is_free.remove(tag);
+        self.in_flight.insert(tag);
         Ok(tag)
     }
 
@@ -88,11 +94,10 @@ impl TagPool {
     /// (double release or foreign tag), which would otherwise corrupt
     /// response matching.
     pub fn release(&mut self, tag: Tag) -> Result<(), HmcError> {
-        let idx = tag.0 as usize;
-        if idx >= self.in_flight.len() || !self.in_flight[idx] {
+        if !self.in_flight.remove(tag) {
             return Err(HmcError::InvalidTag(tag.0 as u32));
         }
-        self.in_flight[idx] = false;
+        self.is_free.insert(tag);
         self.free.push_back(tag);
         Ok(())
     }
@@ -115,7 +120,7 @@ impl TagPool {
     /// True when `tag` is currently in flight (acquired and not yet
     /// released). Tags outside the pool's range are never live.
     pub fn is_live(&self, tag: Tag) -> bool {
-        self.in_flight.get(tag.0 as usize).copied().unwrap_or(false)
+        self.in_flight.contains(tag)
     }
 
     /// The free list in FIFO order (front = next tag to be handed
@@ -133,26 +138,32 @@ impl TagPool {
         if capacity > TAG_SPACE {
             return Err(format!("capacity {capacity} exceeds tag space {TAG_SPACE}"));
         }
-        let mut in_flight = vec![true; capacity as usize];
-        for tag in &free {
-            let idx = tag.0 as usize;
-            if idx >= capacity as usize {
+        let mut is_free = TagSet::new();
+        for &tag in &free {
+            if tag.0 as u32 >= capacity {
                 return Err(format!("free tag {} outside capacity {capacity}", tag.0));
             }
-            if !in_flight[idx] {
+            if !is_free.insert(tag) {
                 return Err(format!("tag {} duplicated on the free list", tag.0));
             }
-            in_flight[idx] = false;
         }
-        Ok(TagPool { free: free.into(), in_flight, capacity })
+        let mut in_flight = TagSet::below(capacity);
+        for (live, free) in in_flight.bits.iter_mut().zip(&is_free.bits) {
+            *live &= !free;
+        }
+        Ok(TagPool { free: free.into(), is_free, in_flight, capacity })
     }
 
     /// Checks the pool's internal consistency: the free list and the
     /// in-flight map must partition the capacity exactly, with no tag
     /// both free and marked in flight and no duplicate free entries.
     /// Returns a description of the first inconsistency found.
+    ///
+    /// The sanitizer runs this on every pool at every clock boundary,
+    /// so it reads the two bit maps a word at a time — a few dozen
+    /// popcounts and ANDs, no allocation — and never walks the list.
     pub fn audit(&self) -> Result<(), String> {
-        let live = self.in_flight.iter().filter(|&&b| b).count();
+        let live = self.in_flight.count();
         if self.free.len() + live != self.capacity as usize {
             return Err(format!(
                 "free ({}) + live ({live}) != capacity ({})",
@@ -160,21 +171,58 @@ impl TagPool {
                 self.capacity
             ));
         }
-        let mut seen = vec![false; self.capacity as usize];
-        for tag in &self.free {
-            let idx = tag.0 as usize;
-            if idx >= self.capacity as usize {
-                return Err(format!("free tag {} outside capacity {}", tag.0, self.capacity));
+        let in_range = TagSet::below(self.capacity);
+        for (word, &free) in self.is_free.bits.iter().enumerate() {
+            let lowest = |bits: u64| word as u32 * 64 + bits.trailing_zeros();
+            let outside = free & !in_range.bits[word];
+            if outside != 0 {
+                return Err(format!(
+                    "free tag {} outside capacity {}",
+                    lowest(outside),
+                    self.capacity
+                ));
             }
-            if self.in_flight[idx] {
-                return Err(format!("tag {} is both free and in flight", tag.0));
+            let both = free & self.in_flight.bits[word];
+            if both != 0 {
+                return Err(format!("tag {} is both free and in flight", lowest(both)));
             }
-            if seen[idx] {
-                return Err(format!("tag {} duplicated on the free list", tag.0));
-            }
-            seen[idx] = true;
+        }
+        // A set holds a tag once, so a list longer than its membership
+        // map repeats an entry. Naming it walks the list, on this
+        // failing path only.
+        let members = self.is_free.count();
+        if self.free.len() != members {
+            let mut seen = TagSet::new();
+            return Err(match self.free.iter().find(|&&tag| !seen.insert(tag)) {
+                Some(tag) => format!("tag {} duplicated on the free list", tag.0),
+                None => format!(
+                    "free list ({}) and its membership map ({members}) disagree",
+                    self.free.len()
+                ),
+            });
         }
         Ok(())
+    }
+}
+
+/// Prints `free`, `in_flight` as one `bool` per tag below the capacity,
+/// and `capacity` — the text a derived `Debug` gives a pool that keeps
+/// its in-flight map in a `Vec<bool>`. `hmc-sim`'s state fingerprint
+/// hashes this text, so every pinned fingerprint depends on it.
+impl std::fmt::Debug for TagPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Bools<'a>(&'a TagPool);
+        impl std::fmt::Debug for Bools<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let live = (0..self.0.capacity).map(|v| self.0.in_flight.contains(Tag(v as u16)));
+                f.debug_list().entries(live).finish()
+            }
+        }
+        f.debug_struct("TagPool")
+            .field("free", &self.free)
+            .field("in_flight", &Bools(self))
+            .field("capacity", &self.capacity)
+            .finish()
     }
 }
 
@@ -197,6 +245,23 @@ impl TagSet {
     /// An empty set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The tags `0..n`, filled a word at a time (`n` at most
+    /// [`TAG_SPACE`]).
+    fn below(n: u32) -> Self {
+        let mut set = Self::default();
+        let (full, rest) = (n as usize / 64, n % 64);
+        set.bits[..full].fill(u64::MAX);
+        if rest != 0 {
+            set.bits[full] = (1 << rest) - 1;
+        }
+        set
+    }
+
+    /// How many tags the set holds.
+    fn count(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The word index and bit mask of `tag`.
@@ -344,21 +409,247 @@ mod tests {
         pool.audit().unwrap();
     }
 
+    /// Rewrites the in-flight map behind the pool's back.
+    fn set_live(pool: &mut TagPool, tag: Tag, live: bool) {
+        if live {
+            pool.in_flight.insert(tag);
+        } else {
+            pool.in_flight.remove(tag);
+        }
+    }
+
+    /// Puts `tag` on the free list whatever its state.
+    fn push_free(pool: &mut TagPool, tag: Tag) {
+        pool.free.push_back(tag);
+        pool.is_free.insert(tag);
+    }
+
     #[test]
     fn audit_detects_corruption() {
         let mut pool = TagPool::with_capacity(4);
         let a = pool.acquire().unwrap();
         // Simulate a double-add of a live tag onto the free list.
-        pool.free.push_back(a);
+        push_free(&mut pool, a);
         let err = pool.audit().unwrap_err();
         assert!(err.contains("!= capacity"), "got: {err}");
 
         // A tag marked in flight while still on the free list.
         let mut pool = TagPool::with_capacity(4);
         let _ = pool.acquire().unwrap();
-        pool.in_flight[0] = false;
-        pool.in_flight[1] = true;
+        set_live(&mut pool, Tag(0), false);
+        set_live(&mut pool, Tag(1), true);
         let err = pool.audit().unwrap_err();
         assert!(err.contains("free and in flight"), "got: {err}");
+    }
+
+    #[test]
+    fn audit_names_duplicates_and_out_of_range_free_tags() {
+        // Tag 2 freed twice while tag 1 vanished: the counts still add
+        // up, only the membership map is short.
+        let mut pool = TagPool::with_capacity(4);
+        pool.free.retain(|t| t.0 != 1);
+        pool.is_free.remove(Tag(1));
+        push_free(&mut pool, Tag(2));
+        assert_eq!(pool.audit().unwrap_err(), "tag 2 duplicated on the free list");
+        assert_eq!(reference::TagPool::of(&pool).audit(), pool.audit());
+
+        // Tag 70 on the free list of a 65-tag pool, in tag 3's place.
+        let mut pool = TagPool::with_capacity(65);
+        pool.free.retain(|t| t.0 != 3);
+        pool.is_free.remove(Tag(3));
+        push_free(&mut pool, Tag(70));
+        assert_eq!(pool.audit().unwrap_err(), "free tag 70 outside capacity 65");
+        assert_eq!(reference::TagPool::of(&pool).audit(), pool.audit());
+    }
+
+    /// The pool as it was before the bit maps — a `Vec<bool>` in-flight
+    /// map, a derived `Debug` and an audit that walks the whole free
+    /// list — kept as the oracle the word-parallel pool is compared to.
+    mod reference {
+        use super::super::{Tag, TAG_SPACE};
+        use std::collections::VecDeque;
+
+        #[derive(Debug)]
+        pub struct TagPool {
+            free: VecDeque<Tag>,
+            in_flight: Vec<bool>,
+            capacity: u32,
+        }
+
+        impl TagPool {
+            /// The same free list, in-flight map and capacity.
+            pub fn of(pool: &super::TagPool) -> Self {
+                TagPool {
+                    free: pool.free.clone(),
+                    in_flight: (0..pool.capacity).map(|v| pool.is_live(Tag(v as u16))).collect(),
+                    capacity: pool.capacity,
+                }
+            }
+
+            pub fn from_free_list(capacity: u32, free: Vec<Tag>) -> Result<Self, String> {
+                if capacity > TAG_SPACE {
+                    return Err(format!("capacity {capacity} exceeds tag space {TAG_SPACE}"));
+                }
+                let mut in_flight = vec![true; capacity as usize];
+                for tag in &free {
+                    let idx = tag.0 as usize;
+                    if idx >= capacity as usize {
+                        return Err(format!("free tag {} outside capacity {capacity}", tag.0));
+                    }
+                    if !in_flight[idx] {
+                        return Err(format!("tag {} duplicated on the free list", tag.0));
+                    }
+                    in_flight[idx] = false;
+                }
+                Ok(TagPool { free: free.into(), in_flight, capacity })
+            }
+
+            pub fn audit(&self) -> Result<(), String> {
+                let live = self.in_flight.iter().filter(|&&b| b).count();
+                if self.free.len() + live != self.capacity as usize {
+                    return Err(format!(
+                        "free ({}) + live ({live}) != capacity ({})",
+                        self.free.len(),
+                        self.capacity
+                    ));
+                }
+                let mut seen = vec![false; self.capacity as usize];
+                for tag in &self.free {
+                    let idx = tag.0 as usize;
+                    if idx >= self.capacity as usize {
+                        return Err(format!(
+                            "free tag {} outside capacity {}",
+                            tag.0, self.capacity
+                        ));
+                    }
+                    if self.in_flight[idx] {
+                        return Err(format!("tag {} is both free and in flight", tag.0));
+                    }
+                    if seen[idx] {
+                        return Err(format!("tag {} duplicated on the free list", tag.0));
+                    }
+                    seen[idx] = true;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// One step of the equivalence property: the public mutators, a
+    /// checkpoint round trip through a (possibly damaged) free list,
+    /// and corruption behind the pool's back — alone, or paired so
+    /// that the counts still add up.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Acquire,
+        Release(u16),
+        /// Rebuild from the free list with entry `at` dropped,
+        /// repeated or replaced by `tag`.
+        Rebuild { at: u16, tag: u16, damage: u8 },
+        PushFree(u16),
+        FlipLive(u16),
+        FlipTwoLive(u16, u16),
+        /// Free-list entry `at` becomes `tag`.
+        ReplaceFree { at: u16, tag: u16 },
+    }
+
+    fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        let tag = || 0u16..TAG_SPACE as u16;
+        prop_oneof![
+            Just(Step::Acquire),
+            Just(Step::Acquire),
+            Just(Step::Acquire),
+            tag().prop_map(Step::Release),
+            tag().prop_map(Step::Release),
+            tag().prop_map(Step::Release),
+            (tag(), tag(), 0u8..6).prop_map(|(at, tag, damage)| Step::Rebuild { at, tag, damage }),
+            (tag(), tag(), 0u8..6).prop_map(|(at, tag, damage)| Step::Rebuild { at, tag, damage }),
+            tag().prop_map(Step::PushFree),
+            tag().prop_map(Step::FlipLive),
+            (tag(), tag()).prop_map(|(a, b)| Step::FlipTwoLive(a, b)),
+            (tag(), tag()).prop_map(|(at, tag)| Step::ReplaceFree { at, tag }),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Whatever is done to a pool — through its API or behind its
+        /// back — the word-parallel audit reaches the verdict of the
+        /// audit that walks the list, the pool prints the text the
+        /// derived layout prints, and it rebuilds from a free list (or
+        /// refuses to) exactly as before. A pool is audited at every
+        /// boundary, so a case ends at the first audit that fails.
+        #[test]
+        fn bit_map_pool_matches_the_list_walking_pool(
+            capacity in proptest::sample::select(vec![1u32, 63, 64, 65, 2048]),
+            steps in proptest::collection::vec(arb_step(), 1..64),
+        ) {
+            let mut pool = TagPool::with_capacity(capacity);
+            // Draws cover the whole tag space; fold most of them into
+            // the pool's range so that small pools see real work.
+            let fold = |t: u16| if t.is_multiple_of(8) { t } else { t % capacity as u16 };
+            let flip = |pool: &mut TagPool, t: u16| {
+                let tag = Tag(t % capacity as u16);
+                let live = pool.is_live(tag);
+                set_live(pool, tag, !live);
+            };
+            for step in steps {
+                match step {
+                    Step::Acquire => {
+                        let next = pool.free.front().copied();
+                        proptest::prop_assert_eq!(pool.acquire().ok(), next);
+                    }
+                    Step::Release(t) => {
+                        let tag = Tag(fold(t));
+                        let was_live = pool.is_live(tag);
+                        proptest::prop_assert_eq!(pool.release(tag).is_ok(), was_live);
+                    }
+                    Step::Rebuild { at, tag, damage } => {
+                        let mut free: Vec<Tag> = pool.free_tags().collect();
+                        if !free.is_empty() {
+                            let at = at as usize % free.len();
+                            match damage {
+                                0 => drop(free.remove(at)),
+                                1 => free.push(free[at]),
+                                2 => free[at] = Tag(fold(tag)),
+                                _ => {}
+                            }
+                        }
+                        let want = reference::TagPool::from_free_list(capacity, free.clone());
+                        let got = TagPool::from_free_list(capacity, free);
+                        proptest::prop_assert_eq!(
+                            got.as_ref().map(|p| format!("{p:?}")),
+                            want.as_ref().map(|p| format!("{p:?}"))
+                        );
+                        if let Ok(rebuilt) = got {
+                            pool = rebuilt;
+                        }
+                    }
+                    Step::PushFree(t) => push_free(&mut pool, Tag(fold(t))),
+                    Step::FlipLive(t) => flip(&mut pool, t),
+                    Step::FlipTwoLive(a, b) => {
+                        flip(&mut pool, a);
+                        flip(&mut pool, b);
+                    }
+                    Step::ReplaceFree { at, tag } => {
+                        if !pool.free.is_empty() {
+                            let at = at as usize % pool.free.len();
+                            let old = std::mem::replace(&mut pool.free[at], Tag(fold(tag)));
+                            pool.is_free.remove(old);
+                            pool.is_free.insert(Tag(fold(tag)));
+                        }
+                    }
+                }
+                let oracle = reference::TagPool::of(&pool);
+                let (got, want) = (pool.audit(), oracle.audit());
+                // One defect at a time: both audits name the same one.
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(format!("{pool:?}"), format!("{oracle:?}"));
+                proptest::prop_assert_eq!(format!("{pool:#?}"), format!("{oracle:#?}"));
+                if got.is_err() {
+                    break;
+                }
+            }
+        }
     }
 }

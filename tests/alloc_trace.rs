@@ -8,12 +8,20 @@
 //! lists and per-cycle scratch buffers at their working size), it runs
 //! without a single heap allocation.
 //!
+//! The pin holds with the observers attached as well: an attached
+//! sanitizer audits every cycle with word-parallel checks and keeps its
+//! forensic ring as raw records, so a clean audited cycle allocates
+//! nothing either — alone, or beside the flight recorder and full
+//! telemetry.
+//!
 //! Everything runs inside one `#[test]` so no concurrently-running
 //! test can perturb the global counter.
 
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
-use hmcsim::sim::{FlightRecorder, SimConfig, TraceKind, TraceRecord, Tracer};
+use hmcsim::sim::{
+    FlightRecorder, SanitizerConfig, SimConfig, TelemetryConfig, TraceKind, TraceRecord, Tracer,
+};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -238,6 +246,25 @@ fn traced_off_emission_is_allocation_free() {
     let count = mesh.steady_state_allocations(4_000, 1_000);
     assert_eq!(count, 0, "2x2-mesh steady state allocated {count} times in 1000 cycles");
     assert!(mesh.sim.stats(0).unwrap().forwarded > 1_000, "the mesh loop really forwards");
+    // (c) The saturated cube again under the default report-mode
+    // sanitizer (256-event forensic ring, stall watchdog on): every
+    // cycle is audited and every event lands in the ring.
+    let mut config = SimConfig::single(DeviceConfig::gen2_4link_4gb());
+    config.sanitizer = SanitizerConfig::report();
+    let mut audited = WindowLoop::new(config.clone(), 0);
+    let count = audited.steady_state_allocations(4_000, 1_000);
+    assert_eq!(count, 0, "sanitizer-attached steady state allocated {count} times in 1000 cycles");
+    let report = audited.sim.sanitizer_report().unwrap();
+    assert!(report.cycles_checked >= 7_000, "every cycle was audited");
+    assert_eq!(report.total_violations, 0);
+    // (d) Every observer at once: sanitizer, flight recorder (rings
+    // past capacity after the warm-up) and full telemetry.
+    config.telemetry = TelemetryConfig::full();
+    let mut observed = WindowLoop::new(config, 0);
+    observed.sim.enable_flight_recorder(256);
+    let count = observed.steady_state_allocations(4_000, 1_000);
+    assert_eq!(count, 0, "fully observed steady state allocated {count} times in 1000 cycles");
+    assert_eq!(observed.sim.sanitizer_report().unwrap().total_violations, 0);
 
     // --- The whole engine, differentially. ---------------------------
     // How many structured events does the pinned run emit? (Retained

@@ -11,7 +11,9 @@
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
 use hmcsim::sim::sanitizer::ViolationKind;
-use hmcsim::sim::{FaultPlan, LinkConfig, SanitizerReport};
+use hmcsim::sim::{
+    FaultPlan, LinkConfig, LinkErrorMode, SanitizerReport, TraceBuffer, TraceLevel, Tracer,
+};
 use hmcsim::workloads::{
     MutexKernel, MutexKernelConfig, MutexMechanism, ResilienceConfig, SpinPolicy, ThreadDriver,
 };
@@ -111,7 +113,30 @@ fn injected_violation_dump_and_deterministic_replay() {
     // JSON, and carrying snapshot + trace ring.
     let dump = sim.take_forensic_dump().expect("dump captured");
     assert_eq!(dump.cycle, violating_cycle);
-    assert!(!dump.trace.is_empty(), "trace ring captured recent events");
+    // The ring's tail, line for line as the ring that rendered every
+    // event eagerly wrote it: four round trips, then the audit.
+    assert_eq!(
+        dump.trace,
+        [
+            "HMCSIM_TRACE : 0 : SEND : send: dev=0 link=0 tag=0 flits=1",
+            "HMCSIM_TRACE : 0 : QUEUE : xbar->vault: link=0 vault=0 occ=1",
+            "HMCSIM_TRACE : 1 : RQST : CMD=RD16 CUB=0 QUAD=0 VAULT=0 BANK=0 ADDR=0x0 TAG=0",
+            "HMCSIM_TRACE : 2 : LATENCY : tag=0 lat=3 link=0",
+            "HMCSIM_TRACE : 3 : SEND : send: dev=0 link=1 tag=0 flits=1",
+            "HMCSIM_TRACE : 3 : QUEUE : xbar->vault: link=1 vault=4 occ=1",
+            "HMCSIM_TRACE : 4 : RQST : CMD=RD16 CUB=0 QUAD=0 VAULT=4 BANK=0 ADDR=0x100 TAG=0",
+            "HMCSIM_TRACE : 5 : LATENCY : tag=0 lat=3 link=1",
+            "HMCSIM_TRACE : 6 : SEND : send: dev=0 link=2 tag=0 flits=1",
+            "HMCSIM_TRACE : 6 : QUEUE : xbar->vault: link=2 vault=8 occ=1",
+            "HMCSIM_TRACE : 7 : RQST : CMD=RD16 CUB=0 QUAD=1 VAULT=8 BANK=0 ADDR=0x200 TAG=0",
+            "HMCSIM_TRACE : 8 : LATENCY : tag=0 lat=3 link=2",
+            "HMCSIM_TRACE : 9 : SEND : send: dev=0 link=3 tag=0 flits=1",
+            "HMCSIM_TRACE : 9 : QUEUE : xbar->vault: link=3 vault=12 occ=1",
+            "HMCSIM_TRACE : 10 : RQST : CMD=RD16 CUB=0 QUAD=1 VAULT=12 BANK=0 ADDR=0x300 TAG=0",
+            "HMCSIM_TRACE : 11 : LATENCY : tag=0 lat=3 link=3",
+            "HMCSIM_TRACE : 12 : ENGINE : sanitizer: violations=1",
+        ]
+    );
     let json = dump.to_json();
     assert_parseable_json(&json);
     for needle in ["\"cycle\"", "\"violations\"", "\"snapshot\"", "\"trace\"", "token-over-return"]
@@ -144,6 +169,105 @@ fn injected_violation_dump_and_deterministic_replay() {
         "replay re-detects the violation at the violating cycle: {:?}",
         rep.violations
     );
+}
+
+/// A cube with a token pool (for the over-return backdoor), wire
+/// errors whose texts are interned per event, vault faults, poison and
+/// a link outage — every cold trace path, beside the mutex CMC ops.
+fn faulted_cmc_sim() -> HmcSim {
+    let mut cfg = DeviceConfig::gen2_4link_4gb();
+    cfg.link_config = LinkConfig { tokens: Some(64), ..Default::default() };
+    cfg.fault = FaultPlan::seeded(11)
+        .with_link_errors(LinkErrorMode::Random { per_million: 150_000 })
+        .with_vault_errors(60_000)
+        .with_poison(60_000)
+        .with_link_event(30, 2, false)
+        .with_link_event(70, 2, true);
+    let mut sim = HmcSim::new(cfg).unwrap();
+    ops::register_builtin_libraries();
+    sim.load_cmc_library(0, ops::MUTEX_LIBRARY).unwrap();
+    sim
+}
+
+/// `cycles` cycles of reads, writes and `hmc_lock`/`hmc_unlock` pairs
+/// on every link that will take them; responses are drained unchecked
+/// (the plan injects errors on purpose).
+fn drive_faulted(sim: &mut HmcSim, cycles: u64) {
+    for _ in 0..cycles {
+        let i = sim.cycle();
+        for link in 0..4 {
+            while sim.recv(0, link).is_some() {}
+            let addr = (i * 4 + link as u64) * 0x40;
+            let me = vec![link as u64 + 1, 0];
+            // Stalls and down links are part of the scenario.
+            let _ = match (i + link as u64) % 4 {
+                0 => sim.send_simple(0, link, HmcRqst::Rd64, addr, vec![]),
+                1 => sim.send_simple(0, link, HmcRqst::Wr64, addr, vec![i; 8]),
+                2 => sim.send_cmc(0, link, ops::mutex::LOCK_CMD, addr, me),
+                _ => sim.send_cmc(0, link, ops::mutex::UNLOCK_CMD, addr, me),
+            };
+        }
+        sim.clock();
+    }
+}
+
+/// Cuts a forensic dump now (a double token return through the test
+/// backdoor) and returns its `trace`: what the ring renders.
+fn dump_trace_now(sim: &mut HmcSim) -> Vec<String> {
+    sim.debug_force_return_tokens(0, 0, 64);
+    sim.clock();
+    sim.take_forensic_dump().expect("the over-return cut a dump").trace
+}
+
+#[test]
+fn forensic_trace_is_the_tail_of_the_text_trace() {
+    // The ring keeps raw records and renders them when a dump is cut;
+    // a level-ALL text sink renders every event as it happens. Same
+    // events, same name table: the dump's trace is the sink's tail,
+    // byte for byte, whatever happened to the tracer in between.
+    const RING: usize = 96;
+    let mut san = SanitizerConfig::report();
+    san.trace_ring = RING;
+    let text = TraceBuffer::new();
+    let tail = |text: &TraceBuffer| {
+        let lines = text.lines();
+        lines[lines.len().saturating_sub(RING)..].to_vec()
+    };
+
+    // The sink is attached first, the ring adopts its name table.
+    let mut sim = faulted_cmc_sim();
+    sim.set_tracer(Tracer::to_buffer(TraceLevel::ALL, text.clone()));
+    sim.enable_sanitizer(san.clone());
+    sim.enable_flight_recorder(64);
+    drive_faulted(&mut sim, 60);
+    let trace = dump_trace_now(&mut sim);
+    assert_eq!(trace.len(), RING);
+    assert_eq!(trace, tail(&text));
+    for needle in ["op=hmc_lock", "kind=CRC", "kind=VAULT", "kind=LINKDOWN", "sanitizer: violations="] {
+        assert!(!text.grep(needle).is_empty(), "the run never traced {needle}");
+    }
+    assert!(trace.iter().any(|l| l.contains("op=hmc_")), "the tail names a CMC op");
+    assert!(trace.iter().any(|l| l.contains("kind=CRC")), "the tail carries an interned text");
+
+    // A replaced tracer keeps the ring and the names its records use.
+    let snapshot = sim.snapshot();
+    sim.set_tracer(Tracer::to_buffer(TraceLevel::ALL, text.clone()));
+    drive_faulted(&mut sim, 7);
+    assert_eq!(dump_trace_now(&mut sim), tail(&text), "tail straddling set_tracer");
+
+    // Restore rewinds the simulation, not the observers: the ring
+    // still holds what led up to the restore, then what followed.
+    sim.restore(&snapshot).unwrap();
+    drive_faulted(&mut sim, 3);
+    assert_eq!(dump_trace_now(&mut sim), tail(&text), "tail straddling restore");
+    drive_faulted(&mut sim, 40);
+    assert_eq!(dump_trace_now(&mut sim), tail(&text), "tail after the replay");
+
+    // A quiet sink changes nothing the ring keeps.
+    let mut quiet = faulted_cmc_sim();
+    quiet.enable_sanitizer(san);
+    drive_faulted(&mut quiet, 60);
+    assert_eq!(dump_trace_now(&mut quiet), trace, "the ring does not depend on the sink");
 }
 
 #[test]
