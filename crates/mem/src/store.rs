@@ -67,41 +67,35 @@ impl SparseMemory {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// Deterministic digest of the resident content: page indices and
-    /// bytes hashed in ascending page order, so two stores holding the
-    /// same pages produce the same digest regardless of the order the
-    /// pages were materialized in. Used by checkpoint/replay equality
-    /// checks.
-    pub fn content_digest(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.capacity.hash(&mut h);
+    /// Calls `visit` with every resident page in ascending page order —
+    /// the one order checkpoints and digests are defined over. All
+    /// materialized pages are visited, even all-zero ones: residency is
+    /// part of the state.
+    pub fn for_each_page(&self, mut visit: impl FnMut(u64, &[u8; PAGE_BYTES])) {
         let mut ids: Vec<u64> = Vec::new();
         for shard in &self.shards {
             ids.extend(shard.lock().keys().copied());
         }
         ids.sort_unstable();
         for id in ids {
-            id.hash(&mut h);
-            let shard = self.shard(id).lock();
-            shard[&id][..].hash(&mut h);
+            visit(id, &self.shard(id).lock()[&id]);
         }
-        h.finish()
     }
 
-    /// Every resident page as `(page_id, bytes)`, sorted by page id —
-    /// the checkpoint exporter's view. All materialized pages are
-    /// included, even all-zero ones, because `resident_pages` (and
-    /// therefore the `Debug` output and `content_digest`) counts them.
-    pub fn export_pages(&self) -> Vec<(u64, Box<[u8; PAGE_BYTES]>)> {
-        let mut pages: Vec<(u64, Box<[u8; PAGE_BYTES]>)> = Vec::new();
-        for shard in &self.shards {
-            for (id, page) in shard.lock().iter() {
-                pages.push((*id, page.clone()));
-            }
-        }
-        pages.sort_unstable_by_key(|(id, _)| *id);
-        pages
+    /// Deterministic digest of the resident content ([`hmc_types::Fnv`]
+    /// over the capacity, then each page's index and bytes in ascending
+    /// page order), so two stores holding the same pages produce the
+    /// same digest regardless of the order the pages were materialized
+    /// in — in any process, on any toolchain. Used by checkpoint/replay
+    /// equality checks.
+    pub fn content_digest(&self) -> u64 {
+        let mut h = hmc_types::Fnv::new();
+        h.word(self.capacity);
+        self.for_each_page(|id, page| {
+            h.word(id);
+            h.bytes(page);
+        });
+        h.finish()
     }
 
     /// Materializes `page_id` with exactly `bytes`, replacing any
@@ -241,9 +235,8 @@ impl Clone for SparseMemory {
 
 impl std::fmt::Debug for SparseMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Page contents are excluded on purpose: checkpoint equality
-        // goes through `content_digest()`, and the derived map output
-        // would be iteration-order dependent anyway.
+        // Page contents are excluded on purpose: the derived map
+        // output would be megabytes, in iteration order.
         f.debug_struct("SparseMemory")
             .field("capacity", &self.capacity)
             .field("resident_pages", &self.resident_pages())

@@ -22,6 +22,14 @@ pub enum Arbitration {
     RoundRobin,
 }
 
+impl Arbitration {
+    /// The arbitration names scenario files use.
+    pub const NAMES: [(&'static str, Arbitration); 2] = [
+        ("fixed_priority", Arbitration::FixedPriority),
+        ("round_robin", Arbitration::RoundRobin),
+    ];
+}
+
 /// Which HMC specification revision the device implements.
 ///
 /// HMC-Sim 1.0 modeled the 1.0 specification (reads/writes up to 128
@@ -38,6 +46,10 @@ pub enum SpecRevision {
 }
 
 impl SpecRevision {
+    /// The revision names scenario files use.
+    pub const NAMES: [(&'static str, SpecRevision); 2] =
+        [("gen1", SpecRevision::Gen1), ("gen2", SpecRevision::Gen2)];
+
     /// True when a device of this revision executes `cmd`.
     pub fn supports(self, cmd: HmcRqst) -> bool {
         match self {

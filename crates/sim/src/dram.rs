@@ -20,6 +20,12 @@ pub enum RowPolicy {
     ClosedPage,
 }
 
+impl RowPolicy {
+    /// The policy names scenario files use.
+    pub const NAMES: [(&'static str, RowPolicy); 2] =
+        [("open_page", RowPolicy::OpenPage), ("closed_page", RowPolicy::ClosedPage)];
+}
+
 /// Bank timing parameters, all in device cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BankTiming {

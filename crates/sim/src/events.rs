@@ -22,16 +22,17 @@
 //! `(ready, seq)` key via [`EventHeap::reinsert`], preserving its
 //! priority relative to everything behind it.
 //!
-//! The `Debug` representation prints the items in `(ready, seq)`
-//! order *without* the sequence numbers, so two heaps holding the
-//! same events — even built through different push/reinsert histories
-//! or restored from a snapshot with renumbered sequences — print (and
-//! therefore fingerprint) identically.
+//! [`EventHeap::sorted`] lists the items in `(ready, seq)` order
+//! *without* the sequence numbers — the form snapshots store and the
+//! state fingerprint walks — so two heaps holding the same events,
+//! even built through different push/reinsert histories or restored
+//! from a snapshot with renumbered sequences, snapshot and
+//! fingerprint identically.
 
 use std::collections::BinaryHeap;
 
 /// A heap entry: the item plus its ordering key.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct Entry<T> {
     ready: u64,
     seq: u64,
@@ -70,7 +71,7 @@ pub(crate) struct EventKey {
 }
 
 /// A min-heap of time-deferred events ordered by `(ready, seq)`.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub(crate) struct EventHeap<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
@@ -124,14 +125,11 @@ impl<T> EventHeap<T> {
     }
 
     /// The stored items in `(ready, seq)` order — the deterministic
-    /// flat form used by snapshots.
-    pub(crate) fn to_sorted_items(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
+    /// flat form snapshots store and the state fingerprint walks.
+    pub(crate) fn sorted(&self) -> Vec<&T> {
         let mut entries: Vec<&Entry<T>> = self.heap.iter().collect();
         entries.sort_unstable_by_key(|e| (e.ready, e.seq));
-        entries.into_iter().map(|e| e.item.clone()).collect()
+        entries.into_iter().map(|e| &e.item).collect()
     }
 
     /// Rebuilds a heap from items already in deterministic order (a
@@ -150,17 +148,6 @@ impl<T> EventHeap<T> {
 impl<T> Default for EventHeap<T> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Prints the items sorted by `(ready, seq)` with the sequence
-/// numbers omitted: representation-independent, so restored heaps
-/// fingerprint identically to their originals.
-impl<T: std::fmt::Debug> std::fmt::Debug for EventHeap<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut entries: Vec<&Entry<T>> = self.heap.iter().collect();
-        entries.sort_unstable_by_key(|e| (e.ready, e.seq));
-        f.debug_list().entries(entries.iter().map(|e| &e.item)).finish()
     }
 }
 
@@ -223,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn debug_is_order_and_seq_independent() {
+    fn sorted_is_order_and_seq_independent() {
         let mut a = EventHeap::new();
         a.push(1, "x");
         a.push(2, "y");
@@ -234,8 +221,8 @@ mod tests {
         b.push(1, "x");
         let (key, item) = b.pop_ready(1).unwrap();
         b.reinsert(key, item);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(a.to_sorted_items(), vec!["x", "y"]);
+        assert_eq!(a.sorted(), b.sorted());
+        assert_eq!(a.sorted(), [&"x", &"y"]);
     }
 
     #[test]
@@ -244,9 +231,8 @@ mod tests {
         h.push(9, (9u64, "late"));
         h.push(1, (1u64, "early"));
         h.push(9, (9u64, "late2"));
-        let flat = h.to_sorted_items();
+        let flat: Vec<(u64, &str)> = h.sorted().into_iter().copied().collect();
         let rebuilt = EventHeap::from_ordered(flat.clone(), |&(r, _)| r);
-        assert_eq!(rebuilt.to_sorted_items(), flat);
-        assert_eq!(format!("{h:?}"), format!("{rebuilt:?}"));
+        assert_eq!(rebuilt.sorted(), flat.iter().collect::<Vec<_>>());
     }
 }

@@ -15,7 +15,7 @@
 use crate::hist::Hist;
 use crate::regs::{REG_GRLL, REG_LRLL};
 use crate::sim::HmcSim;
-use crate::snapshot::json_escape;
+use crate::jsonv::json_escape;
 use crate::telemetry::Stage;
 use std::collections::BTreeMap;
 

@@ -1,10 +1,12 @@
 //! A minimal, dependency-free JSON value type with a strict parser.
 //!
-//! The snapshot/telemetry layers already *write* JSON with hand-rolled
-//! writers; the scenario-fuzzing corpus (see `hmc-fuzz`) also needs to
-//! *read* it back. This module provides the shared value type for
-//! both directions, with deliberate restrictions that suit
-//! machine-written scenario files:
+//! Snapshots, checkpoints, forensic dumps and the scenario-fuzzing
+//! corpus (see `hmc-fuzz`) are written as JSON and read back. This
+//! module is what their codecs share — the value type, the escaper,
+//! the typed constructors (`From` impls, [`Json::list`]), the strict
+//! extractors ([`Json::int`], [`Json::tuple`], [`ObjReader`]) and the
+//! name↔value tables ([`Names`]) — with deliberate restrictions that
+//! suit machine-written files:
 //!
 //! * numbers are **integers only** (`i128`, covering the full `u64`
 //!   and `i64` ranges exactly) — floats would round-trip lossily and
@@ -52,8 +54,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+impl JsonError {
+    /// An error carrying `message`.
+    pub fn new(message: impl Into<String>) -> Self {
+        JsonError { message: message.into() }
+    }
+}
+
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
-    Err(JsonError { message: message.into() })
+    Err(JsonError::new(message))
 }
 
 struct Parser<'a> {
@@ -270,12 +279,29 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Escapes a string for embedding in a JSON string literal.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Appends `v` as a JSON string literal. Only a string that holds a
 /// quote, a backslash or a control character is rewritten.
 fn write_str(out: &mut String, v: &str) {
     out.push('"');
     if v.bytes().any(needs_escape) {
-        out.push_str(&crate::snapshot::json_escape(v));
+        out.push_str(&json_escape(v));
     } else {
         out.push_str(v);
     }
@@ -296,9 +322,26 @@ impl Json {
 
     /// Renders the value as compact deterministic JSON.
     pub fn render(&self) -> String {
-        let mut s = String::new();
+        // One allocation: a checkpoint is megabytes of page hex, and a
+        // buffer grown by doubling leaves its discarded halves behind
+        // as heap fragmentation (resident, not reusable by the pages a
+        // decode allocates next).
+        let mut s = String::with_capacity(self.rendered_len_hint());
         self.write(&mut s);
         s
+    }
+
+    /// The rendered length, exact but for escapes and short integers.
+    fn rendered_len_hint(&self) -> usize {
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Int(_) => 20,
+            Json::Str(v) => v.len() + 2,
+            Json::Arr(items) => 2 + items.iter().map(|v| v.rendered_len_hint() + 1).sum::<usize>(),
+            Json::Obj(fields) => {
+                2 + fields.iter().map(|(k, v)| k.len() + 4 + v.rendered_len_hint()).sum::<usize>()
+            }
+        }
     }
 
     fn write(&self, s: &mut String) {
@@ -340,28 +383,27 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, if it is an integer in range.
-    pub fn as_u64(&self) -> Option<u64> {
+    /// The value as an integer of type `T`, if it is one in range.
+    pub fn as_int<T: TryFrom<i128>>(&self) -> Option<T> {
         match self {
-            Json::Int(v) => u64::try_from(*v).ok(),
+            Json::Int(v) => T::try_from(*v).ok(),
             _ => None,
         }
+    }
+
+    /// The value as a `u64`, if it is an integer in range.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_int()
     }
 
     /// The value as a `usize`, if it is an integer in range.
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Int(v) => usize::try_from(*v).ok(),
-            _ => None,
-        }
+        self.as_int()
     }
 
     /// The value as a `u32`, if it is an integer in range.
     pub fn as_u32(&self) -> Option<u32> {
-        match self {
-            Json::Int(v) => u32::try_from(*v).ok(),
-            _ => None,
-        }
+        self.as_int()
     }
 
     /// The value as a bool.
@@ -395,6 +437,87 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An array of `f(item)` for every item.
+    pub fn list<T>(items: impl IntoIterator<Item = T>, f: impl FnMut(T) -> Json) -> Json {
+        Json::Arr(items.into_iter().map(f).collect())
+    }
+
+    /// The value as an integer of type `T`; `what` names it in the
+    /// error (`"<what> must be a u8"`).
+    pub fn int<T: TryFrom<i128>>(&self, what: &str) -> Result<T, JsonError> {
+        self.as_int().ok_or_else(|| {
+            JsonError::new(format!("{what} must be a {}", std::any::type_name::<T>()))
+        })
+    }
+
+    /// The value as an array, or an error naming `what`.
+    pub fn arr(&self, what: &str) -> Result<&[Json], JsonError> {
+        self.as_arr().ok_or_else(|| JsonError::new(format!("{what} must be an array")))
+    }
+
+    /// The value as an array of exactly `N` items.
+    pub fn tuple<const N: usize>(&self, what: &str) -> Result<&[Json; N], JsonError> {
+        self.as_arr()
+            .and_then(|items| items.try_into().ok())
+            .ok_or_else(|| JsonError::new(format!("{what} must be an array of {N}")))
+    }
+
+    /// The value as an array, every item through `item`.
+    pub fn vec<T>(
+        &self,
+        what: &str,
+        item: impl FnMut(&Json) -> Result<T, JsonError>,
+    ) -> Result<Vec<T>, JsonError> {
+        self.arr(what)?.iter().map(item).collect()
+    }
+}
+
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Int(v as i128)
+            }
+        }
+    )*};
+}
+json_from_int!(u8, u16, u32, u64, usize);
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// The stable on-disk names of a closed set of values, e.g.
+/// [`crate::RowPolicy::NAMES`]: one table serves the encoder
+/// ([`name_of`]) and the decoder ([`ObjReader::named`]).
+pub type Names<T> = [(&'static str, T)];
+
+/// The name `table` gives `value`.
+pub fn name_of<T: PartialEq>(table: &Names<T>, value: T) -> &'static str {
+    let entry = table.iter().find(|(_, v)| *v == value);
+    entry.expect("a name table lists every value of its type").0
+}
+
+/// The value `table` names `name`; `what` names the set in the error.
+pub fn from_name<T: Copy>(table: &Names<T>, what: &str, name: &str) -> Result<T, JsonError> {
+    let entry = table.iter().find(|(n, _)| *n == name);
+    entry.map(|(_, v)| *v).ok_or_else(|| JsonError::new(format!("unknown {what} `{name}`")))
 }
 
 /// Strict field-by-field reader over a JSON object.
@@ -441,44 +564,85 @@ impl<'a> ObjReader<'a> {
         self.take(key)
     }
 
+    /// `<ctx>: field `<key>` must be <a what>`.
+    fn mistyped(&self, key: &str, what: impl fmt::Display) -> JsonError {
+        JsonError::new(format!("{}: field `{key}` must be {what}", self.ctx))
+    }
+
+    /// A required integer field of type `T`.
+    fn int<T: TryFrom<i128>>(&mut self, key: &str) -> Result<T, JsonError> {
+        let value = self.required(key)?.as_int();
+        value.ok_or_else(|| self.mistyped(key, format_args!("a {}", std::any::type_name::<T>())))
+    }
+
+    /// An integer field that may be `null`.
+    fn opt_int<T: TryFrom<i128>>(&mut self, key: &str) -> Result<Option<T>, JsonError> {
+        match self.required(key)? {
+            Json::Null => Ok(None),
+            v => v.as_int().map(Some).ok_or_else(|| {
+                self.mistyped(key, format_args!("a {} or null", std::any::type_name::<T>()))
+            }),
+        }
+    }
+
     /// A required `u64` field.
     pub fn u64(&mut self, key: &str) -> Result<u64, JsonError> {
-        let ctx = self.ctx;
-        self.required(key)?
-            .as_u64()
-            .ok_or(JsonError { message: format!("{ctx}: field `{key}` must be a u64") })
+        self.int(key)
     }
 
     /// A required `u32` field.
     pub fn u32(&mut self, key: &str) -> Result<u32, JsonError> {
-        let ctx = self.ctx;
-        self.required(key)?
-            .as_u32()
-            .ok_or(JsonError { message: format!("{ctx}: field `{key}` must be a u32") })
+        self.int(key)
+    }
+
+    /// A required `u8` field.
+    pub fn u8(&mut self, key: &str) -> Result<u8, JsonError> {
+        self.int(key)
     }
 
     /// A required `usize` field.
     pub fn usize(&mut self, key: &str) -> Result<usize, JsonError> {
-        let ctx = self.ctx;
-        self.required(key)?
-            .as_usize()
-            .ok_or(JsonError { message: format!("{ctx}: field `{key}` must be a usize") })
+        self.int(key)
+    }
+
+    /// A required field holding a `u64` or `null`.
+    pub fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, JsonError> {
+        self.opt_int(key)
+    }
+
+    /// A required field holding a `u32` or `null`.
+    pub fn opt_u32(&mut self, key: &str) -> Result<Option<u32>, JsonError> {
+        self.opt_int(key)
     }
 
     /// A required `bool` field.
     pub fn bool(&mut self, key: &str) -> Result<bool, JsonError> {
-        let ctx = self.ctx;
-        self.required(key)?
-            .as_bool()
-            .ok_or(JsonError { message: format!("{ctx}: field `{key}` must be a bool") })
+        self.required(key)?.as_bool().ok_or_else(|| self.mistyped(key, "a bool"))
     }
 
     /// A required string field.
     pub fn str(&mut self, key: &str) -> Result<&'a str, JsonError> {
-        let ctx = self.ctx;
-        self.required(key)?
-            .as_str()
-            .ok_or(JsonError { message: format!("{ctx}: field `{key}` must be a string") })
+        self.required(key)?.as_str().ok_or_else(|| self.mistyped(key, "a string"))
+    }
+
+    /// A required array field.
+    pub fn arr(&mut self, key: &str) -> Result<&'a [Json], JsonError> {
+        self.required(key)?.as_arr().ok_or_else(|| self.mistyped(key, "an array"))
+    }
+
+    /// A required array field, every item through `item`.
+    pub fn vec<T>(
+        &mut self,
+        key: &str,
+        item: impl FnMut(&'a Json) -> Result<T, JsonError>,
+    ) -> Result<Vec<T>, JsonError> {
+        self.arr(key)?.iter().map(item).collect()
+    }
+
+    /// A required string field holding one of `table`'s names.
+    pub fn named<T: Copy>(&mut self, key: &str, table: &Names<T>) -> Result<T, JsonError> {
+        from_name(table, key, self.str(key)?)
+            .map_err(|e| JsonError::new(format!("{}: {}", self.ctx, e.message)))
     }
 
     /// Rejects unknown fields: errors if any key was never consumed.
@@ -573,7 +737,7 @@ mod tests {
     /// the oracle for the property below.
     mod reference {
         use super::super::{Json, JsonError, Parser};
-        use crate::snapshot::json_escape as escape;
+        use super::super::json_escape as escape;
 
         pub fn string(p: &mut Parser<'_>) -> Result<String, JsonError> {
             p.expect(b'"')?;

@@ -76,7 +76,8 @@ pub use power::{PowerConfig, PowerReport};
 pub use sanitizer::{
     SanitizerConfig, SanitizerPolicy, SanitizerReport, Violation, ViolationKind,
 };
-pub use scenario::{Fnv, OracleDigest};
+pub use hmc_types::Fnv;
+pub use scenario::OracleDigest;
 pub use sim::HmcSim;
 pub use snapjson::SNAPSHOT_SCHEMA_VERSION;
 pub use snapshot::{ForensicDump, SimSnapshot};

@@ -61,6 +61,15 @@ pub struct LinkStats {
     pub token_overflows: u64,
 }
 
+crate::stats::counter_table!(LinkStats {
+    packets_sent,
+    flits_sent,
+    token_stalls,
+    retries,
+    crc_errors,
+    token_overflows,
+});
+
 /// The link layer's acceptance record for one transmitted packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendGrant {
@@ -173,8 +182,7 @@ impl LinkControl {
         self.packet_counter
     }
 
-    /// Rebuilds link state from checkpointed parts so a restored link
-    /// is `Debug`-identical to the snapshotted one (token pool, error
+    /// Rebuilds link state from checkpointed parts (token pool, error
     /// phase, SEQ and statistics all restored verbatim).
     pub(crate) fn from_parts(
         config: LinkConfig,

@@ -22,7 +22,7 @@
 //! nondeterministic iteration order — identical snapshots render
 //! byte-identical JSON.
 
-use crate::snapshot::json_escape;
+use crate::jsonv::json_escape;
 use crate::trace::{FlightLane, FlightSnapshot, TraceKind, TraceRecord};
 
 /// Options controlling what [`export`] renders.

@@ -7,10 +7,8 @@
 //!
 //! The device queues hold packet *envelopes* — `Box<TrackedRequest>`
 //! and `Box<TrackedResponse>` — so a hop between queues moves one
-//! pointer and a stalled push hands one pointer back. `Box<T>` prints
-//! exactly like `T`, which keeps the `Debug`-derived state fingerprint
-//! independent of where a packet is stored. Retired envelopes wait on
-//! a [`FreeList`] for the next packet.
+//! pointer and a stalled push hands one pointer back. Retired
+//! envelopes wait on a [`FreeList`] for the next packet.
 
 use hmc_types::HmcError;
 use std::collections::VecDeque;
@@ -113,8 +111,7 @@ impl<T> BoundedQueue<T> {
 
     /// Rebuilds a queue from previously observed parts (checkpoint
     /// restore). `items` must not exceed `depth`; occupancy statistics
-    /// are restored verbatim so a restored queue is `Debug`-identical
-    /// to the one that was snapshotted.
+    /// are restored verbatim.
     pub(crate) fn from_parts(
         items: VecDeque<T>,
         depth: usize,

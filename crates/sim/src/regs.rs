@@ -84,9 +84,9 @@ impl RegisterFile {
         Ok(())
     }
 
-    /// All register ids, in ascending order.
-    pub fn ids(&self) -> Vec<u32> {
-        self.regs.keys().copied().collect()
+    /// Every register as `(id, value)`, in ascending id order.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.regs.iter().map(|(&id, &value)| (id, value))
     }
 
     /// Rebuilds a register file from checkpointed `(id, value)`
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn register_inventory() {
         let rf = RegisterFile::new(4 << 30, 4);
-        let ids = rf.ids();
+        let ids: Vec<u32> = rf.entries().map(|(id, _)| id).collect();
         assert_eq!(ids.len(), 12);
         assert!(ids.contains(&REG_VCR));
     }

@@ -147,40 +147,25 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
+    /// The stable kebab-case name of every kind (forensic dumps,
+    /// snapshots).
+    pub const NAMES: [(&'static str, ViolationKind); 11] = [
+        ("token-over-return", ViolationKind::TokenOverReturn),
+        ("token-pool-overflow", ViolationKind::TokenPoolOverflow),
+        ("token-conservation", ViolationKind::TokenConservation),
+        ("tag-pool-corrupt", ViolationKind::TagPoolCorrupt),
+        ("tag-live-and-free", ViolationKind::TagLiveAndFree),
+        ("zombie-tag-leak", ViolationKind::ZombieTagLeak),
+        ("packet-conservation", ViolationKind::PacketConservation),
+        ("phantom-response", ViolationKind::PhantomResponse),
+        ("duplicate-live-tag", ViolationKind::DuplicateLiveTag),
+        ("queue-overflow", ViolationKind::QueueOverflow),
+        ("stall-watchdog", ViolationKind::StallWatchdog),
+    ];
+
     /// Stable kebab-case name (used in forensic-dump JSON).
     pub fn name(&self) -> &'static str {
-        match self {
-            ViolationKind::TokenOverReturn => "token-over-return",
-            ViolationKind::TokenPoolOverflow => "token-pool-overflow",
-            ViolationKind::TokenConservation => "token-conservation",
-            ViolationKind::TagPoolCorrupt => "tag-pool-corrupt",
-            ViolationKind::TagLiveAndFree => "tag-live-and-free",
-            ViolationKind::ZombieTagLeak => "zombie-tag-leak",
-            ViolationKind::PacketConservation => "packet-conservation",
-            ViolationKind::PhantomResponse => "phantom-response",
-            ViolationKind::DuplicateLiveTag => "duplicate-live-tag",
-            ViolationKind::QueueOverflow => "queue-overflow",
-            ViolationKind::StallWatchdog => "stall-watchdog",
-        }
-    }
-
-    /// Parses a [`ViolationKind::name`] string back into the kind
-    /// (checkpoint deserialization). Returns `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "token-over-return" => ViolationKind::TokenOverReturn,
-            "token-pool-overflow" => ViolationKind::TokenPoolOverflow,
-            "token-conservation" => ViolationKind::TokenConservation,
-            "tag-pool-corrupt" => ViolationKind::TagPoolCorrupt,
-            "tag-live-and-free" => ViolationKind::TagLiveAndFree,
-            "zombie-tag-leak" => ViolationKind::ZombieTagLeak,
-            "packet-conservation" => ViolationKind::PacketConservation,
-            "phantom-response" => ViolationKind::PhantomResponse,
-            "duplicate-live-tag" => ViolationKind::DuplicateLiveTag,
-            "queue-overflow" => ViolationKind::QueueOverflow,
-            "stall-watchdog" => ViolationKind::StallWatchdog,
-            _ => return None,
-        })
+        crate::jsonv::name_of(&Self::NAMES, *self)
     }
 }
 

@@ -18,10 +18,11 @@
 use crate::config::{Arbitration, DeviceConfig, ExecMode, SkipMode, SpecRevision};
 use crate::dram::{BankTiming, RefreshConfig, RowPolicy};
 use crate::fault::{FaultPlan, LinkErrorMode, LinkEvent};
-use crate::jsonv::{obj, Json, JsonError, ObjReader};
+use crate::jsonv::{name_of, obj, Json, JsonError, ObjReader};
 use crate::link::LinkConfig;
 use crate::sim::HmcSim;
-use crate::stats::DeviceStats;
+use crate::snapshot::hash_hist;
+use hmc_types::Fnv;
 
 // ---------------------------------------------------------------------------
 // Oracle digest
@@ -38,81 +39,12 @@ pub struct OracleDigest {
     /// Deep state fingerprint ([`HmcSim::state_fingerprint`]): queues,
     /// banks, memory digest, RNG state, registers.
     pub fingerprint: u64,
-    /// FNV-1a hash over every [`DeviceStats`] counter of every device,
+    /// FNV-1a hash over every [`crate::DeviceStats`] counter of every device,
     /// in device order.
     pub stats: u64,
-    /// FNV-1a hash over the overall and per-class latency histogram
-    /// buckets of every device.
+    /// Hash over the overall and per-class latency histograms of every
+    /// device.
     pub latency: u64,
-}
-
-/// FNV-1a: tiny, stable across processes and platforms (unlike
-/// `DefaultHasher`, whose algorithm is not a stability guarantee).
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-impl Fnv {
-    /// Starts a digest from the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds a `u64` (little-endian bytes) into the digest.
-    pub fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// Returns the digest.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-fn hash_counters(h: &mut Fnv, s: &DeviceStats) {
-    for v in [
-        s.reads,
-        s.writes,
-        s.posted_writes,
-        s.atomics,
-        s.cmc_ops,
-        s.mode_ops,
-        s.flow_packets,
-        s.responses,
-        s.error_responses,
-        s.forwarded,
-        s.remote_quad_requests,
-        s.send_stalls,
-        s.xbar_stalls,
-        s.vault_stalls,
-        s.rqst_flits,
-        s.rsp_flits,
-        s.vault_faults,
-        s.poisoned_responses,
-        s.failover_responses,
-        s.abandoned_responses,
-    ] {
-        h.u64(v);
-    }
-}
-
-fn hash_hist(h: &mut Fnv, hist: &crate::hist::Hist) {
-    h.u64(hist.count());
-    h.u64(hist.sum());
-    h.u64(if hist.is_empty() { 0 } else { hist.min() });
-    h.u64(hist.max());
-    for (upper, count) in hist.nonzero_buckets() {
-        h.u64(upper);
-        h.u64(count);
-    }
 }
 
 impl HmcSim {
@@ -123,7 +55,9 @@ impl HmcSim {
         let mut latency = Fnv::new();
         for dev in 0..self.device_count() {
             let s = self.stats(dev).expect("device index in range");
-            hash_counters(&mut stats, s);
+            for (_, counter) in s.counters() {
+                stats.u64(counter);
+            }
             hash_hist(&mut latency, &s.latency);
             for (_, hist) in s.class_latency.iter() {
                 hash_hist(&mut latency, hist);
@@ -144,17 +78,14 @@ impl HmcSim {
 
 /// Renders an [`ExecMode`] as its scenario-file form (lane count).
 pub fn exec_mode_to_json(mode: ExecMode) -> Json {
-    Json::Int(mode.threads() as i128)
+    mode.threads().into()
 }
 
 /// Parses an [`ExecMode`] from its scenario-file form: `1` is
 /// sequential, `n > 1` is `Parallel {{ threads: n }}`.
 pub fn exec_mode_from_json(v: &Json) -> Result<ExecMode, JsonError> {
-    let n = v.as_usize().ok_or(JsonError {
-        message: "exec_mode: expected a lane count (integer >= 1)".into(),
-    })?;
-    match n {
-        0 => Err(JsonError { message: "exec_mode: lane count must be >= 1".into() }),
+    match v.int::<usize>("exec_mode: the lane count (integer >= 1)")? {
+        0 => Err(JsonError::new("exec_mode: lane count must be >= 1")),
         1 => Ok(ExecMode::Sequential),
         n => Ok(ExecMode::Parallel { threads: n }),
     }
@@ -162,7 +93,7 @@ pub fn exec_mode_from_json(v: &Json) -> Result<ExecMode, JsonError> {
 
 /// Renders a [`SkipMode`] as a bool.
 pub fn skip_mode_to_json(mode: SkipMode) -> Json {
-    Json::Bool(mode.is_on())
+    mode.is_on().into()
 }
 
 /// Parses a [`SkipMode`] from a bool.
@@ -170,24 +101,22 @@ pub fn skip_mode_from_json(v: &Json) -> Result<SkipMode, JsonError> {
     match v.as_bool() {
         Some(true) => Ok(SkipMode::On),
         Some(false) => Ok(SkipMode::Off),
-        None => Err(JsonError { message: "skip_mode: expected a bool".into() }),
+        None => Err(JsonError::new("skip_mode: expected a bool")),
     }
 }
 
 /// Renders a [`TimingSelect`] as its stable backend name.
 pub fn timing_select_to_json(select: crate::timing::TimingSelect) -> Json {
-    Json::Str(select.name().to_string())
+    select.name().into()
 }
 
 /// Parses a [`TimingSelect`] from its backend name. Unknown backends
 /// are rejected loudly — a scenario asking for a model this build does
 /// not ship must fail, not silently run the default.
 pub fn timing_select_from_json(v: &Json) -> Result<crate::timing::TimingSelect, JsonError> {
-    let name = v
-        .as_str()
-        .ok_or_else(|| JsonError { message: "timing: expected a backend name string".into() })?;
-    crate::timing::TimingSelect::from_name(name)
-        .map_err(|e| JsonError { message: format!("timing: {e}") })
+    let name =
+        v.as_str().ok_or_else(|| JsonError::new("timing: expected a backend name string"))?;
+    crate::timing::TimingSelect::from_name(name).map_err(|e| JsonError::new(format!("timing: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -196,15 +125,11 @@ pub fn timing_select_from_json(v: &Json) -> Result<crate::timing::TimingSelect, 
 
 fn link_error_to_json(mode: LinkErrorMode) -> Json {
     match mode {
-        LinkErrorMode::None => obj(vec![("mode", Json::Str("none".into()))]),
-        LinkErrorMode::EveryNth(n) => obj(vec![
-            ("mode", Json::Str("every_nth".into())),
-            ("n", Json::Int(n as i128)),
-        ]),
-        LinkErrorMode::Random { per_million } => obj(vec![
-            ("mode", Json::Str("random".into())),
-            ("per_million", Json::Int(per_million as i128)),
-        ]),
+        LinkErrorMode::None => obj(vec![("mode", "none".into())]),
+        LinkErrorMode::EveryNth(n) => obj(vec![("mode", "every_nth".into()), ("n", n.into())]),
+        LinkErrorMode::Random { per_million } => {
+            obj(vec![("mode", "random".into()), ("per_million", per_million.into())])
+        }
     }
 }
 
@@ -214,11 +139,7 @@ fn link_error_from_json(v: &Json) -> Result<LinkErrorMode, JsonError> {
         "none" => LinkErrorMode::None,
         "every_nth" => LinkErrorMode::EveryNth(r.u64("n")?),
         "random" => LinkErrorMode::Random { per_million: r.u32("per_million")? },
-        other => {
-            return Err(JsonError {
-                message: format!("link_error: unknown mode `{other}`"),
-            })
-        }
+        other => return Err(JsonError::new(format!("link_error: unknown mode `{other}`"))),
     };
     r.finish()?;
     Ok(mode)
@@ -227,24 +148,19 @@ fn link_error_from_json(v: &Json) -> Result<LinkErrorMode, JsonError> {
 /// Renders a [`FaultPlan`] as a JSON object.
 pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
     obj(vec![
-        ("seed", Json::Int(plan.seed as i128)),
+        ("seed", plan.seed.into()),
         ("link_error", link_error_to_json(plan.link_error)),
-        ("poison_per_million", Json::Int(plan.poison_per_million as i128)),
-        ("vault_error_per_million", Json::Int(plan.vault_error_per_million as i128)),
+        ("poison_per_million", plan.poison_per_million.into()),
+        ("vault_error_per_million", plan.vault_error_per_million.into()),
         (
             "link_schedule",
-            Json::Arr(
-                plan.link_schedule
-                    .iter()
-                    .map(|ev| {
-                        obj(vec![
-                            ("cycle", Json::Int(ev.cycle as i128)),
-                            ("link", Json::Int(ev.link as i128)),
-                            ("up", Json::Bool(ev.up)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::list(&plan.link_schedule, |ev| {
+                obj(vec![
+                    ("cycle", ev.cycle.into()),
+                    ("link", ev.link.into()),
+                    ("up", ev.up.into()),
+                ])
+            }),
         ),
     ])
 }
@@ -257,21 +173,13 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, JsonError> {
     let link_error = link_error_from_json(r.required("link_error")?)?;
     let poison_per_million = r.u32("poison_per_million")?;
     let vault_error_per_million = r.u32("vault_error_per_million")?;
-    let schedule_json = r.required("link_schedule")?;
-    let mut link_schedule = Vec::new();
-    for (i, ev) in schedule_json
-        .as_arr()
-        .ok_or(JsonError { message: "fault_plan: link_schedule must be an array".into() })?
-        .iter()
-        .enumerate()
-    {
-        let mut er = ObjReader::new("link_schedule event", ev)?;
-        let event = LinkEvent { cycle: er.u64("cycle")?, link: er.usize("link")?, up: er.bool("up")? };
-        er.finish().map_err(|e| JsonError {
-            message: format!("fault_plan: link_schedule[{i}]: {}", e.message),
-        })?;
-        link_schedule.push(event);
-    }
+    let link_schedule = r.vec("link_schedule", |ev| {
+        let mut er = ObjReader::new("fault_plan: link_schedule event", ev)?;
+        let event =
+            LinkEvent { cycle: er.u64("cycle")?, link: er.usize("link")?, up: er.bool("up")? };
+        er.finish()?;
+        Ok(event)
+    })?;
     r.finish()?;
     Ok(FaultPlan {
         seed,
@@ -286,82 +194,32 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, JsonError> {
 // DeviceConfig serialization
 // ---------------------------------------------------------------------------
 
-fn opt_u64(v: Option<u64>) -> Json {
-    match v {
-        Some(n) => Json::Int(n as i128),
-        None => Json::Null,
-    }
-}
-
-fn opt_u32(v: Option<u32>) -> Json {
-    match v {
-        Some(n) => Json::Int(n as i128),
-        None => Json::Null,
-    }
-}
-
-fn parse_opt_u64(ctx: &str, key: &str, v: &Json) -> Result<Option<u64>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        other => other.as_u64().map(Some).ok_or(JsonError {
-            message: format!("{ctx}: field `{key}` must be a u64 or null"),
-        }),
-    }
-}
-
 /// Renders a [`DeviceConfig`] (including its fault plan) as JSON.
 pub fn device_config_to_json(c: &DeviceConfig) -> Json {
     obj(vec![
-        ("links", Json::Int(c.links as i128)),
-        ("capacity", Json::Int(c.capacity as i128)),
-        ("quads", Json::Int(c.quads as i128)),
-        ("vaults_per_quad", Json::Int(c.vaults_per_quad as i128)),
-        ("banks_per_vault", Json::Int(c.banks_per_vault as i128)),
-        ("block_size", Json::Int(c.block_size as i128)),
-        ("vault_queue_depth", Json::Int(c.vault_queue_depth as i128)),
-        ("xbar_queue_depth", Json::Int(c.xbar_queue_depth as i128)),
-        ("bank_latency", Json::Int(c.bank_latency as i128)),
-        ("row_hit", Json::Int(c.bank_timing.row_hit as i128)),
-        ("row_miss", Json::Int(c.bank_timing.row_miss as i128)),
-        (
-            "row_policy",
-            Json::Str(
-                match c.bank_timing.policy {
-                    RowPolicy::OpenPage => "open_page",
-                    RowPolicy::ClosedPage => "closed_page",
-                }
-                .into(),
-            ),
-        ),
-        ("link_bandwidth", Json::Int(c.link_bandwidth as i128)),
-        ("vault_bandwidth", Json::Int(c.vault_bandwidth as i128)),
-        ("hop_latency", Json::Int(c.hop_latency as i128)),
-        ("link_tokens", opt_u32(c.link_config.tokens)),
-        ("link_error_period", opt_u64(c.link_config.error_period)),
-        ("link_retry_latency", Json::Int(c.link_config.retry_latency as i128)),
-        (
-            "revision",
-            Json::Str(
-                match c.revision {
-                    SpecRevision::Gen1 => "gen1",
-                    SpecRevision::Gen2 => "gen2",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "arbitration",
-            Json::Str(
-                match c.arbitration {
-                    Arbitration::FixedPriority => "fixed_priority",
-                    Arbitration::RoundRobin => "round_robin",
-                }
-                .into(),
-            ),
-        ),
-        ("remote_quad_penalty", Json::Int(c.remote_quad_penalty as i128)),
-        ("refresh_interval", opt_u64(c.refresh.map(|r| r.interval))),
-        ("refresh_duration", opt_u64(c.refresh.map(|r| r.duration))),
+        ("links", c.links.into()),
+        ("capacity", c.capacity.into()),
+        ("quads", c.quads.into()),
+        ("vaults_per_quad", c.vaults_per_quad.into()),
+        ("banks_per_vault", c.banks_per_vault.into()),
+        ("block_size", c.block_size.into()),
+        ("vault_queue_depth", c.vault_queue_depth.into()),
+        ("xbar_queue_depth", c.xbar_queue_depth.into()),
+        ("bank_latency", c.bank_latency.into()),
+        ("row_hit", c.bank_timing.row_hit.into()),
+        ("row_miss", c.bank_timing.row_miss.into()),
+        ("row_policy", name_of(&RowPolicy::NAMES, c.bank_timing.policy).into()),
+        ("link_bandwidth", c.link_bandwidth.into()),
+        ("vault_bandwidth", c.vault_bandwidth.into()),
+        ("hop_latency", c.hop_latency.into()),
+        ("link_tokens", c.link_config.tokens.into()),
+        ("link_error_period", c.link_config.error_period.into()),
+        ("link_retry_latency", c.link_config.retry_latency.into()),
+        ("revision", name_of(&SpecRevision::NAMES, c.revision).into()),
+        ("arbitration", name_of(&Arbitration::NAMES, c.arbitration).into()),
+        ("remote_quad_penalty", c.remote_quad_penalty.into()),
+        ("refresh_interval", c.refresh.map(|r| r.interval).into()),
+        ("refresh_duration", c.refresh.map(|r| r.duration).into()),
         ("fault", fault_plan_to_json(&c.fault)),
     ])
 }
@@ -370,54 +228,14 @@ pub fn device_config_to_json(c: &DeviceConfig) -> Json {
 /// fields are rejected; the result is additionally `validate()`d).
 pub fn device_config_from_json(v: &Json) -> Result<DeviceConfig, JsonError> {
     let mut r = ObjReader::new("device_config", v)?;
-    let row_policy = match r.str("row_policy")? {
-        "open_page" => RowPolicy::OpenPage,
-        "closed_page" => RowPolicy::ClosedPage,
-        other => {
-            return Err(JsonError {
-                message: format!("device_config: unknown row_policy `{other}`"),
-            })
-        }
-    };
-    let revision = match r.str("revision")? {
-        "gen1" => SpecRevision::Gen1,
-        "gen2" => SpecRevision::Gen2,
-        other => {
-            return Err(JsonError {
-                message: format!("device_config: unknown revision `{other}`"),
-            })
-        }
-    };
-    let arbitration = match r.str("arbitration")? {
-        "fixed_priority" => Arbitration::FixedPriority,
-        "round_robin" => Arbitration::RoundRobin,
-        other => {
-            return Err(JsonError {
-                message: format!("device_config: unknown arbitration `{other}`"),
-            })
-        }
-    };
-    let link_tokens = match r.required("link_tokens")? {
-        Json::Null => None,
-        other => Some(other.as_u32().ok_or(JsonError {
-            message: "device_config: field `link_tokens` must be a u32 or null".into(),
-        })?),
-    };
-    let link_error_period =
-        parse_opt_u64("device_config", "link_error_period", r.required("link_error_period")?)?;
-    let refresh_interval =
-        parse_opt_u64("device_config", "refresh_interval", r.required("refresh_interval")?)?;
-    let refresh_duration =
-        parse_opt_u64("device_config", "refresh_duration", r.required("refresh_duration")?)?;
-    let refresh = match (refresh_interval, refresh_duration) {
+    let refresh = match (r.opt_u64("refresh_interval")?, r.opt_u64("refresh_duration")?) {
         (Some(interval), Some(duration)) => Some(RefreshConfig { interval, duration }),
         (None, None) => None,
         _ => {
-            return Err(JsonError {
-                message: "device_config: refresh_interval and refresh_duration must both be \
-                          set or both be null"
-                    .into(),
-            })
+            return Err(JsonError::new(
+                "device_config: refresh_interval and refresh_duration must both be set or \
+                 both be null",
+            ))
         }
     };
     let config = DeviceConfig {
@@ -433,26 +251,26 @@ pub fn device_config_from_json(v: &Json) -> Result<DeviceConfig, JsonError> {
         bank_timing: BankTiming {
             row_hit: r.u64("row_hit")?,
             row_miss: r.u64("row_miss")?,
-            policy: row_policy,
+            policy: r.named("row_policy", &RowPolicy::NAMES)?,
         },
         link_bandwidth: r.usize("link_bandwidth")?,
         vault_bandwidth: r.usize("vault_bandwidth")?,
         hop_latency: r.u64("hop_latency")?,
         link_config: LinkConfig {
-            tokens: link_tokens,
-            error_period: link_error_period,
+            tokens: r.opt_u32("link_tokens")?,
+            error_period: r.opt_u64("link_error_period")?,
             retry_latency: r.u64("link_retry_latency")?,
         },
-        revision,
-        arbitration,
+        revision: r.named("revision", &SpecRevision::NAMES)?,
+        arbitration: r.named("arbitration", &Arbitration::NAMES)?,
         remote_quad_penalty: r.u64("remote_quad_penalty")?,
         refresh,
         fault: fault_plan_from_json(r.required("fault")?)?,
     };
     r.finish()?;
-    config.validate().map_err(|e| JsonError {
-        message: format!("device_config: parsed config is invalid: {e}"),
-    })?;
+    config
+        .validate()
+        .map_err(|e| JsonError::new(format!("device_config: parsed config is invalid: {e}")))?;
     Ok(config)
 }
 

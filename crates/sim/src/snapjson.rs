@@ -1,9 +1,8 @@
-//! Lossless, versioned JSON serialization for [`SimSnapshot`].
-//!
-//! The original [`SimSnapshot::to_json`] writer is a *forensic* view:
-//! bounded queue listings, digests instead of memory pages — readable,
-//! but not restorable. This module is the *durable* codec: every field
-//! that [`SimSnapshot::fingerprint`] observes is serialized exactly, so
+//! Lossless, versioned JSON serialization for [`SimSnapshot`] — the
+//! only way simulator state becomes JSON. Checkpoints, replay
+//! checkpoints and forensic dumps all embed
+//! [`SimSnapshot::to_json_value`]; every field that
+//! [`SimSnapshot::fingerprint`] observes is serialized exactly, so
 //!
 //! ```text
 //! snapshot → to_json_full → from_json → restore → state_fingerprint
@@ -35,7 +34,6 @@
 //!   rebuilt on read.
 
 use crate::device::{RqstEnvelope, RspEnvelope, TrackedRequest, TrackedResponse, Vault};
-use crate::trace::{CmdRef, FlightLaneSnapshot, FlightSnapshot, TraceKind, TraceRecord};
 use crate::dram::Bank;
 use crate::fault::FaultRng;
 use crate::hist::{Hist, BUCKETS};
@@ -47,87 +45,43 @@ use crate::regs::RegisterFile;
 use crate::sanitizer::{SanitizerShadow, Violation, ViolationKind};
 use crate::sim::{RetryEntry, Transit};
 use crate::snapshot::{DeviceSnapshot, SimSnapshot};
-use crate::stats::{ClassLatency, DeviceStats};
+use crate::stats::{CmdClass, DeviceStats};
 use crate::telemetry::StageStamps;
+use crate::timing::{TimingSelect, TimingSnapshot, TimingStats};
+use crate::trace::{CmdRef, FlightLaneSnapshot, FlightSnapshot, TraceKind, TraceRecord};
 use hmc_mem::store::PAGE_BYTES;
 use hmc_mem::SparseMemory;
 use hmc_types::{
     Cub, HmcResponse, HmcRqst, ReqHead, ReqTail, Request, Response, RspHead, RspTail, Slid, Tag,
     TagPool, TagSet,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Version number written into (and required from) the durable
 /// snapshot schema. Bump on any incompatible layout change.
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
 
-fn jerr<T>(message: impl Into<String>) -> Result<T, JsonError> {
-    Err(JsonError { message: message.into() })
+/// Wraps a domain error (`bad tag`, `bad cub`, …) as a [`JsonError`]
+/// prefixed with `what`.
+fn bad<E: std::fmt::Display>(what: &'static str) -> impl Fn(E) -> JsonError {
+    move |e| JsonError::new(format!("{what}: {e}"))
 }
 
-fn int(v: u64) -> Json {
-    Json::Int(v as i128)
+fn tag_from(value: u32, what: &'static str) -> Result<Tag, JsonError> {
+    Tag::new(value).map_err(bad(what))
 }
 
-fn int_usize(v: usize) -> Json {
-    Json::Int(v as i128)
+/// `[[T]]` (per device, per link) as nested arrays.
+fn nested_json<T>(outer: &[Vec<T>], item: impl Fn(&T) -> Json) -> Json {
+    Json::list(outer, |inner| Json::list(inner, &item))
 }
 
-fn opt_u64_json(v: Option<u64>) -> Json {
-    match v {
-        Some(v) => int(v),
-        None => Json::Null,
-    }
-}
-
-fn opt_u32_json(v: Option<u32>) -> Json {
-    match v {
-        Some(v) => Json::Int(v as i128),
-        None => Json::Null,
-    }
-}
-
-fn read_opt_u64(r: &mut ObjReader<'_>, key: &str, ctx: &str) -> Result<Option<u64>, JsonError> {
-    match r.required(key)? {
-        Json::Null => Ok(None),
-        v => match v.as_u64() {
-            Some(n) => Ok(Some(n)),
-            None => jerr(format!("{ctx}: field `{key}` must be a u64 or null")),
-        },
-    }
-}
-
-fn read_opt_u32(r: &mut ObjReader<'_>, key: &str, ctx: &str) -> Result<Option<u32>, JsonError> {
-    match r.required(key)? {
-        Json::Null => Ok(None),
-        v => match v.as_u32() {
-            Some(n) => Ok(Some(n)),
-            None => jerr(format!("{ctx}: field `{key}` must be a u32 or null")),
-        },
-    }
-}
-
-fn read_u8(r: &mut ObjReader<'_>, key: &str, ctx: &str) -> Result<u8, JsonError> {
-    let v = r.u32(key)?;
-    u8::try_from(v).map_err(|_| JsonError {
-        message: format!("{ctx}: field `{key}` value {v} exceeds u8"),
-    })
-}
-
-fn u64_list(values: impl Iterator<Item = u64>) -> Json {
-    Json::Arr(values.map(int).collect())
-}
-
-fn read_u64_list(v: &Json, ctx: &str) -> Result<Vec<u64>, JsonError> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| JsonError { message: format!("{ctx}: expected an array") })?;
-    arr.iter()
-        .map(|item| {
-            item.as_u64()
-                .ok_or_else(|| JsonError { message: format!("{ctx}: expected u64 entries") })
-        })
-        .collect()
+fn nested_from_json<T>(
+    v: &Json,
+    what: &str,
+    item: impl Fn(&Json) -> Result<T, JsonError>,
+) -> Result<Vec<Vec<T>>, JsonError> {
+    v.vec(what, |inner| inner.vec(what, &item))
 }
 
 // ---------------------------------------------------------------------------
@@ -144,9 +98,14 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
-fn hex_decode(s: &str, ctx: &str) -> Result<Vec<u8>, JsonError> {
-    if !s.len().is_multiple_of(2) {
-        return jerr(format!("{ctx}: odd-length hex string"));
+/// Decodes `2 * out.len()` hex digits into `out`.
+fn hex_decode(s: &str, out: &mut [u8], ctx: &str) -> Result<(), JsonError> {
+    if s.len() != 2 * out.len() {
+        return Err(JsonError::new(format!(
+            "{ctx}: {} hex digits where {} bytes are expected",
+            s.len(),
+            out.len()
+        )));
     }
     let digit = |c: u8| -> Option<u8> {
         match c {
@@ -156,15 +115,13 @@ fn hex_decode(s: &str, ctx: &str) -> Result<Vec<u8>, JsonError> {
             _ => None,
         }
     };
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
+    for (byte, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
         match (digit(pair[0]), digit(pair[1])) {
-            (Some(hi), Some(lo)) => out.push((hi << 4) | lo),
-            _ => return jerr(format!("{ctx}: invalid hex digit")),
+            (Some(hi), Some(lo)) => *byte = (hi << 4) | lo,
+            _ => return Err(JsonError::new(format!("{ctx}: invalid hex digit"))),
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -172,136 +129,122 @@ fn hex_decode(s: &str, ctx: &str) -> Result<Vec<u8>, JsonError> {
 // ---------------------------------------------------------------------------
 
 fn request_json(req: &Request) -> Json {
+    let (h, t) = (&req.head, &req.tail);
     obj(vec![
-        ("cmd", Json::Int(req.head.cmd.code() as i128)),
-        ("cmc", Json::Bool(matches!(req.head.cmd, HmcRqst::Cmc(_)))),
-        ("lng", Json::Int(req.head.lng as i128)),
-        ("tag", Json::Int(req.head.tag.value() as i128)),
-        ("addr", int(req.head.addr)),
-        ("cub", Json::Int(req.head.cub.value() as i128)),
-        ("payload", u64_list(req.payload.as_slice().iter().copied())),
-        ("rrp", Json::Int(req.tail.rrp as i128)),
-        ("frp", Json::Int(req.tail.frp as i128)),
-        ("seq", Json::Int(req.tail.seq as i128)),
-        ("pb", Json::Bool(req.tail.pb)),
-        ("slid", Json::Int(req.tail.slid.value() as i128)),
-        ("rtc", Json::Int(req.tail.rtc as i128)),
-        ("crc", Json::Int(req.tail.crc as i128)),
+        ("cmd", h.cmd.code().into()),
+        ("cmc", matches!(h.cmd, HmcRqst::Cmc(_)).into()),
+        ("lng", h.lng.into()),
+        ("tag", h.tag.value().into()),
+        ("addr", h.addr.into()),
+        ("cub", h.cub.value().into()),
+        ("payload", Json::list(req.payload.iter().copied(), Json::from)),
+        ("rrp", t.rrp.into()),
+        ("frp", t.frp.into()),
+        ("seq", t.seq.into()),
+        ("pb", t.pb.into()),
+        ("slid", t.slid.value().into()),
+        ("rtc", t.rtc.into()),
+        ("crc", t.crc.into()),
     ])
 }
 
 fn request_from_json(v: &Json) -> Result<Request, JsonError> {
-    const CTX: &str = "request";
-    let mut r = ObjReader::new(CTX, v)?;
-    let code = read_u8(&mut r, "cmd", CTX)?;
-    let cmc = r.bool("cmc")?;
+    let mut r = ObjReader::new("request", v)?;
+    let (code, cmc) = (r.u8("cmd")?, r.bool("cmc")?);
     let cmd = if cmc {
         HmcRqst::Cmc(code)
     } else {
-        HmcRqst::from_code(code)
-            .map_err(|e| JsonError { message: format!("{CTX}: bad command code {code}: {e}") })?
+        HmcRqst::from_code(code).map_err(bad("request: bad command code"))?
     };
-    let lng = read_u8(&mut r, "lng", CTX)?;
-    let tag = Tag::new(r.u32("tag")?)
-        .map_err(|e| JsonError { message: format!("{CTX}: bad tag: {e}") })?;
-    let addr = r.u64("addr")?;
-    let cub = Cub::new(read_u8(&mut r, "cub", CTX)?)
-        .map_err(|e| JsonError { message: format!("{CTX}: bad cub: {e}") })?;
-    let payload = read_u64_list(r.required("payload")?, "request payload")?;
-    let rrp = read_u8(&mut r, "rrp", CTX)?;
-    let frp = read_u8(&mut r, "frp", CTX)?;
-    let seq = read_u8(&mut r, "seq", CTX)?;
-    let pb = r.bool("pb")?;
-    let slid = Slid::new(read_u8(&mut r, "slid", CTX)?)
-        .map_err(|e| JsonError { message: format!("{CTX}: bad slid: {e}") })?;
-    let rtc = read_u8(&mut r, "rtc", CTX)?;
-    let crc = r.u32("crc")?;
+    let head = ReqHead {
+        cmd,
+        lng: r.u8("lng")?,
+        tag: tag_from(r.u32("tag")?, "request: bad tag")?,
+        addr: r.u64("addr")?,
+        cub: Cub::new(r.u8("cub")?).map_err(bad("request: bad cub"))?,
+    };
+    let payload = r.vec("payload", |w| w.int::<u64>("request: payload word"))?;
+    let tail = ReqTail {
+        rrp: r.u8("rrp")?,
+        frp: r.u8("frp")?,
+        seq: r.u8("seq")?,
+        pb: r.bool("pb")?,
+        slid: Slid::new(r.u8("slid")?).map_err(bad("request: bad slid"))?,
+        rtc: r.u8("rtc")?,
+        crc: r.u32("crc")?,
+    };
     r.finish()?;
-    Ok(Request {
-        head: ReqHead { cmd, lng, tag, addr, cub },
-        payload: hmc_types::PayloadBuf::from_slice(&payload),
-        tail: ReqTail { rrp, frp, seq, pb, slid, rtc, crc },
-    })
+    Ok(Request { head, payload: payload.into(), tail })
 }
 
 fn response_json(rsp: &Response) -> Json {
+    let (h, t) = (&rsp.head, &rsp.tail);
     obj(vec![
-        ("cmd", Json::Int(rsp.head.cmd.code() as i128)),
-        ("cmc", Json::Bool(matches!(rsp.head.cmd, HmcResponse::RspCmc(_)))),
-        ("lng", Json::Int(rsp.head.lng as i128)),
-        ("tag", Json::Int(rsp.head.tag.value() as i128)),
-        ("af", Json::Bool(rsp.head.af)),
-        ("slid", Json::Int(rsp.head.slid.value() as i128)),
-        ("cub", Json::Int(rsp.head.cub.value() as i128)),
-        ("payload", u64_list(rsp.payload.as_slice().iter().copied())),
-        ("rrp", Json::Int(rsp.tail.rrp as i128)),
-        ("frp", Json::Int(rsp.tail.frp as i128)),
-        ("seq", Json::Int(rsp.tail.seq as i128)),
-        ("dinv", Json::Bool(rsp.tail.dinv)),
-        ("errstat", Json::Int(rsp.tail.errstat as i128)),
-        ("rtc", Json::Int(rsp.tail.rtc as i128)),
-        ("crc", Json::Int(rsp.tail.crc as i128)),
+        ("cmd", h.cmd.code().into()),
+        ("cmc", matches!(h.cmd, HmcResponse::RspCmc(_)).into()),
+        ("lng", h.lng.into()),
+        ("tag", h.tag.value().into()),
+        ("af", h.af.into()),
+        ("slid", h.slid.value().into()),
+        ("cub", h.cub.value().into()),
+        ("payload", Json::list(rsp.payload.iter().copied(), Json::from)),
+        ("rrp", t.rrp.into()),
+        ("frp", t.frp.into()),
+        ("seq", t.seq.into()),
+        ("dinv", t.dinv.into()),
+        ("errstat", t.errstat.into()),
+        ("rtc", t.rtc.into()),
+        ("crc", t.crc.into()),
     ])
 }
 
 fn response_from_json(v: &Json) -> Result<Response, JsonError> {
-    const CTX: &str = "response";
-    let mut r = ObjReader::new(CTX, v)?;
-    let code = read_u8(&mut r, "cmd", CTX)?;
-    let cmc = r.bool("cmc")?;
-    let cmd = if cmc {
-        HmcResponse::RspCmc(code)
-    } else if code == 0 {
-        HmcResponse::RspNone
-    } else {
-        HmcResponse::from_code(code)
-            .map_err(|e| JsonError { message: format!("{CTX}: bad response code {code}: {e}") })?
+    let mut r = ObjReader::new("response", v)?;
+    let cmd = match (r.u8("cmd")?, r.bool("cmc")?) {
+        (code, true) => HmcResponse::RspCmc(code),
+        (0, false) => HmcResponse::RspNone,
+        (code, false) => {
+            HmcResponse::from_code(code).map_err(bad("response: bad response code"))?
+        }
     };
-    let lng = read_u8(&mut r, "lng", CTX)?;
-    let tag = Tag::new(r.u32("tag")?)
-        .map_err(|e| JsonError { message: format!("{CTX}: bad tag: {e}") })?;
-    let af = r.bool("af")?;
-    let slid = Slid::new(read_u8(&mut r, "slid", CTX)?)
-        .map_err(|e| JsonError { message: format!("{CTX}: bad slid: {e}") })?;
-    let cub = Cub::new(read_u8(&mut r, "cub", CTX)?)
-        .map_err(|e| JsonError { message: format!("{CTX}: bad cub: {e}") })?;
-    let payload = read_u64_list(r.required("payload")?, "response payload")?;
-    let rrp = read_u8(&mut r, "rrp", CTX)?;
-    let frp = read_u8(&mut r, "frp", CTX)?;
-    let seq = read_u8(&mut r, "seq", CTX)?;
-    let dinv = r.bool("dinv")?;
-    let errstat = read_u8(&mut r, "errstat", CTX)?;
-    let rtc = read_u8(&mut r, "rtc", CTX)?;
-    let crc = r.u32("crc")?;
+    let head = RspHead {
+        cmd,
+        lng: r.u8("lng")?,
+        tag: tag_from(r.u32("tag")?, "response: bad tag")?,
+        af: r.bool("af")?,
+        slid: Slid::new(r.u8("slid")?).map_err(bad("response: bad slid"))?,
+        cub: Cub::new(r.u8("cub")?).map_err(bad("response: bad cub"))?,
+    };
+    let payload = r.vec("payload", |w| w.int::<u64>("response: payload word"))?;
+    let tail = RspTail {
+        rrp: r.u8("rrp")?,
+        frp: r.u8("frp")?,
+        seq: r.u8("seq")?,
+        dinv: r.bool("dinv")?,
+        errstat: r.u8("errstat")?,
+        rtc: r.u8("rtc")?,
+        crc: r.u32("crc")?,
+    };
     r.finish()?;
-    Ok(Response {
-        head: RspHead { cmd, lng, tag, af, slid, cub },
-        payload: hmc_types::PayloadBuf::from_slice(&payload),
-        tail: RspTail { rrp, frp, seq, dinv, errstat, rtc, crc },
-    })
+    Ok(Response { head, payload: payload.into(), tail })
 }
-
-// ---------------------------------------------------------------------------
-// Tracked packets
-// ---------------------------------------------------------------------------
 
 fn tracked_request_json(t: &TrackedRequest) -> Json {
     obj(vec![
         ("req", request_json(&t.req)),
-        ("entry_device", int_usize(t.entry_device)),
-        ("entry_link", int_usize(t.entry_link)),
-        ("issue_cycle", int(t.issue_cycle)),
-        ("hops", Json::Int(t.hops as i128)),
-        ("ready_cycle", int(t.ready_cycle)),
-        ("vault_enq_cycle", int(t.vault_enq_cycle)),
+        ("entry_device", t.entry_device.into()),
+        ("entry_link", t.entry_link.into()),
+        ("issue_cycle", t.issue_cycle.into()),
+        ("hops", t.hops.into()),
+        ("ready_cycle", t.ready_cycle.into()),
+        ("vault_enq_cycle", t.vault_enq_cycle.into()),
     ])
 }
 
 fn tracked_request_from_json(v: &Json) -> Result<RqstEnvelope, JsonError> {
     let mut r = ObjReader::new("tracked_request", v)?;
-    let req = request_from_json(r.required("req")?)?;
     let out = TrackedRequest {
-        req,
+        req: request_from_json(r.required("req")?)?,
         entry_device: r.usize("entry_device")?,
         entry_link: r.usize("entry_link")?,
         issue_cycle: r.u64("issue_cycle")?,
@@ -313,49 +256,32 @@ fn tracked_request_from_json(v: &Json) -> Result<RqstEnvelope, JsonError> {
     Ok(Box::new(out))
 }
 
-fn class_name(class: crate::stats::CmdClass) -> &'static str {
-    class.name()
-}
-
-fn class_from_name(name: &str) -> Result<crate::stats::CmdClass, JsonError> {
-    use crate::stats::CmdClass;
-    Ok(match name {
-        "read" => CmdClass::Read,
-        "write" => CmdClass::Write,
-        "atomic" => CmdClass::Atomic,
-        "cmc" => CmdClass::Cmc,
-        "other" => CmdClass::Other,
-        other => return jerr(format!("unknown command class `{other}`")),
-    })
-}
-
 fn tracked_response_json(t: &TrackedResponse) -> Json {
     obj(vec![
         ("rsp", response_json(&t.rsp)),
-        ("issue_cycle", int(t.issue_cycle)),
-        ("complete_cycle", int(t.complete_cycle)),
-        ("latency", int(t.latency)),
-        ("entry_device", int_usize(t.entry_device)),
-        ("entry_link", int_usize(t.entry_link)),
-        ("class", Json::Str(class_name(t.class).to_string())),
-        ("vault_enq", int(t.stages.vault_enq)),
-        ("exec", int(t.stages.exec)),
-        ("rsp_route", int(t.stages.rsp_route)),
-        ("egress", int(t.stages.egress)),
+        ("issue_cycle", t.issue_cycle.into()),
+        ("complete_cycle", t.complete_cycle.into()),
+        ("latency", t.latency.into()),
+        ("entry_device", t.entry_device.into()),
+        ("entry_link", t.entry_link.into()),
+        ("class", t.class.name().into()),
+        ("vault_enq", t.stages.vault_enq.into()),
+        ("exec", t.stages.exec.into()),
+        ("rsp_route", t.stages.rsp_route.into()),
+        ("egress", t.stages.egress.into()),
     ])
 }
 
 fn tracked_response_from_json(v: &Json) -> Result<RspEnvelope, JsonError> {
     let mut r = ObjReader::new("tracked_response", v)?;
-    let rsp = response_from_json(r.required("rsp")?)?;
     let out = TrackedResponse {
-        rsp,
+        rsp: response_from_json(r.required("rsp")?)?,
         issue_cycle: r.u64("issue_cycle")?,
         complete_cycle: r.u64("complete_cycle")?,
         latency: r.u64("latency")?,
         entry_device: r.usize("entry_device")?,
         entry_link: r.usize("entry_link")?,
-        class: class_from_name(r.str("class")?)?,
+        class: r.named("class", &CmdClass::NAMES)?,
         stages: StageStamps {
             vault_enq: r.u64("vault_enq")?,
             exec: r.u64("exec")?,
@@ -374,11 +300,11 @@ fn tracked_response_from_json(v: &Json) -> Result<RspEnvelope, JsonError> {
 /// Serializes a queue of envelopes; `item` sees the packets.
 fn queue_json<T>(q: &BoundedQueue<Box<T>>, item: impl Fn(&T) -> Json) -> Json {
     obj(vec![
-        ("depth", int_usize(q.depth())),
-        ("high_water", int_usize(q.high_water())),
-        ("stalls", int(q.stalls())),
-        ("pushes", int(q.pushes())),
-        ("items", Json::Arr(q.iter().map(|envelope| item(envelope)).collect())),
+        ("depth", q.depth().into()),
+        ("high_water", q.high_water().into()),
+        ("stalls", q.stalls().into()),
+        ("pushes", q.pushes().into()),
+        ("items", Json::list(q.iter(), |envelope| item(envelope))),
     ])
 }
 
@@ -392,23 +318,16 @@ fn queue_from_json<T>(
     let high_water = r.usize("high_water")?;
     let stalls = r.u64("stalls")?;
     let pushes = r.u64("pushes")?;
-    let raw = r
-        .required("items")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: format!("{ctx}: queue items must be an array") })?;
+    let items: VecDeque<T> = r.vec("items", item)?.into();
     r.finish()?;
     if depth == 0 {
-        return jerr(format!("{ctx}: queue depth must be nonzero"));
-    }
-    let mut items = VecDeque::with_capacity(raw.len());
-    for entry in raw {
-        items.push_back(item(entry)?);
+        return Err(JsonError::new(format!("{ctx}: queue depth must be nonzero")));
     }
     if items.len() > depth {
-        return jerr(format!(
+        return Err(JsonError::new(format!(
             "{ctx}: queue holds {} items but depth is {depth}",
             items.len()
-        ));
+        )));
     }
     Ok(BoundedQueue::from_parts(items, depth, high_water, stalls, pushes))
 }
@@ -419,113 +338,55 @@ fn queue_from_json<T>(
 
 fn hist_json(h: &Hist) -> Json {
     let (count, sum, min, max, buckets) = h.raw_parts();
-    let sparse: Vec<Json> = buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n > 0)
-        .map(|(i, &n)| Json::Arr(vec![int_usize(i), int(n)]))
-        .collect();
+    let occupied = buckets.iter().enumerate().filter(|(_, &n)| n > 0);
     obj(vec![
-        ("count", int(count)),
-        ("sum", int(sum)),
-        ("min", int(min)),
-        ("max", int(max)),
-        ("buckets", Json::Arr(sparse)),
+        ("count", count.into()),
+        ("sum", sum.into()),
+        ("min", min.into()),
+        ("max", max.into()),
+        ("buckets", Json::list(occupied, |(i, &n)| Json::Arr(vec![i.into(), n.into()]))),
     ])
 }
 
 fn hist_from_json(v: &Json) -> Result<Hist, JsonError> {
     let mut r = ObjReader::new("hist", v)?;
-    let count = r.u64("count")?;
-    let sum = r.u64("sum")?;
-    let min = r.u64("min")?;
-    let max = r.u64("max")?;
-    let sparse = r
-        .required("buckets")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "hist: buckets must be an array".into() })?;
-    r.finish()?;
+    let (count, sum, min, max) = (r.u64("count")?, r.u64("sum")?, r.u64("min")?, r.u64("max")?);
     let mut buckets = [0u64; BUCKETS];
-    for pair in sparse {
-        let pair = pair
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| JsonError { message: "hist: bucket entry must be [idx, n]".into() })?;
-        let idx = pair[0]
-            .as_usize()
+    for entry in r.arr("buckets")? {
+        let [idx, n] = entry.tuple("hist: bucket entry [idx, n]")?;
+        let idx = idx
+            .int::<usize>("hist: bucket index")
+            .ok()
             .filter(|&i| i < BUCKETS)
-            .ok_or_else(|| JsonError { message: "hist: bucket index out of range".into() })?;
-        let n = pair[1]
-            .as_u64()
-            .ok_or_else(|| JsonError { message: "hist: bucket count must be a u64".into() })?;
-        buckets[idx] = n;
+            .ok_or_else(|| JsonError::new("hist: bucket index out of range"))?;
+        buckets[idx] = n.int("hist: bucket count")?;
     }
+    r.finish()?;
     Ok(Hist::from_raw_parts(count, sum, min, max, buckets))
 }
 
+fn class_key(class: CmdClass) -> String {
+    format!("class_{}", class.name())
+}
+
 fn stats_json(s: &DeviceStats) -> Json {
-    obj(vec![
-        ("reads", int(s.reads)),
-        ("writes", int(s.writes)),
-        ("posted_writes", int(s.posted_writes)),
-        ("atomics", int(s.atomics)),
-        ("cmc_ops", int(s.cmc_ops)),
-        ("mode_ops", int(s.mode_ops)),
-        ("flow_packets", int(s.flow_packets)),
-        ("responses", int(s.responses)),
-        ("error_responses", int(s.error_responses)),
-        ("forwarded", int(s.forwarded)),
-        ("remote_quad_requests", int(s.remote_quad_requests)),
-        ("send_stalls", int(s.send_stalls)),
-        ("xbar_stalls", int(s.xbar_stalls)),
-        ("vault_stalls", int(s.vault_stalls)),
-        ("rqst_flits", int(s.rqst_flits)),
-        ("rsp_flits", int(s.rsp_flits)),
-        ("vault_faults", int(s.vault_faults)),
-        ("poisoned_responses", int(s.poisoned_responses)),
-        ("failover_responses", int(s.failover_responses)),
-        ("abandoned_responses", int(s.abandoned_responses)),
-        ("latency", hist_json(&s.latency)),
-        ("class_read", hist_json(&s.class_latency.read)),
-        ("class_write", hist_json(&s.class_latency.write)),
-        ("class_atomic", hist_json(&s.class_latency.atomic)),
-        ("class_cmc", hist_json(&s.class_latency.cmc)),
-        ("class_other", hist_json(&s.class_latency.other)),
-    ])
+    let mut fields: Vec<(String, Json)> =
+        s.counters().map(|(name, v)| (name.to_string(), v.into())).collect();
+    fields.push(("latency".into(), hist_json(&s.latency)));
+    fields.extend(s.class_latency.iter().map(|(class, h)| (class_key(class), hist_json(h))));
+    Json::Obj(fields)
 }
 
 fn stats_from_json(v: &Json) -> Result<DeviceStats, JsonError> {
     let mut r = ObjReader::new("stats", v)?;
-    let out = DeviceStats {
-        reads: r.u64("reads")?,
-        writes: r.u64("writes")?,
-        posted_writes: r.u64("posted_writes")?,
-        atomics: r.u64("atomics")?,
-        cmc_ops: r.u64("cmc_ops")?,
-        mode_ops: r.u64("mode_ops")?,
-        flow_packets: r.u64("flow_packets")?,
-        responses: r.u64("responses")?,
-        error_responses: r.u64("error_responses")?,
-        forwarded: r.u64("forwarded")?,
-        remote_quad_requests: r.u64("remote_quad_requests")?,
-        send_stalls: r.u64("send_stalls")?,
-        xbar_stalls: r.u64("xbar_stalls")?,
-        vault_stalls: r.u64("vault_stalls")?,
-        rqst_flits: r.u64("rqst_flits")?,
-        rsp_flits: r.u64("rsp_flits")?,
-        vault_faults: r.u64("vault_faults")?,
-        poisoned_responses: r.u64("poisoned_responses")?,
-        failover_responses: r.u64("failover_responses")?,
-        abandoned_responses: r.u64("abandoned_responses")?,
-        latency: hist_from_json(r.required("latency")?)?,
-        class_latency: ClassLatency {
-            read: hist_from_json(r.required("class_read")?)?,
-            write: hist_from_json(r.required("class_write")?)?,
-            atomic: hist_from_json(r.required("class_atomic")?)?,
-            cmc: hist_from_json(r.required("class_cmc")?)?,
-            other: hist_from_json(r.required("class_other")?)?,
-        },
-    };
+    let mut out = DeviceStats::default();
+    for (name, slot) in out.counters_mut() {
+        *slot = r.u64(name)?;
+    }
+    out.latency = hist_from_json(r.required("latency")?)?;
+    for class in CmdClass::ALL {
+        *out.class_latency.get_mut(class) = hist_from_json(r.required(&class_key(class))?)?;
+    }
     r.finish()?;
     Ok(out)
 }
@@ -538,15 +399,15 @@ fn power_json(p: &PowerModel) -> Json {
     let c = p.config();
     let (link_flits, dram_accesses, logic_ops, cycles) = p.counters();
     obj(vec![
-        ("link_flit_pj_bits", int(c.link_flit_pj.to_bits())),
-        ("dram_access_pj_bits", int(c.dram_access_pj.to_bits())),
-        ("logic_op_pj_bits", int(c.logic_op_pj.to_bits())),
-        ("idle_cycle_pj_bits", int(c.idle_cycle_pj.to_bits())),
-        ("clock_hz_bits", int(c.clock_hz.to_bits())),
-        ("link_flits", int(link_flits)),
-        ("dram_accesses", int(dram_accesses)),
-        ("logic_ops", int(logic_ops)),
-        ("cycles", int(cycles)),
+        ("link_flit_pj_bits", c.link_flit_pj.to_bits().into()),
+        ("dram_access_pj_bits", c.dram_access_pj.to_bits().into()),
+        ("logic_op_pj_bits", c.logic_op_pj.to_bits().into()),
+        ("idle_cycle_pj_bits", c.idle_cycle_pj.to_bits().into()),
+        ("clock_hz_bits", c.clock_hz.to_bits().into()),
+        ("link_flits", link_flits.into()),
+        ("dram_accesses", dram_accesses.into()),
+        ("logic_ops", logic_ops.into()),
+        ("cycles", cycles.into()),
     ])
 }
 
@@ -559,104 +420,74 @@ fn power_from_json(v: &Json) -> Result<PowerModel, JsonError> {
         idle_cycle_pj: f64::from_bits(r.u64("idle_cycle_pj_bits")?),
         clock_hz: f64::from_bits(r.u64("clock_hz_bits")?),
     };
-    let link_flits = r.u64("link_flits")?;
-    let dram_accesses = r.u64("dram_accesses")?;
-    let logic_ops = r.u64("logic_ops")?;
-    let cycles = r.u64("cycles")?;
+    let out = PowerModel::from_parts(
+        config,
+        r.u64("link_flits")?,
+        r.u64("dram_accesses")?,
+        r.u64("logic_ops")?,
+        r.u64("cycles")?,
+    );
     r.finish()?;
-    Ok(PowerModel::from_parts(config, link_flits, dram_accesses, logic_ops, cycles))
+    Ok(out)
 }
 
 fn mem_json(mem: &SparseMemory) -> Json {
-    let pages: Vec<Json> = mem
-        .export_pages()
-        .into_iter()
-        .map(|(id, bytes)| Json::Arr(vec![int(id), Json::Str(hex_encode(&bytes[..]))]))
-        .collect();
-    obj(vec![("capacity", int(mem.capacity())), ("pages", Json::Arr(pages))])
+    let mut pages = Vec::with_capacity(mem.resident_pages());
+    mem.for_each_page(|id, bytes| {
+        pages.push(Json::Arr(vec![id.into(), Json::Str(hex_encode(bytes))]));
+    });
+    obj(vec![("capacity", mem.capacity().into()), ("pages", Json::Arr(pages))])
 }
 
 fn mem_from_json(v: &Json) -> Result<SparseMemory, JsonError> {
     let mut r = ObjReader::new("mem", v)?;
-    let capacity = r.u64("capacity")?;
-    let pages = r
-        .required("pages")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "mem: pages must be an array".into() })?;
-    r.finish()?;
-    let mem = SparseMemory::new(capacity);
-    for page in pages {
-        let pair = page
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| JsonError { message: "mem: page entry must be [id, hex]".into() })?;
-        let id = pair[0]
-            .as_u64()
-            .ok_or_else(|| JsonError { message: "mem: page id must be a u64".into() })?;
-        let hex = pair[1]
-            .as_str()
-            .ok_or_else(|| JsonError { message: "mem: page bytes must be a hex string".into() })?;
-        let bytes = hex_decode(hex, "mem page")?;
-        let arr: &[u8; PAGE_BYTES] = bytes.as_slice().try_into().map_err(|_| JsonError {
-            message: format!("mem: page {id} holds {} bytes, expected {PAGE_BYTES}", bytes.len()),
-        })?;
-        mem.insert_page(id, arr)
-            .map_err(|e| JsonError { message: format!("mem: page {id} rejected: {e}") })?;
+    let mem = SparseMemory::new(r.u64("capacity")?);
+    let mut bytes = [0u8; PAGE_BYTES];
+    for page in r.arr("pages")? {
+        let [id, hex] = page.tuple("mem: page entry [id, hex]")?;
+        let id: u64 = id.int("mem: page id")?;
+        let hex =
+            hex.as_str().ok_or_else(|| JsonError::new("mem: page bytes must be a hex string"))?;
+        hex_decode(hex, &mut bytes, "mem page")?;
+        mem.insert_page(id, &bytes)
+            .map_err(|e| JsonError::new(format!("mem: page {id} rejected: {e}")))?;
     }
+    r.finish()?;
     Ok(mem)
 }
 
 fn regs_json(regs: &RegisterFile) -> Json {
-    let entries: Vec<Json> = regs
-        .ids()
-        .into_iter()
-        .map(|id| {
-            let value = regs.read(id).expect("id came from ids()");
-            Json::Arr(vec![Json::Int(id as i128), int(value)])
-        })
-        .collect();
-    Json::Arr(entries)
+    Json::list(regs.entries(), |(id, value)| Json::Arr(vec![id.into(), value.into()]))
 }
 
 fn regs_from_json(v: &Json) -> Result<RegisterFile, JsonError> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "regs: expected an array".into() })?;
-    let mut entries = Vec::with_capacity(arr.len());
-    for entry in arr {
-        let pair = entry
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| JsonError { message: "regs: entry must be [id, value]".into() })?;
-        let id = pair[0]
-            .as_u32()
-            .ok_or_else(|| JsonError { message: "regs: id must be a u32".into() })?;
-        let value = pair[1]
-            .as_u64()
-            .ok_or_else(|| JsonError { message: "regs: value must be a u64".into() })?;
-        entries.push((id, value));
-    }
+    let entries = v.vec("regs", |entry| {
+        let [id, value] = entry.tuple("regs: entry [id, value]")?;
+        Ok((id.int::<u32>("regs: id")?, value.int::<u64>("regs: value")?))
+    })?;
     Ok(RegisterFile::from_entries(entries))
 }
 
 fn bank_json(bank: &Bank) -> Json {
     let (busy_until, open_row) = bank.dynamic_state();
     obj(vec![
-        ("busy_until", int(busy_until)),
-        ("open_row", opt_u64_json(open_row)),
-        ("row_hits", int(bank.row_hits)),
-        ("row_misses", int(bank.row_misses)),
+        ("busy_until", busy_until.into()),
+        ("open_row", open_row.into()),
+        ("row_hits", bank.row_hits.into()),
+        ("row_misses", bank.row_misses.into()),
     ])
 }
 
 fn bank_from_json(v: &Json) -> Result<Bank, JsonError> {
     let mut r = ObjReader::new("bank", v)?;
-    let busy_until = r.u64("busy_until")?;
-    let open_row = read_opt_u64(&mut r, "open_row", "bank")?;
-    let row_hits = r.u64("row_hits")?;
-    let row_misses = r.u64("row_misses")?;
+    let out = Bank::from_parts(
+        r.u64("busy_until")?,
+        r.opt_u64("open_row")?,
+        r.u64("row_hits")?,
+        r.u64("row_misses")?,
+    );
     r.finish()?;
-    Ok(Bank::from_parts(busy_until, open_row, row_hits, row_misses))
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -665,73 +496,60 @@ fn bank_from_json(v: &Json) -> Result<Bank, JsonError> {
 
 fn link_json(l: &LinkControl) -> Json {
     let c = l.config();
-    let st = l.stats;
-    obj(vec![
-        ("tokens", opt_u32_json(c.tokens)),
-        ("error_period", opt_u64_json(c.error_period)),
-        ("retry_latency", int(c.retry_latency)),
-        ("tokens_available", Json::Int(l.tokens_available() as i128)),
-        ("packet_counter", int(l.packet_counter())),
-        ("seq", Json::Int(l.seq() as i128)),
-        ("packets_sent", int(st.packets_sent)),
-        ("flits_sent", int(st.flits_sent)),
-        ("token_stalls", int(st.token_stalls)),
-        ("retries", int(st.retries)),
-        ("crc_errors", int(st.crc_errors)),
-        ("token_overflows", int(st.token_overflows)),
-    ])
+    let mut fields = vec![
+        ("tokens".to_string(), c.tokens.into()),
+        ("error_period".to_string(), c.error_period.into()),
+        ("retry_latency".to_string(), c.retry_latency.into()),
+        ("tokens_available".to_string(), l.tokens_available().into()),
+        ("packet_counter".to_string(), l.packet_counter().into()),
+        ("seq".to_string(), l.seq().into()),
+    ];
+    fields.extend(l.stats.counters().map(|(name, v)| (name.to_string(), v.into())));
+    Json::Obj(fields)
 }
 
 fn link_from_json(v: &Json) -> Result<LinkControl, JsonError> {
-    const CTX: &str = "link";
-    let mut r = ObjReader::new(CTX, v)?;
+    let mut r = ObjReader::new("link", v)?;
     let config = LinkConfig {
-        tokens: read_opt_u32(&mut r, "tokens", CTX)?,
-        error_period: read_opt_u64(&mut r, "error_period", CTX)?,
+        tokens: r.opt_u32("tokens")?,
+        error_period: r.opt_u64("error_period")?,
         retry_latency: r.u64("retry_latency")?,
     };
-    let tokens_available = r.u32("tokens_available")?;
-    let packet_counter = r.u64("packet_counter")?;
-    let seq = read_u8(&mut r, "seq", CTX)?;
-    let stats = LinkStats {
-        packets_sent: r.u64("packets_sent")?,
-        flits_sent: r.u64("flits_sent")?,
-        token_stalls: r.u64("token_stalls")?,
-        retries: r.u64("retries")?,
-        crc_errors: r.u64("crc_errors")?,
-        token_overflows: r.u64("token_overflows")?,
-    };
+    let (tokens_available, packet_counter, seq) =
+        (r.u32("tokens_available")?, r.u64("packet_counter")?, r.u8("seq")?);
+    let mut stats = LinkStats::default();
+    for (name, slot) in stats.counters_mut() {
+        *slot = r.u64(name)?;
+    }
     r.finish()?;
     Ok(LinkControl::from_parts(config, tokens_available, packet_counter, seq, stats))
 }
 
 fn tag_pool_json(p: &TagPool) -> Json {
     obj(vec![
-        ("capacity", Json::Int(p.capacity() as i128)),
-        ("free", Json::Arr(p.free_tags().map(|t| Json::Int(t.value() as i128)).collect())),
+        ("capacity", p.capacity().into()),
+        ("free", Json::list(p.free_tags(), |t| t.value().into())),
     ])
 }
 
 fn tag_pool_from_json(v: &Json) -> Result<TagPool, JsonError> {
     let mut r = ObjReader::new("tag_pool", v)?;
     let capacity = r.u32("capacity")?;
-    let raw = r
-        .required("free")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "tag_pool: free must be an array".into() })?;
+    let free = r.vec("free", |t| tag_from(t.int("tag_pool: free entry")?, "tag_pool: bad tag"))?;
     r.finish()?;
-    let mut free = Vec::with_capacity(raw.len());
-    for t in raw {
-        let value = t
-            .as_u32()
-            .ok_or_else(|| JsonError { message: "tag_pool: free entries must be u32".into() })?;
-        free.push(
-            Tag::new(value)
-                .map_err(|e| JsonError { message: format!("tag_pool: bad tag: {e}") })?,
-        );
+    TagPool::from_free_list(capacity, free).map_err(bad("tag_pool"))
+}
+
+fn tag_set_json(set: &TagSet) -> Json {
+    Json::list(set.iter(), |t| t.value().into())
+}
+
+fn tag_set_from_json(v: &Json) -> Result<TagSet, JsonError> {
+    let mut out = TagSet::new();
+    for t in v.arr("pool_tags")? {
+        out.insert(tag_from(t.int("pool_tags: entry")?, "pool_tags: entries must be 11-bit tags")?);
     }
-    TagPool::from_free_list(capacity, free)
-        .map_err(|e| JsonError { message: format!("tag_pool: {e}") })
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -739,184 +557,145 @@ fn tag_pool_from_json(v: &Json) -> Result<TagPool, JsonError> {
 // ---------------------------------------------------------------------------
 
 fn transit_json(t: &Transit) -> Json {
-    match t {
-        Transit::Rqst { from_dev, to_dev, link, item, ready } => obj(vec![
-            ("kind", Json::Str("rqst".into())),
-            ("from_dev", int_usize(*from_dev)),
-            ("to_dev", int_usize(*to_dev)),
-            ("link", int_usize(*link)),
-            ("ready", int(*ready)),
-            ("item", tracked_request_json(item)),
-        ]),
-        Transit::Rsp { from_dev, to_dev, link, item, ready } => obj(vec![
-            ("kind", Json::Str("rsp".into())),
-            ("from_dev", int_usize(*from_dev)),
-            ("to_dev", int_usize(*to_dev)),
-            ("link", int_usize(*link)),
-            ("ready", int(*ready)),
-            ("item", tracked_response_json(item)),
-        ]),
-    }
+    let (kind, from_dev, to_dev, link, ready, item) = match t {
+        Transit::Rqst { from_dev, to_dev, link, item, ready } => {
+            ("rqst", from_dev, to_dev, link, ready, tracked_request_json(item))
+        }
+        Transit::Rsp { from_dev, to_dev, link, item, ready } => {
+            ("rsp", from_dev, to_dev, link, ready, tracked_response_json(item))
+        }
+    };
+    obj(vec![
+        ("kind", kind.into()),
+        ("from_dev", (*from_dev).into()),
+        ("to_dev", (*to_dev).into()),
+        ("link", (*link).into()),
+        ("ready", (*ready).into()),
+        ("item", item),
+    ])
 }
 
 fn transit_from_json(v: &Json) -> Result<Transit, JsonError> {
     let mut r = ObjReader::new("transit", v)?;
-    let kind = r.str("kind")?.to_string();
+    let kind = r.str("kind")?;
     let to_dev = r.usize("to_dev")?;
     // Pre-fabric snapshots carry no sender; restore() re-derives the
     // edge deterministically when the field is absent.
     let from_dev = match r.optional("from_dev") {
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| JsonError { message: "transit: field `from_dev` must be a usize".into() })?,
+        Some(v) => v.int("transit: field `from_dev`")?,
         None => usize::MAX,
     };
-    let link = r.usize("link")?;
-    let ready = r.u64("ready")?;
-    let item = r.required("item")?;
-    let out = match kind.as_str() {
+    let (link, ready, item) = (r.usize("link")?, r.u64("ready")?, r.required("item")?);
+    r.finish()?;
+    Ok(match kind {
         "rqst" => {
             Transit::Rqst { from_dev, to_dev, link, item: tracked_request_from_json(item)?, ready }
         }
         "rsp" => {
             Transit::Rsp { from_dev, to_dev, link, item: tracked_response_from_json(item)?, ready }
         }
-        other => return jerr(format!("transit: unknown kind `{other}`")),
-    };
-    r.finish()?;
-    Ok(out)
+        other => return Err(JsonError::new(format!("transit: unknown kind `{other}`"))),
+    })
 }
 
 fn retry_json(e: &RetryEntry) -> Json {
     obj(vec![
-        ("dev", int_usize(e.dev)),
-        ("link", int_usize(e.link)),
-        ("ready", int(e.ready)),
+        ("dev", e.dev.into()),
+        ("link", e.link.into()),
+        ("ready", e.ready.into()),
         ("item", tracked_request_json(&e.item)),
     ])
 }
 
 fn retry_from_json(v: &Json) -> Result<RetryEntry, JsonError> {
     let mut r = ObjReader::new("retry_entry", v)?;
-    let dev = r.usize("dev")?;
-    let link = r.usize("link")?;
-    let ready = r.u64("ready")?;
-    let item = tracked_request_from_json(r.required("item")?)?;
+    let out = RetryEntry {
+        dev: r.usize("dev")?,
+        link: r.usize("link")?,
+        ready: r.u64("ready")?,
+        item: tracked_request_from_json(r.required("item")?)?,
+    };
     r.finish()?;
-    Ok(RetryEntry { dev, link, item, ready })
+    Ok(out)
+}
+
+/// A set of `(link, tag)` pairs as a sorted array of `[link, tag]`.
+fn zombies_json(set: &std::collections::HashSet<(usize, u16)>) -> Json {
+    let mut pairs: Vec<(usize, u16)> = set.iter().copied().collect();
+    pairs.sort_unstable();
+    Json::list(pairs, |(link, tag)| Json::Arr(vec![link.into(), tag.into()]))
+}
+
+fn zombies_from_json(v: &Json) -> Result<std::collections::HashSet<(usize, u16)>, JsonError> {
+    let pairs = v.vec("zombie_tags", |entry| {
+        let [link, tag] = entry.tuple("zombie_tags: entry [link, tag]")?;
+        Ok((link.int("zombie_tags: link")?, tag.int("zombie_tags: tag")?))
+    })?;
+    Ok(pairs.into_iter().collect())
+}
+
+/// One [`Violation`] as `{cycle, kind, detail}` (shadow `pending`
+/// entries and a forensic dump's `violations`).
+pub(crate) fn violation_json(v: &Violation) -> Json {
+    obj(vec![
+        ("cycle", v.cycle.into()),
+        ("kind", v.kind.name().into()),
+        ("detail", v.detail.as_str().into()),
+    ])
+}
+
+fn violation_from_json(v: &Json) -> Result<Violation, JsonError> {
+    let mut r = ObjReader::new("violation", v)?;
+    let out = Violation {
+        cycle: r.u64("cycle")?,
+        kind: r.named("kind", &ViolationKind::NAMES)?,
+        detail: r.str("detail")?.to_string(),
+    };
+    r.finish()?;
+    Ok(out)
 }
 
 fn shadow_json(s: &SanitizerShadow) -> Json {
     let mut live: Vec<(usize, usize, u16)> = s.live_tags.iter().copied().collect();
     live.sort_unstable();
     obj(vec![
-        ("injected", int(s.injected)),
-        ("delivered", int(s.delivered)),
-        ("absorbed", int(s.absorbed)),
-        ("zombie_dropped", int(s.zombie_dropped)),
-        (
-            "live_tags",
-            Json::Arr(
-                live.into_iter()
-                    .map(|(d, l, t)| {
-                        Json::Arr(vec![int_usize(d), int_usize(l), Json::Int(t as i128)])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "seen_token_overflows",
-            Json::Arr(
-                s.seen_token_overflows
-                    .iter()
-                    .map(|dev| u64_list(dev.iter().copied()))
-                    .collect(),
-            ),
-        ),
-        (
-            "pending",
-            Json::Arr(
-                s.pending
-                    .iter()
-                    .map(|v| {
-                        obj(vec![
-                            ("cycle", int(v.cycle)),
-                            ("kind", Json::Str(v.kind.name().to_string())),
-                            ("detail", Json::Str(v.detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("injected", s.injected.into()),
+        ("delivered", s.delivered.into()),
+        ("absorbed", s.absorbed.into()),
+        ("zombie_dropped", s.zombie_dropped.into()),
+        ("live_tags", Json::list(live, |(d, l, t)| Json::Arr(vec![d.into(), l.into(), t.into()]))),
+        ("seen_token_overflows", nested_json(&s.seen_token_overflows, |&n| n.into())),
+        ("pending", Json::list(&s.pending, violation_json)),
     ])
 }
 
 fn shadow_from_json(v: &Json) -> Result<SanitizerShadow, JsonError> {
     let mut r = ObjReader::new("shadow", v)?;
-    let injected = r.u64("injected")?;
-    let delivered = r.u64("delivered")?;
-    let absorbed = r.u64("absorbed")?;
-    let zombie_dropped = r.u64("zombie_dropped")?;
-    let mut live_tags = HashSet::new();
-    for entry in r
-        .required("live_tags")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "shadow: live_tags must be an array".into() })?
-    {
-        let triple = entry
-            .as_arr()
-            .filter(|t| t.len() == 3)
-            .ok_or_else(|| JsonError {
-                message: "shadow: live_tags entry must be [dev, link, tag]".into(),
-            })?;
-        let dev = triple[0]
-            .as_usize()
-            .ok_or_else(|| JsonError { message: "shadow: live tag dev must be usize".into() })?;
-        let link = triple[1]
-            .as_usize()
-            .ok_or_else(|| JsonError { message: "shadow: live tag link must be usize".into() })?;
-        let tag = triple[2]
-            .as_u32()
-            .and_then(|t| u16::try_from(t).ok())
-            .ok_or_else(|| JsonError { message: "shadow: live tag value must be u16".into() })?;
-        live_tags.insert((dev, link, tag));
-    }
-    let mut seen_token_overflows = Vec::new();
-    for dev in r
-        .required("seen_token_overflows")?
-        .as_arr()
-        .ok_or_else(|| JsonError {
-            message: "shadow: seen_token_overflows must be an array".into(),
-        })?
-    {
-        seen_token_overflows.push(read_u64_list(dev, "shadow seen_token_overflows")?);
-    }
-    let mut pending = Vec::new();
-    for entry in r
-        .required("pending")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "shadow: pending must be an array".into() })?
-    {
-        let mut vr = ObjReader::new("violation", entry)?;
-        let cycle = vr.u64("cycle")?;
-        let kind_name = vr.str("kind")?;
-        let kind = ViolationKind::from_name(kind_name).ok_or_else(|| JsonError {
-            message: format!("violation: unknown kind `{kind_name}`"),
-        })?;
-        let detail = vr.str("detail")?.to_string();
-        vr.finish()?;
-        pending.push(Violation { cycle, kind, detail });
-    }
+    let out = SanitizerShadow {
+        injected: r.u64("injected")?,
+        delivered: r.u64("delivered")?,
+        absorbed: r.u64("absorbed")?,
+        zombie_dropped: r.u64("zombie_dropped")?,
+        live_tags: r
+            .vec("live_tags", |entry| {
+                let [dev, link, tag] = entry.tuple("shadow: live_tags entry [dev, link, tag]")?;
+                Ok((
+                    dev.int("shadow: live tag dev")?,
+                    link.int("shadow: live tag link")?,
+                    tag.int("shadow: live tag value")?,
+                ))
+            })?
+            .into_iter()
+            .collect(),
+        seen_token_overflows: nested_from_json(
+            r.required("seen_token_overflows")?,
+            "shadow: seen_token_overflows",
+            |n| n.int("shadow: seen_token_overflows entry"),
+        )?,
+        pending: r.vec("pending", violation_from_json)?,
+    };
     r.finish()?;
-    Ok(SanitizerShadow {
-        injected,
-        delivered,
-        absorbed,
-        zombie_dropped,
-        live_tags,
-        seen_token_overflows,
-        pending,
-    })
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -938,173 +717,132 @@ fn trace_record_json(t: &TraceRecord) -> Json {
         CmdRef::Name(idx) => (3, idx as u64),
         CmdRef::Inactive(code) => (4, code as u64),
     };
-    Json::Arr(vec![
-        int(t.cycle),
-        int(t.kind.code() as u64),
-        int(t.dev as u64),
-        int(t.link as u64),
-        int(t.quad as u64),
-        int(t.vault as u64),
-        int(t.bank as u64),
-        int(t.tag as u64),
-        int(cmd_kind),
-        int(cmd_value),
-        int(t.a),
-        int(t.b),
-    ])
+    let words = [
+        t.cycle,
+        t.kind.code() as u64,
+        t.dev as u64,
+        t.link as u64,
+        t.quad as u64,
+        t.vault as u64,
+        t.bank as u64,
+        t.tag as u64,
+        cmd_kind,
+        cmd_value,
+        t.a,
+        t.b,
+    ];
+    Json::list(words, Json::from)
 }
 
 fn trace_record_from_json(v: &Json) -> Result<TraceRecord, JsonError> {
     const CTX: &str = "flight record";
-    let arr = v
-        .as_arr()
-        .filter(|a| a.len() == 12)
-        .ok_or_else(|| JsonError { message: format!("{CTX}: expected a 12-element array") })?;
-    let word = |i: usize| -> Result<u64, JsonError> {
-        arr[i]
-            .as_u64()
-            .ok_or_else(|| JsonError { message: format!("{CTX}: element {i} must be a u64") })
-    };
-    let narrow = |i: usize, max: u64| -> Result<u64, JsonError> {
-        let v = word(i)?;
-        if v > max {
-            return Err(JsonError { message: format!("{CTX}: element {i} out of range") });
-        }
-        Ok(v)
-    };
-    let kind = TraceKind::from_code(narrow(1, u8::MAX as u64)? as u8)
-        .ok_or_else(|| JsonError { message: format!("{CTX}: unknown kind code") })?;
-    let cmd_value = word(9)?;
-    let cmd = match word(8)? {
+    fn narrow<T: TryFrom<u64>>(word: u64, i: usize) -> Result<T, JsonError> {
+        T::try_from(word).map_err(|_| JsonError::new(format!("{CTX}: element {i} out of range")))
+    }
+    let mut w = [0u64; 12];
+    for (slot, item) in w.iter_mut().zip(v.tuple::<12>(CTX)?) {
+        *slot = item.int(CTX)?;
+    }
+    let kind = TraceKind::from_code(narrow(w[1], 1)?)
+        .ok_or_else(|| JsonError::new(format!("{CTX}: unknown kind code")))?;
+    let cmd = match w[8] {
         0 => CmdRef::None,
         1 => CmdRef::Rqst(
-            HmcRqst::from_code(u8::try_from(cmd_value).map_err(|_| JsonError {
-                message: format!("{CTX}: command code out of range"),
-            })?)
-            .map_err(|e| JsonError { message: format!("{CTX}: bad command code: {e}") })?,
+            HmcRqst::from_code(narrow(w[9], 9)?).map_err(bad("flight record: bad command code"))?,
         ),
-        2 => CmdRef::Rqst(HmcRqst::Cmc(u8::try_from(cmd_value).map_err(|_| JsonError {
-            message: format!("{CTX}: cmc code out of range"),
-        })?)),
-        3 => CmdRef::Name(u16::try_from(cmd_value).map_err(|_| JsonError {
-            message: format!("{CTX}: name index out of range"),
-        })?),
-        4 => CmdRef::Inactive(u8::try_from(cmd_value).map_err(|_| JsonError {
-            message: format!("{CTX}: inactive code out of range"),
-        })?),
-        k => return Err(JsonError { message: format!("{CTX}: unknown cmd kind {k}") }),
+        2 => CmdRef::Rqst(HmcRqst::Cmc(narrow(w[9], 9)?)),
+        3 => CmdRef::Name(narrow(w[9], 9)?),
+        4 => CmdRef::Inactive(narrow(w[9], 9)?),
+        k => return Err(JsonError::new(format!("{CTX}: unknown cmd kind {k}"))),
     };
     Ok(TraceRecord {
-        cycle: word(0)?,
+        cycle: w[0],
         kind,
-        dev: narrow(2, u16::MAX as u64)? as u16,
-        link: narrow(3, u8::MAX as u64)? as u8,
-        quad: narrow(4, u8::MAX as u64)? as u8,
-        vault: narrow(5, u16::MAX as u64)? as u16,
-        bank: narrow(6, u16::MAX as u64)? as u16,
-        tag: narrow(7, u16::MAX as u64)? as u16,
+        dev: narrow(w[2], 2)?,
+        link: narrow(w[3], 3)?,
+        quad: narrow(w[4], 4)?,
+        vault: narrow(w[5], 5)?,
+        bank: narrow(w[6], 6)?,
+        tag: narrow(w[7], 7)?,
         cmd,
-        a: word(10)?,
-        b: word(11)?,
+        a: w[10],
+        b: w[11],
     })
 }
 
 fn flight_json(f: &FlightSnapshot) -> Json {
     obj(vec![
-        ("capacity", int_usize(f.capacity)),
-        ("names", Json::Arr(f.names.iter().map(|n| Json::Str(n.clone())).collect())),
+        ("capacity", f.capacity.into()),
+        ("names", Json::list(&f.names, |n| n.as_str().into())),
         (
             "lanes",
-            Json::Arr(
-                f.lanes
-                    .iter()
-                    .map(|l| {
-                        obj(vec![
-                            ("name", Json::Str(l.name.clone())),
-                            ("dropped", int(l.dropped)),
-                            (
-                                "records",
-                                Json::Arr(l.records.iter().map(trace_record_json).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::list(&f.lanes, |l| {
+                obj(vec![
+                    ("name", l.name.as_str().into()),
+                    ("dropped", l.dropped.into()),
+                    ("records", Json::list(&l.records, trace_record_json)),
+                ])
+            }),
         ),
     ])
 }
 
 fn flight_from_json(v: &Json) -> Result<FlightSnapshot, JsonError> {
     let mut r = ObjReader::new("flight", v)?;
-    let capacity = r.usize("capacity")?;
-    let mut names = Vec::new();
-    for n in r
-        .required("names")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "flight: names must be an array".into() })?
-    {
-        names.push(
-            n.as_str()
-                .ok_or_else(|| JsonError { message: "flight: name must be a string".into() })?
-                .to_string(),
-        );
-    }
-    let mut lanes = Vec::new();
-    for lane in r
-        .required("lanes")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "flight: lanes must be an array".into() })?
-    {
-        let mut lr = ObjReader::new("flight lane", lane)?;
-        let name = lr.str("name")?.to_string();
-        let dropped = lr.u64("dropped")?;
-        let mut records = Vec::new();
-        for rec in lr
-            .required("records")?
-            .as_arr()
-            .ok_or_else(|| JsonError { message: "flight lane: records must be an array".into() })?
-        {
-            records.push(trace_record_from_json(rec)?);
-        }
-        lr.finish()?;
-        lanes.push(FlightLaneSnapshot { name, records, dropped });
-    }
+    let out = FlightSnapshot {
+        capacity: r.usize("capacity")?,
+        names: r.vec("names", |n| {
+            let name = n.as_str().ok_or_else(|| JsonError::new("flight: name must be a string"))?;
+            Ok(name.to_string())
+        })?,
+        lanes: r.vec("lanes", |lane| {
+            let mut lr = ObjReader::new("flight lane", lane)?;
+            let out = FlightLaneSnapshot {
+                name: lr.str("name")?.to_string(),
+                dropped: lr.u64("dropped")?,
+                records: lr.vec("records", trace_record_from_json)?,
+            };
+            lr.finish()?;
+            Ok(out)
+        })?,
+    };
     r.finish()?;
-    Ok(FlightSnapshot { capacity, lanes, names })
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
 // Timing backend
 // ---------------------------------------------------------------------------
 
-fn timing_json(t: &crate::timing::TimingSnapshot) -> Json {
+fn timing_json(t: &TimingSnapshot) -> Json {
     obj(vec![
-        ("select", Json::Str(t.select.name().to_string())),
+        ("select", t.select.name().into()),
         ("hit_latency", hist_json(&t.stats.hit_latency)),
         ("miss_latency", hist_json(&t.stats.miss_latency)),
         ("divergence", hist_json(&t.stats.divergence)),
-        ("shadow_late", int(t.stats.shadow_late)),
-        ("shadow_early", int(t.stats.shadow_early)),
-        ("shadow_agree", int(t.stats.shadow_agree)),
-        ("shadow", Json::Arr(t.shadow.iter().map(bank_json).collect())),
+        ("shadow_late", t.stats.shadow_late.into()),
+        ("shadow_early", t.stats.shadow_early.into()),
+        ("shadow_agree", t.stats.shadow_agree.into()),
+        ("shadow", Json::list(&t.shadow, bank_json)),
     ])
 }
 
-fn timing_from_json(v: &Json) -> Result<crate::timing::TimingSnapshot, JsonError> {
+fn timing_from_json(v: &Json) -> Result<TimingSnapshot, JsonError> {
     let mut r = ObjReader::new("timing", v)?;
-    let select = crate::timing::TimingSelect::from_name(r.str("select")?)
-        .map_err(|e| JsonError { message: format!("timing: {e}") })?;
-    let stats = crate::timing::TimingStats {
-        hit_latency: hist_from_json(r.required("hit_latency")?)?,
-        miss_latency: hist_from_json(r.required("miss_latency")?)?,
-        divergence: hist_from_json(r.required("divergence")?)?,
-        shadow_late: r.u64("shadow_late")?,
-        shadow_early: r.u64("shadow_early")?,
-        shadow_agree: r.u64("shadow_agree")?,
+    let out = TimingSnapshot {
+        select: TimingSelect::from_name(r.str("select")?).map_err(bad("timing"))?,
+        stats: TimingStats {
+            hit_latency: hist_from_json(r.required("hit_latency")?)?,
+            miss_latency: hist_from_json(r.required("miss_latency")?)?,
+            divergence: hist_from_json(r.required("divergence")?)?,
+            shadow_late: r.u64("shadow_late")?,
+            shadow_early: r.u64("shadow_early")?,
+            shadow_agree: r.u64("shadow_agree")?,
+        },
+        shadow: r.vec("shadow", bank_from_json)?,
     };
-    let shadow = json_vec(r.required("shadow")?, "timing shadow", bank_from_json)?;
     r.finish()?;
-    Ok(crate::timing::TimingSnapshot { select, stats, shadow })
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1112,212 +850,85 @@ fn timing_from_json(v: &Json) -> Result<crate::timing::TimingSnapshot, JsonError
 // ---------------------------------------------------------------------------
 
 fn device_json(d: &DeviceSnapshot) -> Json {
+    let vault = |v: &Vault| {
+        obj(vec![
+            ("rqst", queue_json(&v.rqst, tracked_request_json)),
+            ("rsp", queue_json(&v.rsp, tracked_response_json)),
+            ("banks", Json::list(&v.banks, bank_json)),
+        ])
+    };
     obj(vec![
-        (
-            "xbar_rqst",
-            Json::Arr(d.xbar_rqst.iter().map(|q| queue_json(q, tracked_request_json)).collect()),
-        ),
-        (
-            "xbar_rsp",
-            Json::Arr(d.xbar_rsp.iter().map(|q| queue_json(q, tracked_response_json)).collect()),
-        ),
-        (
-            "vaults",
-            Json::Arr(
-                d.vaults
-                    .iter()
-                    .map(|v| {
-                        obj(vec![
-                            ("rqst", queue_json(&v.rqst, tracked_request_json)),
-                            ("rsp", queue_json(&v.rsp, tracked_response_json)),
-                            ("banks", Json::Arr(v.banks.iter().map(bank_json).collect())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("xbar_rqst", Json::list(&d.xbar_rqst, |q| queue_json(q, tracked_request_json))),
+        ("xbar_rsp", Json::list(&d.xbar_rsp, |q| queue_json(q, tracked_response_json))),
+        ("vaults", Json::list(&d.vaults, vault)),
         ("mem", mem_json(&d.mem)),
         ("regs", regs_json(&d.regs)),
         ("stats", stats_json(&d.stats)),
         ("power", power_json(&d.power)),
-        ("fault_rng", int(d.fault_rng.raw_state())),
-        ("link_up", Json::Arr(d.link_up.iter().map(|&b| Json::Bool(b)).collect())),
-        ("fault_idx", int_usize(d.fault_idx)),
+        ("fault_rng", d.fault_rng.raw_state().into()),
+        ("link_up", Json::list(&d.link_up, |&up| up.into())),
+        ("fault_idx", d.fault_idx.into()),
         ("timing", timing_json(&d.timing)),
     ])
 }
 
 fn device_from_json(v: &Json) -> Result<DeviceSnapshot, JsonError> {
     let mut r = ObjReader::new("device", v)?;
-    let xbar_rqst = json_vec(r.required("xbar_rqst")?, "device xbar_rqst", |q| {
-        queue_from_json(q, "xbar_rqst", tracked_request_from_json)
-    })?;
-    let xbar_rsp = json_vec(r.required("xbar_rsp")?, "device xbar_rsp", |q| {
-        queue_from_json(q, "xbar_rsp", tracked_response_from_json)
-    })?;
-    let vaults = json_vec(r.required("vaults")?, "device vaults", |v| {
-        let mut vr = ObjReader::new("vault", v)?;
-        let rqst = queue_from_json(vr.required("rqst")?, "vault rqst", tracked_request_from_json)?;
-        let rsp = queue_from_json(vr.required("rsp")?, "vault rsp", tracked_response_from_json)?;
-        let banks = json_vec(vr.required("banks")?, "vault banks", bank_from_json)?;
-        vr.finish()?;
-        Ok(Vault { rqst, rsp, banks })
-    })?;
-    let mem = mem_from_json(r.required("mem")?)?;
-    let regs = regs_from_json(r.required("regs")?)?;
-    let stats = stats_from_json(r.required("stats")?)?;
-    let power = power_from_json(r.required("power")?)?;
-    let fault_rng = FaultRng::from_raw_state(r.u64("fault_rng")?);
-    let link_up = r
-        .required("link_up")?
-        .as_arr()
-        .ok_or_else(|| JsonError { message: "device: link_up must be an array".into() })?
-        .iter()
-        .map(|b| {
-            b.as_bool()
-                .ok_or_else(|| JsonError { message: "device: link_up entries must be bools".into() })
-        })
-        .collect::<Result<Vec<bool>, _>>()?;
-    let fault_idx = r.usize("fault_idx")?;
-    // Legacy snapshots (schema ≤ the pre-timing-backend era) carry no
-    // "timing" field: default to a fresh FixedLatency record, matching
-    // the behaviour those snapshots were produced under.
-    let timing = match r.optional("timing") {
-        Some(v) => timing_from_json(v)?,
-        None => crate::timing::TimingSnapshot::default(),
+    let out = DeviceSnapshot {
+        xbar_rqst: r
+            .vec("xbar_rqst", |q| queue_from_json(q, "xbar_rqst", tracked_request_from_json))?,
+        xbar_rsp: r
+            .vec("xbar_rsp", |q| queue_from_json(q, "xbar_rsp", tracked_response_from_json))?,
+        vaults: r.vec("vaults", |v| {
+            let mut vr = ObjReader::new("vault", v)?;
+            let out = Vault {
+                rqst: queue_from_json(
+                    vr.required("rqst")?,
+                    "vault rqst",
+                    tracked_request_from_json,
+                )?,
+                rsp: queue_from_json(vr.required("rsp")?, "vault rsp", tracked_response_from_json)?,
+                banks: vr.vec("banks", bank_from_json)?,
+            };
+            vr.finish()?;
+            Ok(out)
+        })?,
+        mem: mem_from_json(r.required("mem")?)?,
+        regs: regs_from_json(r.required("regs")?)?,
+        stats: stats_from_json(r.required("stats")?)?,
+        power: power_from_json(r.required("power")?)?,
+        fault_rng: FaultRng::from_raw_state(r.u64("fault_rng")?),
+        link_up: r.vec("link_up", |b| {
+            b.as_bool().ok_or_else(|| JsonError::new("device: link_up entries must be bools"))
+        })?,
+        fault_idx: r.usize("fault_idx")?,
+        // Legacy snapshots (schema ≤ the pre-timing-backend era) carry no
+        // "timing" field: default to a fresh FixedLatency record, matching
+        // the behaviour those snapshots were produced under.
+        timing: r.optional("timing").map(timing_from_json).transpose()?.unwrap_or_default(),
     };
     r.finish()?;
-    Ok(DeviceSnapshot {
-        xbar_rqst,
-        xbar_rsp,
-        vaults,
-        mem,
-        regs,
-        stats,
-        power,
-        fault_rng,
-        link_up,
-        fault_idx,
-        timing,
-    })
-}
-
-fn json_vec<T>(
-    v: &Json,
-    ctx: &str,
-    item: impl Fn(&Json) -> Result<T, JsonError>,
-) -> Result<Vec<T>, JsonError> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| JsonError { message: format!("{ctx}: expected an array") })?;
-    arr.iter().map(&item).collect()
+    Ok(out)
 }
 
 impl SimSnapshot {
     /// Serializes the snapshot into a lossless, versioned [`Json`]
-    /// value (the durable form; contrast [`SimSnapshot::to_json`],
-    /// the bounded forensic view).
+    /// value.
     pub fn to_json_value(&self) -> Json {
+        let host_queue = |q: &VecDeque<RspEnvelope>| Json::list(q, |r| tracked_response_json(r));
         obj(vec![
-            ("schema_version", int(SNAPSHOT_SCHEMA_VERSION)),
-            ("cycle", int(self.cycle)),
-            ("devices", Json::Arr(self.devices.iter().map(device_json).collect())),
-            (
-                "host_rx",
-                Json::Arr(
-                    self.host_rx
-                        .iter()
-                        .map(|dev| {
-                            Json::Arr(
-                                dev.iter()
-                                    .map(|q| {
-                                        Json::Arr(
-                                            q.iter().map(|r| tracked_response_json(r)).collect(),
-                                        )
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "tag_pools",
-                Json::Arr(
-                    self.tag_pools
-                        .iter()
-                        .map(|dev| Json::Arr(dev.iter().map(tag_pool_json).collect()))
-                        .collect(),
-                ),
-            ),
-            (
-                "pool_tags",
-                Json::Arr(
-                    self.pool_tags
-                        .iter()
-                        .map(|dev| {
-                            Json::Arr(
-                                dev.iter()
-                                    .map(|set| {
-                                        Json::Arr(
-                                            set.iter()
-                                                .map(|t| Json::Int(t.value() as i128))
-                                                .collect(),
-                                        )
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            ("in_transit", Json::Arr(self.in_transit.iter().map(transit_json).collect())),
-            (
-                "links",
-                Json::Arr(
-                    self.links
-                        .iter()
-                        .map(|dev| Json::Arr(dev.iter().map(link_json).collect()))
-                        .collect(),
-                ),
-            ),
-            (
-                "retry_pending",
-                Json::Arr(self.retry_pending.iter().map(retry_json).collect()),
-            ),
-            (
-                "zombie_tags",
-                Json::Arr(
-                    self.zombie_tags
-                        .iter()
-                        .map(|set| {
-                            let mut v: Vec<(usize, u16)> = set.iter().copied().collect();
-                            v.sort_unstable();
-                            Json::Arr(
-                                v.into_iter()
-                                    .map(|(l, t)| {
-                                        Json::Arr(vec![int_usize(l), Json::Int(t as i128)])
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "shadow",
-                match &self.shadow {
-                    Some(s) => shadow_json(s),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "flight",
-                match &self.flight {
-                    Some(f) => flight_json(f),
-                    None => Json::Null,
-                },
-            ),
+            ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
+            ("cycle", self.cycle.into()),
+            ("devices", Json::list(&self.devices, device_json)),
+            ("host_rx", nested_json(&self.host_rx, host_queue)),
+            ("tag_pools", nested_json(&self.tag_pools, tag_pool_json)),
+            ("pool_tags", nested_json(&self.pool_tags, tag_set_json)),
+            ("in_transit", Json::list(&self.in_transit, transit_json)),
+            ("links", nested_json(&self.links, link_json)),
+            ("retry_pending", Json::list(&self.retry_pending, retry_json)),
+            ("zombie_tags", Json::list(&self.zombie_tags, zombies_json)),
+            ("shadow", self.shadow.as_ref().map(shadow_json).into()),
+            ("flight", self.flight.as_ref().map(flight_json).into()),
         ])
     }
 
@@ -1333,88 +944,47 @@ impl SimSnapshot {
         let mut r = ObjReader::new("snapshot", v)?;
         let version = r.u64("schema_version")?;
         if version != SNAPSHOT_SCHEMA_VERSION {
-            return jerr(format!(
+            return Err(JsonError::new(format!(
                 "snapshot: unsupported schema version {version} (expected \
                  {SNAPSHOT_SCHEMA_VERSION})"
-            ));
+            )));
         }
-        let cycle = r.u64("cycle")?;
-        let devices = json_vec(r.required("devices")?, "snapshot devices", device_from_json)?;
-        let host_rx = json_vec(r.required("host_rx")?, "snapshot host_rx", |dev| {
-            json_vec(dev, "host_rx device", |q| {
-                Ok(json_vec(q, "host_rx queue", tracked_response_from_json)?
-                    .into_iter()
-                    .collect::<VecDeque<_>>())
-            })
-        })?;
-        let tag_pools = json_vec(r.required("tag_pools")?, "snapshot tag_pools", |dev| {
-            json_vec(dev, "tag_pools device", tag_pool_from_json)
-        })?;
-        let pool_tags = json_vec(r.required("pool_tags")?, "snapshot pool_tags", |dev| {
-            json_vec(dev, "pool_tags device", |set| {
-                let mut out = TagSet::new();
-                for t in set
-                    .as_arr()
-                    .ok_or_else(|| JsonError { message: "pool_tags: expected an array".into() })?
-                {
-                    let tag = t.as_u32().and_then(|v| Tag::new(v).ok()).ok_or_else(|| {
-                        JsonError { message: "pool_tags: entries must be 11-bit tags".into() }
-                    })?;
-                    out.insert(tag);
-                }
-                Ok(out)
-            })
-        })?;
-        let in_transit =
-            json_vec(r.required("in_transit")?, "snapshot in_transit", transit_from_json)?;
-        let links = json_vec(r.required("links")?, "snapshot links", |dev| {
-            json_vec(dev, "links device", link_from_json)
-        })?;
-        let retry_pending =
-            json_vec(r.required("retry_pending")?, "snapshot retry_pending", retry_from_json)?;
-        let zombie_tags = json_vec(r.required("zombie_tags")?, "snapshot zombie_tags", |set| {
-            let mut out = HashSet::new();
-            for entry in set
-                .as_arr()
-                .ok_or_else(|| JsonError { message: "zombie_tags: expected an array".into() })?
-            {
-                let pair = entry.as_arr().filter(|p| p.len() == 2).ok_or_else(|| JsonError {
-                    message: "zombie_tags: entry must be [link, tag]".into(),
-                })?;
-                let link = pair[0].as_usize().ok_or_else(|| JsonError {
-                    message: "zombie_tags: link must be usize".into(),
-                })?;
-                let tag = pair[1].as_u32().and_then(|v| u16::try_from(v).ok()).ok_or_else(
-                    || JsonError { message: "zombie_tags: tag must be u16".into() },
-                )?;
-                out.insert((link, tag));
-            }
-            Ok(out)
-        })?;
-        let shadow = match r.required("shadow")? {
-            Json::Null => None,
-            v => Some(shadow_from_json(v)?),
+        let host_queue = |q: &Json| -> Result<VecDeque<RspEnvelope>, JsonError> {
+            Ok(q.vec("host_rx queue", tracked_response_from_json)?.into())
         };
-        // Optional for compatibility: schema-v1 snapshots written
-        // before the flight recorder existed have no `flight` key.
-        let flight = match r.optional("flight") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(flight_from_json(v)?),
+        let non_null = |v: &'_ Json| !matches!(v, Json::Null);
+        let out = SimSnapshot {
+            cycle: r.u64("cycle")?,
+            devices: r.vec("devices", device_from_json)?,
+            host_rx: nested_from_json(r.required("host_rx")?, "snapshot host_rx", host_queue)?,
+            tag_pools: nested_from_json(
+                r.required("tag_pools")?,
+                "snapshot tag_pools",
+                tag_pool_from_json,
+            )?,
+            pool_tags: nested_from_json(
+                r.required("pool_tags")?,
+                "snapshot pool_tags",
+                tag_set_from_json,
+            )?,
+            in_transit: r.vec("in_transit", transit_from_json)?,
+            links: nested_from_json(r.required("links")?, "snapshot links", link_from_json)?,
+            retry_pending: r.vec("retry_pending", retry_from_json)?,
+            zombie_tags: r.vec("zombie_tags", zombies_from_json)?,
+            shadow: Some(r.required("shadow")?)
+                .filter(|v| non_null(v))
+                .map(shadow_from_json)
+                .transpose()?,
+            // Optional for compatibility: schema-v1 snapshots written
+            // before the flight recorder existed have no `flight` key.
+            flight: r
+                .optional("flight")
+                .filter(|v| non_null(v))
+                .map(flight_from_json)
+                .transpose()?,
         };
         r.finish()?;
-        Ok(SimSnapshot {
-            cycle,
-            devices,
-            host_rx,
-            tag_pools,
-            pool_tags,
-            in_transit,
-            links,
-            retry_pending,
-            zombie_tags,
-            shadow,
-            flight,
-        })
+        Ok(out)
     }
 
     /// Parses a [`SimSnapshot::to_json_full`] string back into a
@@ -1432,9 +1002,15 @@ mod tests {
     fn hex_round_trip() {
         let bytes: Vec<u8> = (0..=255u8).collect();
         let hex = hex_encode(&bytes);
-        assert_eq!(hex_decode(&hex, "t").unwrap(), bytes);
-        assert!(hex_decode("0", "t").is_err(), "odd length");
-        assert!(hex_decode("zz", "t").is_err(), "bad digit");
+        let mut back = [0u8; 256];
+        hex_decode(&hex, &mut back, "t").unwrap();
+        assert_eq!(back[..], bytes[..]);
+        hex_decode(&hex.to_uppercase(), &mut back, "t").unwrap();
+        assert_eq!(back[..], bytes[..]);
+        assert!(hex_decode("0", &mut back[..1], "t").is_err(), "odd length");
+        assert!(hex_decode(&hex[2..], &mut back, "t").is_err(), "short");
+        assert!(hex_decode("zz", &mut back[..1], "t").is_err(), "bad digit");
+        assert!(hex_decode("+1", &mut back[..1], "t").is_err(), "a sign is not a digit");
     }
 
     #[test]

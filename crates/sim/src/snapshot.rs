@@ -12,24 +12,49 @@
 //!   call), they bound the replay window after a crash.
 //! * **Crash forensics** — on an invariant violation the sanitizer
 //!   wraps the end-of-cycle snapshot, the violation list and a
-//!   bounded ring of recent trace events into a [`ForensicDump`],
-//!   serialized as JSON by a dependency-free writer. The snapshot
-//!   carries the sanitizer's *pre-acknowledgement* shadow state, so
-//!   restoring it and clocking once re-detects the same violation.
+//!   bounded ring of recent trace events into a [`ForensicDump`]. The
+//!   snapshot carries the sanitizer's *pre-acknowledgement* shadow
+//!   state, so restoring it and clocking once re-detects the same
+//!   violation — from the in-memory dump or from its JSON file, which
+//!   embeds the snapshot in its lossless form
+//!   ([`SimSnapshot::to_json_value`]).
 //!
 //! Static state (configuration, CMC registrations, the tracer) is not
 //! captured: `restore` requires a context with the same geometry and
 //! keeps those parts from the live context.
+//!
+//! # The state fingerprint
+//!
+//! [`SimSnapshot::fingerprint`] and [`HmcSim::state_fingerprint`] are
+//! one walk (`StateView::fingerprint`) over borrowed state, feeding
+//! every persisted field to [`hmc_types::Fnv`] (`Fnv::word` per
+//! scalar, `Fnv::bytes` per memory page; the function is specified in
+//! that module and does not depend on the toolchain). Every sequence is
+//! followed by its length. The walk is
+//!
+//! * **observer-blind** — the sanitizer shadow, the flight recorder
+//!   and the timing backend's observation record are not visited, so
+//!   attaching an observer never moves a fingerprint;
+//! * **representation-independent** — event heaps are visited in
+//!   `(ready, insertion)` order without their sequence numbers, tag
+//!   sets ascending, zombie sets sorted, memory pages by ascending
+//!   page id, payloads as word slices;
+//! * **equal to the persisted state** — it covers exactly the leaves
+//!   of [`SimSnapshot::to_json_value`] outside `shadow`, `flight` and
+//!   `timing` (`tests/snapshot_codec.rs` perturbs each one).
 
-use crate::device::{Device, RqstEnvelope, RspEnvelope, Vault};
+use crate::device::{
+    Device, DeviceView, RqstEnvelope, RspEnvelope, TrackedRequest, TrackedResponse, Vault,
+};
+use crate::hist::Hist;
+use crate::jsonv::Json;
 use crate::link::LinkControl;
 use crate::queue::BoundedQueue;
 use crate::sanitizer::{SanitizerShadow, Violation};
 use crate::sim::{HmcSim, RetryEntry, Transit};
 use crate::trace::FlightSnapshot;
-use hmc_types::{HmcError, Tag, TagPool, TagSet};
+use hmc_types::{Fnv, HmcError, HmcResponse, HmcRqst, TagPool, TagSet};
 use std::collections::{HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
 
 /// Dynamic state of one device (crate-internal payload of
 /// [`SimSnapshot`]).
@@ -142,373 +167,223 @@ impl SimSnapshot {
         queued + self.in_transit.len() + self.retry_pending.len()
     }
 
-    /// Serializes the snapshot as a JSON object. Queue listings are
-    /// bounded (64 packets per queue, with a `truncated` marker) so a
-    /// congested dump stays readable.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\"cycle\":");
-        s.push_str(&self.cycle.to_string());
-        s.push_str(",\"devices\":[");
-        for (i, d) in self.devices.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            device_json(&mut s, i, d);
-        }
-        s.push_str("],\"links\":[");
-        for (i, dev_links) in self.links.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            for (j, l) in dev_links.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let st = l.stats;
-                s.push_str(&format!(
-                    "{{\"tokens\":{},\"seq\":{},\"packets_sent\":{},\"token_stalls\":{},\
-                     \"retries\":{},\"crc_errors\":{},\"token_overflows\":{}}}",
-                    l.tokens_available(),
-                    l.seq(),
-                    st.packets_sent,
-                    st.token_stalls,
-                    st.retries,
-                    st.crc_errors,
-                    st.token_overflows
-                ));
-            }
-            s.push(']');
-        }
-        s.push_str("],\"tag_pools\":[");
-        for (i, dev_pools) in self.tag_pools.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            for (j, p) in dev_pools.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"capacity\":{},\"in_flight\":{},\"available\":{}}}",
-                    p.capacity(),
-                    p.in_flight(),
-                    p.available()
-                ));
-            }
-            s.push(']');
-        }
-        s.push_str("],\"pool_tags\":[");
-        for (i, dev_sets) in self.pool_tags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            for (j, set) in dev_sets.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                bounded_u16_set(&mut s, set.iter().map(Tag::value));
-            }
-            s.push(']');
-        }
-        s.push_str("],\"zombie_tags\":[");
-        for (i, set) in self.zombie_tags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let mut v: Vec<_> = set.iter().copied().collect();
-            v.sort_unstable();
-            s.push('[');
-            for (j, (link, tag)) in v.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("[{link},{tag}]"));
-            }
-            s.push(']');
-        }
-        s.push_str("],\"retry_pending\":[");
-        for (i, e) in self.retry_pending.iter().take(64).enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"dev\":{},\"link\":{},\"ready\":{},\"tag\":{},\"seq\":{}}}",
-                e.dev,
-                e.link,
-                e.ready,
-                e.item.req.head.tag.value(),
-                e.item.req.tail.seq
-            ));
-        }
-        s.push_str("],\"in_transit\":[");
-        for (i, t) in self.in_transit.iter().take(64).enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match t {
-                Transit::Rqst { from_dev, to_dev, link, item, ready } => s.push_str(&format!(
-                    "{{\"kind\":\"rqst\",\"from_dev\":{from_dev},\"to_dev\":{to_dev},\
-                     \"link\":{link},\"ready\":{ready},\"tag\":{}}}",
-                    item.req.head.tag.value()
-                )),
-                Transit::Rsp { from_dev, to_dev, link, item, ready } => s.push_str(&format!(
-                    "{{\"kind\":\"rsp\",\"from_dev\":{from_dev},\"to_dev\":{to_dev},\
-                     \"link\":{link},\"ready\":{ready},\"tag\":{}}}",
-                    item.rsp.head.tag.value()
-                )),
-            }
-        }
-        s.push_str("],\"host_rx\":[");
-        for (i, dev_queues) in self.host_rx.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            for (j, q) in dev_queues.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                bounded_u16_set(&mut s, q.iter().map(|r| r.rsp.head.tag.value()));
-            }
-            s.push(']');
-        }
-        s.push(']');
-        if let Some(shadow) = &self.shadow {
-            s.push_str(",\"shadow\":");
-            shadow_json(&mut s, shadow);
-        }
-        if let Some(flight) = &self.flight {
-            s.push_str(&format!(
-                ",\"flight\":{{\"capacity\":{},\"records\":{},\"dropped\":{}}}",
-                flight.capacity,
-                flight.len(),
-                flight.lanes.iter().map(|l| l.dropped).sum::<u64>()
-            ));
-        }
-        s.push('}');
-        s
-    }
-
-    /// Deterministic deep fingerprint of the captured state. Two
-    /// snapshots of identical machine states — even taken by
-    /// different simulation contexts in the same process — produce
-    /// identical fingerprints. The sanitizer shadow is excluded so a
-    /// sanitizer-on run fingerprints identically to a sanitizer-off
-    /// run of the same machine state.
-    ///
-    /// Queues, transits and receive buffers are hashed through their
-    /// `Debug` text, so the text must not depend on where a packet is
-    /// stored: the envelopes are `Box<T>`, which prints exactly as
-    /// `T` does (pinned by `envelopes_print_like_the_packets_they_hold`
-    /// in `device.rs`).
+    /// Deterministic deep fingerprint of the captured state (see the
+    /// module docs). Two snapshots of identical machine states — taken
+    /// by different contexts, processes or toolchains — produce
+    /// identical fingerprints, and a sanitizer-, recorder- or
+    /// telemetry-on run fingerprints identically to a bare run of the
+    /// same machine state.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.cycle.hash(&mut h);
-        for d in &self.devices {
-            format!("{:?}", d.xbar_rqst).hash(&mut h);
-            format!("{:?}", d.xbar_rsp).hash(&mut h);
-            format!("{:?}", d.vaults).hash(&mut h);
-            d.mem.content_digest().hash(&mut h);
-            format!("{:?}", d.regs).hash(&mut h);
-            format!("{:?}", d.stats).hash(&mut h);
-            format!("{:?}", d.power).hash(&mut h);
-            format!("{:?}", d.fault_rng).hash(&mut h);
-            d.link_up.hash(&mut h);
-            d.fault_idx.hash(&mut h);
+        StateView {
+            cycle: self.cycle,
+            devices: self.devices.iter().map(DeviceSnapshot::view).collect(),
+            host_rx: &self.host_rx,
+            tag_pools: &self.tag_pools,
+            pool_tags: &self.pool_tags,
+            in_transit: self.in_transit.iter().collect(),
+            links: &self.links,
+            retry_pending: self.retry_pending.iter().collect(),
+            zombie_tags: &self.zombie_tags,
         }
-        for dev_queues in &self.host_rx {
-            for q in dev_queues {
-                format!("{q:?}").hash(&mut h);
+        .fingerprint()
+    }
+}
+
+impl DeviceSnapshot {
+    fn view(&self) -> DeviceView<'_> {
+        DeviceView {
+            xbar_rqst: &self.xbar_rqst,
+            xbar_rsp: &self.xbar_rsp,
+            vaults: &self.vaults,
+            mem: &self.mem,
+            regs: &self.regs,
+            stats: &self.stats,
+            power: &self.power,
+            fault_rng: &self.fault_rng,
+            link_up: &self.link_up,
+            fault_idx: self.fault_idx,
+        }
+    }
+}
+
+/// Everything the fingerprint covers, borrowed from a [`SimSnapshot`]
+/// or straight from a live [`HmcSim`]; the event lists are already in
+/// `(ready, insertion)` order.
+struct StateView<'a> {
+    cycle: u64,
+    devices: Vec<DeviceView<'a>>,
+    host_rx: &'a [Vec<VecDeque<RspEnvelope>>],
+    tag_pools: &'a [Vec<TagPool>],
+    pool_tags: &'a [Vec<TagSet>],
+    in_transit: Vec<&'a Transit>,
+    links: &'a [Vec<LinkControl>],
+    retry_pending: Vec<&'a RetryEntry>,
+    zombie_tags: &'a [HashSet<(usize, u16)>],
+}
+
+/// Folds a sequence: every item through `item`, then the count.
+fn hash_seq<T>(h: &mut Fnv, items: impl Iterator<Item = T>, mut item: impl FnMut(&mut Fnv, T)) {
+    let mut count = 0u64;
+    for it in items {
+        item(h, it);
+        count += 1;
+    }
+    h.word(count);
+}
+
+fn hash_request(h: &mut Fnv, t: &TrackedRequest) {
+    let (head, tail) = (&t.req.head, &t.req.tail);
+    h.words([
+        matches!(head.cmd, HmcRqst::Cmc(_)) as u64,
+        head.cmd.code() as u64,
+        head.lng as u64,
+        head.tag.value() as u64,
+        head.addr,
+        head.cub.value() as u64,
+        tail.rrp as u64,
+        tail.frp as u64,
+        tail.seq as u64,
+        tail.pb as u64,
+        tail.slid.value() as u64,
+        tail.rtc as u64,
+        tail.crc as u64,
+        t.entry_device as u64,
+        t.entry_link as u64,
+        t.issue_cycle,
+        t.hops as u64,
+        t.ready_cycle,
+        t.vault_enq_cycle,
+    ]);
+    hash_seq(h, t.req.payload.iter(), |h, &w| h.word(w));
+}
+
+fn hash_response(h: &mut Fnv, t: &TrackedResponse) {
+    let (head, tail) = (&t.rsp.head, &t.rsp.tail);
+    h.words([
+        matches!(head.cmd, HmcResponse::RspCmc(_)) as u64,
+        head.cmd.code() as u64,
+        head.lng as u64,
+        head.tag.value() as u64,
+        head.af as u64,
+        head.slid.value() as u64,
+        head.cub.value() as u64,
+        tail.rrp as u64,
+        tail.frp as u64,
+        tail.seq as u64,
+        tail.dinv as u64,
+        tail.errstat as u64,
+        tail.rtc as u64,
+        tail.crc as u64,
+        t.issue_cycle,
+        t.complete_cycle,
+        t.latency,
+        t.entry_device as u64,
+        t.entry_link as u64,
+        t.class as u64,
+        t.stages.vault_enq,
+        t.stages.exec,
+        t.stages.rsp_route,
+        t.stages.egress,
+    ]);
+    hash_seq(h, t.rsp.payload.iter(), |h, &w| h.word(w));
+}
+
+fn hash_queue<T>(h: &mut Fnv, q: &BoundedQueue<Box<T>>, item: fn(&mut Fnv, &T)) {
+    h.words([q.depth() as u64, q.high_water() as u64, q.stalls(), q.pushes()]);
+    hash_seq(h, q.iter(), |h, envelope| item(h, envelope));
+}
+
+fn hash_vault(h: &mut Fnv, v: &Vault) {
+    hash_queue(h, &v.rqst, hash_request);
+    hash_queue(h, &v.rsp, hash_response);
+    hash_seq(h, v.banks.iter(), |h, bank| {
+        let (busy_until, open_row) = bank.dynamic_state();
+        // `Some(row)` and `None` never fold alike: the flag goes first.
+        h.words([busy_until, open_row.is_some() as u64, open_row.unwrap_or(0)]);
+        h.words([bank.row_hits, bank.row_misses]);
+    });
+}
+
+/// Folds a histogram's exact state (also the fuzz oracle's latency
+/// digest).
+pub(crate) fn hash_hist(h: &mut Fnv, hist: &Hist) {
+    let (count, sum, min, max, buckets) = hist.raw_parts();
+    h.words([count, sum, min, max]);
+    h.words(buckets.iter().copied());
+}
+
+fn hash_device(h: &mut Fnv, d: &DeviceView<'_>) {
+    hash_seq(h, d.xbar_rqst.iter(), |h, q| hash_queue(h, q, hash_request));
+    hash_seq(h, d.xbar_rsp.iter(), |h, q| hash_queue(h, q, hash_response));
+    hash_seq(h, d.vaults.iter(), hash_vault);
+    h.word(d.mem.content_digest());
+    let regs = d.regs.entries();
+    hash_seq(h, regs, |h, (id, value)| h.words([id as u64, value]));
+    h.words(d.stats.counters().map(|(_, v)| v));
+    hash_hist(h, &d.stats.latency);
+    for (_, hist) in d.stats.class_latency.iter() {
+        hash_hist(h, hist);
+    }
+    let power = d.power.config();
+    let (link_flits, dram_accesses, logic_ops, cycles) = d.power.counters();
+    h.words(
+        [power.link_flit_pj, power.dram_access_pj, power.logic_op_pj, power.idle_cycle_pj]
+            .map(f64::to_bits),
+    );
+    h.words([power.clock_hz.to_bits(), link_flits, dram_accesses, logic_ops, cycles]);
+    h.word(d.fault_rng.raw_state());
+    hash_seq(h, d.link_up.iter(), |h, &up| h.word(up as u64));
+    h.word(d.fault_idx as u64);
+}
+
+fn hash_link(h: &mut Fnv, l: &LinkControl) {
+    let c = l.config();
+    h.words([c.tokens.is_some() as u64, c.tokens.unwrap_or(0) as u64]);
+    h.words([c.error_period.is_some() as u64, c.error_period.unwrap_or(0), c.retry_latency]);
+    h.words([l.tokens_available() as u64, l.packet_counter(), l.seq() as u64]);
+    h.words(l.stats.counters().map(|(_, v)| v));
+}
+
+impl StateView<'_> {
+    fn fingerprint(&self) -> u64 {
+        let mut h = Fnv::new();
+        let h = &mut h;
+        h.word(self.cycle);
+        hash_seq(h, self.devices.iter(), hash_device);
+        for queue in self.host_rx.iter().flatten() {
+            hash_seq(h, queue.iter(), |h, r| hash_response(h, r));
+        }
+        for pool in self.tag_pools.iter().flatten() {
+            h.word(pool.capacity() as u64);
+            hash_seq(h, pool.free_tags(), |h, t| h.word(t.value() as u64));
+        }
+        for set in self.pool_tags.iter().flatten() {
+            hash_seq(h, set.iter(), |h, t| h.word(t.value() as u64));
+        }
+        for set in self.zombie_tags {
+            let mut pairs: Vec<(usize, u16)> = set.iter().copied().collect();
+            pairs.sort_unstable();
+            hash_seq(h, pairs.into_iter(), |h, (link, tag)| h.words([link as u64, tag as u64]));
+        }
+        hash_seq(h, self.in_transit.iter(), |h, t| match t {
+            Transit::Rqst { from_dev, to_dev, link, item, ready } => {
+                h.words([0, *from_dev as u64, *to_dev as u64, *link as u64, *ready]);
+                hash_request(h, item);
             }
-        }
-        for dev_pools in &self.tag_pools {
-            for p in dev_pools {
-                format!("{p:?}").hash(&mut h);
+            Transit::Rsp { from_dev, to_dev, link, item, ready } => {
+                h.words([1, *from_dev as u64, *to_dev as u64, *link as u64, *ready]);
+                hash_response(h, item);
             }
-        }
-        for dev_sets in &self.pool_tags {
-            for set in dev_sets {
-                // Ascending by construction — the sorted tag list the
-                // fingerprint has always hashed.
-                let v: Vec<u16> = set.iter().map(Tag::value).collect();
-                v.hash(&mut h);
-            }
-        }
-        for set in &self.zombie_tags {
-            let mut v: Vec<_> = set.iter().copied().collect();
-            v.sort_unstable();
-            v.hash(&mut h);
-        }
-        format!("{:?}", self.in_transit).hash(&mut h);
-        format!("{:?}", self.retry_pending).hash(&mut h);
-        for dev_links in &self.links {
-            for l in dev_links {
-                format!("{l:?}").hash(&mut h);
-            }
+        });
+        hash_seq(h, self.retry_pending.iter(), |h, e| {
+            h.words([e.dev as u64, e.link as u64, e.ready]);
+            hash_request(h, &e.item);
+        });
+        for link in self.links.iter().flatten() {
+            hash_link(h, link);
         }
         h.finish()
     }
-}
-
-/// Escapes a string for embedding in JSON.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Writes a bounded sorted JSON array of small integers.
-fn bounded_u16_set(s: &mut String, items: impl Iterator<Item = u16>) {
-    let mut v: Vec<u16> = items.collect();
-    v.sort_unstable();
-    let truncated = v.len() > 64;
-    v.truncate(64);
-    s.push('[');
-    for (i, t) in v.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&t.to_string());
-    }
-    if truncated {
-        s.push_str(",\"...\"");
-    }
-    s.push(']');
-}
-
-fn rqst_queue_json(s: &mut String, q: &BoundedQueue<RqstEnvelope>) {
-    s.push_str(&format!("{{\"len\":{},\"depth\":{},\"packets\":[", q.len(), q.depth()));
-    for (i, item) in q.iter().take(64).enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"tag\":{},\"cmd\":\"{}\",\"addr\":\"{:#x}\",\"seq\":{},\"issue\":{}}}",
-            item.req.head.tag.value(),
-            json_escape(&item.req.head.cmd.mnemonic()),
-            item.req.head.addr,
-            item.req.tail.seq,
-            item.issue_cycle
-        ));
-    }
-    if q.len() > 64 {
-        s.push_str(",\"...\"");
-    }
-    s.push_str("]}");
-}
-
-fn rsp_queue_json(s: &mut String, q: &BoundedQueue<RspEnvelope>) {
-    s.push_str(&format!("{{\"len\":{},\"depth\":{},\"packets\":[", q.len(), q.depth()));
-    for (i, item) in q.iter().take(64).enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"tag\":{},\"cmd\":\"{:?}\",\"errstat\":{},\"entry_link\":{}}}",
-            item.rsp.head.tag.value(),
-            item.rsp.head.cmd,
-            item.rsp.tail.errstat,
-            item.entry_link
-        ));
-    }
-    if q.len() > 64 {
-        s.push_str(",\"...\"");
-    }
-    s.push_str("]}");
-}
-
-fn device_json(s: &mut String, id: usize, d: &DeviceSnapshot) {
-    s.push_str(&format!("{{\"id\":{id},\"link_up\":["));
-    for (i, up) in d.link_up.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(if *up { "true" } else { "false" });
-    }
-    s.push_str("],\"xbar_rqst\":[");
-    for (i, q) in d.xbar_rqst.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        rqst_queue_json(s, q);
-    }
-    s.push_str("],\"xbar_rsp\":[");
-    for (i, q) in d.xbar_rsp.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        rsp_queue_json(s, q);
-    }
-    // Only occupied vaults: 32 empty entries per device are noise.
-    s.push_str("],\"vaults\":[");
-    let mut first = true;
-    for (v, vault) in d.vaults.iter().enumerate() {
-        if vault.rqst.is_empty() && vault.rsp.is_empty() {
-            continue;
-        }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!(
-            "{{\"vault\":{v},\"rqst\":{},\"rsp\":{}}}",
-            vault.rqst.len(),
-            vault.rsp.len()
-        ));
-    }
-    let st = &d.stats;
-    s.push_str(&format!(
-        "],\"stats\":{{\"responses\":{},\"error_responses\":{},\"send_stalls\":{},\
-         \"xbar_stalls\":{},\"vault_stalls\":{},\"vault_faults\":{},\"abandoned\":{},\
-         \"failover\":{}}},\"resident_pages\":{},\"fault_idx\":{}}}",
-        st.responses,
-        st.error_responses,
-        st.send_stalls,
-        st.xbar_stalls,
-        st.vault_stalls,
-        st.vault_faults,
-        st.abandoned_responses,
-        st.failover_responses,
-        d.mem.resident_pages(),
-        d.fault_idx
-    ));
-}
-
-fn shadow_json(s: &mut String, shadow: &SanitizerShadow) {
-    s.push_str(&format!(
-        "{{\"injected\":{},\"delivered\":{},\"absorbed\":{},\"zombie_dropped\":{},\
-         \"live_tags\":",
-        shadow.injected, shadow.delivered, shadow.absorbed, shadow.zombie_dropped
-    ));
-    let mut v: Vec<_> = shadow.live_tags.iter().copied().collect();
-    v.sort_unstable();
-    let truncated = v.len() > 64;
-    v.truncate(64);
-    s.push('[');
-    for (i, (dev, link, tag)) in v.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("[{dev},{link},{tag}]"));
-    }
-    if truncated {
-        s.push_str(",\"...\"");
-    }
-    s.push_str("]}");
 }
 
 /// The sanitizer's crash-forensics payload: everything needed to
@@ -539,56 +414,30 @@ pub struct ForensicDump {
 }
 
 impl ForensicDump {
-    /// Serializes the dump as a JSON object.
+    /// Serializes the dump as a JSON object. Its `snapshot` member is
+    /// the lossless [`SimSnapshot::to_json_value`] form — resident
+    /// memory pages included, so a dump can run to megabytes — which
+    /// [`SimSnapshot::from_json_value`] loads back for a replay from
+    /// the file alone.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(8192);
-        s.push_str("{\"cycle\":");
-        s.push_str(&self.cycle.to_string());
-        s.push_str(",\"checkpoint_cycle\":");
-        match self.checkpoint_cycle {
-            Some(c) => s.push_str(&c.to_string()),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"cycle\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                v.cycle,
-                v.kind.name(),
-                json_escape(&v.detail)
-            ));
-        }
-        s.push_str("],\"trace\":[");
-        for (i, line) in self.trace.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            s.push_str(&json_escape(line));
-            s.push('"');
-        }
-        s.push_str("],\"telemetry\":");
-        match &self.telemetry_json {
-            Some(t) => s.push_str(t),
-            None => s.push_str("null"),
-        }
-        // Top-level traceEvents: trace viewers accept extra keys, so
-        // the forensic dump itself is a loadable Perfetto trace.
-        s.push_str(",\"traceEvents\":");
-        match &self.flight {
-            Some(f) => s.push_str(&crate::perfetto::trace_events(
-                f,
-                &crate::perfetto::PerfettoOptions::default(),
-            )),
-            None => s.push_str("[]"),
-        }
-        s.push_str(",\"snapshot\":");
-        s.push_str(&self.snapshot.to_json());
-        s.push('}');
-        s
+        // The telemetry report and the Perfetto timeline come
+        // pre-rendered by their own exporters. Top-level traceEvents:
+        // trace viewers accept extra keys, so the forensic dump itself
+        // is a loadable Perfetto trace.
+        let events = self.flight.as_ref().map(|f| {
+            crate::perfetto::trace_events(f, &crate::perfetto::PerfettoOptions::default())
+        });
+        format!(
+            "{{\"cycle\":{},\"checkpoint_cycle\":{},\"violations\":{},\"trace\":{},\
+             \"telemetry\":{},\"traceEvents\":{},\"snapshot\":{}}}",
+            self.cycle,
+            Json::from(self.checkpoint_cycle).render(),
+            Json::list(&self.violations, crate::snapjson::violation_json).render(),
+            Json::list(&self.trace, |line| line.as_str().into()).render(),
+            self.telemetry_json.as_deref().unwrap_or("null"),
+            events.as_deref().unwrap_or("[]"),
+            self.snapshot.to_json_full()
+        )
     }
 
     /// Writes the JSON dump to `path`, creating parent directories.
@@ -616,13 +465,9 @@ impl HmcSim {
             // queues in commit (edge-id) order keeps the flat form a
             // pure function of simulation state, so two identical
             // states always snapshot (and fingerprint) identically.
-            in_transit: self
-                .transit_queues
-                .iter()
-                .flat_map(|q| q.to_sorted_items())
-                .collect(),
+            in_transit: self.transit_queues.iter().flat_map(|q| q.sorted()).cloned().collect(),
             links: self.links.clone(),
-            retry_pending: self.retry_pending.to_sorted_items(),
+            retry_pending: self.retry_pending.sorted().into_iter().cloned().collect(),
             zombie_tags: self.zombie_tags.clone(),
             shadow,
             flight: self.tracer.flight_snapshot(),
@@ -730,11 +575,25 @@ impl HmcSim {
         Ok(())
     }
 
-    /// Deterministic deep fingerprint of all dynamic state (see
-    /// [`SimSnapshot::fingerprint`]). Intended for replay-equality
-    /// assertions, not per-cycle use — it walks every queue and
+    /// Deterministic deep fingerprint of all dynamic state: the walk of
+    /// [`SimSnapshot::fingerprint`] over the live context, borrowing
+    /// it (nothing is cloned). Intended for replay-equality
+    /// assertions, not per-cycle use — it visits every queue and
     /// resident memory page.
     pub fn state_fingerprint(&self) -> u64 {
-        self.snapshot_with_shadow(None).fingerprint()
+        StateView {
+            cycle: self.cycle,
+            devices: self.devices.iter().map(Device::state_view).collect(),
+            host_rx: &self.host_rx,
+            tag_pools: &self.tag_pools,
+            pool_tags: &self.pool_tags,
+            // The per-edge heaps in commit (edge-id) order, each in
+            // `(ready, insertion)` order: the snapshot's flat form.
+            in_transit: self.transit_queues.iter().flat_map(|q| q.sorted()).collect(),
+            links: &self.links,
+            retry_pending: self.retry_pending.sorted(),
+            zombie_tags: &self.zombie_tags,
+        }
+        .fingerprint()
     }
 }

@@ -42,15 +42,19 @@ impl CmdClass {
         }
     }
 
+    /// The lower-case label of every class (reports, metric paths,
+    /// snapshots).
+    pub const NAMES: [(&'static str, CmdClass); 5] = [
+        ("read", CmdClass::Read),
+        ("write", CmdClass::Write),
+        ("atomic", CmdClass::Atomic),
+        ("cmc", CmdClass::Cmc),
+        ("other", CmdClass::Other),
+    ];
+
     /// Lower-case label used in reports and metric paths.
     pub fn name(&self) -> &'static str {
-        match self {
-            CmdClass::Read => "read",
-            CmdClass::Write => "write",
-            CmdClass::Atomic => "atomic",
-            CmdClass::Cmc => "cmc",
-            CmdClass::Other => "other",
-        }
+        crate::jsonv::name_of(&Self::NAMES, *self)
     }
 }
 
@@ -82,16 +86,20 @@ impl ClassLatency {
         }
     }
 
-    /// Records one round trip under its class.
-    pub(crate) fn record(&mut self, class: CmdClass, latency: u64) {
-        let h = match class {
+    /// The histogram for one class, mutably.
+    pub(crate) fn get_mut(&mut self, class: CmdClass) -> &mut Hist {
+        match class {
             CmdClass::Read => &mut self.read,
             CmdClass::Write => &mut self.write,
             CmdClass::Atomic => &mut self.atomic,
             CmdClass::Cmc => &mut self.cmc,
             CmdClass::Other => &mut self.other,
-        };
-        h.record(latency);
+        }
+    }
+
+    /// Records one round trip under its class.
+    pub(crate) fn record(&mut self, class: CmdClass, latency: u64) {
+        self.get_mut(class).record(latency);
     }
 
     /// Iterates `(class, histogram)` pairs in display order.
@@ -152,6 +160,53 @@ pub struct DeviceStats {
     /// Round-trip latency split by command class.
     pub class_latency: ClassLatency,
 }
+
+/// Lists the `u64` counters of a statistics struct once, in persisted
+/// order, for everything that walks them by name: the snapshot
+/// encoder and the state fingerprint read `counters()`, the strict
+/// snapshot decoder fills `counters_mut()`. A counter added to the
+/// struct is added here and nowhere else.
+macro_rules! counter_table {
+    ($ty:ty { $($field:ident),* $(,)? }) => {
+        impl $ty {
+            /// Every counter as `(name, value)`, in persisted order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field)),*].into_iter()
+            }
+
+            /// Every counter as `(name, slot)`, in persisted order.
+            pub(crate) fn counters_mut(
+                &mut self,
+            ) -> impl Iterator<Item = (&'static str, &mut u64)> {
+                [$((stringify!($field), &mut self.$field)),*].into_iter()
+            }
+        }
+    };
+}
+pub(crate) use counter_table;
+
+counter_table!(DeviceStats {
+    reads,
+    writes,
+    posted_writes,
+    atomics,
+    cmc_ops,
+    mode_ops,
+    flow_packets,
+    responses,
+    error_responses,
+    forwarded,
+    remote_quad_requests,
+    send_stalls,
+    xbar_stalls,
+    vault_stalls,
+    rqst_flits,
+    rsp_flits,
+    vault_faults,
+    poisoned_responses,
+    failover_responses,
+    abandoned_responses,
+});
 
 impl DeviceStats {
     /// Tallies one executed request of the given class.

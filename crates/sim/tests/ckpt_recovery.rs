@@ -113,10 +113,10 @@ fn header_bit_flip_is_quarantined() {
 fn bad_magic_and_bad_version_are_quarantined() {
     let dir = tmpdir("magic-version");
     let store = seeded_store(&dir, 1);
-    // Hand-craft two invalid generation files alongside the good one.
+    // Hand-craft invalid generation files alongside the good one.
     fs::write(
         store.path_of(2),
-        b"{\"magic\":\"not-a-ckpt\",\"version\":1,\"cycle\":1,\"fingerprint\":1,\
+        b"{\"magic\":\"not-a-ckpt\",\"version\":2,\"cycle\":1,\"fingerprint\":1,\
           \"body_len\":1,\"body_crc32\":0}\nX",
     )
     .unwrap();
@@ -127,11 +127,20 @@ fn bad_magic_and_bad_version_are_quarantined() {
     )
     .unwrap();
 
+    // A well-formed version-1 file (length and CRC right): its header
+    // carries a fingerprint of the retired hash function, so it is
+    // refused as an old version, never verified and found "corrupt".
+    let good = fs::read(store.path_of(1)).unwrap();
+    let text = String::from_utf8(good).unwrap();
+    assert!(text.contains("\"version\":2"), "this build writes version 2: {text}");
+    fs::write(store.path_of(4), text.replace("\"version\":2", "\"version\":1")).unwrap();
+
     let report = open(&dir);
-    assert_eq!(report.quarantined.len(), 2);
+    assert_eq!(report.quarantined.len(), 3);
     let reasons: Vec<&str> = report.quarantined.iter().map(|q| q.reason.as_str()).collect();
     assert!(reasons.iter().any(|r| r.contains("magic")), "{reasons:?}");
-    assert!(reasons.iter().any(|r| r.contains("version")), "{reasons:?}");
+    assert!(reasons.iter().any(|r| r.contains("unsupported checkpoint version 99")), "{reasons:?}");
+    assert!(reasons.iter().any(|r| r.contains("unsupported checkpoint version 1 ")), "{reasons:?}");
     assert_eq!(report.latest.unwrap().generation, 1, "only the genuine file is used");
     fs::remove_dir_all(&dir).unwrap();
 }

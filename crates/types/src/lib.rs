@@ -28,6 +28,7 @@ pub mod cmd;
 pub mod crc;
 pub mod error;
 pub mod flit;
+pub mod fnv;
 pub mod packet;
 pub mod payload;
 pub mod rsp;
@@ -36,6 +37,7 @@ pub mod tag;
 pub use cmd::{CmdInfo, CmdKind, HmcRqst, CMC_CODE_COUNT};
 pub use crc::crc32k;
 pub use error::HmcError;
+pub use fnv::Fnv;
 pub use flit::{Flit, FLIT_BITS, FLIT_BYTES, FLIT_WORDS, MAX_PACKET_FLITS};
 pub use packet::{Cub, ReqHead, ReqTail, Request, Response, RspHead, RspTail, Slid};
 pub use payload::{PayloadBuf, PAYLOAD_INLINE_WORDS};

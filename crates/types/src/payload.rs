@@ -202,8 +202,7 @@ impl<const N: usize> PartialEq<[u64; N]> for PayloadBuf {
     }
 }
 
-/// Prints like a slice — identical text whether inline or spilled, so
-/// `Debug`-based state fingerprints are representation-independent.
+/// Prints like a slice, whether inline or spilled.
 impl fmt::Debug for PayloadBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_slice(), f)

@@ -173,31 +173,23 @@ pub struct ReplayCheckpoint {
 /// on any incompatible change to the checkpoint layout.
 pub const REPLAY_CKPT_SCHEMA_VERSION: u64 = 1;
 
-fn jerr(message: String) -> JsonError {
-    JsonError { message }
-}
-
 impl ReplayCheckpoint {
     /// Serializes the checkpoint (cursor state + device snapshot) to a
     /// JSON value. Inverse of [`ReplayCheckpoint::from_json_value`].
     pub fn to_json_value(&self) -> Json {
-        let inflight = self
-            .inflight
-            .iter()
-            .map(|&(link, tag)| {
-                Json::Arr(vec![Json::Int(link as i128), Json::Int(tag as i128)])
-            })
-            .collect();
         obj(vec![
-            ("schema_version", Json::Int(REPLAY_CKPT_SCHEMA_VERSION as i128)),
-            ("cycle", Json::Int(self.cycle as i128)),
-            ("cursor", Json::Int(self.cursor as i128)),
-            ("issued", Json::Int(self.issued as i128)),
-            ("completed", Json::Int(self.completed as i128)),
-            ("data_bytes", Json::Int(self.data_bytes as i128)),
-            ("inflight", Json::Arr(inflight)),
-            ("start_cycle", Json::Int(self.start_cycle as i128)),
-            ("flits_base", Json::Int(self.flits_base as i128)),
+            ("schema_version", REPLAY_CKPT_SCHEMA_VERSION.into()),
+            ("cycle", self.cycle.into()),
+            ("cursor", self.cursor.into()),
+            ("issued", self.issued.into()),
+            ("completed", self.completed.into()),
+            ("data_bytes", self.data_bytes.into()),
+            (
+                "inflight",
+                Json::list(&self.inflight, |&(link, tag)| Json::Arr(vec![link.into(), tag.into()])),
+            ),
+            ("start_cycle", self.start_cycle.into()),
+            ("flits_base", self.flits_base.into()),
             ("snapshot", self.snapshot.to_json_value()),
         ])
     }
@@ -213,53 +205,30 @@ impl ReplayCheckpoint {
         let mut r = ObjReader::new("replay checkpoint", v)?;
         let version = r.u64("schema_version")?;
         if version != REPLAY_CKPT_SCHEMA_VERSION {
-            return Err(jerr(format!(
+            return Err(JsonError::new(format!(
                 "replay checkpoint: unsupported schema_version {version} \
                  (this build reads {REPLAY_CKPT_SCHEMA_VERSION})"
             )));
         }
-        let cycle = r.u64("cycle")?;
-        let cursor = r.usize("cursor")?;
-        let issued = r.u64("issued")?;
-        let completed = r.u64("completed")?;
-        let data_bytes = r.u64("data_bytes")?;
-        let inflight = r
-            .required("inflight")?
-            .as_arr()
-            .ok_or_else(|| jerr("replay checkpoint: inflight is not an array".into()))?
-            .iter()
-            .map(|pair| {
-                let pair = pair
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| {
-                        jerr("replay checkpoint: inflight entry is not a [link, tag] pair"
-                            .into())
-                    })?;
-                let link = pair[0].as_usize().ok_or_else(|| {
-                    jerr("replay checkpoint: inflight link out of range".into())
-                })?;
-                let tag = pair[1].as_u64().and_then(|t| u16::try_from(t).ok()).ok_or_else(
-                    || jerr("replay checkpoint: inflight tag out of range".into()),
-                )?;
-                Ok((link, tag))
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let start_cycle = r.u64("start_cycle")?;
-        let flits_base = r.u64("flits_base")?;
-        let snapshot = SimSnapshot::from_json_value(r.required("snapshot")?)?;
+        let out = ReplayCheckpoint {
+            cycle: r.u64("cycle")?,
+            cursor: r.usize("cursor")?,
+            issued: r.u64("issued")?,
+            completed: r.u64("completed")?,
+            data_bytes: r.u64("data_bytes")?,
+            inflight: r.vec("inflight", |pair| {
+                let [link, tag] = pair.tuple("replay checkpoint: inflight entry [link, tag]")?;
+                Ok((
+                    link.int("replay checkpoint: inflight link")?,
+                    tag.int("replay checkpoint: inflight tag")?,
+                ))
+            })?,
+            start_cycle: r.u64("start_cycle")?,
+            flits_base: r.u64("flits_base")?,
+            snapshot: SimSnapshot::from_json_value(r.required("snapshot")?)?,
+        };
         r.finish()?;
-        Ok(ReplayCheckpoint {
-            cycle,
-            cursor,
-            issued,
-            completed,
-            data_bytes,
-            inflight,
-            start_cycle,
-            flits_base,
-            snapshot,
-        })
+        Ok(out)
     }
 
     /// Parses a JSON string produced by [`ReplayCheckpoint::to_json`].

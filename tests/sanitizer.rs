@@ -5,14 +5,16 @@
 //! a deliberately injected violation (a double token return through
 //! the test backdoor) is caught within one cycle, produces a
 //! parseable JSON forensic dump carrying a full snapshot and the
-//! recent trace ring, and `HmcSim::restore()` of that snapshot
-//! deterministically reproduces the violating cycle.
+//! recent trace ring, and `HmcSim::restore()` of the snapshot read
+//! back from that file deterministically reproduces the violating
+//! cycle.
 
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
 use hmcsim::sim::sanitizer::ViolationKind;
 use hmcsim::sim::{
-    FaultPlan, LinkConfig, LinkErrorMode, SanitizerReport, TraceBuffer, TraceLevel, Tracer,
+    FaultPlan, Json, LinkConfig, LinkErrorMode, SanitizerReport, SimSnapshot, TraceBuffer,
+    TraceLevel, Tracer,
 };
 use hmcsim::workloads::{
     MutexKernel, MutexKernelConfig, MutexMechanism, ResilienceConfig, SpinPolicy, ThreadDriver,
@@ -149,11 +151,16 @@ fn injected_violation_dump_and_deterministic_replay() {
     assert_eq!(on_disk, json, "on-disk dump matches the in-memory one");
     let _ = std::fs::remove_dir_all(&dump_dir);
 
-    // Replay: restore the dump's snapshot into a brand-new context
-    // and clock once — the same violation fires at the same cycle.
+    // Replay from the file alone: its `snapshot` member restored into
+    // a brand-new context, clocked once — the same violation fires at
+    // the same cycle.
+    let doc = Json::parse(&on_disk).expect("the dump is strict JSON");
+    let snapshot = SimSnapshot::from_json_value(doc.get("snapshot").expect("snapshot member"))
+        .expect("the dump's snapshot is the restorable form");
+    assert_eq!(snapshot.to_json_full(), dump.snapshot.to_json_full());
     let mut replayed = HmcSim::new(make_config()).unwrap();
     replayed.enable_sanitizer(SanitizerConfig::report());
-    replayed.restore(&dump.snapshot).unwrap();
+    replayed.restore(&snapshot).unwrap();
     assert_eq!(replayed.cycle(), violating_cycle);
     assert_eq!(
         replayed.state_fingerprint(),
@@ -475,6 +482,35 @@ fn periodic_checkpoints_bound_the_replay_window() {
     assert_eq!(resumed.cycle(), ckpt.cycle());
     resumed.clock_n(8);
     assert_eq!(report(&resumed).total_violations, 0);
+}
+
+/// Every dump a chaos run left in `target/forensics` (none, after a
+/// clean run) must be replayable evidence: strict JSON whose
+/// `snapshot` member loads and re-renders to the same bytes. The CI
+/// chaos job runs this filter after the suite, before it uploads the
+/// dumps.
+#[test]
+fn forensic_dumps_on_disk_are_restorable() {
+    let Ok(dir) = std::fs::read_dir("target/forensics") else { return };
+    for entry in dir {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let check = || -> Result<(), String> {
+            let doc = Json::parse(&text).map_err(|e| e.to_string())?;
+            let member = doc.get("snapshot").ok_or("no `snapshot` member")?;
+            let snapshot = SimSnapshot::from_json_value(member).map_err(|e| e.to_string())?;
+            if snapshot.to_json_value() != *member {
+                return Err("re-renders differently".into());
+            }
+            Ok(())
+        };
+        if let Err(why) = check() {
+            panic!("{} is not a restorable forensic dump: {why}", path.display());
+        }
+    }
 }
 
 /// The CI chaos gate: an aggressive seeded fault plan (vault errors,

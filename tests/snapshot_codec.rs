@@ -1,0 +1,491 @@
+//! The snapshot codec and the state fingerprint describe the same
+//! state.
+//!
+//! * **Byte stability** — `tests/golden/snapshot_v1.json` was rendered
+//!   by the commit *before* the codec was rewritten (`BLESS=1 cargo
+//!   test --test snapshot_codec golden` regenerates it after an
+//!   intentional format change; review the diff and bump
+//!   `SNAPSHOT_SCHEMA_VERSION`). It must load and re-render byte for
+//!   byte, and the same scenario must still render to it.
+//! * **Coverage** — every persisted leaf outside the observer
+//!   subtrees (`shadow`, `flight`, `timing`) moves the fingerprint,
+//!   no observer leaf does, and a live context fingerprints like its
+//!   snapshot. Together with `snapshot_roundtrip.rs` (decode∘encode
+//!   keeps the fingerprint) this pins *fingerprint ≡ persisted state
+//!   modulo observers*.
+//! * **Parsers never panic** — seeded mutations of a snapshot, a
+//!   replay checkpoint, a checkpoint header and a forensic dump end in
+//!   `Ok` or a typed error.
+
+use hmcsim::cmc::ops;
+use hmcsim::prelude::*;
+use hmcsim::sim::{
+    FaultPlan, Json, LinkConfig, LinkErrorMode, SimConfig, SimSnapshot, TelemetryConfig,
+};
+
+/// A cube small enough that a whole snapshot is a reviewable golden:
+/// 8 vaults of 2 banks instead of 32 of 16.
+fn small_cube() -> DeviceConfig {
+    let mut d = DeviceConfig::gen2_4link_4gb();
+    d.vaults_per_quad = 2;
+    d.banks_per_vault = 2;
+    d.bank_latency = 2;
+    d.link_config = LinkConfig { tokens: Some(96), error_period: None, retry_latency: 6 };
+    d.hop_latency = 3;
+    d
+}
+
+/// A 2x2 mesh stopped mid-flight with every structure populated:
+/// packets in crossbar and vault queues, on fabric edges (`in_transit`),
+/// in the link-layer retry buffer, parked in host receive buffers, an
+/// abandoned (zombie) tag, pool-registered tags, a downed link, touched
+/// memory, registers and statistics — plus all three observers
+/// (sanitizer shadow, flight recorder, validated-timing shadow banks).
+fn busy_mesh() -> HmcSim {
+    let mut cube = small_cube();
+    cube.fault = FaultPlan::seeded(5)
+        .with_link_errors(LinkErrorMode::EveryNth(3))
+        .with_vault_errors(80_000)
+        .with_poison(80_000)
+        .with_link_event(6, 3, false);
+    let mut config = SimConfig::mesh(cube, 2, 2);
+    config.timing = TimingSelect::Validated;
+    let mut sim = HmcSim::with_config(config).unwrap();
+    ops::register_builtin_libraries();
+    for dev in 0..4 {
+        sim.load_cmc_library(dev, ops::MUTEX_LIBRARY).unwrap();
+        for link in 0..4 {
+            sim.configure_tag_pool(dev, link, 12).unwrap();
+        }
+    }
+    sim.enable_sanitizer(SanitizerConfig::report());
+    sim.enable_flight_recorder(4);
+    sim.enable_telemetry(TelemetryConfig::with_window(8));
+    sim.jtag_reg_write(2, hmcsim::sim::regs::REG_GC, 0xA5).unwrap();
+
+    let mut abandoned = false;
+    for i in 0..10u64 {
+        for dev in 0..4usize {
+            let link = (i as usize + dev) % 4; // link 3 goes down at cycle 6
+            let target = Cub::new(((dev as u64 + i) % 4) as u8).unwrap();
+            let addr = ((i * 4 + dev as u64) * 0x40) % 0x1000;
+            // Stalls, exhausted pools, token shortages and the dead
+            // link are part of the scenario.
+            let sent = match i % 4 {
+                0 => sim.send_to_cube(dev, link, target, HmcRqst::Rd64, addr, vec![]),
+                1 => sim.send_to_cube(dev, link, target, HmcRqst::Wr32, addr, vec![i, addr, 3, 4]),
+                2 => sim.send_to_cube(dev, link, target, HmcRqst::Inc8, addr, vec![]),
+                _ => sim.send_cmc(dev, link, ops::mutex::LOCK_CMD, addr, vec![dev as u64 + 1, 0]),
+            };
+            if let (Ok(Some(tag)), false, 8..) = (sent, abandoned, i) {
+                // The host gives up on one late request: its response
+                // is still in flight when the snapshot is taken.
+                sim.abandon_tag(dev, link, tag).unwrap();
+                abandoned = true;
+            }
+        }
+        sim.clock();
+    }
+    sim
+}
+
+/// The faulted single cube of `crates/sim/tests/snapshot_roundtrip.rs`
+/// (same plan and traffic, on the small geometry), with the sanitizer
+/// and telemetry on, no flight recorder and the default timing backend.
+fn faulted_cube() -> HmcSim {
+    let mut config = small_cube();
+    config.fault = FaultPlan {
+        seed: 77,
+        link_error: LinkErrorMode::EveryNth(7),
+        poison_per_million: 200_000,
+        vault_error_per_million: 100_000,
+        link_schedule: Vec::new(),
+    };
+    let mut sim = HmcSim::new(config).unwrap();
+    sim.enable_sanitizer(SanitizerConfig::report());
+    sim.enable_telemetry(TelemetryConfig::with_window(64));
+    for link in 0..4 {
+        sim.configure_tag_pool(0, link, 24).unwrap();
+    }
+    for i in 0..40u64 {
+        let a = (i * 37) % 2048;
+        let cmd = [HmcRqst::Rd64, HmcRqst::Wr16, HmcRqst::Inc8, HmcRqst::Rd16][i as usize % 4];
+        let payload = if cmd == HmcRqst::Wr16 { vec![a ^ 0xDEAD, a] } else { vec![] };
+        // Stalls and exhausted pools are part of the scenario.
+        let _ = sim.send_simple(0, i as usize % 4, cmd, (a * 16) & !15, payload);
+        sim.clock();
+    }
+    sim.clock_n(2);
+    sim
+}
+
+/// Scalar values under `v` (empty containers hold none).
+fn count_leaves(v: &Json) -> usize {
+    match v {
+        Json::Arr(items) => items.iter().map(count_leaves).sum(),
+        Json::Obj(fields) => fields.iter().map(|(_, v)| count_leaves(v)).sum(),
+        _ => 1,
+    }
+}
+
+fn check_golden(rendered: &str, name: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, rendered).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden file {} ({e}); run with BLESS=1", path.display())
+    });
+    assert!(
+        rendered == golden,
+        "{name} drifted from the checked-in snapshot bytes; if intentional, bump \
+         SNAPSHOT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test snapshot_codec golden \
+         and review the diff"
+    );
+}
+
+#[test]
+fn golden_snapshot_loads_and_re_renders_byte_identically() {
+    let snap = busy_mesh().snapshot();
+    let mut rendered = snap.to_json_full();
+    rendered.push('\n');
+    check_golden(&rendered, "snapshot_v1.json");
+
+    // The file on disk — not what this build just rendered — through
+    // the decoder and back.
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_v1.json");
+    let golden = std::fs::read_to_string(path).unwrap();
+    let loaded = SimSnapshot::from_json(golden.trim_end()).expect("the v1 golden loads");
+    assert!(loaded.to_json_full() == golden.trim_end(), "the v1 golden re-renders byte for byte");
+    assert_eq!(loaded.fingerprint(), snap.fingerprint());
+
+    // The scenario is what its doc comment says it is.
+    let doc = Json::parse(golden.trim_end()).unwrap();
+    for section in ["in_transit", "retry_pending", "host_rx", "pool_tags", "zombie_tags"] {
+        assert!(count_leaves(doc.get(section).unwrap()) > 0, "`{section}` holds nothing");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Coverage: fingerprint ≡ persisted state modulo observers
+// ---------------------------------------------------------------------------
+
+/// Paths (child indices from the root) of every scalar leaf under
+/// `v` — and of every container too, when `containers` is set.
+fn paths(v: &Json, containers: bool, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    let children: Vec<&Json> = match v {
+        Json::Arr(items) => items.iter().collect(),
+        Json::Obj(fields) => fields.iter().map(|(_, v)| v).collect(),
+        _ => return out.push(prefix.clone()),
+    };
+    if containers {
+        out.push(prefix.clone());
+    }
+    for (i, child) in children.into_iter().enumerate() {
+        prefix.push(i);
+        paths(child, containers, prefix, out);
+        prefix.pop();
+    }
+}
+
+/// The node at `path`, and the object keys met on the way down.
+fn node_at<'a>(root: &'a mut Json, path: &[usize]) -> (&'a mut Json, Vec<String>) {
+    let mut keys = Vec::new();
+    let mut node = root;
+    for &i in path {
+        node = match node {
+            Json::Arr(items) => &mut items[i],
+            Json::Obj(fields) => {
+                keys.push(fields[i].0.clone());
+                &mut fields[i].1
+            }
+            _ => unreachable!("paths end at leaves"),
+        };
+    }
+    (node, keys)
+}
+
+/// Other values a leaf could hold, nearest first. Most are rejected
+/// by the strict decoder (a duplicate free tag, an unknown command
+/// code, a `rqst` transit holding a response); the first accepted one
+/// is the perturbation.
+fn candidates(leaf: &Json) -> Vec<Json> {
+    match leaf {
+        Json::Bool(b) => vec![Json::Bool(!b)],
+        Json::Null => vec![Json::Int(1)],
+        Json::Int(v) => (1..=16).flat_map(|d| [Json::Int(v + d), Json::Int(v - d)]).collect(),
+        Json::Str(s) if s.len() > 64 => {
+            // A page: flip one hex digit.
+            let digit = if s.starts_with('0') { "1" } else { "0" };
+            vec![Json::Str(format!("{digit}{}", &s[1..]))]
+        }
+        Json::Str(s) => ["read", "write", "atomic", "cmc", "other", "rqst", "rsp"]
+            .into_iter()
+            .filter(|name| name != s)
+            .map(|name| Json::Str(name.to_string()))
+            .collect(),
+        Json::Arr(_) | Json::Obj(_) => unreachable!("not a leaf"),
+    }
+}
+
+const OBSERVERS: [&str; 3] = ["shadow", "flight", "timing"];
+
+/// Perturbs every leaf of `snap`'s JSON form, one at a time: a leaf
+/// outside the observer subtrees must move the fingerprint, a leaf
+/// inside one must not. Returns the accepted perturbations per
+/// top-level section (observer leaves count under their observer).
+fn check_every_leaf(snap: &SimSnapshot) -> std::collections::BTreeMap<String, usize> {
+    let base = snap.fingerprint();
+    let mut doc = snap.to_json_value();
+    let mut leaves = Vec::new();
+    paths(&doc, false, &mut Vec::new(), &mut leaves);
+    let mut accepted = std::collections::BTreeMap::new();
+    for path in leaves {
+        let (leaf, keys) = node_at(&mut doc, &path);
+        let original = leaf.clone();
+        let observer = keys.iter().find(|k| OBSERVERS.contains(&k.as_str())).cloned();
+        let decoded = candidates(&original).into_iter().find_map(|candidate| {
+            *node_at(&mut doc, &path).0 = candidate;
+            SimSnapshot::from_json_value(&doc).ok()
+        });
+        *node_at(&mut doc, &path).0 = original;
+        let Some(perturbed) = decoded else {
+            // Only a closed vocabulary (or an absent observer's `null`)
+            // may reject every candidate.
+            let leaf_key = keys.last().unwrap().as_str();
+            assert!(
+                ["schema_version", "kind", "select", "name", "names", "shadow", "flight"]
+                    .contains(&leaf_key),
+                "no perturbation of {keys:?} (path {path:?}) decodes: the leaf is not covered"
+            );
+            continue;
+        };
+        match &observer {
+            None => assert_ne!(
+                perturbed.fingerprint(),
+                base,
+                "{keys:?} (path {path:?}) is persisted but does not move the fingerprint"
+            ),
+            Some(observer) => assert_eq!(
+                perturbed.fingerprint(),
+                base,
+                "{keys:?} (path {path:?}) is under `{observer}` and moves the fingerprint"
+            ),
+        }
+        *accepted.entry(observer.unwrap_or_else(|| keys[0].clone())).or_insert(0) += 1;
+    }
+    assert_eq!(doc, snap.to_json_value(), "every perturbation was undone");
+    accepted
+}
+
+/// `check_every_leaf`, which must have perturbed every listed section.
+fn check_sections(snap: &SimSnapshot, sections: &[&str]) {
+    let accepted = check_every_leaf(snap);
+    for section in sections {
+        assert!(
+            accepted.get(*section).is_some_and(|&n| n > 0),
+            "`{section}` was never perturbed: {accepted:?}"
+        );
+    }
+}
+
+#[test]
+fn every_leaf_of_the_busy_mesh_moves_the_fingerprint_unless_an_observer_owns_it() {
+    check_sections(
+        &busy_mesh().snapshot(),
+        &[
+            "cycle",
+            "devices",
+            "host_rx",
+            "tag_pools",
+            "pool_tags",
+            "in_transit",
+            "links",
+            "retry_pending",
+            "zombie_tags",
+            "shadow",
+            "flight",
+            "timing",
+        ],
+    );
+}
+
+#[test]
+fn every_leaf_of_the_faulted_cube_moves_the_fingerprint_unless_an_observer_owns_it() {
+    check_sections(
+        &faulted_cube().snapshot(),
+        &["cycle", "devices", "host_rx", "tag_pools", "pool_tags", "links", "shadow", "timing"],
+    );
+}
+
+#[test]
+fn a_live_context_fingerprints_like_its_snapshot() {
+    let mut drained = faulted_cube();
+    drained.drain(1_000_000);
+    let pristine = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+    for (name, sim) in [
+        ("busy mesh", busy_mesh()),
+        ("faulted cube", faulted_cube()),
+        ("drained cube", drained),
+        ("pristine cube", pristine),
+    ] {
+        let snap = sim.snapshot();
+        assert_eq!(sim.state_fingerprint(), snap.fingerprint(), "{name}");
+        let reloaded = SimSnapshot::from_json(&snap.to_json_full()).unwrap();
+        assert_eq!(reloaded.fingerprint(), snap.fingerprint(), "{name} through JSON");
+    }
+    assert_ne!(busy_mesh().state_fingerprint(), faulted_cube().state_fingerprint());
+}
+
+// ---------------------------------------------------------------------------
+// Parsers never panic
+// ---------------------------------------------------------------------------
+
+/// xorshift64*: the seeded stream the mutation loops draw from.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// One structural mutation of `doc`: a key or item removed or
+/// duplicated, or a node replaced by an out-of-range integer or a
+/// value of another shape.
+fn mutate_tree(doc: &mut Json, nodes: &[Vec<usize>], rng: &mut Rng) {
+    let path = &nodes[rng.below(nodes.len())];
+    let Some((&last, parent_path)) = path.split_last() else { return };
+    let parent = node_at(doc, parent_path).0;
+    let replacement = [
+        Json::Int(-1),
+        Json::Int(u64::MAX as i128 + 1),
+        Json::Int(i128::MAX),
+        Json::Int(1 << 40),
+        Json::Null,
+        Json::Str("zz".into()),
+        Json::Arr(vec![]),
+        Json::Obj(vec![]),
+    ][rng.below(8)]
+    .clone();
+    match (parent, rng.below(3)) {
+        (Json::Arr(items), 0) => drop(items.remove(last)),
+        (Json::Arr(items), 1) => items.insert(last, items[last].clone()),
+        (Json::Arr(items), _) => items[last] = replacement,
+        (Json::Obj(fields), 0) => drop(fields.remove(last)),
+        (Json::Obj(fields), 1) => fields.insert(last, fields[last].clone()),
+        (Json::Obj(fields), _) => fields[last].1 = replacement,
+        _ => unreachable!("a parent is a container"),
+    }
+}
+
+/// One textual mutation: flipped bits, a truncation, or a spliced
+/// fragment of the text itself.
+fn mutate_text(text: &str, rng: &mut Rng) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    match rng.below(3) {
+        0 => {
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(bytes.len());
+                bytes[at] ^= 1 << rng.below(8);
+            }
+        }
+        1 => bytes.truncate(rng.below(bytes.len())),
+        _ => {
+            let (from, at) = (rng.below(bytes.len()), rng.below(bytes.len()));
+            let fragment = bytes[from..(from + 1 + rng.below(24)).min(bytes.len())].to_vec();
+            bytes.splice(at..at, fragment);
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Feeds `parse` seeded mutations of `text`: half textual, half
+/// structural (rendered back to text, so a duplicated key reaches the
+/// parser as one). `parse` returning at all is the property — an `Err`
+/// is a typed error by construction, a panic fails the test. At least
+/// one mutant of each kind must have been rejected, or the loop proved
+/// nothing.
+fn never_panics(name: &str, text: &str, rounds: usize, parse: impl Fn(&str) -> Result<(), String>) {
+    parse(text).unwrap_or_else(|e| panic!("{name}: the unmutated text is rejected: {e}"));
+    let doc = Json::parse(text).unwrap();
+    let mut nodes = Vec::new();
+    paths(&doc, true, &mut Vec::new(), &mut nodes);
+    let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ text.len() as u64);
+    let mut rejected = [0usize; 2];
+    for round in 0..rounds {
+        let mutant = if round % 2 == 0 {
+            mutate_text(text, &mut rng)
+        } else {
+            let mut tree = doc.clone();
+            mutate_tree(&mut tree, &nodes, &mut rng);
+            tree.render()
+        };
+        rejected[round % 2] += parse(&mutant).is_err() as usize;
+    }
+    assert!(rejected[0] > 0 && rejected[1] > 0, "{name}: no mutant was rejected ({rejected:?})");
+}
+
+#[test]
+fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
+    use hmcsim::workloads::tracefile::{
+        replay_resumable, synthetic_trace, ReplayCheckpoint, ReplayConfig,
+    };
+
+    // A snapshot with every section populated.
+    let snapshot = busy_mesh().snapshot().to_json_full();
+    never_panics("snapshot", &snapshot, 300, |text| {
+        SimSnapshot::from_json(text).map(drop).map_err(|e| e.to_string())
+    });
+
+    // A replay checkpoint (cursor state around a snapshot).
+    let mut sim = HmcSim::new(small_cube()).unwrap();
+    let config = ReplayConfig { checkpoint_every: 16, ..Default::default() };
+    let (_, ckpt) = replay_resumable(&mut sim, &synthetic_trace(4, 16, 64), &config, None).unwrap();
+    let ckpt = ckpt.expect("the replay took a checkpoint").to_json();
+    never_panics("replay checkpoint", &ckpt, 300, |text| {
+        ReplayCheckpoint::from_json(text).map(drop).map_err(|e| e.to_string())
+    });
+
+    // A forensic dump, read the way a replay reads it from disk.
+    let mut sim = HmcSim::new(small_cube()).unwrap();
+    sim.enable_sanitizer(SanitizerConfig::report());
+    sim.enable_flight_recorder(8);
+    sim.send_simple(0, 0, HmcRqst::Rd16, 0x40, vec![]).unwrap();
+    sim.debug_force_return_tokens(0, 0, 200);
+    sim.clock();
+    let dump = sim.take_forensic_dump().expect("the over-return cut a dump").to_json();
+    never_panics("forensic dump", &dump, 300, |text| {
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let member = doc.get("snapshot").ok_or("no snapshot member")?;
+        SimSnapshot::from_json_value(member).map(drop).map_err(|e| e.to_string())
+    });
+
+    // A checkpoint file's header line, through the store that reads it:
+    // a mutant is either quarantined or (a harmless flip) still valid.
+    let dir = std::env::temp_dir().join(format!("hmcsim-header-mutants-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = hmcsim::sim::CheckpointStore::open(&dir, 1).unwrap().store;
+    store.commit(7, 0xF1F1, b"body").unwrap();
+    let file = std::fs::read_to_string(store.path_of(1)).unwrap();
+    let (header, body) = file.split_once('\n').unwrap();
+    never_panics("checkpoint header", header, 200, |line| {
+        let line = line.replace('\n', " ");
+        std::fs::write(store.path_of(1), format!("{line}\n{body}")).unwrap();
+        let report = hmcsim::sim::CheckpointStore::open(&dir, 1).map_err(|e| e.to_string())?;
+        match report.quarantined.first() {
+            Some(q) => Err(q.reason.clone()),
+            None => Ok(()),
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
