@@ -4,37 +4,67 @@
 //! the store allocates 4 KiB pages on first write. Unwritten memory
 //! reads as zero, matching HMC-Sim's calloc'd vault storage.
 //!
-//! The page table is split across a fixed number of mutex-guarded
-//! shards (`page_id % SHARD_COUNT`) and every access method takes
-//! `&self`; the mutation methods keep their old names. The simulator
-//! never accesses one store from two threads at once (a device and its
-//! memory run on one thread at a time), so shard locking is a memory-
-//! safety device, not an ordering device — results never depend on
-//! lock acquisition order.
+//! Every access method takes `&self` — the vault data path, CMC
+//! operations and the host backdoor all hold a shared reference — so
+//! the page table sits in a [`RefCell`]: the store is `Send` (a device
+//! and its memory move between stage-3 lanes whole) but not `Sync`, and
+//! no access takes a lock. No borrow outlives the call that takes it
+//! except inside [`SparseMemory::for_each_page`], whose visitor may
+//! read the store but must not write to it.
+//!
+//! Page ids hash multiplicatively rather than through SipHash: they are
+//! simulated addresses, and a hot 16-byte access is otherwise mostly
+//! hashing. The table keeps its `page_id % SHARD_COUNT` split — the
+//! maps are small, and they free their pages in an order that keeps the
+//! allocator from trimming the heap between back-to-back contexts.
 
 use hmc_types::HmcError;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of one lazily-allocated page in bytes.
 pub const PAGE_BYTES: usize = 4096;
 
-/// Number of page-table shards. A small power of two: enough to keep
-/// concurrent users off each other's locks, few enough that cloning
-/// and digesting stay cheap.
+/// Number of page-table shards (a small power of two).
 const SHARD_COUNT: usize = 16;
 
-type PageMap = HashMap<u64, Box<[u8; PAGE_BYTES]>>;
+/// Fibonacci hashing of one page id. The product's low bits depend
+/// only on the id's low bits — which every id in a shard shares — so
+/// `finish` folds the high half down for the map's bucket index.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page ids hash through write_u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type PageMap = HashMap<u64, Box<[u8; PAGE_BYTES]>, BuildHasherDefault<PageIdHasher>>;
 
 /// Words converted per stack buffer by the word accessors: the payload
 /// of the largest packet (17 FLITs), so one packet is one pass.
 const WORD_CHUNK: usize = 32;
 
 /// A sparse, zero-initialized, byte-addressable memory of fixed
-/// capacity. Shareable across threads: all accessors take `&self`.
-#[derive(Default)]
+/// capacity. All accessors take `&self`; see the module docs for what
+/// that does and does not allow.
+#[derive(Clone, Default)]
 pub struct SparseMemory {
-    shards: Vec<Mutex<PageMap>>,
+    /// `Default` builds an empty shard vector: a zero-capacity store,
+    /// whose range check rejects every access before a shard is picked.
+    shards: RefCell<Vec<PageMap>>,
     capacity: u64,
 }
 
@@ -43,7 +73,7 @@ impl SparseMemory {
     /// until written.
     pub fn new(capacity: u64) -> Self {
         SparseMemory {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(PageMap::new())).collect(),
+            shards: RefCell::new((0..SHARD_COUNT).map(|_| PageMap::default()).collect()),
             capacity,
         }
     }
@@ -54,17 +84,10 @@ impl SparseMemory {
         self.capacity
     }
 
-    #[inline]
-    fn shard(&self, page: u64) -> &Mutex<PageMap> {
-        // `Default` builds an empty shard vector; treat it as a
-        // zero-capacity store that never materializes pages.
-        &self.shards[page as usize % self.shards.len()]
-    }
-
     /// Number of pages materialized so far (for memory-footprint
     /// diagnostics).
     pub fn resident_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.borrow().iter().map(|s| s.len()).sum()
     }
 
     /// Calls `visit` with every resident page in ascending page order —
@@ -72,13 +95,11 @@ impl SparseMemory {
     /// materialized pages are visited, even all-zero ones: residency is
     /// part of the state.
     pub fn for_each_page(&self, mut visit: impl FnMut(u64, &[u8; PAGE_BYTES])) {
-        let mut ids: Vec<u64> = Vec::new();
-        for shard in &self.shards {
-            ids.extend(shard.lock().keys().copied());
-        }
+        let shards = self.shards.borrow();
+        let mut ids: Vec<u64> = shards.iter().flat_map(|s| s.keys().copied()).collect();
         ids.sort_unstable();
         for id in ids {
-            visit(id, &self.shard(id).lock()[&id]);
+            visit(id, &shards[id as usize % SHARD_COUNT][&id]);
         }
     }
 
@@ -109,7 +130,7 @@ impl SparseMemory {
         if start >= self.capacity {
             return Err(HmcError::AddressOutOfRange(start));
         }
-        self.shard(page_id).lock().insert(page_id, Box::new(*bytes));
+        self.shards.borrow_mut()[page_id as usize % SHARD_COUNT].insert(page_id, Box::new(*bytes));
         Ok(())
     }
 
@@ -126,13 +147,14 @@ impl SparseMemory {
     /// Reads `buf.len()` bytes starting at `addr`.
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), HmcError> {
         self.check_range(addr, buf.len())?;
+        let shards = self.shards.borrow();
         let mut off = 0usize;
         while off < buf.len() {
             let cur = addr + off as u64;
             let page = cur / PAGE_BYTES as u64;
             let in_page = (cur % PAGE_BYTES as u64) as usize;
             let n = (PAGE_BYTES - in_page).min(buf.len() - off);
-            match self.shard(page).lock().get(&page) {
+            match shards[page as usize % SHARD_COUNT].get(&page) {
                 Some(p) => buf[off..off + n].copy_from_slice(&p[in_page..in_page + n]),
                 None => buf[off..off + n].fill(0),
             }
@@ -144,14 +166,14 @@ impl SparseMemory {
     /// Writes `buf` starting at `addr`, materializing pages as needed.
     pub fn write(&self, addr: u64, buf: &[u8]) -> Result<(), HmcError> {
         self.check_range(addr, buf.len())?;
+        let mut shards = self.shards.borrow_mut();
         let mut off = 0usize;
         while off < buf.len() {
             let cur = addr + off as u64;
             let page = cur / PAGE_BYTES as u64;
             let in_page = (cur % PAGE_BYTES as u64) as usize;
             let n = (PAGE_BYTES - in_page).min(buf.len() - off);
-            let mut shard = self.shard(page).lock();
-            let p = shard
+            let p = shards[page as usize % SHARD_COUNT]
                 .entry(page)
                 .or_insert_with(|| Box::new([0u8; PAGE_BYTES]));
             p[in_page..in_page + n].copy_from_slice(&buf[off..off + n]);
@@ -221,15 +243,6 @@ impl SparseMemory {
             self.write(addr + (i * WORD_CHUNK * 8) as u64, bytes)?;
         }
         Ok(())
-    }
-}
-
-impl Clone for SparseMemory {
-    fn clone(&self) -> Self {
-        SparseMemory {
-            shards: self.shards.iter().map(|s| Mutex::new(s.lock().clone())).collect(),
-            capacity: self.capacity,
-        }
     }
 }
 
@@ -349,25 +362,39 @@ mod tests {
     }
 
     #[test]
-    fn shared_reference_writes_from_threads() {
-        let mem = std::sync::Arc::new(SparseMemory::new(1 << 24));
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let m = std::sync::Arc::clone(&mem);
-                std::thread::spawn(move || {
-                    for i in 0..256u64 {
-                        m.write_u64((t << 20) + i * 8, t * 1000 + i).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        for t in 0..4u64 {
-            for i in 0..256u64 {
-                assert_eq!(mem.read_u64((t << 20) + i * 8).unwrap(), t * 1000 + i);
-            }
-        }
+    fn a_store_moves_between_threads_with_its_pages() {
+        // What the device-sharded engine does with a cube: written on
+        // one thread, handed to another by value, handed back.
+        let mem = SparseMemory::new(1 << 24);
+        mem.write_u64(0x1000, 7).unwrap();
+        let mem = std::thread::spawn(move || {
+            mem.write_u64(0x2000, mem.read_u64(0x1000).unwrap() + 1).unwrap();
+            mem
+        })
+        .join()
+        .unwrap();
+        assert_eq!(mem.read_u64(0x2000).unwrap(), 8);
+        assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn default_store_rejects_every_access() {
+        let mem = SparseMemory::default();
+        assert!(mem.read_u64(0).is_err());
+        assert!(mem.write_u64(0, 1).is_err());
+        assert!(mem.insert_page(0, &[0; PAGE_BYTES]).is_err());
+        assert_eq!(mem.resident_pages(), 0);
+        mem.for_each_page(|_, _| unreachable!("no pages"));
+    }
+
+    #[test]
+    fn pages_of_one_shard_spread_over_the_table() {
+        // Ids in a shard share their low four bits. An unfolded product
+        // hands them to the map as its bucket index: 4 buckets of 64.
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<PageIdHasher>::default();
+        let low: std::collections::HashSet<u64> =
+            (0..64u64).map(|i| build.hash_one(i * SHARD_COUNT as u64 + 5) & 63).collect();
+        assert!(low.len() >= 24, "64 ids of one shard landed in {} of 64 buckets", low.len());
     }
 }

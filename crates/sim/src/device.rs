@@ -157,6 +157,56 @@ impl Vault {
     }
 }
 
+/// Which of a device's vaults have a non-empty queue in one direction,
+/// one bit per vault. A hint for the per-cycle vault walks, derived
+/// from the queues and never the other way round: not snapshotted, not
+/// fingerprinted, rebuilt by [`Device::restore_state`] and checked
+/// against the queues by [`Device::queue_bound_violation`].
+#[derive(Debug, Clone)]
+struct VaultSet(Vec<u64>);
+
+impl VaultSet {
+    fn new(vaults: usize) -> Self {
+        VaultSet(vec![0; vaults.div_ceil(64)])
+    }
+
+    fn set(&mut self, vault: usize, on: bool) {
+        let bit = 1u64 << (vault % 64);
+        if on {
+            self.0[vault / 64] |= bit;
+        } else {
+            self.0[vault / 64] &= !bit;
+        }
+    }
+
+    fn contains(&self, vault: usize) -> bool {
+        self.0[vault / 64] & (1 << (vault % 64)) != 0
+    }
+
+    /// The lowest member at or above `from`. Walking a set with this
+    /// (rather than an iterator borrowing it) lets the loop body update
+    /// the set; each visit sees the members as they are then.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.0.get(w)? & (!0 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.0.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let vault = self.next_from(from)?;
+            from = vault + 1;
+            Some(vault)
+        })
+    }
+}
+
 /// One device's fingerprinted state, borrowed from a live [`Device`]
 /// or from a [`crate::snapshot::DeviceSnapshot`]: everything dynamic
 /// except the timing backend's observation record.
@@ -212,6 +262,10 @@ pub struct Device {
     xbar_rqst: Vec<BoundedQueue<RqstEnvelope>>,
     xbar_rsp: Vec<BoundedQueue<RspEnvelope>>,
     vaults: Vec<Vault>,
+    /// Vaults with a queued request; stages 3 and 4 keep it.
+    rqst_waiting: VaultSet,
+    /// Vaults with a queued response; stages 1 and 3 keep it.
+    rsp_waiting: VaultSet,
     mem: SparseMemory,
     cmc: CmcRegistry,
     regs: RegisterFile,
@@ -252,6 +306,8 @@ impl Device {
                 .map(|_| BoundedQueue::new(config.xbar_queue_depth))
                 .collect(),
             vaults: (0..config.total_vaults()).map(|_| Vault::new(&config)).collect(),
+            rqst_waiting: VaultSet::new(config.total_vaults()),
+            rsp_waiting: VaultSet::new(config.total_vaults()),
             mem: SparseMemory::new(config.capacity),
             cmc: CmcRegistry::new(),
             regs: RegisterFile::new(config.capacity, config.links),
@@ -456,7 +512,12 @@ impl Device {
     /// Responses whose entry link is down fail over to the first
     /// surviving up link.
     pub(crate) fn route_responses(&mut self, cycle: u64, tracer: &mut Tracer) {
-        for (v, vault) in self.vaults.iter_mut().enumerate() {
+        // Only vaults holding a response, in vault order: an empty
+        // vault's visit does nothing.
+        let mut from = 0;
+        while let Some(v) = self.rsp_waiting.next_from(from) {
+            from = v + 1;
+            let vault = &mut self.vaults[v];
             for _ in 0..self.config.vault_bandwidth {
                 let Some(rsp) = vault.rsp.peek() else { break };
                 let preferred = rsp.entry_link % self.config.links;
@@ -498,6 +559,7 @@ impl Device {
                     .push(rsp)
                     .unwrap_or_else(|_| unreachable!("checked not full"));
             }
+            self.rsp_waiting.set(v, !vault.rsp.is_empty());
         }
     }
 
@@ -546,6 +608,8 @@ impl Device {
             config,
             map,
             vaults,
+            rqst_waiting,
+            rsp_waiting,
             mem,
             cmc,
             regs,
@@ -555,7 +619,12 @@ impl Device {
             fault_rng,
             ..
         } = self;
-        for (vidx, vault) in vaults.iter_mut().enumerate() {
+        // Only vaults holding a request, in vault order: an empty
+        // vault's visit does nothing.
+        let mut from = 0;
+        while let Some(vidx) = rqst_waiting.next_from(from) {
+            from = vidx + 1;
+            let vault = &mut vaults[vidx];
             for _ in 0..config.vault_bandwidth {
                 let Some(head) = vault.rqst.peek() else { break };
                 if head.ready_cycle > cycle {
@@ -670,6 +739,8 @@ impl Device {
                 }
                 pool.rqst.give(item);
             }
+            rqst_waiting.set(vidx, !vault.rqst.is_empty());
+            rsp_waiting.set(vidx, !vault.rsp.is_empty());
         }
         absorbed
     }
@@ -742,6 +813,7 @@ impl Device {
                     .rqst
                     .push(item)
                     .unwrap_or_else(|_| unreachable!("checked not full"));
+                self.rqst_waiting.set(vault, true);
             }
         }
     }
@@ -760,11 +832,8 @@ impl Device {
     pub fn pending_work(&self) -> usize {
         self.xbar_rqst.iter().map(|q| q.len()).sum::<usize>()
             + self.xbar_rsp.iter().map(|q| q.len()).sum::<usize>()
-            + self
-                .vaults
-                .iter()
-                .map(|v| v.rqst.len() + v.rsp.len())
-                .sum::<usize>()
+            + self.rqst_waiting.iter().map(|v| self.vaults[v].rqst.len()).sum::<usize>()
+            + self.rsp_waiting.iter().map(|v| self.vaults[v].rsp.len()).sum::<usize>()
     }
 
     /// FLITs currently held in one link's crossbar request queue (the
@@ -776,10 +845,13 @@ impl Device {
             .map_or(0, |q| q.iter().map(|i| i.req.flits() as u64).sum())
     }
 
-    /// First queue whose occupancy exceeds its configured depth, if
-    /// any (sanitizer bound check; structurally unreachable through
+    /// First queue whose occupancy exceeds its configured depth, or
+    /// first vault queue whose occupancy bit disagrees with it, if any
+    /// (sanitizer structural check; the first is unreachable through
     /// [`BoundedQueue`]'s own API, so a hit means memory corruption or
-    /// a restore from a mismatched snapshot).
+    /// a restore from a mismatched snapshot; the second means a stage
+    /// moved a packet without keeping its [`VaultSet`], and the vault
+    /// walks would skip — or needlessly visit — that vault).
     pub(crate) fn queue_bound_violation(&self) -> Option<String> {
         for (link, q) in self.xbar_rqst.iter().enumerate() {
             if q.len() > q.depth() {
@@ -805,6 +877,16 @@ impl Device {
                     vault.rsp.len(),
                     vault.rsp.depth()
                 ));
+            }
+            for (dir, marked, len) in [
+                ("rqst", self.rqst_waiting.contains(v), vault.rqst.len()),
+                ("rsp", self.rsp_waiting.contains(v), vault.rsp.len()),
+            ] {
+                if marked != (len != 0) {
+                    return Some(format!(
+                        "vault {v} {dir}: occupancy bit {marked} but {len} queued"
+                    ));
+                }
             }
         }
         None
@@ -858,6 +940,10 @@ impl Device {
         self.xbar_rqst = s.xbar_rqst.clone();
         self.xbar_rsp = s.xbar_rsp.clone();
         self.vaults = s.vaults.clone();
+        for (v, vault) in self.vaults.iter().enumerate() {
+            self.rqst_waiting.set(v, !vault.rqst.is_empty());
+            self.rsp_waiting.set(v, !vault.rsp.is_empty());
+        }
         self.mem = s.mem.clone();
         self.regs = s.regs.clone();
         self.stats = s.stats.clone();
@@ -1399,6 +1485,59 @@ mod tests {
         }
         assert_eq!(dev.stats().reads, 1);
         assert_eq!(dev.stats().responses, 1);
+    }
+
+    #[test]
+    fn occupancy_hints_follow_the_vault_queues_and_drift_is_reported() {
+        let mut dev = device();
+        let mut tracer = Tracer::disabled();
+        let vault = dev.address_map().decompose(0x40).unwrap().vault as usize;
+        let hints = |dev: &Device| {
+            assert_eq!(dev.queue_bound_violation(), None);
+            (dev.rqst_waiting.iter().collect::<Vec<_>>(), dev.rsp_waiting.iter().collect::<Vec<_>>())
+        };
+        let read = Request::new(HmcRqst::Rd16, Tag::new(5).unwrap(), 0x40, Cub::new(0).unwrap(), [])
+            .unwrap();
+        dev.send(1, tracked(read)).unwrap();
+        assert_eq!(hints(&dev), (vec![], vec![]), "crossbar queues are not vault queues");
+        route(&mut dev, 0, &mut tracer);
+        assert_eq!(hints(&dev), (vec![vault], vec![]));
+        assert_eq!(dev.pending_work(), 1);
+        execute(&mut dev, 1, &mut tracer);
+        assert_eq!(hints(&dev), (vec![], vec![vault]));
+        assert_eq!(dev.pending_work(), 1);
+        dev.route_responses(2, &mut tracer);
+        assert_eq!(hints(&dev), (vec![], vec![]));
+
+        // A hint without a packet costs a visit; a packet without a
+        // hint is never served. Either way the sanitizer's walk says so.
+        dev.rsp_waiting.set(vault, true);
+        let found = dev.queue_bound_violation().expect("stale hint");
+        assert_eq!(found, format!("vault {vault} rsp: occupancy bit true but 0 queued"));
+        dev.rsp_waiting.set(vault, false);
+        dev.vaults[7].rqst.push(tracked(Request::new(
+            HmcRqst::Rd16,
+            Tag::new(6).unwrap(),
+            0x40,
+            Cub::new(0).unwrap(),
+            [],
+        ).unwrap())).unwrap();
+        let found = dev.queue_bound_violation().expect("missing hint");
+        assert_eq!(found, "vault 7 rqst: occupancy bit false but 1 queued");
+    }
+
+    #[test]
+    fn vault_sets_walk_in_ascending_order_across_words() {
+        let mut set = VaultSet::new(130);
+        for v in [129, 0, 64, 63, 5] {
+            set.set(v, true);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 5, 63, 64, 129]);
+        assert_eq!(set.next_from(6), Some(63));
+        assert_eq!(set.next_from(130), None);
+        set.set(63, false);
+        assert!(!set.contains(63) && set.contains(64));
+        assert_eq!(set.next_from(6), Some(64));
     }
 
     #[test]

@@ -23,6 +23,16 @@ use crate::trace::Tracer;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
+/// A lane is handed whole devices by value and nothing by reference, so
+/// what a device owns has to be `Send` and nothing more. Its backing
+/// store is the one part that is deliberately not `Sync` (the page table
+/// sits in a `RefCell`); this names it, should it ever stop being `Send`,
+/// ahead of the error `WorkerPool::new`'s `spawn` would give.
+const _: fn() = || {
+    fn moves_between_lanes<T: Send>() {}
+    moves_between_lanes::<hmc_mem::SparseMemory>();
+};
+
 /// Stage 3 for `devices`, in order, on the calling thread — what the
 /// sequential engine does with all of them and a lane with its range.
 /// Returns the number of requests absorbed without a response.

@@ -21,7 +21,9 @@ use crate::timing::{TimingSelect, TimingStats};
 use crate::topology::Topology;
 use crate::trace::{FlightRecorder, FlightSnapshot, TraceKind, TraceLevel, TraceRecord, Tracer};
 use hmc_cmc::{CmcOp, CmcRegistration};
-use hmc_types::{Cub, Flit, HmcError, HmcRqst, Request, Response, Tag, TagPool, TagSet};
+use hmc_types::{
+    Cub, Flit, HmcError, HmcRqst, PayloadBuf, Request, Response, Tag, TagPool, TagSet,
+};
 use std::collections::{HashSet, VecDeque};
 
 /// A packet crossing a fabric edge between devices.
@@ -742,7 +744,7 @@ impl HmcSim {
         link: usize,
         cmd: HmcRqst,
         addr: u64,
-        payload: Vec<u64>,
+        payload: impl Into<PayloadBuf>,
     ) -> Result<Option<Tag>, HmcError> {
         // Flow packets are absorbed by the link layer and answer
         // nothing, so they must not hold a tag.
@@ -768,7 +770,7 @@ impl HmcSim {
         cub: Cub,
         cmd: HmcRqst,
         addr: u64,
-        payload: Vec<u64>,
+        payload: impl Into<PayloadBuf>,
     ) -> Result<Option<Tag>, HmcError> {
         let posted = cmd.is_posted() || cmd.kind() == hmc_types::CmdKind::Flow;
         self.send_with_pool(dev, link, posted, cub, |tag, cub| {
@@ -785,12 +787,13 @@ impl HmcSim {
         link: usize,
         code: u8,
         addr: u64,
-        payload: Vec<u64>,
+        payload: impl Into<PayloadBuf>,
     ) -> Result<Option<Tag>, HmcError> {
-        let reg = self.device(dev)?.cmc().lookup(code)?.registration().clone();
+        let reg = self.device(dev)?.cmc().lookup(code)?.registration();
+        let (rqst_len, posted) = (reg.rqst_len, reg.is_posted());
         let cub = Cub::new(dev as u8).expect("validated contexts hold at most 16 devices");
-        self.send_with_pool(dev, link, reg.is_posted(), cub, |tag, cub| {
-            Request::new_cmc(code, reg.rqst_len, tag, addr, cub, payload)
+        self.send_with_pool(dev, link, posted, cub, |tag, cub| {
+            Request::new_cmc(code, rqst_len, tag, addr, cub, payload)
         })
     }
 

@@ -161,3 +161,46 @@ fn drained_device_round_trips() {
     assert_eq!(parsed.fingerprint(), snap.fingerprint());
     assert_eq!(parsed.to_json_full(), snap.to_json_full());
 }
+
+/// A snapshot carries state, not what the engine derives from it: the
+/// per-vault occupancy hints that steer the vault walks are rebuilt by
+/// `restore`. A *fresh* context — every hint clear — restored from a
+/// snapshot with packets waiting in a vault's queues must walk that
+/// vault at once: original and twin clock to quiescence in lockstep,
+/// and the twin's sanitizer (which checks every hint against its queue
+/// every cycle) stays silent.
+#[test]
+fn a_fresh_context_restored_mid_flight_runs_in_lockstep_to_quiescence() {
+    for skip in [false, true] {
+        let point = MatrixPoint { faults: false, sanitizer: true, telemetry: false, skip };
+        let mut sim = build_sim(&point, 1);
+        // Four reads a cycle at one vault, which serves one: its
+        // request queue backs up, with a response on its way out.
+        for _ in 0..12 {
+            for link in 0..4 {
+                sim.send_simple(0, link, HmcRqst::Rd16, 0x40, vec![]).unwrap();
+            }
+            sim.clock();
+        }
+        assert!(sim.vault_queue_high_water(0).unwrap() > 8, "the vault queue backed up");
+        let parsed = SimSnapshot::from_json(&sim.snapshot().to_json_full()).unwrap();
+
+        let mut twin = build_sim(&point, 1);
+        twin.restore(&parsed).unwrap();
+        let mut cycles = 0;
+        while !sim.is_quiescent() {
+            assert_eq!(sim.clock(), twin.clock());
+            assert_eq!(
+                sim.state_fingerprint(),
+                twin.state_fingerprint(),
+                "diverged {cycles} cycles after the restore (skip {skip})"
+            );
+            cycles += 1;
+            assert!(cycles < 1_000, "the backlog drains");
+        }
+        assert!(cycles > 30, "the snapshot was taken with work in the vault ({cycles} cycles)");
+        assert!(twin.is_quiescent());
+        assert_eq!(twin.sanitizer_report().unwrap().total_violations, 0);
+        assert_eq!(sim.sanitizer_report().unwrap().total_violations, 0);
+    }
+}

@@ -21,7 +21,7 @@
 use hmc_sim::fault::ERRSTAT_HOST_GIVEUP;
 use hmc_sim::{HmcSim, TrackedResponse};
 use hmc_types::{Cub, HmcError, HmcResponse, HmcRqst, PayloadBuf, Response, RspHead, RspTail, Slid, Tag};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Whether a thread has finished its kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,19 +35,71 @@ pub enum ThreadStatus {
 /// The body of a tracked request, kept so the driver can replay it.
 #[derive(Debug, Clone)]
 enum SentKind {
-    Std { cmd: HmcRqst, addr: u64, payload: Vec<u64> },
-    Cmc { code: u8, addr: u64, payload: Vec<u64> },
+    Std { cmd: HmcRqst, addr: u64, payload: PayloadBuf },
+    Cmc { code: u8, addr: u64, payload: PayloadBuf },
 }
 
-/// One tagged request issued through a [`ThreadIo`] this tick.
-struct SentRequest {
-    /// The link the request actually went out on (differs from the
-    /// thread's pinned link after a failover).
-    link: usize,
-    tag: Tag,
-    /// Recorded body for replay; `None` when no resilience policy is
-    /// installed (nothing will ever be replayed).
-    kind: Option<SentKind>,
+impl SentKind {
+    /// Issues the request on `link`. The payload is copied (inline, no
+    /// allocation): the body may be needed again for a replay.
+    fn send(&self, sim: &mut HmcSim, dev: usize, link: usize) -> Result<Option<Tag>, HmcError> {
+        match self {
+            SentKind::Std { cmd, addr, payload } => {
+                sim.send_simple(dev, link, *cmd, *addr, payload.clone())
+            }
+            SentKind::Cmc { code, addr, payload } => {
+                sim.send_cmc(dev, link, *code, *addr, payload.clone())
+            }
+        }
+    }
+}
+
+/// A tracked request awaiting its response.
+struct Inflight {
+    tid: usize,
+    issued: u64,
+    attempts: u32,
+    kind: SentKind,
+}
+
+/// [`Ledger::owner`]'s "nothing in flight under this tag".
+const NO_OWNER: u32 = u32::MAX;
+
+/// The driver's record of the tagged requests in flight.
+struct Ledger {
+    /// The issuing thread of each, indexed `[entry link][tag]`: one row
+    /// per link, grown to the highest tag the link has carried.
+    owner: Vec<Vec<u32>>,
+    /// Their issue cycles and replayable bodies — kept only under a
+    /// resilience policy (without one nothing is ever replayed), in a
+    /// `BTreeMap` so the timeout scan is deterministic across runs.
+    inflight: Option<BTreeMap<(usize, u16), Inflight>>,
+}
+
+impl Ledger {
+    fn record(&mut self, link: usize, tag: Tag, entry: Inflight) {
+        let row = &mut self.owner[link];
+        let slot = tag.value() as usize;
+        if row.len() <= slot {
+            row.resize(slot + 1, NO_OWNER);
+        }
+        row[slot] = entry.tid as u32;
+        if let Some(inflight) = &mut self.inflight {
+            inflight.insert((link, tag.value()), entry);
+        }
+    }
+
+    /// Forgets the request in flight under `(entry link, tag)`, if any,
+    /// returning its thread and — under a resilience policy — the rest
+    /// of its record.
+    fn retire(&mut self, key: (usize, u16)) -> Option<(usize, Option<Inflight>)> {
+        let slot = self.owner.get_mut(key.0)?.get_mut(key.1 as usize)?;
+        let tid = std::mem::replace(slot, NO_OWNER);
+        if tid == NO_OWNER {
+            return None;
+        }
+        Some((tid as usize, self.inflight.as_mut().and_then(|m| m.remove(&key))))
+    }
 }
 
 /// Per-tick I/O window a thread uses to talk to the device.
@@ -59,12 +111,13 @@ pub struct ThreadIo<'a> {
     pub link: usize,
     /// Current simulation cycle.
     pub cycle: u64,
-    inbox: VecDeque<TrackedResponse>,
-    sent: Vec<SentRequest>,
-    /// True when the driver runs with a resilience policy: sends fail
-    /// over to surviving links and request bodies are recorded.
-    resilient: bool,
-    link_failovers: u64,
+    tid: usize,
+    inbox: &'a mut VecDeque<TrackedResponse>,
+    /// Where tagged sends are booked. A ledger that keeps bodies means
+    /// the driver runs with a resilience policy, and sends fail over to
+    /// surviving links.
+    ledger: &'a mut Ledger,
+    link_failovers: &'a mut u64,
 }
 
 impl<'a> ThreadIo<'a> {
@@ -76,7 +129,7 @@ impl<'a> ThreadIo<'a> {
     /// The link to issue on: the pinned link, or (under a resilience
     /// policy) the nearest surviving link when the pinned one is down.
     fn pick_link(&self) -> Result<usize, HmcError> {
-        if !self.resilient || self.sim.link_is_up(self.dev, self.link) {
+        if self.ledger.inflight.is_none() || self.sim.link_is_up(self.dev, self.link) {
             return Ok(self.link);
         }
         let links = self.sim.device_config(self.dev)?.links;
@@ -86,26 +139,28 @@ impl<'a> ThreadIo<'a> {
             .ok_or(HmcError::LinkDown(self.link))
     }
 
+    fn issue(&mut self, kind: SentKind) -> Result<Option<Tag>, HmcError> {
+        let link = self.pick_link()?;
+        let tag = kind.send(self.sim, self.dev, link)?;
+        if link != self.link {
+            *self.link_failovers += 1;
+        }
+        if let Some(tag) = tag {
+            let entry = Inflight { tid: self.tid, issued: self.cycle, attempts: 0, kind };
+            self.ledger.record(link, tag, entry);
+        }
+        Ok(tag)
+    }
+
     /// Sends a standard command on the thread's link. Stalls
     /// ([`HmcError::Stall`]) mean "retry next cycle".
     pub fn send(
         &mut self,
         cmd: HmcRqst,
         addr: u64,
-        payload: Vec<u64>,
+        payload: impl Into<PayloadBuf>,
     ) -> Result<Option<Tag>, HmcError> {
-        let link = self.pick_link()?;
-        let kind = self
-            .resilient
-            .then(|| SentKind::Std { cmd, addr, payload: payload.clone() });
-        let tag = self.sim.send_simple(self.dev, link, cmd, addr, payload)?;
-        if link != self.link {
-            self.link_failovers += 1;
-        }
-        if let Some(tag) = tag {
-            self.sent.push(SentRequest { link, tag, kind });
-        }
-        Ok(tag)
+        self.issue(SentKind::Std { cmd, addr, payload: payload.into() })
     }
 
     /// Sends a CMC command on the thread's link.
@@ -113,20 +168,9 @@ impl<'a> ThreadIo<'a> {
         &mut self,
         code: u8,
         addr: u64,
-        payload: Vec<u64>,
+        payload: impl Into<PayloadBuf>,
     ) -> Result<Option<Tag>, HmcError> {
-        let link = self.pick_link()?;
-        let kind = self
-            .resilient
-            .then(|| SentKind::Cmc { code, addr, payload: payload.clone() });
-        let tag = self.sim.send_cmc(self.dev, link, code, addr, payload)?;
-        if link != self.link {
-            self.link_failovers += 1;
-        }
-        if let Some(tag) = tag {
-            self.sent.push(SentRequest { link, tag, kind });
-        }
-        Ok(tag)
+        self.issue(SentKind::Cmc { code, addr, payload: payload.into() })
     }
 }
 
@@ -138,13 +182,21 @@ pub trait HostThread {
     /// Advances the thread by one cycle.
     fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus;
 
-    /// The cycle at which this thread next needs to run, when it is
-    /// idling on host-side backoff with nothing in flight. `None`
-    /// (the default) means "tick me every cycle". Returning
-    /// `Some(wake)` is a promise that `tick` is a pure no-op on every
-    /// cycle before `wake`, which lets [`ThreadDriver`] compress the
-    /// wait through the simulator's event-horizon engine
-    /// ([`HmcSim::clock_until_event`]).
+    /// The cycle before which this thread has nothing to do unless a
+    /// response reaches it first. `None` (the default) means "tick me
+    /// every cycle". Returning `Some(wake)` is a promise that `tick` is
+    /// a pure no-op — no send attempt, no state change — on every cycle
+    /// before `wake` on which [`ThreadIo::response`] would return
+    /// `None`: a thread backing off on the host side returns its wake-up
+    /// cycle, a thread waiting for a response returns `Some(u64::MAX)`.
+    /// A thread about to send must return `None`, however often its
+    /// send stalls: a stalled send moves the device's stall counters.
+    ///
+    /// [`ThreadDriver`] spends the promise twice. It does not tick the
+    /// thread until `wake` or a delivery, and when every unfinished
+    /// thread has made one it compresses the wait through the
+    /// simulator's event-horizon engine ([`HmcSim::clock_until_event`]).
+    /// Results are identical with and without the hint.
     fn parked_until(&self) -> Option<u64> {
         None
     }
@@ -247,14 +299,6 @@ impl RunMetrics {
     }
 }
 
-/// A tracked request awaiting its response.
-struct Inflight {
-    tid: usize,
-    issued: u64,
-    attempts: u32,
-    kind: SentKind,
-}
-
 /// A request scheduled for re-send after backoff.
 struct PendingRetry {
     tid: usize,
@@ -303,7 +347,8 @@ impl ThreadDriver {
                     tag: Tag::new(tag as u32).expect("tag came from a valid request"),
                     af: false,
                     slid: Slid::new((link % 8) as u8).expect("link < 8"),
-                    cub: Cub::new((dev % 8) as u8).expect("dev < 8"),
+                    cub: Cub::new(dev as u8)
+                        .expect("contexts hold at most Cub::MAX_CUBES devices"),
                 },
                 payload: PayloadBuf::new(),
                 tail: RspTail { errstat: ERRSTAT_HOST_GIVEUP, ..RspTail::default() },
@@ -321,15 +366,23 @@ impl ThreadDriver {
     /// Runs the threads to completion, routing responses by tag.
     pub fn run<T: HostThread>(&self, sim: &mut HmcSim, threads: &mut [T]) -> RunMetrics {
         let total_links = sim.device_config(self.dev).map(|c| c.links).unwrap_or(1);
-        let mut owner: HashMap<(usize, u16), usize> = HashMap::new();
-        // BTreeMap so the timeout scan is deterministic across runs.
-        let mut inflight: BTreeMap<(usize, u16), Inflight> = BTreeMap::new();
+        let mut ledger = Ledger {
+            owner: vec![Vec::new(); total_links],
+            inflight: self.resilience.map(|_| BTreeMap::new()),
+        };
         let mut retries: VecDeque<PendingRetry> = VecDeque::new();
         let mut mailboxes: Vec<VecDeque<TrackedResponse>> =
             (0..threads.len()).map(|_| VecDeque::new()).collect();
         let mut finish: Vec<Option<u64>> = vec![None; threads.len()];
         let mut fault_stats: Vec<ThreadFaultStats> =
             vec![ThreadFaultStats::default(); threads.len()];
+        // The cycle each thread is next due a tick, which is all the
+        // tick loop reads of a thread that is not due: its
+        // `parked_until()` as of its last tick (only a tick changes
+        // it), 0 — now — once it has made no promise or has mail, and
+        // `u64::MAX` — never — once it has finished.
+        let mut due: Vec<u64> = vec![0; threads.len()];
+        let mut unfinished = threads.len();
 
         let mut cycle = 0u64;
         while cycle < self.max_cycles {
@@ -339,8 +392,7 @@ impl ThreadDriver {
             for link in 0..total_links {
                 while let Some(rsp) = sim.recv(self.dev, link) {
                     let key = (rsp.entry_link, rsp.rsp.head.tag.value());
-                    let Some(tid) = owner.remove(&key) else { continue };
-                    let entry = inflight.remove(&key);
+                    let Some((tid, entry)) = ledger.retire(key) else { continue };
                     if let (Some(cfg), Some(entry)) = (self.resilience, entry) {
                         if Self::response_faulty(&rsp) {
                             if rsp.rsp.tail.dinv {
@@ -362,19 +414,22 @@ impl ThreadDriver {
                         }
                     }
                     mailboxes[tid].push_back(rsp);
+                    due[tid] = 0;
                 }
             }
 
             if let Some(cfg) = self.resilience {
                 // Abandon requests that have been in flight too long.
-                let expired: Vec<(usize, u16)> = inflight
+                let expired: Vec<(usize, u16)> = ledger
+                    .inflight
                     .iter()
+                    .flatten()
                     .filter(|(_, e)| cycle.saturating_sub(e.issued) >= cfg.request_timeout)
                     .map(|(&k, _)| k)
                     .collect();
                 for key in expired {
-                    let entry = inflight.remove(&key).expect("key from scan");
-                    owner.remove(&key);
+                    let (_, entry) = ledger.retire(key).expect("key from scan");
+                    let entry = entry.expect("resilient ledgers keep every record");
                     if let Ok(tag) = Tag::new(key.1 as u32) {
                         let _ = sim.abandon_tag(self.dev, key.0, tag);
                     }
@@ -390,6 +445,7 @@ impl ThreadDriver {
                     } else {
                         fault_stats[entry.tid].give_ups += 1;
                         mailboxes[entry.tid].push_back(Self::give_up_response(self.dev, key));
+                        due[entry.tid] = 0;
                     }
                 }
 
@@ -409,29 +465,13 @@ impl ThreadDriver {
                         deferred.push_back(r); // all links down: wait
                         continue;
                     };
-                    let sent = match &r.kind {
-                        SentKind::Std { cmd, addr, payload } => {
-                            sim.send_simple(self.dev, link, *cmd, *addr, payload.clone())
-                        }
-                        SentKind::Cmc { code, addr, payload } => {
-                            sim.send_cmc(self.dev, link, *code, *addr, payload.clone())
-                        }
-                    };
-                    match sent {
+                    match r.kind.send(sim, self.dev, link) {
                         Ok(Some(tag)) => {
                             if link != pinned {
                                 fault_stats[r.tid].link_failovers += 1;
                             }
-                            owner.insert((link, tag.value()), r.tid);
-                            inflight.insert(
-                                (link, tag.value()),
-                                Inflight {
-                                    tid: r.tid,
-                                    issued: cycle,
-                                    attempts: r.attempts,
-                                    kind: r.kind,
-                                },
-                            );
+                            let PendingRetry { tid, attempts, kind, .. } = r;
+                            ledger.record(link, tag, Inflight { tid, issued: cycle, attempts, kind });
                         }
                         Ok(None) => {} // posted: nothing to track
                         Err(_) => deferred.push_back(r), // stall: next cycle
@@ -440,79 +480,70 @@ impl ThreadDriver {
                 retries = deferred;
             }
 
-            let mut all_done = true;
+            if unfinished == 0 {
+                break;
+            }
+            // The earliest cycle at which a thread may do something, as
+            // far as the threads have promised.
+            let mut horizon = self.max_cycles;
             for (tid, thread) in threads.iter_mut().enumerate() {
-                if finish[tid].is_some() {
+                if cycle < due[tid] {
+                    horizon = horizon.min(due[tid]);
                     continue;
                 }
-                all_done = false;
+                if finish[tid].is_some() {
+                    due[tid] = u64::MAX; // mail for a finished thread
+                    continue;
+                }
                 let mut io = ThreadIo {
                     dev: self.dev,
                     link: thread.link(),
                     cycle,
-                    inbox: std::mem::take(&mut mailboxes[tid]),
-                    sent: Vec::new(),
-                    resilient: self.resilience.is_some(),
-                    link_failovers: 0,
+                    tid,
+                    inbox: &mut mailboxes[tid],
+                    ledger: &mut ledger,
+                    link_failovers: &mut fault_stats[tid].link_failovers,
                     sim,
                 };
-                let status = thread.tick(&mut io);
-                let ThreadIo { inbox, sent, link_failovers, .. } = io;
-                mailboxes[tid] = inbox;
-                fault_stats[tid].link_failovers += link_failovers;
-                for s in sent {
-                    owner.insert((s.link, s.tag.value()), tid);
-                    if let Some(kind) = s.kind {
-                        inflight.insert(
-                            (s.link, s.tag.value()),
-                            Inflight { tid, issued: cycle, attempts: 0, kind },
-                        );
-                    }
-                }
-                if status == ThreadStatus::Done {
+                if thread.tick(&mut io) == ThreadStatus::Done {
                     finish[tid] = Some(cycle);
-                }
-            }
-            if all_done {
-                break;
-            }
-
-            // When every unfinished thread is parked until a known
-            // wake-up cycle, let the event-horizon engine compress the
-            // wait instead of ticking no-op cycles one at a time. The
-            // jump never crosses a driver-side event: a parked
-            // thread's wake, a pending retry's replay cycle, or an
-            // in-flight request's timeout due. With skipping disabled
-            // `clock_until_event` executes exactly one full cycle, so
-            // this degenerates to the classic per-cycle loop.
-            let mut horizon = self.max_cycles;
-            let mut all_parked = false;
-            for (tid, thread) in threads.iter().enumerate() {
-                if finish[tid].is_some() {
+                    due[tid] = u64::MAX;
+                    unfinished -= 1;
                     continue;
                 }
-                match thread.parked_until() {
-                    Some(wake) if mailboxes[tid].is_empty() => {
-                        horizon = horizon.min(wake);
-                        all_parked = true;
-                    }
-                    _ => {
-                        all_parked = false;
-                        break;
-                    }
-                }
+                due[tid] = match thread.parked_until() {
+                    Some(wake) if mailboxes[tid].is_empty() => wake,
+                    _ => 0,
+                };
+                horizon = horizon.min(due[tid]);
             }
-            if all_parked {
+            if unfinished == 0 {
+                // The last thread finished this cycle: one plain clock,
+                // and the loop ends at the top of the next iteration.
+                horizon = 0;
+            }
+
+            // When no thread is due before a known cycle, let the
+            // event-horizon engine compress the wait instead of
+            // clocking one cycle at a time. The jump never crosses a
+            // driver-side event: an idle thread's wake, a pending
+            // retry's replay cycle, or an in-flight request's timeout
+            // due; and it ends with the first cycle the fabric does
+            // anything in, so a response is delivered on time. With
+            // skipping disabled `clock_until_event` executes exactly
+            // one full cycle, so this degenerates to the classic
+            // per-cycle loop.
+            if horizon > cycle + 1 {
                 for r in &retries {
                     horizon = horizon.min(r.ready);
                 }
                 if let Some(cfg) = self.resilience {
-                    for e in inflight.values() {
+                    for e in ledger.inflight.iter().flat_map(|m| m.values()) {
                         horizon = horizon.min(e.issued + cfg.request_timeout);
                     }
                 }
             }
-            if all_parked && horizon > cycle + 1 {
+            if horizon > cycle + 1 {
                 cycle += sim.clock_until_event(horizon - cycle);
             } else {
                 sim.clock();
@@ -520,7 +551,6 @@ impl ThreadDriver {
             }
         }
 
-        let unfinished = finish.iter().filter(|f| f.is_none()).count();
         RunMetrics {
             per_thread_cycles: finish
                 .into_iter()
@@ -686,10 +716,54 @@ mod tests {
 
     #[test]
     fn give_up_response_carries_host_errstat() {
-        let rsp = ThreadDriver::give_up_response(0, (2, 17));
-        assert!(matches!(rsp.rsp.head.cmd, HmcResponse::Error));
-        assert_eq!(rsp.rsp.tail.errstat, ERRSTAT_HOST_GIVEUP);
-        assert_eq!(rsp.rsp.head.tag.value(), 17);
-        assert_eq!(rsp.entry_link, 2);
+        // Device 9 of a 16-cube fabric answers as cube 9, not as the
+        // cube 1 that `dev % 8` used to name.
+        for dev in [0, 9] {
+            let rsp = ThreadDriver::give_up_response(dev, (2, 17));
+            assert!(matches!(rsp.rsp.head.cmd, HmcResponse::Error));
+            assert_eq!(rsp.rsp.tail.errstat, ERRSTAT_HOST_GIVEUP);
+            assert_eq!(rsp.rsp.head.tag.value(), 17);
+            assert_eq!(rsp.rsp.head.cub.value() as usize, dev);
+            assert_eq!(rsp.entry_device, dev);
+            assert_eq!(rsp.entry_link, 2);
+        }
+    }
+
+    #[test]
+    fn a_delivery_wakes_a_parked_thread_before_its_wake_cycle() {
+        /// Reads once, then claims to be parked until cycle 1000 — but
+        /// takes its response whenever it is ticked.
+        struct Napper {
+            sent: bool,
+            ticks: u32,
+        }
+        impl HostThread for Napper {
+            fn link(&self) -> usize {
+                0
+            }
+            fn parked_until(&self) -> Option<u64> {
+                self.sent.then_some(1_000)
+            }
+            fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus {
+                self.ticks += 1;
+                if !self.sent {
+                    self.sent = io.send(HmcRqst::Rd16, 0x40, []).is_ok();
+                    ThreadStatus::Running
+                } else if io.response().is_some() {
+                    ThreadStatus::Done
+                } else {
+                    ThreadStatus::Running
+                }
+            }
+        }
+        for skip in [hmc_sim::SkipMode::Off, hmc_sim::SkipMode::On] {
+            let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+            sim.set_skip_mode(skip);
+            let mut threads = [Napper { sent: false, ticks: 0 }];
+            let metrics = ThreadDriver { dev: 0, max_cycles: 5_000, resilience: None }
+                .run(&mut sim, &mut threads);
+            assert_eq!(metrics.per_thread_cycles, [3], "the round trip, not the nap ({skip:?})");
+            assert_eq!(threads[0].ticks, 2, "one tick to send, one for the delivery");
+        }
     }
 }

@@ -94,7 +94,8 @@ fn poisoned(rsp: &TrackedResponse) -> bool {
     rsp.rsp.tail.dinv
 }
 
-struct BarrierThread {
+/// One barrier participant, built by [`BarrierKernel::threads`].
+pub struct BarrierThread {
     link: usize,
     nthreads: u64,
     rounds: usize,
@@ -132,7 +133,8 @@ impl HostThread for BarrierThread {
     fn parked_until(&self) -> Option<u64> {
         match self.state {
             State::Backoff { until } => Some(until),
-            _ => None,
+            State::WaitArrive { .. } | State::WaitPublish | State::WaitSpin => Some(u64::MAX),
+            State::SendArrive { .. } | State::SendPublish | State::SendSpin => None,
         }
     }
 
@@ -141,7 +143,7 @@ impl HostThread for BarrierThread {
             match self.state {
                 State::SendArrive { expected } => {
                     // swap = expected + 1, compare = expected.
-                    match io.send(HmcRqst::CasEq8, self.addr, vec![expected + 1, expected]) {
+                    match io.send(HmcRqst::CasEq8, self.addr, [expected + 1, expected]) {
                         Ok(_) => self.state = State::WaitArrive { expected },
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("barrier kernel send failed: {e}"),
@@ -184,7 +186,7 @@ impl HostThread for BarrierThread {
                 }
                 State::SendPublish => {
                     let published = (self.round + 1) as u64;
-                    match io.send(HmcRqst::Wr16, self.addr, vec![0, published]) {
+                    match io.send(HmcRqst::Wr16, self.addr, [0, published]) {
                         Ok(_) => self.state = State::WaitPublish,
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("barrier kernel send failed: {e}"),
@@ -202,7 +204,7 @@ impl HostThread for BarrierThread {
                     return self.finish_round(io.cycle);
                 }
                 State::SendSpin => {
-                    match io.send(HmcRqst::Rd16, self.addr, vec![]) {
+                    match io.send(HmcRqst::Rd16, self.addr, []) {
                         Ok(_) => self.state = State::WaitSpin,
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("barrier kernel send failed: {e}"),
@@ -285,11 +287,27 @@ impl BarrierKernel {
 
     /// Runs the kernel.
     pub fn run(&self, sim: &mut HmcSim) -> Result<BarrierKernelResult, HmcError> {
+        let mut threads = self.threads(sim)?;
+        let driver =
+            ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
+        let metrics = driver.run(sim, &mut threads);
+        Ok(BarrierKernelResult {
+            metrics,
+            arrivals: threads.iter().map(|t| t.arrivals.clone()).collect(),
+            releases: threads.iter().map(|t| t.releases.clone()).collect(),
+            final_count: sim.mem_read_u64(0, self.config.barrier_addr)?,
+            final_sense: sim.mem_read_u64(0, self.config.barrier_addr + 8)?,
+        })
+    }
+
+    /// Zeroes the barrier structure and builds the kernel's threads —
+    /// what [`BarrierKernel::run`] hands its driver.
+    pub fn threads(&self, sim: &mut HmcSim) -> Result<Vec<BarrierThread>, HmcError> {
         assert!(self.config.threads > 0, "barrier needs at least one thread");
         let links = sim.device_config(0)?.links;
         sim.mem_write_u64(0, self.config.barrier_addr, 0)?;
         sim.mem_write_u64(0, self.config.barrier_addr + 8, 0)?;
-        let mut threads: Vec<BarrierThread> = (0..self.config.threads)
+        Ok((0..self.config.threads)
             .map(|tid| BarrierThread {
                 link: tid % links,
                 nthreads: self.config.threads as u64,
@@ -303,17 +321,7 @@ impl BarrierKernel {
                 arrivals: Vec::with_capacity(self.config.rounds),
                 releases: Vec::with_capacity(self.config.rounds),
             })
-            .collect();
-        let driver =
-            ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
-        let metrics = driver.run(sim, &mut threads);
-        Ok(BarrierKernelResult {
-            metrics,
-            arrivals: threads.iter().map(|t| t.arrivals.clone()).collect(),
-            releases: threads.iter().map(|t| t.releases.clone()).collect(),
-            final_count: sim.mem_read_u64(0, self.config.barrier_addr)?,
-            final_sense: sim.mem_read_u64(0, self.config.barrier_addr + 8)?,
-        })
+            .collect())
     }
 }
 

@@ -76,7 +76,8 @@ fn poisoned(rsp: &TrackedResponse) -> bool {
     rsp.rsp.tail.dinv
 }
 
-struct CounterThread {
+/// One incrementing thread, built by [`CounterKernel::threads`].
+pub struct CounterThread {
     link: usize,
     remaining: usize,
     addr: u64,
@@ -88,6 +89,13 @@ impl HostThread for CounterThread {
         self.link
     }
 
+    fn parked_until(&self) -> Option<u64> {
+        match self.state {
+            State::WaitInc | State::WaitRead | State::WaitWrite { .. } => Some(u64::MAX),
+            State::SendInc | State::SendRead | State::SendWrite { .. } => None,
+        }
+    }
+
     fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus {
         if self.remaining == 0 {
             return ThreadStatus::Done;
@@ -96,7 +104,7 @@ impl HostThread for CounterThread {
         loop {
             match self.state {
                 State::SendInc => {
-                    match io.send(HmcRqst::Inc8, self.addr, vec![]) {
+                    match io.send(HmcRqst::Inc8, self.addr, []) {
                         Ok(_) => self.state = State::WaitInc,
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("counter kernel send failed: {e}"),
@@ -121,7 +129,7 @@ impl HostThread for CounterThread {
                 State::SendRead => {
                     // Fetch the 64-byte cache line containing the
                     // counter.
-                    match io.send(HmcRqst::Rd64, self.addr & !63, vec![]) {
+                    match io.send(HmcRqst::Rd64, self.addr & !63, []) {
                         Ok(_) => self.state = State::WaitRead,
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("counter kernel send failed: {e}"),
@@ -202,25 +210,12 @@ impl CounterKernel {
 
     /// Runs the kernel.
     pub fn run(&self, sim: &mut HmcSim) -> Result<CounterKernelResult, HmcError> {
-        let links = sim.device_config(0)?.links;
-        sim.mem_write_u64(0, self.config.counter_addr, 0)?;
         let flits_before = {
             let s = sim.stats(0)?;
             s.rqst_flits + s.rsp_flits
         };
 
-        let start_state = match self.config.mode {
-            CounterMode::HmcInc8 => State::SendInc,
-            CounterMode::CacheRmw => State::SendRead,
-        };
-        let mut threads: Vec<CounterThread> = (0..self.config.threads)
-            .map(|tid| CounterThread {
-                link: tid % links,
-                remaining: self.config.increments_per_thread,
-                addr: self.config.counter_addr,
-                state: start_state.clone(),
-            })
-            .collect();
+        let mut threads = self.threads(sim)?;
         let driver =
             ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
         let metrics = driver.run(sim, &mut threads);
@@ -237,6 +232,25 @@ impl CounterKernel {
             link_flits,
             link_bytes: link_flits * 16,
         })
+    }
+
+    /// Zeroes the counter and builds the kernel's threads — what
+    /// [`CounterKernel::run`] hands its driver.
+    pub fn threads(&self, sim: &mut HmcSim) -> Result<Vec<CounterThread>, HmcError> {
+        let links = sim.device_config(0)?.links;
+        sim.mem_write_u64(0, self.config.counter_addr, 0)?;
+        let start_state = match self.config.mode {
+            CounterMode::HmcInc8 => State::SendInc,
+            CounterMode::CacheRmw => State::SendRead,
+        };
+        Ok((0..self.config.threads)
+            .map(|tid| CounterThread {
+                link: tid % links,
+                remaining: self.config.increments_per_thread,
+                addr: self.config.counter_addr,
+                state: start_state.clone(),
+            })
+            .collect())
     }
 }
 

@@ -125,8 +125,8 @@ enum State {
     WaitUnlock,
 }
 
-/// One thread of Algorithm 1.
-struct MutexThread {
+/// One thread of Algorithm 1, built by [`MutexKernel::threads`].
+pub struct MutexThread {
     tid: u64,
     link: usize,
     lock_addr: u64,
@@ -153,21 +153,21 @@ impl MutexThread {
     ) -> Result<(), HmcError> {
         match self.mechanism {
             MutexMechanism::Cmc => io
-                .send_cmc(op, self.lock_addr, vec![self.wire_tid(), 0])
+                .send_cmc(op, self.lock_addr, [self.wire_tid(), 0])
                 .map(|_| ()),
             MutexMechanism::CasEq8 => io
                 .send(
                     hmc_types::HmcRqst::CasEq8,
                     self.lock_addr,
-                    vec![self.wire_tid(), 0], // swap = tid, compare = 0
+                    [self.wire_tid(), 0], // swap = tid, compare = 0
                 )
                 .map(|_| ()),
             MutexMechanism::Ticket => {
                 if op == LOCK_CMD {
-                    io.send_cmc(TICKET_TAKE_CMD, self.lock_addr, vec![]).map(|_| ())
+                    io.send_cmc(TICKET_TAKE_CMD, self.lock_addr, []).map(|_| ())
                 } else {
                     let ticket = self.my_ticket.expect("ticket drawn before polling");
-                    io.send_cmc(TICKET_POLL_CMD, self.lock_addr, vec![ticket, 0])
+                    io.send_cmc(TICKET_POLL_CMD, self.lock_addr, [ticket, 0])
                         .map(|_| ())
                 }
             }
@@ -178,17 +178,17 @@ impl MutexThread {
     fn send_release(&self, io: &mut ThreadIo<'_>) -> Result<(), HmcError> {
         match self.mechanism {
             MutexMechanism::Cmc => io
-                .send_cmc(UNLOCK_CMD, self.lock_addr, vec![self.wire_tid(), 0])
+                .send_cmc(UNLOCK_CMD, self.lock_addr, [self.wire_tid(), 0])
                 .map(|_| ()),
             MutexMechanism::CasEq8 => io
                 .send(
                     hmc_types::HmcRqst::CasEq8,
                     self.lock_addr,
-                    vec![0, self.wire_tid()], // swap = 0, compare = tid
+                    [0, self.wire_tid()], // swap = 0, compare = tid
                 )
                 .map(|_| ()),
             MutexMechanism::Ticket => io
-                .send_cmc(TICKET_RELEASE_CMD, self.lock_addr, vec![])
+                .send_cmc(TICKET_RELEASE_CMD, self.lock_addr, [])
                 .map(|_| ()),
         }
     }
@@ -203,7 +203,8 @@ impl HostThread for MutexThread {
     fn parked_until(&self) -> Option<u64> {
         match self.state {
             State::Backoff { until } => Some(until),
-            _ => None,
+            State::WaitLock | State::WaitTrylock | State::WaitUnlock => Some(u64::MAX),
+            State::SendLock | State::SendTrylock | State::SendUnlock => None,
         }
     }
 
@@ -365,6 +366,20 @@ impl MutexKernel {
         sim: &mut HmcSim,
         driver: &ThreadDriver,
     ) -> Result<MutexKernelResult, HmcError> {
+        let mut threads = self.threads(sim)?;
+        let metrics = driver.run(sim, &mut threads);
+        Ok(MutexKernelResult {
+            metrics,
+            acquisitions: threads.iter().map(|t| t.acquisitions).sum(),
+            final_lock_word: sim.mem_read_u64(0, self.config.lock_addr)?,
+        })
+    }
+
+    /// Checks that the needed CMC library is loaded on device 0, puts
+    /// the lock in its free state and builds the kernel's threads —
+    /// what [`MutexKernel::run`] hands its driver, for callers that
+    /// drive the threads themselves.
+    pub fn threads(&self, sim: &mut HmcSim) -> Result<Vec<MutexThread>, HmcError> {
         let links = sim.device_config(0)?.links;
         // Fail fast when the needed CMC library is not loaded rather
         // than flooding the device with inactive-command errors.
@@ -384,7 +399,7 @@ impl MutexKernel {
         sim.mem_write_u64(0, self.config.lock_addr, 0)?;
         sim.mem_write_u64(0, self.config.lock_addr + 8, 0)?;
 
-        let mut threads: Vec<MutexThread> = (0..self.config.threads)
+        Ok((0..self.config.threads)
             .map(|tid| MutexThread {
                 tid: tid as u64,
                 link: tid % links,
@@ -396,14 +411,7 @@ impl MutexKernel {
                 acquisitions: 0,
                 my_ticket: None,
             })
-            .collect();
-
-        let metrics = driver.run(sim, &mut threads);
-        Ok(MutexKernelResult {
-            metrics,
-            acquisitions: threads.iter().map(|t| t.acquisitions).sum(),
-            final_lock_word: sim.mem_read_u64(0, self.config.lock_addr)?,
-        })
+            .collect())
     }
 }
 

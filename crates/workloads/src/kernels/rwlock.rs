@@ -60,7 +60,8 @@ enum State {
     WaitRelease,
 }
 
-struct RwThread {
+/// One reader or writer, built by [`RwLockKernel::threads`].
+pub struct RwThread {
     tid: u64,
     link: usize,
     writer: bool,
@@ -78,7 +79,13 @@ impl HostThread for RwThread {
     fn parked_until(&self) -> Option<u64> {
         match self.state {
             State::Backoff { until } => Some(until),
-            _ => None,
+            State::WaitAcquire | State::WaitData | State::WaitWriteBack | State::WaitRelease => {
+                Some(u64::MAX)
+            }
+            State::SendAcquire
+            | State::SendData
+            | State::SendWriteBack { .. }
+            | State::SendRelease => None,
         }
     }
 
@@ -90,7 +97,7 @@ impl HostThread for RwThread {
             match self.state {
                 State::SendAcquire => {
                     let cmd = if self.writer { WRLOCK_CMD } else { RDLOCK_CMD };
-                    match io.send_cmc(cmd, self.cfg.lock_addr, vec![self.tid + 1, 0]) {
+                    match io.send_cmc(cmd, self.cfg.lock_addr, [self.tid + 1, 0]) {
                         Ok(_) => self.state = State::WaitAcquire,
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("rwlock kernel send failed: {e}"),
@@ -112,7 +119,7 @@ impl HostThread for RwThread {
                     self.state = State::SendAcquire;
                 }
                 State::SendData => {
-                    match io.send(HmcRqst::Rd16, self.cfg.data_addr, vec![]) {
+                    match io.send(HmcRqst::Rd16, self.cfg.data_addr, []) {
                         Ok(_) => self.state = State::WaitData,
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("rwlock kernel send failed: {e}"),
@@ -132,7 +139,7 @@ impl HostThread for RwThread {
                     }
                 }
                 State::SendWriteBack { value } => {
-                    match io.send(HmcRqst::Wr16, self.cfg.data_addr, vec![value, value]) {
+                    match io.send(HmcRqst::Wr16, self.cfg.data_addr, [value, value]) {
                         Ok(_) => self.state = State::WaitWriteBack,
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("rwlock kernel send failed: {e}"),
@@ -147,7 +154,7 @@ impl HostThread for RwThread {
                 }
                 State::SendRelease => {
                     let cmd = if self.writer { WRUNLOCK_CMD } else { RDUNLOCK_CMD };
-                    match io.send_cmc(cmd, self.cfg.lock_addr, vec![self.tid + 1, 0]) {
+                    match io.send_cmc(cmd, self.cfg.lock_addr, [self.tid + 1, 0]) {
                         Ok(_) => self.state = State::WaitRelease,
                         Err(HmcError::Stall) => {}
                         Err(e) => panic!("rwlock kernel send failed: {e}"),
@@ -198,6 +205,23 @@ impl RwLockKernel {
 
     /// Runs the kernel; `libhmc_rwlock.so` must be loaded on device 0.
     pub fn run(&self, sim: &mut HmcSim) -> Result<RwLockKernelResult, HmcError> {
+        let mut threads = self.threads(sim)?;
+        let driver =
+            ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
+        let metrics = driver.run(sim, &mut threads);
+        Ok(RwLockKernelResult {
+            metrics,
+            final_value: sim.mem_read_u64(0, self.config.data_addr)?,
+            expected_value: (self.config.writers * self.config.sections) as u64,
+            torn_reads: threads.iter().map(|t| t.torn_reads).sum(),
+            final_lock_state: sim.mem_read_u64(0, self.config.lock_addr)?,
+        })
+    }
+
+    /// Checks that `libhmc_rwlock.so` is loaded on device 0, zeroes the
+    /// lock and the protected block and builds the kernel's threads —
+    /// what [`RwLockKernel::run`] hands its driver.
+    pub fn threads(&self, sim: &mut HmcSim) -> Result<Vec<RwThread>, HmcError> {
         let links = sim.device_config(0)?.links;
         let active: Vec<u8> = sim.cmc_registrations(0)?.iter().map(|r| r.cmd).collect();
         for code in [RDLOCK_CMD, RDUNLOCK_CMD, WRLOCK_CMD, WRUNLOCK_CMD] {
@@ -211,7 +235,7 @@ impl RwLockKernel {
         sim.mem_write_u64(0, self.config.data_addr + 8, 0)?;
 
         let total = self.config.readers + self.config.writers;
-        let mut threads: Vec<RwThread> = (0..total)
+        Ok((0..total)
             .map(|tid| RwThread {
                 tid: tid as u64,
                 link: tid % links,
@@ -221,17 +245,7 @@ impl RwLockKernel {
                 torn_reads: 0,
                 cfg: self.config.clone(),
             })
-            .collect();
-        let driver =
-            ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
-        let metrics = driver.run(sim, &mut threads);
-        Ok(RwLockKernelResult {
-            metrics,
-            final_value: sim.mem_read_u64(0, self.config.data_addr)?,
-            expected_value: (self.config.writers * self.config.sections) as u64,
-            torn_reads: threads.iter().map(|t| t.torn_reads).sum(),
-            final_lock_state: sim.mem_read_u64(0, self.config.lock_addr)?,
-        })
+            .collect())
     }
 }
 

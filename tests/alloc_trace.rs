@@ -14,6 +14,10 @@
 //! nothing either — alone, or beside the flight recorder and full
 //! telemetry.
 //!
+//! And the thread driver on top of it books requests in flat tables:
+//! what a mutex-kernel run allocates does not depend on how many
+//! requests it retires.
+//!
 //! Everything runs inside one `#[test]` so no concurrently-running
 //! test can perturb the global counter.
 
@@ -22,7 +26,7 @@ use hmcsim::prelude::*;
 use hmcsim::sim::{
     FlightRecorder, SanitizerConfig, SimConfig, TelemetryConfig, TraceKind, TraceRecord, Tracer,
 };
-use hmcsim::workloads::{MutexKernel, MutexKernelConfig};
+use hmcsim::workloads::{MutexKernel, MutexKernelConfig, SpinPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -89,6 +93,23 @@ fn run_allocations(mode: ExecMode, record: bool) -> u64 {
             .run(&mut sim)
             .unwrap();
     })
+}
+
+/// Reproducible allocation floor of one 32-thread mutex-kernel run on a
+/// fresh context (construction and library load included), and the
+/// requests the run retired.
+fn kernel_allocations(spin: SpinPolicy) -> (u64, u64) {
+    let mut requests = 0;
+    let allocations = min_allocations(3, || {
+        let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+        sim.load_cmc_library(0, ops::MUTEX_LIBRARY).unwrap();
+        let result = MutexKernel::new(MutexKernelConfig { threads: 32, spin, ..Default::default() })
+            .run(&mut sim)
+            .unwrap();
+        assert_eq!(result.metrics.unfinished, 0);
+        requests = sim.stats(0).unwrap().cmc_ops;
+    });
+    (allocations, requests)
 }
 
 /// A closed loop over every host link of a context: a fixed window of
@@ -265,6 +286,28 @@ fn traced_off_emission_is_allocation_free() {
     let count = observed.steady_state_allocations(4_000, 1_000);
     assert_eq!(count, 0, "fully observed steady state allocated {count} times in 1000 cycles");
     assert_eq!(observed.sim.sanitizer_report().unwrap().total_violations, 0);
+
+    // --- The thread driver, per request. -----------------------------
+    // A kernel run allocates for what it builds — the context, a
+    // mailbox per thread, envelopes for the peak in flight — and not
+    // for what it retires: spinning until owned retires twice the
+    // requests of the bounded run of the same 32 threads and allocates
+    // the same, up to the growth of the driver's tag-indexed ledger
+    // rows (one per link, doubling up to the 2048-tag space: at most 11
+    // steps each). One allocation per request would be over that.
+    ops::register_builtin_libraries();
+    let (bounded, bounded_requests) = kernel_allocations(SpinPolicy::PaperBounded);
+    let (owned, owned_requests) = kernel_allocations(SpinPolicy::until_owned());
+    let ledger_growth = 4 * 11;
+    assert!(
+        owned_requests >= bounded_requests + 2 * ledger_growth,
+        "the runs differ in requests retired ({bounded_requests} vs {owned_requests})"
+    );
+    assert!(
+        owned.abs_diff(bounded) <= ledger_growth,
+        "{owned_requests} requests took {owned} allocations, {bounded_requests} took {bounded}: \
+         the driver allocates per request"
+    );
 
     // --- The whole engine, differentially. ---------------------------
     // How many structured events does the pinned run emit? (Retained

@@ -45,7 +45,7 @@ fn revision_support_matrix() {
 fn gen1_device_serves_the_one_dot_zero_set() {
     let mut sim = gen1_sim();
     let tag = sim
-        .send_simple(0, 0, HmcRqst::Wr64, 0x1000, (0..8).collect())
+        .send_simple(0, 0, HmcRqst::Wr64, 0x1000, (0..8).collect::<Vec<u64>>())
         .unwrap()
         .unwrap();
     let rsp = sim.run_until_response(0, 0, tag, 100).unwrap();
