@@ -8,9 +8,8 @@
 //! cargo run --release -p hmc-bench --bin figures -- --links 2,4,8 --spin honest
 //! ```
 
-use hmc_bench::{mutex_sweep, SweepPoint};
+use hmc_bench::{mutex_sweep, Args, SweepPoint};
 use hmc_sim::DeviceConfig;
-use hmc_workloads::SpinPolicy;
 
 fn config_for_links(links: usize) -> DeviceConfig {
     match links {
@@ -22,29 +21,20 @@ fn config_for_links(links: usize) -> DeviceConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| -> Option<String> {
-        args.windows(2)
-            .find(|w| w[0] == name)
-            .map(|w| w[1].clone())
-    };
-    let metric = arg("--metric").unwrap_or_else(|| "all".into());
-    if !matches!(metric.as_str(), "all" | "min" | "max" | "avg" | "p50" | "p99") {
+    let args = Args::from_env();
+    let metric = args.get("--metric").unwrap_or("all");
+    if !matches!(metric, "all" | "min" | "max" | "avg" | "p50" | "p99") {
         eprintln!("error: unknown --metric '{metric}' (expected all|min|max|avg|p50|p99)");
         std::process::exit(2);
     }
-    let spin = match arg("--spin").as_deref() {
-        Some("honest") => SpinPolicy::until_owned(),
-        _ => SpinPolicy::PaperBounded,
-    };
-    let links: Vec<usize> = arg("--links")
-        .unwrap_or_else(|| "4,8".into())
+    let spin = args.spin();
+    let links: Vec<usize> = args
+        .get("--links")
+        .unwrap_or("4,8")
         .split(',')
         .map(|s| s.parse().expect("link count"))
         .collect();
-    let max_threads: usize = arg("--max-threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
+    let max_threads: usize = args.num("--max-threads", 100);
 
     let sweeps: Vec<(String, Vec<SweepPoint>)> = links
         .iter()

@@ -14,21 +14,14 @@ use hmc_workloads::kernels::triad::{TriadConfig, TriadKernel};
 use hmc_workloads::{MutexKernel, MutexKernelConfig, SpinPolicy};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| -> Option<String> {
-        args.windows(2)
-            .find(|w| w[0] == name)
-            .map(|w| w[1].clone())
-    };
-    let format = arg("--format").unwrap_or_else(|| "table".into());
-    if !matches!(format.as_str(), "table" | "prom" | "json") {
+    let args = hmc_bench::Args::from_env();
+    let format = args.get("--format").unwrap_or("table");
+    if !matches!(format, "table" | "prom" | "json") {
         eprintln!("error: unknown --format '{format}' (expected table|prom|json)");
         std::process::exit(2);
     }
-    let out_path = arg("--out");
-    let threads: usize = arg("--threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+    let out_path = args.get("--out");
+    let threads: usize = args.num("--threads", 16);
 
     // One context for both workloads so the registry aggregates the
     // full run: a Triad bandwidth pass, then mutex contention.
@@ -51,7 +44,7 @@ fn main() {
     .expect("mutex kernel runs");
 
     let report = sim.telemetry_report().expect("telemetry enabled");
-    let rendered = match format.as_str() {
+    let rendered = match format {
         "prom" => report.to_prometheus(),
         "json" => report.to_json(),
         _ => {
@@ -111,10 +104,10 @@ fn main() {
 
     match out_path {
         Some(path) => {
-            if let Some(parent) = std::path::Path::new(&path).parent() {
+            if let Some(parent) = std::path::Path::new(path).parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
             eprintln!("wrote {} bytes to {path}", rendered.len());
         }
         None => print!("{rendered}"),

@@ -147,19 +147,15 @@ fn reconcile_manifest(dir: &Path, current: &Manifest) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg = |name: &str| -> Option<String> {
-        args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
-    };
-    let links: usize = arg("--links").and_then(|s| s.parse().ok()).unwrap_or(4);
-    let window: usize = arg("--window").and_then(|s| s.parse().ok()).unwrap_or(64);
-    let checkpoint_dir = arg("--checkpoint-dir");
-    let retain: usize = arg("--retain").and_then(|s| s.parse().ok()).unwrap_or(4);
-    let resume_requested = args.iter().any(|a| a == "--resume");
-    let checkpoint_every: u64 = arg("--checkpoint-every")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if checkpoint_dir.is_some() { 5000 } else { 0 });
-    let sanitize = args.iter().any(|a| a == "--sanitize");
+    let args = hmc_bench::Args::from_env();
+    let links: usize = args.num("--links", 4);
+    let window: usize = args.num("--window", 64);
+    let checkpoint_dir = args.get("--checkpoint-dir");
+    let retain: usize = args.num("--retain", 4);
+    let resume_requested = args.has("--resume");
+    let checkpoint_every: u64 =
+        args.num("--checkpoint-every", if checkpoint_dir.is_some() { 5000 } else { 0 });
+    let sanitize = args.has("--sanitize");
     let path = args.first().filter(|a| !a.starts_with("--"));
 
     if resume_requested && checkpoint_dir.is_none() {
@@ -194,7 +190,7 @@ fn main() {
     // fingerprint re-verified against the one recorded at commit time.
     let mut store = None;
     let mut resume_from = None;
-    if let Some(dir) = &checkpoint_dir {
+    if let Some(dir) = checkpoint_dir {
         let dir = Path::new(dir);
         let open = CheckpointStore::open(dir, retain)
             .unwrap_or_else(|e| die(format!("cannot open checkpoint dir: {e}")));

@@ -10,24 +10,13 @@
 //! Paper reference values: 4Link-4GB → 6 / 392 / 226.48;
 //! 8Link-8GB → 6 / 387 / 221.48.
 
-use hmc_bench::{mutex_sweep, summarize, TableWriter};
+use hmc_bench::{mutex_sweep, summarize, Args, TableWriter};
 use hmc_sim::DeviceConfig;
-use hmc_workloads::SpinPolicy;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let spin = if args.iter().any(|a| a == "--spin")
-        && args.windows(2).any(|w| w[0] == "--spin" && w[1] == "honest")
-    {
-        SpinPolicy::until_owned()
-    } else {
-        SpinPolicy::PaperBounded
-    };
-    let max_threads: usize = args
-        .windows(2)
-        .find(|w| w[0] == "--max-threads")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(100);
+    let args = Args::from_env();
+    let spin = args.spin();
+    let max_threads: usize = args.num("--max-threads", 100);
 
     println!(
         "Table VI: CMC mutex kernel summary, threads 2..={max_threads}, spin={spin:?}\n"

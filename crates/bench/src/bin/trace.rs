@@ -28,36 +28,27 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) != Some("export") {
+    let args = hmc_bench::Args::from_env();
+    if args.first() != Some("export") {
         usage();
     }
-    let arg = |name: &str| -> Option<String> {
-        args.windows(2)
-            .find(|w| w[0] == name)
-            .map(|w| w[1].clone())
-    };
-    let workload = arg("--workload").unwrap_or_else(|| "mutex".into());
-    let threads: usize = arg("--threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
-    let capacity: usize = arg("--capacity")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4096);
-    let exec = match arg("--exec").as_deref() {
+    let workload = args.get("--workload").unwrap_or("mutex");
+    let threads: usize = args.num("--threads", 16);
+    let capacity: usize = args.num("--capacity", 4096);
+    let exec = match args.get("--exec") {
         None | Some("seq") => ExecMode::Sequential,
         Some(s) => match s.strip_prefix("par").and_then(|n| n.parse().ok()) {
             Some(n) => ExecMode::Parallel { threads: n },
             None => usage(),
         },
     };
-    let skip = match arg("--skip").as_deref() {
+    let skip = match args.get("--skip") {
         None | Some("off") => SkipMode::Off,
         Some("on") => SkipMode::On,
         Some(_) => usage(),
     };
-    let packets_only = args.iter().any(|a| a == "--packets-only");
-    let out_path = arg("--out");
+    let packets_only = args.has("--packets-only");
+    let out_path = args.get("--out");
 
     hmc_cmc::ops::register_builtin_libraries();
     let mut cfg = SimConfig::single(DeviceConfig::gen2_4link_4gb());
@@ -66,7 +57,7 @@ fn main() {
     let mut sim = HmcSim::with_config(cfg).expect("valid config");
     sim.enable_flight_recorder(capacity);
 
-    match workload.as_str() {
+    match workload {
         "mutex" => {
             sim.load_cmc_library(0, hmc_cmc::ops::MUTEX_LIBRARY)
                 .expect("mutex library loads");
@@ -113,10 +104,10 @@ fn main() {
 
     match out_path {
         Some(path) => {
-            if let Some(parent) = std::path::Path::new(&path).parent() {
+            if let Some(parent) = std::path::Path::new(path).parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            std::fs::write(path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
             eprintln!("wrote {} bytes to {path} (open at ui.perfetto.dev)", doc.len());
         }
         None => println!("{doc}"),

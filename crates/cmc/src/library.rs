@@ -27,9 +27,8 @@
 
 use crate::op::CmcOp;
 use hmc_types::HmcError;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A factory producing the operations a library implements.
 pub type OpFactory = Arc<dyn Fn() -> Vec<Box<dyn CmcOp>> + Send + Sync>;
@@ -71,8 +70,10 @@ impl LibrarySpec {
     }
 }
 
+/// The table of registered libraries. Every update is a single
+/// `BTreeMap` insert, so the map is valid even if a holder panicked:
+/// the accessors below recover a poisoned guard instead of failing.
 fn global() -> &'static RwLock<BTreeMap<String, LibrarySpec>> {
-    use std::sync::OnceLock;
     static LIBS: OnceLock<RwLock<BTreeMap<String, LibrarySpec>>> = OnceLock::new();
     LIBS.get_or_init(|| RwLock::new(BTreeMap::new()))
 }
@@ -81,14 +82,14 @@ fn global() -> &'static RwLock<BTreeMap<String, LibrarySpec>> {
 /// a compiled `.so` on disk). Re-registering a name replaces the
 /// previous library, as re-linking would.
 pub fn register_library(path: impl Into<String>, spec: LibrarySpec) {
-    global().write().insert(path.into(), spec);
+    global().write().unwrap_or_else(|e| e.into_inner()).insert(path.into(), spec);
 }
 
 /// Opens a library by name — the analogue of
 /// `dlopen(path)` + `dlsym` of the three entry points — and returns
 /// the operations it implements.
 pub fn open_library(path: &str) -> Result<Vec<Box<dyn CmcOp>>, HmcError> {
-    let libs = global().read();
+    let libs = global().read().unwrap_or_else(|e| e.into_inner());
     let spec = libs
         .get(path)
         .ok_or_else(|| HmcError::CmcLibraryNotFound(path.to_string()))?;
@@ -109,7 +110,7 @@ pub fn open_library(path: &str) -> Result<Vec<Box<dyn CmcOp>>, HmcError> {
 
 /// Names of all registered libraries, in sorted order.
 pub fn registered_libraries() -> Vec<String> {
-    global().read().keys().cloned().collect()
+    global().read().unwrap_or_else(|e| e.into_inner()).keys().cloned().collect()
 }
 
 #[cfg(test)]

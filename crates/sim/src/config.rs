@@ -325,6 +325,20 @@ pub enum SkipMode {
     On,
 }
 
+/// The rule behind every `HMCSIM_*` override: an explicit non-default
+/// setting wins; otherwise the variable, when set, is parsed, and a
+/// value `parse` does not know is its typed error.
+pub(crate) fn env_override<T: Default + PartialEq>(
+    setting: T,
+    var: &str,
+    parse: fn(&str) -> Result<T, HmcError>,
+) -> Result<T, HmcError> {
+    if setting != T::default() {
+        return Ok(setting);
+    }
+    std::env::var(var).map_or(Ok(setting), |raw| parse(&raw))
+}
+
 /// Environment variable consulted by [`SkipMode::resolve_env`]; set to
 /// `1`, `true` or `on` to opt unconfigured simulations into idle-cycle
 /// skipping.
@@ -354,13 +368,7 @@ impl SkipMode {
     /// `On` setting always wins; an unrecognised value is an error —
     /// see [`SkipMode::parse_env_value`].
     pub fn resolve_env(self) -> Result<Self, HmcError> {
-        match self {
-            SkipMode::Off => match std::env::var(SKIP_MODE_ENV) {
-                Ok(raw) => Self::parse_env_value(&raw),
-                Err(_) => Ok(SkipMode::Off),
-            },
-            explicit => Ok(explicit),
-        }
+        env_override(self, SKIP_MODE_ENV, Self::parse_env_value)
     }
 
     /// True when idle-cycle skipping is enabled.

@@ -48,7 +48,7 @@ pub use fixed::FixedLatency;
 pub use row_buffer::RowBuffer;
 pub use validated::Validated;
 
-use crate::config::DeviceConfig;
+use crate::config::{env_override, DeviceConfig};
 use crate::dram::Bank;
 use crate::hist::Hist;
 use hmc_types::HmcError;
@@ -115,13 +115,7 @@ impl TimingSelect {
     /// wins; an invalid value is an error — see
     /// [`TimingSelect::parse_env_value`].
     pub fn resolve_env(self) -> Result<Self, HmcError> {
-        match self {
-            TimingSelect::FixedLatency => match std::env::var(TIMING_ENV) {
-                Ok(raw) => Self::parse_env_value(&raw),
-                Err(_) => Ok(TimingSelect::FixedLatency),
-            },
-            explicit => Ok(explicit),
-        }
+        env_override(self, TIMING_ENV, Self::parse_env_value)
     }
 }
 

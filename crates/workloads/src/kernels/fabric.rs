@@ -7,7 +7,7 @@
 //!   cube's table instead and ride the fabric as `XOR16` atomics
 //!   (`CUB` ≠ entry cube, routed hop by hop). The aggregate
 //!   updates-per-cycle figure is the multi-cube scaling metric
-//!   reported in `BENCH_fabric.json`.
+//!   in the "fabric GUPS scaling" table of `results/ablations.txt`.
 //! * [`FabricBfsKernel`] — BFS check-and-update with the level array
 //!   sharded across all cubes (`owner = vertex mod cubes`). Every
 //!   `CASEQ8` enters the fabric at cube 0 and is routed to the owning

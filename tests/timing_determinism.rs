@@ -16,6 +16,7 @@
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
 use hmcsim::sim::{RefreshConfig, RowPolicy};
+use hmcsim::workloads::kernels::gups::{GupsConfig, GupsKernel};
 use hmcsim::workloads::kernels::triad::{TriadConfig, TriadKernel};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig};
 
@@ -176,20 +177,30 @@ fn row_buffer_departs_from_fixed_when_row_knobs_are_live() {
 /// population matches the per-access verdict counters.
 #[test]
 fn validated_tracks_fixed_and_accounts_for_every_access() {
-    let config = row_heavy_config();
-    let fixed = triad_obs(&config, TimingSelect::FixedLatency, ExecMode::Sequential, SkipMode::Off);
+    validated_tracks_fixed("triad", &|sim| {
+        TriadKernel::new(TriadConfig { elements: 512, ..Default::default() }).run(sim).unwrap().cycles
+    });
+    validated_tracks_fixed("gups", &|sim| {
+        let out = GupsKernel::new(GupsConfig { updates: 2_000, ..Default::default() }).run(sim).unwrap();
+        assert_eq!(out.errors, 0, "gups verification");
+        out.cycles
+    });
+}
 
-    let mut sim = HmcSim::new(config.clone()).unwrap();
-    sim.set_timing_model(TimingSelect::Validated);
-    let out = TriadKernel::new(TriadConfig { elements: 512, ..Default::default() })
-        .run(&mut sim)
-        .unwrap();
-    assert_eq!(out.cycles, fixed.0, "validated primary must match the fixed backend");
-    assert_eq!(sim.state_fingerprint(), fixed.2, "validated fingerprint must match fixed");
+fn validated_tracks_fixed(name: &str, run: &dyn Fn(&mut HmcSim) -> u64) {
+    let observe = |timing| {
+        let mut sim = HmcSim::new(row_heavy_config()).unwrap();
+        sim.set_timing_model(timing);
+        (run(&mut sim), sim.state_fingerprint(), sim)
+    };
+    let fixed = observe(TimingSelect::FixedLatency);
+    let (cycles, fingerprint, sim) = observe(TimingSelect::Validated);
+    assert_eq!(cycles, fixed.0, "{name}: validated primary must match the fixed backend");
+    assert_eq!(fingerprint, fixed.1, "{name}: validated fingerprint must match fixed");
 
     let stats = sim.timing_stats(0).unwrap();
     let accesses = stats.hit_latency.count() + stats.miss_latency.count();
-    assert!(accesses > 0, "triad produced no bank accesses");
+    assert!(accesses > 0, "{name} produced no bank accesses");
     assert_eq!(
         stats.divergence.count(),
         accesses,
