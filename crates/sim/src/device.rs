@@ -894,11 +894,17 @@ impl Device {
 
     /// Every queue's occupancy, in a fixed order (the stall watchdog's
     /// progress signature).
-    pub(crate) fn occupancies(&self) -> impl Iterator<Item = u64> + '_ {
-        let rqst = self.xbar_rqst.iter().map(|q| q.len() as u64);
-        let rsp = self.xbar_rsp.iter().map(|q| q.len() as u64);
-        let vaults = self.vaults.iter().flat_map(|v| [v.rqst.len() as u64, v.rsp.len() as u64]);
-        rqst.chain(rsp).chain(vaults)
+    pub(crate) fn for_each_occupancy(&self, f: &mut impl FnMut(u64)) {
+        for q in &self.xbar_rqst {
+            f(q.len() as u64);
+        }
+        for q in &self.xbar_rsp {
+            f(q.len() as u64);
+        }
+        for v in &self.vaults {
+            f(v.rqst.len() as u64);
+            f(v.rsp.len() as u64);
+        }
     }
 
     /// Borrows the state the fingerprint covers.

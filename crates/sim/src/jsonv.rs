@@ -70,17 +70,39 @@ struct Parser<'a> {
     /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
+    /// The items of every array still open, innermost last. An array
+    /// that closes takes its own off the end into a vector of exactly
+    /// that size (a flight record is twelve numbers; grown by doubling
+    /// it would be three allocations).
+    open_items: Vec<Json>,
 }
 
-/// True for the bytes a string literal cannot hold as they are:
-/// controls, the quote and the backslash.
-fn needs_escape(b: u8) -> bool {
-    b < 0x20 || b == b'"' || b == b'\\'
+/// Length of the leading run of `bytes` that a string literal holds
+/// as they are and that are one character each: ASCII other than
+/// controls, the quote and the backslash. Memory pages are kilobytes
+/// of hex, so the run is tested eight bytes at a step — a word with
+/// any byte that has its high bit set, is below `0x20` or equals `"`
+/// or `\` ends the stride — and finished byte by byte.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::MAX / 0xff;
+    const HIGH: u64 = ONES * 0x80;
+    // The high bit of every byte of `w` that is zero (exact for the
+    // lowest such byte, which is all "any" needs).
+    let zero = |w: u64| w.wrapping_sub(ONES) & !w & HIGH;
+    let words = bytes.chunks_exact(8).take_while(|chunk| {
+        let w = u64::from_le_bytes((*chunk).try_into().expect("chunks of 8"));
+        let control = w.wrapping_sub(ONES * 0x20) & !w & HIGH;
+        let (quote, backslash) = (zero(w ^ (ONES * b'"' as u64)), zero(w ^ (ONES * b'\\' as u64)));
+        (w & HIGH) | control | quote | backslash == 0
+    });
+    let at = 8 * words.count();
+    let plain = |b: u8| (0x20..0x80).contains(&b) && b != b'"' && b != b'\\';
+    at + bytes[at..].iter().position(|&b| !plain(b)).unwrap_or(bytes.len() - at)
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { text, bytes: text.as_bytes(), pos: 0 }
+        Parser { text, bytes: text.as_bytes(), pos: 0, open_items: Vec::new() }
     }
 
     fn fail<T>(&self, what: impl fmt::Display) -> Result<T, JsonError> {
@@ -127,11 +149,9 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            // A run of plain ASCII is copied whole (memory pages are
-            // kilobytes of hex); everything else goes byte by byte.
-            let rest = &self.bytes[self.pos..];
-            let plain = |b: u8| b < 0x80 && !needs_escape(b);
-            let run = rest.iter().position(|&b| !plain(b)).unwrap_or(rest.len());
+            // A run of plain ASCII is copied whole; everything else
+            // goes byte by byte.
+            let run = plain_run(&self.bytes[self.pos..]);
             s.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
             match self.bump() {
@@ -196,16 +216,25 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let negative = self.peek() == Some(b'-');
+        self.pos += negative as usize;
+        let first_digit = self.pos;
+        // Wraps past 19 digits, where it is not used.
+        let mut small = 0u64;
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            small = small.wrapping_mul(10).wrapping_add((digit - b'0') as u64);
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return self.fail("non-integer number (floats are not accepted)");
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        // Almost every number of a checkpoint is a short unsigned run,
+        // which needs no 128-bit arithmetic; a sign, no digit at all or
+        // 19 digits and more take `i128`'s own parser and its verdict.
+        if !negative && (1..=18).contains(&(self.pos - first_digit)) {
+            return Ok(Json::Int(small as i128));
+        }
+        let text = &self.text[start..self.pos];
         match text.parse::<i128>() {
             Ok(v) => Ok(Json::Int(v)),
             Err(_) => self.fail(format!("invalid integer `{text}`")),
@@ -226,18 +255,19 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b'[') => {
                 self.pos += 1;
-                let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(Vec::new()));
                 }
+                let first = self.open_items.len();
                 loop {
-                    items.push(self.value(depth + 1)?);
+                    let item = self.value(depth + 1)?;
+                    self.open_items.push(item);
                     self.skip_ws();
                     match self.bump() {
                         Some(b',') => continue,
-                        Some(b']') => return Ok(Json::Arr(items)),
+                        Some(b']') => return Ok(Json::Arr(self.open_items.drain(first..).collect())),
                         _ => {
                             self.pos = self.pos.saturating_sub(1);
                             return self.fail("expected ',' or ']' in array");
@@ -282,6 +312,11 @@ impl<'a> Parser<'a> {
 /// Escapes a string for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -293,19 +328,32 @@ pub(crate) fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Appends `v` as a JSON string literal. Only a string that holds a
-/// quote, a backslash or a control character is rewritten.
+/// Appends `v` as a JSON string literal: its plain run as it is, the
+/// rest — from the first quote, backslash, control or multibyte
+/// character on — through the escaper.
 fn write_str(out: &mut String, v: &str) {
     out.push('"');
-    if v.bytes().any(needs_escape) {
-        out.push_str(&json_escape(v));
-    } else {
-        out.push_str(v);
-    }
+    let (plain, rest) = v.split_at(plain_run(v.as_bytes()));
+    out.push_str(plain);
+    escape_into(out, rest);
     out.push('"');
+}
+
+/// Appends `v` in decimal.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
 }
 
 impl Json {
@@ -348,7 +396,12 @@ impl Json {
         match self {
             Json::Null => s.push_str("null"),
             Json::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => s.push_str(&v.to_string()),
+            // 128-bit division only for what needs it: a negative
+            // value or one past `u64`.
+            Json::Int(v) => match u64::try_from(*v) {
+                Ok(small) => write_u64(s, small),
+                Err(_) => s.push_str(&v.to_string()),
+            },
             Json::Str(v) => write_str(s, v),
             Json::Arr(items) => {
                 s.push('[');
@@ -469,8 +522,21 @@ impl Json {
         what: &str,
         item: impl FnMut(&Json) -> Result<T, JsonError>,
     ) -> Result<Vec<T>, JsonError> {
-        self.arr(what)?.iter().map(item).collect()
+        decode_all(self.arr(what)?, item)
     }
+}
+
+/// Every item through `item`, into a vector sized once (collecting
+/// `Result`s grows one by doubling; a lane is thousands of records).
+fn decode_all<'a, T>(
+    items: &'a [Json],
+    mut item: impl FnMut(&'a Json) -> Result<T, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    let mut out = Vec::with_capacity(items.len());
+    for v in items {
+        out.push(item(v)?);
+    }
+    Ok(out)
 }
 
 macro_rules! json_from_int {
@@ -636,7 +702,7 @@ impl<'a> ObjReader<'a> {
         key: &str,
         item: impl FnMut(&'a Json) -> Result<T, JsonError>,
     ) -> Result<Vec<T>, JsonError> {
-        self.arr(key)?.iter().map(item).collect()
+        decode_all(self.arr(key)?, item)
     }
 
     /// A required string field holding one of `table`'s names.
@@ -842,13 +908,100 @@ mod tests {
         ]
     }
 
+    /// On the string body `text` (an opening quote and what follows)
+    /// the parser that copies runs returns what the byte-at-a-time
+    /// parser returns: the same string and end position, or the same
+    /// message at the same offset. What parses renders to the same
+    /// bytes as before, and back.
+    fn check_string_scans(text: &str) {
+        let (mut new, mut old) = (Parser::new(text), Parser::new(text));
+        let (got, want) = (new.string(), reference::string(&mut old));
+        assert_eq!(got, want, "on {text:?}");
+        assert_eq!(new.pos, old.pos, "on {text:?}");
+
+        let Ok(value) = got else { return };
+        let doc = Json::Obj(vec![
+            (value.clone(), Json::Str(value.clone())),
+            // A key no parsed body can equal (a raw control).
+            ("\u{2}".into(), Json::Str("0123456789abcdef".repeat(64))),
+        ]);
+        let mut before = String::new();
+        reference::render(&doc, &mut before);
+        assert_eq!(doc.render(), before);
+        assert_eq!(Json::parse(&before), Ok(doc));
+    }
+
+    /// Every byte that ends a plain run — the quote, the backslash, the
+    /// last control, DEL (which does not), the first non-ASCII byte and
+    /// a multibyte lead — at each of the eight offsets of a scanned
+    /// word, in the first word and past it, with every length of ragged
+    /// tail behind it.
+    #[test]
+    fn string_scans_match_at_every_offset_of_a_word() {
+        for special in ["\"", "\\n", "\u{1f}", "\u{7f}", "\u{80}", "\u{20ac}"] {
+            for lead in 0..=17 {
+                for tail in 0..=9 {
+                    let text = format!("\"{}{special}{}\"", "a".repeat(lead), "b".repeat(tail));
+                    check_string_scans(&text);
+                    let run = plain_run(&text.as_bytes()[1..]);
+                    let expected = if special == "\u{7f}" { lead + 1 + tail } else { lead };
+                    assert_eq!(run, expected, "on {text:?}");
+                }
+            }
+        }
+    }
+
+    /// A number as it stands in the text: what `i128`'s own parser
+    /// makes of it, or the error naming it at the byte after it.
+    fn number_oracle(text: &str) -> Result<Json, JsonError> {
+        match text.parse::<i128>() {
+            Ok(v) => Ok(Json::Int(v)),
+            Err(_) => err(format!("invalid integer `{text}` at byte {}", text.len())),
+        }
+    }
+
+    #[test]
+    fn integers_at_the_edges_of_the_short_paths() {
+        let nines = |n: usize| "9".repeat(n);
+        let texts = [
+            "0".to_string(),
+            "-0".to_string(),
+            "-".to_string(),
+            "007".to_string(),
+            "-007".to_string(),
+            "000000000000000000000000000000000000000042".to_string(),
+            u64::MAX.to_string(),
+            (u64::MAX as i128 + 1).to_string(),
+            i128::MAX.to_string(),
+            i128::MIN.to_string(),
+            format!("{}0", i128::MAX),
+            nines(18),
+            nines(19),
+            nines(20),
+            nines(40),
+            format!("-{}", nines(18)),
+            format!("-{}", nines(40)),
+        ];
+        for text in &texts {
+            assert_eq!(Json::parse(text), number_oracle(text), "on {text}");
+            // Inside an array the number ends at a delimiter.
+            let wrapped = Json::parse(&format!("[{text}]"));
+            match number_oracle(text) {
+                Ok(v) => assert_eq!(wrapped, Ok(Json::Arr(vec![v]))),
+                Err(_) => assert_eq!(
+                    wrapped,
+                    err(format!("invalid integer `{text}` at byte {}", text.len() + 1))
+                ),
+            }
+        }
+        for v in [0, 9, 10, u64::MAX as i128, u64::MAX as i128 + 1, -1, i128::MAX, i128::MIN] {
+            assert_eq!(Json::Int(v).render(), v.to_string());
+        }
+    }
+
     proptest::proptest! {
-        /// On any string body — plain runs, every escape, `\u` forms
-        /// good and bad, multibyte characters, raw controls, a cut at
-        /// any character — the parser that copies runs returns what
-        /// the byte-at-a-time parser returns: the same string and end
-        /// position, or the same message at the same offset. What
-        /// parses renders to the same bytes as before, and back.
+        /// Plain runs, every escape, `\u` forms good and bad, multibyte
+        /// characters, raw controls, a cut at any character.
         #[test]
         fn string_scans_match_the_byte_at_a_time_loops(
             pieces in proptest::collection::vec(arb_piece(), 0..8),
@@ -866,21 +1019,26 @@ mod tests {
             if closed {
                 text.push('"');
             }
-            let (mut new, mut old) = (Parser::new(&text), Parser::new(&text));
-            let (got, want) = (new.string(), reference::string(&mut old));
-            proptest::prop_assert_eq!(&got, &want, "on {:?}", text);
-            proptest::prop_assert_eq!(new.pos, old.pos);
+            check_string_scans(&text);
+        }
 
-            let Ok(value) = got else { return Ok(()) };
-            let doc = Json::Obj(vec![
-                (value.clone(), Json::Str(value.clone())),
-                // A key no parsed body can equal (a raw control).
-                ("\u{2}".into(), Json::Str("0123456789abcdef".repeat(64))),
-            ]);
-            let mut before = String::new();
-            reference::render(&doc, &mut before);
-            proptest::prop_assert_eq!(doc.render(), before.clone());
-            proptest::prop_assert_eq!(Json::parse(&before), Ok(doc));
+        /// An integer renders as `i128` displays it and parses to
+        /// itself; a run of digits of any length, signed or not, parses
+        /// to what `i128`'s parser makes of it or fails with the same
+        /// text at the same offset.
+        #[test]
+        fn integers_render_and_parse_like_i128(
+            v in proptest::prelude::any::<u128>(),
+            shift in 0u32..128,
+            negative in proptest::prelude::any::<bool>(),
+            digits in proptest::collection::vec(0u8..10, 1..46),
+        ) {
+            let v = v as i128 >> shift;
+            let sign = if negative { "-" } else { "" };
+            let digits: String = sign.chars().chain(digits.iter().map(|d| (b'0' + d) as char)).collect();
+            proptest::prop_assert_eq!(Json::Int(v).render(), v.to_string());
+            proptest::prop_assert_eq!(Json::parse(&v.to_string()), Ok(Json::Int(v)));
+            proptest::prop_assert_eq!(Json::parse(&digits), number_oracle(&digits));
         }
     }
 }

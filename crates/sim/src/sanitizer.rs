@@ -35,7 +35,7 @@ use crate::config::LinkTopology;
 use crate::sim::HmcSim;
 use crate::snapshot::{ForensicDump, SimSnapshot};
 use crate::trace::{TraceKind, TraceLevel, TraceRecord, TraceRing};
-use std::collections::HashSet;
+use hmc_types::{Tag, TagSet};
 use std::path::PathBuf;
 
 /// What the sanitizer does when an invariant violation is detected.
@@ -216,15 +216,43 @@ pub struct SanitizerShadow {
     pub absorbed: u64,
     /// Stale responses dropped because the host abandoned the tag.
     pub zombie_dropped: u64,
-    /// Tags with an expected in-flight response, keyed by
-    /// `(device, entry link, tag)`.
-    pub live_tags: HashSet<(usize, usize, u16)>,
+    /// Tags with an expected in-flight response, per
+    /// `[device][entry link]`; a place the lists do not reach holds
+    /// none.
+    pub live_tags: Vec<Vec<TagSet>>,
     /// Per-`[dev][link]` token-overflow counts already reported (for
     /// delta detection).
     pub seen_token_overflows: Vec<Vec<u64>>,
     /// Violations recorded by mid-cycle hooks, drained at the next
     /// boundary check.
     pub pending: Vec<Violation>,
+}
+
+impl SanitizerShadow {
+    /// Marks `tag` live on `(dev, link)`, growing the lists to reach
+    /// the place; false when it was live already.
+    pub(crate) fn insert_live(&mut self, dev: usize, link: usize, tag: Tag) -> bool {
+        if self.live_tags.len() <= dev {
+            self.live_tags.resize_with(dev + 1, Vec::new);
+        }
+        let links = &mut self.live_tags[dev];
+        if links.len() <= link {
+            links.resize_with(link + 1, TagSet::new);
+        }
+        links[link].insert(tag)
+    }
+
+    /// Clears `tag` on `(dev, link)`; false when it was not live.
+    fn remove_live(&mut self, dev: usize, link: usize, tag: Tag) -> bool {
+        let place = self.live_tags.get_mut(dev).and_then(|links| links.get_mut(link));
+        place.is_some_and(|tags| tags.remove(tag))
+    }
+
+    /// True when `tag` (any 16-bit value) is live on `(dev, link)`.
+    fn is_live(&self, dev: usize, link: usize, tag: u16) -> bool {
+        let place = self.live_tags.get(dev).and_then(|links| links.get(link));
+        place.zip(Tag::new(tag as u32).ok()).is_some_and(|(tags, tag)| tags.contains(tag))
+    }
 }
 
 /// The attached sanitizer (one per [`HmcSim`], behind
@@ -235,8 +263,9 @@ pub struct Sanitizer {
     pub(crate) shadow: SanitizerShadow,
     pub(crate) ring: Option<TraceRing>,
     report: SanitizerReport,
-    /// Watchdog: the last observed [`Sanitizer::progress_signature`]
-    /// (empty = nothing observed yet; a real one never is).
+    /// Watchdog: the values [`Sanitizer::for_each_progress_value`]
+    /// last handed out (empty = nothing observed yet; a real
+    /// signature never is).
     watch_sig: Vec<u64>,
     stalled_cycles: u64,
     last_checkpoint: Option<SimSnapshot>,
@@ -270,17 +299,14 @@ impl Sanitizer {
         self.shadow.absorbed = 0;
         self.shadow.zombie_dropped = 0;
         self.shadow.injected = sim.live_packets();
-        self.shadow.live_tags.clear();
-        for (dev, links) in sim.pool_tags.iter().enumerate() {
-            for (link, set) in links.iter().enumerate() {
-                for tag in set.iter() {
-                    self.shadow.live_tags.insert((dev, link, tag.value()));
-                }
-            }
-        }
+        self.shadow.live_tags = sim.pool_tags.clone();
         for (dev, set) in sim.zombie_tags.iter().enumerate() {
             for &(link, tag) in set {
-                self.shadow.live_tags.insert((dev, link, tag));
+                // A restored zombie that no link could carry stays
+                // out, and is reported as the leak it is.
+                if let (true, Ok(tag)) = (link < sim.links[dev].len(), Tag::new(tag as u32)) {
+                    self.shadow.insert_live(dev, link, tag);
+                }
             }
         }
         self.shadow.seen_token_overflows = sim
@@ -304,12 +330,13 @@ impl Sanitizer {
         &mut self,
         dev: usize,
         link: usize,
-        tag: u16,
+        tag: Tag,
         tracked: bool,
         cycle: u64,
     ) {
         self.shadow.injected += 1;
-        if tracked && !self.shadow.live_tags.insert((dev, link, tag)) {
+        if tracked && !self.shadow.insert_live(dev, link, tag) {
+            let tag = tag.value();
             self.shadow.pending.push(Violation {
                 cycle,
                 kind: ViolationKind::DuplicateLiveTag,
@@ -327,13 +354,14 @@ impl Sanitizer {
         &mut self,
         dev: usize,
         entry_link: usize,
-        tag: u16,
+        tag: Tag,
         cycle: u64,
     ) -> bool {
-        if self.shadow.live_tags.remove(&(dev, entry_link, tag)) {
+        if self.shadow.remove_live(dev, entry_link, tag) {
             self.shadow.delivered += 1;
             return true;
         }
+        let tag = tag.value();
         self.shadow.pending.push(Violation {
             cycle,
             kind: ViolationKind::PhantomResponse,
@@ -350,10 +378,11 @@ impl Sanitizer {
 
     /// Hook: a stale response died at delivery because the host had
     /// abandoned its tag.
-    pub(crate) fn note_zombie(&mut self, dev: usize, entry_link: usize, tag: u16, cycle: u64) {
-        if self.shadow.live_tags.remove(&(dev, entry_link, tag)) {
+    pub(crate) fn note_zombie(&mut self, dev: usize, entry_link: usize, tag: Tag, cycle: u64) {
+        if self.shadow.remove_live(dev, entry_link, tag) {
             self.shadow.zombie_dropped += 1;
         } else {
+            let tag = tag.value();
             self.shadow.pending.push(Violation {
                 cycle,
                 kind: ViolationKind::PhantomResponse,
@@ -558,18 +587,22 @@ impl Sanitizer {
                         detail: format!("dev {dev} link {link}: {e}"),
                     });
                 }
-                for tag in sim.pool_tags[dev][link].iter() {
-                    if !pool.is_live(tag) {
-                        found(Violation {
-                            cycle,
-                            kind: ViolationKind::TagLiveAndFree,
-                            detail: format!(
-                                "dev {dev} link {link}: registered in-flight tag {} is \
-                                 free in its pool",
-                                tag.value()
-                            ),
-                        });
-                    }
+                // One AND per word says every registered tag is live;
+                // the walk is for naming the ones that are not.
+                let registered = &sim.pool_tags[dev][link];
+                if pool.first_not_live(registered).is_none() {
+                    continue;
+                }
+                for tag in registered.iter().filter(|&tag| !pool.is_live(tag)) {
+                    found(Violation {
+                        cycle,
+                        kind: ViolationKind::TagLiveAndFree,
+                        detail: format!(
+                            "dev {dev} link {link}: registered in-flight tag {} is \
+                             free in its pool",
+                            tag.value()
+                        ),
+                    });
                 }
             }
         }
@@ -581,7 +614,7 @@ impl Sanitizer {
             let mut zombies: Vec<(usize, u16)> = set.iter().copied().collect();
             zombies.sort_unstable();
             for (link, tag) in zombies {
-                if !self.shadow.live_tags.contains(&(dev, link, tag)) {
+                if !self.shadow.is_live(dev, link, tag) {
                     found(Violation {
                         cycle,
                         kind: ViolationKind::ZombieTagLeak,
@@ -647,44 +680,65 @@ impl Sanitizer {
 
     /// Folds `k` consecutive observations of one unchanging state into
     /// the stall count: an empty fabric clears the watchdog, a changed
-    /// signature restarts the count at the first of the `k`.
+    /// signature restarts the count at the first of the `k`. One walk
+    /// of the state compares it with the signature last observed and
+    /// leaves its own in that place.
     fn observe_progress(&mut self, sim: &HmcSim, live: u64, k: u64) {
         if live == 0 {
-            self.reset_watchdog();
-        } else if self.progress_unchanged(sim) {
-            self.stalled_cycles += k;
-        } else {
-            self.watch_sig.clear();
-            self.watch_sig.extend(Self::progress_signature(&self.shadow, sim));
-            self.stalled_cycles = k - 1;
+            return self.reset_watchdog();
         }
+        let (mut at, mut unchanged) = (0, true);
+        let seen = &mut self.watch_sig;
+        Self::for_each_progress_value(&self.shadow, sim, |value| {
+            match seen.get_mut(at) {
+                Some(slot) => {
+                    unchanged &= *slot == value;
+                    *slot = value;
+                }
+                None => {
+                    unchanged = false;
+                    seen.push(value);
+                }
+            }
+            at += 1;
+        });
+        debug_assert_eq!(at, seen.len(), "a context's signature has one length");
+        self.stalled_cycles = if unchanged { self.stalled_cycles + k } else { k - 1 };
     }
 
-    /// Everything that changes when the simulation makes progress:
-    /// queue occupancies, transit/retry population, shadow counters
-    /// and link packet counts. Deliberately excludes the cycle
-    /// counter. Compared value by value, so no two states alias.
-    fn progress_signature<'a>(
-        shadow: &'a SanitizerShadow,
-        sim: &'a HmcSim,
-    ) -> impl Iterator<Item = u64> + 'a {
-        let queues = sim.devices.iter().flat_map(|d| d.occupancies());
-        let transit = sim.transit_queues.iter().map(|q| q.len() as u64);
-        let host_rx = sim.host_rx.iter().flatten().map(|q| q.len() as u64);
-        let counters = [
-            sim.retry_pending.len() as u64,
-            shadow.injected,
-            shadow.delivered,
-            shadow.absorbed,
-            shadow.zombie_dropped,
-        ];
-        let sent = sim.links.iter().flatten().map(|l| l.stats.packets_sent);
-        queues.chain(transit).chain(host_rx).chain(counters).chain(sent)
+    /// Everything that changes when the simulation makes progress, in
+    /// a fixed order: queue occupancies, transit/retry population,
+    /// shadow counters and link packet counts. Deliberately excludes
+    /// the cycle counter. Compared value by value, so no two states
+    /// alias.
+    fn for_each_progress_value(shadow: &SanitizerShadow, sim: &HmcSim, mut f: impl FnMut(u64)) {
+        for d in &sim.devices {
+            d.for_each_occupancy(&mut f);
+        }
+        for q in &sim.transit_queues {
+            f(q.len() as u64);
+        }
+        for q in sim.host_rx.iter().flatten() {
+            f(q.len() as u64);
+        }
+        f(sim.retry_pending.len() as u64);
+        f(shadow.injected);
+        f(shadow.delivered);
+        f(shadow.absorbed);
+        f(shadow.zombie_dropped);
+        for l in sim.links.iter().flatten() {
+            f(l.stats.packets_sent);
+        }
     }
 
     /// True when the state's signature is the one last observed.
     fn progress_unchanged(&self, sim: &HmcSim) -> bool {
-        Self::progress_signature(&self.shadow, sim).eq(self.watch_sig.iter().copied())
+        let mut seen = self.watch_sig.iter();
+        let mut unchanged = true;
+        Self::for_each_progress_value(&self.shadow, sim, |value| {
+            unchanged &= seen.next() == Some(&value);
+        });
+        unchanged && seen.next().is_none()
     }
 
     /// [`SanitizerPolicy::Recover`]: repairs token pools to match the
@@ -718,8 +772,7 @@ impl Sanitizer {
             }
         }
         for (dev, set) in sim.zombie_tags.iter_mut().enumerate() {
-            let live = &self.shadow.live_tags;
-            set.retain(|&(link, tag)| live.contains(&(dev, link, tag)));
+            set.retain(|&(link, tag)| self.shadow.is_live(dev, link, tag));
         }
         // Rebase the conservation tally, preserving history counters.
         self.shadow.injected = sim.live_packets()

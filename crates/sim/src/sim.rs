@@ -412,7 +412,7 @@ impl HmcSim {
         let flits = req.flits() as u32;
         // Shadow-accounting inputs, captured before the packet moves
         // (only consulted when a sanitizer is attached).
-        let tag = req.head.tag.value();
+        let tag = req.head.tag;
         let tracked = self.sanitizer.is_some() && request_expects_response(&self.devices, &req);
         let result = match self.links[dev][link].send(flits) {
             Err(()) => {
@@ -468,7 +468,7 @@ impl HmcSim {
             self.tracer.emit(TraceRecord {
                 dev: dev as u16,
                 link: link as u8,
-                tag,
+                tag: tag.value(),
                 a: flits as u64,
                 ..TraceRecord::new(cycle, TraceKind::HostSend)
             });
@@ -924,13 +924,13 @@ impl HmcSim {
                                 ..TraceRecord::new(cycle, TraceKind::Zombie)
                             });
                             if let Some(san) = self.sanitizer.as_deref_mut() {
-                                san.note_zombie(d, key.0, key.1, cycle);
+                                san.note_zombie(d, rsp.entry_link, rsp.rsp.head.tag, cycle);
                             }
                             self.envelopes.rsp.give(rsp);
                             continue;
                         }
                         if let Some(san) = self.sanitizer.as_deref_mut() {
-                            if !san.note_delivered(d, key.0, key.1, cycle) {
+                            if !san.note_delivered(d, rsp.entry_link, rsp.rsp.head.tag, cycle) {
                                 // Phantom response dropped under the
                                 // Recover policy.
                                 self.envelopes.rsp.give(rsp);
@@ -1314,6 +1314,13 @@ impl HmcSim {
     #[doc(hidden)]
     pub fn debug_force_return_tokens(&mut self, dev: usize, link: usize, flits: u32) {
         self.links[dev][link].return_tokens(flits);
+    }
+
+    /// Test backdoor: a link's tag pool, to corrupt behind the
+    /// simulator's back (the sanitizer's tag checks).
+    #[doc(hidden)]
+    pub fn debug_tag_pool(&mut self, dev: usize, link: usize) -> &mut TagPool {
+        &mut self.tag_pools[dev][link]
     }
 
     /// Test backdoor: plants a response in a device's crossbar

@@ -88,17 +88,44 @@ fn nested_from_json<T>(
 // Hex page encoding
 // ---------------------------------------------------------------------------
 
-fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(HEX[(b >> 4) as usize] as char);
-        s.push(HEX[(b & 0xF) as usize] as char);
+/// The two lower-case hex digits of every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [DIGITS[b >> 4], DIGITS[b & 0xF]];
+        b += 1;
     }
-    s
+    pairs
+};
+
+/// What [`HEX_VALUES`] holds for a byte that is not a hex digit: a
+/// value no digit has in its high nibble.
+const NOT_HEX: u8 = 0xFF;
+
+/// The value of every hex digit, either case.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [NOT_HEX; 256];
+    let mut v = 0;
+    while v < 16 {
+        values[HEX_PAIRS[v as usize][1] as usize] = v;
+        values[HEX_PAIRS[v as usize][1].to_ascii_uppercase() as usize] = v;
+        v += 1;
+    }
+    values
+};
+
+fn hex_encode(bytes: &[u8]) -> String {
+    let mut digits = vec![0u8; bytes.len() * 2];
+    for (pair, &b) in digits.chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&HEX_PAIRS[b as usize]);
+    }
+    String::from_utf8(digits).expect("hex digits are ASCII")
 }
 
-/// Decodes `2 * out.len()` hex digits into `out`.
+/// Decodes `2 * out.len()` hex digits into `out` (which holds garbage
+/// after an error).
 fn hex_decode(s: &str, out: &mut [u8], ctx: &str) -> Result<(), JsonError> {
     if s.len() != 2 * out.len() {
         return Err(JsonError::new(format!(
@@ -107,19 +134,16 @@ fn hex_decode(s: &str, out: &mut [u8], ctx: &str) -> Result<(), JsonError> {
             out.len()
         )));
     }
-    let digit = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    };
+    // A page is kilobytes of digits and a bad one is a corrupt file:
+    // decode it all, test once.
+    let mut seen = 0;
     for (byte, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
-        match (digit(pair[0]), digit(pair[1])) {
-            (Some(hi), Some(lo)) => *byte = (hi << 4) | lo,
-            _ => return Err(JsonError::new(format!("{ctx}: invalid hex digit"))),
-        }
+        let (hi, lo) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
+        seen |= hi | lo;
+        *byte = (hi << 4) | lo;
+    }
+    if seen & 0xF0 != 0 {
+        return Err(JsonError::new(format!("{ctx}: invalid hex digit")));
     }
     Ok(())
 }
@@ -656,14 +680,20 @@ fn violation_from_json(v: &Json) -> Result<Violation, JsonError> {
 }
 
 fn shadow_json(s: &SanitizerShadow) -> Json {
-    let mut live: Vec<(usize, usize, u16)> = s.live_tags.iter().copied().collect();
-    live.sort_unstable();
+    // Ascending `[dev, link, tag]` triples.
+    let mut live = Vec::new();
+    for (dev, links) in s.live_tags.iter().enumerate() {
+        for (link, tags) in links.iter().enumerate() {
+            let triple = |t: Tag| Json::Arr(vec![dev.into(), link.into(), t.value().into()]);
+            live.extend(tags.iter().map(triple));
+        }
+    }
     obj(vec![
         ("injected", s.injected.into()),
         ("delivered", s.delivered.into()),
         ("absorbed", s.absorbed.into()),
         ("zombie_dropped", s.zombie_dropped.into()),
-        ("live_tags", Json::list(live, |(d, l, t)| Json::Arr(vec![d.into(), l.into(), t.into()]))),
+        ("live_tags", Json::Arr(live)),
         ("seen_token_overflows", nested_json(&s.seen_token_overflows, |&n| n.into())),
         ("pending", Json::list(&s.pending, violation_json)),
     ])
@@ -671,29 +701,29 @@ fn shadow_json(s: &SanitizerShadow) -> Json {
 
 fn shadow_from_json(v: &Json) -> Result<SanitizerShadow, JsonError> {
     let mut r = ObjReader::new("shadow", v)?;
-    let out = SanitizerShadow {
+    let mut out = SanitizerShadow {
         injected: r.u64("injected")?,
         delivered: r.u64("delivered")?,
         absorbed: r.u64("absorbed")?,
         zombie_dropped: r.u64("zombie_dropped")?,
-        live_tags: r
-            .vec("live_tags", |entry| {
-                let [dev, link, tag] = entry.tuple("shadow: live_tags entry [dev, link, tag]")?;
-                Ok((
-                    dev.int("shadow: live tag dev")?,
-                    link.int("shadow: live tag link")?,
-                    tag.int("shadow: live tag value")?,
-                ))
-            })?
-            .into_iter()
-            .collect(),
-        seen_token_overflows: nested_from_json(
-            r.required("seen_token_overflows")?,
-            "shadow: seen_token_overflows",
-            |n| n.int("shadow: seen_token_overflows entry"),
-        )?,
-        pending: r.vec("pending", violation_from_json)?,
+        ..Default::default()
     };
+    // A place is any cube and link a packet can name, whatever the
+    // context the snapshot is restored into has.
+    for entry in r.arr("live_tags")? {
+        let [dev, link, tag] = entry.tuple("shadow: live_tags entry [dev, link, tag]")?;
+        let dev = Cub::new(dev.int("shadow: live tag dev")?).map_err(bad("shadow: live tag dev"))?;
+        let link =
+            Slid::new(link.int("shadow: live tag link")?).map_err(bad("shadow: live tag link"))?;
+        let tag = tag_from(tag.int("shadow: live tag value")?, "shadow: live tag value")?;
+        out.insert_live(dev.value() as usize, link.value() as usize, tag);
+    }
+    out.seen_token_overflows = nested_from_json(
+        r.required("seen_token_overflows")?,
+        "shadow: seen_token_overflows",
+        |n| n.int("shadow: seen_token_overflows entry"),
+    )?;
+    out.pending = r.vec("pending", violation_from_json)?;
     r.finish()?;
     Ok(out)
 }
@@ -1011,6 +1041,23 @@ mod tests {
         assert!(hex_decode(&hex[2..], &mut back, "t").is_err(), "short");
         assert!(hex_decode("zz", &mut back[..1], "t").is_err(), "bad digit");
         assert!(hex_decode("+1", &mut back[..1], "t").is_err(), "a sign is not a digit");
+        assert_eq!(
+            hex_decode("0", &mut back[..1], "mem page").unwrap_err().message,
+            "mem page: 1 hex digits where 1 bytes are expected"
+        );
+        // One bad digit anywhere spoils the page: first and last byte,
+        // high and low nibble, and every neighbour of the digit ranges.
+        for at in [0, 1, hex.len() - 2, hex.len() - 1] {
+            for bad in ["/", ":", "@", "G", "`", "g", " ", "\u{7f}"] {
+                let mut spoiled = hex.clone();
+                spoiled.replace_range(at..at + 1, bad);
+                let e = hex_decode(&spoiled, &mut back, "mem page").unwrap_err();
+                assert_eq!(e.message, "mem page: invalid hex digit", "{bad:?} at {at}");
+            }
+        }
+        // A multibyte character keeps the length and is no digit.
+        let spoiled = format!("\u{e9}{}", &hex[2..]);
+        assert!(hex_decode(&spoiled, &mut back, "t").is_err());
     }
 
     #[test]

@@ -160,9 +160,32 @@ impl TagPool {
     /// Returns a description of the first inconsistency found.
     ///
     /// The sanitizer runs this on every pool at every clock boundary,
-    /// so it reads the two bit maps a word at a time — a few dozen
-    /// popcounts and ANDs, no allocation — and never walks the list.
+    /// so a sound pool is proved sound a word at a time: the two bit
+    /// maps are disjoint and together cover `0..capacity`, which leaves
+    /// one count to take — the list is as long as its membership map
+    /// exactly when list and live tags add up to the capacity.
+    /// Anything else goes to [`TagPool::audit_in_full`] for its
+    /// verdict and its wording.
     pub fn audit(&self) -> Result<(), String> {
+        // Bits that break the partition: a tag in both maps, or in
+        // neither below `capacity`, or in either at and above it.
+        let whole = self.capacity as usize / 64;
+        let maps = || self.is_free.bits.iter().zip(&self.in_flight.bits);
+        let inside = maps().take(whole).fold(0, |bad, (free, live)| bad | (free & live) | !(free | live));
+        let broken = maps().enumerate().skip(whole).fold(inside, |bad, (word, (free, live))| {
+            bad | (free & live) | ((free | live) ^ TagSet::word_below(self.capacity, word))
+        });
+        if broken == 0 && self.free.len() + self.in_flight.count() == self.capacity as usize {
+            return Ok(());
+        }
+        self.audit_in_full()
+    }
+
+    /// The audit check by check, naming the first inconsistency (or
+    /// none: a live tag outside the capacity that stands in for a
+    /// missing one is tolerated, as it always was).
+    #[cold]
+    fn audit_in_full(&self) -> Result<(), String> {
         let live = self.in_flight.count();
         if self.free.len() + live != self.capacity as usize {
             return Err(format!(
@@ -171,10 +194,9 @@ impl TagPool {
                 self.capacity
             ));
         }
-        let in_range = TagSet::below(self.capacity);
         for (word, &free) in self.is_free.bits.iter().enumerate() {
             let lowest = |bits: u64| word as u32 * 64 + bits.trailing_zeros();
-            let outside = free & !in_range.bits[word];
+            let outside = free & !TagSet::word_below(self.capacity, word);
             if outside != 0 {
                 return Err(format!(
                     "free tag {} outside capacity {}",
@@ -188,8 +210,7 @@ impl TagPool {
             }
         }
         // A set holds a tag once, so a list longer than its membership
-        // map repeats an entry. Naming it walks the list, on this
-        // failing path only.
+        // map repeats an entry. Naming it walks the list.
         let members = self.is_free.count();
         if self.free.len() != members {
             let mut seen = TagSet::new();
@@ -202,6 +223,36 @@ impl TagPool {
             });
         }
         Ok(())
+    }
+
+    /// The lowest tag of `tags` that is not in flight, if there is one
+    /// (the sanitizer's registered-tags check: one AND per word).
+    pub fn first_not_live(&self, tags: &TagSet) -> Option<Tag> {
+        let mut words = tags.bits.iter().zip(&self.in_flight.bits).enumerate();
+        words.find_map(|(word, (&tags, &live))| {
+            let stray = tags & !live;
+            (stray != 0).then(|| Tag(word as u16 * 64 + stray.trailing_zeros() as u16))
+        })
+    }
+}
+
+/// Test backdoors: corruption behind the pool's back, for exercising
+/// [`TagPool::audit`] and the sanitizer's reports of it.
+#[doc(hidden)]
+impl TagPool {
+    /// Rewrites one bit of the in-flight map.
+    pub fn debug_set_live(&mut self, tag: Tag, live: bool) {
+        if live {
+            self.in_flight.insert(tag);
+        } else {
+            self.in_flight.remove(tag);
+        }
+    }
+
+    /// Puts `tag` on the free list whatever its state.
+    pub fn debug_push_free(&mut self, tag: Tag) {
+        self.free.push_back(tag);
+        self.is_free.insert(tag);
     }
 }
 
@@ -225,16 +276,18 @@ impl TagSet {
         Self::default()
     }
 
-    /// The tags `0..n`, filled a word at a time (`n` at most
-    /// [`TAG_SPACE`]).
-    fn below(n: u32) -> Self {
-        let mut set = Self::default();
-        let (full, rest) = (n as usize / 64, n % 64);
-        set.bits[..full].fill(u64::MAX);
-        if rest != 0 {
-            set.bits[full] = (1 << rest) - 1;
+    /// Word `word` of the set `0..n`.
+    fn word_below(n: u32, word: usize) -> u64 {
+        match n.saturating_sub(word as u32 * 64) {
+            0 => 0,
+            k @ 1..=63 => (1 << k) - 1,
+            _ => u64::MAX,
         }
-        set
+    }
+
+    /// The tags `0..n` (`n` at most [`TAG_SPACE`]).
+    fn below(n: u32) -> Self {
+        TagSet { bits: std::array::from_fn(|word| Self::word_below(n, word)) }
     }
 
     /// How many tags the set holds.
@@ -377,6 +430,26 @@ mod tests {
     }
 
     #[test]
+    fn first_not_live_names_the_lowest_stray_tag() {
+        let mut pool = TagPool::with_capacity(200);
+        let mut registered = TagSet::new();
+        for _ in 0..130 {
+            registered.insert(pool.acquire().unwrap());
+        }
+        assert_eq!(pool.first_not_live(&registered), None);
+        assert_eq!(pool.first_not_live(&TagSet::new()), None);
+        pool.release(Tag(129)).unwrap();
+        pool.release(Tag(64)).unwrap();
+        assert_eq!(pool.first_not_live(&registered), Some(Tag(64)));
+        registered.remove(Tag(64));
+        assert_eq!(pool.first_not_live(&registered), Some(Tag(129)));
+        // A tag the pool never held is not live either.
+        let mut foreign = TagSet::new();
+        foreign.insert(Tag(2047));
+        assert_eq!(pool.first_not_live(&foreign), Some(Tag(2047)));
+    }
+
+    #[test]
     fn audit_accepts_consistent_pools() {
         let mut pool = TagPool::with_capacity(8);
         pool.audit().unwrap();
@@ -387,35 +460,20 @@ mod tests {
         pool.audit().unwrap();
     }
 
-    /// Rewrites the in-flight map behind the pool's back.
-    fn set_live(pool: &mut TagPool, tag: Tag, live: bool) {
-        if live {
-            pool.in_flight.insert(tag);
-        } else {
-            pool.in_flight.remove(tag);
-        }
-    }
-
-    /// Puts `tag` on the free list whatever its state.
-    fn push_free(pool: &mut TagPool, tag: Tag) {
-        pool.free.push_back(tag);
-        pool.is_free.insert(tag);
-    }
-
     #[test]
     fn audit_detects_corruption() {
         let mut pool = TagPool::with_capacity(4);
         let a = pool.acquire().unwrap();
         // Simulate a double-add of a live tag onto the free list.
-        push_free(&mut pool, a);
+        pool.debug_push_free(a);
         let err = pool.audit().unwrap_err();
         assert!(err.contains("!= capacity"), "got: {err}");
 
         // A tag marked in flight while still on the free list.
         let mut pool = TagPool::with_capacity(4);
         let _ = pool.acquire().unwrap();
-        set_live(&mut pool, Tag(0), false);
-        set_live(&mut pool, Tag(1), true);
+        pool.debug_set_live(Tag(0), false);
+        pool.debug_set_live(Tag(1), true);
         let err = pool.audit().unwrap_err();
         assert!(err.contains("free and in flight"), "got: {err}");
     }
@@ -427,7 +485,7 @@ mod tests {
         let mut pool = TagPool::with_capacity(4);
         pool.free.retain(|t| t.0 != 1);
         pool.is_free.remove(Tag(1));
-        push_free(&mut pool, Tag(2));
+        pool.debug_push_free(Tag(2));
         assert_eq!(pool.audit().unwrap_err(), "tag 2 duplicated on the free list");
         assert_eq!(reference::TagPool::of(&pool).audit(), pool.audit());
 
@@ -435,7 +493,7 @@ mod tests {
         let mut pool = TagPool::with_capacity(65);
         pool.free.retain(|t| t.0 != 3);
         pool.is_free.remove(Tag(3));
-        push_free(&mut pool, Tag(70));
+        pool.debug_push_free(Tag(70));
         assert_eq!(pool.audit().unwrap_err(), "free tag 70 outside capacity 65");
         assert_eq!(reference::TagPool::of(&pool).audit(), pool.audit());
     }
@@ -568,7 +626,7 @@ mod tests {
             let flip = |pool: &mut TagPool, t: u16| {
                 let tag = Tag(t % capacity as u16);
                 let live = pool.is_live(tag);
-                set_live(pool, tag, !live);
+                pool.debug_set_live(tag, !live);
             };
             for step in steps {
                 match step {
@@ -602,7 +660,7 @@ mod tests {
                             pool = rebuilt;
                         }
                     }
-                    Step::PushFree(t) => push_free(&mut pool, Tag(fold(t))),
+                    Step::PushFree(t) => pool.debug_push_free(Tag(fold(t))),
                     Step::FlipLive(t) => flip(&mut pool, t),
                     Step::FlipTwoLive(a, b) => {
                         flip(&mut pool, a);

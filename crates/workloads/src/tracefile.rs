@@ -21,8 +21,8 @@
 use hmc_sim::jsonv::obj;
 use hmc_sim::{HmcSim, Json, JsonError, ObjReader, SimSnapshot};
 use hmc_types::packet::payload_words;
-use hmc_types::{HmcError, HmcRqst};
-use std::collections::HashMap;
+use hmc_types::{HmcError, HmcRqst, PayloadBuf, Tag, TagSet};
+use std::num::ParseIntError;
 
 /// One parsed trace record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,25 +44,32 @@ pub fn parse_line(line: &str) -> Result<Option<TraceOp>, HmcError> {
     let mut tok = line.split_whitespace();
     let kind = tok.next().expect("nonempty line");
     let bad = |why: String| HmcError::MalformedPacket(format!("trace line '{line}': {why}"));
+    // A trace number is digits only; the integer parsers take a `+`,
+    // so a signed token is parsed as the sign alone, which fails as
+    // the digit it is not.
+    fn unsigned<T>(
+        s: &str,
+        parse: impl Fn(&str) -> Result<T, ParseIntError>,
+    ) -> Result<T, ParseIntError> {
+        parse(if s.starts_with('+') { "+" } else { s })
+    }
     let parse_addr = |s: Option<&str>| -> Result<u64, HmcError> {
         let s = s.ok_or_else(|| bad("missing address".into()))?;
         let s = s.strip_prefix("0x").unwrap_or(s);
-        u64::from_str_radix(s, 16).map_err(|e| bad(format!("bad address: {e}")))
+        unsigned(s, |s| u64::from_str_radix(s, 16)).map_err(|e| bad(format!("bad address: {e}")))
     };
     let parse_tid = |s: Option<&str>| -> Result<u64, HmcError> {
         match s {
             None => Ok(0),
-            Some(s) => s.parse().map_err(|e| bad(format!("bad tid: {e}"))),
+            Some(s) => unsigned(s, str::parse).map_err(|e| bad(format!("bad tid: {e}"))),
         }
     };
     let op = match kind {
         "R" | "W" | "P" => {
             let addr = parse_addr(tok.next())?;
-            let bytes: usize = tok
-                .next()
-                .ok_or_else(|| bad("missing size".into()))?
-                .parse()
-                .map_err(|e| bad(format!("bad size: {e}")))?;
+            let bytes = tok.next().ok_or_else(|| bad("missing size".into()))?;
+            let bytes: usize =
+                unsigned(bytes, str::parse).map_err(|e| bad(format!("bad size: {e}")))?;
             let cmd = match kind {
                 "R" => HmcRqst::read_for_bytes(bytes),
                 "W" => HmcRqst::write_for_bytes(bytes),
@@ -301,9 +308,16 @@ pub fn replay_with_sink(
     mut sink: impl FnMut(&ReplayCheckpoint) -> Result<(), HmcError>,
 ) -> Result<(ReplayResult, Option<ReplayCheckpoint>), HmcError> {
     let links = sim.device_config(0)?.links;
+    if config.window == 0 {
+        // Nothing could ever be issued: the loop would only burn the
+        // cycle budget.
+        return Err(HmcError::MalformedPacket("replay window must be at least 1".into()));
+    }
 
     let mut cursor;
-    let mut inflight: HashMap<(usize, u16), ()>;
+    // The tags awaiting a response on each link, and how many in all.
+    let mut inflight = vec![TagSet::new(); links];
+    let mut outstanding = 0;
     let mut issued;
     let mut completed;
     let mut data_bytes;
@@ -313,7 +327,10 @@ pub fn replay_with_sink(
         Some(ckpt) => {
             sim.restore(&ckpt.snapshot)?;
             cursor = ckpt.cursor;
-            inflight = ckpt.inflight.into_iter().map(|k| (k, ())).collect();
+            for (link, tag) in ckpt.inflight {
+                let tags = inflight.get_mut(link).ok_or(HmcError::InvalidLink(link))?;
+                outstanding += tags.insert(Tag::new(tag as u32)?) as usize;
+            }
             issued = ckpt.issued;
             completed = ckpt.completed;
             data_bytes = ckpt.data_bytes;
@@ -322,7 +339,6 @@ pub fn replay_with_sink(
         }
         None => {
             cursor = 0;
-            inflight = HashMap::new();
             issued = 0;
             completed = 0;
             data_bytes = 0;
@@ -343,27 +359,27 @@ pub fn replay_with_sink(
         None => u64::MAX, // checkpointing disabled
     };
 
-    while cursor < ops.len() || !inflight.is_empty() {
+    while cursor < ops.len() || outstanding != 0 {
         if sim.cycle() - start_cycle > config.max_cycles {
             break;
         }
-        for link in 0..links {
+        for (link, tags) in inflight.iter_mut().enumerate() {
             while let Some(rsp) = sim.recv(0, link) {
-                if inflight.remove(&(link, rsp.rsp.head.tag.value())).is_some() {
+                if tags.remove(rsp.rsp.head.tag) {
+                    outstanding -= 1;
                     completed += 1;
                 }
             }
         }
-        while inflight.len() < config.window && cursor < ops.len() {
+        while outstanding < config.window && cursor < ops.len() {
             let op = &ops[cursor];
             let link = (op.tid as usize) % links;
             let info = op.cmd.fixed_info().expect("standard");
             let payload_len = payload_words(info.rqst_flits);
-            let payload: Vec<u64> =
-                (0..payload_len as u64).map(|w| op.addr ^ w).collect();
+            let payload: PayloadBuf = (0..payload_len as u64).map(|w| op.addr ^ w).collect();
             match sim.send_simple(0, link, op.cmd, op.addr, payload) {
                 Ok(Some(tag)) => {
-                    inflight.insert((link, tag.value()), ());
+                    outstanding += inflight[link].insert(tag) as usize;
                     issued += 1;
                     data_bytes += info.data_bytes as u64;
                     cursor += 1;
@@ -382,15 +398,16 @@ pub fn replay_with_sink(
         if delta >= next_checkpoint {
             next_checkpoint =
                 (delta / config.checkpoint_every + 1) * config.checkpoint_every;
-            let mut pending: Vec<(usize, u16)> = inflight.keys().copied().collect();
-            pending.sort_unstable();
+            // Ascending `(link, tag)` pairs.
+            let pending = inflight.iter().enumerate();
+            let pending = pending.flat_map(|(link, tags)| tags.iter().map(move |t| (link, t.value())));
             let ckpt = ReplayCheckpoint {
                 cycle: sim.cycle(),
                 cursor,
                 issued,
                 completed,
                 data_bytes,
-                inflight: pending,
+                inflight: pending.collect(),
                 start_cycle,
                 flits_base: flits_before,
                 snapshot: sim.snapshot(),
@@ -473,6 +490,23 @@ A XOR16 0x80
         assert!(parse_line("A NOPE 0x10").is_err());
         assert!(parse_line("X 0x10 64").is_err());
         assert!(parse_line("R 0x10 64 1 extra").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_signed_numbers() {
+        // `u64::from_str_radix` and `str::parse` would take the `+`.
+        for (line, why) in [
+            ("R 0x+1f00 64 3", "bad address"),
+            ("R +1f00 64 3", "bad address"),
+            ("A INC8 +40 1", "bad address"),
+            ("W 0x1f00 +64 3", "bad size"),
+            ("R 0x1f00 64 +3", "bad tid"),
+            ("A INC8 0x40 +1", "bad tid"),
+            ("R -1f00 64", "bad address"),
+        ] {
+            let e = parse_line(line).unwrap_err().to_string();
+            assert!(e.contains(why) && e.contains("invalid digit"), "`{line}`: {e}");
+        }
     }
 
     #[test]
@@ -595,6 +629,31 @@ A XOR16 0x80
             Err(HmcError::MalformedPacket("disk full".into()))
         });
         assert!(err.is_err(), "a failing sink must abort, not be ignored");
+    }
+
+    #[test]
+    fn zero_window_is_refused_before_the_loop() {
+        let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+        let config = ReplayConfig { window: 0, ..Default::default() };
+        let e = replay(&mut sim, &synthetic_trace(2, 4, 64), &config).unwrap_err();
+        assert!(e.to_string().contains("window"), "{e}");
+        assert_eq!(sim.cycle(), 0, "no cycle of the budget was spent");
+    }
+
+    #[test]
+    fn resume_refuses_inflight_entries_no_link_could_carry() {
+        let config = ReplayConfig { checkpoint_every: 20, ..Default::default() };
+        let ops = synthetic_trace(4, 32, 64);
+        let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+        let (_, ckpt) = replay_resumable(&mut sim, &ops, &config, None).unwrap();
+        let ckpt = ckpt.expect("checkpoints were taken");
+        for (entry, want) in
+            [((4, 0), HmcError::InvalidLink(4)), ((0, 2048), HmcError::InvalidTag(2048))]
+        {
+            let mut bad = ckpt.clone();
+            bad.inflight.push(entry);
+            assert_eq!(replay_resumable(&mut sim, &ops, &config, Some(bad)).unwrap_err(), want);
+        }
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! what a mutex-kernel run allocates does not depend on how many
 //! requests it retires.
 //!
+//! So does the trace replayer: its in-flight set is a bit map per link
+//! and its payloads are built in place, so a warm replay allocates the
+//! same handful of times however many operations it carries.
+//!
 //! Everything runs inside one `#[test]` so no concurrently-running
 //! test can perturb the global counter.
 
@@ -26,6 +30,7 @@ use hmcsim::prelude::*;
 use hmcsim::sim::{
     FlightRecorder, SanitizerConfig, SimConfig, TelemetryConfig, TraceKind, TraceRecord, Tracer,
 };
+use hmcsim::workloads::tracefile::{replay, ReplayConfig, TraceOp};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig, SpinPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -308,6 +313,35 @@ fn traced_off_emission_is_allocation_free() {
         "{owned_requests} requests took {owned} allocations, {bounded_requests} took {bounded}: \
          the driver allocates per request"
     );
+
+    // --- The trace replayer, per operation. --------------------------
+    // Reads, writes, posted writes and atomics from eight threads over
+    // all four links: once a first replay has warmed the context, a
+    // replay of eight times the operations allocates what a short one
+    // does — the in-flight maps, nothing per operation.
+    let mixed = |n: u64| -> Vec<TraceOp> {
+        let cmds = [HmcRqst::Rd64, HmcRqst::Wr64, HmcRqst::Rd16, HmcRqst::Inc8, HmcRqst::PWr64];
+        (0..n)
+            .map(|i| TraceOp {
+                cmd: cmds[i as usize % cmds.len()],
+                addr: 0x10_0000 + (i.wrapping_mul(0x9E37_79B9) % (1 << 14)) * 64,
+                tid: i % 8,
+            })
+            .collect()
+    };
+    let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+    sim.set_exec_mode(ExecMode::Sequential);
+    sim.set_skip_mode(SkipMode::Off);
+    sim.set_timing_model(TimingSelect::FixedLatency);
+    let (short, long) = (mixed(1_000), mixed(8_000));
+    let config = ReplayConfig::default();
+    assert_eq!(replay(&mut sim, &long, &config).unwrap().issued, 8_000, "warm-up");
+    let mut replay_allocations = |ops: &[TraceOp]| {
+        min_allocations(3, || assert_eq!(replay(&mut sim, ops, &config).unwrap().issued, ops.len() as u64))
+    };
+    let (few, many) = (replay_allocations(&short), replay_allocations(&long));
+    assert!(few <= 2, "a warm 1000-op replay allocated {few} times");
+    assert_eq!(many, few, "8000 ops took {many} allocations, 1000 took {few}: per-op allocation");
 
     // --- The whole engine, differentially. ---------------------------
     // How many structured events does the pinned run emit? (Retained
