@@ -58,12 +58,27 @@ fn want_operands(cmd: HmcRqst, got: usize, want: usize) -> Result<(), HmcError> 
     Ok(())
 }
 
+/// The 16-byte operand of a 2-FLIT atomic: payload word 0 is the low
+/// half.
+fn operand16(operand: &[u64]) -> u128 {
+    (operand[0] as u128) | ((operand[1] as u128) << 64)
+}
+
+/// A 16-byte value as response payload words, low half first.
+fn words16(value: u128) -> PayloadBuf {
+    [value as u64, (value >> 64) as u64].into()
+}
+
 /// Executes one atomic memory operation against `mem`.
 ///
 /// `operand` is the request's data payload in 64-bit words (2 words
 /// for 2-FLIT atomics, empty for INC8). Returns the response payload
 /// and AF bit; rejects non-atomic commands, misaligned addresses and
 /// malformed operand lengths.
+///
+/// Every read-modify-write resolves its page once, through the store's
+/// `update_u64`/`update_u128`; a compare-and-swap that misses writes
+/// nothing, so it never materializes a page.
 pub fn execute(
     cmd: HmcRqst,
     mem: &SparseMemory,
@@ -75,12 +90,14 @@ pub fn execute(
         HmcRqst::TwoAdd8 | HmcRqst::P2Add8 | HmcRqst::TwoAddS8R => {
             check_align(addr, 16)?;
             want_operands(cmd, operand.len(), 2)?;
-            let old0 = mem.read_u64(addr)?;
-            let old1 = mem.read_u64(addr + 8)?;
-            mem.write_u64(addr, (old0 as i64).wrapping_add(operand[0] as i64) as u64)?;
-            mem.write_u64(addr + 8, (old1 as i64).wrapping_add(operand[1] as i64) as u64)?;
+            // Both lanes live in one aligned 16-byte block.
+            let old = mem.update_u128(addr, |old| {
+                let lo = (old as u64 as i64).wrapping_add(operand[0] as i64) as u64;
+                let hi = ((old >> 64) as u64 as i64).wrapping_add(operand[1] as i64) as u64;
+                Some((lo as u128) | ((hi as u128) << 64))
+            })?;
             let payload = if cmd == HmcRqst::TwoAddS8R {
-                [old0, old1].into()
+                words16(old)
             } else {
                 PayloadBuf::new()
             };
@@ -90,11 +107,11 @@ pub fn execute(
         HmcRqst::Add16 | HmcRqst::PAdd16 | HmcRqst::AddS16R => {
             check_align(addr, 16)?;
             want_operands(cmd, operand.len(), 2)?;
-            let old = mem.read_u128(addr)?;
-            let imm = (operand[0] as u128) | ((operand[1] as u128) << 64);
-            mem.write_u128(addr, (old as i128).wrapping_add(imm as i128) as u128)?;
+            let imm = operand16(operand);
+            let old = mem
+                .update_u128(addr, |old| Some((old as i128).wrapping_add(imm as i128) as u128))?;
             let payload = if cmd == HmcRqst::AddS16R {
-                [old as u64, (old >> 64) as u64].into()
+                words16(old)
             } else {
                 PayloadBuf::new()
             };
@@ -104,62 +121,61 @@ pub fn execute(
         HmcRqst::Inc8 | HmcRqst::PInc8 => {
             check_align(addr, 8)?;
             want_operands(cmd, operand.len(), 0)?;
-            let old = mem.read_u64(addr)?;
-            mem.write_u64(addr, old.wrapping_add(1))?;
+            mem.update_u64(addr, |old| Some(old.wrapping_add(1)))?;
             Ok(AmoResult::default())
         }
         // ---- 16-byte boolean ops (return original data) ----
         HmcRqst::Xor16 | HmcRqst::Or16 | HmcRqst::Nor16 | HmcRqst::And16 | HmcRqst::Nand16 => {
             check_align(addr, 16)?;
             want_operands(cmd, operand.len(), 2)?;
-            let old = mem.read_u128(addr)?;
-            let op = (operand[0] as u128) | ((operand[1] as u128) << 64);
-            let new = match cmd {
-                HmcRqst::Xor16 => old ^ op,
-                HmcRqst::Or16 => old | op,
-                HmcRqst::Nor16 => !(old | op),
-                HmcRqst::And16 => old & op,
-                HmcRqst::Nand16 => !(old & op),
-                _ => unreachable!("boolean arm"),
-            };
-            mem.write_u128(addr, new)?;
-            Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: false })
+            let op = operand16(operand);
+            let old = mem.update_u128(addr, |old| {
+                Some(match cmd {
+                    HmcRqst::Xor16 => old ^ op,
+                    HmcRqst::Or16 => old | op,
+                    HmcRqst::Nor16 => !(old | op),
+                    HmcRqst::And16 => old & op,
+                    HmcRqst::Nand16 => !(old & op),
+                    _ => unreachable!("boolean arm"),
+                })
+            })?;
+            Ok(AmoResult { payload: words16(old), af: false })
         }
         // ---- 8-byte compare-and-swap family ----
         HmcRqst::CasGt8 | HmcRqst::CasLt8 | HmcRqst::CasEq8 => {
             check_align(addr, 8)?;
             want_operands(cmd, operand.len(), 2)?;
             let (swap, cmp) = (operand[0], operand[1]);
-            let old = mem.read_u64(addr)?;
-            let hit = match cmd {
-                HmcRqst::CasGt8 => (old as i64) > (cmp as i64),
-                HmcRqst::CasLt8 => (old as i64) < (cmp as i64),
-                HmcRqst::CasEq8 => old == cmp,
-                _ => unreachable!("cas8 arm"),
-            };
-            if hit {
-                mem.write_u64(addr, swap)?;
-            }
+            let mut hit = false;
+            let old = mem.update_u64(addr, |old| {
+                hit = match cmd {
+                    HmcRqst::CasGt8 => (old as i64) > (cmp as i64),
+                    HmcRqst::CasLt8 => (old as i64) < (cmp as i64),
+                    HmcRqst::CasEq8 => old == cmp,
+                    _ => unreachable!("cas8 arm"),
+                };
+                hit.then_some(swap)
+            })?;
             Ok(AmoResult { payload: [old, 0].into(), af: hit })
         }
         // ---- 16-byte compare-and-swap family ----
         HmcRqst::CasGt16 | HmcRqst::CasLt16 | HmcRqst::CasZero16 => {
             check_align(addr, 16)?;
             want_operands(cmd, operand.len(), 2)?;
-            let swap = (operand[0] as u128) | ((operand[1] as u128) << 64);
-            let old = mem.read_u128(addr)?;
-            let hit = match cmd {
-                // 16-byte comparisons are against the swap operand
-                // itself (the spec's "CAS if greater/less than").
-                HmcRqst::CasGt16 => (old as i128) > (swap as i128),
-                HmcRqst::CasLt16 => (old as i128) < (swap as i128),
-                HmcRqst::CasZero16 => old == 0,
-                _ => unreachable!("cas16 arm"),
-            };
-            if hit {
-                mem.write_u128(addr, swap)?;
-            }
-            Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: hit })
+            let swap = operand16(operand);
+            let mut hit = false;
+            let old = mem.update_u128(addr, |old| {
+                hit = match cmd {
+                    // 16-byte comparisons are against the swap operand
+                    // itself (the spec's "CAS if greater/less than").
+                    HmcRqst::CasGt16 => (old as i128) > (swap as i128),
+                    HmcRqst::CasLt16 => (old as i128) < (swap as i128),
+                    HmcRqst::CasZero16 => old == 0,
+                    _ => unreachable!("cas16 arm"),
+                };
+                hit.then_some(swap)
+            })?;
+            Ok(AmoResult { payload: words16(old), af: hit })
         }
         // ---- equality probes (ack-only responses, AF = outcome) ----
         HmcRqst::Eq8 => {
@@ -172,16 +188,14 @@ pub fn execute(
             check_align(addr, 16)?;
             want_operands(cmd, operand.len(), 2)?;
             let old = mem.read_u128(addr)?;
-            let cmp = (operand[0] as u128) | ((operand[1] as u128) << 64);
-            Ok(AmoResult { payload: PayloadBuf::new(), af: old == cmp })
+            Ok(AmoResult { payload: PayloadBuf::new(), af: old == operand16(operand) })
         }
         // ---- 8-byte bit write ----
         HmcRqst::Bwr | HmcRqst::PBwr | HmcRqst::Bwr8R => {
             check_align(addr, 8)?;
             want_operands(cmd, operand.len(), 2)?;
             let (data, mask) = (operand[0], operand[1]);
-            let old = mem.read_u64(addr)?;
-            mem.write_u64(addr, (old & !mask) | (data & mask))?;
+            let old = mem.update_u64(addr, |old| Some((old & !mask) | (data & mask)))?;
             let payload = if cmd == HmcRqst::Bwr8R {
                 [old, 0].into()
             } else {
@@ -193,10 +207,9 @@ pub fn execute(
         HmcRqst::Swap16 => {
             check_align(addr, 16)?;
             want_operands(cmd, operand.len(), 2)?;
-            let new = (operand[0] as u128) | ((operand[1] as u128) << 64);
-            let old = mem.read_u128(addr)?;
-            mem.write_u128(addr, new)?;
-            Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: false })
+            let new = operand16(operand);
+            let old = mem.update_u128(addr, |_| Some(new))?;
+            Ok(AmoResult { payload: words16(old), af: false })
         }
         other => Err(HmcError::MalformedPacket(format!(
             "{other} is not an atomic memory operation"
@@ -424,5 +437,214 @@ mod tests {
         }
         let r = execute(HmcRqst::PInc8, &m, 0x40, &[]).unwrap();
         assert!(r.payload.is_empty());
+    }
+
+    /// The atomics as they were before the store could update a cell in
+    /// place: every operation a read followed by a write, each
+    /// resolving its page. Kept as the oracle for
+    /// `execute_matches_the_read_then_write_reference`.
+    mod reference {
+        use super::super::{check_align, want_operands, AmoResult};
+        use crate::store::SparseMemory;
+        use hmc_types::{HmcError, HmcRqst, PayloadBuf};
+
+        pub(super) fn execute(
+            cmd: HmcRqst,
+            mem: &SparseMemory,
+            addr: u64,
+            operand: &[u64],
+        ) -> Result<AmoResult, HmcError> {
+            match cmd {
+                // ---- dual 8-byte signed add immediate ----
+                HmcRqst::TwoAdd8 | HmcRqst::P2Add8 | HmcRqst::TwoAddS8R => {
+                    check_align(addr, 16)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let old0 = mem.read_u64(addr)?;
+                    let old1 = mem.read_u64(addr + 8)?;
+                    mem.write_u64(addr, (old0 as i64).wrapping_add(operand[0] as i64) as u64)?;
+                    mem.write_u64(addr + 8, (old1 as i64).wrapping_add(operand[1] as i64) as u64)?;
+                    let payload = if cmd == HmcRqst::TwoAddS8R {
+                        [old0, old1].into()
+                    } else {
+                        PayloadBuf::new()
+                    };
+                    Ok(AmoResult { payload, af: false })
+                }
+                // ---- single 16-byte signed add immediate ----
+                HmcRqst::Add16 | HmcRqst::PAdd16 | HmcRqst::AddS16R => {
+                    check_align(addr, 16)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let old = mem.read_u128(addr)?;
+                    let imm = (operand[0] as u128) | ((operand[1] as u128) << 64);
+                    mem.write_u128(addr, (old as i128).wrapping_add(imm as i128) as u128)?;
+                    let payload = if cmd == HmcRqst::AddS16R {
+                        [old as u64, (old >> 64) as u64].into()
+                    } else {
+                        PayloadBuf::new()
+                    };
+                    Ok(AmoResult { payload, af: false })
+                }
+                // ---- 8-byte increment ----
+                HmcRqst::Inc8 | HmcRqst::PInc8 => {
+                    check_align(addr, 8)?;
+                    want_operands(cmd, operand.len(), 0)?;
+                    let old = mem.read_u64(addr)?;
+                    mem.write_u64(addr, old.wrapping_add(1))?;
+                    Ok(AmoResult::default())
+                }
+                // ---- 16-byte boolean ops (return original data) ----
+                HmcRqst::Xor16 | HmcRqst::Or16 | HmcRqst::Nor16 | HmcRqst::And16 | HmcRqst::Nand16 => {
+                    check_align(addr, 16)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let old = mem.read_u128(addr)?;
+                    let op = (operand[0] as u128) | ((operand[1] as u128) << 64);
+                    let new = match cmd {
+                        HmcRqst::Xor16 => old ^ op,
+                        HmcRqst::Or16 => old | op,
+                        HmcRqst::Nor16 => !(old | op),
+                        HmcRqst::And16 => old & op,
+                        HmcRqst::Nand16 => !(old & op),
+                        _ => unreachable!("boolean arm"),
+                    };
+                    mem.write_u128(addr, new)?;
+                    Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: false })
+                }
+                // ---- 8-byte compare-and-swap family ----
+                HmcRqst::CasGt8 | HmcRqst::CasLt8 | HmcRqst::CasEq8 => {
+                    check_align(addr, 8)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let (swap, cmp) = (operand[0], operand[1]);
+                    let old = mem.read_u64(addr)?;
+                    let hit = match cmd {
+                        HmcRqst::CasGt8 => (old as i64) > (cmp as i64),
+                        HmcRqst::CasLt8 => (old as i64) < (cmp as i64),
+                        HmcRqst::CasEq8 => old == cmp,
+                        _ => unreachable!("cas8 arm"),
+                    };
+                    if hit {
+                        mem.write_u64(addr, swap)?;
+                    }
+                    Ok(AmoResult { payload: [old, 0].into(), af: hit })
+                }
+                // ---- 16-byte compare-and-swap family ----
+                HmcRqst::CasGt16 | HmcRqst::CasLt16 | HmcRqst::CasZero16 => {
+                    check_align(addr, 16)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let swap = (operand[0] as u128) | ((operand[1] as u128) << 64);
+                    let old = mem.read_u128(addr)?;
+                    let hit = match cmd {
+                        // 16-byte comparisons are against the swap operand
+                        // itself (the spec's "CAS if greater/less than").
+                        HmcRqst::CasGt16 => (old as i128) > (swap as i128),
+                        HmcRqst::CasLt16 => (old as i128) < (swap as i128),
+                        HmcRqst::CasZero16 => old == 0,
+                        _ => unreachable!("cas16 arm"),
+                    };
+                    if hit {
+                        mem.write_u128(addr, swap)?;
+                    }
+                    Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: hit })
+                }
+                // ---- equality probes (ack-only responses, AF = outcome) ----
+                HmcRqst::Eq8 => {
+                    check_align(addr, 8)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let old = mem.read_u64(addr)?;
+                    Ok(AmoResult { payload: PayloadBuf::new(), af: old == operand[0] })
+                }
+                HmcRqst::Eq16 => {
+                    check_align(addr, 16)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let old = mem.read_u128(addr)?;
+                    let cmp = (operand[0] as u128) | ((operand[1] as u128) << 64);
+                    Ok(AmoResult { payload: PayloadBuf::new(), af: old == cmp })
+                }
+                // ---- 8-byte bit write ----
+                HmcRqst::Bwr | HmcRqst::PBwr | HmcRqst::Bwr8R => {
+                    check_align(addr, 8)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let (data, mask) = (operand[0], operand[1]);
+                    let old = mem.read_u64(addr)?;
+                    mem.write_u64(addr, (old & !mask) | (data & mask))?;
+                    let payload = if cmd == HmcRqst::Bwr8R {
+                        [old, 0].into()
+                    } else {
+                        PayloadBuf::new()
+                    };
+                    Ok(AmoResult { payload, af: false })
+                }
+                // ---- 16-byte swap/exchange ----
+                HmcRqst::Swap16 => {
+                    check_align(addr, 16)?;
+                    want_operands(cmd, operand.len(), 2)?;
+                    let new = (operand[0] as u128) | ((operand[1] as u128) << 64);
+                    let old = mem.read_u128(addr)?;
+                    mem.write_u128(addr, new)?;
+                    Ok(AmoResult { payload: [old as u64, (old >> 64) as u64].into(), af: false })
+                }
+                other => Err(HmcError::MalformedPacket(format!(
+                    "{other} is not an atomic memory operation"
+                ))),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Every atomic command, on an untouched store, on a resident
+        /// page and on the last cell of a page, leaves the result, the
+        /// memory content and the set of resident pages the reference
+        /// leaves — so a compare-and-swap that misses on untouched
+        /// memory still materializes nothing.
+        #[test]
+        fn execute_matches_the_read_then_write_reference(
+            init in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            drawn in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            relate in 0u8..5,
+        ) {
+            use crate::store::PAGE_BYTES;
+            // Unrelated operands rarely satisfy a comparison: tie them
+            // to memory, or memory to zero, in most cases.
+            let (init, operand) = match relate {
+                0 => (init, [drawn.0, init.0]),          // CASEQ8 / EQ8 hit
+                1 => (init, [init.0, init.1]),           // EQ16 hits
+                2 => ((0, 0), [drawn.0, drawn.1]),       // CASZERO16 hits
+                3 => (init, [drawn.0 >> 1, drawn.1 >> 1]), // positive swap value
+                _ => (init, [drawn.0, drawn.1]),
+            };
+            let atomics = HmcRqst::STANDARD.iter().copied().filter(|cmd| {
+                matches!(cmd.kind(), hmc_types::CmdKind::Atomic | hmc_types::CmdKind::PostedAtomic)
+            });
+            let page = PAGE_BYTES as u64;
+            let mut seen = 0;
+            for cmd in atomics {
+                seen += 1;
+                let bytes = cmd.fixed_info().expect("standard").data_bytes as u64;
+                let operand = if matches!(cmd, HmcRqst::Inc8 | HmcRqst::PInc8) {
+                    &[][..]
+                } else {
+                    &operand[..]
+                };
+                // (address, whether the surrounding pages are written first)
+                for (addr, resident) in [(0x40, false), (0x40, true), (2 * page - bytes, true)] {
+                    let (got, want) = (SparseMemory::new(1 << 16), SparseMemory::new(1 << 16));
+                    for mem in [&got, &want] {
+                        if resident {
+                            mem.write_words(addr & !15, &[init.0, init.1]).unwrap();
+                            mem.write_u64(2 * page, !init.0).unwrap();
+                        }
+                    }
+                    let got_r = execute(cmd, &got, addr, operand);
+                    let want_r = reference::execute(cmd, &want, addr, operand);
+                    proptest::prop_assert!(want_r.is_ok(), "{cmd} at {addr:#x}: {want_r:?}");
+                    proptest::prop_assert_eq!(&got_r, &want_r, "{} at {:#x}", cmd, addr);
+                    proptest::prop_assert_eq!(
+                        (got.resident_pages(), got.content_digest()),
+                        (want.resident_pages(), want.content_digest()),
+                        "{} at {:#x}, resident {}", cmd, addr, resident
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(seen, 25, "every atomic row of the command table");
+        }
     }
 }

@@ -12,6 +12,10 @@
 //! except inside [`SparseMemory::for_each_page`], whose visitor may
 //! read the store but must not write to it.
 //!
+//! A read-modify-write of one 8- or 16-byte cell resolves its page
+//! once (`update_u64` / `update_u128`, the atomics' path) rather than
+//! once to read and once to write.
+//!
 //! Page ids hash multiplicatively rather than through SipHash: they are
 //! simulated addresses, and a hot 16-byte access is otherwise mostly
 //! hashing. The table keeps its `page_id % SHARD_COUNT` split — the
@@ -206,6 +210,96 @@ impl SparseMemory {
         self.write(addr, &value.to_le_bytes())
     }
 
+    /// Reads one byte of the host cache line holding `addr`, if the
+    /// address is in range and its page resident, and discards it: a
+    /// hint that the line is about to be accessed. Changes nothing —
+    /// an absent page stays absent — and, like every read, may be
+    /// called from a [`SparseMemory::for_each_page`] visitor.
+    ///
+    /// A load rather than a prefetch instruction because the crate
+    /// forbids `unsafe`; several issued back to back miss the host
+    /// cache together instead of one after another.
+    #[inline]
+    pub fn touch(&self, addr: u64) {
+        if addr >= self.capacity {
+            return;
+        }
+        let page = addr / PAGE_BYTES as u64;
+        if let Some(p) = self.shards.borrow()[page as usize % SHARD_COUNT].get(&page) {
+            std::hint::black_box(p[(addr % PAGE_BYTES as u64) as usize]);
+        }
+    }
+
+    /// Read-modify-write of the `N` bytes at `addr` with one range
+    /// check and one page resolution: `f` sees the old bytes and
+    /// returns the new ones, or `None` to leave memory as it is. An
+    /// absent page reads as zero and is materialized only when `f`
+    /// returns `Some`, exactly as a read followed by a conditional
+    /// write would. `f` runs with the page table borrowed and must not
+    /// reach the store. Returns the old bytes.
+    #[inline]
+    fn update_bytes<const N: usize>(
+        &self,
+        addr: u64,
+        f: impl FnOnce([u8; N]) -> Option<[u8; N]>,
+    ) -> Result<[u8; N], HmcError> {
+        self.check_range(addr, N)?;
+        let page = addr / PAGE_BYTES as u64;
+        let in_page = (addr % PAGE_BYTES as u64) as usize;
+        if in_page > PAGE_BYTES - N {
+            // The cell straddles two pages: read, then write.
+            let mut old = [0u8; N];
+            self.read(addr, &mut old)?;
+            if let Some(new) = f(old) {
+                self.write(addr, &new)?;
+            }
+            return Ok(old);
+        }
+        let mut shards = self.shards.borrow_mut();
+        let shard = &mut shards[page as usize % SHARD_COUNT];
+        let Some(p) = shard.get_mut(&page) else {
+            let old = [0u8; N];
+            if let Some(new) = f(old) {
+                let mut p = Box::new([0u8; PAGE_BYTES]);
+                p[in_page..in_page + N].copy_from_slice(&new);
+                shard.insert(page, p);
+            }
+            return Ok(old);
+        };
+        let cell: &mut [u8; N] =
+            (&mut p[in_page..in_page + N]).try_into().expect("an N-byte slice");
+        let old = *cell;
+        if let Some(new) = f(old) {
+            *cell = new;
+        }
+        Ok(old)
+    }
+
+    /// Read-modify-write of the little-endian `u64` at `addr` (no
+    /// alignment required): `f` maps the old value to the new one, or
+    /// to `None` to write nothing. Returns the old value. One page
+    /// resolution; see `update_bytes` for what an absent page does.
+    #[inline]
+    pub(crate) fn update_u64(
+        &self,
+        addr: u64,
+        f: impl FnOnce(u64) -> Option<u64>,
+    ) -> Result<u64, HmcError> {
+        self.update_bytes(addr, |old| f(u64::from_le_bytes(old)).map(u64::to_le_bytes))
+            .map(u64::from_le_bytes)
+    }
+
+    /// [`SparseMemory::update_u64`] for one 16-byte DRAM block.
+    #[inline]
+    pub(crate) fn update_u128(
+        &self,
+        addr: u64,
+        f: impl FnOnce(u128) -> Option<u128>,
+    ) -> Result<u128, HmcError> {
+        self.update_bytes(addr, |old| f(u128::from_le_bytes(old)).map(u128::to_le_bytes))
+            .map(u128::from_le_bytes)
+    }
+
     /// Reads `n` little-endian 64-bit words starting at `addr`.
     pub fn read_words(&self, addr: u64, n: usize) -> Result<Vec<u64>, HmcError> {
         let mut words = vec![0u64; n];
@@ -337,6 +431,70 @@ mod tests {
         assert!(mem.write_words(tail + 8, &words[..40]).is_err());
         assert_eq!(mem.read_words(tail, 40).unwrap(), vec![0; 40], "nothing was written");
         assert!(mem.read_words_into(tail + 8, &mut back[..40]).is_err());
+    }
+
+    #[test]
+    fn touch_changes_nothing_and_never_panics() {
+        let mem = SparseMemory::new(4 * PAGE_BYTES as u64);
+        mem.write_u64(PAGE_BYTES as u64 + 8, 0xfeed).unwrap();
+        let before = (mem.resident_pages(), mem.content_digest());
+        mem.touch(PAGE_BYTES as u64 + 8); // resident
+        mem.touch(2 * PAGE_BYTES as u64 - 1); // its last byte
+        mem.touch(0); // in range, absent: stays absent
+        mem.touch(4 * PAGE_BYTES as u64); // first byte out of range
+        mem.touch(u64::MAX);
+        // A visitor holds the page table borrowed, as every read may.
+        mem.for_each_page(|id, _| mem.touch(id * PAGE_BYTES as u64));
+        assert_eq!((mem.resident_pages(), mem.content_digest()), before);
+        SparseMemory::default().touch(0);
+    }
+
+    #[test]
+    fn update_is_a_read_then_a_conditional_write() {
+        let mem = SparseMemory::new(4 * PAGE_BYTES as u64);
+        // Absent page, nothing written: still absent.
+        assert_eq!(mem.update_u128(0x40, |_| None).unwrap(), 0);
+        assert_eq!(mem.update_u64(0x48, |_| None).unwrap(), 0);
+        assert_eq!(mem.resident_pages(), 0);
+        // Absent page, written: materialized around the new cell.
+        assert_eq!(mem.update_u64(0x48, |old| Some(old + 7)).unwrap(), 0);
+        assert_eq!(mem.resident_pages(), 1);
+        assert_eq!(mem.read_u128(0x40).unwrap(), 7 << 64);
+        // Resident page: the old value comes back, `None` keeps it.
+        assert_eq!(mem.update_u128(0x40, |old| Some(!old)).unwrap(), 7 << 64);
+        assert_eq!(mem.update_u128(0x40, |_| None).unwrap(), !(7u128 << 64));
+        assert_eq!(mem.read_u64(0x48).unwrap(), !7);
+        // The last cell of a page is still one page.
+        let last = 2 * PAGE_BYTES as u64 - 16;
+        assert_eq!(mem.update_u128(last, |_| Some(u128::MAX)).unwrap(), 0);
+        assert_eq!(mem.resident_pages(), 2);
+        // Range errors come before `f` runs.
+        let end = 4 * PAGE_BYTES as u64;
+        assert!(mem.update_u64(end - 4, |_| unreachable!("out of range")).is_err());
+        assert!(mem.update_u128(u64::MAX - 3, |_| unreachable!("overflows")).is_err());
+        assert!(SparseMemory::default().update_u64(0, |_| unreachable!("no capacity")).is_err());
+    }
+
+    #[test]
+    fn update_across_a_page_boundary_matches_read_then_write() {
+        let (got, want) = (SparseMemory::new(1 << 16), SparseMemory::new(1 << 16));
+        let addr = PAGE_BYTES as u64 - 5;
+        for mem in [&got, &want] {
+            mem.write_u64(PAGE_BYTES as u64, 0x0102_0304_0506_0708).unwrap();
+        }
+        // A miss reads both pages and materializes neither.
+        assert_eq!(got.update_u128(addr, |_| None).unwrap(), want.read_u128(addr).unwrap());
+        assert_eq!(got.resident_pages(), 1);
+        let old = got.update_u128(addr, |old| Some(old ^ u128::MAX)).unwrap();
+        assert_eq!(old, want.read_u128(addr).unwrap());
+        want.write_u128(addr, old ^ u128::MAX).unwrap();
+        assert_eq!(got.update_u64(addr + 2, |old| Some(old.rotate_left(9))).unwrap(), {
+            let old = want.read_u64(addr + 2).unwrap();
+            want.write_u64(addr + 2, old.rotate_left(9)).unwrap();
+            old
+        });
+        assert_eq!(got.content_digest(), want.content_digest());
+        assert_eq!(got.resident_pages(), 2);
     }
 
     #[test]

@@ -183,6 +183,10 @@ impl VaultSet {
         self.0[vault / 64] & (1 << (vault % 64)) != 0
     }
 
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&word| word == 0)
+    }
+
     /// The lowest member at or above `from`. Walking a set with this
     /// (rather than an iterator borrowing it) lets the loop body update
     /// the set; each visit sees the members as they are then.
@@ -588,6 +592,33 @@ impl Device {
         }
     }
 
+    /// Pulls toward the host cache what stage 3 of `cycle` is about to
+    /// wait for: for every vault whose head request is ready, the bank
+    /// record [`Device::execute_vaults`] tests first and the memory
+    /// line the request addresses. The loads of all heads are issued
+    /// back to back, so their misses overlap instead of each stalling
+    /// the execution of its own request.
+    ///
+    /// Purely a hint, like the [`VaultSet`]s: it reads through `&self`
+    /// and discards what it read, materializes no page and moves no
+    /// queue statistic, so the state after stage 3 is the same however
+    /// often — or never — it ran.
+    pub(crate) fn warm_vault_heads(&self, cycle: u64) {
+        for v in self.rqst_waiting.iter() {
+            let vault = &self.vaults[v];
+            let Some(head) = vault.rqst.peek() else { continue };
+            if head.ready_cycle > cycle {
+                continue;
+            }
+            let addr = head.req.head.addr;
+            if let Ok(loc) = self.map.decompose(addr) {
+                let bank = loc.bank as usize % self.config.banks_per_vault;
+                std::hint::black_box(vault.banks[bank].is_busy(cycle));
+            }
+            self.mem.touch(addr);
+        }
+    }
+
     /// Stage 3: vault execution — the `hmcsim_process_rqst`
     /// equivalent. Returns the number of requests retired *without* a
     /// response (posted writes, flow packets, posted vault faults) —
@@ -834,6 +865,16 @@ impl Device {
             + self.xbar_rsp.iter().map(|q| q.len()).sum::<usize>()
             + self.rqst_waiting.iter().map(|v| self.vaults[v].rqst.len()).sum::<usize>()
             + self.rsp_waiting.iter().map(|v| self.vaults[v].rsp.len()).sum::<usize>()
+    }
+
+    /// True when any device queue holds a packet:
+    /// `pending_work() != 0`, decided at the first packet found rather
+    /// than by counting them all.
+    pub(crate) fn has_work(&self) -> bool {
+        !self.rqst_waiting.is_empty()
+            || !self.rsp_waiting.is_empty()
+            || self.xbar_rqst.iter().any(|q| !q.is_empty())
+            || self.xbar_rsp.iter().any(|q| !q.is_empty())
     }
 
     /// FLITs currently held in one link's crossbar request queue (the
@@ -1530,6 +1571,107 @@ mod tests {
         ).unwrap())).unwrap();
         let found = dev.queue_bound_violation().expect("missing hint");
         assert_eq!(found, "vault 7 rqst: occupancy bit false but 1 queued");
+    }
+
+    #[test]
+    fn warming_the_vault_heads_changes_nothing() {
+        // Queued atomics, reads and writes over resident and absent
+        // pages, one address past the capacity, one vault two deep:
+        // stage 3 ends in the same state however often it was warmed.
+        let run = |warms: usize| {
+            let mut cfg = DeviceConfig::gen2_4link_4gb();
+            cfg.bank_latency = 3;
+            cfg.remote_quad_penalty = 2;
+            let mut dev = Device::new(0, cfg).unwrap();
+            dev.mem_mut().write_u64(0x1040, 0xABCD).unwrap();
+            let mut tracer = Tracer::disabled();
+            let traffic: [(HmcRqst, u64, &[u64]); 7] = [
+                (HmcRqst::Xor16, 0x1040, &[1, 2]),
+                (HmcRqst::CasEq8, 0x9_0080, &[5, 6]),
+                (HmcRqst::Rd64, 0x20_00c0, &[]),
+                (HmcRqst::Wr16, 0x100, &[3, 4]),
+                (HmcRqst::Inc8, 0x1040, &[]),
+                (HmcRqst::Rd16, 4 << 30, &[]),
+                (HmcRqst::Swap16, 0x7_7740, &[7, 8]),
+            ];
+            for (i, (cmd, addr, payload)) in traffic.into_iter().enumerate() {
+                let tag = Tag::new(i as u32).unwrap();
+                let req = Request::new(cmd, tag, addr, Cub::new(0).unwrap(), payload).unwrap();
+                dev.send(i % 4, tracked(req)).unwrap();
+            }
+            let mut pool = EnvelopePool::default();
+            for cycle in 0..8 {
+                for _ in 0..warms {
+                    dev.warm_vault_heads(cycle);
+                }
+                dev.execute_vaults(cycle, &mut tracer, &mut pool);
+                route(&mut dev, cycle, &mut tracer);
+                assert_eq!(dev.queue_bound_violation(), None);
+            }
+            assert_eq!(dev.stats().responses, 7, "everything queued was executed");
+            let mut h = hmc_types::Fnv::new();
+            crate::snapshot::hash_device(&mut h, &dev.state_view());
+            let queues =
+                (dev.vault_queue_high_water(), dev.vault_rqst_pushes(), dev.xbar_queue_stalls());
+            (h.finish(), queues, dev.mem().resident_pages(), dev.stats().vault_stalls)
+        };
+        let cold = run(0);
+        assert_eq!(cold.2, 3, "the reads, the out-of-range head and the CAS miss made no page");
+        assert!(cold.3 > 0, "the warm pass met a busy bank");
+        assert_eq!(run(1), cold);
+        assert_eq!(run(100), cold);
+    }
+
+    #[test]
+    fn has_work_is_pending_work_nonzero_at_every_step() {
+        let mut dev = device();
+        let mut tracer = Tracer::disabled();
+        let agree = |dev: &Device, at: &str| {
+            assert_eq!(dev.has_work(), dev.pending_work() != 0, "{at}");
+            dev.has_work()
+        };
+        assert!(!agree(&dev, "new"));
+        let mk = |cmd, tag, cub, payload: &[u64]| {
+            let (tag, cub) = (Tag::new(tag).unwrap(), Cub::new(cub).unwrap());
+            tracked(Request::new(cmd, tag, 0x40, cub, payload).unwrap())
+        };
+        dev.send(3, mk(HmcRqst::Rd16, 1, 0, &[])).unwrap();
+        assert!(agree(&dev, "one packet in the last crossbar request queue"));
+        let parked = dev.snapshot_state();
+        route(&mut dev, 0, &mut tracer);
+        assert!(agree(&dev, "in a vault request queue"));
+        execute(&mut dev, 1, &mut tracer);
+        assert!(agree(&dev, "in a vault response queue"));
+        dev.route_responses(2, &mut tracer);
+        assert!(agree(&dev, "in a crossbar response queue"));
+        let answered = dev.snapshot_state();
+        assert_eq!(drain(&mut dev, 2).len(), 1);
+        assert!(!agree(&dev, "delivered"));
+
+        // Posted and forwarded packets leave without a response.
+        dev.send(0, mk(HmcRqst::PWr16, 2, 0, &[1, 2])).unwrap();
+        dev.send(1, mk(HmcRqst::Rd16, 3, 5, &[])).unwrap();
+        assert!(agree(&dev, "two crossbar queues"));
+        assert_eq!(route(&mut dev, 3, &mut tracer).forwards.len(), 1);
+        assert!(agree(&dev, "the posted write waits in its vault"));
+        execute(&mut dev, 4, &mut tracer);
+        assert!(!agree(&dev, "absorbed"));
+
+        // A restore rebuilds the vault hints the test reads.
+        dev.restore_state(&answered);
+        assert!(agree(&dev, "restored with a response in the crossbar"));
+        dev.restore_state(&parked);
+        assert!(agree(&dev, "restored with a request in the crossbar"));
+        route(&mut dev, 5, &mut tracer);
+        let queued = dev.snapshot_state();
+        let mut idle = device();
+        assert!(!agree(&idle, "another new device"));
+        idle.restore_state(&queued);
+        assert!(agree(&idle, "restored with a request in a vault"));
+        execute(&mut idle, 6, &mut tracer);
+        idle.route_responses(7, &mut tracer);
+        assert_eq!(drain(&mut idle, 7).len(), 1);
+        assert!(!agree(&idle, "drained after the restore"));
     }
 
     #[test]

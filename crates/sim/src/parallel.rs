@@ -36,12 +36,21 @@ const _: fn() = || {
 /// Stage 3 for `devices`, in order, on the calling thread — what the
 /// sequential engine does with all of them and a lane with its range.
 /// Returns the number of requests absorbed without a response.
+///
+/// Execution is preceded by one read-only pass over every ready vault
+/// head of the whole range ([`Device::warm_vault_heads`]): a request's
+/// bank record and memory line are rarely in the host cache, and asked
+/// for together the misses overlap instead of being taken one per
+/// request.
 pub(crate) fn execute_vaults(
     devices: &mut [Device],
     cycle: u64,
     tracer: &mut Tracer,
     envelopes: &mut EnvelopePool,
 ) -> u64 {
+    for dev in devices.iter() {
+        dev.warm_vault_heads(cycle);
+    }
     devices.iter_mut().map(|dev| dev.execute_vaults(cycle, tracer, envelopes)).sum()
 }
 

@@ -1064,7 +1064,7 @@ impl HmcSim {
         // was provably empty and stayed empty keeps its cached timing
         // horizon.
         for (i, dev) in self.devices.iter().enumerate() {
-            let busy = dev.pending_work() != 0;
+            let busy = dev.has_work();
             if self.dev_maybe_busy[i] || busy {
                 self.dev_timing_horizon[i] = None;
             }
@@ -1101,7 +1101,7 @@ impl HmcSim {
         // re-sets it), so quiet cubes cost nothing here.
         for i in 0..self.devices.len() {
             if self.dev_maybe_busy[i] {
-                if self.devices[i].pending_work() != 0 {
+                if self.devices[i].has_work() {
                     return None;
                 }
                 self.dev_maybe_busy[i] = false;
@@ -1196,7 +1196,7 @@ impl HmcSim {
             .devices
             .iter()
             .zip(&self.dev_maybe_busy)
-            .any(|(d, &busy)| busy && d.pending_work() != 0)
+            .any(|(d, &busy)| busy && d.has_work())
         {
             return Some(self.cycle);
         }
@@ -1260,7 +1260,7 @@ impl HmcSim {
     pub fn is_quiescent(&self) -> bool {
         self.transit_queues.iter().all(|q| q.is_empty())
             && self.retry_pending.is_empty()
-            && self.devices.iter().all(|d| d.pending_work() == 0)
+            && !self.devices.iter().any(|d| d.has_work())
     }
 
     /// Clocks until the fabric is quiescent (posted traffic fully

@@ -312,7 +312,7 @@ pub(crate) fn hash_hist(h: &mut Fnv, hist: &Hist) {
     h.words(buckets.iter().copied());
 }
 
-fn hash_device(h: &mut Fnv, d: &DeviceView<'_>) {
+pub(crate) fn hash_device(h: &mut Fnv, d: &DeviceView<'_>) {
     hash_seq(h, d.xbar_rqst.iter(), |h, q| hash_queue(h, q, hash_request));
     hash_seq(h, d.xbar_rsp.iter(), |h, q| hash_queue(h, q, hash_response));
     hash_seq(h, d.vaults.iter(), hash_vault);

@@ -1114,7 +1114,19 @@ impl Tracer {
     /// The flight recorder and the forensic ring receive the raw
     /// record (no formatting); the text line is rendered only when the
     /// sink's level asks for this class.
+    ///
+    /// With no recorder, no ring and a null sink there is nowhere for
+    /// the record to go; that test is inlined into every call site, so
+    /// an unobserved run neither makes the call nor builds the record.
+    #[inline]
     pub fn emit(&mut self, rec: TraceRecord) {
+        if self.flight.is_none() && self.ring.is_none() && matches!(self.sink, Sink::Null) {
+            return;
+        }
+        self.deliver(rec);
+    }
+
+    fn deliver(&mut self, rec: TraceRecord) {
         if let Some(flight) = &self.flight {
             flight.record(rec);
         }

@@ -86,24 +86,41 @@ macro_rules! hmc_commands {
             Cmc(u8),
         }
 
+        /// Static metadata by command code: `Some` at the 58 codes the
+        /// specification assigns, `None` at the 70 it leaves to CMC
+        /// operations — and in one more row past the code space, the
+        /// row of every [`HmcRqst::Cmc`] whatever byte it carries. A
+        /// `static`, so every inlined [`HmcRqst::fixed_info`] indexes
+        /// the same 3 KiB.
+        static CMD_INFO: [Option<CmdInfo>; CMD_CODE_SPACE + 1] = {
+            let mut table = [None; CMD_CODE_SPACE + 1];
+            $(table[$code] = Some(CmdInfo {
+                code: $code,
+                rqst_flits: $rq,
+                rsp_flits: $rs,
+                kind: CmdKind::$kind,
+                data_bytes: $bytes,
+                name: $name,
+            });)+
+            table
+        };
+
         impl HmcRqst {
             /// Every standard (non-CMC) command.
             pub const STANDARD: &'static [HmcRqst] = &[ $(HmcRqst::$variant,)+ ];
 
             /// Static metadata for a standard command; `None` for CMC
             /// commands, whose lengths live in the CMC registry.
+            #[inline]
             pub fn fixed_info(self) -> Option<CmdInfo> {
-                match self {
-                    $(HmcRqst::$variant => Some(CmdInfo {
-                        code: $code,
-                        rqst_flits: $rq,
-                        rsp_flits: $rs,
-                        kind: CmdKind::$kind,
-                        data_bytes: $bytes,
-                        name: $name,
-                    }),)+
-                    HmcRqst::Cmc(_) => None,
-                }
+                // Every arm is a constant, so the match compiles to a
+                // byte table, not to a jump: two loads and no branch
+                // on the command.
+                let row = match self {
+                    $(HmcRqst::$variant => $code,)+
+                    HmcRqst::Cmc(_) => CMD_CODE_SPACE,
+                };
+                CMD_INFO[row]
             }
 
             /// The 7-bit command code for this command.
@@ -399,6 +416,31 @@ mod tests {
             assert_eq!(info.rqst_flits, rqst, "{cmd} request flits");
             assert_eq!(info.rsp_flits, rsp, "{cmd} response flits");
         }
+    }
+
+    #[test]
+    fn fixed_info_is_the_command_table_by_code() {
+        for &cmd in HmcRqst::STANDARD {
+            let info = cmd.fixed_info().expect("standard command");
+            assert_eq!(info.code, cmd.code(), "{cmd}");
+            assert_eq!(info.name, cmd.to_string());
+            // The row a received code decodes to is the sender's row.
+            assert_eq!(HmcRqst::from_code(info.code).unwrap().fixed_info(), Some(info));
+        }
+        let row = |code, rqst_flits, rsp_flits, kind, data_bytes, name| {
+            Some(CmdInfo { code, rqst_flits, rsp_flits, kind, data_bytes, name })
+        };
+        use CmdKind::{Atomic, ModeRead, PostedAtomic, PostedWrite, Read};
+        assert_eq!(HmcRqst::Rd256.fixed_info(), row(0x77, 1, 17, Read, 256, "RD256"));
+        assert_eq!(HmcRqst::PWr64.fixed_info(), row(0x1B, 5, 0, PostedWrite, 64, "P_WR64"));
+        assert_eq!(HmcRqst::Xor16.fixed_info(), row(0x40, 2, 2, Atomic, 16, "XOR16"));
+        assert_eq!(HmcRqst::PInc8.fixed_info(), row(0x54, 1, 0, PostedAtomic, 8, "P_INC8"));
+        assert_eq!(HmcRqst::MdRd.fixed_info(), row(0x28, 1, 2, ModeRead, 4, "MD_RD"));
+        let free = HmcRqst::cmc_codes().filter(|&c| HmcRqst::Cmc(c).fixed_info().is_none());
+        assert_eq!(free.count(), CMC_CODE_COUNT);
+        // A CMC variant has no row whatever byte it carries.
+        assert_eq!(HmcRqst::Cmc(0x30).fixed_info(), None);
+        assert_eq!(HmcRqst::Cmc(0xFF).fixed_info(), None);
     }
 
     #[test]

@@ -272,6 +272,18 @@ fn traced_off_emission_is_allocation_free() {
     let count = mesh.steady_state_allocations(4_000, 1_000);
     assert_eq!(count, 0, "2x2-mesh steady state allocated {count} times in 1000 cycles");
     assert!(mesh.sim.stats(0).unwrap().forwarded > 1_000, "the mesh loop really forwards");
+    // The same mesh with stage 3 — warm pass included — split over two
+    // lanes: the only allocations are the two hand-off channels' own,
+    // one 31-message block each per 31 cycles; nothing per packet, per
+    // device or per warmed head.
+    let mut lanes = WindowLoop::new(SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 2, 2), 4);
+    lanes.sim.set_exec_mode(ExecMode::Parallel { threads: 2 });
+    let count = lanes.steady_state_allocations(4_000, 1_000);
+    assert!(
+        count <= 2 * (1_000 / 31 + 1),
+        "two-lane 2x2-mesh steady state allocated {count} times in 1000 cycles"
+    );
+    assert!(lanes.sim.stats(0).unwrap().forwarded > 1_000);
     // (c) The saturated cube again under the default report-mode
     // sanitizer (256-event forensic ring, stall watchdog on): every
     // cycle is audited and every event lands in the ring.
