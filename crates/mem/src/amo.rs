@@ -64,9 +64,10 @@ fn operand16(operand: &[u64]) -> u128 {
     (operand[0] as u128) | ((operand[1] as u128) << 64)
 }
 
-/// A 16-byte value as response payload words, low half first.
-fn words16(value: u128) -> PayloadBuf {
-    [value as u64, (value >> 64) as u64].into()
+/// Writes a 16-byte original value over `out` as return words, low half
+/// first.
+fn return16(out: &mut PayloadBuf, old: u128) {
+    out.copy_from(&[old as u64, (old >> 64) as u64]);
 }
 
 /// Executes one atomic memory operation against `mem`.
@@ -74,17 +75,37 @@ fn words16(value: u128) -> PayloadBuf {
 /// `operand` is the request's data payload in 64-bit words (2 words
 /// for 2-FLIT atomics, empty for INC8). Returns the response payload
 /// and AF bit; rejects non-atomic commands, misaligned addresses and
-/// malformed operand lengths.
-///
-/// Every read-modify-write resolves its page once, through the store's
-/// `update_u64`/`update_u128`; a compare-and-swap that misses writes
-/// nothing, so it never materializes a page.
+/// malformed operand lengths. [`execute_into`] with a payload of its
+/// own to write to.
 pub fn execute(
     cmd: HmcRqst,
     mem: &SparseMemory,
     addr: u64,
     operand: &[u64],
 ) -> Result<AmoResult, HmcError> {
+    let mut payload = PayloadBuf::new();
+    let af = execute_into(cmd, mem, addr, operand, &mut payload)?;
+    Ok(AmoResult { payload, af })
+}
+
+/// Executes one atomic memory operation against `mem`, writing its
+/// return words over `out` — the vault hands in the response envelope's
+/// payload, so they are written once, where they travel. `out` ends up
+/// empty for ack-only atomics and after an error.
+/// Returns the AF bit.
+///
+/// Every read-modify-write resolves its page once, through the store's
+/// `update_u64`/`update_u128`; a compare-and-swap that misses writes
+/// nothing, so it never materializes a page.
+pub fn execute_into(
+    cmd: HmcRqst,
+    mem: &SparseMemory,
+    addr: u64,
+    operand: &[u64],
+    out: &mut PayloadBuf,
+) -> Result<bool, HmcError> {
+    // Ack-only unless an arm below writes return words.
+    out.clear();
     match cmd {
         // ---- dual 8-byte signed add immediate ----
         HmcRqst::TwoAdd8 | HmcRqst::P2Add8 | HmcRqst::TwoAddS8R => {
@@ -96,12 +117,10 @@ pub fn execute(
                 let hi = ((old >> 64) as u64 as i64).wrapping_add(operand[1] as i64) as u64;
                 Some((lo as u128) | ((hi as u128) << 64))
             })?;
-            let payload = if cmd == HmcRqst::TwoAddS8R {
-                words16(old)
-            } else {
-                PayloadBuf::new()
-            };
-            Ok(AmoResult { payload, af: false })
+            if cmd == HmcRqst::TwoAddS8R {
+                return16(out, old);
+            }
+            Ok(false)
         }
         // ---- single 16-byte signed add immediate ----
         HmcRqst::Add16 | HmcRqst::PAdd16 | HmcRqst::AddS16R => {
@@ -110,19 +129,17 @@ pub fn execute(
             let imm = operand16(operand);
             let old = mem
                 .update_u128(addr, |old| Some((old as i128).wrapping_add(imm as i128) as u128))?;
-            let payload = if cmd == HmcRqst::AddS16R {
-                words16(old)
-            } else {
-                PayloadBuf::new()
-            };
-            Ok(AmoResult { payload, af: false })
+            if cmd == HmcRqst::AddS16R {
+                return16(out, old);
+            }
+            Ok(false)
         }
         // ---- 8-byte increment ----
         HmcRqst::Inc8 | HmcRqst::PInc8 => {
             check_align(addr, 8)?;
             want_operands(cmd, operand.len(), 0)?;
             mem.update_u64(addr, |old| Some(old.wrapping_add(1)))?;
-            Ok(AmoResult::default())
+            Ok(false)
         }
         // ---- 16-byte boolean ops (return original data) ----
         HmcRqst::Xor16 | HmcRqst::Or16 | HmcRqst::Nor16 | HmcRqst::And16 | HmcRqst::Nand16 => {
@@ -139,7 +156,8 @@ pub fn execute(
                     _ => unreachable!("boolean arm"),
                 })
             })?;
-            Ok(AmoResult { payload: words16(old), af: false })
+            return16(out, old);
+            Ok(false)
         }
         // ---- 8-byte compare-and-swap family ----
         HmcRqst::CasGt8 | HmcRqst::CasLt8 | HmcRqst::CasEq8 => {
@@ -156,7 +174,8 @@ pub fn execute(
                 };
                 hit.then_some(swap)
             })?;
-            Ok(AmoResult { payload: [old, 0].into(), af: hit })
+            out.copy_from(&[old, 0]);
+            Ok(hit)
         }
         // ---- 16-byte compare-and-swap family ----
         HmcRqst::CasGt16 | HmcRqst::CasLt16 | HmcRqst::CasZero16 => {
@@ -175,20 +194,21 @@ pub fn execute(
                 };
                 hit.then_some(swap)
             })?;
-            Ok(AmoResult { payload: words16(old), af: hit })
+            return16(out, old);
+            Ok(hit)
         }
         // ---- equality probes (ack-only responses, AF = outcome) ----
         HmcRqst::Eq8 => {
             check_align(addr, 8)?;
             want_operands(cmd, operand.len(), 2)?;
             let old = mem.read_u64(addr)?;
-            Ok(AmoResult { payload: PayloadBuf::new(), af: old == operand[0] })
+            Ok(old == operand[0])
         }
         HmcRqst::Eq16 => {
             check_align(addr, 16)?;
             want_operands(cmd, operand.len(), 2)?;
             let old = mem.read_u128(addr)?;
-            Ok(AmoResult { payload: PayloadBuf::new(), af: old == operand16(operand) })
+            Ok(old == operand16(operand))
         }
         // ---- 8-byte bit write ----
         HmcRqst::Bwr | HmcRqst::PBwr | HmcRqst::Bwr8R => {
@@ -196,12 +216,10 @@ pub fn execute(
             want_operands(cmd, operand.len(), 2)?;
             let (data, mask) = (operand[0], operand[1]);
             let old = mem.update_u64(addr, |old| Some((old & !mask) | (data & mask)))?;
-            let payload = if cmd == HmcRqst::Bwr8R {
-                [old, 0].into()
-            } else {
-                PayloadBuf::new()
-            };
-            Ok(AmoResult { payload, af: false })
+            if cmd == HmcRqst::Bwr8R {
+                out.copy_from(&[old, 0]);
+            }
+            Ok(false)
         }
         // ---- 16-byte swap/exchange ----
         HmcRqst::Swap16 => {
@@ -209,7 +227,8 @@ pub fn execute(
             want_operands(cmd, operand.len(), 2)?;
             let new = operand16(operand);
             let old = mem.update_u128(addr, |_| Some(new))?;
-            Ok(AmoResult { payload: words16(old), af: false })
+            return16(out, old);
+            Ok(false)
         }
         other => Err(HmcError::MalformedPacket(format!(
             "{other} is not an atomic memory operation"

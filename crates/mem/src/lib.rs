@@ -23,5 +23,5 @@
 pub mod amo;
 pub mod store;
 
-pub use amo::{execute, AmoResult};
+pub use amo::{execute, execute_into, AmoResult};
 pub use store::SparseMemory;

@@ -14,7 +14,11 @@
 //!
 //! A read-modify-write of one 8- or 16-byte cell resolves its page
 //! once (`update_u64` / `update_u128`, the atomics' path) rather than
-//! once to read and once to write.
+//! once to read and once to write. The word accessors — the vault data
+//! path — check the range once, resolve the page once and convert
+//! straight between page bytes and payload words whenever the span sits
+//! in one page; only a span that straddles pages goes through the
+//! byte-wise `read`/`write` in stack-buffer chunks.
 //!
 //! Page ids hash multiplicatively rather than through SipHash: they are
 //! simulated addresses, and a hot 16-byte access is otherwise mostly
@@ -57,9 +61,13 @@ impl Hasher for PageIdHasher {
 
 type PageMap = HashMap<u64, Box<[u8; PAGE_BYTES]>, BuildHasherDefault<PageIdHasher>>;
 
-/// Words converted per stack buffer by the word accessors: the payload
-/// of the largest packet (17 FLITs), so one packet is one pass.
+/// Words converted per stack buffer when a word access straddles pages:
+/// the payload of the largest packet (17 FLITs), so one packet is one
+/// pass.
 const WORD_CHUNK: usize = 32;
+
+/// Bytes per host cache line, the stride of [`SparseMemory::touch`].
+const HOST_LINE: usize = 64;
 
 /// A sparse, zero-initialized, byte-addressable memory of fixed
 /// capacity. All accessors take `&self`; see the module docs for what
@@ -210,23 +218,36 @@ impl SparseMemory {
         self.write(addr, &value.to_le_bytes())
     }
 
-    /// Reads one byte of the host cache line holding `addr`, if the
-    /// address is in range and its page resident, and discards it: a
-    /// hint that the line is about to be accessed. Changes nothing —
-    /// an absent page stays absent — and, like every read, may be
-    /// called from a [`SparseMemory::for_each_page`] visitor.
+    /// Reads one byte of every host cache line under the `len` bytes at
+    /// `addr` (of the line holding `addr` when `len` is 0), as far as
+    /// they are in range and in `addr`'s page and that page is resident,
+    /// and discards them: a hint that the span is about to be accessed.
+    /// Changes nothing — an absent page stays absent — and, like every
+    /// read, may be called from a [`SparseMemory::for_each_page`]
+    /// visitor.
     ///
-    /// A load rather than a prefetch instruction because the crate
+    /// Loads rather than prefetch instructions because the crate
     /// forbids `unsafe`; several issued back to back miss the host
-    /// cache together instead of one after another.
+    /// cache together instead of one after another. A span of at most
+    /// one line costs one load, whatever its alignment; a longer one
+    /// costs a load per line's worth plus one for its last byte, since
+    /// a page's storage is not line-aligned.
     #[inline]
-    pub fn touch(&self, addr: u64) {
+    pub fn touch(&self, addr: u64, len: usize) {
         if addr >= self.capacity {
             return;
         }
         let page = addr / PAGE_BYTES as u64;
         if let Some(p) = self.shards.borrow()[page as usize % SHARD_COUNT].get(&page) {
-            std::hint::black_box(p[(addr % PAGE_BYTES as u64) as usize]);
+            let start = (addr % PAGE_BYTES as u64) as usize;
+            std::hint::black_box(p[start]);
+            if len > HOST_LINE {
+                let last = start.saturating_add(len - 1).min(PAGE_BYTES - 1);
+                for at in (start + HOST_LINE..last).step_by(HOST_LINE) {
+                    std::hint::black_box(p[at]);
+                }
+                std::hint::black_box(p[last]);
+            }
         }
     }
 
@@ -307,11 +328,34 @@ impl SparseMemory {
         Ok(words)
     }
 
+    /// Where the `len > 0` bytes at `addr` sit when one page holds them
+    /// all: `(page id, offset in the page)`.
+    #[inline]
+    fn one_page(addr: u64, len: usize) -> Option<(u64, usize)> {
+        let in_page = (addr % PAGE_BYTES as u64) as usize;
+        (in_page + len <= PAGE_BYTES).then_some((addr / PAGE_BYTES as u64, in_page))
+    }
+
     /// Fills `out` with the little-endian 64-bit words starting at
-    /// `addr` — the vault data path's read, straight into a response
-    /// payload with no heap temporary.
+    /// `addr` — the vault data path's read, straight from the page into
+    /// a response payload. Every word of `out` is written on success.
     pub fn read_words_into(&self, addr: u64, out: &mut [u64]) -> Result<(), HmcError> {
-        self.check_range(addr, out.len() * 8)?;
+        let len = out.len() * 8;
+        self.check_range(addr, len)?;
+        if out.is_empty() {
+            return Ok(());
+        }
+        if let Some((page, in_page)) = Self::one_page(addr, len) {
+            match self.shards.borrow()[page as usize % SHARD_COUNT].get(&page) {
+                Some(p) => {
+                    for (w, b) in out.iter_mut().zip(p[in_page..in_page + len].chunks_exact(8)) {
+                        *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+                    }
+                }
+                None => out.fill(0),
+            }
+            return Ok(());
+        }
         let mut bytes = [0u8; WORD_CHUNK * 8];
         for (i, chunk) in out.chunks_mut(WORD_CHUNK).enumerate() {
             let bytes = &mut bytes[..chunk.len() * 8];
@@ -324,10 +368,24 @@ impl SparseMemory {
     }
 
     /// Writes 64-bit words starting at `addr`. The whole range is
-    /// checked before the first byte moves, so a rejected write leaves
-    /// memory untouched.
+    /// checked before the first byte moves or a page is materialized,
+    /// so a rejected write leaves memory untouched.
     pub fn write_words(&self, addr: u64, words: &[u64]) -> Result<(), HmcError> {
-        self.check_range(addr, words.len() * 8)?;
+        let len = words.len() * 8;
+        self.check_range(addr, len)?;
+        if words.is_empty() {
+            return Ok(());
+        }
+        if let Some((page, in_page)) = Self::one_page(addr, len) {
+            let mut shards = self.shards.borrow_mut();
+            let p = shards[page as usize % SHARD_COUNT]
+                .entry(page)
+                .or_insert_with(|| Box::new([0u8; PAGE_BYTES]));
+            for (b, w) in p[in_page..in_page + len].chunks_exact_mut(8).zip(words) {
+                b.copy_from_slice(&w.to_le_bytes());
+            }
+            return Ok(());
+        }
         let mut bytes = [0u8; WORD_CHUNK * 8];
         for (i, chunk) in words.chunks(WORD_CHUNK).enumerate() {
             let bytes = &mut bytes[..chunk.len() * 8];
@@ -433,20 +491,91 @@ mod tests {
         assert!(mem.read_words_into(tail + 8, &mut back[..40]).is_err());
     }
 
+    proptest::proptest! {
+        /// The word accessors against the byte-wise `read`/`write`: at
+        /// any alignment, inside a page, across a boundary and past
+        /// `WORD_CHUNK`, over resident and absent pages, and up against
+        /// the end of the store. A read materializes nothing; a
+        /// rejected access leaves content and residency alone.
+        #[test]
+        fn word_accessors_match_the_byte_wise_oracle(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 70..71),
+            size in proptest::sample::select(vec![0usize, 1, 2, 16, 32, 33, 70]),
+            place in 0u8..4,
+            offset in 0u64..PAGE_BYTES as u64,
+            resident in proptest::prelude::any::<bool>(),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let page = PAGE_BYTES as u64;
+            let capacity = 8 * page;
+            let words = &words[..size];
+            let len = size as u64 * 8;
+            let addr = match place {
+                0 => 2 * page + offset,                // anywhere in a page
+                1 => 3 * page - len / 2 - offset % 8,  // across a boundary, if not empty
+                2 => capacity - len,                   // the last bytes of the store
+                _ => capacity - len + 1 + offset,      // ends past the capacity
+            };
+            let (got, want) = (SparseMemory::new(capacity), SparseMemory::new(capacity));
+            for mem in [&got, &want] {
+                if resident {
+                    for id in 0..8 {
+                        mem.write(id * page + 5, &[id as u8 + 1; 300]).unwrap();
+                    }
+                }
+            }
+            let state = |mem: &SparseMemory| (mem.resident_pages(), mem.content_digest());
+            let before = state(&want);
+
+            // Read: what `read` returns, and no page more.
+            let mut bytes = vec![0u8; words.len() * 8];
+            let oracle = want.read(addr, &mut bytes);
+            let mut out = vec![0xa5a5_a5a5_a5a5_a5a5u64; words.len()];
+            let read = got.read_words_into(addr, &mut out);
+            prop_assert_eq!(read.is_ok(), oracle.is_ok(), "read at {:#x}, {} words", addr, words.len());
+            prop_assert_eq!(read.is_ok(), place != 3);
+            if read.is_ok() {
+                let expect: Vec<u64> = bytes
+                    .chunks_exact(8)
+                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                    .collect();
+                prop_assert_eq!(&out, &expect, "read at {:#x}", addr);
+                prop_assert_eq!(got.read_words(addr, words.len()).unwrap(), expect);
+            }
+            prop_assert_eq!(state(&got), before, "a read changed the store");
+
+            // Write: the bytes `write` leaves, the pages `write` makes.
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let oracle = want.write(addr, &bytes);
+            let wrote = got.write_words(addr, words);
+            prop_assert_eq!(wrote.is_ok(), oracle.is_ok(), "write at {:#x}, {} words", addr, words.len());
+            prop_assert_eq!(state(&got), state(&want), "write at {:#x}, {} words", addr, words.len());
+            if wrote.is_err() {
+                prop_assert_eq!(state(&got), before, "a rejected write changed the store");
+            } else {
+                prop_assert!(words.is_empty() || resident || state(&got).0 > 0);
+            }
+        }
+    }
+
     #[test]
     fn touch_changes_nothing_and_never_panics() {
         let mem = SparseMemory::new(4 * PAGE_BYTES as u64);
         mem.write_u64(PAGE_BYTES as u64 + 8, 0xfeed).unwrap();
         let before = (mem.resident_pages(), mem.content_digest());
-        mem.touch(PAGE_BYTES as u64 + 8); // resident
-        mem.touch(2 * PAGE_BYTES as u64 - 1); // its last byte
-        mem.touch(0); // in range, absent: stays absent
-        mem.touch(4 * PAGE_BYTES as u64); // first byte out of range
-        mem.touch(u64::MAX);
+        mem.touch(PAGE_BYTES as u64 + 8, 16); // resident
+        mem.touch(2 * PAGE_BYTES as u64 - 1, 0); // its last byte
+        mem.touch(PAGE_BYTES as u64 + 8, 256); // five loads
+        mem.touch(2 * PAGE_BYTES as u64 - 100, 256); // cut at the end of the page
+        mem.touch(PAGE_BYTES as u64 + 8, usize::MAX); // the rest of the page, no overflow
+        mem.touch(0, 256); // in range, absent: stays absent
+        mem.touch(PAGE_BYTES as u64 - 8, 256); // absent start, resident rest: nothing read
+        mem.touch(4 * PAGE_BYTES as u64, 8); // first byte out of range
+        mem.touch(u64::MAX, 256);
         // A visitor holds the page table borrowed, as every read may.
-        mem.for_each_page(|id, _| mem.touch(id * PAGE_BYTES as u64));
+        mem.for_each_page(|id, _| mem.touch(id * PAGE_BYTES as u64, 64));
         assert_eq!((mem.resident_pages(), mem.content_digest()), before);
-        SparseMemory::default().touch(0);
+        SparseMemory::default().touch(0, 256);
     }
 
     #[test]

@@ -34,7 +34,8 @@ use hmc_mem::SparseMemory;
 use hmc_types::packet::payload_words;
 use hmc_types::rsp::HmcResponse;
 use hmc_types::{
-    CmdKind, Cub, HmcError, HmcRqst, PayloadBuf, Request, Response, RspHead, RspTail, Slid, Tag,
+    CmdKind, Cub, HmcError, HmcRqst, PayloadBuf, ReqHead, ReqTail, Request, Response, RspHead,
+    RspTail, Slid, Tag,
 };
 
 /// A request in flight inside the simulator, carrying the host-side
@@ -58,6 +59,26 @@ pub struct TrackedRequest {
     /// (lifecycle span stamp; written unconditionally so telemetry
     /// state never influences simulation state).
     pub vault_enq_cycle: u64,
+}
+
+impl TrackedRequest {
+    /// Placeholder contents of a freshly allocated request envelope;
+    /// `HmcSim`'s send paths overwrite every field before it is queued.
+    fn blank() -> Self {
+        TrackedRequest {
+            req: Request {
+                head: ReqHead::new(HmcRqst::Null, Tag::default(), 0, Cub::default()),
+                payload: PayloadBuf::new(),
+                tail: ReqTail::default(),
+            },
+            entry_device: 0,
+            entry_link: 0,
+            issue_cycle: 0,
+            hops: 0,
+            ready_cycle: 0,
+            vault_enq_cycle: 0,
+        }
+    }
 }
 
 /// A response in flight, annotated with completion data.
@@ -113,8 +134,9 @@ impl TrackedResponse {
     }
 }
 
-/// A request's heap envelope: written once at `HmcSim::send`, moved
-/// as a pointer through every queue, retired after stage 3.
+/// A request's heap envelope: drawn and written in place by the send
+/// paths of `HmcSim`, moved as a pointer through every queue, retired
+/// after stage 3.
 pub(crate) type RqstEnvelope = Box<TrackedRequest>;
 
 /// A response's heap envelope: filled in place at stage 3, moved as a
@@ -133,6 +155,11 @@ pub(crate) struct EnvelopePool {
 }
 
 impl EnvelopePool {
+    /// A request envelope for a send path to fill in place.
+    pub(crate) fn request(&mut self) -> RqstEnvelope {
+        self.rqst.stale_or(TrackedRequest::blank)
+    }
+
     /// A response envelope for stage 3 to fill in place.
     pub(crate) fn response(&mut self) -> RspEnvelope {
         self.rsp.stale_or(TrackedResponse::blank)
@@ -593,29 +620,34 @@ impl Device {
     }
 
     /// Pulls toward the host cache what stage 3 of `cycle` is about to
-    /// wait for: for every vault whose head request is ready, the bank
-    /// record [`Device::execute_vaults`] tests first and the memory
-    /// line the request addresses. The loads of all heads are issued
-    /// back to back, so their misses overlap instead of each stalling
-    /// the execution of its own request.
+    /// wait for: for every request [`Device::execute_vaults`] may run —
+    /// the ready ones among each vault's first `vault_bandwidth` — the
+    /// bank record it tests first and every host line of the memory the
+    /// request addresses (its command's `data_bytes`). The loads of all
+    /// of them are issued back to back, so their misses overlap instead
+    /// of each stalling the execution of its own request.
     ///
     /// Purely a hint, like the [`VaultSet`]s: it reads through `&self`
     /// and discards what it read, materializes no page and moves no
     /// queue statistic, so the state after stage 3 is the same however
-    /// often — or never — it ran.
+    /// often — or never — it ran. It may warm a request stage 3 then
+    /// leaves queued (a busy bank, a full response queue) and skips the
+    /// far page of a span that straddles two.
     pub(crate) fn warm_vault_heads(&self, cycle: u64) {
         for v in self.rqst_waiting.iter() {
             let vault = &self.vaults[v];
-            let Some(head) = vault.rqst.peek() else { continue };
-            if head.ready_cycle > cycle {
-                continue;
+            for head in vault.rqst.iter().take(self.config.vault_bandwidth) {
+                if head.ready_cycle > cycle {
+                    break;
+                }
+                let addr = head.req.head.addr;
+                if let Ok(loc) = self.map.decompose(addr) {
+                    let bank = loc.bank as usize % self.config.banks_per_vault;
+                    std::hint::black_box(vault.banks[bank].is_busy(cycle));
+                }
+                let bytes = head.req.head.cmd.fixed_info().map_or(0, |i| i.data_bytes);
+                self.mem.touch(addr, bytes as usize);
             }
-            let addr = head.req.head.addr;
-            if let Ok(loc) = self.map.decompose(addr) {
-                let bank = loc.bank as usize % self.config.banks_per_vault;
-                std::hint::black_box(vault.banks[bank].is_busy(cycle));
-            }
-            self.mem.touch(addr);
         }
     }
 
@@ -1218,7 +1250,9 @@ fn execute_request(
         CmdKind::Read => {
             tracer.emit(cmd_rec);
             let bytes = cmd.fixed_info().expect("standard").data_bytes as usize;
-            out.rsp.payload.resize(bytes / 8, 0);
+            // Sized, not zeroed: a successful read writes every word,
+            // a failed one is answered with a cleared payload.
+            out.rsp.payload.resize_for_overwrite(bytes / 8);
             match mem.read_words_into(addr, &mut out.rsp.payload) {
                 Ok(()) => {
                     finish_response(out, dev, item, cycle, HmcResponse::RdRs, false);
@@ -1244,18 +1278,19 @@ fn execute_request(
             tracer.emit(cmd_rec);
             power.add_logic_op();
             let posted = kind == CmdKind::PostedAtomic;
-            match hmc_mem::amo::execute(cmd, mem, addr, &item.req.payload) {
-                Ok(amo) => {
+            // The atomic's return words land in the response payload.
+            let payload = &mut out.rsp.payload;
+            match hmc_mem::amo::execute_into(cmd, mem, addr, &item.req.payload, payload) {
+                Ok(af) => {
                     let rsp_flits = cmd.fixed_info().expect("standard").rsp_flits;
                     if rsp_flits == 0 {
                         false
                     } else if rsp_flits == 1 {
-                        ack_response(out, dev, item, cycle, HmcResponse::WrRs, amo.af);
+                        ack_response(out, dev, item, cycle, HmcResponse::WrRs, af);
                         true
                     } else {
-                        out.rsp.payload = amo.payload;
                         out.rsp.payload.resize(payload_words(rsp_flits), 0);
-                        finish_response(out, dev, item, cycle, HmcResponse::RdRs, amo.af);
+                        finish_response(out, dev, item, cycle, HmcResponse::RdRs, af);
                         true
                     }
                 }
@@ -1266,7 +1301,7 @@ fn execute_request(
             tracer.emit(cmd_rec);
             match regs.read(addr as u32) {
                 Ok(v) => {
-                    out.rsp.payload = [v, 0].into();
+                    out.rsp.payload.copy_from(&[v, 0]);
                     finish_response(out, dev, item, cycle, HmcResponse::MdRdRs, false);
                     true
                 }
@@ -1576,16 +1611,21 @@ mod tests {
     #[test]
     fn warming_the_vault_heads_changes_nothing() {
         // Queued atomics, reads and writes over resident and absent
-        // pages, one address past the capacity, one vault two deep:
-        // stage 3 ends in the same state however often it was warmed.
-        let run = |warms: usize| {
+        // pages, one address past the capacity, 256-byte requests that
+        // straddle a page, vaults several deep: stage 3 ends in the
+        // same state however often it was warmed, one request per vault
+        // and cycle or four.
+        let run = |vault_bandwidth: usize, warms: usize| {
             let mut cfg = DeviceConfig::gen2_4link_4gb();
             cfg.bank_latency = 3;
             cfg.remote_quad_penalty = 2;
+            cfg.vault_bandwidth = vault_bandwidth;
             let mut dev = Device::new(0, cfg).unwrap();
             dev.mem_mut().write_u64(0x1040, 0xABCD).unwrap();
+            dev.mem_mut().write_u64(0x5_1000, 0x1234).unwrap();
             let mut tracer = Tracer::disabled();
-            let traffic: [(HmcRqst, u64, &[u64]); 7] = [
+            let block = [0x0101u64; 32];
+            let traffic: [(HmcRqst, u64, &[u64]); 12] = [
                 (HmcRqst::Xor16, 0x1040, &[1, 2]),
                 (HmcRqst::CasEq8, 0x9_0080, &[5, 6]),
                 (HmcRqst::Rd64, 0x20_00c0, &[]),
@@ -1593,6 +1633,13 @@ mod tests {
                 (HmcRqst::Inc8, 0x1040, &[]),
                 (HmcRqst::Rd16, 4 << 30, &[]),
                 (HmcRqst::Swap16, 0x7_7740, &[7, 8]),
+                // 256 bytes from 128 below a page boundary: the far
+                // page resident, absent, and both absent (a read).
+                (HmcRqst::Rd256, 0x5_0f80, &[]),
+                (HmcRqst::Wr256, 0x6_0f80, &block),
+                (HmcRqst::Rd256, 0x8_0f80, &[]),
+                (HmcRqst::Rd256, 0x1000, &[]),
+                (HmcRqst::Wr256, (4 << 30) - 128, &block),
             ];
             for (i, (cmd, addr, payload)) in traffic.into_iter().enumerate() {
                 let tag = Tag::new(i as u32).unwrap();
@@ -1600,7 +1647,7 @@ mod tests {
                 dev.send(i % 4, tracked(req)).unwrap();
             }
             let mut pool = EnvelopePool::default();
-            for cycle in 0..8 {
+            for cycle in 0..10 {
                 for _ in 0..warms {
                     dev.warm_vault_heads(cycle);
                 }
@@ -1608,18 +1655,21 @@ mod tests {
                 route(&mut dev, cycle, &mut tracer);
                 assert_eq!(dev.queue_bound_violation(), None);
             }
-            assert_eq!(dev.stats().responses, 7, "everything queued was executed");
+            assert_eq!(dev.stats().responses, 12, "everything queued was executed");
+            assert_eq!(dev.stats().error_responses, 2, "both ranges past the capacity");
             let mut h = hmc_types::Fnv::new();
             crate::snapshot::hash_device(&mut h, &dev.state_view());
             let queues =
                 (dev.vault_queue_high_water(), dev.vault_rqst_pushes(), dev.xbar_queue_stalls());
             (h.finish(), queues, dev.mem().resident_pages(), dev.stats().vault_stalls)
         };
-        let cold = run(0);
-        assert_eq!(cold.2, 3, "the reads, the out-of-range head and the CAS miss made no page");
-        assert!(cold.3 > 0, "the warm pass met a busy bank");
-        assert_eq!(run(1), cold);
-        assert_eq!(run(100), cold);
+        for vault_bandwidth in [1, 4] {
+            let cold = run(vault_bandwidth, 0);
+            assert_eq!(cold.2, 6, "reads, rejected ranges and the CAS miss made no page");
+            assert!(cold.3 > 0, "the warm pass met a busy bank");
+            assert_eq!(run(vault_bandwidth, 1), cold);
+            assert_eq!(run(vault_bandwidth, 100), cold);
+        }
     }
 
     #[test]

@@ -141,17 +141,6 @@ impl<T> Default for FreeList<T> {
 }
 
 impl<T> FreeList<T> {
-    /// An envelope holding `value`.
-    pub(crate) fn boxed(&mut self, value: T) -> Box<T> {
-        match self.free.pop() {
-            Some(mut envelope) => {
-                *envelope = value;
-                envelope
-            }
-            None => Box::new(value),
-        }
-    }
-
     /// An envelope for the caller to fill in place: a retired one
     /// still holding its last packet (every field must be
     /// overwritten), or a fresh one holding `blank()`.
@@ -259,14 +248,12 @@ mod tests {
     #[test]
     fn free_list_reuses_retired_envelopes() {
         let mut list = FreeList::default();
-        let first = list.boxed(1u64);
+        let mut first = list.stale_or(|| 1u64);
         let addr = &*first as *const u64;
+        *first = 2;
         list.give(first);
-        let second = list.boxed(2);
-        assert_eq!((*second, &*second as *const u64), (2, addr), "same allocation, new value");
-        list.give(second);
         let stale = list.stale_or(|| unreachable!("a retired envelope is available"));
-        assert_eq!((*stale, &*stale as *const u64), (2, addr), "handed out as retired");
+        assert_eq!((*stale, &*stale as *const u64), (2, addr), "same allocation, last value");
         assert_eq!(*list.stale_or(|| 7), 7, "empty list falls back to a fresh envelope");
     }
 

@@ -12,7 +12,7 @@ use crate::device::{
 };
 use crate::events::{EventHeap, EventKey};
 use crate::fault::LinkErrorMode;
-use crate::link::{LinkConfig, LinkControl, LinkStats};
+use crate::link::{LinkConfig, LinkControl, LinkStats, SendGrant};
 use crate::parallel::{execute_vaults, WorkerPool};
 use crate::power::PowerReport;
 use crate::regs::{REG_GRLL, REG_LRLL};
@@ -22,7 +22,7 @@ use crate::topology::Topology;
 use crate::trace::{FlightRecorder, FlightSnapshot, TraceKind, TraceLevel, TraceRecord, Tracer};
 use hmc_cmc::{CmcOp, CmcRegistration};
 use hmc_types::{
-    Cub, Flit, HmcError, HmcRqst, PayloadBuf, Request, Response, Tag, TagPool, TagSet,
+    Cub, Flit, HmcError, HmcRqst, PayloadSource, Request, Response, Tag, TagPool, TagSet,
 };
 use std::collections::{HashSet, VecDeque};
 
@@ -93,7 +93,7 @@ pub struct HmcSim {
     pub(crate) cycle: u64,
     pub(crate) host_rx: Vec<Vec<VecDeque<RspEnvelope>>>,
     pub(crate) tag_pools: Vec<Vec<TagPool>>,
-    /// Tags `send_with_pool` handed out per entry link, released back
+    /// Tags `send_pooled` handed out per entry link, released back
     /// to [`HmcSim::tag_pools`] automatically at `recv`.
     pub(crate) pool_tags: Vec<Vec<TagSet>>,
     /// The fabric wiring: routing tables and the directed edge list.
@@ -385,6 +385,17 @@ impl HmcSim {
     /// Returns [`HmcError::Stall`] when the link's crossbar queue is
     /// full — retry next cycle.
     pub fn send(&mut self, dev: usize, link: usize, req: Request) -> Result<(), HmcError> {
+        let grant = self.admit(dev, link, &req)?;
+        // The packet's one by-value move: into its envelope.
+        let mut item = self.envelopes.request();
+        item.req = req;
+        self.launch(dev, link, item, grant)
+    }
+
+    /// Every check between a request and the link, in the order the
+    /// host API has always reported them, ending with the link layer's
+    /// grant. A refusal moves nothing but the stall counters.
+    fn admit(&mut self, dev: usize, link: usize, req: &Request) -> Result<SendGrant, HmcError> {
         if req.head.cub.value() as usize >= self.devices.len() {
             return Err(HmcError::InvalidCube(req.head.cub.value()));
         }
@@ -393,7 +404,6 @@ impl HmcSim {
         {
             return Err(HmcError::InvalidCube(req.head.cub.value()));
         }
-        let cycle = self.cycle;
         if dev >= self.devices.len() {
             return Err(HmcError::InvalidDevice(dev));
         }
@@ -409,60 +419,72 @@ impl HmcSim {
             self.devices[dev].count_send_stall();
             return Err(HmcError::Stall);
         }
+        self.links[dev][link].send(req.flits() as u32).map_err(|()| {
+            self.devices[dev].count_send_stall();
+            HmcError::Stall
+        })
+    }
+
+    /// Sends an admitted packet on its way: `item.req` is the packet —
+    /// already written where it will travel, every later hop moves the
+    /// pointer — and the rest of the (possibly recycled) envelope is
+    /// overwritten here.
+    fn launch(
+        &mut self,
+        dev: usize,
+        link: usize,
+        mut item: RqstEnvelope,
+        grant: SendGrant,
+    ) -> Result<(), HmcError> {
+        let cycle = self.cycle;
+        let TrackedRequest {
+            req,
+            entry_device,
+            entry_link,
+            issue_cycle,
+            hops,
+            ready_cycle,
+            vault_enq_cycle,
+        } = &mut *item;
+        *entry_device = dev;
+        *entry_link = link;
+        *issue_cycle = cycle;
+        *hops = 0;
+        *ready_cycle = 0;
+        *vault_enq_cycle = 0;
+        // The link layer owns the SEQ sequence: stamp the granted value
+        // into the packet tail. A retry replays this packet with the
+        // SEQ intact — the retry path never consumes a fresh sequence
+        // number.
+        req.tail.seq = grant.seq;
         let flits = req.flits() as u32;
         // Shadow-accounting inputs, captured before the packet moves
         // (only consulted when a sanitizer is attached).
         let tag = req.head.tag;
-        let tracked = self.sanitizer.is_some() && request_expects_response(&self.devices, &req);
-        let result = match self.links[dev][link].send(flits) {
-            Err(()) => {
-                self.devices[dev].count_send_stall();
-                Err(HmcError::Stall)
+        let tracked = self.sanitizer.is_some() && request_expects_response(&self.devices, req);
+        let result = if grant.errored {
+            // Injected transmission error: the packet sits in the retry
+            // buffer and replays after the retry exchange.
+            let ready = cycle + self.links[dev][link].retry_latency();
+            self.tracer.emit(TraceRecord {
+                dev: dev as u16,
+                link: link as u8,
+                a: ready,
+                ..TraceRecord::new(cycle, TraceKind::LinkRetry)
+            });
+            self.update_retry_regs(dev, link);
+            self.retry_pending.push(ready, RetryEntry { dev, link, item, ready });
+            Ok(())
+        } else if let LinkErrorMode::Random { per_million } =
+            self.devices[dev].config().fault.link_error
+        {
+            if self.devices[dev].fault_rng_mut().chance(per_million) {
+                self.transmit_corrupted(dev, link, item)
+            } else {
+                self.inject(dev, link, item)
             }
-            Ok(grant) => {
-                // The link accepted the packet: this is the one place
-                // it is written into its envelope. From here on every
-                // hop moves the pointer.
-                let mut item = self.envelopes.rqst.boxed(TrackedRequest {
-                    req,
-                    entry_device: dev,
-                    entry_link: link,
-                    issue_cycle: cycle,
-                    hops: 0,
-                    ready_cycle: 0,
-                    vault_enq_cycle: 0,
-                });
-                // The link layer owns the SEQ sequence: stamp the
-                // granted value into the packet tail. A retry replays
-                // this packet with the SEQ intact — the retry path
-                // never consumes a fresh sequence number.
-                item.req.tail.seq = grant.seq;
-                if grant.errored {
-                    // Injected transmission error: the packet sits in
-                    // the retry buffer and replays after the retry
-                    // exchange.
-                    let ready = cycle + self.links[dev][link].retry_latency();
-                    self.tracer.emit(TraceRecord {
-                        dev: dev as u16,
-                        link: link as u8,
-                        a: ready,
-                        ..TraceRecord::new(cycle, TraceKind::LinkRetry)
-                    });
-                    self.update_retry_regs(dev, link);
-                    self.retry_pending.push(ready, RetryEntry { dev, link, item, ready });
-                    Ok(())
-                } else if let LinkErrorMode::Random { per_million } =
-                    self.devices[dev].config().fault.link_error
-                {
-                    if self.devices[dev].fault_rng_mut().chance(per_million) {
-                        self.transmit_corrupted(dev, link, item)
-                    } else {
-                        self.inject(dev, link, item)
-                    }
-                } else {
-                    self.inject(dev, link, item)
-                }
-            }
+        } else {
+            self.inject(dev, link, item)
         };
         if result.is_ok() {
             self.tracer.emit(TraceRecord {
@@ -596,11 +618,10 @@ impl HmcSim {
     /// (`hmc_recv_packet`).
     pub fn recv(&mut self, dev: usize, link: usize) -> Option<TrackedResponse> {
         let envelope = self.host_rx.get_mut(dev)?.get_mut(link)?.pop_front()?;
-        let rsp = self.copy_out(envelope);
         // Failover may deliver on a different physical link than the
         // request entered on; the tag belongs to the entry link's pool.
-        self.release_pool_tag(dev, rsp.entry_link, rsp.rsp.head.tag);
-        Some(rsp)
+        self.release_pool_tag(dev, envelope.entry_link, envelope.rsp.head.tag);
+        Some(self.copy_out(envelope))
     }
 
     /// Pops the delivered response carrying `tag`, if present,
@@ -609,22 +630,19 @@ impl HmcSim {
         let queue = self.host_rx.get_mut(dev)?.get_mut(link)?;
         let idx = queue.iter().position(|r| r.rsp.head.tag == tag)?;
         let envelope = queue.remove(idx)?;
-        let rsp = self.copy_out(envelope);
-        self.release_pool_tag(dev, rsp.entry_link, tag);
-        Some(rsp)
+        self.release_pool_tag(dev, envelope.entry_link, tag);
+        Some(self.copy_out(envelope))
     }
 
     /// The one by-value move of a response: the host API hands
     /// responses out by value (callers own them for as long as they
-    /// like), so the packet is copied out of its envelope here — the
-    /// payload moves, leaving nothing behind to free — and the
-    /// envelope retires to the free list.
+    /// like), so the packet is copied out of its envelope here, built
+    /// in the caller's return slot — an inline payload is copied, a
+    /// spilled one hands over its block, either way nothing is left
+    /// behind to free — and the envelope retires to the free list.
     fn copy_out(&mut self, mut envelope: RspEnvelope) -> TrackedResponse {
         let rsp = TrackedResponse {
-            rsp: Response {
-                payload: std::mem::take(&mut envelope.rsp.payload),
-                ..envelope.rsp
-            },
+            rsp: Response { payload: envelope.rsp.payload.take(), ..envelope.rsp },
             ..*envelope
         };
         self.envelopes.rsp.give(envelope);
@@ -686,18 +704,17 @@ impl HmcSim {
         }
     }
 
-    /// Builds and sends a request through the entry link's tag pool:
-    /// acquires a tag for response-bearing commands, rolls it back on
-    /// any failure, and registers it for automatic release at `recv`.
-    /// `cub` is the target cube (the entry device itself for the
-    /// simple local sends; any fabric-reachable cube otherwise).
-    fn send_with_pool(
+    /// Builds a request in a recycled envelope and sends it through the
+    /// entry link's tag pool: acquires a tag for response-bearing
+    /// commands, has `fill` write the packet into the envelope, rolls
+    /// the tag back and retires the envelope on any failure, and
+    /// registers the tag for automatic release at `recv`.
+    fn send_pooled(
         &mut self,
         dev: usize,
         link: usize,
         posted: bool,
-        cub: Cub,
-        build: impl FnOnce(Tag, Cub) -> Result<Request, HmcError>,
+        fill: impl FnOnce(&mut Request, Tag) -> Result<(), HmcError>,
     ) -> Result<Option<Tag>, HmcError> {
         // Reject out-of-range device indices up front: the old code
         // built the CUB as `dev % 8`, silently aliasing device 9 onto
@@ -715,8 +732,15 @@ impl HmcSim {
                 .ok_or(HmcError::InvalidLink(link))?
                 .acquire()?
         };
-        let result = build(tag, cub).and_then(|req| self.send(dev, link, req));
-        match result {
+        let mut item = self.envelopes.request();
+        let sent = match fill(&mut item.req, tag).and_then(|()| self.admit(dev, link, &item.req)) {
+            Ok(grant) => self.launch(dev, link, item, grant),
+            Err(e) => {
+                self.envelopes.rqst.give(item);
+                Err(e)
+            }
+        };
+        match sent {
             Ok(()) => {
                 if posted {
                     Ok(None)
@@ -744,18 +768,13 @@ impl HmcSim {
         link: usize,
         cmd: HmcRqst,
         addr: u64,
-        payload: impl Into<PayloadBuf>,
+        payload: impl PayloadSource,
     ) -> Result<Option<Tag>, HmcError> {
-        // Flow packets are absorbed by the link layer and answer
-        // nothing, so they must not hold a tag.
-        let posted = cmd.is_posted() || cmd.kind() == hmc_types::CmdKind::Flow;
         if dev >= self.devices.len() {
             return Err(HmcError::InvalidDevice(dev));
         }
         let cub = Cub::new(dev as u8).expect("validated contexts hold at most 16 devices");
-        self.send_with_pool(dev, link, posted, cub, |tag, cub| {
-            Request::new(cmd, tag, addr, cub, payload)
-        })
+        self.send_to_cube(dev, link, cub, cmd, addr, payload)
     }
 
     /// Builds and sends a standard-command request addressed to an
@@ -770,12 +789,12 @@ impl HmcSim {
         cub: Cub,
         cmd: HmcRqst,
         addr: u64,
-        payload: impl Into<PayloadBuf>,
+        payload: impl PayloadSource,
     ) -> Result<Option<Tag>, HmcError> {
+        // Flow packets are absorbed by the link layer and answer
+        // nothing, so they must not hold a tag.
         let posted = cmd.is_posted() || cmd.kind() == hmc_types::CmdKind::Flow;
-        self.send_with_pool(dev, link, posted, cub, |tag, cub| {
-            Request::new(cmd, tag, addr, cub, payload)
-        })
+        self.send_pooled(dev, link, posted, |req, tag| req.fill(cmd, tag, addr, cub, payload))
     }
 
     /// Builds and sends a CMC request, reading the registered request
@@ -787,13 +806,13 @@ impl HmcSim {
         link: usize,
         code: u8,
         addr: u64,
-        payload: impl Into<PayloadBuf>,
+        payload: impl PayloadSource,
     ) -> Result<Option<Tag>, HmcError> {
         let reg = self.device(dev)?.cmc().lookup(code)?.registration();
         let (rqst_len, posted) = (reg.rqst_len, reg.is_posted());
         let cub = Cub::new(dev as u8).expect("validated contexts hold at most 16 devices");
-        self.send_with_pool(dev, link, posted, cub, |tag, cub| {
-            Request::new_cmc(code, rqst_len, tag, addr, cub, payload)
+        self.send_pooled(dev, link, posted, |req, tag| {
+            req.fill_cmc(code, rqst_len, tag, addr, cub, payload)
         })
     }
 
@@ -1673,6 +1692,67 @@ mod tests {
                 .unwrap();
             let _ = sim.run_until_response(0, 0, tag, 100).unwrap();
         }
+    }
+
+    #[test]
+    fn a_refused_send_retires_its_envelope_and_queues_nothing() {
+        let mut cfg = DeviceConfig::gen2_4link_4gb();
+        cfg.xbar_queue_depth = 1;
+        cfg.fault = crate::fault::FaultPlan::seeded(1).with_link_event(0, 3, false);
+        let mut sim = HmcSim::new(cfg).unwrap();
+        sim.configure_tag_pool(0, 1, 1).unwrap();
+        sim.clock(); // link 3 goes down
+        // Link 0's crossbar queue and link 1's tag pool are now full.
+        sim.send_simple(0, 0, HmcRqst::Wr256, 0x40, vec![7; 32]).unwrap();
+        sim.send_simple(0, 1, HmcRqst::Rd16, 0x40, []).unwrap();
+        assert_eq!((sim.live_packets(), sim.envelopes.rqst.len()), (2, 0));
+        let wide = Request::new_cmc(99, 17, Tag::default(), 0, Cub::default(), vec![1; 32]).unwrap();
+        let short = Request::new(HmcRqst::Rd16, Tag::default(), 0, Cub::new(3).unwrap(), []).unwrap();
+        type Refused<'a> = &'a dyn Fn(&mut HmcSim) -> Result<(), HmcError>;
+        let refusals: [(&str, Refused); 9] = [
+            ("Stall", &|sim| sim.send_simple(0, 0, HmcRqst::Wr256, 0x80, vec![1; 32]).map(drop)),
+            ("Stall", &|sim| sim.send(0, 0, wide.clone())),
+            ("TagsExhausted", &|sim| sim.send_simple(0, 1, HmcRqst::Rd16, 0, []).map(drop)),
+            ("LinkDown(3)", &|sim| sim.send_simple(0, 3, HmcRqst::PWr256, 0, &[2; 32][..]).map(drop)),
+            ("InvalidCube(3)", &|sim| sim.send(0, 2, short.clone())),
+            ("InvalidLink(4)", &|sim| sim.send_simple(0, 4, HmcRqst::Null, 0, []).map(drop)),
+            ("AddressOutOfRange(17179869184)", &|sim| {
+                sim.send_simple(0, 2, HmcRqst::Rd16, 1 << 34, []).map(drop)
+            }),
+            ("MalformedPacket(\"WR16 expects 2 payload words, got 0\")", &|sim| {
+                sim.send_simple(0, 2, HmcRqst::Wr16, 0, []).map(drop)
+            }),
+            ("CmcNotActive(99)", &|sim| sim.send_cmc(0, 2, 99, 0, [1, 2]).map(drop)),
+        ];
+        let stalls = |sim: &HmcSim| sim.stats(0).unwrap().send_stalls;
+        for (text, refused) in refusals {
+            let stalled = stalls(&sim);
+            let free_tags: Vec<_> = sim.tag_pools[0].iter().map(|p| p.available()).collect();
+            assert_eq!(format!("{:?}", refused(&mut sim).unwrap_err()), text);
+            assert_eq!(sim.live_packets(), 2, "{text} queued something");
+            assert_eq!(sim.pool_tags[0].iter().map(|set| set.iter().count()).sum::<usize>(), 2);
+            let now: Vec<_> = sim.tag_pools[0].iter().map(|p| p.available()).collect();
+            assert_eq!(now, free_tags, "{text} kept a tag");
+            // One envelope serves every refusal: drawn, given back.
+            assert!(sim.envelopes.rqst.len() <= 1, "{text} leaked an envelope");
+            assert_eq!(stalls(&sim) - stalled, (text == "Stall") as u64);
+        }
+        assert_eq!(sim.envelopes.rqst.len(), 1);
+        // The two accepted packets still complete.
+        sim.set_skip_mode(SkipMode::Off);
+        sim.clock_n(8);
+        assert!(sim.recv(0, 0).is_some() && sim.recv(0, 1).is_some());
+        assert_eq!(sim.live_packets(), 0);
+        // Three retired envelopes, two of which last carried 32 words:
+        // a short packet written over one keeps nothing of them.
+        assert_eq!(sim.envelopes.rqst.len(), 3);
+        for link in 0..3 {
+            sim.send_simple(0, link, HmcRqst::Rd16, 0x40, []).unwrap();
+            let view = sim.devices[0].state_view();
+            let queued = &view.xbar_rqst[link].peek().unwrap().req;
+            assert!(queued.payload.is_inline() && queued.payload.is_empty());
+        }
+        assert_eq!(sim.envelopes.rqst.len(), 0);
     }
 
     #[test]

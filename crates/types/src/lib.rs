@@ -40,7 +40,7 @@ pub use error::HmcError;
 pub use fnv::Fnv;
 pub use flit::{Flit, FLIT_BITS, FLIT_BYTES, FLIT_WORDS, MAX_PACKET_FLITS};
 pub use packet::{Cub, ReqHead, ReqTail, Request, Response, RspHead, RspTail, Slid};
-pub use payload::{PayloadBuf, PAYLOAD_INLINE_WORDS};
+pub use payload::{PayloadBuf, PayloadSource, PAYLOAD_INLINE_WORDS};
 pub use rsp::HmcResponse;
 pub use tag::{Tag, TagPool, TagSet, TAG_BITS, TAG_SPACE};
 

@@ -47,7 +47,7 @@ use crate::cmd::HmcRqst;
 use crate::crc::packet_crc_with_tail;
 use crate::error::HmcError;
 use crate::flit::{Flit, MAX_PACKET_FLITS};
-use crate::payload::PayloadBuf;
+use crate::payload::{PayloadBuf, PayloadSource};
 use crate::rsp::HmcResponse;
 use crate::tag::Tag;
 
@@ -331,6 +331,42 @@ pub struct Request {
     pub tail: ReqTail,
 }
 
+/// What [`Request::new`] and [`Request::fill`] check: a standard
+/// command, carrying exactly its fixed payload, at a 34-bit address.
+fn check_standard(cmd: HmcRqst, words: usize, addr: u64) -> Result<(), HmcError> {
+    let info = cmd
+        .fixed_info()
+        .ok_or_else(|| HmcError::MalformedPacket("use Request::new_cmc for CMC commands".into()))?;
+    let expect = payload_words(info.rqst_flits);
+    if words != expect {
+        return Err(HmcError::MalformedPacket(format!(
+            "{cmd} expects {expect} payload words, got {words}"
+        )));
+    }
+    if addr > MAX_ADDR {
+        return Err(HmcError::AddressOutOfRange(addr));
+    }
+    Ok(())
+}
+
+/// What [`Request::new_cmc`] and [`Request::fill_cmc`] check: a legal
+/// FLIT length, the payload that length carries, a 34-bit address.
+fn check_cmc(code: u8, lng: u8, words: usize, addr: u64) -> Result<(), HmcError> {
+    if lng == 0 || lng as usize > MAX_PACKET_FLITS {
+        return Err(HmcError::InvalidPacketLength(lng as usize));
+    }
+    let expect = payload_words(lng);
+    if words != expect {
+        return Err(HmcError::MalformedPacket(format!(
+            "CMC{code} with LNG={lng} expects {expect} payload words, got {words}"
+        )));
+    }
+    if addr > MAX_ADDR {
+        return Err(HmcError::AddressOutOfRange(addr));
+    }
+    Ok(())
+}
+
 impl Request {
     /// Builds a request for a standard command, validating that the
     /// payload length matches the command's fixed FLIT count.
@@ -342,19 +378,7 @@ impl Request {
         payload: impl Into<PayloadBuf>,
     ) -> Result<Self, HmcError> {
         let payload = payload.into();
-        let info = cmd
-            .fixed_info()
-            .ok_or_else(|| HmcError::MalformedPacket("use Request::new_cmc for CMC commands".into()))?;
-        let expect = payload_words(info.rqst_flits);
-        if payload.len() != expect {
-            return Err(HmcError::MalformedPacket(format!(
-                "{cmd} expects {expect} payload words, got {}",
-                payload.len()
-            )));
-        }
-        if addr > MAX_ADDR {
-            return Err(HmcError::AddressOutOfRange(addr));
-        }
+        check_standard(cmd, payload.len(), addr)?;
         Ok(Request {
             head: ReqHead::new(cmd, tag, addr, cub),
             payload,
@@ -372,24 +396,48 @@ impl Request {
         payload: impl Into<PayloadBuf>,
     ) -> Result<Self, HmcError> {
         let payload = payload.into();
-        if lng == 0 || lng as usize > MAX_PACKET_FLITS {
-            return Err(HmcError::InvalidPacketLength(lng as usize));
-        }
-        let expect = payload_words(lng);
-        if payload.len() != expect {
-            return Err(HmcError::MalformedPacket(format!(
-                "CMC{code} with LNG={lng} expects {expect} payload words, got {}",
-                payload.len()
-            )));
-        }
-        if addr > MAX_ADDR {
-            return Err(HmcError::AddressOutOfRange(addr));
-        }
+        check_cmc(code, lng, payload.len(), addr)?;
         Ok(Request {
             head: ReqHead::new_cmc(code, lng, tag, addr, cub),
             payload,
             tail: ReqTail::default(),
         })
+    }
+
+    /// [`Request::new`] in place: overwrites `self` — header, payload
+    /// and a default tail — with the packet `new` would build from the
+    /// same arguments, after the same checks. A rejected packet leaves
+    /// `self` as it was.
+    pub fn fill(
+        &mut self,
+        cmd: HmcRqst,
+        tag: Tag,
+        addr: u64,
+        cub: Cub,
+        payload: impl PayloadSource,
+    ) -> Result<(), HmcError> {
+        check_standard(cmd, payload.words(), addr)?;
+        self.head = ReqHead::new(cmd, tag, addr, cub);
+        payload.overwrite(&mut self.payload);
+        self.tail = ReqTail::default();
+        Ok(())
+    }
+
+    /// [`Request::new_cmc`] in place; see [`Request::fill`].
+    pub fn fill_cmc(
+        &mut self,
+        code: u8,
+        lng: u8,
+        tag: Tag,
+        addr: u64,
+        cub: Cub,
+        payload: impl PayloadSource,
+    ) -> Result<(), HmcError> {
+        check_cmc(code, lng, payload.words(), addr)?;
+        self.head = ReqHead::new_cmc(code, lng, tag, addr, cub);
+        payload.overwrite(&mut self.payload);
+        self.tail = ReqTail::default();
+        Ok(())
     }
 
     /// Total packet length in FLITs.
@@ -727,6 +775,57 @@ mod tests {
         assert!(Request::new_cmc(125, 2, tag(0), 0, Cub::new(0).unwrap(), vec![1]).is_err());
         assert!(Request::new_cmc(125, 0, tag(0), 0, Cub::new(0).unwrap(), vec![]).is_err());
         assert!(Request::new_cmc(125, 18, tag(0), 0, Cub::new(0).unwrap(), vec![0; 34]).is_err());
+    }
+
+    #[test]
+    fn fill_builds_what_new_builds_and_rejects_what_new_rejects() {
+        let cub = Cub::new(3).unwrap();
+        // A recycled envelope: a 17-FLIT packet with a used tail.
+        let mut stale = Request::new(HmcRqst::Wr256, tag(1), 0x40, cub, vec![9; 32]).unwrap();
+        stale.tail = ReqTail { seq: 5, rtc: 3, crc: 77, ..ReqTail::default() };
+        let big: Vec<u64> = (0..32).collect();
+        let standard: [(HmcRqst, &[u64]); 6] = [
+            (HmcRqst::Rd16, &[]),
+            (HmcRqst::Wr16, &[1, 2]),
+            (HmcRqst::Wr16, &[1]),
+            (HmcRqst::PWr256, &big),
+            (HmcRqst::Rd256, &[1, 2]),
+            (HmcRqst::Cmc(125), &[1, 2]),
+        ];
+        for (cmd, payload) in standard {
+            for addr in [0x80, MAX_ADDR, MAX_ADDR + 1] {
+                let mut filled = stale.clone();
+                let got = filled.fill(cmd, tag(7), addr, cub, payload);
+                match Request::new(cmd, tag(7), addr, cub, payload) {
+                    Ok(want) => {
+                        got.unwrap();
+                        assert_eq!(filled, want);
+                        assert_eq!(filled.payload.is_inline(), want.payload.is_inline());
+                    }
+                    Err(want) => {
+                        assert_eq!(format!("{:?}", got.unwrap_err()), format!("{want:?}"));
+                        assert_eq!(filled, stale, "a rejected fill writes nothing");
+                    }
+                }
+            }
+        }
+        for (lng, words) in [(2, 2), (2, 1), (0, 0), (17, 32), (18, 34), (1, 0)] {
+            for addr in [0x80, MAX_ADDR + 1] {
+                let payload = &big.repeat(2)[..words];
+                let mut filled = stale.clone();
+                let got = filled.fill_cmc(126, lng, tag(7), addr, cub, payload);
+                match Request::new_cmc(126, lng, tag(7), addr, cub, payload) {
+                    Ok(want) => {
+                        got.unwrap();
+                        assert_eq!(filled, want);
+                    }
+                    Err(want) => {
+                        assert_eq!(format!("{:?}", got.unwrap_err()), format!("{want:?}"));
+                        assert_eq!(filled, stale, "a rejected fill writes nothing");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,26 @@
 //! Inline-capacity packet payload storage.
 //!
-//! Every Gen2 command in Table I carries at most 128 bytes of write
-//! data — 16 payload words — so [`PayloadBuf`] stores up to
-//! [`PAYLOAD_INLINE_WORDS`] words inline and only spills to the heap
-//! for oversized CMC payloads (up to the 32-word maximum of a 17-FLIT
-//! packet). Moving request/response payloads off `Vec<u64>` removes
-//! one heap allocation per packet on the simulator's hot path.
+//! [`PayloadBuf`] stores up to [`PAYLOAD_INLINE_WORDS`] (16) words —
+//! 128 bytes — inline and spills to the heap beyond that, up to the
+//! 32-word maximum of a 17-FLIT packet. Every Table I command but
+//! three fits inline, as do all atomics and the CMC operations this
+//! repository ships; `WR256`, `P_WR256` (requests) and `RD256`
+//! (responses) carry 32 words and spill on every packet, as does a CMC
+//! operation registered with more than 9 FLITs.
+//!
+//! The inline capacity stays 16 rather than 32 because every by-value
+//! move of a packet copies the whole inline array, whatever it holds: a
+//! 32-word array would add 128 bytes to each move of each 1- and 2-FLIT
+//! packet (atomics, reads, acknowledgements — most traffic) to save
+//! the 256-byte packets one heap block. A block the caller already owns
+//! is adopted instead ([`PayloadSource`] for `Vec<u64>`), so a `WR256`
+//! built from an owned vector allocates nothing; an `RD256` response
+//! costs exactly one block, which the host receives and owns.
+//!
+//! Invariant: a payload is inline exactly when it holds at most
+//! [`PAYLOAD_INLINE_WORDS`] words. Every constructor and every mutator
+//! keeps it, so a buffer overwritten in place with a short payload never
+//! keeps the heap block of the long one it last carried.
 //!
 //! The buffer dereferences to `&[u64]`, compares equal to `Vec<u64>`
 //! and prints like a slice, so code that only *reads* payloads is
@@ -15,7 +30,8 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 /// Words stored inline before spilling to the heap. 16 words = 128
-/// bytes covers every standard Gen2 command payload.
+/// bytes covers every standard Gen2 payload except the three 256-byte
+/// ones (see the module docs for why it is not 32).
 pub const PAYLOAD_INLINE_WORDS: usize = 16;
 
 #[derive(Clone)]
@@ -67,9 +83,9 @@ impl PayloadBuf {
     }
 
     /// Sets the length to `new_len` words, truncating or appending
-    /// copies of `value` (`Vec::resize` semantics). Stays inline up to
-    /// the inline capacity and reuses a spilled buffer's capacity, so
-    /// a recycled payload is resized without allocating.
+    /// copies of `value` (`Vec::resize` semantics). A spilled buffer
+    /// resized to a spilling length reuses its block; resized to an
+    /// inline length it moves inline and frees the block.
     pub fn resize(&mut self, new_len: usize, value: u64) {
         match &mut self.0 {
             Repr::Inline { buf, len } if new_len <= PAYLOAD_INLINE_WORDS => {
@@ -84,11 +100,55 @@ impl PayloadBuf {
                 v.resize(new_len, value);
                 self.0 = Repr::Spilled(v);
             }
+            Repr::Spilled(v) if new_len <= PAYLOAD_INLINE_WORDS => {
+                *self = PayloadBuf::from_slice(&v[..new_len]);
+            }
             Repr::Spilled(v) => v.resize(new_len, value),
         }
     }
 
-    /// Empties the payload (a spilled buffer keeps its capacity).
+    /// Sets the length to `new_len` words of unspecified value — zero,
+    /// or whatever the buffer last held — for a caller that is about to
+    /// overwrite every one of them (a read filling a response): unlike
+    /// [`PayloadBuf::resize`], an inline payload is not filled first.
+    pub fn resize_for_overwrite(&mut self, new_len: usize) {
+        match &mut self.0 {
+            Repr::Inline { len, .. } if new_len <= PAYLOAD_INLINE_WORDS => *len = new_len as u8,
+            _ => self.resize(new_len, 0),
+        }
+    }
+
+    /// Overwrites the payload with a copy of `words`, whatever it held:
+    /// a spilled buffer is reused when `words` spill too and freed when
+    /// they fit inline.
+    pub fn copy_from(&mut self, words: &[u64]) {
+        match &mut self.0 {
+            Repr::Inline { buf, len } if words.len() <= PAYLOAD_INLINE_WORDS => {
+                buf[..words.len()].copy_from_slice(words);
+                *len = words.len() as u8;
+            }
+            Repr::Spilled(v) if words.len() > PAYLOAD_INLINE_WORDS => {
+                v.clear();
+                v.extend_from_slice(words);
+            }
+            _ => *self = PayloadBuf::from_slice(words),
+        }
+    }
+
+    /// Moves the payload out and leaves an empty one behind: one copy
+    /// of an inline payload, a pointer move of a spilled one.
+    pub fn take(&mut self) -> PayloadBuf {
+        match &mut self.0 {
+            Repr::Inline { buf, len } => {
+                let out = PayloadBuf(Repr::Inline { buf: *buf, len: *len });
+                *len = 0;
+                out
+            }
+            Repr::Spilled(_) => std::mem::take(self),
+        }
+    }
+
+    /// Empties the payload (a spilled buffer frees its block).
     pub fn clear(&mut self) {
         self.resize(0, 0);
     }
@@ -157,6 +217,64 @@ impl From<&[u64]> for PayloadBuf {
 impl<const N: usize> From<[u64; N]> for PayloadBuf {
     fn from(words: [u64; N]) -> Self {
         PayloadBuf::from_slice(&words)
+    }
+}
+
+/// A value a [`PayloadBuf`] can be overwritten from in place — what the
+/// send paths accept, so a payload is written once, into the envelope
+/// that carries it, instead of being converted to a `PayloadBuf` first
+/// and moved there. Implemented for the types `Into<PayloadBuf>` covers.
+pub trait PayloadSource {
+    /// Number of 64-bit words the source holds.
+    fn words(&self) -> usize;
+
+    /// Overwrites `dst` with the source's words.
+    fn overwrite(self, dst: &mut PayloadBuf);
+}
+
+impl PayloadSource for Vec<u64> {
+    fn words(&self) -> usize {
+        self.len()
+    }
+
+    /// Small vectors are copied inline (and freed); oversized ones are
+    /// adopted without copying.
+    fn overwrite(self, dst: &mut PayloadBuf) {
+        if self.len() <= PAYLOAD_INLINE_WORDS {
+            dst.copy_from(&self);
+        } else {
+            dst.0 = Repr::Spilled(self);
+        }
+    }
+}
+
+impl PayloadSource for &[u64] {
+    fn words(&self) -> usize {
+        self.len()
+    }
+
+    fn overwrite(self, dst: &mut PayloadBuf) {
+        dst.copy_from(self);
+    }
+}
+
+impl<const N: usize> PayloadSource for [u64; N] {
+    fn words(&self) -> usize {
+        N
+    }
+
+    fn overwrite(self, dst: &mut PayloadBuf) {
+        dst.copy_from(&self);
+    }
+}
+
+impl PayloadSource for PayloadBuf {
+    fn words(&self) -> usize {
+        self.len()
+    }
+
+    fn overwrite(self, dst: &mut PayloadBuf) {
+        *dst = self;
     }
 }
 
@@ -283,6 +401,110 @@ mod tests {
         assert!(buf.is_empty());
         buf.resize(2, 7);
         assert_eq!(buf, vec![7, 7]);
+    }
+
+    /// A destination of each representation, holding words no source
+    /// below carries.
+    fn destinations() -> [PayloadBuf; 2] {
+        let inline = PayloadBuf::from_slice(&[0xdead; 5]);
+        let spilled = PayloadBuf::from(vec![0xbeef; 32]);
+        assert!(inline.is_inline() && !spilled.is_inline());
+        [inline, spilled]
+    }
+
+    fn assert_holds(dst: &PayloadBuf, words: &[u64], via: &str) {
+        assert_eq!(dst.as_slice(), words, "{via}: {} words", words.len());
+        assert_eq!(dst.is_inline(), words.len() <= PAYLOAD_INLINE_WORDS, "{via}: {} words", words.len());
+    }
+
+    #[test]
+    fn every_source_overwrites_either_representation_and_keeps_the_invariant() {
+        fn via_array<const N: usize>(words: &[u64], dst: &mut PayloadBuf) {
+            let array: [u64; N] = words.try_into().unwrap();
+            assert_eq!(array.words(), N);
+            array.overwrite(dst);
+        }
+        for n in [0, 2, 16, 17, 32] {
+            let words: Vec<u64> = (1..=n as u64).map(|i| i * 0x0101).collect();
+            for dst in destinations() {
+                let check = |via: &str, write: &dyn Fn(&mut PayloadBuf)| {
+                    let mut dst = dst.clone();
+                    write(&mut dst);
+                    assert_holds(&dst, &words, via);
+                };
+                check("Vec", &|dst| {
+                    assert_eq!(PayloadSource::words(&words.clone()), n);
+                    words.clone().overwrite(dst)
+                });
+                check("&[u64]", &|dst| {
+                    assert_eq!(words.as_slice().words(), n);
+                    words.as_slice().overwrite(dst)
+                });
+                check("PayloadBuf", &|dst| {
+                    assert_eq!(PayloadBuf::from_slice(&words).words(), n);
+                    PayloadBuf::from_slice(&words).overwrite(dst)
+                });
+                check("[u64; N]", &|dst| match n {
+                    0 => via_array::<0>(&words, dst),
+                    2 => via_array::<2>(&words, dst),
+                    16 => via_array::<16>(&words, dst),
+                    17 => via_array::<17>(&words, dst),
+                    32 => via_array::<32>(&words, dst),
+                    _ => unreachable!(),
+                });
+                check("copy_from", &|dst| dst.copy_from(&words));
+                check("resize", &|dst| {
+                    dst.resize(n, 0);
+                    dst.copy_from_slice(&words);
+                });
+                check("resize_for_overwrite", &|dst| {
+                    dst.resize_for_overwrite(n);
+                    assert_eq!(dst.len(), n);
+                    dst.copy_from_slice(&words);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn an_owned_spilling_vector_is_adopted_and_a_spilled_block_is_reused() {
+        let big: Vec<u64> = (0..32).collect();
+        let block = big.as_ptr();
+        let mut dst = PayloadBuf::from_slice(&[1, 2]);
+        big.overwrite(&mut dst);
+        assert_eq!(dst.as_ptr(), block, "adopted, not copied");
+        // A spilling copy into a spilled buffer keeps its block.
+        dst.copy_from(&[7; 20]);
+        assert_eq!((dst.as_ptr(), dst.len()), (block, 20));
+        dst.resize(32, 9);
+        assert_eq!((dst.as_ptr(), dst[31]), (block, 9));
+    }
+
+    #[test]
+    fn take_leaves_an_empty_inline_payload_behind() {
+        for (mut dst, words) in destinations().into_iter().zip([vec![0xdead; 5], vec![0xbeef; 32]]) {
+            let block = dst.as_ptr();
+            let out = dst.take();
+            assert_holds(&out, &words, "taken");
+            assert_holds(&dst, &[], "left behind");
+            if !out.is_inline() {
+                assert_eq!(out.as_ptr(), block, "the block moved, nothing was copied");
+            }
+        }
+    }
+
+    #[test]
+    fn clearing_or_shrinking_a_spilled_payload_moves_it_inline() {
+        let [_, spilled] = destinations();
+        let mut cleared = spilled.clone();
+        cleared.clear();
+        assert_holds(&cleared, &[], "clear");
+        let mut shrunk = spilled.clone();
+        shrunk.resize(4, 1);
+        assert_holds(&shrunk, &[0xbeef; 4], "resize");
+        let mut sized = spilled;
+        sized.resize_for_overwrite(16);
+        assert_eq!((sized.len(), sized.is_inline()), (16, true));
     }
 
     #[test]

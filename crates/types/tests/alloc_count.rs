@@ -1,8 +1,10 @@
-//! Proof that the packet hot path is allocation-free for standard
-//! Gen2 payloads (≤ 16 words): a counting global allocator wraps the
-//! system allocator, and the build → CRC → pack → unpack cycle must
-//! not allocate at all once payloads fit the `PayloadBuf` inline
-//! capacity.
+//! Proof of what a packet costs the heap: a counting global allocator
+//! wraps the system allocator, and the build → CRC → pack → unpack
+//! cycle must not allocate at all while payloads fit the `PayloadBuf`
+//! inline capacity (≤ 16 words: every Table I command but the three
+//! 256-byte ones). A 32-word payload — `WR256`, `P_WR256`, an `RD256`
+//! response — costs exactly one block, and none when the caller hands
+//! over a vector it already owns.
 //!
 //! Everything runs inside one `#[test]` so no concurrently-running
 //! test can perturb the global counter.
@@ -61,8 +63,8 @@ fn packet_cycle_is_allocation_free_within_inline_capacity() {
     let n = warm.pack_into(&mut flits);
     let _ = Request::unpack(&flits[..n]).unwrap();
 
-    // The full per-packet cycle for the largest standard command
-    // (WR128 = 16 payload words): build, clone, pack with CRC,
+    // The full per-packet cycle for the largest command that fits
+    // inline (WR128 = 16 payload words): build, clone, pack with CRC,
     // unpack with CRC verification, read the payload back.
     let count = allocations_in(|| {
         let payload = PayloadBuf::from_slice(&[0xAB; 16]);
@@ -114,11 +116,42 @@ fn packet_cycle_is_allocation_free_within_inline_capacity() {
     });
     assert_eq!(count, 0, "CRC allocated {count} times");
 
-    // Oversized CMC payloads (> 16 words) are the only case allowed
-    // to touch the heap.
-    let big: Vec<u64> = (0..2 * (MAX_PACKET_FLITS as u64 - 1)).collect();
-    let spilled = PayloadBuf::from(big);
-    assert!(!spilled.is_inline());
-    assert_eq!(spilled.len(), 32);
-    assert!(PAYLOAD_INLINE_WORDS < spilled.len());
+    // Past the inline capacity — the 32 words of WR256, P_WR256 and an
+    // RD256 response, or of a CMC operation of more than 9 FLITs — a
+    // payload lives in one heap block. A request built from a vector
+    // the caller owns adopts that vector's block: nothing is allocated,
+    // by value or in place.
+    const { assert!(PAYLOAD_INLINE_WORDS < 32) };
+    let (tag, cub) = (Tag::new(9).unwrap(), Cub::new(1).unwrap());
+    let owned = |seed: u64| -> Vec<u64> { (seed..seed + 32).collect() };
+    let (first, second) = (owned(1), owned(100));
+    let mut envelope = warm;
+    let count = allocations_in(|| {
+        let req = Request::new(HmcRqst::Wr256, tag, 0x2000, cub, first).unwrap();
+        assert!(!req.payload.is_inline());
+        assert_eq!(req.flits(), 17);
+        envelope.fill(HmcRqst::Wr256, tag, 0x2100, cub, second).unwrap();
+        assert_eq!((envelope.payload[0], envelope.payload.len()), (100, 32));
+    });
+    assert_eq!(count, 0, "WR256 from an owned vector allocated {count} times");
+
+    // Copied from borrowed words it costs the one block; so does an
+    // RD256 response (the block the host ends up owning).
+    let words = owned(7);
+    let count = allocations_in(|| {
+        let req = Request::new(HmcRqst::PWr256, tag, 0x2000, cub, &words[..]).unwrap();
+        assert_eq!(req.payload, words);
+    });
+    assert_eq!(count, 1, "P_WR256 from a slice allocated {count} times");
+    let count = allocations_in(|| {
+        let rsp = Response::new(HmcResponse::RdRs, tag, Slid::new(2).unwrap(), cub, &words[..])
+            .unwrap();
+        assert_eq!(rsp.flits(), 17);
+        assert!(!rsp.payload.is_inline());
+    });
+    assert_eq!(count, 1, "RD256 response allocated {count} times");
+
+    // Overwritten with a short packet, the envelope gives the block up.
+    envelope.fill(HmcRqst::Rd256, tag, 0x2000, cub, []).unwrap();
+    assert!(envelope.payload.is_inline() && envelope.payload.is_empty());
 }

@@ -40,15 +40,16 @@ enum SentKind {
 }
 
 impl SentKind {
-    /// Issues the request on `link`. The payload is copied (inline, no
-    /// allocation): the body may be needed again for a replay.
+    /// Issues the request on `link`. The payload is copied into the
+    /// packet (inline, no allocation): the body may be needed again for
+    /// a replay.
     fn send(&self, sim: &mut HmcSim, dev: usize, link: usize) -> Result<Option<Tag>, HmcError> {
         match self {
             SentKind::Std { cmd, addr, payload } => {
-                sim.send_simple(dev, link, *cmd, *addr, payload.clone())
+                sim.send_simple(dev, link, *cmd, *addr, payload.as_slice())
             }
             SentKind::Cmc { code, addr, payload } => {
-                sim.send_cmc(dev, link, *code, *addr, payload.clone())
+                sim.send_cmc(dev, link, *code, *addr, payload.as_slice())
             }
         }
     }

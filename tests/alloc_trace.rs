@@ -22,6 +22,11 @@
 //! and its payloads are built in place, so a warm replay allocates the
 //! same handful of times however many operations it carries.
 //!
+//! Past the inline payload capacity the pin is exact rather than zero:
+//! a window of RD256 / RD256 / WR256 triples allocates one block per
+//! read — the response payload the host receives and owns — and nothing
+//! per write, whose vector the request envelope adopts.
+//!
 //! Everything runs inside one `#[test]` so no concurrently-running
 //! test can perturb the global counter.
 
@@ -118,13 +123,15 @@ fn kernel_allocations(spin: SpinPolicy) -> (u64, u64) {
 }
 
 /// A closed loop over every host link of a context: a fixed window of
-/// outstanding RD64 / WR64 / XOR16 requests per link, every
-/// `remote_every`-th one addressed to the next cube (0 = all local).
+/// outstanding RD64 / WR64 / XOR16 requests per link — or, when `wide`,
+/// of RD256 / RD256 / WR256 triples — every `remote_every`-th one
+/// addressed to the next cube (0 = all local).
 struct WindowLoop {
     sim: HmcSim,
     outstanding: Vec<Vec<usize>>,
     issued: u64,
     remote_every: u64,
+    wide: bool,
     received: u64,
 }
 
@@ -141,7 +148,7 @@ impl WindowLoop {
         let outstanding = (0..sim.device_count())
             .map(|d| vec![0; sim.device_config(d).unwrap().links])
             .collect();
-        WindowLoop { sim, outstanding, issued: 0, remote_every, received: 0 }
+        WindowLoop { sim, outstanding, issued: 0, remote_every, wide: false, received: 0 }
     }
 
     /// Runs `cycles` iterations of recv → send → clock, taking write
@@ -160,10 +167,12 @@ impl WindowLoop {
                     }
                     while self.outstanding[dev][link] < Self::WINDOW {
                         let i = self.issued;
-                        let (cmd, words) = match i % 3 {
-                            0 => (HmcRqst::Rd64, 0),
-                            1 => (HmcRqst::Wr64, 8),
-                            _ => (HmcRqst::Xor16, 2),
+                        let (cmd, words) = match (self.wide, i % 3) {
+                            (false, 0) => (HmcRqst::Rd64, 0),
+                            (false, 1) => (HmcRqst::Wr64, 8),
+                            (false, _) => (HmcRqst::Xor16, 2),
+                            (true, 0 | 1) => (HmcRqst::Rd256, 0),
+                            (true, _) => (HmcRqst::Wr256, 32),
                         };
                         let payload = if words == 0 {
                             Vec::new()
@@ -172,8 +181,14 @@ impl WindowLoop {
                             p.truncate(words);
                             p
                         };
-                        // 64-byte blocks spread over vaults and banks.
-                        let addr = (i.wrapping_mul(0x9E37_79B9) % (1 << 16)) * 64;
+                        // Blocks of the request size spread over vaults
+                        // and banks, within 4 MiB (wide: 1 MiB, so the
+                        // warm-up's writes reach every page of it).
+                        let addr = if self.wide {
+                            (i.wrapping_mul(0x9E37_79B9) % (1 << 12)) * 256
+                        } else {
+                            (i.wrapping_mul(0x9E37_79B9) % (1 << 16)) * 64
+                        };
                         let target = if self.remote_every != 0 && i.is_multiple_of(self.remote_every) {
                             (dev + 1) % devs
                         } else {
@@ -195,18 +210,22 @@ impl WindowLoop {
         }
     }
 
+    /// Operands for `cycles` iterations of [`WindowLoop::run`]: every
+    /// link sends at most its window plus one stalled attempt per cycle.
+    fn stock(&self, cycles: usize) -> Vec<Vec<u64>> {
+        let links: usize = self.outstanding.iter().map(Vec::len).sum();
+        let words = if self.wide { 32 } else { 8 };
+        vec![vec![7u64; words]; cycles * links * (Self::WINDOW + 1)]
+    }
+
     /// Least allocation count of a `cycles`-long window over three
     /// consecutive windows, after a warm-up of `warm_up` cycles.
     fn steady_state_allocations(&mut self, warm_up: usize, cycles: usize) -> u64 {
-        let links: usize = self.outstanding.iter().map(Vec::len).sum();
-        // Every link sends at most its window plus one stalled attempt
-        // per cycle.
-        let stock = |n: usize| vec![vec![7u64; 8]; n * links * (Self::WINDOW + 1)];
-        self.run(warm_up, &mut stock(warm_up));
+        self.run(warm_up, &mut self.stock(warm_up));
         let before = self.received;
         let least = (0..3)
             .map(|_| {
-                let mut payloads = stock(cycles);
+                let mut payloads = self.stock(cycles);
                 allocations_in(|| self.run(cycles, &mut payloads))
             })
             .min()
@@ -284,6 +303,21 @@ fn traced_off_emission_is_allocation_free() {
         "two-lane 2x2-mesh steady state allocated {count} times in 1000 cycles"
     );
     assert!(lanes.sim.stats(0).unwrap().forwarded > 1_000);
+    // The saturated cube on 17-FLIT packets. A WR256 hands its vector
+    // to the request envelope, which frees it when the next packet
+    // overwrites it; an RD256 response is built in one block that the
+    // host receives and drops. So the window allocates exactly one
+    // block per read executed and none per write — two per triple.
+    let mut wide = WindowLoop::new(SimConfig::single(DeviceConfig::gen2_4link_4gb()), 0);
+    wide.wide = true;
+    let executed = |sim: &HmcSim| (sim.stats(0).unwrap().reads, sim.stats(0).unwrap().writes);
+    wide.run(4_000, &mut wide.stock(4_000));
+    let (reads, writes) = executed(&wide.sim);
+    let mut payloads = wide.stock(1_000);
+    let count = allocations_in(|| wide.run(1_000, &mut payloads));
+    let (reads, writes) = (executed(&wide.sim).0 - reads, executed(&wide.sim).1 - writes);
+    assert!(writes > 1_000 && reads.abs_diff(2 * writes) <= 4 * WindowLoop::WINDOW as u64);
+    assert_eq!(count, reads, "{reads} RD256 and {writes} WR256 took {count} allocations");
     // (c) The saturated cube again under the default report-mode
     // sanitizer (256-event forensic ring, stall watchdog on): every
     // cycle is audited and every event lands in the ring.
