@@ -88,6 +88,6 @@ pub use topology::Topology;
 pub use perfetto::PerfettoOptions;
 pub use trace::{
     CmdRef, FlightLane, FlightLaneSnapshot, FlightRecorder, FlightSnapshot, TraceBuffer,
-    TraceKind, TraceLevel, TraceRecord, TraceRing, Tracer,
+    TraceKind, TraceLevel, TraceRecord, Tracer,
 };
 pub use trace_analysis::{TraceEvent, TraceSummary};

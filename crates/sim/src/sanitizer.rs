@@ -34,7 +34,7 @@
 use crate::config::LinkTopology;
 use crate::sim::HmcSim;
 use crate::snapshot::{ForensicDump, SimSnapshot};
-use crate::trace::{TraceKind, TraceLevel, TraceRecord, TraceRing};
+use crate::trace::{TraceKind, TraceLevel, TraceRecord};
 use hmc_types::{Tag, TagSet};
 use std::path::PathBuf;
 
@@ -64,8 +64,9 @@ pub struct SanitizerConfig {
     /// stall watchdog fires. 0 disables the watchdog.
     pub watchdog_cycles: u64,
     /// Capacity of the forensic trace ring (recent trace events kept
-    /// for the dump, independent of the tracer's level mask). 0
-    /// disables the ring.
+    /// for the dump, independent of the tracer's level mask), which
+    /// the sanitizer attaches to the simulator's tracer. 0 disables
+    /// the ring.
     pub trace_ring: usize,
     /// Take a checkpoint snapshot every N cycles (0 = never); the
     /// latest is available via [`HmcSim::sanitizer_checkpoint`] and
@@ -261,7 +262,6 @@ impl SanitizerShadow {
 pub struct Sanitizer {
     pub(crate) config: SanitizerConfig,
     pub(crate) shadow: SanitizerShadow,
-    pub(crate) ring: Option<TraceRing>,
     report: SanitizerReport,
     /// Watchdog: the values [`Sanitizer::for_each_progress_value`]
     /// last handed out (empty = nothing observed yet; a real
@@ -274,12 +274,9 @@ pub struct Sanitizer {
 
 impl Sanitizer {
     pub(crate) fn new(config: SanitizerConfig) -> Self {
-        let ring =
-            if config.trace_ring > 0 { Some(TraceRing::new(config.trace_ring)) } else { None };
         Sanitizer {
             config,
             shadow: SanitizerShadow::default(),
-            ring,
             report: SanitizerReport::default(),
             watch_sig: Vec::new(),
             stalled_cycles: 0,
@@ -454,7 +451,10 @@ impl Sanitizer {
                     cycle,
                     violations: violations.clone(),
                     snapshot: sim.snapshot_with_shadow(Some(self.shadow.clone())),
-                    trace: self.ring.as_ref().map(TraceRing::lines).unwrap_or_default(),
+                    trace: match self.config.trace_ring {
+                        0 => Vec::new(),
+                        _ => sim.tracer.ring_lines(),
+                    },
                     checkpoint_cycle: self.last_checkpoint.as_ref().map(SimSnapshot::cycle),
                     telemetry_json: sim.telemetry_report().map(|r| r.to_json()),
                     flight: sim.flight_snapshot(),
@@ -854,8 +854,8 @@ impl HmcSim {
     pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
         let mut san = Box::new(Sanitizer::new(config));
         san.rebase(self);
-        if let Some(ring) = &san.ring {
-            self.tracer.attach_ring(ring.clone());
+        if san.config.trace_ring > 0 {
+            self.tracer.attach_ring(san.config.trace_ring);
         }
         self.sanitizer = Some(san);
     }

@@ -264,13 +264,12 @@ impl HmcSim {
     /// Attaches a tracer. An active sanitizer's forensic trace ring,
     /// an attached flight recorder and the interned-name table all
     /// carry over to the new tracer, so swapping the text sink never
-    /// truncates the structured observation stream.
+    /// truncates the structured observation stream. The sanitizer's
+    /// ring outranks one the new tracer brings.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        let old = std::mem::replace(&mut self.tracer, tracer);
-        self.tracer.adopt_stream(&old);
-        if let Some(ring) = self.sanitizer.as_ref().and_then(|s| s.ring.clone()) {
-            self.tracer.attach_ring(ring);
-        }
+        let mut old = std::mem::replace(&mut self.tracer, tracer);
+        let sanitizer_ring = self.sanitizer.as_ref().is_some_and(|s| s.config.trace_ring > 0);
+        self.tracer.adopt_stream(&mut old, sanitizer_ring);
     }
 
     /// Enables the flight recorder: a fixed-capacity, per-lane ring of

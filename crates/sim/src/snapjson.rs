@@ -14,9 +14,9 @@
 //!
 //! The schema is versioned (`schema_version`, currently
 //! [`SNAPSHOT_SCHEMA_VERSION`]): a parser never guesses at a future
-//! layout, it rejects it loudly. Parsing is strict throughout — every
-//! object goes through [`ObjReader`] and unknown or missing fields are
-//! errors, never silently dropped.
+//! layout, it rejects it loudly, and it still reads version 1. Parsing
+//! is strict throughout — every object goes through [`ObjReader`] and
+//! unknown or missing fields are errors, never silently dropped.
 //!
 //! Notable encoding choices:
 //!
@@ -25,6 +25,8 @@
 //! * memory pages are hex strings keyed by page id, covering **every**
 //!   resident page (even all-zero ones — residency itself is part of
 //!   the fingerprint);
+//! * a flight-recorder lane is one hex string of fixed-width packed
+//!   records (the same hex kernel as pages);
 //! * packet command codes carry an explicit `cmc` flag, because the
 //!   wire code alone cannot distinguish `HmcRqst::Cmc(code)` from the
 //!   standard command sharing that code (and response code 0 means
@@ -48,7 +50,9 @@ use crate::snapshot::{DeviceSnapshot, SimSnapshot};
 use crate::stats::{CmdClass, DeviceStats};
 use crate::telemetry::StageStamps;
 use crate::timing::{TimingSelect, TimingSnapshot, TimingStats};
-use crate::trace::{CmdRef, FlightLaneSnapshot, FlightSnapshot, TraceKind, TraceRecord};
+use crate::trace::{
+    CmdRef, FlightLane, FlightLaneSnapshot, FlightSnapshot, TraceKind, TraceRecord,
+};
 use hmc_mem::store::PAGE_BYTES;
 use hmc_mem::SparseMemory;
 use hmc_types::{
@@ -57,9 +61,11 @@ use hmc_types::{
 };
 use std::collections::VecDeque;
 
-/// Version number written into (and required from) the durable
-/// snapshot schema. Bump on any incompatible layout change.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
+/// Version number written into the durable snapshot schema. Bump on
+/// any incompatible layout change. Version 2 packs each flight lane
+/// into one hex string; version-1 documents (a lane as arrays of
+/// twelve integers) still load.
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
 /// Wraps a domain error (`bad tag`, `bad cub`, …) as a [`JsonError`]
 /// prefixed with `what`.
@@ -732,22 +738,30 @@ fn shadow_from_json(v: &Json) -> Result<SanitizerShadow, JsonError> {
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-/// One [`TraceRecord`] as a 12-element integer array:
-/// `[cycle, kind, dev, link, quad, vault, bank, tag, cmd_kind,
-/// cmd_value, a, b]` — compact enough that a full flight ring stays a
-/// small fraction of the snapshot. `cmd_kind` disambiguates the
+/// The byte width of each field of a packed [`TraceRecord`], in order:
+/// `cycle`, kind wire code, `dev`, `link`, `quad`, `vault`, `bank`,
+/// `tag`, `cmd_kind`, `cmd_value`, `a`, `b` — each at the full width of
+/// its field, so every record round-trips. `cmd_kind` disambiguates the
 /// [`CmdRef`] variants (0 none, 1 standard request, 2 CMC request,
-/// 3 interned name, 4 inactive CMC) because the wire code alone
-/// cannot (mirroring the request codec's `cmc` flag).
-fn trace_record_json(t: &TraceRecord) -> Json {
-    let (cmd_kind, cmd_value): (u64, u64) = match t.cmd {
+/// 3 interned name, 4 inactive CMC) because the wire code alone cannot
+/// (mirroring the request codec's `cmc` flag).
+const RECORD_FIELDS: [usize; 12] = [8, 1, 2, 1, 1, 2, 2, 2, 1, 2, 8, 8];
+
+/// Bytes of one packed record (the sum of [`RECORD_FIELDS`]): a
+/// schema-v2 lane is `records` of these, little-endian, as one hex
+/// string.
+const RECORD_BYTES: usize = 38;
+
+/// A record's twelve fields as words, in [`RECORD_FIELDS`] order.
+fn record_words(t: &TraceRecord) -> [u64; 12] {
+    let (cmd_kind, cmd_value) = match t.cmd {
         CmdRef::None => (0, 0),
         CmdRef::Rqst(HmcRqst::Cmc(code)) => (2, code as u64),
         CmdRef::Rqst(cmd) => (1, cmd.code() as u64),
         CmdRef::Name(idx) => (3, idx as u64),
         CmdRef::Inactive(code) => (4, code as u64),
     };
-    let words = [
+    [
         t.cycle,
         t.kind.code() as u64,
         t.dev as u64,
@@ -760,18 +774,61 @@ fn trace_record_json(t: &TraceRecord) -> Json {
         cmd_value,
         t.a,
         t.b,
-    ];
-    Json::list(words, Json::from)
+    ]
 }
 
+/// A lane's records as one hex string of packed records.
+fn lane_records_json(records: &[TraceRecord]) -> Json {
+    let mut bytes = vec![0u8; records.len() * RECORD_BYTES];
+    for (packed, t) in bytes.chunks_exact_mut(RECORD_BYTES).zip(records) {
+        let mut at = 0;
+        for (word, width) in record_words(t).into_iter().zip(RECORD_FIELDS) {
+            packed[at..at + width].copy_from_slice(&word.to_le_bytes()[..width]);
+            at += width;
+        }
+    }
+    Json::Str(hex_encode(&bytes))
+}
+
+fn lane_records_from_hex(hex: &str) -> Result<Vec<TraceRecord>, JsonError> {
+    const CTX: &str = "flight records";
+    if !hex.len().is_multiple_of(2 * RECORD_BYTES) {
+        return Err(JsonError::new(format!(
+            "{CTX}: {} hex digits are not a whole number of records",
+            hex.len()
+        )));
+    }
+    let mut bytes = vec![0u8; hex.len() / 2];
+    hex_decode(hex, &mut bytes, CTX)?;
+    let mut out = Vec::with_capacity(bytes.len() / RECORD_BYTES);
+    for packed in bytes.chunks_exact(RECORD_BYTES) {
+        let mut words = [0u64; 12];
+        let mut at = 0;
+        for (word, width) in words.iter_mut().zip(RECORD_FIELDS) {
+            let mut le = [0u8; 8];
+            le[..width].copy_from_slice(&packed[at..at + width]);
+            *word = u64::from_le_bytes(le);
+            at += width;
+        }
+        out.push(record_from_words(words)?);
+    }
+    Ok(out)
+}
+
+/// A schema-v1 record: an array of the twelve words.
 fn trace_record_from_json(v: &Json) -> Result<TraceRecord, JsonError> {
+    let mut w = [0u64; 12];
+    for (slot, item) in w.iter_mut().zip(v.tuple::<12>("flight record")?) {
+        *slot = item.int("flight record")?;
+    }
+    record_from_words(w)
+}
+
+/// The record behind its twelve words, whichever form carried them.
+fn record_from_words(w: [u64; 12]) -> Result<TraceRecord, JsonError> {
     const CTX: &str = "flight record";
     fn narrow<T: TryFrom<u64>>(word: u64, i: usize) -> Result<T, JsonError> {
         T::try_from(word).map_err(|_| JsonError::new(format!("{CTX}: element {i} out of range")))
-    }
-    let mut w = [0u64; 12];
-    for (slot, item) in w.iter_mut().zip(v.tuple::<12>(CTX)?) {
-        *slot = item.int(CTX)?;
     }
     let kind = TraceKind::from_code(narrow(w[1], 1)?)
         .ok_or_else(|| JsonError::new(format!("{CTX}: unknown kind code")))?;
@@ -810,14 +867,18 @@ fn flight_json(f: &FlightSnapshot) -> Json {
                 obj(vec![
                     ("name", l.name.as_str().into()),
                     ("dropped", l.dropped.into()),
-                    ("records", Json::list(&l.records, trace_record_json)),
+                    ("records", lane_records_json(&l.records)),
                 ])
             }),
         ),
     ])
 }
 
-fn flight_from_json(v: &Json) -> Result<FlightSnapshot, JsonError> {
+/// Decodes a flight section of schema `version` (1: records as arrays
+/// of twelve integers; 2: packed). Only a timeline a recorder can
+/// resume is accepted: a nonzero capacity, the five lanes in
+/// [`FlightLane::ALL`] order, none holding more than the capacity.
+fn flight_from_json(v: &Json, version: u64) -> Result<FlightSnapshot, JsonError> {
     let mut r = ObjReader::new("flight", v)?;
     let out = FlightSnapshot {
         capacity: r.usize("capacity")?,
@@ -830,13 +891,32 @@ fn flight_from_json(v: &Json) -> Result<FlightSnapshot, JsonError> {
             let out = FlightLaneSnapshot {
                 name: lr.str("name")?.to_string(),
                 dropped: lr.u64("dropped")?,
-                records: lr.vec("records", trace_record_from_json)?,
+                records: match version {
+                    1 => lr.vec("records", trace_record_from_json)?,
+                    _ => lane_records_from_hex(lr.str("records")?)?,
+                },
             };
             lr.finish()?;
             Ok(out)
         })?,
     };
     r.finish()?;
+    if out.capacity == 0 {
+        return Err(JsonError::new("flight: capacity must be nonzero"));
+    }
+    if !out.lanes.iter().map(|l| l.name.as_str()).eq(FlightLane::ALL.map(FlightLane::name)) {
+        return Err(JsonError::new(
+            "flight: lanes must be host, link, vault, bank, engine, in order",
+        ));
+    }
+    if let Some(lane) = out.lanes.iter().find(|l| l.records.len() > out.capacity) {
+        return Err(JsonError::new(format!(
+            "flight: lane `{}` holds {} records but capacity is {}",
+            lane.name,
+            lane.records.len(),
+            out.capacity
+        )));
+    }
     Ok(out)
 }
 
@@ -973,9 +1053,9 @@ impl SimSnapshot {
     pub fn from_json_value(v: &Json) -> Result<SimSnapshot, JsonError> {
         let mut r = ObjReader::new("snapshot", v)?;
         let version = r.u64("schema_version")?;
-        if version != SNAPSHOT_SCHEMA_VERSION {
+        if !(1..=SNAPSHOT_SCHEMA_VERSION).contains(&version) {
             return Err(JsonError::new(format!(
-                "snapshot: unsupported schema version {version} (expected \
+                "snapshot: unsupported schema version {version} (this build reads 1 to \
                  {SNAPSHOT_SCHEMA_VERSION})"
             )));
         }
@@ -1010,7 +1090,7 @@ impl SimSnapshot {
             flight: r
                 .optional("flight")
                 .filter(|v| non_null(v))
-                .map(flight_from_json)
+                .map(|v| flight_from_json(v, version))
                 .transpose()?,
         };
         r.finish()?;
@@ -1107,6 +1187,71 @@ mod tests {
         let back = response_from_json(&response_json(&rsp)).unwrap();
         assert_eq!(back.head.cmd, HmcResponse::RspNone);
         assert_eq!(format!("{back:?}"), format!("{rsp:?}"));
+    }
+
+    #[test]
+    fn packed_records_round_trip_at_full_width() {
+        let cmds = [
+            CmdRef::None,
+            CmdRef::Rqst(HmcRqst::Rd16),
+            CmdRef::Rqst(HmcRqst::Cmc(HmcRqst::Rd16.code())),
+            CmdRef::Name(u16::MAX),
+            CmdRef::Inactive(u8::MAX),
+        ];
+        let kinds = (0..=u8::MAX).filter_map(TraceKind::from_code);
+        let records: Vec<TraceRecord> = kinds
+            .zip(cmds.iter().cycle())
+            .enumerate()
+            .map(|(i, (kind, &cmd))| TraceRecord {
+                dev: u16::MAX,
+                link: u8::MAX,
+                quad: u8::MAX - i as u8,
+                vault: u16::MAX,
+                bank: u16::MAX,
+                tag: u16::MAX,
+                cmd,
+                a: u64::MAX,
+                b: i as u64,
+                ..TraceRecord::new(u64::MAX - i as u64, kind)
+            })
+            .collect();
+        assert_eq!(records.len(), 25, "every kind");
+        assert_eq!(RECORD_FIELDS.iter().sum::<usize>(), RECORD_BYTES);
+        let packed = lane_records_json(&records);
+        let hex = packed.as_str().unwrap();
+        assert_eq!(hex.len(), 2 * RECORD_BYTES * records.len());
+        assert_eq!(lane_records_from_hex(hex).unwrap(), records);
+        assert_eq!(lane_records_from_hex("").unwrap(), []);
+    }
+
+    #[test]
+    fn packed_records_reject_what_no_record_is() {
+        let packed = lane_records_json(&[TraceRecord::new(1, TraceKind::Cmd)]);
+        let hex = packed.as_str().unwrap();
+        let err = |s: &str| lane_records_from_hex(s).unwrap_err().message;
+        assert_eq!(
+            err(&hex[1..]),
+            "flight records: 75 hex digits are not a whole number of records"
+        );
+        assert_eq!(
+            err(&format!("{hex}{}", &hex[..2])),
+            "flight records: 78 hex digits are not a whole number of records"
+        );
+        assert_eq!(err(&hex.replace('0', "g")), "flight records: invalid hex digit");
+        // Byte 8 is the kind: 20 is a retired code.
+        let bad_kind = format!("{}14{}", &hex[..16], &hex[18..]);
+        assert_eq!(err(&bad_kind), "flight record: unknown kind code");
+        // Byte 19 is the command kind, bytes 20-21 its value.
+        let bad_cmd_kind = format!("{}05{}", &hex[..38], &hex[40..]);
+        assert_eq!(err(&bad_cmd_kind), "flight record: unknown cmd kind 5");
+        assert_eq!(
+            err(&format!("{}010001{}", &hex[..38], &hex[44..])),
+            "flight record: element 9 out of range"
+        );
+        assert_eq!(
+            err(&format!("{}01ff00{}", &hex[..38], &hex[44..])),
+            "flight record: bad command code: invalid 7-bit command code 0xff"
+        );
     }
 
     #[test]

@@ -113,6 +113,12 @@ impl SimSnapshot {
         self.cycle
     }
 
+    /// The flight-recorder timeline the snapshot carries, when a
+    /// recorder was attached.
+    pub fn flight(&self) -> Option<&FlightSnapshot> {
+        self.flight.as_ref()
+    }
+
     /// All `(tag, tail-SEQ)` pairs of request packets resident
     /// anywhere for device `dev`: crossbar and vault request queues,
     /// the link-layer retry buffer and inter-device transit. Sorted
@@ -398,8 +404,10 @@ pub struct ForensicDump {
     /// pre-acknowledgement shadow state: `HmcSim::restore` followed by
     /// one `clock()` re-detects the same violations.
     pub snapshot: SimSnapshot,
-    /// Recent trace events leading up to the violation, oldest first
-    /// (captured by the sanitizer's [`crate::trace::TraceRing`]).
+    /// Recent trace events leading up to the violation, oldest first:
+    /// the forensic ring the sanitizer attaches to the tracer (see
+    /// [`crate::sanitizer::SanitizerConfig::trace_ring`]), rendered
+    /// by [`crate::Tracer::ring_lines`].
     pub trace: Vec<String>,
     /// Cycle of the last periodic checkpoint, when one exists — the
     /// replay window is `checkpoint_cycle ..= cycle`.

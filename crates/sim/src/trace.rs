@@ -18,8 +18,9 @@
 //!
 //! - a level-masked text [`Sink`] (buffer or writer) — the user-facing
 //!   trace, unchanged semantics;
-//! - an optional [`TraceRing`] — the sanitizer's bounded forensic tail
-//!   (captures every class as raw records, rendered when a dump asks);
+//! - an optional forensic ring — the sanitizer's bounded tail, plain
+//!   data inside the [`Tracer`] (captures every class as raw records,
+//!   rendered when a dump asks: [`Tracer::ring_lines`]);
 //! - an optional [`FlightRecorder`] — per-lane, drop-counting rings of
 //!   raw [`TraceRecord`]s, cheap enough to leave on for a whole run,
 //!   snapshot-included and exportable to Perfetto
@@ -640,8 +641,8 @@ struct FlightInner {
 /// lane. Attached to a [`Tracer`] it captures every event class
 /// regardless of the level mask — no text is formatted, so it is
 /// cheap enough to leave on for whole runs. Handles are `Arc`-shared
-/// clones (like [`TraceRing`]), so the sanitizer, the fuzzer and the
-/// CLI can read the timeline the simulation wrote.
+/// clones, so the fuzzer, the CLI and any other holder of a handle can
+/// read the timeline the simulation wrote.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<FlightInner>>,
@@ -730,8 +731,9 @@ impl FlightRecorder {
     }
 
     /// Replaces the retained timeline with a snapshot's (checkpoint
-    /// restore). Lanes beyond the snapshot's (never, at schema v1)
-    /// are cleared.
+    /// restore). Lanes the snapshot lacks are cleared; only a
+    /// hand-built snapshot lacks any, since the codec requires all
+    /// five within capacity.
     pub(crate) fn restore(&self, snap: &FlightSnapshot) {
         let mut inner = self.inner.lock().expect("flight recorder lock");
         inner.capacity = snap.capacity.max(1);
@@ -891,65 +893,21 @@ impl TraceBuffer {
     }
 }
 
-/// A bounded ring buffer of recent trace events, shared between the
-/// tracer and the sanitizer's forensic-dump machinery. Unlike the
-/// sinks, an attached ring captures *every* event class regardless of
-/// the tracer's level mask, so a forensic dump carries the events
-/// leading up to a violation even when user-facing tracing is off.
-///
-/// The ring stores the raw [`TraceRecord`]s, as the flight recorder
-/// does, and renders text only in [`TraceRing::lines`] — capturing an
-/// event costs one lock and one record copy, and nothing is formatted
-/// unless a dump reads the tail.
-#[derive(Debug, Clone, Default)]
-pub struct TraceRing {
-    inner: Arc<Mutex<RingInner>>,
-}
-
-#[derive(Debug, Default)]
-struct RingInner {
+/// The forensic ring: the most recent `capacity` records of every
+/// class, kept raw in emission order. Plain data owned by the
+/// [`Tracer`], so capturing an event is a record copy, not a lock.
+#[derive(Debug)]
+struct TraceRing {
     records: VecDeque<TraceRecord>,
     capacity: usize,
-    /// The name table of the tracer the ring is attached to, which
-    /// [`CmdRef::Name`] records are rendered against.
-    names: NameTable,
 }
 
 impl TraceRing {
-    /// Creates a ring holding the most recent `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        TraceRing {
-            inner: Arc::new(Mutex::new(RingInner {
-                records: VecDeque::with_capacity(capacity),
-                capacity: capacity.max(1),
-                names: NameTable::default(),
-            })),
+    fn record(&mut self, rec: TraceRecord) {
+        if self.records.len() >= self.capacity {
+            self.records.pop_front();
         }
-    }
-
-    /// The retained events as historic text trace lines, oldest first
-    /// — one render per retained event, on the caller's time.
-    pub fn lines(&self) -> Vec<String> {
-        let inner = self.inner.lock().expect("trace ring lock");
-        inner.records.iter().map(|r| r.render_line(|idx| inner.names.resolve(idx))).collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace ring lock").records.len()
-    }
-
-    /// True when nothing has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn record(&self, rec: TraceRecord) {
-        let mut inner = self.inner.lock().expect("trace ring lock");
-        if inner.records.len() >= inner.capacity {
-            inner.records.pop_front();
-        }
-        inner.records.push_back(rec);
+        self.records.push_back(rec);
     }
 }
 
@@ -973,8 +931,8 @@ impl fmt::Debug for Sink {
 ///
 /// [`Tracer::emit`] is the single emission path: every structured
 /// [`TraceRecord`] lands unformatted in the attached [`FlightRecorder`]
-/// and forensic [`TraceRing`] (if any, every class), and is rendered to
-/// text only for the level-masked sink.
+/// and forensic ring (if any, every class), and is rendered to text
+/// only for the level-masked sink.
 #[derive(Debug)]
 pub struct Tracer {
     level: TraceLevel,
@@ -1014,17 +972,26 @@ impl Tracer {
         Tracer { sink: Sink::Writer(writer), level, ..Tracer::disabled() }
     }
 
-    /// Attaches a forensic ring that captures every event class
-    /// independently of the level mask. The ring renders against this
-    /// tracer's name table from here on.
-    pub fn attach_ring(&mut self, ring: TraceRing) {
-        ring.inner.lock().expect("trace ring lock").names = self.names.clone();
-        self.ring = Some(ring);
+    /// Attaches an empty forensic ring keeping the most recent
+    /// `capacity` events of every class, independently of the level
+    /// mask (replacing any ring attached before).
+    pub fn attach_ring(&mut self, capacity: usize) {
+        let capacity = capacity.max(1);
+        self.ring = Some(TraceRing { records: VecDeque::with_capacity(capacity), capacity });
     }
 
     /// Detaches the forensic ring, if any.
     pub fn detach_ring(&mut self) {
         self.ring = None;
+    }
+
+    /// The forensic ring's events as historic text trace lines, oldest
+    /// first, rendered against this tracer's name table — one render
+    /// per retained event, on the caller's time (empty without a
+    /// ring).
+    pub fn ring_lines(&self) -> Vec<String> {
+        let Some(ring) = &self.ring else { return Vec::new() };
+        ring.records.iter().map(|r| r.render_line(|idx| self.names.resolve(idx))).collect()
     }
 
     /// Attaches a flight recorder that captures every event class as
@@ -1043,18 +1010,19 @@ impl Tracer {
         self.flight.as_ref()
     }
 
-    /// Adopts the observation stream of `other`: its forensic ring,
-    /// flight recorder and name table. [`crate::HmcSim::set_tracer`]
-    /// uses this so replacing the tracer never silently drops the
-    /// sanitizer's ring or the flight recorder's timeline (whose
-    /// records reference the old name table).
-    pub(crate) fn adopt_stream(&mut self, other: &Tracer) {
+    /// Adopts the observation stream of `other`: its name table, its
+    /// flight recorder unless this tracer has one, and its forensic
+    /// ring when `their_ring_first` or this tracer has none.
+    /// [`crate::HmcSim::set_tracer`] uses this so replacing the tracer
+    /// never silently drops the sanitizer's ring or the flight
+    /// recorder's timeline (whose records reference the old name
+    /// table).
+    pub(crate) fn adopt_stream(&mut self, other: &mut Tracer, their_ring_first: bool) {
         self.names = other.names.clone();
-        if let Some(ring) = self.ring.take().or_else(|| other.ring.clone()) {
-            self.attach_ring(ring);
-        }
+        let (mine, theirs) = (self.ring.take(), other.ring.take());
+        self.ring = if their_ring_first { theirs.or(mine) } else { mine.or(theirs) };
         if self.flight.is_none() {
-            self.flight = other.flight.clone();
+            self.flight = other.flight.take();
         }
     }
 
@@ -1130,7 +1098,7 @@ impl Tracer {
         if let Some(flight) = &self.flight {
             flight.record(rec);
         }
-        if let Some(ring) = &self.ring {
+        if let Some(ring) = &mut self.ring {
             ring.record(rec);
         }
         if !self.enabled(rec.kind.class()) {
@@ -1177,7 +1145,7 @@ mod tests {
     fn captures_tracks_sink_ring_and_flight() {
         let mut t = Tracer::disabled();
         assert!(!t.captures(TraceLevel::CMD));
-        t.attach_ring(TraceRing::new(4));
+        t.attach_ring(4);
         assert!(t.captures(TraceLevel::CMD), "ring captures every class");
         t.detach_ring();
         assert!(!t.captures(TraceLevel::CMD));
@@ -1240,20 +1208,19 @@ mod tests {
 
     #[test]
     fn ring_captures_all_classes_and_bounds_length() {
-        let ring = TraceRing::new(3);
         let mut t = Tracer::disabled();
-        t.attach_ring(ring.clone());
+        t.attach_ring(3);
         // The level mask is NONE, but the ring still captures events.
         for i in 0..5 {
             t.emit(TraceRecord { vault: i as u16, tag: i as u16, ..TraceRecord::new(i, TraceKind::Poison) });
         }
-        assert_eq!(ring.len(), 3, "ring retains only the newest lines");
-        let lines = ring.lines();
+        let lines = t.ring_lines();
+        assert_eq!(lines.len(), 3, "ring retains only the newest lines");
         assert!(lines[0].contains("vault=2"));
         assert!(lines[2].contains("vault=4"));
         t.detach_ring();
         t.emit(TraceRecord::new(9, TraceKind::Poison));
-        assert_eq!(ring.len(), 3);
+        assert!(t.ring_lines().is_empty());
     }
 
     #[test]

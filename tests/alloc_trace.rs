@@ -22,6 +22,10 @@
 //! and its payloads are built in place, so a warm replay allocates the
 //! same handful of times however many operations it carries.
 //!
+//! A checkpoint carries the flight recorder the same way: a packed lane
+//! is one hex string, so encoding and decoding a snapshot allocates as
+//! often at 4,096 records per lane as at 64.
+//!
 //! Past the inline payload capacity the pin is exact rather than zero:
 //! a window of RD256 / RD256 / WR256 triples allocates one block per
 //! read — the response payload the host receives and owns — and nothing
@@ -33,7 +37,8 @@
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
 use hmcsim::sim::{
-    FlightRecorder, SanitizerConfig, SimConfig, TelemetryConfig, TraceKind, TraceRecord, Tracer,
+    FlightRecorder, SanitizerConfig, SimConfig, SimSnapshot, TelemetryConfig, TraceKind,
+    TraceRecord, Tracer,
 };
 use hmcsim::workloads::tracefile::{replay, ReplayConfig, TraceOp};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig, SpinPolicy};
@@ -120,6 +125,25 @@ fn kernel_allocations(spin: SpinPolicy) -> (u64, u64) {
         requests = sim.stats(0).unwrap().cmc_ops;
     });
     (allocations, requests)
+}
+
+/// The snapshot of a cube after 1,500 cycles of reads on every link,
+/// recorded by a flight recorder keeping `per_lane` records per lane:
+/// the same machine state whatever the capacity.
+fn recorded_snapshot(per_lane: usize) -> SimSnapshot {
+    let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+    sim.set_exec_mode(ExecMode::Sequential);
+    sim.enable_flight_recorder(per_lane);
+    for i in 0..1_500u64 {
+        for link in 0..4 {
+            while sim.recv(0, link).is_some() {}
+            let addr = ((i * 4 + link as u64) % 512) * 0x40;
+            // Stalls are part of the scenario.
+            let _ = sim.send_simple(0, link, HmcRqst::Rd64, addr, vec![]);
+        }
+        sim.clock();
+    }
+    sim.snapshot()
 }
 
 /// A closed loop over every host link of a context: a fixed window of
@@ -388,6 +412,29 @@ fn traced_off_emission_is_allocation_free() {
     let (few, many) = (replay_allocations(&short), replay_allocations(&long));
     assert!(few <= 2, "a warm 1000-op replay allocated {few} times");
     assert_eq!(many, few, "8000 ops took {many} allocations, 1000 took {few}: per-op allocation");
+
+    // --- The snapshot codec, per flight record. -----------------------
+    // Each lane is one hex string of packed records, written and read
+    // through buffers sized once: a recorder holding 4,096 records per
+    // lane costs a checkpoint round trip no more blocks than one
+    // holding 64.
+    let (few, many) = (recorded_snapshot(64), recorded_snapshot(4_096));
+    assert_eq!(few.fingerprint(), many.fingerprint(), "the recorder is an observer");
+    let records = |snap: &SimSnapshot| snap.flight().unwrap().len();
+    let (few_records, many_records) = (records(&few), records(&many));
+    assert!(many_records > 12_000 && few_records <= 5 * 64, "{many_records} vs {few_records}");
+    let round_trip = |snap: &SimSnapshot| {
+        min_allocations(3, || {
+            let back = SimSnapshot::from_json(&snap.to_json_full()).unwrap();
+            assert_eq!(back.flight(), snap.flight());
+        })
+    };
+    let (few_blocks, many_blocks) = (round_trip(&few), round_trip(&many));
+    assert_eq!(
+        many_blocks, few_blocks,
+        "a checkpoint round trip took {many_blocks} allocations at 4096 records per lane, \
+         {few_blocks} at 64: per-record allocation"
+    );
 
     // --- The whole engine, differentially. ---------------------------
     // How many structured events does the pinned run emit? (Retained

@@ -1,21 +1,29 @@
 //! The snapshot codec and the state fingerprint describe the same
 //! state.
 //!
-//! * **Byte stability** — `tests/golden/snapshot_v1.json` was rendered
-//!   by the commit *before* the codec was rewritten (`BLESS=1 cargo
-//!   test --test snapshot_codec golden` regenerates it after an
-//!   intentional format change; review the diff and bump
-//!   `SNAPSHOT_SCHEMA_VERSION`). It must load and re-render byte for
-//!   byte, and the same scenario must still render to it.
+//! * **Byte stability** — `tests/golden/snapshot_v2.json` is the busy
+//!   mesh's snapshot as this schema renders it (`BLESS=1 cargo test
+//!   --test snapshot_codec golden` regenerates it after an intentional
+//!   format change; review the diff and bump `SNAPSHOT_SCHEMA_VERSION`).
+//!   It must load and re-render byte for byte, and the same scenario
+//!   must still render to it. `tests/golden/snapshot_v1.json`, rendered
+//!   before flight lanes were packed, is the legacy load: it decodes to
+//!   the same fingerprint and flight records and re-renders as v2.
 //! * **Coverage** — every persisted leaf outside the observer
 //!   subtrees (`shadow`, `flight`, `timing`) moves the fingerprint,
 //!   no observer leaf does, and a live context fingerprints like its
-//!   snapshot. Together with `snapshot_roundtrip.rs` (decode∘encode
-//!   keeps the fingerprint) this pins *fingerprint ≡ persisted state
-//!   modulo observers*.
+//!   snapshot. A packed flight lane is perturbed digit by digit: each
+//!   either decodes, fingerprint unmoved, or is a typed error. Together
+//!   with `snapshot_roundtrip.rs` (decode∘encode keeps the fingerprint)
+//!   this pins *fingerprint ≡ persisted state modulo observers*.
+//! * **Restorable timelines only** — a flight section with capacity 0,
+//!   a lane over capacity or any lane list but the five lanes in order
+//!   is rejected, from either schema.
 //! * **Parsers never panic** — seeded mutations of a snapshot, a
-//!   replay checkpoint, a checkpoint header and a forensic dump end in
-//!   `Ok` or a typed error.
+//!   replay checkpoint, a checkpoint header, a forensic dump, a fuzz
+//!   scenario, a kernel descriptor and a fuzz journal end in `Ok` or a
+//!   typed error, and every packed lane cut short or given a bad kind
+//!   or command kind is rejected.
 
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
@@ -128,44 +136,123 @@ fn count_leaves(v: &Json) -> usize {
     }
 }
 
-fn check_golden(rendered: &str, name: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&path, rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+fn golden_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+}
+
+/// A golden file's text without its trailing newline.
+fn read_golden(name: &str) -> String {
+    let path = golden_path(name);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("missing golden file {} ({e}); run with BLESS=1", path.display())
     });
-    assert!(
-        rendered == golden,
-        "{name} drifted from the checked-in snapshot bytes; if intentional, bump \
-         SNAPSHOT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test snapshot_codec golden \
-         and review the diff"
-    );
+    text.trim_end().to_string()
 }
 
 #[test]
 fn golden_snapshot_loads_and_re_renders_byte_identically() {
     let snap = busy_mesh().snapshot();
-    let mut rendered = snap.to_json_full();
-    rendered.push('\n');
-    check_golden(&rendered, "snapshot_v1.json");
+    let rendered = snap.to_json_full();
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(golden_path("snapshot_v2.json"), format!("{rendered}\n")).unwrap();
+    }
+    let golden = read_golden("snapshot_v2.json");
+    assert!(
+        rendered == golden,
+        "snapshot_v2.json drifted from the checked-in snapshot bytes; if intentional, bump \
+         SNAPSHOT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test snapshot_codec golden \
+         and review the diff"
+    );
 
-    // The file on disk — not what this build just rendered — through
+    // The files on disk — not what this build just rendered — through
     // the decoder and back.
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_v1.json");
-    let golden = std::fs::read_to_string(path).unwrap();
-    let loaded = SimSnapshot::from_json(golden.trim_end()).expect("the v1 golden loads");
-    assert!(loaded.to_json_full() == golden.trim_end(), "the v1 golden re-renders byte for byte");
+    let loaded = SimSnapshot::from_json(&golden).expect("the v2 golden loads");
+    assert!(loaded.to_json_full() == golden, "the v2 golden re-renders byte for byte");
     assert_eq!(loaded.fingerprint(), snap.fingerprint());
+    let legacy = read_golden("snapshot_v1.json");
+    let legacy = SimSnapshot::from_json(&legacy).expect("the v1 golden loads");
+    assert_eq!(legacy.fingerprint(), snap.fingerprint());
+    assert_eq!(legacy.flight(), snap.flight());
+    assert!(snap.flight().is_some_and(|f| f.len() == 20), "every lane holds records");
+    assert!(legacy.to_json_full() == golden, "the v1 golden re-renders as the v2 bytes");
 
     // The scenario is what its doc comment says it is.
-    let doc = Json::parse(golden.trim_end()).unwrap();
+    let doc = Json::parse(&golden).unwrap();
     for section in ["in_transit", "retry_pending", "host_rx", "pool_tags", "zombie_tags"] {
         assert!(count_leaves(doc.get(section).unwrap()) > 0, "`{section}` holds nothing");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Restorable timelines only
+// ---------------------------------------------------------------------------
+
+/// An edit of a flight section's fields.
+type FlightEdit = dyn Fn(&mut Vec<(String, Json)>);
+
+/// The error decoding `doc` meets once `edit` has rewritten its
+/// `flight` section's fields.
+fn flight_rejection(mut doc: Json, edit: &FlightEdit) -> String {
+    let Json::Obj(fields) = &mut doc else { panic!("a snapshot is an object") };
+    let Some((_, Json::Obj(flight))) = fields.iter_mut().find(|(k, _)| k == "flight") else {
+        panic!("the snapshot carries a flight section")
+    };
+    edit(flight);
+    match SimSnapshot::from_json_value(&doc) {
+        Ok(_) => panic!("a flight section no recorder can resume decoded"),
+        Err(e) => e.message,
+    }
+}
+
+/// `edit` applied to the busy mesh's snapshot, as this build writes it
+/// and as the v1 golden has it: both must fail with `want`.
+fn check_flight_rejected(want: &str, edit: &FlightEdit) {
+    let current = busy_mesh().snapshot().to_json_value();
+    let legacy = Json::parse(&read_golden("snapshot_v1.json")).unwrap();
+    for (schema, doc) in [("v2", current), ("v1", legacy)] {
+        assert_eq!(flight_rejection(doc, edit), want, "schema {schema}");
+    }
+}
+
+fn set_field(fields: &mut [(String, Json)], key: &str, value: Json) {
+    fields.iter_mut().find(|(k, _)| k == key).expect("the field exists").1 = value;
+}
+
+fn lanes(fields: &mut [(String, Json)]) -> &mut Vec<Json> {
+    match &mut fields.iter_mut().find(|(k, _)| k == "lanes").expect("lanes").1 {
+        Json::Arr(lanes) => lanes,
+        _ => panic!("lanes are an array"),
+    }
+}
+
+#[test]
+fn a_flight_section_of_capacity_zero_is_rejected() {
+    check_flight_rejected("flight: capacity must be nonzero", &|f| {
+        set_field(f, "capacity", Json::Int(0))
+    });
+}
+
+#[test]
+fn a_flight_lane_holding_more_records_than_the_capacity_is_rejected() {
+    // Every lane of the busy mesh holds its capacity of 4.
+    check_flight_rejected("flight: lane `host` holds 4 records but capacity is 3", &|f| {
+        set_field(f, "capacity", Json::Int(3))
+    });
+}
+
+#[test]
+fn a_flight_section_without_the_five_lanes_in_order_is_rejected() {
+    const WANT: &str = "flight: lanes must be host, link, vault, bank, engine, in order";
+    check_flight_rejected(WANT, &|f| lanes(f).swap(1, 2));
+    check_flight_rejected(WANT, &|f| drop(lanes(f).pop()));
+    check_flight_rejected(WANT, &|f| {
+        let lanes = lanes(f);
+        lanes.push(lanes[4].clone());
+    });
+    check_flight_rejected(WANT, &|f| {
+        let Json::Obj(lane) = &mut lanes(f)[0] else { panic!("a lane is an object") };
+        set_field(lane, "name", Json::Str("hosts".into()));
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -232,6 +319,40 @@ fn candidates(leaf: &Json) -> Vec<Json> {
 
 const OBSERVERS: [&str; 3] = ["shadow", "flight", "timing"];
 
+/// Hex digits of one packed flight record.
+const RECORD_DIGITS: usize = 76;
+
+/// Sets each digit of the first record of the packed flight lane at
+/// `path` to `f` (`0` where it is `f` already), one at a time: the
+/// result either decodes, leaving the fingerprint at `base` (the
+/// recorder is an observer), or is a typed error — a kind or command
+/// kind no record has. Returns how many decoded; both outcomes must
+/// occur in a lane that holds a record.
+fn perturb_packed_lane(doc: &mut Json, path: &[usize], base: u64) -> usize {
+    let original = node_at(doc, path).0.clone();
+    let hex = original.as_str().expect("a packed lane is a string").to_string();
+    let (mut decoded, mut rejected) = (0, 0);
+    for at in 0..hex.len().min(RECORD_DIGITS) {
+        let digit = if hex.as_bytes()[at] == b'f' { "0" } else { "f" };
+        let mut perturbed = hex.clone();
+        perturbed.replace_range(at..at + 1, digit);
+        *node_at(doc, path).0 = Json::Str(perturbed);
+        match SimSnapshot::from_json_value(doc) {
+            Ok(snap) => {
+                assert_eq!(snap.fingerprint(), base, "digit {at} of packed lane {path:?}");
+                decoded += 1;
+            }
+            Err(e) => {
+                assert!(e.message.starts_with("flight record: "), "{}", e.message);
+                rejected += 1;
+            }
+        }
+    }
+    *node_at(doc, path).0 = original;
+    assert!(hex.is_empty() || (decoded > 0 && rejected > 0), "lane {path:?}: {decoded}/{rejected}");
+    decoded
+}
+
 /// Perturbs every leaf of `snap`'s JSON form, one at a time: a leaf
 /// outside the observer subtrees must move the fingerprint, a leaf
 /// inside one must not. Returns the accepted perturbations per
@@ -245,7 +366,17 @@ fn check_every_leaf(snap: &SimSnapshot) -> std::collections::BTreeMap<String, us
     for path in leaves {
         let (leaf, keys) = node_at(&mut doc, &path);
         let original = leaf.clone();
-        let observer = keys.iter().find(|k| OBSERVERS.contains(&k.as_str())).cloned();
+        if keys.last().is_some_and(|k| k == "records") {
+            let decoded = perturb_packed_lane(&mut doc, &path, base);
+            *accepted.entry("flight".to_string()).or_insert(0) += decoded;
+            continue;
+        }
+        // The schema version names a layout, not state: version 1 still
+        // reads a document without recorded lanes, to the same state.
+        let observer = keys
+            .iter()
+            .find(|k| OBSERVERS.contains(&k.as_str()) || *k == "schema_version")
+            .cloned();
         let decoded = candidates(&original).into_iter().find_map(|candidate| {
             *node_at(&mut doc, &path).0 = candidate;
             SimSnapshot::from_json_value(&doc).ok()
@@ -409,13 +540,52 @@ fn mutate_text(text: &str, rng: &mut Rng) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// Every packed flight lane of `doc` that holds a record, broken four
+/// ways, each rendered back to text beside the error it must meet: one
+/// digit short (odd length), one byte short (a partial record), the
+/// last record's kind byte set to a retired code (20), its command
+/// kind set to one no record has (5).
+fn packed_lane_mutants(doc: &Json) -> Vec<(String, &'static str)> {
+    let mut tree = doc.clone();
+    let mut leaves = Vec::new();
+    paths(doc, false, &mut Vec::new(), &mut leaves);
+    let mut out = Vec::new();
+    for path in leaves {
+        let (leaf, keys) = node_at(&mut tree, &path);
+        let hex = match leaf {
+            Json::Str(hex) if keys.last().is_some_and(|k| k == "records") && !hex.is_empty() => {
+                hex.clone()
+            }
+            _ => continue,
+        };
+        let last = hex.len() - RECORD_DIGITS;
+        for (mutant, error) in [
+            (hex[1..].to_string(), "not a whole number of records"),
+            (hex[2..].to_string(), "not a whole number of records"),
+            (format!("{}14{}", &hex[..last + 16], &hex[last + 18..]), "unknown kind code"),
+            (format!("{}05{}", &hex[..last + 38], &hex[last + 40..]), "unknown cmd kind 5"),
+        ] {
+            *node_at(&mut tree, &path).0 = Json::Str(mutant);
+            out.push((tree.render(), error));
+        }
+        *node_at(&mut tree, &path).0 = Json::Str(hex);
+    }
+    out
+}
+
 /// Feeds `parse` seeded mutations of `text`: half textual, half
 /// structural (rendered back to text, so a duplicated key reaches the
 /// parser as one). `parse` returning at all is the property — an `Err`
 /// is a typed error by construction, a panic fails the test. At least
 /// one mutant of each kind must have been rejected, or the loop proved
-/// nothing.
-fn never_panics(name: &str, text: &str, rounds: usize, parse: impl Fn(&str) -> Result<(), String>) {
+/// nothing. Then every [`packed_lane_mutants`] case must be rejected
+/// with its error; returns how many there were.
+fn never_panics(
+    name: &str,
+    text: &str,
+    rounds: usize,
+    parse: impl Fn(&str) -> Result<(), String>,
+) -> usize {
     parse(text).unwrap_or_else(|e| panic!("{name}: the unmutated text is rejected: {e}"));
     let doc = Json::parse(text).unwrap();
     let mut nodes = Vec::new();
@@ -433,6 +603,14 @@ fn never_panics(name: &str, text: &str, rounds: usize, parse: impl Fn(&str) -> R
         rejected[round % 2] += parse(&mutant).is_err() as usize;
     }
     assert!(rejected[0] > 0 && rejected[1] > 0, "{name}: no mutant was rejected ({rejected:?})");
+    let packed = packed_lane_mutants(&doc);
+    for (mutant, want) in &packed {
+        match parse(mutant) {
+            Ok(()) => panic!("{name}: a broken packed lane decoded (want `{want}`)"),
+            Err(e) => assert!(e.contains(want), "{name}: `{e}` is not `{want}`"),
+        }
+    }
+    packed.len()
 }
 
 #[test]
@@ -441,20 +619,23 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
         replay_resumable, synthetic_trace, ReplayCheckpoint, ReplayConfig,
     };
 
-    // A snapshot with every section populated.
+    // A snapshot with every section populated: five recorded lanes.
     let snapshot = busy_mesh().snapshot().to_json_full();
-    never_panics("snapshot", &snapshot, 300, |text| {
+    let packed = never_panics("snapshot", &snapshot, 300, |text| {
         SimSnapshot::from_json(text).map(drop).map_err(|e| e.to_string())
     });
+    assert_eq!(packed, 5 * 4, "every lane of the busy mesh was broken four ways");
 
-    // A replay checkpoint (cursor state around a snapshot).
+    // A replay checkpoint (cursor state around a recorded snapshot).
     let mut sim = HmcSim::new(small_cube()).unwrap();
+    sim.enable_flight_recorder(8);
     let config = ReplayConfig { checkpoint_every: 16, ..Default::default() };
     let (_, ckpt) = replay_resumable(&mut sim, &synthetic_trace(4, 16, 64), &config, None).unwrap();
     let ckpt = ckpt.expect("the replay took a checkpoint").to_json();
-    never_panics("replay checkpoint", &ckpt, 300, |text| {
+    let packed = never_panics("replay checkpoint", &ckpt, 300, |text| {
         ReplayCheckpoint::from_json(text).map(drop).map_err(|e| e.to_string())
     });
+    assert!(packed > 0, "the replay checkpoint carries recorded lanes");
 
     // A forensic dump, read the way a replay reads it from disk.
     let mut sim = HmcSim::new(small_cube()).unwrap();
@@ -464,11 +645,12 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
     sim.debug_force_return_tokens(0, 0, 200);
     sim.clock();
     let dump = sim.take_forensic_dump().expect("the over-return cut a dump").to_json();
-    never_panics("forensic dump", &dump, 300, |text| {
+    let packed = never_panics("forensic dump", &dump, 300, |text| {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let member = doc.get("snapshot").ok_or("no snapshot member")?;
         SimSnapshot::from_json_value(member).map(drop).map_err(|e| e.to_string())
     });
+    assert!(packed > 0, "the forensic dump carries recorded lanes");
 
     // A checkpoint file's header line, through the store that reads it:
     // a mutant is either quarantined or (a harmless flip) still valid.
@@ -488,4 +670,39 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
         }
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mutated_scenarios_kernels_and_journals_are_rejected_with_typed_errors_never_a_panic() {
+    use hmc_fuzz::{RunJournal, Scenario};
+    use hmcsim::workloads::KernelDescriptor;
+
+    // Every seed scenario of the corpus (one per kernel and fabric),
+    // whole and as its kernel descriptor alone.
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut files: Vec<_> = std::fs::read_dir(&corpus)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("seed-"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 6, "the corpus holds its seed scenarios");
+    for path in files {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(&path).unwrap();
+        never_panics(&name, text.trim_end(), 100, |text| {
+            Scenario::from_json_str(text).map(drop).map_err(|e| e.to_string())
+        });
+        let kernel = Scenario::from_json_str(&text).unwrap().kernel.to_json().render();
+        never_panics(&format!("{name} kernel"), &kernel, 100, |text| {
+            let doc = Json::parse(text).map_err(|e| e.to_string())?;
+            KernelDescriptor::from_json(&doc).map(drop).map_err(|e| e.to_string())
+        });
+    }
+
+    let journal =
+        RunJournal { seed: 42, next_index: 17, executed: 17, failures: 2, canary_found: true };
+    never_panics("fuzz journal", &journal.to_json(), 300, |text| {
+        RunJournal::from_json(text).map(drop).map_err(|e| e.to_string())
+    });
 }

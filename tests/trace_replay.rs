@@ -1,13 +1,18 @@
 //! The trace-file format and the replay checkpoint, from outside.
 //!
-//! * **Byte stability** — `tests/golden/replay_ckpt_v1.json` is a short
-//!   sanitized, recorded replay's `ReplayCheckpoint::to_json()` as the
-//!   commit *before* the codec's byte and integer kernels rendered it
-//!   (`BLESS=1 cargo test --test trace_replay golden` regenerates it
-//!   after an intentional format change; review the diff and bump
-//!   `REPLAY_CKPT_SCHEMA_VERSION`). It must load and re-render byte for
-//!   byte, the same replay must still render to it, and resuming from
-//!   the file must reach the state of the uninterrupted run.
+//! * **Byte stability** — `tests/golden/replay_ckpt_v2.json` is a short
+//!   sanitized, recorded replay's `ReplayCheckpoint::to_json()` as this
+//!   build renders it (`BLESS=1 cargo test --test trace_replay golden`
+//!   regenerates it after an intentional format change; review the
+//!   diff and bump `REPLAY_CKPT_SCHEMA_VERSION`, or
+//!   `SNAPSHOT_SCHEMA_VERSION` when the embedded snapshot moved — the
+//!   file name's `v2` is the snapshot schema, whose packed flight lanes
+//!   left the checkpoint's own layout at version 1). It must load and
+//!   re-render byte for byte, the same replay must still render to it,
+//!   and resuming from the file must reach the state of the
+//!   uninterrupted run. `tests/golden/replay_ckpt_v1.json`, rendered
+//!   before flight lanes were packed, must load to the same state and
+//!   flight records, re-render as the v2 bytes and resume alike.
 //! * **The parser never panics** — seeded mutations of a generated
 //!   trace end in `Ok` or a typed error, and whatever parses survives a
 //!   render → parse round trip.
@@ -63,32 +68,46 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
     let (result, ckpt) = replay_resumable(&mut full, &ops, &CONFIG, None).unwrap();
     let ckpt = ckpt.expect("the replay took a checkpoint");
     assert!(!ckpt.inflight.is_empty() && ckpt.cursor < ops.len(), "cut mid-flight");
-    let rendered = ckpt.to_json() + "\n";
+    let rendered = ckpt.to_json();
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/replay_ckpt_v1.json");
+    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let path = |name: &str| golden_dir.join(name);
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&path, &rendered).unwrap();
+        std::fs::write(path("replay_ckpt_v2.json"), format!("{rendered}\n")).unwrap();
     }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {} ({e}); run with BLESS=1", path.display())
-    });
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(path(name)).unwrap_or_else(|e| {
+            panic!("missing golden file {name} ({e}); run with BLESS=1")
+        });
+        text.trim_end().to_string()
+    };
+    let golden = read("replay_ckpt_v2.json");
     assert!(
         rendered == golden,
-        "replay_ckpt_v1.json drifted from the checked-in bytes; if intentional, bump \
-         REPLAY_CKPT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test trace_replay golden \
-         and review the diff"
+        "replay_ckpt_v2.json drifted from the checked-in bytes; if intentional, bump the schema \
+         version that moved, regenerate with BLESS=1 cargo test --test trace_replay golden and \
+         review the diff"
     );
 
-    // The file on disk through the decoder and back, then onwards.
-    let loaded = ReplayCheckpoint::from_json(golden.trim_end()).expect("the v1 golden loads");
-    assert!(loaded.to_json() == golden.trim_end(), "the v1 golden re-renders byte for byte");
-    assert_eq!(loaded.snapshot.fingerprint(), ckpt.snapshot.fingerprint());
-    let mut resumed = small_observed_cube();
-    let (resumed_result, _) = replay_resumable(&mut resumed, &ops, &CONFIG, Some(loaded)).unwrap();
-    assert_eq!(resumed_result, result);
-    assert_eq!(resumed.state_fingerprint(), full.state_fingerprint());
-    assert_eq!(resumed.sanitizer_report().unwrap().total_violations, 0);
+    // The files on disk through the decoder and back, then onwards.
+    let files = [
+        ("replay_ckpt_v2.json", "re-renders byte for byte"),
+        ("replay_ckpt_v1.json", "re-renders as the v2 bytes"),
+    ];
+    for (name, want) in files {
+        let loaded = ReplayCheckpoint::from_json(&read(name)).expect("the golden loads");
+        assert!(loaded.to_json() == golden, "{name} {want}");
+        assert_eq!(loaded.snapshot.fingerprint(), ckpt.snapshot.fingerprint(), "{name}");
+        assert_eq!(loaded.snapshot.flight(), ckpt.snapshot.flight(), "{name}");
+        let mut resumed = small_observed_cube();
+        let (resumed_result, _) =
+            replay_resumable(&mut resumed, &ops, &CONFIG, Some(loaded)).unwrap();
+        assert_eq!(resumed_result, result, "{name}");
+        assert_eq!(resumed.state_fingerprint(), full.state_fingerprint(), "{name}");
+        assert_eq!(resumed.sanitizer_report().unwrap().total_violations, 0, "{name}");
+    }
+    let recorded = ckpt.snapshot.flight().is_some_and(|f| !f.is_empty());
+    assert!(recorded, "the checkpoint carries records");
 }
 
 /// xorshift64*: the seeded stream the mutation loop draws from.
