@@ -5,16 +5,16 @@
 //! ```text
 //! cargo run --release -p hmc-bench --bin trace -- export
 //! cargo run --release -p hmc-bench --bin trace -- export --workload mutex --threads 16
-//! cargo run --release -p hmc-bench --bin trace -- export --exec par4 --skip on \
-//!     --capacity 4096 --out trace.json
+//! cargo run --release -p hmc-bench --bin trace -- export --skip on --capacity 4096 \
+//!     --out trace.json
 //! cargo run --release -p hmc-bench --bin trace -- export --packets-only
 //! ```
 //!
 //! The export is deterministic: the same workload and configuration
-//! render byte-identical JSON for every worker-thread count.
+//! render byte-identical JSON.
 
 use hmc_sim::perfetto::{self, PerfettoOptions};
-use hmc_sim::{DeviceConfig, ExecMode, HmcSim, SimConfig, SkipMode};
+use hmc_sim::{DeviceConfig, HmcSim, SimConfig, SkipMode};
 use hmc_workloads::kernels::gups::{GupsConfig, GupsKernel};
 use hmc_workloads::kernels::triad::{TriadConfig, TriadKernel};
 use hmc_workloads::{MutexKernel, MutexKernelConfig, SpinPolicy};
@@ -22,26 +22,23 @@ use hmc_workloads::{MutexKernel, MutexKernelConfig, SpinPolicy};
 fn usage() -> ! {
     eprintln!(
         "usage: trace export [--workload mutex|gups|triad] [--threads N] \
-         [--exec seq|parN] [--skip on|off] [--capacity N] [--packets-only] [--out PATH]"
+         [--skip on|off] [--capacity N] [--packets-only] [--out PATH]"
     );
     std::process::exit(2);
 }
 
 fn main() {
     let args = hmc_bench::Args::from_env();
+    if args.has("--exec") {
+        eprintln!("error: --exec was removed: there is one engine, and every run uses it");
+        std::process::exit(2);
+    }
     if args.first() != Some("export") {
         usage();
     }
     let workload = args.get("--workload").unwrap_or("mutex");
     let threads: usize = args.num("--threads", 16);
     let capacity: usize = args.num("--capacity", 4096);
-    let exec = match args.get("--exec") {
-        None | Some("seq") => ExecMode::Sequential,
-        Some(s) => match s.strip_prefix("par").and_then(|n| n.parse().ok()) {
-            Some(n) => ExecMode::Parallel { threads: n },
-            None => usage(),
-        },
-    };
     let skip = match args.get("--skip") {
         None | Some("off") => SkipMode::Off,
         Some("on") => SkipMode::On,
@@ -52,7 +49,6 @@ fn main() {
 
     hmc_cmc::ops::register_builtin_libraries();
     let mut cfg = SimConfig::single(DeviceConfig::gen2_4link_4gb());
-    cfg.exec_mode = exec;
     cfg.skip_mode = skip;
     let mut sim = HmcSim::with_config(cfg).expect("valid config");
     sim.enable_flight_recorder(capacity);

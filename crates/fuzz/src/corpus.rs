@@ -101,7 +101,7 @@ pub fn pretty_render(scenario: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmc_sim::{DeviceConfig, ExecMode, SkipMode};
+    use hmc_sim::{DeviceConfig, SkipMode};
     use hmc_workloads::KernelDescriptor;
 
     fn sample() -> Scenario {
@@ -109,7 +109,6 @@ mod tests {
             seed: 5,
             device: DeviceConfig::gen2_4link_4gb(),
             kernel: KernelDescriptor::Counter { threads: 2, increments: 3, cache_rmw: false },
-            exec: ExecMode::Parallel { threads: 2 },
             skip: SkipMode::Off,
             sanitizer: false,
             telemetry: false,

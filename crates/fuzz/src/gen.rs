@@ -9,7 +9,7 @@
 
 use crate::scenario::{FabricTopology, Scenario};
 use hmc_sim::{
-    Arbitration, DeviceConfig, ExecMode, FaultPlan, FaultRng, LinkErrorMode, RefreshConfig,
+    Arbitration, DeviceConfig, FaultPlan, FaultRng, LinkErrorMode, RefreshConfig,
     RowPolicy, SkipMode, TimingSelect,
 };
 use hmc_workloads::{KernelDescriptor, MutexMechanism};
@@ -43,19 +43,14 @@ impl ScenarioGenerator {
         let mut rng = FaultRng::new(scenario_seed);
         let kernel = sample_kernel(&mut rng);
         let device = sample_device(&mut rng, &kernel);
-        let exec = match rng.below(5) {
-            0 => ExecMode::Sequential,
-            1 => ExecMode::Parallel { threads: 2 },
-            2 => ExecMode::Parallel { threads: 3 },
-            3 => ExecMode::Parallel { threads: 4 },
-            _ => ExecMode::Parallel { threads: 8 },
-        };
+        // The deleted exec axis's draw, kept so every later axis of
+        // every seeded scenario is what it was.
+        let _ = rng.below(5);
         let skip = if rng.below(2) == 0 { SkipMode::Off } else { SkipMode::On };
         let mut scenario = Scenario {
             seed: scenario_seed,
             device,
             kernel,
-            exec,
             skip,
             sanitizer: rng.below(2) == 0,
             telemetry: rng.below(4) == 0,
@@ -221,6 +216,31 @@ mod tests {
         assert_ne!(take(7, 40), take(8, 40), "different seeds, different streams");
     }
 
+    /// Scenario `index` of `seed`, rendered, digested with FNV-1a.
+    fn digest(seed: u64, index: u64) -> u64 {
+        let mut g = ScenarioGenerator::new(seed);
+        let scenario = (0..=index).map(|_| g.next_scenario()).last().unwrap();
+        scenario.to_json().render().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Dropping the exec axis moved no other axis: these digests were
+    /// taken of the schema-1 generator's scenarios with `exec_threads`
+    /// removed and `schema_version` set to 2.
+    #[test]
+    fn every_other_axis_is_what_the_schema_1_generator_drew() {
+        for (seed, index, want) in [
+            (0x0, 0, 0xd7b9_36ef_8540_c310),
+            (0x1, 3, 0xbf0a_8d46_5858_653f),
+            (0x7, 11, 0xe033_7746_456f_8b02),
+            (0xc0_ffee, 40, 0x74e1_c3db_1b06_e846),
+            (0xc0_ffee, 1, 0xf823_24a5_7279_72d2),
+        ] {
+            assert_eq!(digest(seed, index), want, "seed {seed:#x} scenario {index}");
+        }
+    }
+
     #[test]
     fn scenarios_are_valid_and_diverse() {
         let mut g = ScenarioGenerator::new(1);
@@ -232,7 +252,6 @@ mod tests {
             scenarios.iter().map(|s| s.kernel.name()).collect();
         assert!(kernels.len() >= 5, "kernel diversity: {kernels:?}");
         assert!(scenarios.iter().any(|s| s.skip == SkipMode::On));
-        assert!(scenarios.iter().any(|s| matches!(s.exec, ExecMode::Parallel { .. })));
         assert!(scenarios.iter().any(|s| !s.device.fault.link_schedule.is_empty()));
         assert!(scenarios.iter().any(|s| s.sanitizer));
         assert!(scenarios.iter().any(|s| s.trace));

@@ -5,17 +5,18 @@
 //!
 //! The simulator carries a strong contract — for any workload, any
 //! device configuration and any fault plan, every engine
-//! configuration (parallel tick engine, event-horizon skipping,
-//! sanitizer, telemetry) must be **bit-identical** to the sequential
-//! reference. The proptest harnesses in `tests/` check that contract
+//! configuration (event-horizon skipping, sanitizer, telemetry, flight
+//! recorder) must be **bit-identical** to the plain reference run. The
+//! proptest harnesses in `tests/` check that contract
 //! over narrow, hand-shaped workloads; this crate explores the full
 //! cross-product continuously:
 //!
 //! * [`gen`] — a seeded **scenario generator** samples (kernel ×
-//!   device config × fault plan × exec mode × skip mode × sanitizer ×
-//!   telemetry) tuples; the stream is a pure function of the seed.
+//!   device config × fault plan × skip mode × sanitizer × telemetry ×
+//!   tracing × timing backend × fabric) tuples; the stream is a pure
+//!   function of the seed.
 //! * [`runner`] — a **differential runner** executes each scenario
-//!   twice (sequential reference vs the sampled variant engine) behind
+//!   twice (plain reference vs the sampled variant engine) behind
 //!   `catch_unwind` with a wall-clock budget, and classifies the
 //!   outcome: digest mismatch (per axis), panic, sanitizer violation,
 //!   watchdog stall, timeout.

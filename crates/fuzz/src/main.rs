@@ -194,10 +194,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
         let outcome = run_scenario(&scenario, &config);
         executed += 1;
         println!(
-            "[{index:>6}] {:<22} kernel={:<8} exec={:?} skip={:?} weight={}",
+            "[{index:>6}] {:<22} kernel={:<8} skip={:?} weight={}",
             outcome.class(),
             scenario.kernel.name(),
-            scenario.exec,
             scenario.skip,
             scenario.weight()
         );
@@ -327,13 +326,13 @@ fn seed_scenarios() -> Vec<Scenario> {
         }
     }
     // Plus one standing anchor for the tracing axis: the first
-    // scenario that attaches the flight recorder to a parallel
-    // variant, pinning the recorder's zero-perturbation contract in
-    // corpus replay.
+    // scenario that attaches the flight recorder to its variant,
+    // pinning the recorder's zero-perturbation contract in corpus
+    // replay.
     let mut generator = ScenarioGenerator::new(0xC0FFEE);
     while generator.position() < 500 {
         let scenario = generator.next_scenario();
-        if scenario.trace && matches!(scenario.exec, hmc_sim::ExecMode::Parallel { .. }) {
+        if scenario.trace {
             picked.push(scenario);
             break;
         }

@@ -3,11 +3,10 @@
 //!
 //! Every scenario runs twice:
 //!
-//! * **reference** — sequential engine, idle-cycle skipping off, no
-//!   observers: the configuration every other engine mode is contracted
-//!   to be bit-identical to;
-//! * **variant** — the scenario's sampled engine axes (parallel
-//!   threads, skip mode, sanitizer, telemetry).
+//! * **reference** — idle-cycle skipping off, no observers: the
+//!   configuration every variant is contracted to be bit-identical to;
+//! * **variant** — the scenario's sampled engine axes (skip mode,
+//!   sanitizer, telemetry, flight recorder).
 //!
 //! Each side runs behind `catch_unwind` on a watchdog thread with a
 //! wall-clock budget, so a panicking or runaway engine is classified
@@ -19,7 +18,7 @@
 
 use crate::scenario::Scenario;
 use hmc_sim::sanitizer::ViolationKind;
-use hmc_sim::{ExecMode, HmcSim, OracleDigest, SanitizerConfig, SkipMode, TelemetryConfig};
+use hmc_sim::{HmcSim, OracleDigest, SanitizerConfig, SkipMode, TelemetryConfig};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
@@ -139,7 +138,6 @@ const FLIGHT_CAPACITY: usize = 2048;
 /// Runs one side to completion on a watchdog thread.
 fn observe(
     scenario: &Scenario,
-    exec: ExecMode,
     skip: SkipMode,
     sanitizer: bool,
     telemetry: bool,
@@ -157,7 +155,6 @@ fn observe(
             // axes, never as a setup asymmetry.
             let mut sim = HmcSim::with_config(scenario.sim_config())
                 .map_err(|e| format!("device setup failed: {e}"))?;
-            sim.set_exec_mode(exec);
             sim.set_skip_mode(skip);
             // The timing backend is behaviour, not an engine variant:
             // reference and variant both run under the scenario's
@@ -213,7 +210,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub fn run_scenario(scenario: &Scenario, config: &RunnerConfig) -> Outcome {
     let reference = observe(
         scenario,
-        ExecMode::Sequential,
         SkipMode::Off,
         false,
         false,
@@ -233,7 +229,6 @@ pub fn run_scenario(scenario: &Scenario, config: &RunnerConfig) -> Outcome {
             // validity — that is a finding.
             return match observe(
                 scenario,
-                scenario.exec,
                 scenario.skip,
                 scenario.sanitizer,
                 scenario.telemetry,
@@ -256,7 +251,6 @@ pub fn run_scenario(scenario: &Scenario, config: &RunnerConfig) -> Outcome {
     };
     let mut variant = match observe(
         scenario,
-        scenario.exec,
         scenario.skip,
         scenario.sanitizer,
         scenario.telemetry,
@@ -312,7 +306,6 @@ pub fn capture_trace_events(scenario: &Scenario, timeout: Duration) -> Option<St
     thread::spawn(move || {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut sim = HmcSim::with_config(scenario.sim_config()).ok()?;
-            sim.set_exec_mode(scenario.exec);
             sim.set_skip_mode(scenario.skip);
             sim.set_timing_model(scenario.timing);
             if scenario.sanitizer {
@@ -348,7 +341,6 @@ mod tests {
             seed: 1,
             device: DeviceConfig::gen2_4link_4gb(),
             kernel: KernelDescriptor::RawOps { ops: 24, seed: 5, gap: 2, drain: 64 },
-            exec: ExecMode::Parallel { threads: 2 },
             skip,
             sanitizer: true,
             telemetry: false,

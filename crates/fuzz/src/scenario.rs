@@ -2,12 +2,10 @@
 
 use hmc_sim::jsonv::obj;
 use hmc_sim::scenario::{
-    device_config_from_json, device_config_to_json, exec_mode_from_json, exec_mode_to_json,
-    skip_mode_from_json, skip_mode_to_json, timing_select_from_json, timing_select_to_json,
+    device_config_from_json, device_config_to_json, skip_mode_from_json, skip_mode_to_json,
+    timing_select_from_json, timing_select_to_json,
 };
-use hmc_sim::{
-    DeviceConfig, ExecMode, Json, JsonError, ObjReader, SimConfig, SkipMode, TimingSelect,
-};
+use hmc_sim::{DeviceConfig, Json, JsonError, ObjReader, SimConfig, SkipMode, TimingSelect};
 use hmc_workloads::KernelDescriptor;
 
 /// The multi-cube fabric a scenario instantiates. Kernels inject all
@@ -105,11 +103,15 @@ impl FabricTopology {
 
 /// Version tag written into every scenario file. Bump when the format
 /// changes shape; the loader rejects any other value loudly.
-pub const SCHEMA_VERSION: u64 = 1;
+///
+/// Version 1 also carried `exec_threads`, the lane count of the
+/// device-sharded engine since deleted. Version-1 files still load:
+/// the key is required and checked there, then discarded.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One point in the fuzzed cross-product: a workload kernel, a device
 /// configuration (fault plan included), and the variant engine
-/// configuration to compare against the sequential reference.
+/// configuration to compare against the reference run.
 ///
 /// A scenario is **self-contained**: serialized to JSON it carries
 /// everything needed to replay the experiment on a machine that has
@@ -123,8 +125,6 @@ pub struct Scenario {
     pub device: DeviceConfig,
     /// The workload.
     pub kernel: KernelDescriptor,
-    /// Variant execution engine (the reference is always sequential).
-    pub exec: ExecMode,
     /// Variant idle-cycle skipping (the reference always runs with
     /// skipping off).
     pub skip: SkipMode,
@@ -138,7 +138,7 @@ pub struct Scenario {
     pub trace: bool,
     /// Bank-timing backend. Unlike the engine axes, this one affects
     /// behaviour, so it is applied to the reference AND the variant:
-    /// the differential contract is that exec/skip/observer axes stay
+    /// the differential contract is that the skip and observer axes stay
     /// bit-identical *under every backend*.
     pub timing: TimingSelect,
     /// Multi-cube fabric. Like `timing` this is behaviour, not an
@@ -193,10 +193,6 @@ impl Scenario {
             KernelDescriptor::Mutex { threads, .. } => threads as u64 * 8,
             KernelDescriptor::Barrier { threads, rounds } => threads as u64 * rounds as u64,
         };
-        let exec = match self.exec {
-            ExecMode::Sequential => 0,
-            ExecMode::Parallel { threads } => threads as u64,
-        };
         let fault = &self.device.fault;
         let fault_weight = (fault.poison_per_million as u64 / 1_000)
             + (fault.vault_error_per_million as u64 / 1_000)
@@ -209,7 +205,7 @@ impl Scenario {
         // A single cube weighs nothing (the historic shape); every
         // extra cube counts, so shrinking pulls toward Single.
         let fabric = self.fabric.cube_count() as u64 - 1;
-        kernel + exec + fault_weight + self.sanitizer as u64 + self.telemetry as u64
+        kernel + fault_weight + self.sanitizer as u64 + self.telemetry as u64
             + self.trace as u64 + timing + fabric
     }
 
@@ -221,7 +217,6 @@ impl Scenario {
             ("seed", Json::Int(self.seed as i128)),
             ("device", device_config_to_json(&self.device)),
             ("kernel", self.kernel.to_json()),
-            ("exec_threads", exec_mode_to_json(self.exec)),
             ("skip", skip_mode_to_json(self.skip)),
             ("sanitizer", Json::Bool(self.sanitizer)),
             ("telemetry", Json::Bool(self.telemetry)),
@@ -236,19 +231,29 @@ impl Scenario {
     pub fn from_json(value: &Json) -> Result<Self, JsonError> {
         let mut r = ObjReader::new("scenario", value)?;
         let version = r.u64("schema_version")?;
-        if version != SCHEMA_VERSION {
+        if version != 1 && version != SCHEMA_VERSION {
             return Err(JsonError {
                 message: format!(
                     "scenario: unsupported schema_version {version} (this build reads \
-                     version {SCHEMA_VERSION})"
+                     versions 1 and {SCHEMA_VERSION})"
                 ),
             });
         }
+        let seed = r.u64("seed")?;
+        let device = device_config_from_json(r.required("device")?)?;
+        let kernel = KernelDescriptor::from_json(r.required("kernel")?)?;
+        if version == 1 {
+            // The deleted engine's lane count: checked as it always
+            // was, then dropped.
+            let threads = r.required("exec_threads")?;
+            if threads.int::<usize>("exec_mode: the lane count (integer >= 1)")? == 0 {
+                return Err(JsonError::new("exec_mode: lane count must be >= 1"));
+            }
+        }
         let scenario = Scenario {
-            seed: r.u64("seed")?,
-            device: device_config_from_json(r.required("device")?)?,
-            kernel: KernelDescriptor::from_json(r.required("kernel")?)?,
-            exec: exec_mode_from_json(r.required("exec_threads")?)?,
+            seed,
+            device,
+            kernel,
             skip: skip_mode_from_json(r.required("skip")?)?,
             sanitizer: r.bool("sanitizer")?,
             telemetry: r.bool("telemetry")?,
@@ -298,7 +303,6 @@ mod tests {
             seed: 42,
             device: DeviceConfig::gen2_4link_4gb(),
             kernel: KernelDescriptor::Barrier { threads: 4, rounds: 2 },
-            exec: ExecMode::Parallel { threads: 4 },
             skip: SkipMode::On,
             sanitizer: true,
             telemetry: false,
@@ -323,7 +327,43 @@ mod tests {
         }
         let e = Scenario::from_json_str(&s.render()).unwrap_err();
         assert!(e.message.contains("schema_version 99"), "{}", e.message);
-        assert!(e.message.contains("version 1"), "{}", e.message);
+        assert!(e.message.contains("versions 1 and 2"), "{}", e.message);
+    }
+
+    /// `sample()` as a version-1 document, `exec_threads` after `kernel`.
+    fn v1(exec_threads: Json) -> Json {
+        let mut s = sample().to_json();
+        if let Json::Obj(fields) = &mut s {
+            fields[0].1 = Json::Int(1);
+            let at = fields.iter().position(|(k, _)| k == "kernel").unwrap() + 1;
+            fields.insert(at, ("exec_threads".into(), exec_threads));
+        }
+        s
+    }
+
+    #[test]
+    fn version_1_loads_and_its_exec_threads_is_checked_then_dropped() {
+        assert_eq!(Scenario::from_json_str(&v1(Json::Int(4)).render()).unwrap(), sample());
+        let e = Scenario::from_json_str(&v1(Json::Int(0)).render()).unwrap_err();
+        assert!(e.message.contains("lane count must be >= 1"), "{}", e.message);
+        let e = Scenario::from_json_str(&v1(Json::Str("4".into())).render()).unwrap_err();
+        assert!(e.message.contains("the lane count (integer >= 1)"), "{}", e.message);
+        let mut missing = v1(Json::Int(1));
+        if let Json::Obj(fields) = &mut missing {
+            fields.retain(|(k, _)| k != "exec_threads");
+        }
+        let e = Scenario::from_json_str(&missing.render()).unwrap_err();
+        assert!(e.message.contains("exec_threads"), "{}", e.message);
+    }
+
+    #[test]
+    fn version_2_rejects_exec_threads_as_an_unknown_field() {
+        let mut s = v1(Json::Int(2));
+        if let Json::Obj(fields) = &mut s {
+            fields[0].1 = Json::Int(SCHEMA_VERSION as i128);
+        }
+        let e = Scenario::from_json_str(&s.render()).unwrap_err();
+        assert!(e.message.contains("exec_threads"), "{}", e.message);
     }
 
     #[test]

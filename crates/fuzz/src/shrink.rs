@@ -13,7 +13,7 @@
 
 use crate::runner::{run_scenario, Outcome, RunnerConfig};
 use crate::scenario::{FabricTopology, Scenario};
-use hmc_sim::{ExecMode, FaultPlan, LinkErrorMode, SkipMode, TimingSelect};
+use hmc_sim::{FaultPlan, LinkErrorMode, SkipMode, TimingSelect};
 use hmc_workloads::KernelDescriptor;
 
 /// Result of a shrink session.
@@ -200,17 +200,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         c.device.refresh = None;
         push(c);
     }
-    // Engine axes.
-    if let ExecMode::Parallel { threads } = s.exec {
-        let mut c = s.clone();
-        c.exec = ExecMode::Sequential;
-        push(c);
-        if threads > 2 {
-            let mut c = s.clone();
-            c.exec = ExecMode::Parallel { threads: 2 };
-            push(c);
-        }
-    }
+    // Engine axis.
     if s.skip == SkipMode::On {
         let mut c = s.clone();
         c.skip = SkipMode::Off;
@@ -276,7 +266,6 @@ mod tests {
                 d
             },
             kernel: KernelDescriptor::RawOps { ops: 64, seed: 9, gap: 8, drain: 256 },
-            exec: ExecMode::Parallel { threads: 8 },
             skip: SkipMode::On,
             sanitizer: true,
             telemetry: true,
@@ -307,7 +296,6 @@ mod tests {
                 d
             },
             kernel: KernelDescriptor::RawOps { ops: 96, seed: 17, gap: 12, drain: 300 },
-            exec: ExecMode::Parallel { threads: 8 },
             skip: SkipMode::On,
             sanitizer: true,
             telemetry: true,

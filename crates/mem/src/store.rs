@@ -6,8 +6,7 @@
 //!
 //! Every access method takes `&self` — the vault data path, CMC
 //! operations and the host backdoor all hold a shared reference — so
-//! the page table sits in a [`RefCell`]: the store is `Send` (a device
-//! and its memory move between stage-3 lanes whole) but not `Sync`, and
+//! the page table sits in a [`RefCell`]: the store is not `Sync`, and
 //! no access takes a lock. No borrow outlives the call that takes it
 //! except inside [`SparseMemory::for_each_page`], whose visitor may
 //! read the store but must not write to it.
@@ -646,22 +645,6 @@ mod tests {
         assert_eq!(a.content_digest(), b.content_digest());
         b.write_u64(0, 99).unwrap();
         assert_ne!(a.content_digest(), b.content_digest());
-    }
-
-    #[test]
-    fn a_store_moves_between_threads_with_its_pages() {
-        // What the device-sharded engine does with a cube: written on
-        // one thread, handed to another by value, handed back.
-        let mem = SparseMemory::new(1 << 24);
-        mem.write_u64(0x1000, 7).unwrap();
-        let mem = std::thread::spawn(move || {
-            mem.write_u64(0x2000, mem.read_u64(0x1000).unwrap() + 1).unwrap();
-            mem
-        })
-        .join()
-        .unwrap();
-        assert_eq!(mem.read_u64(0x2000).unwrap(), 8);
-        assert_eq!(mem.resident_pages(), 2);
     }
 
     #[test]

@@ -255,55 +255,25 @@ impl Default for DeviceConfig {
     }
 }
 
-/// Where stage 3 (vault execution) of each cycle runs.
+/// An execution mode, recorded and never read by the engine.
 ///
-/// `Sequential` is the reference semantics; `Parallel` hands
-/// contiguous ranges of whole devices to worker threads, each running
-/// the same `Device::execute_vaults` the sequential loop runs, and
-/// takes them back in device order — bit-identical to `Sequential`
-/// for every cycle (the differential determinism suite pins this).
-/// See DESIGN.md §13.
+/// Every cycle runs the one sequential stage 3 (a loop over the
+/// devices), whatever this says. The type, [`SimConfig::exec_mode`] and
+/// [`crate::HmcSim::exec_mode`] stay only because the `perf/` harness
+/// still configures and reports `Parallel { threads: 2 }` for its
+/// `sim.parallel.t2_speedup` metric; ROADMAP item 4 removes all three
+/// together with that metric. See DESIGN.md §13 for why the sharded
+/// engine was deleted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Advance every component in fixed order on the calling thread
-    /// (the reference semantics; the default).
+    /// The only engine (the default).
     #[default]
     Sequential,
-    /// Shard stage 3 by device across `min(threads, devices)` lanes
-    /// (the calling thread plus that many minus one workers). With one
-    /// lane — `threads == 1` or a single cube — or with a tracer that
-    /// captures anything, the cycle runs the sequential loop inline.
+    /// Recorded as given; runs exactly like `Sequential`.
     Parallel {
-        /// Total execution lanes (1..=64).
+        /// The lane count asked for (not validated, never used).
         threads: usize,
     },
-}
-
-impl ExecMode {
-    /// Upper bound on `threads`. A context holds at most 16 devices,
-    /// so lanes beyond that are never spawned.
-    pub const MAX_THREADS: usize = 64;
-
-    /// Number of execution lanes (1 for sequential mode).
-    pub fn threads(self) -> usize {
-        match self {
-            ExecMode::Sequential => 1,
-            ExecMode::Parallel { threads } => threads,
-        }
-    }
-
-    /// Validates the lane count.
-    pub fn validate(self) -> Result<(), HmcError> {
-        match self {
-            ExecMode::Parallel { threads } if threads == 0 || threads > Self::MAX_THREADS => {
-                Err(HmcError::MalformedPacket(format!(
-                    "exec_mode threads must be 1..={}, got {threads}",
-                    Self::MAX_THREADS
-                )))
-            }
-            _ => Ok(()),
-        }
-    }
 }
 
 /// Whether the clock may compress provably-idle cycle runs.
@@ -417,7 +387,8 @@ pub struct SimConfig {
     /// guaranteed zero-perturbation, and even enabled telemetry only
     /// observes).
     pub telemetry: crate::telemetry::TelemetryConfig,
-    /// Tick execution mode ([`ExecMode::Sequential`] by default).
+    /// Recorded execution mode ([`ExecMode::Sequential`] by default);
+    /// never read by the engine, see [`ExecMode`].
     pub exec_mode: ExecMode,
     /// Idle-cycle compression ([`SkipMode::Off`] by default; the
     /// `HMCSIM_SKIP` environment variable can upgrade the default, see
@@ -486,7 +457,6 @@ impl SimConfig {
         for d in &self.devices {
             d.validate()?;
         }
-        self.exec_mode.validate()?;
         Ok(())
     }
 }
@@ -594,18 +564,6 @@ mod tests {
             TimingSelect::RowBuffer.resolve_env().unwrap(),
             TimingSelect::RowBuffer
         );
-    }
-
-    #[test]
-    fn exec_mode_bounds_and_threads() {
-        assert_eq!(ExecMode::Sequential.threads(), 1);
-        assert_eq!(ExecMode::Parallel { threads: 4 }.threads(), 4);
-        assert!(ExecMode::Parallel { threads: 0 }.validate().is_err());
-        assert!(ExecMode::Parallel { threads: 65 }.validate().is_err());
-        assert!(ExecMode::Parallel { threads: 1 }.validate().is_ok());
-        let mut c = SimConfig::single(DeviceConfig::default());
-        c.exec_mode = ExecMode::Parallel { threads: 0 };
-        assert!(c.validate().is_err());
     }
 
     #[test]

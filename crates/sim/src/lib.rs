@@ -40,7 +40,6 @@ pub mod fault;
 pub mod hist;
 pub mod jsonv;
 pub mod link;
-pub(crate) mod parallel;
 pub mod perfetto;
 pub mod power;
 pub mod queue;

@@ -7,10 +7,8 @@
 //!
 //! * **process (`pid`)** — the device id;
 //! * **track (`tid`)** — the logical [`FlightLane`] (host, link,
-//!   vault, bank, engine). Tracks are *cycle-domain* lanes, never OS
-//!   worker threads: a recording tracer keeps every stage on the
-//!   calling thread, so the export is byte-identical for every
-//!   thread count;
+//!   vault, bank, engine). Tracks are *cycle-domain* lanes, not OS
+//!   threads: the whole cycle runs on the calling thread;
 //! * **slice (`ph:"X"`)** — one record, `ts` = cycle, `dur` = 1
 //!   (idle-skip spans stretch over their compressed extent);
 //! * **flows (`ph:"s"/"t"/"f"`)** — packet lifecycles: a host send
@@ -28,11 +26,11 @@ use crate::trace::{FlightLane, FlightSnapshot, TraceKind, TraceRecord};
 /// Options controlling what [`export`] renders.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfettoOptions {
-    /// Include engine-internal spans (idle skips, sanitizer audits,
-    /// checkpoints). Packet
-    /// lifecycle events are always included. Disable to compare
-    /// packet timelines across engine configurations (skip on/off)
-    /// whose internal spans legitimately differ.
+    /// Include the [`FlightLane::Engine`] track: idle skips, sanitizer
+    /// audits and checkpoints ([`crate::TraceLevel::ENGINE`]). Packet
+    /// lifecycle events are always included. Disable to compare packet
+    /// timelines of runs whose engine spans legitimately differ: skip
+    /// on vs off, or with and without a sanitizer or checkpoints.
     pub engine: bool,
 }
 

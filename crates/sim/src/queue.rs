@@ -154,19 +154,9 @@ impl<T> FreeList<T> {
     }
 
     /// Retired envelopes waiting for reuse.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.free.len()
-    }
-
-    /// Moves up to `n` retired envelopes to `other`.
-    pub(crate) fn lend(&mut self, other: &mut FreeList<T>, n: usize) {
-        let keep = self.free.len().saturating_sub(n);
-        other.free.extend(self.free.drain(keep..));
-    }
-
-    /// Takes every retired envelope of `other`.
-    pub(crate) fn absorb(&mut self, other: &mut FreeList<T>) {
-        self.free.append(&mut other.free);
     }
 }
 

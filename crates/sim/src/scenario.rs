@@ -15,7 +15,7 @@
 //!   configurations must produce equal digests; each digest field is
 //!   hashed separately so a mismatch names the axis that diverged.
 
-use crate::config::{Arbitration, DeviceConfig, ExecMode, SkipMode, SpecRevision};
+use crate::config::{Arbitration, DeviceConfig, SkipMode, SpecRevision};
 use crate::dram::{BankTiming, RefreshConfig, RowPolicy};
 use crate::fault::{FaultPlan, LinkErrorMode, LinkEvent};
 use crate::jsonv::{name_of, obj, Json, JsonError, ObjReader};
@@ -75,21 +75,6 @@ impl HmcSim {
 // ---------------------------------------------------------------------------
 // Engine-mode serialization
 // ---------------------------------------------------------------------------
-
-/// Renders an [`ExecMode`] as its scenario-file form (lane count).
-pub fn exec_mode_to_json(mode: ExecMode) -> Json {
-    mode.threads().into()
-}
-
-/// Parses an [`ExecMode`] from its scenario-file form: `1` is
-/// sequential, `n > 1` is `Parallel {{ threads: n }}`.
-pub fn exec_mode_from_json(v: &Json) -> Result<ExecMode, JsonError> {
-    match v.int::<usize>("exec_mode: the lane count (integer >= 1)")? {
-        0 => Err(JsonError::new("exec_mode: lane count must be >= 1")),
-        1 => Ok(ExecMode::Sequential),
-        n => Ok(ExecMode::Parallel { threads: n }),
-    }
-}
 
 /// Renders a [`SkipMode`] as a bool.
 pub fn skip_mode_to_json(mode: SkipMode) -> Json {
@@ -348,14 +333,10 @@ mod tests {
     }
 
     #[test]
-    fn exec_and_skip_modes_round_trip() {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 8 }] {
-            assert_eq!(exec_mode_from_json(&exec_mode_to_json(mode)).unwrap(), mode);
-        }
+    fn skip_modes_round_trip() {
         for mode in [SkipMode::Off, SkipMode::On] {
             assert_eq!(skip_mode_from_json(&skip_mode_to_json(mode)).unwrap(), mode);
         }
-        assert!(exec_mode_from_json(&Json::Int(0)).is_err());
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::device::{
 use crate::events::{EventHeap, EventKey};
 use crate::fault::LinkErrorMode;
 use crate::link::{LinkConfig, LinkControl, LinkStats, SendGrant};
-use crate::parallel::{execute_vaults, WorkerPool};
 use crate::power::PowerReport;
 use crate::regs::{REG_GRLL, REG_LRLL};
 use crate::stats::DeviceStats;
@@ -114,13 +113,6 @@ pub struct HmcSim {
     /// can never match a zombie response.
     pub(crate) zombie_tags: Vec<HashSet<(usize, u16)>>,
     pub(crate) tracer: Tracer,
-    /// Where stage 3 (vault execution) runs: on this thread, or
-    /// sharded by device across worker lanes.
-    pub(crate) exec_mode: ExecMode,
-    /// Lazily created worker lanes for [`ExecMode::Parallel`]. Not
-    /// part of simulation state: snapshots ignore it and
-    /// [`HmcSim::set_exec_mode`] rebuilds it.
-    pub(crate) pool: Option<WorkerPool>,
     /// Attached sanitizer (`None` = zero overhead beyond this check).
     pub(crate) sanitizer: Option<Box<crate::sanitizer::Sanitizer>>,
     /// Attached telemetry (`None` = off, the default: zero overhead
@@ -202,7 +194,6 @@ impl HmcSim {
             })
             .collect();
         let zombie_tags = config.devices.iter().map(|_| HashSet::new()).collect();
-        let exec_mode = config.exec_mode;
         let skip_mode = config.skip_mode.resolve_env()?;
         let n = devices.len();
         let transit_queues = (0..topology.edge_count()).map(|_| EventHeap::new()).collect();
@@ -219,8 +210,6 @@ impl HmcSim {
             retry_pending: EventHeap::new(),
             zombie_tags,
             tracer: Tracer::disabled(),
-            exec_mode,
-            pool: None,
             sanitizer: None,
             telemetry: None,
             skip_mode,
@@ -306,18 +295,12 @@ impl HmcSim {
         self.tracer.set_level(level);
     }
 
-    /// The execution mode.
+    /// The [`ExecMode`] this context was configured with. It is
+    /// recorded and never read by the engine: every cycle runs the one
+    /// sequential stage 3. ROADMAP item 4 removes it together with the
+    /// `sim.parallel.t2_speedup` metric.
     pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Switches the stage-3 execution mode. Takes effect on the next
-    /// `clock()`; an existing worker pool is torn down (and rebuilt
-    /// lazily at the new width). Both modes produce bit-identical
-    /// simulation state, so switching mid-run is safe.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-        self.pool = None;
+        self.config.exec_mode
     }
 
     /// The effective skip mode (after environment resolution).
@@ -888,7 +871,7 @@ impl HmcSim {
         // Inter-device transits whose hop latency elapsed, committed
         // edge by edge in the topology's fixed edge order (then
         // (ready, insertion) order within an edge) — a total delivery
-        // order that no execution mode or thread count can perturb.
+        // order fixed by the wiring alone.
         let mut deferred = std::mem::take(&mut self.scratch.deferred_transits);
         for e in 0..self.transit_queues.len() {
             while let Some((key, t)) = self.transit_queues[e].pop_ready(cycle) {
@@ -997,22 +980,19 @@ impl HmcSim {
         }
         self.scratch.egress = drained;
 
-        // Stage 3: vault execution. The execution mode only decides
-        // where `execute_vaults` runs: with more than one lane the
-        // devices are sharded across threads (see `crate::parallel`),
-        // unless the tracer captures something — its emission order is
-        // global, so the cycle then runs here.
-        let lanes = self.exec_mode.threads().min(self.devices.len());
-        let absorbed = if lanes > 1 && !self.tracer.captures(TraceLevel::ALL) {
-            self.pool.get_or_insert_with(|| WorkerPool::new(lanes)).execute_vaults(
-                &mut self.devices,
-                cycle,
-                &mut self.tracer,
-                &mut self.envelopes,
-            )
-        } else {
-            execute_vaults(&mut self.devices, cycle, &mut self.tracer, &mut self.envelopes)
-        };
+        // Stage 3: vault execution, device by device. It is preceded by
+        // one read-only pass over every ready vault head of every device
+        // (`Device::warm_vault_heads`): a request's bank record and
+        // memory line are rarely in the host cache, and asked for
+        // together the misses overlap instead of being taken one per
+        // request.
+        for dev in &self.devices {
+            dev.warm_vault_heads(cycle);
+        }
+        let mut absorbed = 0;
+        for dev in &mut self.devices {
+            absorbed += dev.execute_vaults(cycle, &mut self.tracer, &mut self.envelopes);
+        }
         if absorbed > 0 {
             if let Some(san) = self.sanitizer.as_deref_mut() {
                 san.note_absorbed(absorbed);
@@ -1843,77 +1823,6 @@ mod tests {
         assert_eq!(stats.class_latency.read.count(), 4, "Rd16 round trips are class read");
     }
 
-    /// Envelopes alive anywhere in the context: retired on a free
-    /// list (the context's or a lane's) or carrying a packet.
-    fn envelope_population(sim: &HmcSim) -> usize {
-        sim.envelopes.rqst.len()
-            + sim.envelopes.rsp.len()
-            + sim.pool.as_ref().map_or(0, |p| p.retired_envelopes())
-            + sim.devices.iter().map(|d| d.pending_work()).sum::<usize>()
-            + sim.transit_queues.iter().map(|q| q.len()).sum::<usize>()
-            + sim.retry_pending.len()
-            + sim.host_rx.iter().flatten().map(|q| q.len()).sum::<usize>()
-    }
-
-    #[test]
-    fn sharded_envelope_population_stops_growing() {
-        // Requests are enveloped on this thread and retired on a lane,
-        // responses the other way round: unless each lane is lent a
-        // share of the free lists and gives everything back, one side
-        // allocates every cycle while the other piles up.
-        let mut config = SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 2, 2);
-        config.exec_mode = ExecMode::Parallel { threads: 2 };
-        let mut sim = HmcSim::with_config(config).unwrap();
-        let run = |sim: &mut HmcSim, cycles: u64| {
-            for i in 0..cycles {
-                for d in 0..4usize {
-                    // Half the traffic crosses to the next cube.
-                    let target = Cub::new(((d + (i as usize & 1)) % 4) as u8).unwrap();
-                    let (cmd, payload) = match i % 3 {
-                        0 => (HmcRqst::Rd16, vec![]),
-                        1 => (HmcRqst::Xor16, vec![i, 0]),
-                        _ => (HmcRqst::PWr16, vec![i, !i]),
-                    };
-                    let addr = (i * 4 + d as u64) % 4096 * 16;
-                    let _ = sim.send_to_cube(d, (i % 4) as usize, target, cmd, addr, payload);
-                    for link in 0..4 {
-                        while sim.recv(d, link).is_some() {}
-                    }
-                }
-                sim.clock();
-            }
-        };
-        run(&mut sim, 2_000);
-        let warm = envelope_population(&sim);
-        assert_eq!(sim.pool.as_ref().map(|p| p.retired_envelopes()), Some(0), "sharded, all given back");
-        assert!(sim.stats(0).unwrap().forwarded > 0, "remote traffic flowed");
-        run(&mut sim, 2_000);
-        assert_eq!(envelope_population(&sim), warm, "steady state creates no envelope");
-    }
-
-    #[test]
-    fn lanes_are_spawned_only_when_devices_can_be_sharded() {
-        let lanes = |sim: &HmcSim| sim.pool.as_ref().map(|p| format!("{p:?}"));
-        // One cube: nothing to shard.
-        let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
-        sim.set_exec_mode(ExecMode::Parallel { threads: 8 });
-        sim.clock_n(3);
-        assert_eq!(lanes(&sim), None);
-        // Four cubes, 64 threads asked for: four lanes.
-        let mut sim =
-            HmcSim::with_config(SimConfig::ring(DeviceConfig::gen2_4link_4gb(), 4)).unwrap();
-        sim.set_exec_mode(ExecMode::Parallel { threads: 64 });
-        // A capturing tracer needs the global emission order: inline.
-        let recorder = sim.enable_flight_recorder(64);
-        sim.clock_n(3);
-        assert_eq!(lanes(&sim), None);
-        sim.disable_flight_recorder();
-        drop(recorder);
-        sim.clock_n(3);
-        assert_eq!(lanes(&sim).as_deref(), Some("WorkerPool { lanes: 4 }"));
-        assert_eq!(sim.device_count(), 4);
-    }
-
     /// A CMC operation that panics when executed.
     struct Bomb;
 
@@ -1933,14 +1842,12 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_panic_surfaces_from_clock_and_the_context_still_drops() {
-        // Cube 1 runs on a worker lane, cube 0 on the caller's; either
-        // way the panic must come out of `clock()` on this thread, and
-        // dropping the context afterwards — with devices checked out to
-        // a lane, or lost with one — must not panic again.
+    fn a_cmc_panic_surfaces_from_clock_and_the_context_still_drops() {
+        // Whichever cube the panicking operation runs on, the panic must
+        // come out of `clock()`, and dropping the context afterwards must
+        // not panic again.
         for armed in [1usize, 0] {
-            let mut config = SimConfig::chain(DeviceConfig::gen2_4link_4gb(), 2);
-            config.exec_mode = ExecMode::Parallel { threads: 2 };
+            let config = SimConfig::chain(DeviceConfig::gen2_4link_4gb(), 2);
             let mut sim = HmcSim::with_config(config).unwrap();
             sim.load_cmc(armed, Box::new(Bomb)).unwrap();
             sim.send_cmc(armed, 0, 125, 0x40, vec![]).unwrap();

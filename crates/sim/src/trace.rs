@@ -57,8 +57,10 @@ impl TraceLevel {
     /// Fault injection and recovery events (CRC errors, vault
     /// faults, poisoned responses, link state changes, failover).
     pub const FAULT: TraceLevel = TraceLevel(1 << 7);
-    /// Engine-internal spans: idle-skip horizon jumps, sanitizer
-    /// audits, checkpoint commits.
+    /// Spans of the clock's own machinery rather than of a packet:
+    /// idle-skip horizon jumps, sanitizer audits, checkpoint commits.
+    /// They land on the flight recorder's engine lane, which
+    /// [`crate::perfetto::PerfettoOptions::engine`] can leave out.
     pub const ENGINE: TraceLevel = TraceLevel(1 << 8);
     /// Everything.
     pub const ALL: TraceLevel = TraceLevel(u32::MAX);
@@ -1069,9 +1071,7 @@ impl Tracer {
     /// True when events of `class` reach *any* destination — the sink
     /// (level permitting), an attached forensic ring or an attached
     /// flight recorder (both capture every class). When it is false
-    /// for [`TraceLevel::ALL`] every [`Tracer::emit`] is a no-op, which
-    /// is what lets `ExecMode::Parallel` run devices on other threads
-    /// without the tracer.
+    /// for a class, building that class's records can be skipped.
     #[inline]
     pub fn captures(&self, class: TraceLevel) -> bool {
         self.enabled(class) || self.ring.is_some() || self.flight.is_some()

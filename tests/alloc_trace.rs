@@ -1,7 +1,7 @@
 //! Proof that tracing costs nothing when nobody is listening: a
 //! counting global allocator wraps the system allocator, and the
 //! structured emission path must not allocate at all with tracing off
-//! — no deferred `String`s, no format machinery — on either engine.
+//! — no deferred `String`s, no format machinery.
 //!
 //! The same counter pins the sequential cycle itself: once a closed
 //! send → clock → recv loop has warmed up (queue storage, envelope free
@@ -76,9 +76,8 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 /// Least allocation count over `n` runs of `f`. The counter is global,
-/// so harness threads (and, for parallel runs, `mpsc` timing) add
-/// occasional noise on top of the code under test; the minimum is the
-/// reproducible floor.
+/// so harness threads add occasional noise on top of the code under
+/// test; the minimum is the reproducible floor.
 fn min_allocations(n: usize, mut f: impl FnMut()) -> u64 {
     (0..n).map(|_| allocations_in(&mut f)).min().expect("n > 0")
 }
@@ -94,12 +93,11 @@ fn sample_records() -> [TraceRecord; 4] {
 }
 
 /// Reproducible allocation floor of the pinned mutex evaluation (16
-/// simulated threads) after setup, on the given engine, optionally
-/// with the flight recorder attached.
-fn run_allocations(mode: ExecMode, record: bool) -> u64 {
+/// simulated threads) after setup, optionally with the flight
+/// recorder attached.
+fn run_allocations(record: bool) -> u64 {
     min_allocations(3, || {
         let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
-        sim.set_exec_mode(mode);
         if record {
             sim.enable_flight_recorder(256);
         }
@@ -132,7 +130,6 @@ fn kernel_allocations(spin: SpinPolicy) -> (u64, u64) {
 /// the same machine state whatever the capacity.
 fn recorded_snapshot(per_lane: usize) -> SimSnapshot {
     let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
-    sim.set_exec_mode(ExecMode::Sequential);
     sim.enable_flight_recorder(per_lane);
     for i in 0..1_500u64 {
         for link in 0..4 {
@@ -166,7 +163,6 @@ impl WindowLoop {
         let mut sim = HmcSim::with_config(config).unwrap();
         // The pin is for the reference engine, whatever the CI
         // matrix's environment overrides say.
-        sim.set_exec_mode(ExecMode::Sequential);
         sim.set_skip_mode(SkipMode::Off);
         sim.set_timing_model(TimingSelect::FixedLatency);
         let outstanding = (0..sim.device_count())
@@ -315,18 +311,6 @@ fn traced_off_emission_is_allocation_free() {
     let count = mesh.steady_state_allocations(4_000, 1_000);
     assert_eq!(count, 0, "2x2-mesh steady state allocated {count} times in 1000 cycles");
     assert!(mesh.sim.stats(0).unwrap().forwarded > 1_000, "the mesh loop really forwards");
-    // The same mesh with stage 3 — warm pass included — split over two
-    // lanes: the only allocations are the two hand-off channels' own,
-    // one 31-message block each per 31 cycles; nothing per packet, per
-    // device or per warmed head.
-    let mut lanes = WindowLoop::new(SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 2, 2), 4);
-    lanes.sim.set_exec_mode(ExecMode::Parallel { threads: 2 });
-    let count = lanes.steady_state_allocations(4_000, 1_000);
-    assert!(
-        count <= 2 * (1_000 / 31 + 1),
-        "two-lane 2x2-mesh steady state allocated {count} times in 1000 cycles"
-    );
-    assert!(lanes.sim.stats(0).unwrap().forwarded > 1_000);
     // The saturated cube on 17-FLIT packets. A WR256 hands its vector
     // to the request envelope, which frees it when the next packet
     // overwrites it; an RD256 response is built in one block that the
@@ -400,7 +384,6 @@ fn traced_off_emission_is_allocation_free() {
             .collect()
     };
     let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
-    sim.set_exec_mode(ExecMode::Sequential);
     sim.set_skip_mode(SkipMode::Off);
     sim.set_timing_model(TimingSelect::FixedLatency);
     let (short, long) = (mixed(1_000), mixed(8_000));
@@ -442,7 +425,6 @@ fn traced_off_emission_is_allocation_free() {
     ops::register_builtin_libraries();
     let events = {
         let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
-        sim.set_exec_mode(ExecMode::Parallel { threads: 4 });
         sim.enable_flight_recorder(256);
         sim.load_cmc_library(0, ops::MUTEX_LIBRARY).unwrap();
         MutexKernel::new(MutexKernelConfig { threads: 16, ..Default::default() })
@@ -453,33 +435,14 @@ fn traced_off_emission_is_allocation_free() {
     };
     assert!(events > 50, "the pinned run emits a substantial timeline ({events} events)");
 
-    // The traced-off sequential floor is exactly reproducible (single
-    // thread, no hidden lazily-growing trace state)...
-    let seq_off = run_allocations(ExecMode::Sequential, false);
-    assert_eq!(
-        seq_off,
-        run_allocations(ExecMode::Sequential, false),
-        "sequential traced-off allocation floor is not reproducible"
-    );
-
-    // ...the parallel floor (one cube, so stage 3 runs on the calling
-    // thread) never moves by anything scaling with the event count:
-    // one string per event would move it by `events` allocations.
-    let par_off = run_allocations(ExecMode::Parallel { threads: 4 }, false);
-    let par_off_again = run_allocations(ExecMode::Parallel { threads: 4 }, false);
-    let spread = par_off.abs_diff(par_off_again);
-    assert!(
-        spread < events / 4,
-        "parallel traced-off floor moved by {spread} allocations across runs \
-         ({par_off} vs {par_off_again}); per-event allocation suspected ({events} events)"
-    );
+    // The traced-off floor is exactly reproducible (no hidden
+    // lazily-growing trace state)...
+    let off = run_allocations(false);
+    assert_eq!(off, run_allocations(false), "traced-off allocation floor is not reproducible");
 
     // ...and attaching the recorder strictly adds allocations (ring
-    // growth): if the traced-off run were
-    // secretly paying for tracing, these could not differ.
-    let par_on = run_allocations(ExecMode::Parallel { threads: 4 }, true);
-    assert!(
-        par_off < par_on,
-        "recorder-on run should allocate more than traced-off ({par_off} vs {par_on})"
-    );
+    // growth): if the traced-off run were secretly paying for tracing,
+    // these could not differ.
+    let on = run_allocations(true);
+    assert!(off < on, "recorder-on run should allocate more than traced-off ({off} vs {on})");
 }

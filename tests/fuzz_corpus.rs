@@ -11,8 +11,8 @@ use hmc_fuzz::corpus::{load_corpus_dir, load_scenario_file};
 use hmc_fuzz::runner::{run_scenario, RunnerConfig};
 use hmc_fuzz::scenario::Scenario;
 use hmc_fuzz::shrink::shrink;
-use hmc_fuzz::ScenarioGenerator;
-use hmc_sim::{DeviceConfig, ExecMode, FaultPlan, SkipMode};
+use hmc_fuzz::{ScenarioGenerator, SCHEMA_VERSION};
+use hmc_sim::{DeviceConfig, FaultPlan, SkipMode};
 use hmc_workloads::KernelDescriptor;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -88,8 +88,8 @@ fn unknown_schema_version_is_rejected_with_path_and_version() {
     assert!(err.message.contains("future.json"), "no file path in: {}", err.message);
     assert!(err.message.contains("schema_version 99"), "no version in: {}", err.message);
     assert!(
-        err.message.contains("version 1"),
-        "message should state the supported version: {}",
+        err.message.contains("versions 1 and 2"),
+        "message should state the supported versions: {}",
         err.message
     );
     std::fs::remove_dir_all(&dir).unwrap();
@@ -109,6 +109,34 @@ fn unknown_field_is_rejected_with_path() {
     assert!(err.message.contains("extra.json"), "no file path in: {}", err.message);
     assert!(err.message.contains("surprise"), "no field name in: {}", err.message);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The checked-in files are schema 1, kept byte for byte as the
+/// legacy-load coverage: each loads, re-renders as the current schema
+/// without `exec_threads`, and reloads to the same scenario. The same
+/// bytes relabelled as the current schema are refused: there
+/// `exec_threads` is an unknown field.
+#[test]
+fn version_1_corpus_files_re_render_as_the_current_schema() {
+    let corpus = load_corpus_dir(&corpus_dir()).unwrap();
+    for (path, scenario) in &corpus {
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(text.contains("\"schema_version\":1,"), "{}", path.display());
+        assert!(text.contains("\"exec_threads\":"), "{}", path.display());
+        let rendered = scenario.to_json().render();
+        let current = format!("\"schema_version\":{SCHEMA_VERSION},");
+        assert!(rendered.starts_with(&format!("{{{current}")), "{rendered}");
+        assert!(!rendered.contains("exec_threads"), "{rendered}");
+        assert_eq!(&Scenario::from_json_str(&rendered).unwrap(), scenario, "{}", path.display());
+        let relabelled = text.replace("\"schema_version\":1,", &current);
+        let err = Scenario::from_json_str(&relabelled).unwrap_err();
+        assert!(
+            err.message.contains("unknown field(s): exec_threads"),
+            "{}: {}",
+            path.display(),
+            err.message
+        );
+    }
 }
 
 #[test]
@@ -161,7 +189,6 @@ fn canary_divergence_is_found_and_shrunk() {
             d
         },
         kernel: KernelDescriptor::RawOps { ops: 80, seed: 13, gap: 6, drain: 256 },
-        exec: ExecMode::Parallel { threads: 4 },
         skip: SkipMode::On,
         sanitizer: false,
         telemetry: true,

@@ -1,6 +1,6 @@
 //! Perfetto export integration tests: a golden-file pin of the
-//! trace-event JSON, the byte-identity contract across engine
-//! configurations, and the forensic-dump embedding of the flight
+//! trace-event JSON, the byte-identity contract across skip modes,
+//! and the forensic-dump embedding of the flight
 //! recorder timeline.
 //!
 //! The golden file lives in `tests/golden/`; regenerate it after an
@@ -14,11 +14,10 @@ use hmcsim::sim::{FlightSnapshot, SimConfig, TraceBuffer, Tracer};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig};
 
 /// The pinned mutex evaluation (16 threads) with the flight recorder
-/// attached, under the given engine configuration.
-fn traced_run(mode: ExecMode, skip: SkipMode) -> FlightSnapshot {
+/// attached, under the given skip mode.
+fn traced_run(skip: SkipMode) -> FlightSnapshot {
     ops::register_builtin_libraries();
     let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
-    sim.set_exec_mode(mode);
     sim.set_skip_mode(skip);
     sim.enable_flight_recorder(4096);
     sim.load_cmc_library(0, ops::MUTEX_LIBRARY).unwrap();
@@ -51,13 +50,13 @@ fn check_golden(rendered: &str, name: &str) {
 
 #[test]
 fn golden_perfetto_export() {
-    let snap = traced_run(ExecMode::Sequential, SkipMode::Off);
+    let snap = traced_run(SkipMode::Off);
     check_golden(&perfetto::export(&snap, &PerfettoOptions::default()), "perfetto.json");
 }
 
 #[test]
 fn export_has_all_event_phases_and_no_drops() {
-    let snap = traced_run(ExecMode::Parallel { threads: 4 }, SkipMode::On);
+    let snap = traced_run(SkipMode::On);
     assert!(!snap.is_empty(), "timeline retained");
     assert_eq!(snap.lanes.iter().map(|l| l.dropped).sum::<u64>(), 0, "capacity ample");
     let doc = perfetto::export(&snap, &PerfettoOptions::default());
@@ -67,56 +66,28 @@ fn export_has_all_event_phases_and_no_drops() {
     assert!(doc.contains("\"displayTimeUnit\""), "Chrome trace envelope present");
 }
 
-/// The flight recorder observes the cycle domain, not the worker
-/// threads: the full export (engine spans included) must be
-/// byte-identical at every lane count, for both skip modes.
-#[test]
-fn export_is_byte_identical_across_thread_counts() {
-    for skip in [SkipMode::Off, SkipMode::On] {
-        let reference =
-            perfetto::export(&traced_run(ExecMode::Parallel { threads: 1 }, skip), &PerfettoOptions::default());
-        assert!(reference.contains("\"ph\""), "non-empty export");
-        for threads in [2usize, 8] {
-            let other = perfetto::export(
-                &traced_run(ExecMode::Parallel { threads }, skip),
-                &PerfettoOptions::default(),
-            );
-            assert_eq!(reference, other, "export diverged at {threads} threads ({skip:?})");
-        }
-    }
-}
-
 /// Engine spans legitimately differ with the skip mode (the skipping
 /// engine jumps). The packet timeline does not: with engine spans
-/// filtered out, the export is byte-identical across every engine
-/// combination.
+/// filtered out, the export is byte-identical with skipping off and
+/// on.
 #[test]
 fn packet_timeline_is_invariant_across_engines() {
     let packets_only = PerfettoOptions { engine: false };
-    let reference = perfetto::export(
-        &traced_run(ExecMode::Sequential, SkipMode::Off),
-        &packets_only,
-    );
+    let reference = perfetto::export(&traced_run(SkipMode::Off), &packets_only);
     assert!(reference.contains("\"ph\":\"X\""), "non-empty packet timeline");
-    for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 8 }] {
-        for skip in [SkipMode::Off, SkipMode::On] {
-            let other = perfetto::export(&traced_run(mode, skip), &packets_only);
-            assert_eq!(reference, other, "packet timeline diverged: {mode:?} {skip:?}");
-        }
-    }
+    let skipped = perfetto::export(&traced_run(SkipMode::On), &packets_only);
+    assert_eq!(reference, skipped, "packet timeline diverged under skipping");
 }
 
-/// A multi-cube context under `Parallel` with a capturing tracer runs
-/// stage 3 on the calling thread, so the observation stream — the text
-/// trace and the full Perfetto export, engine spans included — is the
-/// sequential engine's, byte for byte.
+/// A traced multi-cube run observes the same packets whether idle
+/// cycles are executed or skipped: the text trace without its ENGINE
+/// lines, and the packets-only Perfetto export, are byte-identical.
 #[test]
 fn traced_fabric_run_is_byte_identical_across_engines() {
-    let run = |mode: ExecMode| {
+    let run = |skip: SkipMode| {
         let mut sim =
             HmcSim::with_config(SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 2, 2)).unwrap();
-        sim.set_exec_mode(mode);
-        sim.set_skip_mode(SkipMode::On);
+        sim.set_skip_mode(skip);
         let text = TraceBuffer::new();
         sim.set_tracer(Tracer::to_buffer(TraceLevel::ALL, text.clone()));
         sim.enable_flight_recorder(8192);
@@ -142,16 +113,20 @@ fn traced_fabric_run_is_byte_identical_across_engines() {
         sim.clock_n(300);
         let snap = sim.flight_snapshot().expect("recorder attached");
         assert_eq!(snap.lanes.iter().map(|l| l.dropped).sum::<u64>(), 0, "capacity ample");
-        (text.lines(), perfetto::export(&snap, &PerfettoOptions::default()))
+        (text.lines(), perfetto::export(&snap, &PerfettoOptions { engine: false }))
     };
-    let (text, export) = run(ExecMode::Sequential);
+    let packets = |lines: Vec<String>| -> Vec<String> {
+        lines.into_iter().filter(|l| !l.contains(": ENGINE :")).collect()
+    };
+    let (text, export) = run(SkipMode::Off);
+    let (skipped_text, skipped_export) = run(SkipMode::On);
     assert!(text.iter().any(|l| l.contains(": HOP :")), "traffic crossed cubes");
-    assert!(text.iter().any(|l| l.contains(": ENGINE : idle skip")), "engine spans traced");
-    for threads in [2usize, 3] {
-        let (par_text, par_export) = run(ExecMode::Parallel { threads });
-        assert_eq!(text, par_text, "text trace diverged at {threads} threads");
-        assert_eq!(export, par_export, "export diverged at {threads} threads");
-    }
+    assert!(
+        skipped_text.iter().any(|l| l.contains(": ENGINE : idle skip")),
+        "engine spans traced"
+    );
+    assert_eq!(packets(text), packets(skipped_text), "text trace diverged under skipping");
+    assert_eq!(export, skipped_export, "export diverged under skipping");
 }
 
 #[test]

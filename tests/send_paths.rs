@@ -154,7 +154,6 @@ fn context() -> HmcSim {
         FaultPlan::seeded(3).with_link_event(30, 3, false).with_link_event(60, 3, true);
     config.sanitizer = SanitizerConfig::panicking();
     let mut sim = HmcSim::with_config(config).unwrap();
-    sim.set_exec_mode(ExecMode::Sequential);
     sim.configure_tag_pool(0, 2, 3).unwrap();
     for dev in 0..2 {
         sim.load_cmc_library(dev, ops::MUTEX_LIBRARY).unwrap();

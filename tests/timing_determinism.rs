@@ -2,12 +2,11 @@
 //!
 //! Every timing backend must uphold the engine determinism contracts
 //! that `tests/no_perturbation.rs` pins for the default model: for a
-//! fixed backend selection, the sequential reference, every parallel
-//! thread count, and idle-cycle skipping all produce bit-identical
-//! cycle counts, device-state fingerprints and stats. The backends are
-//! allowed to differ *from each other* (that is the point of swappable
-//! timing); they are never allowed to differ from themselves across
-//! engine configurations.
+//! fixed backend selection, full execution and idle-cycle skipping
+//! produce bit-identical cycle counts, device-state fingerprints and
+//! stats. The backends are allowed to differ *from each other* (that
+//! is the point of swappable timing); they are never allowed to differ
+//! from themselves across engine configurations.
 //!
 //! Backend selection is always made with an explicit
 //! `set_timing_model` call, so this suite keeps its meaning even when
@@ -22,15 +21,6 @@ use hmcsim::workloads::{MutexKernel, MutexKernelConfig};
 
 const BACKENDS: [TimingSelect; 3] =
     [TimingSelect::FixedLatency, TimingSelect::RowBuffer, TimingSelect::Validated];
-
-const EXECS: [ExecMode; 4] = [
-    ExecMode::Sequential,
-    ExecMode::Parallel { threads: 1 },
-    ExecMode::Parallel { threads: 2 },
-    ExecMode::Parallel { threads: 8 },
-];
-
-const SKIPS: [SkipMode; 2] = [SkipMode::Off, SkipMode::On];
 
 /// A configuration where every backend has something to do: live
 /// row-buffer knobs and a staggered refresh plan. (Fault injection is
@@ -52,14 +42,8 @@ fn row_heavy_config() -> DeviceConfig {
 type Observation = (u64, u64, u64, hmcsim::sim::DeviceStats);
 
 /// Pure data path: saturating traffic plus the event-horizon clamp.
-fn triad_obs(
-    config: &DeviceConfig,
-    timing: TimingSelect,
-    exec: ExecMode,
-    skip: SkipMode,
-) -> Observation {
+fn triad_obs(config: &DeviceConfig, timing: TimingSelect, skip: SkipMode) -> Observation {
     let mut sim = HmcSim::new(config.clone()).unwrap();
-    sim.set_exec_mode(exec);
     sim.set_skip_mode(skip);
     sim.set_timing_model(timing);
     let out = TriadKernel::new(TriadConfig { elements: 512, ..Default::default() })
@@ -69,15 +53,9 @@ fn triad_obs(
 }
 
 /// CMC traffic: sparse, contended, through the CMC registry.
-fn mutex_obs(
-    config: &DeviceConfig,
-    timing: TimingSelect,
-    exec: ExecMode,
-    skip: SkipMode,
-) -> Observation {
+fn mutex_obs(config: &DeviceConfig, timing: TimingSelect, skip: SkipMode) -> Observation {
     ops::register_builtin_libraries();
     let mut sim = HmcSim::new(config.clone()).unwrap();
-    sim.set_exec_mode(exec);
     sim.set_skip_mode(skip);
     sim.set_timing_model(timing);
     sim.load_cmc_library(0, ops::MUTEX_LIBRARY).unwrap();
@@ -88,31 +66,24 @@ fn mutex_obs(
     (m.max_cycle(), sim.cycle(), sim.state_fingerprint(), sim.stats(0).unwrap().clone())
 }
 
-/// The full differential matrix: backend × exec × skip, on both the
-/// default device and the row-heavy faulted one. Every cell must match
-/// its backend's sequential/no-skip reference bit for bit — cycles,
-/// fingerprint, and the whole stats block (latency histogram
-/// included).
+/// The full differential matrix: backend × skip, on both the default
+/// device and the row-heavy one. Every cell must match its backend's
+/// no-skip reference bit for bit — cycles, fingerprint, and the whole
+/// stats block (latency histogram included).
 #[test]
 fn every_backend_is_bit_identical_across_the_engine_matrix() {
     for config in [DeviceConfig::gen2_4link_4gb(), row_heavy_config()] {
         for timing in BACKENDS {
-            let triad_ref = triad_obs(&config, timing, ExecMode::Sequential, SkipMode::Off);
-            let mutex_ref = mutex_obs(&config, timing, ExecMode::Sequential, SkipMode::Off);
-            for exec in EXECS {
-                for skip in SKIPS {
-                    assert_eq!(
-                        triad_obs(&config, timing, exec, skip),
-                        triad_ref,
-                        "triad diverged: {timing:?} {exec:?} {skip:?}"
-                    );
-                    assert_eq!(
-                        mutex_obs(&config, timing, exec, skip),
-                        mutex_ref,
-                        "mutex diverged: {timing:?} {exec:?} {skip:?}"
-                    );
-                }
-            }
+            assert_eq!(
+                triad_obs(&config, timing, SkipMode::On),
+                triad_obs(&config, timing, SkipMode::Off),
+                "triad diverged: {timing:?}"
+            );
+            assert_eq!(
+                mutex_obs(&config, timing, SkipMode::On),
+                mutex_obs(&config, timing, SkipMode::Off),
+                "mutex diverged: {timing:?}"
+            );
         }
     }
 }
@@ -146,9 +117,9 @@ fn fixed_latency_reproduces_the_pre_refactor_pins() {
 #[test]
 fn backends_agree_exactly_on_the_default_config() {
     let config = DeviceConfig::gen2_4link_4gb();
-    let reference = triad_obs(&config, TimingSelect::FixedLatency, ExecMode::Sequential, SkipMode::Off);
+    let reference = triad_obs(&config, TimingSelect::FixedLatency, SkipMode::Off);
     for timing in [TimingSelect::RowBuffer, TimingSelect::Validated] {
-        let got = triad_obs(&config, timing, ExecMode::Sequential, SkipMode::Off);
+        let got = triad_obs(&config, timing, SkipMode::Off);
         assert_eq!(
             (got.0, got.1, got.2),
             (reference.0, reference.1, reference.2),
@@ -162,8 +133,8 @@ fn backends_agree_exactly_on_the_default_config() {
 #[test]
 fn row_buffer_departs_from_fixed_when_row_knobs_are_live() {
     let config = row_heavy_config();
-    let fixed = triad_obs(&config, TimingSelect::FixedLatency, ExecMode::Sequential, SkipMode::Off);
-    let row = triad_obs(&config, TimingSelect::RowBuffer, ExecMode::Sequential, SkipMode::Off);
+    let fixed = triad_obs(&config, TimingSelect::FixedLatency, SkipMode::Off);
+    let row = triad_obs(&config, TimingSelect::RowBuffer, SkipMode::Off);
     assert_ne!(
         (fixed.0, fixed.2),
         (row.0, row.2),

@@ -34,7 +34,6 @@ fn small_observed_cube() -> HmcSim {
     d.bank_latency = 2;
     d.link_config = LinkConfig { tokens: Some(96), error_period: None, retry_latency: 6 };
     let mut sim = HmcSim::new(d).unwrap();
-    sim.set_exec_mode(ExecMode::Sequential);
     sim.set_skip_mode(SkipMode::Off);
     sim.set_timing_model(TimingSelect::FixedLatency);
     sim.enable_sanitizer(SanitizerConfig::report());
