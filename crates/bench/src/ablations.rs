@@ -15,9 +15,7 @@ use hmc_workloads::kernels::bfs::{BfsConfig, BfsKernel, BfsMode, Graph};
 use hmc_workloads::kernels::gups::{GupsConfig, GupsKernel, GupsMode};
 use hmc_workloads::kernels::pchase::{PointerChaseConfig, PointerChaseKernel};
 use hmc_workloads::kernels::triad::{TriadConfig, TriadKernel};
-use hmc_workloads::{
-    FabricGupsConfig, FabricGupsKernel, MutexKernel, MutexKernelConfig, MutexMechanism, SpinPolicy,
-};
+use hmc_workloads::{MutexKernel, MutexKernelConfig, MutexMechanism, SpinPolicy};
 
 type Row = Vec<String>;
 
@@ -180,8 +178,16 @@ fn fabric_scaling() -> String {
         let cubes = config.devices.len();
         let mut sim = HmcSim::with_config(SimConfig { skip_mode: SkipMode::On, ..config })
             .expect("valid fabric config");
-        let gups = FabricGupsConfig { updates_per_cube: 2048, remote_permille: 50, ..Default::default() };
-        let r = FabricGupsKernel::new(gups).run(&mut sim).expect("fabric gups runs");
+        let gups = GupsConfig {
+            table_entries: 1 << 10,
+            updates: 2048,
+            window: 32,
+            seed: 0xFAB0_1234_5678_9ABC,
+            remote_permille: 50,
+            cubes,
+            ..Default::default()
+        };
+        let r = GupsKernel::new(gups).run(&mut sim).expect("fabric gups runs");
         assert_eq!(r.errors, 0, "fabric gups verification ({name})");
         let rate = r.updates as f64 / r.cycles as f64;
         let scaling = format!("{:.2}x", rate / *single.get_or_insert(rate));

@@ -185,7 +185,16 @@ impl DecodedResponse {
     /// True when the response reports a failed request: an ERROR
     /// packet, a nonzero `ERRSTAT`, or poisoned (DINV) data.
     pub fn failed(&self) -> bool {
-        matches!(self.rsp_cmd, hmc_types::HmcResponse::Error) || self.errstat != 0 || self.dinv
+        let mut rsp = hmc_types::Response::new(
+            self.rsp_cmd,
+            Tag::default(),
+            Slid::default(),
+            Cub::default(),
+            PayloadBuf::new(),
+        )
+        .expect("an empty payload is a whole packet");
+        (rsp.tail.errstat, rsp.tail.dinv) = (self.errstat, self.dinv);
+        rsp.not_executed() || rsp.poisoned()
     }
 }
 

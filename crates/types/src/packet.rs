@@ -524,6 +524,22 @@ impl Response {
         self.head.lng
     }
 
+    /// True when the vault answered with an error instead of executing
+    /// the request (an ERROR packet or a nonzero `ERRSTAT`): nothing
+    /// happened, so re-issuing the request verbatim is safe.
+    #[inline]
+    pub fn not_executed(&self) -> bool {
+        self.head.cmd == HmcResponse::Error || self.tail.errstat != 0
+    }
+
+    /// True when the request executed but its payload is poisoned
+    /// (DINV): the data FLITs cannot be trusted, while the header — the
+    /// atomic flag included — stays valid.
+    #[inline]
+    pub fn poisoned(&self) -> bool {
+        self.tail.dinv
+    }
+
     /// Serializes the packet to FLITs, computing and embedding the CRC.
     pub fn pack(&self) -> Vec<Flit> {
         let mut out = [Flit::ZERO; MAX_PACKET_FLITS];
@@ -881,6 +897,21 @@ mod tests {
         let back = Response::unpack(&flits).unwrap();
         assert_eq!(back.head, rsp.head);
         assert_eq!(back.payload, rsp.payload);
+    }
+
+    #[test]
+    fn execution_and_poison_predicates() {
+        let rsp = |cmd, errstat, dinv| Response {
+            tail: RspTail { errstat, dinv, ..RspTail::default() },
+            ..Response::new(cmd, tag(1), Slid::default(), Cub::default(), PayloadBuf::new())
+                .unwrap()
+        };
+        let clean = rsp(HmcResponse::RdRs, 0, false);
+        assert!(!clean.not_executed() && !clean.poisoned());
+        assert!(rsp(HmcResponse::Error, 0, false).not_executed());
+        assert!(rsp(HmcResponse::WrRs, 0x10, false).not_executed());
+        let poisoned = rsp(HmcResponse::RdRs, 0, true);
+        assert!(poisoned.poisoned() && !poisoned.not_executed());
     }
 
     #[test]

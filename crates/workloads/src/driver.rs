@@ -327,15 +327,6 @@ impl Default for ThreadDriver {
 }
 
 impl ThreadDriver {
-    /// True when a delivered response reports a fault the resilience
-    /// layer should hide from the thread: an ERROR packet, a nonzero
-    /// `ERRSTAT`, or poisoned (DINV) data.
-    fn response_faulty(rsp: &TrackedResponse) -> bool {
-        matches!(rsp.rsp.head.cmd, HmcResponse::Error)
-            || rsp.rsp.tail.errstat != 0
-            || rsp.rsp.tail.dinv
-    }
-
     /// Synthesizes the error response a thread sees when the driver
     /// gives up on a request (all retries timed out).
     fn give_up_response(dev: usize, key: (usize, u16)) -> TrackedResponse {
@@ -395,8 +386,10 @@ impl ThreadDriver {
                     let key = (rsp.entry_link, rsp.rsp.head.tag.value());
                     let Some((tid, entry)) = ledger.retire(key) else { continue };
                     if let (Some(cfg), Some(entry)) = (self.resilience, entry) {
-                        if Self::response_faulty(&rsp) {
-                            if rsp.rsp.tail.dinv {
+                        // A fault the resilience layer hides from the
+                        // thread: not executed, or poisoned data.
+                        if rsp.rsp.not_executed() || rsp.rsp.poisoned() {
+                            if rsp.rsp.poisoned() {
                                 fault_stats[tid].poisoned += 1;
                             } else {
                                 fault_stats[tid].error_responses += 1;

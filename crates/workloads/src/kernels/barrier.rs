@@ -31,8 +31,8 @@
 //! spin read is simply retried.
 
 use crate::driver::{HostThread, RunMetrics, ThreadDriver, ThreadIo, ThreadStatus};
-use hmc_sim::{HmcSim, TrackedResponse};
-use hmc_types::{HmcError, HmcResponse, HmcRqst};
+use hmc_sim::HmcSim;
+use hmc_types::{HmcError, HmcRqst};
 
 /// Configuration of a barrier-kernel run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,20 +78,6 @@ enum State {
     SendSpin,
     WaitSpin,
     Backoff { until: u64 },
-}
-
-/// True when the vault answered with an error instead of executing
-/// the request (an ERROR packet or nonzero `ERRSTAT`). Such requests
-/// had no side effects, so re-issuing them verbatim is always safe.
-fn not_executed(rsp: &TrackedResponse) -> bool {
-    matches!(rsp.rsp.head.cmd, HmcResponse::Error) || rsp.rsp.tail.errstat != 0
-}
-
-/// True when the response executed but its *payload* cannot be
-/// trusted (poisoned data, DINV set). Header fields — including the
-/// atomic flag — remain valid: DINV flags the data FLITs only.
-fn poisoned(rsp: &TrackedResponse) -> bool {
-    rsp.rsp.tail.dinv
 }
 
 /// One barrier participant, built by [`BarrierKernel::threads`].
@@ -152,7 +138,7 @@ impl HostThread for BarrierThread {
                 }
                 State::WaitArrive { expected } => {
                     let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if not_executed(&rsp) {
+                    if rsp.rsp.not_executed() {
                         // Injected vault error: the CAS never ran, so
                         // it is safe to re-issue as-is.
                         self.state = State::SendArrive { expected };
@@ -172,7 +158,7 @@ impl HostThread for BarrierThread {
                         } else {
                             self.state = State::SendSpin;
                         }
-                    } else if poisoned(&rsp) {
+                    } else if rsp.rsp.poisoned() {
                         // Missed, but the returned original count is
                         // poisoned: retry with the stale guess rather
                         // than trust invalid data.
@@ -195,7 +181,7 @@ impl HostThread for BarrierThread {
                 }
                 State::WaitPublish => {
                     let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if not_executed(&rsp) {
+                    if rsp.rsp.not_executed() {
                         // The publish write is idempotent ([0, round +
                         // 1] every time), so re-issuing is safe.
                         self.state = State::SendPublish;
@@ -214,7 +200,7 @@ impl HostThread for BarrierThread {
                 State::WaitSpin => {
                     let Some(rsp) = io.response() else { return ThreadStatus::Running };
                     let sense = rsp.rsp.payload.get(1).copied();
-                    let clean = !not_executed(&rsp) && !poisoned(&rsp);
+                    let clean = !rsp.rsp.not_executed() && !rsp.rsp.poisoned();
                     match sense {
                         Some(s) if clean && s >= (self.round + 1) as u64 => {
                             return self.finish_round(io.cycle);

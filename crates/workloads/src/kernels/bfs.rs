@@ -16,12 +16,18 @@
 //!   discovery (WR16, 2+1 FLITs). 6 FLITs per probe plus 3 per
 //!   discovery, and two round trips — the traffic the related work
 //!   shows CAS offload saving.
+//!
+//! On a multi-cube fabric the level array is sharded across every cube
+//! (vertex `v` lives on cube `v mod cubes`, and each cube stores its
+//! share contiguously). Every probe enters at cube 0 and is routed to
+//! the owning cube, so a traversal sweeps traffic across the whole
+//! fabric, and a misrouted or lost packet shows up as a level mismatch.
 
+use crate::window::{Sent, Window};
 use hmc_sim::HmcSim;
-use hmc_types::{HmcError, HmcRqst};
+use hmc_types::{Cub, HmcError, HmcRqst, PayloadBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// The frontier-expansion mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +116,8 @@ pub struct BfsConfig {
     pub mode: BfsMode,
     /// Outstanding-edge window.
     pub window: usize,
-    /// Level-array base address (16-byte aligned).
+    /// Level-array base address (16-byte aligned, the same on every
+    /// cube).
     pub levels_base: u64,
     /// Cycle budget.
     pub max_cycles: u64,
@@ -135,7 +142,7 @@ pub struct BfsResult {
     pub cycles: u64,
     /// Directed edges relaxed.
     pub edges_relaxed: u64,
-    /// Link FLITs consumed.
+    /// Host-link FLITs consumed (at cube 0, where every probe enters).
     pub link_flits: u64,
     /// Vertices whose computed level disagrees with the host
     /// reference BFS.
@@ -144,10 +151,11 @@ pub struct BfsResult {
     pub reached: usize,
 }
 
+/// A probe in flight, by the vertex it checks.
 #[derive(Debug, Clone, Copy)]
 enum Pending {
     Cas { vertex: u32 },
-    Read { vertex: u32, new_level: u64 },
+    Read { vertex: u32 },
     Write { vertex: u32 },
 }
 
@@ -164,33 +172,59 @@ impl BfsKernel {
         BfsKernel { config }
     }
 
-    fn level_addr(&self, v: u32) -> u64 {
-        self.config.levels_base + (v as u64) * 16
+    /// The cube owning vertex `v` of a fabric of `n` cubes, and the
+    /// address of `v`'s level entry there.
+    fn place(&self, v: u32, n: usize) -> (usize, u64) {
+        (v as usize % n, self.config.levels_base + (v as u64 / n as u64) * 16)
     }
 
-    /// Runs BFS over `graph` on device 0 and verifies the level array
-    /// against the host reference.
+    /// Sends the request `pending` stands for, entering at cube 0, to
+    /// the cube owning its vertex.
+    fn send(
+        &self,
+        sim: &mut HmcSim,
+        window: &mut Window<Pending>,
+        n: usize,
+        new_level: u64,
+        pending: Pending,
+    ) -> Result<Sent, HmcError> {
+        let (Pending::Cas { vertex } | Pending::Read { vertex } | Pending::Write { vertex }) =
+            pending;
+        let (cube, addr) = self.place(vertex, n);
+        let (cmd, addr, payload) = match pending {
+            // swap = new level, compare = 0
+            Pending::Cas { .. } => (HmcRqst::CasEq8, addr, PayloadBuf::from([new_level, 0])),
+            // The whole 64-byte cache line.
+            Pending::Read { .. } => (HmcRqst::Rd64, addr & !63, PayloadBuf::new()),
+            Pending::Write { .. } => (HmcRqst::Wr16, addr, PayloadBuf::from([new_level, 0])),
+        };
+        let cub = Cub::new(cube as u8).expect("cube count validated");
+        window.send(sim, 0, pending, |sim, link| sim.send_to_cube(0, link, cub, cmd, addr, payload))
+    }
+
+    /// Runs BFS over `graph`, with the level array sharded across every
+    /// cube of the context, and verifies it against the host reference.
     pub fn run(&self, sim: &mut HmcSim, graph: &Graph) -> Result<BfsResult, HmcError> {
         let cfg = &self.config;
-        let links = sim.device_config(0)?.links;
+        let n = sim.device_count();
+        // Every probe enters at cube 0.
+        let mut window = Window::new(sim, 1)?;
 
         // Clear the level array and mark the root at level 1.
         for v in 0..graph.vertices() as u32 {
-            sim.mem_write_u64(0, self.level_addr(v), 0)?;
-            sim.mem_write_u64(0, self.level_addr(v) + 8, 0)?;
+            let (cube, addr) = self.place(v, n);
+            sim.mem_write_u64(cube, addr, 0)?;
+            sim.mem_write_u64(cube, addr + 8, 0)?;
         }
-        sim.mem_write_u64(0, self.level_addr(cfg.root), 1)?;
+        let (cube, addr) = self.place(cfg.root, n);
+        sim.mem_write_u64(cube, addr, 1)?;
 
-        let flits_before = {
-            let s = sim.stats(0)?;
-            s.rqst_flits + s.rsp_flits
-        };
+        let flits_before = window.host_flits(sim)?;
         let start_cycle = sim.cycle();
 
         let mut frontier = vec![cfg.root];
         let mut depth = 1u64;
         let mut edges_relaxed = 0u64;
-        let mut rr_link = 0usize;
 
         'levels: while !frontier.is_empty() {
             // Edge list of this level.
@@ -201,99 +235,57 @@ impl BfsKernel {
             let new_level = depth + 1;
             let mut next: Vec<u32> = Vec::new();
             let mut discovered = vec![false; graph.vertices()];
-            // Tag pools are per link, so in-flight ops key on (link, tag).
-            let mut owner: HashMap<(usize, u16), Pending> = HashMap::new();
             let mut cursor = 0usize;
 
-            while cursor < edges.len() || !owner.is_empty() {
+            while cursor < edges.len() || !window.is_empty() {
                 if sim.cycle() - start_cycle > cfg.max_cycles {
                     break 'levels;
                 }
-                for link in 0..links {
-                    while let Some(rsp) = sim.recv(0, link) {
-                        let Some(pending) = owner.remove(&(link, rsp.rsp.head.tag.value())) else {
-                            continue;
-                        };
-                        match pending {
-                            Pending::Cas { vertex } => {
-                                if rsp.rsp.head.af && !discovered[vertex as usize] {
-                                    discovered[vertex as usize] = true;
-                                    next.push(vertex);
-                                }
+                while let Some((pending, rsp)) = window.recv(sim, 0) {
+                    match pending {
+                        // The atomic flag reports a successful swap:
+                        // this probe discovered the vertex.
+                        Pending::Cas { vertex } => {
+                            if rsp.rsp.head.af && !discovered[vertex as usize] {
+                                discovered[vertex as usize] = true;
+                                next.push(vertex);
                             }
-                            Pending::Read { vertex, new_level } => {
-                                // The RD64 line holds four 16-byte
-                                // entries; pick this vertex's word.
-                                let word = ((self.level_addr(vertex) & 63) / 8) as usize;
-                                if rsp.rsp.payload[word] == 0 && !discovered[vertex as usize] {
-                                    discovered[vertex as usize] = true;
-                                    let addr = self.level_addr(vertex);
-                                    loop {
-                                        let wlink = rr_link % links;
-                                        match sim.send_simple(
-                                            0,
-                                            wlink,
-                                            HmcRqst::Wr16,
-                                            addr,
-                                            vec![new_level, 0],
-                                        ) {
-                                            Ok(Some(tag)) => {
-                                                rr_link += 1;
-                                                owner
-                                                    .insert((wlink, tag.value()), Pending::Write { vertex });
-                                                break;
-                                            }
-                                            Ok(None) => unreachable!("WR16 acks"),
-                                            Err(HmcError::Stall)
-                                            | Err(HmcError::TagsExhausted) => {
-                                                sim.clock();
-                                            }
-                                            Err(e) => return Err(e),
-                                        }
-                                    }
-                                }
-                            }
-                            Pending::Write { vertex } => next.push(vertex),
                         }
+                        Pending::Read { vertex } => {
+                            // The RD64 line holds four 16-byte entries;
+                            // pick this vertex's word.
+                            let word = ((self.place(vertex, n).1 & 63) / 8) as usize;
+                            if rsp.rsp.payload[word] == 0 && !discovered[vertex as usize] {
+                                discovered[vertex as usize] = true;
+                                // Write the level back now, clocking
+                                // until a link takes it.
+                                let write = Pending::Write { vertex };
+                                while self.send(sim, &mut window, n, new_level, write)?
+                                    == Sent::Full
+                                {
+                                    sim.clock();
+                                }
+                            }
+                        }
+                        Pending::Write { vertex } => next.push(vertex),
                     }
                 }
 
-                while owner.len() < cfg.window && cursor < edges.len() {
+                while window.in_flight(0) < cfg.window && cursor < edges.len() {
                     let vertex = edges[cursor];
                     if discovered[vertex as usize] {
                         cursor += 1;
                         continue;
                     }
-                    let addr = self.level_addr(vertex);
-                    let link = rr_link % links;
-                    let send = match cfg.mode {
-                        BfsMode::CasOffload => sim.send_simple(
-                            0,
-                            link,
-                            HmcRqst::CasEq8,
-                            addr,
-                            vec![new_level, 0], // swap = new level, compare = 0
-                        ),
-                        BfsMode::ReadCheckWrite => {
-                            // Fetch the whole 64-byte cache line.
-                            sim.send_simple(0, link, HmcRqst::Rd64, addr & !63, vec![])
-                        }
+                    let probe = match cfg.mode {
+                        BfsMode::CasOffload => Pending::Cas { vertex },
+                        BfsMode::ReadCheckWrite => Pending::Read { vertex },
                     };
-                    match send {
-                        Ok(Some(tag)) => {
-                            rr_link += 1;
-                            edges_relaxed += 1;
-                            let pending = match cfg.mode {
-                                BfsMode::CasOffload => Pending::Cas { vertex },
-                                BfsMode::ReadCheckWrite => Pending::Read { vertex, new_level },
-                            };
-                            owner.insert((link, tag.value()), pending);
-                            cursor += 1;
-                        }
-                        Ok(None) => unreachable!("neither command is posted"),
-                        Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => break,
-                        Err(e) => return Err(e),
+                    if self.send(sim, &mut window, n, new_level, probe)? == Sent::Full {
+                        break;
                     }
+                    edges_relaxed += 1;
+                    cursor += 1;
                 }
 
                 sim.clock();
@@ -308,7 +300,8 @@ impl BfsKernel {
         let mut errors = 0usize;
         let mut reached = 0usize;
         for v in 0..graph.vertices() as u32 {
-            let got = sim.mem_read_u64(0, self.level_addr(v))?;
+            let (cube, addr) = self.place(v, n);
+            let got = sim.mem_read_u64(cube, addr)?;
             if got != 0 {
                 reached += 1;
             }
@@ -317,15 +310,10 @@ impl BfsKernel {
             }
         }
 
-        let cycles = sim.cycle() - start_cycle;
-        let flits_after = {
-            let s = sim.stats(0)?;
-            s.rqst_flits + s.rsp_flits
-        };
         Ok(BfsResult {
-            cycles,
+            cycles: sim.cycle() - start_cycle,
             edges_relaxed,
-            link_flits: flits_after - flits_before,
+            link_flits: window.host_flits(sim)? - flits_before,
             errors,
             reached,
         })
@@ -335,7 +323,44 @@ impl BfsKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmc_sim::DeviceConfig;
+    use hmc_sim::{DeviceConfig, SimConfig};
+
+    fn fabric(config: SimConfig) -> HmcSim {
+        HmcSim::with_config(config).unwrap()
+    }
+
+    #[test]
+    fn cas_offload_matches_reference_on_a_mesh() {
+        let g = Graph::random(96, 192, 7);
+        let mut sim = fabric(SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 2, 2));
+        let result = BfsKernel::new(BfsConfig::default()).run(&mut sim, &g).unwrap();
+        assert_eq!(result.errors, 0);
+        assert_eq!(result.reached, 96, "ring chords guarantee connectivity");
+        assert!(result.edges_relaxed > 0);
+    }
+
+    #[test]
+    fn cas_offload_matches_reference_on_a_ring() {
+        let g = Graph::random(60, 120, 11);
+        let mut sim = fabric(SimConfig::ring(DeviceConfig::gen2_4link_4gb(), 3));
+        let result = BfsKernel::new(BfsConfig::default()).run(&mut sim, &g).unwrap();
+        assert_eq!(result.errors, 0);
+        assert_eq!(result.reached, 60);
+    }
+
+    #[test]
+    fn read_check_write_shards_levels_across_a_mesh() {
+        let g = Graph::random(96, 192, 7);
+        let mut sim = fabric(SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 2, 2));
+        let config = BfsConfig { mode: BfsMode::ReadCheckWrite, root: 5, ..Default::default() };
+        let result = BfsKernel::new(config.clone()).run(&mut sim, &g).unwrap();
+        assert_eq!((result.errors, result.reached), (0, 96));
+        // Vertex v's level sits on cube v mod 4, entry v / 4.
+        for (v, &want) in g.reference_levels(5).iter().enumerate() {
+            let addr = config.levels_base + (v as u64 / 4) * 16;
+            assert_eq!(sim.mem_read_u64(v % 4, addr).unwrap(), want, "vertex {v}");
+        }
+    }
 
     #[test]
     fn reference_bfs_levels_ring() {

@@ -13,8 +13,8 @@
 //! denominator for the Table II comparison.
 
 use crate::driver::{HostThread, RunMetrics, ThreadDriver, ThreadIo, ThreadStatus};
-use hmc_sim::{HmcSim, TrackedResponse};
-use hmc_types::{HmcError, HmcResponse, HmcRqst};
+use hmc_sim::HmcSim;
+use hmc_types::{HmcError, HmcRqst};
 
 /// How increments are performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,19 +63,6 @@ enum State {
     WaitWrite { line: Vec<u64> },
 }
 
-/// True when the vault answered with an error instead of executing the
-/// request (an ERROR packet or nonzero `ERRSTAT`): no side effects
-/// happened, so re-issuing the request verbatim is safe.
-fn not_executed(rsp: &TrackedResponse) -> bool {
-    matches!(rsp.rsp.head.cmd, HmcResponse::Error) || rsp.rsp.tail.errstat != 0
-}
-
-/// True when the response executed but its payload is poisoned (DINV):
-/// the data FLITs cannot be trusted, while the header remains valid.
-fn poisoned(rsp: &TrackedResponse) -> bool {
-    rsp.rsp.tail.dinv
-}
-
 /// One incrementing thread, built by [`CounterKernel::threads`].
 pub struct CounterThread {
     link: usize,
@@ -113,7 +100,7 @@ impl HostThread for CounterThread {
                 }
                 State::WaitInc => {
                     let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if not_executed(&rsp) {
+                    if rsp.rsp.not_executed() {
                         // The increment did not happen; retry it.
                         self.state = State::SendInc;
                         continue;
@@ -137,18 +124,20 @@ impl HostThread for CounterThread {
                     return ThreadStatus::Running;
                 }
                 State::WaitRead => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
+                    let Some(rsp) = io.response().map(|r| r.rsp) else {
+                        return ThreadStatus::Running;
+                    };
                     let word = ((self.addr & 63) / 8) as usize;
                     // Reads are idempotent: re-fetch on any fault —
                     // not executed, poisoned data, or a payload too
                     // short to contain the counter word.
-                    if not_executed(&rsp) || poisoned(&rsp) || rsp.rsp.payload.len() <= word {
+                    if rsp.not_executed() || rsp.poisoned() || rsp.payload.len() <= word {
                         self.state = State::SendRead;
                         continue;
                     }
                     // Modify the counter word within the fetched line,
                     // as a cache would.
-                    let mut line = rsp.rsp.payload.to_vec();
+                    let mut line = rsp.payload.to_vec();
                     line[word] = line[word].wrapping_add(1);
                     self.state = State::SendWrite { line };
                 }
@@ -163,7 +152,7 @@ impl HostThread for CounterThread {
                 }
                 State::WaitWrite { ref line } => {
                     let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if not_executed(&rsp) {
+                    if rsp.rsp.not_executed() {
                         // The flush was dropped; re-issue the same line.
                         self.state = State::SendWrite { line: line.clone() };
                         continue;

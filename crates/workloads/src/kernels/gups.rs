@@ -10,10 +10,19 @@
 //!   round trips, and lost updates under concurrency).
 //! * [`GupsMode::Xor16Amo`] — the Gen2 `XOR16` atomic performs the
 //!   update in the logic layer (4 FLITs, one round trip, exact).
+//!
+//! On a multi-cube fabric each of the first [`GupsConfig::cubes`] cubes
+//! injects its own update stream against its own table, and
+//! [`GupsConfig::remote_permille`] of the updates target another cube's
+//! table instead, routed hop by hop (`CUB` ≠ entry cube). Every cube's
+//! table is checked against a host-side oracle, so a misrouted or lost
+//! packet shows up as a table mismatch. The aggregate updates per cycle
+//! is the "fabric GUPS scaling" table of `results/ablations.txt`.
 
-use hmc_sim::{HmcSim, TrackedResponse};
-use hmc_types::{HmcError, HmcResponse, HmcRqst};
-use std::collections::HashMap;
+use crate::window::{Sent, Window};
+use hmc_sim::HmcSim;
+use hmc_types::{Cub, HmcError, HmcRqst, PayloadBuf};
+use std::collections::VecDeque;
 
 /// The update mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,20 +36,27 @@ pub enum GupsMode {
 /// Configuration of a RandomAccess run.
 #[derive(Debug, Clone)]
 pub struct GupsConfig {
-    /// Table entries (16 bytes each); must be a power of two.
+    /// Table entries per cube (16 bytes each); must be a power of two.
     pub table_entries: usize,
-    /// Number of updates to perform.
+    /// Updates each injecting cube performs.
     pub updates: usize,
-    /// Outstanding-update window.
+    /// Outstanding-update window of each injecting cube.
     pub window: usize,
     /// Update mechanism.
     pub mode: GupsMode,
-    /// Table base address (16-byte aligned).
+    /// Table base address (16-byte aligned, the same on every cube).
     pub table_base: u64,
-    /// RNG seed for the update stream.
+    /// RNG seed for the update stream; injecting cube `d` runs the
+    /// stream of `seed ^ d·φ`, so cube 0 runs `seed`'s own.
     pub seed: u64,
     /// Cycle budget.
     pub max_cycles: u64,
+    /// Per-mille of updates that target another cube's table
+    /// (0 = all local, 1000 = all remote; moot on a single cube).
+    pub remote_permille: u32,
+    /// Cubes that inject an update stream: cubes `0..cubes`, each
+    /// through its own host links.
+    pub cubes: usize,
 }
 
 impl Default for GupsConfig {
@@ -53,6 +69,8 @@ impl Default for GupsConfig {
             table_base: 0x0400_0000,
             seed: 0x1234_5678_9ABC_DEF0,
             max_cycles: 10_000_000,
+            remote_permille: 0,
+            cubes: 1,
         }
     }
 }
@@ -62,13 +80,16 @@ impl Default for GupsConfig {
 pub struct GupsResult {
     /// Device cycles consumed.
     pub cycles: u64,
-    /// Updates performed.
+    /// Updates performed, across every injecting cube.
     pub updates: u64,
-    /// Link FLITs consumed.
+    /// Updates that crossed at least one fabric edge.
+    pub remote_updates: u64,
+    /// Host-link FLITs consumed at the injecting cubes.
     pub link_flits: u64,
     /// Updates per cycle (the GUPS figure, per device clock).
     pub updates_per_cycle: f64,
-    /// Table entries that disagree with the sequential oracle.
+    /// Table entries, across every cube, that disagree with the
+    /// sequential oracle.
     pub errors: usize,
 }
 
@@ -93,27 +114,30 @@ impl Iterator for HpccStream {
     }
 }
 
+/// An update in flight, by its value: the target cube and entry are a
+/// function of it.
 #[derive(Debug, Clone, Copy)]
 enum Pending {
-    /// Awaiting the XOR16 response; update value kept for retries.
+    /// Awaiting the XOR16 response.
     Amo { value: u64 },
-    /// Awaiting the RD16 of an RMW update; payload value to XOR.
-    RmwRead { entry: usize, value: u64 },
+    /// Awaiting the RD16 of an RMW update.
+    RmwRead { value: u64 },
     /// Awaiting the WR16 ack of an RMW update; line kept for retries.
-    RmwWrite { entry: usize, new: [u64; 2] },
+    RmwWrite { value: u64, new: [u64; 2] },
 }
 
-/// True when the vault answered with an error instead of executing the
-/// request (an ERROR packet or nonzero `ERRSTAT`): no side effects
-/// happened, so re-issuing the request verbatim is safe.
-fn not_executed(rsp: &TrackedResponse) -> bool {
-    matches!(rsp.rsp.head.cmd, HmcResponse::Error) || rsp.rsp.tail.errstat != 0
-}
-
-/// True when the response executed but its payload is poisoned (DINV):
-/// the data FLITs cannot be trusted, while the header remains valid.
-fn poisoned(rsp: &TrackedResponse) -> bool {
-    rsp.rsp.tail.dinv
+/// One injecting cube's share of the run.
+struct Injector {
+    stream: HpccStream,
+    /// Fresh updates issued.
+    issued: usize,
+    /// A fresh update the link refused; it goes before the next one.
+    carry: Option<u64>,
+    /// Updates (XOR16 or RD16 phase) to re-issue after the vault
+    /// refused them.
+    retries: VecDeque<u64>,
+    /// RMW write-backs waiting to be issued.
+    writes: VecDeque<(u64, [u64; 2])>,
 }
 
 /// The RandomAccess kernel runner.
@@ -133,184 +157,174 @@ impl GupsKernel {
         self.config.table_base + (entry as u64) * 16
     }
 
-    /// Runs the kernel on device 0 and verifies the table against a
-    /// sequential oracle.
+    /// The update stream cube `d` injects.
+    fn stream(&self, d: usize) -> HpccStream {
+        HpccStream::new(self.config.seed ^ (d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// The (target cube, table entry) of update value `v` injected at
+    /// cube `d` of `n` — a pure function, so retries and the oracle
+    /// agree.
+    fn target_of(&self, d: usize, n: usize, v: u64) -> (usize, usize) {
+        let entry = (v & (self.config.table_entries - 1) as u64) as usize;
+        let remote = n > 1 && (v >> 32) % 1000 < self.config.remote_permille as u64;
+        let target = if remote { (d + 1 + ((v >> 16) as usize % (n - 1))) % n } else { d };
+        (target, entry)
+    }
+
+    /// Sends the request `pending` stands for from cube `d` (of `n`) to
+    /// the table entry its update value targets.
+    fn send(
+        &self,
+        sim: &mut HmcSim,
+        window: &mut Window<Pending>,
+        d: usize,
+        n: usize,
+        pending: Pending,
+    ) -> Result<Sent, HmcError> {
+        let (value, cmd, payload) = match pending {
+            Pending::Amo { value } => (value, HmcRqst::Xor16, PayloadBuf::from([value, 0])),
+            Pending::RmwRead { value } => (value, HmcRqst::Rd16, PayloadBuf::new()),
+            Pending::RmwWrite { value, new } => (value, HmcRqst::Wr16, PayloadBuf::from(new)),
+        };
+        let (target, entry) = self.target_of(d, n, value);
+        let cub = Cub::new(target as u8).expect("cube count validated");
+        let addr = self.entry_addr(entry);
+        window.send(sim, d, pending, |sim, link| sim.send_to_cube(d, link, cub, cmd, addr, payload))
+    }
+
+    /// Runs an update stream at each of the first `cubes` cubes and
+    /// verifies every cube's table against a sequential oracle.
     pub fn run(&self, sim: &mut HmcSim) -> Result<GupsResult, HmcError> {
         let cfg = &self.config;
         if !cfg.table_entries.is_power_of_two() {
             return Err(HmcError::InvalidRequestSize(cfg.table_entries));
         }
-        let links = sim.device_config(0)?.links;
-        let mask = (cfg.table_entries - 1) as u64;
+        let n = sim.device_count();
+        let mut window = Window::new(sim, cfg.cubes)?;
 
-        // Zero-initialized table; build the oracle host-side.
-        let mut oracle = vec![0u64; cfg.table_entries];
-        for (i, v) in HpccStream::new(cfg.seed).take(cfg.updates).enumerate() {
-            let _ = i;
-            oracle[(v & mask) as usize] ^= v;
+        // Zero-initialized tables; build the oracle host-side. XOR
+        // commutes, so completion order never changes the result. A cube
+        // that injects nothing is only reached by remote updates.
+        let tables = if cfg.remote_permille == 0 { cfg.cubes } else { n };
+        let mut oracle = vec![vec![0u64; cfg.table_entries]; tables];
+        for d in 0..cfg.cubes {
+            for v in self.stream(d).take(cfg.updates) {
+                let (target, entry) = self.target_of(d, n, v);
+                oracle[target][entry] ^= v;
+            }
         }
 
-        let flits_before = {
-            let s = sim.stats(0)?;
-            s.rqst_flits + s.rsp_flits
-        };
+        let flits_before = window.host_flits(sim)?;
         let start_cycle = sim.cycle();
-
-        let mut stream = HpccStream::new(cfg.seed);
-        let mut issued = 0usize;
+        let mut injectors: Vec<Injector> = (0..cfg.cubes)
+            .map(|d| Injector {
+                stream: self.stream(d),
+                issued: 0,
+                carry: None,
+                retries: VecDeque::new(),
+                writes: VecDeque::new(),
+            })
+            .collect();
         let mut completed = 0usize;
-        // Tag pools are per link, so in-flight ops key on (link, tag).
-        let mut owner: HashMap<(usize, u16), Pending> = HashMap::new();
-        let mut write_queue: std::collections::VecDeque<(usize, [u64; 2])> =
-            std::collections::VecDeque::new();
-        // Update values (XOR16 or RD16 phase) that must be re-issued
-        // after a fault-injected response.
-        let mut retry_queue: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-        let mut rr_link = 0usize;
-        let mut carry: Option<u64> = None;
+        let mut remote_updates = 0u64;
+        // An update's first request: the XOR16 itself, or the RD16 of a
+        // read-modify-write.
+        let first = |value| match cfg.mode {
+            GupsMode::Xor16Amo => Pending::Amo { value },
+            GupsMode::ReadModifyWrite => Pending::RmwRead { value },
+        };
 
-        while completed < cfg.updates {
+        while completed < cfg.updates * cfg.cubes {
             if sim.cycle() - start_cycle > cfg.max_cycles {
                 break;
             }
-            for link in 0..links {
-                while let Some(rsp) = sim.recv(0, link) {
-                    let Some(pending) = owner.remove(&(link, rsp.rsp.head.tag.value())) else {
-                        continue;
-                    };
-                    if not_executed(&rsp) {
+            for (d, inj) in injectors.iter_mut().enumerate() {
+                while let Some((pending, rsp)) = window.recv(sim, d) {
+                    let rsp = rsp.rsp;
+                    match pending {
                         // The vault refused the request: nothing
                         // happened, so replay it from scratch.
-                        match pending {
-                            Pending::Amo { value } | Pending::RmwRead { value, .. } => {
-                                retry_queue.push_back(value);
-                            }
-                            Pending::RmwWrite { entry, new } => {
-                                write_queue.push_back((entry, new));
-                            }
+                        Pending::Amo { value } | Pending::RmwRead { value }
+                            if rsp.not_executed() =>
+                        {
+                            inj.retries.push_back(value)
                         }
-                        continue;
-                    }
-                    match pending {
+                        Pending::RmwWrite { value, new } if rsp.not_executed() => {
+                            inj.writes.push_back((value, new))
+                        }
                         // AMO and write acks carry no payload we
                         // consume, so poison cannot corrupt them.
                         Pending::Amo { .. } | Pending::RmwWrite { .. } => completed += 1,
-                        Pending::RmwRead { entry, value } => {
-                            // Reads are idempotent: re-fetch when the
-                            // payload is poisoned or truncated.
-                            if poisoned(&rsp) || rsp.rsp.payload.len() < 2 {
-                                retry_queue.push_back(value);
-                                continue;
-                            }
-                            let new = [rsp.rsp.payload[0] ^ value, rsp.rsp.payload[1]];
-                            write_queue.push_back((entry, new));
+                        // Reads are idempotent: re-fetch when the
+                        // payload is poisoned or truncated.
+                        Pending::RmwRead { value } if rsp.poisoned() || rsp.payload.len() < 2 => {
+                            inj.retries.push_back(value)
+                        }
+                        Pending::RmwRead { value } => {
+                            inj.writes.push_back((value, [rsp.payload[0] ^ value, rsp.payload[1]]))
                         }
                     }
                 }
             }
 
-            // Flush pending RMW write-backs first (they hold window
-            // slots until acknowledged).
-            while let Some(&(entry, new)) = write_queue.front() {
-                let addr = self.entry_addr(entry);
-                let link = rr_link % links;
-                match sim.send_simple(0, link, HmcRqst::Wr16, addr, new.to_vec()) {
-                    Ok(Some(tag)) => {
-                        rr_link += 1;
-                        owner.insert((link, tag.value()), Pending::RmwWrite { entry, new });
-                        write_queue.pop_front();
-                    }
-                    Ok(None) => unreachable!("WR16 is acknowledged"),
-                    Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => break,
-                    Err(e) => return Err(e),
-                }
-            }
-
-            // Re-issue faulted updates next: they already count toward
-            // `issued`, so they bypass that gate but still respect the
-            // window.
-            while owner.len() + write_queue.len() < cfg.window {
-                let Some(&v) = retry_queue.front() else { break };
-                let entry = (v & mask) as usize;
-                let addr = self.entry_addr(entry);
-                let link = rr_link % links;
-                let send = match cfg.mode {
-                    GupsMode::Xor16Amo => {
-                        sim.send_simple(0, link, HmcRqst::Xor16, addr, vec![v, 0])
-                    }
-                    GupsMode::ReadModifyWrite => {
-                        sim.send_simple(0, link, HmcRqst::Rd16, addr, vec![])
-                    }
-                };
-                match send {
-                    Ok(Some(tag)) => {
-                        rr_link += 1;
-                        let pending = match cfg.mode {
-                            GupsMode::Xor16Amo => Pending::Amo { value: v },
-                            GupsMode::ReadModifyWrite => Pending::RmwRead { entry, value: v },
-                        };
-                        owner.insert((link, tag.value()), pending);
-                        retry_queue.pop_front();
-                    }
-                    Ok(None) => unreachable!("neither command is posted"),
-                    Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => break,
-                    Err(e) => return Err(e),
-                }
-            }
-
-            // Issue new updates while the window has room.
-            while owner.len() + write_queue.len() < cfg.window && issued < cfg.updates {
-                let v = carry.take().unwrap_or_else(|| stream.next().expect("infinite"));
-                let entry = (v & mask) as usize;
-                let addr = self.entry_addr(entry);
-                let link = rr_link % links;
-                let send = match cfg.mode {
-                    GupsMode::Xor16Amo => {
-                        sim.send_simple(0, link, HmcRqst::Xor16, addr, vec![v, 0])
-                    }
-                    GupsMode::ReadModifyWrite => {
-                        sim.send_simple(0, link, HmcRqst::Rd16, addr, vec![])
-                    }
-                };
-                match send {
-                    Ok(Some(tag)) => {
-                        rr_link += 1;
-                        let pending = match cfg.mode {
-                            GupsMode::Xor16Amo => Pending::Amo { value: v },
-                            GupsMode::ReadModifyWrite => Pending::RmwRead { entry, value: v },
-                        };
-                        owner.insert((link, tag.value()), pending);
-                        issued += 1;
-                    }
-                    Ok(None) => unreachable!("neither command is posted"),
-                    Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => {
-                        carry = Some(v);
+            for (d, inj) in injectors.iter_mut().enumerate() {
+                // Flush pending RMW write-backs first (they hold window
+                // slots until acknowledged).
+                while let Some(&(value, new)) = inj.writes.front() {
+                    let write = Pending::RmwWrite { value, new };
+                    if self.send(sim, &mut window, d, n, write)? == Sent::Full {
                         break;
                     }
-                    Err(e) => return Err(e),
+                    inj.writes.pop_front();
+                }
+
+                // Re-issue refused updates next: they already count
+                // toward `issued`, so they bypass that gate but still
+                // respect the window.
+                while window.in_flight(d) + inj.writes.len() < cfg.window {
+                    let Some(&v) = inj.retries.front() else { break };
+                    if self.send(sim, &mut window, d, n, first(v))? == Sent::Full {
+                        break;
+                    }
+                    inj.retries.pop_front();
+                }
+
+                // Issue fresh updates while the window has room.
+                while window.in_flight(d) + inj.writes.len() < cfg.window
+                    && inj.issued < cfg.updates
+                {
+                    let v = inj.carry.take().or_else(|| inj.stream.next()).expect("infinite");
+                    if self.send(sim, &mut window, d, n, first(v))? == Sent::Full {
+                        inj.carry = Some(v);
+                        break;
+                    }
+                    inj.issued += 1;
+                    if self.target_of(d, n, v).0 != d {
+                        remote_updates += 1;
+                    }
                 }
             }
 
             sim.clock();
         }
 
-        // Verify against the oracle.
+        // Verify every cube's table against the oracle.
         let mut errors = 0usize;
-        for (entry, &want) in oracle.iter().enumerate() {
-            if sim.mem_read_u64(0, self.entry_addr(entry))? != want {
-                errors += 1;
+        for (d, table) in oracle.iter().enumerate() {
+            for (entry, &want) in table.iter().enumerate() {
+                if sim.mem_read_u64(d, self.entry_addr(entry))? != want {
+                    errors += 1;
+                }
             }
         }
 
         let cycles = sim.cycle() - start_cycle;
-        let flits_after = {
-            let s = sim.stats(0)?;
-            s.rqst_flits + s.rsp_flits
-        };
         Ok(GupsResult {
             cycles,
             updates: completed as u64,
-            link_flits: flits_after - flits_before,
+            remote_updates,
+            link_flits: window.host_flits(sim)? - flits_before,
             updates_per_cycle: completed as f64 / cycles.max(1) as f64,
             errors,
         })
@@ -320,7 +334,7 @@ impl GupsKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmc_sim::DeviceConfig;
+    use hmc_sim::{DeviceConfig, SimConfig};
 
     #[test]
     fn hpcc_stream_is_deterministic_and_nonrepeating_shortterm() {
@@ -423,6 +437,38 @@ mod tests {
             rmw.link_flits
         );
         assert!(amo.cycles <= rmw.cycles, "one round trip beats two");
+    }
+
+    #[test]
+    fn remote_updates_are_exact_across_a_chain() {
+        let mut sim =
+            HmcSim::with_config(SimConfig::chain(DeviceConfig::gen2_4link_4gb(), 4)).unwrap();
+        let kernel = GupsKernel::new(GupsConfig {
+            table_entries: 1 << 8,
+            updates: 128,
+            remote_permille: 100,
+            cubes: 4,
+            ..Default::default()
+        });
+        let result = kernel.run(&mut sim).unwrap();
+        assert_eq!(result.updates, 4 * 128);
+        assert!(result.remote_updates > 0, "remote fraction must cross edges");
+        assert_eq!(result.errors, 0, "remote XOR16s land on the right cube");
+    }
+
+    #[test]
+    fn a_single_cube_keeps_every_update_local() {
+        let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+        let kernel = GupsKernel::new(GupsConfig {
+            table_entries: 1 << 8,
+            updates: 128,
+            remote_permille: 100,
+            ..Default::default()
+        });
+        let result = kernel.run(&mut sim).unwrap();
+        assert_eq!(result.updates, 128);
+        assert_eq!(result.remote_updates, 0);
+        assert_eq!(result.errors, 0);
     }
 
     #[test]

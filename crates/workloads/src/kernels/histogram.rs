@@ -11,9 +11,10 @@
 //!   at all**, exact) — the extreme of the paper's §III bandwidth
 //!   argument.
 
+use crate::window::{Sent, Window};
 use hmc_sim::HmcSim;
 use hmc_types::{HmcError, HmcRqst};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// The increment mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +117,6 @@ impl HistogramKernel {
         if !cfg.bins.is_power_of_two() {
             return Err(HmcError::InvalidRequestSize(cfg.bins));
         }
-        let links = sim.device_config(0)?.links;
         let mask = (cfg.bins - 1) as u64;
 
         let mut oracle = vec![0u64; cfg.bins];
@@ -127,89 +127,59 @@ impl HistogramKernel {
             sim.mem_write_u64(0, self.bin_addr(bin), 0)?;
         }
 
-        let flits_before = {
-            let s = sim.stats(0)?;
-            s.rqst_flits + s.rsp_flits
-        };
+        let mut window = Window::new(sim, 1)?;
+        let flits_before = window.host_flits(sim)?;
         let start_cycle = sim.cycle();
 
         let mut stream = self.keys().take(cfg.keys);
-        let mut owner: HashMap<(usize, u16), Pending> = HashMap::new();
-        let mut write_queue: std::collections::VecDeque<(usize, u64)> =
-            std::collections::VecDeque::new();
+        let mut write_queue: VecDeque<(usize, u64)> = VecDeque::new();
         let mut issued = 0usize;
         let mut completed = 0usize;
-        let mut rr_link = 0usize;
         let mut carry: Option<u64> = None;
-        // Posted increments complete at issue (no response).
-        let target = cfg.keys;
 
-        while completed < target {
+        while completed < cfg.keys {
             if sim.cycle() - start_cycle > cfg.max_cycles {
                 break;
             }
-            for link in 0..links {
-                while let Some(rsp) = sim.recv(0, link) {
-                    let Some(pending) = owner.remove(&(link, rsp.rsp.head.tag.value())) else {
-                        continue;
-                    };
-                    match pending {
-                        Pending::Ack | Pending::Write => completed += 1,
-                        Pending::Read { bin } => {
-                            write_queue.push_back((bin, rsp.rsp.payload[0] + 1));
-                        }
-                    }
+            while let Some((pending, rsp)) = window.recv(sim, 0) {
+                match pending {
+                    Pending::Ack | Pending::Write => completed += 1,
+                    Pending::Read { bin } => write_queue.push_back((bin, rsp.rsp.payload[0] + 1)),
                 }
             }
 
             while let Some(&(bin, value)) = write_queue.front() {
-                let link = rr_link % links;
-                match sim.send_simple(0, link, HmcRqst::Wr16, self.bin_addr(bin), vec![value, 0]) {
-                    Ok(Some(tag)) => {
-                        rr_link += 1;
-                        owner.insert((link, tag.value()), Pending::Write);
-                        write_queue.pop_front();
-                    }
-                    Ok(None) => unreachable!("WR16 acks"),
-                    Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => break,
-                    Err(e) => return Err(e),
+                let addr = self.bin_addr(bin);
+                let sent = window.send(sim, 0, Pending::Write, |sim, link| {
+                    sim.send_simple(0, link, HmcRqst::Wr16, addr, [value, 0])
+                })?;
+                if sent == Sent::Full {
+                    break;
                 }
+                write_queue.pop_front();
             }
 
-            while owner.len() + write_queue.len() < cfg.window && issued < cfg.keys {
+            while window.in_flight(0) + write_queue.len() < cfg.window && issued < cfg.keys {
                 let key = carry.take().unwrap_or_else(|| stream.next().expect("sized"));
                 let bin = (key & mask) as usize;
                 let addr = self.bin_addr(bin);
-                let link = rr_link % links;
-                let result = match cfg.mode {
-                    HistogramMode::PostedInc => sim.send_simple(0, link, HmcRqst::PInc8, addr, vec![]),
-                    HistogramMode::AckedInc => sim.send_simple(0, link, HmcRqst::Inc8, addr, vec![]),
-                    HistogramMode::ReadModifyWrite => {
-                        sim.send_simple(0, link, HmcRqst::Rd16, addr, vec![])
-                    }
+                let (cmd, pending) = match cfg.mode {
+                    HistogramMode::PostedInc => (HmcRqst::PInc8, Pending::Ack),
+                    HistogramMode::AckedInc => (HmcRqst::Inc8, Pending::Ack),
+                    HistogramMode::ReadModifyWrite => (HmcRqst::Rd16, Pending::Read { bin }),
                 };
-                match result {
-                    Ok(Some(tag)) => {
-                        rr_link += 1;
-                        issued += 1;
-                        let pending = match cfg.mode {
-                            HistogramMode::AckedInc => Pending::Ack,
-                            HistogramMode::ReadModifyWrite => Pending::Read { bin },
-                            HistogramMode::PostedInc => unreachable!("posted has no tag"),
-                        };
-                        owner.insert((link, tag.value()), pending);
-                    }
-                    Ok(None) => {
-                        // Posted: done at issue.
-                        rr_link += 1;
+                let send = |sim: &mut HmcSim, link| sim.send_simple(0, link, cmd, addr, []);
+                match window.send(sim, 0, pending, send)? {
+                    Sent::Tracked => issued += 1,
+                    // Posted: done at issue (no response).
+                    Sent::Posted => {
                         issued += 1;
                         completed += 1;
                     }
-                    Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => {
+                    Sent::Full => {
                         carry = Some(key);
                         break;
                     }
-                    Err(e) => return Err(e),
                 }
             }
 
@@ -228,14 +198,9 @@ impl HistogramKernel {
             }
         }
 
-        let cycles = sim.cycle() - start_cycle;
-        let flits_after = {
-            let s = sim.stats(0)?;
-            s.rqst_flits + s.rsp_flits
-        };
         Ok(HistogramResult {
-            cycles,
-            link_flits: flits_after - flits_before,
+            cycles: sim.cycle() - start_cycle,
+            link_flits: window.host_flits(sim)? - flits_before,
             errors,
             lost_updates: lost,
         })

@@ -37,15 +37,8 @@
 use crate::driver::{HostThread, RunMetrics, ThreadDriver, ThreadIo, ThreadStatus};
 use hmc_cmc::ops::mutex::{LOCK_CMD, TRYLOCK_CMD, UNLOCK_CMD};
 use hmc_cmc::ops::ticket::{TICKET_POLL_CMD, TICKET_RELEASE_CMD, TICKET_TAKE_CMD};
-use hmc_sim::{HmcSim, TrackedResponse};
-use hmc_types::{HmcError, HmcResponse};
-
-/// True when the vault answered with an error instead of executing the
-/// request (an ERROR packet or nonzero `ERRSTAT`): no side effects
-/// happened, so re-issuing the request verbatim is safe.
-fn not_executed(rsp: &TrackedResponse) -> bool {
-    matches!(rsp.rsp.head.cmd, HmcResponse::Error) || rsp.rsp.tail.errstat != 0
-}
+use hmc_sim::HmcSim;
+use hmc_types::HmcError;
 
 /// How the trylock spin loop terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,7 +217,7 @@ impl HostThread for MutexThread {
                 }
                 State::WaitLock => {
                     let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if not_executed(&rsp) {
+                    if rsp.rsp.not_executed() {
                         // The vault rejected the acquire: no side
                         // effects (no lock taken, no ticket drawn), so
                         // re-issuing it verbatim is safe.
@@ -264,7 +257,7 @@ impl HostThread for MutexThread {
                 }
                 State::WaitTrylock => {
                     let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if not_executed(&rsp) {
+                    if rsp.rsp.not_executed() {
                         // Rejected, not executed: retry the same poll.
                         self.state = State::SendTrylock;
                         continue;
@@ -313,7 +306,7 @@ impl HostThread for MutexThread {
                 }
                 State::WaitUnlock => {
                     let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if not_executed(&rsp) {
+                    if rsp.rsp.not_executed() {
                         // A dropped release would leave the lock held
                         // forever; re-issue until it lands.
                         self.state = State::SendUnlock;

@@ -9,9 +9,10 @@
 //! queueing capacity.
 
 use crate::driver::ResilienceConfig;
+use crate::window::{Sent, Window};
 use hmc_sim::HmcSim;
-use hmc_types::{HmcError, HmcResponse, HmcRqst, Tag};
-use std::collections::BTreeMap;
+use hmc_types::{HmcError, HmcRqst};
+use std::collections::VecDeque;
 
 /// Configuration of a Triad run.
 #[derive(Debug, Clone)]
@@ -91,7 +92,6 @@ struct ChunkState {
     b: Option<hmc_types::PayloadBuf>,
     c: Option<hmc_types::PayloadBuf>,
     write_issued: bool,
-    write_done: bool,
 }
 
 /// The STREAM Triad kernel runner.
@@ -114,13 +114,13 @@ impl TriadKernel {
         if !cfg.chunk_bytes.is_multiple_of(8) || !(cfg.elements * 8).is_multiple_of(cfg.chunk_bytes) {
             return Err(HmcError::InvalidRequestSize(cfg.chunk_bytes));
         }
-        let links = sim.device_config(0)?.links;
         let read_cmd = HmcRqst::read_for_bytes(cfg.chunk_bytes)?;
         let write_cmd = if cfg.posted_writes {
             HmcRqst::posted_write_for_bytes(cfg.chunk_bytes)?
         } else {
             HmcRqst::write_for_bytes(cfg.chunk_bytes)?
         };
+        let mut window = Window::new(sim, 1)?;
 
         // Initialize source arrays.
         for i in 0..cfg.elements {
@@ -130,23 +130,15 @@ impl TriadKernel {
             sim.mem_write_u64(0, cfg.c_base + (i * 8) as u64, c.to_bits())?;
         }
 
-        let flits_before = {
-            let s = sim.stats(0)?;
-            s.rqst_flits + s.rsp_flits
-        };
+        let flits_before = window.host_flits(sim)?;
         let start_cycle = sim.cycle();
 
         let chunks = cfg.elements * 8 / cfg.chunk_bytes;
         let mut states: Vec<ChunkState> = (0..chunks).map(|_| ChunkState::default()).collect();
-        // Tag pools are per link, so in-flight ops key on (link, tag).
-        // BTreeMap keeps the timeout scan deterministic across runs.
-        let mut owner: BTreeMap<(usize, u16), (usize, StreamKind, u64)> = BTreeMap::new();
-        let mut read_queue: std::collections::VecDeque<(usize, StreamKind)> = (0..chunks)
+        let mut read_queue: VecDeque<(usize, StreamKind)> = (0..chunks)
             .flat_map(|c| [(c, StreamKind::B), (c, StreamKind::C)])
             .collect();
-        let mut inflight = 0usize;
         let mut done_chunks = 0usize;
-        let mut rr_link = 0usize;
         let mut fault_retries = 0u64;
         let mut timeouts = 0u64;
 
@@ -156,9 +148,8 @@ impl TriadKernel {
         // idempotent.
         fn requeue(
             states: &mut [ChunkState],
-            read_queue: &mut std::collections::VecDeque<(usize, StreamKind)>,
-            chunk: usize,
-            kind: StreamKind,
+            read_queue: &mut VecDeque<(usize, StreamKind)>,
+            (chunk, kind): (usize, StreamKind),
         ) {
             match kind {
                 StreamKind::B | StreamKind::C => read_queue.push_back((chunk, kind)),
@@ -174,55 +165,25 @@ impl TriadKernel {
             if sim.cycle() - start_cycle > cfg.max_cycles {
                 break;
             }
-            // Drain responses on all links (after a link failover a
-            // response can surface on any link; route by entry link).
-            for link in 0..links {
-                while let Some(rsp) = sim.recv(0, link) {
-                    let key = (rsp.entry_link, rsp.rsp.head.tag.value());
-                    let Some((chunk, kind, _)) = owner.remove(&key) else {
-                        continue;
-                    };
-                    inflight -= 1;
-                    let faulty = cfg.resilience.is_some()
-                        && (matches!(rsp.rsp.head.cmd, HmcResponse::Error)
-                            || rsp.rsp.tail.errstat != 0
-                            || rsp.rsp.tail.dinv);
-                    if faulty {
-                        fault_retries += 1;
-                        requeue(&mut states, &mut read_queue, chunk, kind);
-                        continue;
-                    }
-                    match kind {
-                        StreamKind::B => states[chunk].b = Some(rsp.rsp.payload),
-                        StreamKind::C => states[chunk].c = Some(rsp.rsp.payload),
-                        StreamKind::AWrite => {
-                            states[chunk].write_done = true;
-                            done_chunks += 1;
-                        }
-                    }
+            while let Some(((chunk, kind), rsp)) = window.recv(sim, 0) {
+                if cfg.resilience.is_some() && (rsp.rsp.not_executed() || rsp.rsp.poisoned()) {
+                    fault_retries += 1;
+                    requeue(&mut states, &mut read_queue, (chunk, kind));
+                    continue;
+                }
+                match kind {
+                    StreamKind::B => states[chunk].b = Some(rsp.rsp.payload),
+                    StreamKind::C => states[chunk].c = Some(rsp.rsp.payload),
+                    StreamKind::AWrite => done_chunks += 1,
                 }
             }
 
-            // Abandon requests that have been in flight too long
-            // (stuck behind a downed link); their tags are reclaimed
-            // when the stale response eventually surfaces.
+            // Abandon requests that have been in flight too long (stuck
+            // behind a downed link).
             if let Some(res) = cfg.resilience {
-                let now = sim.cycle();
-                let overdue: Vec<(usize, u16)> = owner
-                    .iter()
-                    .filter(|&(_, &(_, _, issued))| {
-                        now.saturating_sub(issued) >= res.request_timeout
-                    })
-                    .map(|(&k, _)| k)
-                    .collect();
-                for key in overdue {
-                    let (chunk, kind, _) = owner.remove(&key).expect("key from scan");
-                    inflight -= 1;
-                    if let Ok(tag) = Tag::new(key.1 as u32) {
-                        let _ = sim.abandon_tag(0, key.0, tag);
-                    }
+                for work in window.abandon_overdue(sim, res.request_timeout) {
                     timeouts += 1;
-                    requeue(&mut states, &mut read_queue, chunk, kind);
+                    requeue(&mut states, &mut read_queue, work);
                 }
             }
 
@@ -247,33 +208,22 @@ impl TriadKernel {
                     })
                     .collect();
                 let addr = cfg.a_base + (chunk * cfg.chunk_bytes) as u64;
-                let link = rr_link % links;
-                match sim.send_simple(0, link, write_cmd, addr, a) {
-                    Ok(Some(tag)) => {
-                        rr_link += 1;
-                        owner.insert(
-                            (link, tag.value()),
-                            (chunk, StreamKind::AWrite, sim.cycle()),
-                        );
-                        inflight += 1;
+                let send = |sim: &mut HmcSim, link| sim.send_simple(0, link, write_cmd, addr, a);
+                match window.send(sim, 0, (chunk, StreamKind::AWrite), send) {
+                    Ok(Sent::Full) => break,
+                    Ok(sent) => {
                         states[chunk].write_issued = true;
                         states[chunk].b = None;
                         states[chunk].c = None;
+                        // A posted write completes without a response.
+                        if sent == Sent::Posted {
+                            done_chunks += 1;
+                        }
                     }
-                    Ok(None) => {
-                        // Posted write: completes without a response.
-                        rr_link += 1;
-                        states[chunk].write_issued = true;
-                        states[chunk].write_done = true;
-                        states[chunk].b = None;
-                        states[chunk].c = None;
-                        done_chunks += 1;
-                    }
-                    Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => break,
                     Err(HmcError::LinkDown(_)) if cfg.resilience.is_some() => {
                         // Skip the downed link; this chunk stays ready
                         // and is retried on the next round-robin link.
-                        rr_link += 1;
+                        window.skip_link(0);
                         continue;
                     }
                     Err(e) => return Err(e),
@@ -281,7 +231,7 @@ impl TriadKernel {
             }
 
             // Issue new reads while the window has room.
-            while inflight < cfg.window * 2 {
+            while window.in_flight(0) < cfg.window * 2 {
                 let Some((chunk, kind)) = read_queue.pop_front() else { break };
                 let base = match kind {
                     StreamKind::B => cfg.b_base,
@@ -289,22 +239,17 @@ impl TriadKernel {
                     StreamKind::AWrite => unreachable!("read queue holds reads"),
                 };
                 let addr = base + (chunk * cfg.chunk_bytes) as u64;
-                let link = rr_link % links;
-                match sim.send_simple(0, link, read_cmd, addr, vec![]) {
-                    Ok(Some(tag)) => {
-                        rr_link += 1;
-                        owner.insert((link, tag.value()), (chunk, kind, sim.cycle()));
-                        inflight += 1;
-                    }
-                    Ok(None) => unreachable!("reads are never posted"),
-                    Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => {
+                let send = |sim: &mut HmcSim, link| sim.send_simple(0, link, read_cmd, addr, []);
+                match window.send(sim, 0, (chunk, kind), send) {
+                    Ok(Sent::Full) => {
                         read_queue.push_front((chunk, kind));
                         break;
                     }
+                    Ok(_) => {}
                     Err(HmcError::LinkDown(_)) if cfg.resilience.is_some() => {
                         // Skip the downed link; retry next cycle.
                         read_queue.push_front((chunk, kind));
-                        rr_link += 1;
+                        window.skip_link(0);
                         break;
                     }
                     Err(e) => return Err(e),
@@ -330,15 +275,11 @@ impl TriadKernel {
         }
 
         let cycles = sim.cycle() - start_cycle;
-        let flits_after = {
-            let s = sim.stats(0)?;
-            s.rqst_flits + s.rsp_flits
-        };
         let data_bytes = (3 * cfg.elements * 8) as u64;
         Ok(TriadResult {
             cycles,
             data_bytes,
-            link_flits: flits_after - flits_before,
+            link_flits: window.host_flits(sim)? - flits_before,
             bytes_per_cycle: data_bytes as f64 / cycles.max(1) as f64,
             errors,
             fault_retries,
