@@ -1,9 +1,8 @@
 //! The scenario value: one fully-specified differential experiment.
 
-use hmc_sim::jsonv::obj;
+use hmc_sim::jsonv::{name_of, obj};
 use hmc_sim::scenario::{
     device_config_from_json, device_config_to_json, skip_mode_from_json, skip_mode_to_json,
-    timing_select_from_json, timing_select_to_json,
 };
 use hmc_sim::{DeviceConfig, Json, JsonError, ObjReader, SimConfig, SkipMode, TimingSelect};
 use hmc_workloads::KernelDescriptor;
@@ -221,7 +220,7 @@ impl Scenario {
             ("sanitizer", Json::Bool(self.sanitizer)),
             ("telemetry", Json::Bool(self.telemetry)),
             ("trace", Json::Bool(self.trace)),
-            ("timing", timing_select_to_json(self.timing)),
+            ("timing", name_of(&TimingSelect::NAMES, self.timing).into()),
             ("fabric", self.fabric.to_json()),
         ])
     }
@@ -268,9 +267,9 @@ impl Scenario {
             // Older corpus files predate the timing axis; absent means
             // the default FixedLatency backend. A present-but-unknown
             // backend name still fails loudly in the parser.
-            timing: match r.optional("timing") {
+            timing: match value.get("timing") {
                 None => TimingSelect::FixedLatency,
-                Some(v) => timing_select_from_json(v)?,
+                Some(_) => r.named("timing", &TimingSelect::NAMES)?,
             },
             // Older corpus files predate the fabric axis; absent means
             // the historic single-cube shape.
@@ -400,7 +399,7 @@ mod tests {
             }
         }
         let e = Scenario::from_json_str(&s.render()).unwrap_err();
-        assert!(e.message.contains("unknown timing backend"), "{}", e.message);
+        assert!(e.message.contains("scenario: unknown timing `warp_drive`"), "{}", e.message);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::timing::{TimingEngine, TimingSelect, TimingStats};
 use crate::power::{PowerConfig, PowerModel};
 use crate::queue::{BoundedQueue, FreeList};
 use crate::regs::RegisterFile;
+use crate::snapshot::{fits, DeviceSnapshot};
 use crate::stats::DeviceStats;
 use crate::trace::{CmdRef, TraceKind, TraceLevel, TraceRecord, Tracer};
 use hmc_cmc::{CmcContext, CmcRegistry};
@@ -385,7 +386,7 @@ impl Device {
     /// The timing backend's observation counters (latency-class
     /// histograms, validated-mode divergence).
     pub fn timing_stats(&self) -> &TimingStats {
-        self.timing.stats()
+        &self.timing.stats
     }
 
     /// Swaps the bank-timing backend, resetting its observation
@@ -485,8 +486,7 @@ impl Device {
     /// The event-horizon engine may not skip past this cycle: a bank
     /// release can unblock a stalled vault queue head.
     pub(crate) fn next_timing_event(&self, cycle: u64) -> Option<u64> {
-        self.timing
-            .next_event_cycle(&mut self.vaults.iter().flat_map(|v| v.banks.iter()), cycle)
+        self.timing.next_event_cycle(self.vaults.iter().flat_map(|v| &v.banks), cycle)
     }
 
     /// True when `link`'s crossbar request queue can accept a packet.
@@ -706,18 +706,15 @@ impl Device {
                 };
                 let bank = loc.bank as usize % config.banks_per_vault;
                 let global_bank = (vidx * config.banks_per_vault + bank) as u64;
-                if let Some(refresh) = &config.refresh {
-                    let total = (config.total_vaults() * config.banks_per_vault) as u64;
-                    if refresh.blocks(cycle, global_bank, total) {
-                        stats.vault_stalls += 1;
-                        tracer.emit(TraceRecord {
-                            dev: *id as u16,
-                            vault: vidx as u16,
-                            bank: bank as u16,
-                            ..TraceRecord::new(cycle, TraceKind::Refresh)
-                        });
-                        break;
-                    }
+                if timing.refreshing(cycle, global_bank) {
+                    stats.vault_stalls += 1;
+                    tracer.emit(TraceRecord {
+                        dev: *id as u16,
+                        vault: vidx as u16,
+                        bank: bank as u16,
+                        ..TraceRecord::new(cycle, TraceKind::Refresh)
+                    });
+                    break;
                 }
                 if vault.banks[bank].is_busy(cycle) {
                     stats.vault_stalls += 1;
@@ -997,8 +994,8 @@ impl Device {
     }
 
     /// Deep-copies the device's dynamic state into a snapshot.
-    pub(crate) fn snapshot_state(&self) -> crate::snapshot::DeviceSnapshot {
-        crate::snapshot::DeviceSnapshot {
+    pub(crate) fn snapshot_state(&self) -> DeviceSnapshot {
+        DeviceSnapshot {
             xbar_rqst: self.xbar_rqst.clone(),
             xbar_rsp: self.xbar_rsp.clone(),
             vaults: self.vaults.clone(),
@@ -1013,9 +1010,27 @@ impl Device {
         }
     }
 
-    /// Restores the device's dynamic state from a snapshot (static
-    /// parts — configuration, address map, CMC registry — are kept).
-    pub(crate) fn restore_state(&mut self, s: &crate::snapshot::DeviceSnapshot) {
+    /// Checks that snapshot `s` fits this device — its link queues,
+    /// link states, vaults and every vault's banks — and builds the
+    /// timing engine it carries, changing nothing.
+    pub(crate) fn fit_snapshot(&self, s: &DeviceSnapshot) -> Result<TimingEngine, HmcError> {
+        let (id, links) = (self.id, self.config.links);
+        fits(format_args!("`xbar_rqst` of device {id}"), s.xbar_rqst.len(), links)?;
+        fits(format_args!("`xbar_rsp` of device {id}"), s.xbar_rsp.len(), links)?;
+        fits(format_args!("`link_up` of device {id}"), s.link_up.len(), links)?;
+        fits(format_args!("`vaults` of device {id}"), s.vaults.len(), self.vaults.len())?;
+        for (v, vault) in s.vaults.iter().enumerate() {
+            let banks = self.config.banks_per_vault;
+            fits(format_args!("`banks` of device {id} vault {v}"), vault.banks.len(), banks)?;
+        }
+        TimingEngine::from_snapshot(&s.timing, &self.config)
+    }
+
+    /// Restores the device's dynamic state from a snapshot that
+    /// [`Device::fit_snapshot`] accepted, with the timing engine it
+    /// built (static parts — configuration, address map, CMC registry —
+    /// are kept).
+    pub(crate) fn restore_state(&mut self, s: &DeviceSnapshot, timing: TimingEngine) {
         self.xbar_rqst = s.xbar_rqst.clone();
         self.xbar_rsp = s.xbar_rsp.clone();
         self.vaults = s.vaults.clone();
@@ -1030,7 +1045,7 @@ impl Device {
         self.fault_rng = s.fault_rng.clone();
         self.link_up = s.link_up.clone();
         self.fault_idx = s.fault_idx;
-        self.timing = TimingEngine::from_snapshot(&s.timing, &self.config);
+        self.timing = timing;
     }
 
     /// Test backdoor: pushes a response directly into a crossbar
@@ -1708,15 +1723,15 @@ mod tests {
         assert!(!agree(&dev, "absorbed"));
 
         // A restore rebuilds the vault hints the test reads.
-        dev.restore_state(&answered);
+        dev.restore_state(&answered, dev.fit_snapshot(&answered).unwrap());
         assert!(agree(&dev, "restored with a response in the crossbar"));
-        dev.restore_state(&parked);
+        dev.restore_state(&parked, dev.fit_snapshot(&parked).unwrap());
         assert!(agree(&dev, "restored with a request in the crossbar"));
         route(&mut dev, 5, &mut tracer);
         let queued = dev.snapshot_state();
         let mut idle = device();
         assert!(!agree(&idle, "another new device"));
-        idle.restore_state(&queued);
+        idle.restore_state(&queued, idle.fit_snapshot(&queued).unwrap());
         assert!(agree(&idle, "restored with a request in a vault"));
         execute(&mut idle, 6, &mut tracer);
         idle.route_responses(7, &mut tracer);

@@ -90,20 +90,6 @@ pub fn skip_mode_from_json(v: &Json) -> Result<SkipMode, JsonError> {
     }
 }
 
-/// Renders a [`TimingSelect`] as its stable backend name.
-pub fn timing_select_to_json(select: crate::timing::TimingSelect) -> Json {
-    select.name().into()
-}
-
-/// Parses a [`TimingSelect`] from its backend name. Unknown backends
-/// are rejected loudly — a scenario asking for a model this build does
-/// not ship must fail, not silently run the default.
-pub fn timing_select_from_json(v: &Json) -> Result<crate::timing::TimingSelect, JsonError> {
-    let name =
-        v.as_str().ok_or_else(|| JsonError::new("timing: expected a backend name string"))?;
-    crate::timing::TimingSelect::from_name(name).map_err(|e| JsonError::new(format!("timing: {e}")))
-}
-
 // ---------------------------------------------------------------------------
 // FaultPlan serialization
 // ---------------------------------------------------------------------------
@@ -337,22 +323,6 @@ mod tests {
         for mode in [SkipMode::Off, SkipMode::On] {
             assert_eq!(skip_mode_from_json(&skip_mode_to_json(mode)).unwrap(), mode);
         }
-    }
-
-    #[test]
-    fn timing_select_round_trips_and_rejects_unknowns() {
-        use crate::timing::TimingSelect;
-        for select in
-            [TimingSelect::FixedLatency, TimingSelect::RowBuffer, TimingSelect::Validated]
-        {
-            assert_eq!(
-                timing_select_from_json(&timing_select_to_json(select)).unwrap(),
-                select
-            );
-        }
-        let e = timing_select_from_json(&Json::Str("warp_drive".into())).unwrap_err();
-        assert!(e.message.contains("unknown timing backend"), "{}", e.message);
-        assert!(timing_select_from_json(&Json::Int(1)).is_err());
     }
 
     #[test]

@@ -940,7 +940,7 @@ fn timing_json(t: &TimingSnapshot) -> Json {
 fn timing_from_json(v: &Json) -> Result<TimingSnapshot, JsonError> {
     let mut r = ObjReader::new("timing", v)?;
     let out = TimingSnapshot {
-        select: TimingSelect::from_name(r.str("select")?).map_err(bad("timing"))?,
+        select: r.named("select", &TimingSelect::NAMES)?,
         stats: TimingStats {
             hit_latency: hist_from_json(r.required("hit_latency")?)?,
             miss_latency: hist_from_json(r.required("miss_latency")?)?,

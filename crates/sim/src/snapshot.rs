@@ -457,6 +457,24 @@ impl ForensicDump {
     }
 }
 
+/// `Ok` when the snapshot's `what` holds `len` entries where the context
+/// holds `want`; otherwise the error naming it.
+pub(crate) fn fits(what: std::fmt::Arguments<'_>, len: usize, want: usize) -> Result<(), HmcError> {
+    if len == want {
+        return Ok(());
+    }
+    Err(HmcError::MalformedPacket(format!("snapshot {what} has {len} entries, the context {want}")))
+}
+
+/// [`fits`] for a per-`[device][link]` array.
+fn fits_links<T>(what: &str, nested: &[Vec<T>], devices: &[Device]) -> Result<(), HmcError> {
+    fits(format_args!("`{what}`"), nested.len(), devices.len())?;
+    for (d, links) in devices.iter().zip(nested) {
+        fits(format_args!("`{what}` of device {}", d.id()), links.len(), d.config().links)?;
+    }
+    Ok(())
+}
+
 impl HmcSim {
     /// Captures all dynamic state, pairing it with the given sanitizer
     /// shadow (the public [`HmcSim::snapshot`] passes the live shadow;
@@ -490,34 +508,25 @@ impl HmcSim {
     }
 
     /// Restores all dynamic state from a snapshot taken on a context
-    /// with the same geometry (device count, links, vaults). The
+    /// with the same geometry (devices, links, vaults, banks). The
     /// static parts — configuration, CMC registrations, the tracer
     /// and the sanitizer policy — are kept from the live context.
-    /// Returns [`HmcError::MalformedPacket`] on a geometry mismatch.
+    /// Returns [`HmcError::MalformedPacket`], naming the array, when
+    /// any per-device, per-link or per-vault array or the timing
+    /// section does not fit; the context is then unchanged.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), HmcError> {
-        if snap.devices.len() != self.devices.len() {
-            return Err(HmcError::MalformedPacket(format!(
-                "snapshot has {} devices, context has {}",
-                snap.devices.len(),
-                self.devices.len()
-            )));
-        }
-        for (i, (d, s)) in self.devices.iter().zip(&snap.devices).enumerate() {
-            if d.config().links != s.link_up.len()
-                || d.config().total_vaults() != s.vaults.len()
-            {
-                return Err(HmcError::MalformedPacket(format!(
-                    "snapshot geometry mismatch on device {i}"
-                )));
-            }
-        }
-        self.cycle = snap.cycle;
-        for (dev, s) in self.devices.iter_mut().zip(&snap.devices) {
-            dev.restore_state(s);
-        }
-        self.host_rx = snap.host_rx.clone();
-        self.tag_pools = snap.tag_pools.clone();
-        self.pool_tags = snap.pool_tags.clone();
+        let devices = &self.devices;
+        fits(format_args!("`devices`"), snap.devices.len(), devices.len())?;
+        fits_links("host_rx", &snap.host_rx, devices)?;
+        fits_links("tag_pools", &snap.tag_pools, devices)?;
+        fits_links("pool_tags", &snap.pool_tags, devices)?;
+        fits_links("links", &snap.links, devices)?;
+        fits(format_args!("`zombie_tags`"), snap.zombie_tags.len(), devices.len())?;
+        let timings = devices
+            .iter()
+            .zip(&snap.devices)
+            .map(|(d, s)| d.fit_snapshot(s))
+            .collect::<Result<Vec<_>, _>>()?;
         // Rebuild the per-edge transit heaps from the snapshot's flat
         // form; the renumbered insertion sequence preserves the
         // recorded per-edge order. Pre-fabric snapshots carry no
@@ -544,6 +553,13 @@ impl HmcSim {
             t.set_from_dev(rehomed_from as usize);
             per_edge[edge].push(t);
         }
+        self.cycle = snap.cycle;
+        for ((dev, s), timing) in self.devices.iter_mut().zip(&snap.devices).zip(timings) {
+            dev.restore_state(s, timing);
+        }
+        self.host_rx = snap.host_rx.clone();
+        self.tag_pools = snap.tag_pools.clone();
+        self.pool_tags = snap.pool_tags.clone();
         self.transit_queues = per_edge
             .into_iter()
             .map(|v| crate::events::EventHeap::from_ordered(v, Transit::ready))

@@ -256,6 +256,72 @@ fn a_flight_section_without_the_five_lanes_in_order_is_rejected() {
 }
 
 // ---------------------------------------------------------------------------
+// Restorable geometry only
+// ---------------------------------------------------------------------------
+
+/// The array at `path` (object keys and array indices, `/`-separated).
+fn array_at<'a>(doc: &'a mut Json, path: &str) -> &'a mut Vec<Json> {
+    let mut node = doc;
+    for step in path.split('/') {
+        node = match node {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).expect(path).1,
+            Json::Arr(items) => &mut items[step.parse::<usize>().expect(path)],
+            _ => panic!("{path} runs into a leaf"),
+        };
+    }
+    match node {
+        Json::Arr(items) => items,
+        _ => panic!("{path} is not an array"),
+    }
+}
+
+/// Every per-device, per-link and per-vault array of the busy mesh's
+/// snapshot, one element cut or duplicated, still decodes — and
+/// `restore` refuses it with an error naming the array, before
+/// changing anything.
+#[test]
+fn restore_refuses_an_array_that_does_not_fit_and_changes_nothing() {
+    let mut sim = busy_mesh();
+    let base = sim.state_fingerprint();
+    let doc = sim.snapshot().to_json_value();
+    for path in [
+        "devices",
+        "host_rx",
+        "host_rx/0",
+        "tag_pools",
+        "tag_pools/0",
+        "pool_tags",
+        "pool_tags/0",
+        "links",
+        "links/0",
+        "zombie_tags",
+        "devices/1/xbar_rqst",
+        "devices/1/xbar_rsp",
+        "devices/1/link_up",
+        "devices/1/vaults",
+        "devices/1/vaults/3/banks",
+        "devices/1/timing/shadow",
+    ] {
+        let name = path.rsplit('/').find(|step| step.parse::<usize>().is_err()).unwrap();
+        for cut in [true, false] {
+            let mut mutant = doc.clone();
+            let items = array_at(&mut mutant, path);
+            match cut {
+                true => drop(items.pop()),
+                false => items.push(items[0].clone()),
+            }
+            let snap = SimSnapshot::from_json_value(&mutant)
+                .unwrap_or_else(|e| panic!("{path}: the codec leaves fit to restore: {e}"));
+            let err = sim.restore(&snap).expect_err(path).to_string();
+            assert!(err.contains(&format!("`{name}`")), "{path}: `{err}` does not name it");
+            assert_eq!(sim.state_fingerprint(), base, "{path}: a refused restore moved state");
+        }
+    }
+    sim.restore(&SimSnapshot::from_json_value(&doc).unwrap()).unwrap();
+    assert_eq!(sim.state_fingerprint(), base);
+}
+
+// ---------------------------------------------------------------------------
 // Coverage: fingerprint ≡ persisted state modulo observers
 // ---------------------------------------------------------------------------
 

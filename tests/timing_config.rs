@@ -14,9 +14,11 @@
 //!    bit-identically to the uninterrupted one.
 //! 3. **Strict-but-compatible parsing** — a snapshot written before
 //!    the timing seam (no `timing` key) loads as the fixed backend,
-//!    while a present-but-unknown backend name is rejected loudly.
+//!    while a present-but-unknown backend name is rejected loudly, and
+//!    so is a shadow bank array the backend does not keep.
 
 use hmcsim::prelude::*;
+use hmcsim::sim::jsonv::name_of;
 use hmcsim::sim::{Json, RefreshConfig, RowPolicy, SimSnapshot};
 
 fn row_heavy_config() -> DeviceConfig {
@@ -89,12 +91,7 @@ fn golden_timing_codec_shapes() {
         [TimingSelect::FixedLatency, TimingSelect::RowBuffer, TimingSelect::Validated];
     let mut doc: Vec<(String, Json)> = vec![(
         "select_names".into(),
-        Json::Arr(
-            backends
-                .iter()
-                .map(|&b| hmcsim::sim::scenario::timing_select_to_json(b))
-                .collect(),
-        ),
+        Json::Arr(backends.iter().map(|&b| name_of(&TimingSelect::NAMES, b).into()).collect()),
     )];
     for timing in backends {
         let sim = run_burst(timing);
@@ -168,8 +165,7 @@ fn legacy_snapshot_without_timing_key_loads_as_fixed() {
 }
 
 /// An unknown backend name in a snapshot is a corruption, not a
-/// default: the parse must fail and name both the bad value and the
-/// accepted ones.
+/// default: the parse must fail and name the bad value.
 #[test]
 fn unknown_backend_name_is_rejected_loudly() {
     let sim = run_burst(TimingSelect::RowBuffer);
@@ -180,35 +176,68 @@ fn unknown_backend_name_is_rejected_loudly() {
         .replace("\"row_buffer\"", "\"quantum_foam\"");
     let err = SimSnapshot::from_json_value(&Json::parse(&text).unwrap()).unwrap_err();
     assert!(
-        err.message.contains("unknown timing backend \"quantum_foam\""),
+        err.message.contains("timing: unknown select `quantum_foam`"),
         "bad value not named: {}",
-        err.message
-    );
-    assert!(
-        err.message.contains("fixed, row_buffer or validated"),
-        "accepted values not listed: {}",
         err.message
     );
 }
 
-/// The `HMCSIM_TIMING` parser (used by the CI matrix) accepts every
-/// backend name and its aliases, and rejects garbage with the
-/// variable named in the error — a typo in a CI matrix must fail the
-/// job, not silently run the wrong model.
+/// A shadow bank array the snapshot's backend does not keep — any
+/// shadow outside `validated`, one bank short or over under it — is
+/// refused by `restore`, which then leaves the context as it was.
+#[test]
+fn a_timing_section_that_does_not_fit_is_rejected() {
+    let mut sim = run_burst(TimingSelect::FixedLatency);
+    let base = sim.state_fingerprint();
+    let stats = *sim.timing_stats(0).unwrap();
+    let bank = r#"{"busy_until":0,"open_row":null,"row_hits":0,"row_misses":0}"#;
+    let bank = Json::parse(bank).unwrap();
+    for (timing, grow) in [
+        (TimingSelect::FixedLatency, true),
+        (TimingSelect::RowBuffer, true),
+        (TimingSelect::Validated, false),
+        (TimingSelect::Validated, true),
+    ] {
+        let mut doc = run_burst(timing).snapshot().to_json_value();
+        let mut node = &mut doc;
+        for key in ["devices", "0", "timing", "shadow"] {
+            node = match node {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                _ => unreachable!("the path runs through containers"),
+            };
+        }
+        let Json::Arr(shadow) = node else { panic!("the shadow is an array") };
+        match grow {
+            true => shadow.push(bank.clone()),
+            false => drop(shadow.pop()),
+        }
+        let held = shadow.len();
+        let snap = SimSnapshot::from_json_value(&doc).expect("the codec leaves fit to restore");
+        let err = sim.restore(&snap).expect_err("a timing section that does not fit");
+        assert!(err.to_string().contains(&format!("`shadow` holds {held} banks")), "{err}");
+        assert_eq!(sim.state_fingerprint(), base, "{timing:?}: a refused restore moved state");
+        assert_eq!(sim.timing_select(), TimingSelect::FixedLatency);
+        assert_eq!(*sim.timing_stats(0).unwrap(), stats);
+    }
+}
+
+/// The `HMCSIM_TIMING` parser (used by the CI matrix) accepts exactly
+/// the three backend names, and rejects anything else with the
+/// variable and the accepted values named in the error — a typo in a
+/// CI matrix must fail the job, not silently run the wrong model.
 #[test]
 fn env_value_parser_is_strict() {
     for (raw, want) in [
         ("fixed", TimingSelect::FixedLatency),
-        ("fixed_latency", TimingSelect::FixedLatency),
         ("row_buffer", TimingSelect::RowBuffer),
-        ("row-buffer", TimingSelect::RowBuffer),
         ("validated", TimingSelect::Validated),
-        (" Validated ", TimingSelect::Validated),
     ] {
         assert_eq!(TimingSelect::parse_env_value(raw).unwrap(), want, "{raw:?}");
     }
-    for raw in ["", "quick", "rowbufferx"] {
+    for raw in ["", "quick", "rowbufferx", "fixed_latency", "row-buffer", " Validated "] {
         let err = TimingSelect::parse_env_value(raw).unwrap_err().to_string();
         assert!(err.contains("HMCSIM_TIMING"), "variable not named for {raw:?}: {err}");
+        assert!(err.contains("fixed, row_buffer, validated"), "values not listed: {err}");
     }
 }
