@@ -1,11 +1,14 @@
 //! The simulated-thread driver.
 //!
 //! The paper's evaluation drives the device with N host threads, each
-//! issuing HMC packets and waiting for responses (§V-B). This module
-//! provides the deterministic equivalent: every simulated thread is a
-//! state machine ticked once per device cycle; the driver routes
-//! delivered responses back to the thread that issued the matching
-//! tag and records per-thread completion cycles.
+//! issuing one HMC packet and waiting for its response (§V-B,
+//! Algorithm 1). This module provides the deterministic equivalent: a
+//! simulated thread is a step function ([`HostThread::step`]) that
+//! returns its next request, a wake-up cycle or "done", and is called
+//! again with the response to that request or when the sleep ends.
+//! The driver owns everything in between: it sends the request on the
+//! thread's link, retries a stalled send every cycle, routes the
+//! response back by tag and records per-thread completion cycles.
 //!
 //! With a [`ResilienceConfig`] installed the driver also plays the
 //! role of a fault-tolerant host controller: it records every tracked
@@ -23,36 +26,60 @@ use hmc_sim::{HmcSim, TrackedResponse};
 use hmc_types::{Cub, HmcError, HmcResponse, HmcRqst, PayloadBuf, Response, RspHead, RspTail, Slid, Tag};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Whether a thread has finished its kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadStatus {
-    /// The thread still has work.
-    Running,
-    /// The thread completed its kernel this cycle.
-    Done,
-}
-
-/// The body of a tracked request, kept so the driver can replay it.
+/// One request: a command, its address and its payload — what a
+/// thread hands the driver to send, kept so a stalled send can be
+/// retried and a failed one replayed.
 #[derive(Debug, Clone)]
-enum SentKind {
-    Std { cmd: HmcRqst, addr: u64, payload: PayloadBuf },
-    Cmc { code: u8, addr: u64, payload: PayloadBuf },
+pub struct Op {
+    cmd: OpCmd,
+    addr: u64,
+    payload: PayloadBuf,
 }
 
-impl SentKind {
+#[derive(Debug, Clone, Copy)]
+enum OpCmd {
+    Std(HmcRqst),
+    Cmc(u8),
+}
+
+impl Op {
+    /// A standard command.
+    pub fn new(cmd: HmcRqst, addr: u64, payload: impl Into<PayloadBuf>) -> Op {
+        Op { cmd: OpCmd::Std(cmd), addr, payload: payload.into() }
+    }
+
+    /// A CMC command, by its opcode.
+    pub fn cmc(code: u8, addr: u64, payload: impl Into<PayloadBuf>) -> Op {
+        Op { cmd: OpCmd::Cmc(code), addr, payload: payload.into() }
+    }
+
     /// Issues the request on `link`. The payload is copied into the
-    /// packet (inline, no allocation): the body may be needed again for
-    /// a replay.
-    fn send(&self, sim: &mut HmcSim, dev: usize, link: usize) -> Result<Option<Tag>, HmcError> {
-        match self {
-            SentKind::Std { cmd, addr, payload } => {
-                sim.send_simple(dev, link, *cmd, *addr, payload.as_slice())
-            }
-            SentKind::Cmc { code, addr, payload } => {
-                sim.send_cmc(dev, link, *code, *addr, payload.as_slice())
-            }
+    /// packet (inline, no allocation): the body may be needed again.
+    pub(crate) fn send(
+        &self,
+        sim: &mut HmcSim,
+        dev: usize,
+        link: usize,
+    ) -> Result<Option<Tag>, HmcError> {
+        match self.cmd {
+            OpCmd::Std(cmd) => sim.send_simple(dev, link, cmd, self.addr, self.payload.as_slice()),
+            OpCmd::Cmc(code) => sim.send_cmc(dev, link, code, self.addr, self.payload.as_slice()),
         }
     }
+}
+
+/// What a thread does next.
+#[derive(Debug)]
+pub enum Step {
+    /// Issue this request. The thread's next step gets its response —
+    /// or, for a posted request, which has none, comes on the next
+    /// cycle with `None`.
+    Send(Op),
+    /// Do nothing until this cycle (at the earliest the next one), then
+    /// step again with `None`.
+    Sleep(u64),
+    /// The thread has finished its kernel.
+    Done,
 }
 
 /// A tracked request awaiting its response.
@@ -60,7 +87,7 @@ struct Inflight {
     tid: usize,
     issued: u64,
     attempts: u32,
-    kind: SentKind,
+    op: Op,
 }
 
 /// [`Ledger::owner`]'s "nothing in flight under this tag".
@@ -103,104 +130,16 @@ impl Ledger {
     }
 }
 
-/// Per-tick I/O window a thread uses to talk to the device.
-pub struct ThreadIo<'a> {
-    sim: &'a mut HmcSim,
-    /// Target device index.
-    pub dev: usize,
-    /// The link this thread is pinned to.
-    pub link: usize,
-    /// Current simulation cycle.
-    pub cycle: u64,
-    tid: usize,
-    inbox: &'a mut VecDeque<TrackedResponse>,
-    /// Where tagged sends are booked. A ledger that keeps bodies means
-    /// the driver runs with a resilience policy, and sends fail over to
-    /// surviving links.
-    ledger: &'a mut Ledger,
-    link_failovers: &'a mut u64,
-}
-
-impl<'a> ThreadIo<'a> {
-    /// Takes the next response delivered to this thread, if any.
-    pub fn response(&mut self) -> Option<TrackedResponse> {
-        self.inbox.pop_front()
-    }
-
-    /// The link to issue on: the pinned link, or (under a resilience
-    /// policy) the nearest surviving link when the pinned one is down.
-    fn pick_link(&self) -> Result<usize, HmcError> {
-        if self.ledger.inflight.is_none() || self.sim.link_is_up(self.dev, self.link) {
-            return Ok(self.link);
-        }
-        let links = self.sim.device_config(self.dev)?.links;
-        (0..links)
-            .map(|i| (self.link + i) % links)
-            .find(|&l| self.sim.link_is_up(self.dev, l))
-            .ok_or(HmcError::LinkDown(self.link))
-    }
-
-    fn issue(&mut self, kind: SentKind) -> Result<Option<Tag>, HmcError> {
-        let link = self.pick_link()?;
-        let tag = kind.send(self.sim, self.dev, link)?;
-        if link != self.link {
-            *self.link_failovers += 1;
-        }
-        if let Some(tag) = tag {
-            let entry = Inflight { tid: self.tid, issued: self.cycle, attempts: 0, kind };
-            self.ledger.record(link, tag, entry);
-        }
-        Ok(tag)
-    }
-
-    /// Sends a standard command on the thread's link. Stalls
-    /// ([`HmcError::Stall`]) mean "retry next cycle".
-    pub fn send(
-        &mut self,
-        cmd: HmcRqst,
-        addr: u64,
-        payload: impl Into<PayloadBuf>,
-    ) -> Result<Option<Tag>, HmcError> {
-        self.issue(SentKind::Std { cmd, addr, payload: payload.into() })
-    }
-
-    /// Sends a CMC command on the thread's link.
-    pub fn send_cmc(
-        &mut self,
-        code: u8,
-        addr: u64,
-        payload: impl Into<PayloadBuf>,
-    ) -> Result<Option<Tag>, HmcError> {
-        self.issue(SentKind::Cmc { code, addr, payload: payload.into() })
-    }
-}
-
 /// A simulated host thread.
 pub trait HostThread {
     /// The device link this thread issues on.
     fn link(&self) -> usize;
 
-    /// Advances the thread by one cycle.
-    fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus;
-
-    /// The cycle before which this thread has nothing to do unless a
-    /// response reaches it first. `None` (the default) means "tick me
-    /// every cycle". Returning `Some(wake)` is a promise that `tick` is
-    /// a pure no-op — no send attempt, no state change — on every cycle
-    /// before `wake` on which [`ThreadIo::response`] would return
-    /// `None`: a thread backing off on the host side returns its wake-up
-    /// cycle, a thread waiting for a response returns `Some(u64::MAX)`.
-    /// A thread about to send must return `None`, however often its
-    /// send stalls: a stalled send moves the device's stall counters.
-    ///
-    /// [`ThreadDriver`] spends the promise twice. It does not tick the
-    /// thread until `wake` or a delivery, and when every unfinished
-    /// thread has made one it compresses the wait through the
-    /// simulator's event-horizon engine ([`HmcSim::clock_until_event`]).
-    /// Results are identical with and without the hint.
-    fn parked_until(&self) -> Option<u64> {
-        None
-    }
+    /// Advances the thread at `cycle`. The driver calls it at the start
+    /// of the run, with the response to the thread's last
+    /// [`Step::Send`], and when a [`Step::Sleep`] ends (with `None`) —
+    /// never while the thread's request is in flight or it sleeps.
+    fn step(&mut self, rsp: Option<TrackedResponse>, cycle: u64) -> Step;
 }
 
 /// Host-side fault-tolerance policy for [`ThreadDriver`].
@@ -300,14 +239,6 @@ impl RunMetrics {
     }
 }
 
-/// A request scheduled for re-send after backoff.
-struct PendingRetry {
-    tid: usize,
-    ready: u64,
-    attempts: u32,
-    kind: SentKind,
-}
-
 /// Drives a set of threads against a device until every thread
 /// finishes or `max_cycles` elapses.
 pub struct ThreadDriver {
@@ -355,24 +286,70 @@ impl ThreadDriver {
         }
     }
 
+    /// Sends `request` on its thread's `pinned` link or — under a
+    /// resilience policy — on the nearest surviving link, counting the
+    /// failover, and books a tagged send in the ledger. A request that
+    /// cannot go out this cycle comes back with the reason: a stall, or
+    /// (reported as one) every link down.
+    #[allow(clippy::result_large_err)] // boxing the refused request would allocate per stall
+    fn issue(
+        &self,
+        sim: &mut HmcSim,
+        ledger: &mut Ledger,
+        fault_stats: &mut [ThreadFaultStats],
+        pinned: usize,
+        request: Inflight,
+    ) -> Result<Option<Tag>, (Inflight, HmcError)> {
+        let links = ledger.owner.len();
+        let link = match ledger.inflight {
+            None => Some(pinned),
+            Some(_) => {
+                (0..links).map(|i| (pinned + i) % links).find(|&l| sim.link_is_up(self.dev, l))
+            }
+        };
+        let Some(link) = link else { return Err((request, HmcError::Stall)) };
+        match request.op.send(sim, self.dev, link) {
+            Ok(tag) => {
+                if link != pinned {
+                    fault_stats[request.tid].link_failovers += 1;
+                }
+                if let Some(tag) = tag {
+                    ledger.record(link, tag, request);
+                }
+                Ok(tag)
+            }
+            Err(e) => Err((request, e)),
+        }
+    }
+
     /// Runs the threads to completion, routing responses by tag.
+    ///
+    /// # Panics
+    ///
+    /// When a thread's send fails with anything but a stall — a command
+    /// the device rejects is a bug in the thread.
     pub fn run<T: HostThread>(&self, sim: &mut HmcSim, threads: &mut [T]) -> RunMetrics {
         let total_links = sim.device_config(self.dev).map(|c| c.links).unwrap_or(1);
         let mut ledger = Ledger {
             owner: vec![Vec::new(); total_links],
             inflight: self.resilience.map(|_| BTreeMap::new()),
         };
-        let mut retries: VecDeque<PendingRetry> = VecDeque::new();
-        let mut mailboxes: Vec<VecDeque<TrackedResponse>> =
-            (0..threads.len()).map(|_| VecDeque::new()).collect();
+        // Replays waiting out their backoff, with the cycle each is ready.
+        let mut retries: VecDeque<(u64, Inflight)> = VecDeque::new();
+        // What the driver holds for a thread between its steps: the
+        // response to its last request, or the request a stalled send
+        // left unsent.
+        let mut inbox: Vec<Option<TrackedResponse>> = (0..threads.len()).map(|_| None).collect();
+        let mut unsent: Vec<Option<Op>> = (0..threads.len()).map(|_| None).collect();
         let mut finish: Vec<Option<u64>> = vec![None; threads.len()];
         let mut fault_stats: Vec<ThreadFaultStats> =
             vec![ThreadFaultStats::default(); threads.len()];
-        // The cycle each thread is next due a tick, which is all the
-        // tick loop reads of a thread that is not due: its
-        // `parked_until()` as of its last tick (only a tick changes
-        // it), 0 — now — once it has made no promise or has mail, and
-        // `u64::MAX` — never — once it has finished.
+        // The cycle each thread is next due, worked out from what the
+        // driver holds for it, and all the scan reads of a thread that
+        // is not due: 0 (now) while a response or an unsent request
+        // waits, its wake-up cycle while it sleeps, and `u64::MAX`
+        // (never) while its request is in flight or once it has
+        // finished.
         let mut due: Vec<u64> = vec![0; threads.len()];
         let mut unfinished = threads.len();
 
@@ -396,18 +373,15 @@ impl ThreadDriver {
                             }
                             if entry.attempts < cfg.max_retries {
                                 fault_stats[tid].retries += 1;
-                                retries.push_back(PendingRetry {
-                                    tid,
-                                    ready: cycle + (cfg.backoff_base << entry.attempts),
-                                    attempts: entry.attempts + 1,
-                                    kind: entry.kind,
-                                });
+                                let ready = cycle + (cfg.backoff_base << entry.attempts);
+                                let entry = Inflight { attempts: entry.attempts + 1, ..entry };
+                                retries.push_back((ready, entry));
                                 continue; // hidden from the thread
                             }
                             fault_stats[tid].give_ups += 1;
                         }
                     }
-                    mailboxes[tid].push_back(rsp);
+                    inbox[tid] = Some(rsp);
                     due[tid] = 0;
                 }
             }
@@ -430,45 +404,28 @@ impl ThreadDriver {
                     fault_stats[entry.tid].timeouts += 1;
                     if entry.attempts < cfg.max_retries {
                         fault_stats[entry.tid].retries += 1;
-                        retries.push_back(PendingRetry {
-                            tid: entry.tid,
-                            ready: cycle + (cfg.backoff_base << entry.attempts),
-                            attempts: entry.attempts + 1,
-                            kind: entry.kind,
-                        });
+                        let ready = cycle + (cfg.backoff_base << entry.attempts);
+                        let entry = Inflight { attempts: entry.attempts + 1, ..entry };
+                        retries.push_back((ready, entry));
                     } else {
                         fault_stats[entry.tid].give_ups += 1;
-                        mailboxes[entry.tid].push_back(Self::give_up_response(self.dev, key));
+                        inbox[entry.tid] = Some(Self::give_up_response(self.dev, key));
                         due[entry.tid] = 0;
                     }
                 }
 
-                // Replay due retries, falling over to a surviving link
-                // when the thread's pinned link is down.
+                // Replay due retries; one that cannot go out waits for
+                // the next cycle.
                 let mut deferred = VecDeque::new();
-                while let Some(r) = retries.pop_front() {
-                    if r.ready > cycle {
-                        deferred.push_back(r);
+                while let Some((ready, r)) = retries.pop_front() {
+                    if ready > cycle {
+                        deferred.push_back((ready, r));
                         continue;
                     }
                     let pinned = threads[r.tid].link();
-                    let link = (0..total_links)
-                        .map(|i| (pinned + i) % total_links)
-                        .find(|&l| sim.link_is_up(self.dev, l));
-                    let Some(link) = link else {
-                        deferred.push_back(r); // all links down: wait
-                        continue;
-                    };
-                    match r.kind.send(sim, self.dev, link) {
-                        Ok(Some(tag)) => {
-                            if link != pinned {
-                                fault_stats[r.tid].link_failovers += 1;
-                            }
-                            let PendingRetry { tid, attempts, kind, .. } = r;
-                            ledger.record(link, tag, Inflight { tid, issued: cycle, attempts, kind });
-                        }
-                        Ok(None) => {} // posted: nothing to track
-                        Err(_) => deferred.push_back(r), // stall: next cycle
+                    let r = Inflight { issued: cycle, ..r };
+                    if let Err((r, _)) = self.issue(sim, &mut ledger, &mut fault_stats, pinned, r) {
+                        deferred.push_back((ready, r));
                     }
                 }
                 retries = deferred;
@@ -477,37 +434,40 @@ impl ThreadDriver {
             if unfinished == 0 {
                 break;
             }
-            // The earliest cycle at which a thread may do something, as
-            // far as the threads have promised.
+            // The earliest cycle at which a thread is due.
             let mut horizon = self.max_cycles;
             for (tid, thread) in threads.iter_mut().enumerate() {
                 if cycle < due[tid] {
                     horizon = horizon.min(due[tid]);
                     continue;
                 }
-                if finish[tid].is_some() {
-                    due[tid] = u64::MAX; // mail for a finished thread
-                    continue;
-                }
-                let mut io = ThreadIo {
-                    dev: self.dev,
-                    link: thread.link(),
-                    cycle,
-                    tid,
-                    inbox: &mut mailboxes[tid],
-                    ledger: &mut ledger,
-                    link_failovers: &mut fault_stats[tid].link_failovers,
-                    sim,
+                let op = match unsent[tid].take() {
+                    Some(op) => op,
+                    None => match thread.step(inbox[tid].take(), cycle) {
+                        Step::Send(op) => op,
+                        Step::Sleep(until) => {
+                            due[tid] = until;
+                            horizon = horizon.min(until);
+                            continue;
+                        }
+                        Step::Done => {
+                            finish[tid] = Some(cycle);
+                            due[tid] = u64::MAX;
+                            unfinished -= 1;
+                            continue;
+                        }
+                    },
                 };
-                if thread.tick(&mut io) == ThreadStatus::Done {
-                    finish[tid] = Some(cycle);
-                    due[tid] = u64::MAX;
-                    unfinished -= 1;
-                    continue;
-                }
-                due[tid] = match thread.parked_until() {
-                    Some(wake) if mailboxes[tid].is_empty() => wake,
-                    _ => 0,
+                let request = Inflight { tid, issued: cycle, attempts: 0, op };
+                let sent = self.issue(sim, &mut ledger, &mut fault_stats, thread.link(), request);
+                due[tid] = match sent {
+                    Ok(Some(_)) => u64::MAX,
+                    Ok(None) => cycle + 1,
+                    Err((request, HmcError::Stall)) => {
+                        unsent[tid] = Some(request.op);
+                        0
+                    }
+                    Err((_, e)) => panic!("thread {tid}'s send failed: {e}"),
                 };
                 horizon = horizon.min(due[tid]);
             }
@@ -520,7 +480,7 @@ impl ThreadDriver {
             // When no thread is due before a known cycle, let the
             // event-horizon engine compress the wait instead of
             // clocking one cycle at a time. The jump never crosses a
-            // driver-side event: an idle thread's wake, a pending
+            // driver-side event: a sleeping thread's wake, a pending
             // retry's replay cycle, or an in-flight request's timeout
             // due; and it ends with the first cycle the fabric does
             // anything in, so a response is delivered on time. With
@@ -528,8 +488,8 @@ impl ThreadDriver {
             // one full cycle, so this degenerates to the classic
             // per-cycle loop.
             if horizon > cycle + 1 {
-                for r in &retries {
-                    horizon = horizon.min(r.ready);
+                for &(ready, _) in &retries {
+                    horizon = horizon.min(ready);
                 }
                 if let Some(cfg) = self.resilience {
                     for e in ledger.inflight.iter().flat_map(|m| m.values()) {
@@ -566,8 +526,7 @@ mod tests {
     struct WriteRead {
         link: usize,
         addr: u64,
-        state: u8,
-        tag: Option<Tag>,
+        wrote: bool,
         read_value: Option<u64>,
     }
 
@@ -576,35 +535,17 @@ mod tests {
             self.link
         }
 
-        fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus {
-            match self.state {
-                0 => {
-                    if let Ok(tag) = io.send(HmcRqst::Wr16, self.addr, vec![self.addr, 0]) {
-                        self.tag = tag;
-                        self.state = 1;
-                    }
-                    ThreadStatus::Running
+        fn step(&mut self, rsp: Option<TrackedResponse>, _cycle: u64) -> Step {
+            match (rsp, self.wrote) {
+                (None, _) => Step::Send(Op::new(HmcRqst::Wr16, self.addr, [self.addr, 0])),
+                (Some(_), false) => {
+                    self.wrote = true;
+                    Step::Send(Op::new(HmcRqst::Rd16, self.addr, []))
                 }
-                1 => {
-                    if io.response().is_some() {
-                        self.state = 2;
-                    }
-                    ThreadStatus::Running
+                (Some(rsp), true) => {
+                    self.read_value = Some(rsp.rsp.payload[0]);
+                    Step::Done
                 }
-                2 => {
-                    if let Ok(tag) = io.send(HmcRqst::Rd16, self.addr, vec![]) {
-                        self.tag = tag;
-                        self.state = 3;
-                    }
-                    ThreadStatus::Running
-                }
-                _ => match io.response() {
-                    Some(rsp) => {
-                        self.read_value = Some(rsp.rsp.payload[0]);
-                        ThreadStatus::Done
-                    }
-                    None => ThreadStatus::Running,
-                },
             }
         }
     }
@@ -614,8 +555,7 @@ mod tests {
             .map(|i| WriteRead {
                 link: i % 4,
                 addr: 0x1000 + (i as u64) * 16,
-                state: 0,
-                tag: None,
+                wrote: false,
                 read_value: None,
             })
             .collect()
@@ -646,8 +586,8 @@ mod tests {
             fn link(&self) -> usize {
                 0
             }
-            fn tick(&mut self, _io: &mut ThreadIo<'_>) -> ThreadStatus {
-                ThreadStatus::Running
+            fn step(&mut self, _rsp: Option<TrackedResponse>, cycle: u64) -> Step {
+                Step::Sleep(cycle + 1)
             }
         }
         let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
@@ -724,40 +664,37 @@ mod tests {
     }
 
     #[test]
-    fn a_delivery_wakes_a_parked_thread_before_its_wake_cycle() {
-        /// Reads once, then claims to be parked until cycle 1000 — but
-        /// takes its response whenever it is ticked.
-        struct Napper {
-            sent: bool,
-            ticks: u32,
+    fn a_thread_steps_at_its_start_its_responses_and_its_wake_ups() {
+        /// Reads, sleeps 100 cycles, sleeps until a cycle already
+        /// past, reads again, and records every step.
+        struct Sleeper {
+            steps: Vec<(u64, bool)>,
         }
-        impl HostThread for Napper {
+        impl HostThread for Sleeper {
             fn link(&self) -> usize {
                 0
             }
-            fn parked_until(&self) -> Option<u64> {
-                self.sent.then_some(1_000)
-            }
-            fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus {
-                self.ticks += 1;
-                if !self.sent {
-                    self.sent = io.send(HmcRqst::Rd16, 0x40, []).is_ok();
-                    ThreadStatus::Running
-                } else if io.response().is_some() {
-                    ThreadStatus::Done
-                } else {
-                    ThreadStatus::Running
+            fn step(&mut self, rsp: Option<TrackedResponse>, cycle: u64) -> Step {
+                self.steps.push((cycle, rsp.is_some()));
+                match self.steps.len() {
+                    1 | 4 => Step::Send(Op::new(HmcRqst::Rd16, 0x40, [])),
+                    2 => Step::Sleep(cycle + 100),
+                    3 => Step::Sleep(cycle),
+                    _ => Step::Done,
                 }
             }
         }
         for skip in [hmc_sim::SkipMode::Off, hmc_sim::SkipMode::On] {
             let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
             sim.set_skip_mode(skip);
-            let mut threads = [Napper { sent: false, ticks: 0 }];
+            let mut threads = [Sleeper { steps: Vec::new() }];
             let metrics = ThreadDriver { dev: 0, max_cycles: 5_000, resilience: None }
                 .run(&mut sim, &mut threads);
-            assert_eq!(metrics.per_thread_cycles, [3], "the round trip, not the nap ({skip:?})");
-            assert_eq!(threads[0].ticks, 2, "one tick to send, one for the delivery");
+            // A 3-cycle round trip; a sleep that is already over ends
+            // on the next cycle.
+            let steps = [(0, false), (3, true), (103, false), (104, false), (107, true)];
+            assert_eq!(threads[0].steps, steps, "{skip:?}");
+            assert_eq!(metrics.per_thread_cycles, [107], "{skip:?}");
         }
     }
 }

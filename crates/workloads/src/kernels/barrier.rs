@@ -30,8 +30,8 @@
 //! poisoned CAS miss retries with its stale guess, and a poisoned
 //! spin read is simply retried.
 
-use crate::driver::{HostThread, RunMetrics, ThreadDriver, ThreadIo, ThreadStatus};
-use hmc_sim::HmcSim;
+use crate::driver::{HostThread, Op, RunMetrics, Step, ThreadDriver};
+use hmc_sim::{HmcSim, TrackedResponse};
 use hmc_types::{HmcError, HmcRqst};
 
 /// Configuration of a barrier-kernel run.
@@ -65,23 +65,20 @@ impl Default for BarrierKernelConfig {
     }
 }
 
+/// The request a thread has in flight, or sends next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// CASEQ8(count: expected -> expected + 1).
-    SendArrive { expected: u64 },
-    WaitArrive { expected: u64 },
+    Arrive { expected: u64 },
     /// Last arriver: WR16([0, round + 1]) resets count and publishes
     /// the new sense in one atomic block write.
-    SendPublish,
-    WaitPublish,
+    Publish,
     /// Waiter: RD16 of the barrier block, checking the sense word.
-    SendSpin,
-    WaitSpin,
-    Backoff { until: u64 },
+    Spin,
 }
 
-/// One barrier participant, built by [`BarrierKernel::threads`].
-pub struct BarrierThread {
+/// One barrier participant.
+struct BarrierThread {
     link: usize,
     nthreads: u64,
     rounds: usize,
@@ -98,16 +95,28 @@ pub struct BarrierThread {
 }
 
 impl BarrierThread {
-    fn finish_round(&mut self, cycle: u64) -> ThreadStatus {
+    fn op(&self) -> Op {
+        match self.state {
+            // swap = expected + 1, compare = expected.
+            State::Arrive { expected } => {
+                Op::new(HmcRqst::CasEq8, self.addr, [expected + 1, expected])
+            }
+            State::Publish => Op::new(HmcRqst::Wr16, self.addr, [0, (self.round + 1) as u64]),
+            State::Spin => Op::new(HmcRqst::Rd16, self.addr, []),
+        }
+    }
+
+    fn finish_round(&mut self, cycle: u64) -> Step {
         self.releases.push(cycle);
         self.round += 1;
         self.backoff = 0;
         if self.round == self.rounds {
-            ThreadStatus::Done
-        } else {
-            self.state = State::SendArrive { expected: 0 };
-            ThreadStatus::Running
+            return Step::Done;
         }
+        self.state = State::Arrive { expected: 0 };
+        // The next round's arrival goes out one cycle after the release
+        // is seen: `results/` and the fuzz corpus pin that timing.
+        Step::Sleep(cycle + 1)
     }
 }
 
@@ -116,111 +125,53 @@ impl HostThread for BarrierThread {
         self.link
     }
 
-    fn parked_until(&self) -> Option<u64> {
+    fn step(&mut self, rsp: Option<TrackedResponse>, cycle: u64) -> Step {
+        let Some(rsp) = rsp.map(|r| r.rsp) else {
+            // The run's start, a new round, or the end of a backoff.
+            return Step::Send(self.op());
+        };
         match self.state {
-            State::Backoff { until } => Some(until),
-            State::WaitArrive { .. } | State::WaitPublish | State::WaitSpin => Some(u64::MAX),
-            State::SendArrive { .. } | State::SendPublish | State::SendSpin => None,
-        }
-    }
-
-    fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus {
-        loop {
-            match self.state {
-                State::SendArrive { expected } => {
-                    // swap = expected + 1, compare = expected.
-                    match io.send(HmcRqst::CasEq8, self.addr, [expected + 1, expected]) {
-                        Ok(_) => self.state = State::WaitArrive { expected },
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("barrier kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
+            // Injected vault error: the CAS never ran, and the publish
+            // write is idempotent ([0, round + 1] every time), so either
+            // is re-issued as is.
+            State::Arrive { .. } | State::Publish if rsp.not_executed() => {}
+            State::Arrive { expected } => {
+                if rsp.head.af {
+                    // Arrived: we swapped expected -> expected + 1.
+                    // The atomic flag is a header field, so this
+                    // holds even for a poisoned response — and it
+                    // must: blindly re-issuing a CAS that already
+                    // hit would double-count the arrival and the
+                    // round's publisher would never see the count
+                    // land exactly on `nthreads`.
+                    self.arrivals.push(cycle);
+                    self.state =
+                        if expected + 1 == self.nthreads { State::Publish } else { State::Spin };
+                } else if !rsp.poisoned() {
+                    // Missed: the response carries the original count
+                    // — retry with the corrected guess. (A poisoned
+                    // miss retries with the stale guess rather than
+                    // trust invalid data.)
+                    let observed = rsp.payload.first().copied().unwrap_or(0);
+                    self.state = State::Arrive { expected: observed };
                 }
-                State::WaitArrive { expected } => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if rsp.rsp.not_executed() {
-                        // Injected vault error: the CAS never ran, so
-                        // it is safe to re-issue as-is.
-                        self.state = State::SendArrive { expected };
-                        continue;
+            }
+            State::Publish => return self.finish_round(cycle),
+            State::Spin => {
+                let clean = !rsp.not_executed() && !rsp.poisoned();
+                match rsp.payload.get(1) {
+                    Some(&sense) if clean && sense >= (self.round + 1) as u64 => {
+                        return self.finish_round(cycle);
                     }
-                    if rsp.rsp.head.af {
-                        // Arrived: we swapped expected -> expected + 1.
-                        // The atomic flag is a header field, so this
-                        // holds even for a poisoned response — and it
-                        // must: blindly re-issuing a CAS that already
-                        // hit would double-count the arrival and the
-                        // round's publisher would never see the count
-                        // land exactly on `nthreads`.
-                        self.arrivals.push(io.cycle);
-                        if expected + 1 == self.nthreads {
-                            self.state = State::SendPublish;
-                        } else {
-                            self.state = State::SendSpin;
-                        }
-                    } else if rsp.rsp.poisoned() {
-                        // Missed, but the returned original count is
-                        // poisoned: retry with the stale guess rather
-                        // than trust invalid data.
-                        self.state = State::SendArrive { expected };
-                    } else {
-                        // Missed: the response carries the original
-                        // count — retry with the corrected guess.
-                        let observed = rsp.rsp.payload.first().copied().unwrap_or(0);
-                        self.state = State::SendArrive { expected: observed };
+                    _ => {
+                        let wait = self.backoff.max(self.initial_backoff);
+                        self.backoff = (wait * 2).min(self.max_backoff);
+                        return Step::Sleep(cycle + wait);
                     }
-                }
-                State::SendPublish => {
-                    let published = (self.round + 1) as u64;
-                    match io.send(HmcRqst::Wr16, self.addr, [0, published]) {
-                        Ok(_) => self.state = State::WaitPublish,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("barrier kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitPublish => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if rsp.rsp.not_executed() {
-                        // The publish write is idempotent ([0, round +
-                        // 1] every time), so re-issuing is safe.
-                        self.state = State::SendPublish;
-                        continue;
-                    }
-                    return self.finish_round(io.cycle);
-                }
-                State::SendSpin => {
-                    match io.send(HmcRqst::Rd16, self.addr, []) {
-                        Ok(_) => self.state = State::WaitSpin,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("barrier kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitSpin => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    let sense = rsp.rsp.payload.get(1).copied();
-                    let clean = !rsp.rsp.not_executed() && !rsp.rsp.poisoned();
-                    match sense {
-                        Some(s) if clean && s >= (self.round + 1) as u64 => {
-                            return self.finish_round(io.cycle);
-                        }
-                        _ => {
-                            let wait = self.backoff.max(self.initial_backoff);
-                            self.backoff = (wait * 2).min(self.max_backoff);
-                            self.state = State::Backoff { until: io.cycle + wait };
-                            return ThreadStatus::Running;
-                        }
-                    }
-                }
-                State::Backoff { until } => {
-                    if io.cycle < until {
-                        return ThreadStatus::Running;
-                    }
-                    self.state = State::SendSpin;
                 }
             }
         }
+        Step::Send(self.op())
     }
 }
 
@@ -273,7 +224,25 @@ impl BarrierKernel {
 
     /// Runs the kernel.
     pub fn run(&self, sim: &mut HmcSim) -> Result<BarrierKernelResult, HmcError> {
-        let mut threads = self.threads(sim)?;
+        assert!(self.config.threads > 0, "barrier needs at least one thread");
+        let links = sim.device_config(0)?.links;
+        sim.mem_write_u64(0, self.config.barrier_addr, 0)?;
+        sim.mem_write_u64(0, self.config.barrier_addr + 8, 0)?;
+        let mut threads: Vec<BarrierThread> = (0..self.config.threads)
+            .map(|tid| BarrierThread {
+                link: tid % links,
+                nthreads: self.config.threads as u64,
+                rounds: self.config.rounds,
+                addr: self.config.barrier_addr,
+                initial_backoff: self.config.initial_backoff,
+                max_backoff: self.config.max_backoff,
+                state: State::Arrive { expected: 0 },
+                round: 0,
+                backoff: 0,
+                arrivals: Vec::with_capacity(self.config.rounds),
+                releases: Vec::with_capacity(self.config.rounds),
+            })
+            .collect();
         let driver =
             ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
         let metrics = driver.run(sim, &mut threads);
@@ -284,30 +253,6 @@ impl BarrierKernel {
             final_count: sim.mem_read_u64(0, self.config.barrier_addr)?,
             final_sense: sim.mem_read_u64(0, self.config.barrier_addr + 8)?,
         })
-    }
-
-    /// Zeroes the barrier structure and builds the kernel's threads —
-    /// what [`BarrierKernel::run`] hands its driver.
-    pub fn threads(&self, sim: &mut HmcSim) -> Result<Vec<BarrierThread>, HmcError> {
-        assert!(self.config.threads > 0, "barrier needs at least one thread");
-        let links = sim.device_config(0)?.links;
-        sim.mem_write_u64(0, self.config.barrier_addr, 0)?;
-        sim.mem_write_u64(0, self.config.barrier_addr + 8, 0)?;
-        Ok((0..self.config.threads)
-            .map(|tid| BarrierThread {
-                link: tid % links,
-                nthreads: self.config.threads as u64,
-                rounds: self.config.rounds,
-                addr: self.config.barrier_addr,
-                initial_backoff: self.config.initial_backoff,
-                max_backoff: self.config.max_backoff,
-                state: State::SendArrive { expected: 0 },
-                round: 0,
-                backoff: 0,
-                arrivals: Vec::with_capacity(self.config.rounds),
-                releases: Vec::with_capacity(self.config.rounds),
-            })
-            .collect())
     }
 }
 

@@ -12,9 +12,9 @@
 //! hierarchy spends coherency traffic to prevent, and a useful
 //! denominator for the Table II comparison.
 
-use crate::driver::{HostThread, RunMetrics, ThreadDriver, ThreadIo, ThreadStatus};
-use hmc_sim::HmcSim;
-use hmc_types::{HmcError, HmcRqst};
+use crate::driver::{HostThread, Op, RunMetrics, Step, ThreadDriver};
+use hmc_sim::{HmcSim, TrackedResponse};
+use hmc_types::{HmcError, HmcRqst, PayloadBuf};
 
 /// How increments are performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,22 +53,32 @@ impl Default for CounterKernelConfig {
     }
 }
 
+/// The request a thread has in flight, or sends next.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum State {
-    SendInc,
-    WaitInc,
-    SendRead,
-    WaitRead,
-    SendWrite { line: Vec<u64> },
-    WaitWrite { line: Vec<u64> },
+    Inc,
+    /// Fetch the 64-byte cache line containing the counter.
+    Read,
+    /// Flush the modified cache line back.
+    Write { line: PayloadBuf },
 }
 
-/// One incrementing thread, built by [`CounterKernel::threads`].
-pub struct CounterThread {
+/// One incrementing thread.
+struct CounterThread {
     link: usize,
     remaining: usize,
     addr: u64,
     state: State,
+}
+
+impl CounterThread {
+    fn op(&self) -> Op {
+        match &self.state {
+            State::Inc => Op::new(HmcRqst::Inc8, self.addr, []),
+            State::Read => Op::new(HmcRqst::Rd64, self.addr & !63, []),
+            State::Write { line } => Op::new(HmcRqst::Wr64, self.addr & !63, line.clone()),
+        }
+    }
 }
 
 impl HostThread for CounterThread {
@@ -76,96 +86,38 @@ impl HostThread for CounterThread {
         self.link
     }
 
-    fn parked_until(&self) -> Option<u64> {
-        match self.state {
-            State::WaitInc | State::WaitRead | State::WaitWrite { .. } => Some(u64::MAX),
-            State::SendInc | State::SendRead | State::SendWrite { .. } => None,
-        }
-    }
-
-    fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus {
-        if self.remaining == 0 {
-            return ThreadStatus::Done;
-        }
-        // Wait-states fall through to the next send within one tick.
-        loop {
-            match self.state {
-                State::SendInc => {
-                    match io.send(HmcRqst::Inc8, self.addr, []) {
-                        Ok(_) => self.state = State::WaitInc,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("counter kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
+    fn step(&mut self, rsp: Option<TrackedResponse>, _cycle: u64) -> Step {
+        let word = ((self.addr & 63) / 8) as usize;
+        match (rsp.map(|r| r.rsp), &self.state) {
+            (None, _) if self.remaining == 0 => return Step::Done,
+            (None, _) => {}
+            // Not executed: the increment, read or flush did not
+            // happen, so re-issue it. Reads are idempotent, so a read
+            // is also re-fetched when its data is poisoned or too short
+            // to contain the counter word.
+            (Some(rsp), _) if rsp.not_executed() => {}
+            (Some(rsp), State::Read) if rsp.poisoned() || rsp.payload.len() <= word => {}
+            (Some(rsp), State::Read) => {
+                // Modify the counter word within the fetched line, as a
+                // cache would.
+                let mut line = rsp.payload;
+                line[word] = line[word].wrapping_add(1);
+                self.state = State::Write { line };
+            }
+            // A poisoned INC8 ack is fine: the atomic executed and its
+            // payload is never read. Write acks carry no payload, so
+            // DINV is moot.
+            (Some(_), State::Inc | State::Write { .. }) => {
+                self.remaining -= 1;
+                if self.remaining == 0 {
+                    return Step::Done;
                 }
-                State::WaitInc => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if rsp.rsp.not_executed() {
-                        // The increment did not happen; retry it.
-                        self.state = State::SendInc;
-                        continue;
-                    }
-                    // A poisoned INC8 ack is fine: the atomic executed
-                    // and we never consume its payload.
-                    self.remaining -= 1;
-                    if self.remaining == 0 {
-                        return ThreadStatus::Done;
-                    }
-                    self.state = State::SendInc;
-                }
-                State::SendRead => {
-                    // Fetch the 64-byte cache line containing the
-                    // counter.
-                    match io.send(HmcRqst::Rd64, self.addr & !63, []) {
-                        Ok(_) => self.state = State::WaitRead,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("counter kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitRead => {
-                    let Some(rsp) = io.response().map(|r| r.rsp) else {
-                        return ThreadStatus::Running;
-                    };
-                    let word = ((self.addr & 63) / 8) as usize;
-                    // Reads are idempotent: re-fetch on any fault —
-                    // not executed, poisoned data, or a payload too
-                    // short to contain the counter word.
-                    if rsp.not_executed() || rsp.poisoned() || rsp.payload.len() <= word {
-                        self.state = State::SendRead;
-                        continue;
-                    }
-                    // Modify the counter word within the fetched line,
-                    // as a cache would.
-                    let mut line = rsp.payload.to_vec();
-                    line[word] = line[word].wrapping_add(1);
-                    self.state = State::SendWrite { line };
-                }
-                State::SendWrite { ref line } => {
-                    // Flush the modified cache line back.
-                    match io.send(HmcRqst::Wr64, self.addr & !63, line.clone()) {
-                        Ok(_) => self.state = State::WaitWrite { line: line.clone() },
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("counter kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitWrite { ref line } => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if rsp.rsp.not_executed() {
-                        // The flush was dropped; re-issue the same line.
-                        self.state = State::SendWrite { line: line.clone() };
-                        continue;
-                    }
-                    // Write acks carry no payload, so DINV is moot.
-                    self.remaining -= 1;
-                    if self.remaining == 0 {
-                        return ThreadStatus::Done;
-                    }
-                    self.state = State::SendRead;
+                if self.state != State::Inc {
+                    self.state = State::Read;
                 }
             }
         }
+        Step::Send(self.op())
     }
 }
 
@@ -204,7 +156,20 @@ impl CounterKernel {
             s.rqst_flits + s.rsp_flits
         };
 
-        let mut threads = self.threads(sim)?;
+        let links = sim.device_config(0)?.links;
+        sim.mem_write_u64(0, self.config.counter_addr, 0)?;
+        let start_state = match self.config.mode {
+            CounterMode::HmcInc8 => State::Inc,
+            CounterMode::CacheRmw => State::Read,
+        };
+        let mut threads: Vec<CounterThread> = (0..self.config.threads)
+            .map(|tid| CounterThread {
+                link: tid % links,
+                remaining: self.config.increments_per_thread,
+                addr: self.config.counter_addr,
+                state: start_state.clone(),
+            })
+            .collect();
         let driver =
             ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
         let metrics = driver.run(sim, &mut threads);
@@ -221,25 +186,6 @@ impl CounterKernel {
             link_flits,
             link_bytes: link_flits * 16,
         })
-    }
-
-    /// Zeroes the counter and builds the kernel's threads — what
-    /// [`CounterKernel::run`] hands its driver.
-    pub fn threads(&self, sim: &mut HmcSim) -> Result<Vec<CounterThread>, HmcError> {
-        let links = sim.device_config(0)?.links;
-        sim.mem_write_u64(0, self.config.counter_addr, 0)?;
-        let start_state = match self.config.mode {
-            CounterMode::HmcInc8 => State::SendInc,
-            CounterMode::CacheRmw => State::SendRead,
-        };
-        Ok((0..self.config.threads)
-            .map(|tid| CounterThread {
-                link: tid % links,
-                remaining: self.config.increments_per_thread,
-                addr: self.config.counter_addr,
-                state: start_state.clone(),
-            })
-            .collect())
     }
 }
 

@@ -34,11 +34,11 @@
 //!   caller owns the lock). Each thread thus issues a bounded ~3
 //!   requests. See EXPERIMENTS.md for the calibration discussion.
 
-use crate::driver::{HostThread, RunMetrics, ThreadDriver, ThreadIo, ThreadStatus};
+use crate::driver::{HostThread, Op, RunMetrics, Step, ThreadDriver};
 use hmc_cmc::ops::mutex::{LOCK_CMD, TRYLOCK_CMD, UNLOCK_CMD};
 use hmc_cmc::ops::ticket::{TICKET_POLL_CMD, TICKET_RELEASE_CMD, TICKET_TAKE_CMD};
-use hmc_sim::HmcSim;
-use hmc_types::HmcError;
+use hmc_sim::{HmcSim, TrackedResponse};
+use hmc_types::{HmcError, HmcRqst};
 
 /// How the trylock spin loop terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,19 +107,16 @@ impl Default for MutexKernelConfig {
     }
 }
 
+/// The request a thread has in flight, or sends next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    SendLock,
-    WaitLock,
-    SendTrylock,
-    WaitTrylock,
-    Backoff { until: u64 },
-    SendUnlock,
-    WaitUnlock,
+    Lock,
+    Trylock,
+    Unlock,
 }
 
-/// One thread of Algorithm 1, built by [`MutexKernel::threads`].
-pub struct MutexThread {
+/// One thread of Algorithm 1.
+struct MutexThread {
     tid: u64,
     link: usize,
     lock_addr: u64,
@@ -138,54 +135,27 @@ impl MutexThread {
         self.tid + 1
     }
 
-    /// Issues the acquire operation for the configured mechanism.
-    fn send_acquire(
-        &self,
-        io: &mut ThreadIo<'_>,
-        op: u8,
-    ) -> Result<(), HmcError> {
-        match self.mechanism {
-            MutexMechanism::Cmc => io
-                .send_cmc(op, self.lock_addr, [self.wire_tid(), 0])
-                .map(|_| ()),
-            MutexMechanism::CasEq8 => io
-                .send(
-                    hmc_types::HmcRqst::CasEq8,
-                    self.lock_addr,
-                    [self.wire_tid(), 0], // swap = tid, compare = 0
-                )
-                .map(|_| ()),
-            MutexMechanism::Ticket => {
-                if op == LOCK_CMD {
-                    io.send_cmc(TICKET_TAKE_CMD, self.lock_addr, []).map(|_| ())
-                } else {
-                    let ticket = self.my_ticket.expect("ticket drawn before polling");
-                    io.send_cmc(TICKET_POLL_CMD, self.lock_addr, [ticket, 0])
-                        .map(|_| ())
-                }
+    /// The current state's request in the configured mechanism.
+    fn op(&self) -> Op {
+        let (addr, tid) = (self.lock_addr, self.wire_tid());
+        match (self.mechanism, self.state) {
+            (MutexMechanism::Cmc, State::Lock) => Op::cmc(LOCK_CMD, addr, [tid, 0]),
+            (MutexMechanism::Cmc, State::Trylock) => Op::cmc(TRYLOCK_CMD, addr, [tid, 0]),
+            (MutexMechanism::Cmc, State::Unlock) => Op::cmc(UNLOCK_CMD, addr, [tid, 0]),
+            // Acquire: swap = tid, compare = 0. Release: swap = 0,
+            // compare = tid.
+            (MutexMechanism::CasEq8, State::Lock | State::Trylock) => {
+                Op::new(HmcRqst::CasEq8, addr, [tid, 0])
             }
+            (MutexMechanism::CasEq8, State::Unlock) => Op::new(HmcRqst::CasEq8, addr, [0, tid]),
+            (MutexMechanism::Ticket, State::Lock) => Op::cmc(TICKET_TAKE_CMD, addr, []),
+            (MutexMechanism::Ticket, State::Trylock) => {
+                let ticket = self.my_ticket.expect("ticket drawn before polling");
+                Op::cmc(TICKET_POLL_CMD, addr, [ticket, 0])
+            }
+            (MutexMechanism::Ticket, State::Unlock) => Op::cmc(TICKET_RELEASE_CMD, addr, []),
         }
     }
-
-    /// Issues the release operation for the configured mechanism.
-    fn send_release(&self, io: &mut ThreadIo<'_>) -> Result<(), HmcError> {
-        match self.mechanism {
-            MutexMechanism::Cmc => io
-                .send_cmc(UNLOCK_CMD, self.lock_addr, [self.wire_tid(), 0])
-                .map(|_| ()),
-            MutexMechanism::CasEq8 => io
-                .send(
-                    hmc_types::HmcRqst::CasEq8,
-                    self.lock_addr,
-                    [0, self.wire_tid()], // swap = 0, compare = tid
-                )
-                .map(|_| ()),
-            MutexMechanism::Ticket => io
-                .send_cmc(TICKET_RELEASE_CMD, self.lock_addr, [])
-                .map(|_| ()),
-        }
-    }
-
 }
 
 impl HostThread for MutexThread {
@@ -193,129 +163,61 @@ impl HostThread for MutexThread {
         self.link
     }
 
-    fn parked_until(&self) -> Option<u64> {
-        match self.state {
-            State::Backoff { until } => Some(until),
-            State::WaitLock | State::WaitTrylock | State::WaitUnlock => Some(u64::MAX),
-            State::SendLock | State::SendTrylock | State::SendUnlock => None,
+    fn step(&mut self, rsp: Option<TrackedResponse>, cycle: u64) -> Step {
+        // A response is answered with the next request in the same
+        // step, so a lock+unlock pair completes in exactly two round
+        // trips (the paper's 6-cycle minimum).
+        let Some(rsp) = rsp.map(|r| r.rsp) else {
+            // The run's start, or the end of a backoff.
+            return Step::Send(self.op());
+        };
+        if rsp.not_executed() {
+            // The vault rejected the request: no side effects (no lock
+            // taken, no ticket drawn), so re-issuing it verbatim is
+            // safe — and a dropped release would leave the lock held
+            // forever.
+            return Step::Send(self.op());
         }
-    }
-
-    fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus {
-        // A wait-state that consumes a response falls through to the
-        // next send in the same tick, so a lock+unlock pair completes
-        // in exactly two round trips (the paper's 6-cycle minimum).
-        loop {
-            match self.state {
-                State::SendLock => {
-                    match self.send_acquire(io, LOCK_CMD) {
-                        Ok(()) => self.state = State::WaitLock,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("mutex kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitLock => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if rsp.rsp.not_executed() {
-                        // The vault rejected the acquire: no side
-                        // effects (no lock taken, no ticket drawn), so
-                        // re-issuing it verbatim is safe.
-                        self.state = State::SendLock;
-                        continue;
-                    }
-                    let acquired = match self.mechanism {
-                        MutexMechanism::Cmc => {
-                            rsp.rsp.payload.first().copied().unwrap_or(0) == 1
-                        }
-                        MutexMechanism::CasEq8 => rsp.rsp.head.af,
-                        MutexMechanism::Ticket => {
-                            // The take executed, so the ticket MUST be
-                            // kept even if the response is poisoned —
-                            // abandoning a drawn ticket deadlocks every
-                            // later one. (The simulator delivers
-                            // DINV-flagged payloads intact.)
-                            self.my_ticket =
-                                Some(rsp.rsp.payload.first().copied().unwrap_or(0));
-                            rsp.rsp.head.af
-                        }
-                    };
-                    if acquired {
-                        self.acquisitions += 1;
-                        self.state = State::SendUnlock;
-                    } else {
-                        self.state = State::SendTrylock;
-                    }
-                }
-                State::SendTrylock => {
-                    match self.send_acquire(io, TRYLOCK_CMD) {
-                        Ok(()) => self.state = State::WaitTrylock,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("mutex kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitTrylock => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if rsp.rsp.not_executed() {
-                        // Rejected, not executed: retry the same poll.
-                        self.state = State::SendTrylock;
-                        continue;
-                    }
-                    let acquired = match self.mechanism {
-                        MutexMechanism::Cmc => {
-                            rsp.rsp.payload.first().copied().unwrap_or(0) == self.wire_tid()
-                        }
-                        MutexMechanism::CasEq8 | MutexMechanism::Ticket => rsp.rsp.head.af,
-                    };
-                    if acquired {
-                        self.acquisitions += 1;
-                        self.state = State::SendUnlock;
-                    } else {
-                        // A drawn ticket must be served (skipping
-                        // would deadlock every later ticket), so the
-                        // ticket mechanism always keeps spinning.
-                        let spin = if self.mechanism == MutexMechanism::Ticket {
-                            SpinPolicy::until_owned()
-                        } else {
-                            self.spin
-                        };
-                        match spin {
-                            SpinPolicy::PaperBounded => self.state = State::SendUnlock,
-                            SpinPolicy::UntilOwned { initial_backoff, max_backoff } => {
-                                let wait = self.backoff.max(initial_backoff);
-                                self.backoff = (wait * 2).min(max_backoff);
-                                self.state = State::Backoff { until: io.cycle + wait };
-                            }
-                        }
-                    }
-                }
-                State::Backoff { until } => {
-                    if io.cycle < until {
-                        return ThreadStatus::Running;
-                    }
-                    self.state = State::SendTrylock;
-                }
-                State::SendUnlock => {
-                    match self.send_release(io) {
-                        Ok(()) => self.state = State::WaitUnlock,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("mutex kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitUnlock => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if rsp.rsp.not_executed() {
-                        // A dropped release would leave the lock held
-                        // forever; re-issue until it lands.
-                        self.state = State::SendUnlock;
-                        continue;
-                    }
-                    return ThreadStatus::Done;
+        let acquired = match (self.state, self.mechanism) {
+            (State::Unlock, _) => return Step::Done,
+            (State::Lock, MutexMechanism::Cmc) => rsp.payload.first().copied().unwrap_or(0) == 1,
+            (State::Trylock, MutexMechanism::Cmc) => {
+                rsp.payload.first().copied().unwrap_or(0) == self.wire_tid()
+            }
+            (State::Lock, MutexMechanism::Ticket) => {
+                // The take executed, so the ticket MUST be kept even if
+                // the response is poisoned — abandoning a drawn ticket
+                // deadlocks every later one. (The simulator delivers
+                // DINV-flagged payloads intact.)
+                self.my_ticket = Some(rsp.payload.first().copied().unwrap_or(0));
+                rsp.head.af
+            }
+            (_, MutexMechanism::CasEq8 | MutexMechanism::Ticket) => rsp.head.af,
+        };
+        if acquired {
+            self.acquisitions += 1;
+            self.state = State::Unlock;
+        } else if self.state == State::Lock {
+            self.state = State::Trylock;
+        } else {
+            // A drawn ticket must be served (skipping would deadlock
+            // every later ticket), so the ticket mechanism always keeps
+            // spinning.
+            let spin = if self.mechanism == MutexMechanism::Ticket {
+                SpinPolicy::until_owned()
+            } else {
+                self.spin
+            };
+            match spin {
+                SpinPolicy::PaperBounded => self.state = State::Unlock,
+                SpinPolicy::UntilOwned { initial_backoff, max_backoff } => {
+                    let wait = self.backoff.max(initial_backoff);
+                    self.backoff = (wait * 2).min(max_backoff);
+                    return Step::Sleep(cycle + wait);
                 }
             }
         }
+        Step::Send(self.op())
     }
 }
 
@@ -359,20 +261,6 @@ impl MutexKernel {
         sim: &mut HmcSim,
         driver: &ThreadDriver,
     ) -> Result<MutexKernelResult, HmcError> {
-        let mut threads = self.threads(sim)?;
-        let metrics = driver.run(sim, &mut threads);
-        Ok(MutexKernelResult {
-            metrics,
-            acquisitions: threads.iter().map(|t| t.acquisitions).sum(),
-            final_lock_word: sim.mem_read_u64(0, self.config.lock_addr)?,
-        })
-    }
-
-    /// Checks that the needed CMC library is loaded on device 0, puts
-    /// the lock in its free state and builds the kernel's threads —
-    /// what [`MutexKernel::run`] hands its driver, for callers that
-    /// drive the threads themselves.
-    pub fn threads(&self, sim: &mut HmcSim) -> Result<Vec<MutexThread>, HmcError> {
         let links = sim.device_config(0)?.links;
         // Fail fast when the needed CMC library is not loaded rather
         // than flooding the device with inactive-command errors.
@@ -392,19 +280,25 @@ impl MutexKernel {
         sim.mem_write_u64(0, self.config.lock_addr, 0)?;
         sim.mem_write_u64(0, self.config.lock_addr + 8, 0)?;
 
-        Ok((0..self.config.threads)
+        let mut threads: Vec<MutexThread> = (0..self.config.threads)
             .map(|tid| MutexThread {
                 tid: tid as u64,
                 link: tid % links,
                 lock_addr: self.config.lock_addr,
                 spin: self.config.spin,
                 mechanism: self.config.mechanism,
-                state: State::SendLock,
+                state: State::Lock,
                 backoff: 0,
                 acquisitions: 0,
                 my_ticket: None,
             })
-            .collect())
+            .collect();
+        let metrics = driver.run(sim, &mut threads);
+        Ok(MutexKernelResult {
+            metrics,
+            acquisitions: threads.iter().map(|t| t.acquisitions).sum(),
+            final_lock_word: sim.mem_read_u64(0, self.config.lock_addr)?,
+        })
     }
 }
 
@@ -560,9 +454,10 @@ mod tests {
 
     #[test]
     fn until_owned_is_identical_with_idle_skip() {
-        // The driver's parked-thread jump plus the simulator's
-        // event-horizon engine must not perturb the workload: same
-        // completion cycles, same acquisitions, same device state.
+        // The driver's jump over sleeping and waiting threads plus the
+        // simulator's event-horizon engine must not perturb the
+        // workload: same completion cycles, same acquisitions, same
+        // device state.
         use hmc_sim::SkipMode;
         let run = |mode: SkipMode| {
             let mut sim = sim_with_mutex(DeviceConfig::gen2_4link_4gb());

@@ -9,9 +9,9 @@
 //! equal exactly `writers × sections`, unlike the unprotected RMW of
 //! the counter kernel.
 
-use crate::driver::{HostThread, RunMetrics, ThreadDriver, ThreadIo, ThreadStatus};
+use crate::driver::{HostThread, Op, RunMetrics, Step, ThreadDriver};
 use hmc_cmc::ops::rwlock::{RDLOCK_CMD, RDUNLOCK_CMD, WRLOCK_CMD, WRUNLOCK_CMD};
-use hmc_sim::HmcSim;
+use hmc_sim::{HmcSim, TrackedResponse};
 use hmc_types::{HmcError, HmcRqst};
 
 /// Configuration of one reader-writer run.
@@ -47,21 +47,19 @@ impl Default for RwLockKernelConfig {
     }
 }
 
+/// The request a thread has in flight, or sends next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    SendAcquire,
-    WaitAcquire,
-    Backoff { until: u64 },
-    SendData,
-    WaitData,
-    SendWriteBack { value: u64 },
-    WaitWriteBack,
-    SendRelease,
-    WaitRelease,
+    Acquire,
+    /// RD16 of the protected block.
+    Data,
+    /// A writer's WR16 of the incremented block.
+    WriteBack { value: u64 },
+    Release,
 }
 
-/// One reader or writer, built by [`RwLockKernel::threads`].
-pub struct RwThread {
+/// One reader or writer.
+struct RwThread {
     tid: u64,
     link: usize,
     writer: bool,
@@ -71,107 +69,62 @@ pub struct RwThread {
     cfg: RwLockKernelConfig,
 }
 
+impl RwThread {
+    fn op(&self) -> Op {
+        let (lock, data, tid) = (self.cfg.lock_addr, self.cfg.data_addr, self.tid + 1);
+        match self.state {
+            State::Acquire => {
+                Op::cmc(if self.writer { WRLOCK_CMD } else { RDLOCK_CMD }, lock, [tid, 0])
+            }
+            State::Data => Op::new(HmcRqst::Rd16, data, []),
+            State::WriteBack { value } => Op::new(HmcRqst::Wr16, data, [value, value]),
+            State::Release => {
+                Op::cmc(if self.writer { WRUNLOCK_CMD } else { RDUNLOCK_CMD }, lock, [tid, 0])
+            }
+        }
+    }
+}
+
 impl HostThread for RwThread {
     fn link(&self) -> usize {
         self.link
     }
 
-    fn parked_until(&self) -> Option<u64> {
+    fn step(&mut self, rsp: Option<TrackedResponse>, cycle: u64) -> Step {
+        let Some(rsp) = rsp.map(|r| r.rsp) else {
+            // The run's start, or the end of a backoff.
+            if self.remaining == 0 {
+                return Step::Done;
+            }
+            return Step::Send(self.op());
+        };
+        if rsp.not_executed() {
+            // A vault error: nothing happened, so re-issue the request
+            // verbatim — a write-back re-sends the value it wrote.
+            return Step::Send(self.op());
+        }
         match self.state {
-            State::Backoff { until } => Some(until),
-            State::WaitAcquire | State::WaitData | State::WaitWriteBack | State::WaitRelease => {
-                Some(u64::MAX)
+            State::Acquire if rsp.payload[0] == 1 => self.state = State::Data,
+            State::Acquire => return Step::Sleep(cycle + self.cfg.backoff),
+            State::Data => {
+                let (a, b) = (rsp.payload[0], rsp.payload[1]);
+                if a != b {
+                    self.torn_reads += 1;
+                }
+                self.state =
+                    if self.writer { State::WriteBack { value: a + 1 } } else { State::Release };
             }
-            State::SendAcquire
-            | State::SendData
-            | State::SendWriteBack { .. }
-            | State::SendRelease => None,
-        }
-    }
-
-    fn tick(&mut self, io: &mut ThreadIo<'_>) -> ThreadStatus {
-        if self.remaining == 0 {
-            return ThreadStatus::Done;
-        }
-        loop {
-            match self.state {
-                State::SendAcquire => {
-                    let cmd = if self.writer { WRLOCK_CMD } else { RDLOCK_CMD };
-                    match io.send_cmc(cmd, self.cfg.lock_addr, [self.tid + 1, 0]) {
-                        Ok(_) => self.state = State::WaitAcquire,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("rwlock kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
+            State::WriteBack { .. } => self.state = State::Release,
+            State::Release => {
+                assert_eq!(rsp.payload[0], 1, "release of a held lock succeeds");
+                self.remaining -= 1;
+                if self.remaining == 0 {
+                    return Step::Done;
                 }
-                State::WaitAcquire => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    if rsp.rsp.payload[0] == 1 {
-                        self.state = State::SendData;
-                    } else {
-                        self.state = State::Backoff { until: io.cycle + self.cfg.backoff };
-                    }
-                }
-                State::Backoff { until } => {
-                    if io.cycle < until {
-                        return ThreadStatus::Running;
-                    }
-                    self.state = State::SendAcquire;
-                }
-                State::SendData => {
-                    match io.send(HmcRqst::Rd16, self.cfg.data_addr, []) {
-                        Ok(_) => self.state = State::WaitData,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("rwlock kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitData => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    let (a, b) = (rsp.rsp.payload[0], rsp.rsp.payload[1]);
-                    if a != b {
-                        self.torn_reads += 1;
-                    }
-                    if self.writer {
-                        self.state = State::SendWriteBack { value: a + 1 };
-                    } else {
-                        self.state = State::SendRelease;
-                    }
-                }
-                State::SendWriteBack { value } => {
-                    match io.send(HmcRqst::Wr16, self.cfg.data_addr, [value, value]) {
-                        Ok(_) => self.state = State::WaitWriteBack,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("rwlock kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitWriteBack => {
-                    if io.response().is_none() {
-                        return ThreadStatus::Running;
-                    }
-                    self.state = State::SendRelease;
-                }
-                State::SendRelease => {
-                    let cmd = if self.writer { WRUNLOCK_CMD } else { RDUNLOCK_CMD };
-                    match io.send_cmc(cmd, self.cfg.lock_addr, [self.tid + 1, 0]) {
-                        Ok(_) => self.state = State::WaitRelease,
-                        Err(HmcError::Stall) => {}
-                        Err(e) => panic!("rwlock kernel send failed: {e}"),
-                    }
-                    return ThreadStatus::Running;
-                }
-                State::WaitRelease => {
-                    let Some(rsp) = io.response() else { return ThreadStatus::Running };
-                    assert_eq!(rsp.rsp.payload[0], 1, "release of a held lock succeeds");
-                    self.remaining -= 1;
-                    if self.remaining == 0 {
-                        return ThreadStatus::Done;
-                    }
-                    self.state = State::SendAcquire;
-                }
+                self.state = State::Acquire;
             }
         }
+        Step::Send(self.op())
     }
 }
 
@@ -205,23 +158,6 @@ impl RwLockKernel {
 
     /// Runs the kernel; `libhmc_rwlock.so` must be loaded on device 0.
     pub fn run(&self, sim: &mut HmcSim) -> Result<RwLockKernelResult, HmcError> {
-        let mut threads = self.threads(sim)?;
-        let driver =
-            ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
-        let metrics = driver.run(sim, &mut threads);
-        Ok(RwLockKernelResult {
-            metrics,
-            final_value: sim.mem_read_u64(0, self.config.data_addr)?,
-            expected_value: (self.config.writers * self.config.sections) as u64,
-            torn_reads: threads.iter().map(|t| t.torn_reads).sum(),
-            final_lock_state: sim.mem_read_u64(0, self.config.lock_addr)?,
-        })
-    }
-
-    /// Checks that `libhmc_rwlock.so` is loaded on device 0, zeroes the
-    /// lock and the protected block and builds the kernel's threads —
-    /// what [`RwLockKernel::run`] hands its driver.
-    pub fn threads(&self, sim: &mut HmcSim) -> Result<Vec<RwThread>, HmcError> {
         let links = sim.device_config(0)?.links;
         let active: Vec<u8> = sim.cmc_registrations(0)?.iter().map(|r| r.cmd).collect();
         for code in [RDLOCK_CMD, RDUNLOCK_CMD, WRLOCK_CMD, WRUNLOCK_CMD] {
@@ -235,17 +171,27 @@ impl RwLockKernel {
         sim.mem_write_u64(0, self.config.data_addr + 8, 0)?;
 
         let total = self.config.readers + self.config.writers;
-        Ok((0..total)
+        let mut threads: Vec<RwThread> = (0..total)
             .map(|tid| RwThread {
                 tid: tid as u64,
                 link: tid % links,
                 writer: tid < self.config.writers,
                 remaining: self.config.sections,
-                state: State::SendAcquire,
+                state: State::Acquire,
                 torn_reads: 0,
                 cfg: self.config.clone(),
             })
-            .collect())
+            .collect();
+        let driver =
+            ThreadDriver { dev: 0, max_cycles: self.config.max_cycles, resilience: None };
+        let metrics = driver.run(sim, &mut threads);
+        Ok(RwLockKernelResult {
+            metrics,
+            final_value: sim.mem_read_u64(0, self.config.data_addr)?,
+            expected_value: (self.config.writers * self.config.sections) as u64,
+            torn_reads: threads.iter().map(|t| t.torn_reads).sum(),
+            final_lock_state: sim.mem_read_u64(0, self.config.lock_addr)?,
+        })
     }
 }
 
@@ -295,6 +241,27 @@ mod tests {
         // stays near the uncontended floor (3 ops x 3 cycles x 4
         // sections plus queueing).
         assert!(result.metrics.max_cycle() < 600, "got {}", result.metrics.max_cycle());
+    }
+
+    /// A vault error used to panic the acquire and the data read on an
+    /// empty payload: every request the vault did not execute is now
+    /// re-issued as it was.
+    #[test]
+    fn survives_injected_vault_errors() {
+        for seed in [1, 5, 23, 42] {
+            let mut config = DeviceConfig::gen2_4link_4gb();
+            config.fault =
+                hmc_sim::FaultPlan::seeded(seed).with_vault_errors(60_000).with_poison(40_000);
+            hmc_cmc::ops::register_builtin_libraries();
+            let mut sim = HmcSim::new(config).unwrap();
+            sim.load_cmc_library(0, hmc_cmc::ops::RWLOCK_LIBRARY).unwrap();
+            let result = RwLockKernel::new(RwLockKernelConfig::default()).run(&mut sim).unwrap();
+            assert_eq!(result.metrics.unfinished, 0, "seed {seed}");
+            assert_eq!(result.final_value, result.expected_value, "seed {seed}");
+            assert_eq!(result.torn_reads, 0, "seed {seed}");
+            assert_eq!(result.final_lock_state, 0, "seed {seed}: lock released");
+            assert!(sim.stats(0).unwrap().vault_faults > 0, "seed {seed}: no vault error");
+        }
     }
 
     #[test]

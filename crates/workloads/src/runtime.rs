@@ -23,6 +23,7 @@
 //! assert!(rt.mutex_unlock(&mut sim, 0x4000).unwrap());
 //! ```
 
+use crate::driver::Op;
 use hmc_cmc::ops::mutex::{LOCK_CMD, TRYLOCK_CMD, UNLOCK_CMD};
 use hmc_sim::{HmcSim, TrackedResponse};
 use hmc_types::{HmcError, HmcRqst};
@@ -52,44 +53,13 @@ impl HostRuntime {
 
     /// Issues one request synchronously, retrying on stall, and
     /// clocks until its response arrives.
-    fn call(
-        &self,
-        sim: &mut HmcSim,
-        cmd: HmcRqst,
-        addr: u64,
-        payload: Vec<u64>,
-    ) -> Result<TrackedResponse, HmcError> {
+    fn call(&self, sim: &mut HmcSim, op: Op) -> Result<TrackedResponse, HmcError> {
         let tag = loop {
-            match sim.send_simple(self.dev, self.link, cmd, addr, payload.clone()) {
+            match op.send(sim, self.dev, self.link) {
                 Ok(Some(tag)) => break tag,
                 Ok(None) => {
                     return Err(HmcError::MalformedPacket(
                         "synchronous call on a posted command".into(),
-                    ))
-                }
-                Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => {
-                    sim.clock();
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        sim.run_until_response(self.dev, self.link, tag, BLOCK_BUDGET)
-    }
-
-    /// Issues one CMC request synchronously.
-    fn call_cmc(
-        &self,
-        sim: &mut HmcSim,
-        code: u8,
-        addr: u64,
-        payload: Vec<u64>,
-    ) -> Result<TrackedResponse, HmcError> {
-        let tag = loop {
-            match sim.send_cmc(self.dev, self.link, code, addr, payload.clone()) {
-                Ok(Some(tag)) => break tag,
-                Ok(None) => {
-                    return Err(HmcError::MalformedPacket(
-                        "synchronous call on a posted CMC".into(),
                     ))
                 }
                 Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => {
@@ -108,7 +78,7 @@ impl HostRuntime {
     /// Reads the 8-byte word at `addr` (16-byte aligned block fetch).
     pub fn read_u64(&self, sim: &mut HmcSim, addr: u64) -> Result<u64, HmcError> {
         let block = addr & !15;
-        let rsp = self.call(sim, HmcRqst::Rd16, block, vec![])?;
+        let rsp = self.call(sim, Op::new(HmcRqst::Rd16, block, []))?;
         Ok(rsp.rsp.payload[((addr & 15) / 8) as usize])
     }
 
@@ -117,12 +87,12 @@ impl HostRuntime {
         if !addr.is_multiple_of(16) {
             return Err(HmcError::UnalignedAddress { addr, align: 16 });
         }
-        self.call(sim, HmcRqst::Wr16, addr, vec![lo, hi]).map(|_| ())
+        self.call(sim, Op::new(HmcRqst::Wr16, addr, [lo, hi])).map(|_| ())
     }
 
     /// Atomically increments the 8-byte counter at `addr`.
     pub fn fetch_inc(&self, sim: &mut HmcSim, addr: u64) -> Result<(), HmcError> {
-        self.call(sim, HmcRqst::Inc8, addr, vec![]).map(|_| ())
+        self.call(sim, Op::new(HmcRqst::Inc8, addr, [])).map(|_| ())
     }
 
     // ------------------------------------------------------------------
@@ -138,7 +108,7 @@ impl HostRuntime {
     /// `pthread_mutex_trylock` analogue: one `hmc_trylock`; returns
     /// whether this unit now owns the lock.
     pub fn mutex_try_lock(&self, sim: &mut HmcSim, addr: u64) -> Result<bool, HmcError> {
-        let rsp = self.call_cmc(sim, TRYLOCK_CMD, addr, vec![self.tid, 0])?;
+        let rsp = self.call(sim, Op::cmc(TRYLOCK_CMD, addr, [self.tid, 0]))?;
         Ok(rsp.rsp.payload[0] == self.tid)
     }
 
@@ -146,7 +116,7 @@ impl HostRuntime {
     /// with truncated exponential backoff until owned (Algorithm 1's
     /// spin, blocking the caller).
     pub fn mutex_lock(&self, sim: &mut HmcSim, addr: u64) -> Result<(), HmcError> {
-        let rsp = self.call_cmc(sim, LOCK_CMD, addr, vec![self.tid, 0])?;
+        let rsp = self.call(sim, Op::cmc(LOCK_CMD, addr, [self.tid, 0]))?;
         if rsp.rsp.payload[0] == 1 {
             return Ok(());
         }
@@ -167,7 +137,7 @@ impl HostRuntime {
     /// `pthread_mutex_unlock` analogue: returns whether the unlock
     /// took effect (false when this unit does not own the lock).
     pub fn mutex_unlock(&self, sim: &mut HmcSim, addr: u64) -> Result<bool, HmcError> {
-        let rsp = self.call_cmc(sim, UNLOCK_CMD, addr, vec![self.tid, 0])?;
+        let rsp = self.call(sim, Op::cmc(UNLOCK_CMD, addr, [self.tid, 0]))?;
         Ok(rsp.rsp.payload[0] == 1)
     }
 
