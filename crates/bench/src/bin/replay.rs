@@ -20,12 +20,14 @@
 //!
 //! `--checkpoint-dir` commits every checkpoint to a
 //! [`hmc_sim::CheckpointStore`] (atomic tmp+fsync+rename files, CRC'd,
-//! last `--retain K` generations kept) and records a run manifest so a
-//! resume against a different trace or configuration is refused.
-//! `--resume` restores the newest good checkpoint — corrupt ones are
-//! quarantined as `.corrupt`, never used — re-derives the restored
-//! state's fingerprint and refuses to continue if it does not match
-//! the one recorded at commit time.
+//! last `--retain K` generations kept) and records a run manifest — the
+//! trace digest, the context's [`hmc_sim::SimConfig`] and the cadence —
+//! so a resume against a different trace or configuration is refused.
+//! `--resume` rebuilds the context from the newest good checkpoint
+//! ([`HmcSim::from_snapshot`]) — corrupt ones are quarantined as
+//! `.corrupt`, never used — after re-deriving the restored state's
+//! fingerprint and refusing to continue if it does not match the one
+//! recorded at commit time.
 
 use hmc_sim::jsonv::obj;
 use hmc_sim::{
@@ -39,7 +41,7 @@ use hmc_workloads::tracefile::{
 use std::path::Path;
 
 const MANIFEST_MAGIC: &str = "hmc-replay-manifest";
-const MANIFEST_VERSION: u64 = 1;
+const MANIFEST_VERSION: u64 = 2;
 
 fn die(msg: String) -> ! {
     eprintln!("replay: ERROR: {msg}");
@@ -61,7 +63,8 @@ fn trace_digest(text: &str) -> u64 {
 
 struct Manifest {
     trace_digest: u64,
-    links: usize,
+    /// The context's configuration, as `SimConfig::to_json` renders it.
+    config: Json,
     window: usize,
     checkpoint_every: u64,
 }
@@ -72,7 +75,7 @@ impl Manifest {
             ("magic", Json::Str(MANIFEST_MAGIC.into())),
             ("schema_version", Json::Int(MANIFEST_VERSION as i128)),
             ("trace_digest", Json::Int(self.trace_digest as i128)),
-            ("links", Json::Int(self.links as i128)),
+            ("config", self.config.clone()),
             ("window", Json::Int(self.window as i128)),
             ("checkpoint_every", Json::Int(self.checkpoint_every as i128)),
         ])
@@ -92,7 +95,7 @@ impl Manifest {
         }
         let m = Manifest {
             trace_digest: r.u64("trace_digest").map_err(|e| e.to_string())?,
-            links: r.usize("links").map_err(|e| e.to_string())?,
+            config: r.required("config").map_err(|e| e.to_string())?.clone(),
             window: r.usize("window").map_err(|e| e.to_string())?,
             checkpoint_every: r.u64("checkpoint_every").map_err(|e| e.to_string())?,
         };
@@ -115,8 +118,9 @@ fn reconcile_manifest(dir: &Path, current: &Manifest) {
                     current.trace_digest, prior.trace_digest
                 ));
             }
-            if prior.links != current.links {
-                mismatches.push(format!("links {} != recorded {}", current.links, prior.links));
+            let (config, recorded) = (current.config.render(), prior.config.render());
+            if config != recorded {
+                mismatches.push(format!("config {config} != recorded {recorded}"));
             }
             if prior.window != current.window {
                 mismatches
@@ -183,6 +187,7 @@ fn main() {
     if sanitize {
         sim.enable_sanitizer(SanitizerConfig::report());
     }
+    let config = sim.config().to_json();
     let replay_config = ReplayConfig { window, checkpoint_every, ..Default::default() };
 
     // Durable mode: open the store, reconcile the manifest, and (on
@@ -199,7 +204,7 @@ fn main() {
         }
         reconcile_manifest(dir, &Manifest {
             trace_digest: trace_digest(&render_trace(&ops)),
-            links,
+            config,
             window,
             checkpoint_every,
         });
@@ -219,6 +224,8 @@ fn main() {
                             record.generation, record.cycle, record.fingerprint, restored
                         ));
                     }
+                    sim = HmcSim::from_snapshot(&ckpt.snapshot)
+                        .unwrap_or_else(|e| die(format!("checkpoint does not rebuild: {e}")));
                     println!(
                         "resuming from generation {} (cycle {}, op cursor {}/{}, \
                          fingerprint {:#018x} verified)\n",

@@ -101,20 +101,15 @@ pub fn pretty_render(scenario: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmc_sim::{DeviceConfig, SkipMode};
+    use hmc_sim::{DeviceConfig, SimConfig, TelemetryConfig};
     use hmc_workloads::KernelDescriptor;
 
     fn sample() -> Scenario {
         Scenario {
             seed: 5,
-            device: DeviceConfig::gen2_4link_4gb(),
             kernel: KernelDescriptor::Counter { threads: 2, increments: 3, cache_rmw: false },
-            skip: SkipMode::Off,
-            sanitizer: false,
-            telemetry: false,
+            sim: SimConfig::single(DeviceConfig::gen2_4link_4gb()),
             trace: false,
-            timing: hmc_sim::TimingSelect::FixedLatency,
-            fabric: crate::scenario::FabricTopology::Single,
         }
     }
 
@@ -175,7 +170,7 @@ mod tests {
         let a = scenario_digest(&sample());
         assert_eq!(a, scenario_digest(&sample()));
         let mut other = sample();
-        other.telemetry = true;
+        other.sim.telemetry = TelemetryConfig::full();
         assert_ne!(a, scenario_digest(&other));
     }
 }

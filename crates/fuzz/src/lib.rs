@@ -47,5 +47,5 @@ pub use corpus::{load_scenario_file, save_reproducer};
 pub use journal::RunJournal;
 pub use gen::ScenarioGenerator;
 pub use runner::{run_scenario, Outcome, RunnerConfig};
-pub use scenario::{FabricTopology, Scenario, SCHEMA_VERSION};
+pub use scenario::{Scenario, SCHEMA_VERSION};
 pub use shrink::shrink;

@@ -197,7 +197,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "[{index:>6}] {:<22} kernel={:<8} skip={:?} weight={}",
             outcome.class(),
             scenario.kernel.name(),
-            scenario.skip,
+            scenario.sim.skip_mode,
             scenario.weight()
         );
         if let hmc_fuzz::runner::Outcome::SetupError { message } = &outcome {
@@ -344,9 +344,10 @@ fn seed_scenarios() -> Vec<Scenario> {
     let mut generator = ScenarioGenerator::new(0xC0FFEE);
     while generator.position() < 500 {
         let scenario = generator.next_scenario();
-        if scenario.timing == hmc_sim::TimingSelect::RowBuffer
-            && scenario.device.refresh.is_some()
-            && !scenario.device.fault.is_none()
+        let cube = &scenario.sim.devices[0];
+        if scenario.sim.timing == hmc_sim::TimingSelect::RowBuffer
+            && cube.refresh.is_some()
+            && !cube.fault.is_none()
         {
             picked.push(scenario);
             break;

@@ -51,6 +51,15 @@ pub enum SanitizerPolicy {
     Recover,
 }
 
+impl SanitizerPolicy {
+    /// The policy names configuration files use.
+    pub const NAMES: [(&'static str, SanitizerPolicy); 3] = [
+        ("panic", SanitizerPolicy::Panic),
+        ("report", SanitizerPolicy::Report),
+        ("recover", SanitizerPolicy::Recover),
+    ];
+}
+
 /// Sanitizer configuration, carried on
 /// [`crate::config::SimConfig::sanitizer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -852,6 +861,7 @@ impl HmcSim {
     /// injected via raw `send` before this point will surface as
     /// phantom responses when they deliver).
     pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
+        self.config.sanitizer = SanitizerConfig { enabled: true, ..config.clone() };
         let mut san = Box::new(Sanitizer::new(config));
         san.rebase(self);
         if san.config.trace_ring > 0 {
@@ -862,6 +872,7 @@ impl HmcSim {
 
     /// Detaches the sanitizer, returning its final report.
     pub fn disable_sanitizer(&mut self) -> Option<SanitizerReport> {
+        self.config.sanitizer.enabled = false;
         self.tracer.detach_ring();
         self.sanitizer.take().map(|s| s.report)
     }

@@ -87,6 +87,9 @@ struct CycleScratch {
 /// The HMC-Sim simulation context.
 #[derive(Debug)]
 pub struct HmcSim {
+    /// The live configuration: what [`HmcSim::with_config`] was given,
+    /// with the skip mode and timing backend the environment resolved,
+    /// kept current by the setters that change what it describes.
     pub(crate) config: SimConfig,
     pub(crate) devices: Vec<Device>,
     pub(crate) cycle: u64,
@@ -198,7 +201,7 @@ impl HmcSim {
         let n = devices.len();
         let transit_queues = (0..topology.edge_count()).map(|_| EventHeap::new()).collect();
         let mut sim = HmcSim {
-            config,
+            config: SimConfig { skip_mode, timing, ..config },
             devices,
             cycle: 0,
             host_rx,
@@ -225,6 +228,12 @@ impl HmcSim {
             sim.enable_telemetry(sim.config.telemetry.clone());
         }
         Ok(sim)
+    }
+
+    /// The live configuration (see [`SimConfig::to_json`] for what a
+    /// snapshot records of it).
+    pub fn config(&self) -> &SimConfig {
+        &self.config
     }
 
     /// The current simulation cycle.
@@ -313,6 +322,7 @@ impl HmcSim {
     /// state, so switching mid-run is safe.
     pub fn set_skip_mode(&mut self, mode: SkipMode) {
         self.skip_mode = mode;
+        self.config.skip_mode = mode;
         self.mark_fabric_busy();
     }
 
@@ -337,6 +347,7 @@ impl HmcSim {
         for dev in &mut self.devices {
             dev.set_timing_model(select);
         }
+        self.config.timing = select;
         self.mark_fabric_busy();
     }
 
@@ -954,6 +965,10 @@ impl HmcSim {
                         self.host_rx[d][egress_link].push_back(rsp);
                     }
                     Egress::Forward(rsp) => {
+                        // A response's entry device is where its request
+                        // entered: `admit` let it in only toward a cube
+                        // routable from there, fabrics are symmetric, and
+                        // `restore` checks every restored packet alike.
                         let to_dev = self
                             .topology
                             .next_hop(d, rsp.entry_device)
@@ -1010,6 +1025,10 @@ impl HmcSim {
                 }
             }
             for fwd in outcome.forwards.drain(..) {
+                // `admit` lets a request in only toward a cube routable
+                // from its entry device, each hop follows the routing
+                // table toward it, and `restore` checks every restored
+                // request's cube from the device that holds it.
                 let target = fwd.item.req.head.cub.value() as usize;
                 let to_dev = self
                     .topology
@@ -1073,6 +1092,8 @@ impl HmcSim {
     }
 
     /// Enqueues a transit on its directed fabric edge's queue.
+    /// Both callers send toward `next_hop(from, ..)`, which is always a
+    /// neighbour of `from`: the edge exists.
     fn push_transit(&mut self, t: Transit) {
         let (from, to) = t.edge();
         let e = self
@@ -1355,7 +1376,9 @@ impl HmcSim {
     /// Loads every operation from a CMC shared library by path
     /// (`hmc_load_cmc`): the library is resolved through the simulated
     /// dynamic loader, its entry points bound, and each operation
-    /// registered. Returns the registered command codes.
+    /// registered. Returns the registered command codes. The device
+    /// records the name, so a snapshot names the libraries that
+    /// [`HmcSim::from_snapshot`] loads again.
     pub fn load_cmc_library(&mut self, dev: usize, path: &str) -> Result<Vec<u8>, HmcError> {
         let ops = hmc_cmc::open_library(path)?;
         let device = self.device_mut(dev)?;
@@ -1374,6 +1397,7 @@ impl HmcSim {
                 }
             }
         }
+        device.record_cmc_library(path);
         Ok(codes)
     }
 

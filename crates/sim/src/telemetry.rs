@@ -378,8 +378,8 @@ impl HmcSim {
     /// series and span histograms start from the current cycle, while
     /// the always-on aggregates already cover the whole run.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        let mut config = config;
-        config.enabled = true;
+        let config = TelemetryConfig { enabled: true, ..config };
+        self.config.telemetry = config.clone();
         let tel = Box::new(Telemetry::new(config, self));
         self.telemetry = Some(tel);
     }
@@ -387,6 +387,7 @@ impl HmcSim {
     /// Detaches the telemetry collector, returning the final report.
     pub fn disable_telemetry(&mut self) -> Option<crate::export::TelemetryReport> {
         let report = self.telemetry_report();
+        self.config.telemetry.enabled = false;
         self.telemetry = None;
         report
     }

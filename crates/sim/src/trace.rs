@@ -978,8 +978,13 @@ impl Tracer {
     /// `capacity` events of every class, independently of the level
     /// mask (replacing any ring attached before).
     pub fn attach_ring(&mut self, capacity: usize) {
+        // A capacity read from a file is not trusted with an up-front
+        // reservation: a ring larger than `RING_RESERVE` grows as it
+        // fills.
+        const RING_RESERVE: usize = 1 << 16;
         let capacity = capacity.max(1);
-        self.ring = Some(TraceRing { records: VecDeque::with_capacity(capacity), capacity });
+        let records = VecDeque::with_capacity(capacity.min(RING_RESERVE));
+        self.ring = Some(TraceRing { records, capacity });
     }
 
     /// Detaches the forensic ring, if any.

@@ -130,8 +130,8 @@ proptest! {
         prop_assert_eq!(sim.state_fingerprint(), live_fp, "restore point drifted");
 
         // Both timelines replay the same tail and must stay identical.
-        let mut twin = build_sim(&point, seed);
-        twin.restore(&parsed).map_err(|e| TestCaseError::fail(format!("restore: {e}")))?;
+        let mut twin = HmcSim::from_snapshot(&parsed)
+            .map_err(|e| TestCaseError::fail(format!("from_snapshot: {e}")))?;
         drive(&mut sim, &tail);
         drive(&mut twin, &tail);
         prop_assert_eq!(sim.state_fingerprint(), twin.state_fingerprint());
@@ -185,8 +185,7 @@ fn a_fresh_context_restored_mid_flight_runs_in_lockstep_to_quiescence() {
         assert!(sim.vault_queue_high_water(0).unwrap() > 8, "the vault queue backed up");
         let parsed = SimSnapshot::from_json(&sim.snapshot().to_json_full()).unwrap();
 
-        let mut twin = build_sim(&point, 1);
-        twin.restore(&parsed).unwrap();
+        let mut twin = HmcSim::from_snapshot(&parsed).unwrap();
         let mut cycles = 0;
         while !sim.is_quiescent() {
             assert_eq!(sim.clock(), twin.clock());

@@ -174,9 +174,7 @@ fn flight_snapshot_survives_checkpoint_restore() {
     assert!(!before.is_empty());
 
     let snap = sim.snapshot();
-    let mut restored = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
-    restored.enable_flight_recorder(1024);
-    restored.restore(&snap).unwrap();
+    let restored = HmcSim::from_snapshot(&snap).unwrap();
     let after = restored.flight_snapshot().unwrap();
     assert_eq!(
         perfetto::export(&before, &PerfettoOptions::default()),

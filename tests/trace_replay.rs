@@ -1,24 +1,26 @@
 //! The trace-file format and the replay checkpoint, from outside.
 //!
-//! * **Byte stability** — `tests/golden/replay_ckpt_v2.json` is a short
+//! * **Byte stability** — `tests/golden/replay_ckpt_v3.json` is a short
 //!   sanitized, recorded replay's `ReplayCheckpoint::to_json()` as this
 //!   build renders it (`BLESS=1 cargo test --test trace_replay golden`
 //!   regenerates it after an intentional format change; review the
 //!   diff and bump `REPLAY_CKPT_SCHEMA_VERSION`, or
 //!   `SNAPSHOT_SCHEMA_VERSION` when the embedded snapshot moved — the
-//!   file name's `v2` is the snapshot schema, whose packed flight lanes
-//!   left the checkpoint's own layout at version 1). It must load and
-//!   re-render byte for byte, the same replay must still render to it,
-//!   and resuming from the file must reach the state of the
-//!   uninterrupted run. `tests/golden/replay_ckpt_v1.json`, rendered
-//!   before flight lanes were packed, must load to the same state and
-//!   flight records, re-render as the v2 bytes and resume alike.
+//!   file name's `v3` is the snapshot schema, whose packed flight lanes
+//!   and named machine left the checkpoint's own layout at version 1).
+//!   It must load and re-render byte for byte, the same replay must
+//!   still render to it, and resuming from the file must reach the
+//!   state of the uninterrupted run. `tests/golden/replay_ckpt_v2.json`,
+//!   rendered before snapshots named their machine, and
+//!   `replay_ckpt_v1.json`, rendered before flight lanes were packed,
+//!   must load to the same state and flight records, re-render as the
+//!   v3 bytes with no `config`, and resume alike.
 //! * **The parser never panics** — seeded mutations of a generated
 //!   trace end in `Ok` or a typed error, and whatever parses survives a
 //!   render → parse round trip.
 
 use hmcsim::prelude::*;
-use hmcsim::sim::LinkConfig;
+use hmcsim::sim::{Json, LinkConfig};
 use hmcsim::workloads::tracefile::{
     parse_line, parse_trace, render_trace, replay_resumable, ReplayCheckpoint, ReplayConfig,
     TraceOp,
@@ -72,7 +74,7 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
     let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let path = |name: &str| golden_dir.join(name);
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path("replay_ckpt_v2.json"), format!("{rendered}\n")).unwrap();
+        std::fs::write(path("replay_ckpt_v3.json"), format!("{rendered}\n")).unwrap();
     }
     let read = |name: &str| {
         let text = std::fs::read_to_string(path(name)).unwrap_or_else(|e| {
@@ -80,22 +82,32 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
         });
         text.trim_end().to_string()
     };
-    let golden = read("replay_ckpt_v2.json");
+    let golden = read("replay_ckpt_v3.json");
     assert!(
         rendered == golden,
-        "replay_ckpt_v2.json drifted from the checked-in bytes; if intentional, bump the schema \
+        "replay_ckpt_v3.json drifted from the checked-in bytes; if intentional, bump the schema \
          version that moved, regenerate with BLESS=1 cargo test --test trace_replay golden and \
          review the diff"
     );
+    // What a legacy file re-renders as: the snapshot names no machine
+    // (and this cube loads no CMC library).
+    let mut machineless = Json::parse(&golden).unwrap();
+    if let Json::Obj(top) = &mut machineless {
+        if let Some((_, Json::Obj(snapshot))) = top.iter_mut().find(|(k, _)| k == "snapshot") {
+            snapshot.iter_mut().find(|(k, _)| k == "config").unwrap().1 = Json::Null;
+        }
+    }
+    let machineless = machineless.render();
 
     // The files on disk through the decoder and back, then onwards.
     let files = [
-        ("replay_ckpt_v2.json", "re-renders byte for byte"),
-        ("replay_ckpt_v1.json", "re-renders as the v2 bytes"),
+        ("replay_ckpt_v3.json", &golden, "re-renders byte for byte"),
+        ("replay_ckpt_v2.json", &machineless, "re-renders as v3 without a machine"),
+        ("replay_ckpt_v1.json", &machineless, "re-renders as v3 without a machine"),
     ];
-    for (name, want) in files {
+    for (name, bytes, want) in files {
         let loaded = ReplayCheckpoint::from_json(&read(name)).expect("the golden loads");
-        assert!(loaded.to_json() == golden, "{name} {want}");
+        assert!(loaded.to_json() == *bytes, "{name} {want}");
         assert_eq!(loaded.snapshot.fingerprint(), ckpt.snapshot.fingerprint(), "{name}");
         assert_eq!(loaded.snapshot.flight(), ckpt.snapshot.flight(), "{name}");
         let mut resumed = small_observed_cube();
