@@ -76,10 +76,9 @@ pub use sanitizer::{
     SanitizerConfig, SanitizerPolicy, SanitizerReport, Violation, ViolationKind,
 };
 pub use hmc_types::Fnv;
-pub use scenario::OracleDigest;
 pub use sim::HmcSim;
 pub use snapjson::SNAPSHOT_SCHEMA_VERSION;
-pub use snapshot::{ForensicDump, SimSnapshot};
+pub use snapshot::{ForensicDump, OracleDigest, SimSnapshot};
 pub use stats::{ClassLatency, CmdClass, DeviceStats};
 pub use telemetry::{Stage, StageStamps, Telemetry, TelemetryConfig, TimeSeries};
 pub use timing::{TimingSelect, TimingSnapshot, TimingStats, TIMING_ENV};

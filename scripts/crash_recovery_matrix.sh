@@ -56,6 +56,19 @@ for KILL_AFTER in 0.05 0.15 0.30; do
   fi
 done
 
+# Configuration: a resume that would build a different machine (8 links
+# against a 4-link run directory) is refused, naming the config mismatch.
+"$REPLAY" "$TRACE" --checkpoint-dir "$WORK/ckpt-0.05" --checkpoint-every 100 --resume \
+  --links 8 > "$WORK/mismatch.log" 2>&1
+STATUS=$?
+if [ "$STATUS" -eq 0 ]; then
+  fail "resume with --links 8 against a 4-link run exited zero"
+elif ! grep -q 'config {.*} != recorded {' "$WORK/mismatch.log"; then
+  fail "resume with --links 8 was refused without naming the config mismatch"
+else
+  say "config mismatch: refused (status $STATUS)"
+fi
+
 # Corruption: tear the newest checkpoint; recovery must quarantine it,
 # fall back, and still converge to the reference fingerprint.
 DIR="$WORK/ckpt-corrupt"
