@@ -382,6 +382,11 @@ impl Device {
         &self.power
     }
 
+    /// The power model, for the clock's leakage phase.
+    pub(crate) fn power_mut(&mut self) -> &mut PowerModel {
+        &mut self.power
+    }
+
     /// The active bank-timing backend.
     pub fn timing_select(&self) -> TimingSelect {
         self.timing.select()
@@ -1081,18 +1086,6 @@ impl Device {
     /// Highest vault request-queue occupancy observed.
     pub fn vault_queue_high_water(&self) -> usize {
         self.vaults.iter().map(|v| v.rqst.high_water()).max().unwrap_or(0)
-    }
-
-    /// Leakage accounting hook, called once per cycle.
-    pub(crate) fn tick_power(&mut self) {
-        self.power.add_cycles(1);
-    }
-
-    /// Bulk leakage accounting for a skipped idle region of `cycles`
-    /// cycles — one closed-form update, exactly `cycles` calls of
-    /// [`Device::tick_power`].
-    pub(crate) fn tick_power_n(&mut self, cycles: u64) {
-        self.power.tick_idle_n(cycles);
     }
 
     /// Records a completed-request latency under its command class

@@ -17,15 +17,15 @@
 //!   which is what the event-horizon engine's `next_event_cycle`
 //!   consults to decide how far the clock may skip.
 //!
-//! An event that pops ready but cannot be delivered this cycle (link
-//! down, destination queue full) is re-inserted with its *original*
-//! `(ready, seq)` key via [`EventHeap::reinsert`], preserving its
-//! priority relative to everything behind it.
+//! [`EventHeap::deliver_ready`] offers every due event to a delivery
+//! function; an event it refuses this cycle (link down, destination
+//! queue full) goes back under its *original* `(ready, seq)` key,
+//! keeping its priority relative to everything behind it.
 //!
 //! [`EventHeap::sorted`] lists the items in `(ready, seq)` order
 //! *without* the sequence numbers — the form snapshots store and the
 //! state fingerprint walks — so two heaps holding the same events,
-//! even built through different push/reinsert histories or restored
+//! even built through different push/refusal histories or restored
 //! from a snapshot with renumbered sequences, snapshot and
 //! fingerprint identically.
 
@@ -61,25 +61,20 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// The `(ready, seq)` key of a popped event, handed out alongside the
-/// item so a failed delivery can re-insert without losing its place
-/// in line.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EventKey {
-    ready: u64,
-    seq: u64,
-}
-
 /// A min-heap of time-deferred events ordered by `(ready, seq)`.
 #[derive(Debug, Clone)]
 pub(crate) struct EventHeap<T> {
     heap: BinaryHeap<Entry<T>>,
+    /// Due events [`EventHeap::deliver_ready`] is holding back this
+    /// call. Empty between calls; kept for its capacity, so a
+    /// steady-state cycle allocates nothing.
+    refused: Vec<Entry<T>>,
     next_seq: u64,
 }
 
 impl<T> EventHeap<T> {
     pub(crate) fn new() -> Self {
-        EventHeap { heap: BinaryHeap::new(), next_seq: 0 }
+        EventHeap { heap: BinaryHeap::new(), refused: Vec::new(), next_seq: 0 }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -98,24 +93,29 @@ impl<T> EventHeap<T> {
         self.heap.push(Entry { ready, seq, item });
     }
 
-    /// Re-inserts a popped event with its original key (a delivery
-    /// that stalled this cycle retries with unchanged priority).
-    pub(crate) fn reinsert(&mut self, key: EventKey, item: T) {
-        self.heap.push(Entry { ready: key.ready, seq: key.seq, item });
-    }
-
     /// The earliest due cycle, if any event is stored. O(1).
     pub(crate) fn peek_ready(&self) -> Option<u64> {
         self.heap.peek().map(|e| e.ready)
     }
 
-    /// Pops the earliest event if it is due at or before `cycle`.
-    pub(crate) fn pop_ready(&mut self, cycle: u64) -> Option<(EventKey, T)> {
-        if self.peek_ready()? > cycle {
-            return None;
+    /// Offers every event due at or before `cycle` to `deliver`, in
+    /// `(ready, seq)` order. An event `deliver` hands back is offered
+    /// no second time: it re-enters the heap under its original key
+    /// once every due event has had its turn.
+    pub(crate) fn deliver_ready(
+        &mut self,
+        cycle: u64,
+        mut deliver: impl FnMut(T) -> Result<(), T>,
+    ) {
+        while self.peek_ready().is_some_and(|ready| ready <= cycle) {
+            let Entry { ready, seq, item } = self.heap.pop().expect("peeked");
+            if let Err(item) = deliver(item) {
+                self.refused.push(Entry { ready, seq, item });
+            }
         }
-        let e = self.heap.pop().expect("peeked");
-        Some((EventKey { ready: e.ready, seq: e.seq }, e.item))
+        if !self.refused.is_empty() {
+            self.heap.extend(self.refused.drain(..));
+        }
     }
 
     /// Iterates the stored items in arbitrary order (for
@@ -155,8 +155,22 @@ impl<T> Default for EventHeap<T> {
 mod tests {
     use super::*;
 
+    /// Delivers every due event of `h` at `cycle`, refusing those
+    /// `refuse` names; returns what was delivered, in order.
+    fn deliver<T: Copy>(h: &mut EventHeap<T>, cycle: u64, refuse: impl Fn(T) -> bool) -> Vec<T> {
+        let mut out = Vec::new();
+        h.deliver_ready(cycle, |item| {
+            if refuse(item) {
+                return Err(item);
+            }
+            out.push(item);
+            Ok(())
+        });
+        out
+    }
+
     #[test]
-    fn pops_in_ready_then_insertion_order() {
+    fn delivers_in_ready_then_insertion_order() {
         let mut h = EventHeap::new();
         h.push(5, "a");
         h.push(3, "b");
@@ -164,49 +178,34 @@ mod tests {
         h.push(3, "d");
         assert_eq!(h.peek_ready(), Some(3));
         assert_eq!(h.len(), 4);
-
-        // Nothing due before cycle 3.
-        assert!(h.pop_ready(2).is_none());
-
-        let order: Vec<&str> =
-            std::iter::from_fn(|| h.pop_ready(10).map(|(_, item)| item)).collect();
-        assert_eq!(order, ["b", "d", "a", "c"], "ready first, then insertion order");
+        assert!(deliver(&mut h, 2, |_| false).is_empty(), "nothing due before cycle 3");
+        assert_eq!(deliver(&mut h, 10, |_| false), ["b", "d", "a", "c"]);
         assert!(h.is_empty());
     }
 
     #[test]
-    fn pop_ready_leaves_future_events() {
+    fn future_events_stay_put() {
         let mut h = EventHeap::new();
         h.push(1, 10u32);
         h.push(7, 20);
-        assert_eq!(h.pop_ready(1).unwrap().1, 10);
-        assert!(h.pop_ready(6).is_none(), "event at 7 is not due at 6");
+        assert_eq!(deliver(&mut h, 1, |_| false), [10]);
+        assert!(deliver(&mut h, 6, |_| false).is_empty(), "event at 7 is not due at 6");
         assert_eq!(h.peek_ready(), Some(7));
     }
 
     #[test]
-    fn reinsert_preserves_priority() {
+    fn a_refused_event_is_offered_once_and_keeps_its_place() {
         let mut h = EventHeap::new();
         h.push(2, "first");
         h.push(2, "second");
-        // Pop the head, fail to deliver it, put it back: it must pop
-        // before "second" again.
-        let (key, item) = h.pop_ready(5).unwrap();
-        assert_eq!(item, "first");
-        h.reinsert(key, item);
-        assert_eq!(h.pop_ready(5).unwrap().1, "first");
-        assert_eq!(h.pop_ready(5).unwrap().1, "second");
-    }
-
-    #[test]
-    fn reinsert_with_replacement_item_keeps_the_key() {
-        let mut h = EventHeap::new();
-        h.push(4, 1u32);
-        h.push(4, 2);
-        let (key, _) = h.pop_ready(4).unwrap();
-        h.reinsert(key, 99);
-        assert_eq!(h.pop_ready(4).unwrap().1, 99, "replacement kept its place");
-        assert_eq!(h.pop_ready(4).unwrap().1, 2);
+        h.push(9, "later");
+        // "first" is refused: "second" still goes, and "first" is not
+        // offered again in the same call.
+        assert_eq!(deliver(&mut h, 5, |item| item == "first"), ["second"]);
+        assert_eq!(h.len(), 2);
+        h.push(2, "third");
+        // Back under its original key: ahead of an event pushed after it.
+        assert_eq!(deliver(&mut h, 9, |_| false), ["first", "third", "later"]);
     }
 
     #[test]
@@ -215,12 +214,11 @@ mod tests {
         a.push(1, "x");
         a.push(2, "y");
         // Same events arriving through a different history: pushed,
-        // popped and re-inserted, with extra seq churn in between.
+        // refused and put back, with extra seq churn in between.
         let mut b = EventHeap::new();
         b.push(2, "y");
         b.push(1, "x");
-        let (key, item) = b.pop_ready(1).unwrap();
-        b.reinsert(key, item);
+        deliver(&mut b, 1, |_| true);
         assert_eq!(a.sorted(), b.sorted());
         assert_eq!(a.sorted(), [&"x", &"y"]);
     }

@@ -72,17 +72,10 @@ impl PowerModel {
         self.logic_ops += 1;
     }
 
-    /// Records elapsed cycles (leakage).
+    /// Records elapsed cycles (leakage, linear in them: one call for a
+    /// skipped idle run is `cycles` calls for one cycle each).
     pub fn add_cycles(&mut self, cycles: u64) {
         self.cycles += cycles;
-    }
-
-    /// Bulk idle advance for the event-horizon engine: `cycles` cycles
-    /// in which nothing but leakage happens, folded in as one
-    /// closed-form update. Exactly equivalent to `cycles` calls of
-    /// `add_cycles(1)` — leakage is linear in elapsed cycles.
-    pub fn tick_idle_n(&mut self, cycles: u64) {
-        self.add_cycles(cycles);
     }
 
     /// The model's coefficients.

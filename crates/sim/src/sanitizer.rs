@@ -549,13 +549,7 @@ impl Sanitizer {
                     // consuming tokens, so the equality only holds
                     // host-only.
                     if matches!(sim.config.topology, LinkTopology::HostOnly) {
-                        let held = sim.devices[dev].xbar_rqst_flits(link)
-                            + sim
-                                .retry_pending
-                                .iter()
-                                .filter(|e| e.dev == dev && e.link == link)
-                                .map(|e| e.item.req.flits() as u64)
-                                .sum::<u64>();
+                        let held = held_flits(sim, dev, link);
                         let outstanding = cap.saturating_sub(lc.tokens_available()) as u64;
                         if outstanding != held {
                             found(Violation {
@@ -759,13 +753,7 @@ impl Sanitizer {
             for link in 0..sim.links[dev].len() {
                 if let Some(cap) = sim.config.devices[dev].link_config.tokens {
                     if matches!(sim.config.topology, LinkTopology::HostOnly) {
-                        let held = sim.devices[dev].xbar_rqst_flits(link)
-                            + sim
-                                .retry_pending
-                                .iter()
-                                .filter(|e| e.dev == dev && e.link == link)
-                                .map(|e| e.item.req.flits() as u64)
-                                .sum::<u64>();
+                        let held = held_flits(sim, dev, link);
                         let avail = cap.saturating_sub(held.min(cap as u64) as u32);
                         sim.links[dev][link].force_tokens(avail);
                     } else if sim.links[dev][link].tokens_available() > cap {
@@ -853,6 +841,20 @@ impl Sanitizer {
             self.observe_progress(sim, sim.live_packets(), k);
         }
     }
+}
+
+/// The FLITs physically held on a link's behalf: its crossbar request
+/// queue plus its packets waiting in the retry buffer. In a host-only
+/// context that is what its outstanding tokens must equal, so the
+/// conservation check and `recover`'s repair share this definition.
+fn held_flits(sim: &HmcSim, dev: usize, link: usize) -> u64 {
+    sim.devices[dev].xbar_rqst_flits(link)
+        + sim
+            .retry_pending
+            .iter()
+            .filter(|e| e.dev == dev && e.link == link)
+            .map(|e| e.item.req.flits() as u64)
+            .sum::<u64>()
 }
 
 impl HmcSim {

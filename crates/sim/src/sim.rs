@@ -10,7 +10,7 @@ use crate::device::{
     Device, Egress, EnvelopePool, RouteOutcome, RqstEnvelope, RspEnvelope, TrackedRequest,
     TrackedResponse,
 };
-use crate::events::{EventHeap, EventKey};
+use crate::events::EventHeap;
 use crate::fault::LinkErrorMode;
 use crate::link::{LinkConfig, LinkControl, LinkStats, SendGrant};
 use crate::power::PowerReport;
@@ -23,6 +23,7 @@ use hmc_cmc::{CmcOp, CmcRegistration};
 use hmc_types::{
     Cub, Flit, HmcError, HmcRqst, PayloadSource, Request, Response, Tag, TagPool, TagSet,
 };
+use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 
 /// A packet crossing a fabric edge between devices.
@@ -73,11 +74,6 @@ pub(crate) struct RetryEntry {
 /// boundary; not simulation state.
 #[derive(Debug, Default)]
 struct CycleScratch {
-    /// Due link-layer retries that could not deliver this cycle.
-    deferred_retries: Vec<(EventKey, RetryEntry)>,
-    /// Due transits of the edge being committed whose destination
-    /// queue was full.
-    deferred_transits: Vec<(EventKey, Transit)>,
     /// One device's stage-2 egress.
     egress: Vec<Egress>,
     /// One device's stage-4 routing outcome.
@@ -131,8 +127,10 @@ pub struct HmcSim {
     /// work; cleared when a scan proves its queues empty. A fully
     /// idle cube therefore contributes O(1) to the global horizon —
     /// idle-skip jumps never rescan quiet devices. Not simulation
-    /// state — not snapshotted, never observable in results.
-    dev_maybe_busy: Vec<bool>,
+    /// state — not snapshotted, never observable in results — so
+    /// [`HmcSim::next_event_cycle`] refreshes it through a shared
+    /// reference.
+    dev_maybe_busy: Vec<Cell<bool>>,
     /// Per-cube cached timing-backend event horizon (`None` = stale,
     /// must be recomputed; `Some(h)` = that device's earliest
     /// bank-availability change, with `Some(None)` meaning all its
@@ -140,7 +138,7 @@ pub struct HmcSim {
     /// clocks where it held or received work, and on restores — both
     /// invalidate the cache alongside [`HmcSim::dev_maybe_busy`].
     /// Not simulation state.
-    dev_timing_horizon: Vec<Option<Option<u64>>>,
+    dev_timing_horizon: Vec<Cell<Option<Option<u64>>>>,
     /// Free lists of retired packet envelopes, lent to the device
     /// stages the way the tracer is. Grown lazily (construction
     /// allocates nothing for them). Not simulation state.
@@ -216,8 +214,8 @@ impl HmcSim {
             sanitizer: None,
             telemetry: None,
             skip_mode,
-            dev_maybe_busy: vec![true; n],
-            dev_timing_horizon: vec![None; n],
+            dev_maybe_busy: vec![Cell::new(true); n],
+            dev_timing_horizon: vec![Cell::new(None); n],
             envelopes: EnvelopePool::default(),
             scratch: CycleScratch::default(),
         };
@@ -272,20 +270,11 @@ impl HmcSim {
 
     /// Enables the flight recorder: a fixed-capacity, per-lane ring of
     /// structured [`TraceRecord`]s that captures every packet
-    /// lifecycle edge and engine span regardless of the trace level.
-    /// Returns a handle sharing the recorder's storage (snapshots can
-    /// be taken from either side). Zero observable perturbation: the
-    /// recorder never changes `state_fingerprint()`.
-    pub fn enable_flight_recorder(&mut self, per_lane_capacity: usize) -> FlightRecorder {
-        let recorder = FlightRecorder::new(per_lane_capacity);
-        self.tracer.attach_flight(recorder.clone());
-        recorder
-    }
-
-    /// Attaches an existing flight-recorder handle (e.g. one shared
-    /// with an external observer).
-    pub fn attach_flight_recorder(&mut self, recorder: FlightRecorder) {
-        self.tracer.attach_flight(recorder);
+    /// lifecycle edge and engine span regardless of the trace level;
+    /// [`HmcSim::flight_snapshot`] reads it. Zero observable
+    /// perturbation: the recorder never changes `state_fingerprint()`.
+    pub fn enable_flight_recorder(&mut self, per_lane_capacity: usize) {
+        self.tracer.attach_flight(FlightRecorder::new(per_lane_capacity));
     }
 
     /// Detaches the flight recorder, if any.
@@ -354,15 +343,15 @@ impl HmcSim {
     /// Invalidates every device's skip-engine caches (state was
     /// mutated outside the clock, e.g. a snapshot restore).
     pub(crate) fn mark_fabric_busy(&mut self) {
-        self.dev_maybe_busy.fill(true);
-        self.dev_timing_horizon.fill(None);
+        self.dev_maybe_busy.fill(Cell::new(true));
+        self.dev_timing_horizon.fill(Cell::new(None));
     }
 
     /// Invalidates one device's skip-engine caches (a packet entered
     /// that device's queues outside the full clock).
     fn mark_device_busy(&mut self, dev: usize) {
-        self.dev_maybe_busy[dev] = true;
-        self.dev_timing_horizon[dev] = None;
+        self.dev_maybe_busy[dev].set(true);
+        self.dev_timing_horizon[dev].set(None);
     }
 
     /// The fabric's routing tables and edge list.
@@ -839,171 +828,239 @@ impl HmcSim {
     /// takes the O(1) bulk path instead of the full pipeline — the
     /// resulting state is bit-identical either way.
     pub fn clock(&mut self) -> u64 {
-        if self.skippable(1).is_some() {
-            self.advance_idle(1);
-            self.cycle
-        } else {
-            self.clock_full()
-        }
+        self.advance(self.cycle + 1, true);
+        self.cycle
     }
 
-    /// The full per-cycle pipeline.
-    fn clock_full(&mut self) -> u64 {
-        let cycle = self.cycle;
+    /// Clocks the simulation `n` times (idle runs compress under
+    /// [`SkipMode::On`]; the observable state is identical either
+    /// way).
+    pub fn clock_n(&mut self, n: u64) -> u64 {
+        self.advance(self.cycle + n, false);
+        self.cycle
+    }
 
-        // Fault-plan link schedule (no-op for empty schedules).
-        for dev in &mut self.devices {
-            dev.apply_fault_schedule(cycle, &mut self.tracer);
-        }
+    /// Advances up to `max_cycles`, compressing the idle prefix and
+    /// stopping after the first full (potentially eventful) cycle
+    /// executes. Returns the number of cycles advanced. With
+    /// [`SkipMode::Off`] this executes exactly one full cycle per
+    /// call, so drivers can use it unconditionally.
+    pub fn clock_until_event(&mut self, max_cycles: u64) -> u64 {
+        let start = self.cycle;
+        self.advance(start + max_cycles, true);
+        self.cycle - start
+    }
 
-        // Link-layer retries whose retry exchange completed (a retry
-        // on a downed link waits for the scheduled link-up). Entries
-        // whose ready cycle is still in the future are never touched;
-        // a due entry that cannot deliver re-enters the heap with its
-        // original priority.
-        let mut deferred = std::mem::take(&mut self.scratch.deferred_retries);
-        while let Some((key, entry)) = self.retry_pending.pop_ready(cycle) {
-            if self.devices[entry.dev].link_is_up(entry.link)
-                && self.devices[entry.dev].link_can_accept(entry.link)
-            {
-                let RetryEntry { dev, link, item, .. } = entry;
-                self.devices[dev]
-                    .send(link, item)
-                    .unwrap_or_else(|_| unreachable!("accept checked"));
-            } else {
-                deferred.push((key, entry));
-            }
-        }
-        for (key, entry) in deferred.drain(..) {
-            self.retry_pending.reinsert(key, entry);
-        }
-        self.scratch.deferred_retries = deferred;
-
-        // Inter-device transits whose hop latency elapsed, committed
-        // edge by edge in the topology's fixed edge order (then
-        // (ready, insertion) order within an edge) — a total delivery
-        // order fixed by the wiring alone.
-        let mut deferred = std::mem::take(&mut self.scratch.deferred_transits);
-        for e in 0..self.transit_queues.len() {
-            while let Some((key, t)) = self.transit_queues[e].pop_ready(cycle) {
-                match t {
-                    Transit::Rqst { from_dev, to_dev, link, item, ready } => {
-                        if let Err((item, _)) = self.devices[to_dev].accept_forward(link, item) {
-                            // Destination queue full: retry next cycle.
-                            deferred
-                                .push((key, Transit::Rqst { from_dev, to_dev, link, item, ready }));
-                        }
-                    }
-                    Transit::Rsp { from_dev, to_dev, link, item, ready } => {
-                        if let Err((item, _)) = self.devices[to_dev].accept_return(link, item) {
-                            deferred
-                                .push((key, Transit::Rsp { from_dev, to_dev, link, item, ready }));
-                        }
+    /// The one advance loop: compresses each idle run the skip engine
+    /// approves and executes every other cycle in full, until the
+    /// counter reaches `target` or, with `stop_at_full`, a full cycle
+    /// has run.
+    fn advance(&mut self, target: u64, stop_at_full: bool) {
+        while self.cycle < target {
+            match self.skippable(target - self.cycle) {
+                Some(k) => self.advance_idle(k),
+                None => {
+                    self.clock_full();
+                    if stop_at_full {
+                        return;
                     }
                 }
             }
-            for (key, t) in deferred.drain(..) {
-                self.transit_queues[e].reinsert(key, t);
-            }
         }
-        self.scratch.deferred_transits = deferred;
+    }
 
-        // Stage 1: vault responses -> crossbar response queues.
+    /// One full cycle: the pipeline's phases in order (DESIGN §13),
+    /// one call each.
+    fn clock_full(&mut self) {
+        let cycle = self.cycle;
+        self.fault_schedule(cycle);
+        self.retries(cycle);
+        self.transit(cycle);
+        self.responses(cycle);
+        self.warm_pass(cycle);
+        self.vaults(cycle);
+        self.requests(cycle);
+        // The tail `advance_idle` runs too, for one cycle; only the
+        // sanitizer's call and the skip caches are a full cycle's own.
+        self.power(1);
+        if self.telemetry.is_some() {
+            self.run_telemetry(cycle, 1);
+        }
+        if self.sanitizer.is_some() {
+            self.run_sanitizer(cycle);
+        }
+        self.skip_caches();
+        self.cycle += 1;
+    }
+
+    /// Fault schedule: each device applies the fault-plan link events
+    /// due this cycle (a no-op for empty schedules).
+    fn fault_schedule(&mut self, cycle: u64) {
+        for dev in &mut self.devices {
+            dev.apply_fault_schedule(cycle, &mut self.tracer);
+        }
+    }
+
+    /// Retries: link-layer retries whose retry exchange completed
+    /// replay into their crossbar queue. One whose link is down (it
+    /// waits for the scheduled link-up) or whose queue is full keeps
+    /// its place for a later cycle.
+    fn retries(&mut self, cycle: u64) {
+        let devices = &mut self.devices;
+        self.retry_pending.deliver_ready(cycle, |entry| {
+            let dev = &mut devices[entry.dev];
+            if !(dev.link_is_up(entry.link) && dev.link_can_accept(entry.link)) {
+                return Err(entry);
+            }
+            dev.send(entry.link, entry.item).unwrap_or_else(|_| unreachable!("accept checked"));
+            Ok(())
+        });
+    }
+
+    /// Transit: inter-device transits whose hop latency elapsed enter
+    /// their destination, edge by edge in the topology's fixed edge
+    /// order (then `(ready, insertion)` order within an edge) — a
+    /// total delivery order fixed by the wiring alone. One whose
+    /// destination queue is full keeps its place for a later cycle.
+    fn transit(&mut self, cycle: u64) {
+        let devices = &mut self.devices;
+        for queue in &mut self.transit_queues {
+            queue.deliver_ready(cycle, |t| match t {
+                Transit::Rqst { from_dev, to_dev, link, item, ready } => devices[to_dev]
+                    .accept_forward(link, item)
+                    .map_err(|(item, _)| Transit::Rqst { from_dev, to_dev, link, item, ready }),
+                Transit::Rsp { from_dev, to_dev, link, item, ready } => devices[to_dev]
+                    .accept_return(link, item)
+                    .map_err(|(item, _)| Transit::Rsp { from_dev, to_dev, link, item, ready }),
+            });
+        }
+    }
+
+    /// Stages 1–2 (responses): vault responses move to the crossbar
+    /// response queues, which then drain to the host or one hop back
+    /// toward the cube the request entered at.
+    fn responses(&mut self, cycle: u64) {
         for dev in &mut self.devices {
             dev.route_responses(cycle, &mut self.tracer);
         }
-
-        // Stage 2: crossbar response queues -> host / chained return.
         let mut drained = std::mem::take(&mut self.scratch.egress);
         for d in 0..self.devices.len() {
             self.devices[d].drain_responses(cycle, &mut drained);
             for egress in drained.drain(..) {
                 match egress {
-                    Egress::Deliver(mut rsp, egress_link) => {
-                        let key = (rsp.entry_link, rsp.rsp.head.tag.value());
-                        // The set is empty outside timeout
-                        // reclamation: skip hashing the key then.
-                        if !self.zombie_tags[d].is_empty() && self.zombie_tags[d].remove(&key) {
-                            // The host abandoned this tag; the stale
-                            // response dies here and the tag finally
-                            // returns to its pool.
-                            self.devices[d].count_abandoned();
-                            self.release_pool_tag(d, rsp.entry_link, rsp.rsp.head.tag);
-                            self.tracer.emit(TraceRecord {
-                                dev: d as u16,
-                                tag: rsp.rsp.head.tag.value(),
-                                link: rsp.entry_link as u8,
-                                ..TraceRecord::new(cycle, TraceKind::Zombie)
-                            });
-                            if let Some(san) = self.sanitizer.as_deref_mut() {
-                                san.note_zombie(d, rsp.entry_link, rsp.rsp.head.tag, cycle);
-                            }
-                            self.envelopes.rsp.give(rsp);
-                            continue;
-                        }
-                        if let Some(san) = self.sanitizer.as_deref_mut() {
-                            if !san.note_delivered(d, rsp.entry_link, rsp.rsp.head.tag, cycle) {
-                                // Phantom response dropped under the
-                                // Recover policy.
-                                self.envelopes.rsp.give(rsp);
-                                continue;
-                            }
-                        }
-                        rsp.complete_cycle = cycle + 1;
-                        rsp.latency = (cycle + 1).saturating_sub(rsp.issue_cycle);
-                        self.devices[d].record_latency(rsp.class, rsp.latency);
-                        if let Some(tel) = self.telemetry.as_deref_mut() {
-                            tel.record_response(d, &rsp);
-                        }
-                        self.tracer.emit(TraceRecord {
-                            dev: d as u16,
-                            tag: rsp.rsp.head.tag.value(),
-                            a: rsp.latency,
-                            link: rsp.entry_link as u8,
-                            ..TraceRecord::new(cycle, TraceKind::Deliver)
-                        });
-                        self.host_rx[d][egress_link].push_back(rsp);
-                    }
+                    Egress::Deliver(rsp, egress_link) => self.deliver(d, rsp, egress_link),
                     Egress::Forward(rsp) => {
-                        // A response's entry device is where its request
-                        // entered: `admit` let it in only toward a cube
-                        // routable from there, fabrics are symmetric, and
-                        // `restore` checks every restored packet alike.
-                        let to_dev = self
-                            .topology
-                            .next_hop(d, rsp.entry_device)
-                            .expect("forwarded response has a route to its entry device");
-                        let hop = self.devices[d].config().hop_latency;
-                        self.tracer.emit(TraceRecord {
-                            dev: d as u16,
-                            link: rsp.entry_link as u8,
-                            tag: rsp.rsp.head.tag.value(),
-                            a: to_dev as u64,
-                            b: cycle + hop,
-                            ..TraceRecord::new(cycle, TraceKind::HopRsp)
-                        });
-                        self.push_transit(Transit::Rsp {
-                            from_dev: d,
-                            to_dev,
-                            link: rsp.entry_link,
-                            item: rsp,
-                            ready: cycle + hop,
+                        let (entry, link) = (rsp.entry_device, rsp.entry_link);
+                        let tag = rsp.rsp.head.tag.value();
+                        self.hop(d, entry, link, tag, TraceKind::HopRsp, |to_dev, ready| {
+                            Transit::Rsp { from_dev: d, to_dev, link, item: rsp, ready }
                         });
                     }
                 }
             }
         }
         self.scratch.egress = drained;
+    }
 
-        // Stage 3: vault execution, device by device. It is preceded by
-        // one read-only pass over every ready vault head of every device
-        // (`Device::warm_vault_heads`): a request's bank record and
-        // memory line are rarely in the host cache, and asked for
-        // together the misses overlap instead of being taken one per
-        // request.
+    /// Hands a drained response to the host on `egress_link`, unless
+    /// its tag was abandoned or the sanitizer drops it as a phantom.
+    fn deliver(&mut self, d: usize, mut rsp: RspEnvelope, egress_link: usize) {
+        let cycle = self.cycle;
+        let key = (rsp.entry_link, rsp.rsp.head.tag.value());
+        // The set is empty outside timeout reclamation: skip hashing
+        // the key then.
+        if !self.zombie_tags[d].is_empty() && self.zombie_tags[d].remove(&key) {
+            // The host abandoned this tag; the stale response dies here
+            // and the tag finally returns to its pool.
+            self.devices[d].count_abandoned();
+            self.release_pool_tag(d, rsp.entry_link, rsp.rsp.head.tag);
+            self.tracer.emit(TraceRecord {
+                dev: d as u16,
+                tag: rsp.rsp.head.tag.value(),
+                link: rsp.entry_link as u8,
+                ..TraceRecord::new(cycle, TraceKind::Zombie)
+            });
+            if let Some(san) = self.sanitizer.as_deref_mut() {
+                san.note_zombie(d, rsp.entry_link, rsp.rsp.head.tag, cycle);
+            }
+            self.envelopes.rsp.give(rsp);
+            return;
+        }
+        if let Some(san) = self.sanitizer.as_deref_mut() {
+            if !san.note_delivered(d, rsp.entry_link, rsp.rsp.head.tag, cycle) {
+                // Phantom response dropped under the Recover policy.
+                self.envelopes.rsp.give(rsp);
+                return;
+            }
+        }
+        rsp.complete_cycle = cycle + 1;
+        rsp.latency = (cycle + 1).saturating_sub(rsp.issue_cycle);
+        self.devices[d].record_latency(rsp.class, rsp.latency);
+        if let Some(tel) = self.telemetry.as_deref_mut() {
+            tel.record_response(d, &rsp);
+        }
+        self.tracer.emit(TraceRecord {
+            dev: d as u16,
+            tag: rsp.rsp.head.tag.value(),
+            a: rsp.latency,
+            link: rsp.entry_link as u8,
+            ..TraceRecord::new(cycle, TraceKind::Deliver)
+        });
+        self.host_rx[d][egress_link].push_back(rsp);
+    }
+
+    /// Sends a packet from device `from` one fabric hop toward cube
+    /// `toward`, due after `from`'s hop latency, and records the hop
+    /// as `kind`. `transit` wraps the packet for the next-hop device
+    /// and the arrival cycle.
+    fn hop(
+        &mut self,
+        from: usize,
+        toward: usize,
+        link: usize,
+        tag: u16,
+        kind: TraceKind,
+        transit: impl FnOnce(usize, u64) -> Transit,
+    ) {
+        let cycle = self.cycle;
+        // `admit` lets a request in only toward a cube routable from its
+        // entry device, each hop follows the routing table toward it,
+        // fabrics are symmetric (a response retraces the way back), and
+        // `restore` checks every restored packet alike. The next hop is
+        // a neighbour of `from`, so the edge exists.
+        let to_dev = self
+            .topology
+            .next_hop(from, toward)
+            .expect("a forwarded packet has a route toward its cube");
+        let edge = self
+            .topology
+            .edge_id(from, to_dev)
+            .expect("transits only travel along fabric edges");
+        let ready = cycle + self.devices[from].config().hop_latency;
+        self.tracer.emit(TraceRecord {
+            dev: from as u16,
+            link: link as u8,
+            tag,
+            a: to_dev as u64,
+            b: ready,
+            ..TraceRecord::new(cycle, kind)
+        });
+        self.transit_queues[edge].push(ready, transit(to_dev, ready));
+    }
+
+    /// Warm pass: one read-only pass over every ready vault head of
+    /// every device (`Device::warm_vault_heads`) before stage 3. A
+    /// request's bank record and memory line are rarely in the host
+    /// cache, and asked for together the misses overlap instead of
+    /// being taken one per request.
+    fn warm_pass(&self, cycle: u64) {
         for dev in &self.devices {
             dev.warm_vault_heads(cycle);
         }
+    }
+
+    /// Stage 3 (vaults): vault execution, device by device.
+    fn vaults(&mut self, cycle: u64) {
         let mut absorbed = 0;
         for dev in &mut self.devices {
             absorbed += dev.execute_vaults(cycle, &mut self.tracer, &mut self.envelopes);
@@ -1013,172 +1070,83 @@ impl HmcSim {
                 san.note_absorbed(absorbed);
             }
         }
+    }
 
-        // Stage 4: crossbar request routing (+ chained forwarding).
+    /// Stage 4 (requests): crossbar request routing. The FLITs it
+    /// frees from the input buffers return as link tokens, and a
+    /// request bound for another cube goes one hop toward it.
+    fn requests(&mut self, cycle: u64) {
         let mut outcome = std::mem::take(&mut self.scratch.route);
         for d in 0..self.devices.len() {
             self.devices[d].route_requests(cycle, &mut self.tracer, &mut outcome);
-            // Token return: FLITs freed from the input buffers.
             for (link, &flits) in outcome.freed_flits.iter().enumerate() {
                 if flits > 0 {
                     self.links[d][link].return_tokens(flits as u32);
                 }
             }
             for fwd in outcome.forwards.drain(..) {
-                // `admit` lets a request in only toward a cube routable
-                // from its entry device, each hop follows the routing
-                // table toward it, and `restore` checks every restored
-                // request's cube from the device that holds it.
-                let target = fwd.item.req.head.cub.value() as usize;
-                let to_dev = self
-                    .topology
-                    .next_hop(d, target)
-                    .expect("forwarded request has a route to its target cube");
-                let hop = self.devices[d].config().hop_latency;
-                let mut item = fwd.item;
+                let (link, mut item) = (fwd.from_link, fwd.item);
                 item.hops += 1;
-                self.tracer.emit(TraceRecord {
-                    dev: d as u16,
-                    link: fwd.from_link as u8,
-                    tag: item.req.head.tag.value(),
-                    a: to_dev as u64,
-                    b: cycle + hop,
-                    ..TraceRecord::new(cycle, TraceKind::HopRqst)
-                });
-                self.push_transit(Transit::Rqst {
-                    from_dev: d,
-                    to_dev,
-                    link: fwd.from_link,
-                    item,
-                    ready: cycle + hop,
+                let (target, tag) = (item.req.head.cub.value() as usize, item.req.head.tag.value());
+                self.hop(d, target, link, tag, TraceKind::HopRqst, |to_dev, ready| {
+                    Transit::Rqst { from_dev: d, to_dev, link, item, ready }
                 });
             }
         }
         self.scratch.route = outcome;
+    }
 
+    /// Power: `k` cycles of leakage on every device.
+    fn power(&mut self, k: u64) {
         for dev in &mut self.devices {
-            dev.tick_power();
+            dev.power_mut().add_cycles(k);
         }
+    }
 
-        // Telemetry window sampling (reads state only — runs before
-        // the sanitizer so forensic dumps embed this cycle's windows).
-        if self.telemetry.is_some() {
-            self.run_telemetry(cycle);
-        }
-
-        // Sanitizer boundary audit, before the counter advances so a
-        // forensic snapshot carries the violating cycle number (a
-        // restored snapshot re-runs this boundary and re-detects).
-        if self.sanitizer.is_some() {
-            self.run_sanitizer(cycle);
-        }
-
-        // Per-cube skip caches: an exact end-of-cycle scan (cheap
-        // relative to the pipeline that just ran). A device's bank
-        // state can only have changed this cycle if it held work at
-        // the cycle boundary — deliveries land in crossbar queues and
-        // execute no earlier than the *next* cycle — so a device that
-        // was provably empty and stayed empty keeps its cached timing
-        // horizon.
+    /// Skip caches: an exact end-of-cycle scan (cheap relative to the
+    /// pipeline that just ran). A device's bank state can only have
+    /// changed this cycle if it held work at the cycle boundary —
+    /// deliveries land in crossbar queues and execute no earlier than
+    /// the *next* cycle — so a device that was provably empty and
+    /// stayed empty keeps its cached timing horizon.
+    fn skip_caches(&mut self) {
         for (i, dev) in self.devices.iter().enumerate() {
             let busy = dev.has_work();
-            if self.dev_maybe_busy[i] || busy {
-                self.dev_timing_horizon[i] = None;
+            if self.dev_maybe_busy[i].get() || busy {
+                self.dev_timing_horizon[i].set(None);
             }
-            self.dev_maybe_busy[i] = busy;
+            self.dev_maybe_busy[i].set(busy);
         }
-        self.cycle += 1;
-        self.cycle
     }
 
-    /// Enqueues a transit on its directed fabric edge's queue.
-    /// Both callers send toward `next_hop(from, ..)`, which is always a
-    /// neighbour of `from`: the edge exists.
-    fn push_transit(&mut self, t: Transit) {
-        let (from, to) = t.edge();
-        let e = self
-            .topology
-            .edge_id(from, to)
-            .expect("transits only travel along fabric edges");
-        self.transit_queues[e].push(t.ready(), t);
-    }
-
-    /// How many of the next `max` cycles are provably idle — nothing
-    /// in any device queue, no transit, retry or fault event due
-    /// inside the window, and the attached sanitizer (if any)
-    /// guarantees its per-cycle audit is a no-op across the whole
-    /// region. `None` when skipping is off or the current cycle must
-    /// execute the full pipeline.
+    /// How many of the next `max` cycles are provably idle: every one
+    /// before [`HmcSim::next_event_cycle`]'s horizon, as far as the
+    /// attached sanitizer (if any) guarantees its per-cycle audit is a
+    /// no-op across the whole region. `None` when skipping is off or
+    /// the current cycle must execute the full pipeline.
     fn skippable(&mut self, max: u64) -> Option<u64> {
         if !self.skip_mode.is_on() || max == 0 {
             return None;
         }
         let cycle = self.cycle;
-        // Only devices flagged maybe-busy are scanned; a cleared flag
-        // is a proof the device's queues are empty (it stays cleared
-        // until an injection or a full clock that leaves work behind
-        // re-sets it), so quiet cubes cost nothing here.
-        for i in 0..self.devices.len() {
-            if self.dev_maybe_busy[i] {
-                if self.devices[i].has_work() {
-                    return None;
-                }
-                self.dev_maybe_busy[i] = false;
-            }
-        }
-        let mut k = max;
-        for ready in self
-            .transit_queues
-            .iter()
-            .filter_map(|q| q.peek_ready())
-            .chain(self.retry_pending.peek_ready())
-        {
-            if ready <= cycle {
-                return None;
-            }
-            k = k.min(ready - cycle);
-        }
-        for dev in &self.devices {
-            if let Some(at) = dev.next_fault_event() {
-                if at <= cycle {
-                    return None;
-                }
-                k = k.min(at - cycle);
-            }
-        }
-        // Timing-backend horizon: a bank (or validated-shadow bank)
-        // release is an availability change the full path must observe
-        // on time, so the skip window is clamped to it. Cached per
-        // device because a device's bank state cannot change while
-        // its queues stay empty — an idle cube's horizon is a cache
-        // hit, never a bank rescan.
-        for i in 0..self.devices.len() {
-            let horizon = match self.dev_timing_horizon[i] {
-                Some(h) if h.is_none_or(|t| t > cycle) => h,
-                _ => {
-                    let h = self.devices[i].next_timing_event(cycle);
-                    self.dev_timing_horizon[i] = Some(h);
-                    h
-                }
-            };
-            if let Some(t) = horizon {
-                k = k.min(t - cycle);
-            }
-        }
+        let mut k = match self.next_event_cycle() {
+            // A maybe-busy device has work (the horizon scan stops at
+            // the first one), or an event is due now.
+            Some(h) if h <= cycle => return None,
+            Some(h) => max.min(h - cycle),
+            None => max,
+        };
         if self.sanitizer.is_some() {
-            let allow = self.sanitizer_skip_allowance(cycle, k);
-            if allow == 0 {
-                return None;
-            }
-            k = allow;
+            k = self.sanitizer_skip_allowance(cycle, k);
         }
-        Some(k)
+        (k > 0).then_some(k)
     }
 
-    /// Applies `k` compressed idle cycles in closed form: per-device
-    /// leakage, telemetry samples and sanitizer bookkeeping advance
-    /// in the same order the full pipeline applies them, then the
-    /// cycle counter jumps. Only legal for a region approved by
+    /// Applies `k` compressed idle cycles in closed form: the tail a
+    /// full cycle ends with, called with `k` — leakage, then telemetry
+    /// samples — except that the sanitizer folds the run into its
+    /// bookkeeping instead of auditing it, and the skip caches stand
+    /// (nothing moved). Only legal for a region approved by
     /// [`HmcSim::skippable`].
     fn advance_idle(&mut self, k: u64) {
         let cycle = self.cycle;
@@ -1189,11 +1157,9 @@ impl HmcSim {
                 ..TraceRecord::new(cycle, TraceKind::IdleSkip)
             });
         }
-        for dev in &mut self.devices {
-            dev.tick_power_n(k);
-        }
+        self.power(k);
         if self.telemetry.is_some() {
-            self.run_telemetry_idle(cycle, k);
+            self.run_telemetry(cycle, k);
         }
         if self.sanitizer.is_some() {
             self.run_sanitizer_idle(k);
@@ -1203,74 +1169,49 @@ impl HmcSim {
 
     /// The earliest cycle at which the fabric could act: now if any
     /// device queue holds a packet, otherwise the earliest due
-    /// transit, link-layer retry or scheduled fault event. `None`
-    /// means the simulation is idle forever absent new injections.
-    /// Conservative — the fabric may still do nothing at the returned
-    /// cycle (e.g. a retry finds its link down) — and independent of
-    /// [`SkipMode`].
+    /// transit, link-layer retry, scheduled fault event or bank
+    /// availability change. `None` means the simulation is idle
+    /// forever absent new injections. Conservative — the fabric may
+    /// still do nothing at the returned cycle (e.g. a retry finds its
+    /// link down) — and independent of [`SkipMode`]. It is the one
+    /// horizon scan: the skip engine jumps to it and no further.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        // Only maybe-busy devices can hold packets (a cleared flag is
-        // a proof of emptiness), so idle cubes are never rescanned.
-        if self
-            .devices
-            .iter()
-            .zip(&self.dev_maybe_busy)
-            .any(|(d, &busy)| busy && d.has_work())
-        {
-            return Some(self.cycle);
+        let cycle = self.cycle;
+        // Only devices flagged maybe-busy are scanned; a cleared flag
+        // is a proof the device's queues are empty (it stays cleared
+        // until an injection or a full clock that leaves work behind
+        // re-sets it), so quiet cubes cost nothing here.
+        for (dev, busy) in self.devices.iter().zip(&self.dev_maybe_busy) {
+            if busy.get() {
+                if dev.has_work() {
+                    return Some(cycle);
+                }
+                busy.set(false);
+            }
         }
+        // Timing-backend horizon: a bank (or validated-shadow bank)
+        // release is an availability change the full path must observe
+        // on time. Cached per device because a device's bank state
+        // cannot change while its queues stay empty — an idle cube's
+        // horizon is a cache hit, never a bank rescan.
+        let timing = self.devices.iter().zip(&self.dev_timing_horizon).filter_map(|(dev, cached)| {
+            match cached.get() {
+                Some(h) if h.is_none_or(|t| t > cycle) => h,
+                _ => {
+                    let h = dev.next_timing_event(cycle);
+                    cached.set(Some(h));
+                    h
+                }
+            }
+        });
         self.transit_queues
             .iter()
             .filter_map(|q| q.peek_ready())
             .chain(self.retry_pending.peek_ready())
             .chain(self.devices.iter().filter_map(|d| d.next_fault_event()))
-            .chain(self.devices.iter().enumerate().filter_map(|(i, d)| {
-                // Read the per-cube horizon cache where valid; this
-                // accessor is immutable, so a stale entry falls back
-                // to a fresh (uncached) computation.
-                match self.dev_timing_horizon[i] {
-                    Some(h) if h.is_none_or(|t| t > self.cycle) => h,
-                    _ => d.next_timing_event(self.cycle),
-                }
-            }))
+            .chain(timing)
             .min()
-            .map(|c| c.max(self.cycle))
-    }
-
-    /// Advances up to `max_cycles`, compressing the idle prefix and
-    /// stopping after the first full (potentially eventful) cycle
-    /// executes. Returns the number of cycles advanced. With
-    /// [`SkipMode::Off`] this executes exactly one full cycle per
-    /// call, so drivers can use it unconditionally.
-    pub fn clock_until_event(&mut self, max_cycles: u64) -> u64 {
-        let start = self.cycle;
-        let target = start + max_cycles;
-        while self.cycle < target {
-            match self.skippable(target - self.cycle) {
-                Some(k) => self.advance_idle(k),
-                None => {
-                    self.clock_full();
-                    break;
-                }
-            }
-        }
-        self.cycle - start
-    }
-
-    /// Clocks the simulation `n` times (idle runs compress under
-    /// [`SkipMode::On`]; the observable state is identical either
-    /// way).
-    pub fn clock_n(&mut self, n: u64) -> u64 {
-        let target = self.cycle + n;
-        while self.cycle < target {
-            match self.skippable(target - self.cycle) {
-                Some(k) => self.advance_idle(k),
-                None => {
-                    self.clock_full();
-                }
-            }
-        }
-        self.cycle
+            .map(|c| c.max(cycle))
     }
 
     /// True when no packet is resident in any device queue,
@@ -1811,9 +1752,69 @@ mod tests {
     #[test]
     fn clock_until_event_without_skip_steps_one_cycle() {
         let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
-        assert_eq!(sim.skip_mode(), SkipMode::Off);
+        // Pinned: `HMCSIM_SKIP=1` upgrades an unconfigured context.
+        sim.set_skip_mode(SkipMode::Off);
         assert_eq!(sim.clock_until_event(10_000), 1, "Off mode: one full cycle per call");
         assert_eq!(sim.cycle(), 1);
+    }
+
+    #[test]
+    fn the_public_horizon_is_the_skip_engines_horizon() {
+        // A 2x2 mesh under row-buffer timing: remote traffic (transits),
+        // every fifth FLIT packet errored (retries) and a link outage
+        // on a schedule (fault events), so every horizon source comes up.
+        let mut dev = DeviceConfig::gen2_4link_4gb();
+        dev.fault = crate::fault::FaultPlan::seeded(7)
+            .with_link_errors(LinkErrorMode::EveryNth(5))
+            .with_link_event(5, 0, false)
+            .with_link_event(3_000, 0, true);
+        let mut cfg = SimConfig::mesh(dev, 2, 2);
+        cfg.timing = TimingSelect::RowBuffer;
+        let mut on = HmcSim::with_config(cfg.clone()).unwrap();
+        on.set_skip_mode(SkipMode::On);
+        // The reference clocks every cycle through the same script.
+        let mut off = HmcSim::with_config(cfg).unwrap();
+        off.set_skip_mode(SkipMode::Off);
+        const M: u64 = 5_000;
+        let (mut jumps, mut idle) = (0, 0);
+        for round in 0..24u64 {
+            for sim in [&mut on, &mut off] {
+                for dev in 0..4 {
+                    let cub = Cub::new(((dev as u64 + round) % 4) as u8).unwrap();
+                    let addr = 0x40 * (round % 8) + 0x1000 * dev as u64;
+                    let link = (round % 2) as usize;
+                    let _ = sim.send_to_cube(dev, link, cub, HmcRqst::Rd64, addr, []);
+                }
+            }
+            loop {
+                for sim in [&mut on, &mut off] {
+                    for (dev, link) in (0..4).flat_map(|d| (0..4).map(move |l| (d, l))) {
+                        while sim.recv(dev, link).is_some() {}
+                    }
+                }
+                let (start, horizon) = (on.cycle(), on.next_event_cycle());
+                assert_eq!(horizon, off.next_event_cycle(), "cycle {start}");
+                let advanced = on.clock_until_event(M);
+                off.clock_n(advanced);
+                assert_eq!(on.state_fingerprint(), off.state_fingerprint(), "from cycle {start}");
+                match horizon {
+                    Some(h) => {
+                        assert_eq!(on.cycle(), h + 1, "from cycle {start}");
+                        jumps += (h > start) as u32;
+                    }
+                    None => {
+                        assert_eq!(advanced, M, "from cycle {start}");
+                        idle += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        assert_eq!(idle, 24);
+        assert!(jumps > 0, "some horizons lay ahead of the clock");
+        assert!(on.stats(0).unwrap().forwarded > 0, "remote traffic crossed the fabric");
+        assert!((0..4).any(|d| on.link_stats(d, 0).unwrap().retries > 0), "retries happened");
+        assert!(on.link_is_up(0, 3), "the outage began and ended");
     }
 
     #[test]

@@ -326,9 +326,14 @@ impl Telemetry {
         }
     }
 
-    /// Per-cycle sampling of the windowed series. Read-only over the
-    /// simulation state; called via take/put from `clock()`.
-    pub(crate) fn sample(&mut self, sim: &HmcSim, cycle: u64) {
+    /// Samples the `k` cycles from `start` (1 for a full cycle; a
+    /// skipped idle run's length). Read-only over the simulation state;
+    /// called via take/put from the clock. The first cycle reads the
+    /// state (a collector attached mid-run may still hold stale
+    /// `last_*` counters whose first delta is nonzero); the other
+    /// `k - 1` of an idle run are zero-delta, zero-occupancy samples,
+    /// appended in closed form via [`TimeSeries::record_n`].
+    pub(crate) fn sample(&mut self, sim: &HmcSim, start: u64, k: u64) {
         if self.config.window == 0 {
             return;
         }
@@ -336,39 +341,23 @@ impl Telemetry {
             for link in 0..t.last_link_flits.len() {
                 let now = sim.links[dev][link].stats.flits_sent;
                 let delta = now - t.last_link_flits[link];
-                t.link_flits[link].record(cycle, delta);
+                t.link_flits[link].record(start, delta);
                 t.last_link_flits[link] = now;
             }
             t.vault_occupancy
-                .record(cycle, sim.devices[dev].vault_rqst_occupancy());
+                .record(start, sim.devices[dev].vault_rqst_occupancy());
             let (hits, misses) = sim.devices[dev].row_buffer_stats();
             let accesses = hits + misses;
             t.bank_accesses
-                .record(cycle, accesses - t.last_bank_accesses);
+                .record(start, accesses - t.last_bank_accesses);
             t.last_bank_accesses = accesses;
-        }
-    }
-
-    /// Bulk sampling of a provably-idle region of `k` cycles starting
-    /// at `start`. The first cycle takes a regular [`Telemetry::sample`]
-    /// (a collector attached mid-run may still hold stale `last_*`
-    /// counters whose first delta is nonzero); the remaining `k - 1`
-    /// cycles are guaranteed zero-delta, zero-occupancy samples and
-    /// append in closed form via [`TimeSeries::record_n`].
-    pub(crate) fn sample_idle(&mut self, sim: &HmcSim, start: u64, k: u64) {
-        if k == 0 {
-            return;
-        }
-        self.sample(sim, start);
-        if k == 1 || self.config.window == 0 {
-            return;
-        }
-        for t in self.devices.iter_mut() {
-            for series in t.link_flits.iter_mut() {
-                series.record_n(start + 1, k - 1, 0);
+            if k > 1 {
+                for series in t.link_flits.iter_mut() {
+                    series.record_n(start + 1, k - 1, 0);
+                }
+                t.vault_occupancy.record_n(start + 1, k - 1, 0);
+                t.bank_accesses.record_n(start + 1, k - 1, 0);
             }
-            t.vault_occupancy.record_n(start + 1, k - 1, 0);
-            t.bank_accesses.record_n(start + 1, k - 1, 0);
         }
     }
 }
@@ -397,20 +386,13 @@ impl HmcSim {
         self.telemetry.is_some()
     }
 
-    /// End-of-cycle sampling hook. The collector is taken out of the
-    /// context for the call (the same take/put dance as the
-    /// sanitizer) so it can read the whole simulation state.
-    pub(crate) fn run_telemetry(&mut self, cycle: u64) {
+    /// End-of-cycle sampling hook for the `k` cycles from `start`. The
+    /// collector is taken out of the context for the call (the same
+    /// take/put dance as the sanitizer) so it can read the whole
+    /// simulation state.
+    pub(crate) fn run_telemetry(&mut self, start: u64, k: u64) {
         let Some(mut tel) = self.telemetry.take() else { return };
-        tel.sample(self, cycle);
-        self.telemetry = Some(tel);
-    }
-
-    /// Bulk hook for a skipped idle region: samples cycles
-    /// `start..start + k` in one closed-form update.
-    pub(crate) fn run_telemetry_idle(&mut self, start: u64, k: u64) {
-        let Some(mut tel) = self.telemetry.take() else { return };
-        tel.sample_idle(self, start, k);
+        tel.sample(self, start, k);
         self.telemetry = Some(tel);
     }
 }

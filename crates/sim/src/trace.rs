@@ -626,28 +626,23 @@ impl NameTable {
 /// Default per-lane flight-recorder capacity.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LaneBuf {
     records: VecDeque<TraceRecord>,
     dropped: u64,
-}
-
-#[derive(Debug)]
-struct FlightInner {
-    capacity: usize,
-    lanes: [LaneBuf; 5],
 }
 
 /// The always-on causal flight recorder: one fixed-capacity ring of
 /// raw [`TraceRecord`]s per [`FlightLane`], with a drop counter per
 /// lane. Attached to a [`Tracer`] it captures every event class
 /// regardless of the level mask — no text is formatted, so it is
-/// cheap enough to leave on for whole runs. Handles are `Arc`-shared
-/// clones, so the fuzzer, the CLI and any other holder of a handle can
-/// read the timeline the simulation wrote.
+/// cheap enough to leave on for whole runs. Plain data owned by that
+/// tracer, so recording an event is a record copy, not a lock; read
+/// the timeline through [`Tracer::flight_snapshot`].
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    inner: Arc<Mutex<FlightInner>>,
+    capacity: usize,
+    lanes: [LaneBuf; 5],
 }
 
 impl Default for FlightRecorder {
@@ -660,23 +655,17 @@ impl FlightRecorder {
     /// A recorder retaining the most recent `per_lane_capacity`
     /// records in each lane.
     pub fn new(per_lane_capacity: usize) -> Self {
-        FlightRecorder {
-            inner: Arc::new(Mutex::new(FlightInner {
-                capacity: per_lane_capacity.max(1),
-                lanes: Default::default(),
-            })),
-        }
+        FlightRecorder { capacity: per_lane_capacity.max(1), lanes: Default::default() }
     }
 
     /// Per-lane ring capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.lock().expect("flight recorder lock").capacity
+        self.capacity
     }
 
     /// Total records currently retained across all lanes.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("flight recorder lock");
-        inner.lanes.iter().map(|l| l.records.len()).sum()
+        self.lanes.iter().map(|l| l.records.len()).sum()
     }
 
     /// True when no records are retained.
@@ -686,24 +675,12 @@ impl FlightRecorder {
 
     /// Total records dropped (evicted) across all lanes.
     pub fn dropped(&self) -> u64 {
-        let inner = self.inner.lock().expect("flight recorder lock");
-        inner.lanes.iter().map(|l| l.dropped).sum()
+        self.lanes.iter().map(|l| l.dropped).sum()
     }
 
-    /// Clears all lanes and drop counters.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("flight recorder lock");
-        for lane in &mut inner.lanes {
-            lane.records.clear();
-            lane.dropped = 0;
-        }
-    }
-
-    pub(crate) fn record(&self, rec: TraceRecord) {
-        let mut inner = self.inner.lock().expect("flight recorder lock");
-        let capacity = inner.capacity;
-        let lane = &mut inner.lanes[rec.kind.lane().index()];
-        if lane.records.len() >= capacity {
+    fn record(&mut self, rec: TraceRecord) {
+        let lane = &mut self.lanes[rec.kind.lane().index()];
+        if lane.records.len() >= self.capacity {
             lane.records.pop_front();
             lane.dropped += 1;
         }
@@ -713,14 +690,13 @@ impl FlightRecorder {
     /// Point-in-time copy of the retained timeline; `names` is the
     /// matching name table (use [`Tracer::flight_snapshot`], which
     /// pairs them for you).
-    pub(crate) fn snapshot_with_names(&self, names: Vec<String>) -> FlightSnapshot {
-        let inner = self.inner.lock().expect("flight recorder lock");
+    fn snapshot_with_names(&self, names: Vec<String>) -> FlightSnapshot {
         FlightSnapshot {
-            capacity: inner.capacity,
+            capacity: self.capacity,
             lanes: FlightLane::ALL
                 .iter()
                 .map(|&lane| {
-                    let buf = &inner.lanes[lane.index()];
+                    let buf = &self.lanes[lane.index()];
                     FlightLaneSnapshot {
                         name: lane.name().to_owned(),
                         records: buf.records.iter().copied().collect(),
@@ -736,10 +712,9 @@ impl FlightRecorder {
     /// restore). Lanes the snapshot lacks are cleared; only a
     /// hand-built snapshot lacks any, since the codec requires all
     /// five within capacity.
-    pub(crate) fn restore(&self, snap: &FlightSnapshot) {
-        let mut inner = self.inner.lock().expect("flight recorder lock");
-        inner.capacity = snap.capacity.max(1);
-        for (i, lane) in inner.lanes.iter_mut().enumerate() {
+    fn restore(&mut self, snap: &FlightSnapshot) {
+        self.capacity = snap.capacity.max(1);
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
             match snap.lanes.get(i) {
                 Some(s) => {
                     lane.records = s.records.iter().copied().collect();
@@ -1061,7 +1036,7 @@ impl Tracer {
     /// Restores a flight snapshot into the attached recorder (no-op
     /// without one) and rebases the name table to match its records.
     pub(crate) fn restore_flight(&mut self, snap: &FlightSnapshot) {
-        if let Some(f) = &self.flight {
+        if let Some(f) = &mut self.flight {
             f.restore(snap);
             self.names.replace(snap.names.clone());
         }
@@ -1100,7 +1075,7 @@ impl Tracer {
     }
 
     fn deliver(&mut self, rec: TraceRecord) {
-        if let Some(flight) = &self.flight {
+        if let Some(flight) = &mut self.flight {
             flight.record(rec);
         }
         if let Some(ring) = &mut self.ring {
@@ -1230,15 +1205,15 @@ mod tests {
 
     #[test]
     fn flight_recorder_captures_raw_records_per_lane() {
-        let flight = FlightRecorder::new(2);
         let mut t = Tracer::disabled();
-        t.attach_flight(flight.clone());
+        t.attach_flight(FlightRecorder::new(2));
         // Bank lane: three Cmd records into a 2-slot ring.
         for i in 0..3 {
             t.emit(cmd_record(i));
         }
         // Host lane: one delivery.
         t.emit(TraceRecord { tag: 7, a: 3, link: 2, ..TraceRecord::new(9, TraceKind::Deliver) });
+        let flight = t.flight().unwrap();
         assert_eq!(flight.len(), 3);
         assert_eq!(flight.dropped(), 1, "bank lane evicted one record");
         let snap = t.flight_snapshot().unwrap();
@@ -1252,14 +1227,13 @@ mod tests {
         assert_eq!(lines.last().unwrap(), "HMCSIM_TRACE : 9 : LATENCY : tag=7 lat=3 link=2");
         t.detach_flight();
         t.emit(cmd_record(10));
-        assert_eq!(flight.len(), 3, "detached recorder sees nothing");
+        assert!(t.flight_snapshot().is_none(), "a detached recorder is gone");
     }
 
     #[test]
     fn flight_snapshot_restores_byte_identically() {
-        let flight = FlightRecorder::new(4);
         let mut t = Tracer::disabled();
-        t.attach_flight(flight.clone());
+        t.attach_flight(FlightRecorder::new(4));
         let name = t.intern("hmc_lock");
         t.emit(TraceRecord {
             cmd: CmdRef::Name(name),
@@ -1273,8 +1247,8 @@ mod tests {
             snap.lines(),
             vec!["HMCSIM_TRACE : 3 : CMC : op=hmc_lock cmd=20 af=true rsp_len=1".to_string()]
         );
-        flight.clear();
-        assert!(flight.is_empty());
+        t.attach_flight(FlightRecorder::new(1));
+        assert!(t.flight().unwrap().is_empty());
         t.restore_flight(&snap);
         assert_eq!(t.flight_snapshot().unwrap(), snap);
     }
