@@ -500,14 +500,6 @@ impl Device {
         self.config.fault.link_schedule.get(self.fault_idx).map(|ev| ev.cycle)
     }
 
-    /// Earliest cycle strictly after `cycle` at which any bank the
-    /// timing backend tracks (live or shadow) changes availability.
-    /// The event-horizon engine may not skip past this cycle: a bank
-    /// release can unblock a stalled vault queue head.
-    pub(crate) fn next_timing_event(&self, cycle: u64) -> Option<u64> {
-        self.timing.next_event_cycle(self.vaults.iter().flat_map(|v| &v.banks), cycle)
-    }
-
     /// True when `link`'s crossbar request queue can accept a packet.
     pub(crate) fn link_can_accept(&self, link: usize) -> bool {
         link < self.config.links && !self.xbar_rqst[link].is_full()

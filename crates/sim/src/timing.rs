@@ -25,10 +25,9 @@
 //!
 //! * **Determinism** — bank-state evolution is a pure function of the
 //!   access stream.
-//! * **Horizon** — [`TimingEngine::next_event_cycle`] is the earliest
-//!   cycle strictly after `cycle` at which a live or shadow bank changes
-//!   availability. The event-horizon engine never skips past it, so
-//!   idle-cycle compression stays conservative (DESIGN.md §18).
+//! * **Absolute time** — a bank holds the cycle it is busy until, not
+//!   a countdown, so its state needs no clock while its device is idle
+//!   and an idle-cycle jump passes a busy bank safely (DESIGN.md §18).
 //! * **Observation only** — the latency-class histograms, the divergence
 //!   record and the shadow banks live outside the fingerprint: they ride
 //!   through snapshots but never influence simulation state.
@@ -281,17 +280,6 @@ impl TimingEngine {
         }
         latency
     }
-
-    /// The earliest busy horizon strictly after `cycle` over the `live`
-    /// banks and the shadow banks, or `None` when every bank is
-    /// settled.
-    pub(crate) fn next_event_cycle<'a>(
-        &'a self,
-        live: impl Iterator<Item = &'a Bank>,
-        cycle: u64,
-    ) -> Option<u64> {
-        live.chain(&self.shadow).map(Bank::busy_horizon).filter(|&t| t > cycle).min()
-    }
 }
 
 #[cfg(test)]
@@ -396,20 +384,6 @@ mod tests {
         assert_eq!(s.divergence.count(), 4, "one divergence sample per access");
         assert_eq!(s.shadow_late + s.shadow_early + s.shadow_agree, 4);
         assert!(s.divergence.max() > 0, "row-miss shadow must diverge from flat latency");
-    }
-
-    #[test]
-    fn horizon_covers_busy_banks_and_validated_shadow() {
-        let mut engine = TimingEngine::new(TimingSelect::Validated, &config());
-        let mut bank = Bank::default();
-        engine.serve(&mut bank, 10, 5, 0);
-        let banks = [bank];
-        // Primary busy until 12, shadow until 18 (miss: 2 + 6 extra).
-        let h = engine.next_event_cycle(banks.iter(), 10).expect("busy banks imply a horizon");
-        assert_eq!(h, 12, "earliest event is the primary bank release");
-        let h = engine.next_event_cycle(banks.iter(), 13).expect("shadow still busy");
-        assert_eq!(h, 18, "shadow release is a horizon event too");
-        assert_eq!(engine.next_event_cycle(banks.iter(), 18), None);
     }
 
     #[test]

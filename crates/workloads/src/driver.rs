@@ -24,7 +24,8 @@
 use hmc_sim::fault::ERRSTAT_HOST_GIVEUP;
 use hmc_sim::{HmcSim, TrackedResponse};
 use hmc_types::{Cub, HmcError, HmcResponse, HmcRqst, PayloadBuf, Response, RspHead, RspTail, Slid, Tag};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// One request: a command, its address and its payload — what a
 /// thread hands the driver to send, kept so a stalled send can be
@@ -93,14 +94,31 @@ struct Inflight {
 /// [`Ledger::owner`]'s "nothing in flight under this tag".
 const NO_OWNER: u32 = u32::MAX;
 
+/// A driver event due at a known cycle. The wake queue hands events
+/// out by cycle, then in this declaration order: within a cycle, wakes
+/// by thread, timeouts by `(entry link, tag)` and replays in the order
+/// they were parked in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// A sleep ends, or the step after a posted send is due.
+    Wake(usize),
+    /// The request issued at this cycle under this `(entry link, tag)`
+    /// times out — unless it has retired since: a stale entry.
+    Timeout((usize, u16), u64),
+    /// The parked replay with this number is ready.
+    Replay(u64),
+}
+
+/// Every driver event at a known cycle, earliest first.
+type WakeQueue = BinaryHeap<Reverse<(u64, Event)>>;
+
 /// The driver's record of the tagged requests in flight.
 struct Ledger {
     /// The issuing thread of each, indexed `[entry link][tag]`: one row
     /// per link, grown to the highest tag the link has carried.
     owner: Vec<Vec<u32>>,
     /// Their issue cycles and replayable bodies — kept only under a
-    /// resilience policy (without one nothing is ever replayed), in a
-    /// `BTreeMap` so the timeout scan is deterministic across runs.
+    /// resilience policy (without one nothing is ever replayed).
     inflight: Option<BTreeMap<(usize, u16), Inflight>>,
 }
 
@@ -127,6 +145,13 @@ impl Ledger {
             return None;
         }
         Some((tid as usize, self.inflight.as_mut().and_then(|m| m.remove(&key))))
+    }
+
+    /// Whether the request issued at `issued` is still in flight under
+    /// `key` (a timeout entry for it is not stale).
+    fn in_flight(&self, key: (usize, u16), issued: u64) -> bool {
+        let entry = self.inflight.as_ref().and_then(|m| m.get(&key));
+        entry.is_some_and(|e| e.issued == issued)
     }
 }
 
@@ -158,6 +183,38 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig { request_timeout: 200, max_retries: 3, backoff_base: 4 }
+    }
+}
+
+impl ResilienceConfig {
+    /// The backoff before the replay that follows `attempts` attempts:
+    /// `backoff_base << attempts`, saturating at `u64::MAX` (never).
+    fn backoff(&self, attempts: u32) -> u64 {
+        u64::try_from(u128::from(self.backoff_base) << attempts.min(64)).unwrap_or(u64::MAX)
+    }
+
+    /// Parks `entry` for a replay once its backoff has passed —
+    /// numbered past every replay still parked, so replays due together
+    /// go out in the order they were parked in — and counts the retry;
+    /// or, with its retries spent, counts a give-up and returns false.
+    fn park(
+        &self,
+        cycle: u64,
+        queue: &mut WakeQueue,
+        parked: &mut BTreeMap<u64, Inflight>,
+        stats: &mut ThreadFaultStats,
+        entry: Inflight,
+    ) -> bool {
+        if entry.attempts >= self.max_retries {
+            stats.give_ups += 1;
+            return false;
+        }
+        stats.retries += 1;
+        let seq = parked.last_key_value().map_or(0, |(&seq, _)| seq + 1);
+        let ready = cycle.saturating_add(self.backoff(entry.attempts));
+        parked.insert(seq, Inflight { attempts: entry.attempts + 1, ..entry });
+        queue.push(Reverse((ready, Event::Replay(seq))));
+        true
     }
 }
 
@@ -288,7 +345,8 @@ impl ThreadDriver {
 
     /// Sends `request` on its thread's `pinned` link or — under a
     /// resilience policy — on the nearest surviving link, counting the
-    /// failover, and books a tagged send in the ledger. A request that
+    /// failover, and books a tagged send in the ledger (and, under the
+    /// policy, its timeout in the wake queue). A request that
     /// cannot go out this cycle comes back with the reason: a stall, or
     /// (reported as one) every link down.
     #[allow(clippy::result_large_err)] // boxing the refused request would allocate per stall
@@ -296,6 +354,7 @@ impl ThreadDriver {
         &self,
         sim: &mut HmcSim,
         ledger: &mut Ledger,
+        queue: &mut WakeQueue,
         fault_stats: &mut [ThreadFaultStats],
         pinned: usize,
         request: Inflight,
@@ -314,6 +373,13 @@ impl ThreadDriver {
                     fault_stats[request.tid].link_failovers += 1;
                 }
                 if let Some(tag) = tag {
+                    if let Some(cfg) = self.resilience {
+                        // Due on the next cycle at the earliest: a cycle
+                        // handles its timeouts before its sends.
+                        let (issued, key) = (request.issued, (link, tag.value()));
+                        let at = issued.saturating_add(cfg.request_timeout.max(1));
+                        queue.push(Reverse((at, Event::Timeout(key, issued))));
+                    }
                     ledger.record(link, tag, request);
                 }
                 Ok(tag)
@@ -334,8 +400,8 @@ impl ThreadDriver {
             owner: vec![Vec::new(); total_links],
             inflight: self.resilience.map(|_| BTreeMap::new()),
         };
-        // Replays waiting out their backoff, with the cycle each is ready.
-        let mut retries: VecDeque<(u64, Inflight)> = VecDeque::new();
+        // Replays waiting for their `Event::Replay`, by number.
+        let mut parked: BTreeMap<u64, Inflight> = BTreeMap::new();
         // What the driver holds for a thread between its steps: the
         // response to its last request, or the request a stalled send
         // left unsent.
@@ -344,13 +410,12 @@ impl ThreadDriver {
         let mut finish: Vec<Option<u64>> = vec![None; threads.len()];
         let mut fault_stats: Vec<ThreadFaultStats> =
             vec![ThreadFaultStats::default(); threads.len()];
-        // The cycle each thread is next due, worked out from what the
-        // driver holds for it, and all the scan reads of a thread that
-        // is not due: 0 (now) while a response or an unsent request
-        // waits, its wake-up cycle while it sleeps, and `u64::MAX`
-        // (never) while its request is in flight or once it has
-        // finished.
-        let mut due: Vec<u64> = vec![0; threads.len()];
+        // A thread is due now (`ready`: its inbox holds a response or a
+        // give-up, or its unsent request must be retried) or at its wake
+        // in `queue`; the driver touches only due threads.
+        let mut queue = WakeQueue::new();
+        let mut ready: Vec<usize> = (0..threads.len()).collect();
+        let mut stepping: Vec<usize> = Vec::new();
         let mut unfinished = threads.len();
 
         let mut cycle = 0u64;
@@ -366,137 +431,120 @@ impl ThreadDriver {
                         // A fault the resilience layer hides from the
                         // thread: not executed, or poisoned data.
                         if rsp.rsp.not_executed() || rsp.rsp.poisoned() {
+                            let stats = &mut fault_stats[tid];
                             if rsp.rsp.poisoned() {
-                                fault_stats[tid].poisoned += 1;
+                                stats.poisoned += 1;
                             } else {
-                                fault_stats[tid].error_responses += 1;
+                                stats.error_responses += 1;
                             }
-                            if entry.attempts < cfg.max_retries {
-                                fault_stats[tid].retries += 1;
-                                let ready = cycle + (cfg.backoff_base << entry.attempts);
-                                let entry = Inflight { attempts: entry.attempts + 1, ..entry };
-                                retries.push_back((ready, entry));
+                            if cfg.park(cycle, &mut queue, &mut parked, stats, entry) {
                                 continue; // hidden from the thread
                             }
-                            fault_stats[tid].give_ups += 1;
                         }
                     }
                     inbox[tid] = Some(rsp);
-                    due[tid] = 0;
+                    ready.push(tid);
                 }
             }
 
-            if let Some(cfg) = self.resilience {
-                // Abandon requests that have been in flight too long.
-                let expired: Vec<(usize, u16)> = ledger
-                    .inflight
-                    .iter()
-                    .flatten()
-                    .filter(|(_, e)| cycle.saturating_sub(e.issued) >= cfg.request_timeout)
-                    .map(|(&k, _)| k)
-                    .collect();
-                for key in expired {
-                    let (_, entry) = ledger.retire(key).expect("key from scan");
-                    let entry = entry.expect("resilient ledgers keep every record");
-                    if let Ok(tag) = Tag::new(key.1 as u32) {
-                        let _ = sim.abandon_tag(self.dev, key.0, tag);
+            // The driver events due now. Each is queued for a later cycle
+            // than the one that queues it (but a replay without backoff,
+            // which sorts after this cycle's timeouts) and the clock never
+            // jumps past one, so all are due exactly now and the queue's
+            // order is the phase order: wakes, timeouts, replays.
+            while let Some(&Reverse((at, event))) = queue.peek() {
+                if at > cycle {
+                    break;
+                }
+                queue.pop();
+                match (event, self.resilience) {
+                    (Event::Wake(tid), _) => ready.push(tid),
+                    (Event::Timeout(key, issued), Some(cfg)) if ledger.in_flight(key, issued) => {
+                        // Abandon a request in flight too long.
+                        let (tid, entry) = ledger.retire(key).expect("a request in flight");
+                        let entry = entry.expect("resilient ledgers keep every record");
+                        if let Ok(tag) = Tag::new(key.1 as u32) {
+                            let _ = sim.abandon_tag(self.dev, key.0, tag);
+                        }
+                        let stats = &mut fault_stats[tid];
+                        stats.timeouts += 1;
+                        if !cfg.park(cycle, &mut queue, &mut parked, stats, entry) {
+                            inbox[tid] = Some(Self::give_up_response(self.dev, key));
+                            ready.push(tid);
+                        }
                     }
-                    fault_stats[entry.tid].timeouts += 1;
-                    if entry.attempts < cfg.max_retries {
-                        fault_stats[entry.tid].retries += 1;
-                        let ready = cycle + (cfg.backoff_base << entry.attempts);
-                        let entry = Inflight { attempts: entry.attempts + 1, ..entry };
-                        retries.push_back((ready, entry));
-                    } else {
-                        fault_stats[entry.tid].give_ups += 1;
-                        inbox[entry.tid] = Some(Self::give_up_response(self.dev, key));
-                        due[entry.tid] = 0;
+                    (Event::Timeout(..), _) => {} // stale: the request retired
+                    (Event::Replay(seq), _) => {
+                        // A replay that cannot go out keeps its number
+                        // and tries again on the next cycle.
+                        let r = parked.remove(&seq).expect("a replay event's request is parked");
+                        let (link, r) = (threads[r.tid].link(), Inflight { issued: cycle, ..r });
+                        if let Err((r, _)) =
+                            self.issue(sim, &mut ledger, &mut queue, &mut fault_stats, link, r)
+                        {
+                            parked.insert(seq, r);
+                            queue.push(Reverse((cycle + 1, Event::Replay(seq))));
+                        }
                     }
                 }
-
-                // Replay due retries; one that cannot go out waits for
-                // the next cycle.
-                let mut deferred = VecDeque::new();
-                while let Some((ready, r)) = retries.pop_front() {
-                    if ready > cycle {
-                        deferred.push_back((ready, r));
-                        continue;
-                    }
-                    let pinned = threads[r.tid].link();
-                    let r = Inflight { issued: cycle, ..r };
-                    if let Err((r, _)) = self.issue(sim, &mut ledger, &mut fault_stats, pinned, r) {
-                        deferred.push_back((ready, r));
-                    }
-                }
-                retries = deferred;
             }
 
             if unfinished == 0 {
                 break;
             }
-            // The earliest cycle at which a thread is due.
-            let mut horizon = self.max_cycles;
-            for (tid, thread) in threads.iter_mut().enumerate() {
-                if cycle < due[tid] {
-                    horizon = horizon.min(due[tid]);
-                    continue;
-                }
+            // Step the due threads in ascending tid order.
+            std::mem::swap(&mut ready, &mut stepping);
+            stepping.sort_unstable();
+            for &tid in &stepping {
+                let thread = &mut threads[tid];
                 let op = match unsent[tid].take() {
                     Some(op) => op,
                     None => match thread.step(inbox[tid].take(), cycle) {
                         Step::Send(op) => op,
                         Step::Sleep(until) => {
-                            due[tid] = until;
-                            horizon = horizon.min(until);
+                            queue.push(Reverse((until.max(cycle + 1), Event::Wake(tid))));
                             continue;
                         }
                         Step::Done => {
                             finish[tid] = Some(cycle);
-                            due[tid] = u64::MAX;
                             unfinished -= 1;
                             continue;
                         }
                     },
                 };
                 let request = Inflight { tid, issued: cycle, attempts: 0, op };
-                let sent = self.issue(sim, &mut ledger, &mut fault_stats, thread.link(), request);
-                due[tid] = match sent {
-                    Ok(Some(_)) => u64::MAX,
-                    Ok(None) => cycle + 1,
+                let link = thread.link();
+                match self.issue(sim, &mut ledger, &mut queue, &mut fault_stats, link, request) {
+                    Ok(Some(_)) => {}
+                    Ok(None) => queue.push(Reverse((cycle + 1, Event::Wake(tid)))),
                     Err((request, HmcError::Stall)) => {
                         unsent[tid] = Some(request.op);
-                        0
+                        ready.push(tid);
                     }
                     Err((_, e)) => panic!("thread {tid}'s send failed: {e}"),
-                };
-                horizon = horizon.min(due[tid]);
+                }
             }
-            if unfinished == 0 {
-                // The last thread finished this cycle: one plain clock,
-                // and the loop ends at the top of the next iteration.
-                horizon = 0;
-            }
+            stepping.clear();
 
-            // When no thread is due before a known cycle, let the
-            // event-horizon engine compress the wait instead of
-            // clocking one cycle at a time. The jump never crosses a
-            // driver-side event: a sleeping thread's wake, a pending
-            // retry's replay cycle, or an in-flight request's timeout
-            // due; and it ends with the first cycle the fabric does
-            // anything in, so a response is delivered on time. With
-            // skipping disabled `clock_until_event` executes exactly
-            // one full cycle, so this degenerates to the classic
-            // per-cycle loop.
-            if horizon > cycle + 1 {
-                for &(ready, _) in &retries {
-                    horizon = horizon.min(ready);
-                }
-                if let Some(cfg) = self.resilience {
-                    for e in ledger.inflight.iter().flat_map(|m| m.values()) {
-                        horizon = horizon.min(e.issued + cfg.request_timeout);
+            // The next cycle the driver acts in: now while a thread is due
+            // or once the last one has finished (the loop then ends at the
+            // top of the next iteration), else the earliest live event.
+            // Further off than the next cycle, `clock_until_event` jumps
+            // the idle wait and stops after the first cycle the fabric
+            // acts in, so a response is delivered on time; with skipping
+            // disabled it clocks exactly one cycle.
+            let horizon = loop {
+                match queue.peek() {
+                    _ if unfinished == 0 || !ready.is_empty() => break cycle,
+                    Some(&Reverse((_, Event::Timeout(key, issued))))
+                        if !ledger.in_flight(key, issued) =>
+                    {
+                        queue.pop(); // stale
                     }
+                    Some(&Reverse((at, _))) => break at.min(self.max_cycles),
+                    None => break self.max_cycles,
                 }
-            }
+            };
             if horizon > cycle + 1 {
                 cycle += sim.clock_until_event(horizon - cycle);
             } else {
@@ -646,6 +694,82 @@ mod tests {
         assert!(totals.error_responses > 0, "faults were actually injected");
         assert_eq!(totals.retries, totals.error_responses + totals.timeouts);
         assert_eq!(totals.give_ups, 0);
+    }
+
+    #[test]
+    fn backoff_saturates_past_the_shift_width() {
+        let policy =
+            |backoff_base| ResilienceConfig { request_timeout: 1, max_retries: 70, backoff_base };
+        assert_eq!(policy(4).backoff(61), 4 << 61);
+        assert_eq!(policy(4).backoff(62), u64::MAX, "4 << 62 wraps to 0, an immediate replay");
+        assert_eq!(policy(1).backoff(64), u64::MAX);
+        assert_eq!(policy(0).backoff(70), 0);
+
+        /// Reads once and finishes on whatever comes back.
+        struct Once;
+        impl HostThread for Once {
+            fn link(&self) -> usize {
+                0
+            }
+            fn step(&mut self, rsp: Option<TrackedResponse>, _cycle: u64) -> Step {
+                match rsp {
+                    None => Step::Send(Op::new(HmcRqst::Rd16, 0x40, [])),
+                    Some(_) => Step::Done,
+                }
+            }
+        }
+        // A one-cycle timeout undercuts every 3-cycle round trip, and
+        // with no backoff each replay goes out at once: the request
+        // runs through all 71 attempts, past a 64-bit shift, and is
+        // given up on.
+        let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+        let driver = ThreadDriver { dev: 0, max_cycles: 10_000, resilience: Some(policy(0)) };
+        let metrics = driver.run(&mut sim, &mut [Once]);
+        assert_eq!(metrics.unfinished, 0);
+        let faults = metrics.total_faults();
+        assert_eq!((faults.timeouts, faults.retries, faults.give_ups), (71, 70, 1), "{faults:?}");
+    }
+
+    #[test]
+    fn a_stale_timeout_spares_the_request_that_reuses_its_tag() {
+        /// Reads — or, as a ticker, sleeps one cycle — `left` times.
+        struct Reader {
+            left: u32,
+            ticker: bool,
+        }
+        impl HostThread for Reader {
+            fn link(&self) -> usize {
+                0
+            }
+            fn step(&mut self, _rsp: Option<TrackedResponse>, cycle: u64) -> Step {
+                match self.left.checked_sub(1) {
+                    None => Step::Done,
+                    Some(left) => {
+                        self.left = left;
+                        match self.ticker {
+                            true => Step::Sleep(cycle + 1),
+                            false => Step::Send(Op::new(HmcRqst::Rd16, 0x40, [])),
+                        }
+                    }
+                }
+            }
+        }
+        // Four tags recycle every 12 cycles of 3-cycle round trips, so a
+        // finished read's deadline falls while a later read holds its
+        // tag; the ticker's wakes keep that deadline off the top of the
+        // queue until it is due.
+        for request_timeout in 10..=16 {
+            let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+            sim.configure_tag_pool(0, 0, 4).unwrap();
+            let policy = ResilienceConfig { request_timeout, ..ResilienceConfig::default() };
+            let driver = ThreadDriver { dev: 0, max_cycles: 1_000, resilience: Some(policy) };
+            let mut threads =
+                [Reader { left: 40, ticker: false }, Reader { left: 200, ticker: true }];
+            let metrics = driver.run(&mut sim, &mut threads);
+            assert_eq!(metrics.unfinished, 0);
+            let faults = metrics.total_faults();
+            assert!(faults.is_clean(), "timeout {request_timeout}: {faults:?}");
+        }
     }
 
     #[test]
