@@ -140,8 +140,8 @@ impl Bank {
     /// The first cycle at which the bank is free again (equivalently:
     /// the end of its current busy window, which doubles as the cycle
     /// of its previous access plus that access's latency). The timing
-    /// backends use this both as an event horizon and as the left edge
-    /// of the "has a refresh started since?" test.
+    /// backends use this as the left edge of the "has a refresh started
+    /// since?" test.
     #[inline]
     pub fn busy_horizon(&self) -> u64 {
         self.busy_until
