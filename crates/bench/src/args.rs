@@ -30,10 +30,14 @@ impl Args {
         self.0.iter().any(|a| a == name)
     }
 
-    /// The value following `name`, if the flag was given.
+    /// The value following `name`, if the flag was given; exits 2 when
+    /// nothing follows it or the next token is itself a flag.
     pub fn get(&self, name: &str) -> Option<&str> {
         let at = self.0.iter().position(|a| a == name)?;
-        Some(self.0.get(at + 1).unwrap_or_else(|| reject(format!("{name} needs a value"))))
+        match self.0.get(at + 1) {
+            Some(value) if !value.starts_with("--") => Some(value),
+            _ => reject(format!("{name} needs a value")),
+        }
     }
 
     /// The value following `name` parsed as `T`, or `default` when the

@@ -67,7 +67,7 @@ fn unusable_flag_values_exit_2_and_print_nothing() {
         (env!("CARGO_BIN_EXE_figures"), ["--spin", "hones"], "--spin 'hones'"),
         (env!("CARGO_BIN_EXE_table6"), ["--max-threads", "x"], "--max-threads 'x'"),
         (env!("CARGO_BIN_EXE_figures"), ["--max-threads", "x"], "--max-threads 'x'"),
-        (env!("CARGO_BIN_EXE_trace"), ["--exec", "par4"], "--exec was removed"),
+        (env!("CARGO_BIN_EXE_explain"), ["--workload", "mutx"], "--workload 'mutx'"),
     ] {
         let out = run(exe, &args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

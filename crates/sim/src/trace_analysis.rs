@@ -138,7 +138,7 @@ impl TraceSummary {
         use std::fmt::Write;
         let mut out = String::new();
         if let Some((lo, hi)) = self.cycle_span {
-            let _ = writeln!(out, "cycles {lo}..{hi} ({} events)", self.total_requests());
+            let _ = writeln!(out, "cycles {lo}..{hi} ({} requests)", self.total_requests());
         }
         let _ = writeln!(out, "commands:");
         for (cmd, n) in &self.commands {
@@ -228,6 +228,7 @@ mod tests {
         assert_eq!(s.faults["CRC"], 1);
         assert_eq!(s.faults["VAULT"], 2);
         let report = s.render();
+        assert!(report.starts_with("cycles 1..10 (3 requests)\n"), "{report}");
         assert!(report.contains("hottest vault: 4"));
         assert!(report.contains("hmc_lock"));
         assert!(report.contains("faults:"));
