@@ -148,7 +148,7 @@ fn run(args: &hmc_bench::Args, format: &str) -> String {
     eprint!("{head}");
     match format {
         "prom" => report.to_prometheus(),
-        "json" => report.to_json(),
+        "json" => report.to_json().render(),
         _ => {
             let snap = sim.flight_snapshot().expect("recorder attached");
             let dropped: u64 = snap.lanes.iter().map(|l| l.dropped).sum();

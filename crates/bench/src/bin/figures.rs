@@ -11,15 +11,6 @@
 use hmc_bench::{mutex_sweep, Args, SweepPoint};
 use hmc_sim::DeviceConfig;
 
-fn config_for_links(links: usize) -> DeviceConfig {
-    match links {
-        2 => DeviceConfig::gen2_2link_4gb(),
-        4 => DeviceConfig::gen2_4link_4gb(),
-        8 => DeviceConfig::gen2_8link_8gb(),
-        other => panic!("no preset for {other} links"),
-    }
-}
-
 fn main() {
     let args = Args::from_env();
     let metric = args.get("--metric").unwrap_or("all");
@@ -28,20 +19,24 @@ fn main() {
         std::process::exit(2);
     }
     let spin = args.spin();
-    let links: Vec<usize> = args
-        .get("--links")
-        .unwrap_or("4,8")
+    let links = args.get("--links").unwrap_or("4,8");
+    let configs: Vec<DeviceConfig> = links
         .split(',')
-        .map(|s| s.parse().expect("link count"))
+        .map(|l| match l {
+            "2" => DeviceConfig::gen2_2link_4gb(),
+            "4" => DeviceConfig::gen2_4link_4gb(),
+            "8" => DeviceConfig::gen2_8link_8gb(),
+            _ => {
+                eprintln!("error: unknown --links '{links}' (expected a comma list of 2|4|8)");
+                std::process::exit(2);
+            }
+        })
         .collect();
     let max_threads: usize = args.num("--max-threads", 100);
 
-    let sweeps: Vec<(String, Vec<SweepPoint>)> = links
+    let sweeps: Vec<(String, Vec<SweepPoint>)> = configs
         .iter()
-        .map(|&l| {
-            let cfg = config_for_links(l);
-            (cfg.label(), mutex_sweep(&cfg, spin, 2..=max_threads))
-        })
+        .map(|cfg| (cfg.label(), mutex_sweep(cfg, spin, 2..=max_threads)))
         .collect();
 
     let emit = |name: &str, fig: &str, pick: &dyn Fn(&SweepPoint) -> String| {

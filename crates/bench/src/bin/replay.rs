@@ -166,11 +166,16 @@ fn main() {
         die("--resume requires --checkpoint-dir".into());
     }
 
+    let config = match links {
+        4 => DeviceConfig::gen2_4link_4gb(),
+        8 => DeviceConfig::gen2_8link_8gb(),
+        other => die(format!("unknown --links '{other}' (expected 4|8)")),
+    };
     let ops = match path {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            parse_trace(&text).unwrap_or_else(|e| panic!("parse failure: {e}"))
+                .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+            parse_trace(&text).unwrap_or_else(|e| die(format!("{path}: parse failure: {e}")))
         }
         None => {
             println!("(no trace given: replaying a synthetic 8-thread trace)\n");
@@ -178,11 +183,6 @@ fn main() {
         }
     };
 
-    let config = if links == 8 {
-        DeviceConfig::gen2_8link_8gb()
-    } else {
-        DeviceConfig::gen2_4link_4gb()
-    };
     let mut sim = HmcSim::new(config).expect("valid device config");
     if sanitize {
         sim.enable_sanitizer(SanitizerConfig::report());

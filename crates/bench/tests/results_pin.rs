@@ -59,20 +59,33 @@ fn every_owned_results_file_regenerates_byte_identically() {
     assert!(ratio.parse::<f64>().expect("a ratio") >= 12.0, "mesh4x4 vs single1: {ratio}x < 12.0x");
 }
 
-/// A mistyped value must not quietly regenerate the default table.
+/// A mistyped value or an unreadable input must not quietly
+/// regenerate the default table, fall back to another device or panic.
 #[test]
 fn unusable_flag_values_exit_2_and_print_nothing() {
-    for (exe, args, names) in [
-        (env!("CARGO_BIN_EXE_table6"), ["--spin", "hones"], "--spin 'hones'"),
-        (env!("CARGO_BIN_EXE_figures"), ["--spin", "hones"], "--spin 'hones'"),
-        (env!("CARGO_BIN_EXE_table6"), ["--max-threads", "x"], "--max-threads 'x'"),
-        (env!("CARGO_BIN_EXE_figures"), ["--max-threads", "x"], "--max-threads 'x'"),
-        (env!("CARGO_BIN_EXE_explain"), ["--workload", "mutx"], "--workload 'mutx'"),
-    ] {
-        let out = run(exe, &args);
+    let malformed =
+        std::env::temp_dir().join(format!("malformed-trace-{}.txt", std::process::id()));
+    std::fs::write(&malformed, "not a trace line\n").expect("temp dir is writable");
+    let malformed = malformed.to_str().expect("UTF-8 temp path");
+    let cases: [(&str, &[&str], &str); 11] = [
+        (env!("CARGO_BIN_EXE_table6"), &["--spin", "hones"], "--spin 'hones'"),
+        (env!("CARGO_BIN_EXE_figures"), &["--spin", "hones"], "--spin 'hones'"),
+        (env!("CARGO_BIN_EXE_table6"), &["--max-threads", "x"], "--max-threads 'x'"),
+        (env!("CARGO_BIN_EXE_figures"), &["--max-threads", "x"], "--max-threads 'x'"),
+        (env!("CARGO_BIN_EXE_explain"), &["--workload", "mutx"], "--workload 'mutx'"),
+        (env!("CARGO_BIN_EXE_figures"), &["--links", "3"], "--links '3'"),
+        (env!("CARGO_BIN_EXE_figures"), &["--links", "x"], "--links 'x'"),
+        (env!("CARGO_BIN_EXE_figures"), &["--links", "4,"], "--links '4,'"),
+        (env!("CARGO_BIN_EXE_replay"), &["--links", "2"], "--links '2'"),
+        (env!("CARGO_BIN_EXE_replay"), &["/nonexistent"], "/nonexistent"),
+        (env!("CARGO_BIN_EXE_replay"), &[malformed], malformed),
+    ];
+    for (exe, args, names) in cases {
+        let out = run(exe, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} still printed a table");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(names), "{args:?}: {stderr}");
     }
+    let _ = std::fs::remove_file(malformed);
 }

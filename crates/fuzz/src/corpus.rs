@@ -10,7 +10,7 @@
 
 use crate::runner::Outcome;
 use crate::scenario::Scenario;
-use hmc_sim::{Fnv, JsonError};
+use hmc_sim::{Fnv, Json, JsonError};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -60,7 +60,7 @@ pub fn scenario_digest(scenario: &Scenario) -> u64 {
 /// atomic (tmp → fsync → rename), so a crash mid-save can never leave
 /// a torn reproducer for corpus replay to choke on.
 ///
-/// When `trace_events` is given (a Perfetto trace-event JSON array
+/// When `trace_events` is given (the Perfetto `traceEvents` array
 /// from [`capture_trace_events`](crate::runner::capture_trace_events)),
 /// it is embedded under a top-level `traceEvents` key: the reproducer
 /// file then opens directly in <https://ui.perfetto.dev> as a timeline
@@ -71,18 +71,13 @@ pub fn save_reproducer(
     dir: &Path,
     scenario: &Scenario,
     outcome: &Outcome,
-    trace_events: Option<&str>,
+    trace_events: Option<Json>,
 ) -> io::Result<PathBuf> {
     let name = format!("repro-{}-{:016x}.json", outcome.class(), scenario_digest(scenario));
     let path = dir.join(name);
     let mut doc = scenario.to_json();
-    if let Some(events) = trace_events {
-        let parsed = hmc_sim::Json::parse(events).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad trace events: {}", e.message))
-        })?;
-        if let hmc_sim::Json::Obj(fields) = &mut doc {
-            fields.push(("traceEvents".into(), parsed));
-        }
+    if let (Some(events), Json::Obj(fields)) = (trace_events, &mut doc) {
+        fields.push(("traceEvents".into(), events));
     }
     let mut text = doc.render();
     text.push('\n');
@@ -138,6 +133,7 @@ mod tests {
         let dir = temp_dir("traced");
         let s = sample();
         let events = r#"[{"name":"send","ph":"X","ts":1,"dur":1,"pid":0,"tid":0}]"#;
+        let events = Json::parse(events).unwrap();
         let path = save_reproducer(&dir, &s, &Outcome::Pass, Some(events)).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("traceEvents"), "{text}");

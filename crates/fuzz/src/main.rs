@@ -220,7 +220,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 &parsed.out,
                 &report.scenario,
                 &report.outcome,
-                trace_events.as_deref(),
+                trace_events,
             ) {
                 Ok(path) => println!("    reproducer: {}", path.display()),
                 Err(e) => return fail(format!("cannot save reproducer: {e}")),

@@ -18,7 +18,7 @@
 
 use crate::scenario::Scenario;
 use hmc_sim::sanitizer::ViolationKind;
-use hmc_sim::{HmcSim, OracleDigest, SimConfig, SkipMode};
+use hmc_sim::{HmcSim, Json, OracleDigest, SimConfig, SkipMode};
 use hmc_types::HmcError;
 use hmc_workloads::KernelDescriptor;
 use std::panic::{self, AssertUnwindSafe};
@@ -271,13 +271,13 @@ pub fn run_scenario(scenario: &Scenario, config: &RunnerConfig) -> Outcome {
 }
 
 /// Replays the scenario's variant side with the flight recorder
-/// attached and returns the timeline as a Perfetto trace-event JSON
+/// attached and returns the timeline as the Perfetto `traceEvents`
 /// array, for embedding into reproducer files. The recorder is
 /// zero-perturbation, so this replay exercises the same execution the
 /// reproducer pins. Returns `None` when the variant cannot finish
 /// (panic, timeout, setup error) — a reproducer is still written, it
 /// just carries no timeline.
-pub fn capture_trace_events(scenario: &Scenario, timeout: Duration) -> Option<String> {
+pub fn capture_trace_events(scenario: &Scenario, timeout: Duration) -> Option<Json> {
     let scenario = scenario.clone();
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
@@ -336,7 +336,8 @@ mod tests {
     #[test]
     fn trace_capture_returns_a_nonempty_timeline() {
         let events = capture_trace_events(&scenario(SkipMode::Off), Duration::from_secs(30))
-            .expect("clean scenario yields a timeline");
+            .expect("clean scenario yields a timeline")
+            .render();
         assert!(events.starts_with('['), "{events}");
         assert!(events.contains("\"ph\""), "no trace events captured: {events}");
     }

@@ -261,9 +261,9 @@ impl Default for DeviceConfig {
 /// devices), whatever this says. The type, [`SimConfig::exec_mode`] and
 /// [`crate::HmcSim::exec_mode`] stay only because the `perf/` harness
 /// still configures and reports `Parallel { threads: 2 }` for its
-/// `sim.parallel.t2_speedup` metric; ROADMAP item 4 removes all three
-/// together with that metric. See DESIGN.md §13 for why the sharded
-/// engine was deleted.
+/// `sim.parallel.t2_speedup` metric; the benchmark change that deletes
+/// what only `perf/` keeps alive removes all three together with that
+/// metric. See DESIGN.md §13 for why the sharded engine was deleted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// The only engine (the default).

@@ -13,9 +13,9 @@
 //! hot path.
 
 use crate::hist::Hist;
+use crate::jsonv::{obj, Json};
 use crate::regs::{REG_GRLL, REG_LRLL};
 use crate::sim::HmcSim;
-use crate::jsonv::json_escape;
 use crate::telemetry::Stage;
 use std::collections::BTreeMap;
 
@@ -141,61 +141,38 @@ impl TelemetryReport {
         out
     }
 
-    /// Renders the registry as a deterministic JSON object (metrics
-    /// sorted by path; histograms carry count/sum/min/max, the
-    /// standard quantiles and the non-empty buckets).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(8192);
-        s.push_str(&format!("{{\"cycle\":{},\"metrics\":{{", self.cycle));
-        for (i, (path, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":", json_escape(path)));
-            match value {
-                MetricValue::Counter(v) => {
-                    s.push_str(&format!("{{\"type\":\"counter\",\"value\":{v}}}"));
-                }
-                MetricValue::Gauge(v) => {
-                    s.push_str(&format!("{{\"type\":\"gauge\",\"value\":{v}}}"));
-                }
-                MetricValue::Histogram(h) => {
-                    s.push_str(&format!(
-                        "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\
-                         \"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"buckets\":[",
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max(),
-                        h.p50(),
-                        h.p90(),
-                        h.p99(),
-                        h.p999()
-                    ));
-                    for (j, (le, count)) in h.nonzero_buckets().iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&format!("[{le},{count}]"));
-                    }
-                    s.push_str("]}");
-                }
-                MetricValue::Series { window, points } => {
-                    s.push_str(&format!(
-                        "{{\"type\":\"series\",\"window\":{window},\"points\":["
-                    ));
-                    for (j, (start, sum, count)) in points.iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&format!("[{start},{sum},{count}]"));
-                    }
-                    s.push_str("]}");
-                }
-            }
-        }
-        s.push_str("}}");
-        s
+    /// The registry as a deterministic JSON object (metrics sorted by
+    /// path; histograms carry count/sum/min/max, the standard
+    /// quantiles and the non-empty buckets).
+    pub fn to_json(&self) -> Json {
+        let metrics = self.metrics.iter().map(|(path, value)| (path.clone(), metric_json(value)));
+        obj([("cycle", self.cycle.into()), ("metrics", Json::Obj(metrics.collect()))])
+    }
+}
+
+/// One registry entry as a JSON object tagged with its `type`.
+fn metric_json(value: &MetricValue) -> Json {
+    let row = |items: &[u64]| Json::list(items, |&v| v.into());
+    match value {
+        MetricValue::Counter(v) => obj([("type", "counter".into()), ("value", (*v).into())]),
+        MetricValue::Gauge(v) => obj([("type", "gauge".into()), ("value", (*v).into())]),
+        MetricValue::Histogram(h) => obj([
+            ("type", "histogram".into()),
+            ("count", h.count().into()),
+            ("sum", h.sum().into()),
+            ("min", h.min().into()),
+            ("max", h.max().into()),
+            ("p50", h.p50().into()),
+            ("p90", h.p90().into()),
+            ("p99", h.p99().into()),
+            ("p999", h.p999().into()),
+            ("buckets", Json::list(h.nonzero_buckets(), |(le, count)| row(&[le, count]))),
+        ]),
+        MetricValue::Series { window, points } => obj([
+            ("type", "series".into()),
+            ("window", (*window).into()),
+            ("points", Json::list(points, |&(start, sum, count)| row(&[start, sum, count]))),
+        ]),
     }
 }
 
@@ -474,8 +451,8 @@ mod tests {
             .into_iter()
             .collect(),
         };
-        let a = report.to_json();
-        let b = report.to_json();
+        let a = report.to_json().render();
+        let b = report.to_json().render();
         assert_eq!(a, b);
         assert!(a.starts_with("{\"cycle\":3,"));
         assert!(a.contains("\"dev0/responses\":{\"type\":\"counter\",\"value\":4}"));

@@ -1,8 +1,10 @@
 //! A minimal, dependency-free JSON value type with a strict parser.
 //!
-//! Snapshots, checkpoints, forensic dumps and the scenario-fuzzing
-//! corpus (see `hmc-fuzz`) are written as JSON and read back. This
-//! module is what their codecs share — the value type, the escaper,
+//! Every JSON file the workspace writes is a [`Json`] value rendered
+//! once: snapshots, checkpoints, forensic dumps, telemetry reports,
+//! Perfetto timelines and the scenario-fuzzing corpus (see
+//! `hmc-fuzz`); all but the report and the timeline are read back.
+//! This module is what their codecs share — the value type, the escaper,
 //! the typed constructors (`From` impls, [`Json::list`]), the strict
 //! extractors ([`Json::int`], [`Json::tuple`], [`ObjReader`]) and the
 //! name↔value tables ([`Names`]) — with deliberate restrictions that
@@ -307,13 +309,6 @@ impl<'a> Parser<'a> {
             Some(b) => self.fail(format!("unexpected byte '{}'", b as char)),
         }
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    escape_into(&mut out, s);
-    out
 }
 
 fn escape_into(out: &mut String, s: &str) {
@@ -729,7 +724,7 @@ impl<'a> ObjReader<'a> {
 }
 
 /// Convenience constructor for object values.
-pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
@@ -799,11 +794,16 @@ mod tests {
 
     /// The string parser and writer as they were before they moved
     /// plain runs in one piece: the parser one byte, one `push` at a
-    /// time, the writer every string through `json_escape`. Kept as
-    /// the oracle for the property below.
+    /// time, the writer every string through `escape`. Kept as the
+    /// oracle for the property below.
     mod reference {
-        use super::super::{Json, JsonError, Parser};
-        use super::super::json_escape as escape;
+        use super::super::{escape_into, Json, JsonError, Parser};
+
+        fn escape(s: &str) -> String {
+            let mut out = String::new();
+            escape_into(&mut out, s);
+            out
+        }
 
         pub fn string(p: &mut Parser<'_>) -> Result<String, JsonError> {
             p.expect(b'"')?;

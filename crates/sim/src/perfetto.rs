@@ -20,7 +20,7 @@
 //! nondeterministic iteration order — identical snapshots render
 //! byte-identical JSON.
 
-use crate::jsonv::json_escape;
+use crate::jsonv::{obj, Json};
 use crate::trace::{FlightLane, FlightSnapshot, TraceKind, TraceRecord};
 
 /// Options controlling what [`export`] renders.
@@ -46,24 +46,35 @@ fn included(rec: &TraceRecord, opts: &PerfettoOptions) -> bool {
 }
 
 /// A packet-flow phase for a record, if it participates in one.
-fn flow_phase(kind: TraceKind) -> Option<char> {
+fn flow_phase(kind: TraceKind) -> Option<&'static str> {
     match kind {
-        TraceKind::HostSend => Some('s'),
+        TraceKind::HostSend => Some("s"),
         TraceKind::Cmd
         | TraceKind::CmcOp
         | TraceKind::XbarToVault
         | TraceKind::Failover
         | TraceKind::HopRqst
-        | TraceKind::HopRsp => Some('t'),
-        TraceKind::Deliver | TraceKind::Zombie => Some('f'),
+        | TraceKind::HopRsp => Some("t"),
+        TraceKind::Deliver | TraceKind::Zombie => Some("f"),
         _ => None,
     }
 }
 
-/// Renders the `traceEvents` JSON array (brackets included) for a
-/// snapshot. [`crate::ForensicDump::to_json`] embeds this directly so
-/// forensic dumps open in the Perfetto UI unmodified.
-pub fn trace_events(snap: &FlightSnapshot, opts: &PerfettoOptions) -> String {
+/// A metadata event naming a process or track.
+fn metadata(dev: u16, lane: usize, name: &str, args: Json) -> Json {
+    obj([
+        ("ph", "M".into()),
+        ("pid", dev.into()),
+        ("tid", lane.into()),
+        ("name", name.into()),
+        ("args", args),
+    ])
+}
+
+/// The `traceEvents` array for a snapshot. [`crate::ForensicDump`] and
+/// the fuzzer's reproducers embed it as it is, so those files open in
+/// the Perfetto UI unmodified.
+pub fn trace_events(snap: &FlightSnapshot, opts: &PerfettoOptions) -> Json {
     let records: Vec<TraceRecord> =
         snap.merged().into_iter().filter(|r| included(r, opts)).collect();
 
@@ -78,44 +89,17 @@ pub fn trace_events(snap: &FlightSnapshot, opts: &PerfettoOptions) -> String {
     }
     tracks.sort_unstable();
 
-    let mut out = String::with_capacity(4096 + records.len() * 160);
-    out.push('[');
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&ev);
-    };
-
+    let mut events = Vec::with_capacity(3 * tracks.len() + 2 * records.len());
     let mut last_dev = None;
     for &(dev, lane) in &tracks {
         if last_dev != Some(dev) {
             last_dev = Some(dev);
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{dev},\"tid\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"device {dev}\"}}}}"
-                ),
-            );
+            let name = Json::Str(format!("device {dev}"));
+            events.push(metadata(dev, 0, "process_name", obj([("name", name)])));
         }
-        let name = FlightLane::ALL[lane].name();
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{dev},\"tid\":{lane},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-        );
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{dev},\"tid\":{lane},\"name\":\"thread_sort_index\",\
-                 \"args\":{{\"sort_index\":{lane}}}}}"
-            ),
-        );
+        let name = FlightLane::ALL[lane].name().into();
+        events.push(metadata(dev, lane, "thread_name", obj([("name", name)])));
+        events.push(metadata(dev, lane, "thread_sort_index", obj([("sort_index", lane.into())])));
     }
 
     // Flow ids must be unique per packet *instance*: tags recycle, so
@@ -131,48 +115,47 @@ pub fn trace_events(snap: &FlightSnapshot, opts: &PerfettoOptions) -> String {
             TraceKind::IdleSkip => r.b.max(1),
             _ => 1,
         };
-        let detail = json_escape(&r.render_detail(|idx| snap.resolve(idx)));
-        let name = r.kind.name();
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{lane},\"ts\":{},\"dur\":{dur},\
-                 \"name\":\"{name}\",\"args\":{{\"detail\":\"{detail}\",\"tag\":{}}}}}",
-                r.dev, r.cycle, r.tag
-            ),
-        );
+        let detail = Json::Str(r.render_detail(|idx| snap.resolve(idx)));
+        events.push(obj([
+            ("ph", "X".into()),
+            ("pid", r.dev.into()),
+            ("tid", lane.into()),
+            ("ts", r.cycle.into()),
+            ("dur", dur.into()),
+            ("name", r.kind.name().into()),
+            ("args", obj([("detail", detail), ("tag", r.tag.into())])),
+        ]));
         if let Some(ph) = flow_phase(r.kind) {
             let key = (r.dev, r.tag);
-            if ph == 's' {
+            if ph == "s" {
                 *generations.entry(key).or_insert(0) += 1;
             }
             // A step/finish before any recorded send (ring overflow
             // evicted it) still joins generation 0 consistently.
             let generation = generations.get(&key).copied().unwrap_or(0);
             let id = (generation << 32) | ((r.dev as u64) << 16) | r.tag as u64;
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\":\"{ph}\",\"pid\":{},\"tid\":{lane},\"ts\":{},\
-                     \"name\":\"packet\",\"cat\":\"packet\",\"id\":{id}{}}}",
-                    r.dev,
-                    r.cycle,
-                    if ph == 'f' { ",\"bp\":\"e\"" } else { "" }
-                ),
-            );
+            let mut flow = vec![
+                ("ph", ph.into()),
+                ("pid", r.dev.into()),
+                ("tid", lane.into()),
+                ("ts", r.cycle.into()),
+                ("name", "packet".into()),
+                ("cat", "packet".into()),
+                ("id", id.into()),
+            ];
+            if ph == "f" {
+                flow.push(("bp", "e".into()));
+            }
+            events.push(obj(flow));
         }
     }
-    out.push(']');
-    out
+    Json::Arr(events)
 }
 
 /// Renders a complete Perfetto/Chrome trace JSON document for a
 /// snapshot: `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
 pub fn export(snap: &FlightSnapshot, opts: &PerfettoOptions) -> String {
-    format!(
-        "{{\"traceEvents\":{},\"displayTimeUnit\":\"ms\"}}",
-        trace_events(snap, opts)
-    )
+    obj([("traceEvents", trace_events(snap, opts)), ("displayTimeUnit", "ms".into())]).render()
 }
 
 #[cfg(test)]

@@ -465,7 +465,7 @@ impl Sanitizer {
                         _ => sim.tracer.ring_lines(),
                     },
                     checkpoint_cycle: self.last_checkpoint.as_ref().map(SimSnapshot::cycle),
-                    telemetry_json: sim.telemetry_report().map(|r| r.to_json()),
+                    telemetry: sim.telemetry_report(),
                     flight: sim.flight_snapshot(),
                 };
                 if let Some(dir) = &self.config.dump_dir {

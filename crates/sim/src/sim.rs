@@ -286,7 +286,8 @@ impl HmcSim {
 
     /// The [`ExecMode`] this context was configured with. It is
     /// recorded and never read by the engine: every cycle runs the one
-    /// sequential stage 3. ROADMAP item 4 removes it together with the
+    /// sequential stage 3. The benchmark change that deletes what only
+    /// `perf/` keeps alive removes it together with the
     /// `sim.parallel.t2_speedup` metric.
     pub fn exec_mode(&self) -> ExecMode {
         self.config.exec_mode

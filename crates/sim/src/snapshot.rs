@@ -53,8 +53,9 @@ use crate::config::SimConfig;
 use crate::device::{
     Device, DeviceView, RqstEnvelope, RspEnvelope, TrackedRequest, TrackedResponse, Vault,
 };
+use crate::export::TelemetryReport;
 use crate::hist::Hist;
-use crate::jsonv::Json;
+use crate::jsonv::{obj, Json};
 use crate::link::LinkControl;
 use crate::queue::BoundedQueue;
 use crate::sanitizer::{SanitizerShadow, Violation};
@@ -482,9 +483,9 @@ pub struct ForensicDump {
     /// Cycle of the last periodic checkpoint, when one exists — the
     /// replay window is `checkpoint_cycle ..= cycle`.
     pub checkpoint_cycle: Option<u64>,
-    /// Telemetry registry at violation time, pre-rendered as the JSON
-    /// report (`None` when telemetry is disabled).
-    pub telemetry_json: Option<String>,
+    /// Telemetry registry at violation time (`None` when telemetry is
+    /// disabled).
+    pub telemetry: Option<TelemetryReport>,
     /// Flight-recorder timeline at violation time (`None` when no
     /// recorder is attached). Serialized as a top-level `traceEvents`
     /// array so the dump file opens directly in `ui.perfetto.dev`.
@@ -498,24 +499,21 @@ impl ForensicDump {
     /// [`SimSnapshot::from_json_value`] loads back for a replay from
     /// the file alone.
     pub fn to_json(&self) -> String {
-        // The telemetry report and the Perfetto timeline come
-        // pre-rendered by their own exporters. Top-level traceEvents:
-        // trace viewers accept extra keys, so the forensic dump itself
-        // is a loadable Perfetto trace.
-        let events = self.flight.as_ref().map(|f| {
+        // Top-level traceEvents: trace viewers accept extra keys, so
+        // the forensic dump itself is a loadable Perfetto trace.
+        let events = self.flight.as_ref().map_or(Json::Arr(Vec::new()), |f| {
             crate::perfetto::trace_events(f, &crate::perfetto::PerfettoOptions::default())
         });
-        format!(
-            "{{\"cycle\":{},\"checkpoint_cycle\":{},\"violations\":{},\"trace\":{},\
-             \"telemetry\":{},\"traceEvents\":{},\"snapshot\":{}}}",
-            self.cycle,
-            Json::from(self.checkpoint_cycle).render(),
-            Json::list(&self.violations, crate::snapjson::violation_json).render(),
-            Json::list(&self.trace, |line| line.as_str().into()).render(),
-            self.telemetry_json.as_deref().unwrap_or("null"),
-            events.as_deref().unwrap_or("[]"),
-            self.snapshot.to_json_full()
-        )
+        obj([
+            ("cycle", self.cycle.into()),
+            ("checkpoint_cycle", self.checkpoint_cycle.into()),
+            ("violations", Json::list(&self.violations, crate::snapjson::violation_json)),
+            ("trace", Json::list(&self.trace, |line| line.as_str().into())),
+            ("telemetry", self.telemetry.as_ref().map(TelemetryReport::to_json).into()),
+            ("traceEvents", events),
+            ("snapshot", self.snapshot.to_json_value()),
+        ])
+        .render()
     }
 
     /// Writes the JSON dump to `path`, creating parent directories.

@@ -317,7 +317,7 @@ fn skip_mode_under_sanitizer_and_telemetry_is_bit_identical_and_clean() {
         sim.enable_telemetry(TelemetryConfig::full());
         let (fp, stats) = drive_bursty(&mut sim, &ops, 700, 3_000);
         let violations = sim.sanitizer_report().map(|r| r.total_violations);
-        let telemetry = sim.telemetry_report().map(|r| r.to_json());
+        let telemetry = sim.telemetry_report().map(|r| r.to_json().render());
         (fp, stats, violations, telemetry)
     };
     let reference = run(SkipMode::Off);

@@ -9,7 +9,10 @@
 
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
-use hmcsim::sim::{FaultPlan, Hist, LinkErrorMode, MetricValue, SanitizerConfig, Stage};
+use hmcsim::sim::{
+    BankTiming, FaultPlan, Hist, LinkErrorMode, MetricValue, RefreshConfig, RowPolicy,
+    SanitizerConfig, SimConfig, Stage,
+};
 use proptest::prelude::*;
 
 fn hist_of(values: &[u64]) -> Hist {
@@ -153,7 +156,7 @@ fn golden_prometheus_export() {
 fn golden_json_export() {
     let sim = deterministic_run();
     let report = sim.telemetry_report().expect("telemetry enabled");
-    check_golden(&report.to_json(), "telemetry.json");
+    check_golden(&report.to_json().render(), "telemetry.json");
 }
 
 #[test]
@@ -224,6 +227,93 @@ fn windowed_series_track_link_traffic() {
 }
 
 // ---------------------------------------------------------------------
+// stage ledger
+// ---------------------------------------------------------------------
+
+/// Sends mixed RD16/WR16/INC8/RD64 traffic from every cube's host
+/// links to cubes across the fabric and checks every response the host
+/// receives: its stamps are in pipeline order and its latency is
+/// `complete − issue`. In order, the five stage durations telescope to
+/// the latency; `Telemetry::record_response` takes each duration with
+/// `saturating_sub`, so there a missing or out-of-order stamp would
+/// read as a 0-cycle stage instead of failing. Returns the number of
+/// responses checked and the context.
+fn check_stage_ledger(name: &str, config: SimConfig) -> (usize, HmcSim) {
+    let mut sim = HmcSim::with_config(config).unwrap();
+    let (cubes, links) = (sim.device_count(), sim.device_config(0).unwrap().links);
+    let mut checked = 0;
+    let mut drain = |sim: &mut HmcSim| {
+        for d in 0..cubes {
+            for l in 0..links {
+                while let Some(rsp) = sim.recv(d, l) {
+                    let (s, issue, complete) = (rsp.stages, rsp.issue_cycle, rsp.complete_cycle);
+                    let ledger = [issue, s.vault_enq, s.exec, s.rsp_route, s.egress, complete];
+                    assert!(
+                        ledger.windows(2).all(|w| w[0] <= w[1]),
+                        "{name}: issue/vault_enq/exec/rsp_route/egress/complete out of order: \
+                         {ledger:?} ({:?} tag {})",
+                        rsp.rsp.head.cmd,
+                        rsp.rsp.head.tag.value()
+                    );
+                    assert_eq!(rsp.latency, complete - issue, "{name}");
+                    checked += 1;
+                }
+            }
+        }
+    };
+    for i in 0..1200usize {
+        let (entry, link, target) = (i % cubes, i / cubes % links, (i * 7 + 3) % cubes);
+        let addr = (i as u64 * 0x1c0) % (1 << 22);
+        let (cmd, payload) = match i % 4 {
+            0 => (HmcRqst::Rd16, vec![]),
+            1 => (HmcRqst::Wr16, vec![i as u64, 0]),
+            2 => (HmcRqst::Inc8, vec![]),
+            _ => (HmcRqst::Rd64, vec![]),
+        };
+        let cub = Cub::new(target as u8).unwrap();
+        match sim.send_to_cube(entry, link, cub, cmd, addr, payload) {
+            Ok(_) | Err(HmcError::Stall | HmcError::TagsExhausted | HmcError::LinkDown(_)) => {}
+            Err(e) => panic!("{name}: unexpected send error: {e}"),
+        }
+        sim.clock();
+        drain(&mut sim);
+    }
+    for _ in 0..2000 {
+        sim.clock();
+        drain(&mut sim);
+    }
+    (checked, sim)
+}
+
+#[test]
+fn stage_stamps_are_ordered_and_close_the_latency() {
+    let faults = FaultPlan::seeded(0x1ed9e5)
+        .with_vault_errors(20_000)
+        .with_poison(20_000)
+        .with_link_errors(LinkErrorMode::Random { per_million: 20_000 });
+    let mut cube = DeviceConfig::gen2_4link_4gb();
+    cube.bank_timing = BankTiming { row_hit: 2, row_miss: 9, policy: RowPolicy::OpenPage };
+    cube.refresh = Some(RefreshConfig { interval: 300, duration: 12 });
+    cube.remote_quad_penalty = 2;
+    cube.fault = faults.clone().with_link_event(150, 1, false).with_link_event(700, 1, true);
+    let mut ring_cube = DeviceConfig::gen2_4link_4gb();
+    ring_cube.fault = faults;
+    let fabrics = [
+        ("cube", SimConfig { timing: TimingSelect::RowBuffer, ..SimConfig::single(cube) }),
+        ("faulty ring3", SimConfig::ring(ring_cube, 3)),
+        ("mesh4x4", SimConfig::mesh(DeviceConfig::gen2_4link_4gb(), 4, 4)),
+    ];
+    for (name, config) in fabrics {
+        let (checked, sim) = check_stage_ledger(name, config);
+        assert!(checked >= 1000, "{name}: only {checked} responses reached the host");
+        let stats = sim.stats(0).unwrap();
+        if name != "mesh4x4" {
+            assert!(stats.vault_faults > 0 && stats.poisoned_responses > 0, "{name}: no faults");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // fault / register agreement
 // ---------------------------------------------------------------------
 
@@ -283,7 +373,7 @@ fn forensic_dump_embeds_the_telemetry_report() {
     sim.debug_inject_phantom_response(0, 0, phantom);
     sim.clock_n(4);
     let dump = sim.take_forensic_dump().expect("violation produced a dump");
-    let telemetry = dump.telemetry_json.as_deref().expect("telemetry embedded in dump");
-    assert!(telemetry.contains("dev0/latency/total"));
+    let telemetry = dump.telemetry.as_ref().expect("telemetry embedded in dump");
+    assert!(telemetry.get("dev0/latency/total").is_some());
     assert!(dump.to_json().contains("\"telemetry\":{"), "dump JSON carries the report");
 }
