@@ -167,12 +167,12 @@ impl EnvelopePool {
     }
 }
 
-/// One vault: request/response queues plus per-bank busy tracking.
+/// One vault: its request and response queues. Its banks are a run of
+/// the device's one bank array (see [`Device`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Vault {
     pub(crate) rqst: BoundedQueue<RqstEnvelope>,
     pub(crate) rsp: BoundedQueue<RspEnvelope>,
-    pub(crate) banks: Vec<Bank>,
 }
 
 impl Vault {
@@ -180,7 +180,6 @@ impl Vault {
         Vault {
             rqst: BoundedQueue::new(config.vault_queue_depth),
             rsp: BoundedQueue::new(config.vault_queue_depth),
-            banks: (0..config.banks_per_vault).map(|_| Bank::default()).collect(),
         }
     }
 }
@@ -246,6 +245,12 @@ pub(crate) struct DeviceView<'a> {
     pub(crate) xbar_rqst: &'a [BoundedQueue<RqstEnvelope>],
     pub(crate) xbar_rsp: &'a [BoundedQueue<RspEnvelope>],
     pub(crate) vaults: &'a [Vault],
+    /// Every vault's banks, vault after vault.
+    pub(crate) banks: &'a [Bank],
+    /// How many of `banks` each vault holds, when listed (a snapshot,
+    /// which may not fit its context); `None` splits them evenly, as a
+    /// live device holds them.
+    pub(crate) vault_banks: Option<&'a [usize]>,
     pub(crate) mem: &'a SparseMemory,
     pub(crate) regs: &'a RegisterFile,
     pub(crate) stats: &'a DeviceStats,
@@ -253,6 +258,20 @@ pub(crate) struct DeviceView<'a> {
     pub(crate) fault_rng: &'a FaultRng,
     pub(crate) link_up: &'a [bool],
     pub(crate) fault_idx: usize,
+}
+
+impl<'a> DeviceView<'a> {
+    /// Each vault beside its banks, in vault order.
+    pub(crate) fn vaults_with_banks(&self) -> impl Iterator<Item = (&'a Vault, &'a [Bank])> {
+        let even = self.banks.len() / self.vaults.len().max(1);
+        let (counts, mut rest) = (self.vault_banks, self.banks);
+        self.vaults.iter().enumerate().map(move |(v, vault)| {
+            let n = counts.map_or(even, |counts| counts[v]);
+            let (banks, tail) = rest.split_at(n);
+            rest = tail;
+            (vault, banks)
+        })
+    }
 }
 
 /// What the request-routing stage asks the simulation context to do
@@ -294,6 +313,10 @@ pub struct Device {
     xbar_rqst: Vec<BoundedQueue<RqstEnvelope>>,
     xbar_rsp: Vec<BoundedQueue<RspEnvelope>>,
     vaults: Vec<Vault>,
+    /// Every bank of the device, indexed by global bank number
+    /// `vault * banks_per_vault + bank` (the number refresh staggers
+    /// by and the `validated` shadow is indexed by).
+    banks: Vec<Bank>,
     /// Vaults with a queued request; stages 3 and 4 keep it.
     rqst_waiting: VaultSet,
     /// Vaults with a queued response; stages 1 and 3 keep it.
@@ -341,6 +364,7 @@ impl Device {
                 .map(|_| BoundedQueue::new(config.xbar_queue_depth))
                 .collect(),
             vaults: (0..config.total_vaults()).map(|_| Vault::new(&config)).collect(),
+            banks: vec![Bank::default(); config.total_vaults() * config.banks_per_vault],
             rqst_waiting: VaultSet::new(config.total_vaults()),
             rsp_waiting: VaultSet::new(config.total_vaults()),
             mem: SparseMemory::new(config.capacity),
@@ -653,8 +677,9 @@ impl Device {
                 }
                 let addr = head.req.head.addr;
                 if let Ok(loc) = self.map.decompose(addr) {
-                    let bank = loc.bank as usize % self.config.banks_per_vault;
-                    std::hint::black_box(vault.banks[bank].is_busy(cycle));
+                    let per_vault = self.config.banks_per_vault;
+                    let bank = v * per_vault + loc.bank as usize % per_vault;
+                    std::hint::black_box(self.banks[bank].is_busy(cycle));
                 }
                 let bytes = head.req.head.cmd.fixed_info().map_or(0, |i| i.data_bytes);
                 self.mem.touch(addr, bytes as usize);
@@ -682,6 +707,7 @@ impl Device {
             config,
             map,
             vaults,
+            banks,
             rqst_waiting,
             rsp_waiting,
             mem,
@@ -716,8 +742,8 @@ impl Device {
                     }
                 };
                 let bank = loc.bank as usize % config.banks_per_vault;
-                let global_bank = (vidx * config.banks_per_vault + bank) as u64;
-                if timing.refreshing(cycle, global_bank) {
+                let global_bank = vidx * config.banks_per_vault + bank;
+                if timing.refreshing(cycle, global_bank as u64) {
                     stats.vault_stalls += 1;
                     tracer.emit(TraceRecord {
                         dev: *id as u16,
@@ -727,7 +753,7 @@ impl Device {
                     });
                     break;
                 }
-                if vault.banks[bank].is_busy(cycle) {
+                if banks[global_bank].is_busy(cycle) {
                     stats.vault_stalls += 1;
                     tracer.emit(TraceRecord {
                         dev: *id as u16,
@@ -777,7 +803,7 @@ impl Device {
                     pool.rqst.give(item);
                     continue;
                 }
-                timing.serve(&mut vault.banks[bank], cycle, loc.row, global_bank);
+                timing.serve(&mut banks[global_bank], cycle, loc.row, global_bank as u64);
                 power.add_dram_access();
                 let responded = execute_request(
                     *id, config, &item, &loc, mem, cmc, regs, stats, power, cycle, tracer,
@@ -892,10 +918,7 @@ impl Device {
     /// Aggregate row-buffer statistics across all banks:
     /// `(row_hits, row_misses)`.
     pub fn row_buffer_stats(&self) -> (u64, u64) {
-        self.vaults
-            .iter()
-            .flat_map(|v| v.banks.iter())
-            .fold((0, 0), |(h, m), b| (h + b.row_hits, m + b.row_misses))
+        self.banks.iter().fold((0, 0), |(h, m), b| (h + b.row_hits, m + b.row_misses))
     }
 
     /// Packets currently resident in any device queue (crossbar or
@@ -994,6 +1017,8 @@ impl Device {
             xbar_rqst: &self.xbar_rqst,
             xbar_rsp: &self.xbar_rsp,
             vaults: &self.vaults,
+            banks: &self.banks,
+            vault_banks: None,
             mem: &self.mem,
             regs: &self.regs,
             stats: &self.stats,
@@ -1010,6 +1035,8 @@ impl Device {
             xbar_rqst: self.xbar_rqst.clone(),
             xbar_rsp: self.xbar_rsp.clone(),
             vaults: self.vaults.clone(),
+            banks: self.banks.clone(),
+            vault_banks: vec![self.config.banks_per_vault; self.vaults.len()],
             mem: self.mem.clone(),
             regs: self.regs.clone(),
             stats: self.stats.clone(),
@@ -1032,9 +1059,9 @@ impl Device {
         fits(format_args!("`xbar_rsp` of device {id}"), s.xbar_rsp.len(), links)?;
         fits(format_args!("`link_up` of device {id}"), s.link_up.len(), links)?;
         fits(format_args!("`vaults` of device {id}"), s.vaults.len(), self.vaults.len())?;
-        for (v, vault) in s.vaults.iter().enumerate() {
+        for (v, &held) in s.vault_banks.iter().enumerate() {
             let banks = self.config.banks_per_vault;
-            fits(format_args!("`banks` of device {id} vault {v}"), vault.banks.len(), banks)?;
+            fits(format_args!("`banks` of device {id} vault {v}"), held, banks)?;
         }
         TimingEngine::from_snapshot(&s.timing, &self.config)
     }
@@ -1047,6 +1074,7 @@ impl Device {
         self.xbar_rqst = s.xbar_rqst.clone();
         self.xbar_rsp = s.xbar_rsp.clone();
         self.vaults = s.vaults.clone();
+        self.banks.clone_from(&s.banks);
         for (v, vault) in self.vaults.iter().enumerate() {
             self.rqst_waiting.set(v, !vault.rqst.is_empty());
             self.rsp_waiting.set(v, !vault.rsp.is_empty());

@@ -964,17 +964,17 @@ fn timing_from_json(v: &Json) -> Result<TimingSnapshot, JsonError> {
 // ---------------------------------------------------------------------------
 
 fn device_json(d: &DeviceSnapshot) -> Json {
-    let vault = |v: &Vault| {
+    let vault = |(v, banks): (&Vault, &[Bank])| {
         obj(vec![
             ("rqst", queue_json(&v.rqst, tracked_request_json)),
             ("rsp", queue_json(&v.rsp, tracked_response_json)),
-            ("banks", Json::list(&v.banks, bank_json)),
+            ("banks", Json::list(banks, bank_json)),
         ])
     };
     obj(vec![
         ("xbar_rqst", Json::list(&d.xbar_rqst, |q| queue_json(q, tracked_request_json))),
         ("xbar_rsp", Json::list(&d.xbar_rsp, |q| queue_json(q, tracked_response_json))),
-        ("vaults", Json::list(&d.vaults, vault)),
+        ("vaults", Json::Arr(d.view().vaults_with_banks().map(vault).collect())),
         ("mem", mem_json(&d.mem)),
         ("regs", regs_json(&d.regs)),
         ("stats", stats_json(&d.stats)),
@@ -991,25 +991,33 @@ fn device_json(d: &DeviceSnapshot) -> Json {
 /// A device entry of schema `version` (the CMC fields arrived in 3).
 fn device_from_json(v: &Json, version: u64) -> Result<DeviceSnapshot, JsonError> {
     let mut r = ObjReader::new("device", v)?;
+    let xbar_rqst =
+        r.vec("xbar_rqst", |q| queue_from_json(q, "xbar_rqst", tracked_request_from_json))?;
+    let xbar_rsp =
+        r.vec("xbar_rsp", |q| queue_from_json(q, "xbar_rsp", tracked_response_from_json))?;
+    // Each vault's banks join the device's one array; how many each
+    // held is kept for `fit_snapshot` to check.
+    let (mut banks, mut vault_banks) = (Vec::new(), Vec::new());
+    let vaults = r.vec("vaults", |v| {
+        let mut vr = ObjReader::new("vault", v)?;
+        let out = Vault {
+            rqst: queue_from_json(vr.required("rqst")?, "vault rqst", tracked_request_from_json)?,
+            rsp: queue_from_json(vr.required("rsp")?, "vault rsp", tracked_response_from_json)?,
+        };
+        let held = vr.arr("banks")?;
+        vault_banks.push(held.len());
+        for bank in held {
+            banks.push(bank_from_json(bank)?);
+        }
+        vr.finish()?;
+        Ok(out)
+    })?;
     let out = DeviceSnapshot {
-        xbar_rqst: r
-            .vec("xbar_rqst", |q| queue_from_json(q, "xbar_rqst", tracked_request_from_json))?,
-        xbar_rsp: r
-            .vec("xbar_rsp", |q| queue_from_json(q, "xbar_rsp", tracked_response_from_json))?,
-        vaults: r.vec("vaults", |v| {
-            let mut vr = ObjReader::new("vault", v)?;
-            let out = Vault {
-                rqst: queue_from_json(
-                    vr.required("rqst")?,
-                    "vault rqst",
-                    tracked_request_from_json,
-                )?,
-                rsp: queue_from_json(vr.required("rsp")?, "vault rsp", tracked_response_from_json)?,
-                banks: vr.vec("banks", bank_from_json)?,
-            };
-            vr.finish()?;
-            Ok(out)
-        })?,
+        xbar_rqst,
+        xbar_rsp,
+        vaults,
+        banks,
+        vault_banks,
         mem: mem_from_json(r.required("mem")?)?,
         regs: regs_from_json(r.required("regs")?)?,
         stats: stats_from_json(r.required("stats")?)?,

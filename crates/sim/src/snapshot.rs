@@ -71,6 +71,12 @@ pub struct DeviceSnapshot {
     pub(crate) xbar_rqst: Vec<BoundedQueue<RqstEnvelope>>,
     pub(crate) xbar_rsp: Vec<BoundedQueue<RspEnvelope>>,
     pub(crate) vaults: Vec<Vault>,
+    /// Every vault's banks, vault after vault, as the device holds them.
+    pub(crate) banks: Vec<crate::dram::Bank>,
+    /// How many of `banks` each vault holds: `banks_per_vault` each when
+    /// taken from a device, as listed when decoded (a document may not
+    /// fit its context, and [`Device::fit_snapshot`] names the vault).
+    pub(crate) vault_banks: Vec<usize>,
     pub(crate) mem: hmc_mem::SparseMemory,
     pub(crate) regs: crate::regs::RegisterFile,
     pub(crate) stats: crate::stats::DeviceStats,
@@ -220,11 +226,13 @@ impl SimSnapshot {
 }
 
 impl DeviceSnapshot {
-    fn view(&self) -> DeviceView<'_> {
+    pub(crate) fn view(&self) -> DeviceView<'_> {
         DeviceView {
             xbar_rqst: &self.xbar_rqst,
             xbar_rsp: &self.xbar_rsp,
             vaults: &self.vaults,
+            banks: &self.banks,
+            vault_banks: Some(&self.vault_banks),
             mem: &self.mem,
             regs: &self.regs,
             stats: &self.stats,
@@ -323,10 +331,10 @@ fn hash_queue<T>(h: &mut Fnv, q: &BoundedQueue<Box<T>>, item: fn(&mut Fnv, &T)) 
     hash_seq(h, q.iter(), |h, envelope| item(h, envelope));
 }
 
-fn hash_vault(h: &mut Fnv, v: &Vault) {
+fn hash_vault(h: &mut Fnv, (v, banks): (&Vault, &[crate::dram::Bank])) {
     hash_queue(h, &v.rqst, hash_request);
     hash_queue(h, &v.rsp, hash_response);
-    hash_seq(h, v.banks.iter(), |h, bank| {
+    hash_seq(h, banks.iter(), |h, bank| {
         let (busy_until, open_row) = bank.dynamic_state();
         // `Some(row)` and `None` never fold alike: the flag goes first.
         h.words([busy_until, open_row.is_some() as u64, open_row.unwrap_or(0)]);
@@ -345,7 +353,7 @@ fn hash_hist(h: &mut Fnv, hist: &Hist) {
 pub(crate) fn hash_device(h: &mut Fnv, d: &DeviceView<'_>) {
     hash_seq(h, d.xbar_rqst.iter(), |h, q| hash_queue(h, q, hash_request));
     hash_seq(h, d.xbar_rsp.iter(), |h, q| hash_queue(h, q, hash_response));
-    hash_seq(h, d.vaults.iter(), hash_vault);
+    hash_seq(h, d.vaults_with_banks(), hash_vault);
     h.word(d.mem.content_digest());
     let regs = d.regs.entries();
     hash_seq(h, regs, |h, (id, value)| h.words([id as u64, value]));

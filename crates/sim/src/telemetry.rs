@@ -321,8 +321,7 @@ impl Telemetry {
             for link in 0..t.last_link_flits.len() {
                 t.last_link_flits[link] = sim.links[dev][link].stats.flits_sent;
             }
-            let (hits, misses) = sim.devices[dev].row_buffer_stats();
-            t.last_bank_accesses = hits + misses;
+            t.last_bank_accesses = dram_accesses(sim, dev);
         }
     }
 
@@ -346,8 +345,7 @@ impl Telemetry {
             }
             t.vault_occupancy
                 .record(start, sim.devices[dev].vault_rqst_occupancy());
-            let (hits, misses) = sim.devices[dev].row_buffer_stats();
-            let accesses = hits + misses;
+            let accesses = dram_accesses(sim, dev);
             t.bank_accesses
                 .record(start, accesses - t.last_bank_accesses);
             t.last_bank_accesses = accesses;
@@ -360,6 +358,13 @@ impl Telemetry {
             }
         }
     }
+}
+
+/// Bank accesses of device `dev` so far: the power model counts one per
+/// bank served, so the banks' hit and miss counters need no walk.
+fn dram_accesses(sim: &HmcSim, dev: usize) -> u64 {
+    let (_, dram_accesses, _, _) = sim.devices[dev].power().counters();
+    dram_accesses
 }
 
 impl HmcSim {
@@ -400,6 +405,52 @@ impl HmcSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The series' bank accesses come from the power model: every bank
+    /// served is one DRAM access, with refresh closing rows, injected
+    /// vault faults serving none, and across a restore.
+    #[test]
+    fn bank_hits_and_misses_sum_to_the_power_models_dram_accesses() {
+        use crate::dram::{BankTiming, RefreshConfig, RowPolicy};
+        use crate::{DeviceConfig, FaultPlan, SimConfig, TimingSelect};
+        use hmc_types::HmcRqst;
+        let mut cube = DeviceConfig::gen2_4link_4gb();
+        cube.bank_timing = BankTiming { row_hit: 2, row_miss: 9, policy: RowPolicy::OpenPage };
+        cube.refresh = Some(RefreshConfig { interval: 300, duration: 12 });
+        cube.fault = FaultPlan::seeded(0x5eed).with_vault_errors(20_000);
+        let config = SimConfig {
+            timing: TimingSelect::RowBuffer,
+            telemetry: TelemetryConfig::full(),
+            ..SimConfig::single(cube)
+        };
+        let mut sim = HmcSim::with_config(config).unwrap();
+        let run = |sim: &mut HmcSim, cycles: u64| {
+            for i in 0..cycles {
+                for link in 0..4 {
+                    while sim.recv(0, link).is_some() {}
+                    let addr = (i * 4 + link as u64).wrapping_mul(0x9E37_79B9) % (1 << 10) * 64;
+                    let cmd = if i % 3 == 0 { HmcRqst::Wr16 } else { HmcRqst::Rd64 };
+                    let payload: &[u64] = if cmd == HmcRqst::Wr16 { &[1, 2] } else { &[] };
+                    let _ = sim.send_simple(0, link, cmd, addr, payload);
+                }
+                sim.clock();
+            }
+        };
+        let agree = |sim: &HmcSim, at: &str| {
+            let (hits, misses) = sim.row_buffer_stats(0).unwrap();
+            assert!(hits > 0 && misses > 0, "{at}: {hits} hits, {misses} misses");
+            assert_eq!(hits + misses, dram_accesses(sim, 0), "{at}");
+        };
+        run(&mut sim, 2_000);
+        assert!(sim.stats(0).unwrap().vault_faults > 0, "faults served no bank");
+        agree(&sim, "after the run");
+        let snap = sim.snapshot();
+        run(&mut sim, 500);
+        sim.restore(&snap).unwrap();
+        agree(&sim, "after the restore");
+        run(&mut sim, 500);
+        agree(&sim, "after running on from the restore");
+    }
 
     #[test]
     fn default_config_is_disabled() {

@@ -52,12 +52,20 @@ impl std::fmt::Display for Tag {
 /// assert_ne!(t0, t1);
 /// pool.release(t0).unwrap();
 /// ```
+///
+/// The free list is the tags never handed out, ascending, followed by
+/// the released ones in release order. The first part is a counter, so
+/// a fresh pool builds no list.
 #[derive(Debug, Clone)]
 pub struct TagPool {
-    /// Recycling order (front = next tag handed out).
-    free: VecDeque<Tag>,
-    /// Membership of `free`, kept in step by every mutator so that
-    /// [`TagPool::audit`] never has to walk the list.
+    /// The next tag never handed out: `fresh..capacity` head the free
+    /// list.
+    fresh: u32,
+    /// The released tags in recycling order (front = next tag handed
+    /// out once the fresh ones are gone).
+    recycled: VecDeque<Tag>,
+    /// Membership of the free list, kept in step by every mutator so
+    /// that [`TagPool::audit`] never has to walk the list.
     is_free: TagSet,
     in_flight: TagSet,
     capacity: u32,
@@ -74,7 +82,8 @@ impl TagPool {
     pub fn with_capacity(capacity: u32) -> Self {
         let capacity = capacity.min(TAG_SPACE);
         TagPool {
-            free: (0..capacity).map(|v| Tag(v as u16)).collect(),
+            fresh: 0,
+            recycled: VecDeque::new(),
             is_free: TagSet::below(capacity),
             in_flight: TagSet::new(),
             capacity,
@@ -84,7 +93,12 @@ impl TagPool {
     /// Acquires the next free tag, or [`HmcError::TagsExhausted`] when
     /// every tag is in flight.
     pub fn acquire(&mut self) -> Result<Tag, HmcError> {
-        let tag = self.free.pop_front().ok_or(HmcError::TagsExhausted)?;
+        let tag = if self.fresh < self.capacity {
+            self.fresh += 1;
+            Tag(self.fresh as u16 - 1)
+        } else {
+            self.recycled.pop_front().ok_or(HmcError::TagsExhausted)?
+        };
         self.is_free.remove(tag);
         self.in_flight.insert(tag);
         Ok(tag)
@@ -98,18 +112,18 @@ impl TagPool {
             return Err(HmcError::InvalidTag(tag.0 as u32));
         }
         self.is_free.insert(tag);
-        self.free.push_back(tag);
+        self.recycled.push_back(tag);
         Ok(())
     }
 
     /// Number of tags currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.capacity as usize - self.free.len()
+        self.capacity as usize - self.available()
     }
 
     /// Number of tags available for acquisition.
     pub fn available(&self) -> usize {
-        self.free.len()
+        (self.capacity - self.fresh) as usize + self.recycled.len()
     }
 
     /// The pool's configured capacity.
@@ -127,7 +141,7 @@ impl TagPool {
     /// out). Checkpoint serialization must preserve this order — the
     /// in-flight map is derivable, the recycling order is not.
     pub fn free_tags(&self) -> impl Iterator<Item = Tag> + '_ {
-        self.free.iter().copied()
+        (self.fresh..self.capacity).map(|v| Tag(v as u16)).chain(self.recycled.iter().copied())
     }
 
     /// Rebuilds a pool from a checkpointed capacity and ordered free
@@ -151,7 +165,14 @@ impl TagPool {
         for (live, free) in in_flight.bits.iter_mut().zip(&is_free.bits) {
             *live &= !free;
         }
-        Ok(TagPool { free: free.into(), is_free, in_flight, capacity })
+        // A list that opens with `k..capacity` opens with tags never
+        // handed out (or as good as): those become the counter.
+        let opening = free.first().map_or(0, |t| capacity - t.0 as u32) as usize;
+        let counted =
+            free.len() >= opening && free[..opening].windows(2).all(|w| w[1].0 == w[0].0 + 1);
+        let fresh = capacity - if counted { opening as u32 } else { 0 };
+        let recycled = free[(capacity - fresh) as usize..].iter().copied().collect();
+        Ok(TagPool { fresh, recycled, is_free, in_flight, capacity })
     }
 
     /// Checks the pool's internal consistency: the free list and the
@@ -175,7 +196,7 @@ impl TagPool {
         let broken = maps().enumerate().skip(whole).fold(inside, |bad, (word, (free, live))| {
             bad | (free & live) | ((free | live) ^ TagSet::word_below(self.capacity, word))
         });
-        if broken == 0 && self.free.len() + self.in_flight.count() == self.capacity as usize {
+        if broken == 0 && self.available() + self.in_flight.count() == self.capacity as usize {
             return Ok(());
         }
         self.audit_in_full()
@@ -187,10 +208,10 @@ impl TagPool {
     #[cold]
     fn audit_in_full(&self) -> Result<(), String> {
         let live = self.in_flight.count();
-        if self.free.len() + live != self.capacity as usize {
+        if self.available() + live != self.capacity as usize {
             return Err(format!(
                 "free ({}) + live ({live}) != capacity ({})",
-                self.free.len(),
+                self.available(),
                 self.capacity
             ));
         }
@@ -212,13 +233,13 @@ impl TagPool {
         // A set holds a tag once, so a list longer than its membership
         // map repeats an entry. Naming it walks the list.
         let members = self.is_free.count();
-        if self.free.len() != members {
+        if self.available() != members {
             let mut seen = TagSet::new();
-            return Err(match self.free.iter().find(|&&tag| !seen.insert(tag)) {
+            return Err(match self.free_tags().find(|&tag| !seen.insert(tag)) {
                 Some(tag) => format!("tag {} duplicated on the free list", tag.0),
                 None => format!(
                     "free list ({}) and its membership map ({members}) disagree",
-                    self.free.len()
+                    self.available()
                 ),
             });
         }
@@ -251,7 +272,7 @@ impl TagPool {
 
     /// Puts `tag` on the free list whatever its state.
     pub fn debug_push_free(&mut self, tag: Tag) {
-        self.free.push_back(tag);
+        self.recycled.push_back(tag);
         self.is_free.insert(tag);
     }
 }
@@ -478,12 +499,22 @@ mod tests {
         assert!(err.contains("free and in flight"), "got: {err}");
     }
 
+    /// The pool's whole free list as one deque, its never-used tags
+    /// spilled from the counter to the front (same list, same order).
+    fn free_list(pool: &mut TagPool) -> &mut VecDeque<Tag> {
+        for v in (pool.fresh..pool.capacity).rev() {
+            pool.recycled.push_front(Tag(v as u16));
+        }
+        pool.fresh = pool.capacity;
+        &mut pool.recycled
+    }
+
     #[test]
     fn audit_names_duplicates_and_out_of_range_free_tags() {
         // Tag 2 freed twice while tag 1 vanished: the counts still add
         // up, only the membership map is short.
         let mut pool = TagPool::with_capacity(4);
-        pool.free.retain(|t| t.0 != 1);
+        free_list(&mut pool).retain(|t| t.0 != 1);
         pool.is_free.remove(Tag(1));
         pool.debug_push_free(Tag(2));
         assert_eq!(pool.audit().unwrap_err(), "tag 2 duplicated on the free list");
@@ -491,7 +522,7 @@ mod tests {
 
         // Tag 70 on the free list of a 65-tag pool, in tag 3's place.
         let mut pool = TagPool::with_capacity(65);
-        pool.free.retain(|t| t.0 != 3);
+        free_list(&mut pool).retain(|t| t.0 != 3);
         pool.is_free.remove(Tag(3));
         pool.debug_push_free(Tag(70));
         assert_eq!(pool.audit().unwrap_err(), "free tag 70 outside capacity 65");
@@ -516,7 +547,7 @@ mod tests {
             /// The same free list, in-flight map and capacity.
             pub fn of(pool: &super::TagPool) -> Self {
                 TagPool {
-                    free: pool.free.clone(),
+                    free: pool.free_tags().collect(),
                     in_flight: (0..pool.capacity).map(|v| pool.is_live(Tag(v as u16))).collect(),
                     capacity: pool.capacity,
                 }
@@ -609,6 +640,38 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// The counter of never-used tags changes no order: acquires
+        /// and releases, with checkpoint rebuilds between them, hand
+        /// out tags as a plain FIFO list seeded with `0..capacity` does.
+        #[test]
+        fn counted_pool_hands_out_tags_in_list_order(
+            capacity in proptest::sample::select(vec![1u32, 2, 63, 64, 65, 2048]),
+            steps in proptest::collection::vec((0u8..4, 0u16..TAG_SPACE as u16), 1..200),
+        ) {
+            let mut pool = TagPool::with_capacity(capacity);
+            let mut list: VecDeque<Tag> = (0..capacity).map(|v| Tag(v as u16)).collect();
+            for (op, t) in steps {
+                match op {
+                    0 | 1 => proptest::prop_assert_eq!(pool.acquire().ok(), list.pop_front()),
+                    2 => {
+                        let tag = Tag(t % capacity as u16);
+                        let live = !list.contains(&tag);
+                        proptest::prop_assert_eq!(pool.release(tag).is_ok(), live);
+                        if live {
+                            list.push_back(tag);
+                        }
+                    }
+                    _ => {
+                        let free: Vec<Tag> = pool.free_tags().collect();
+                        pool = TagPool::from_free_list(capacity, free).unwrap();
+                    }
+                }
+                proptest::prop_assert!(pool.free_tags().eq(list.iter().copied()));
+                proptest::prop_assert_eq!(pool.available(), list.len());
+                proptest::prop_assert_eq!(pool.audit(), Ok(()));
+            }
+        }
+
         /// Whatever is done to a pool — through its API or behind its
         /// back — the word-parallel audit reaches the verdict of the
         /// audit that walks the list, and it rebuilds from a free list
@@ -631,7 +694,7 @@ mod tests {
             for step in steps {
                 match step {
                     Step::Acquire => {
-                        let next = pool.free.front().copied();
+                        let next = pool.free_tags().next();
                         proptest::prop_assert_eq!(pool.acquire().ok(), next);
                     }
                     Step::Release(t) => {
@@ -667,9 +730,10 @@ mod tests {
                         flip(&mut pool, b);
                     }
                     Step::ReplaceFree { at, tag } => {
-                        if !pool.free.is_empty() {
-                            let at = at as usize % pool.free.len();
-                            let old = std::mem::replace(&mut pool.free[at], Tag(fold(tag)));
+                        let free = free_list(&mut pool);
+                        if !free.is_empty() {
+                            let at = at as usize % free.len();
+                            let old = std::mem::replace(&mut free[at], Tag(fold(tag)));
                             pool.is_free.remove(old);
                             pool.is_free.insert(Tag(fold(tag)));
                         }

@@ -83,7 +83,7 @@ pub fn parse_line(line: &str) -> Result<Option<TraceOp>, HmcError> {
             let cmd = HmcRqst::STANDARD
                 .iter()
                 .copied()
-                .find(|c| c.mnemonic() == mnemonic)
+                .find(|c| c.fixed_info().is_some_and(|info| info.name == mnemonic))
                 .ok_or_else(|| bad(format!("unknown mnemonic {mnemonic}")))?;
             if !matches!(
                 cmd.kind(),
@@ -506,6 +506,30 @@ A XOR16 0x80
         ] {
             let e = parse_line(line).unwrap_err().to_string();
             assert!(e.contains(why) && e.contains("invalid digit"), "`{line}`: {e}");
+        }
+    }
+
+    #[test]
+    fn every_atomic_round_trips_and_other_mnemonics_fail_as_before() {
+        let atomics: Vec<TraceOp> = HmcRqst::STANDARD
+            .iter()
+            .filter(|c| {
+                matches!(c.kind(), hmc_types::CmdKind::Atomic | hmc_types::CmdKind::PostedAtomic)
+            })
+            .enumerate()
+            .map(|(i, &cmd)| TraceOp { cmd, addr: 0x40 * i as u64, tid: i as u64 % 5 })
+            .collect();
+        assert!(atomics.len() > 20, "Table I's atomics ({})", atomics.len());
+        assert_eq!(parse_trace(&render_trace(&atomics)).unwrap(), atomics);
+        for (line, why) in [
+            ("A NOPE 0x10", "unknown mnemonic NOPE"),
+            ("A inc8 0x10", "unknown mnemonic inc8"),
+            ("A CMC125 0x10", "unknown mnemonic CMC125"),
+            ("A RD64 0x10", "RD64 is not an atomic"),
+            ("A WR16 0x10", "WR16 is not an atomic"),
+        ] {
+            let e = parse_line(line).unwrap_err().to_string();
+            assert!(e.ends_with(&format!("trace line '{line}': {why}")), "`{line}`: {e}");
         }
     }
 

@@ -5,29 +5,38 @@
 # Builds perf/ in two checkouts of the repository (say a `git clone` of the
 # parent commit beside the working tree), then runs <pairs> pairs of the
 # workload, alternating which side goes first so that neither always runs on
-# the warmer or the quieter host. Prints every pair's sim_cycles_per_s and
-# reqs_per_s, each side's median and quartiles of those and of setup_s and
-# peak_rss_mb, its fastest round, the win count and the verdict: a gain counts
-# when the change is ahead in at least nine tenths of at least ten pairs (ties
-# for neither side) and the medians are further apart than the parent's own
-# quartiles.
+# the warmer or the quieter host. Prints every pair's value of the judged
+# metric (--metric, default sim_cycles_per_s; any end-to-end metric perf/
+# prints) and its reqs_per_s, each side's median and quartiles of
+# sim_cycles_per_s, reqs_per_s, setup_s and peak_rss_mb, its fastest round,
+# and for the judged metric the win count and the verdict: a gain counts when
+# the change is ahead in at least nine tenths of at least ten pairs (ties for
+# neither side) and the medians are further apart than the parent's own
+# quartiles. Ahead means higher, except for setup_s, peak_rss_mb and
+# sim_cycles, where lower is better.
 #
 # Exits nonzero if any run reports failed != 0 or the two sides' `check`
 # lines differ (a speed-up may not move simulated state); the verdict itself
 # never fails the script.
 #
-# Usage: scripts/perf_pairs.sh <parent-tree> <change-tree> <workload> \
-#            [pairs=10] [seconds=15] [seed=1] [-- extra perf args]
+# Usage: scripts/perf_pairs.sh [--metric NAME] <parent-tree> <change-tree> \
+#            <workload> [pairs=10] [seconds=15] [seed=1] [-- extra perf args]
 set -euo pipefail
 
 usage() { sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//'; exit 2; }
 
 ARGS=()
 EXTRA=()
+METRIC=sim_cycles_per_s
 while [ $# -gt 0 ]; do
   if [ "$1" = -- ]; then shift; EXTRA=("$@"); break; fi
+  if [ "$1" = --metric ]; then [ $# -ge 2 ] || usage; METRIC=$2; shift 2; continue; fi
   ARGS+=("$1"); shift
 done
+case $METRIC in
+  setup_s | peak_rss_mb | sim_cycles) LOWER=1 ;;
+  *) LOWER=0 ;;
+esac
 [ ${#ARGS[@]} -ge 3 ] && [ ${#ARGS[@]} -le 6 ] || usage
 PARENT=$(cd "${ARGS[0]}" && pwd)
 CHANGE=$(cd "${ARGS[1]}" && pwd)
@@ -66,10 +75,12 @@ stats() { # values on stdin -> "q1 median q3 min max" (quartiles by linear inter
     END { printf "%.8g %.8g %.8g %.8g %.8g\n", q(.25), q(.5), q(.75), v[1], v[NR] }'
 }
 
-echo "perf_pairs workload=$WORKLOAD pairs=$PAIRS seconds=$SECONDS_EACH seed=$SEED extra='${EXTRA[*]:-}' nproc=$(nproc)"
+echo "perf_pairs workload=$WORKLOAD metric=$METRIC pairs=$PAIRS seconds=$SECONDS_EACH seed=$SEED extra='${EXTRA[*]:-}' nproc=$(nproc)"
 echo "parent=$PARENT ($(git -C "$PARENT" rev-parse --short HEAD 2>/dev/null || echo '?'))"
 echo "change=$CHANGE ($(git -C "$CHANGE" rev-parse --short HEAD 2>/dev/null || echo '?'), plus its working tree)"
-printf '%4s %-6s %16s %16s %7s %14s %14s\n' pair first parent_cycles/s change_cycles/s ratio parent_reqs/s change_reqs/s
+printf '%4s %-6s %16s %16s %7s %14s %14s\n' pair first "parent_$METRIC" "change_$METRIC" ratio parent_reqs/s change_reqs/s
+# ahead <a> <b>: 1 when value a is better than value b.
+ahead() { awk -v a="$1" -v b="$2" -v lower=$LOWER 'BEGIN { print (lower ? a < b : a > b) }'; }
 WINS=0
 LOSSES=0
 for ((i = 1; i <= PAIRS; i++)); do
@@ -78,12 +89,13 @@ for ((i = 1; i <= PAIRS; i++)); do
   else
     FIRST=change; run change "$CHANGE" "$i"; run parent "$PARENT" "$i"
   fi
-  P=$(metric "$OUT/parent.$i" sim_cycles_per_s); C=$(metric "$OUT/change.$i" sim_cycles_per_s)
-  printf '%4d %-6s %16.1f %16.1f %7.3f %14.0f %14.0f\n' "$i" "$FIRST" "$P" "$C" \
+  P=$(metric "$OUT/parent.$i" "$METRIC"); C=$(metric "$OUT/change.$i" "$METRIC")
+  [ -n "$P" ] && [ -n "$C" ] || { echo "FAIL: pair $i reports no metric $METRIC" >&2; exit 1; }
+  printf '%4d %-6s %16.8g %16.8g %7.3f %14.0f %14.0f\n' "$i" "$FIRST" "$P" "$C" \
     "$(awk -v p="$P" -v c="$C" 'BEGIN { print c / p }')" \
     "$(metric "$OUT/parent.$i" reqs_per_s)" "$(metric "$OUT/change.$i" reqs_per_s)"
-  WINS=$((WINS + $(awk -v p="$P" -v c="$C" 'BEGIN { print (c > p) }')))
-  LOSSES=$((LOSSES + $(awk -v p="$P" -v c="$C" 'BEGIN { print (c < p) }')))
+  WINS=$((WINS + $(ahead "$C" "$P")))
+  LOSSES=$((LOSSES + $(ahead "$P" "$C")))
 done
 
 # Simulated state: one `check` line across every run of both sides.
@@ -107,11 +119,12 @@ for SIDE in parent change; do
   done | sort -g | awk -v side=$SIDE 'NR == 1 { printf "%-6s fastest round   %.6f s  (%.1f sim_cycles_per_s)\n", side, $1, $2 / $1 }'
 done
 
-read -r PQ1 PMED PQ3 _ _ < <(values parent sim_cycles_per_s | stats)
-read -r _ CMED _ _ _ < <(values change sim_cycles_per_s | stats)
-awk -v pairs="$PAIRS" -v wins="$WINS" -v losses="$LOSSES" -v pmed="$PMED" -v cmed="$CMED" -v iqr="$(awk -v a="$PQ1" -v b="$PQ3" 'BEGIN { print b - a }')" 'BEGIN {
-  gap = cmed - pmed
-  printf "sim_cycles_per_s: change ahead in %d of %d pairs (%d behind), median ratio %.3f, median gap %.1f against a parent inter-quartile distance of %.1f\n", wins, pairs, losses, cmed / pmed, gap, iqr
+read -r PQ1 PMED PQ3 _ _ < <(values parent "$METRIC" | stats)
+read -r _ CMED _ _ _ < <(values change "$METRIC" | stats)
+awk -v metric="$METRIC" -v lower=$LOWER -v pairs="$PAIRS" -v wins="$WINS" -v losses="$LOSSES" -v pmed="$PMED" -v cmed="$CMED" -v iqr="$(awk -v a="$PQ1" -v b="$PQ3" 'BEGIN { print b - a }')" 'BEGIN {
+  # The gap is positive when the change is ahead.
+  gap = lower ? pmed - cmed : cmed - pmed
+  printf "%s: change ahead in %d of %d pairs (%d behind), median ratio %.3f, median gap %.6g against a parent inter-quartile distance of %.6g\n", metric, wins, pairs, losses, cmed / pmed, gap, iqr
   if (pairs < 10) print "verdict: too few pairs for a verdict (the rule needs ten)"
   else if (wins * 10 >= pairs * 9 && gap > iqr) print "verdict: gain"
   else if (losses * 10 >= pairs * 9 && -gap > iqr) print "verdict: regression"

@@ -26,6 +26,11 @@
 //! is one hex string, so encoding and decoding a snapshot allocates as
 //! often at 4,096 records per lane as at 64.
 //!
+//! A fresh context allocates what it is made of, not what it holds: one
+//! bank array per cube and tag pools that count their unused tags, so
+//! building one costs the same number of blocks however many vaults
+//! the cube has.
+//!
 //! Past the inline payload capacity the pin is exact rather than zero:
 //! a window of RD256 / RD256 / WR256 triples allocates one block per
 //! read — the response payload the host receives and owns — and nothing
@@ -80,6 +85,18 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 /// test; the minimum is the reproducible floor.
 fn min_allocations(n: usize, mut f: impl FnMut()) -> u64 {
     (0..n).map(|_| allocations_in(&mut f)).min().expect("n > 0")
+}
+
+/// Least allocation count of `HmcSim::with_config(config)` over three
+/// builds (the configuration is cloned outside the count).
+fn construction_allocations(config: &SimConfig) -> u64 {
+    (0..3)
+        .map(|_| {
+            let config = config.clone();
+            allocations_in(|| drop(HmcSim::with_config(config).unwrap()))
+        })
+        .min()
+        .expect("three builds")
 }
 
 /// A representative mix of hot-path packet events.
@@ -418,6 +435,32 @@ fn traced_off_emission_is_allocation_free() {
         "a checkpoint round trip took {many_blocks} allocations at 4096 records per lane, \
          {few_blocks} at 64: per-record allocation"
     );
+
+    // --- A fresh context. ---------------------------------------------
+    // The pin is for the default engine: a backend or skip override
+    // from the environment (the CI matrix's) adds the variable's value
+    // and, under `validated`, the shadow bank array.
+    let overrides = ["HMCSIM_TIMING", "HMCSIM_SKIP"].map(|key| (key, std::env::var_os(key)));
+    for (key, _) in &overrides {
+        std::env::remove_var(key);
+    }
+    let paper = [DeviceConfig::gen2_4link_4gb(), DeviceConfig::gen2_8link_8gb()];
+    let built = paper.map(|d| construction_allocations(&SimConfig::single(d)));
+    assert_eq!(built, [32, 32], "4Link-4GB and 8Link-8GB contexts took {built:?} allocations");
+    // Twice or half the vaults, the same blocks: no allocation per vault.
+    let by_vaults = [4, 8, 16].map(|vaults_per_quad| {
+        let device = DeviceConfig { vaults_per_quad, ..DeviceConfig::gen2_4link_4gb() };
+        construction_allocations(&SimConfig::single(device))
+    });
+    assert!(
+        by_vaults.iter().all(|&n| n == by_vaults[0]),
+        "4, 8 and 16 vaults per quad took {by_vaults:?} allocations"
+    );
+    for (key, value) in overrides {
+        if let Some(value) = value {
+            std::env::set_var(key, value);
+        }
+    }
 
     // --- The whole engine, differentially. ---------------------------
     // How many structured events does the pinned run emit? (Retained
