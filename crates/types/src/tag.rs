@@ -165,14 +165,7 @@ impl TagPool {
         for (live, free) in in_flight.bits.iter_mut().zip(&is_free.bits) {
             *live &= !free;
         }
-        // A list that opens with `k..capacity` opens with tags never
-        // handed out (or as good as): those become the counter.
-        let opening = free.first().map_or(0, |t| capacity - t.0 as u32) as usize;
-        let counted =
-            free.len() >= opening && free[..opening].windows(2).all(|w| w[1].0 == w[0].0 + 1);
-        let fresh = capacity - if counted { opening as u32 } else { 0 };
-        let recycled = free[(capacity - fresh) as usize..].iter().copied().collect();
-        Ok(TagPool { fresh, recycled, is_free, in_flight, capacity })
+        Ok(TagPool { fresh: capacity, recycled: free.into(), is_free, in_flight, capacity })
     }
 
     /// Checks the pool's internal consistency: the free list and the

@@ -12,8 +12,8 @@
 # and for the judged metric the win count and the verdict: a gain counts when
 # the change is ahead in at least nine tenths of at least ten pairs (ties for
 # neither side) and the medians are further apart than the parent's own
-# quartiles. Ahead means higher, except for setup_s, peak_rss_mb and
-# sim_cycles, where lower is better.
+# quartiles. Ahead means higher, except for setup_s and peak_rss_mb, where
+# lower is better.
 #
 # Exits nonzero if any run reports failed != 0 or the two sides' `check`
 # lines differ (a speed-up may not move simulated state); the verdict itself
@@ -34,7 +34,7 @@ while [ $# -gt 0 ]; do
   ARGS+=("$1"); shift
 done
 case $METRIC in
-  setup_s | peak_rss_mb | sim_cycles) LOWER=1 ;;
+  setup_s | peak_rss_mb) LOWER=1 ;;
   *) LOWER=0 ;;
 esac
 [ ${#ARGS[@]} -ge 3 ] && [ ${#ARGS[@]} -le 6 ] || usage
