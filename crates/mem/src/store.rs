@@ -11,6 +11,12 @@
 //! except inside [`SparseMemory::for_each_page`], whose visitor may
 //! read the store but must not write to it.
 //!
+//! The page table is a directory of leaves of 512 page slots, indexed
+//! by page id and grown by the first write to a leaf: a new store or a
+//! read allocates nothing, a lookup is two indexed loads and no hash,
+//! and [`SparseMemory::for_each_page`] walks pages in ascending order
+//! as they lie. An 8 GiB store's directory is at most 32 KiB.
+//!
 //! A read-modify-write of one 8- or 16-byte cell resolves its page
 //! once (`update_u64` / `update_u128`, the atomics' path) rather than
 //! once to read and once to write. The word accessors — the vault data
@@ -18,47 +24,22 @@
 //! straight between page bytes and payload words whenever the span sits
 //! in one page; only a span that straddles pages goes through the
 //! byte-wise `read`/`write` in stack-buffer chunks.
-//!
-//! Page ids hash multiplicatively rather than through SipHash: they are
-//! simulated addresses, and a hot 16-byte access is otherwise mostly
-//! hashing. The table keeps its `page_id % SHARD_COUNT` split — the
-//! maps are small, and they free their pages in an order that keeps the
-//! allocator from trimming the heap between back-to-back contexts.
 
 use hmc_types::HmcError;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of one lazily-allocated page in bytes.
 pub const PAGE_BYTES: usize = 4096;
 
-/// Number of page-table shards (a small power of two).
-const SHARD_COUNT: usize = 16;
+/// The most bytes a store holds (1 TiB, 128 times the largest cube):
+/// it bounds the page directory at 4 MiB.
+pub const MAX_CAPACITY: u64 = 1 << 40;
 
-/// Fibonacci hashing of one page id. The product's low bits depend
-/// only on the id's low bits — which every id in a shard shares — so
-/// `finish` folds the high half down for the map's bucket index.
-#[derive(Default)]
-struct PageIdHasher(u64);
+/// Page slots per leaf of the page table.
+const LEAF_PAGES: u64 = 512;
 
-impl Hasher for PageIdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("page ids hash through write_u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type PageMap = HashMap<u64, Box<[u8; PAGE_BYTES]>, BuildHasherDefault<PageIdHasher>>;
+type Page = Box<[u8; PAGE_BYTES]>;
+type Leaf = [Option<Page>; LEAF_PAGES as usize];
 
 /// Words converted per stack buffer when a word access straddles pages:
 /// the payload of the largest packet (17 FLITs), so one packet is one
@@ -68,25 +49,66 @@ const WORD_CHUNK: usize = 32;
 /// Bytes per host cache line, the stride of [`SparseMemory::touch`].
 const HOST_LINE: usize = 64;
 
+/// Page `id` lives at `leaves[id / LEAF_PAGES][id % LEAF_PAGES]`.
+#[derive(Clone, Default)]
+struct PageTable {
+    leaves: Vec<Option<Box<Leaf>>>,
+}
+
+impl PageTable {
+    #[inline]
+    fn get(&self, id: u64) -> Option<&[u8; PAGE_BYTES]> {
+        let leaf = self.leaves.get((id / LEAF_PAGES) as usize)?.as_deref()?;
+        leaf[(id % LEAF_PAGES) as usize].as_deref()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, id: u64) -> Option<&mut [u8; PAGE_BYTES]> {
+        let leaf = self.leaves.get_mut((id / LEAF_PAGES) as usize)?.as_deref_mut()?;
+        leaf[(id % LEAF_PAGES) as usize].as_deref_mut()
+    }
+
+    /// Page `id`'s slot, its leaf allocated and the directory grown as
+    /// needed.
+    fn slot(&mut self, id: u64) -> &mut Option<Page> {
+        let at = (id / LEAF_PAGES) as usize;
+        self.leaves.resize_with(self.leaves.len().max(at + 1), || None);
+        let leaf =
+            self.leaves[at].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES as usize]));
+        &mut leaf[(id % LEAF_PAGES) as usize]
+    }
+
+    /// Page `id`, materialized as zeros if absent.
+    #[inline]
+    fn page(&mut self, id: u64) -> &mut [u8; PAGE_BYTES] {
+        self.slot(id).get_or_insert_with(|| Box::new([0; PAGE_BYTES]))
+    }
+
+    /// Every resident page, in ascending page order.
+    fn pages(&self) -> impl Iterator<Item = (u64, &[u8; PAGE_BYTES])> {
+        let leaves = (0..).step_by(LEAF_PAGES as usize).zip(&self.leaves);
+        let slots =
+            leaves.flat_map(|(first, leaf)| (first..).zip(leaf.iter().flat_map(|l| l.iter())));
+        slots.filter_map(|(id, page)| Some((id, page.as_deref()?)))
+    }
+}
+
 /// A sparse, zero-initialized, byte-addressable memory of fixed
 /// capacity. All accessors take `&self`; see the module docs for what
 /// that does and does not allow.
 #[derive(Clone, Default)]
 pub struct SparseMemory {
-    /// `Default` builds an empty shard vector: a zero-capacity store,
-    /// whose range check rejects every access before a shard is picked.
-    shards: RefCell<Vec<PageMap>>,
+    /// `Default` is a zero-capacity store, whose range check rejects
+    /// every access.
+    table: RefCell<PageTable>,
     capacity: u64,
 }
 
 impl SparseMemory {
-    /// Creates a store of `capacity` bytes. All bytes read as zero
-    /// until written.
+    /// Creates a store of `capacity` bytes, at most [`MAX_CAPACITY`].
+    /// All bytes read as zero until written.
     pub fn new(capacity: u64) -> Self {
-        SparseMemory {
-            shards: RefCell::new((0..SHARD_COUNT).map(|_| PageMap::default()).collect()),
-            capacity,
-        }
+        SparseMemory { table: RefCell::default(), capacity: capacity.min(MAX_CAPACITY) }
     }
 
     /// Total capacity in bytes.
@@ -98,7 +120,7 @@ impl SparseMemory {
     /// Number of pages materialized so far (for memory-footprint
     /// diagnostics).
     pub fn resident_pages(&self) -> usize {
-        self.shards.borrow().iter().map(|s| s.len()).sum()
+        self.table.borrow().pages().count()
     }
 
     /// Calls `visit` with every resident page in ascending page order —
@@ -106,12 +128,7 @@ impl SparseMemory {
     /// materialized pages are visited, even all-zero ones: residency is
     /// part of the state.
     pub fn for_each_page(&self, mut visit: impl FnMut(u64, &[u8; PAGE_BYTES])) {
-        let shards = self.shards.borrow();
-        let mut ids: Vec<u64> = shards.iter().flat_map(|s| s.keys().copied()).collect();
-        ids.sort_unstable();
-        for id in ids {
-            visit(id, &shards[id as usize % SHARD_COUNT][&id]);
-        }
+        self.table.borrow().pages().for_each(|(id, page)| visit(id, page));
     }
 
     /// Deterministic digest of the resident content ([`hmc_types::Fnv`]
@@ -130,42 +147,32 @@ impl SparseMemory {
         h.finish()
     }
 
-    /// Materializes `page_id` with exactly `bytes`, replacing any
-    /// existing content (checkpoint restore). Rejects pages beyond the
-    /// store's capacity.
-    pub fn insert_page(&self, page_id: u64, bytes: &[u8; PAGE_BYTES]) -> Result<(), HmcError> {
-        let start = page_id
-            .checked_mul(PAGE_BYTES as u64)
-            .ok_or(HmcError::AddressOutOfRange(page_id))?;
-        self.check_range(start, PAGE_BYTES.min(self.capacity.saturating_sub(start) as usize))?;
-        if start >= self.capacity {
-            return Err(HmcError::AddressOutOfRange(start));
-        }
-        self.shards.borrow_mut()[page_id as usize % SHARD_COUNT].insert(page_id, Box::new(*bytes));
+    /// Makes `bytes` page `page_id`, replacing any existing content
+    /// (checkpoint restore). Rejects pages beyond the store's capacity.
+    pub fn insert_page(&self, page_id: u64, bytes: Page) -> Result<(), HmcError> {
+        let start =
+            page_id.checked_mul(PAGE_BYTES as u64).ok_or(HmcError::AddressOutOfRange(page_id))?;
+        self.check_range(start, 1)?;
+        *self.table.borrow_mut().slot(page_id) = Some(bytes);
         Ok(())
     }
 
     fn check_range(&self, addr: u64, len: usize) -> Result<(), HmcError> {
-        let end = addr
-            .checked_add(len as u64)
-            .ok_or(HmcError::AddressOutOfRange(addr))?;
-        if end > self.capacity {
-            return Err(HmcError::AddressOutOfRange(addr));
-        }
-        Ok(())
+        let fits = addr.checked_add(len as u64).is_some_and(|end| end <= self.capacity);
+        fits.then_some(()).ok_or(HmcError::AddressOutOfRange(addr))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), HmcError> {
         self.check_range(addr, buf.len())?;
-        let shards = self.shards.borrow();
+        let table = self.table.borrow();
         let mut off = 0usize;
         while off < buf.len() {
             let cur = addr + off as u64;
             let page = cur / PAGE_BYTES as u64;
             let in_page = (cur % PAGE_BYTES as u64) as usize;
             let n = (PAGE_BYTES - in_page).min(buf.len() - off);
-            match shards[page as usize % SHARD_COUNT].get(&page) {
+            match table.get(page) {
                 Some(p) => buf[off..off + n].copy_from_slice(&p[in_page..in_page + n]),
                 None => buf[off..off + n].fill(0),
             }
@@ -177,17 +184,14 @@ impl SparseMemory {
     /// Writes `buf` starting at `addr`, materializing pages as needed.
     pub fn write(&self, addr: u64, buf: &[u8]) -> Result<(), HmcError> {
         self.check_range(addr, buf.len())?;
-        let mut shards = self.shards.borrow_mut();
+        let mut table = self.table.borrow_mut();
         let mut off = 0usize;
         while off < buf.len() {
             let cur = addr + off as u64;
             let page = cur / PAGE_BYTES as u64;
             let in_page = (cur % PAGE_BYTES as u64) as usize;
             let n = (PAGE_BYTES - in_page).min(buf.len() - off);
-            let p = shards[page as usize % SHARD_COUNT]
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_BYTES]));
-            p[in_page..in_page + n].copy_from_slice(&buf[off..off + n]);
+            table.page(page)[in_page..in_page + n].copy_from_slice(&buf[off..off + n]);
             off += n;
         }
         Ok(())
@@ -237,7 +241,7 @@ impl SparseMemory {
             return;
         }
         let page = addr / PAGE_BYTES as u64;
-        if let Some(p) = self.shards.borrow()[page as usize % SHARD_COUNT].get(&page) {
+        if let Some(p) = self.table.borrow().get(page) {
             let start = (addr % PAGE_BYTES as u64) as usize;
             std::hint::black_box(p[start]);
             if len > HOST_LINE {
@@ -275,14 +279,11 @@ impl SparseMemory {
             }
             return Ok(old);
         }
-        let mut shards = self.shards.borrow_mut();
-        let shard = &mut shards[page as usize % SHARD_COUNT];
-        let Some(p) = shard.get_mut(&page) else {
+        let mut table = self.table.borrow_mut();
+        let Some(p) = table.get_mut(page) else {
             let old = [0u8; N];
             if let Some(new) = f(old) {
-                let mut p = Box::new([0u8; PAGE_BYTES]);
-                p[in_page..in_page + N].copy_from_slice(&new);
-                shard.insert(page, p);
+                table.page(page)[in_page..in_page + N].copy_from_slice(&new);
             }
             return Ok(old);
         };
@@ -345,7 +346,7 @@ impl SparseMemory {
             return Ok(());
         }
         if let Some((page, in_page)) = Self::one_page(addr, len) {
-            match self.shards.borrow()[page as usize % SHARD_COUNT].get(&page) {
+            match self.table.borrow().get(page) {
                 Some(p) => {
                     for (w, b) in out.iter_mut().zip(p[in_page..in_page + len].chunks_exact(8)) {
                         *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
@@ -376,11 +377,8 @@ impl SparseMemory {
             return Ok(());
         }
         if let Some((page, in_page)) = Self::one_page(addr, len) {
-            let mut shards = self.shards.borrow_mut();
-            let p = shards[page as usize % SHARD_COUNT]
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_BYTES]));
-            for (b, w) in p[in_page..in_page + len].chunks_exact_mut(8).zip(words) {
+            let mut table = self.table.borrow_mut();
+            for (b, w) in table.page(page)[in_page..in_page + len].chunks_exact_mut(8).zip(words) {
                 b.copy_from_slice(&w.to_le_bytes());
             }
             return Ok(());
@@ -399,8 +397,8 @@ impl SparseMemory {
 
 impl std::fmt::Debug for SparseMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Page contents are excluded on purpose: the derived map
-        // output would be megabytes, in iteration order.
+        // Page contents are excluded on purpose: they would be
+        // megabytes.
         f.debug_struct("SparseMemory")
             .field("capacity", &self.capacity)
             .field("resident_pages", &self.resident_pages())
@@ -652,19 +650,157 @@ mod tests {
         let mem = SparseMemory::default();
         assert!(mem.read_u64(0).is_err());
         assert!(mem.write_u64(0, 1).is_err());
-        assert!(mem.insert_page(0, &[0; PAGE_BYTES]).is_err());
+        assert!(mem.insert_page(0, Box::new([0; PAGE_BYTES])).is_err());
         assert_eq!(mem.resident_pages(), 0);
         mem.for_each_page(|_, _| unreachable!("no pages"));
     }
 
+    /// The page table's oracle: pages in a `BTreeMap`, bytes one at a
+    /// time.
+    struct Model {
+        capacity: u64,
+        pages: std::collections::BTreeMap<u64, Page>,
+    }
+
+    impl Model {
+        fn read(&self, addr: u64, len: usize) -> Option<Vec<u8>> {
+            let byte = |a: u64| {
+                let page = self.pages.get(&(a / PAGE_BYTES as u64));
+                page.map_or(0, |p| p[(a % PAGE_BYTES as u64) as usize])
+            };
+            self.fits(addr, len).then(|| (addr..addr + len as u64).map(byte).collect())
+        }
+
+        /// Whether it wrote: only a write that fits does.
+        fn write(&mut self, addr: u64, bytes: &[u8]) -> bool {
+            if !self.fits(addr, bytes.len()) {
+                return false;
+            }
+            for (a, &b) in (addr..).zip(bytes) {
+                let page = self.pages.entry(a / PAGE_BYTES as u64).or_insert_with(|| Box::new([0; _]));
+                page[(a % PAGE_BYTES as u64) as usize] = b;
+            }
+            true
+        }
+
+        fn fits(&self, addr: u64, len: usize) -> bool {
+            addr.checked_add(len as u64).is_some_and(|end| end <= self.capacity)
+        }
+
+        fn digest(&self) -> u64 {
+            let mut h = hmc_types::Fnv::new();
+            h.word(self.capacity);
+            for (&id, page) in &self.pages {
+                h.word(id);
+                h.bytes(&page[..]);
+            }
+            h.finish()
+        }
+    }
+
+    /// The little-endian words of `bytes`.
+    fn words(bytes: &[u8]) -> Vec<u64> {
+        bytes.chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect()
+    }
+
+    proptest::proptest! {
+        /// Every accessor against a `BTreeMap` of pages, on the default
+        /// store and on 4 GiB and 8 GiB cubes, around their first and
+        /// last pages, a leaf boundary, past the capacity and where an
+        /// address overflows: the same results, the same resident pages
+        /// in ascending order from `for_each_page`, the same digest.
+        #[test]
+        fn the_page_table_matches_a_btreemap_of_pages(
+            gib in proptest::sample::select(vec![0u64, 4, 8]),
+            ops in proptest::collection::vec(
+                (0u8..9, 0usize..5, 0..2 * PAGE_BYTES as u64, proptest::prelude::any::<u64>()),
+                1..48,
+            ),
+        ) {
+            use proptest::prop_assert_eq;
+            let capacity = gib << 30;
+            let mem = if gib == 0 { SparseMemory::default() } else { SparseMemory::new(capacity) };
+            let mut model = Model { capacity, pages: Default::default() };
+            let leaf = LEAF_PAGES * PAGE_BYTES as u64;
+            let last = capacity.saturating_sub(PAGE_BYTES as u64);
+            for (op, anchor, offset, value) in ops {
+                // Within a page either side of the first page, a leaf
+                // boundary, the last page or the end (below 0: the top
+                // of the address space).
+                let anchor = [0, leaf, 3 * leaf, last, capacity][anchor];
+                let addr = anchor.wrapping_add(offset).wrapping_sub(PAGE_BYTES as u64);
+                let len = (value % 300) as usize;
+                let bytes: Vec<u8> = match value % 4 {
+                    0 => vec![0; len],
+                    _ => (0..len).map(|i| (value >> (i % 8 * 8)) as u8 ^ i as u8).collect(),
+                };
+                let writes = value % 3 != 0;
+                match op {
+                    0 => prop_assert_eq!(mem.write(addr, &bytes).is_ok(), model.write(addr, &bytes)),
+                    1 => {
+                        let mut buf = vec![0xa5; len];
+                        let read = mem.read(addr, &mut buf).ok().map(|()| buf);
+                        prop_assert_eq!(read, model.read(addr, len));
+                    }
+                    2 => {
+                        let whole = &bytes[..len / 8 * 8];
+                        let wrote = mem.write_words(addr, &words(whole)).is_ok();
+                        prop_assert_eq!(wrote, model.write(addr, whole));
+                    }
+                    3 => {
+                        let want = model.read(addr, len / 8 * 8).map(|b| words(&b));
+                        prop_assert_eq!(mem.read_words(addr, len / 8).ok(), want);
+                    }
+                    4 => {
+                        let got = mem.update_u64(addr, |old| writes.then_some(old ^ value));
+                        let old = model.read(addr, 8).map(|b| words(&b)[0]);
+                        prop_assert_eq!(got.ok(), old);
+                        if let (Some(old), true) = (old, writes) {
+                            model.write(addr, &(old ^ value).to_le_bytes());
+                        }
+                    }
+                    5 => {
+                        let add = (value as u128) << 64 | value.rotate_left(7) as u128;
+                        let got = mem.update_u128(addr, |old| writes.then_some(old.wrapping_add(add)));
+                        let old = model.read(addr, 16).map(|b| u128::from_le_bytes(b.try_into().unwrap()));
+                        prop_assert_eq!(got.ok(), old);
+                        if let (Some(old), true) = (old, writes) {
+                            model.write(addr, &old.wrapping_add(add).to_le_bytes());
+                        }
+                    }
+                    6 => mem.touch(addr, len),
+                    _ => {
+                        let id = addr / PAGE_BYTES as u64;
+                        let page: Page = Box::new(std::array::from_fn(|i| *bytes.get(i).unwrap_or(&0)));
+                        let fits = model.fits(id * PAGE_BYTES as u64, 1);
+                        prop_assert_eq!(mem.insert_page(id, page.clone()).is_ok(), fits);
+                        if fits {
+                            model.pages.insert(id, page);
+                        }
+                    }
+                }
+                let mut visited = Vec::new();
+                mem.for_each_page(|id, page| visited.push((id, Box::new(*page))));
+                let want: Vec<(u64, Page)> = model.pages.iter().map(|(&id, p)| (id, p.clone())).collect();
+                prop_assert_eq!(visited, want, "op {} at {:#x}", op, addr);
+                prop_assert_eq!(mem.resident_pages(), model.pages.len());
+                prop_assert_eq!(mem.content_digest(), model.digest());
+            }
+        }
+    }
+
     #[test]
-    fn pages_of_one_shard_spread_over_the_table() {
-        // Ids in a shard share their low four bits. An unfolded product
-        // hands them to the map as its bucket index: 4 buckets of 64.
-        use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<PageIdHasher>::default();
-        let low: std::collections::HashSet<u64> =
-            (0..64u64).map(|i| build.hash_one(i * SHARD_COUNT as u64 + 5) & 63).collect();
-        assert!(low.len() >= 24, "64 ids of one shard landed in {} of 64 buckets", low.len());
+    fn a_capacity_past_the_largest_store_is_capped() {
+        let mem = SparseMemory::new(u64::MAX);
+        assert_eq!(mem.capacity(), MAX_CAPACITY);
+        let last = MAX_CAPACITY - 8;
+        mem.write_u64(last, 7).unwrap();
+        assert!(mem.write_u64(MAX_CAPACITY, 7).is_err());
+        assert!(mem
+            .insert_page(MAX_CAPACITY / PAGE_BYTES as u64, Box::new([1; PAGE_BYTES]))
+            .is_err());
+        let mut ids = Vec::new();
+        mem.for_each_page(|id, _| ids.push(id));
+        assert_eq!(ids, [last / PAGE_BYTES as u64]);
     }
 }

@@ -215,6 +215,9 @@ impl DeviceConfig {
         if self.capacity == 0 || !self.capacity.is_power_of_two() {
             return bad(format!("capacity {} must be a nonzero power of two", self.capacity));
         }
+        if self.capacity > hmc_mem::store::MAX_CAPACITY {
+            return bad(format!("capacity {} is past the largest store", self.capacity));
+        }
         if self.capacity < (self.total_vaults() * self.banks_per_vault * self.block_size) as u64 {
             return bad("capacity smaller than one block per bank".into());
         }
@@ -504,6 +507,10 @@ mod tests {
         let mut c = DeviceConfig::gen2_4link_4gb();
         c.capacity = 3 << 30;
         assert!(c.validate().is_err());
+        c.capacity = hmc_mem::store::MAX_CAPACITY;
+        assert!(c.validate().is_ok());
+        c.capacity *= 2;
+        assert!(c.validate().is_err(), "past the largest store");
 
         let mut c = DeviceConfig::gen2_4link_4gb();
         c.fault = FaultPlan::seeded(1).with_link_event(0, 9, false);

@@ -14,20 +14,23 @@
 //!
 //! The schema is versioned (`schema_version`, currently
 //! [`SNAPSHOT_SCHEMA_VERSION`]): a parser never guesses at a future
-//! layout, it rejects it loudly, and it still reads versions 1 and 2,
-//! which name no machine (no `config`, no CMC fields). Parsing
-//! is strict throughout — every object goes through [`ObjReader`] and
-//! unknown or missing fields are errors, never silently dropped.
+//! layout, it rejects it loudly, and it still reads versions 1 to 3 —
+//! 1 and 2 name no machine (no `config`, no CMC fields). Parsing is
+//! strict throughout — every object goes through [`ObjReader`],
+//! unknown or missing fields are errors, never silently dropped, and
+//! page ids must ascend.
 //!
 //! Notable encoding choices:
 //!
 //! * integers only (the `jsonv` contract): `f64` power coefficients
 //!   are stored as [`f64::to_bits`] so they restore bit-exactly;
-//! * memory pages are hex strings keyed by page id, covering **every**
-//!   resident page (even all-zero ones — residency itself is part of
-//!   the fingerprint);
+//! * memory pages are `[id, mask, hex]` in ascending id order, covering
+//!   **every** resident page (even all-zero ones, `[id, 0, ""]` —
+//!   residency itself is part of the fingerprint): bit `k` of the `u64`
+//!   mask is set when 64-byte line `k` holds a nonzero byte, and `hex`
+//!   holds only those lines, so a checkpoint costs what memory holds;
 //! * a flight-recorder lane is one hex string of fixed-width packed
-//!   records (the same hex kernel as pages);
+//!   records (the same hex kernels as pages, eight digits per step);
 //! * packet command codes carry an explicit `cmc` flag, because the
 //!   wire code alone cannot distinguish `HmcRqst::Cmc(code)` from the
 //!   standard command sharing that code (and response code 0 means
@@ -55,7 +58,7 @@ use crate::timing::{TimingSelect, TimingSnapshot, TimingStats};
 use crate::trace::{
     CmdRef, FlightLane, FlightLaneSnapshot, FlightSnapshot, TraceKind, TraceRecord,
 };
-use hmc_mem::store::PAGE_BYTES;
+use hmc_mem::store::{MAX_CAPACITY, PAGE_BYTES};
 use hmc_mem::SparseMemory;
 use hmc_types::{
     Cub, HmcResponse, HmcRqst, ReqHead, ReqTail, Request, Response, RspHead, RspTail, Slid, Tag,
@@ -64,12 +67,15 @@ use hmc_types::{
 use std::collections::VecDeque;
 
 /// Version number written into the durable snapshot schema. Bump on
-/// any incompatible layout change. Version 3 names the machine: a
-/// top-level `config` ([`SimConfig::to_json`]) and each device's
-/// `cmc_libraries` and `cmc_codes`. Version 2 packs each flight lane
-/// into one hex string. Documents of version 2 and of version 1 (a
-/// lane as arrays of twelve integers) still load, naming no machine.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 3;
+/// any incompatible layout change. Version 4 writes a page as
+/// `[id, mask, hex]`, only the lines that hold a nonzero byte.
+/// Version 3 names the machine: a top-level `config`
+/// ([`SimConfig::to_json`]) and each device's `cmc_libraries` and
+/// `cmc_codes`. Version 2 packs each flight lane into one hex string.
+/// Documents of version 3 (a page as `[id, hex]` of all its bytes)
+/// still load, and so do those of version 2 and of version 1 (a lane
+/// as arrays of twelve integers), naming no machine.
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 4;
 
 /// Wraps a domain error (`bad tag`, `bad cub`, …) as a [`JsonError`]
 /// prefixed with `what`.
@@ -98,61 +104,98 @@ fn nested_from_json<T>(
 // Hex page encoding
 // ---------------------------------------------------------------------------
 
-/// The two lower-case hex digits of every byte value.
-const HEX_PAIRS: [[u8; 2]; 256] = {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut pairs = [[0u8; 2]; 256];
-    let mut b = 0;
-    while b < 256 {
-        pairs[b] = [DIGITS[b >> 4], DIGITS[b & 0xF]];
-        b += 1;
-    }
-    pairs
-};
+/// One in every byte of a word.
+const ONES: u64 = u64::MAX / 0xFF;
 
-/// What [`HEX_VALUES`] holds for a byte that is not a hex digit: a
-/// value no digit has in its high nibble.
-const NOT_HEX: u8 = 0xFF;
+/// The high bit of every byte of a word.
+const HIGH: u64 = ONES * 0x80;
 
-/// The value of every hex digit, either case.
-const HEX_VALUES: [u8; 256] = {
-    let mut values = [NOT_HEX; 256];
-    let mut v = 0;
-    while v < 16 {
-        values[HEX_PAIRS[v as usize][1] as usize] = v;
-        values[HEX_PAIRS[v as usize][1].to_ascii_uppercase() as usize] = v;
-        v += 1;
+/// The eight lower-case hex digits of `four`, the first in the top byte
+/// of the word: each nibble spread into a byte of its own, then raised
+/// to its digit — `'0'` more, and `'a' - '9' - 1` more again above 9.
+#[inline]
+fn hex8(four: [u8; 4]) -> [u8; 8] {
+    let x = u64::from(u32::from_be_bytes(four));
+    let x = ((x & 0xFFFF_0000) << 16) | (x & 0xFFFF);
+    let x = ((x & 0x0000_FF00_0000_FF00) << 8) | (x & 0x0000_00FF_0000_00FF);
+    let x = ((x & 0x00F0_00F0_00F0_00F0) << 4) | (x & 0x000F_000F_000F_000F);
+    let above_nine = ((x + ONES * 6) >> 4) & ONES;
+    (x + ONES * u64::from(b'0') + above_nine * u64::from(b'a' - b'9' - 1)).to_be_bytes()
+}
+
+/// The four bytes of eight hex digits of either case, and a word that
+/// is nonzero when one of the eight is not a hex digit. Each class test
+/// leaves a byte's high bit set where it holds; a byte with its high
+/// bit set is no digit, and is cleared first so no sum carries into the
+/// next byte.
+#[inline]
+fn unhex8(eight: [u8; 8]) -> ([u8; 4], u64) {
+    let within = |w: u64, lo: u8, hi: u8| {
+        (w + ONES * u64::from(0x80 - lo)) & !(w + ONES * u64::from(0x7F - hi)) & HIGH
+    };
+    let digits = u64::from_be_bytes(eight);
+    let w = digits & !HIGH;
+    let letter = within(w | (ONES * 0x20), b'a', b'f');
+    let bad = (digits & HIGH) | ((within(w, b'0', b'9') | letter) ^ HIGH);
+    let nibbles = (w & (ONES * 0x0F)) + (letter >> 7) * 9;
+    let x = ((nibbles >> 4) | nibbles) & 0x00FF_00FF_00FF_00FF;
+    let x = ((x >> 8) | x) & 0x0000_FFFF_0000_FFFF;
+    ((((x >> 16) | x) as u32).to_be_bytes(), bad)
+}
+
+/// Writes the `2 * bytes.len()` lower-case hex digits of `bytes` into
+/// `digits`, eight per step.
+fn hex_into(bytes: &[u8], digits: &mut [u8]) {
+    let (fours, tail) = bytes.as_chunks::<4>();
+    let (eights, rest) = digits.as_chunks_mut::<8>();
+    for (eight, &four) in eights.iter_mut().zip(fours) {
+        *eight = hex8(four);
     }
-    values
-};
+    if !tail.is_empty() {
+        let mut four = [0u8; 4];
+        four[..tail.len()].copy_from_slice(tail);
+        rest.copy_from_slice(&hex8(four)[..rest.len()]);
+    }
+}
 
 fn hex_encode(bytes: &[u8]) -> String {
-    let mut digits = vec![0u8; bytes.len() * 2];
-    for (pair, &b) in digits.chunks_exact_mut(2).zip(bytes) {
-        pair.copy_from_slice(&HEX_PAIRS[b as usize]);
-    }
+    let mut digits = vec![0u8; 2 * bytes.len()];
+    hex_into(bytes, &mut digits);
     String::from_utf8(digits).expect("hex digits are ASCII")
 }
 
 /// Decodes `2 * out.len()` hex digits into `out` (which holds garbage
-/// after an error).
-fn hex_decode(s: &str, out: &mut [u8], ctx: &str) -> Result<(), JsonError> {
-    if s.len() != 2 * out.len() {
+/// after an error), eight per step. Digits are kilobytes of a page or a
+/// lane, and a bad one is a corrupt file: decode them all, test once.
+fn hex_decode(
+    digits: &(impl AsRef<[u8]> + ?Sized),
+    out: &mut [u8],
+    ctx: &str,
+) -> Result<(), JsonError> {
+    let digits = digits.as_ref();
+    if digits.len() != 2 * out.len() {
         return Err(JsonError::new(format!(
             "{ctx}: {} hex digits where {} bytes are expected",
-            s.len(),
+            digits.len(),
             out.len()
         )));
     }
-    // A page is kilobytes of digits and a bad one is a corrupt file:
-    // decode it all, test once.
-    let mut seen = 0;
-    for (byte, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
-        let (hi, lo) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
-        seen |= hi | lo;
-        *byte = (hi << 4) | lo;
+    let (fours, tail) = out.as_chunks_mut::<4>();
+    let (eights, rest) = digits.as_chunks::<8>();
+    let mut bad = 0;
+    for (four, &eight) in fours.iter_mut().zip(eights) {
+        let (value, wrong) = unhex8(eight);
+        *four = value;
+        bad |= wrong;
     }
-    if seen & 0xF0 != 0 {
+    if !tail.is_empty() {
+        let mut eight = [b'0'; 8];
+        eight[..rest.len()].copy_from_slice(rest);
+        let (value, wrong) = unhex8(eight);
+        tail.copy_from_slice(&value[..tail.len()]);
+        bad |= wrong;
+    }
+    if bad != 0 {
         return Err(JsonError::new(format!("{ctx}: invalid hex digit")));
     }
     Ok(())
@@ -465,26 +508,84 @@ fn power_from_json(v: &Json) -> Result<PowerModel, JsonError> {
     Ok(out)
 }
 
+/// Bytes per line of a schema-4 page: its mask has a bit per line.
+const LINE_BYTES: usize = PAGE_BYTES / 64;
+
+/// A page as `[id, mask, hex]`: bit `k` of `mask` is set when line `k`
+/// holds a nonzero byte, and `hex` holds those lines in order.
+fn page_json(id: u64, page: &[u8; PAGE_BYTES]) -> Json {
+    let lines = page.chunks_exact(LINE_BYTES).enumerate();
+    let mask = lines.clone().fold(0u64, |mask, (k, line)| {
+        mask | ((line.iter().fold(0, |any, &b| any | b) != 0) as u64) << k
+    });
+    let mut digits = vec![0u8; 2 * LINE_BYTES * mask.count_ones() as usize];
+    let held = lines.filter(|(k, _)| mask >> k & 1 == 1);
+    for (out, (_, line)) in digits.chunks_exact_mut(2 * LINE_BYTES).zip(held) {
+        hex_into(line, out);
+    }
+    let hex = String::from_utf8(digits).expect("hex digits are ASCII");
+    Json::Arr(vec![id.into(), mask.into(), Json::Str(hex)])
+}
+
+/// A page entry of schema `version`: `[id, mask, hex]` since 4, the
+/// whole page as `[id, hex]` before.
+fn page_from_json(entry: &Json, version: u64) -> Result<(u64, Box<[u8; PAGE_BYTES]>), JsonError> {
+    let (id, mask, hex) = match version {
+        1..=3 => {
+            let [id, hex] = entry.tuple("mem: page entry [id, hex]")?;
+            (id, u64::MAX, hex)
+        }
+        _ => {
+            let [id, mask, hex] = entry.tuple("mem: page entry [id, mask, hex]")?;
+            (id, mask.int("mem: page mask")?, hex)
+        }
+    };
+    let id: u64 = id.int("mem: page id")?;
+    let hex = hex.as_str().ok_or_else(|| JsonError::new("mem: page bytes must be a hex string"))?;
+    let held = mask.count_ones() as usize;
+    if hex.len() != 2 * LINE_BYTES * held {
+        return Err(JsonError::new(format!(
+            "mem: page {id} holds {} hex digits where {held} lines need {}",
+            hex.len(),
+            2 * LINE_BYTES * held
+        )));
+    }
+    let mut page = Box::new([0u8; PAGE_BYTES]);
+    let lines = page.chunks_exact_mut(LINE_BYTES).enumerate().filter(|(k, _)| mask >> k & 1 == 1);
+    for ((_, line), digits) in lines.zip(hex.as_bytes().chunks_exact(2 * LINE_BYTES)) {
+        hex_decode(digits, line, "mem page")?;
+    }
+    Ok((id, page))
+}
+
 fn mem_json(mem: &SparseMemory) -> Json {
     let mut pages = Vec::with_capacity(mem.resident_pages());
-    mem.for_each_page(|id, bytes| {
-        pages.push(Json::Arr(vec![id.into(), Json::Str(hex_encode(bytes))]));
-    });
+    mem.for_each_page(|id, page| pages.push(page_json(id, page)));
     obj(vec![("capacity", mem.capacity().into()), ("pages", Json::Arr(pages))])
 }
 
-fn mem_from_json(v: &Json) -> Result<SparseMemory, JsonError> {
+/// The memory section of schema `version`. Page ids ascend, as the
+/// writer lists them: a repeated or out-of-order id is an error, not a
+/// page that silently replaces another.
+fn mem_from_json(v: &Json, version: u64) -> Result<SparseMemory, JsonError> {
     let mut r = ObjReader::new("mem", v)?;
-    let mem = SparseMemory::new(r.u64("capacity")?);
-    let mut bytes = [0u8; PAGE_BYTES];
-    for page in r.arr("pages")? {
-        let [id, hex] = page.tuple("mem: page entry [id, hex]")?;
-        let id: u64 = id.int("mem: page id")?;
-        let hex =
-            hex.as_str().ok_or_else(|| JsonError::new("mem: page bytes must be a hex string"))?;
-        hex_decode(hex, &mut bytes, "mem page")?;
-        mem.insert_page(id, &bytes)
+    let capacity = r.u64("capacity")?;
+    if capacity > MAX_CAPACITY {
+        return Err(JsonError::new(format!(
+            "mem: capacity {capacity} is past the largest store ({MAX_CAPACITY})"
+        )));
+    }
+    let mem = SparseMemory::new(capacity);
+    let mut last = None;
+    for entry in r.arr("pages")? {
+        let (id, page) = page_from_json(entry, version)?;
+        if let Some(last) = last.filter(|&last| id <= last) {
+            let how = if id == last { "listed twice" } else { "out of order" };
+            return Err(JsonError::new(format!("mem: page {id} is {how} (after page {last})")));
+        }
+        mem.insert_page(id, page)
             .map_err(|e| JsonError::new(format!("mem: page {id} rejected: {e}")))?;
+        last = Some(id);
     }
     r.finish()?;
     Ok(mem)
@@ -1018,7 +1119,7 @@ fn device_from_json(v: &Json, version: u64) -> Result<DeviceSnapshot, JsonError>
         vaults,
         banks,
         vault_banks,
-        mem: mem_from_json(r.required("mem")?)?,
+        mem: mem_from_json(r.required("mem")?, version)?,
         regs: regs_from_json(r.required("regs")?)?,
         stats: stats_from_json(r.required("stats")?)?,
         power: power_from_json(r.required("power")?)?,
@@ -1172,6 +1273,172 @@ mod tests {
         // A multibyte character keeps the length and is no digit.
         let spoiled = format!("\u{e9}{}", &hex[2..]);
         assert!(hex_decode(&spoiled, &mut back, "t").is_err());
+        // Eight digits go per step: every length of the last group, and
+        // a bad digit at its end.
+        for len in 0..=9 {
+            let bytes = &bytes[0xf0..0xf0 + len];
+            let hex = hex_encode(bytes);
+            assert_eq!(hex, bytes.iter().map(|b| format!("{b:02x}")).collect::<String>());
+            hex_decode(&hex, &mut back[..len], "t").unwrap();
+            assert_eq!(back[..len], bytes[..]);
+            if len > 0 {
+                let spoiled = format!("{}g", &hex[..hex.len() - 1]);
+                assert!(hex_decode(&spoiled, &mut back[..len], "t").is_err(), "{len} bytes");
+            }
+        }
+    }
+
+    /// A store holding `pages`, through the schema-4 codec and back.
+    fn pages_round_trip(pages: &[(u64, &[(usize, u8)])]) -> (Json, SparseMemory) {
+        let mem = SparseMemory::new(1 << 20);
+        for &(id, bytes) in pages {
+            let mut page = Box::new([0u8; PAGE_BYTES]);
+            for &(at, b) in bytes {
+                page[at] = b;
+            }
+            mem.insert_page(id, page).unwrap();
+        }
+        let doc = Json::parse(&mem_json(&mem).render()).unwrap();
+        let back = mem_from_json(&doc, SNAPSHOT_SCHEMA_VERSION).unwrap();
+        assert_eq!(back.content_digest(), mem.content_digest(), "{pages:?}");
+        assert_eq!(back.resident_pages(), pages.len());
+        (doc, back)
+    }
+
+    /// Each page's `[mask, hex digits]` as written.
+    fn masks(doc: &Json) -> Vec<(u64, usize)> {
+        let pages = doc.get("pages").unwrap().arr("pages").unwrap();
+        let entry = |p: &Json| {
+            let [_, mask, hex] = p.tuple("page").unwrap();
+            (mask.as_u64().unwrap(), hex.as_str().unwrap().len())
+        };
+        pages.iter().map(entry).collect()
+    }
+
+    #[test]
+    fn schema_4_pages_hold_only_their_nonzero_lines() {
+        let every_line: Vec<(usize, u8)> =
+            (0..64).map(|k| (k * LINE_BYTES + k, k as u8 + 1)).collect();
+        let (doc, _) = pages_round_trip(&[
+            (0, &[]),                    // resident, all zero: [0, 0, ""]
+            (1, &every_line),            // all 64 lines
+            (2, &[(0, 0xff)]),           // line 0 only
+            (3, &[(PAGE_BYTES - 1, 1)]), // line 63 only
+            (4, &[(63, 7)]),             // the last byte of line 0
+            (5, &[(64, 7)]),             // the first byte of line 1
+            (6, &[(63, 1), (64, 0x80)]), // both sides of the boundary
+            (255, &[(2048, 0x5a)]),      // line 32 of the last page
+        ]);
+        let line = 2 * LINE_BYTES;
+        assert_eq!(
+            masks(&doc),
+            [
+                (0, 0),
+                (u64::MAX, 64 * line),
+                (1, line),
+                (1 << 63, line),
+                (1, line),
+                (2, line),
+                (3, 2 * line),
+                (1 << 32, line)
+            ]
+        );
+        let pages = doc.get("pages").unwrap().as_arr().unwrap();
+        assert_eq!(pages[0].render(), r#"[0,0,""]"#);
+        let (id, page) = page_from_json(&pages[6], SNAPSHOT_SCHEMA_VERSION).unwrap();
+        assert_eq!(
+            (id, page[63], page[64], page.iter().filter(|&&b| b != 0).count()),
+            (6, 1, 0x80, 2)
+        );
+    }
+
+    #[test]
+    fn a_page_whose_mask_and_hex_disagree_is_a_typed_error() {
+        let (doc, _) = pages_round_trip(&[(7, &[(64, 1), (150, 2)])]);
+        let entry = &doc.get("pages").unwrap().as_arr().unwrap()[0];
+        let [_, mask, hex] = entry.tuple("page").unwrap();
+        let (mask, hex) = (mask.as_u64().unwrap(), hex.as_str().unwrap());
+        assert_eq!(mask, 0b110);
+        let err = |mask: Json, hex: &str| {
+            let entry = Json::Arr(vec![7u64.into(), mask, Json::Str(hex.to_string())]);
+            page_from_json(&entry, SNAPSHOT_SCHEMA_VERSION).unwrap_err().message
+        };
+        let short = "mem: page 7 holds 256 hex digits where 3 lines need 384";
+        assert_eq!(err((mask | 1).into(), hex), short);
+        assert_eq!(
+            err(0b10u64.into(), hex),
+            "mem: page 7 holds 256 hex digits where 1 lines need 128"
+        );
+        assert_eq!(
+            err(mask.into(), &hex[1..]),
+            "mem: page 7 holds 255 hex digits where 2 lines need 256"
+        );
+        assert_eq!(err(mask.into(), ""), "mem: page 7 holds 0 hex digits where 2 lines need 256");
+        for bad in ["g", "G", "/", ":", " ", "\u{7f}"] {
+            for at in [0, 127, 128, 255] {
+                let mut spoiled = hex.to_string();
+                spoiled.replace_range(at..at + 1, bad);
+                assert_eq!(
+                    err(mask.into(), &spoiled),
+                    "mem page: invalid hex digit",
+                    "{bad:?} at {at}"
+                );
+            }
+        }
+        // A multibyte character in place of two digits: the length
+        // holds, no byte of it is a digit, and nothing slices through it.
+        assert_eq!(
+            err(mask.into(), &format!("\u{e9}{}", &hex[2..])),
+            "mem page: invalid hex digit"
+        );
+        assert_eq!(err(Json::Int(-1), hex), "mem: page mask must be a u64");
+        // A rotated mask moves the same lines: it decodes, to other bytes.
+        let entry = Json::Arr(vec![7u64.into(), mask.rotate_left(1).into(), Json::Str(hex.into())]);
+        let (_, page) = page_from_json(&entry, SNAPSHOT_SCHEMA_VERSION).unwrap();
+        assert_eq!((page[64], page[128], page[214]), (0, 1, 2));
+    }
+
+    #[test]
+    fn a_page_listed_twice_or_out_of_order_is_rejected_in_every_schema() {
+        let (doc, mem) = pages_round_trip(&[(0, &[(8, 1)]), (5, &[(16, 2)])]);
+        let entries = doc.get("pages").unwrap().as_arr().unwrap();
+        let (first, fifth) = (&entries[0], &entries[1]);
+        let (_, mut other) = page_from_json(fifth, SNAPSHOT_SCHEMA_VERSION).unwrap();
+        other[16] = 3;
+        let other = page_json(5, &other);
+        for version in 1..=SNAPSHOT_SCHEMA_VERSION {
+            // Before schema 4 a page is `[id, hex]` of all its bytes.
+            let entry = |e: &Json| match version {
+                1..=3 => {
+                    let (id, page) = page_from_json(e, SNAPSHOT_SCHEMA_VERSION).unwrap();
+                    Json::Arr(vec![id.into(), Json::Str(hex_encode(&page[..]))])
+                }
+                _ => e.clone(),
+            };
+            let load = |list: &[&Json]| {
+                let pages = Json::Arr(list.iter().map(|e| entry(e)).collect());
+                let v = obj(vec![("capacity", (1u64 << 20).into()), ("pages", pages)]);
+                mem_from_json(&v, version).map(|m| m.content_digest()).map_err(|e| e.message)
+            };
+            assert_eq!(load(&[first, fifth]), Ok(mem.content_digest()), "schema {version}");
+            assert_eq!(
+                load(&[first, fifth, &other]),
+                Err("mem: page 5 is listed twice (after page 5)".into()),
+                "schema {version}"
+            );
+            assert_eq!(
+                load(&[fifth, first]),
+                Err("mem: page 0 is out of order (after page 5)".into()),
+                "schema {version}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_capacity_past_the_largest_store_is_rejected() {
+        let v = obj(vec![("capacity", (MAX_CAPACITY + 1).into()), ("pages", Json::Arr(vec![]))]);
+        let err = mem_from_json(&v, SNAPSHOT_SCHEMA_VERSION).unwrap_err().message;
+        assert_eq!(err, "mem: capacity 1099511627777 is past the largest store (1099511627776)");
     }
 
     #[test]

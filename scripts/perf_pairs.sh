@@ -5,19 +5,23 @@
 # Builds perf/ in two checkouts of the repository (say a `git clone` of the
 # parent commit beside the working tree), then runs <pairs> pairs of the
 # workload, alternating which side goes first so that neither always runs on
-# the warmer or the quieter host. Prints every pair's value of the judged
-# metric (--metric, default sim_cycles_per_s; any end-to-end metric perf/
-# prints) and its reqs_per_s, each side's median and quartiles of
-# sim_cycles_per_s, reqs_per_s, setup_s and peak_rss_mb, its fastest round,
-# and for the judged metric the win count and the verdict: a gain counts when
-# the change is ahead in at least nine tenths of at least ten pairs (ties for
-# neither side) and the medians are further apart than the parent's own
-# quartiles. Ahead means higher, except for setup_s and peak_rss_mb, where
-# lower is better.
+# the warmer or the quieter host. The judged metric (--metric, default
+# sim_cycles_per_s) is any metric the change tree's BENCHMARK.json lists,
+# end-to-end or per-layer, and its `better` there says which way is ahead; a
+# name it does not list is refused. A per-layer metric is read from traced
+# runs (--trace 1), which report no end-to-end metric.
 #
-# Exits nonzero if any run reports failed != 0 or the two sides' `check`
-# lines differ (a speed-up may not move simulated state); the verdict itself
-# never fails the script.
+# Prints every pair's value of the judged metric (and, untraced, its
+# reqs_per_s), each side's median and quartiles of the judged metric (and,
+# untraced, of sim_cycles_per_s, reqs_per_s, setup_s and peak_rss_mb, and its
+# fastest round), and for the judged metric the win count and the verdict: a
+# gain counts when the change is ahead in at least nine tenths of at least ten
+# pairs (ties for neither side) and the medians are further apart than the
+# parent's own quartiles.
+#
+# Exits nonzero if any run reports a failed operation or the two sides'
+# `check` lines differ (a speed-up may not move simulated state); the verdict
+# itself never fails the script.
 #
 # Usage: scripts/perf_pairs.sh [--metric NAME] <parent-tree> <change-tree> \
 #            <workload> [pairs=10] [seconds=15] [seed=1] [-- extra perf args]
@@ -33,10 +37,6 @@ while [ $# -gt 0 ]; do
   if [ "$1" = --metric ]; then [ $# -ge 2 ] || usage; METRIC=$2; shift 2; continue; fi
   ARGS+=("$1"); shift
 done
-case $METRIC in
-  setup_s | peak_rss_mb) LOWER=1 ;;
-  *) LOWER=0 ;;
-esac
 [ ${#ARGS[@]} -ge 3 ] && [ ${#ARGS[@]} -le 6 ] || usage
 PARENT=$(cd "${ARGS[0]}" && pwd)
 CHANGE=$(cd "${ARGS[1]}" && pwd)
@@ -44,6 +44,23 @@ WORKLOAD=${ARGS[2]}
 PAIRS=${ARGS[3]:-10}
 SECONDS_EACH=${ARGS[4]:-15}
 SEED=${ARGS[5]:-1}
+
+# The judged metric's section and direction, as BENCHMARK.json declares them
+# (one metric object per line).
+read -r SECTION BETTER < <(awk -v m="$METRIC" '
+  /"end_to_end"/ { section = "end_to_end" }
+  /"per_layer"/ { section = "per_layer" }
+  section != "" && index($0, "\"name\": \"" m "\"") && match($0, /"better": *"[a-z]+"/) {
+    better = substr($0, RSTART, RLENGTH); gsub(/"better": *"|"/, "", better)
+    print section, better; exit
+  }' "$CHANGE/BENCHMARK.json") || true
+case ${BETTER:-} in
+  lower) LOWER=1 ;;
+  higher) LOWER=0 ;;
+  *) echo "FAIL: $METRIC is not a metric $CHANGE/BENCHMARK.json lists" >&2; exit 2 ;;
+esac
+TRACE=0
+[ "$SECTION" = per_layer ] && TRACE=1
 
 build() { # <tree>: builds perf/ there; leaves a clean frozen lock file clean
   local tree=$1 lock_was_clean=0
@@ -60,14 +77,15 @@ trap 'rm -rf "$OUT"' EXIT
 run() { # <side> <tree> <pair>: one run; its stdout lands in $OUT/<side>.<pair>
   local log="$OUT/$1.$3"
   if ! "$2/perf/target/release/perf" --workload "$WORKLOAD" --seed "$SEED" \
-        --seconds "$SECONDS_EACH" --trace 0 ${EXTRA[@]+"${EXTRA[@]}"} > "$log"; then
+        --seconds "$SECONDS_EACH" --trace $TRACE ${EXTRA[@]+"${EXTRA[@]}"} > "$log"; then
     echo "FAIL: the $1 run of pair $3 exited nonzero" >&2
     grep -E '^(failed_share|check) ' "$log" >&2 || true
     exit 1
   fi
-  grep -q '^failed_share 0 ' "$log" || { echo "FAIL: $1 run of pair $3: $(grep '^failed_share' "$log")" >&2; exit 1; }
+  grep -q '"failed": 0,' "$log" || { echo "FAIL: $1 run of pair $3: $(grep -o '"attempted": [0-9]*, "failed": [0-9]*' "$log")" >&2; exit 1; }
 }
 metric() { awk -v m="$2" '$1 == "metric" && $2 == m { print $3 }' "$1"; }
+reqs() { awk '$1 == "metric" && $2 == "reqs_per_s" { r = sprintf("%.0f", $3) } END { print r == "" ? "-" : r }' "$1"; } # <log>
 values() { for ((j = 1; j <= PAIRS; j++)); do metric "$OUT/$1.$j" "$2"; done; } # <side> <metric>
 stats() { # values on stdin -> "q1 median q3 min max" (quartiles by linear interpolation)
   sort -g | awk '{ v[NR] = $1 }
@@ -75,9 +93,12 @@ stats() { # values on stdin -> "q1 median q3 min max" (quartiles by linear inter
     END { printf "%.8g %.8g %.8g %.8g %.8g\n", q(.25), q(.5), q(.75), v[1], v[NR] }'
 }
 
-echo "perf_pairs workload=$WORKLOAD metric=$METRIC pairs=$PAIRS seconds=$SECONDS_EACH seed=$SEED extra='${EXTRA[*]:-}' nproc=$(nproc)"
+echo "perf_pairs workload=$WORKLOAD metric=$METRIC ($SECTION, $BETTER is better) trace=$TRACE pairs=$PAIRS seconds=$SECONDS_EACH seed=$SEED extra='${EXTRA[*]:-}' nproc=$(nproc)"
 echo "parent=$PARENT ($(git -C "$PARENT" rev-parse --short HEAD 2>/dev/null || echo '?'))"
 echo "change=$CHANGE ($(git -C "$CHANGE" rev-parse --short HEAD 2>/dev/null || echo '?'), plus its working tree)"
+# Untraced runs also report reqs_per_s and the other end-to-end metrics.
+SUMMARY=(sim_cycles_per_s reqs_per_s setup_s peak_rss_mb)
+[ $TRACE = 0 ] || SUMMARY=("$METRIC")
 printf '%4s %-6s %16s %16s %7s %14s %14s\n' pair first "parent_$METRIC" "change_$METRIC" ratio parent_reqs/s change_reqs/s
 # ahead <a> <b>: 1 when value a is better than value b.
 ahead() { awk -v a="$1" -v b="$2" -v lower=$LOWER 'BEGIN { print (lower ? a < b : a > b) }'; }
@@ -91,9 +112,8 @@ for ((i = 1; i <= PAIRS; i++)); do
   fi
   P=$(metric "$OUT/parent.$i" "$METRIC"); C=$(metric "$OUT/change.$i" "$METRIC")
   [ -n "$P" ] && [ -n "$C" ] || { echo "FAIL: pair $i reports no metric $METRIC" >&2; exit 1; }
-  printf '%4d %-6s %16.8g %16.8g %7.3f %14.0f %14.0f\n' "$i" "$FIRST" "$P" "$C" \
-    "$(awk -v p="$P" -v c="$C" 'BEGIN { print c / p }')" \
-    "$(metric "$OUT/parent.$i" reqs_per_s)" "$(metric "$OUT/change.$i" reqs_per_s)"
+  printf '%4d %-6s %16.8g %16.8g %7.3f %14s %14s\n' "$i" "$FIRST" "$P" "$C" \
+    "$(awk -v p="$P" -v c="$C" 'BEGIN { print c / p }')" "$(reqs "$OUT/parent.$i")" "$(reqs "$OUT/change.$i")"
   WINS=$((WINS + $(ahead "$C" "$P")))
   LOSSES=$((LOSSES + $(ahead "$P" "$C")))
 done
@@ -107,12 +127,13 @@ fi
 echo "check lines identical: $(grep -h '^check ' "$OUT/parent.1" | cut -d' ' -f2-)"
 
 for SIDE in parent change; do
-  for M in sim_cycles_per_s reqs_per_s setup_s peak_rss_mb; do
+  for M in "${SUMMARY[@]}"; do
     read -r Q1 MED Q3 MIN MAX < <(values $SIDE $M | stats)
     printf '%-6s %-16s median %14s  quartiles %14s .. %14s  (min %s, max %s)\n' $SIDE $M "$MED" "$Q1" "$Q3" "$MIN" "$MAX"
   done
   # Every round of every run of this side: the least wall, and the rate it
   # means at the run's cycle count.
+  [ $TRACE = 0 ] || continue
   for ((i = 1; i <= PAIRS; i++)); do
     CYCLES=$(metric "$OUT/$SIDE.$i" sim_cycles)
     grep '^raw ' "$OUT/$SIDE.$i" | sed 's/.*round_walls_s=\[\([^]]*\)\].*/\1/' | tr ',' '\n' | awk -v c="$CYCLES" 'NF { print $1, c }'

@@ -1,23 +1,27 @@
 //! The snapshot codec and the state fingerprint describe the same
 //! state.
 //!
-//! * **Byte stability** — `tests/golden/snapshot_v3.json` is the busy
+//! * **Byte stability** — `tests/golden/snapshot_v4.json` is the busy
 //!   mesh's snapshot as this schema renders it (`BLESS=1 cargo test
 //!   --test snapshot_codec golden` regenerates it after an intentional
 //!   format change; review the diff and bump `SNAPSHOT_SCHEMA_VERSION`).
 //!   It must load and re-render byte for byte, and the same scenario
-//!   must still render to it. `tests/golden/snapshot_v2.json`, rendered
-//!   before snapshots named their machine, and `snapshot_v1.json`,
-//!   rendered before flight lanes were packed, are the legacy loads:
-//!   each decodes to the same fingerprint and flight records and
-//!   re-renders as v3 with no `config` and no CMC fields.
+//!   must still render to it. `tests/golden/snapshot_v3.json`, rendered
+//!   before pages held only their nonzero lines, `snapshot_v2.json`,
+//!   rendered before snapshots named their machine, and
+//!   `snapshot_v1.json`, rendered before flight lanes were packed, are
+//!   the legacy loads: each decodes to the same fingerprint and flight
+//!   records and re-renders as v4 — v2 and v1 with no `config` and no
+//!   CMC fields.
 //! * **Coverage** — every persisted leaf outside the sections the
 //!   fingerprint does not visit (the observers `shadow`, `flight`,
 //!   `timing` and the machine: `config`, `cmc_libraries`, `cmc_codes`)
 //!   moves the fingerprint, no leaf inside one does, and a live context
 //!   fingerprints like its snapshot. A packed flight lane is perturbed
 //!   digit by digit: each either decodes, fingerprint unmoved, or is a
-//!   typed error. Together with `snapshot_roundtrip.rs` (decode∘encode
+//!   typed error. A page's line mask is perturbed bit by bit and
+//!   rotated: a flipped bit is a typed error, a rotation moves the lines
+//!   and the fingerprint. Together with `snapshot_roundtrip.rs` (decode∘encode
 //!   keeps the fingerprint) this pins *fingerprint ≡ persisted state
 //!   modulo observers and machine*.
 //! * **A snapshot names its machine** — `HmcSim::from_snapshot`
@@ -165,7 +169,7 @@ fn read_golden(name: &str) -> String {
     text.trim_end().to_string()
 }
 
-/// A schema-3 document with its machine taken out — `config` null and
+/// A schema-4 document with its machine taken out — `config` null and
 /// every device's CMC fields empty — which is how a v1 or v2 document
 /// re-renders.
 fn without_machine(mut doc: Json) -> Json {
@@ -184,28 +188,32 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
     let snap = busy_mesh().snapshot();
     let rendered = snap.to_json_full();
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(golden_path("snapshot_v3.json"), format!("{rendered}\n")).unwrap();
+        std::fs::write(golden_path("snapshot_v4.json"), format!("{rendered}\n")).unwrap();
     }
-    let golden = read_golden("snapshot_v3.json");
+    let golden = read_golden("snapshot_v4.json");
     assert!(
         rendered == golden,
-        "snapshot_v3.json drifted from the checked-in snapshot bytes; if intentional, bump \
+        "snapshot_v4.json drifted from the checked-in snapshot bytes; if intentional, bump \
          SNAPSHOT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test snapshot_codec golden \
          and review the diff"
     );
 
     // The files on disk — not what this build just rendered — through
     // the decoder and back.
-    let loaded = SimSnapshot::from_json(&golden).expect("the v3 golden loads");
-    assert!(loaded.to_json_full() == golden, "the v3 golden re-renders byte for byte");
+    let loaded = SimSnapshot::from_json(&golden).expect("the v4 golden loads");
+    assert!(loaded.to_json_full() == golden, "the v4 golden re-renders byte for byte");
     assert_eq!(loaded.fingerprint(), snap.fingerprint());
     let machineless = without_machine(Json::parse(&golden).unwrap()).render();
-    for name in ["snapshot_v2.json", "snapshot_v1.json"] {
+    for (name, renders_as) in [
+        ("snapshot_v3.json", &golden),
+        ("snapshot_v2.json", &machineless),
+        ("snapshot_v1.json", &machineless),
+    ] {
         let legacy = SimSnapshot::from_json(&read_golden(name)).expect(name);
         assert_eq!(legacy.fingerprint(), snap.fingerprint(), "{name}");
         assert_eq!(legacy.flight(), snap.flight(), "{name}");
-        assert!(legacy.config().is_none(), "{name} names no machine");
-        assert!(legacy.to_json_full() == machineless, "{name} re-renders as v3 without a machine");
+        assert_eq!(legacy.config().is_some(), name == "snapshot_v3.json", "{name}: its machine");
+        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v4");
     }
     assert!(snap.flight().is_some_and(|f| f.len() == 20), "every lane holds records");
 
@@ -242,7 +250,7 @@ fn flight_rejection(mut doc: Json, edit: &FlightEdit) -> String {
 fn check_flight_rejected(want: &str, edit: &FlightEdit) {
     let current = busy_mesh().snapshot().to_json_value();
     let legacy = Json::parse(&read_golden("snapshot_v1.json")).unwrap();
-    for (schema, doc) in [("v3", current), ("v1", legacy)] {
+    for (schema, doc) in [("v4", current), ("v1", legacy)] {
         assert_eq!(flight_rejection(doc, edit), want, "schema {schema}");
     }
 }
@@ -545,6 +553,59 @@ fn perturb_packed_lane(doc: &mut Json, path: &[usize], base: u64) -> usize {
     decoded
 }
 
+/// Perturbs the line mask of the page entry `[id, mask, hex]` whose
+/// mask is at `path`, the way [`perturb_packed_lane`] perturbs a lane:
+/// each of its 64 bits flipped alone must be a typed error (`hex` then
+/// holds too few or too many lines), and the mask rotated by a line
+/// either way — the same lines, moved — must decode to a state that
+/// fingerprints apart from `base`. Returns how many decoded: both
+/// rotations, unless no line or every line is held.
+fn perturb_page_mask(doc: &mut Json, path: &[usize], base: u64) -> usize {
+    let original = node_at(doc, path).0.clone();
+    let mask = original.as_u64().expect("a page mask is a u64");
+    let flips = (0..64).map(|k| mask ^ 1 << k);
+    let rotations = [mask.rotate_left(1), mask.rotate_right(1)].into_iter().filter(|&m| m != mask);
+    let mut decoded = 0;
+    for candidate in flips.chain(rotations) {
+        *node_at(doc, path).0 = Json::Int(candidate.into());
+        match SimSnapshot::from_json_value(doc) {
+            Ok(snap) => {
+                assert_eq!(
+                    candidate.count_ones(),
+                    mask.count_ones(),
+                    "mask {candidate:#x} at {path:?}"
+                );
+                assert_ne!(
+                    snap.fingerprint(),
+                    base,
+                    "mask {candidate:#x} at {path:?} moved no line"
+                );
+                decoded += 1;
+            }
+            Err(e) => assert!(e.message.contains("hex digits where"), "{}", e.message),
+        }
+    }
+    *node_at(doc, path).0 = original;
+    assert_eq!(decoded, if mask == 0 || mask == u64::MAX { 0 } else { 2 }, "mask at {path:?}");
+    decoded
+}
+
+/// Whether the page id at `path` (of an entry `[id, mask, hex]`) is
+/// hemmed in by its neighbours: page ids ascend, so an id whose
+/// neighbours are one below it (or that is 0) and one above it has no
+/// other value to take.
+fn hemmed_page_id(doc: &mut Json, path: &[usize]) -> bool {
+    let (list, at) = (&path[..path.len() - 2], path[path.len() - 2]);
+    let pages = node_at(doc, list).0.as_arr().expect("a page list");
+    let id = |i: usize| pages.get(i)?.as_arr()?.first()?.as_u64();
+    let v = id(at).expect("a page id");
+    let below = match at {
+        0 => v == 0,
+        _ => id(at - 1) == v.checked_sub(1),
+    };
+    below && id(at + 1) == Some(v + 1)
+}
+
 /// Perturbs every leaf of `snap`'s JSON form, one at a time: a leaf
 /// outside the [`UNVISITED`] sections must move the fingerprint, a leaf
 /// inside one must not. Returns the accepted perturbations per
@@ -563,6 +624,11 @@ fn check_every_leaf(snap: &SimSnapshot) -> std::collections::BTreeMap<String, us
             *accepted.entry("flight".to_string()).or_insert(0) += decoded;
             continue;
         }
+        if keys.last().is_some_and(|k| k == "pages") && path.last() == Some(&1) {
+            let decoded = perturb_page_mask(&mut doc, &path, base);
+            *accepted.entry(keys[0].clone()).or_insert(0) += decoded;
+            continue;
+        }
         // The schema version names a layout, not state: version 1 still
         // reads a document without recorded lanes, to the same state.
         let observer = keys
@@ -577,12 +643,18 @@ fn check_every_leaf(snap: &SimSnapshot) -> std::collections::BTreeMap<String, us
         let Some(perturbed) = decoded else {
             // Only a closed vocabulary (or an absent observer's `null`)
             // may reject every candidate — and a configuration, which
-            // must stay valid.
+            // must stay valid, a page id its neighbours hem in and the
+            // empty lines of an all-zero page, `[id, 0, ""]`.
             let leaf_key = keys.last().unwrap().as_str();
+            let page_leaf = |doc: &mut Json| match path.last() {
+                Some(0) => hemmed_page_id(doc, &path),
+                _ => *node_at(doc, &path).0 == Json::Str(String::new()),
+            };
             assert!(
                 ["schema_version", "kind", "select", "name", "names", "shadow", "flight"]
                     .contains(&leaf_key)
-                    || keys[0] == "config",
+                    || keys[0] == "config"
+                    || (leaf_key == "pages" && page_leaf(&mut doc)),
                 "no perturbation of {keys:?} (path {path:?}) decodes: the leaf is not covered"
             );
             continue;
@@ -649,6 +721,34 @@ fn every_leaf_of_the_faulted_cube_moves_the_fingerprint_unless_an_observer_owns_
             "config",
         ],
     );
+}
+
+/// A page list as the writer lists it, ids ascending, is the only one
+/// that loads: a page listed again with other bytes, or two pages
+/// swapped, would otherwise decode to a state no snapshot holds.
+#[test]
+fn a_page_listed_twice_or_out_of_order_is_a_typed_error() {
+    let doc = faulted_cube().snapshot().to_json_value();
+    let id = |page: &Json| page.as_arr().unwrap()[0].as_u64().unwrap();
+    let mut twice = doc.clone();
+    let pages = array_at(&mut twice, "devices/0/mem/pages");
+    let (first, second, last) = (id(&pages[0]), id(&pages[1]), id(pages.last().unwrap()));
+    let mut again = pages.last().unwrap().clone();
+    let Json::Arr(entry) = &mut again else { panic!("a page is an array") };
+    let Some(Json::Str(hex)) = entry.last_mut() else { panic!("a page ends in its hex") };
+    hex.replace_range(0..1, if hex.starts_with('0') { "1" } else { "0" });
+    pages.push(again);
+    let mut swapped = doc.clone();
+    array_at(&mut swapped, "devices/0/mem/pages").swap(0, 1);
+    for (mutant, want) in [
+        (twice, format!("mem: page {last} is listed twice (after page {last})")),
+        (swapped, format!("mem: page {first} is out of order (after page {second})")),
+    ] {
+        match SimSnapshot::from_json(&mutant.render()) {
+            Ok(snap) => panic!("`{want}` loaded, fingerprint {:#x}", snap.fingerprint()),
+            Err(e) => assert_eq!(e.message, want),
+        }
+    }
 }
 
 #[test]
