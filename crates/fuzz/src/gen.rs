@@ -53,17 +53,16 @@ impl ScenarioGenerator {
         // per-scenario stream untouched.
         let trace = rng.below(4) == 0;
         // Timing axis drawn after `trace` (same stream-stability
-        // argument). Half the stream stays on the pre-trait fixed
-        // backend; the rest splits between the new ones.
-        let timing = match rng.below(4) {
-            0 => TimingSelect::RowBuffer,
-            1 => TimingSelect::Validated,
-            _ => TimingSelect::FixedLatency,
-        };
-        // Refresh only matters to the row-buffer model, so its draw is
-        // gated on (and sampled after) the timing axis — older streams
-        // never drew it and keep their exact device configs.
-        if timing != TimingSelect::FixedLatency && rng.below(2) == 0 {
+        // argument): a quarter of the stream runs `row_buffer`. Draw 1
+        // chose a retired backend whose banks ran `fixed` timing; it now
+        // yields `fixed` and keeps its refresh draw, so each such
+        // scenario runs the machine it always ran.
+        let draw = rng.below(4);
+        let timing = if draw == 0 { TimingSelect::RowBuffer } else { TimingSelect::FixedLatency };
+        // The refresh draw is gated on (and sampled after) the timing
+        // draw — older streams never drew it and keep their exact
+        // device configs.
+        if draw < 2 && rng.below(2) == 0 {
             let interval = 64 + rng.below(448);
             let duration = 1 + rng.below(interval.min(32) - 1);
             device.refresh = Some(RefreshConfig { interval, duration });
@@ -260,28 +259,21 @@ mod tests {
         assert!(scenarios.iter().any(|s| s.sim.telemetry.enabled));
         assert!(scenarios.iter().any(|s| s.trace));
         assert!(scenarios.iter().any(|s| !s.trace));
-        for timing in
-            [TimingSelect::FixedLatency, TimingSelect::RowBuffer, TimingSelect::Validated]
-        {
+        for timing in TimingSelect::NAMES.map(|(_, timing)| timing) {
             assert!(
                 scenarios.iter().any(|s| s.sim.timing == timing),
                 "timing axis diversity: no {timing:?} scenario in 200 draws"
             );
         }
-        assert!(
-            scenarios
-                .iter()
-                .any(|s| s.sim.timing != TimingSelect::FixedLatency
-                    && s.sim.devices[0].refresh.is_some()),
-            "refresh must appear alongside the row-aware backends"
-        );
-        assert!(
-            scenarios
-                .iter()
-                .filter(|s| s.sim.timing == TimingSelect::FixedLatency)
-                .all(|s| s.sim.devices[0].refresh.is_none()),
-            "fixed-backend scenarios never draw refresh"
-        );
+        // Refresh rides with timing draws 0 (`row_buffer`) and 1 (now
+        // `fixed`): both keep their plans.
+        let refreshing = |s: &&Scenario| s.sim.devices[0].refresh.is_some();
+        for timing in TimingSelect::NAMES.map(|(_, timing)| timing) {
+            assert!(
+                scenarios.iter().filter(refreshing).any(|s| s.sim.timing == timing),
+                "no {timing:?} scenario with a refresh plan in 200 draws"
+            );
+        }
         for topology in [LinkTopology::HostOnly, LinkTopology::Chain, LinkTopology::Ring] {
             assert!(scenarios.iter().any(|s| s.sim.topology == topology), "no {topology:?}");
         }

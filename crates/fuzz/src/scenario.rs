@@ -93,11 +93,7 @@ impl Scenario {
         let fault_weight = (fault.poison_per_million as u64 / 1_000)
             + (fault.vault_error_per_million as u64 / 1_000)
             + fault.link_schedule.len() as u64 * 8;
-        let timing = match self.sim.timing {
-            TimingSelect::FixedLatency => 0,
-            TimingSelect::RowBuffer => 1,
-            TimingSelect::Validated => 2,
-        };
+        let timing = (self.sim.timing == TimingSelect::RowBuffer) as u64;
         let (sim, trace) = (&self.sim, self.trace as u64);
         let observers = sim.sanitizer.enabled as u64 + sim.telemetry.enabled as u64 + trace;
         // A single cube weighs nothing (the historic shape); every
@@ -193,7 +189,7 @@ fn legacy_sim(r: &mut ObjReader, value: &Json, device: &Json) -> Result<SimConfi
         sim.telemetry = TelemetryConfig::full();
     }
     if value.get("timing").is_some() {
-        sim.timing = r.named("timing", &TimingSelect::NAMES)?;
+        sim.timing = r.named("timing", &TimingSelect::READ_NAMES)?;
     }
     let mut cubes = 1;
     if let Some(fabric) = r.optional("fabric") {

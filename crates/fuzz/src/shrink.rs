@@ -165,9 +165,9 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
     let mut c = s.clone();
     c.sim.sanitizer = SanitizerConfig::disabled();
     push(c);
-    // Timing axis: fall back to the fixed backend (clearing refresh
-    // with it, since only the row-aware backends react to refresh), or
-    // clear just the refresh plan.
+    // Timing axis: fall back to the paper's model — the fixed backend
+    // without refresh — or clear just the refresh plan, which holds
+    // banks under every backend.
     let mut c = each_device(&|d| d.refresh = None);
     c.sim.timing = TimingSelect::FixedLatency;
     push(c);
@@ -237,7 +237,7 @@ mod tests {
                 skip_mode: SkipMode::On,
                 sanitizer: SanitizerConfig::report(),
                 telemetry: TelemetryConfig::full(),
-                timing: TimingSelect::Validated,
+                timing: TimingSelect::RowBuffer,
                 ..SimConfig::mesh(d, 2, 2)
             },
             trace: true,

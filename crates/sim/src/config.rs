@@ -6,7 +6,7 @@
 //! queues and 128-slot crossbar queues.
 
 use crate::dram::{BankTiming, RefreshConfig};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, LinkErrorMode};
 use crate::link::LinkConfig;
 use crate::timing::TimingSelect;
 use hmc_types::{CmdKind, HmcError, HmcRqst};
@@ -66,6 +66,25 @@ impl SpecRevision {
             },
         }
     }
+}
+
+/// What a [`DeviceConfig`] fixes of its device's state for the whole
+/// run: the length of every per-link and per-vault array and the sizes
+/// nothing changes once the device is built. Tag-pool capacity is not
+/// here: `configure_tag_pool` changes it at run time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DeviceShape {
+    pub(crate) links: usize,
+    pub(crate) vaults: usize,
+    pub(crate) banks_per_vault: usize,
+    /// The depth of both queues of every vault.
+    pub(crate) vault_queue_depth: usize,
+    /// The depth of both crossbar queues of every link.
+    pub(crate) xbar_queue_depth: usize,
+    /// The memory capacity in bytes.
+    pub(crate) capacity: u64,
+    /// Every link's configuration.
+    pub(crate) link: LinkConfig,
 }
 
 /// Static configuration of one HMC device.
@@ -181,6 +200,27 @@ impl DeviceConfig {
     #[inline]
     pub fn total_vaults(&self) -> usize {
         self.quads * self.vaults_per_quad
+    }
+
+    /// What this configuration fixes of a device's state: a device is
+    /// built from it, and `HmcSim::restore` holds a snapshot to it.
+    pub(crate) fn shape(&self) -> DeviceShape {
+        // The fault plan's deterministic mode absorbs the legacy
+        // `error_period` knob: an explicit EveryNth plan overrides the
+        // link configuration.
+        let link = match self.fault.link_error {
+            LinkErrorMode::EveryNth(n) => LinkConfig { error_period: Some(n), ..self.link_config },
+            _ => self.link_config,
+        };
+        DeviceShape {
+            links: self.links,
+            vaults: self.total_vaults(),
+            banks_per_vault: self.banks_per_vault,
+            vault_queue_depth: self.vault_queue_depth,
+            xbar_queue_depth: self.xbar_queue_depth,
+            capacity: self.capacity,
+            link,
+        }
     }
 
     /// Validates structural invariants (power-of-two geometry, legal

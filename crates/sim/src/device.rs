@@ -27,7 +27,7 @@ use crate::timing::{TimingEngine, TimingSelect, TimingStats};
 use crate::power::{PowerConfig, PowerModel};
 use crate::queue::{BoundedQueue, FreeList};
 use crate::regs::RegisterFile;
-use crate::snapshot::{fits, DeviceSnapshot};
+use crate::snapshot::DeviceSnapshot;
 use crate::stats::DeviceStats;
 use crate::trace::{CmdRef, TraceKind, TraceLevel, TraceRecord, Tracer};
 use hmc_cmc::{CmcContext, CmcRegistry};
@@ -176,11 +176,8 @@ pub(crate) struct Vault {
 }
 
 impl Vault {
-    fn new(config: &DeviceConfig) -> Self {
-        Vault {
-            rqst: BoundedQueue::new(config.vault_queue_depth),
-            rsp: BoundedQueue::new(config.vault_queue_depth),
-        }
+    fn new(depth: usize) -> Self {
+        Vault { rqst: BoundedQueue::new(depth), rsp: BoundedQueue::new(depth) }
     }
 }
 
@@ -315,7 +312,7 @@ pub struct Device {
     vaults: Vec<Vault>,
     /// Every bank of the device, indexed by global bank number
     /// `vault * banks_per_vault + bank` (the number refresh staggers
-    /// by and the `validated` shadow is indexed by).
+    /// by).
     banks: Vec<Bank>,
     /// Vaults with a queued request; stages 3 and 4 keep it.
     rqst_waiting: VaultSet,
@@ -354,28 +351,26 @@ impl Device {
     ) -> Result<Self, HmcError> {
         config.validate()?;
         let timing = TimingEngine::new(select, &config);
+        let shape = config.shape();
+        let xbar_depth = shape.xbar_queue_depth;
         Ok(Device {
             id,
             map: AddressMap::new(&config),
-            xbar_rqst: (0..config.links)
-                .map(|_| BoundedQueue::new(config.xbar_queue_depth))
-                .collect(),
-            xbar_rsp: (0..config.links)
-                .map(|_| BoundedQueue::new(config.xbar_queue_depth))
-                .collect(),
-            vaults: (0..config.total_vaults()).map(|_| Vault::new(&config)).collect(),
-            banks: vec![Bank::default(); config.total_vaults() * config.banks_per_vault],
-            rqst_waiting: VaultSet::new(config.total_vaults()),
-            rsp_waiting: VaultSet::new(config.total_vaults()),
-            mem: SparseMemory::new(config.capacity),
+            xbar_rqst: (0..shape.links).map(|_| BoundedQueue::new(xbar_depth)).collect(),
+            xbar_rsp: (0..shape.links).map(|_| BoundedQueue::new(xbar_depth)).collect(),
+            vaults: (0..shape.vaults).map(|_| Vault::new(shape.vault_queue_depth)).collect(),
+            banks: vec![Bank::default(); shape.vaults * shape.banks_per_vault],
+            rqst_waiting: VaultSet::new(shape.vaults),
+            rsp_waiting: VaultSet::new(shape.vaults),
+            mem: SparseMemory::new(shape.capacity),
             cmc: CmcRegistry::new(),
             cmc_libraries: Vec::new(),
-            regs: RegisterFile::new(config.capacity, config.links),
+            regs: RegisterFile::new(shape.capacity, shape.links),
             stats: DeviceStats::default(),
             power: PowerModel::new(PowerConfig::default()),
             timing,
             fault_rng: FaultRng::new(config.fault.seed.wrapping_add(id as u64)),
-            link_up: vec![true; config.links],
+            link_up: vec![true; shape.links],
             fault_idx: 0,
             config,
         })
@@ -417,14 +412,13 @@ impl Device {
     }
 
     /// The timing backend's observation counters (latency-class
-    /// histograms, validated-mode divergence).
+    /// histograms).
     pub fn timing_stats(&self) -> &TimingStats {
         &self.timing.stats
     }
 
     /// Swaps the bank-timing backend, resetting its observation
-    /// counters and (for [`TimingSelect::Validated`]) its shadow bank
-    /// array. Bank state proper is untouched.
+    /// counters. Bank state proper is untouched.
     pub fn set_timing_model(&mut self, select: TimingSelect) {
         self.timing = TimingEngine::new(select, &self.config);
     }
@@ -1050,27 +1044,10 @@ impl Device {
         }
     }
 
-    /// Checks that snapshot `s` fits this device — its link queues,
-    /// link states, vaults and every vault's banks — and builds the
-    /// timing engine it carries, changing nothing.
-    pub(crate) fn fit_snapshot(&self, s: &DeviceSnapshot) -> Result<TimingEngine, HmcError> {
-        let (id, links) = (self.id, self.config.links);
-        fits(format_args!("`xbar_rqst` of device {id}"), s.xbar_rqst.len(), links)?;
-        fits(format_args!("`xbar_rsp` of device {id}"), s.xbar_rsp.len(), links)?;
-        fits(format_args!("`link_up` of device {id}"), s.link_up.len(), links)?;
-        fits(format_args!("`vaults` of device {id}"), s.vaults.len(), self.vaults.len())?;
-        for (v, &held) in s.vault_banks.iter().enumerate() {
-            let banks = self.config.banks_per_vault;
-            fits(format_args!("`banks` of device {id} vault {v}"), held, banks)?;
-        }
-        TimingEngine::from_snapshot(&s.timing, &self.config)
-    }
-
-    /// Restores the device's dynamic state from a snapshot that
-    /// [`Device::fit_snapshot`] accepted, with the timing engine it
-    /// built (static parts — configuration, address map, CMC registry —
-    /// are kept).
-    pub(crate) fn restore_state(&mut self, s: &DeviceSnapshot, timing: TimingEngine) {
+    /// Restores the device's dynamic state from a snapshot that fits
+    /// its configuration's shape (static parts — configuration, address
+    /// map, CMC registry — are kept).
+    pub(crate) fn restore_state(&mut self, s: &DeviceSnapshot) {
         self.xbar_rqst = s.xbar_rqst.clone();
         self.xbar_rsp = s.xbar_rsp.clone();
         self.vaults = s.vaults.clone();
@@ -1086,7 +1063,7 @@ impl Device {
         self.fault_rng = s.fault_rng.clone();
         self.link_up = s.link_up.clone();
         self.fault_idx = s.fault_idx;
-        self.timing = timing;
+        self.timing = TimingEngine::from_snapshot(&s.timing, &self.config);
     }
 
     /// Test backdoor: pushes a response directly into a crossbar
@@ -1752,15 +1729,15 @@ mod tests {
         assert!(!agree(&dev, "absorbed"));
 
         // A restore rebuilds the vault hints the test reads.
-        dev.restore_state(&answered, dev.fit_snapshot(&answered).unwrap());
+        dev.restore_state(&answered);
         assert!(agree(&dev, "restored with a response in the crossbar"));
-        dev.restore_state(&parked, dev.fit_snapshot(&parked).unwrap());
+        dev.restore_state(&parked);
         assert!(agree(&dev, "restored with a request in the crossbar"));
         route(&mut dev, 5, &mut tracer);
         let queued = dev.snapshot_state();
         let mut idle = device();
         assert!(!agree(&idle, "another new device"));
-        idle.restore_state(&queued, idle.fit_snapshot(&queued).unwrap());
+        idle.restore_state(&queued);
         assert!(agree(&idle, "restored with a request in a vault"));
         execute(&mut idle, 6, &mut tracer);
         idle.route_responses(7, &mut tracer);

@@ -104,19 +104,6 @@ impl RefreshConfig {
         self.starts_before(to.saturating_add(1), bank_index, total_banks)
             > self.starts_before(from, bank_index, total_banks)
     }
-
-    /// The earliest cycle at or after `from` where `bank_index` is not
-    /// blocked: `from` itself when outside a window, otherwise the end
-    /// of the window in force. (With the validated constraint
-    /// `duration < interval` the window end is always unblocked.)
-    pub fn next_unblocked(&self, from: u64, bank_index: u64, total_banks: u64) -> u64 {
-        if !self.blocks(from, bank_index, total_banks) {
-            return from;
-        }
-        let phase =
-            (from + self.interval - self.offset(bank_index, total_banks)) % self.interval;
-        from - phase + self.duration
-    }
 }
 
 /// One DRAM bank's dynamic state.
@@ -302,17 +289,6 @@ mod tests {
         assert!(!RefreshConfig { interval: 100, duration: 0 }.starts_in(0, 1_000, 0, 4));
     }
 
-    #[test]
-    fn next_unblocked_lands_exactly_on_the_window_end() {
-        let r = RefreshConfig { interval: 100, duration: 10 };
-        assert_eq!(r.next_unblocked(0, 0, 4), 10, "blocked at the left edge");
-        assert_eq!(r.next_unblocked(9, 0, 4), 10, "blocked on the last covered cycle");
-        assert_eq!(r.next_unblocked(10, 0, 4), 10, "already free: unchanged");
-        assert_eq!(r.next_unblocked(55, 0, 4), 55);
-        assert_eq!(r.next_unblocked(103, 0, 4), 110, "second period's window");
-        assert_eq!(r.next_unblocked(27, 1, 4), 35, "staggered bank offset respected");
-    }
-
     /// Satellite: the `total_banks == 0` degenerate stagger is defined
     /// (every bank behaves like bank 0 of 1) instead of dividing by
     /// zero.
@@ -324,7 +300,6 @@ mod tests {
             assert!(r.blocks(5, bank, 0), "all banks share offset 0");
             assert!(!r.blocks(15, bank, 0));
             assert!(r.starts_in(0, 0, bank, 0));
-            assert_eq!(r.next_unblocked(5, bank, 0), 10);
         }
     }
 

@@ -304,7 +304,7 @@ impl HmcSim {
                 MetricValue::Gauge(dev.regs().read(REG_GRLL).unwrap_or(0)),
             );
             // Timing-backend observations: per-latency-class service
-            // histograms, plus the validated mode's divergence record.
+            // histograms.
             let ts = dev.timing_stats();
             add(
                 format!("{p}/timing/backend/{}", dev.timing_select().name()),
@@ -318,19 +318,6 @@ impl HmcSim {
                 format!("{p}/timing/miss_latency"),
                 MetricValue::Histogram(Box::new(ts.miss_latency)),
             );
-            if dev.timing_select() == crate::timing::TimingSelect::Validated {
-                add(
-                    format!("{p}/timing/divergence"),
-                    MetricValue::Histogram(Box::new(ts.divergence)),
-                );
-                for (name, v) in [
-                    ("shadow_late", ts.shadow_late),
-                    ("shadow_early", ts.shadow_early),
-                    ("shadow_agree", ts.shadow_agree),
-                ] {
-                    add(format!("{p}/timing/{name}"), MetricValue::Counter(v));
-                }
-            }
             // Telemetry-only data: spans and windowed series.
             if let Some(t) = tel.devices.get(d) {
                 if tel.config.spans {

@@ -47,7 +47,7 @@ impl SimConfig {
             devices: r.vec("devices", device_from_json)?,
             topology: topology_from_json(r.required("topology")?)?,
             skip_mode: if r.bool("skip_mode")? { SkipMode::On } else { SkipMode::Off },
-            timing: r.named("timing", &TimingSelect::NAMES)?,
+            timing: r.named("timing", &TimingSelect::READ_NAMES)?,
             sanitizer: sanitizer_from_json(r.required("sanitizer")?)?,
             telemetry: telemetry_from_json(r.required("telemetry")?)?,
             exec_mode: ExecMode::default(),
@@ -294,7 +294,7 @@ mod tests {
         let mut c = SimConfig::mesh(exotic_device(), 2, 2);
         c.devices[3] = DeviceConfig::gen1_4link_2gb();
         c.skip_mode = SkipMode::On;
-        c.timing = TimingSelect::Validated;
+        c.timing = TimingSelect::RowBuffer;
         c.sanitizer = SanitizerConfig {
             watchdog_cycles: 7,
             trace_ring: 9,

@@ -12,7 +12,7 @@ use crate::device::{
 };
 use crate::events::EventHeap;
 use crate::fault::LinkErrorMode;
-use crate::link::{LinkConfig, LinkControl, LinkStats, SendGrant};
+use crate::link::{LinkControl, LinkStats, SendGrant};
 use crate::power::PowerReport;
 use crate::regs::{REG_GRLL, REG_LRLL};
 use crate::stats::DeviceStats;
@@ -174,16 +174,8 @@ impl HmcSim {
             .devices
             .iter()
             .map(|c| {
-                // The fault plan's deterministic mode absorbs the
-                // legacy `error_period` knob: an explicit EveryNth
-                // plan overrides the link configuration.
-                let link_config = match c.fault.link_error {
-                    LinkErrorMode::EveryNth(n) => {
-                        LinkConfig { error_period: Some(n), ..c.link_config }
-                    }
-                    _ => c.link_config,
-                };
-                (0..c.links).map(|_| LinkControl::new(link_config)).collect()
+                let shape = c.shape();
+                (0..shape.links).map(|_| LinkControl::new(shape.link)).collect()
             })
             .collect();
         let zombie_tags = config.devices.iter().map(|_| HashSet::new()).collect();
@@ -314,8 +306,7 @@ impl HmcSim {
     }
 
     /// A device's timing-backend observation counters (latency-class
-    /// histograms; divergence record under
-    /// [`TimingSelect::Validated`]).
+    /// histograms).
     pub fn timing_stats(&self, dev: usize) -> Result<&TimingStats, HmcError> {
         Ok(self.device(dev)?.timing_stats())
     }
@@ -1808,7 +1799,7 @@ mod tests {
             .map(|i| first + i * 0x1000)
             .find(|&a| same_bank(a) && loc(a).row != loc(first).row)
             .unwrap();
-        for timing in [TimingSelect::RowBuffer, TimingSelect::Validated] {
+        for timing in [TimingSelect::RowBuffer, TimingSelect::FixedLatency] {
             let run = |skip| {
                 let config = SimConfig { timing, ..SimConfig::single(dev.clone()) };
                 let mut sim = HmcSim::with_config(config).unwrap();

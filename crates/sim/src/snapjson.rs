@@ -14,8 +14,11 @@
 //!
 //! The schema is versioned (`schema_version`, currently
 //! [`SNAPSHOT_SCHEMA_VERSION`]): a parser never guesses at a future
-//! layout, it rejects it loudly, and it still reads versions 1 to 3 —
-//! 1 and 2 name no machine (no `config`, no CMC fields). Parsing is
+//! layout, it rejects it loudly, and it still reads versions 1 to 4 —
+//! 1 and 2 name no machine (no `config`, no CMC fields); 1 to 4 carry
+//! a timing record of the retired `validated` backend, read and
+//! dropped, and a document of any version that names `validated`
+//! loads as `fixed`, the machine it ran. Parsing is
 //! strict throughout — every object goes through [`ObjReader`],
 //! unknown or missing fields are errors, never silently dropped, and
 //! page ids must ascend.
@@ -67,15 +70,18 @@ use hmc_types::{
 use std::collections::VecDeque;
 
 /// Version number written into the durable snapshot schema. Bump on
-/// any incompatible layout change. Version 4 writes a page as
-/// `[id, mask, hex]`, only the lines that hold a nonzero byte.
-/// Version 3 names the machine: a top-level `config`
+/// any incompatible layout change. Version 5 writes a device's timing
+/// section as `{select, hit_latency, miss_latency}`. Version 4 writes
+/// a page as `[id, mask, hex]`, only the lines that hold a nonzero
+/// byte. Version 3 names the machine: a top-level `config`
 /// ([`SimConfig::to_json`]) and each device's `cmc_libraries` and
 /// `cmc_codes`. Version 2 packs each flight lane into one hex string.
-/// Documents of version 3 (a page as `[id, hex]` of all its bytes)
-/// still load, and so do those of version 2 and of version 1 (a lane
-/// as arrays of twelve integers), naming no machine.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 4;
+/// Documents of version 4 (a timing section that also holds the
+/// retired `validated` backend's record, dropped on read) still load,
+/// and so do those of version 3 (a page as `[id, hex]` of all its
+/// bytes), version 2 and version 1 (a lane as arrays of twelve
+/// integers), the last two naming no machine.
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 5;
 
 /// Wraps a domain error (`bad tag`, `bad cub`, …) as a [`JsonError`]
 /// prefixed with `what`.
@@ -1034,28 +1040,29 @@ fn timing_json(t: &TimingSnapshot) -> Json {
         ("select", t.select.name().into()),
         ("hit_latency", hist_json(&t.stats.hit_latency)),
         ("miss_latency", hist_json(&t.stats.miss_latency)),
-        ("divergence", hist_json(&t.stats.divergence)),
-        ("shadow_late", t.stats.shadow_late.into()),
-        ("shadow_early", t.stats.shadow_early.into()),
-        ("shadow_agree", t.stats.shadow_agree.into()),
-        ("shadow", Json::list(&t.shadow, bank_json)),
     ])
 }
 
-fn timing_from_json(v: &Json) -> Result<TimingSnapshot, JsonError> {
+/// A timing section of schema `version`. Before 5 it also carried the
+/// retired `validated` backend's record — a `divergence` histogram,
+/// three verdict counters and the `shadow` banks — read as strictly as
+/// ever and dropped: none of it was state.
+fn timing_from_json(v: &Json, version: u64) -> Result<TimingSnapshot, JsonError> {
     let mut r = ObjReader::new("timing", v)?;
     let out = TimingSnapshot {
-        select: r.named("select", &TimingSelect::NAMES)?,
+        select: r.named("select", &TimingSelect::READ_NAMES)?,
         stats: TimingStats {
             hit_latency: hist_from_json(r.required("hit_latency")?)?,
             miss_latency: hist_from_json(r.required("miss_latency")?)?,
-            divergence: hist_from_json(r.required("divergence")?)?,
-            shadow_late: r.u64("shadow_late")?,
-            shadow_early: r.u64("shadow_early")?,
-            shadow_agree: r.u64("shadow_agree")?,
         },
-        shadow: r.vec("shadow", bank_from_json)?,
     };
+    if version < 5 {
+        hist_from_json(r.required("divergence")?)?;
+        for key in ["shadow_late", "shadow_early", "shadow_agree"] {
+            r.u64(key)?;
+        }
+        r.vec("shadow", bank_from_json)?;
+    }
     r.finish()?;
     Ok(out)
 }
@@ -1097,7 +1104,7 @@ fn device_from_json(v: &Json, version: u64) -> Result<DeviceSnapshot, JsonError>
     let xbar_rsp =
         r.vec("xbar_rsp", |q| queue_from_json(q, "xbar_rsp", tracked_response_from_json))?;
     // Each vault's banks join the device's one array; how many each
-    // held is kept for `fit_snapshot` to check.
+    // held is kept for `restore` to check.
     let (mut banks, mut vault_banks) = (Vec::new(), Vec::new());
     let vaults = r.vec("vaults", |v| {
         let mut vr = ObjReader::new("vault", v)?;
@@ -1131,7 +1138,11 @@ fn device_from_json(v: &Json, version: u64) -> Result<DeviceSnapshot, JsonError>
         // Legacy snapshots (schema ≤ the pre-timing-backend era) carry no
         // "timing" field: default to a fresh FixedLatency record, matching
         // the behaviour those snapshots were produced under.
-        timing: r.optional("timing").map(timing_from_json).transpose()?.unwrap_or_default(),
+        timing: r
+            .optional("timing")
+            .map(|t| timing_from_json(t, version))
+            .transpose()?
+            .unwrap_or_default(),
         cmc_libraries: match version {
             1 | 2 => Vec::new(),
             _ => r.vec("cmc_libraries", |name| {

@@ -49,7 +49,7 @@
 //!   which is configuration, not state (`tests/snapshot_codec.rs`
 //!   perturbs each leaf).
 
-use crate::config::SimConfig;
+use crate::config::{DeviceShape, SimConfig};
 use crate::device::{
     Device, DeviceView, RqstEnvelope, RspEnvelope, TrackedRequest, TrackedResponse, Vault,
 };
@@ -75,7 +75,7 @@ pub struct DeviceSnapshot {
     pub(crate) banks: Vec<crate::dram::Bank>,
     /// How many of `banks` each vault holds: `banks_per_vault` each when
     /// taken from a device, as listed when decoded (a document may not
-    /// fit its context, and [`Device::fit_snapshot`] names the vault).
+    /// fit its context, and [`HmcSim::restore`] names the vault).
     pub(crate) vault_banks: Vec<usize>,
     pub(crate) mem: hmc_mem::SparseMemory,
     pub(crate) regs: crate::regs::RegisterFile,
@@ -84,9 +84,8 @@ pub struct DeviceSnapshot {
     pub(crate) fault_rng: crate::fault::FaultRng,
     pub(crate) link_up: Vec<bool>,
     pub(crate) fault_idx: usize,
-    /// Timing-backend state: selection, observation counters and (for
-    /// the validated backend) the shadow bank array. Pure observation
-    /// apart from `select` — excluded from
+    /// Timing-backend state: selection and observation counters. Pure
+    /// observation apart from `select` — excluded from
     /// [`SimSnapshot::fingerprint`], restored so a resumed run keeps
     /// its backend and its telemetry continues seamlessly.
     pub(crate) timing: crate::timing::TimingSnapshot,
@@ -542,13 +541,59 @@ pub(crate) fn fits(what: std::fmt::Arguments<'_>, len: usize, want: usize) -> Re
     Err(HmcError::MalformedPacket(format!("snapshot {what} has {len} entries, the context {want}")))
 }
 
-/// [`fits`] for a per-`[device][link]` array.
-fn fits_links<T>(what: &str, nested: &[Vec<T>], devices: &[Device]) -> Result<(), HmcError> {
-    fits(format_args!("`{what}`"), nested.len(), devices.len())?;
-    for (d, links) in devices.iter().zip(nested) {
-        fits(format_args!("`{what}` of device {}", d.id()), links.len(), d.config().links)?;
+/// `Ok` when the snapshot's leaf at `path` holds what the context's
+/// configuration fixes there; otherwise the error naming it.
+fn fixed<T: PartialEq + std::fmt::Debug>(
+    path: std::fmt::Arguments<'_>,
+    got: T,
+    want: T,
+) -> Result<(), HmcError> {
+    if got == want {
+        return Ok(());
     }
-    Ok(())
+    Err(HmcError::MalformedPacket(format!(
+        "snapshot `{path}` is {got:?}; the configuration fixes {want:?}"
+    )))
+}
+
+/// `Ok` when every part of `snap` that belongs to device `d` has what
+/// `shape` fixes: one entry per link in each per-link array, one per
+/// vault, each vault's banks, every queue depth, the memory capacity
+/// and each link's configuration.
+fn fits_shape(d: usize, shape: &DeviceShape, snap: &SimSnapshot) -> Result<(), HmcError> {
+    let s = &snap.devices[d];
+    let per_link = [
+        ("host_rx", snap.host_rx[d].len()),
+        ("tag_pools", snap.tag_pools[d].len()),
+        ("pool_tags", snap.pool_tags[d].len()),
+        ("links", snap.links[d].len()),
+        ("xbar_rqst", s.xbar_rqst.len()),
+        ("xbar_rsp", s.xbar_rsp.len()),
+        ("link_up", s.link_up.len()),
+    ];
+    for (what, len) in per_link {
+        fits(format_args!("`{what}` of device {d}"), len, shape.links)?;
+    }
+    fits(format_args!("`vaults` of device {d}"), s.vaults.len(), shape.vaults)?;
+    for (v, &held) in s.vault_banks.iter().enumerate() {
+        fits(format_args!("`banks` of device {d} vault {v}"), held, shape.banks_per_vault)?;
+    }
+    // Every array indexed below holds what `shape` fixes, checked above.
+    for l in 0..shape.links {
+        let depth = shape.xbar_queue_depth;
+        fixed(format_args!("devices/{d}/xbar_rqst/{l}/depth"), s.xbar_rqst[l].depth(), depth)?;
+        fixed(format_args!("devices/{d}/xbar_rsp/{l}/depth"), s.xbar_rsp[l].depth(), depth)?;
+        let (got, want) = (snap.links[d][l].config(), shape.link);
+        fixed(format_args!("links/{d}/{l}/tokens"), got.tokens, want.tokens)?;
+        fixed(format_args!("links/{d}/{l}/error_period"), got.error_period, want.error_period)?;
+        fixed(format_args!("links/{d}/{l}/retry_latency"), got.retry_latency, want.retry_latency)?;
+    }
+    for (v, vault) in s.vaults.iter().enumerate() {
+        let depth = shape.vault_queue_depth;
+        fixed(format_args!("devices/{d}/vaults/{v}/rqst/depth"), vault.rqst.depth(), depth)?;
+        fixed(format_args!("devices/{d}/vaults/{v}/rsp/depth"), vault.rsp.depth(), depth)?;
+    }
+    fixed(format_args!("devices/{d}/mem/capacity"), s.mem.capacity(), shape.capacity)
 }
 
 impl HmcSim {
@@ -630,56 +675,64 @@ impl HmcSim {
     }
 
     /// Restores all dynamic state from a snapshot taken on a context
-    /// with the same geometry (devices, links, vaults, banks). The
-    /// static parts — configuration, CMC registrations, the tracer
-    /// and the sanitizer policy — are kept from the live context.
-    /// Returns [`HmcError::MalformedPacket`], naming the array, when
-    /// any per-device, per-link or per-vault array or the timing
-    /// section does not fit, or when the array holds a packet this
-    /// context cannot route; the context is then unchanged.
+    /// of the same configuration. The static parts — configuration,
+    /// CMC registrations, the tracer and the sanitizer policy — are
+    /// kept from the live context. Returns
+    /// [`HmcError::MalformedPacket`] when the snapshot does not fit the
+    /// context — a per-device, per-link or per-vault array of another
+    /// length, or a queue depth, memory capacity or link configuration
+    /// other than the configuration fixes (see `fits_shape`), each
+    /// named — when it holds a packet this context cannot route, or a
+    /// transit between devices no edge joins; the context is then
+    /// unchanged.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), HmcError> {
         let devices = &self.devices;
-        fits(format_args!("`devices`"), snap.devices.len(), devices.len())?;
-        fits_links("host_rx", &snap.host_rx, devices)?;
-        fits_links("tag_pools", &snap.tag_pools, devices)?;
-        fits_links("pool_tags", &snap.pool_tags, devices)?;
-        fits_links("links", &snap.links, devices)?;
-        fits(format_args!("`zombie_tags`"), snap.zombie_tags.len(), devices.len())?;
-        let timings = devices
-            .iter()
-            .zip(&snap.devices)
-            .map(|(d, s)| d.fit_snapshot(s))
-            .collect::<Result<Vec<_>, _>>()?;
+        let per_device = [
+            ("devices", snap.devices.len()),
+            ("host_rx", snap.host_rx.len()),
+            ("tag_pools", snap.tag_pools.len()),
+            ("pool_tags", snap.pool_tags.len()),
+            ("links", snap.links.len()),
+            ("zombie_tags", snap.zombie_tags.len()),
+        ];
+        for (what, len) in per_device {
+            fits(format_args!("`{what}`"), len, devices.len())?;
+        }
+        for (d, dev) in devices.iter().enumerate() {
+            fits_shape(d, &dev.config().shape(), snap)?;
+        }
         self.check_routes(snap)?;
         // Rebuild the per-edge transit heaps from the snapshot's flat
         // form; the renumbered insertion sequence preserves the
         // recorded per-edge order. Pre-fabric snapshots carry no
         // sender (`from_dev == usize::MAX`) — those packets are
         // re-homed onto the lowest-numbered in-edge of their target,
-        // which is deterministic and, on a chain, the legacy hop.
+        // which is deterministic and, on a chain, the legacy hop. Any
+        // other sender must name an edge into the target.
         let mut per_edge: Vec<Vec<Transit>> = vec![Vec::new(); self.topology.edge_count()];
-        for t in &snap.in_transit {
+        for (i, t) in snap.in_transit.iter().enumerate() {
             let (from, to) = t.edge();
-            let edge = self.topology.edge_id(from, to).or_else(|| {
-                self.topology
-                    .edges()
-                    .iter()
-                    .position(|&(_, e_to)| e_to as usize == to)
-            });
+            let edge = match from {
+                usize::MAX => self.topology.edges().iter().position(|&(_, e)| e as usize == to),
+                _ => self.topology.edge_id(from, to),
+            };
             let Some(edge) = edge else {
+                let from = match from {
+                    usize::MAX => "an unrecorded sender".to_string(),
+                    _ => format!("device {from}"),
+                };
                 return Err(HmcError::MalformedPacket(format!(
-                    "snapshot transit targets device {to}, which has no in-edge \
-                     in this topology"
+                    "snapshot `in_transit/{i}` runs from {from} to device {to}, which no edge \
+                     of this topology joins"
                 )));
             };
-            let (rehomed_from, _) = self.topology.edges()[edge];
             let mut t = t.clone();
-            t.set_from_dev(rehomed_from as usize);
+            t.set_from_dev(self.topology.edges()[edge].0 as usize);
             per_edge[edge].push(t);
         }
         self.cycle = snap.cycle;
-        for ((dev, s), timing) in self.devices.iter_mut().zip(&snap.devices).zip(timings) {
-            dev.restore_state(s, timing);
+        for (dev, s) in self.devices.iter_mut().zip(&snap.devices) {
+            dev.restore_state(s);
         }
         self.host_rx = snap.host_rx.clone();
         self.tag_pools = snap.tag_pools.clone();

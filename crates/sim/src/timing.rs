@@ -3,8 +3,8 @@
 //! The paper's core model is deliberately cycle-abstract: a bank access
 //! costs a flat `bank_latency` and the interesting behaviour is
 //! structural (queues, crossbars, bandwidth). Richer DRAM timing is the
-//! paper's §VII future work; three backends ship, and they are data in
-//! one [`TimingEngine`], not three types:
+//! paper's §VII future work; two backends ship, and they are data in
+//! one [`TimingEngine`], not two types:
 //!
 //! * `fixed` — the paper's model and the default. Every access occupies
 //!   the bank for exactly `bank_latency` cycles; the row-hit/row-miss
@@ -12,14 +12,16 @@
 //! * `row_buffer` — hits cost `bank_latency + row_hit`, misses
 //!   `bank_latency + row_miss`, and a refresh window (tRFC) also closes
 //!   the open row of the bank it refreshed.
-//! * `validated` — `fixed` drives every simulation decision, while a
-//!   shadow bank array is served the same accesses under `row_buffer`
-//!   rules; the per-access completion-time divergence is recorded (the
-//!   question the Ramulator 2.0 re-evaluation study asks of an abstract
-//!   model).
 //!
-//! They differ in the live bank's [`BankTiming`], in whether a refresh
-//! closes the live row, and in whether the shadow array exists.
+//! They differ in the live bank's [`BankTiming`] and in whether a
+//! refresh closes the open row; a refresh window holds its bank under
+//! both.
+//!
+//! A third backend, `validated`, once ran `fixed` beside a shadow
+//! row-buffer bank array that only recorded how far the two diverged.
+//! Its live banks were `fixed`'s, so a document that names it describes
+//! a `fixed` machine: [`TimingSelect::READ_NAMES`] reads the name as
+//! `fixed`, and nothing writes it.
 //!
 //! ## Contracts
 //!
@@ -28,9 +30,9 @@
 //! * **Absolute time** — a bank holds the cycle it is busy until, not
 //!   a countdown, so its state needs no clock while its device is idle
 //!   and an idle-cycle jump passes a busy bank safely (DESIGN.md §18).
-//! * **Observation only** — the latency-class histograms, the divergence
-//!   record and the shadow banks live outside the fingerprint: they ride
-//!   through snapshots but never influence simulation state.
+//! * **Observation only** — the latency-class histograms live outside
+//!   the fingerprint: they ride through snapshots but never influence
+//!   simulation state.
 
 use crate::config::{env_override, DeviceConfig};
 use crate::dram::{Bank, BankTiming, RefreshConfig};
@@ -46,23 +48,26 @@ pub enum TimingSelect {
     FixedLatency,
     /// Open/closed-page row-buffer timing with refresh-closed rows.
     RowBuffer,
-    /// `FixedLatency` timing plus a shadow `RowBuffer` bank array run
-    /// in lockstep, reporting per-access divergence through telemetry.
-    Validated,
 }
 
 /// Environment variable consulted by [`TimingSelect::resolve_env`]; set
-/// to `fixed`, `row_buffer` or `validated` to opt unconfigured
-/// simulations into a non-default timing backend.
+/// to `fixed` or `row_buffer` to opt unconfigured simulations into a
+/// non-default timing backend.
 pub const TIMING_ENV: &str = "HMCSIM_TIMING";
 
 impl TimingSelect {
     /// The backend names used in JSON codecs, env values and telemetry
     /// paths.
-    pub const NAMES: [(&'static str, TimingSelect); 3] = [
+    pub const NAMES: [(&'static str, TimingSelect); 2] =
+        [("fixed", TimingSelect::FixedLatency), ("row_buffer", TimingSelect::RowBuffer)];
+
+    /// The names a document may use: [`TimingSelect::NAMES`], plus the
+    /// retired `validated`, read as `fixed` (its live banks were
+    /// `fixed`'s; its shadow array was never state).
+    pub const READ_NAMES: [(&'static str, TimingSelect); 3] = [
         ("fixed", TimingSelect::FixedLatency),
         ("row_buffer", TimingSelect::RowBuffer),
-        ("validated", TimingSelect::Validated),
+        ("validated", TimingSelect::FixedLatency),
     ];
 
     /// The backend's name in [`TimingSelect::NAMES`].
@@ -96,9 +101,9 @@ impl TimingSelect {
 }
 
 /// Per-backend observation counters: latency-class histograms for
-/// every served access, plus the validated mode's divergence record.
-/// Fingerprint-blind — these are exported through telemetry and carried
-/// through snapshots, but the simulation never reads them back.
+/// every served access. Fingerprint-blind — these are exported through
+/// telemetry and carried through snapshots, but the simulation never
+/// reads them back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TimingStats {
     /// Service latencies of accesses that hit the open row (under
@@ -107,15 +112,6 @@ pub struct TimingStats {
     pub hit_latency: Hist,
     /// Service latencies of accesses that opened (or re-opened) a row.
     pub miss_latency: Hist,
-    /// `|shadow completion − live completion|` per access (`validated`
-    /// only).
-    pub divergence: Hist,
-    /// Accesses whose shadow bank finished later than the live one.
-    pub shadow_late: u64,
-    /// Accesses whose shadow bank finished earlier than the live one.
-    pub shadow_early: u64,
-    /// Accesses where both banks finished on the same cycle.
-    pub shadow_agree: u64,
 }
 
 impl TimingStats {
@@ -128,27 +124,14 @@ impl TimingStats {
             self.miss_latency.record(latency);
         }
     }
-
-    /// Records one live/shadow completion pair (`validated`).
-    #[inline]
-    fn record_divergence(&mut self, live_end: u64, shadow_end: u64) {
-        self.divergence.record(live_end.abs_diff(shadow_end));
-        if shadow_end > live_end {
-            self.shadow_late += 1;
-        } else if shadow_end < live_end {
-            self.shadow_early += 1;
-        } else {
-            self.shadow_agree += 1;
-        }
-    }
 }
 
 /// Everything the timing backend serializes through the snapshot
-/// codecs: which backend was running, its observation counters and (for
-/// `validated`) the shadow bank array. Excluded from
-/// [`crate::snapshot::SimSnapshot::fingerprint`] — restoring it makes a
-/// resumed run's *telemetry* continue seamlessly, while the simulation
-/// state proper is already covered by the fingerprinted fields.
+/// codecs: which backend was running and its observation counters.
+/// Excluded from [`crate::snapshot::SimSnapshot::fingerprint`] —
+/// restoring it makes a resumed run's *telemetry* continue seamlessly,
+/// while the simulation state proper is already covered by the
+/// fingerprinted fields.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimingSnapshot {
     /// Backend selection at snapshot time (adopted on restore so a
@@ -156,29 +139,22 @@ pub struct TimingSnapshot {
     pub select: TimingSelect,
     /// Observation counters.
     pub stats: TimingStats,
-    /// Shadow bank array, one per global bank (empty unless
-    /// [`TimingSelect::Validated`]).
-    pub shadow: Vec<Bank>,
 }
 
-/// A device's bank timing: the backend's settings as data, its
-/// observation counters and the `validated` shadow banks.
+/// A device's bank timing: the backend's settings as data and its
+/// observation counters.
 #[derive(Debug, Clone)]
 pub(crate) struct TimingEngine {
     select: TimingSelect,
-    /// What the live banks are served with: a flat `bank_latency` in
-    /// both classes, or `row` under `row_buffer`. The row policy is
-    /// the configured one either way, so open-row bookkeeping and the
-    /// fingerprinted hit/miss counters evolve alike.
+    /// What the banks are served with: a flat `bank_latency` in both
+    /// classes, or `bank_latency` folded into `row_hit` and `row_miss`
+    /// under `row_buffer`. The row policy is the configured one either
+    /// way, so open-row bookkeeping and the fingerprinted hit/miss
+    /// counters evolve alike.
     live: BankTiming,
-    /// The row-aware timing: `bank_latency` folded into `row_hit` and
-    /// `row_miss`.
-    row: BankTiming,
     refresh: Option<RefreshConfig>,
     total_banks: u64,
     pub(crate) stats: TimingStats,
-    /// One bank per global bank under `validated`, empty otherwise.
-    shadow: Vec<Bank>,
 }
 
 impl TimingEngine {
@@ -186,39 +162,25 @@ impl TimingEngine {
     pub(crate) fn new(select: TimingSelect, config: &DeviceConfig) -> Self {
         let total_banks = config.total_vaults() * config.banks_per_vault;
         let (latency, t) = (config.bank_latency, config.bank_timing);
-        let row = BankTiming { row_hit: t.row_hit + latency, row_miss: t.row_miss + latency, ..t };
-        let flat = BankTiming { row_hit: latency, row_miss: latency, ..t };
-        let validated = select == TimingSelect::Validated;
+        let live = match select {
+            TimingSelect::FixedLatency => BankTiming { row_hit: latency, row_miss: latency, ..t },
+            TimingSelect::RowBuffer => {
+                BankTiming { row_hit: t.row_hit + latency, row_miss: t.row_miss + latency, ..t }
+            }
+        };
         TimingEngine {
             select,
-            live: if select == TimingSelect::RowBuffer { row } else { flat },
-            row,
+            live,
             refresh: config.refresh,
             total_banks: total_banks as u64,
             stats: TimingStats::default(),
-            shadow: vec![Bank::default(); if validated { total_banks } else { 0 }],
         }
     }
 
     /// Rebuilds an engine from checkpointed state, adopting the
-    /// snapshot's backend. A shadow array that does not fit — any
-    /// shadow outside `validated`, or one of the wrong length under it
-    /// — is an error, not a fresh start.
-    pub(crate) fn from_snapshot(
-        snap: &TimingSnapshot,
-        config: &DeviceConfig,
-    ) -> Result<Self, HmcError> {
-        let mut engine = Self::new(snap.select, config);
-        let (len, want) = (snap.shadow.len(), engine.shadow.len());
-        if len != want {
-            return Err(HmcError::MalformedPacket(format!(
-                "snapshot timing `shadow` holds {len} banks; the {} backend keeps {want}",
-                snap.select.name()
-            )));
-        }
-        engine.stats = snap.stats;
-        engine.shadow.clone_from(&snap.shadow);
-        Ok(engine)
+    /// snapshot's backend and its observation counters.
+    pub(crate) fn from_snapshot(snap: &TimingSnapshot, config: &DeviceConfig) -> Self {
+        TimingEngine { stats: snap.stats, ..Self::new(snap.select, config) }
     }
 
     /// Which backend this is.
@@ -228,7 +190,7 @@ impl TimingEngine {
 
     /// Deep-copies the engine's serializable state.
     pub(crate) fn snapshot(&self) -> TimingSnapshot {
-        TimingSnapshot { select: self.select, stats: self.stats, shadow: self.shadow.clone() }
+        TimingSnapshot { select: self.select, stats: self.stats }
     }
 
     /// True when `global_bank` is inside its refresh window at `cycle`
@@ -247,10 +209,9 @@ impl TimingEngine {
         self.refresh.is_some_and(|r| r.starts_in(from, to, global_bank, self.total_banks))
     }
 
-    /// Serves one access on the live `bank` at `cycle` and returns its
-    /// latency: closes a refreshed row (`row_buffer` only), advances
-    /// the bank, records the latency class, then serves the shadow bank
-    /// when there is one.
+    /// Serves one access on `bank` at `cycle` and returns its latency:
+    /// closes a refreshed row (`row_buffer` only), advances the bank and
+    /// records the latency class.
     #[inline]
     pub(crate) fn serve(&mut self, bank: &mut Bank, cycle: u64, row: u64, global_bank: u64) -> u64 {
         if self.select == TimingSelect::RowBuffer
@@ -261,23 +222,6 @@ impl TimingEngine {
         let hit = bank.would_hit(row, &self.live);
         let latency = bank.access(cycle, row, &self.live);
         self.stats.record_access(hit, latency);
-        let g = global_bank as usize;
-        if let Some(free) = self.shadow.get(g).map(Bank::busy_horizon) {
-            // The earliest cycle legal under the detailed model: no
-            // earlier than the live issue, the shadow bank's own busy
-            // window and the end of any refresh window in force.
-            let from = cycle.max(free);
-            let start = self.refresh.map_or(from, |r| {
-                r.next_unblocked(from, global_bank, self.total_banks)
-            });
-            let closed = self.refreshed(free, start, global_bank);
-            let shadow = &mut self.shadow[g];
-            if closed {
-                shadow.close_row();
-            }
-            let shadow_latency = shadow.access(start, row, &self.row);
-            self.stats.record_divergence(cycle + latency, start + shadow_latency);
-        }
         latency
     }
 }
@@ -301,12 +245,26 @@ mod tests {
             assert_eq!(TimingSelect::parse_env_value(name).unwrap(), select);
         }
         // Exactly the table's names: no case folding, trimming or aliases.
-        for bad in ["", "warp_drive", "2", "rowbufer", "FIXED", " fixed", "fixed_latency", "row"] {
+        for bad in [
+            "", "warp_drive", "2", "rowbufer", "FIXED", " fixed", "fixed_latency", "row",
+            // Retired: a document still reads it, the environment does not.
+            "validated",
+        ] {
             let msg = TimingSelect::parse_env_value(bad).unwrap_err().to_string();
             assert!(msg.contains("unknown timing backend"), "{msg}");
             assert!(msg.contains(TIMING_ENV), "error names the variable: {msg}");
-            assert!(msg.contains("fixed, row_buffer, validated"), "lists the values: {msg}");
+            assert!(msg.contains("(expected fixed, row_buffer)"), "lists the values: {msg}");
         }
+    }
+
+    #[test]
+    fn a_document_reads_the_retired_validated_as_fixed() {
+        for (name, select) in TimingSelect::NAMES {
+            assert_eq!(from_name(&TimingSelect::READ_NAMES, "timing", name).unwrap(), select);
+        }
+        let read = from_name(&TimingSelect::READ_NAMES, "timing", "validated").unwrap();
+        assert_eq!(read, TimingSelect::FixedLatency);
+        assert_eq!(read.name(), "fixed", "nothing writes the retired name");
     }
 
     #[test]
@@ -315,10 +273,6 @@ mod tests {
         assert_eq!(
             TimingSelect::RowBuffer.resolve_env().unwrap(),
             TimingSelect::RowBuffer
-        );
-        assert_eq!(
-            TimingSelect::Validated.resolve_env().unwrap(),
-            TimingSelect::Validated
         );
     }
 
@@ -365,28 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn validated_drives_with_fixed_and_records_divergence() {
-        let mut engine = TimingEngine::new(TimingSelect::Validated, &config());
-        let mut primary_twin = TimingEngine::new(TimingSelect::FixedLatency, &config());
-        let mut bank = Bank::default();
-        let mut twin = Bank::default();
-        let mut cycle = 0;
-        for row in [4u64, 4, 9, 4] {
-            assert_eq!(
-                engine.serve(&mut bank, cycle, row, 0),
-                primary_twin.serve(&mut twin, cycle, row, 0),
-                "validated primary must be bit-identical to FixedLatency"
-            );
-            assert_eq!(format!("{bank:?}"), format!("{twin:?}"));
-            cycle += 10;
-        }
-        let s = engine.stats;
-        assert_eq!(s.divergence.count(), 4, "one divergence sample per access");
-        assert_eq!(s.shadow_late + s.shadow_early + s.shadow_agree, 4);
-        assert!(s.divergence.max() > 0, "row-miss shadow must diverge from flat latency");
-    }
-
-    #[test]
     fn snapshot_round_trips_every_backend() {
         for (_, select) in TimingSelect::NAMES {
             let c = config();
@@ -399,26 +331,8 @@ mod tests {
             }
             let snap = engine.snapshot();
             assert_eq!(snap.select, select);
-            let restored = TimingEngine::from_snapshot(&snap, &c).unwrap();
+            let restored = TimingEngine::from_snapshot(&snap, &c);
             assert_eq!(snap, restored.snapshot(), "snapshot must round-trip");
-        }
-    }
-
-    #[test]
-    fn a_shadow_that_does_not_fit_is_rejected() {
-        let c = config();
-        let total = c.total_vaults() * c.banks_per_vault;
-        for (select, len) in [
-            (TimingSelect::FixedLatency, 1),
-            (TimingSelect::RowBuffer, total),
-            (TimingSelect::Validated, total - 1),
-            (TimingSelect::Validated, total + 1),
-            (TimingSelect::Validated, 0),
-        ] {
-            let shadow = vec![Bank::default(); len];
-            let snap = TimingSnapshot { select, shadow, ..Default::default() };
-            let err = TimingEngine::from_snapshot(&snap, &c).unwrap_err().to_string();
-            assert!(err.contains(&format!("`shadow` holds {len} banks")), "{err}");
         }
     }
 }

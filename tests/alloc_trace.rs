@@ -439,8 +439,7 @@ fn traced_off_emission_is_allocation_free() {
 
     // --- A fresh context. ---------------------------------------------
     // The pin is for the default engine: a backend or skip override
-    // from the environment (the CI matrix's) adds the variable's value
-    // and, under `validated`, the shadow bank array.
+    // from the environment (the CI matrix's) adds the variable's value.
     let overrides = ["HMCSIM_TIMING", "HMCSIM_SKIP"].map(|key| (key, std::env::var_os(key)));
     for (key, _) in &overrides {
         std::env::remove_var(key);

@@ -1,22 +1,26 @@
 //! The snapshot codec and the state fingerprint describe the same
 //! state.
 //!
-//! * **Byte stability** — `tests/golden/snapshot_v4.json` is the busy
+//! * **Byte stability** — `tests/golden/snapshot_v5.json` is the busy
 //!   mesh's snapshot as this schema renders it (`BLESS=1 cargo test
 //!   --test snapshot_codec golden` regenerates it after an intentional
 //!   format change; review the diff and bump `SNAPSHOT_SCHEMA_VERSION`).
 //!   It must load and re-render byte for byte, and the same scenario
-//!   must still render to it. `tests/golden/snapshot_v3.json`, rendered
-//!   before pages held only their nonzero lines, `snapshot_v2.json`,
-//!   rendered before snapshots named their machine, and
-//!   `snapshot_v1.json`, rendered before flight lanes were packed, are
-//!   the legacy loads: each decodes to the same fingerprint and flight
-//!   records and re-renders as v4 — v2 and v1 with no `config` and no
-//!   CMC fields.
+//!   must still render to it. `tests/golden/snapshot_v4.json`, rendered
+//!   under the retired `validated` timing backend with its record,
+//!   `snapshot_v3.json`, rendered before pages held only their nonzero
+//!   lines, `snapshot_v2.json`, rendered before snapshots named their
+//!   machine, and `snapshot_v1.json`, rendered before flight lanes were
+//!   packed, are the legacy loads: each decodes to the same fingerprint
+//!   and flight records and re-renders as v5 — v2 and v1 with no
+//!   `config` and no CMC fields.
 //! * **Coverage** — every persisted leaf outside the sections the
 //!   fingerprint does not visit (the observers `shadow`, `flight`,
 //!   `timing` and the machine: `config`, `cmc_libraries`, `cmc_codes`)
-//!   moves the fingerprint, no leaf inside one does, and a live context
+//!   moves the fingerprint, no leaf inside one does, every leaf the
+//!   configuration fixes (a queue depth, the memory capacity, a link's
+//!   configuration, and their sources in `config`) makes
+//!   `HmcSim::from_snapshot` a typed error, and a live context
 //!   fingerprints like its snapshot. A packed flight lane is perturbed
 //!   digit by digit: each either decodes, fingerprint unmoved, or is a
 //!   typed error. A page's line mask is perturbed bit by bit and
@@ -29,8 +33,9 @@
 //!   alone; an operation added with `load_cmc`, one removed with
 //!   `unload_cmc` and a v2 snapshot are typed errors.
 //! * **Restorable geometry and routes only** — `restore` refuses an
-//!   array that does not fit, and a packet the context cannot route,
-//!   before it changes anything.
+//!   array that does not fit, a size the configuration fixes otherwise,
+//!   a packet the context cannot route and a transit between devices no
+//!   edge joins, before it changes anything.
 //! * **Restorable timelines only** — a flight section with capacity 0,
 //!   a lane over capacity or any lane list but the five lanes in order
 //!   is rejected, from either schema.
@@ -38,7 +43,8 @@
 //!   and rebuilt with `from_snapshot`, and once more with only its
 //!   machine mutated), a configuration, a replay checkpoint, a
 //!   checkpoint header, a forensic dump, a fuzz scenario, a kernel
-//!   descriptor and a fuzz journal end in `Ok` or a typed error, and
+//!   descriptor and a fuzz journal end in `Ok` or a typed error (the
+//!   snapshot both as written now and as the v4 golden), and
 //!   every packed lane cut short or given a bad kind or command kind is
 //!   rejected.
 
@@ -64,8 +70,8 @@ fn small_cube() -> DeviceConfig {
 /// packets in crossbar and vault queues, on fabric edges (`in_transit`),
 /// in the link-layer retry buffer, parked in host receive buffers, an
 /// abandoned (zombie) tag, pool-registered tags, a downed link, touched
-/// memory, registers and statistics — plus all three observers
-/// (sanitizer shadow, flight recorder, validated-timing shadow banks).
+/// memory, registers and statistics — plus both observers (sanitizer
+/// shadow, flight recorder) and the timing backend's latency classes.
 fn busy_mesh() -> HmcSim {
     let mut cube = small_cube();
     cube.fault = FaultPlan::seeded(5)
@@ -73,12 +79,11 @@ fn busy_mesh() -> HmcSim {
         .with_vault_errors(80_000)
         .with_poison(80_000)
         .with_link_event(6, 3, false);
-    let mut config = SimConfig::mesh(cube, 2, 2);
-    config.timing = TimingSelect::Validated;
-    let mut sim = HmcSim::with_config(config).unwrap();
+    let mut sim = HmcSim::with_config(SimConfig::mesh(cube, 2, 2)).unwrap();
     // The golden renders the live configuration: pinned, whatever
-    // HMCSIM_SKIP says.
+    // HMCSIM_SKIP and HMCSIM_TIMING say.
     sim.set_skip_mode(SkipMode::Off);
+    sim.set_timing_model(TimingSelect::FixedLatency);
     ops::register_builtin_libraries();
     for dev in 0..4 {
         sim.load_cmc_library(dev, ops::MUTEX_LIBRARY).unwrap();
@@ -169,7 +174,7 @@ fn read_golden(name: &str) -> String {
     text.trim_end().to_string()
 }
 
-/// A schema-4 document with its machine taken out — `config` null and
+/// A schema-5 document with its machine taken out — `config` null and
 /// every device's CMC fields empty — which is how a v1 or v2 document
 /// re-renders.
 fn without_machine(mut doc: Json) -> Json {
@@ -188,23 +193,24 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
     let snap = busy_mesh().snapshot();
     let rendered = snap.to_json_full();
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(golden_path("snapshot_v4.json"), format!("{rendered}\n")).unwrap();
+        std::fs::write(golden_path("snapshot_v5.json"), format!("{rendered}\n")).unwrap();
     }
-    let golden = read_golden("snapshot_v4.json");
+    let golden = read_golden("snapshot_v5.json");
     assert!(
         rendered == golden,
-        "snapshot_v4.json drifted from the checked-in snapshot bytes; if intentional, bump \
+        "snapshot_v5.json drifted from the checked-in snapshot bytes; if intentional, bump \
          SNAPSHOT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test snapshot_codec golden \
          and review the diff"
     );
 
     // The files on disk — not what this build just rendered — through
     // the decoder and back.
-    let loaded = SimSnapshot::from_json(&golden).expect("the v4 golden loads");
-    assert!(loaded.to_json_full() == golden, "the v4 golden re-renders byte for byte");
+    let loaded = SimSnapshot::from_json(&golden).expect("the v5 golden loads");
+    assert!(loaded.to_json_full() == golden, "the v5 golden re-renders byte for byte");
     assert_eq!(loaded.fingerprint(), snap.fingerprint());
     let machineless = without_machine(Json::parse(&golden).unwrap()).render();
     for (name, renders_as) in [
+        ("snapshot_v4.json", &golden),
         ("snapshot_v3.json", &golden),
         ("snapshot_v2.json", &machineless),
         ("snapshot_v1.json", &machineless),
@@ -212,8 +218,9 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
         let legacy = SimSnapshot::from_json(&read_golden(name)).expect(name);
         assert_eq!(legacy.fingerprint(), snap.fingerprint(), "{name}");
         assert_eq!(legacy.flight(), snap.flight(), "{name}");
-        assert_eq!(legacy.config().is_some(), name == "snapshot_v3.json", "{name}: its machine");
-        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v4");
+        let named = ["snapshot_v4.json", "snapshot_v3.json"].contains(&name);
+        assert_eq!(legacy.config().is_some(), named, "{name}: its machine");
+        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v5");
     }
     assert!(snap.flight().is_some_and(|f| f.len() == 20), "every lane holds records");
 
@@ -250,7 +257,7 @@ fn flight_rejection(mut doc: Json, edit: &FlightEdit) -> String {
 fn check_flight_rejected(want: &str, edit: &FlightEdit) {
     let current = busy_mesh().snapshot().to_json_value();
     let legacy = Json::parse(&read_golden("snapshot_v1.json")).unwrap();
-    for (schema, doc) in [("v4", current), ("v1", legacy)] {
+    for (schema, doc) in [("v5", current), ("v1", legacy)] {
         assert_eq!(flight_rejection(doc, edit), want, "schema {schema}");
     }
 }
@@ -346,7 +353,6 @@ fn restore_refuses_an_array_that_does_not_fit_and_changes_nothing() {
         "devices/1/link_up",
         "devices/1/vaults",
         "devices/1/vaults/3/banks",
-        "devices/1/timing/shadow",
     ] {
         let name = path.rsplit('/').find(|step| step.parse::<usize>().is_err()).unwrap();
         for cut in [true, false] {
@@ -397,6 +403,85 @@ fn restore_refuses_a_packet_the_context_cannot_route() {
     sim.restore(&SimSnapshot::from_json_value(&queued).unwrap()).unwrap();
     sim.clock_n(3);
     assert_eq!(sim.state_fingerprint(), base, "the unedited snapshot replays");
+}
+
+/// A two-cube 4Link-4GB chain after eight WR16 sends, half of them to
+/// the far cube, and one clock: a transit is on the fabric edge.
+fn sent_chain() -> HmcSim {
+    let mut sim = HmcSim::with_config(SimConfig::chain(DeviceConfig::gen2_4link_4gb(), 2)).unwrap();
+    sim.set_skip_mode(SkipMode::Off);
+    sim.set_timing_model(TimingSelect::FixedLatency);
+    for i in 0..8u64 {
+        let cube = Cub::new((i % 2) as u8).unwrap();
+        sim.send_to_cube(0, i as usize % 4, cube, HmcRqst::Wr16, i * 0x40, vec![i, !i]).unwrap();
+    }
+    sim.clock();
+    sim
+}
+
+/// A size the configuration fixes, edited in a snapshot, is a typed
+/// error naming it: `restore` into a twin refuses it and leaves the twin
+/// as it was, and so does `from_snapshot`. An embedded configuration
+/// whose capacity disagrees with the memory section is refused by
+/// `from_snapshot`, whose context the configuration builds.
+#[test]
+fn a_snapshot_that_disagrees_with_the_configuration_is_refused() {
+    let doc = sent_chain().snapshot().to_json_value();
+    for (path, value) in [
+        ("devices/0/xbar_rqst/0/depth", Json::Int(100)),
+        ("devices/0/vaults/0/rqst/depth", Json::Int(1)),
+        ("devices/0/mem/capacity", Json::Int(1 << 30)),
+        ("links/0/0/retry_latency", Json::Int(3)),
+        ("links/0/0/tokens", Json::Int(7)),
+        ("config/devices/0/capacity", Json::Int(1 << 30)),
+    ] {
+        let mut mutant = doc.clone();
+        assert_ne!(*node_at_path(&mut mutant, path), value, "{path} is edited");
+        *node_at_path(&mut mutant, path) = value;
+        let snap = SimSnapshot::from_json_value(&mutant).expect(path);
+        let err = HmcSim::from_snapshot(&snap).expect_err(path).to_string();
+        let field = path.strip_prefix("config/").map_or(path, |_| "devices/0/mem/capacity");
+        assert!(err.contains(&format!("`{field}`")), "{path}: `{err}` does not name {field}");
+        let mut twin = sent_chain();
+        let base = twin.state_fingerprint();
+        match path.starts_with("config/") {
+            // `restore` keeps the live configuration.
+            true => twin.restore(&snap).expect(path),
+            false => {
+                let err = twin.restore(&snap).expect_err(path).to_string();
+                assert!(err.contains(&format!("`{path}`")), "{path}: `{err}`");
+                assert_eq!(twin.state_fingerprint(), base, "{path}: a refused restore moved state");
+            }
+        }
+    }
+}
+
+/// A transit's sender is restored as recorded: a `from_dev` that no
+/// edge joins to its `to_dev` is a typed error naming the transit, not
+/// a packet silently moved onto another edge. Only a transit with no
+/// sender at all (schema 1, before the fabric) is re-homed.
+#[test]
+fn a_transit_from_a_device_no_edge_joins_is_refused() {
+    let mut sim = sent_chain();
+    let base = sim.state_fingerprint();
+    let doc = sim.snapshot().to_json_value();
+    assert_eq!(*node_at_path(&mut doc.clone(), "in_transit/0/from_dev"), Json::Int(0));
+    for from in [5, 1] {
+        let mut mutant = doc.clone();
+        *node_at_path(&mut mutant, "in_transit/0/from_dev") = Json::Int(from);
+        let snap = SimSnapshot::from_json_value(&mutant).unwrap();
+        let err = sim.restore(&snap).expect_err("a transit no edge carries").to_string();
+        assert!(err.contains("`in_transit/0`"), "from {from}: `{err}`");
+        assert_eq!(sim.state_fingerprint(), base, "from {from}: a refused restore moved state");
+        HmcSim::from_snapshot(&snap).expect_err("a transit no edge carries");
+    }
+    let mut senderless = doc.clone();
+    let Json::Obj(transit) = node_at_path(&mut senderless, "in_transit/0") else {
+        panic!("a transit is an object")
+    };
+    transit.retain(|(k, _)| k != "from_dev");
+    sim.restore(&SimSnapshot::from_json_value(&senderless).unwrap()).unwrap();
+    assert_eq!(sim.state_fingerprint(), base, "the senderless transit is re-homed onto its edge");
 }
 
 // ---------------------------------------------------------------------------
@@ -519,6 +604,59 @@ fn candidates(leaf: &Json) -> Vec<Json> {
 /// machine the state runs on.
 const UNVISITED: [&str; 6] = ["shadow", "flight", "timing", "config", "cmc_libraries", "cmc_codes"];
 
+/// The leaves the configuration fixes, by the object keys down to them:
+/// in the state, each queue's depth, the memory capacity and each
+/// link's configuration; in `config`, what sets them. (A device's
+/// `link_error_period` is not among them here: both scenarios' fault
+/// plans override it with `link_error`'s `n`.)
+fn fixed_by_config(keys: &[String]) -> bool {
+    let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+    match keys.as_slice() {
+        ["devices", "xbar_rqst" | "xbar_rsp", "depth"]
+        | ["devices", "vaults", "rqst" | "rsp", "depth"]
+        | ["devices", "mem", "capacity"]
+        | ["links", "tokens" | "error_period" | "retry_latency"]
+        | ["config", "devices", "fault", "link_error", "n"] => true,
+        ["config", "devices", key] => [
+            "links",
+            "capacity",
+            "quads",
+            "vaults_per_quad",
+            "banks_per_vault",
+            "vault_queue_depth",
+            "xbar_queue_depth",
+            "link_tokens",
+            "link_retry_latency",
+        ]
+        .contains(key),
+        _ => false,
+    }
+}
+
+/// The [`check_every_leaf`] count of leaves [`fixed_by_config`].
+const FIXED: &str = "fixed by the configuration";
+
+/// The `/`-separated path of the node at `path` (object keys and array
+/// indices), as a typed error names it.
+fn path_text(doc: &Json, path: &[usize]) -> String {
+    let mut node = doc;
+    let mut steps = Vec::new();
+    for &i in path {
+        node = match node {
+            Json::Arr(items) => {
+                steps.push(i.to_string());
+                &items[i]
+            }
+            Json::Obj(fields) => {
+                steps.push(fields[i].0.clone());
+                &fields[i].1
+            }
+            _ => unreachable!("paths end at leaves"),
+        };
+    }
+    steps.join("/")
+}
+
 /// Hex digits of one packed flight record.
 const RECORD_DIGITS: usize = 76;
 
@@ -608,8 +746,10 @@ fn hemmed_page_id(doc: &mut Json, path: &[usize]) -> bool {
 
 /// Perturbs every leaf of `snap`'s JSON form, one at a time: a leaf
 /// outside the [`UNVISITED`] sections must move the fingerprint, a leaf
-/// inside one must not. Returns the accepted perturbations per
-/// top-level section (unvisited leaves count under their section).
+/// inside one must not, and a leaf [`fixed_by_config`] must make
+/// `HmcSim::from_snapshot` a typed error — one naming the leaf, when
+/// it is state. Returns the accepted perturbations per top-level
+/// section (unvisited leaves count under their section).
 fn check_every_leaf(snap: &SimSnapshot) -> std::collections::BTreeMap<String, usize> {
     let base = snap.fingerprint();
     let mut doc = snap.to_json_value();
@@ -671,6 +811,13 @@ fn check_every_leaf(snap: &SimSnapshot) -> std::collections::BTreeMap<String, us
                 "{keys:?} (path {path:?}) is under `{observer}` and moves the fingerprint"
             ),
         }
+        if fixed_by_config(&keys) {
+            let err = HmcSim::from_snapshot(&perturbed).map(drop).map_err(|e| e.to_string());
+            let at = path_text(&doc, &path);
+            let err = err.expect_err(&format!("{at} is fixed by the configuration"));
+            assert!(keys[0] == "config" || err.contains(&format!("`{at}`")), "{at}: `{err}`");
+            *accepted.entry(FIXED.to_string()).or_insert(0) += 1;
+        }
         *accepted.entry(observer.unwrap_or_else(|| keys[0].clone())).or_insert(0) += 1;
     }
     assert_eq!(doc, snap.to_json_value(), "every perturbation was undone");
@@ -708,6 +855,7 @@ fn every_leaf_of_the_busy_mesh_moves_the_fingerprint_unless_an_observer_owns_it(
             "config",
             "cmc_libraries",
             "cmc_codes",
+            FIXED,
         ],
     );
 }
@@ -718,7 +866,7 @@ fn every_leaf_of_the_faulted_cube_moves_the_fingerprint_unless_an_observer_owns_
         &faulted_cube().snapshot(),
         &[
             "cycle", "devices", "host_rx", "tag_pools", "pool_tags", "links", "shadow", "timing",
-            "config",
+            "config", FIXED,
         ],
     );
 }
@@ -929,6 +1077,10 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
     };
     let packed = never_panics("snapshot", &snapshot, 300, rebuild);
     assert_eq!(packed, 5 * 4, "every lane of the busy mesh was broken four ways");
+    // The same snapshot as schema 4 wrote it: the legacy timing reader
+    // meets the same mutations.
+    let packed = never_panics("snapshot v4", &read_golden("snapshot_v4.json"), 300, rebuild);
+    assert_eq!(packed, 5 * 4, "every lane of the v4 golden was broken four ways");
 
     // The machine alone: its configuration, and the snapshot with only
     // `config` and the devices' CMC fields mutated.

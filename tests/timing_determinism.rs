@@ -15,12 +15,10 @@
 use hmcsim::cmc::ops;
 use hmcsim::prelude::*;
 use hmcsim::sim::{RefreshConfig, RowPolicy};
-use hmcsim::workloads::kernels::gups::{GupsConfig, GupsKernel};
 use hmcsim::workloads::kernels::triad::{TriadConfig, TriadKernel};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig};
 
-const BACKENDS: [TimingSelect; 3] =
-    [TimingSelect::FixedLatency, TimingSelect::RowBuffer, TimingSelect::Validated];
+const BACKENDS: [TimingSelect; 2] = [TimingSelect::FixedLatency, TimingSelect::RowBuffer];
 
 /// A configuration where every backend has something to do: live
 /// row-buffer knobs and a staggered refresh plan. (Fault injection is
@@ -112,20 +110,18 @@ fn fixed_latency_reproduces_the_pre_refactor_pins() {
 }
 
 /// On the stock configuration every row knob is zero and refresh is
-/// off, so all three backends collapse to the same model: equivalent
+/// off, so both backends collapse to the same model: equivalent
 /// by construction, proven bit-identical.
 #[test]
 fn backends_agree_exactly_on_the_default_config() {
     let config = DeviceConfig::gen2_4link_4gb();
     let reference = triad_obs(&config, TimingSelect::FixedLatency, SkipMode::Off);
-    for timing in [TimingSelect::RowBuffer, TimingSelect::Validated] {
-        let got = triad_obs(&config, timing, SkipMode::Off);
-        assert_eq!(
-            (got.0, got.1, got.2),
-            (reference.0, reference.1, reference.2),
-            "default-config run diverged under {timing:?}"
-        );
-    }
+    let got = triad_obs(&config, TimingSelect::RowBuffer, SkipMode::Off);
+    assert_eq!(
+        (got.0, got.1, got.2),
+        (reference.0, reference.1, reference.2),
+        "default-config run diverged under row_buffer"
+    );
 }
 
 /// The row-buffer backend must actually be live when its knobs are —
@@ -139,51 +135,5 @@ fn row_buffer_departs_from_fixed_when_row_knobs_are_live() {
         (fixed.0, fixed.2),
         (row.0, row.2),
         "row-buffer backend had no observable effect on a row-heavy config"
-    );
-}
-
-/// Validated mode: the primary fixed model drives all simulation
-/// decisions (fingerprint equals the fixed backend's), while the
-/// shadow row-buffer model accumulates a divergence histogram whose
-/// population matches the per-access verdict counters.
-#[test]
-fn validated_tracks_fixed_and_accounts_for_every_access() {
-    validated_tracks_fixed("triad", &|sim| {
-        TriadKernel::new(TriadConfig { elements: 512, ..Default::default() }).run(sim).unwrap().cycles
-    });
-    validated_tracks_fixed("gups", &|sim| {
-        let out = GupsKernel::new(GupsConfig { updates: 2_000, ..Default::default() }).run(sim).unwrap();
-        assert_eq!(out.errors, 0, "gups verification");
-        out.cycles
-    });
-}
-
-fn validated_tracks_fixed(name: &str, run: &dyn Fn(&mut HmcSim) -> u64) {
-    let observe = |timing| {
-        let mut sim = HmcSim::new(row_heavy_config()).unwrap();
-        sim.set_timing_model(timing);
-        (run(&mut sim), sim.state_fingerprint(), sim)
-    };
-    let fixed = observe(TimingSelect::FixedLatency);
-    let (cycles, fingerprint, sim) = observe(TimingSelect::Validated);
-    assert_eq!(cycles, fixed.0, "{name}: validated primary must match the fixed backend");
-    assert_eq!(fingerprint, fixed.1, "{name}: validated fingerprint must match fixed");
-
-    let stats = sim.timing_stats(0).unwrap();
-    let accesses = stats.hit_latency.count() + stats.miss_latency.count();
-    assert!(accesses > 0, "{name} produced no bank accesses");
-    assert_eq!(
-        stats.divergence.count(),
-        accesses,
-        "every access must land in the divergence histogram"
-    );
-    assert_eq!(
-        stats.shadow_late + stats.shadow_early + stats.shadow_agree,
-        accesses,
-        "verdict counters must partition the access stream"
-    );
-    assert!(
-        stats.shadow_late > 0,
-        "a row-heavy shadow should finish late at least once (miss penalty + refresh)"
     );
 }
