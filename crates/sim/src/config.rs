@@ -206,8 +206,8 @@ impl DeviceConfig {
     /// built from it, and `HmcSim::restore` holds a snapshot to it.
     pub(crate) fn shape(&self) -> DeviceShape {
         // The fault plan's deterministic mode absorbs the legacy
-        // `error_period` knob: an explicit EveryNth plan overrides the
-        // link configuration.
+        // `error_period` knob: an explicit EveryNth plan sets the link
+        // configuration's (`validate` refuses a device that sets both).
         let link = match self.fault.link_error {
             LinkErrorMode::EveryNth(n) => LinkConfig { error_period: Some(n), ..self.link_config },
             _ => self.link_config,
@@ -224,7 +224,9 @@ impl DeviceConfig {
     }
 
     /// Validates structural invariants (power-of-two geometry, legal
-    /// block size, non-zero queues).
+    /// block size, non-zero queues) and refuses a link error period set
+    /// both in `link_config` and by an EveryNth fault plan, which would
+    /// override it unseen.
     pub fn validate(&self) -> Result<(), HmcError> {
         let bad = |why: String| Err(HmcError::MalformedPacket(why));
         if !matches!(self.links, 2 | 4 | 8) {
@@ -283,6 +285,14 @@ impl DeviceConfig {
             }
         }
         self.fault.validate(self.links)?;
+        if self.link_config.error_period.is_some()
+            && matches!(self.fault.link_error, LinkErrorMode::EveryNth(_))
+        {
+            return Err(HmcError::ConflictingConfig {
+                field: "link_config.error_period",
+                overridden_by: "fault.link_error (EveryNth)",
+            });
+        }
         Ok(())
     }
 

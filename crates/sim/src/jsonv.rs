@@ -431,6 +431,14 @@ impl Json {
         }
     }
 
+    /// Mutable object field lookup.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The value as an integer of type `T`, if it is one in range.
     pub fn as_int<T: TryFrom<i128>>(&self) -> Option<T> {
         match self {

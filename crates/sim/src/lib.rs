@@ -77,7 +77,7 @@ pub use sanitizer::{
 };
 pub use hmc_types::Fnv;
 pub use sim::HmcSim;
-pub use snapjson::SNAPSHOT_SCHEMA_VERSION;
+pub use snapjson::{DecodedHex, SNAPSHOT_SCHEMA_VERSION};
 pub use snapshot::{ForensicDump, OracleDigest, SimSnapshot};
 pub use stats::{ClassLatency, CmdClass, DeviceStats};
 pub use telemetry::{Stage, StageStamps, Telemetry, TelemetryConfig, TimeSeries};

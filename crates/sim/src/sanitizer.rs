@@ -79,7 +79,8 @@ pub struct SanitizerConfig {
     pub trace_ring: usize,
     /// Take a checkpoint snapshot every N cycles (0 = never); the
     /// latest is available via [`HmcSim::sanitizer_checkpoint`] and
-    /// bounds the replay window after a violation.
+    /// bounds the replay window after a violation. Only the latest is
+    /// held: the previous one is released before the next is taken.
     pub checkpoint_every: u64,
     /// Maximum violations retained in the report (the total is still
     /// counted past this bound).
@@ -498,8 +499,10 @@ impl Sanitizer {
 
         // Periodic checkpoint, taken last so it carries a clean
         // (acknowledged) shadow that will not re-fire old violations.
+        // The previous one goes first: one copy of memory at a time.
         if self.config.checkpoint_every > 0 && cycle.is_multiple_of(self.config.checkpoint_every)
         {
+            drop(self.last_checkpoint.take());
             self.last_checkpoint = Some(sim.snapshot_with_shadow(Some(self.shadow.clone())));
             self.report.checkpoints_taken += 1;
             if sim.tracer.captures(TraceLevel::ENGINE) {

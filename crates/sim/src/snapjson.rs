@@ -21,7 +21,10 @@
 //! loads as `fixed`, the machine it ran. Parsing is
 //! strict throughout — every object goes through [`ObjReader`],
 //! unknown or missing fields are errors, never silently dropped, and
-//! page ids must ascend.
+//! page ids must ascend. The text decoder releases each page's and
+//! each flight lane's hex as soon as its bytes are decoded
+//! ([`SimSnapshot::decode_hex`]), so a decode never holds the tree's
+//! hex and the decoded memory whole at once.
 //!
 //! Notable encoding choices:
 //!
@@ -533,9 +536,12 @@ fn page_json(id: u64, page: &[u8; PAGE_BYTES]) -> Json {
     Json::Arr(vec![id.into(), mask.into(), Json::Str(hex)])
 }
 
+/// A decoded page entry: its id and bytes.
+type PageResult = Result<(u64, Box<[u8; PAGE_BYTES]>), JsonError>;
+
 /// A page entry of schema `version`: `[id, mask, hex]` since 4, the
 /// whole page as `[id, hex]` before.
-fn page_from_json(entry: &Json, version: u64) -> Result<(u64, Box<[u8; PAGE_BYTES]>), JsonError> {
+fn page_from_json(entry: &Json, version: u64) -> PageResult {
     let (id, mask, hex) = match version {
         1..=3 => {
             let [id, hex] = entry.tuple("mem: page entry [id, hex]")?;
@@ -570,10 +576,20 @@ fn mem_json(mem: &SparseMemory) -> Json {
     obj(vec![("capacity", mem.capacity().into()), ("pages", Json::Arr(pages))])
 }
 
-/// The memory section of schema `version`. Page ids ascend, as the
-/// writer lists them: a repeated or out-of-order id is an error, not a
-/// page that silently replaces another.
+/// The memory section of schema `version`, every page decoded from
+/// the tree.
+#[cfg(test)]
 fn mem_from_json(v: &Json, version: u64) -> Result<SparseMemory, JsonError> {
+    mem_from_entries(v, |entry| page_from_json(entry, version))
+}
+
+/// A memory section, each page entry through `page`. Page ids ascend,
+/// as the writer lists them: a repeated or out-of-order id is an error,
+/// not a page that silently replaces another.
+fn mem_from_entries(
+    v: &Json,
+    mut page: impl FnMut(&Json) -> PageResult,
+) -> Result<SparseMemory, JsonError> {
     let mut r = ObjReader::new("mem", v)?;
     let capacity = r.u64("capacity")?;
     if capacity > MAX_CAPACITY {
@@ -584,7 +600,7 @@ fn mem_from_json(v: &Json, version: u64) -> Result<SparseMemory, JsonError> {
     let mem = SparseMemory::new(capacity);
     let mut last = None;
     for entry in r.arr("pages")? {
-        let (id, page) = page_from_json(entry, version)?;
+        let (id, page) = page(entry)?;
         if let Some(last) = last.filter(|&last| id <= last) {
             let how = if id == last { "listed twice" } else { "out of order" };
             return Err(JsonError::new(format!("mem: page {id} is {how} (after page {last})")));
@@ -986,10 +1002,15 @@ fn flight_json(f: &FlightSnapshot) -> Json {
 }
 
 /// Decodes a flight section of schema `version` (1: records as arrays
-/// of twelve integers; 2: packed). Only a timeline a recorder can
-/// resume is accepted: a nonzero capacity, the five lanes in
-/// [`FlightLane::ALL`] order, none holding more than the capacity.
-fn flight_from_json(v: &Json, version: u64) -> Result<FlightSnapshot, JsonError> {
+/// of twelve integers; 2: packed, each lane through `hex`). Only a
+/// timeline a recorder can resume is accepted: a nonzero capacity, the
+/// five lanes in [`FlightLane::ALL`] order, none holding more than the
+/// capacity.
+fn flight_from_json(
+    v: &Json,
+    version: u64,
+    hex: &mut DecodedHex,
+) -> Result<FlightSnapshot, JsonError> {
     let mut r = ObjReader::new("flight", v)?;
     let out = FlightSnapshot {
         capacity: r.usize("capacity")?,
@@ -1004,7 +1025,7 @@ fn flight_from_json(v: &Json, version: u64) -> Result<FlightSnapshot, JsonError>
                 dropped: lr.u64("dropped")?,
                 records: match version {
                     1 => lr.vec("records", trace_record_from_json)?,
-                    _ => lane_records_from_hex(lr.str("records")?)?,
+                    _ => hex.lane(lr.str("records")?)?,
                 },
             };
             lr.finish()?;
@@ -1068,6 +1089,42 @@ fn timing_from_json(v: &Json, version: u64) -> Result<TimingSnapshot, JsonError>
 }
 
 // ---------------------------------------------------------------------------
+// Hex decoded ahead of the walk
+// ---------------------------------------------------------------------------
+
+/// The memory pages and packed flight lanes of one snapshot document,
+/// decoded out of its tree by [`SimSnapshot::decode_hex`] in the order
+/// [`SimSnapshot::from_json_value_with`] reads them. Empty (the
+/// default), every page and lane is decoded from the tree as the walk
+/// reaches it.
+#[derive(Debug, Default)]
+pub struct DecodedHex {
+    pages: VecDeque<PageResult>,
+    lanes: VecDeque<Result<Vec<TraceRecord>, JsonError>>,
+}
+
+impl DecodedHex {
+    /// The page of `entry`: the next one decoded ahead, or its own.
+    fn page(&mut self, entry: &Json, version: u64) -> PageResult {
+        self.pages.pop_front().unwrap_or_else(|| page_from_json(entry, version))
+    }
+
+    /// The records of a lane holding `hex`: the next lane decoded
+    /// ahead, or its own.
+    fn lane(&mut self, hex: &str) -> Result<Vec<TraceRecord>, JsonError> {
+        self.lanes.pop_front().unwrap_or_else(|| lane_records_from_hex(hex))
+    }
+}
+
+/// The items of `v` when it is an array, else none.
+fn items_mut(v: Option<&mut Json>) -> &mut [Json] {
+    match v {
+        Some(Json::Arr(items)) => items,
+        _ => &mut [],
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Device and top level
 // ---------------------------------------------------------------------------
 
@@ -1096,8 +1153,13 @@ fn device_json(d: &DeviceSnapshot) -> Json {
     ])
 }
 
-/// A device entry of schema `version` (the CMC fields arrived in 3).
-fn device_from_json(v: &Json, version: u64) -> Result<DeviceSnapshot, JsonError> {
+/// A device entry of schema `version` (the CMC fields arrived in 3),
+/// its pages through `hex`.
+fn device_from_json(
+    v: &Json,
+    version: u64,
+    hex: &mut DecodedHex,
+) -> Result<DeviceSnapshot, JsonError> {
     let mut r = ObjReader::new("device", v)?;
     let xbar_rqst =
         r.vec("xbar_rqst", |q| queue_from_json(q, "xbar_rqst", tracked_request_from_json))?;
@@ -1126,7 +1188,7 @@ fn device_from_json(v: &Json, version: u64) -> Result<DeviceSnapshot, JsonError>
         vaults,
         banks,
         vault_banks,
-        mem: mem_from_json(r.required("mem")?, version)?,
+        mem: mem_from_entries(r.required("mem")?, |entry| hex.page(entry, version))?,
         regs: regs_from_json(r.required("regs")?)?,
         stats: stats_from_json(r.required("stats")?)?,
         power: power_from_json(r.required("power")?)?,
@@ -1189,7 +1251,51 @@ impl SimSnapshot {
     /// Parses a [`SimSnapshot::to_json_value`] document back into a
     /// snapshot. Strict: unknown fields, missing fields, out-of-range
     /// values and unsupported schema versions are all errors.
+    ///
+    /// The tree stays as it is, so its page hex and the decoded memory
+    /// are both whole at the end; [`SimSnapshot::from_json`] holds less.
     pub fn from_json_value(v: &Json) -> Result<SimSnapshot, JsonError> {
+        Self::from_json_value_with(v, DecodedHex::default())
+    }
+
+    /// Decodes the hex of the snapshot document `v` ahead of the walk
+    /// over the rest of it: every memory page and every packed flight
+    /// lane, in the order [`SimSnapshot::from_json_value_with`] reads
+    /// them, each hex string emptied in `v` as soon as its bytes are
+    /// decoded. So the tree's hex shrinks as the decoded memory grows
+    /// and the two are never whole at once.
+    ///
+    /// Never fails: a page or lane that does not decode keeps its error
+    /// for the walk to report where it reaches it, in the order and
+    /// with the text [`SimSnapshot::from_json_value`] reports it.
+    pub fn decode_hex(v: &mut Json) -> DecodedHex {
+        let mut out = DecodedHex::default();
+        let Some(version) = v.get("schema_version").and_then(Json::as_u64) else {
+            return out;
+        };
+        for device in items_mut(v.get_mut("devices")) {
+            let pages = device.get_mut("mem").and_then(|mem| mem.get_mut("pages"));
+            for entry in items_mut(pages) {
+                out.pages.push_back(page_from_json(entry, version));
+                if let Some(Json::Str(hex)) = items_mut(Some(entry)).last_mut() {
+                    drop(std::mem::take(hex));
+                }
+            }
+        }
+        if version >= 2 {
+            for lane in items_mut(v.get_mut("flight").and_then(|f| f.get_mut("lanes"))) {
+                if let Some(Json::Str(hex)) = lane.get_mut("records") {
+                    out.lanes.push_back(lane_records_from_hex(hex));
+                    drop(std::mem::take(hex));
+                }
+            }
+        }
+        out
+    }
+
+    /// [`SimSnapshot::from_json_value`] on a document whose hex
+    /// [`SimSnapshot::decode_hex`] has taken out into `hex`.
+    pub fn from_json_value_with(v: &Json, mut hex: DecodedHex) -> Result<SimSnapshot, JsonError> {
         let mut r = ObjReader::new("snapshot", v)?;
         let version = r.u64("schema_version")?;
         if !(1..=SNAPSHOT_SCHEMA_VERSION).contains(&version) {
@@ -1211,7 +1317,7 @@ impl SimSnapshot {
                     .transpose()?,
             },
             cycle: r.u64("cycle")?,
-            devices: r.vec("devices", |d| device_from_json(d, version))?,
+            devices: r.vec("devices", |d| device_from_json(d, version, &mut hex))?,
             host_rx: nested_from_json(r.required("host_rx")?, "snapshot host_rx", host_queue)?,
             tag_pools: nested_from_json(
                 r.required("tag_pools")?,
@@ -1236,7 +1342,7 @@ impl SimSnapshot {
             flight: r
                 .optional("flight")
                 .filter(|v| non_null(v))
-                .map(|v| flight_from_json(v, version))
+                .map(|v| flight_from_json(v, version, &mut hex))
                 .transpose()?,
         };
         r.finish()?;
@@ -1245,8 +1351,15 @@ impl SimSnapshot {
 
     /// Parses a [`SimSnapshot::to_json_full`] string back into a
     /// snapshot (see [`SimSnapshot::from_json_value`]).
+    ///
+    /// No copy of a page outlives its use: each memory page's hex string
+    /// and each flight lane's is released as soon as its bytes are
+    /// decoded, in reading order ([`SimSnapshot::decode_hex`]), so the
+    /// parse tree and the decoded memory never exist in full at once.
     pub fn from_json(text: &str) -> Result<SimSnapshot, JsonError> {
-        Self::from_json_value(&Json::parse(text)?)
+        let mut v = Json::parse(text)?;
+        let hex = Self::decode_hex(&mut v);
+        Self::from_json_value_with(&v, hex)
     }
 }
 

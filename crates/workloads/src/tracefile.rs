@@ -209,6 +209,14 @@ impl ReplayCheckpoint {
     /// Parses a [`ReplayCheckpoint::to_json_value`] document. Strict:
     /// unknown fields, missing fields and schema mismatches are errors.
     pub fn from_json_value(v: &Json) -> Result<ReplayCheckpoint, JsonError> {
+        Self::decode(v, SimSnapshot::from_json_value)
+    }
+
+    /// The checkpoint of document `v`, its snapshot through `snapshot`.
+    fn decode(
+        v: &Json,
+        snapshot: impl FnOnce(&Json) -> Result<SimSnapshot, JsonError>,
+    ) -> Result<ReplayCheckpoint, JsonError> {
         let mut r = ObjReader::new("replay checkpoint", v)?;
         let version = r.u64("schema_version")?;
         if version != REPLAY_CKPT_SCHEMA_VERSION {
@@ -232,15 +240,22 @@ impl ReplayCheckpoint {
             })?,
             start_cycle: r.u64("start_cycle")?,
             flits_base: r.u64("flits_base")?,
-            snapshot: SimSnapshot::from_json_value(r.required("snapshot")?)?,
+            snapshot: snapshot(r.required("snapshot")?)?,
         };
         r.finish()?;
         Ok(out)
     }
 
     /// Parses a JSON string produced by [`ReplayCheckpoint::to_json`].
+    ///
+    /// No copy of a page outlives its use: each memory page's hex string
+    /// and each flight lane's is released as soon as its bytes are
+    /// decoded, in reading order ([`SimSnapshot::decode_hex`]), so the
+    /// parse tree and the decoded memory never exist in full at once.
     pub fn from_json(text: &str) -> Result<ReplayCheckpoint, JsonError> {
-        Self::from_json_value(&Json::parse(text)?)
+        let mut v = Json::parse(text)?;
+        let hex = v.get_mut("snapshot").map(SimSnapshot::decode_hex).unwrap_or_default();
+        Self::decode(&v, |snapshot| SimSnapshot::from_json_value_with(snapshot, hex))
     }
 }
 
@@ -300,6 +315,11 @@ pub fn replay_resumable(
 /// at the zero-delta start cycle, even when resuming with
 /// `start_cycle != 0`), and subsequent ones at each later multiple of
 /// `checkpoint_every` — stable under multi-cycle clock jumps.
+///
+/// No copy of memory outlives its use: the previous checkpoint is
+/// released before the next snapshot copies memory again, so a
+/// checkpointed replay holds one checkpoint at a time. The newest is
+/// returned; a sink error returns `Err` and no checkpoint.
 pub fn replay_with_sink(
     sim: &mut HmcSim,
     ops: &[TraceOp],
@@ -401,6 +421,7 @@ pub fn replay_with_sink(
             // Ascending `(link, tag)` pairs.
             let pending = inflight.iter().enumerate();
             let pending = pending.flat_map(|(link, tags)| tags.iter().map(move |t| (link, t.value())));
+            drop(last_checkpoint.take());
             let ckpt = ReplayCheckpoint {
                 cycle: sim.cycle(),
                 cursor,

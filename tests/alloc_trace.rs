@@ -32,6 +32,11 @@
 //! one costs the same number of blocks however many vaults the cube
 //! has.
 //!
+//! The same allocator counts the bytes live and their high-water mark,
+//! which pins what a checkpoint round trip holds at once: decoding a
+//! snapshot never holds the parse tree's page hex beside the decoded
+//! pages, and a checkpointed replay never holds two checkpoints.
+//!
 //! Past the inline payload capacity the pin is exact rather than zero:
 //! a window of RD256 / RD256 / WR256 triples allocates one block per
 //! read — the response payload the host receives and owns — and nothing
@@ -41,33 +46,53 @@
 //! test can perturb the global counter.
 
 use hmcsim::cmc::ops;
+use hmcsim::mem::store::PAGE_BYTES;
 use hmcsim::prelude::*;
 use hmcsim::sim::{
-    FlightRecorder, SanitizerConfig, SimConfig, SimSnapshot, TelemetryConfig, TraceKind,
+    FlightRecorder, Json, SanitizerConfig, SimConfig, SimSnapshot, TelemetryConfig, TraceKind,
     TraceRecord, Tracer,
 };
-use hmcsim::workloads::tracefile::{replay, ReplayConfig, TraceOp};
+use hmcsim::workloads::tracefile::{replay, replay_with_sink, ReplayConfig, TraceOp};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig, SpinPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+/// The most bytes live at once since [`peak_live_bytes_in`] last reset it.
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// Counts `bytes` more live (negative: fewer).
+fn live(bytes: i64) {
+    let now = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    PEAK.fetch_max(now, Ordering::SeqCst);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            live(layout.size() as i64);
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
+        live(-(layout.size() as i64));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            live(new_size as i64 - layout.size() as i64);
+        }
+        moved
     }
 }
 
@@ -79,6 +104,26 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     f();
     ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
+/// Runs `f` and returns its value and the most bytes live at once
+/// during it beyond those live when it started.
+fn peak_live_bytes_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let out = f();
+    (out, (PEAK.load(Ordering::SeqCst) - before).max(0) as u64)
+}
+
+/// A cube whose first `pages` memory pages hold a nonzero byte in every
+/// line, as a long run's working set does.
+fn dense_cube(pages: u64) -> HmcSim {
+    let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+    let fill: Vec<u8> = (0..PAGE_BYTES).map(|i| (i % 251) as u8 + 1).collect();
+    for page in 0..pages {
+        sim.mem_write(0, page * PAGE_BYTES as u64, &fill).unwrap();
+    }
+    sim
 }
 
 /// Least allocation count over `n` runs of `f`. The counter is global,
@@ -435,6 +480,50 @@ fn traced_off_emission_is_allocation_free() {
         many_blocks, few_blocks,
         "a checkpoint round trip took {many_blocks} allocations at 4096 records per lane, \
          {few_blocks} at 64: per-record allocation"
+    );
+
+    // --- A checkpoint round trip, in bytes held. -----------------------
+    // The decoder releases each page's hex string (two digits a byte)
+    // as soon as its bytes are out, so the parse tree's page hex and
+    // the decoded pages are never whole at once: decoding holds little
+    // more than the whole tree does, where a tree kept whole to the end
+    // would hold every decoded page on top (near 3x the page bytes in
+    // all).
+    let pages = 512;
+    let page_bytes = pages * PAGE_BYTES as u64;
+    let dense = dense_cube(pages);
+    let text = dense.snapshot().to_json_full();
+    let (tree, tree_bytes) = peak_live_bytes_in(|| Json::parse(&text).unwrap());
+    assert!(tree_bytes > 2 * page_bytes, "the tree holds the page hex ({tree_bytes} bytes)");
+    drop(tree);
+    let (back, held) = peak_live_bytes_in(|| SimSnapshot::from_json(&text).unwrap());
+    assert_eq!(back.fingerprint(), dense.state_fingerprint());
+    drop(back);
+    assert!(
+        held < tree_bytes + page_bytes / 4,
+        "decoding {pages} dense pages ({page_bytes} bytes) held {held} bytes at once, its \
+         parse tree {tree_bytes}: the tree's page hex beside the decoded pages"
+    );
+    // A checkpointed replay releases its previous checkpoint before
+    // the next snapshot copies memory: it holds one checkpoint's pages
+    // at a time, never two.
+    let mut replayed = dense;
+    let config = ReplayConfig { checkpoint_every: 100, ..Default::default() };
+    let mut taken = 0;
+    let ((result, last), held) = peak_live_bytes_in(|| {
+        replay_with_sink(&mut replayed, &mixed(2_000), &config, None, |_| {
+            taken += 1;
+            Ok(())
+        })
+        .unwrap()
+    });
+    assert_eq!(result.issued, 2_000);
+    assert!(taken >= 3 && last.is_some(), "{taken} checkpoints");
+    drop(last);
+    assert!(
+        held < page_bytes + page_bytes / 2,
+        "a replay taking {taken} checkpoints of {page_bytes} bytes of pages held {held} bytes \
+         at once: two checkpoints"
     );
 
     // --- A fresh context. ---------------------------------------------

@@ -166,3 +166,45 @@ fn retries_replay_with_their_original_seq() {
     assert_eq!(seqs.len(), 1);
     assert_eq!(seqs[0].1, 4, "sequence continues without a burned SEQ");
 }
+
+/// An EveryNth fault plan sets the links' error period itself, so a
+/// device that also sets `link_config.error_period` would carry a knob
+/// with no effect: the configuration is refused, naming both fields,
+/// whether it is built directly or read from a document.
+#[test]
+fn an_error_period_beside_an_every_nth_plan_is_refused() {
+    use hmcsim::sim::{FaultPlan, Json, LinkErrorMode, SimConfig};
+    let conflict = HmcError::ConflictingConfig {
+        field: "link_config.error_period",
+        overridden_by: "fault.link_error (EveryNth)",
+    };
+    let mut both = DeviceConfig::gen2_4link_4gb();
+    both.link_config = LinkConfig { error_period: Some(5), ..Default::default() };
+    both.fault = FaultPlan::none().with_link_errors(LinkErrorMode::EveryNth(3));
+    assert_eq!(both.validate(), Err(conflict.clone()));
+    let err = HmcSim::with_config(SimConfig::single(both.clone())).err();
+    assert_eq!(err, Some(conflict.clone()));
+    let text = conflict.to_string();
+    assert!(text.contains("link_config.error_period") && text.contains("fault.link_error"), "{text}");
+
+    // Either one alone is a valid machine, and its document loads.
+    let mut period_only = both.clone();
+    period_only.fault = FaultPlan::none();
+    let mut plan_only = both.clone();
+    plan_only.link_config = LinkConfig::default();
+    let random = FaultPlan::none().with_link_errors(LinkErrorMode::Random { per_million: 10 });
+    let period_and_random = DeviceConfig { fault: random, ..period_only.clone() };
+    for device in [period_only, plan_only, period_and_random] {
+        let config = SimConfig::single(device);
+        assert_eq!(SimConfig::from_json(&config.to_json()), Ok(config.clone()));
+        HmcSim::with_config(config).unwrap();
+    }
+
+    // The document of the conflicting machine (the writer still renders
+    // it) is refused by the reader with the same error.
+    let doc = SimConfig::single(both).to_json();
+    let rendered = doc.render();
+    assert!(rendered.contains(r#""link_error_period":5"#), "{rendered}");
+    let err = SimConfig::from_json(&Json::parse(&rendered).unwrap()).unwrap_err();
+    assert_eq!(err.message, format!("sim_config: invalid configuration: {conflict}"));
+}

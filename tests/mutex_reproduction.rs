@@ -125,3 +125,51 @@ fn hot_spot_concentrates_on_one_vault() {
         "the lock vault must queue deeply"
     );
 }
+
+/// A device's Table VI row over the paper's full 2..=100 thread sweep
+/// under `PaperBounded` spinning, one fresh simulation per point:
+/// `(min, worst max, worst average)`.
+fn table_vi_row(config: DeviceConfig) -> (u64, u64, f64) {
+    let points: Vec<_> =
+        (2..=100).map(|t| run(config.clone(), t, SpinPolicy::PaperBounded)).collect();
+    let min = points.iter().map(|m| m.min_cycle()).min().expect("a sweep has points");
+    let max = points.iter().map(|m| m.max_cycle()).max().expect("a sweep has points");
+    let avg = points.iter().map(|m| m.avg_cycle()).fold(f64::MIN, f64::max);
+    (min, max, avg)
+}
+
+/// A gap to the paper that is known and still open. It fails when the
+/// gap closes, so a change that closes it is noticed and the
+/// expectation becomes a gate.
+fn known_gap(name: &str, still_open: bool, detail: String) {
+    assert!(still_open, "known gap `{name}` closed ({detail}): make it a paper gate");
+}
+
+/// Table VI as a gate: the paper reads 6 / 392 / 226.48 (4Link-4GB)
+/// and 6 / 387 / 221.48 (8Link-8GB) for min / worst max / worst
+/// average over 2..=100 threads.
+#[test]
+fn table_vi_paper_gates() {
+    let four = table_vi_row(DeviceConfig::gen2_4link_4gb());
+    let eight = table_vi_row(DeviceConfig::gen2_8link_8gb());
+    let err_pct = |ours: f64, paper: f64| 100.0 * (ours - paper).abs() / paper;
+    for ((min, max, avg), (paper_max, paper_avg), label) in
+        [(four, (392, 226.48), "4Link-4GB"), (eight, (387, 221.48), "8Link-8GB")]
+    {
+        assert_eq!(min, 6, "{label}: min cycle");
+        let err = err_pct(avg, paper_avg);
+        assert!(err <= 1.5, "{label}: worst avg {avg:.2} is {err:.2} % off {paper_avg}");
+        // Worst max runs near 3 cycles a thread where the paper's runs
+        // near 4.
+        let err = err_pct(max as f64, paper_max as f64);
+        known_gap("worst max", err > 1.5, format!("{label}: {max} against {paper_max}"));
+    }
+    assert!(eight.2 < four.2, "8Link-8GB ahead on worst avg: {:.2} vs {:.2}", eight.2, four.2);
+    // The paper's 8Link-8GB is ahead at worst max too (387 vs 392);
+    // here it trails by a cycle.
+    known_gap(
+        "device order at worst max",
+        eight.1 > four.1,
+        format!("8Link-8GB {} against 4Link-4GB {}", eight.1, four.1),
+    );
+}

@@ -1193,3 +1193,82 @@ fn mutated_scenarios_kernels_and_journals_are_rejected_with_typed_errors_never_a
         RunJournal::from_json(text).map(drop).map_err(|e| e.to_string())
     });
 }
+
+/// The text decoders release each page's and lane's hex as they go,
+/// decoded ahead of the walk over the rest of the tree; the tree
+/// decoders read a tree that keeps it. On every mutant — textual,
+/// structural anywhere, and structural within the pages and lanes the
+/// release visits — the two return the same snapshot or the same error
+/// text, for a snapshot and for a replay checkpoint around one.
+#[test]
+fn the_text_decoders_agree_with_the_tree_decoders_on_every_mutant() {
+    use hmcsim::workloads::tracefile::{
+        replay_resumable, synthetic_trace, ReplayCheckpoint, ReplayConfig,
+    };
+    type Outcome = Result<(u64, usize), String>;
+    type Decoder = fn(&str) -> Outcome;
+    let snapshot_by_text: Decoder = |text| {
+        let snap = SimSnapshot::from_json(text).map_err(|e| e.to_string())?;
+        Ok((snap.fingerprint(), snap.flight().map_or(0, |f| f.len())))
+    };
+    let snapshot_by_tree: Decoder = |text| {
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let snap = SimSnapshot::from_json_value(&doc).map_err(|e| e.to_string())?;
+        Ok((snap.fingerprint(), snap.flight().map_or(0, |f| f.len())))
+    };
+    let ckpt_by_text: Decoder = |text| {
+        let ckpt = ReplayCheckpoint::from_json(text).map_err(|e| e.to_string())?;
+        Ok((ckpt.snapshot.fingerprint(), ckpt.cursor))
+    };
+    let ckpt_by_tree: Decoder = |text| {
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let ckpt = ReplayCheckpoint::from_json_value(&doc).map_err(|e| e.to_string())?;
+        Ok((ckpt.snapshot.fingerprint(), ckpt.cursor))
+    };
+
+    let mut sim = HmcSim::new(small_cube()).unwrap();
+    sim.enable_flight_recorder(8);
+    let config = ReplayConfig { checkpoint_every: 16, ..Default::default() };
+    let (_, ckpt) = replay_resumable(&mut sim, &synthetic_trace(4, 16, 64), &config, None).unwrap();
+    let ckpt = ckpt.expect("the replay took a checkpoint").to_json();
+    let (busy, v1) = (busy_mesh().snapshot().to_json_full(), read_golden("snapshot_v1.json"));
+    for (text, by_text, by_tree) in [
+        (&busy, snapshot_by_text, snapshot_by_tree),
+        (&v1, snapshot_by_text, snapshot_by_tree),
+        (&ckpt, ckpt_by_text, ckpt_by_tree),
+    ] {
+        let doc = Json::parse(text).unwrap();
+        let mut nodes = Vec::new();
+        paths(&doc, true, &mut Vec::new(), &mut nodes);
+        let hexed: Vec<Vec<usize>> = nodes
+            .iter()
+            .filter(|path| {
+                let at = path_text(&doc, path);
+                at.contains("mem/pages") || at.contains("flight/lanes")
+            })
+            .cloned()
+            .collect();
+        assert!(!hexed.is_empty(), "the document holds pages or lanes");
+        let mut rng = Rng(0xA5A5_5A5A ^ text.len() as u64);
+        let mut outcomes = [0usize; 2];
+        for round in 0..600 {
+            let mutant = match round % 3 {
+                0 => mutate_text(text, &mut rng),
+                1 => {
+                    let mut tree = doc.clone();
+                    mutate_tree(&mut tree, &nodes, &mut rng);
+                    tree.render()
+                }
+                _ => {
+                    let mut tree = doc.clone();
+                    mutate_tree(&mut tree, &hexed, &mut rng);
+                    tree.render()
+                }
+            };
+            let outcome = by_text(&mutant);
+            assert_eq!(outcome, by_tree(&mutant), "round {round}");
+            outcomes[outcome.is_ok() as usize] += 1;
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "rejected, loaded: {outcomes:?}");
+    }
+}
