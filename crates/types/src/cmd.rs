@@ -72,7 +72,7 @@ pub struct CmdInfo {
 
 macro_rules! hmc_commands {
     ($( $variant:ident { code: $code:expr, rqst: $rq:expr, rsp: $rs:expr,
-         kind: $kind:ident, bytes: $bytes:expr, name: $name:expr } ),+ $(,)?) => {
+         kind: $kind:ident, bytes: $bytes:expr, name: $name:literal } ),+ $(,)?) => {
         /// An HMC Gen2 request command.
         ///
         /// All 58 standard commands are explicit variants; the 70 free
@@ -128,6 +128,16 @@ macro_rules! hmc_commands {
                 match self {
                     $(HmcRqst::$variant => $code,)+
                     HmcRqst::Cmc(code) => code,
+                }
+            }
+
+            /// The standard command whose Table I mnemonic
+            /// ([`CmdInfo::name`]) is `name`, exactly and case for case;
+            /// `None` for any other string, a `CMCnn` name included.
+            pub fn from_name(name: &str) -> Option<HmcRqst> {
+                match name {
+                    $($name => Some(HmcRqst::$variant),)+
+                    _ => None,
                 }
             }
         }
@@ -481,6 +491,19 @@ mod tests {
         assert_eq!(HmcRqst::Cmc(125).mnemonic(), "CMC125");
         assert_eq!(format!("{}", HmcRqst::CasZero16), "CASZERO16");
         assert_eq!(format!("{}", HmcRqst::Cmc(4)), "CMC4");
+    }
+
+    #[test]
+    fn from_name_inverts_the_table_one_mnemonics() {
+        let mut seen = HashSet::new();
+        for &cmd in HmcRqst::STANDARD {
+            let name = cmd.fixed_info().unwrap().name;
+            assert!(seen.insert(name), "duplicate mnemonic {name}");
+            assert_eq!(HmcRqst::from_name(name), Some(cmd), "{name}");
+        }
+        for other in ["inc8", "CMC125", "", "INC8 ", "WR"] {
+            assert_eq!(HmcRqst::from_name(other), None, "`{other}`");
+        }
     }
 
     #[test]

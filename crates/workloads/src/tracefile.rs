@@ -14,6 +14,15 @@
 //! A <MNEMONIC> <hex-addr> [tid]  # atomic by Table-I mnemonic (INC8, XOR16, ...)
 //! ```
 //!
+//! Two readers share the format. A line in the canonical form — what
+//! [`render_trace`] writes: `R|W|P 0x<lower-case hex> <size> [tid]` or
+//! `A <MNEMONIC> 0x<lower-case hex> [tid]`, fields one space apart and
+//! nothing else — is read straight from its bytes. Every other line
+//! (comments, blanks, other whitespace, upper-case digits, no `0x`,
+//! overflow, any error) goes to the general reader, which alone decides
+//! what it holds and words every error; the canonical reader only ever
+//! yields what the general one would.
+//!
 //! The replayer issues each thread's requests on link `tid % links`
 //! with a bounded global window, and reports cycles, FLITs and
 //! bandwidth.
@@ -37,6 +46,83 @@ pub struct TraceOp {
 
 /// Parses one trace line; `Ok(None)` for blanks and comments.
 pub fn parse_line(line: &str) -> Result<Option<TraceOp>, HmcError> {
+    match canonical_record(line.as_bytes()) {
+        Some((op, [])) => Ok(Some(op)),
+        _ => parse_general(line),
+    }
+}
+
+/// The op of the record in the canonical form [`render_trace`] writes
+/// at the start of `s`, read from its bytes, and the bytes after it;
+/// `None` if `s` starts with anything else, valid or not.
+fn canonical_record(s: &[u8]) -> Option<(TraceOp, &[u8])> {
+    let (&kind, rest) = s.split_first()?;
+    let rest = rest.strip_prefix(b" ")?;
+    let (cmd, addr, rest) = match kind {
+        b'R' | b'W' | b'P' => {
+            let (addr, rest) = canonical_number::<16>(rest.strip_prefix(b"0x")?)?;
+            let (bytes, rest) = canonical_number::<10>(rest.strip_prefix(b" ")?)?;
+            let bytes = usize::try_from(bytes).ok()?;
+            let cmd = match kind {
+                b'R' => HmcRqst::read_for_bytes(bytes),
+                b'W' => HmcRqst::write_for_bytes(bytes),
+                _ => HmcRqst::posted_write_for_bytes(bytes),
+            };
+            (cmd.ok()?, addr, rest)
+        }
+        b'A' => {
+            let end = rest.iter().position(|&b| b == b' ')?;
+            let (mnemonic, rest) = (std::str::from_utf8(&rest[..end]).ok()?, &rest[end + 1..]);
+            let cmd = HmcRqst::from_name(mnemonic)?;
+            if !matches!(
+                cmd.kind(),
+                hmc_types::CmdKind::Atomic | hmc_types::CmdKind::PostedAtomic
+            ) {
+                return None;
+            }
+            let (addr, rest) = canonical_number::<16>(rest.strip_prefix(b"0x")?)?;
+            (cmd, addr, rest)
+        }
+        _ => return None,
+    };
+    let (tid, rest) = match rest {
+        [b' ', digits @ ..] => canonical_number::<10>(digits)?,
+        _ => (0, rest),
+    };
+    Some((TraceOp { cmd, addr, tid }, rest))
+}
+
+/// Each byte's value as a lower-case hex digit; 16 for any other byte.
+/// A table, so that a mix of digits and letters costs no branch.
+const DIGIT: [u8; 256] = {
+    let mut table = [16; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// One or more digits in `RADIX` (10, or 16 in lower case) whose value
+/// fits a `u64`, and the bytes after them.
+fn canonical_number<const RADIX: u64>(s: &[u8]) -> Option<(u64, &[u8])> {
+    let mut value = 0u64;
+    let mut len = 0;
+    while let Some(&b) = s.get(len) {
+        let digit = u64::from(DIGIT[usize::from(b)]);
+        if digit >= RADIX {
+            break;
+        }
+        value = value.checked_mul(RADIX)?.checked_add(digit)?;
+        len += 1;
+    }
+    (len > 0).then(|| (value, &s[len..]))
+}
+
+/// The reader of every line: blanks, comments, any whitespace between
+/// fields, and the error of a line that does not parse.
+fn parse_general(line: &str) -> Result<Option<TraceOp>, HmcError> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -80,10 +166,7 @@ pub fn parse_line(line: &str) -> Result<Option<TraceOp>, HmcError> {
         }
         "A" => {
             let mnemonic = tok.next().ok_or_else(|| bad("missing mnemonic".into()))?;
-            let cmd = HmcRqst::STANDARD
-                .iter()
-                .copied()
-                .find(|c| c.fixed_info().is_some_and(|info| info.name == mnemonic))
+            let cmd = HmcRqst::from_name(mnemonic)
                 .ok_or_else(|| bad(format!("unknown mnemonic {mnemonic}")))?;
             if !matches!(
                 cmd.kind(),
@@ -102,9 +185,43 @@ pub fn parse_line(line: &str) -> Result<Option<TraceOp>, HmcError> {
     Ok(Some(op))
 }
 
-/// Parses a whole trace.
+/// Parses a whole trace: the ops of its lines ([`str::lines`]) in
+/// order, or the first line's error.
+///
+/// A canonical record that ends its line is read in place; any other
+/// line goes through [`parse_line`]. The op vector is sized once, to
+/// the text's line count, rather than grown by doubling.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, HmcError> {
-    text.lines().filter_map(|l| parse_line(l).transpose()).collect()
+    let bytes = text.as_bytes();
+    let mut ops = Vec::with_capacity(line_count(bytes));
+    let mut at = 0;
+    while at < bytes.len() {
+        let end = match canonical_record(&bytes[at..]) {
+            Some((op, rest @ ([] | [b'\n', ..]))) => {
+                ops.push(op);
+                bytes.len() - rest.len()
+            }
+            _ => {
+                let end =
+                    bytes[at..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |n| at + n);
+                let line = text[at..].lines().next().unwrap_or_default();
+                ops.extend(parse_line(line)?);
+                end
+            }
+        };
+        at = end + 1;
+    }
+    Ok(ops)
+}
+
+/// How many lines [`str::lines`] finds in `bytes`.
+fn line_count(bytes: &[u8]) -> usize {
+    // Newlines counted in byte-wide lanes, 255 bytes at a time.
+    let newlines: usize = bytes
+        .chunks(255)
+        .map(|chunk| chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n')) as usize)
+        .sum();
+    newlines + usize::from(bytes.last().is_some_and(|&b| b != b'\n'))
 }
 
 /// Renders ops back to the trace format (inverse of [`parse_trace`]
@@ -320,6 +437,11 @@ pub fn replay_resumable(
 /// released before the next snapshot copies memory again, so a
 /// checkpointed replay holds one checkpoint at a time. The newest is
 /// returned; a sink error returns `Err` and no checkpoint.
+///
+/// An op whose command is a CMC code ([`HmcRqst::Cmc`]), which no
+/// trace line can name but a hand-built [`TraceOp`] can, ends the
+/// replay with [`HmcError::MalformedPacket`] naming its index and
+/// command when the replay reaches it, as a failed send does.
 pub fn replay_with_sink(
     sim: &mut HmcSim,
     ops: &[TraceOp],
@@ -394,7 +516,13 @@ pub fn replay_with_sink(
         while outstanding < config.window && cursor < ops.len() {
             let op = &ops[cursor];
             let link = (op.tid as usize) % links;
-            let info = op.cmd.fixed_info().expect("standard");
+            let Some(info) = op.cmd.fixed_info() else {
+                return Err(HmcError::MalformedPacket(format!(
+                    "trace op {cursor}: {} is no Table I command; a replay sends standard \
+                     commands only",
+                    op.cmd
+                )));
+            };
             let payload_len = payload_words(info.rqst_flits);
             let payload: PayloadBuf = (0..payload_len as u64).map(|w| op.addr ^ w).collect();
             match sim.send_simple(0, link, op.cmd, op.addr, payload) {
@@ -699,6 +827,15 @@ A XOR16 0x80
             bad.inflight.push(entry);
             assert_eq!(replay_resumable(&mut sim, &ops, &config, Some(bad)).unwrap_err(), want);
         }
+    }
+
+    #[test]
+    fn a_cmc_op_ends_the_replay_with_an_error_naming_it() {
+        let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+        let mut ops = synthetic_trace(2, 4, 64);
+        ops.insert(5, TraceOp { cmd: HmcRqst::Cmc(125), addr: 0x40, tid: 1 });
+        let e = replay(&mut sim, &ops, &ReplayConfig::default()).unwrap_err().to_string();
+        assert!(e.contains("trace op 5: CMC125"), "{e}");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!
 //! So does the trace replayer: its in-flight set is a bit map per link
 //! and its payloads are built in place, so a warm replay allocates the
-//! same handful of times however many operations it carries.
+//! same handful of times however many operations it carries. The
+//! parser in front of it sizes its op vector once from the text's line
+//! count, so parsing 8,000 lines allocates as often as parsing 1,000.
 //!
 //! A checkpoint carries the flight recorder the same way: a packed lane
 //! is one hex string, so encoding and decoding a snapshot allocates as
@@ -52,7 +54,9 @@ use hmcsim::sim::{
     FlightRecorder, Json, SanitizerConfig, SimConfig, SimSnapshot, TelemetryConfig, TraceKind,
     TraceRecord, Tracer,
 };
-use hmcsim::workloads::tracefile::{replay, replay_with_sink, ReplayConfig, TraceOp};
+use hmcsim::workloads::tracefile::{
+    parse_trace, render_trace, replay, replay_with_sink, ReplayConfig, TraceOp,
+};
 use hmcsim::workloads::{MutexKernel, MutexKernelConfig, SpinPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -458,6 +462,12 @@ fn traced_off_emission_is_allocation_free() {
     let (few, many) = (replay_allocations(&short), replay_allocations(&long));
     assert!(few <= 2, "a warm 1000-op replay allocated {few} times");
     assert_eq!(many, few, "8000 ops took {many} allocations, 1000 took {few}: per-op allocation");
+    // Parsing them: the op vector, sized once, and nothing per line.
+    let (short, long) = (render_trace(&short), render_trace(&long));
+    let parse_allocations = |text: &str| min_allocations(3, || drop(parse_trace(text).unwrap()));
+    let (few, many) = (parse_allocations(&short), parse_allocations(&long));
+    assert_eq!(few, 1, "parsing 1000 lines allocated {few} times");
+    assert_eq!(many, few, "parsing 8000 lines took {many} allocations, 1000 took {few}");
 
     // --- The snapshot codec, per flight record. -----------------------
     // Each lane is one hex string of packed records, written and read

@@ -22,13 +22,22 @@
 //! * **The parser never panics** — seeded mutations of a generated
 //!   trace end in `Ok` or a typed error, and whatever parses survives a
 //!   render → parse round trip.
+//! * **Two readers, one answer** — `parse_line` reads a canonical line
+//!   straight from its bytes and hands every other line to the general
+//!   reader. Every line above, every mutant, and generated canonical
+//!   lines and their near misses (other whitespace, `0X`, upper-case
+//!   digits, signs, overflow, CRLF) get the same `Ok` value or the same
+//!   error from it as from [`reference_parse_line`], the general reader
+//!   as it stood alone.
 
 use hmcsim::prelude::*;
 use hmcsim::sim::{Json, LinkConfig};
+use hmcsim::types as hmc_types;
 use hmcsim::workloads::tracefile::{
     parse_line, parse_trace, render_trace, replay_resumable, ReplayCheckpoint, ReplayConfig,
     TraceOp,
 };
+use std::num::ParseIntError;
 
 /// The 8-vault, 2-bank cube of `tests/snapshot_codec.rs`, with the
 /// sanitizer reporting and a 4-record flight recorder. Engine, skip and
@@ -127,6 +136,88 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
     assert!(recorded, "the checkpoint carries records");
 }
 
+/// The trace-line reader as it stood before the canonical one joined
+/// it, kept verbatim: the oracle both readers together must match.
+fn reference_parse_line(line: &str) -> Result<Option<TraceOp>, HmcError> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let mut tok = line.split_whitespace();
+    let kind = tok.next().expect("nonempty line");
+    let bad = |why: String| HmcError::MalformedPacket(format!("trace line '{line}': {why}"));
+    // A trace number is digits only; the integer parsers take a `+`,
+    // so a signed token is parsed as the sign alone, which fails as
+    // the digit it is not.
+    fn unsigned<T>(
+        s: &str,
+        parse: impl Fn(&str) -> Result<T, ParseIntError>,
+    ) -> Result<T, ParseIntError> {
+        parse(if s.starts_with('+') { "+" } else { s })
+    }
+    let parse_addr = |s: Option<&str>| -> Result<u64, HmcError> {
+        let s = s.ok_or_else(|| bad("missing address".into()))?;
+        let s = s.strip_prefix("0x").unwrap_or(s);
+        unsigned(s, |s| u64::from_str_radix(s, 16)).map_err(|e| bad(format!("bad address: {e}")))
+    };
+    let parse_tid = |s: Option<&str>| -> Result<u64, HmcError> {
+        match s {
+            None => Ok(0),
+            Some(s) => unsigned(s, str::parse).map_err(|e| bad(format!("bad tid: {e}"))),
+        }
+    };
+    let op = match kind {
+        "R" | "W" | "P" => {
+            let addr = parse_addr(tok.next())?;
+            let bytes = tok.next().ok_or_else(|| bad("missing size".into()))?;
+            let bytes: usize =
+                unsigned(bytes, str::parse).map_err(|e| bad(format!("bad size: {e}")))?;
+            let cmd = match kind {
+                "R" => HmcRqst::read_for_bytes(bytes),
+                "W" => HmcRqst::write_for_bytes(bytes),
+                _ => HmcRqst::posted_write_for_bytes(bytes),
+            }
+            .map_err(|_| bad(format!("no Gen2 command for {bytes} bytes")))?;
+            TraceOp { cmd, addr, tid: parse_tid(tok.next())? }
+        }
+        "A" => {
+            let mnemonic = tok.next().ok_or_else(|| bad("missing mnemonic".into()))?;
+            let cmd = HmcRqst::STANDARD
+                .iter()
+                .copied()
+                .find(|c| c.fixed_info().is_some_and(|info| info.name == mnemonic))
+                .ok_or_else(|| bad(format!("unknown mnemonic {mnemonic}")))?;
+            if !matches!(
+                cmd.kind(),
+                hmc_types::CmdKind::Atomic | hmc_types::CmdKind::PostedAtomic
+            ) {
+                return Err(bad(format!("{mnemonic} is not an atomic")));
+            }
+            let addr = parse_addr(tok.next())?;
+            TraceOp { cmd, addr, tid: parse_tid(tok.next())? }
+        }
+        other => return Err(bad(format!("unknown record kind '{other}'"))),
+    };
+    if tok.next().is_some() {
+        return Err(bad("trailing tokens".into()));
+    }
+    Ok(Some(op))
+}
+
+/// `parse_line` and the reference give `line` the same op or error.
+fn agrees(line: &str) -> Result<Option<TraceOp>, HmcError> {
+    let got = parse_line(line);
+    assert_eq!(got, reference_parse_line(line), "`{}`", line.escape_debug());
+    got
+}
+
+/// `parse_trace` gives `text` what the reference gives its lines.
+fn trace_agrees(text: &str) {
+    let reference: Result<Vec<TraceOp>, HmcError> =
+        text.lines().filter_map(|l| reference_parse_line(l).transpose()).collect();
+    assert_eq!(parse_trace(text), reference, "`{}`", text.escape_debug());
+}
+
 /// xorshift64*: the seeded stream the mutation loop draws from.
 struct Rng(u64);
 
@@ -181,13 +272,16 @@ fn mutated_trace_lines_parse_or_fail_typed_and_what_parses_round_trips() {
     assert_eq!(parse_trace(&text).unwrap(), ops, "the unmutated trace round-trips");
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() > 30);
+    for line in &lines {
+        assert!(matches!(agrees(line), Ok(Some(_))), "`{line}`");
+    }
 
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
     let (mut parsed, mut rejected) = (0, 0);
     for round in 0..12_000 {
         let mutant = mutate(lines[round % lines.len()], &mut rng);
         // Returning at all is the property; an `Err` is typed.
-        match parse_line(&mutant) {
+        match agrees(&mutant) {
             Ok(Some(op)) => {
                 parsed += 1;
                 let again = parse_trace(&render_trace(std::slice::from_ref(&op)));
@@ -201,11 +295,87 @@ fn mutated_trace_lines_parse_or_fail_typed_and_what_parses_round_trips() {
             let whole = format!("{}\n{mutant}\n{}", lines[0], lines[1]);
             assert_eq!(parse_trace(&whole).is_ok(), parse_line(&mutant).is_ok());
         }
+        // Line breaks and all, a trace reads as the reference reads it,
+        // the mutant first, in the middle or last.
+        let next = lines[(round + 1) % lines.len()];
+        trace_agrees(&format!("{mutant}\n{next}\n"));
+        trace_agrees(&format!("{next}\n{mutant}\n{next}"));
+        trace_agrees(&format!("{next}\r\n{mutant}"));
     }
     assert!(parsed > 500 && rejected > 500, "the loop saw both outcomes ({parsed} / {rejected})");
 
     // The integer parsers' `+` is no part of the format.
     for signed in ["R 0x+1f00 64 3", "R +1f00 64 3", "R 0x1f00 +64 3", "R 0x1f00 64 +3", "A INC8 0x40 +1"] {
         assert!(parse_line(signed).is_err(), "`{signed}` parses");
+    }
+
+    // Generated canonical lines: every record kind at every size a
+    // command has and some none has, addresses of no to 17 hex digits
+    // (leading zeros, and past `u64`), tids to `u64::MAX` and one past
+    // it, and every Table I mnemonic, atomic or not.
+    let mut addrs = vec![String::new(), "00000000000000000".into(), "00000000000000001".into()];
+    addrs.extend((1..=17).map(|n| "f3a9c0b71e2d5648a"[..n].to_string()));
+    addrs.extend((1..=17).map(|n| format!("{:0>n$}", "1c0")));
+    let tids = ["", " 0", " 7", " 00012", " 18446744073709551615", " 18446744073709551616"];
+    let mut canonical = Vec::new();
+    for (i, addr) in addrs.iter().enumerate() {
+        let tid = tids[i % tids.len()];
+        for kind in ["R", "W", "P"] {
+            for size in [0, 8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 192, 256, 512] {
+                canonical.push(format!("{kind} 0x{addr} {size}{tid}"));
+            }
+        }
+        for &cmd in HmcRqst::STANDARD {
+            let name = cmd.fixed_info().unwrap().name;
+            canonical.push(format!("A {name} 0x{addr}{tid}"));
+        }
+    }
+    for tid in tids {
+        canonical.push(format!("R 0x40 64{tid}"));
+        canonical.push(format!("A INC8 0x40{tid}"));
+    }
+    let (mut ok, mut err) = (0, 0);
+    for line in &canonical {
+        match agrees(line) {
+            Ok(_) => ok += 1,
+            Err(_) => err += 1,
+        }
+    }
+    assert!(ok > 1_000 && err > 1_000, "both outcomes ({ok} / {err})");
+
+    // Their near misses, which the general reader decides: another
+    // separator, a trailing space or token, `0X`, upper-case digits and
+    // signs, each line alone and a trace of them with CRLF endings.
+    let mut near = Vec::new();
+    for line in canonical.iter().step_by(7) {
+        for sep in ["\t", "\x0b", "\u{85}", "\u{a0}", "\u{3000}", "  "] {
+            near.push(line.replacen(' ', sep, 1));
+            near.push(line.replace(' ', sep));
+        }
+        near.push(format!("{line} "));
+        near.push(format!(" {line}"));
+        near.push(format!("{line} 7"));
+        near.push(format!("{line} #"));
+        near.push(line.replace("0x", "0X"));
+        near.push(line.replace("0x", ""));
+        near.push(line.replace("0x", "0x+"));
+        near.push(line.replace("0x", "+0x"));
+        near.push(line.replace(" 0", " +0").replace(" 1", " +1"));
+        near.push(line.to_uppercase().replacen("0X", "0x", 1));
+    }
+    for line in &near {
+        let _ = agrees(line);
+    }
+    let crlf: String = canonical.iter().chain(&near).map(|l| format!("{l}\r\n")).collect();
+    for chunk in crlf.split_inclusive("\r\n").collect::<Vec<_>>().chunks(64) {
+        trace_agrees(&chunk.concat());
+    }
+    // Where lines end: not at all, twice, with a bare or a final `\r`.
+    for text in [
+        "", "\n", "\n\n", "\r\n", "\r", "R 0x40 64 1", "R 0x40 64 1\r", "R 0x40 64 1\r\n",
+        "R 0x40 64 1\n\nA INC8 0x80\n", "R 0x40 64 1\rW 0x80 16\n", "# c\nR 0x40 64\n# d",
+        "A INC8 0x40\nA INC8 0x40 ", "W 0x40 16 2\n\r\nP 0x80 32\r\r\n",
+    ] {
+        trace_agrees(text);
     }
 }
