@@ -203,7 +203,7 @@ fn main() {
             println!("quarantined checkpoint: {} ({})", q.path.display(), q.reason);
         }
         reconcile_manifest(dir, &Manifest {
-            trace_digest: trace_digest(&render_trace(&ops)),
+            trace_digest: trace_digest(&render_trace(&ops).expect("parsed traces are standard")),
             config,
             window,
             checkpoint_every,

@@ -20,9 +20,9 @@
 //!   `catch_unwind` with a wall-clock budget, and classifies the
 //!   outcome: digest mismatch (per axis), panic, sanitizer violation,
 //!   watchdog stall, timeout.
-//! * [`shrink`] — a **delta-debugging shrinker** walks every scenario
-//!   axis toward smaller values, keeping a change only if the same
-//!   failure class still reproduces, and emits a minimal reproducer.
+//! * [`shrink`](mod@shrink) — a **delta-debugging shrinker** walks every
+//!   scenario axis toward smaller values, keeping a change only if the
+//!   same failure class still reproduces, and emits a minimal reproducer.
 //! * [`corpus`] — reproducers persist as versioned, self-contained
 //!   JSON; the checked-in `corpus/` directory is replayed by the
 //!   tier-1 test `tests/fuzz_corpus.rs` so every past failure stays

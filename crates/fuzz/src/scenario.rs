@@ -8,15 +8,12 @@ use hmc_sim::{
 use hmc_types::Cub;
 use hmc_workloads::KernelDescriptor;
 
-/// Version tag written into every scenario file. Bump when the format
-/// changes shape; the loader rejects any other value loudly.
-///
-/// Version 3 stores the machine as one [`SimConfig`] under `sim`.
-/// Versions 1 and 2 spelled it field by field (`device`, `fabric`,
-/// `timing`, `skip`, `sanitizer`, `telemetry`) and still load, through
-/// `legacy_sim`. Version 1 also carried `exec_threads`, the lane count
-/// of the device-sharded engine since deleted: there the key is
-/// required and checked, then discarded.
+/// Version tag written into every scenario file. A format change bumps
+/// it and adds one upgrade step from the previous version; the loader
+/// rejects any other value loudly. Version 3 stores the machine as one
+/// [`SimConfig`] under `sim`; versions 1 and 2 spelled it field by
+/// field, and version 1 also carried `exec_threads`, the lane count of
+/// the device-sharded engine since deleted.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// One point in the fuzzed cross-product: a workload kernel and the
@@ -115,44 +112,17 @@ impl Scenario {
     }
 
     /// Deserializes a scenario, enforcing the schema version before
-    /// touching any other field and rejecting unknown fields.
-    pub fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let mut r = ObjReader::new("scenario", value)?;
-        let version = r.u64("schema_version")?;
-        if !(1..=SCHEMA_VERSION).contains(&version) {
-            return Err(JsonError::new(format!(
-                "scenario: unsupported schema_version {version} (this build reads versions 1 \
-                 to {SCHEMA_VERSION})"
-            )));
-        }
-        let seed = r.u64("seed")?;
-        let scenario = if version == SCHEMA_VERSION {
-            Scenario {
-                seed,
-                kernel: KernelDescriptor::from_json(r.required("kernel")?)?,
-                sim: SimConfig::from_json(r.required("sim")?)?,
-                trace: r.bool("trace")?,
-            }
-        } else {
-            let device = r.required("device")?;
-            let kernel = KernelDescriptor::from_json(r.required("kernel")?)?;
-            if version == 1 {
-                // The deleted engine's lane count: checked as it always
-                // was, then dropped.
-                let threads = r.required("exec_threads")?;
-                if threads.int::<usize>("exec_mode: the lane count (integer >= 1)")? == 0 {
-                    return Err(JsonError::new("exec_mode: lane count must be >= 1"));
-                }
-            }
-            let sim = legacy_sim(&mut r, value, device)?;
-            // Older files predate the tracing axis; absent means off.
-            let trace = match r.optional("trace") {
-                None => false,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| JsonError::new("scenario: field `trace` must be a bool"))?,
-            };
-            Scenario { seed, kernel, sim, trace }
+    /// touching any other field and rejecting unknown fields. An older
+    /// document is upgraded in place first.
+    pub fn from_json(mut value: Json) -> Result<Self, JsonError> {
+        upgrade(&mut value)?;
+        let mut r = ObjReader::new("scenario", &value)?;
+        r.required("schema_version")?; // `upgrade` read it
+        let scenario = Scenario {
+            seed: r.u64("seed")?,
+            kernel: KernelDescriptor::from_json(r.required("kernel")?)?,
+            sim: SimConfig::from_json(r.required("sim")?)?,
+            trace: r.bool("trace")?,
         };
         // Reproducers may carry an embedded Perfetto timeline
         // alongside the scenario; it is forensic context, not replay
@@ -165,17 +135,52 @@ impl Scenario {
 
     /// Parses a scenario from JSON text.
     pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
+        Self::from_json(Json::parse(text)?)
     }
 }
 
-/// The machine of a version-1 or -2 document: `device` on every cube
-/// of `fabric`, with its `timing` and `skip`, and for `sanitizer` and
-/// `telemetry` what the runner attached when they were `true` —
-/// [`SanitizerConfig::report`] and [`TelemetryConfig::full`]. Files
-/// older than the timing and fabric axes lack those keys: the fixed
-/// backend and one cube. An unknown backend name still fails loudly.
-fn legacy_sim(r: &mut ObjReader, value: &Json, device: &Json) -> Result<SimConfig, JsonError> {
+/// One upgrade step: a document of one version rewritten in place into
+/// one of the next.
+type Step = fn(&mut Json) -> Result<(), JsonError>;
+
+/// Brings the scenario document `v` to [`SCHEMA_VERSION`]'s layout
+/// through the step out of each older version from its own on, oldest
+/// first; a current one takes none.
+fn upgrade(v: &mut Json) -> Result<(), JsonError> {
+    const STEPS: [Step; SCHEMA_VERSION as usize - 1] = [drop_exec_threads, gather_sim];
+    let version = ObjReader::new("scenario", v)?.u64("schema_version")?;
+    let steps = version.checked_sub(1).and_then(|k| STEPS.get(k as usize..)).ok_or_else(|| {
+        JsonError::new(format!(
+            "scenario: unsupported schema_version {version} (this build reads versions 1 \
+             to {SCHEMA_VERSION})"
+        ))
+    })?;
+    steps.iter().try_for_each(|step| step(v))
+}
+
+/// 1 → 2: the deleted engine's lane count, checked as it always was,
+/// then dropped.
+fn drop_exec_threads(v: &mut Json) -> Result<(), JsonError> {
+    let threads = ObjReader::new("scenario", v)?.required("exec_threads")?;
+    if threads.int::<usize>("exec_mode: the lane count (integer >= 1)")? == 0 {
+        return Err(JsonError::new("exec_mode: lane count must be >= 1"));
+    }
+    if let Json::Obj(fields) = v {
+        fields.retain(|(k, _)| k != "exec_threads");
+    }
+    Ok(())
+}
+
+/// 2 → 3: the machine as one `sim` configuration — `device` on every
+/// cube of `fabric`, with its `timing` and `skip`, and for `sanitizer`
+/// and `telemetry` what the runner attached when they were `true`
+/// ([`SanitizerConfig::report`] and [`TelemetryConfig::full`]). Files
+/// older than the timing, fabric and tracing axes lack those keys: the
+/// fixed backend, one cube and no trace.
+fn gather_sim(v: &mut Json) -> Result<(), JsonError> {
+    const MACHINE: [&str; 6] = ["device", "fabric", "timing", "skip", "sanitizer", "telemetry"];
+    let mut r = ObjReader::new("scenario", v)?;
+    let device = r.required("device")?.clone();
     let mut sim = SimConfig::single(DeviceConfig::default());
     sim.skip_mode = match r.required("skip")?.as_bool() {
         Some(true) => SkipMode::On,
@@ -188,21 +193,27 @@ fn legacy_sim(r: &mut ObjReader, value: &Json, device: &Json) -> Result<SimConfi
     if r.bool("telemetry")? {
         sim.telemetry = TelemetryConfig::full();
     }
-    if value.get("timing").is_some() {
+    if r.optional("timing").is_some() {
         sim.timing = r.named("timing", &TimingSelect::READ_NAMES)?;
     }
     let mut cubes = 1;
     if let Some(fabric) = r.optional("fabric") {
         (sim.topology, cubes) = legacy_fabric(fabric)?;
     }
-    // The one codec reads the device, on every cube, and validates
-    // the whole machine.
-    let mut doc = sim.to_json();
-    if let Json::Obj(fields) = &mut doc {
-        let devices = fields.iter_mut().find(|(k, _)| k == "devices").expect("a devices field");
-        devices.1 = Json::Arr(vec![device.clone(); cubes]);
+    let mut sim = sim.to_json();
+    if let Some(devices) = sim.get_mut("devices") {
+        *devices = Json::Arr(vec![device; cubes]);
     }
-    SimConfig::from_json(&doc)
+    let Json::Obj(fields) = v else { return Ok(()) };
+    if fields.iter().any(|(k, _)| k == "sim") {
+        return Err(JsonError::new("scenario: unknown field(s): sim"));
+    }
+    fields.retain(|(k, _)| !MACHINE.contains(&k.as_str()));
+    fields.push(("sim".into(), sim));
+    if !fields.iter().any(|(k, _)| k == "trace") {
+        fields.push(("trace".into(), false.into()));
+    }
+    Ok(())
 }
 
 /// A version-1 or -2 `fabric`: its wiring and cube count. Every count

@@ -439,6 +439,12 @@ impl Json {
         }
     }
 
+    /// The value of object field `key`, moved out with `null` left in
+    /// its place; `null` when there is none.
+    pub fn take(&mut self, key: &str) -> Json {
+        self.get_mut(key).map_or(Json::Null, |v| std::mem::replace(v, Json::Null))
+    }
+
     /// The value as an integer of type `T`, if it is one in range.
     pub fn as_int<T: TryFrom<i128>>(&self) -> Option<T> {
         match self {
@@ -592,10 +598,10 @@ pub fn from_name<T: Copy>(table: &Names<T>, what: &str, name: &str) -> Result<T,
 /// Strict field-by-field reader over a JSON object.
 ///
 /// Every scenario deserializer in this workspace funnels through this
-/// type: each accessor marks its key as consumed, and [`finish`]
-/// (`ObjReader::finish`) rejects any key that was never consumed — so
-/// a corpus file with an unknown or misspelled field fails loudly
-/// instead of silently dropping data.
+/// type: each accessor marks its key as consumed, and
+/// [`finish`](ObjReader::finish) rejects any key that was never
+/// consumed — so a corpus file with an unknown or misspelled field
+/// fails loudly instead of silently dropping data.
 pub struct ObjReader<'a> {
     ctx: &'a str,
     fields: &'a [(String, Json)],

@@ -8,7 +8,7 @@
 //! The device queues hold packet *envelopes* — `Box<TrackedRequest>`
 //! and `Box<TrackedResponse>` — so a hop between queues moves one
 //! pointer and a stalled push hands one pointer back. Retired
-//! envelopes wait on a [`FreeList`] for the next packet.
+//! envelopes wait on a `FreeList` for the next packet.
 
 use hmc_types::HmcError;
 use std::collections::VecDeque;
@@ -152,17 +152,18 @@ impl<T> FreeList<T> {
     pub(crate) fn give(&mut self, envelope: Box<T>) {
         self.free.push(envelope);
     }
-
-    /// Retired envelopes waiting for reuse.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> FreeList<T> {
+        /// Retired envelopes waiting for reuse.
+        pub(crate) fn len(&self) -> usize {
+            self.free.len()
+        }
+    }
 
     #[test]
     fn fifo_ordering() {

@@ -12,19 +12,16 @@
 //! [`crate::ckpt::CheckpointStore`] verify a restored checkpoint
 //! against the fingerprint recorded in its header.
 //!
-//! The schema is versioned (`schema_version`, currently
-//! [`SNAPSHOT_SCHEMA_VERSION`]): a parser never guesses at a future
-//! layout, it rejects it loudly, and it still reads versions 1 to 4 —
-//! 1 and 2 name no machine (no `config`, no CMC fields); 1 to 4 carry
-//! a timing record of the retired `validated` backend, read and
-//! dropped, and a document of any version that names `validated`
-//! loads as `fixed`, the machine it ran. Parsing is
-//! strict throughout — every object goes through [`ObjReader`],
-//! unknown or missing fields are errors, never silently dropped, and
-//! page ids must ascend. The text decoder releases each page's and
-//! each flight lane's hex as soon as its bytes are decoded
-//! ([`SimSnapshot::decode_hex`]), so a decode never holds the tree's
-//! hex and the decoded memory whole at once.
+//! A document decodes one way. An older one is first brought to the
+//! current schema, [`SNAPSHOT_SCHEMA_VERSION`], by one `Json → Json`
+//! step per schema change, run in order; a step rejects a field it
+//! rewrites that does not hold its schema's layout and leaves every
+//! other defect to the walk. Then one strict walk reads the current
+//! schema: every object goes through [`ObjReader`], unknown or missing
+//! fields are errors, page ids must ascend, and each page's and flight
+//! lane's hex is released as soon as its bytes are decoded, so the tree's
+//! hex and the decoded memory are never whole at once. A schema change
+//! costs one step.
 //!
 //! Notable encoding choices:
 //!
@@ -72,18 +69,13 @@ use hmc_types::{
 };
 use std::collections::VecDeque;
 
-/// Version number written into the durable snapshot schema. Bump on
-/// any incompatible layout change. Version 5 writes a device's timing
-/// section as `{select, hit_latency, miss_latency}`. Version 4 writes
-/// a page as `[id, mask, hex]`, only the lines that hold a nonzero
-/// byte. Version 3 names the machine: a top-level `config`
-/// ([`SimConfig::to_json`]) and each device's `cmc_libraries` and
-/// `cmc_codes`. Version 2 packs each flight lane into one hex string.
-/// Documents of version 4 (a timing section that also holds the
-/// retired `validated` backend's record, dropped on read) still load,
-/// and so do those of version 3 (a page as `[id, hex]` of all its
-/// bytes), version 2 and version 1 (a lane as arrays of twelve
-/// integers), the last two naming no machine.
+/// Version number written into the durable snapshot schema. A layout
+/// change bumps it and adds one upgrade step from the previous version
+/// (`upgrade`); documents of every earlier version still load.
+/// Version 5 writes a device's timing section as `{select,
+/// hit_latency, miss_latency}`, version 4 a page as `[id, mask, hex]`,
+/// version 3 the machine (`config` and each device's CMC fields),
+/// version 2 each flight lane as one hex string.
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 5;
 
 /// Wraps a domain error (`bad tag`, `bad cub`, …) as a [`JsonError`]
@@ -517,7 +509,7 @@ fn power_from_json(v: &Json) -> Result<PowerModel, JsonError> {
     Ok(out)
 }
 
-/// Bytes per line of a schema-4 page: its mask has a bit per line.
+/// Bytes per line of a page: its mask has a bit per line.
 const LINE_BYTES: usize = PAGE_BYTES / 64;
 
 /// A page as `[id, mask, hex]`: bit `k` of `mask` is set when line `k`
@@ -536,22 +528,10 @@ fn page_json(id: u64, page: &[u8; PAGE_BYTES]) -> Json {
     Json::Arr(vec![id.into(), mask.into(), Json::Str(hex)])
 }
 
-/// A decoded page entry: its id and bytes.
-type PageResult = Result<(u64, Box<[u8; PAGE_BYTES]>), JsonError>;
-
-/// A page entry of schema `version`: `[id, mask, hex]` since 4, the
-/// whole page as `[id, hex]` before.
-fn page_from_json(entry: &Json, version: u64) -> PageResult {
-    let (id, mask, hex) = match version {
-        1..=3 => {
-            let [id, hex] = entry.tuple("mem: page entry [id, hex]")?;
-            (id, u64::MAX, hex)
-        }
-        _ => {
-            let [id, mask, hex] = entry.tuple("mem: page entry [id, mask, hex]")?;
-            (id, mask.int("mem: page mask")?, hex)
-        }
-    };
+/// A page entry, `[id, mask, hex]`: its id and bytes.
+fn page_from_json(entry: &Json) -> Result<(u64, Box<[u8; PAGE_BYTES]>), JsonError> {
+    let [id, mask, hex] = entry.tuple("mem: page entry [id, mask, hex]")?;
+    let mask: u64 = mask.int("mem: page mask")?;
     let id: u64 = id.int("mem: page id")?;
     let hex = hex.as_str().ok_or_else(|| JsonError::new("mem: page bytes must be a hex string"))?;
     let held = mask.count_ones() as usize;
@@ -576,21 +556,13 @@ fn mem_json(mem: &SparseMemory) -> Json {
     obj(vec![("capacity", mem.capacity().into()), ("pages", Json::Arr(pages))])
 }
 
-/// The memory section of schema `version`, every page decoded from
-/// the tree.
-#[cfg(test)]
-fn mem_from_json(v: &Json, version: u64) -> Result<SparseMemory, JsonError> {
-    mem_from_entries(v, |entry| page_from_json(entry, version))
-}
-
-/// A memory section, each page entry through `page`. Page ids ascend,
-/// as the writer lists them: a repeated or out-of-order id is an error,
-/// not a page that silently replaces another.
-fn mem_from_entries(
-    v: &Json,
-    mut page: impl FnMut(&Json) -> PageResult,
-) -> Result<SparseMemory, JsonError> {
-    let mut r = ObjReader::new("mem", v)?;
+/// A memory section, each page's hex released as soon as its bytes are
+/// decoded. Page ids ascend, as the writer lists them: a repeated or
+/// out-of-order id is an error, not a page that silently replaces
+/// another.
+fn mem_from_json(mut v: Json) -> Result<SparseMemory, JsonError> {
+    let pages = take_items(v.get_mut("pages"));
+    let mut r = ObjReader::new("mem", &v)?;
     let capacity = r.u64("capacity")?;
     if capacity > MAX_CAPACITY {
         return Err(JsonError::new(format!(
@@ -599,8 +571,9 @@ fn mem_from_entries(
     }
     let mem = SparseMemory::new(capacity);
     let mut last = None;
-    for entry in r.arr("pages")? {
-        let (id, page) = page(entry)?;
+    r.arr("pages")?;
+    for entry in pages {
+        let (id, page) = page_from_json(&entry)?;
         if let Some(last) = last.filter(|&last| id <= last) {
             let how = if id == last { "listed twice" } else { "out of order" };
             return Err(JsonError::new(format!("mem: page {id} is {how} (after page {last})")));
@@ -874,9 +847,8 @@ fn shadow_from_json(v: &Json) -> Result<SanitizerShadow, JsonError> {
 /// (mirroring the request codec's `cmc` flag).
 const RECORD_FIELDS: [usize; 12] = [8, 1, 2, 1, 1, 2, 2, 2, 1, 2, 8, 8];
 
-/// Bytes of one packed record (the sum of [`RECORD_FIELDS`]): a
-/// schema-v2 lane is `records` of these, little-endian, as one hex
-/// string.
+/// Bytes of one packed record (the sum of [`RECORD_FIELDS`]): a lane
+/// is `records` of these, little-endian, as one hex string.
 const RECORD_BYTES: usize = 38;
 
 /// A record's twelve fields as words, in [`RECORD_FIELDS`] order.
@@ -942,7 +914,7 @@ fn lane_records_from_hex(hex: &str) -> Result<Vec<TraceRecord>, JsonError> {
     Ok(out)
 }
 
-/// A schema-v1 record: an array of the twelve words.
+/// A schema-1 record: an array of the twelve words.
 fn trace_record_from_json(v: &Json) -> Result<TraceRecord, JsonError> {
     let mut w = [0u64; 12];
     for (slot, item) in w.iter_mut().zip(v.tuple::<12>("flight record")?) {
@@ -984,6 +956,18 @@ fn record_from_words(w: [u64; 12]) -> Result<TraceRecord, JsonError> {
     })
 }
 
+/// A flight lane, its hex released once its records are decoded.
+fn lane_from_json(lane: Json) -> Result<FlightLaneSnapshot, JsonError> {
+    let mut r = ObjReader::new("flight lane", &lane)?;
+    let out = FlightLaneSnapshot {
+        name: r.str("name")?.to_string(),
+        dropped: r.u64("dropped")?,
+        records: lane_records_from_hex(r.str("records")?)?,
+    };
+    r.finish()?;
+    Ok(out)
+}
+
 fn flight_json(f: &FlightSnapshot) -> Json {
     obj(vec![
         ("capacity", f.capacity.into()),
@@ -1001,36 +985,20 @@ fn flight_json(f: &FlightSnapshot) -> Json {
     ])
 }
 
-/// Decodes a flight section of schema `version` (1: records as arrays
-/// of twelve integers; 2: packed, each lane through `hex`). Only a
-/// timeline a recorder can resume is accepted: a nonzero capacity, the
-/// five lanes in [`FlightLane::ALL`] order, none holding more than the
-/// capacity.
-fn flight_from_json(
-    v: &Json,
-    version: u64,
-    hex: &mut DecodedHex,
-) -> Result<FlightSnapshot, JsonError> {
-    let mut r = ObjReader::new("flight", v)?;
+/// Decodes a flight section, each lane's hex released as soon as its
+/// records are decoded. Only a timeline a recorder can resume is
+/// accepted: a nonzero capacity, the five lanes in [`FlightLane::ALL`]
+/// order, none holding more than the capacity.
+fn flight_from_json(mut v: Json) -> Result<FlightSnapshot, JsonError> {
+    let lanes = take_items(v.get_mut("lanes"));
+    let mut r = ObjReader::new("flight", &v)?;
     let out = FlightSnapshot {
         capacity: r.usize("capacity")?,
         names: r.vec("names", |n| {
             let name = n.as_str().ok_or_else(|| JsonError::new("flight: name must be a string"))?;
             Ok(name.to_string())
         })?,
-        lanes: r.vec("lanes", |lane| {
-            let mut lr = ObjReader::new("flight lane", lane)?;
-            let out = FlightLaneSnapshot {
-                name: lr.str("name")?.to_string(),
-                dropped: lr.u64("dropped")?,
-                records: match version {
-                    1 => lr.vec("records", trace_record_from_json)?,
-                    _ => hex.lane(lr.str("records")?)?,
-                },
-            };
-            lr.finish()?;
-            Ok(out)
-        })?,
+        lanes: r.arr("lanes").and_then(|_| lanes.into_iter().map(lane_from_json).collect())?,
     };
     r.finish()?;
     if out.capacity == 0 {
@@ -1064,11 +1032,7 @@ fn timing_json(t: &TimingSnapshot) -> Json {
     ])
 }
 
-/// A timing section of schema `version`. Before 5 it also carried the
-/// retired `validated` backend's record — a `divergence` histogram,
-/// three verdict counters and the `shadow` banks — read as strictly as
-/// ever and dropped: none of it was state.
-fn timing_from_json(v: &Json, version: u64) -> Result<TimingSnapshot, JsonError> {
+fn timing_from_json(v: &Json) -> Result<TimingSnapshot, JsonError> {
     let mut r = ObjReader::new("timing", v)?;
     let out = TimingSnapshot {
         select: r.named("select", &TimingSelect::READ_NAMES)?,
@@ -1077,50 +1041,123 @@ fn timing_from_json(v: &Json, version: u64) -> Result<TimingSnapshot, JsonError>
             miss_latency: hist_from_json(r.required("miss_latency")?)?,
         },
     };
-    if version < 5 {
-        hist_from_json(r.required("divergence")?)?;
-        for key in ["shadow_late", "shadow_early", "shadow_agree"] {
-            r.u64(key)?;
-        }
-        r.vec("shadow", bank_from_json)?;
-    }
     r.finish()?;
     Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// Hex decoded ahead of the walk
+// Upgrades from older schemas
 // ---------------------------------------------------------------------------
 
-/// The memory pages and packed flight lanes of one snapshot document,
-/// decoded out of its tree by [`SimSnapshot::decode_hex`] in the order
-/// [`SimSnapshot::from_json_value_with`] reads them. Empty (the
-/// default), every page and lane is decoded from the tree as the walk
-/// reaches it.
-#[derive(Debug, Default)]
-pub struct DecodedHex {
-    pages: VecDeque<PageResult>,
-    lanes: VecDeque<Result<Vec<TraceRecord>, JsonError>>,
+/// One upgrade step: a document of one schema rewritten in place into
+/// one of the next.
+type Step = fn(&mut Json) -> Result<(), JsonError>;
+
+/// Brings the snapshot document `v` to the current schema's layout
+/// through the step out of each older schema from its own on, oldest
+/// first; a current document takes none. The walk does not read
+/// `schema_version`, so it is left as it was.
+fn upgrade(v: &mut Json) -> Result<(), JsonError> {
+    const STEPS: [Step; SNAPSHOT_SCHEMA_VERSION as usize - 1] =
+        [pack_lanes, add_no_machine, mask_whole_pages, drop_validated_record];
+    let version = ObjReader::new("snapshot", v)?.u64("schema_version")?;
+    let steps = version.checked_sub(1).and_then(|k| STEPS.get(k as usize..)).ok_or_else(|| {
+        JsonError::new(format!(
+            "snapshot: unsupported schema version {version} (this build reads 1 to \
+             {SNAPSHOT_SCHEMA_VERSION})"
+        ))
+    })?;
+    steps.iter().try_for_each(|step| step(v))
 }
 
-impl DecodedHex {
-    /// The page of `entry`: the next one decoded ahead, or its own.
-    fn page(&mut self, entry: &Json, version: u64) -> PageResult {
-        self.pages.pop_front().unwrap_or_else(|| page_from_json(entry, version))
+/// 1 → 2: each flight lane's records, arrays of twelve integers, packed
+/// into one hex string.
+fn pack_lanes(v: &mut Json) -> Result<(), JsonError> {
+    let lanes = items_mut(v.get_mut("flight").and_then(|f| f.get_mut("lanes")));
+    for records in lanes.iter_mut().filter_map(|lane| lane.get_mut("records")) {
+        let unpacked = records.vec("flight lane: field `records`", trace_record_from_json)?;
+        *records = lane_records_json(&unpacked);
     }
-
-    /// The records of a lane holding `hex`: the next lane decoded
-    /// ahead, or its own.
-    fn lane(&mut self, hex: &str) -> Result<Vec<TraceRecord>, JsonError> {
-        self.lanes.pop_front().unwrap_or_else(|| lane_records_from_hex(hex))
-    }
+    Ok(())
 }
+
+/// Adds `fields` to the object `v` (anything else is left to the walk),
+/// refusing one it holds already: the older schema had no such field.
+fn add_fields(v: &mut Json, ctx: &str, fields: Vec<(&str, Json)>) -> Result<(), JsonError> {
+    let Json::Obj(held) = v else { return Ok(()) };
+    let holds = |key: &&str| held.iter().any(|(k, _)| k == key);
+    let unknown: Vec<&str> = fields.iter().map(|(key, _)| *key).filter(holds).collect();
+    if !unknown.is_empty() {
+        return Err(JsonError::new(format!("{ctx}: unknown field(s): {}", unknown.join(", "))));
+    }
+    held.extend(fields.into_iter().map(|(key, value)| (key.to_string(), value)));
+    Ok(())
+}
+
+/// 2 → 3: the document names no machine — `config` null, and no CMC
+/// library or code on any device.
+fn add_no_machine(v: &mut Json) -> Result<(), JsonError> {
+    for device in items_mut(v.get_mut("devices")) {
+        let none = || Json::Arr(Vec::new());
+        add_fields(device, "device", vec![("cmc_libraries", none()), ("cmc_codes", none())])?;
+    }
+    add_fields(v, "snapshot", vec![("config", Json::Null)])
+}
+
+/// 3 → 4: each page `[id, hex]`, the hex of all its bytes, becomes
+/// `[id, mask, hex]` with every line's bit set.
+fn mask_whole_pages(v: &mut Json) -> Result<(), JsonError> {
+    for device in items_mut(v.get_mut("devices")) {
+        let pages = device.get_mut("mem").and_then(|mem| mem.get_mut("pages"));
+        for entry in items_mut(pages) {
+            match entry {
+                Json::Arr(items) if items.len() == 2 => items.insert(1, u64::MAX.into()),
+                _ => return Err(JsonError::new("mem: page entry [id, hex] must be an array of 2")),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// 4 → 5: each timing section drops the retired `validated` backend's
+/// record — a `divergence` histogram, three verdict counters and the
+/// `shadow` banks — read as strictly as ever: none of it was state.
+fn drop_validated_record(v: &mut Json) -> Result<(), JsonError> {
+    const RECORD: [&str; 5] =
+        ["divergence", "shadow_late", "shadow_early", "shadow_agree", "shadow"];
+    let devices = items_mut(v.get_mut("devices"));
+    for timing in devices.iter_mut().filter_map(|device| device.get_mut("timing")) {
+        let Ok(mut r) = ObjReader::new("timing", timing) else { continue };
+        hist_from_json(r.required("divergence")?)?;
+        for key in &RECORD[1..4] {
+            r.u64(key)?;
+        }
+        r.vec("shadow", bank_from_json)?;
+        if let Json::Obj(fields) = timing {
+            fields.retain(|(k, _)| !RECORD.contains(&k.as_str()));
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Tree access
+// ---------------------------------------------------------------------------
 
 /// The items of `v` when it is an array, else none.
 fn items_mut(v: Option<&mut Json>) -> &mut [Json] {
     match v {
         Some(Json::Arr(items)) => items,
         _ => &mut [],
+    }
+}
+
+/// The items of `v` when it is an array, moved out and an empty array
+/// left in its place (so a reader still sees an array there); else none.
+fn take_items(v: Option<&mut Json>) -> Vec<Json> {
+    match v {
+        Some(Json::Arr(items)) => std::mem::take(items),
+        _ => Vec::new(),
     }
 }
 
@@ -1153,14 +1190,9 @@ fn device_json(d: &DeviceSnapshot) -> Json {
     ])
 }
 
-/// A device entry of schema `version` (the CMC fields arrived in 3),
-/// its pages through `hex`.
-fn device_from_json(
-    v: &Json,
-    version: u64,
-    hex: &mut DecodedHex,
-) -> Result<DeviceSnapshot, JsonError> {
-    let mut r = ObjReader::new("device", v)?;
+fn device_from_json(mut v: Json) -> Result<DeviceSnapshot, JsonError> {
+    let mem = v.take("mem");
+    let mut r = ObjReader::new("device", &v)?;
     let xbar_rqst =
         r.vec("xbar_rqst", |q| queue_from_json(q, "xbar_rqst", tracked_request_from_json))?;
     let xbar_rsp =
@@ -1188,7 +1220,7 @@ fn device_from_json(
         vaults,
         banks,
         vault_banks,
-        mem: mem_from_entries(r.required("mem")?, |entry| hex.page(entry, version))?,
+        mem: r.required("mem").and_then(|_| mem_from_json(mem))?,
         regs: regs_from_json(r.required("regs")?)?,
         stats: stats_from_json(r.required("stats")?)?,
         power: power_from_json(r.required("power")?)?,
@@ -1200,22 +1232,12 @@ fn device_from_json(
         // Legacy snapshots (schema ≤ the pre-timing-backend era) carry no
         // "timing" field: default to a fresh FixedLatency record, matching
         // the behaviour those snapshots were produced under.
-        timing: r
-            .optional("timing")
-            .map(|t| timing_from_json(t, version))
-            .transpose()?
-            .unwrap_or_default(),
-        cmc_libraries: match version {
-            1 | 2 => Vec::new(),
-            _ => r.vec("cmc_libraries", |name| {
-                let name = name.as_str().map(str::to_string);
-                name.ok_or_else(|| JsonError::new("device: cmc_libraries entries must be strings"))
-            })?,
-        },
-        cmc_codes: match version {
-            1 | 2 => Vec::new(),
-            _ => r.vec("cmc_codes", |code| code.int("device: cmc code"))?,
-        },
+        timing: r.optional("timing").map(timing_from_json).transpose()?.unwrap_or_default(),
+        cmc_libraries: r.vec("cmc_libraries", |name| {
+            let name = name.as_str().map(str::to_string);
+            name.ok_or_else(|| JsonError::new("device: cmc_libraries entries must be strings"))
+        })?,
+        cmc_codes: r.vec("cmc_codes", |code| code.int("device: cmc code"))?,
     };
     r.finish()?;
     Ok(out)
@@ -1248,76 +1270,33 @@ impl SimSnapshot {
         self.to_json_value().render()
     }
 
-    /// Parses a [`SimSnapshot::to_json_value`] document back into a
-    /// snapshot. Strict: unknown fields, missing fields, out-of-range
-    /// values and unsupported schema versions are all errors.
+    /// Decodes a [`SimSnapshot::to_json_value`] document of any schema
+    /// this build reads: an older one is upgraded in place first, then
+    /// one strict walk reads the current schema. Unknown fields, missing
+    /// fields, out-of-range values and unsupported schema versions are
+    /// all errors.
     ///
-    /// The tree stays as it is, so its page hex and the decoded memory
-    /// are both whole at the end; [`SimSnapshot::from_json`] holds less.
-    pub fn from_json_value(v: &Json) -> Result<SimSnapshot, JsonError> {
-        Self::from_json_value_with(v, DecodedHex::default())
-    }
-
-    /// Decodes the hex of the snapshot document `v` ahead of the walk
-    /// over the rest of it: every memory page and every packed flight
-    /// lane, in the order [`SimSnapshot::from_json_value_with`] reads
-    /// them, each hex string emptied in `v` as soon as its bytes are
-    /// decoded. So the tree's hex shrinks as the decoded memory grows
-    /// and the two are never whole at once.
-    ///
-    /// Never fails: a page or lane that does not decode keeps its error
-    /// for the walk to report where it reaches it, in the order and
-    /// with the text [`SimSnapshot::from_json_value`] reports it.
-    pub fn decode_hex(v: &mut Json) -> DecodedHex {
-        let mut out = DecodedHex::default();
-        let Some(version) = v.get("schema_version").and_then(Json::as_u64) else {
-            return out;
-        };
-        for device in items_mut(v.get_mut("devices")) {
-            let pages = device.get_mut("mem").and_then(|mem| mem.get_mut("pages"));
-            for entry in items_mut(pages) {
-                out.pages.push_back(page_from_json(entry, version));
-                if let Some(Json::Str(hex)) = items_mut(Some(entry)).last_mut() {
-                    drop(std::mem::take(hex));
-                }
-            }
-        }
-        if version >= 2 {
-            for lane in items_mut(v.get_mut("flight").and_then(|f| f.get_mut("lanes"))) {
-                if let Some(Json::Str(hex)) = lane.get_mut("records") {
-                    out.lanes.push_back(lane_records_from_hex(hex));
-                    drop(std::mem::take(hex));
-                }
-            }
-        }
-        out
-    }
-
-    /// [`SimSnapshot::from_json_value`] on a document whose hex
-    /// [`SimSnapshot::decode_hex`] has taken out into `hex`.
-    pub fn from_json_value_with(v: &Json, mut hex: DecodedHex) -> Result<SimSnapshot, JsonError> {
-        let mut r = ObjReader::new("snapshot", v)?;
-        let version = r.u64("schema_version")?;
-        if !(1..=SNAPSHOT_SCHEMA_VERSION).contains(&version) {
-            return Err(JsonError::new(format!(
-                "snapshot: unsupported schema version {version} (this build reads 1 to \
-                 {SNAPSHOT_SCHEMA_VERSION})"
-            )));
-        }
+    /// The tree is consumed as it is read: each memory page's and
+    /// flight lane's hex is released as soon as its bytes are decoded,
+    /// so the tree's hex and the decoded memory are never whole at once.
+    pub fn from_json_value(mut v: Json) -> Result<SimSnapshot, JsonError> {
+        upgrade(&mut v)?;
+        let devices = take_items(v.get_mut("devices"));
+        let flight = v.take("flight");
+        let mut r = ObjReader::new("snapshot", &v)?;
+        r.required("schema_version")?; // `upgrade` read it
         let host_queue = |q: &Json| -> Result<VecDeque<RspEnvelope>, JsonError> {
             Ok(q.vec("host_rx queue", tracked_response_from_json)?.into())
         };
-        let non_null = |v: &'_ Json| !matches!(v, Json::Null);
         let out = SimSnapshot {
-            config: match version {
-                1 | 2 => None,
-                _ => Some(r.required("config")?)
-                    .filter(|v| non_null(v))
-                    .map(SimConfig::from_json)
-                    .transpose()?,
+            config: match r.required("config")? {
+                Json::Null => None,
+                config => Some(SimConfig::from_json(config)?),
             },
             cycle: r.u64("cycle")?,
-            devices: r.vec("devices", |d| device_from_json(d, version, &mut hex))?,
+            devices: r
+                .arr("devices")
+                .and_then(|_| devices.into_iter().map(device_from_json).collect())?,
             host_rx: nested_from_json(r.required("host_rx")?, "snapshot host_rx", host_queue)?,
             tag_pools: nested_from_json(
                 r.required("tag_pools")?,
@@ -1333,17 +1312,16 @@ impl SimSnapshot {
             links: nested_from_json(r.required("links")?, "snapshot links", link_from_json)?,
             retry_pending: r.vec("retry_pending", retry_from_json)?,
             zombie_tags: r.vec("zombie_tags", zombies_from_json)?,
-            shadow: Some(r.required("shadow")?)
-                .filter(|v| non_null(v))
-                .map(shadow_from_json)
-                .transpose()?,
-            // Optional for compatibility: schema-v1 snapshots written
-            // before the flight recorder existed have no `flight` key.
-            flight: r
-                .optional("flight")
-                .filter(|v| non_null(v))
-                .map(|v| flight_from_json(v, version, &mut hex))
-                .transpose()?,
+            shadow: match r.required("shadow")? {
+                Json::Null => None,
+                shadow => Some(shadow_from_json(shadow)?),
+            },
+            // Snapshots written before the flight recorder existed have
+            // no `flight` key.
+            flight: match (r.optional("flight"), flight) {
+                (None, _) | (_, Json::Null) => None,
+                (Some(_), flight) => Some(flight_from_json(flight)?),
+            },
         };
         r.finish()?;
         Ok(out)
@@ -1351,15 +1329,8 @@ impl SimSnapshot {
 
     /// Parses a [`SimSnapshot::to_json_full`] string back into a
     /// snapshot (see [`SimSnapshot::from_json_value`]).
-    ///
-    /// No copy of a page outlives its use: each memory page's hex string
-    /// and each flight lane's is released as soon as its bytes are
-    /// decoded, in reading order ([`SimSnapshot::decode_hex`]), so the
-    /// parse tree and the decoded memory never exist in full at once.
     pub fn from_json(text: &str) -> Result<SimSnapshot, JsonError> {
-        let mut v = Json::parse(text)?;
-        let hex = Self::decode_hex(&mut v);
-        Self::from_json_value_with(&v, hex)
+        Self::from_json_value(Json::parse(text)?)
     }
 }
 
@@ -1412,7 +1383,7 @@ mod tests {
         }
     }
 
-    /// A store holding `pages`, through the schema-4 codec and back.
+    /// A store holding `pages`, through the codec and back.
     fn pages_round_trip(pages: &[(u64, &[(usize, u8)])]) -> (Json, SparseMemory) {
         let mem = SparseMemory::new(1 << 20);
         for &(id, bytes) in pages {
@@ -1423,7 +1394,7 @@ mod tests {
             mem.insert_page(id, page).unwrap();
         }
         let doc = Json::parse(&mem_json(&mem).render()).unwrap();
-        let back = mem_from_json(&doc, SNAPSHOT_SCHEMA_VERSION).unwrap();
+        let back = mem_from_json(doc.clone()).unwrap();
         assert_eq!(back.content_digest(), mem.content_digest(), "{pages:?}");
         assert_eq!(back.resident_pages(), pages.len());
         (doc, back)
@@ -1469,7 +1440,7 @@ mod tests {
         );
         let pages = doc.get("pages").unwrap().as_arr().unwrap();
         assert_eq!(pages[0].render(), r#"[0,0,""]"#);
-        let (id, page) = page_from_json(&pages[6], SNAPSHOT_SCHEMA_VERSION).unwrap();
+        let (id, page) = page_from_json(&pages[6]).unwrap();
         assert_eq!(
             (id, page[63], page[64], page.iter().filter(|&&b| b != 0).count()),
             (6, 1, 0x80, 2)
@@ -1485,7 +1456,7 @@ mod tests {
         assert_eq!(mask, 0b110);
         let err = |mask: Json, hex: &str| {
             let entry = Json::Arr(vec![7u64.into(), mask, Json::Str(hex.to_string())]);
-            page_from_json(&entry, SNAPSHOT_SCHEMA_VERSION).unwrap_err().message
+            page_from_json(&entry).unwrap_err().message
         };
         let short = "mem: page 7 holds 256 hex digits where 3 lines need 384";
         assert_eq!(err((mask | 1).into(), hex), short);
@@ -1518,7 +1489,7 @@ mod tests {
         assert_eq!(err(Json::Int(-1), hex), "mem: page mask must be a u64");
         // A rotated mask moves the same lines: it decodes, to other bytes.
         let entry = Json::Arr(vec![7u64.into(), mask.rotate_left(1).into(), Json::Str(hex.into())]);
-        let (_, page) = page_from_json(&entry, SNAPSHOT_SCHEMA_VERSION).unwrap();
+        let (_, page) = page_from_json(&entry).unwrap();
         assert_eq!((page[64], page[128], page[214]), (0, 1, 2));
     }
 
@@ -1527,22 +1498,31 @@ mod tests {
         let (doc, mem) = pages_round_trip(&[(0, &[(8, 1)]), (5, &[(16, 2)])]);
         let entries = doc.get("pages").unwrap().as_arr().unwrap();
         let (first, fifth) = (&entries[0], &entries[1]);
-        let (_, mut other) = page_from_json(fifth, SNAPSHOT_SCHEMA_VERSION).unwrap();
+        let (_, mut other) = page_from_json(fifth).unwrap();
         other[16] = 3;
         let other = page_json(5, &other);
         for version in 1..=SNAPSHOT_SCHEMA_VERSION {
             // Before schema 4 a page is `[id, hex]` of all its bytes.
             let entry = |e: &Json| match version {
                 1..=3 => {
-                    let (id, page) = page_from_json(e, SNAPSHOT_SCHEMA_VERSION).unwrap();
+                    let (id, page) = page_from_json(e).unwrap();
                     Json::Arr(vec![id.into(), Json::Str(hex_encode(&page[..]))])
                 }
                 _ => e.clone(),
             };
+            // The section in a document of `version`, through its
+            // upgrade steps.
             let load = |list: &[&Json]| {
                 let pages = Json::Arr(list.iter().map(|e| entry(e)).collect());
-                let v = obj(vec![("capacity", (1u64 << 20).into()), ("pages", pages)]);
-                mem_from_json(&v, version).map(|m| m.content_digest()).map_err(|e| e.message)
+                let mem = obj(vec![("capacity", (1u64 << 20).into()), ("pages", pages)]);
+                let device = obj(vec![("mem", mem)]);
+                let mut doc = obj(vec![
+                    ("schema_version", version.into()),
+                    ("devices", Json::Arr(vec![device])),
+                ]);
+                upgrade(&mut doc).unwrap();
+                let mem = doc.get("devices").unwrap().as_arr().unwrap()[0].get("mem").unwrap();
+                mem_from_json(mem.clone()).map(|m| m.content_digest()).map_err(|e| e.message)
             };
             assert_eq!(load(&[first, fifth]), Ok(mem.content_digest()), "schema {version}");
             assert_eq!(
@@ -1561,7 +1541,7 @@ mod tests {
     #[test]
     fn a_capacity_past_the_largest_store_is_rejected() {
         let v = obj(vec![("capacity", (MAX_CAPACITY + 1).into()), ("pages", Json::Arr(vec![]))]);
-        let err = mem_from_json(&v, SNAPSHOT_SCHEMA_VERSION).unwrap_err().message;
+        let err = mem_from_json(v).unwrap_err().message;
         assert_eq!(err, "mem: capacity 1099511627777 is past the largest store (1099511627776)");
     }
 

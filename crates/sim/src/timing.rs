@@ -4,7 +4,7 @@
 //! costs a flat `bank_latency` and the interesting behaviour is
 //! structural (queues, crossbars, bandwidth). Richer DRAM timing is the
 //! paper's §VII future work; two backends ship, and they are data in
-//! one [`TimingEngine`], not two types:
+//! one `TimingEngine`, not two types:
 //!
 //! * `fixed` — the paper's model and the default. Every access occupies
 //!   the bank for exactly `bank_latency` cycles; the row-hit/row-miss

@@ -16,7 +16,7 @@
 //!
 //! Destinations:
 //!
-//! - a level-masked text [`Sink`] (buffer or writer) — the user-facing
+//! - a level-masked text `Sink` (buffer or writer) — the user-facing
 //!   trace, unchanged semantics;
 //! - an optional forensic ring — the sanitizer's bounded tail, plain
 //!   data inside the [`Tracer`] (captures every class as raw records,

@@ -15,10 +15,10 @@
 //! | 22:12   | TAG   | 11-bit request tag              |
 //! | 57:24   | ADRS  | 34-bit byte address             |
 //! | 59:58   | —     | reserved                        |
-//! | 60      | CUB[3]| cube id bit 3 (fabric extension)|
+//! | 60      | CUB\[3\]| cube id bit 3 (fabric extension)|
 //! | 63:61   | CUB   | cube (device) id bits 2:0       |
 //!
-//! The spec's CUB field is 3 bits ([63:61]); this simulator extends it
+//! The spec's CUB field is 3 bits (\[63:61\]); this simulator extends it
 //! with one formerly-reserved bit (60, in both the request and the
 //! response header) so fabrics of up to 16 cubes stay addressable.
 //! Packets addressing cubes 0..=7 are bit-identical to the spec
@@ -147,7 +147,7 @@ impl ReqHead {
     }
 
     /// Encodes the header to its 64-bit wire form. CUB bits 2:0 land
-    /// in the spec position [63:61]; CUB[3] in the reserved bit 60.
+    /// in the spec position \[63:61\]; CUB\[3\] in the reserved bit 60.
     pub fn encode(&self) -> u64 {
         place(self.cmd.code() as u64, 0, 7)
             | place(self.lng as u64, 7, 5)
@@ -240,7 +240,7 @@ pub struct RspHead {
 
 impl RspHead {
     /// Encodes the header to its 64-bit wire form. CUB bits 2:0 land
-    /// in the spec position [63:61]; CUB[3] in the reserved bit 60.
+    /// in the spec position \[63:61\]; CUB\[3\] in the reserved bit 60.
     pub fn encode(&self) -> u64 {
         place(self.cmd.code() as u64, 0, 8)
             | place(self.lng as u64, 8, 5)

@@ -178,7 +178,7 @@ impl TagPool {
     /// maps are disjoint and together cover `0..capacity`, which leaves
     /// one count to take — the list is as long as its membership map
     /// exactly when list and live tags add up to the capacity.
-    /// Anything else goes to [`TagPool::audit_in_full`] for its
+    /// Anything else goes to `TagPool::audit_in_full` for its
     /// verdict and its wording.
     pub fn audit(&self) -> Result<(), String> {
         // Bits that break the partition: a tag in both maps, or in

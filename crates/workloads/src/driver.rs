@@ -19,7 +19,7 @@
 //! reports what happened per thread in [`ThreadFaultStats`]. Threads
 //! stay oblivious: a request either eventually succeeds or surfaces
 //! as a synthesized error response carrying
-//! [`ERRSTAT_HOST_GIVEUP`](hmc_sim::fault::ERRSTAT_HOST_GIVEUP).
+//! [`ERRSTAT_HOST_GIVEUP`].
 
 use hmc_sim::fault::ERRSTAT_HOST_GIVEUP;
 use hmc_sim::{HmcSim, TrackedResponse};

@@ -225,12 +225,13 @@ fn line_count(bytes: &[u8]) -> usize {
 }
 
 /// Renders ops back to the trace format (inverse of [`parse_trace`]
-/// for supported commands).
-pub fn render_trace(ops: &[TraceOp]) -> String {
+/// for supported commands). An op whose command is a CMC code is
+/// refused as [`replay_with_sink`] refuses it.
+pub fn render_trace(ops: &[TraceOp]) -> Result<String, HmcError> {
     use std::fmt::Write;
     let mut out = String::new();
-    for op in ops {
-        let info = op.cmd.fixed_info().expect("trace ops are standard");
+    for (index, op) in ops.iter().enumerate() {
+        let info = standard_info(index, op)?;
         let _ = match info.kind {
             hmc_types::CmdKind::Read => {
                 writeln!(out, "R 0x{:x} {} {}", op.addr, info.data_bytes, op.tid)
@@ -244,7 +245,18 @@ pub fn render_trace(ops: &[TraceOp]) -> String {
             _ => writeln!(out, "A {} 0x{:x} {}", info.name, op.addr, op.tid),
         };
     }
-    out
+    Ok(out)
+}
+
+/// The Table I entry of op `index`'s command; a CMC code is
+/// [`HmcError::MalformedPacket`] naming the op's index and command.
+fn standard_info(index: usize, op: &TraceOp) -> Result<hmc_types::CmdInfo, HmcError> {
+    op.cmd.fixed_info().ok_or_else(|| {
+        HmcError::MalformedPacket(format!(
+            "trace op {index}: {} is no Table I command; a trace holds standard commands only",
+            op.cmd
+        ))
+    })
 }
 
 /// Replay configuration.
@@ -325,16 +337,11 @@ impl ReplayCheckpoint {
 
     /// Parses a [`ReplayCheckpoint::to_json_value`] document. Strict:
     /// unknown fields, missing fields and schema mismatches are errors.
-    pub fn from_json_value(v: &Json) -> Result<ReplayCheckpoint, JsonError> {
-        Self::decode(v, SimSnapshot::from_json_value)
-    }
-
-    /// The checkpoint of document `v`, its snapshot through `snapshot`.
-    fn decode(
-        v: &Json,
-        snapshot: impl FnOnce(&Json) -> Result<SimSnapshot, JsonError>,
-    ) -> Result<ReplayCheckpoint, JsonError> {
-        let mut r = ObjReader::new("replay checkpoint", v)?;
+    /// The snapshot is moved out of the tree and decoded by
+    /// [`SimSnapshot::from_json_value`], in the order the fields are.
+    pub fn from_json_value(mut v: Json) -> Result<ReplayCheckpoint, JsonError> {
+        let snapshot = v.take("snapshot");
+        let mut r = ObjReader::new("replay checkpoint", &v)?;
         let version = r.u64("schema_version")?;
         if version != REPLAY_CKPT_SCHEMA_VERSION {
             return Err(JsonError::new(format!(
@@ -357,22 +364,19 @@ impl ReplayCheckpoint {
             })?,
             start_cycle: r.u64("start_cycle")?,
             flits_base: r.u64("flits_base")?,
-            snapshot: snapshot(r.required("snapshot")?)?,
+            snapshot: {
+                r.required("snapshot")?;
+                SimSnapshot::from_json_value(snapshot)?
+            },
         };
         r.finish()?;
         Ok(out)
     }
 
-    /// Parses a JSON string produced by [`ReplayCheckpoint::to_json`].
-    ///
-    /// No copy of a page outlives its use: each memory page's hex string
-    /// and each flight lane's is released as soon as its bytes are
-    /// decoded, in reading order ([`SimSnapshot::decode_hex`]), so the
-    /// parse tree and the decoded memory never exist in full at once.
+    /// Parses a JSON string produced by [`ReplayCheckpoint::to_json`]
+    /// (see [`ReplayCheckpoint::from_json_value`]).
     pub fn from_json(text: &str) -> Result<ReplayCheckpoint, JsonError> {
-        let mut v = Json::parse(text)?;
-        let hex = v.get_mut("snapshot").map(SimSnapshot::decode_hex).unwrap_or_default();
-        Self::decode(&v, |snapshot| SimSnapshot::from_json_value_with(snapshot, hex))
+        Self::from_json_value(Json::parse(text)?)
     }
 }
 
@@ -516,13 +520,7 @@ pub fn replay_with_sink(
         while outstanding < config.window && cursor < ops.len() {
             let op = &ops[cursor];
             let link = (op.tid as usize) % links;
-            let Some(info) = op.cmd.fixed_info() else {
-                return Err(HmcError::MalformedPacket(format!(
-                    "trace op {cursor}: {} is no Table I command; a replay sends standard \
-                     commands only",
-                    op.cmd
-                )));
-            };
+            let info = standard_info(cursor, op)?;
             let payload_len = payload_words(info.rqst_flits);
             let payload: PayloadBuf = (0..payload_len as u64).map(|w| op.addr ^ w).collect();
             match sim.send_simple(0, link, op.cmd, op.addr, payload) {
@@ -669,7 +667,7 @@ A XOR16 0x80
             .map(|(i, &cmd)| TraceOp { cmd, addr: 0x40 * i as u64, tid: i as u64 % 5 })
             .collect();
         assert!(atomics.len() > 20, "Table I's atomics ({})", atomics.len());
-        assert_eq!(parse_trace(&render_trace(&atomics)).unwrap(), atomics);
+        assert_eq!(parse_trace(&render_trace(&atomics).unwrap()).unwrap(), atomics);
         for (line, why) in [
             ("A NOPE 0x10", "unknown mnemonic NOPE"),
             ("A inc8 0x10", "unknown mnemonic inc8"),
@@ -685,7 +683,7 @@ A XOR16 0x80
     #[test]
     fn render_parse_round_trip() {
         let ops = synthetic_trace(3, 8, 64);
-        let text = render_trace(&ops);
+        let text = render_trace(&ops).unwrap();
         let back = parse_trace(&text).unwrap();
         assert_eq!(back, ops);
     }
@@ -836,6 +834,17 @@ A XOR16 0x80
         ops.insert(5, TraceOp { cmd: HmcRqst::Cmc(125), addr: 0x40, tid: 1 });
         let e = replay(&mut sim, &ops, &ReplayConfig::default()).unwrap_err().to_string();
         assert!(e.contains("trace op 5: CMC125"), "{e}");
+    }
+
+    #[test]
+    fn a_cmc_op_is_refused_by_render_trace_as_the_replay_refuses_it() {
+        let mut ops = synthetic_trace(2, 4, 64);
+        ops.insert(5, TraceOp { cmd: HmcRqst::Cmc(125), addr: 0x40, tid: 1 });
+        let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+        let refused = replay(&mut sim, &ops, &ReplayConfig::default()).unwrap_err();
+        assert!(matches!(refused, HmcError::MalformedPacket(_)), "{refused}");
+        assert_eq!(render_trace(&ops), Err(refused));
+        assert!(render_trace(&ops[..5]).is_ok(), "the ops before it render");
     }
 
     #[test]

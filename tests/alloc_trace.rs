@@ -463,7 +463,7 @@ fn traced_off_emission_is_allocation_free() {
     assert!(few <= 2, "a warm 1000-op replay allocated {few} times");
     assert_eq!(many, few, "8000 ops took {many} allocations, 1000 took {few}: per-op allocation");
     // Parsing them: the op vector, sized once, and nothing per line.
-    let (short, long) = (render_trace(&short), render_trace(&long));
+    let (short, long) = (render_trace(&short).unwrap(), render_trace(&long).unwrap());
     let parse_allocations = |text: &str| min_allocations(3, || drop(parse_trace(text).unwrap()));
     let (few, many) = (parse_allocations(&short), parse_allocations(&long));
     assert_eq!(few, 1, "parsing 1000 lines allocated {few} times");

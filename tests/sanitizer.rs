@@ -149,8 +149,9 @@ fn injected_violation_dump_and_deterministic_replay() {
     // context it names, clocked once — the same violation fires at the
     // same cycle.
     let doc = Json::parse(&on_disk).expect("the dump is strict JSON");
-    let snapshot = SimSnapshot::from_json_value(doc.get("snapshot").expect("snapshot member"))
-        .expect("the dump's snapshot is the restorable form");
+    let member = doc.get("snapshot").expect("snapshot member").clone();
+    let snapshot =
+        SimSnapshot::from_json_value(member).expect("the dump's snapshot is the restorable form");
     assert_eq!(snapshot.to_json_full(), dump.snapshot.to_json_full());
     let mut replayed = HmcSim::from_snapshot(&snapshot).unwrap();
     assert_eq!(replayed.config(), &{
@@ -498,7 +499,8 @@ fn forensic_dumps_on_disk_are_restorable() {
         let check = || -> Result<(), String> {
             let doc = Json::parse(&text).map_err(|e| e.to_string())?;
             let member = doc.get("snapshot").ok_or("no `snapshot` member")?;
-            let snapshot = SimSnapshot::from_json_value(member).map_err(|e| e.to_string())?;
+            let snapshot =
+                SimSnapshot::from_json_value(member.clone()).map_err(|e| e.to_string())?;
             if snapshot.to_json_value() != *member {
                 return Err("re-renders differently".into());
             }

@@ -13,7 +13,9 @@
 //!   machine, and `snapshot_v1.json`, rendered before flight lanes were
 //!   packed, are the legacy loads: each decodes to the same fingerprint
 //!   and flight records and re-renders as v5 — v2 and v1 with no
-//!   `config` and no CMC fields.
+//!   `config` and no CMC fields. Relabelled as another schema, a
+//!   golden is a typed error naming the first field the label
+//!   disagrees with.
 //! * **Coverage** — every persisted leaf outside the sections the
 //!   fingerprint does not visit (the observers `shadow`, `flight`,
 //!   `timing` and the machine: `config`, `cmc_libraries`, `cmc_codes`)
@@ -44,7 +46,7 @@
 //!   machine mutated), a configuration, a replay checkpoint, a
 //!   checkpoint header, a forensic dump, a fuzz scenario, a kernel
 //!   descriptor and a fuzz journal end in `Ok` or a typed error (the
-//!   snapshot both as written now and as the v4 golden), and
+//!   snapshot as written now and as the v4, v3 and v1 goldens), and
 //!   every packed lane cut short or given a bad kind or command kind is
 //!   rejected.
 
@@ -246,7 +248,7 @@ fn flight_rejection(mut doc: Json, edit: &FlightEdit) -> String {
         panic!("the snapshot carries a flight section")
     };
     edit(flight);
-    match SimSnapshot::from_json_value(&doc) {
+    match SimSnapshot::from_json_value(doc) {
         Ok(_) => panic!("a flight section no recorder can resume decoded"),
         Err(e) => e.message,
     }
@@ -362,14 +364,14 @@ fn restore_refuses_an_array_that_does_not_fit_and_changes_nothing() {
                 true => drop(items.pop()),
                 false => items.push(items[0].clone()),
             }
-            let snap = SimSnapshot::from_json_value(&mutant)
+            let snap = SimSnapshot::from_json_value(mutant)
                 .unwrap_or_else(|e| panic!("{path}: the codec leaves fit to restore: {e}"));
             let err = sim.restore(&snap).expect_err(path).to_string();
             assert!(err.contains(&format!("`{name}`")), "{path}: `{err}` does not name it");
             assert_eq!(sim.state_fingerprint(), base, "{path}: a refused restore moved state");
         }
     }
-    sim.restore(&SimSnapshot::from_json_value(&doc).unwrap()).unwrap();
+    sim.restore(&SimSnapshot::from_json_value(doc).unwrap()).unwrap();
     assert_eq!(sim.state_fingerprint(), base);
 }
 
@@ -395,12 +397,12 @@ fn restore_refuses_a_packet_the_context_cannot_route() {
     ] {
         let mut mutant = doc.clone();
         *node_at_path(&mut mutant, path) = Json::Int(value);
-        let snap = SimSnapshot::from_json_value(&mutant).expect(path);
+        let snap = SimSnapshot::from_json_value(mutant).expect(path);
         let err = sim.restore(&snap).expect_err(path).to_string();
         assert!(err.contains(&format!("`{array}`")), "{path}: `{err}` does not name it");
         assert_eq!(sim.state_fingerprint(), base, "{path}: a refused restore moved state");
     }
-    sim.restore(&SimSnapshot::from_json_value(&queued).unwrap()).unwrap();
+    sim.restore(&SimSnapshot::from_json_value(queued).unwrap()).unwrap();
     sim.clock_n(3);
     assert_eq!(sim.state_fingerprint(), base, "the unedited snapshot replays");
 }
@@ -438,7 +440,7 @@ fn a_snapshot_that_disagrees_with_the_configuration_is_refused() {
         let mut mutant = doc.clone();
         assert_ne!(*node_at_path(&mut mutant, path), value, "{path} is edited");
         *node_at_path(&mut mutant, path) = value;
-        let snap = SimSnapshot::from_json_value(&mutant).expect(path);
+        let snap = SimSnapshot::from_json_value(mutant).expect(path);
         let err = HmcSim::from_snapshot(&snap).expect_err(path).to_string();
         let field = path.strip_prefix("config/").map_or(path, |_| "devices/0/mem/capacity");
         assert!(err.contains(&format!("`{field}`")), "{path}: `{err}` does not name {field}");
@@ -469,7 +471,7 @@ fn a_transit_from_a_device_no_edge_joins_is_refused() {
     for from in [5, 1] {
         let mut mutant = doc.clone();
         *node_at_path(&mut mutant, "in_transit/0/from_dev") = Json::Int(from);
-        let snap = SimSnapshot::from_json_value(&mutant).unwrap();
+        let snap = SimSnapshot::from_json_value(mutant).unwrap();
         let err = sim.restore(&snap).expect_err("a transit no edge carries").to_string();
         assert!(err.contains("`in_transit/0`"), "from {from}: `{err}`");
         assert_eq!(sim.state_fingerprint(), base, "from {from}: a refused restore moved state");
@@ -480,7 +482,7 @@ fn a_transit_from_a_device_no_edge_joins_is_refused() {
         panic!("a transit is an object")
     };
     transit.retain(|(k, _)| k != "from_dev");
-    sim.restore(&SimSnapshot::from_json_value(&senderless).unwrap()).unwrap();
+    sim.restore(&SimSnapshot::from_json_value(senderless).unwrap()).unwrap();
     assert_eq!(sim.state_fingerprint(), base, "the senderless transit is re-homed onto its edge");
 }
 
@@ -675,7 +677,7 @@ fn perturb_packed_lane(doc: &mut Json, path: &[usize], base: u64) -> usize {
         let mut perturbed = hex.clone();
         perturbed.replace_range(at..at + 1, digit);
         *node_at(doc, path).0 = Json::Str(perturbed);
-        match SimSnapshot::from_json_value(doc) {
+        match SimSnapshot::from_json_value(doc.clone()) {
             Ok(snap) => {
                 assert_eq!(snap.fingerprint(), base, "digit {at} of packed lane {path:?}");
                 decoded += 1;
@@ -706,7 +708,7 @@ fn perturb_page_mask(doc: &mut Json, path: &[usize], base: u64) -> usize {
     let mut decoded = 0;
     for candidate in flips.chain(rotations) {
         *node_at(doc, path).0 = Json::Int(candidate.into());
-        match SimSnapshot::from_json_value(doc) {
+        match SimSnapshot::from_json_value(doc.clone()) {
             Ok(snap) => {
                 assert_eq!(
                     candidate.count_ones(),
@@ -777,7 +779,7 @@ fn check_every_leaf(snap: &SimSnapshot) -> std::collections::BTreeMap<String, us
             .cloned();
         let decoded = candidates(&original).into_iter().find_map(|candidate| {
             *node_at(&mut doc, &path).0 = candidate;
-            SimSnapshot::from_json_value(&doc).ok()
+            SimSnapshot::from_json_value(doc.clone()).ok()
         });
         *node_at(&mut doc, &path).0 = original;
         let Some(perturbed) = decoded else {
@@ -988,6 +990,38 @@ fn mutate_text(text: &str, rng: &mut Rng) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// A document holds its own schema's layout, which no upgrade step
+/// takes for another's: each snapshot golden relabelled one version up,
+/// and the current one relabelled down, is a typed error naming the
+/// first field the label disagrees with.
+#[test]
+fn a_golden_relabelled_as_another_schema_is_refused() {
+    for (version, label, want) in [
+        (1, 2, "flight lane: field `records` must be a string"),
+        (2, 3, "snapshot: missing field `config`"),
+        (3, 4, "mem: page entry [id, mask, hex] must be an array of 3"),
+        (
+            4,
+            5,
+            "timing: unknown field(s): divergence, shadow_late, shadow_early, shadow_agree, shadow",
+        ),
+        (5, 4, "timing: missing field `divergence`"),
+    ] {
+        let name = format!("snapshot_v{version}.json");
+        let text = read_golden(&name);
+        let relabelled = text.replacen(
+            &format!("{{\"schema_version\":{version},"),
+            &format!("{{\"schema_version\":{label},"),
+            1,
+        );
+        assert_ne!(relabelled, text, "{name} opens with its version");
+        match SimSnapshot::from_json(&relabelled) {
+            Ok(_) => panic!("{name} loaded as schema {label}"),
+            Err(e) => assert_eq!(e.message, want, "{name} as schema {label}"),
+        }
+    }
+}
+
 /// Every packed flight lane of `doc` that holds a record, broken four
 /// ways, each rendered back to text beside the error it must meet: one
 /// digit short (odd length), one byte short (a partial record), the
@@ -1077,10 +1111,19 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
     };
     let packed = never_panics("snapshot", &snapshot, 300, rebuild);
     assert_eq!(packed, 5 * 4, "every lane of the busy mesh was broken four ways");
-    // The same snapshot as schema 4 wrote it: the legacy timing reader
-    // meets the same mutations.
-    let packed = never_panics("snapshot v4", &read_golden("snapshot_v4.json"), 300, rebuild);
-    assert_eq!(packed, 5 * 4, "every lane of the v4 golden was broken four ways");
+    // The same snapshot as older schemas wrote it: their upgrade steps
+    // meet the same mutations. A schema-1 document names no machine to
+    // rebuild, and its lanes are arrays, which no packed-lane case
+    // breaks.
+    let decode = |text: &str| SimSnapshot::from_json(text).map(drop).map_err(|e| e.to_string());
+    for (name, packed_lanes) in
+        [("snapshot_v4.json", 5 * 4), ("snapshot_v3.json", 5 * 4), ("snapshot_v1.json", 0)]
+    {
+        let parse: &dyn Fn(&str) -> Result<(), String> =
+            if packed_lanes == 0 { &decode } else { &rebuild };
+        let packed = never_panics(name, &read_golden(name), 300, parse);
+        assert_eq!(packed, packed_lanes, "{name}: every packed lane was broken four ways");
+    }
 
     // The machine alone: its configuration, and the snapshot with only
     // `config` and the devices' CMC fields mutated.
@@ -1135,7 +1178,7 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
     let packed = never_panics("forensic dump", &dump, 300, |text| {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let member = doc.get("snapshot").ok_or("no snapshot member")?;
-        SimSnapshot::from_json_value(member).map(drop).map_err(|e| e.to_string())
+        SimSnapshot::from_json_value(member.clone()).map(drop).map_err(|e| e.to_string())
     });
     assert!(packed > 0, "the forensic dump carries recorded lanes");
 
@@ -1194,9 +1237,9 @@ fn mutated_scenarios_kernels_and_journals_are_rejected_with_typed_errors_never_a
     });
 }
 
-/// The text decoders release each page's and lane's hex as they go,
-/// decoded ahead of the walk over the rest of the tree; the tree
-/// decoders read a tree that keeps it. On every mutant — textual,
+/// The text decoders are a parse followed by the tree decoders, which
+/// release each page's and lane's hex as the walk decodes it. On every
+/// mutant — textual,
 /// structural anywhere, and structural within the pages and lanes the
 /// release visits — the two return the same snapshot or the same error
 /// text, for a snapshot and for a replay checkpoint around one.
@@ -1213,7 +1256,7 @@ fn the_text_decoders_agree_with_the_tree_decoders_on_every_mutant() {
     };
     let snapshot_by_tree: Decoder = |text| {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let snap = SimSnapshot::from_json_value(&doc).map_err(|e| e.to_string())?;
+        let snap = SimSnapshot::from_json_value(doc).map_err(|e| e.to_string())?;
         Ok((snap.fingerprint(), snap.flight().map_or(0, |f| f.len())))
     };
     let ckpt_by_text: Decoder = |text| {
@@ -1222,7 +1265,7 @@ fn the_text_decoders_agree_with_the_tree_decoders_on_every_mutant() {
     };
     let ckpt_by_tree: Decoder = |text| {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let ckpt = ReplayCheckpoint::from_json_value(&doc).map_err(|e| e.to_string())?;
+        let ckpt = ReplayCheckpoint::from_json_value(doc).map_err(|e| e.to_string())?;
         Ok((ckpt.snapshot.fingerprint(), ckpt.cursor))
     };
 

@@ -112,7 +112,7 @@ fn snapshot_json_round_trips_every_backend() {
         let mut original = run_burst(timing);
         let snap = original.snapshot();
         let text = snap.to_json_value().render();
-        let reparsed = SimSnapshot::from_json_value(&Json::parse(&text).unwrap()).unwrap();
+        let reparsed = SimSnapshot::from_json_value(Json::parse(&text).unwrap()).unwrap();
         assert_eq!(
             reparsed.to_json_value().render(),
             text,
@@ -155,7 +155,7 @@ fn legacy_snapshot_without_timing_key_loads_as_fixed() {
             }
         }
     }
-    let snap = SimSnapshot::from_json_value(&json).expect("legacy snapshot must load");
+    let snap = SimSnapshot::from_json_value(json).expect("legacy snapshot must load");
     let restored = HmcSim::from_snapshot(&snap).unwrap();
     assert_eq!(restored.timing_select(), TimingSelect::FixedLatency);
 }
@@ -172,7 +172,7 @@ fn unknown_backend_name_is_rejected_loudly() {
     ] {
         let (from, to) = (format!("{field}\"row_buffer\""), format!("{field}\"quantum_foam\""));
         let text = text.replace(&from, &to);
-        let err = SimSnapshot::from_json_value(&Json::parse(&text).unwrap()).unwrap_err();
+        let err = SimSnapshot::from_json_value(Json::parse(&text).unwrap()).unwrap_err();
         assert!(err.message.contains(want), "bad value not named: {}", err.message);
     }
 }
@@ -251,7 +251,7 @@ fn a_timing_section_that_does_not_fit_is_rejected() {
         ("shadow_agree", Json::Int(0)),
         ("shadow", Json::parse(&format!("[{bank}]")).unwrap()),
     ];
-    let decode = |doc: &Json| SimSnapshot::from_json_value(doc).map_err(|e| e.message);
+    let decode = |doc: &Json| SimSnapshot::from_json_value(doc.clone()).map_err(|e| e.message);
     let want = decode(&doc).unwrap().to_json_value();
     for (key, value) in &record {
         let mut v5 = doc.clone();

@@ -268,7 +268,7 @@ fn mutated_trace_lines_parse_or_fail_typed_and_what_parses_round_trips() {
             ops.push(TraceOp { cmd, addr: 0x10_0000 + 0x1f40 * i as u64, tid: i as u64 % 9 });
         }
     }
-    let text = render_trace(&ops);
+    let text = render_trace(&ops).unwrap();
     assert_eq!(parse_trace(&text).unwrap(), ops, "the unmutated trace round-trips");
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() > 30);
@@ -284,7 +284,7 @@ fn mutated_trace_lines_parse_or_fail_typed_and_what_parses_round_trips() {
         match agrees(&mutant) {
             Ok(Some(op)) => {
                 parsed += 1;
-                let again = parse_trace(&render_trace(std::slice::from_ref(&op)));
+                let again = parse_trace(&render_trace(std::slice::from_ref(&op)).unwrap());
                 assert_eq!(again, Ok(vec![op]), "`{mutant}` does not survive re-rendering");
             }
             Ok(None) => parsed += 1,
