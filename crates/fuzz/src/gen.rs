@@ -226,7 +226,7 @@ mod tests {
     /// `tests/golden/generator_v2.txt` holds the scenarios at [`PINS`]
     /// as the schema-2 generator rendered them (digests of that text
     /// were those of the schema-1 generator's scenarios with
-    /// `exec_threads` removed); each loads, through the legacy path, as
+    /// `exec_threads` removed); each loads, through the upgrade step, as
     /// what the generator draws now. No schema-2 writer remains, so the
     /// file is never regenerated.
     #[test]
