@@ -9,13 +9,27 @@
 //! the page table sits in a [`RefCell`]: the store is not `Sync`, and
 //! no access takes a lock. No borrow outlives the call that takes it
 //! except inside [`SparseMemory::for_each_page`], whose visitor may
-//! read the store but must not write to it.
+//! read the store but must not write to it or clone it.
 //!
 //! The page table is a directory of leaves of 512 page slots, indexed
 //! by page id and grown by the first write to a leaf: a new store or a
 //! read allocates nothing, a lookup is two indexed loads and no hash,
 //! and [`SparseMemory::for_each_page`] walks pages in ascending order
 //! as they lie. An 8 GiB store's directory is at most 32 KiB.
+//!
+//! A resident page is either owned by the store alone (a `Box`) or
+//! shared with the stores cloned from it or into it (an [`Arc`] of
+//! that box). Cloning a store — a checkpoint's `snapshot` and
+//! `restore` — moves each owned box into an `Arc` and gives both sides
+//! a handle, so it costs a pointer per page and copies no bytes. The
+//! first write to a shared page takes it back with
+//! [`Arc::unwrap_or_clone`]: a move when no other store holds it any
+//! more, one page copy when one does. So a checkpoint holds only the
+//! pages written since it was taken. A leaf keeps its owned pages in
+//! one array of 8-byte slots and its shared pages in a second array,
+//! allocated by the first clone: reads, and writes to an owned page,
+//! take no atomic operation, and a store that is never cloned never
+//! allocates the second array.
 //!
 //! A read-modify-write of one 8- or 16-byte cell resolves its page
 //! once (`update_u64` / `update_u128`, the atomics' path) rather than
@@ -27,6 +41,7 @@
 
 use hmc_types::HmcError;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Size of one lazily-allocated page in bytes.
 pub const PAGE_BYTES: usize = 4096;
@@ -39,7 +54,6 @@ pub const MAX_CAPACITY: u64 = 1 << 40;
 const LEAF_PAGES: u64 = 512;
 
 type Page = Box<[u8; PAGE_BYTES]>;
-type Leaf = [Option<Page>; LEAF_PAGES as usize];
 
 /// Words converted per stack buffer when a word access straddles pages:
 /// the payload of the largest packet (17 FLITs), so one packet is one
@@ -49,8 +63,64 @@ const WORD_CHUNK: usize = 32;
 /// Bytes per host cache line, the stride of [`SparseMemory::touch`].
 const HOST_LINE: usize = 64;
 
-/// Page `id` lives at `leaves[id / LEAF_PAGES][id % LEAF_PAGES]`.
-#[derive(Clone, Default)]
+/// 512 page slots: the pages the store owns alone, and — allocated by
+/// the first clone — the pages it shares. A page sits in at most one
+/// of the two.
+struct Leaf {
+    owned: [Option<Page>; LEAF_PAGES as usize],
+    shared: Option<Box<[Option<Arc<Page>>; LEAF_PAGES as usize]>>,
+}
+
+impl Leaf {
+    fn new() -> Box<Leaf> {
+        Box::new(Leaf { owned: [const { None }; LEAF_PAGES as usize], shared: None })
+    }
+
+    #[inline]
+    fn get(&self, at: usize) -> Option<&[u8; PAGE_BYTES]> {
+        match &self.owned[at] {
+            Some(page) => Some(page),
+            None => self.shared.as_ref()?[at].as_deref().map(|page| &**page),
+        }
+    }
+
+    /// Slot `at`'s page, owned: taken back from the shared slot (a
+    /// page copy only while another store still holds it), or
+    /// materialized as zeros if absent.
+    #[inline]
+    fn page(&mut self, at: usize) -> &mut [u8; PAGE_BYTES] {
+        let shared = &mut self.shared;
+        self.owned[at].get_or_insert_with(|| match shared.as_mut().and_then(|s| s[at].take()) {
+            Some(page) => Arc::unwrap_or_clone(page),
+            None => Box::new([0; PAGE_BYTES]),
+        })
+    }
+
+    fn insert(&mut self, at: usize, page: Page) {
+        self.owned[at] = Some(page);
+        if let Some(shared) = &mut self.shared {
+            shared[at] = None;
+        }
+    }
+
+    /// Turns every owned page into a shared one and returns a leaf
+    /// sharing all of them: no page is copied.
+    fn share(&mut self) -> Box<Leaf> {
+        let shared =
+            self.shared.get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES as usize]));
+        for (owned, shared) in self.owned.iter_mut().zip(shared.iter_mut()) {
+            if let Some(page) = owned.take() {
+                *shared = Some(Arc::new(page));
+            }
+        }
+        let mut leaf = Leaf::new();
+        leaf.shared = Some(shared.clone());
+        leaf
+    }
+}
+
+/// Page `id` lives in slot `id % LEAF_PAGES` of `leaves[id / LEAF_PAGES]`.
+#[derive(Default)]
 struct PageTable {
     leaves: Vec<Option<Box<Leaf>>>,
 }
@@ -59,44 +129,51 @@ impl PageTable {
     #[inline]
     fn get(&self, id: u64) -> Option<&[u8; PAGE_BYTES]> {
         let leaf = self.leaves.get((id / LEAF_PAGES) as usize)?.as_deref()?;
-        leaf[(id % LEAF_PAGES) as usize].as_deref()
+        leaf.get((id % LEAF_PAGES) as usize)
     }
 
+    /// Page `id` if the store owns it alone: writing to it takes no
+    /// atomic operation and copies nothing.
     #[inline]
-    fn get_mut(&mut self, id: u64) -> Option<&mut [u8; PAGE_BYTES]> {
+    fn owned_mut(&mut self, id: u64) -> Option<&mut [u8; PAGE_BYTES]> {
         let leaf = self.leaves.get_mut((id / LEAF_PAGES) as usize)?.as_deref_mut()?;
-        leaf[(id % LEAF_PAGES) as usize].as_deref_mut()
+        leaf.owned[(id % LEAF_PAGES) as usize].as_deref_mut()
     }
 
-    /// Page `id`'s slot, its leaf allocated and the directory grown as
-    /// needed.
-    fn slot(&mut self, id: u64) -> &mut Option<Page> {
+    /// Page `id`'s leaf, allocated and the directory grown as needed.
+    fn leaf(&mut self, id: u64) -> &mut Leaf {
         let at = (id / LEAF_PAGES) as usize;
         self.leaves.resize_with(self.leaves.len().max(at + 1), || None);
-        let leaf =
-            self.leaves[at].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES as usize]));
-        &mut leaf[(id % LEAF_PAGES) as usize]
+        self.leaves[at].get_or_insert_with(Leaf::new)
     }
 
-    /// Page `id`, materialized as zeros if absent.
+    /// Page `id`, owned by this store (see [`Leaf::page`]).
     #[inline]
     fn page(&mut self, id: u64) -> &mut [u8; PAGE_BYTES] {
-        self.slot(id).get_or_insert_with(|| Box::new([0; PAGE_BYTES]))
+        self.leaf(id).page((id % LEAF_PAGES) as usize)
     }
 
     /// Every resident page, in ascending page order.
     fn pages(&self) -> impl Iterator<Item = (u64, &[u8; PAGE_BYTES])> {
         let leaves = (0..).step_by(LEAF_PAGES as usize).zip(&self.leaves);
-        let slots =
-            leaves.flat_map(|(first, leaf)| (first..).zip(leaf.iter().flat_map(|l| l.iter())));
-        slots.filter_map(|(id, page)| Some((id, page.as_deref()?)))
+        let leaves = leaves.filter_map(|(first, leaf)| Some((first, leaf.as_deref()?)));
+        leaves.flat_map(|(first, leaf)| {
+            (0..LEAF_PAGES).filter_map(move |at| Some((first + at, leaf.get(at as usize)?)))
+        })
+    }
+
+    /// A table sharing every resident page with this one (see
+    /// [`Leaf::share`]).
+    fn share(&mut self) -> PageTable {
+        let leaves = self.leaves.iter_mut().map(|leaf| Some(leaf.as_deref_mut()?.share()));
+        PageTable { leaves: leaves.collect() }
     }
 }
 
 /// A sparse, zero-initialized, byte-addressable memory of fixed
 /// capacity. All accessors take `&self`; see the module docs for what
 /// that does and does not allow.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct SparseMemory {
     /// `Default` is a zero-capacity store, whose range check rejects
     /// every access.
@@ -153,7 +230,7 @@ impl SparseMemory {
         let start =
             page_id.checked_mul(PAGE_BYTES as u64).ok_or(HmcError::AddressOutOfRange(page_id))?;
         self.check_range(start, 1)?;
-        *self.table.borrow_mut().slot(page_id) = Some(bytes);
+        self.table.borrow_mut().leaf(page_id).insert((page_id % LEAF_PAGES) as usize, bytes);
         Ok(())
     }
 
@@ -280,8 +357,12 @@ impl SparseMemory {
             return Ok(old);
         }
         let mut table = self.table.borrow_mut();
-        let Some(p) = table.get_mut(page) else {
-            let old = [0u8; N];
+        let Some(p) = table.owned_mut(page) else {
+            // Absent or shared: taken only if `f` writes.
+            let mut old = [0u8; N];
+            if let Some(p) = table.get(page) {
+                old.copy_from_slice(&p[in_page..in_page + N]);
+            }
             if let Some(new) = f(old) {
                 table.page(page)[in_page..in_page + N].copy_from_slice(&new);
             }
@@ -394,6 +475,23 @@ impl SparseMemory {
         Ok(())
     }
 }
+
+impl Clone for SparseMemory {
+    /// Shares every resident page with the clone and copies none; see
+    /// the module docs. Must not be called from a
+    /// [`SparseMemory::for_each_page`] visitor.
+    fn clone(&self) -> Self {
+        let table = self.table.borrow_mut().share();
+        SparseMemory { table: RefCell::new(table), capacity: self.capacity }
+    }
+}
+
+// The store must stay `Send`: a device, checkpoints included, may be
+// moved to another thread.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<SparseMemory>();
+};
 
 impl std::fmt::Debug for SparseMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -657,6 +755,7 @@ mod tests {
 
     /// The page table's oracle: pages in a `BTreeMap`, bytes one at a
     /// time.
+    #[derive(Clone)]
     struct Model {
         capacity: u64,
         pages: std::collections::BTreeMap<u64, Page>,
@@ -709,21 +808,42 @@ mod tests {
         /// last pages, a leaf boundary, past the capacity and where an
         /// address overflows: the same results, the same resident pages
         /// in ascending order from `for_each_page`, the same digest.
+        /// Stores are cloned and clones dropped between the accesses,
+        /// which go to any of them: each store keeps matching its own
+        /// model, whatever the others write.
         #[test]
         fn the_page_table_matches_a_btreemap_of_pages(
             gib in proptest::sample::select(vec![0u64, 4, 8]),
             ops in proptest::collection::vec(
-                (0u8..9, 0usize..5, 0..2 * PAGE_BYTES as u64, proptest::prelude::any::<u64>()),
-                1..48,
+                (
+                    0u8..11,
+                    0usize..4,
+                    0usize..5,
+                    0..2 * PAGE_BYTES as u64,
+                    proptest::prelude::any::<u64>(),
+                ),
+                1..64,
             ),
         ) {
             use proptest::prop_assert_eq;
             let capacity = gib << 30;
             let mem = if gib == 0 { SparseMemory::default() } else { SparseMemory::new(capacity) };
-            let mut model = Model { capacity, pages: Default::default() };
+            let mut stores = vec![(mem, Model { capacity, pages: Default::default() })];
             let leaf = LEAF_PAGES * PAGE_BYTES as u64;
             let last = capacity.saturating_sub(PAGE_BYTES as u64);
-            for (op, anchor, offset, value) in ops {
+            for (op, side, anchor, offset, value) in ops {
+                match op {
+                    // Clone a store: pages shared, none copied.
+                    9 if stores.len() < 4 => {
+                        let (mem, model) = &stores[side % stores.len()];
+                        stores.push((mem.clone(), model.clone()));
+                    }
+                    // Drop one, freeing the last handle of some pages.
+                    10 if stores.len() > 1 => drop(stores.swap_remove(side % stores.len())),
+                    _ => {}
+                }
+                let side = side % stores.len();
+                let (mem, model) = &mut stores[side];
                 // Within a page either side of the first page, a leaf
                 // boundary, the last page or the end (below 0: the top
                 // of the address space).
@@ -769,7 +889,7 @@ mod tests {
                         }
                     }
                     6 => mem.touch(addr, len),
-                    _ => {
+                    7 | 8 => {
                         let id = addr / PAGE_BYTES as u64;
                         let page: Page = Box::new(std::array::from_fn(|i| *bytes.get(i).unwrap_or(&0)));
                         let fits = model.fits(id * PAGE_BYTES as u64, 1);
@@ -778,15 +898,50 @@ mod tests {
                             model.pages.insert(id, page);
                         }
                     }
+                    _ => {}
                 }
-                let mut visited = Vec::new();
-                mem.for_each_page(|id, page| visited.push((id, Box::new(*page))));
-                let want: Vec<(u64, Page)> = model.pages.iter().map(|(&id, p)| (id, p.clone())).collect();
-                prop_assert_eq!(visited, want, "op {} at {:#x}", op, addr);
-                prop_assert_eq!(mem.resident_pages(), model.pages.len());
-                prop_assert_eq!(mem.content_digest(), model.digest());
+                for (n, (mem, model)) in stores.iter().enumerate() {
+                    let mut visited = Vec::new();
+                    mem.for_each_page(|id, page| visited.push((id, Box::new(*page))));
+                    let want: Vec<(u64, Page)> =
+                        model.pages.iter().map(|(&id, p)| (id, p.clone())).collect();
+                    prop_assert_eq!(visited, want, "store {} after op {} at {:#x}", n, op, addr);
+                    prop_assert_eq!(mem.resident_pages(), model.pages.len());
+                    prop_assert_eq!(mem.content_digest(), model.digest());
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_clone_shares_pages_until_either_side_writes() {
+        let mem = SparseMemory::new(1 << 24);
+        for page in 0..600u64 {
+            mem.write_u64(page * PAGE_BYTES as u64, page + 1).unwrap();
+        }
+        let shared = |mem: &SparseMemory| {
+            let table = mem.table.borrow();
+            let leaves = table.leaves.iter().flatten();
+            leaves.flat_map(|leaf| leaf.shared.iter().flat_map(|s| s.iter().flatten())).count()
+        };
+        assert_eq!(shared(&mem), 0, "a store never cloned shares nothing");
+        let copy = mem.clone();
+        assert_eq!((shared(&mem), shared(&copy)), (600, 600));
+        // A write takes one page back on its side only; a read or a
+        // no-op update takes none.
+        mem.write_u64(8, 7).unwrap();
+        assert_eq!(mem.read_u64(PAGE_BYTES as u64).unwrap(), 2);
+        assert_eq!(mem.update_u64(2 * PAGE_BYTES as u64, |_| None).unwrap(), 3);
+        assert_eq!((shared(&mem), shared(&copy)), (599, 600));
+        assert_eq!((copy.read_u64(0).unwrap(), copy.read_u64(8).unwrap()), (1, 0));
+        // Once the clone is gone its pages come back without a copy.
+        let page = |mem: &SparseMemory, id: u64| mem.table.borrow().get(id).map(|p| p.as_ptr());
+        let before = page(&mem, 599);
+        drop(copy);
+        mem.update_u64(599 * PAGE_BYTES as u64, |old| Some(old + 1)).unwrap();
+        assert_eq!(page(&mem, 599), before, "the last handle moves the page back");
+        assert_eq!(mem.read_u64(599 * PAGE_BYTES as u64).unwrap(), 601);
+        assert_eq!(shared(&mem), 598);
     }
 
     #[test]

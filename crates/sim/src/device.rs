@@ -1023,7 +1023,8 @@ impl Device {
         }
     }
 
-    /// Deep-copies the device's dynamic state into a snapshot.
+    /// Copies the device's dynamic state into a snapshot; memory pages
+    /// are shared with it copy-on-write.
     pub(crate) fn snapshot_state(&self) -> DeviceSnapshot {
         DeviceSnapshot {
             xbar_rqst: self.xbar_rqst.clone(),

@@ -81,6 +81,8 @@ pub struct SanitizerConfig {
     /// latest is available via [`HmcSim::sanitizer_checkpoint`] and
     /// bounds the replay window after a violation. Only the latest is
     /// held: the previous one is released before the next is taken.
+    /// Taking one copies no memory page (it shares them with the live
+    /// store); what it holds is a copy of each page written since.
     pub checkpoint_every: u64,
     /// Maximum violations retained in the report (the total is still
     /// counted past this bound).
@@ -499,7 +501,8 @@ impl Sanitizer {
 
         // Periodic checkpoint, taken last so it carries a clean
         // (acknowledged) shadow that will not re-fire old violations.
-        // The previous one goes first: one copy of memory at a time.
+        // The previous one goes first: it frees the pages written since
+        // it was taken, which it alone still holds.
         if self.config.checkpoint_every > 0 && cycle.is_multiple_of(self.config.checkpoint_every)
         {
             drop(self.last_checkpoint.take());

@@ -1,11 +1,14 @@
 //! Checkpoint snapshots and forensic dumps.
 //!
-//! A [`SimSnapshot`] deep-copies every piece of dynamic simulation
-//! state — device queues, vault contents, memory pages, registers,
-//! link-layer flow control, tag pools, in-transit and retry-buffer
-//! packets — so that [`HmcSim::restore`] reproduces the exact machine
-//! state and re-clocking replays deterministically. Snapshots serve
-//! two roles:
+//! A [`SimSnapshot`] copies every piece of dynamic simulation state —
+//! device queues, vault contents, memory pages, registers, link-layer
+//! flow control, tag pools, in-transit and retry-buffer packets — so
+//! that [`HmcSim::restore`] reproduces the exact machine state and
+//! re-clocking replays deterministically. Memory pages are shared
+//! with the live store, not copied: whichever side writes a shared page
+//! first takes its own copy of it (`hmc_mem::store`), so taking or
+//! restoring a snapshot copies no page bytes. Snapshots serve two
+//! roles:
 //!
 //! * **Checkpoints** — taken periodically (the sanitizer's
 //!   `checkpoint_every` knob or an explicit [`HmcSim::snapshot`]
@@ -97,7 +100,8 @@ pub struct DeviceSnapshot {
     pub(crate) cmc_codes: Vec<u8>,
 }
 
-/// A deep copy of all dynamic simulation state at one cycle boundary.
+/// A copy of all dynamic simulation state at one cycle boundary, its
+/// memory pages shared copy-on-write with the store it was taken from.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
     /// The live configuration the snapshot was taken under (`None`
@@ -125,6 +129,15 @@ pub struct SimSnapshot {
     /// [`fingerprint`]: SimSnapshot::fingerprint
     pub(crate) flight: Option<FlightSnapshot>,
 }
+
+// A context and its checkpoints must stay `Send`: each may be handed to
+// another thread to run, persist or replay, and the memory pages they
+// share are reference-counted atomically.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<SimSnapshot>();
+    send::<HmcSim>();
+};
 
 impl SimSnapshot {
     /// The cycle the snapshot was taken at. A snapshot is taken at the
@@ -624,7 +637,8 @@ impl HmcSim {
 
     /// Captures a checkpoint of all dynamic simulation state. Restore
     /// it with [`HmcSim::restore`] to replay deterministically from
-    /// this point.
+    /// this point. Memory pages are shared with the live store, not
+    /// copied: each side copies a page when it first writes it.
     pub fn snapshot(&self) -> SimSnapshot {
         self.snapshot_with_shadow(self.sanitizer.as_ref().map(|s| s.shadow.clone()))
     }

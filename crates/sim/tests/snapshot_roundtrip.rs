@@ -136,6 +136,59 @@ proptest! {
         drive(&mut twin, &tail);
         prop_assert_eq!(sim.state_fingerprint(), twin.state_fingerprint());
     }
+
+    /// A snapshot shares its memory pages with the context it was taken
+    /// from and with every context restored from it; each side copies
+    /// a page when it first writes it. One snapshot restored into two
+    /// contexts — one built from it, one rewound by `restore` — that
+    /// run different traffic, interleaved with the parent's own: each
+    /// reaches the fingerprint the parent reaches on the same traffic,
+    /// and the snapshot's fingerprint never moves.
+    #[test]
+    fn one_snapshot_restored_twice_runs_two_timelines_apart(
+        point in arb_point(),
+        seed in 1u64..u64::MAX,
+        addrs in prop::collection::vec(0u64..2048, 8..32),
+        tail_a in prop::collection::vec(0u64..2048, 4..24),
+        tail_b in prop::collection::vec(0u64..2048, 4..24),
+    ) {
+        let mut parent = build_sim(&point, seed);
+        drive(&mut parent, &addrs);
+        let snap = parent.snapshot();
+        let want = snap.fingerprint();
+
+        let mut a = HmcSim::from_snapshot(&snap)
+            .map_err(|e| TestCaseError::fail(format!("from_snapshot: {e}")))?;
+        let mut b = build_sim(&point, seed);
+        b.restore(&snap).map_err(|e| TestCaseError::fail(format!("restore: {e}")))?;
+        prop_assert_eq!((a.state_fingerprint(), b.state_fingerprint()), (want, want));
+
+        // The parent runs `a`'s traffic beside both clones.
+        let chunks_a: Vec<&[u64]> = tail_a.chunks(3).collect();
+        let chunks_b: Vec<&[u64]> = tail_b.chunks(3).collect();
+        for i in 0..chunks_a.len().max(chunks_b.len()) {
+            if let Some(chunk) = chunks_a.get(i) {
+                drive(&mut a, chunk);
+                drive(&mut parent, chunk);
+            }
+            if let Some(chunk) = chunks_b.get(i) {
+                drive(&mut b, chunk);
+            }
+            prop_assert_eq!(snap.fingerprint(), want, "a write reached the snapshot");
+        }
+        prop_assert_eq!(a.state_fingerprint(), parent.state_fingerprint(), "timeline a");
+        prop_assert_ne!(a.state_fingerprint(), want);
+
+        // Rewound, the parent runs `b`'s traffic while `a` still holds
+        // the pages it has not written.
+        parent.restore(&snap).map_err(|e| TestCaseError::fail(format!("restore: {e}")))?;
+        prop_assert_eq!(parent.state_fingerprint(), want, "restore point drifted");
+        for chunk in &chunks_b {
+            drive(&mut parent, chunk);
+        }
+        prop_assert_eq!(b.state_fingerprint(), parent.state_fingerprint(), "timeline b");
+        prop_assert_eq!(snap.fingerprint(), want);
+    }
 }
 
 /// The deterministic corner the fuzz matrix rarely hits: a completely

@@ -437,10 +437,12 @@ pub fn replay_resumable(
 /// `start_cycle != 0`), and subsequent ones at each later multiple of
 /// `checkpoint_every` — stable under multi-cycle clock jumps.
 ///
-/// No copy of memory outlives its use: the previous checkpoint is
-/// released before the next snapshot copies memory again, so a
-/// checkpointed replay holds one checkpoint at a time. The newest is
-/// returned; a sink error returns `Err` and no checkpoint.
+/// No copy of memory outlives its use: a snapshot shares its pages with
+/// the live store, which copies a page when it first writes it, and the
+/// previous checkpoint is released before the next snapshot is taken,
+/// so a checkpointed replay holds one checkpoint's written pages at a
+/// time. The newest is returned; a sink error returns `Err` and no
+/// checkpoint.
 ///
 /// An op whose command is a CMC code ([`HmcRqst::Cmc`]), which no
 /// trace line can name but a hand-built [`TraceOp`] can, ends the

@@ -37,7 +37,8 @@
 //! The same allocator counts the bytes live and their high-water mark,
 //! which pins what a checkpoint round trip holds at once: decoding a
 //! snapshot never holds the parse tree's page hex beside the decoded
-//! pages, and a checkpointed replay never holds two checkpoints.
+//! pages, a checkpointed replay never holds two checkpoints, and a
+//! snapshot shares the store's pages rather than copying them.
 //!
 //! Past the inline payload capacity the pin is exact rather than zero:
 //! a window of RD256 / RD256 / WR256 triples allocates one block per
@@ -535,6 +536,38 @@ fn traced_off_emission_is_allocation_free() {
         "a replay taking {taken} checkpoints of {page_bytes} bytes of pages held {held} bytes \
          at once: two checkpoints"
     );
+
+    // --- A snapshot, in bytes held. ---------------------------------
+    // A snapshot shares the store's pages instead of copying them: it
+    // holds a handle per page beside the rest of the machine state, a
+    // sliver of the pages' bytes. Once it is gone the live store takes
+    // its pages back without a copy; while it lives, the first write
+    // to a page copies that page, once, and the snapshot keeps its own.
+    let mut sim = dense_cube(pages);
+    let write_every_page = |sim: &mut HmcSim, byte: u8| {
+        let fill = vec![byte; PAGE_BYTES];
+        allocations_in(|| {
+            for page in 0..pages {
+                sim.mem_write(0, page * PAGE_BYTES as u64, &fill).unwrap();
+            }
+        })
+    };
+    let (snap, held) = peak_live_bytes_in(|| sim.snapshot());
+    assert!(
+        held < page_bytes / 16,
+        "a snapshot of {pages} dense pages ({page_bytes} bytes) held {held} bytes: a copy of them"
+    );
+    assert_eq!(snap.fingerprint(), sim.state_fingerprint());
+    drop(snap);
+    let count = write_every_page(&mut sim, 0x5a);
+    assert_eq!(count, 0, "writing {pages} pages no snapshot holds took {count} allocations");
+    let snap = sim.snapshot();
+    let want = snap.fingerprint();
+    let count = write_every_page(&mut sim, 0xa5);
+    assert_eq!(count, pages, "writing {pages} pages a snapshot shares took {count} allocations");
+    assert_eq!(snap.fingerprint(), want, "the snapshot's pages moved");
+    assert_ne!(sim.state_fingerprint(), want);
+    drop(snap);
 
     // --- A fresh context. ---------------------------------------------
     // The pin is for the default engine: a backend or skip override

@@ -1055,13 +1055,17 @@ fn packed_lane_mutants(doc: &Json) -> Vec<(String, &'static str)> {
     out
 }
 
-/// Feeds `parse` seeded mutations of `text`: half textual, half
-/// structural (rendered back to text, so a duplicated key reaches the
-/// parser as one). `parse` returning at all is the property — an `Err`
-/// is a typed error by construction, a panic fails the test. At least
-/// one mutant of each kind must have been rejected, or the loop proved
-/// nothing. Then every [`packed_lane_mutants`] case must be rejected
-/// with its error; returns how many there were.
+/// Feeds `parse` seeded mutations of `text`: textual, and structural
+/// (rendered back to text, so a duplicated key reaches the parser as
+/// one) anywhere in the document and — when it holds memory pages or
+/// flight lanes — within them, where the decoder takes each page and
+/// lane out of the tree as it reads it: half textual and half
+/// structural, or a third of each when there are pages or lanes.
+/// `parse` returning at all is the property — an `Err` is a typed error
+/// by construction, a panic fails the test. At least one mutant of each
+/// kind must have been rejected, or the loop proved nothing. Then every
+/// [`packed_lane_mutants`] case must be rejected with its error;
+/// returns how many there were.
 fn never_panics(
     name: &str,
     text: &str,
@@ -1072,19 +1076,33 @@ fn never_panics(
     let doc = Json::parse(text).unwrap();
     let mut nodes = Vec::new();
     paths(&doc, true, &mut Vec::new(), &mut nodes);
+    let hexed: Vec<Vec<usize>> = nodes
+        .iter()
+        .filter(|path| {
+            let at = path_text(&doc, path);
+            at.contains("mem/pages") || at.contains("flight/lanes")
+        })
+        .cloned()
+        .collect();
+    let kinds = if hexed.is_empty() { 2 } else { 3 };
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ text.len() as u64);
-    let mut rejected = [0usize; 2];
+    let mut rejected = [0usize; 3];
     for round in 0..rounds {
-        let mutant = if round % 2 == 0 {
-            mutate_text(text, &mut rng)
-        } else {
-            let mut tree = doc.clone();
-            mutate_tree(&mut tree, &nodes, &mut rng);
-            tree.render()
+        let kind = round % kinds;
+        let mutant = match kind {
+            0 => mutate_text(text, &mut rng),
+            _ => {
+                let mut tree = doc.clone();
+                mutate_tree(&mut tree, if kind == 1 { &nodes } else { &hexed }, &mut rng);
+                tree.render()
+            }
         };
-        rejected[round % 2] += parse(&mutant).is_err() as usize;
+        rejected[kind] += parse(&mutant).is_err() as usize;
     }
-    assert!(rejected[0] > 0 && rejected[1] > 0, "{name}: no mutant was rejected ({rejected:?})");
+    assert!(
+        rejected[..kinds].iter().all(|&n| n > 0),
+        "{name}: no mutant of some kind was rejected ({rejected:?})"
+    );
     let packed = packed_lane_mutants(&doc);
     for (mutant, want) in &packed {
         match parse(mutant) {
@@ -1235,83 +1253,4 @@ fn mutated_scenarios_kernels_and_journals_are_rejected_with_typed_errors_never_a
     never_panics("fuzz journal", &journal.to_json(), 300, |text| {
         RunJournal::from_json(text).map(drop).map_err(|e| e.to_string())
     });
-}
-
-/// The text decoders are a parse followed by the tree decoders, which
-/// release each page's and lane's hex as the walk decodes it. On every
-/// mutant — textual,
-/// structural anywhere, and structural within the pages and lanes the
-/// release visits — the two return the same snapshot or the same error
-/// text, for a snapshot and for a replay checkpoint around one.
-#[test]
-fn the_text_decoders_agree_with_the_tree_decoders_on_every_mutant() {
-    use hmcsim::workloads::tracefile::{
-        replay_resumable, synthetic_trace, ReplayCheckpoint, ReplayConfig,
-    };
-    type Outcome = Result<(u64, usize), String>;
-    type Decoder = fn(&str) -> Outcome;
-    let snapshot_by_text: Decoder = |text| {
-        let snap = SimSnapshot::from_json(text).map_err(|e| e.to_string())?;
-        Ok((snap.fingerprint(), snap.flight().map_or(0, |f| f.len())))
-    };
-    let snapshot_by_tree: Decoder = |text| {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let snap = SimSnapshot::from_json_value(doc).map_err(|e| e.to_string())?;
-        Ok((snap.fingerprint(), snap.flight().map_or(0, |f| f.len())))
-    };
-    let ckpt_by_text: Decoder = |text| {
-        let ckpt = ReplayCheckpoint::from_json(text).map_err(|e| e.to_string())?;
-        Ok((ckpt.snapshot.fingerprint(), ckpt.cursor))
-    };
-    let ckpt_by_tree: Decoder = |text| {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let ckpt = ReplayCheckpoint::from_json_value(doc).map_err(|e| e.to_string())?;
-        Ok((ckpt.snapshot.fingerprint(), ckpt.cursor))
-    };
-
-    let mut sim = HmcSim::new(small_cube()).unwrap();
-    sim.enable_flight_recorder(8);
-    let config = ReplayConfig { checkpoint_every: 16, ..Default::default() };
-    let (_, ckpt) = replay_resumable(&mut sim, &synthetic_trace(4, 16, 64), &config, None).unwrap();
-    let ckpt = ckpt.expect("the replay took a checkpoint").to_json();
-    let (busy, v1) = (busy_mesh().snapshot().to_json_full(), read_golden("snapshot_v1.json"));
-    for (text, by_text, by_tree) in [
-        (&busy, snapshot_by_text, snapshot_by_tree),
-        (&v1, snapshot_by_text, snapshot_by_tree),
-        (&ckpt, ckpt_by_text, ckpt_by_tree),
-    ] {
-        let doc = Json::parse(text).unwrap();
-        let mut nodes = Vec::new();
-        paths(&doc, true, &mut Vec::new(), &mut nodes);
-        let hexed: Vec<Vec<usize>> = nodes
-            .iter()
-            .filter(|path| {
-                let at = path_text(&doc, path);
-                at.contains("mem/pages") || at.contains("flight/lanes")
-            })
-            .cloned()
-            .collect();
-        assert!(!hexed.is_empty(), "the document holds pages or lanes");
-        let mut rng = Rng(0xA5A5_5A5A ^ text.len() as u64);
-        let mut outcomes = [0usize; 2];
-        for round in 0..600 {
-            let mutant = match round % 3 {
-                0 => mutate_text(text, &mut rng),
-                1 => {
-                    let mut tree = doc.clone();
-                    mutate_tree(&mut tree, &nodes, &mut rng);
-                    tree.render()
-                }
-                _ => {
-                    let mut tree = doc.clone();
-                    mutate_tree(&mut tree, &hexed, &mut rng);
-                    tree.render()
-                }
-            };
-            let outcome = by_text(&mutant);
-            assert_eq!(outcome, by_tree(&mutant), "round {round}");
-            outcomes[outcome.is_ok() as usize] += 1;
-        }
-        assert!(outcomes[0] > 0 && outcomes[1] > 0, "rejected, loaded: {outcomes:?}");
-    }
 }
