@@ -41,7 +41,9 @@ use hmc_workloads::tracefile::{
 use std::path::Path;
 
 const MANIFEST_MAGIC: &str = "hmc-replay-manifest";
-const MANIFEST_VERSION: u64 = 2;
+/// 3: the configuration names no `link_error_period`, which a version 2
+/// manifest's does; it is refused by its version, not as another machine.
+const MANIFEST_VERSION: u64 = 3;
 
 fn die(msg: String) -> ! {
     eprintln!("replay: ERROR: {msg}");

@@ -89,3 +89,38 @@ fn unusable_flag_values_exit_2_and_print_nothing() {
     }
     let _ = std::fs::remove_file(malformed);
 }
+
+/// A checkpoint directory's run manifest is version 3, and its recorded
+/// configuration names no `link_error_period`. A version-2 manifest,
+/// whose configuration still names one, is refused by its version, not
+/// as a configuration the machine does not have.
+#[test]
+fn a_version_2_run_manifest_is_refused_by_its_version() {
+    let dir = std::env::temp_dir().join(format!("replay-manifest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let trace = dir.join("trace.txt");
+    std::fs::write(&trace, "R 0x0 64 0\nW 0x40 32 1\n").expect("temp dir is writable");
+    let ckpts = dir.join("ckpts");
+    let args = [trace.to_str().expect("UTF-8 temp path"), "--checkpoint-dir"];
+    let args = [&args[..], &[ckpts.to_str().expect("UTF-8 temp path")]].concat();
+    let out = run(env!("CARGO_BIN_EXE_replay"), &args);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let manifest = ckpts.join("manifest.json");
+    let written = std::fs::read_to_string(&manifest).expect("the run wrote a manifest");
+    assert!(written.contains(r#""schema_version":3,"#), "{written}");
+    assert!(!written.contains("link_error_period"), "{written}");
+
+    // The manifest as the previous build wrote it for this run.
+    let legacy = written
+        .replace(r#""schema_version":3,"#, r#""schema_version":2,"#)
+        .replace(r#""link_tokens":null,"#, r#""link_tokens":null,"link_error_period":null,"#);
+    assert_ne!(legacy, written);
+    std::fs::write(&manifest, legacy).expect("temp dir is writable");
+    let out = run(env!("CARGO_BIN_EXE_replay"), &args);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unsupported manifest schema_version 2"), "{stderr}");
+    assert!(!stderr.contains("config"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

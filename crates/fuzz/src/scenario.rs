@@ -10,11 +10,13 @@ use hmc_workloads::KernelDescriptor;
 
 /// Version tag written into every scenario file. A format change bumps
 /// it and adds one upgrade step from the previous version; the loader
-/// rejects any other value loudly. Version 3 stores the machine as one
-/// [`SimConfig`] under `sim`; versions 1 and 2 spelled it field by
-/// field, and version 1 also carried `exec_threads`, the lane count of
-/// the device-sharded engine since deleted.
-pub const SCHEMA_VERSION: u64 = 3;
+/// rejects any other value loudly. Version 4 drops each device's
+/// `link_error_period`, which its fault plan's `every_nth` mode says.
+/// Version 3 stores the machine as one [`SimConfig`] under `sim`;
+/// versions 1 and 2 spelled it field by field, and version 1 also
+/// carried `exec_threads`, the lane count of the device-sharded engine
+/// since deleted.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// One point in the fuzzed cross-product: a workload kernel and the
 /// variant machine to compare against the reference run.
@@ -147,7 +149,8 @@ type Step = fn(&mut Json) -> Result<(), JsonError>;
 /// through the step out of each older version from its own on, oldest
 /// first; a current one takes none.
 fn upgrade(v: &mut Json) -> Result<(), JsonError> {
-    const STEPS: [Step; SCHEMA_VERSION as usize - 1] = [drop_exec_threads, gather_sim];
+    const STEPS: [Step; SCHEMA_VERSION as usize - 1] =
+        [drop_exec_threads, gather_sim, fold_link_error_period];
     let version = ObjReader::new("scenario", v)?.u64("schema_version")?;
     let steps = version.checked_sub(1).and_then(|k| STEPS.get(k as usize..)).ok_or_else(|| {
         JsonError::new(format!(
@@ -214,6 +217,11 @@ fn gather_sim(v: &mut Json) -> Result<(), JsonError> {
         fields.push(("trace".into(), false.into()));
     }
     Ok(())
+}
+
+/// 3 → 4: `sim` folds in each device's `link_error_period`.
+fn fold_link_error_period(v: &mut Json) -> Result<(), JsonError> {
+    v.get_mut("sim").map_or(Ok(()), SimConfig::fold_link_error_period)
 }
 
 /// A version-1 or -2 `fabric`: its wiring and cube count. Every count
@@ -296,7 +304,7 @@ mod tests {
     fn scenario_round_trips() {
         let s = sample();
         let text = s.to_json().render();
-        assert!(text.starts_with(r#"{"schema_version":3,"seed":42,"kernel":"#), "{text}");
+        assert!(text.starts_with(r#"{"schema_version":4,"seed":42,"kernel":"#), "{text}");
         assert_eq!(Scenario::from_json_str(&text).unwrap(), s);
     }
 
@@ -304,7 +312,7 @@ mod tests {
     fn unknown_version_is_rejected_with_version_in_message() {
         let e = rejection(&v2(|f| set(f, "schema_version", Json::Int(99))));
         assert!(e.contains("schema_version 99"), "{e}");
-        assert!(e.contains("versions 1 to 3"), "{e}");
+        assert!(e.contains("versions 1 to 4"), "{e}");
     }
 
     #[test]

@@ -85,6 +85,9 @@ pub(crate) struct DeviceShape {
     pub(crate) capacity: u64,
     /// Every link's configuration.
     pub(crate) link: LinkConfig,
+    /// Every how many packets a link errors: the fault plan's
+    /// `EveryNth` period.
+    pub(crate) error_period: Option<u64>,
 }
 
 /// Static configuration of one HMC device.
@@ -205,12 +208,9 @@ impl DeviceConfig {
     /// What this configuration fixes of a device's state: a device is
     /// built from it, and `HmcSim::restore` holds a snapshot to it.
     pub(crate) fn shape(&self) -> DeviceShape {
-        // The fault plan's deterministic mode absorbs the legacy
-        // `error_period` knob: an explicit EveryNth plan sets the link
-        // configuration's (`validate` refuses a device that sets both).
-        let link = match self.fault.link_error {
-            LinkErrorMode::EveryNth(n) => LinkConfig { error_period: Some(n), ..self.link_config },
-            _ => self.link_config,
+        let error_period = match self.fault.link_error {
+            LinkErrorMode::EveryNth(n) => Some(n),
+            _ => None,
         };
         DeviceShape {
             links: self.links,
@@ -219,14 +219,13 @@ impl DeviceConfig {
             vault_queue_depth: self.vault_queue_depth,
             xbar_queue_depth: self.xbar_queue_depth,
             capacity: self.capacity,
-            link,
+            link: self.link_config,
+            error_period,
         }
     }
 
     /// Validates structural invariants (power-of-two geometry, legal
-    /// block size, non-zero queues) and refuses a link error period set
-    /// both in `link_config` and by an EveryNth fault plan, which would
-    /// override it unseen.
+    /// block size, non-zero queues) and the fault plan.
     pub fn validate(&self) -> Result<(), HmcError> {
         let bad = |why: String| Err(HmcError::MalformedPacket(why));
         if !matches!(self.links, 2 | 4 | 8) {
@@ -284,16 +283,7 @@ impl DeviceConfig {
                 ));
             }
         }
-        self.fault.validate(self.links)?;
-        if self.link_config.error_period.is_some()
-            && matches!(self.fault.link_error, LinkErrorMode::EveryNth(_))
-        {
-            return Err(HmcError::ConflictingConfig {
-                field: "link_config.error_period",
-                overridden_by: "fault.link_error (EveryNth)",
-            });
-        }
-        Ok(())
+        self.fault.validate(self.links)
     }
 
     /// A short human-readable name, e.g. `4Link-4GB`.

@@ -24,7 +24,7 @@ use crate::config::{DeviceConfig, SpecRevision};
 use crate::dram::Bank;
 use crate::fault::{FaultRng, ERRSTAT_VAULT_FAULT};
 use crate::timing::{TimingEngine, TimingSelect, TimingStats};
-use crate::power::{PowerConfig, PowerModel};
+use crate::power::PowerModel;
 use crate::queue::{BoundedQueue, FreeList};
 use crate::regs::RegisterFile;
 use crate::snapshot::DeviceSnapshot;
@@ -367,7 +367,7 @@ impl Device {
             cmc_libraries: Vec::new(),
             regs: RegisterFile::new(shape.capacity, shape.links),
             stats: DeviceStats::default(),
-            power: PowerModel::new(PowerConfig::default()),
+            power: PowerModel::default(),
             timing,
             fault_rng: FaultRng::new(config.fault.seed.wrapping_add(id as u64)),
             link_up: vec![true; shape.links],

@@ -102,9 +102,9 @@ pub enum LinkErrorMode {
     /// No transmission errors.
     #[default]
     None,
-    /// Deterministic: every Nth packet on each link errors (the
-    /// behaviour of the legacy `LinkConfig::error_period` knob, which
-    /// this mode absorbs).
+    /// Deterministic: every Nth packet on each link errors. This is
+    /// the only way to set a link error period: each link takes `N`
+    /// when it is built.
     EveryNth(u64),
     /// Random: each packet errors with probability
     /// `per_million / 1_000_000`, drawn from the plan's seeded PRNG.

@@ -71,7 +71,7 @@ pub use fault::{FaultPlan, FaultRng, LinkErrorMode, LinkEvent};
 pub use hist::Hist;
 pub use jsonv::{Json, JsonError, ObjReader};
 pub use link::{LinkConfig, LinkStats, SendGrant};
-pub use power::{PowerConfig, PowerReport};
+pub use power::PowerReport;
 pub use sanitizer::{
     SanitizerConfig, SanitizerPolicy, SanitizerReport, Violation, ViolationKind,
 };

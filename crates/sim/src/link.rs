@@ -15,8 +15,10 @@
 //! * **Retry** — an injected transmission error keeps the packet in
 //!   the transmitter's retry buffer instead of delivering it; after
 //!   `retry_latency` cycles (the IRTRY/StartRetry exchange) the
-//!   packet replays. Errors are injected deterministically every
-//!   `error_period`-th packet so tests are reproducible.
+//!   packet replays. A device whose fault plan says
+//!   `LinkErrorMode::EveryNth(n)` errors every `n`-th packet of each
+//!   link, deterministically, so tests are reproducible; the period is
+//!   fixed when the link is built.
 
 /// Link-layer configuration (per link).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,9 +26,6 @@ pub struct LinkConfig {
     /// Input-buffer tokens in FLITs. `None` = unlimited (default:
     /// flow control inert, the paper's configuration).
     pub tokens: Option<u32>,
-    /// Inject a transmission error on every Nth packet (`None` =
-    /// error-free link).
-    pub error_period: Option<u64>,
     /// Cycles consumed by the retry exchange before the packet
     /// replays.
     pub retry_latency: u64,
@@ -34,7 +33,7 @@ pub struct LinkConfig {
 
 impl Default for LinkConfig {
     fn default() -> Self {
-        LinkConfig { tokens: None, error_period: None, retry_latency: 8 }
+        LinkConfig { tokens: None, retry_latency: 8 }
     }
 }
 
@@ -86,6 +85,8 @@ pub struct SendGrant {
 #[derive(Debug, Clone)]
 pub struct LinkControl {
     config: LinkConfig,
+    /// Every `n`-th packet errors (`None` = error-free link).
+    error_period: Option<u64>,
     tokens_available: u32,
     packet_counter: u64,
     /// Sequence counter carried in the tail SEQ field.
@@ -95,11 +96,13 @@ pub struct LinkControl {
 }
 
 impl LinkControl {
-    /// Creates the link state for a configuration.
-    pub fn new(config: LinkConfig) -> Self {
+    /// Creates the link state for a configuration, erroring every
+    /// `error_period`-th packet (`None`: never).
+    pub fn new(config: LinkConfig, error_period: Option<u64>) -> Self {
         LinkControl {
             tokens_available: config.tokens.unwrap_or(u32::MAX),
             config,
+            error_period,
             packet_counter: 0,
             seq: 0,
             stats: LinkStats::default(),
@@ -132,10 +135,7 @@ impl LinkControl {
         self.stats.packets_sent += 1;
         self.stats.flits_sent += flits as u64;
         self.seq = (self.seq + 1) & 0x7;
-        let errored = self
-            .config
-            .error_period
-            .is_some_and(|n| n > 0 && self.packet_counter.is_multiple_of(n));
+        let errored = self.error_period.is_some_and(|n| self.packet_counter.is_multiple_of(n));
         if errored {
             self.stats.retries += 1;
         }
@@ -176,6 +176,11 @@ impl LinkControl {
         self.config
     }
 
+    /// Every how many packets one errors (`None`: never).
+    pub(crate) fn error_period(&self) -> Option<u64> {
+        self.error_period
+    }
+
     /// Packets accepted since creation (the error-injection phase
     /// counter — distinct from `stats.packets_sent` only in intent).
     pub fn packet_counter(&self) -> u64 {
@@ -186,12 +191,13 @@ impl LinkControl {
     /// phase, SEQ and statistics all restored verbatim).
     pub(crate) fn from_parts(
         config: LinkConfig,
+        error_period: Option<u64>,
         tokens_available: u32,
         packet_counter: u64,
         seq: u8,
         stats: LinkStats,
     ) -> Self {
-        LinkControl { config, tokens_available, packet_counter, seq, stats }
+        LinkControl { config, error_period, tokens_available, packet_counter, seq, stats }
     }
 }
 
@@ -201,7 +207,7 @@ mod tests {
 
     #[test]
     fn unlimited_tokens_never_stall() {
-        let mut link = LinkControl::new(LinkConfig::default());
+        let mut link = LinkControl::new(LinkConfig::default(), None);
         for _ in 0..1000 {
             assert!(!link.send(17).unwrap().errored);
         }
@@ -211,10 +217,8 @@ mod tests {
 
     #[test]
     fn token_pool_depletes_and_refills() {
-        let mut link = LinkControl::new(LinkConfig {
-            tokens: Some(10),
-            ..Default::default()
-        });
+        let config = LinkConfig { tokens: Some(10), ..Default::default() };
+        let mut link = LinkControl::new(config, None);
         assert!(!link.send(4).unwrap().errored);
         assert!(!link.send(4).unwrap().errored);
         assert!(!link.can_send(4));
@@ -228,10 +232,8 @@ mod tests {
 
     #[test]
     fn token_over_return_clamps_and_is_counted() {
-        let mut link = LinkControl::new(LinkConfig {
-            tokens: Some(10),
-            ..Default::default()
-        });
+        let config = LinkConfig { tokens: Some(10), ..Default::default() };
+        let mut link = LinkControl::new(config, None);
         // An over-return past the pool size still clamps (the old
         // saturating behaviour) but is now counted as the protocol
         // violation it is instead of being silently masked.
@@ -248,10 +250,7 @@ mod tests {
 
     #[test]
     fn deterministic_error_injection() {
-        let mut link = LinkControl::new(LinkConfig {
-            error_period: Some(3),
-            ..Default::default()
-        });
+        let mut link = LinkControl::new(LinkConfig::default(), Some(3));
         let outcomes: Vec<bool> = (0..9).map(|_| link.send(2).unwrap().errored).collect();
         assert_eq!(
             outcomes,
@@ -262,7 +261,7 @@ mod tests {
 
     #[test]
     fn seq_wraps_at_three_bits() {
-        let mut link = LinkControl::new(LinkConfig::default());
+        let mut link = LinkControl::new(LinkConfig::default(), None);
         for _ in 0..9 {
             link.send(1).unwrap();
         }
@@ -275,10 +274,7 @@ mod tests {
         // errors: the grant pins the SEQ at first transmission so the
         // retry path replays the packet with the original SEQ instead
         // of consuming a fresh one.
-        let mut link = LinkControl::new(LinkConfig {
-            error_period: Some(3),
-            ..Default::default()
-        });
+        let mut link = LinkControl::new(LinkConfig::default(), Some(3));
         let grants: Vec<SendGrant> = (0..5).map(|_| link.send(1).unwrap()).collect();
         let seqs: Vec<u8> = grants.iter().map(|g| g.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4, 5], "consecutive SEQs, errored or not");

@@ -2,61 +2,43 @@
 //!
 //! The paper's §VII names timing/power resolution as the main future
 //! work for HMC-Sim; this module implements it as an extension. The
-//! model is deliberately simple and fully parameterized: each link
-//! FLIT, DRAM access, logic-layer operation and idle cycle contributes
-//! a configurable energy, and [`PowerReport`] converts the total into
-//! average power at a configured clock.
+//! model is deliberately simple: each link FLIT, DRAM access,
+//! logic-layer operation and idle cycle contributes a fixed energy, and
+//! [`PowerReport`] converts the total into average power at a fixed
+//! clock.
 //!
-//! Default coefficients follow the published HMC energy envelope
+//! The coefficients follow the published HMC energy envelope
 //! (~10.48 pJ/bit link+DRAM energy split across SerDes and vault
 //! access, Rosenfeld's dissertation figures) but are intentionally
 //! round numbers — the model is for *relative* comparisons between
-//! command mixes, not absolute silicon validation.
+//! command mixes, not absolute silicon validation. They are constants:
+//! no configuration or snapshot sets them.
 
-/// Energy coefficients in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerConfig {
-    /// Energy to move one FLIT across a link (SerDes + transport).
-    pub link_flit_pj: f64,
-    /// Energy of one DRAM bank access (activate + column access for a
-    /// 16-byte block).
-    pub dram_access_pj: f64,
-    /// Energy of one logic-layer ALU operation (atomics, CMC).
-    pub logic_op_pj: f64,
-    /// Static leakage per device cycle.
-    pub idle_cycle_pj: f64,
-    /// Device clock frequency in Hz (for average-power reporting).
-    pub clock_hz: f64,
-}
+/// Energy to move one FLIT across a link (SerDes + transport), in pJ:
+/// 128 bits at ~10.48 pJ/bit.
+pub const LINK_FLIT_PJ: f64 = 1340.0;
+/// Energy of one DRAM bank access (activate + column access for a
+/// 16-byte block), in pJ.
+pub const DRAM_ACCESS_PJ: f64 = 2200.0;
+/// Energy of one logic-layer ALU operation (atomics, CMC), in pJ.
+pub const LOGIC_OP_PJ: f64 = 150.0;
+/// Static leakage per device cycle, in pJ.
+pub const IDLE_CYCLE_PJ: f64 = 50.0;
+/// Device clock frequency in Hz (for average-power reporting).
+pub const CLOCK_HZ: f64 = 1.25e9;
 
-impl Default for PowerConfig {
-    fn default() -> Self {
-        PowerConfig {
-            link_flit_pj: 1340.0, // 128 bits * ~10.48 pJ/bit
-            dram_access_pj: 2200.0,
-            logic_op_pj: 150.0,
-            idle_cycle_pj: 50.0,
-            clock_hz: 1.25e9,
-        }
-    }
-}
-
-/// Accumulated energy for one device.
+/// Accumulated energy events for one device.
 #[derive(Debug, Clone, Default)]
 pub struct PowerModel {
-    config: PowerConfig,
     link_flits: u64,
-    dram_accesses: u64,
+    pub(crate) dram_accesses: u64,
     logic_ops: u64,
     cycles: u64,
 }
 
-impl PowerModel {
-    /// Creates a model with the given coefficients.
-    pub fn new(config: PowerConfig) -> Self {
-        PowerModel { config, ..Default::default() }
-    }
+crate::stats::counter_table!(PowerModel { link_flits, dram_accesses, logic_ops, cycles });
 
+impl PowerModel {
     /// Records link FLIT transfers.
     pub fn add_link_flits(&mut self, flits: u64) {
         self.link_flits += flits;
@@ -78,37 +60,14 @@ impl PowerModel {
         self.cycles += cycles;
     }
 
-    /// The model's coefficients.
-    pub fn config(&self) -> PowerConfig {
-        self.config
-    }
-
-    /// The raw event counters `(link_flits, dram_accesses, logic_ops,
-    /// cycles)` for checkpoint serialization.
-    pub(crate) fn counters(&self) -> (u64, u64, u64, u64) {
-        (self.link_flits, self.dram_accesses, self.logic_ops, self.cycles)
-    }
-
-    /// Rebuilds a model from checkpointed coefficients and counters.
-    pub(crate) fn from_parts(
-        config: PowerConfig,
-        link_flits: u64,
-        dram_accesses: u64,
-        logic_ops: u64,
-        cycles: u64,
-    ) -> Self {
-        PowerModel { config, link_flits, dram_accesses, logic_ops, cycles }
-    }
-
     /// Produces the report.
     pub fn report(&self) -> PowerReport {
-        let c = &self.config;
-        let link = self.link_flits as f64 * c.link_flit_pj;
-        let dram = self.dram_accesses as f64 * c.dram_access_pj;
-        let logic = self.logic_ops as f64 * c.logic_op_pj;
-        let idle = self.cycles as f64 * c.idle_cycle_pj;
+        let link = self.link_flits as f64 * LINK_FLIT_PJ;
+        let dram = self.dram_accesses as f64 * DRAM_ACCESS_PJ;
+        let logic = self.logic_ops as f64 * LOGIC_OP_PJ;
+        let idle = self.cycles as f64 * IDLE_CYCLE_PJ;
         let total = link + dram + logic + idle;
-        let seconds = if c.clock_hz > 0.0 { self.cycles as f64 / c.clock_hz } else { 0.0 };
+        let seconds = self.cycles as f64 / CLOCK_HZ;
         PowerReport {
             link_pj: link,
             dram_pj: dram,
@@ -146,31 +105,25 @@ mod tests {
 
     #[test]
     fn energy_accumulates_by_class() {
-        let mut p = PowerModel::new(PowerConfig {
-            link_flit_pj: 10.0,
-            dram_access_pj: 100.0,
-            logic_op_pj: 1.0,
-            idle_cycle_pj: 0.5,
-            clock_hz: 1e9,
-        });
+        let mut p = PowerModel::default();
         p.add_link_flits(4);
         p.add_dram_access();
         p.add_logic_op();
         p.add_cycles(10);
         let r = p.report();
-        assert_eq!(r.link_pj, 40.0);
-        assert_eq!(r.dram_pj, 100.0);
-        assert_eq!(r.logic_pj, 1.0);
-        assert_eq!(r.idle_pj, 5.0);
-        assert_eq!(r.total_pj, 146.0);
+        assert_eq!(r.link_pj, 5360.0);
+        assert_eq!(r.dram_pj, 2200.0);
+        assert_eq!(r.logic_pj, 150.0);
+        assert_eq!(r.idle_pj, 500.0);
+        assert_eq!(r.total_pj, 8210.0);
         assert_eq!(r.cycles, 10);
-        // 146 pJ over 10 ns = 14.6 mW
-        assert!((r.avg_watts - 0.0146).abs() < 1e-9);
+        // 8210 pJ over 10 cycles at 1.25 GHz (8 ns) = 1.02625 W
+        assert!((r.avg_watts - 1.02625).abs() < 1e-9);
     }
 
     #[test]
     fn empty_model_reports_zero() {
-        let r = PowerModel::new(PowerConfig::default()).report();
+        let r = PowerModel::default().report();
         assert_eq!(r.total_pj, 0.0);
         assert_eq!(r.avg_watts, 0.0);
     }
@@ -178,9 +131,9 @@ mod tests {
     #[test]
     fn amo_beats_cache_rmw_in_link_energy() {
         // Table II in energy form: 12 FLITs vs 2 FLITs.
-        let mut cache = PowerModel::new(PowerConfig::default());
+        let mut cache = PowerModel::default();
         cache.add_link_flits(12);
-        let mut hmc = PowerModel::new(PowerConfig::default());
+        let mut hmc = PowerModel::default();
         hmc.add_link_flits(2);
         assert!(cache.report().link_pj / hmc.report().link_pj > 5.9);
     }

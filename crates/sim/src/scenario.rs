@@ -1,8 +1,8 @@
 //! The configuration codec: [`SimConfig::to_json`] and
 //! [`SimConfig::from_json`] are the only way a configuration becomes
-//! JSON. A snapshot (schema 3), a fuzz scenario (schema 3) and the
-//! `replay` run manifest all embed this one form. Decoding is strict:
-//! unknown fields are rejected and the result must pass
+//! JSON. A snapshot (schema 3 and later), a fuzz scenario (schema 3 and
+//! later) and the `replay` run manifest all embed this one form.
+//! Decoding is strict: unknown fields are rejected and the result must pass
 //! [`SimConfig::validate`], so a file can never be silently misread.
 
 use crate::config::{
@@ -57,6 +57,35 @@ impl SimConfig {
             .validate()
             .map_err(|e| JsonError::new(format!("sim_config: invalid configuration: {e}")))?;
         Ok(config)
+    }
+
+    /// The one upgrade step of this form, for documents written while a
+    /// device could set `link_error_period` (snapshot schema 5, scenario
+    /// schema 3): each device's `link_error_period` goes — `null` as it
+    /// is, `n >= 1` beside a `link_error` of mode `none` as that plan's
+    /// `every_nth` mode, the machine it ran. Any other period (`0`, or a
+    /// second setting beside another mode) is an error naming the field.
+    pub fn fold_link_error_period(v: &mut Json) -> Result<(), JsonError> {
+        let Some(Json::Arr(devices)) = v.get_mut("devices") else { return Ok(()) };
+        for device in devices {
+            let period = ObjReader::new("device_config", device)?.opt_u64("link_error_period")?;
+            match (period, device.get_mut("fault").and_then(|f| f.get_mut("link_error"))) {
+                (None, _) => {}
+                (Some(n @ 1..), Some(plan)) if *plan == link_error_to_json(LinkErrorMode::None) => {
+                    *plan = link_error_to_json(LinkErrorMode::EveryNth(n));
+                }
+                (Some(n), _) => {
+                    return Err(JsonError::new(format!(
+                        "device_config: `link_error_period` {n} is not a period of 1 or more \
+                         beside a `link_error` of mode `none`, the only one its fault plan holds"
+                    )))
+                }
+            }
+            if let Json::Obj(fields) = device {
+                fields.retain(|(k, _)| k != "link_error_period");
+            }
+        }
+        Ok(())
     }
 }
 
@@ -210,7 +239,6 @@ fn device_json(c: &DeviceConfig) -> Json {
         ("vault_bandwidth", c.vault_bandwidth.into()),
         ("hop_latency", c.hop_latency.into()),
         ("link_tokens", c.link_config.tokens.into()),
-        ("link_error_period", c.link_config.error_period.into()),
         ("link_retry_latency", c.link_config.retry_latency.into()),
         ("revision", name_of(&SpecRevision::NAMES, c.revision).into()),
         ("arbitration", name_of(&Arbitration::NAMES, c.arbitration).into()),
@@ -255,7 +283,6 @@ fn device_from_json(v: &Json) -> Result<DeviceConfig, JsonError> {
         hop_latency: r.u64("hop_latency")?,
         link_config: LinkConfig {
             tokens: r.opt_u32("link_tokens")?,
-            error_period: r.opt_u64("link_error_period")?,
             retry_latency: r.u64("link_retry_latency")?,
         },
         revision: r.named("revision", &SpecRevision::NAMES)?,
@@ -276,7 +303,7 @@ mod tests {
         let mut c = DeviceConfig::gen2_8link_8gb();
         c.bank_latency = 3;
         c.bank_timing = BankTiming { row_hit: 1, row_miss: 7, policy: RowPolicy::ClosedPage };
-        c.link_config = LinkConfig { tokens: Some(64), error_period: None, retry_latency: 12 };
+        c.link_config = LinkConfig { tokens: Some(64), retry_latency: 12 };
         c.arbitration = Arbitration::RoundRobin;
         c.remote_quad_penalty = 2;
         c.refresh = Some(RefreshConfig { interval: 3900, duration: 26 });

@@ -175,7 +175,7 @@ impl HmcSim {
             .iter()
             .map(|c| {
                 let shape = c.shape();
-                (0..shape.links).map(|_| LinkControl::new(shape.link)).collect()
+                (0..shape.links).map(|_| LinkControl::new(shape.link, shape.error_period)).collect()
             })
             .collect();
         let zombie_tags = config.devices.iter().map(|_| HashSet::new()).collect();

@@ -25,8 +25,6 @@
 //!
 //! Notable encoding choices:
 //!
-//! * integers only (the `jsonv` contract): `f64` power coefficients
-//!   are stored as [`f64::to_bits`] so they restore bit-exactly;
 //! * memory pages are `[id, mask, hex]` in ascending id order, covering
 //!   **every** resident page (even all-zero ones, `[id, 0, ""]` —
 //!   residency itself is part of the fingerprint): bit `k` of the `u64`
@@ -49,7 +47,9 @@ use crate::fault::FaultRng;
 use crate::hist::{Hist, BUCKETS};
 use crate::jsonv::{obj, Json, JsonError, ObjReader};
 use crate::link::{LinkConfig, LinkControl, LinkStats};
-use crate::power::{PowerConfig, PowerModel};
+use crate::power::{
+    PowerModel, CLOCK_HZ, DRAM_ACCESS_PJ, IDLE_CYCLE_PJ, LINK_FLIT_PJ, LOGIC_OP_PJ,
+};
 use crate::queue::BoundedQueue;
 use crate::regs::RegisterFile;
 use crate::sanitizer::{SanitizerShadow, Violation, ViolationKind};
@@ -72,11 +72,14 @@ use std::collections::VecDeque;
 /// Version number written into the durable snapshot schema. A layout
 /// change bumps it and adds one upgrade step from the previous version
 /// (`upgrade`); documents of every earlier version still load.
+/// Version 6 drops what the machine already fixes: each device's five
+/// power coefficients (constants now) and each configured device's
+/// `link_error_period` (its fault plan's `every_nth` mode says it).
 /// Version 5 writes a device's timing section as `{select,
 /// hit_latency, miss_latency}`, version 4 a page as `[id, mask, hex]`,
 /// version 3 the machine (`config` and each device's CMC fields),
 /// version 2 each flight lane as one hex string.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 5;
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 6;
 
 /// Wraps a domain error (`bad tag`, `bad cub`, …) as a [`JsonError`]
 /// prefixed with `what`.
@@ -474,37 +477,15 @@ fn stats_from_json(v: &Json) -> Result<DeviceStats, JsonError> {
 // ---------------------------------------------------------------------------
 
 fn power_json(p: &PowerModel) -> Json {
-    let c = p.config();
-    let (link_flits, dram_accesses, logic_ops, cycles) = p.counters();
-    obj(vec![
-        ("link_flit_pj_bits", c.link_flit_pj.to_bits().into()),
-        ("dram_access_pj_bits", c.dram_access_pj.to_bits().into()),
-        ("logic_op_pj_bits", c.logic_op_pj.to_bits().into()),
-        ("idle_cycle_pj_bits", c.idle_cycle_pj.to_bits().into()),
-        ("clock_hz_bits", c.clock_hz.to_bits().into()),
-        ("link_flits", link_flits.into()),
-        ("dram_accesses", dram_accesses.into()),
-        ("logic_ops", logic_ops.into()),
-        ("cycles", cycles.into()),
-    ])
+    Json::Obj(p.counters().map(|(name, v)| (name.to_string(), v.into())).collect())
 }
 
 fn power_from_json(v: &Json) -> Result<PowerModel, JsonError> {
     let mut r = ObjReader::new("power", v)?;
-    let config = PowerConfig {
-        link_flit_pj: f64::from_bits(r.u64("link_flit_pj_bits")?),
-        dram_access_pj: f64::from_bits(r.u64("dram_access_pj_bits")?),
-        logic_op_pj: f64::from_bits(r.u64("logic_op_pj_bits")?),
-        idle_cycle_pj: f64::from_bits(r.u64("idle_cycle_pj_bits")?),
-        clock_hz: f64::from_bits(r.u64("clock_hz_bits")?),
-    };
-    let out = PowerModel::from_parts(
-        config,
-        r.u64("link_flits")?,
-        r.u64("dram_accesses")?,
-        r.u64("logic_ops")?,
-        r.u64("cycles")?,
-    );
+    let mut out = PowerModel::default();
+    for (name, slot) in out.counters_mut() {
+        *slot = r.u64(name)?;
+    }
     r.finish()?;
     Ok(out)
 }
@@ -628,7 +609,7 @@ fn link_json(l: &LinkControl) -> Json {
     let c = l.config();
     let mut fields = vec![
         ("tokens".to_string(), c.tokens.into()),
-        ("error_period".to_string(), c.error_period.into()),
+        ("error_period".to_string(), l.error_period().into()),
         ("retry_latency".to_string(), c.retry_latency.into()),
         ("tokens_available".to_string(), l.tokens_available().into()),
         ("packet_counter".to_string(), l.packet_counter().into()),
@@ -640,11 +621,9 @@ fn link_json(l: &LinkControl) -> Json {
 
 fn link_from_json(v: &Json) -> Result<LinkControl, JsonError> {
     let mut r = ObjReader::new("link", v)?;
-    let config = LinkConfig {
-        tokens: r.opt_u32("tokens")?,
-        error_period: r.opt_u64("error_period")?,
-        retry_latency: r.u64("retry_latency")?,
-    };
+    let tokens = r.opt_u32("tokens")?;
+    let error_period = r.opt_u64("error_period")?;
+    let config = LinkConfig { tokens, retry_latency: r.u64("retry_latency")? };
     let (tokens_available, packet_counter, seq) =
         (r.u32("tokens_available")?, r.u64("packet_counter")?, r.u8("seq")?);
     let mut stats = LinkStats::default();
@@ -652,7 +631,7 @@ fn link_from_json(v: &Json) -> Result<LinkControl, JsonError> {
         *slot = r.u64(name)?;
     }
     r.finish()?;
-    Ok(LinkControl::from_parts(config, tokens_available, packet_counter, seq, stats))
+    Ok(LinkControl::from_parts(config, error_period, tokens_available, packet_counter, seq, stats))
 }
 
 fn tag_pool_json(p: &TagPool) -> Json {
@@ -1059,7 +1038,7 @@ type Step = fn(&mut Json) -> Result<(), JsonError>;
 /// `schema_version`, so it is left as it was.
 fn upgrade(v: &mut Json) -> Result<(), JsonError> {
     const STEPS: [Step; SNAPSHOT_SCHEMA_VERSION as usize - 1] =
-        [pack_lanes, add_no_machine, mask_whole_pages, drop_validated_record];
+        [pack_lanes, add_no_machine, mask_whole_pages, drop_validated_record, drop_fixed_settings];
     let version = ObjReader::new("snapshot", v)?.u64("schema_version")?;
     let steps = version.checked_sub(1).and_then(|k| STEPS.get(k as usize..)).ok_or_else(|| {
         JsonError::new(format!(
@@ -1138,6 +1117,37 @@ fn drop_validated_record(v: &mut Json) -> Result<(), JsonError> {
         }
     }
     Ok(())
+}
+
+/// 5 → 6: each device's power section drops its five coefficients, each
+/// of which must hold its constant's bits, and `config` folds in its
+/// `link_error_period` ([`SimConfig::fold_link_error_period`]).
+fn drop_fixed_settings(v: &mut Json) -> Result<(), JsonError> {
+    const FIXED: [(&str, f64); 5] = [
+        ("link_flit_pj_bits", LINK_FLIT_PJ),
+        ("dram_access_pj_bits", DRAM_ACCESS_PJ),
+        ("logic_op_pj_bits", LOGIC_OP_PJ),
+        ("idle_cycle_pj_bits", IDLE_CYCLE_PJ),
+        ("clock_hz_bits", CLOCK_HZ),
+    ];
+    for (d, device) in items_mut(v.get_mut("devices")).iter_mut().enumerate() {
+        let Some(Json::Obj(power)) = device.get_mut("power") else { continue };
+        for (key, constant) in FIXED {
+            let Some(at) = power.iter().position(|(k, _)| k == key) else {
+                return Err(JsonError::new(format!("power: missing field `{key}`")));
+            };
+            let bits = power.remove(at).1;
+            if bits.as_u64() != Some(constant.to_bits()) {
+                return Err(JsonError::new(format!(
+                    "snapshot `devices/{d}/power/{key}` is {}; the power model fixes {} \
+                     ({constant})",
+                    bits.render(),
+                    constant.to_bits()
+                )));
+            }
+        }
+    }
+    v.get_mut("config").map_or(Ok(()), SimConfig::fold_link_error_period)
 }
 
 // ---------------------------------------------------------------------------

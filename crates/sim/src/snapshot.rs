@@ -60,6 +60,7 @@ use crate::export::TelemetryReport;
 use crate::hist::Hist;
 use crate::jsonv::{obj, Json};
 use crate::link::LinkControl;
+use crate::power::{CLOCK_HZ, DRAM_ACCESS_PJ, IDLE_CYCLE_PJ, LINK_FLIT_PJ, LOGIC_OP_PJ};
 use crate::queue::BoundedQueue;
 use crate::sanitizer::{SanitizerShadow, Violation};
 use crate::sim::{HmcSim, RetryEntry, Transit};
@@ -374,13 +375,10 @@ pub(crate) fn hash_device(h: &mut Fnv, d: &DeviceView<'_>) {
     for (_, hist) in d.stats.class_latency.iter() {
         hash_hist(h, hist);
     }
-    let power = d.power.config();
-    let (link_flits, dram_accesses, logic_ops, cycles) = d.power.counters();
-    h.words(
-        [power.link_flit_pj, power.dram_access_pj, power.logic_op_pj, power.idle_cycle_pj]
-            .map(f64::to_bits),
-    );
-    h.words([power.clock_hz.to_bits(), link_flits, dram_accesses, logic_ops, cycles]);
+    // The constant power coefficients are hashed as when snapshots
+    // carried them, so every fingerprint stands.
+    h.words([LINK_FLIT_PJ, DRAM_ACCESS_PJ, LOGIC_OP_PJ, IDLE_CYCLE_PJ, CLOCK_HZ].map(f64::to_bits));
+    h.words(d.power.counters().map(|(_, v)| v));
     h.word(d.fault_rng.raw_state());
     hash_seq(h, d.link_up.iter(), |h, &up| h.word(up as u64));
     h.word(d.fault_idx as u64);
@@ -389,7 +387,8 @@ pub(crate) fn hash_device(h: &mut Fnv, d: &DeviceView<'_>) {
 fn hash_link(h: &mut Fnv, l: &LinkControl) {
     let c = l.config();
     h.words([c.tokens.is_some() as u64, c.tokens.unwrap_or(0) as u64]);
-    h.words([c.error_period.is_some() as u64, c.error_period.unwrap_or(0), c.retry_latency]);
+    let period = l.error_period();
+    h.words([period.is_some() as u64, period.unwrap_or(0), c.retry_latency]);
     h.words([l.tokens_available() as u64, l.packet_counter(), l.seq() as u64]);
     h.words(l.stats.counters().map(|(_, v)| v));
 }
@@ -598,7 +597,8 @@ fn fits_shape(d: usize, shape: &DeviceShape, snap: &SimSnapshot) -> Result<(), H
         fixed(format_args!("devices/{d}/xbar_rsp/{l}/depth"), s.xbar_rsp[l].depth(), depth)?;
         let (got, want) = (snap.links[d][l].config(), shape.link);
         fixed(format_args!("links/{d}/{l}/tokens"), got.tokens, want.tokens)?;
-        fixed(format_args!("links/{d}/{l}/error_period"), got.error_period, want.error_period)?;
+        let period = snap.links[d][l].error_period();
+        fixed(format_args!("links/{d}/{l}/error_period"), period, shape.error_period)?;
         fixed(format_args!("links/{d}/{l}/retry_latency"), got.retry_latency, want.retry_latency)?;
     }
     for (v, vault) in s.vaults.iter().enumerate() {
@@ -651,11 +651,13 @@ impl HmcSim {
     /// attached when the snapshot carries a timeline.
     ///
     /// Typed errors: a snapshot that names no configuration (schema 1
-    /// or 2: restore those into a context built by hand), a library
-    /// this process cannot load, a device whose libraries do not yield
-    /// the recorded CMC codes (an operation added with
-    /// [`HmcSim::load_cmc`] or removed with [`HmcSim::unload_cmc`]),
-    /// and everything [`HmcSim::restore`] refuses.
+    /// or 2: restore those into a context built by hand), a device
+    /// whose timing section names another backend than the
+    /// configuration's, a library this process cannot load, a device
+    /// whose libraries do not yield the recorded CMC codes (an
+    /// operation added with [`HmcSim::load_cmc`] or removed with
+    /// [`HmcSim::unload_cmc`]), and everything [`HmcSim::restore`]
+    /// refuses.
     pub fn from_snapshot(snap: &SimSnapshot) -> Result<HmcSim, HmcError> {
         let config = snap.config.clone().ok_or_else(|| {
             HmcError::MalformedPacket(
@@ -670,6 +672,7 @@ impl HmcSim {
         sim.set_timing_model(timing);
         fits(format_args!("`devices`"), snap.devices.len(), sim.devices.len())?;
         for (dev, s) in snap.devices.iter().enumerate() {
+            fixed(format_args!("devices/{dev}/timing/select"), s.timing.select, timing)?;
             for library in &s.cmc_libraries {
                 sim.load_cmc_library(dev, library)?;
             }

@@ -363,8 +363,7 @@ impl Telemetry {
 /// Bank accesses of device `dev` so far: the power model counts one per
 /// bank served, so the banks' hit and miss counters need no walk.
 fn dram_accesses(sim: &HmcSim, dev: usize) -> u64 {
-    let (_, dram_accesses, _, _) = sim.devices[dev].power().counters();
-    dram_accesses
+    sim.devices[dev].power().dram_accesses
 }
 
 impl HmcSim {

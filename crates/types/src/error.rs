@@ -76,14 +76,6 @@ pub enum HmcError {
     MalformedPacket(String),
     /// Trace subsystem I/O failure.
     TraceIo(String),
-    /// Two configuration fields set together where one overrides the
-    /// other, so the first would silently have no effect.
-    ConflictingConfig {
-        /// The field that would be overridden.
-        field: &'static str,
-        /// The field that overrides it.
-        overridden_by: &'static str,
-    },
 }
 
 impl fmt::Display for HmcError {
@@ -123,10 +115,6 @@ impl fmt::Display for HmcError {
             HmcError::LinkDown(l) => write!(f, "link {l} is down"),
             HmcError::MalformedPacket(why) => write!(f, "malformed packet: {why}"),
             HmcError::TraceIo(why) => write!(f, "trace I/O failure: {why}"),
-            HmcError::ConflictingConfig { field, overridden_by } => write!(
-                f,
-                "configuration sets `{field}` and `{overridden_by}`, which overrides it: set one"
-            ),
         }
     }
 }

@@ -12,7 +12,10 @@ use hmc_fuzz::runner::{run_scenario, RunnerConfig};
 use hmc_fuzz::scenario::Scenario;
 use hmc_fuzz::shrink::shrink;
 use hmc_fuzz::{ScenarioGenerator, SCHEMA_VERSION};
-use hmc_sim::{DeviceConfig, FaultPlan, LinkTopology, SimConfig, SkipMode, TelemetryConfig};
+use hmc_sim::{
+    DeviceConfig, FaultPlan, HmcSim, Json, LinkErrorMode, LinkTopology, SimConfig, SkipMode,
+    TelemetryConfig,
+};
 use hmc_workloads::KernelDescriptor;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -88,7 +91,7 @@ fn unknown_schema_version_is_rejected_with_path_and_version() {
     assert!(err.message.contains("future.json"), "no file path in: {}", err.message);
     assert!(err.message.contains("schema_version 99"), "no version in: {}", err.message);
     assert!(
-        err.message.contains("versions 1 to 3"),
+        err.message.contains(&format!("versions 1 to {SCHEMA_VERSION}")),
         "message should state the supported versions: {}",
         err.message
     );
@@ -137,6 +140,62 @@ fn version_1_corpus_files_re_render_as_the_current_schema() {
             let err = Scenario::from_json_str(&relabelled).unwrap_err();
             assert!(err.message.contains(want), "{}: {}", path.display(), err.message);
         }
+    }
+}
+
+/// `corpus/seed-02-raw_ops.json` (an error-free fault plan) as a
+/// version-3 file writes it with each device's `link_error_period` set
+/// to `period` beside the `link_error` plan `plan`.
+fn raw_ops_v3(period: i128, plan: &str) -> String {
+    let scenario = load_scenario_file(&corpus_dir().join("seed-02-raw_ops.json")).unwrap();
+    let mut doc = scenario.to_json();
+    *doc.get_mut("schema_version").unwrap() = Json::Int(3);
+    let Some(Json::Arr(devices)) = doc.get_mut("sim").and_then(|sim| sim.get_mut("devices"))
+    else {
+        panic!("a scenario's machine lists its devices")
+    };
+    for device in devices {
+        let link_error = device.get_mut("fault").and_then(|fault| fault.get_mut("link_error"));
+        *link_error.unwrap() = Json::parse(plan).unwrap();
+        let Json::Obj(fields) = device else { panic!("a device is an object") };
+        fields.push(("link_error_period".into(), Json::Int(period)));
+    }
+    doc.render()
+}
+
+/// A version-3 scenario's `link_error_period` is the fault plan's
+/// `every_nth` mode written another way: beside mode `none` it loads as
+/// that plan and runs to the state the previous build reached from the
+/// same file (the pin). A period of 0, which used to load as an
+/// error-free link that fingerprinted apart, and a period beside another
+/// plan are typed errors naming the field.
+#[test]
+fn a_version_3_link_error_period_loads_as_the_every_nth_plan_it_ran() {
+    let none = r#"{"mode":"none"}"#;
+    let text = raw_ops_v3(3, none);
+    assert!(text.contains(r#""link_error_period":3"#), "the period is written");
+    let scenario = Scenario::from_json_str(&text).unwrap();
+    assert!(scenario.sim.devices.iter().all(|d| d.fault.link_error == LinkErrorMode::EveryNth(3)));
+    let rendered = scenario.to_json().render();
+    assert!(!rendered.contains("link_error_period"), "{rendered}");
+    let mut sim = HmcSim::with_config(scenario.sim.clone()).unwrap();
+    sim.set_skip_mode(scenario.sim.skip_mode);
+    sim.set_timing_model(scenario.sim.timing);
+    let workload = scenario.kernel.run(&mut sim).unwrap();
+    let retries: u64 = (0..4).map(|link| sim.link_stats(0, link).unwrap().retries).sum();
+    assert_eq!(retries, 36, "every third packet of each link errors");
+    assert_eq!(
+        (sim.cycle(), sim.state_fingerprint(), workload),
+        (5286, 0x702f_5435_5346_d066, 0x3c35_8d72_43ec_bee8)
+    );
+
+    for (period, plan) in [
+        (0, none),
+        (3, r#"{"mode":"every_nth","n":3}"#),
+        (3, r#"{"mode":"random","per_million":9}"#),
+    ] {
+        let err = Scenario::from_json_str(&raw_ops_v3(period, plan)).unwrap_err().message;
+        assert!(err.contains("`link_error_period`"), "{period} beside {plan}: {err}");
     }
 }
 

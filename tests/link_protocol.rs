@@ -1,8 +1,18 @@
 //! Link-layer protocol integration: token flow control and
-//! transmission-error retry recovery.
+//! transmission-error retry recovery. Link errors come from the fault
+//! plan's deterministic `EveryNth` mode.
 
 use hmcsim::prelude::*;
-use hmcsim::sim::LinkConfig;
+use hmcsim::sim::{FaultPlan, LinkConfig, LinkErrorMode};
+
+/// A 4Link-4GB device whose links error every `n`-th packet and replay
+/// after `retry_latency` cycles.
+fn every_nth(n: u64, retry_latency: u64) -> DeviceConfig {
+    let mut cfg = DeviceConfig::gen2_4link_4gb();
+    cfg.link_config = LinkConfig { retry_latency, ..Default::default() };
+    cfg.fault = FaultPlan::none().with_link_errors(LinkErrorMode::EveryNth(n));
+    cfg
+}
 
 #[test]
 fn default_link_layer_is_inert() {
@@ -55,13 +65,7 @@ fn tokens_account_flits_not_packets() {
 
 #[test]
 fn injected_errors_recover_with_added_latency() {
-    let mut cfg = DeviceConfig::gen2_4link_4gb();
-    cfg.link_config = LinkConfig {
-        error_period: Some(3),
-        retry_latency: 8,
-        ..Default::default()
-    };
-    let mut sim = HmcSim::new(cfg).unwrap();
+    let mut sim = HmcSim::new(every_nth(3, 8)).unwrap();
     let mut latencies = Vec::new();
     for i in 0..9 {
         let tag = sim
@@ -83,13 +87,7 @@ fn injected_errors_recover_with_added_latency() {
 
 #[test]
 fn retries_do_not_lose_packets_under_load() {
-    let mut cfg = DeviceConfig::gen2_4link_4gb();
-    cfg.link_config = LinkConfig {
-        error_period: Some(5),
-        retry_latency: 4,
-        ..Default::default()
-    };
-    let mut sim = HmcSim::new(cfg).unwrap();
+    let mut sim = HmcSim::new(every_nth(5, 4)).unwrap();
     let mut sent = 0u64;
     for i in 0..300u64 {
         match sim.send_simple(0, (i % 4) as usize, HmcRqst::Inc8, 0x40, vec![]) {
@@ -117,9 +115,7 @@ fn retries_do_not_lose_packets_under_load() {
 #[test]
 fn retry_trace_events_recorded() {
     use hmcsim::sim::{TraceBuffer, TraceLevel, Tracer};
-    let mut cfg = DeviceConfig::gen2_4link_4gb();
-    cfg.link_config = LinkConfig { error_period: Some(1), ..Default::default() };
-    let mut sim = HmcSim::new(cfg).unwrap();
+    let mut sim = HmcSim::new(every_nth(1, LinkConfig::default().retry_latency)).unwrap();
     let buf = TraceBuffer::new();
     sim.set_tracer(Tracer::to_buffer(TraceLevel::STALL, buf.clone()));
     let tag = sim.send_simple(0, 0, HmcRqst::Rd16, 0x40, vec![]).unwrap().unwrap();
@@ -132,13 +128,7 @@ fn retries_replay_with_their_original_seq() {
     // An errored transmission waits in the retry buffer carrying the
     // SEQ it was first assigned; the replay must reuse it rather than
     // burn a fresh one, or the receiver-side sequence would gap.
-    let mut cfg = DeviceConfig::gen2_4link_4gb();
-    cfg.link_config = LinkConfig {
-        error_period: Some(3),
-        retry_latency: 8,
-        ..Default::default()
-    };
-    let mut sim = HmcSim::new(cfg).unwrap();
+    let mut sim = HmcSim::new(every_nth(3, 8)).unwrap();
     let mut tags = Vec::new();
     for i in 0..3u64 {
         tags.push(
@@ -165,46 +155,4 @@ fn retries_replay_with_their_original_seq() {
     let seqs = sim.snapshot().request_seqs(0);
     assert_eq!(seqs.len(), 1);
     assert_eq!(seqs[0].1, 4, "sequence continues without a burned SEQ");
-}
-
-/// An EveryNth fault plan sets the links' error period itself, so a
-/// device that also sets `link_config.error_period` would carry a knob
-/// with no effect: the configuration is refused, naming both fields,
-/// whether it is built directly or read from a document.
-#[test]
-fn an_error_period_beside_an_every_nth_plan_is_refused() {
-    use hmcsim::sim::{FaultPlan, Json, LinkErrorMode, SimConfig};
-    let conflict = HmcError::ConflictingConfig {
-        field: "link_config.error_period",
-        overridden_by: "fault.link_error (EveryNth)",
-    };
-    let mut both = DeviceConfig::gen2_4link_4gb();
-    both.link_config = LinkConfig { error_period: Some(5), ..Default::default() };
-    both.fault = FaultPlan::none().with_link_errors(LinkErrorMode::EveryNth(3));
-    assert_eq!(both.validate(), Err(conflict.clone()));
-    let err = HmcSim::with_config(SimConfig::single(both.clone())).err();
-    assert_eq!(err, Some(conflict.clone()));
-    let text = conflict.to_string();
-    assert!(text.contains("link_config.error_period") && text.contains("fault.link_error"), "{text}");
-
-    // Either one alone is a valid machine, and its document loads.
-    let mut period_only = both.clone();
-    period_only.fault = FaultPlan::none();
-    let mut plan_only = both.clone();
-    plan_only.link_config = LinkConfig::default();
-    let random = FaultPlan::none().with_link_errors(LinkErrorMode::Random { per_million: 10 });
-    let period_and_random = DeviceConfig { fault: random, ..period_only.clone() };
-    for device in [period_only, plan_only, period_and_random] {
-        let config = SimConfig::single(device);
-        assert_eq!(SimConfig::from_json(&config.to_json()), Ok(config.clone()));
-        HmcSim::with_config(config).unwrap();
-    }
-
-    // The document of the conflicting machine (the writer still renders
-    // it) is refused by the reader with the same error.
-    let doc = SimConfig::single(both).to_json();
-    let rendered = doc.render();
-    assert!(rendered.contains(r#""link_error_period":5"#), "{rendered}");
-    let err = SimConfig::from_json(&Json::parse(&rendered).unwrap()).unwrap_err();
-    assert_eq!(err.message, format!("sim_config: invalid configuration: {conflict}"));
 }

@@ -1,20 +1,22 @@
 //! The snapshot codec and the state fingerprint describe the same
 //! state.
 //!
-//! * **Byte stability** — `tests/golden/snapshot_v5.json` is the busy
+//! * **Byte stability** — `tests/golden/snapshot_v6.json` is the busy
 //!   mesh's snapshot as this schema renders it (`BLESS=1 cargo test
 //!   --test snapshot_codec golden` regenerates it after an intentional
 //!   format change; review the diff and bump `SNAPSHOT_SCHEMA_VERSION`).
 //!   It must load and re-render byte for byte, and the same scenario
-//!   must still render to it. `tests/golden/snapshot_v4.json`, rendered
-//!   under the retired `validated` timing backend with its record,
-//!   `snapshot_v3.json`, rendered before pages held only their nonzero
-//!   lines, `snapshot_v2.json`, rendered before snapshots named their
-//!   machine, and `snapshot_v1.json`, rendered before flight lanes were
-//!   packed, are the legacy loads: each decodes to the same fingerprint
-//!   and flight records and re-renders as v5 — v2 and v1 with no
-//!   `config` and no CMC fields. Relabelled as another schema, a
-//!   golden is a typed error naming the first field the label
+//!   must still render to it. `tests/golden/snapshot_v5.json`, rendered
+//!   while each device carried its power coefficients and each
+//!   configured device a `link_error_period`, `snapshot_v4.json`,
+//!   rendered under the retired `validated` timing backend with its
+//!   record, `snapshot_v3.json`, rendered before pages held only their
+//!   nonzero lines, `snapshot_v2.json`, rendered before snapshots named
+//!   their machine, and `snapshot_v1.json`, rendered before flight
+//!   lanes were packed, are the legacy loads: each decodes to the same
+//!   fingerprint and flight records and re-renders as v6 — v2 and v1
+//!   with no `config` and no CMC fields. Relabelled as another schema,
+//!   a golden is a typed error naming the first field the label
 //!   disagrees with.
 //! * **Coverage** — every persisted leaf outside the sections the
 //!   fingerprint does not visit (the observers `shadow`, `flight`,
@@ -33,7 +35,12 @@
 //! * **A snapshot names its machine** — `HmcSim::from_snapshot`
 //!   rebuilds the busy mesh, CMC libraries included, from the snapshot
 //!   alone; an operation added with `load_cmc`, one removed with
-//!   `unload_cmc` and a v2 snapshot are typed errors.
+//!   `unload_cmc`, a device timed by another backend than the
+//!   configuration names and a v2 snapshot are typed errors. A v5
+//!   document holds one machine: a power coefficient other than the
+//!   model's constant is a typed error naming the leaf, and a
+//!   `link_error_period` loads as the `every_nth` plan it ran, or, at 0
+//!   or beside another plan, is a typed error.
 //! * **Restorable geometry and routes only** — `restore` refuses an
 //!   array that does not fit, a size the configuration fixes otherwise,
 //!   a packet the context cannot route and a transit between devices no
@@ -46,7 +53,7 @@
 //!   machine mutated), a configuration, a replay checkpoint, a
 //!   checkpoint header, a forensic dump, a fuzz scenario, a kernel
 //!   descriptor and a fuzz journal end in `Ok` or a typed error (the
-//!   snapshot as written now and as the v4, v3 and v1 goldens), and
+//!   snapshot as written now and as the v5, v4, v3 and v1 goldens), and
 //!   every packed lane cut short or given a bad kind or command kind is
 //!   rejected.
 
@@ -63,7 +70,7 @@ fn small_cube() -> DeviceConfig {
     d.vaults_per_quad = 2;
     d.banks_per_vault = 2;
     d.bank_latency = 2;
-    d.link_config = LinkConfig { tokens: Some(96), error_period: None, retry_latency: 6 };
+    d.link_config = LinkConfig { tokens: Some(96), retry_latency: 6 };
     d.hop_latency = 3;
     d
 }
@@ -176,7 +183,7 @@ fn read_golden(name: &str) -> String {
     text.trim_end().to_string()
 }
 
-/// A schema-5 document with its machine taken out — `config` null and
+/// A schema-6 document with its machine taken out — `config` null and
 /// every device's CMC fields empty — which is how a v1 or v2 document
 /// re-renders.
 fn without_machine(mut doc: Json) -> Json {
@@ -195,23 +202,24 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
     let snap = busy_mesh().snapshot();
     let rendered = snap.to_json_full();
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(golden_path("snapshot_v5.json"), format!("{rendered}\n")).unwrap();
+        std::fs::write(golden_path("snapshot_v6.json"), format!("{rendered}\n")).unwrap();
     }
-    let golden = read_golden("snapshot_v5.json");
+    let golden = read_golden("snapshot_v6.json");
     assert!(
         rendered == golden,
-        "snapshot_v5.json drifted from the checked-in snapshot bytes; if intentional, bump \
+        "snapshot_v6.json drifted from the checked-in snapshot bytes; if intentional, bump \
          SNAPSHOT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test snapshot_codec golden \
          and review the diff"
     );
 
     // The files on disk — not what this build just rendered — through
     // the decoder and back.
-    let loaded = SimSnapshot::from_json(&golden).expect("the v5 golden loads");
-    assert!(loaded.to_json_full() == golden, "the v5 golden re-renders byte for byte");
+    let loaded = SimSnapshot::from_json(&golden).expect("the v6 golden loads");
+    assert!(loaded.to_json_full() == golden, "the v6 golden re-renders byte for byte");
     assert_eq!(loaded.fingerprint(), snap.fingerprint());
     let machineless = without_machine(Json::parse(&golden).unwrap()).render();
     for (name, renders_as) in [
+        ("snapshot_v5.json", &golden),
         ("snapshot_v4.json", &golden),
         ("snapshot_v3.json", &golden),
         ("snapshot_v2.json", &machineless),
@@ -220,9 +228,9 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
         let legacy = SimSnapshot::from_json(&read_golden(name)).expect(name);
         assert_eq!(legacy.fingerprint(), snap.fingerprint(), "{name}");
         assert_eq!(legacy.flight(), snap.flight(), "{name}");
-        let named = ["snapshot_v4.json", "snapshot_v3.json"].contains(&name);
+        let named = ["snapshot_v5.json", "snapshot_v4.json", "snapshot_v3.json"].contains(&name);
         assert_eq!(legacy.config().is_some(), named, "{name}: its machine");
-        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v5");
+        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v6");
     }
     assert!(snap.flight().is_some_and(|f| f.len() == 20), "every lane holds records");
 
@@ -540,6 +548,99 @@ fn from_snapshot_refuses_a_machine_it_cannot_rebuild() {
     assert!(err.contains("names no configuration"), "{err}");
 }
 
+/// A device's timing section names the backend that timed it, and the
+/// configuration names one for every device: `from_snapshot` refuses a
+/// document in which they differ, naming the leaf. `restore` into a
+/// context built by hand takes the snapshot's backend, as it always
+/// has.
+#[test]
+fn from_snapshot_refuses_a_device_timed_by_another_backend() {
+    let mut doc = busy_mesh().snapshot().to_json_value();
+    assert_eq!(*node_at_path(&mut doc, "config/timing"), Json::from("fixed"));
+    *node_at_path(&mut doc, "devices/0/timing/select") = "row_buffer".into();
+    let snap = SimSnapshot::from_json_value(doc).unwrap();
+    let err = HmcSim::from_snapshot(&snap).map(drop).unwrap_err().to_string();
+    assert!(err.contains("`devices/0/timing/select`"), "{err}");
+    let mut twin = busy_mesh();
+    twin.restore(&snap).unwrap();
+    assert_eq!(twin.timing_select(), TimingSelect::RowBuffer);
+}
+
+/// `tests/golden/snapshot_v5.json` with `edit` applied, rendered.
+fn edited_v5(edit: impl FnOnce(&mut Json)) -> String {
+    let mut doc = Json::parse(&read_golden("snapshot_v5.json")).unwrap();
+    edit(&mut doc);
+    doc.render()
+}
+
+/// A v5 document carries each device's power coefficients, which no
+/// writer set to anything but the model's: one set otherwise is a typed
+/// error naming the leaf, where it used to load and move the power
+/// report and the fingerprint.
+#[test]
+fn a_v5_power_coefficient_other_than_the_constant_is_refused() {
+    let keys = ["link_flit", "dram_access", "logic_op", "idle_cycle", "clock_hz"];
+    for (d, key) in keys.iter().enumerate() {
+        let leaf = match *key {
+            "clock_hz" => format!("devices/{}/power/clock_hz_bits", d % 4),
+            key => format!("devices/{}/power/{key}_pj_bits", d % 4),
+        };
+        let text = edited_v5(|doc| *node_at_path(doc, &leaf) = Json::from(1.0f64.to_bits()));
+        let err = SimSnapshot::from_json(&text).map(drop).unwrap_err().message;
+        assert!(err.contains(&format!("`{leaf}`")), "{leaf}: {err}");
+    }
+}
+
+/// The machine `busy_mesh` runs, written as a v5 document could write
+/// it: every device's `link_error_period` set to `period` beside the
+/// `link_error` plan `plan` (the golden's own, `every_nth` 3, when
+/// `None`).
+fn v5_with_link_error_period(period: i128, plan: Option<&str>) -> String {
+    edited_v5(|doc| {
+        for device in array_at(doc, "config/devices") {
+            *node_at_path(device, "link_error_period") = Json::Int(period);
+            if let Some(plan) = plan {
+                *node_at_path(device, "fault/link_error") = Json::parse(plan).unwrap();
+            }
+        }
+    })
+}
+
+/// A v5 document's `link_error_period` is the fault plan's `every_nth`
+/// mode written another way: beside mode `none` it loads as that plan,
+/// and the context it rebuilds runs on to the state the previous build
+/// reached from the same document (the pin). A period of 0, which used
+/// to load as an error-free link that fingerprinted apart, and a period
+/// beside another plan are typed errors naming the field.
+#[test]
+fn a_v5_link_error_period_loads_as_the_every_nth_plan_it_ran() {
+    ops::register_builtin_libraries();
+    let none = Some(r#"{"mode":"none"}"#);
+    let text = v5_with_link_error_period(3, none);
+    assert!(text.contains(r#""link_error_period":3"#), "the period is written");
+    let snap = SimSnapshot::from_json(&text).unwrap();
+    let config = snap.config().unwrap();
+    assert!(config.devices.iter().all(|d| d.fault.link_error == LinkErrorMode::EveryNth(3)));
+    assert!(!snap.to_json_full().contains("link_error_period"), "v6 writes no period");
+    let mut sim = HmcSim::from_snapshot(&snap).unwrap();
+    let retries = sim.link_stats(0, 0).unwrap().retries;
+    for i in 0..12u64 {
+        let _ = sim.send_simple(0, (i % 3) as usize, HmcRqst::Rd64, i * 0x40, vec![]);
+        sim.clock();
+    }
+    sim.clock_n(40);
+    assert!(sim.link_stats(0, 0).unwrap().retries > retries, "the period still injects");
+    assert_eq!((sim.cycle(), sim.state_fingerprint()), (62, 0x797a_f5b1_a565_26e7));
+
+    let random = Some(r#"{"mode":"random","per_million":9}"#);
+    for (period, plan) in [(0, none), (5, None), (3, random)] {
+        let text = v5_with_link_error_period(period, plan);
+        assert!(text.contains(&format!(r#""link_error_period":{period}"#)), "{period}");
+        let err = SimSnapshot::from_json(&text).map(drop).unwrap_err().message;
+        assert!(err.contains("`link_error_period`"), "{period} beside {plan:?}: {err}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Coverage: fingerprint ≡ persisted state modulo observers
 // ---------------------------------------------------------------------------
@@ -608,9 +709,7 @@ const UNVISITED: [&str; 6] = ["shadow", "flight", "timing", "config", "cmc_libra
 
 /// The leaves the configuration fixes, by the object keys down to them:
 /// in the state, each queue's depth, the memory capacity and each
-/// link's configuration; in `config`, what sets them. (A device's
-/// `link_error_period` is not among them here: both scenarios' fault
-/// plans override it with `link_error`'s `n`.)
+/// link's configuration; in `config`, what sets them.
 fn fixed_by_config(keys: &[String]) -> bool {
     let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
     match keys.as_slice() {
@@ -1005,7 +1104,8 @@ fn a_golden_relabelled_as_another_schema_is_refused() {
             5,
             "timing: unknown field(s): divergence, shadow_late, shadow_early, shadow_agree, shadow",
         ),
-        (5, 4, "timing: missing field `divergence`"),
+        (5, 6, "device_config: unknown field(s): link_error_period"),
+        (6, 5, "power: missing field `link_flit_pj_bits`"),
     ] {
         let name = format!("snapshot_v{version}.json");
         let text = read_golden(&name);
@@ -1135,7 +1235,12 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
     // breaks.
     let decode = |text: &str| SimSnapshot::from_json(text).map(drop).map_err(|e| e.to_string());
     for (name, packed_lanes) in
-        [("snapshot_v4.json", 5 * 4), ("snapshot_v3.json", 5 * 4), ("snapshot_v1.json", 0)]
+    [
+        ("snapshot_v5.json", 5 * 4),
+        ("snapshot_v4.json", 5 * 4),
+        ("snapshot_v3.json", 5 * 4),
+        ("snapshot_v1.json", 0),
+    ]
     {
         let parse: &dyn Fn(&str) -> Result<(), String> =
             if packed_lanes == 0 { &decode } else { &rebuild };

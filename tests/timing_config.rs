@@ -233,6 +233,30 @@ fn documents_naming_validated_load_and_run_as_fixed() {
     assert_eq!(run(&retired), run(&fixed), "the configuration");
 }
 
+/// Adds to a current document what schemas 5 and older wrote besides:
+/// each device's power coefficients (the model's constants) and each
+/// configured device's `link_error_period` (`null`).
+fn with_schema_5_settings(doc: &mut Json) {
+    use hmcsim::sim::power::{CLOCK_HZ, DRAM_ACCESS_PJ, IDLE_CYCLE_PJ, LINK_FLIT_PJ, LOGIC_OP_PJ};
+    let coefficients = [
+        ("link_flit_pj_bits", LINK_FLIT_PJ),
+        ("dram_access_pj_bits", DRAM_ACCESS_PJ),
+        ("logic_op_pj_bits", LOGIC_OP_PJ),
+        ("idle_cycle_pj_bits", IDLE_CYCLE_PJ),
+        ("clock_hz_bits", CLOCK_HZ),
+    ];
+    let Json::Arr(devices) = node(doc, &["devices"]) else { panic!("a device list") };
+    for device in devices {
+        let Json::Obj(power) = node(device, &["power"]) else { panic!("a power object") };
+        power.extend(coefficients.map(|(k, c)| (k.to_string(), Json::from(c.to_bits()))));
+    }
+    let Json::Arr(devices) = node(doc, &["config", "devices"]) else { panic!("a device list") };
+    for device in devices {
+        let Json::Obj(fields) = device else { panic!("a device object") };
+        fields.push(("link_error_period".into(), Json::Null));
+    }
+}
+
 /// A timing section that does not hold its schema's fields is a typed
 /// error: a schema-5 section carrying any field of the retired
 /// `validated` record, and a schema-4 section missing one, holding
@@ -260,8 +284,11 @@ fn a_timing_section_that_does_not_fit_is_rejected() {
         assert_eq!(decode(&v5).unwrap_err(), format!("timing: unknown field(s): {key}"));
     }
 
-    // The same section at schema 4, with the record it carried then.
+    // The same section at schema 4, with the record it carried then
+    // (and the fields schema 6 dropped: the power coefficients and each
+    // configured device's `link_error_period`).
     *node(&mut doc, &["schema_version"]) = Json::Int(4);
+    with_schema_5_settings(&mut doc);
     let Json::Obj(fields) = node(&mut doc, &timing) else { panic!("a timing object") };
     fields.extend(record.iter().map(|(k, v)| (k.to_string(), v.clone())));
     let v4 = decode(&doc).expect("a schema-4 timing record loads");

@@ -1,24 +1,27 @@
 //! The trace-file format and the replay checkpoint, from outside.
 //!
-//! * **Byte stability** — `tests/golden/replay_ckpt_v5.json` is a short
+//! * **Byte stability** — `tests/golden/replay_ckpt_v6.json` is a short
 //!   sanitized, recorded replay's `ReplayCheckpoint::to_json()` as this
 //!   build renders it (`BLESS=1 cargo test --test trace_replay golden`
 //!   regenerates it after an intentional format change; review the
 //!   diff and bump `REPLAY_CKPT_SCHEMA_VERSION`, or
 //!   `SNAPSHOT_SCHEMA_VERSION` when the embedded snapshot moved — the
-//!   file name's `v5` is the snapshot schema, whose packed flight lanes,
-//!   named machine, line-masked pages and three-field timing sections
-//!   left the checkpoint's own layout at version 1). It must load and
-//!   re-render byte for byte, the same replay must still render to it,
-//!   and resuming from the file must reach the state of the
-//!   uninterrupted run. `tests/golden/replay_ckpt_v4.json`, rendered
-//!   while timing sections carried the retired `validated` backend's
-//!   record, `replay_ckpt_v3.json`, rendered before pages held only
-//!   their nonzero lines, `replay_ckpt_v2.json`, rendered before
-//!   snapshots named their machine, and `replay_ckpt_v1.json`, rendered
-//!   before flight lanes were packed, must load to the same state and
-//!   flight records, re-render as the v5 bytes (v2 and v1 with no
-//!   `config`), and resume alike.
+//!   file name's `v6` is the snapshot schema, whose packed flight lanes,
+//!   named machine, line-masked pages, three-field timing sections and
+//!   dropped fixed settings left the checkpoint's own layout at
+//!   version 1). It must load and re-render byte for byte, the same
+//!   replay must still render to it, and resuming from the file must
+//!   reach the state of the uninterrupted run.
+//!   `tests/golden/replay_ckpt_v5.json`, rendered while devices carried
+//!   their power coefficients and a `link_error_period`,
+//!   `replay_ckpt_v4.json`, rendered while timing sections carried the
+//!   retired `validated` backend's record, `replay_ckpt_v3.json`,
+//!   rendered before pages held only their nonzero lines,
+//!   `replay_ckpt_v2.json`, rendered before snapshots named their
+//!   machine, and `replay_ckpt_v1.json`, rendered before flight lanes
+//!   were packed, must load to the same state and flight records,
+//!   re-render as the v6 bytes (v2 and v1 with no `config`), and resume
+//!   alike.
 //! * **The parser never panics** — seeded mutations of a generated
 //!   trace end in `Ok` or a typed error, and whatever parses survives a
 //!   render → parse round trip.
@@ -47,7 +50,7 @@ fn small_observed_cube() -> HmcSim {
     d.vaults_per_quad = 2;
     d.banks_per_vault = 2;
     d.bank_latency = 2;
-    d.link_config = LinkConfig { tokens: Some(96), error_period: None, retry_latency: 6 };
+    d.link_config = LinkConfig { tokens: Some(96), retry_latency: 6 };
     let mut sim = HmcSim::new(d).unwrap();
     sim.set_skip_mode(SkipMode::Off);
     sim.set_timing_model(TimingSelect::FixedLatency);
@@ -87,7 +90,7 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
     let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let path = |name: &str| golden_dir.join(name);
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path("replay_ckpt_v5.json"), format!("{rendered}\n")).unwrap();
+        std::fs::write(path("replay_ckpt_v6.json"), format!("{rendered}\n")).unwrap();
     }
     let read = |name: &str| {
         let text = std::fs::read_to_string(path(name)).unwrap_or_else(|e| {
@@ -95,10 +98,10 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
         });
         text.trim_end().to_string()
     };
-    let golden = read("replay_ckpt_v5.json");
+    let golden = read("replay_ckpt_v6.json");
     assert!(
         rendered == golden,
-        "replay_ckpt_v5.json drifted from the checked-in bytes; if intentional, bump the schema \
+        "replay_ckpt_v6.json drifted from the checked-in bytes; if intentional, bump the schema \
          version that moved, regenerate with BLESS=1 cargo test --test trace_replay golden and \
          review the diff"
     );
@@ -114,11 +117,12 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
 
     // The files on disk through the decoder and back, then onwards.
     let files = [
-        ("replay_ckpt_v5.json", &golden, "re-renders byte for byte"),
-        ("replay_ckpt_v4.json", &golden, "re-renders as v5"),
-        ("replay_ckpt_v3.json", &golden, "re-renders as v5"),
-        ("replay_ckpt_v2.json", &machineless, "re-renders as v5 without a machine"),
-        ("replay_ckpt_v1.json", &machineless, "re-renders as v5 without a machine"),
+        ("replay_ckpt_v6.json", &golden, "re-renders byte for byte"),
+        ("replay_ckpt_v5.json", &golden, "re-renders as v6"),
+        ("replay_ckpt_v4.json", &golden, "re-renders as v6"),
+        ("replay_ckpt_v3.json", &golden, "re-renders as v6"),
+        ("replay_ckpt_v2.json", &machineless, "re-renders as v6 without a machine"),
+        ("replay_ckpt_v1.json", &machineless, "re-renders as v6 without a machine"),
     ];
     for (name, bytes, want) in files {
         let loaded = ReplayCheckpoint::from_json(&read(name)).expect("the golden loads");
