@@ -67,12 +67,17 @@ pub fn scenario_digest(scenario: &Scenario) -> u64 {
 /// of the failing run. The loader ignores the key, and the file name
 /// digest covers the scenario alone, so embedding never forks
 /// reproducer identity.
+///
+/// A scenario the loader would refuse ([`Scenario::validate`], which
+/// ends in the machine's own rules) is not written: the error is
+/// [`io::ErrorKind::InvalidInput`], naming the rule.
 pub fn save_reproducer(
     dir: &Path,
     scenario: &Scenario,
     outcome: &Outcome,
     trace_events: Option<Json>,
 ) -> io::Result<PathBuf> {
+    scenario.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.message))?;
     let name = format!("repro-{}-{:016x}.json", outcome.class(), scenario_digest(scenario));
     let path = dir.join(name);
     let mut doc = scenario.to_json();
@@ -125,6 +130,21 @@ mod tests {
         let corpus = load_corpus_dir(&dir).unwrap();
         assert_eq!(corpus.len(), 1);
         assert_eq!(corpus[0].1, s);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A machine its own rules refuse (a zero vault queue depth) is not
+    /// saved as a reproducer the loader would then refuse: the save is
+    /// refused, naming the rule, and nothing is written.
+    #[test]
+    fn a_scenario_the_loader_refuses_is_not_saved() {
+        let dir = temp_dir("invalid");
+        let mut s = sample();
+        s.sim.devices[0].vault_queue_depth = 0;
+        let e = save_reproducer(&dir, &s, &Outcome::Pass, None).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains("vault_queue_depth"), "{e}");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "nothing is written");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -22,6 +22,8 @@
 //! produce identical bytes for identical values, which the fuzz
 //! corpus relies on for stable round trips.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use std::fmt;
 
 /// A parsed JSON value (integer-only numbers).
@@ -91,8 +93,8 @@ fn plain_run(bytes: &[u8]) -> usize {
     // The high bit of every byte of `w` that is zero (exact for the
     // lowest such byte, which is all "any" needs).
     let zero = |w: u64| w.wrapping_sub(ONES) & !w & HIGH;
-    let words = bytes.chunks_exact(8).take_while(|chunk| {
-        let w = u64::from_le_bytes((*chunk).try_into().expect("chunks of 8"));
+    let words = bytes.as_chunks::<8>().0.iter().take_while(|&&chunk| {
+        let w = u64::from_le_bytes(chunk);
         let control = w.wrapping_sub(ONES * 0x20) & !w & HIGH;
         let (quote, backslash) = (zero(w ^ (ONES * b'"' as u64)), zero(w ^ (ONES * b'\\' as u64)));
         (w & HIGH) | control | quote | backslash == 0
@@ -586,7 +588,9 @@ pub type Names<T> = [(&'static str, T)];
 /// The name `table` gives `value`.
 pub fn name_of<T: PartialEq>(table: &Names<T>, value: T) -> &'static str {
     let entry = table.iter().find(|(_, v)| *v == value);
-    entry.expect("a name table lists every value of its type").0
+    #[allow(clippy::expect_used)] // each table is written beside its type, one name per value
+    let name = entry.expect("a name table lists every value of its type").0;
+    name
 }
 
 /// The value `table` names `name`; `what` names the set in the error.

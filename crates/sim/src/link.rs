@@ -40,7 +40,8 @@ impl Default for LinkConfig {
 /// Per-link protocol statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
-    /// Packets accepted by the link layer.
+    /// Packets accepted by the link layer; also the error-injection
+    /// phase (under `EveryNth(n)` every `n`-th of them errors).
     pub packets_sent: u64,
     /// FLITs accepted by the link layer (the bandwidth unit — the
     /// telemetry time series reads this for per-window link
@@ -88,7 +89,6 @@ pub struct LinkControl {
     /// Every `n`-th packet errors (`None` = error-free link).
     error_period: Option<u64>,
     tokens_available: u32,
-    packet_counter: u64,
     /// Sequence counter carried in the tail SEQ field.
     seq: u8,
     /// Protocol statistics.
@@ -103,7 +103,6 @@ impl LinkControl {
             tokens_available: config.tokens.unwrap_or(u32::MAX),
             config,
             error_period,
-            packet_counter: 0,
             seq: 0,
             stats: LinkStats::default(),
         }
@@ -131,11 +130,12 @@ impl LinkControl {
             return Err(());
         }
         self.tokens_available -= flits;
-        self.packet_counter += 1;
         self.stats.packets_sent += 1;
         self.stats.flits_sent += flits as u64;
         self.seq = (self.seq + 1) & 0x7;
-        let errored = self.error_period.is_some_and(|n| self.packet_counter.is_multiple_of(n));
+        // The error phase is the count of packets sent, this one included.
+        let sent = self.stats.packets_sent;
+        let errored = self.error_period.is_some_and(|n| sent.is_multiple_of(n));
         if errored {
             self.stats.retries += 1;
         }
@@ -181,23 +181,16 @@ impl LinkControl {
         self.error_period
     }
 
-    /// Packets accepted since creation (the error-injection phase
-    /// counter — distinct from `stats.packets_sent` only in intent).
-    pub fn packet_counter(&self) -> u64 {
-        self.packet_counter
-    }
-
-    /// Rebuilds link state from checkpointed parts (token pool, error
-    /// phase, SEQ and statistics all restored verbatim).
+    /// Rebuilds link state from checkpointed parts (token pool, SEQ and
+    /// statistics, the error phase among them, all restored verbatim).
     pub(crate) fn from_parts(
         config: LinkConfig,
         error_period: Option<u64>,
         tokens_available: u32,
-        packet_counter: u64,
         seq: u8,
         stats: LinkStats,
     ) -> Self {
-        LinkControl { config, error_period, tokens_available, packet_counter, seq, stats }
+        LinkControl { config, error_period, tokens_available, seq, stats }
     }
 }
 

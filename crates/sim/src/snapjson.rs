@@ -19,19 +19,27 @@
 //! other defect to the walk. Then one strict walk reads the current
 //! schema: every object goes through [`ObjReader`], unknown or missing
 //! fields are errors, page ids must ascend, and each page's and flight
-//! lane's hex is released as soon as its bytes are decoded, so the tree's
-//! hex and the decoded memory are never whole at once. A schema change
-//! costs one step.
+//! lane's text is released as soon as its bytes are decoded, so the
+//! tree's text and the decoded memory are never whole at once. A schema
+//! change costs one step.
 //!
 //! Notable encoding choices:
 //!
-//! * memory pages are `[id, mask, hex]` in ascending id order, covering
-//!   **every** resident page (even all-zero ones, `[id, 0, ""]` —
-//!   residency itself is part of the fingerprint): bit `k` of the `u64`
-//!   mask is set when 64-byte line `k` holds a nonzero byte, and `hex`
-//!   holds only those lines, so a checkpoint costs what memory holds;
-//! * a flight-recorder lane is one hex string of fixed-width packed
-//!   records (the same hex kernels as pages, eight digits per step);
+//! * bytes are written as padded RFC 4648 base64 (the standard
+//!   alphabet, which no JSON string escapes), four characters for three
+//!   bytes, and read strictly: a wrong length, a character outside the
+//!   alphabet, a misplaced `=` or nonzero bits under the padding is an
+//!   error, so each byte string has one text and a document re-renders
+//!   byte for byte. Hex, two characters a byte, is read only by the
+//!   upgrade steps out of schemas 1 to 6;
+//! * memory pages are `[id, mask, base64]` in ascending id order,
+//!   covering **every** resident page (even all-zero ones, `[id, 0, ""]`
+//!   — residency itself is part of the fingerprint): bit `k` of the
+//!   `u64` mask is set when 64-byte line `k` holds a nonzero byte, and
+//!   the string holds only those lines, so a checkpoint costs what
+//!   memory holds;
+//! * a flight-recorder lane is one base64 string of fixed-width packed
+//!   records;
 //! * packet command codes carry an explicit `cmc` flag, because the
 //!   wire code alone cannot distinguish `HmcRqst::Cmc(code)` from the
 //!   standard command sharing that code (and response code 0 means
@@ -39,6 +47,8 @@
 //! * ordered collections (queue contents, tag-pool free lists, event
 //!   lists) keep their order; unordered sets are sorted on write and
 //!   rebuilt on read.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use crate::config::SimConfig;
 use crate::device::{RqstEnvelope, RspEnvelope, TrackedRequest, TrackedResponse, Vault};
@@ -72,14 +82,17 @@ use std::collections::VecDeque;
 /// Version number written into the durable snapshot schema. A layout
 /// change bumps it and adds one upgrade step from the previous version
 /// (`upgrade`); documents of every earlier version still load.
-/// Version 6 drops what the machine already fixes: each device's five
-/// power coefficients (constants now) and each configured device's
-/// `link_error_period` (its fault plan's `every_nth` mode says it).
+/// Version 7 writes each page's lines and each flight lane's records in
+/// base64, not hex, and drops each link's `packet_counter` (always its
+/// `packets_sent`). Version 6 drops what the machine already fixes:
+/// each device's five power coefficients (constants now) and each
+/// configured device's `link_error_period` (its fault plan's
+/// `every_nth` mode says it).
 /// Version 5 writes a device's timing section as `{select,
 /// hit_latency, miss_latency}`, version 4 a page as `[id, mask, hex]`,
 /// version 3 the machine (`config` and each device's CMC fields),
 /// version 2 each flight lane as one hex string.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 6;
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 7;
 
 /// Wraps a domain error (`bad tag`, `bad cub`, …) as a [`JsonError`]
 /// prefixed with `what`.
@@ -105,7 +118,7 @@ fn nested_from_json<T>(
 }
 
 // ---------------------------------------------------------------------------
-// Hex page encoding
+// Hex, the byte strings of schemas 1 to 6 (upgrade steps only)
 // ---------------------------------------------------------------------------
 
 /// One in every byte of a word.
@@ -147,9 +160,10 @@ fn unhex8(eight: [u8; 8]) -> ([u8; 4], u64) {
     ((((x >> 16) | x) as u32).to_be_bytes(), bad)
 }
 
-/// Writes the `2 * bytes.len()` lower-case hex digits of `bytes` into
-/// `digits`, eight per step.
-fn hex_into(bytes: &[u8], digits: &mut [u8]) {
+/// The `2 * bytes.len()` lower-case hex digits of `bytes`, eight per
+/// step.
+fn hex_encode(bytes: &[u8]) -> String {
+    let mut digits = vec![0u8; 2 * bytes.len()];
     let (fours, tail) = bytes.as_chunks::<4>();
     let (eights, rest) = digits.as_chunks_mut::<8>();
     for (eight, &four) in eights.iter_mut().zip(fours) {
@@ -160,12 +174,9 @@ fn hex_into(bytes: &[u8], digits: &mut [u8]) {
         four[..tail.len()].copy_from_slice(tail);
         rest.copy_from_slice(&hex8(four)[..rest.len()]);
     }
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut digits = vec![0u8; 2 * bytes.len()];
-    hex_into(bytes, &mut digits);
-    String::from_utf8(digits).expect("hex digits are ASCII")
+    #[allow(clippy::expect_used)] // `hex8` writes only ASCII digits
+    let hex = String::from_utf8(digits).expect("hex digits are ASCII");
+    hex
 }
 
 /// Decodes `2 * out.len()` hex digits into `out` (which holds garbage
@@ -203,6 +214,147 @@ fn hex_decode(
         return Err(JsonError::new(format!("{ctx}: invalid hex digit")));
     }
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Base64, the byte strings of schema 7
+// ---------------------------------------------------------------------------
+
+/// The RFC 4648 base64 alphabet, standard and padded with `=`: none of
+/// its characters is one a JSON string escapes.
+const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// The two characters of every 12 bits, the first from the high six:
+/// three bytes encode in two lookups.
+const B64_PAIRS: [[u8; 2]; 4096] = {
+    let mut table = [[0; 2]; 4096];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = [B64[i >> 6], B64[i & 63]];
+        i += 1;
+    }
+    table
+};
+
+/// The bit [`UNB64`] sets for a byte outside [`B64`], above the 24 a
+/// group decodes to.
+const NOT_B64: u32 = 1 << 31;
+
+/// For the character at each place `k` of a group of four, each byte's
+/// six bits in [`B64`] shifted to their place in the group's 24 (`18 -
+/// 6k`), or [`NOT_B64`] for a byte outside the alphabet, `=` included:
+/// four characters decode in four lookups ORed together.
+const UNB64: [[u32; 256]; 4] = {
+    let mut table = [[NOT_B64; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut i = 0;
+        while i < B64.len() {
+            table[k][B64[i] as usize] = (i as u32) << (18 - 6 * k);
+            i += 1;
+        }
+        k += 1;
+    }
+    table
+};
+
+/// Characters of the padded base64 of `n` bytes.
+const fn b64_len(n: usize) -> usize {
+    n.div_ceil(3) * 4
+}
+
+/// The four characters of three bytes.
+#[inline]
+fn b64_4(three: [u8; 3]) -> [u8; 4] {
+    let n = u32::from_be_bytes([0, three[0], three[1], three[2]]) as usize;
+    let ([a, b], [c, d]) = (B64_PAIRS[n >> 12 & 0xFFF], B64_PAIRS[n & 0xFFF]);
+    [a, b, c, d]
+}
+
+/// The 24 bits of four characters, [`NOT_B64`] set when one of them is
+/// outside the alphabet.
+#[inline]
+fn unb64_4(four: [u8; 4]) -> u32 {
+    let [a, b, c, d] = four.map(usize::from);
+    UNB64[0][a] | UNB64[1][b] | UNB64[2][c] | UNB64[3][d]
+}
+
+/// The padded base64 of `bytes`, three bytes per step.
+fn b64_encode(bytes: &[u8]) -> String {
+    let mut chars = vec![0u8; b64_len(bytes.len())];
+    let (threes, tail) = bytes.as_chunks::<3>();
+    let (fours, _) = chars.as_chunks_mut::<4>();
+    for (four, &three) in fours.iter_mut().zip(threes) {
+        *four = b64_4(three);
+    }
+    // A last group of one or two bytes: two or three characters, then `=`.
+    if let Some(last) = fours.get_mut(threes.len()) {
+        let mut three = [0u8; 3];
+        three[..tail.len()].copy_from_slice(tail);
+        *last = b64_4(three);
+        last[tail.len() + 1..].fill(b'=');
+    }
+    #[allow(clippy::expect_used)] // `B64` and `=` are ASCII
+    let text = String::from_utf8(chars).expect("base64 is ASCII");
+    text
+}
+
+/// Decodes the padded base64 of `out.len()` bytes into `out` (which
+/// holds garbage after an error), three bytes per step. Strict, so that
+/// only [`b64_encode`]'s text decodes: the length must be
+/// `b64_len(out.len())`, every character before the padding in the
+/// alphabet, the padding the `=`s that length calls for and the bits
+/// under it zero. A page or a lane is kilobytes and a bad character a
+/// corrupt file: decode them all, test once.
+fn b64_decode(text: &str, out: &mut [u8], ctx: &str) -> Result<(), JsonError> {
+    let (text, n) = (text.as_bytes(), out.len());
+    if text.len() != b64_len(n) {
+        return Err(JsonError::new(format!(
+            "{ctx}: {} base64 characters where {n} bytes need {}",
+            text.len(),
+            b64_len(n)
+        )));
+    }
+    let (threes, tail) = out.as_chunks_mut::<3>();
+    let (fours, _) = text.as_chunks::<4>();
+    let mut bad = 0;
+    for (three, &four) in threes.iter_mut().zip(fours) {
+        let group = unb64_4(four);
+        let [_, x, y, z] = group.to_be_bytes();
+        *three = [x, y, z];
+        bad |= group;
+    }
+    if let Some(&four) = fours.get(threes.len()) {
+        let held = tail.len() + 1;
+        let mut body = four;
+        body[held..].fill(B64[0]);
+        let group = unb64_4(body);
+        let value = &group.to_be_bytes()[1..];
+        tail.copy_from_slice(&value[..tail.len()]);
+        let padded = four[held..].iter().all(|&c| c == b'=');
+        let spare = value[tail.len()..].iter().any(|&b| b != 0);
+        bad |= group | if padded && !spare { 0 } else { NOT_B64 };
+    }
+    if bad & NOT_B64 != 0 {
+        return Err(b64_fault(text, n, ctx));
+    }
+    Ok(())
+}
+
+/// What is wrong with `text`, of the length the base64 of `n` bytes
+/// has but not their encoding: the first character before the padding
+/// that is outside the alphabet, else the padding, else its bits.
+#[cold]
+fn b64_fault(text: &[u8], n: usize, ctx: &str) -> JsonError {
+    let pad = (3 - n % 3) % 3;
+    let (body, padding) = text.split_at(text.len() - pad);
+    let what = match body.iter().find(|&&c| UNB64[0][usize::from(c)] == NOT_B64) {
+        Some(b'=') => "misplaced base64 padding `=`",
+        Some(_) => "invalid base64 character",
+        None if padding.iter().any(|&c| c != b'=') => "missing base64 padding `=`",
+        None => "nonzero bits under the base64 padding",
+    };
+    JsonError::new(format!("{ctx}: {what}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -493,40 +645,48 @@ fn power_from_json(v: &Json) -> Result<PowerModel, JsonError> {
 /// Bytes per line of a page: its mask has a bit per line.
 const LINE_BYTES: usize = PAGE_BYTES / 64;
 
-/// A page as `[id, mask, hex]`: bit `k` of `mask` is set when line `k`
-/// holds a nonzero byte, and `hex` holds those lines in order.
+/// A page as `[id, mask, base64]`: bit `k` of `mask` is set when line
+/// `k` holds a nonzero byte, and the base64 holds those lines in order.
 fn page_json(id: u64, page: &[u8; PAGE_BYTES]) -> Json {
-    let lines = page.chunks_exact(LINE_BYTES).enumerate();
-    let mask = lines.clone().fold(0u64, |mask, (k, line)| {
-        mask | ((line.iter().fold(0, |any, &b| any | b) != 0) as u64) << k
-    });
-    let mut digits = vec![0u8; 2 * LINE_BYTES * mask.count_ones() as usize];
-    let held = lines.filter(|(k, _)| mask >> k & 1 == 1);
-    for (out, (_, line)) in digits.chunks_exact_mut(2 * LINE_BYTES).zip(held) {
-        hex_into(line, out);
+    let (mut held, mut mask, mut n) = ([0u8; PAGE_BYTES], 0u64, 0);
+    for (k, line) in page.as_chunks::<LINE_BYTES>().0.iter().enumerate() {
+        if line.iter().fold(0, |any, &b| any | b) != 0 {
+            mask |= 1 << k;
+            held[n..n + LINE_BYTES].copy_from_slice(line);
+            n += LINE_BYTES;
+        }
     }
-    let hex = String::from_utf8(digits).expect("hex digits are ASCII");
-    Json::Arr(vec![id.into(), mask.into(), Json::Str(hex)])
+    Json::Arr(vec![id.into(), mask.into(), Json::Str(b64_encode(&held[..n]))])
 }
 
-/// A page entry, `[id, mask, hex]`: its id and bytes.
+/// A page entry, `[id, mask, base64]`: its id and bytes.
 fn page_from_json(entry: &Json) -> Result<(u64, Box<[u8; PAGE_BYTES]>), JsonError> {
-    let [id, mask, hex] = entry.tuple("mem: page entry [id, mask, hex]")?;
+    let [id, mask, text] = entry.tuple("mem: page entry [id, mask, base64]")?;
     let mask: u64 = mask.int("mem: page mask")?;
     let id: u64 = id.int("mem: page id")?;
-    let hex = hex.as_str().ok_or_else(|| JsonError::new("mem: page bytes must be a hex string"))?;
-    let held = mask.count_ones() as usize;
-    if hex.len() != 2 * LINE_BYTES * held {
+    let text =
+        text.as_str().ok_or_else(|| JsonError::new("mem: page bytes must be a base64 string"))?;
+    let lines = mask.count_ones() as usize;
+    let n = LINE_BYTES * lines;
+    if text.len() != b64_len(n) {
         return Err(JsonError::new(format!(
-            "mem: page {id} holds {} hex digits where {held} lines need {}",
-            hex.len(),
-            2 * LINE_BYTES * held
+            "mem: page {id} holds {} base64 characters where {lines} lines need {}",
+            text.len(),
+            b64_len(n)
         )));
     }
+    // The held lines decode to the front of the page, then move out to
+    // their own lines, the last first, each leaving zeros behind.
     let mut page = Box::new([0u8; PAGE_BYTES]);
-    let lines = page.chunks_exact_mut(LINE_BYTES).enumerate().filter(|(k, _)| mask >> k & 1 == 1);
-    for ((_, line), digits) in lines.zip(hex.as_bytes().chunks_exact(2 * LINE_BYTES)) {
-        hex_decode(digits, line, "mem page")?;
+    b64_decode(text, &mut page[..n], "mem page")?;
+    let mut from = lines;
+    for k in (0..64).rev().filter(|k| mask >> k & 1 == 1) {
+        from -= 1;
+        if from == k {
+            break;
+        }
+        page.copy_within(from * LINE_BYTES..(from + 1) * LINE_BYTES, k * LINE_BYTES);
+        page[from * LINE_BYTES..(from + 1) * LINE_BYTES].fill(0);
     }
     Ok((id, page))
 }
@@ -537,8 +697,8 @@ fn mem_json(mem: &SparseMemory) -> Json {
     obj(vec![("capacity", mem.capacity().into()), ("pages", Json::Arr(pages))])
 }
 
-/// A memory section, each page's hex released as soon as its bytes are
-/// decoded. Page ids ascend, as the writer lists them: a repeated or
+/// A memory section, each page's text released as soon as its bytes
+/// are decoded. Page ids ascend, as the writer lists them: a repeated or
 /// out-of-order id is an error, not a page that silently replaces
 /// another.
 fn mem_from_json(mut v: Json) -> Result<SparseMemory, JsonError> {
@@ -612,7 +772,6 @@ fn link_json(l: &LinkControl) -> Json {
         ("error_period".to_string(), l.error_period().into()),
         ("retry_latency".to_string(), c.retry_latency.into()),
         ("tokens_available".to_string(), l.tokens_available().into()),
-        ("packet_counter".to_string(), l.packet_counter().into()),
         ("seq".to_string(), l.seq().into()),
     ];
     fields.extend(l.stats.counters().map(|(name, v)| (name.to_string(), v.into())));
@@ -624,14 +783,13 @@ fn link_from_json(v: &Json) -> Result<LinkControl, JsonError> {
     let tokens = r.opt_u32("tokens")?;
     let error_period = r.opt_u64("error_period")?;
     let config = LinkConfig { tokens, retry_latency: r.u64("retry_latency")? };
-    let (tokens_available, packet_counter, seq) =
-        (r.u32("tokens_available")?, r.u64("packet_counter")?, r.u8("seq")?);
+    let (tokens_available, seq) = (r.u32("tokens_available")?, r.u8("seq")?);
     let mut stats = LinkStats::default();
     for (name, slot) in stats.counters_mut() {
         *slot = r.u64(name)?;
     }
     r.finish()?;
-    Ok(LinkControl::from_parts(config, error_period, tokens_available, packet_counter, seq, stats))
+    Ok(LinkControl::from_parts(config, error_period, tokens_available, seq, stats))
 }
 
 fn tag_pool_json(p: &TagPool) -> Json {
@@ -827,7 +985,7 @@ fn shadow_from_json(v: &Json) -> Result<SanitizerShadow, JsonError> {
 const RECORD_FIELDS: [usize; 12] = [8, 1, 2, 1, 1, 2, 2, 2, 1, 2, 8, 8];
 
 /// Bytes of one packed record (the sum of [`RECORD_FIELDS`]): a lane
-/// is `records` of these, little-endian, as one hex string.
+/// is `records` of these, little-endian, as one base64 string.
 const RECORD_BYTES: usize = 38;
 
 /// A record's twelve fields as words, in [`RECORD_FIELDS`] order.
@@ -855,8 +1013,8 @@ fn record_words(t: &TraceRecord) -> [u64; 12] {
     ]
 }
 
-/// A lane's records as one hex string of packed records.
-fn lane_records_json(records: &[TraceRecord]) -> Json {
+/// A lane's records packed, [`RECORD_BYTES`] each.
+fn pack_records(records: &[TraceRecord]) -> Vec<u8> {
     let mut bytes = vec![0u8; records.len() * RECORD_BYTES];
     for (packed, t) in bytes.chunks_exact_mut(RECORD_BYTES).zip(records) {
         let mut at = 0;
@@ -865,20 +1023,29 @@ fn lane_records_json(records: &[TraceRecord]) -> Json {
             at += width;
         }
     }
-    Json::Str(hex_encode(&bytes))
+    bytes
 }
 
-fn lane_records_from_hex(hex: &str) -> Result<Vec<TraceRecord>, JsonError> {
+/// A lane's records as one base64 string of packed records.
+fn lane_records_json(records: &[TraceRecord]) -> Json {
+    Json::Str(b64_encode(&pack_records(records)))
+}
+
+/// The records of a lane's base64, whose `=`s say how many bytes its
+/// last group holds.
+fn lane_records_from_b64(text: &str) -> Result<Vec<TraceRecord>, JsonError> {
     const CTX: &str = "flight records";
-    if !hex.len().is_multiple_of(2 * RECORD_BYTES) {
+    let pad = text.bytes().rev().take(2).take_while(|&c| c == b'=').count();
+    let n = (text.len() / 4 * 3).saturating_sub(pad);
+    if !text.len().is_multiple_of(4) || !n.is_multiple_of(RECORD_BYTES) {
         return Err(JsonError::new(format!(
-            "{CTX}: {} hex digits are not a whole number of records",
-            hex.len()
+            "{CTX}: {} base64 characters are not a whole number of records",
+            text.len()
         )));
     }
-    let mut bytes = vec![0u8; hex.len() / 2];
-    hex_decode(hex, &mut bytes, CTX)?;
-    let mut out = Vec::with_capacity(bytes.len() / RECORD_BYTES);
+    let mut bytes = vec![0u8; n];
+    b64_decode(text, &mut bytes, CTX)?;
+    let mut out = Vec::with_capacity(n / RECORD_BYTES);
     for packed in bytes.chunks_exact(RECORD_BYTES) {
         let mut words = [0u64; 12];
         let mut at = 0;
@@ -935,13 +1102,13 @@ fn record_from_words(w: [u64; 12]) -> Result<TraceRecord, JsonError> {
     })
 }
 
-/// A flight lane, its hex released once its records are decoded.
+/// A flight lane, its text released once its records are decoded.
 fn lane_from_json(lane: Json) -> Result<FlightLaneSnapshot, JsonError> {
     let mut r = ObjReader::new("flight lane", &lane)?;
     let out = FlightLaneSnapshot {
         name: r.str("name")?.to_string(),
         dropped: r.u64("dropped")?,
-        records: lane_records_from_hex(r.str("records")?)?,
+        records: lane_records_from_b64(r.str("records")?)?,
     };
     r.finish()?;
     Ok(out)
@@ -964,7 +1131,7 @@ fn flight_json(f: &FlightSnapshot) -> Json {
     ])
 }
 
-/// Decodes a flight section, each lane's hex released as soon as its
+/// Decodes a flight section, each lane's text released as soon as its
 /// records are decoded. Only a timeline a recorder can resume is
 /// accepted: a nonzero capacity, the five lanes in [`FlightLane::ALL`]
 /// order, none holding more than the capacity.
@@ -1037,8 +1204,14 @@ type Step = fn(&mut Json) -> Result<(), JsonError>;
 /// first; a current document takes none. The walk does not read
 /// `schema_version`, so it is left as it was.
 fn upgrade(v: &mut Json) -> Result<(), JsonError> {
-    const STEPS: [Step; SNAPSHOT_SCHEMA_VERSION as usize - 1] =
-        [pack_lanes, add_no_machine, mask_whole_pages, drop_validated_record, drop_fixed_settings];
+    const STEPS: [Step; SNAPSHOT_SCHEMA_VERSION as usize - 1] = [
+        pack_lanes,
+        add_no_machine,
+        mask_whole_pages,
+        drop_validated_record,
+        drop_fixed_settings,
+        base64_bytes,
+    ];
     let version = ObjReader::new("snapshot", v)?.u64("schema_version")?;
     let steps = version.checked_sub(1).and_then(|k| STEPS.get(k as usize..)).ok_or_else(|| {
         JsonError::new(format!(
@@ -1049,13 +1222,18 @@ fn upgrade(v: &mut Json) -> Result<(), JsonError> {
     steps.iter().try_for_each(|step| step(v))
 }
 
+/// Each flight lane's `records` of the document `v`.
+fn lane_records_mut(v: &mut Json) -> impl Iterator<Item = &mut Json> {
+    let lanes = items_mut(v.get_mut("flight").and_then(|f| f.get_mut("lanes")));
+    lanes.iter_mut().filter_map(|lane| lane.get_mut("records"))
+}
+
 /// 1 → 2: each flight lane's records, arrays of twelve integers, packed
 /// into one hex string.
 fn pack_lanes(v: &mut Json) -> Result<(), JsonError> {
-    let lanes = items_mut(v.get_mut("flight").and_then(|f| f.get_mut("lanes")));
-    for records in lanes.iter_mut().filter_map(|lane| lane.get_mut("records")) {
+    for records in lane_records_mut(v) {
         let unpacked = records.vec("flight lane: field `records`", trace_record_from_json)?;
-        *records = lane_records_json(&unpacked);
+        *records = Json::Str(hex_encode(&pack_records(&unpacked)));
     }
     Ok(())
 }
@@ -1148,6 +1326,64 @@ fn drop_fixed_settings(v: &mut Json) -> Result<(), JsonError> {
         }
     }
     v.get_mut("config").map_or(Ok(()), SimConfig::fold_link_error_period)
+}
+
+/// 6 → 7: each page's lines and each flight lane's records, read from
+/// their hex as strictly as schema 6 read them, are written again in
+/// base64; each link drops its `packet_counter`, which must equal its
+/// `packets_sent` (the two counted the same sends).
+fn base64_bytes(v: &mut Json) -> Result<(), JsonError> {
+    for device in items_mut(v.get_mut("devices")) {
+        let pages = device.get_mut("mem").and_then(|mem| mem.get_mut("pages"));
+        for entry in items_mut(pages) {
+            let [id, mask, hex] = entry.tuple("mem: page entry [id, mask, hex]")?;
+            let mask: u64 = mask.int("mem: page mask")?;
+            let id: u64 = id.int("mem: page id")?;
+            let hex =
+                hex.as_str().ok_or_else(|| JsonError::new("mem: page bytes must be a hex string"))?;
+            let held = mask.count_ones() as usize;
+            if hex.len() != 2 * LINE_BYTES * held {
+                return Err(JsonError::new(format!(
+                    "mem: page {id} holds {} hex digits where {held} lines need {}",
+                    hex.len(),
+                    2 * LINE_BYTES * held
+                )));
+            }
+            let mut lines = vec![0u8; LINE_BYTES * held];
+            hex_decode(hex, &mut lines, "mem page")?;
+            *entry = Json::Arr(vec![id.into(), mask.into(), Json::Str(b64_encode(&lines))]);
+        }
+    }
+    for (d, links) in items_mut(v.get_mut("links")).iter_mut().enumerate() {
+        for (l, link) in items_mut(Some(links)).iter_mut().enumerate() {
+            let Ok(mut r) = ObjReader::new("link", link) else { continue };
+            let (counter, sent) = (r.u64("packet_counter")?, r.u64("packets_sent")?);
+            if counter != sent {
+                return Err(JsonError::new(format!(
+                    "snapshot `links/{d}/{l}/packet_counter` is {counter}; the link sent \
+                     {sent} packets (`packets_sent`), and every send moved both"
+                )));
+            }
+            if let Json::Obj(fields) = link {
+                fields.retain(|(k, _)| k != "packet_counter");
+            }
+        }
+    }
+    for records in lane_records_mut(v) {
+        let Json::Str(hex) = records else {
+            return Err(JsonError::new("flight lane: field `records` must be a string"));
+        };
+        if !hex.len().is_multiple_of(2 * RECORD_BYTES) {
+            return Err(JsonError::new(format!(
+                "flight records: {} hex digits are not a whole number of records",
+                hex.len()
+            )));
+        }
+        let mut packed = vec![0u8; hex.len() / 2];
+        hex_decode(hex.as_str(), &mut packed, "flight records")?;
+        *records = Json::Str(b64_encode(&packed));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1287,8 +1523,9 @@ impl SimSnapshot {
     /// all errors.
     ///
     /// The tree is consumed as it is read: each memory page's and
-    /// flight lane's hex is released as soon as its bytes are decoded,
-    /// so the tree's hex and the decoded memory are never whole at once.
+    /// flight lane's text is released as soon as its bytes are decoded,
+    /// so the tree's text and the decoded memory are never whole at
+    /// once.
     pub fn from_json_value(mut v: Json) -> Result<SimSnapshot, JsonError> {
         upgrade(&mut v)?;
         let devices = take_items(v.get_mut("devices"));
@@ -1393,6 +1630,113 @@ mod tests {
         }
     }
 
+    /// RFC 4648 §10's test vectors, both ways.
+    #[test]
+    fn base64_reads_and_writes_the_rfc_vectors() {
+        let vectors = [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ];
+        for (bytes, text) in vectors {
+            assert_eq!(b64_encode(bytes.as_bytes()), text);
+            let mut back = vec![0u8; bytes.len()];
+            b64_decode(text, &mut back, "t").unwrap();
+            assert_eq!(back, bytes.as_bytes());
+        }
+        let all: Vec<u8> = (0..=255u8).collect();
+        let text = b64_encode(&all);
+        assert!(text.bytes().all(|c| B64.contains(&c) || c == b'='), "{text}");
+        assert_eq!(Json::Str(text.clone()).render(), format!("\"{text}\""));
+    }
+
+    #[test]
+    fn base64_refusals_name_what_is_wrong() {
+        let err = |text: &str, n: usize| {
+            let mut out = vec![0u8; n];
+            b64_decode(text, &mut out, "mem page").unwrap_err().message
+        };
+        assert_eq!(err("Zm9", 2), "mem page: 3 base64 characters where 2 bytes need 4");
+        assert_eq!(err("Zm9vYg==", 3), "mem page: 8 base64 characters where 3 bytes need 4");
+        assert_eq!(err("Zm9-", 3), "mem page: invalid base64 character");
+        // A multibyte character is as long as two outside the alphabet.
+        assert_eq!(err("Z\u{e9}9", 3), "mem page: invalid base64 character");
+        assert_eq!(err("Z===", 1), "mem page: misplaced base64 padding `=`");
+        assert_eq!(err("Zm9v", 2), "mem page: missing base64 padding `=`");
+        assert_eq!(err("Zg=A", 1), "mem page: missing base64 padding `=`");
+        assert_eq!(err("Zh==", 1), "mem page: nonzero bits under the base64 padding");
+        assert_eq!(err("Zm9=", 2), "mem page: nonzero bits under the base64 padding");
+    }
+
+    /// Every length from 0 to 200 bytes: decode inverts encode, and a
+    /// text decodes only when it is the encoding of what it decodes to.
+    /// A character outside the alphabet anywhere, `=` inside the body,
+    /// a wrong length and nonzero bits under the padding are refused.
+    fn check_base64_kernels(seed: &[u8], at: usize, swap: u8) {
+        for len in 0..=seed.len() {
+            let bytes = &seed[..len];
+            let text = b64_encode(bytes);
+            assert_eq!(text.len(), b64_len(len));
+            let mut back = vec![0u8; len];
+            b64_decode(&text, &mut back, "t").unwrap();
+            assert_eq!(back, bytes);
+            let decode = |t: &str| {
+                let mut out = vec![0u8; len];
+                b64_decode(t, &mut out, "t").map(|()| out).map_err(|e| e.message)
+            };
+            assert!(decode(&format!("{text}A")).unwrap_err().contains("base64 characters where"));
+            if text.is_empty() {
+                continue;
+            }
+            assert!(decode(&text[1..]).unwrap_err().contains("base64 characters where"));
+            let pad = (3 - len % 3) % 3;
+            let body = text.len() - pad;
+            // One character replaced by any other printable one.
+            let at = at % text.len();
+            let mut spoiled = text.clone().into_bytes();
+            let swap = if swap == spoiled[at] { b'~' } else { swap };
+            spoiled[at] = swap;
+            let spoiled = String::from_utf8(spoiled).unwrap();
+            match decode(&spoiled) {
+                Ok(other) => {
+                    assert!(at < body && B64.contains(&swap), "{spoiled:?} decoded");
+                    assert_eq!(b64_encode(&other), spoiled, "one text per byte string");
+                }
+                Err(e) if at >= body => assert_eq!(e, "t: missing base64 padding `=`"),
+                Err(e) if swap == b'=' => assert_eq!(e, "t: misplaced base64 padding `=`"),
+                Err(e) if !B64.contains(&swap) => assert_eq!(e, "t: invalid base64 character"),
+                Err(e) => assert_eq!(e, "t: nonzero bits under the base64 padding"),
+            }
+            // `=` inside the body.
+            let mut early = text.clone();
+            early.replace_range(at % body..at % body + 1, "=");
+            assert_eq!(decode(&early).unwrap_err(), "t: misplaced base64 padding `=`");
+            // Nonzero bits under the padding.
+            if pad > 0 {
+                let last = text.as_bytes()[body - 1];
+                let mut dirty = text.clone();
+                let bit = B64[(UNB64[3][usize::from(last)] ^ 1) as usize] as char;
+                dirty.replace_range(body - 1..body, &bit.to_string());
+                assert_eq!(decode(&dirty).unwrap_err(), "t: nonzero bits under the base64 padding");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn base64_kernels_round_trip_every_length_and_refuse_every_corruption(
+            seed in proptest::collection::vec(proptest::prelude::any::<u8>(), 200..201),
+            at in proptest::prelude::any::<usize>(),
+            swap in 0x20u8..0x7f,
+        ) {
+            check_base64_kernels(&seed, at, swap);
+        }
+    }
+
     /// A store holding `pages`, through the codec and back.
     fn pages_round_trip(pages: &[(u64, &[(usize, u8)])]) -> (Json, SparseMemory) {
         let mem = SparseMemory::new(1 << 20);
@@ -1410,18 +1754,18 @@ mod tests {
         (doc, back)
     }
 
-    /// Each page's `[mask, hex digits]` as written.
+    /// Each page's `[mask, base64 characters]` as written.
     fn masks(doc: &Json) -> Vec<(u64, usize)> {
         let pages = doc.get("pages").unwrap().arr("pages").unwrap();
         let entry = |p: &Json| {
-            let [_, mask, hex] = p.tuple("page").unwrap();
-            (mask.as_u64().unwrap(), hex.as_str().unwrap().len())
+            let [_, mask, text] = p.tuple("page").unwrap();
+            (mask.as_u64().unwrap(), text.as_str().unwrap().len())
         };
         pages.iter().map(entry).collect()
     }
 
     #[test]
-    fn schema_4_pages_hold_only_their_nonzero_lines() {
+    fn pages_hold_only_their_nonzero_lines() {
         let every_line: Vec<(usize, u8)> =
             (0..64).map(|k| (k * LINE_BYTES + k, k as u8 + 1)).collect();
         let (doc, _) = pages_round_trip(&[
@@ -1434,20 +1778,22 @@ mod tests {
             (6, &[(63, 1), (64, 0x80)]), // both sides of the boundary
             (255, &[(2048, 0x5a)]),      // line 32 of the last page
         ]);
-        let line = 2 * LINE_BYTES;
+        let lines = |k: usize| b64_len(k * LINE_BYTES);
         assert_eq!(
             masks(&doc),
             [
                 (0, 0),
-                (u64::MAX, 64 * line),
-                (1, line),
-                (1 << 63, line),
-                (1, line),
-                (2, line),
-                (3, 2 * line),
-                (1 << 32, line)
+                (u64::MAX, lines(64)),
+                (1, lines(1)),
+                (1 << 63, lines(1)),
+                (1, lines(1)),
+                (2, lines(1)),
+                (3, lines(2)),
+                (1 << 32, lines(1))
             ]
         );
+        // A dense page costs a third more than its bytes, not twice.
+        assert_eq!(lines(64), 5464);
         let pages = doc.get("pages").unwrap().as_arr().unwrap();
         assert_eq!(pages[0].render(), r#"[0,0,""]"#);
         let (id, page) = page_from_json(&pages[6]).unwrap();
@@ -1458,49 +1804,94 @@ mod tests {
     }
 
     #[test]
-    fn a_page_whose_mask_and_hex_disagree_is_a_typed_error() {
+    fn a_page_whose_mask_and_base64_disagree_is_a_typed_error() {
         let (doc, _) = pages_round_trip(&[(7, &[(64, 1), (150, 2)])]);
         let entry = &doc.get("pages").unwrap().as_arr().unwrap()[0];
-        let [_, mask, hex] = entry.tuple("page").unwrap();
-        let (mask, hex) = (mask.as_u64().unwrap(), hex.as_str().unwrap());
-        assert_eq!(mask, 0b110);
-        let err = |mask: Json, hex: &str| {
-            let entry = Json::Arr(vec![7u64.into(), mask, Json::Str(hex.to_string())]);
+        let [_, mask, text] = entry.tuple("page").unwrap();
+        let (mask, text) = (mask.as_u64().unwrap(), text.as_str().unwrap());
+        assert_eq!((mask, text.len()), (0b110, 172));
+        let err = |mask: Json, text: &str| {
+            let entry = Json::Arr(vec![7u64.into(), mask, Json::Str(text.to_string())]);
             page_from_json(&entry).unwrap_err().message
         };
-        let short = "mem: page 7 holds 256 hex digits where 3 lines need 384";
-        assert_eq!(err((mask | 1).into(), hex), short);
         assert_eq!(
-            err(0b10u64.into(), hex),
-            "mem: page 7 holds 256 hex digits where 1 lines need 128"
+            err((mask | 1).into(), text),
+            "mem: page 7 holds 172 base64 characters where 3 lines need 256"
         );
         assert_eq!(
-            err(mask.into(), &hex[1..]),
-            "mem: page 7 holds 255 hex digits where 2 lines need 256"
+            err(0b10u64.into(), text),
+            "mem: page 7 holds 172 base64 characters where 1 lines need 88"
         );
-        assert_eq!(err(mask.into(), ""), "mem: page 7 holds 0 hex digits where 2 lines need 256");
-        for bad in ["g", "G", "/", ":", " ", "\u{7f}"] {
-            for at in [0, 127, 128, 255] {
-                let mut spoiled = hex.to_string();
+        assert_eq!(
+            err(mask.into(), &text[1..]),
+            "mem: page 7 holds 171 base64 characters where 2 lines need 172"
+        );
+        assert_eq!(
+            err(mask.into(), ""),
+            "mem: page 7 holds 0 base64 characters where 2 lines need 172"
+        );
+        // 128 bytes end in one `=`, at 171.
+        for (bad, want) in [
+            ("!", "invalid base64 character"),
+            ("-", "invalid base64 character"),
+            ("_", "invalid base64 character"),
+            (" ", "invalid base64 character"),
+            ("\u{7f}", "invalid base64 character"),
+            ("=", "misplaced base64 padding `=`"),
+        ] {
+            for at in [0, 85, 86, 170] {
+                let mut spoiled = text.to_string();
                 spoiled.replace_range(at..at + 1, bad);
-                assert_eq!(
-                    err(mask.into(), &spoiled),
-                    "mem page: invalid hex digit",
-                    "{bad:?} at {at}"
-                );
+                let got = err(mask.into(), &spoiled);
+                assert_eq!(got, format!("mem page: {want}"), "{bad:?} at {at}");
             }
         }
-        // A multibyte character in place of two digits: the length
-        // holds, no byte of it is a digit, and nothing slices through it.
+        let unpadded = format!("{}A", &text[..171]);
+        assert_eq!(err(mask.into(), &unpadded), "mem page: missing base64 padding `=`");
+        // A multibyte character in place of two: the length holds, no
+        // byte of it is in the alphabet, and nothing slices through it.
         assert_eq!(
-            err(mask.into(), &format!("\u{e9}{}", &hex[2..])),
-            "mem page: invalid hex digit"
+            err(mask.into(), &format!("\u{e9}{}", &text[2..])),
+            "mem page: invalid base64 character"
         );
-        assert_eq!(err(Json::Int(-1), hex), "mem: page mask must be a u64");
+        assert_eq!(err(Json::Int(-1), text), "mem: page mask must be a u64");
         // A rotated mask moves the same lines: it decodes, to other bytes.
-        let entry = Json::Arr(vec![7u64.into(), mask.rotate_left(1).into(), Json::Str(hex.into())]);
+        let rotated = mask.rotate_left(1).into();
+        let entry = Json::Arr(vec![7u64.into(), rotated, Json::Str(text.into())]);
         let (_, page) = page_from_json(&entry).unwrap();
         assert_eq!((page[64], page[128], page[214]), (0, 1, 2));
+    }
+
+    /// `entry`, a page as schema 7 writes it, as the schemas before
+    /// wrote it: `[id, hex]` of all its bytes before schema 4, `[id,
+    /// mask, hex]` of its held lines from schema 4 to 6.
+    fn legacy_page(entry: &Json, version: u64) -> Json {
+        let (id, page) = page_from_json(entry).unwrap();
+        let mask = entry.as_arr().unwrap()[1].as_u64().unwrap();
+        let held: Vec<u8> = page
+            .chunks(LINE_BYTES)
+            .enumerate()
+            .filter(|(k, _)| mask >> k & 1 == 1)
+            .flat_map(|(_, line)| line.iter().copied())
+            .collect();
+        match version {
+            1..=3 => Json::Arr(vec![id.into(), Json::Str(hex_encode(&page[..]))]),
+            4..=6 => Json::Arr(vec![id.into(), mask.into(), Json::Str(hex_encode(&held))]),
+            _ => entry.clone(),
+        }
+    }
+
+    /// A schema-`version` document of one device whose memory lists
+    /// `pages` (schema-7 entries, rewritten as that schema wrote them),
+    /// through its upgrade steps to its memory section.
+    fn upgraded_mem(version: u64, pages: &[&Json]) -> Result<Json, String> {
+        let pages = Json::Arr(pages.iter().map(|e| legacy_page(e, version)).collect());
+        let mem = obj(vec![("capacity", (1u64 << 20).into()), ("pages", pages)]);
+        let device = obj(vec![("mem", mem)]);
+        let mut doc =
+            obj(vec![("schema_version", version.into()), ("devices", Json::Arr(vec![device]))]);
+        upgrade(&mut doc).map_err(|e| e.message)?;
+        Ok(doc.get("devices").unwrap().as_arr().unwrap()[0].get("mem").unwrap().clone())
     }
 
     #[test]
@@ -1512,27 +1903,9 @@ mod tests {
         other[16] = 3;
         let other = page_json(5, &other);
         for version in 1..=SNAPSHOT_SCHEMA_VERSION {
-            // Before schema 4 a page is `[id, hex]` of all its bytes.
-            let entry = |e: &Json| match version {
-                1..=3 => {
-                    let (id, page) = page_from_json(e).unwrap();
-                    Json::Arr(vec![id.into(), Json::Str(hex_encode(&page[..]))])
-                }
-                _ => e.clone(),
-            };
-            // The section in a document of `version`, through its
-            // upgrade steps.
             let load = |list: &[&Json]| {
-                let pages = Json::Arr(list.iter().map(|e| entry(e)).collect());
-                let mem = obj(vec![("capacity", (1u64 << 20).into()), ("pages", pages)]);
-                let device = obj(vec![("mem", mem)]);
-                let mut doc = obj(vec![
-                    ("schema_version", version.into()),
-                    ("devices", Json::Arr(vec![device])),
-                ]);
-                upgrade(&mut doc).unwrap();
-                let mem = doc.get("devices").unwrap().as_arr().unwrap()[0].get("mem").unwrap();
-                mem_from_json(mem.clone()).map(|m| m.content_digest()).map_err(|e| e.message)
+                let mem = upgraded_mem(version, list)?;
+                mem_from_json(mem).map(|m| m.content_digest()).map_err(|e| e.message)
             };
             assert_eq!(load(&[first, fifth]), Ok(mem.content_digest()), "schema {version}");
             assert_eq!(
@@ -1546,6 +1919,65 @@ mod tests {
                 "schema {version}"
             );
         }
+    }
+
+    /// The step out of schema 6 reads a page's and a lane's hex as
+    /// schema 6 read it, with its error texts, and writes the same bytes
+    /// in base64: a mask kept as it was, even one that holds a line of
+    /// zeros.
+    #[test]
+    fn the_step_out_of_schema_6_reads_hex_as_schema_6_did() {
+        let (doc, _) = pages_round_trip(&[(7, &[(64, 1), (150, 2)])]);
+        let entry = &doc.get("pages").unwrap().as_arr().unwrap()[0];
+        let v6 = legacy_page(entry, 6);
+        let hex = v6.as_arr().unwrap()[2].as_str().unwrap().to_string();
+        assert_eq!(hex.len(), 256);
+        let step = |entry: Json| {
+            let mem = obj(vec![("pages", Json::Arr(vec![entry]))]);
+            let mut doc = obj(vec![("devices", Json::Arr(vec![obj(vec![("mem", mem)])]))]);
+            base64_bytes(&mut doc).map_err(|e| e.message)?;
+            let mem = doc.get("devices").unwrap().as_arr().unwrap()[0].get("mem").unwrap();
+            Ok::<Json, String>(mem.get("pages").unwrap().as_arr().unwrap()[0].clone())
+        };
+        assert_eq!(step(v6.clone()), Ok(entry.clone()));
+        let with = |mask: u64, hex: &str| Json::Arr(vec![7u64.into(), mask.into(), hex.into()]);
+        assert_eq!(
+            step(with(0b111, &hex)),
+            Err("mem: page 7 holds 256 hex digits where 3 lines need 384".into())
+        );
+        assert_eq!(
+            step(with(0b110, &hex[1..])),
+            Err("mem: page 7 holds 255 hex digits where 2 lines need 256".into())
+        );
+        let spoiled = format!("g{}", &hex[1..]);
+        assert_eq!(step(with(0b110, &spoiled)), Err("mem page: invalid hex digit".into()));
+        assert_eq!(
+            step(Json::Arr(vec![7u64.into(), Json::Str(hex.clone())])),
+            Err("mem: page entry [id, mask, hex] must be an array of 3".into())
+        );
+        // A held line of zeros stays held: the step re-encodes, and the
+        // writer drops the line from the mask.
+        let zeros = format!("{hex}{}", "0".repeat(2 * LINE_BYTES));
+        let upgraded = step(with(0b1110, &zeros)).unwrap();
+        assert_eq!(upgraded.as_arr().unwrap()[1], Json::from(0b1110u64));
+        let (_, page) = page_from_json(&upgraded).unwrap();
+        assert_eq!(page_json(7, &page), *entry);
+
+        let lane = |records: &str| {
+            let lane = obj(vec![("records", records.into())]);
+            let mut doc = obj(vec![("flight", obj(vec![("lanes", Json::Arr(vec![lane]))]))]);
+            base64_bytes(&mut doc).map_err(|e| e.message)?;
+            let lanes = doc.get("flight").unwrap().get("lanes").unwrap();
+            Ok::<Json, String>(lanes.as_arr().unwrap()[0].get("records").unwrap().clone())
+        };
+        let records = [TraceRecord::new(1, TraceKind::Cmd), TraceRecord::new(2, TraceKind::Cmd)];
+        let hex = hex_encode(&pack_records(&records));
+        assert_eq!(lane(&hex), Ok(lane_records_json(&records)));
+        assert_eq!(
+            lane(&hex[1..]),
+            Err("flight records: 151 hex digits are not a whole number of records".into())
+        );
+        assert_eq!(lane(&hex.replace('0', "g")), Err("flight records: invalid hex digit".into()));
     }
 
     #[test]
@@ -1633,38 +2065,67 @@ mod tests {
         assert_eq!(records.len(), 25, "every kind");
         assert_eq!(RECORD_FIELDS.iter().sum::<usize>(), RECORD_BYTES);
         let packed = lane_records_json(&records);
-        let hex = packed.as_str().unwrap();
-        assert_eq!(hex.len(), 2 * RECORD_BYTES * records.len());
-        assert_eq!(lane_records_from_hex(hex).unwrap(), records);
-        assert_eq!(lane_records_from_hex("").unwrap(), []);
+        let text = packed.as_str().unwrap();
+        assert_eq!(text.len(), b64_len(RECORD_BYTES * records.len()));
+        assert_eq!(lane_records_from_b64(text).unwrap(), records);
+        for n in 0..records.len() {
+            let lane = lane_records_json(&records[..n]);
+            assert_eq!(lane_records_from_b64(lane.as_str().unwrap()).unwrap(), records[..n], "{n}");
+        }
+        assert_eq!(lane_records_from_b64("").unwrap(), []);
     }
 
     #[test]
     fn packed_records_reject_what_no_record_is() {
-        let packed = lane_records_json(&[TraceRecord::new(1, TraceKind::Cmd)]);
-        let hex = packed.as_str().unwrap();
-        let err = |s: &str| lane_records_from_hex(s).unwrap_err().message;
+        let record = pack_records(&[TraceRecord::new(1, TraceKind::Cmd)]);
+        let err = |bytes: &[u8]| lane_records_from_b64(&b64_encode(bytes)).unwrap_err().message;
+        let text = b64_encode(&record);
+        assert_eq!(text.len(), 52);
+        let whole = |text: &str| lane_records_from_b64(text).unwrap_err().message;
         assert_eq!(
-            err(&hex[1..]),
-            "flight records: 75 hex digits are not a whole number of records"
+            whole(&text[1..]),
+            "flight records: 51 base64 characters are not a whole number of records"
         );
         assert_eq!(
-            err(&format!("{hex}{}", &hex[..2])),
-            "flight records: 78 hex digits are not a whole number of records"
+            err(&record[1..]),
+            "flight records: 52 base64 characters are not a whole number of records"
         );
-        assert_eq!(err(&hex.replace('0', "g")), "flight records: invalid hex digit");
+        assert_eq!(
+            err(&[&record[..], &record[..2]].concat()),
+            "flight records: 56 base64 characters are not a whole number of records"
+        );
+        assert_eq!(
+            whole("===="),
+            "flight records: 4 base64 characters are not a whole number of records"
+        );
+        assert_eq!(whole(&text.replace('A', "-")), "flight records: invalid base64 character");
+        // The `=` says the last group holds two bytes: without it, three.
+        assert_eq!(
+            whole(&format!("{}A", &text[..51])),
+            "flight records: 52 base64 characters are not a whole number of records"
+        );
+        let spare = B64[(UNB64[3][usize::from(text.as_bytes()[50])] ^ 1) as usize] as char;
+        assert_eq!(
+            whole(&format!("{}{spare}=", &text[..50])),
+            "flight records: nonzero bits under the base64 padding"
+        );
         // Byte 8 is the kind: 20 is a retired code.
-        let bad_kind = format!("{}14{}", &hex[..16], &hex[18..]);
-        assert_eq!(err(&bad_kind), "flight record: unknown kind code");
+        let with = |at: &[(usize, u8)]| {
+            let mut bytes = record.clone();
+            for &(i, b) in at {
+                bytes[i] = b;
+            }
+            bytes
+        };
+        assert_eq!(err(&with(&[(8, 20)])), "flight record: unknown kind code");
         // Byte 19 is the command kind, bytes 20-21 its value.
-        let bad_cmd_kind = format!("{}05{}", &hex[..38], &hex[40..]);
-        assert_eq!(err(&bad_cmd_kind), "flight record: unknown cmd kind 5");
+        assert_eq!(err(&with(&[(19, 5)])), "flight record: unknown cmd kind 5");
         assert_eq!(
-            err(&format!("{}010001{}", &hex[..38], &hex[44..])),
+            err(&with(&[(19, 1), (20, 0), (21, 1)])),
             "flight record: element 9 out of range"
         );
         assert_eq!(
-            err(&format!("{}01ff00{}", &hex[..38], &hex[44..])),
+            err(&with(&[(19, 1), (20, 0xff)])),
             "flight record: bad command code: invalid 7-bit command code 0xff"
         );
     }

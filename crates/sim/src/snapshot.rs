@@ -389,7 +389,9 @@ fn hash_link(h: &mut Fnv, l: &LinkControl) {
     h.words([c.tokens.is_some() as u64, c.tokens.unwrap_or(0) as u64]);
     let period = l.error_period();
     h.words([period.is_some() as u64, period.unwrap_or(0), c.retry_latency]);
-    h.words([l.tokens_available() as u64, l.packet_counter(), l.seq() as u64]);
+    // `packets_sent` stands where the error phase's own counter did
+    // (always equal to it), so every fingerprint stands.
+    h.words([l.tokens_available() as u64, l.stats.packets_sent, l.seq() as u64]);
     h.words(l.stats.counters().map(|(_, v)| v));
 }
 

@@ -1,11 +1,16 @@
 //! End-to-end durability: a trace replay journaled through the
 //! [`hmc_sim::CheckpointStore`] survives a kill at any checkpoint and
-//! resumes to a final state **bit-identical** to an uninterrupted run.
+//! resumes to a final state **bit-identical** to an uninterrupted run,
+//! and a run directory written by an older snapshot schema resumes
+//! under this one.
 
-use hmc_sim::{CheckpointStore, DeviceConfig, HmcSim};
+use hmc_sim::{
+    CheckpointStore, DeviceConfig, HmcSim, LinkConfig, SanitizerConfig, SkipMode, TimingSelect,
+};
 use hmc_types::HmcError;
 use hmc_workloads::tracefile::{
-    replay_resumable, replay_with_sink, synthetic_trace, ReplayCheckpoint, ReplayConfig,
+    parse_trace, replay_resumable, replay_with_sink, synthetic_trace, ReplayCheckpoint,
+    ReplayConfig, TraceOp,
 };
 use std::path::PathBuf;
 
@@ -142,5 +147,74 @@ fn corrupt_newest_checkpoint_falls_back_and_still_converges() {
         full.state_fingerprint(),
         "fallback generation still converges to the uninterrupted final state"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The sanitized, recorded 8-vault cube of `tests/trace_replay.rs`, whose
+/// replay of [`short_trace`] wrote the replay-checkpoint goldens.
+fn small_observed_cube() -> HmcSim {
+    let mut d = DeviceConfig::gen2_4link_4gb();
+    d.vaults_per_quad = 2;
+    d.banks_per_vault = 2;
+    d.bank_latency = 2;
+    d.link_config = LinkConfig { tokens: Some(96), retry_latency: 6 };
+    let mut sim = HmcSim::new(d).unwrap();
+    sim.set_skip_mode(SkipMode::Off);
+    sim.set_timing_model(TimingSelect::FixedLatency);
+    sim.enable_sanitizer(SanitizerConfig::report());
+    sim.enable_flight_recorder(4);
+    sim
+}
+
+/// The golden replay's trace, as `tests/trace_replay.rs` writes it.
+fn short_trace() -> Vec<TraceOp> {
+    let mut text = String::new();
+    for i in 0..48u64 {
+        let (addr, tid) = ((i * 0x90) % 0x1800, i % 4);
+        text += &match i % 6 {
+            0 | 3 => format!("R 0x{addr:x} 64 {tid}\n"),
+            1 => format!("W 0x{addr:x} 32 {tid}\n"),
+            2 => format!("A INC8 0x{addr:x} {tid}\n"),
+            4 => format!("P 0x{addr:x} 16 {tid}\n"),
+            _ => format!("A XOR16 0x{addr:x} {tid}\n"),
+        };
+    }
+    parse_trace(&text).unwrap()
+}
+
+/// `tests/golden/replay_ckpt_v6.json` — the golden replay's last
+/// checkpoint as snapshot schema 6 wrote it, hex pages and lanes and a
+/// `packet_counter` per link — committed through a store the way that
+/// build committed it (the header's fingerprint is the live state's,
+/// which no schema moves), is recovered, verified against its header
+/// and resumed by this build to the uninterrupted run's final state.
+#[test]
+fn a_checkpoint_committed_under_schema_6_resumes_under_this_schema() {
+    let ops = short_trace();
+    let config = ReplayConfig { window: 6, max_cycles: 100_000, checkpoint_every: 12 };
+    let mut full = small_observed_cube();
+    let (full_result, last) = replay_resumable(&mut full, &ops, &config, None).unwrap();
+    let last = last.expect("the replay took a checkpoint");
+
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/replay_ckpt_v6.json");
+    let body = std::fs::read_to_string(&golden).unwrap();
+    let body = body.trim_end();
+    assert!(body.contains("\"schema_version\":6,"), "the golden is a schema-6 snapshot");
+    assert!(body.contains("\"packet_counter\":"), "the golden is in the old layout");
+    assert_ne!(body, last.to_json(), "this build writes another layout");
+
+    let dir = tmpdir("schema-6");
+    let mut store = CheckpointStore::open(&dir, 8).unwrap().store;
+    store.commit(last.cycle, last.snapshot.fingerprint(), body.as_bytes()).unwrap();
+    drop(store);
+
+    let (_, resume) = recover(&dir);
+    let resume = resume.expect("the committed checkpoint is recovered");
+    assert_eq!(resume.to_json(), last.to_json(), "it decodes to the checkpoint this build takes");
+    let mut resumed = small_observed_cube();
+    let (resumed_result, _) = replay_resumable(&mut resumed, &ops, &config, Some(resume)).unwrap();
+    assert_eq!(resumed_result, full_result);
+    assert_eq!(resumed.state_fingerprint(), full.state_fingerprint());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -25,7 +25,7 @@
 //! count, so parsing 8,000 lines allocates as often as parsing 1,000.
 //!
 //! A checkpoint carries the flight recorder the same way: a packed lane
-//! is one hex string, so encoding and decoding a snapshot allocates as
+//! is one base64 string, so encoding and decoding a snapshot allocates as
 //! often at 4,096 records per lane as at 64.
 //!
 //! A fresh context allocates what it is made of, not what it holds: one
@@ -36,7 +36,7 @@
 //!
 //! The same allocator counts the bytes live and their high-water mark,
 //! which pins what a checkpoint round trip holds at once: decoding a
-//! snapshot never holds the parse tree's page hex beside the decoded
+//! snapshot never holds the parse tree's page text beside the decoded
 //! pages, a checkpointed replay never holds two checkpoints, and a
 //! snapshot shares the store's pages rather than copying them.
 //!
@@ -471,7 +471,7 @@ fn traced_off_emission_is_allocation_free() {
     assert_eq!(many, few, "parsing 8000 lines took {many} allocations, 1000 took {few}");
 
     // --- The snapshot codec, per flight record. -----------------------
-    // Each lane is one hex string of packed records, written and read
+    // Each lane is one base64 string of packed records, written and read
     // through buffers sized once: a recorder holding 4,096 records per
     // lane costs a checkpoint round trip no more blocks than one
     // holding 64.
@@ -494,18 +494,18 @@ fn traced_off_emission_is_allocation_free() {
     );
 
     // --- A checkpoint round trip, in bytes held. -----------------------
-    // The decoder releases each page's hex string (two digits a byte)
-    // as soon as its bytes are out, so the parse tree's page hex and
-    // the decoded pages are never whole at once: decoding holds little
-    // more than the whole tree does, where a tree kept whole to the end
-    // would hold every decoded page on top (near 3x the page bytes in
-    // all).
+    // The decoder releases each page's base64 string (four characters
+    // for three bytes) as soon as its bytes are out, so the parse tree's
+    // page text and the decoded pages are never whole at once: decoding
+    // holds little more than the whole tree does, where a tree kept
+    // whole to the end would hold every decoded page on top (near 2.3x
+    // the page bytes in all).
     let pages = 512;
     let page_bytes = pages * PAGE_BYTES as u64;
     let dense = dense_cube(pages);
     let text = dense.snapshot().to_json_full();
     let (tree, tree_bytes) = peak_live_bytes_in(|| Json::parse(&text).unwrap());
-    assert!(tree_bytes > 2 * page_bytes, "the tree holds the page hex ({tree_bytes} bytes)");
+    assert!(tree_bytes > page_bytes / 3 * 4, "the tree holds the page text ({tree_bytes} bytes)");
     drop(tree);
     let (back, held) = peak_live_bytes_in(|| SimSnapshot::from_json(&text).unwrap());
     assert_eq!(back.fingerprint(), dense.state_fingerprint());
@@ -513,7 +513,7 @@ fn traced_off_emission_is_allocation_free() {
     assert!(
         held < tree_bytes + page_bytes / 4,
         "decoding {pages} dense pages ({page_bytes} bytes) held {held} bytes at once, its \
-         parse tree {tree_bytes}: the tree's page hex beside the decoded pages"
+         parse tree {tree_bytes}: the tree's page text beside the decoded pages"
     );
     // A checkpointed replay releases its previous checkpoint before
     // the next snapshot copies memory: it holds one checkpoint's pages

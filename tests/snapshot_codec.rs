@@ -1,12 +1,15 @@
 //! The snapshot codec and the state fingerprint describe the same
 //! state.
 //!
-//! * **Byte stability** — `tests/golden/snapshot_v6.json` is the busy
+//! * **Byte stability** — `tests/golden/snapshot_v7.json` is the busy
 //!   mesh's snapshot as this schema renders it (`BLESS=1 cargo test
 //!   --test snapshot_codec golden` regenerates it after an intentional
 //!   format change; review the diff and bump `SNAPSHOT_SCHEMA_VERSION`).
 //!   It must load and re-render byte for byte, and the same scenario
-//!   must still render to it. `tests/golden/snapshot_v5.json`, rendered
+//!   must still render to it; its packed lanes are RFC 4648 base64 as
+//!   this file's own encoder writes it. `tests/golden/snapshot_v6.json`,
+//!   rendered while pages and flight lanes were hex and each link wrote
+//!   a `packet_counter`, `snapshot_v5.json`, rendered
 //!   while each device carried its power coefficients and each
 //!   configured device a `link_error_period`, `snapshot_v4.json`,
 //!   rendered under the retired `validated` timing backend with its
@@ -14,7 +17,7 @@
 //!   nonzero lines, `snapshot_v2.json`, rendered before snapshots named
 //!   their machine, and `snapshot_v1.json`, rendered before flight
 //!   lanes were packed, are the legacy loads: each decodes to the same
-//!   fingerprint and flight records and re-renders as v6 — v2 and v1
+//!   fingerprint and flight records and re-renders as v7 — v2 and v1
 //!   with no `config` and no CMC fields. Relabelled as another schema,
 //!   a golden is a typed error naming the first field the label
 //!   disagrees with.
@@ -26,7 +29,7 @@
 //!   configuration, and their sources in `config`) makes
 //!   `HmcSim::from_snapshot` a typed error, and a live context
 //!   fingerprints like its snapshot. A packed flight lane is perturbed
-//!   digit by digit: each either decodes, fingerprint unmoved, or is a
+//!   byte by byte: each either decodes, fingerprint unmoved, or is a
 //!   typed error. A page's line mask is perturbed bit by bit and
 //!   rotated: a flipped bit is a typed error, a rotation moves the lines
 //!   and the fingerprint. Together with `snapshot_roundtrip.rs` (decode∘encode
@@ -40,7 +43,12 @@
 //!   document holds one machine: a power coefficient other than the
 //!   model's constant is a typed error naming the leaf, and a
 //!   `link_error_period` loads as the `every_nth` plan it ran, or, at 0
-//!   or beside another plan, is a typed error.
+//!   or beside another plan, is a typed error. A v6 link's
+//!   `packet_counter` other than its `packets_sent` is a typed error
+//!   naming the leaf.
+//! * **A checkpoint costs a third more than memory holds** — a snapshot
+//!   of dense pages renders to at most 4/3 of their bytes plus a fixed
+//!   allowance.
 //! * **Restorable geometry and routes only** — `restore` refuses an
 //!   array that does not fit, a size the configuration fixes otherwise,
 //!   a packet the context cannot route and a transit between devices no
@@ -53,7 +61,9 @@
 //!   machine mutated), a configuration, a replay checkpoint, a
 //!   checkpoint header, a forensic dump, a fuzz scenario, a kernel
 //!   descriptor and a fuzz journal end in `Ok` or a typed error (the
-//!   snapshot as written now and as the v5, v4, v3 and v1 goldens), and
+//!   snapshot as written now and as the v7, v6, v5, v4, v3 and v1
+//!   goldens, and the replay checkpoint as written now and as its v7
+//!   golden), and
 //!   every packed lane cut short or given a bad kind or command kind is
 //!   rejected.
 
@@ -202,23 +212,24 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
     let snap = busy_mesh().snapshot();
     let rendered = snap.to_json_full();
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(golden_path("snapshot_v6.json"), format!("{rendered}\n")).unwrap();
+        std::fs::write(golden_path("snapshot_v7.json"), format!("{rendered}\n")).unwrap();
     }
-    let golden = read_golden("snapshot_v6.json");
+    let golden = read_golden("snapshot_v7.json");
     assert!(
         rendered == golden,
-        "snapshot_v6.json drifted from the checked-in snapshot bytes; if intentional, bump \
+        "snapshot_v7.json drifted from the checked-in snapshot bytes; if intentional, bump \
          SNAPSHOT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test snapshot_codec golden \
          and review the diff"
     );
 
     // The files on disk — not what this build just rendered — through
     // the decoder and back.
-    let loaded = SimSnapshot::from_json(&golden).expect("the v6 golden loads");
-    assert!(loaded.to_json_full() == golden, "the v6 golden re-renders byte for byte");
+    let loaded = SimSnapshot::from_json(&golden).expect("the v7 golden loads");
+    assert!(loaded.to_json_full() == golden, "the v7 golden re-renders byte for byte");
     assert_eq!(loaded.fingerprint(), snap.fingerprint());
     let machineless = without_machine(Json::parse(&golden).unwrap()).render();
     for (name, renders_as) in [
+        ("snapshot_v6.json", &golden),
         ("snapshot_v5.json", &golden),
         ("snapshot_v4.json", &golden),
         ("snapshot_v3.json", &golden),
@@ -228,14 +239,21 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
         let legacy = SimSnapshot::from_json(&read_golden(name)).expect(name);
         assert_eq!(legacy.fingerprint(), snap.fingerprint(), "{name}");
         assert_eq!(legacy.flight(), snap.flight(), "{name}");
-        let named = ["snapshot_v5.json", "snapshot_v4.json", "snapshot_v3.json"].contains(&name);
+        let named = !["snapshot_v2.json", "snapshot_v1.json"].contains(&name);
         assert_eq!(legacy.config().is_some(), named, "{name}: its machine");
-        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v6");
+        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v7");
     }
     assert!(snap.flight().is_some_and(|f| f.len() == 20), "every lane holds records");
+    // Each lane is the standard base64 of its packed records, as an
+    // encoder written from RFC 4648 alone writes it.
+    let doc = Json::parse(&golden).unwrap();
+    for lane in doc.get("flight").unwrap().get("lanes").unwrap().as_arr().unwrap() {
+        let text = lane.get("records").unwrap().as_str().unwrap();
+        assert_eq!(unbase64(text).len(), 4 * RECORD_BYTES, "{text}");
+        assert_eq!(base64(&unbase64(text)), text);
+    }
 
     // The scenario is what its doc comment says it is.
-    let doc = Json::parse(&golden).unwrap();
     for section in ["in_transit", "retry_pending", "host_rx", "pool_tags", "zombie_tags"] {
         assert!(count_leaves(doc.get(section).unwrap()) > 0, "`{section}` holds nothing");
     }
@@ -267,7 +285,7 @@ fn flight_rejection(mut doc: Json, edit: &FlightEdit) -> String {
 fn check_flight_rejected(want: &str, edit: &FlightEdit) {
     let current = busy_mesh().snapshot().to_json_value();
     let legacy = Json::parse(&read_golden("snapshot_v1.json")).unwrap();
-    for (schema, doc) in [("v5", current), ("v1", legacy)] {
+    for (schema, doc) in [("v7", current), ("v1", legacy)] {
         assert_eq!(flight_rejection(doc, edit), want, "schema {schema}");
     }
 }
@@ -641,6 +659,63 @@ fn a_v5_link_error_period_loads_as_the_every_nth_plan_it_ran() {
     }
 }
 
+/// A v6 document writes each link's `packet_counter` beside its
+/// `packets_sent`, and every send moved both: the step out of schema 6
+/// drops the counter, and one that differs from its link's count is a
+/// typed error naming the leaf, where it used to load with the link's
+/// error phase apart from its statistics.
+#[test]
+fn a_v6_packet_counter_other_than_packets_sent_is_refused() {
+    let golden = Json::parse(&read_golden("snapshot_v6.json")).unwrap();
+    for link in ["links/1/2", "links/3/0"] {
+        let mut doc = golden.clone();
+        let sent = node_at_path(&mut doc, &format!("{link}/packets_sent")).as_u64().unwrap();
+        let counter = node_at_path(&mut doc, &format!("{link}/packet_counter"));
+        assert_eq!(counter.as_u64(), Some(sent), "{link}: the golden wrote the same count twice");
+        *counter = Json::from(sent + 1);
+        let err = SimSnapshot::from_json(&doc.render()).map(drop).unwrap_err().message;
+        assert!(err.contains(&format!("`{link}/packet_counter`")), "{link}: {err}");
+        let Json::Obj(fields) = node_at_path(&mut doc, link) else { panic!("a link is an object") };
+        fields.retain(|(k, _)| k != "packet_counter");
+        let err = SimSnapshot::from_json(&doc.render()).map(drop).unwrap_err().message;
+        assert_eq!(err, "link: missing field `packet_counter`", "{link}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A checkpoint costs a third more than memory holds
+// ---------------------------------------------------------------------------
+
+/// A snapshot of dense memory renders to at most 4/3 of the bytes its
+/// pages hold, plus a fixed allowance for the rest of the document and
+/// each page's `[id, mask, ...]`: base64, where hex took twice the
+/// bytes.
+#[test]
+fn a_snapshot_of_dense_pages_renders_to_four_thirds_of_its_bytes() {
+    const PAGES: u64 = 256;
+    const PAGE: usize = 4096;
+    const ALLOWANCE: usize = 128 << 10;
+    let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+    let bare = sim.snapshot().to_json_full().len();
+    let mut rng = Rng(0xD15E_A5E5);
+    let mut page = vec![0u8; PAGE];
+    for p in 0..PAGES {
+        for word in page.chunks_mut(8) {
+            word.copy_from_slice(&(rng.next() | 0x0101_0101_0101_0101).to_le_bytes());
+        }
+        sim.mem_write(0, p * 3 * PAGE as u64, &page).unwrap();
+    }
+    let held = PAGES as usize * PAGE;
+    let rendered = sim.snapshot().to_json_full().len();
+    let entries = 64 * PAGES as usize;
+    assert!(bare + entries <= ALLOWANCE, "the allowance covers {bare} bytes and the entries");
+    assert!(
+        rendered <= held / 3 * 4 + ALLOWANCE,
+        "{rendered} bytes rendered for {held} bytes held ({:.3} per byte)",
+        rendered as f64 / held as f64
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Coverage: fingerprint ≡ persisted state modulo observers
 // ---------------------------------------------------------------------------
@@ -690,9 +765,9 @@ fn candidates(leaf: &Json) -> Vec<Json> {
         Json::Null => vec![Json::Int(1)],
         Json::Int(v) => (1..=16).flat_map(|d| [Json::Int(v + d), Json::Int(v - d)]).collect(),
         Json::Str(s) if s.len() > 64 => {
-            // A page: flip one hex digit.
-            let digit = if s.starts_with('0') { "1" } else { "0" };
-            vec![Json::Str(format!("{digit}{}", &s[1..]))]
+            // A page: its first character changed (still base64).
+            let first = if s.starts_with('0') { "1" } else { "0" };
+            vec![Json::Str(format!("{first}{}", &s[1..]))]
         }
         Json::Str(s) => ["read", "write", "atomic", "cmc", "other", "rqst", "rsp"]
             .into_iter()
@@ -758,27 +833,58 @@ fn path_text(doc: &Json, path: &[usize]) -> String {
     steps.join("/")
 }
 
-/// Hex digits of one packed flight record.
-const RECORD_DIGITS: usize = 76;
+/// Bytes of one packed flight record.
+const RECORD_BYTES: usize = 38;
 
-/// Sets each digit of the first record of the packed flight lane at
-/// `path` to `f` (`0` where it is `f` already), one at a time: the
+/// The RFC 4648 base64 alphabet. This file's encoder and decoder are
+/// written from the standard, not taken from the codec: the oracle the
+/// goldens' lanes are read, broken and rewritten by.
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// The padded base64 of `bytes`.
+fn base64(bytes: &[u8]) -> String {
+    let mut out = String::new();
+    for group in bytes.chunks(3) {
+        let n = group.iter().enumerate().fold(0u32, |n, (i, &b)| n | (b as u32) << (16 - 8 * i));
+        for i in 0..4 {
+            let six = (n >> (18 - 6 * i)) & 63;
+            out.push(if i <= group.len() { BASE64[six as usize] as char } else { '=' });
+        }
+    }
+    out
+}
+
+/// The bytes of well-formed padded base64.
+fn unbase64(text: &str) -> Vec<u8> {
+    let six = |c: &u8| BASE64.iter().position(|b| b == c).expect("a base64 character") as u32;
+    let mut out = Vec::new();
+    for group in text.as_bytes().chunks(4) {
+        let held: Vec<u32> = group.iter().take_while(|&&c| c != b'=').map(six).collect();
+        let n = held.iter().enumerate().fold(0u32, |n, (i, &v)| n | v << (18 - 6 * i));
+        out.extend_from_slice(&n.to_be_bytes()[1..held.len()]);
+    }
+    out
+}
+
+/// Sets each byte of the first record of the packed flight lane at
+/// `path` to `0xff` (`0` where it is `0xff` already), one at a time: the
 /// result either decodes, leaving the fingerprint at `base` (the
 /// recorder is an observer), or is a typed error — a kind or command
 /// kind no record has. Returns how many decoded; both outcomes must
 /// occur in a lane that holds a record.
 fn perturb_packed_lane(doc: &mut Json, path: &[usize], base: u64) -> usize {
     let original = node_at(doc, path).0.clone();
-    let hex = original.as_str().expect("a packed lane is a string").to_string();
+    let text = original.as_str().expect("a packed lane is a string");
+    let bytes = unbase64(text);
+    assert_eq!(base64(&bytes), text, "lane {path:?} is RFC 4648 base64");
     let (mut decoded, mut rejected) = (0, 0);
-    for at in 0..hex.len().min(RECORD_DIGITS) {
-        let digit = if hex.as_bytes()[at] == b'f' { "0" } else { "f" };
-        let mut perturbed = hex.clone();
-        perturbed.replace_range(at..at + 1, digit);
-        *node_at(doc, path).0 = Json::Str(perturbed);
+    for at in 0..bytes.len().min(RECORD_BYTES) {
+        let mut perturbed = bytes.clone();
+        perturbed[at] = if bytes[at] == 0xff { 0 } else { 0xff };
+        *node_at(doc, path).0 = Json::Str(base64(&perturbed));
         match SimSnapshot::from_json_value(doc.clone()) {
             Ok(snap) => {
-                assert_eq!(snap.fingerprint(), base, "digit {at} of packed lane {path:?}");
+                assert_eq!(snap.fingerprint(), base, "byte {at} of packed lane {path:?}");
                 decoded += 1;
             }
             Err(e) => {
@@ -788,14 +894,15 @@ fn perturb_packed_lane(doc: &mut Json, path: &[usize], base: u64) -> usize {
         }
     }
     *node_at(doc, path).0 = original;
-    assert!(hex.is_empty() || (decoded > 0 && rejected > 0), "lane {path:?}: {decoded}/{rejected}");
+    let both = decoded > 0 && rejected > 0;
+    assert!(bytes.is_empty() || both, "lane {path:?}: {decoded}/{rejected}");
     decoded
 }
 
-/// Perturbs the line mask of the page entry `[id, mask, hex]` whose
+/// Perturbs the line mask of the page entry `[id, mask, base64]` whose
 /// mask is at `path`, the way [`perturb_packed_lane`] perturbs a lane:
-/// each of its 64 bits flipped alone must be a typed error (`hex` then
-/// holds too few or too many lines), and the mask rotated by a line
+/// each of its 64 bits flipped alone must be a typed error (the base64
+/// then holds too few or too many lines), and the mask rotated by a line
 /// either way — the same lines, moved — must decode to a state that
 /// fingerprints apart from `base`. Returns how many decoded: both
 /// rotations, unless no line or every line is held.
@@ -821,7 +928,7 @@ fn perturb_page_mask(doc: &mut Json, path: &[usize], base: u64) -> usize {
                 );
                 decoded += 1;
             }
-            Err(e) => assert!(e.message.contains("hex digits where"), "{}", e.message),
+            Err(e) => assert!(e.message.contains("base64 characters where"), "{}", e.message),
         }
     }
     *node_at(doc, path).0 = original;
@@ -829,7 +936,7 @@ fn perturb_page_mask(doc: &mut Json, path: &[usize], base: u64) -> usize {
     decoded
 }
 
-/// Whether the page id at `path` (of an entry `[id, mask, hex]`) is
+/// Whether the page id at `path` (of an entry `[id, mask, base64]`) is
 /// hemmed in by its neighbours: page ids ascend, so an id whose
 /// neighbours are one below it (or that is 0) and one above it has no
 /// other value to take.
@@ -984,8 +1091,8 @@ fn a_page_listed_twice_or_out_of_order_is_a_typed_error() {
     let (first, second, last) = (id(&pages[0]), id(&pages[1]), id(pages.last().unwrap()));
     let mut again = pages.last().unwrap().clone();
     let Json::Arr(entry) = &mut again else { panic!("a page is an array") };
-    let Some(Json::Str(hex)) = entry.last_mut() else { panic!("a page ends in its hex") };
-    hex.replace_range(0..1, if hex.starts_with('0') { "1" } else { "0" });
+    let Some(Json::Str(text)) = entry.last_mut() else { panic!("a page ends in its bytes") };
+    text.replace_range(0..1, if text.starts_with('0') { "1" } else { "0" });
     pages.push(again);
     let mut swapped = doc.clone();
     array_at(&mut swapped, "devices/0/mem/pages").swap(0, 1);
@@ -1091,8 +1198,8 @@ fn mutate_text(text: &str, rng: &mut Rng) -> String {
 
 /// A document holds its own schema's layout, which no upgrade step
 /// takes for another's: each snapshot golden relabelled one version up,
-/// and the current one relabelled down, is a typed error naming the
-/// first field the label disagrees with.
+/// and the last two relabelled down, is a typed error naming the first
+/// field the label disagrees with.
 #[test]
 fn a_golden_relabelled_as_another_schema_is_refused() {
     for (version, label, want) in [
@@ -1105,7 +1212,9 @@ fn a_golden_relabelled_as_another_schema_is_refused() {
             "timing: unknown field(s): divergence, shadow_late, shadow_early, shadow_agree, shadow",
         ),
         (5, 6, "device_config: unknown field(s): link_error_period"),
+        (6, 7, "mem: page 0 holds 384 base64 characters where 3 lines need 256"),
         (6, 5, "power: missing field `link_flit_pj_bits`"),
+        (7, 6, "mem: page 0 holds 256 hex digits where 3 lines need 384"),
     ] {
         let name = format!("snapshot_v{version}.json");
         let text = read_golden(&name);
@@ -1122,11 +1231,29 @@ fn a_golden_relabelled_as_another_schema_is_refused() {
     }
 }
 
+/// The schema of the snapshot holding the node at `path`: the innermost
+/// `schema_version` on the way down (a replay checkpoint's own is
+/// outside its snapshot's).
+fn schema_at(doc: &Json, path: &[usize]) -> u64 {
+    let mut node = doc;
+    let mut version = 0;
+    for &i in path {
+        version = node.get("schema_version").and_then(Json::as_u64).unwrap_or(version);
+        node = match node {
+            Json::Arr(items) => &items[i],
+            Json::Obj(fields) => &fields[i].1,
+            _ => unreachable!("paths end at leaves"),
+        };
+    }
+    version
+}
+
 /// Every packed flight lane of `doc` that holds a record, broken four
 /// ways, each rendered back to text beside the error it must meet: one
-/// digit short (odd length), one byte short (a partial record), the
-/// last record's kind byte set to a retired code (20), its command
-/// kind set to one no record has (5).
+/// character short, one byte short (a partial record), the last
+/// record's kind byte set to a retired code (20), its command kind set
+/// to one no record has (5). A lane is base64 from schema 7 on, hex
+/// before.
 fn packed_lane_mutants(doc: &Json) -> Vec<(String, &'static str)> {
     let mut tree = doc.clone();
     let mut leaves = Vec::new();
@@ -1134,23 +1261,40 @@ fn packed_lane_mutants(doc: &Json) -> Vec<(String, &'static str)> {
     let mut out = Vec::new();
     for path in leaves {
         let (leaf, keys) = node_at(&mut tree, &path);
-        let hex = match leaf {
-            Json::Str(hex) if keys.last().is_some_and(|k| k == "records") && !hex.is_empty() => {
-                hex.clone()
+        let text = match leaf {
+            Json::Str(text) if keys.last().is_some_and(|k| k == "records") && !text.is_empty() => {
+                text.clone()
             }
             _ => continue,
         };
-        let last = hex.len() - RECORD_DIGITS;
-        for (mutant, error) in [
-            (hex[1..].to_string(), "not a whole number of records"),
-            (hex[2..].to_string(), "not a whole number of records"),
-            (format!("{}14{}", &hex[..last + 16], &hex[last + 18..]), "unknown kind code"),
-            (format!("{}05{}", &hex[..last + 38], &hex[last + 40..]), "unknown cmd kind 5"),
-        ] {
+        let mutants = if schema_at(doc, &path) >= 7 {
+            let bytes = unbase64(&text);
+            let last = bytes.len() - RECORD_BYTES;
+            let with = |at: usize, value: u8| {
+                let mut bytes = bytes.clone();
+                bytes[last + at] = value;
+                base64(&bytes)
+            };
+            [
+                (text[1..].to_string(), "not a whole number of records"),
+                (base64(&bytes[1..]), "not a whole number of records"),
+                (with(8, 20), "unknown kind code"),
+                (with(19, 5), "unknown cmd kind 5"),
+            ]
+        } else {
+            let last = text.len() - 2 * RECORD_BYTES;
+            [
+                (text[1..].to_string(), "not a whole number of records"),
+                (text[2..].to_string(), "not a whole number of records"),
+                (format!("{}14{}", &text[..last + 16], &text[last + 18..]), "unknown kind code"),
+                (format!("{}05{}", &text[..last + 38], &text[last + 40..]), "unknown cmd kind 5"),
+            ]
+        };
+        for (mutant, error) in mutants {
             *node_at(&mut tree, &path).0 = Json::Str(mutant);
             out.push((tree.render(), error));
         }
-        *node_at(&mut tree, &path).0 = Json::Str(hex);
+        *node_at(&mut tree, &path).0 = Json::Str(text);
     }
     out
 }
@@ -1176,7 +1320,7 @@ fn never_panics(
     let doc = Json::parse(text).unwrap();
     let mut nodes = Vec::new();
     paths(&doc, true, &mut Vec::new(), &mut nodes);
-    let hexed: Vec<Vec<usize>> = nodes
+    let bytes: Vec<Vec<usize>> = nodes
         .iter()
         .filter(|path| {
             let at = path_text(&doc, path);
@@ -1184,7 +1328,7 @@ fn never_panics(
         })
         .cloned()
         .collect();
-    let kinds = if hexed.is_empty() { 2 } else { 3 };
+    let kinds = if bytes.is_empty() { 2 } else { 3 };
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ text.len() as u64);
     let mut rejected = [0usize; 3];
     for round in 0..rounds {
@@ -1193,7 +1337,7 @@ fn never_panics(
             0 => mutate_text(text, &mut rng),
             _ => {
                 let mut tree = doc.clone();
-                mutate_tree(&mut tree, if kind == 1 { &nodes } else { &hexed }, &mut rng);
+                mutate_tree(&mut tree, if kind == 1 { &nodes } else { &bytes }, &mut rng);
                 tree.render()
             }
         };
@@ -1236,6 +1380,8 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
     let decode = |text: &str| SimSnapshot::from_json(text).map(drop).map_err(|e| e.to_string());
     for (name, packed_lanes) in
     [
+        ("snapshot_v7.json", 5 * 4),
+        ("snapshot_v6.json", 5 * 4),
         ("snapshot_v5.json", 5 * 4),
         ("snapshot_v4.json", 5 * 4),
         ("snapshot_v3.json", 5 * 4),
@@ -1285,10 +1431,13 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
     let config = ReplayConfig { checkpoint_every: 16, ..Default::default() };
     let (_, ckpt) = replay_resumable(&mut sim, &synthetic_trace(4, 16, 64), &config, None).unwrap();
     let ckpt = ckpt.expect("the replay took a checkpoint").to_json();
-    let packed = never_panics("replay checkpoint", &ckpt, 300, |text| {
-        ReplayCheckpoint::from_json(text).map(drop).map_err(|e| e.to_string())
-    });
+    let decode =
+        |text: &str| ReplayCheckpoint::from_json(text).map(drop).map_err(|e| e.to_string());
+    let packed = never_panics("replay checkpoint", &ckpt, 300, decode);
     assert!(packed > 0, "the replay checkpoint carries recorded lanes");
+    let golden = read_golden("replay_ckpt_v7.json");
+    let packed = never_panics("replay_ckpt_v7.json", &golden, 300, decode);
+    assert!(packed > 0, "replay_ckpt_v7.json carries recorded lanes");
 
     // A forensic dump, read the way a replay reads it from disk.
     let mut sim = HmcSim::new(small_cube()).unwrap();

@@ -234,8 +234,10 @@ fn documents_naming_validated_load_and_run_as_fixed() {
 }
 
 /// Adds to a current document what schemas 5 and older wrote besides:
-/// each device's power coefficients (the model's constants) and each
-/// configured device's `link_error_period` (`null`).
+/// each device's power coefficients (the model's constants), each
+/// configured device's `link_error_period` (`null`) and each link's
+/// `packet_counter` (its `packets_sent`). The burst only reads, so every
+/// page is `[id, 0, ""]`, the same in the hex of schema 6 and older.
 fn with_schema_5_settings(doc: &mut Json) {
     use hmcsim::sim::power::{CLOCK_HZ, DRAM_ACCESS_PJ, IDLE_CYCLE_PJ, LINK_FLIT_PJ, LOGIC_OP_PJ};
     let coefficients = [
@@ -254,6 +256,14 @@ fn with_schema_5_settings(doc: &mut Json) {
     for device in devices {
         let Json::Obj(fields) = device else { panic!("a device object") };
         fields.push(("link_error_period".into(), Json::Null));
+    }
+    let Json::Arr(pages) = node(doc, &["devices", "0", "mem", "pages"]) else { panic!("pages") };
+    assert!(pages.iter().all(|p| p.as_arr().unwrap()[2] == Json::from("")), "no page holds bytes");
+    let Json::Arr(links) = node(doc, &["links", "0"]) else { panic!("a link list") };
+    for link in links {
+        let sent = node(link, &["packets_sent"]).clone();
+        let Json::Obj(fields) = link else { panic!("a link object") };
+        fields.push(("packet_counter".into(), sent));
     }
 }
 
