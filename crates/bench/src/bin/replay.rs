@@ -41,9 +41,10 @@ use hmc_workloads::tracefile::{
 use std::path::Path;
 
 const MANIFEST_MAGIC: &str = "hmc-replay-manifest";
-/// 3: the configuration names no `link_error_period`, which a version 2
-/// manifest's does; it is refused by its version, not as another machine.
-const MANIFEST_VERSION: u64 = 3;
+/// 4: the configuration names none of the settings that became
+/// constants, which an older manifest's does; that one is refused by
+/// its version, not as another machine.
+const MANIFEST_VERSION: u64 = 4;
 
 fn die(msg: String) -> ! {
     eprintln!("replay: ERROR: {msg}");

@@ -6,6 +6,7 @@
 //! BLESS=1 cargo test --release -p hmc-bench --test results_pin   # rewrite results/
 //! ```
 
+use hmc_sim::Json;
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -90,13 +91,15 @@ fn unusable_flag_values_exit_2_and_print_nothing() {
     let _ = std::fs::remove_file(malformed);
 }
 
-/// A checkpoint directory's run manifest is version 3, and its recorded
-/// configuration names no `link_error_period`. A version-2 manifest,
-/// whose configuration still names one, is refused by its version, not
-/// as a configuration the machine does not have.
-#[test]
-fn a_version_2_run_manifest_is_refused_by_its_version() {
-    let dir = std::env::temp_dir().join(format!("replay-manifest-{}", std::process::id()));
+/// Runs `replay` into a checkpoint directory, whose run manifest is
+/// version 4 and whose recorded configuration names none of `gone`,
+/// rewrites the manifest as the build of manifest `version` wrote it for
+/// the same run (`edit` applied to its configuration), and checks that a
+/// rerun refuses it by its version, not as a configuration the machine
+/// does not have.
+fn legacy_run_manifest_is_refused(version: u64, gone: &[&str], edit: impl FnOnce(&mut Json)) {
+    let dir = std::env::temp_dir()
+        .join(format!("replay-manifest-v{version}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
     let trace = dir.join("trace.txt");
@@ -108,19 +111,69 @@ fn a_version_2_run_manifest_is_refused_by_its_version() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let manifest = ckpts.join("manifest.json");
     let written = std::fs::read_to_string(&manifest).expect("the run wrote a manifest");
-    assert!(written.contains(r#""schema_version":3,"#), "{written}");
-    assert!(!written.contains("link_error_period"), "{written}");
+    assert!(written.contains(r#""schema_version":4,"#), "{written}");
+    for key in gone {
+        assert!(!written.contains(&format!("\"{key}\"")), "{key}: {written}");
+    }
 
-    // The manifest as the previous build wrote it for this run.
-    let legacy = written
-        .replace(r#""schema_version":3,"#, r#""schema_version":2,"#)
-        .replace(r#""link_tokens":null,"#, r#""link_tokens":null,"link_error_period":null,"#);
-    assert_ne!(legacy, written);
-    std::fs::write(&manifest, legacy).expect("temp dir is writable");
+    let mut legacy = Json::parse(&written).expect("the manifest is JSON");
+    *legacy.get_mut("schema_version").expect("a version") = Json::Int(version.into());
+    edit(legacy.get_mut("config").expect("a configuration"));
+    std::fs::write(&manifest, legacy.render()).expect("temp dir is writable");
     let out = run(env!("CARGO_BIN_EXE_replay"), &args);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unsupported manifest schema_version 2"), "{stderr}");
+    assert!(stderr.contains(&format!("unsupported manifest schema_version {version}")), "{stderr}");
     assert!(!stderr.contains("config"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Adds `key: value` to the object `v`.
+fn add(v: &mut Json, key: &str, value: Json) {
+    match v {
+        Json::Obj(fields) => fields.push((key.into(), value)),
+        _ => panic!("`{key}` belongs to an object"),
+    }
+}
+
+/// The device list of the configuration `config`.
+fn devices(config: &mut Json) -> &mut Vec<Json> {
+    match config.get_mut("devices") {
+        Some(Json::Arr(devices)) => devices,
+        _ => panic!("a configuration lists its devices"),
+    }
+}
+
+/// The settings a version-3 manifest's configuration also wrote, at
+/// the constants they are now.
+fn add_constant_settings(config: &mut Json) {
+    for device in devices(config) {
+        add(device, "quads", Json::Int(4));
+    }
+    let sanitizer = config.get_mut("sanitizer").expect("a sanitizer section");
+    add(sanitizer, "trace_ring", Json::Int(256));
+    add(sanitizer, "max_violations", Json::Int(64));
+    let telemetry = config.get_mut("telemetry").expect("a telemetry section");
+    add(telemetry, "spans", Json::Bool(true));
+    add(telemetry, "max_windows", Json::Int(256));
+}
+
+/// A version-2 manifest's configuration also names each device's
+/// `link_error_period`.
+#[test]
+fn a_version_2_run_manifest_is_refused_by_its_version() {
+    legacy_run_manifest_is_refused(2, &["link_error_period"], |config| {
+        add_constant_settings(config);
+        for device in devices(config) {
+            add(device, "link_error_period", Json::Null);
+        }
+    });
+}
+
+/// A version-3 manifest's configuration names the five settings that
+/// are constants now.
+#[test]
+fn a_version_3_run_manifest_is_refused_by_its_version() {
+    let gone = ["quads", "trace_ring", "max_violations", "spans", "max_windows"];
+    legacy_run_manifest_is_refused(3, &gone, add_constant_settings);
 }

@@ -1,5 +1,7 @@
 //! The scenario value: one fully-specified differential experiment.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use hmc_sim::jsonv::obj;
 use hmc_sim::{
     DeviceConfig, Json, JsonError, LinkTopology, ObjReader, SanitizerConfig, SimConfig, SkipMode,
@@ -10,13 +12,16 @@ use hmc_workloads::KernelDescriptor;
 
 /// Version tag written into every scenario file. A format change bumps
 /// it and adds one upgrade step from the previous version; the loader
-/// rejects any other value loudly. Version 4 drops each device's
-/// `link_error_period`, which its fault plan's `every_nth` mode says.
+/// rejects any other value loudly. Version 5 drops the settings that
+/// are constants now: each device's `quads`, the sanitizer's
+/// `trace_ring` and `max_violations`, the telemetry's `spans` and
+/// `max_windows`. Version 4 drops each device's `link_error_period`,
+/// which its fault plan's `every_nth` mode says.
 /// Version 3 stores the machine as one [`SimConfig`] under `sim`;
 /// versions 1 and 2 spelled it field by field, and version 1 also
 /// carried `exec_threads`, the lane count of the device-sharded engine
 /// since deleted.
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// One point in the fuzzed cross-product: a workload kernel and the
 /// variant machine to compare against the reference run.
@@ -150,7 +155,7 @@ type Step = fn(&mut Json) -> Result<(), JsonError>;
 /// first; a current one takes none.
 fn upgrade(v: &mut Json) -> Result<(), JsonError> {
     const STEPS: [Step; SCHEMA_VERSION as usize - 1] =
-        [drop_exec_threads, gather_sim, fold_link_error_period];
+        [drop_exec_threads, gather_sim, fold_link_error_period, drop_constant_settings];
     let version = ObjReader::new("scenario", v)?.u64("schema_version")?;
     let steps = version.checked_sub(1).and_then(|k| STEPS.get(k as usize..)).ok_or_else(|| {
         JsonError::new(format!(
@@ -222,6 +227,11 @@ fn gather_sim(v: &mut Json) -> Result<(), JsonError> {
 /// 3 → 4: `sim` folds in each device's `link_error_period`.
 fn fold_link_error_period(v: &mut Json) -> Result<(), JsonError> {
     v.get_mut("sim").map_or(Ok(()), SimConfig::fold_link_error_period)
+}
+
+/// 4 → 5: `sim` drops the settings that became constants.
+fn drop_constant_settings(v: &mut Json) -> Result<(), JsonError> {
+    v.get_mut("sim").map_or(Ok(()), SimConfig::drop_constant_settings)
 }
 
 /// A version-1 or -2 `fabric`: its wiring and cube count. Every count
@@ -304,7 +314,7 @@ mod tests {
     fn scenario_round_trips() {
         let s = sample();
         let text = s.to_json().render();
-        assert!(text.starts_with(r#"{"schema_version":4,"seed":42,"kernel":"#), "{text}");
+        assert!(text.starts_with(r#"{"schema_version":5,"seed":42,"kernel":"#), "{text}");
         assert_eq!(Scenario::from_json_str(&text).unwrap(), s);
     }
 
@@ -312,7 +322,7 @@ mod tests {
     fn unknown_version_is_rejected_with_version_in_message() {
         let e = rejection(&v2(|f| set(f, "schema_version", Json::Int(99))));
         assert!(e.contains("schema_version 99"), "{e}");
-        assert!(e.contains("versions 1 to 4"), "{e}");
+        assert!(e.contains("versions 1 to 5"), "{e}");
     }
 
     #[test]

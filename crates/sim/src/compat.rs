@@ -46,16 +46,18 @@ pub fn hmcsim_init(
     capacity_gb: u64,
     xbar_depth: usize,
 ) -> Result<HmcSim, HmcError> {
-    let quads = 4;
+    let quads = DeviceConfig::QUADS;
     if !num_vaults.is_multiple_of(quads) {
         return Err(HmcError::MalformedPacket(format!(
             "vault count {num_vaults} not divisible into {quads} quads"
         )));
     }
+    let capacity = capacity_gb.checked_mul(1 << 30).ok_or_else(|| {
+        HmcError::MalformedPacket(format!("capacity {capacity_gb} GB does not fit in 64 bits"))
+    })?;
     let device = DeviceConfig {
         links: num_links,
-        capacity: capacity_gb << 30,
-        quads,
+        capacity,
         vaults_per_quad: num_vaults / quads,
         banks_per_vault: num_banks,
         vault_queue_depth: queue_depth,
@@ -479,5 +481,15 @@ mod tests {
         assert!(hmcsim_init(1, 3, 32, 64, 16, 4, 128).is_err(), "3 links invalid");
         assert!(hmcsim_init(1, 4, 30, 64, 16, 4, 128).is_err(), "30 vaults not quad-divisible");
         assert!(hmcsim_init(2, 4, 32, 64, 16, 4, 128).is_ok(), "chained init");
+    }
+
+    /// A capacity whose bytes pass 64 bits is refused, not wrapped into
+    /// a smaller device.
+    #[test]
+    fn init_refuses_a_capacity_past_64_bits() {
+        for gb in [(1 << 34) + 4, 1 << 34, u64::MAX] {
+            let e = hmcsim_init(1, 4, 32, 64, 16, gb, 128).map(drop).unwrap_err();
+            assert!(e.to_string().contains("does not fit in 64 bits"), "{gb} GB: {e}");
+        }
     }
 }

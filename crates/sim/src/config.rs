@@ -5,6 +5,8 @@
 //! both with a 64-byte maximum block size, 64-slot vault request
 //! queues and 128-slot crossbar queues.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use crate::dram::{BankTiming, RefreshConfig};
 use crate::fault::{FaultPlan, LinkErrorMode};
 use crate::link::LinkConfig;
@@ -97,9 +99,8 @@ pub struct DeviceConfig {
     pub links: usize,
     /// Device capacity in bytes (4 or 8 GiB for Gen2 parts).
     pub capacity: u64,
-    /// Number of quads (link-local vault groups). Gen2 devices have 4.
-    pub quads: usize,
-    /// Vaults per quad (Gen2: 8, for 32 vaults total).
+    /// Vaults in each of the [`DeviceConfig::QUADS`] quads (Gen2: 8,
+    /// for 32 vaults total).
     pub vaults_per_quad: usize,
     /// DRAM banks per vault (16 for 4 GB parts, 32 for 8 GB parts).
     pub banks_per_vault: usize,
@@ -132,7 +133,7 @@ pub struct DeviceConfig {
     pub arbitration: Arbitration,
     /// Extra cycles a request pays when its target vault lies in a
     /// different quad than its entry link's local quad (link *i* is
-    /// local to quad `i % quads`). 0 = uniform crossbar (the paper's
+    /// local to quad `i % QUADS`). 0 = uniform crossbar (the paper's
     /// model).
     pub remote_quad_penalty: u64,
     /// Optional DRAM refresh model (None = no refresh, the paper's
@@ -144,6 +145,10 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
+    /// Quads (link-local vault groups) per device: the Gen2
+    /// specification fixes 4 (paper §III).
+    pub const QUADS: usize = 4;
+
     /// The paper's 4Link-4GB evaluation configuration: 4 links, 4 GiB,
     /// 32 vaults, 16 banks/vault, 64-byte blocks, 64-slot vault
     /// queues, 128-slot crossbar queues.
@@ -151,7 +156,6 @@ impl DeviceConfig {
         DeviceConfig {
             links: 4,
             capacity: 4 << 30,
-            quads: 4,
             vaults_per_quad: 8,
             banks_per_vault: 16,
             block_size: 64,
@@ -202,7 +206,7 @@ impl DeviceConfig {
     /// Total vault count.
     #[inline]
     pub fn total_vaults(&self) -> usize {
-        self.quads * self.vaults_per_quad
+        Self::QUADS * self.vaults_per_quad
     }
 
     /// What this configuration fixes of a device's state: a device is
@@ -235,7 +239,6 @@ impl DeviceConfig {
             return bad(format!("block size must be 32/64/128/256, got {}", self.block_size));
         }
         for (name, v) in [
-            ("quads", self.quads),
             ("vaults_per_quad", self.vaults_per_quad),
             ("banks_per_vault", self.banks_per_vault),
             ("vault_queue_depth", self.vault_queue_depth),

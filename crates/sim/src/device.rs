@@ -882,11 +882,11 @@ impl Device {
                 let mut item = self.xbar_rqst[link].pop().expect("peeked");
                 item.vault_enq_cycle = cycle;
                 out.freed_flits[link] += item.req.flits() as u64;
-                // Quad affinity: link i is local to quad i % quads;
+                // Quad affinity: link i is local to quad i % QUADS;
                 // requests for other quads pay the crossing penalty.
                 if self.config.remote_quad_penalty > 0 {
                     let target_quad = vault / self.config.vaults_per_quad;
-                    if target_quad != link % self.config.quads {
+                    if target_quad != link % DeviceConfig::QUADS {
                         // Execution normally starts next cycle; the
                         // penalty delays it by that many extra cycles.
                         item.ready_cycle = cycle + 1 + self.config.remote_quad_penalty;

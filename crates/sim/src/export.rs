@@ -320,13 +320,11 @@ impl HmcSim {
             );
             // Telemetry-only data: spans and windowed series.
             if let Some(t) = tel.devices.get(d) {
-                if tel.config.spans {
-                    for (i, stage) in Stage::ALL.iter().enumerate() {
-                        add(
-                            format!("{p}/stage/{}", stage.name()),
-                            MetricValue::Histogram(Box::new(t.stages[i])),
-                        );
-                    }
+                for (i, stage) in Stage::ALL.iter().enumerate() {
+                    add(
+                        format!("{p}/stage/{}", stage.name()),
+                        MetricValue::Histogram(Box::new(t.stages[i])),
+                    );
                 }
                 if tel.config.window > 0 {
                     for (l, series) in t.link_flits.iter().enumerate() {

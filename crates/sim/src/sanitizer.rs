@@ -31,6 +31,8 @@
 //! pays one `Option` check, and an attached sanitizer in `Report`
 //! mode only observes (`tests/no_perturbation.rs` pins this).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use crate::config::LinkTopology;
 use crate::sim::HmcSim;
 use crate::snapshot::{ForensicDump, SimSnapshot};
@@ -60,6 +62,10 @@ impl SanitizerPolicy {
     ];
 }
 
+/// Violations a [`SanitizerReport`] retains (the total is still counted
+/// past this bound).
+pub const MAX_VIOLATIONS: usize = 64;
+
 /// Sanitizer configuration, carried on
 /// [`crate::config::SimConfig::sanitizer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,11 +78,6 @@ pub struct SanitizerConfig {
     /// Cycles of zero progress (with packets resident) before the
     /// stall watchdog fires. 0 disables the watchdog.
     pub watchdog_cycles: u64,
-    /// Capacity of the forensic trace ring (recent trace events kept
-    /// for the dump, independent of the tracer's level mask), which
-    /// the sanitizer attaches to the simulator's tracer. 0 disables
-    /// the ring.
-    pub trace_ring: usize,
     /// Take a checkpoint snapshot every N cycles (0 = never); the
     /// latest is available via [`HmcSim::sanitizer_checkpoint`] and
     /// bounds the replay window after a violation. Only the latest is
@@ -84,9 +85,6 @@ pub struct SanitizerConfig {
     /// Taking one copies no memory page (it shares them with the live
     /// store); what it holds is a copy of each page written since.
     pub checkpoint_every: u64,
-    /// Maximum violations retained in the report (the total is still
-    /// counted past this bound).
-    pub max_violations: usize,
     /// When set, forensic dumps are written as
     /// `<dir>/forensic-c<cycle>.json`.
     pub dump_dir: Option<PathBuf>,
@@ -99,9 +97,7 @@ impl SanitizerConfig {
             enabled: false,
             policy: SanitizerPolicy::Report,
             watchdog_cycles: 10_000,
-            trace_ring: 256,
             checkpoint_every: 0,
-            max_violations: 64,
             dump_dir: None,
         }
     }
@@ -203,8 +199,7 @@ impl std::fmt::Display for Violation {
 /// [`HmcSim::sanitizer_report`].
 #[derive(Debug, Clone, Default)]
 pub struct SanitizerReport {
-    /// Retained violations (bounded by
-    /// [`SanitizerConfig::max_violations`]).
+    /// Retained violations (at most [`MAX_VIOLATIONS`]).
     pub violations: Vec<Violation>,
     /// Every violation ever detected, including those past the bound.
     pub total_violations: u64,
@@ -451,7 +446,7 @@ impl Sanitizer {
             }
             self.report.total_violations += violations.len() as u64;
             for v in &violations {
-                if self.report.violations.len() < self.config.max_violations {
+                if self.report.violations.len() < MAX_VIOLATIONS {
                     self.report.violations.push(v.clone());
                 }
             }
@@ -463,10 +458,7 @@ impl Sanitizer {
                     cycle,
                     violations: violations.clone(),
                     snapshot: sim.snapshot_with_shadow(Some(self.shadow.clone())),
-                    trace: match self.config.trace_ring {
-                        0 => Vec::new(),
-                        _ => sim.tracer.ring_lines(),
-                    },
+                    trace: sim.tracer.ring_lines(),
                     checkpoint_cycle: self.last_checkpoint.as_ref().map(SimSnapshot::cycle),
                     telemetry: sim.telemetry_report(),
                     flight: sim.flight_snapshot(),
@@ -872,9 +864,7 @@ impl HmcSim {
         self.config.sanitizer = SanitizerConfig { enabled: true, ..config.clone() };
         let mut san = Box::new(Sanitizer::new(config));
         san.rebase(self);
-        if san.config.trace_ring > 0 {
-            self.tracer.attach_ring(san.config.trace_ring);
-        }
+        self.tracer.attach_ring();
         self.sanitizer = Some(san);
     }
 
@@ -916,6 +906,7 @@ impl HmcSim {
     /// before the cycle counter advances; panics (after re-attaching
     /// the sanitizer, so the dump survives `catch_unwind`) under
     /// [`SanitizerPolicy::Panic`].
+    #[allow(clippy::panic)] // the `Panic` policy's reaction, which its caller chose
     pub(crate) fn run_sanitizer(&mut self, cycle: u64) {
         let Some(mut san) = self.sanitizer.take() else { return };
         let fatal = san.end_of_cycle(self, cycle);
@@ -953,7 +944,6 @@ mod tests {
         assert!(!c.enabled);
         assert_eq!(c.policy, SanitizerPolicy::Report);
         assert!(c.watchdog_cycles > 0);
-        assert!(c.trace_ring > 0);
         assert_eq!(c.checkpoint_every, 0);
         assert!(c.dump_dir.is_none());
     }

@@ -5,6 +5,8 @@
 //! Decoding is strict: unknown fields are rejected and the result must pass
 //! [`SimConfig::validate`], so a file can never be silently misread.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use crate::config::{
     Arbitration, DeviceConfig, ExecMode, LinkTopology, SimConfig, SkipMode, SpecRevision,
 };
@@ -12,9 +14,10 @@ use crate::dram::{BankTiming, RefreshConfig, RowPolicy};
 use crate::fault::{FaultPlan, LinkErrorMode, LinkEvent};
 use crate::jsonv::{name_of, obj, Json, JsonError, ObjReader};
 use crate::link::LinkConfig;
-use crate::sanitizer::{SanitizerConfig, SanitizerPolicy};
-use crate::telemetry::TelemetryConfig;
+use crate::sanitizer::{SanitizerConfig, SanitizerPolicy, MAX_VIOLATIONS};
+use crate::telemetry::{TelemetryConfig, MAX_WINDOWS};
 use crate::timing::TimingSelect;
+use crate::trace::TRACE_RING;
 
 impl SimConfig {
     /// The configuration as JSON: the devices (fault plans included),
@@ -87,6 +90,44 @@ impl SimConfig {
         }
         Ok(())
     }
+
+    /// The upgrade step for documents that wrote the five settings now
+    /// constants (snapshot schema 7, scenario schema 4): each device's
+    /// `quads`, the sanitizer's `trace_ring` and `max_violations`, the
+    /// telemetry's `spans` and `max_windows`. A leaf holding its constant
+    /// goes, an absent one is accepted, any other value is an error
+    /// naming the leaf.
+    pub fn drop_constant_settings(v: &mut Json) -> Result<(), JsonError> {
+        if let Some(Json::Arr(devices)) = v.get_mut("devices") {
+            for (d, device) in devices.iter_mut().enumerate() {
+                let quads = DeviceConfig::QUADS.into();
+                drop_constant(Some(device), &format!("devices/{d}"), "quads", quads)?;
+            }
+        }
+        for (section, key, constant) in [
+            ("sanitizer", "trace_ring", Json::from(TRACE_RING)),
+            ("sanitizer", "max_violations", MAX_VIOLATIONS.into()),
+            ("telemetry", "spans", true.into()),
+            ("telemetry", "max_windows", MAX_WINDOWS.into()),
+        ] {
+            drop_constant(v.get_mut(section), section, key, constant)?;
+        }
+        Ok(())
+    }
+}
+
+/// Drops `key` from the object `v` at path `at` (anything else is left
+/// to the walk), refusing a value other than `fixed`.
+fn drop_constant(v: Option<&mut Json>, at: &str, key: &str, fixed: Json) -> Result<(), JsonError> {
+    let Some(Json::Obj(fields)) = v else { return Ok(()) };
+    match fields.iter().position(|(k, _)| k == key).map(|i| fields.remove(i).1) {
+        Some(value) if value != fixed => Err(JsonError::new(format!(
+            "sim_config `{at}/{key}` is {}; the simulator fixes it at {}",
+            value.render(),
+            fixed.render()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// The wiring's `kind`, plus `cols` for a mesh (written out by hand,
@@ -119,9 +160,7 @@ fn sanitizer_json(s: &SanitizerConfig) -> Json {
         ("enabled", s.enabled.into()),
         ("policy", name_of(&SanitizerPolicy::NAMES, s.policy).into()),
         ("watchdog_cycles", s.watchdog_cycles.into()),
-        ("trace_ring", s.trace_ring.into()),
         ("checkpoint_every", s.checkpoint_every.into()),
-        ("max_violations", s.max_violations.into()),
     ])
 }
 
@@ -131,9 +170,7 @@ fn sanitizer_from_json(v: &Json) -> Result<SanitizerConfig, JsonError> {
         enabled: r.bool("enabled")?,
         policy: r.named("policy", &SanitizerPolicy::NAMES)?,
         watchdog_cycles: r.u64("watchdog_cycles")?,
-        trace_ring: r.usize("trace_ring")?,
         checkpoint_every: r.u64("checkpoint_every")?,
-        max_violations: r.usize("max_violations")?,
         dump_dir: None,
     };
     r.finish()?;
@@ -141,22 +178,12 @@ fn sanitizer_from_json(v: &Json) -> Result<SanitizerConfig, JsonError> {
 }
 
 fn telemetry_json(t: &TelemetryConfig) -> Json {
-    obj(vec![
-        ("enabled", t.enabled.into()),
-        ("spans", t.spans.into()),
-        ("window", t.window.into()),
-        ("max_windows", t.max_windows.into()),
-    ])
+    obj(vec![("enabled", t.enabled.into()), ("window", t.window.into())])
 }
 
 fn telemetry_from_json(v: &Json) -> Result<TelemetryConfig, JsonError> {
     let mut r = ObjReader::new("telemetry", v)?;
-    let config = TelemetryConfig {
-        enabled: r.bool("enabled")?,
-        spans: r.bool("spans")?,
-        window: r.u64("window")?,
-        max_windows: r.usize("max_windows")?,
-    };
+    let config = TelemetryConfig { enabled: r.bool("enabled")?, window: r.u64("window")? };
     r.finish()?;
     Ok(config)
 }
@@ -225,7 +252,6 @@ fn device_json(c: &DeviceConfig) -> Json {
     obj(vec![
         ("links", c.links.into()),
         ("capacity", c.capacity.into()),
-        ("quads", c.quads.into()),
         ("vaults_per_quad", c.vaults_per_quad.into()),
         ("banks_per_vault", c.banks_per_vault.into()),
         ("block_size", c.block_size.into()),
@@ -266,7 +292,6 @@ fn device_from_json(v: &Json) -> Result<DeviceConfig, JsonError> {
     let config = DeviceConfig {
         links: r.usize("links")?,
         capacity: r.u64("capacity")?,
-        quads: r.usize("quads")?,
         vaults_per_quad: r.usize("vaults_per_quad")?,
         banks_per_vault: r.usize("banks_per_vault")?,
         block_size: r.usize("block_size")?,
@@ -324,12 +349,10 @@ mod tests {
         c.timing = TimingSelect::RowBuffer;
         c.sanitizer = SanitizerConfig {
             watchdog_cycles: 7,
-            trace_ring: 9,
             checkpoint_every: 11,
-            max_violations: 13,
             ..SanitizerConfig::panicking()
         };
-        c.telemetry = TelemetryConfig { spans: false, max_windows: 5, ..TelemetryConfig::full() };
+        c.telemetry = TelemetryConfig::with_window(5);
         c
     }
 

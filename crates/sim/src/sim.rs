@@ -247,8 +247,7 @@ impl HmcSim {
     /// ring outranks one the new tracer brings.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         let mut old = std::mem::replace(&mut self.tracer, tracer);
-        let sanitizer_ring = self.sanitizer.as_ref().is_some_and(|s| s.config.trace_ring > 0);
-        self.tracer.adopt_stream(&mut old, sanitizer_ring);
+        self.tracer.adopt_stream(&mut old);
     }
 
     /// Enables the flight recorder: a fixed-capacity, per-lane ring of

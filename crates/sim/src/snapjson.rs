@@ -82,6 +82,9 @@ use std::collections::VecDeque;
 /// Version number written into the durable snapshot schema. A layout
 /// change bumps it and adds one upgrade step from the previous version
 /// (`upgrade`); documents of every earlier version still load.
+/// Version 8 drops from `config` the five settings that are constants
+/// now: each device's `quads`, the sanitizer's `trace_ring` and
+/// `max_violations`, the telemetry's `spans` and `max_windows`.
 /// Version 7 writes each page's lines and each flight lane's records in
 /// base64, not hex, and drops each link's `packet_counter` (always its
 /// `packets_sent`). Version 6 drops what the machine already fixes:
@@ -92,7 +95,7 @@ use std::collections::VecDeque;
 /// hit_latency, miss_latency}`, version 4 a page as `[id, mask, hex]`,
 /// version 3 the machine (`config` and each device's CMC fields),
 /// version 2 each flight lane as one hex string.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 7;
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 8;
 
 /// Wraps a domain error (`bad tag`, `bad cub`, …) as a [`JsonError`]
 /// prefixed with `what`.
@@ -1211,6 +1214,7 @@ fn upgrade(v: &mut Json) -> Result<(), JsonError> {
         drop_validated_record,
         drop_fixed_settings,
         base64_bytes,
+        drop_constant_settings,
     ];
     let version = ObjReader::new("snapshot", v)?.u64("schema_version")?;
     let steps = version.checked_sub(1).and_then(|k| STEPS.get(k as usize..)).ok_or_else(|| {
@@ -1384,6 +1388,12 @@ fn base64_bytes(v: &mut Json) -> Result<(), JsonError> {
         *records = Json::Str(b64_encode(&packed));
     }
     Ok(())
+}
+
+/// 7 → 8: `config` drops the settings that became constants
+/// ([`SimConfig::drop_constant_settings`]).
+fn drop_constant_settings(v: &mut Json) -> Result<(), JsonError> {
+    v.get_mut("config").map_or(Ok(()), SimConfig::drop_constant_settings)
 }
 
 // ---------------------------------------------------------------------------

@@ -497,8 +497,8 @@ pub struct ForensicDump {
     /// one `clock()` re-detects the same violations.
     pub snapshot: SimSnapshot,
     /// Recent trace events leading up to the violation, oldest first:
-    /// the forensic ring the sanitizer attaches to the tracer (see
-    /// [`crate::sanitizer::SanitizerConfig::trace_ring`]), rendered
+    /// the forensic ring the sanitizer attaches to the tracer (the last
+    /// [`crate::trace::TRACE_RING`] events), rendered
     /// by [`crate::Tracer::ring_lines`].
     pub trace: Vec<String>,
     /// Cycle of the last periodic checkpoint, when one exists — the

@@ -31,6 +31,8 @@
 //!      ──bank──▶ leaves vault ──xbar_rsp──▶ egress ──delivery──▶ host
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use crate::device::TrackedResponse;
 use crate::hist::Hist;
 use crate::sim::HmcSim;
@@ -42,27 +44,20 @@ pub struct TelemetryConfig {
     /// guarantees zero perturbation and zero overhead beyond one
     /// `Option` check per cycle.
     pub enabled: bool,
-    /// Record request lifecycle spans into per-stage histograms.
-    pub spans: bool,
     /// Time-series window length in cycles (`0` disables the windowed
     /// series).
     pub window: u64,
-    /// Maximum windows retained per series; when exceeded, adjacent
-    /// windows merge pairwise and the window length doubles, so memory
-    /// stays bounded on arbitrarily long runs.
-    pub max_windows: usize,
 }
+
+/// Windows a [`TimeSeries`] retains: past it, adjacent windows merge
+/// pairwise and the window length doubles, so memory stays bounded on
+/// arbitrarily long runs.
+pub const MAX_WINDOWS: usize = 256;
 
 impl TelemetryConfig {
     /// Telemetry off (the default).
     pub fn disabled() -> Self {
-        TelemetryConfig { enabled: false, spans: true, window: 1024, max_windows: 256 }
-    }
-
-    /// Counters and per-class histograms only: no span recording, no
-    /// time series — the cheapest attached mode.
-    pub fn counters_only() -> Self {
-        TelemetryConfig { enabled: true, spans: false, window: 0, ..Self::disabled() }
+        TelemetryConfig { enabled: false, window: 1024 }
     }
 
     /// Everything on: spans plus windowed time series.
@@ -87,8 +82,8 @@ impl Default for TelemetryConfig {
 /// The stamps are written unconditionally by the pipeline stages —
 /// they are deterministic annotations, identical whether or not a
 /// telemetry collector is attached, so they cannot perturb the
-/// simulation. They only *cost* anything (histogram recording) when
-/// spans are enabled.
+/// simulation. They only *cost* anything (histogram recording) while a
+/// collector is attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStamps {
     /// Cycle the request left the crossbar for its vault queue.
@@ -145,43 +140,25 @@ impl Stage {
 /// A fixed-window time series with bounded memory.
 ///
 /// Samples accumulate into `(sum, count)` windows of `window` cycles.
-/// When a sample lands past `max_windows`, adjacent windows merge
+/// When a sample lands past [`MAX_WINDOWS`], adjacent windows merge
 /// pairwise and the window doubles — deterministic coarsening, so two
 /// identical runs always produce identical series.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSeries {
     window: u64,
-    max_windows: usize,
     points: Vec<(u64, u64)>,
 }
 
 impl TimeSeries {
-    /// Creates a series with the given window length and retention.
-    pub fn new(window: u64, max_windows: usize) -> Self {
-        TimeSeries { window, max_windows: max_windows.max(2), points: Vec::new() }
-    }
-
-    /// Records `value` at `cycle`.
-    pub fn record(&mut self, cycle: u64, value: u64) {
-        if self.window == 0 {
-            return;
-        }
-        let mut idx = (cycle / self.window) as usize;
-        while idx >= self.max_windows {
-            self.coarsen();
-            idx = (cycle / self.window) as usize;
-        }
-        if self.points.len() <= idx {
-            self.points.resize(idx + 1, (0, 0));
-        }
-        self.points[idx].0 += value;
-        self.points[idx].1 += 1;
+    /// Creates a series with the given window length.
+    pub fn new(window: u64) -> Self {
+        TimeSeries { window, points: Vec::new() }
     }
 
     /// Records `value` at each of the `n` consecutive cycles starting
-    /// at `start` — bit-identical to `n` calls of [`TimeSeries::record`]
-    /// but O(windows touched), not O(n). The event-horizon engine uses
-    /// this to append a whole skipped idle region (value 0) at once.
+    /// at `start`, in O(windows touched), not O(n): one sample is
+    /// `n = 1`, and the event-horizon engine appends a whole skipped
+    /// idle region (value 0) at once.
     pub fn record_n(&mut self, start: u64, n: u64, value: u64) {
         if self.window == 0 {
             return;
@@ -190,7 +167,7 @@ impl TimeSeries {
         let mut remaining = n;
         while remaining > 0 {
             let mut idx = (cycle / self.window) as usize;
-            while idx >= self.max_windows {
+            while idx >= MAX_WINDOWS {
                 self.coarsen();
                 idx = (cycle / self.window) as usize;
             }
@@ -273,10 +250,10 @@ impl Telemetry {
                 DeviceTelemetry {
                     stages: [Hist::new(); 5],
                     link_flits: (0..links)
-                        .map(|_| TimeSeries::new(config.window, config.max_windows))
+                        .map(|_| TimeSeries::new(config.window))
                         .collect(),
-                    vault_occupancy: TimeSeries::new(config.window, config.max_windows),
-                    bank_accesses: TimeSeries::new(config.window, config.max_windows),
+                    vault_occupancy: TimeSeries::new(config.window),
+                    bank_accesses: TimeSeries::new(config.window),
                     last_link_flits: vec![0; links],
                     last_bank_accesses: 0,
                 }
@@ -288,9 +265,6 @@ impl Telemetry {
     /// Resolves a delivered response's stage stamps into per-stage
     /// durations. Called from the delivery path in `clock()`.
     pub(crate) fn record_response(&mut self, dev: usize, rsp: &TrackedResponse) {
-        if !self.config.spans {
-            return;
-        }
         let Some(d) = self.devices.get_mut(dev) else { return };
         let s = rsp.stages;
         let durations = [
@@ -340,14 +314,12 @@ impl Telemetry {
             for link in 0..t.last_link_flits.len() {
                 let now = sim.links[dev][link].stats.flits_sent;
                 let delta = now - t.last_link_flits[link];
-                t.link_flits[link].record(start, delta);
+                t.link_flits[link].record_n(start, 1, delta);
                 t.last_link_flits[link] = now;
             }
-            t.vault_occupancy
-                .record(start, sim.devices[dev].vault_rqst_occupancy());
+            t.vault_occupancy.record_n(start, 1, sim.devices[dev].vault_rqst_occupancy());
             let accesses = dram_accesses(sim, dev);
-            t.bank_accesses
-                .record(start, accesses - t.last_bank_accesses);
+            t.bank_accesses.record_n(start, 1, accesses - t.last_bank_accesses);
             t.last_bank_accesses = accesses;
             if k > 1 {
                 for series in t.link_flits.iter_mut() {
@@ -455,16 +427,14 @@ mod tests {
     fn default_config_is_disabled() {
         assert!(!TelemetryConfig::default().enabled);
         assert!(TelemetryConfig::full().enabled);
-        assert!(TelemetryConfig::counters_only().enabled);
-        assert!(!TelemetryConfig::counters_only().spans);
     }
 
     #[test]
     fn time_series_windows_accumulate() {
-        let mut ts = TimeSeries::new(10, 8);
-        ts.record(0, 5);
-        ts.record(9, 3);
-        ts.record(10, 7);
+        let mut ts = TimeSeries::new(10);
+        ts.record_n(0, 1, 5);
+        ts.record_n(9, 1, 3);
+        ts.record_n(10, 1, 7);
         let points = ts.points();
         assert_eq!(points[0], (0, 8, 2));
         assert_eq!(points[1], (10, 7, 1));
@@ -473,68 +443,71 @@ mod tests {
 
     #[test]
     fn time_series_coarsens_deterministically() {
-        let mut ts = TimeSeries::new(1, 4);
-        for cycle in 0..16u64 {
-            ts.record(cycle, 1);
+        // 1,024 one-cycle windows: past 256 the series coarsens to 2,
+        // past 512 to 4 cycles a window.
+        let mut ts = TimeSeries::new(1);
+        for cycle in 0..4 * MAX_WINDOWS as u64 {
+            ts.record_n(cycle, 1, 1);
         }
-        assert!(ts.points().len() <= 4);
-        assert_eq!(ts.total(), 16, "coarsening loses no mass");
-        assert!(ts.window() > 1);
+        assert_eq!(ts.points().len(), MAX_WINDOWS);
+        assert_eq!(ts.total(), 4 * MAX_WINDOWS as u64, "coarsening loses no mass");
+        assert_eq!(ts.window(), 4);
+        assert!(ts.points().iter().all(|&(_, sum, count)| (sum, count) == (4, 4)));
 
-        let mut again = TimeSeries::new(1, 4);
-        for cycle in 0..16u64 {
-            again.record(cycle, 1);
+        let mut again = TimeSeries::new(1);
+        for cycle in 0..4 * MAX_WINDOWS as u64 {
+            again.record_n(cycle, 1, 1);
         }
         assert_eq!(ts, again, "deterministic");
     }
 
     #[test]
     fn zero_window_series_is_inert() {
-        let mut ts = TimeSeries::new(0, 4);
-        ts.record(100, 42);
+        let mut ts = TimeSeries::new(0);
+        ts.record_n(100, 1, 42);
         assert!(ts.points().is_empty());
         ts.record_n(100, 50, 42);
         assert!(ts.points().is_empty());
     }
 
     #[test]
-    fn record_n_matches_repeated_record() {
+    fn record_n_matches_single_cycle_records() {
         // Differential check across window boundaries, coarsening and
         // nonzero values: one bulk append must be bit-identical to the
         // per-cycle loop.
-        for (window, max_windows, start, n, value) in [
-            (10, 8, 0, 25, 0u64),
-            (10, 8, 7, 25, 3),
-            (1, 4, 0, 64, 1),   // forces repeated coarsening
-            (5, 2, 12, 33, 2),  // tiny retention, offset start
-            (10, 8, 95, 1, 9),  // single-cycle run
-            (10, 8, 42, 0, 9),  // empty run is a no-op
+        for (window, start, n, value) in [
+            (10, 0, 25, 0u64),
+            (10, 7, 25, 3),
+            (1, 0, 1100, 1), // forces repeated coarsening
+            (5, 12, 3000, 2), // coarsening from an offset start
+            (10, 95, 1, 9),   // single-cycle run
+            (10, 42, 0, 9),   // empty run is a no-op
         ] {
-            let mut bulk = TimeSeries::new(window, max_windows);
+            let mut bulk = TimeSeries::new(window);
             bulk.record_n(start, n, value);
-            let mut scalar = TimeSeries::new(window, max_windows);
+            let mut scalar = TimeSeries::new(window);
             for cycle in start..start + n {
-                scalar.record(cycle, value);
+                scalar.record_n(cycle, 1, value);
             }
             assert_eq!(bulk, scalar, "window={window} start={start} n={n}");
         }
     }
 
     #[test]
-    fn record_n_composes_with_record() {
-        // Interleaving bulk and scalar appends behaves like one scalar
-        // stream (the skip engine alternates idle runs with real
-        // samples).
-        let mut mixed = TimeSeries::new(10, 8);
-        mixed.record(0, 4);
+    fn record_n_composes_with_single_cycle_records() {
+        // Interleaving bulk and single-cycle appends behaves like one
+        // per-cycle stream (the skip engine alternates idle runs with
+        // real samples).
+        let mut mixed = TimeSeries::new(10);
+        mixed.record_n(0, 1, 4);
         mixed.record_n(1, 30, 0);
-        mixed.record(31, 6);
-        let mut scalar = TimeSeries::new(10, 8);
-        scalar.record(0, 4);
+        mixed.record_n(31, 1, 6);
+        let mut scalar = TimeSeries::new(10);
+        scalar.record_n(0, 1, 4);
         for cycle in 1..31 {
-            scalar.record(cycle, 0);
+            scalar.record_n(cycle, 1, 0);
         }
-        scalar.record(31, 6);
+        scalar.record_n(31, 1, 6);
         assert_eq!(mixed, scalar);
     }
 }

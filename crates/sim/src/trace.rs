@@ -870,23 +870,9 @@ impl TraceBuffer {
     }
 }
 
-/// The forensic ring: the most recent `capacity` records of every
-/// class, kept raw in emission order. Plain data owned by the
-/// [`Tracer`], so capturing an event is a record copy, not a lock.
-#[derive(Debug)]
-struct TraceRing {
-    records: VecDeque<TraceRecord>,
-    capacity: usize,
-}
-
-impl TraceRing {
-    fn record(&mut self, rec: TraceRecord) {
-        if self.records.len() >= self.capacity {
-            self.records.pop_front();
-        }
-        self.records.push_back(rec);
-    }
-}
+/// Records the forensic ring keeps: the most recent of every class, for
+/// a sanitizer's dump.
+pub const TRACE_RING: usize = 256;
 
 enum Sink {
     Null,
@@ -914,8 +900,10 @@ impl fmt::Debug for Sink {
 pub struct Tracer {
     level: TraceLevel,
     sink: Sink,
-    /// Optional forensic ring; captures all classes when attached.
-    ring: Option<TraceRing>,
+    /// Optional forensic ring: the last [`TRACE_RING`] records of every
+    /// class, raw in emission order. Plain data, so capturing an event
+    /// is a record copy, not a lock.
+    ring: Option<VecDeque<TraceRecord>>,
     /// Optional structured flight recorder; captures all classes.
     flight: Option<FlightRecorder>,
     names: NameTable,
@@ -950,16 +938,10 @@ impl Tracer {
     }
 
     /// Attaches an empty forensic ring keeping the most recent
-    /// `capacity` events of every class, independently of the level
+    /// [`TRACE_RING`] events of every class, independently of the level
     /// mask (replacing any ring attached before).
-    pub fn attach_ring(&mut self, capacity: usize) {
-        // A capacity read from a file is not trusted with an up-front
-        // reservation: a ring larger than `RING_RESERVE` grows as it
-        // fills.
-        const RING_RESERVE: usize = 1 << 16;
-        let capacity = capacity.max(1);
-        let records = VecDeque::with_capacity(capacity.min(RING_RESERVE));
-        self.ring = Some(TraceRing { records, capacity });
+    pub fn attach_ring(&mut self) {
+        self.ring = Some(VecDeque::with_capacity(TRACE_RING));
     }
 
     /// Detaches the forensic ring, if any.
@@ -973,7 +955,7 @@ impl Tracer {
     /// ring).
     pub fn ring_lines(&self) -> Vec<String> {
         let Some(ring) = &self.ring else { return Vec::new() };
-        ring.records.iter().map(|r| r.render_line(|idx| self.names.resolve(idx))).collect()
+        ring.iter().map(|r| r.render_line(|idx| self.names.resolve(idx))).collect()
     }
 
     /// Attaches a flight recorder that captures every event class as
@@ -994,15 +976,14 @@ impl Tracer {
 
     /// Adopts the observation stream of `other`: its name table, its
     /// flight recorder unless this tracer has one, and its forensic
-    /// ring when `their_ring_first` or this tracer has none.
+    /// ring, when it has one, over this tracer's.
     /// [`crate::HmcSim::set_tracer`] uses this so replacing the tracer
     /// never silently drops the sanitizer's ring or the flight
     /// recorder's timeline (whose records reference the old name
     /// table).
-    pub(crate) fn adopt_stream(&mut self, other: &mut Tracer, their_ring_first: bool) {
+    pub(crate) fn adopt_stream(&mut self, other: &mut Tracer) {
         self.names = other.names.clone();
-        let (mine, theirs) = (self.ring.take(), other.ring.take());
-        self.ring = if their_ring_first { theirs.or(mine) } else { mine.or(theirs) };
+        self.ring = other.ring.take().or(self.ring.take());
         if self.flight.is_none() {
             self.flight = other.flight.take();
         }
@@ -1079,7 +1060,10 @@ impl Tracer {
             flight.record(rec);
         }
         if let Some(ring) = &mut self.ring {
-            ring.record(rec);
+            if ring.len() >= TRACE_RING {
+                ring.pop_front();
+            }
+            ring.push_back(rec);
         }
         if !self.enabled(rec.kind.class()) {
             return;
@@ -1125,7 +1109,7 @@ mod tests {
     fn captures_tracks_sink_ring_and_flight() {
         let mut t = Tracer::disabled();
         assert!(!t.captures(TraceLevel::CMD));
-        t.attach_ring(4);
+        t.attach_ring();
         assert!(t.captures(TraceLevel::CMD), "ring captures every class");
         t.detach_ring();
         assert!(!t.captures(TraceLevel::CMD));
@@ -1189,15 +1173,15 @@ mod tests {
     #[test]
     fn ring_captures_all_classes_and_bounds_length() {
         let mut t = Tracer::disabled();
-        t.attach_ring(3);
+        t.attach_ring();
         // The level mask is NONE, but the ring still captures events.
-        for i in 0..5 {
+        for i in 0..TRACE_RING as u64 + 2 {
             t.emit(TraceRecord { vault: i as u16, tag: i as u16, ..TraceRecord::new(i, TraceKind::Poison) });
         }
         let lines = t.ring_lines();
-        assert_eq!(lines.len(), 3, "ring retains only the newest lines");
-        assert!(lines[0].contains("vault=2"));
-        assert!(lines[2].contains("vault=4"));
+        assert_eq!(lines.len(), TRACE_RING, "ring retains only the newest lines");
+        assert!(lines[0].contains("vault=2 "), "{}", lines[0]);
+        assert!(lines[TRACE_RING - 1].contains(&format!("vault={} ", TRACE_RING + 1)));
         t.detach_ring();
         t.emit(TraceRecord::new(9, TraceKind::Poison));
         assert!(t.ring_lines().is_empty());

@@ -7,6 +7,8 @@
 //! untimed banks every hop costs exactly the 3-cycle pipeline round
 //! trip, and row-buffer/bank timing stretches it accordingly.
 
+use crate::driver::Op;
+use crate::HostRuntime;
 use hmc_sim::HmcSim;
 use hmc_types::{HmcError, HmcRqst};
 use rand::rngs::StdRng;
@@ -98,6 +100,7 @@ impl PointerChaseKernel {
             sim.mem_write_u64(0, self.node_addr(node) + 8, node as u64)?;
         }
 
+        let host = HostRuntime::new(0, 0, 1);
         let start_cycle = sim.cycle();
         let mut addr = self.node_addr(0);
         let mut expected = 0usize;
@@ -108,17 +111,7 @@ impl PointerChaseKernel {
                 break;
             }
             // Dependent load: nothing else can be in flight.
-            let tag = loop {
-                match sim.send_simple(0, 0, HmcRqst::Rd16, addr, vec![]) {
-                    Ok(Some(tag)) => break tag,
-                    Ok(None) => unreachable!("reads respond"),
-                    Err(HmcError::Stall) | Err(HmcError::TagsExhausted) => {
-                        sim.clock();
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            let rsp = sim.run_until_response(0, 0, tag, 100_000)?;
+            let rsp = host.call(sim, Op::new(HmcRqst::Rd16, addr, []), 100_000)?;
             verified &= rsp.rsp.payload[1] == expected as u64;
             expected = next[expected];
             addr = rsp.rsp.payload[0];

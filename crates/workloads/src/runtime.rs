@@ -52,8 +52,13 @@ impl HostRuntime {
     }
 
     /// Issues one request synchronously, retrying on stall, and
-    /// clocks until its response arrives.
-    fn call(&self, sim: &mut HmcSim, op: Op) -> Result<TrackedResponse, HmcError> {
+    /// clocks until its response arrives or `budget` cycles pass.
+    pub(crate) fn call(
+        &self,
+        sim: &mut HmcSim,
+        op: Op,
+        budget: u64,
+    ) -> Result<TrackedResponse, HmcError> {
         let tag = loop {
             match op.send(sim, self.dev, self.link) {
                 Ok(Some(tag)) => break tag,
@@ -68,7 +73,7 @@ impl HostRuntime {
                 Err(e) => return Err(e),
             }
         };
-        sim.run_until_response(self.dev, self.link, tag, BLOCK_BUDGET)
+        sim.run_until_response(self.dev, self.link, tag, budget)
     }
 
     // ------------------------------------------------------------------
@@ -78,7 +83,7 @@ impl HostRuntime {
     /// Reads the 8-byte word at `addr` (16-byte aligned block fetch).
     pub fn read_u64(&self, sim: &mut HmcSim, addr: u64) -> Result<u64, HmcError> {
         let block = addr & !15;
-        let rsp = self.call(sim, Op::new(HmcRqst::Rd16, block, []))?;
+        let rsp = self.call(sim, Op::new(HmcRqst::Rd16, block, []), BLOCK_BUDGET)?;
         Ok(rsp.rsp.payload[((addr & 15) / 8) as usize])
     }
 
@@ -87,12 +92,12 @@ impl HostRuntime {
         if !addr.is_multiple_of(16) {
             return Err(HmcError::UnalignedAddress { addr, align: 16 });
         }
-        self.call(sim, Op::new(HmcRqst::Wr16, addr, [lo, hi])).map(|_| ())
+        self.call(sim, Op::new(HmcRqst::Wr16, addr, [lo, hi]), BLOCK_BUDGET).map(|_| ())
     }
 
     /// Atomically increments the 8-byte counter at `addr`.
     pub fn fetch_inc(&self, sim: &mut HmcSim, addr: u64) -> Result<(), HmcError> {
-        self.call(sim, Op::new(HmcRqst::Inc8, addr, [])).map(|_| ())
+        self.call(sim, Op::new(HmcRqst::Inc8, addr, []), BLOCK_BUDGET).map(|_| ())
     }
 
     // ------------------------------------------------------------------
@@ -108,7 +113,7 @@ impl HostRuntime {
     /// `pthread_mutex_trylock` analogue: one `hmc_trylock`; returns
     /// whether this unit now owns the lock.
     pub fn mutex_try_lock(&self, sim: &mut HmcSim, addr: u64) -> Result<bool, HmcError> {
-        let rsp = self.call(sim, Op::cmc(TRYLOCK_CMD, addr, [self.tid, 0]))?;
+        let rsp = self.call(sim, Op::cmc(TRYLOCK_CMD, addr, [self.tid, 0]), BLOCK_BUDGET)?;
         Ok(rsp.rsp.payload[0] == self.tid)
     }
 
@@ -116,7 +121,7 @@ impl HostRuntime {
     /// with truncated exponential backoff until owned (Algorithm 1's
     /// spin, blocking the caller).
     pub fn mutex_lock(&self, sim: &mut HmcSim, addr: u64) -> Result<(), HmcError> {
-        let rsp = self.call(sim, Op::cmc(LOCK_CMD, addr, [self.tid, 0]))?;
+        let rsp = self.call(sim, Op::cmc(LOCK_CMD, addr, [self.tid, 0]), BLOCK_BUDGET)?;
         if rsp.rsp.payload[0] == 1 {
             return Ok(());
         }
@@ -137,7 +142,7 @@ impl HostRuntime {
     /// `pthread_mutex_unlock` analogue: returns whether the unlock
     /// took effect (false when this unit does not own the lock).
     pub fn mutex_unlock(&self, sim: &mut HmcSim, addr: u64) -> Result<bool, HmcError> {
-        let rsp = self.call(sim, Op::cmc(UNLOCK_CMD, addr, [self.tid, 0]))?;
+        let rsp = self.call(sim, Op::cmc(UNLOCK_CMD, addr, [self.tid, 0]), BLOCK_BUDGET)?;
         Ok(rsp.rsp.payload[0] == 1)
     }
 

@@ -199,6 +199,63 @@ fn a_version_3_link_error_period_loads_as_the_every_nth_plan_it_ran() {
     }
 }
 
+/// The node at `path` (object keys and array indices, `/`-separated).
+fn node_at<'a>(doc: &'a mut Json, path: &str) -> &'a mut Json {
+    path.split('/').fold(doc, |node, step| match node {
+        Json::Arr(items) => &mut items[step.parse::<usize>().expect(path)],
+        node => node.get_mut(step).expect(path),
+    })
+}
+
+/// `corpus/seed-08-fabric_ring.json` (three cubes) as a version-4 file
+/// writes it, with the five settings that are constants now at their
+/// constants, then `edit` applied to its `sim`.
+fn fabric_ring_v4(edit: impl FnOnce(&mut Json)) -> String {
+    let scenario = load_scenario_file(&corpus_dir().join("seed-08-fabric_ring.json")).unwrap();
+    let mut doc = scenario.to_json();
+    *doc.get_mut("schema_version").unwrap() = Json::Int(4);
+    let sim = doc.get_mut("sim").unwrap();
+    let add = |object: &mut Json, key: &str, value: Json| match object {
+        Json::Obj(fields) => match fields.iter_mut().find(|(k, _)| k == key) {
+            Some(field) => field.1 = value,
+            None => fields.push((key.into(), value)),
+        },
+        _ => panic!("{key} belongs to an object"),
+    };
+    let Json::Arr(devices) = node_at(sim, "devices") else { panic!("a device list") };
+    for device in devices {
+        add(device, "quads", Json::Int(4));
+    }
+    add(node_at(sim, "sanitizer"), "trace_ring", Json::Int(256));
+    add(node_at(sim, "sanitizer"), "max_violations", Json::Int(64));
+    add(node_at(sim, "telemetry"), "spans", Json::Bool(true));
+    add(node_at(sim, "telemetry"), "max_windows", Json::Int(256));
+    edit(sim);
+    doc.render()
+}
+
+/// A version-4 scenario writes five settings that no writer set to
+/// anything but their constants: at their constants they load as the
+/// scenario they were, and one set otherwise is a typed error naming
+/// the leaf, where it used to load as another ring, bound, series or
+/// quad count.
+#[test]
+fn a_version_4_setting_other_than_its_constant_is_refused() {
+    let scenario = load_scenario_file(&corpus_dir().join("seed-08-fabric_ring.json")).unwrap();
+    assert_eq!(Scenario::from_json_str(&fabric_ring_v4(|_| {})).unwrap(), scenario);
+    for (leaf, other) in [
+        ("devices/2/quads", Json::Int(8)),
+        ("sanitizer/trace_ring", Json::Int(9)),
+        ("sanitizer/max_violations", Json::Int(13)),
+        ("telemetry/spans", Json::Bool(false)),
+        ("telemetry/max_windows", Json::Int(5)),
+    ] {
+        let text = fabric_ring_v4(|sim| *node_at(sim, leaf) = other);
+        let err = Scenario::from_json_str(&text).unwrap_err().message;
+        assert!(err.contains(&format!("`{leaf}`")), "{leaf}: {err}");
+    }
+}
+
 #[test]
 fn truncated_file_is_rejected_with_path() {
     let dir = scratch_dir("truncated");

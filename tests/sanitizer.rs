@@ -230,9 +230,8 @@ fn forensic_trace_is_the_tail_of_the_text_trace() {
     // a level-ALL text sink renders every event as it happens. Same
     // events, same name table: the dump's trace is the sink's tail,
     // byte for byte, whatever happened to the tracer in between.
-    const RING: usize = 96;
-    let mut san = SanitizerConfig::report();
-    san.trace_ring = RING;
+    const RING: usize = hmcsim::sim::trace::TRACE_RING;
+    let san = SanitizerConfig::report();
     let text = TraceBuffer::new();
     let tail = |text: &TraceBuffer| {
         let lines = text.lines();

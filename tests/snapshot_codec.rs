@@ -1,13 +1,16 @@
 //! The snapshot codec and the state fingerprint describe the same
 //! state.
 //!
-//! * **Byte stability** — `tests/golden/snapshot_v7.json` is the busy
+//! * **Byte stability** — `tests/golden/snapshot_v8.json` is the busy
 //!   mesh's snapshot as this schema renders it (`BLESS=1 cargo test
 //!   --test snapshot_codec golden` regenerates it after an intentional
 //!   format change; review the diff and bump `SNAPSHOT_SCHEMA_VERSION`).
 //!   It must load and re-render byte for byte, and the same scenario
 //!   must still render to it; its packed lanes are RFC 4648 base64 as
-//!   this file's own encoder writes it. `tests/golden/snapshot_v6.json`,
+//!   this file's own encoder writes it. `tests/golden/snapshot_v7.json`,
+//!   rendered while the configuration carried `quads`, `trace_ring`,
+//!   `max_violations`, `spans` and `max_windows`,
+//!   `tests/golden/snapshot_v6.json`,
 //!   rendered while pages and flight lanes were hex and each link wrote
 //!   a `packet_counter`, `snapshot_v5.json`, rendered
 //!   while each device carried its power coefficients and each
@@ -17,7 +20,7 @@
 //!   nonzero lines, `snapshot_v2.json`, rendered before snapshots named
 //!   their machine, and `snapshot_v1.json`, rendered before flight
 //!   lanes were packed, are the legacy loads: each decodes to the same
-//!   fingerprint and flight records and re-renders as v7 — v2 and v1
+//!   fingerprint and flight records and re-renders as v8 — v2 and v1
 //!   with no `config` and no CMC fields. Relabelled as another schema,
 //!   a golden is a typed error naming the first field the label
 //!   disagrees with.
@@ -212,23 +215,24 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
     let snap = busy_mesh().snapshot();
     let rendered = snap.to_json_full();
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(golden_path("snapshot_v7.json"), format!("{rendered}\n")).unwrap();
+        std::fs::write(golden_path("snapshot_v8.json"), format!("{rendered}\n")).unwrap();
     }
-    let golden = read_golden("snapshot_v7.json");
+    let golden = read_golden("snapshot_v8.json");
     assert!(
         rendered == golden,
-        "snapshot_v7.json drifted from the checked-in snapshot bytes; if intentional, bump \
+        "snapshot_v8.json drifted from the checked-in snapshot bytes; if intentional, bump \
          SNAPSHOT_SCHEMA_VERSION, regenerate with BLESS=1 cargo test --test snapshot_codec golden \
          and review the diff"
     );
 
     // The files on disk — not what this build just rendered — through
     // the decoder and back.
-    let loaded = SimSnapshot::from_json(&golden).expect("the v7 golden loads");
-    assert!(loaded.to_json_full() == golden, "the v7 golden re-renders byte for byte");
+    let loaded = SimSnapshot::from_json(&golden).expect("the v8 golden loads");
+    assert!(loaded.to_json_full() == golden, "the v8 golden re-renders byte for byte");
     assert_eq!(loaded.fingerprint(), snap.fingerprint());
     let machineless = without_machine(Json::parse(&golden).unwrap()).render();
     for (name, renders_as) in [
+        ("snapshot_v7.json", &golden),
         ("snapshot_v6.json", &golden),
         ("snapshot_v5.json", &golden),
         ("snapshot_v4.json", &golden),
@@ -241,7 +245,7 @@ fn golden_snapshot_loads_and_re_renders_byte_identically() {
         assert_eq!(legacy.flight(), snap.flight(), "{name}");
         let named = !["snapshot_v2.json", "snapshot_v1.json"].contains(&name);
         assert_eq!(legacy.config().is_some(), named, "{name}: its machine");
-        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v7");
+        assert!(legacy.to_json_full() == *renders_as, "{name} re-renders as v8");
     }
     assert!(snap.flight().is_some_and(|f| f.len() == 20), "every lane holds records");
     // Each lane is the standard base64 of its packed records, as an
@@ -682,6 +686,27 @@ fn a_v6_packet_counter_other_than_packets_sent_is_refused() {
     }
 }
 
+/// A v7 document's configuration writes five settings that no writer
+/// set to anything but their constants: the step out of schema 7 drops
+/// them, and one set otherwise is a typed error naming the leaf, where
+/// it used to load as another ring, bound, series or quad count.
+#[test]
+fn a_v7_setting_other_than_its_constant_is_refused() {
+    let golden = Json::parse(&read_golden("snapshot_v7.json")).unwrap();
+    for (leaf, other) in [
+        ("devices/1/quads", Json::Int(8)),
+        ("sanitizer/trace_ring", Json::Int(9)),
+        ("sanitizer/max_violations", Json::Int(13)),
+        ("telemetry/spans", Json::Bool(false)),
+        ("telemetry/max_windows", Json::Int(5)),
+    ] {
+        let mut doc = golden.clone();
+        *node_at_path(&mut doc, &format!("config/{leaf}")) = other;
+        let err = SimSnapshot::from_json(&doc.render()).map(drop).unwrap_err().message;
+        assert!(err.contains(&format!("`{leaf}`")), "{leaf}: {err}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // A checkpoint costs a third more than memory holds
 // ---------------------------------------------------------------------------
@@ -796,7 +821,6 @@ fn fixed_by_config(keys: &[String]) -> bool {
         ["config", "devices", key] => [
             "links",
             "capacity",
-            "quads",
             "vaults_per_quad",
             "banks_per_vault",
             "vault_queue_depth",
@@ -1197,9 +1221,12 @@ fn mutate_text(text: &str, rng: &mut Rng) -> String {
 }
 
 /// A document holds its own schema's layout, which no upgrade step
-/// takes for another's: each snapshot golden relabelled one version up,
-/// and the last two relabelled down, is a typed error naming the first
-/// field the label disagrees with.
+/// takes for another's: each snapshot golden up to v7 relabelled one
+/// version up, and v6 and v7 relabelled down, is a typed error naming
+/// the first field the label disagrees with. (v8 relabelled 7 loads: the
+/// step out of schema 7 accepts a configuration without the settings it
+/// drops, as a scenario upgraded from version 2 lacks the sanitizer's
+/// and the telemetry's.)
 #[test]
 fn a_golden_relabelled_as_another_schema_is_refused() {
     for (version, label, want) in [
@@ -1215,6 +1242,7 @@ fn a_golden_relabelled_as_another_schema_is_refused() {
         (6, 7, "mem: page 0 holds 384 base64 characters where 3 lines need 256"),
         (6, 5, "power: missing field `link_flit_pj_bits`"),
         (7, 6, "mem: page 0 holds 256 hex digits where 3 lines need 384"),
+        (7, 8, "device_config: unknown field(s): quads"),
     ] {
         let name = format!("snapshot_v{version}.json");
         let text = read_golden(&name);
@@ -1380,6 +1408,7 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
     let decode = |text: &str| SimSnapshot::from_json(text).map(drop).map_err(|e| e.to_string());
     for (name, packed_lanes) in
     [
+        ("snapshot_v8.json", 5 * 4),
         ("snapshot_v7.json", 5 * 4),
         ("snapshot_v6.json", 5 * 4),
         ("snapshot_v5.json", 5 * 4),
@@ -1435,9 +1464,10 @@ fn mutated_documents_are_rejected_with_typed_errors_never_a_panic() {
         |text: &str| ReplayCheckpoint::from_json(text).map(drop).map_err(|e| e.to_string());
     let packed = never_panics("replay checkpoint", &ckpt, 300, decode);
     assert!(packed > 0, "the replay checkpoint carries recorded lanes");
-    let golden = read_golden("replay_ckpt_v7.json");
-    let packed = never_panics("replay_ckpt_v7.json", &golden, 300, decode);
-    assert!(packed > 0, "replay_ckpt_v7.json carries recorded lanes");
+    for name in ["replay_ckpt_v8.json", "replay_ckpt_v7.json"] {
+        let packed = never_panics(name, &read_golden(name), 300, decode);
+        assert!(packed > 0, "{name} carries recorded lanes");
+    }
 
     // A forensic dump, read the way a replay reads it from disk.
     let mut sim = HmcSim::new(small_cube()).unwrap();

@@ -1,17 +1,20 @@
 //! The trace-file format and the replay checkpoint, from outside.
 //!
-//! * **Byte stability** — `tests/golden/replay_ckpt_v7.json` is a short
+//! * **Byte stability** — `tests/golden/replay_ckpt_v8.json` is a short
 //!   sanitized, recorded replay's `ReplayCheckpoint::to_json()` as this
 //!   build renders it (`BLESS=1 cargo test --test trace_replay golden`
 //!   regenerates it after an intentional format change; review the
 //!   diff and bump `REPLAY_CKPT_SCHEMA_VERSION`, or
 //!   `SNAPSHOT_SCHEMA_VERSION` when the embedded snapshot moved — the
-//!   file name's `v7` is the snapshot schema, whose packed flight lanes,
+//!   file name's `v8` is the snapshot schema, whose packed flight lanes,
 //!   named machine, line-masked pages, three-field timing sections,
-//!   dropped fixed settings and base64 bytes left the checkpoint's own
-//!   layout at version 1). It must load and re-render byte for byte, the
-//!   same replay must still render to it, and resuming from the file
-//!   must reach the state of the uninterrupted run.
+//!   dropped fixed settings, base64 bytes and dropped constant settings
+//!   left the checkpoint's own layout at version 1). It must load and
+//!   re-render byte for byte, the same replay must still render to it,
+//!   and resuming from the file must reach the state of the
+//!   uninterrupted run. `tests/golden/replay_ckpt_v7.json`, rendered
+//!   while the configuration carried `quads`, `trace_ring`,
+//!   `max_violations`, `spans` and `max_windows`,
 //!   `tests/golden/replay_ckpt_v6.json`, rendered while pages and flight
 //!   lanes were hex and links wrote a `packet_counter`,
 //!   `tests/golden/replay_ckpt_v5.json`, rendered while devices carried
@@ -22,7 +25,7 @@
 //!   `replay_ckpt_v2.json`, rendered before snapshots named their
 //!   machine, and `replay_ckpt_v1.json`, rendered before flight lanes
 //!   were packed, must load to the same state and flight records,
-//!   re-render as the v7 bytes (v2 and v1 with no `config`), and resume
+//!   re-render as the v8 bytes (v2 and v1 with no `config`), and resume
 //!   alike.
 //! * **The parser never panics** — seeded mutations of a generated
 //!   trace end in `Ok` or a typed error, and whatever parses survives a
@@ -92,7 +95,7 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
     let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let path = |name: &str| golden_dir.join(name);
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path("replay_ckpt_v7.json"), format!("{rendered}\n")).unwrap();
+        std::fs::write(path("replay_ckpt_v8.json"), format!("{rendered}\n")).unwrap();
     }
     let read = |name: &str| {
         let text = std::fs::read_to_string(path(name)).unwrap_or_else(|e| {
@@ -100,10 +103,10 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
         });
         text.trim_end().to_string()
     };
-    let golden = read("replay_ckpt_v7.json");
+    let golden = read("replay_ckpt_v8.json");
     assert!(
         rendered == golden,
-        "replay_ckpt_v7.json drifted from the checked-in bytes; if intentional, bump the schema \
+        "replay_ckpt_v8.json drifted from the checked-in bytes; if intentional, bump the schema \
          version that moved, regenerate with BLESS=1 cargo test --test trace_replay golden and \
          review the diff"
     );
@@ -119,13 +122,14 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
 
     // The files on disk through the decoder and back, then onwards.
     let files = [
-        ("replay_ckpt_v7.json", &golden, "re-renders byte for byte"),
-        ("replay_ckpt_v6.json", &golden, "re-renders as v7"),
-        ("replay_ckpt_v5.json", &golden, "re-renders as v7"),
-        ("replay_ckpt_v4.json", &golden, "re-renders as v7"),
-        ("replay_ckpt_v3.json", &golden, "re-renders as v7"),
-        ("replay_ckpt_v2.json", &machineless, "re-renders as v7 without a machine"),
-        ("replay_ckpt_v1.json", &machineless, "re-renders as v7 without a machine"),
+        ("replay_ckpt_v8.json", &golden, "re-renders byte for byte"),
+        ("replay_ckpt_v7.json", &golden, "re-renders as v8"),
+        ("replay_ckpt_v6.json", &golden, "re-renders as v8"),
+        ("replay_ckpt_v5.json", &golden, "re-renders as v8"),
+        ("replay_ckpt_v4.json", &golden, "re-renders as v8"),
+        ("replay_ckpt_v3.json", &golden, "re-renders as v8"),
+        ("replay_ckpt_v2.json", &machineless, "re-renders as v8 without a machine"),
+        ("replay_ckpt_v1.json", &machineless, "re-renders as v8 without a machine"),
     ];
     for (name, bytes, want) in files {
         let loaded = ReplayCheckpoint::from_json(&read(name)).expect("the golden loads");
