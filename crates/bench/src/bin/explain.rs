@@ -7,7 +7,7 @@
 //! cargo run --release -p hmc-bench --bin explain                  # tables + trace summary
 //! cargo run --release -p hmc-bench --bin explain -- --workload triad,mutex --format prom
 //! cargo run --release -p hmc-bench --bin explain -- --format json --out report.json
-//! cargo run --release -p hmc-bench --bin explain -- --format perfetto --skip on \
+//! cargo run --release -p hmc-bench --bin explain -- --format perfetto \
 //!     --capacity 4096 --packets-only --out trace.json           # open at ui.perfetto.dev
 //! cargo run --release -p hmc-bench --bin explain -- trace.log     # `-` reads stdin
 //! ```
@@ -18,7 +18,7 @@
 
 use hmc_sim::perfetto::{self, PerfettoOptions};
 use hmc_sim::trace_analysis::TraceSummary;
-use hmc_sim::{DeviceConfig, HmcSim, SimConfig, SkipMode, Stage, TelemetryConfig};
+use hmc_sim::{DeviceConfig, HmcSim, Stage, TelemetryConfig};
 use hmc_sim::{TelemetryReport, TraceBuffer, TraceLevel, Tracer};
 use hmc_workloads::kernels::gups::{GupsConfig, GupsKernel};
 use hmc_workloads::kernels::triad::{TriadConfig, TriadKernel};
@@ -97,19 +97,13 @@ fn summarize(lines: &[String]) -> String {
 fn run(args: &hmc_bench::Args, format: &str) -> String {
     let threads: usize = args.num("--threads", 16);
     let capacity: usize = args.num("--capacity", 4096);
-    let skip_mode = match args.get("--skip") {
-        None | Some("off") => SkipMode::Off,
-        Some("on") => SkipMode::On,
-        Some(other) => fail(format!("unknown --skip '{other}' (expected on|off)")),
-    };
     let workloads = args.get("--workload").unwrap_or("mutex").split(',');
     if let Some(w) = workloads.clone().find(|w| !matches!(*w, "mutex" | "gups" | "triad")) {
         fail(format!("unknown --workload '{w}' (expected mutex|gups|triad)"));
     }
 
     hmc_cmc::ops::register_builtin_libraries();
-    let cfg = SimConfig { skip_mode, ..SimConfig::single(DeviceConfig::gen2_4link_4gb()) };
-    let mut sim = HmcSim::with_config(cfg).expect("valid config");
+    let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).expect("valid config");
     let text = TraceBuffer::new();
     sim.set_tracer(Tracer::to_buffer(TraceLevel::ALL, text.clone()));
     sim.enable_flight_recorder(capacity);

@@ -327,11 +327,13 @@ pub enum ExecMode {
 /// With skipping on, [`crate::HmcSim::clock`] consults a conservative
 /// event horizon — the earliest cycle at which any queue, in-flight
 /// transit, link-layer retry or scheduled fault event could act — and
-/// advances cycle count, power accounting, telemetry windows and
-/// sanitizer bookkeeping across the whole idle run in O(1) closed-form
-/// updates instead of executing the empty pipeline cycle by cycle.
-/// The skip path is exact: `state_fingerprint()` is bit-identical with
-/// skipping on versus off (see `DESIGN.md` §14).
+/// advances cycle count and power accounting across the whole idle run
+/// in O(1) instead of executing the empty pipeline cycle by cycle.
+/// Per-cycle observers turn skipping off: while a sanitizer or a
+/// telemetry collector is attached every cycle runs in full. Per-event
+/// observers (the text tracer, the flight recorder) keep it. The skip
+/// path is exact: `state_fingerprint()` is bit-identical with skipping
+/// on versus off (see `DESIGN.md` §14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SkipMode {
     /// Execute every cycle through the full pipeline (the default).

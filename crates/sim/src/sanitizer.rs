@@ -429,8 +429,13 @@ impl Sanitizer {
         self.report.cycles_checked += 1;
         let mut violations = std::mem::take(&mut self.shadow.pending);
         // One walk of the queues serves conservation and the watchdog.
+        // The structural checks are pure reads of `sim` and the shadow;
+        // a clean state formats and allocates nothing.
         let live = sim.live_packets();
-        self.check_structure(sim, cycle, live, &mut |v| violations.push(v));
+        self.check_tokens(sim, cycle, &mut violations);
+        self.check_tags(sim, cycle, &mut violations);
+        self.check_queues(sim, cycle, &mut violations);
+        self.check_conservation(live, cycle, &mut violations);
         self.check_watchdog(sim, cycle, live, &mut violations);
 
         let mut fatal = None;
@@ -511,28 +516,12 @@ impl Sanitizer {
         fatal
     }
 
-    /// The structural checks: pure reads of `sim` and the shadow, each
-    /// violation handed to `found` as it is met. A clean state formats
-    /// and allocates nothing. `live` is `sim.live_packets()`.
-    fn check_structure(
-        &self,
-        sim: &HmcSim,
-        cycle: u64,
-        live: u64,
-        found: &mut impl FnMut(Violation),
-    ) {
-        self.check_tokens(sim, cycle, found);
-        self.check_tags(sim, cycle, found);
-        self.check_queues(sim, cycle, found);
-        self.check_conservation(live, cycle, found);
-    }
-
-    fn check_tokens(&self, sim: &HmcSim, cycle: u64, found: &mut impl FnMut(Violation)) {
+    fn check_tokens(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
         for (dev, links) in sim.links.iter().enumerate() {
             for (link, lc) in links.iter().enumerate() {
                 if let Some(cap) = sim.config.devices[dev].link_config.tokens {
                     if lc.tokens_available() > cap {
-                        found(Violation {
+                        out.push(Violation {
                             cycle,
                             kind: ViolationKind::TokenPoolOverflow,
                             detail: format!(
@@ -550,7 +539,7 @@ impl Sanitizer {
                         let held = held_flits(sim, dev, link);
                         let outstanding = cap.saturating_sub(lc.tokens_available()) as u64;
                         if outstanding != held {
-                            found(Violation {
+                            out.push(Violation {
                                 cycle,
                                 kind: ViolationKind::TokenConservation,
                                 detail: format!(
@@ -563,7 +552,7 @@ impl Sanitizer {
                 }
                 let seen = self.shadow.seen_token_overflows[dev][link];
                 if lc.stats.token_overflows > seen {
-                    found(Violation {
+                    out.push(Violation {
                         cycle,
                         kind: ViolationKind::TokenOverReturn,
                         detail: format!(
@@ -578,11 +567,11 @@ impl Sanitizer {
         }
     }
 
-    fn check_tags(&self, sim: &HmcSim, cycle: u64, found: &mut impl FnMut(Violation)) {
+    fn check_tags(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
         for (dev, pools) in sim.tag_pools.iter().enumerate() {
             for (link, pool) in pools.iter().enumerate() {
                 if let Err(e) = pool.audit() {
-                    found(Violation {
+                    out.push(Violation {
                         cycle,
                         kind: ViolationKind::TagPoolCorrupt,
                         detail: format!("dev {dev} link {link}: {e}"),
@@ -595,7 +584,7 @@ impl Sanitizer {
                     continue;
                 }
                 for tag in registered.iter().filter(|&tag| !pool.is_live(tag)) {
-                    found(Violation {
+                    out.push(Violation {
                         cycle,
                         kind: ViolationKind::TagLiveAndFree,
                         detail: format!(
@@ -616,7 +605,7 @@ impl Sanitizer {
             zombies.sort_unstable();
             for (link, tag) in zombies {
                 if !self.shadow.is_live(dev, link, tag) {
-                    found(Violation {
+                    out.push(Violation {
                         cycle,
                         kind: ViolationKind::ZombieTagLeak,
                         detail: format!(
@@ -629,10 +618,10 @@ impl Sanitizer {
         }
     }
 
-    fn check_queues(&self, sim: &HmcSim, cycle: u64, found: &mut impl FnMut(Violation)) {
+    fn check_queues(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
         for (dev, d) in sim.devices.iter().enumerate() {
             if let Some(msg) = d.queue_bound_violation() {
-                found(Violation {
+                out.push(Violation {
                     cycle,
                     kind: ViolationKind::QueueOverflow,
                     detail: format!("dev {dev}: {msg}"),
@@ -641,11 +630,11 @@ impl Sanitizer {
         }
     }
 
-    fn check_conservation(&self, live: u64, cycle: u64, found: &mut impl FnMut(Violation)) {
+    fn check_conservation(&self, live: u64, cycle: u64, out: &mut Vec<Violation>) {
         let accounted =
             live + self.shadow.delivered + self.shadow.absorbed + self.shadow.zombie_dropped;
         if self.shadow.injected != accounted {
-            found(Violation {
+            out.push(Violation {
                 cycle,
                 kind: ViolationKind::PacketConservation,
                 detail: format!(
@@ -664,7 +653,7 @@ impl Sanitizer {
         if self.config.watchdog_cycles == 0 {
             return;
         }
-        self.observe_progress(sim, live, 1);
+        self.observe_progress(sim, live);
         if self.stalled_cycles >= self.config.watchdog_cycles {
             out.push(Violation {
                 cycle,
@@ -679,12 +668,11 @@ impl Sanitizer {
         }
     }
 
-    /// Folds `k` consecutive observations of one unchanging state into
-    /// the stall count: an empty fabric clears the watchdog, a changed
-    /// signature restarts the count at the first of the `k`. One walk
-    /// of the state compares it with the signature last observed and
-    /// leaves its own in that place.
-    fn observe_progress(&mut self, sim: &HmcSim, live: u64, k: u64) {
+    /// Folds one observation of the state into the stall count: an
+    /// empty fabric clears the watchdog, a changed signature restarts
+    /// the count. One walk of the state compares it with the signature
+    /// last observed and leaves its own in that place.
+    fn observe_progress(&mut self, sim: &HmcSim, live: u64) {
         if live == 0 {
             return self.reset_watchdog();
         }
@@ -704,7 +692,7 @@ impl Sanitizer {
             at += 1;
         });
         debug_assert_eq!(at, seen.len(), "a context's signature has one length");
-        self.stalled_cycles = if unchanged { self.stalled_cycles + k } else { k - 1 };
+        self.stalled_cycles = if unchanged { self.stalled_cycles + 1 } else { 0 };
     }
 
     /// Everything that changes when the simulation makes progress, in
@@ -730,16 +718,6 @@ impl Sanitizer {
         for l in sim.links.iter().flatten() {
             f(l.stats.packets_sent);
         }
-    }
-
-    /// True when the state's signature is the one last observed.
-    fn progress_unchanged(&self, sim: &HmcSim) -> bool {
-        let mut seen = self.watch_sig.iter();
-        let mut unchanged = true;
-        Self::for_each_progress_value(&self.shadow, sim, |value| {
-            unchanged &= seen.next() == Some(&value);
-        });
-        unchanged && seen.next().is_none()
     }
 
     /// [`SanitizerPolicy::Recover`]: repairs token pools to match the
@@ -774,70 +752,6 @@ impl Sanitizer {
             + self.shadow.delivered
             + self.shadow.absorbed
             + self.shadow.zombie_dropped;
-    }
-
-    /// How many of the next `k` cycles (starting at `cycle`) the
-    /// event-horizon engine may compress without changing anything
-    /// this sanitizer would have observed or reported cycle by cycle.
-    ///
-    /// Returns 0 when the current cycle must run the full audit: a
-    /// mid-cycle hook left pending violations, any structural check
-    /// fails right now (the violation must be recorded at *this*
-    /// cycle), the watchdog would fire inside the region, or `cycle`
-    /// lands on a checkpoint multiple. Otherwise the result is capped
-    /// so that neither the watchdog threshold nor the next checkpoint
-    /// multiple falls strictly inside the compressed region.
-    pub(crate) fn idle_skip_allowance(&self, sim: &HmcSim, cycle: u64, k: u64) -> u64 {
-        if !self.shadow.pending.is_empty() {
-            return 0;
-        }
-        // The structural checks are pure reads; in a quiescent fabric
-        // their verdict is the same for every cycle of the region, so
-        // one evaluation covers all of it.
-        let live = sim.live_packets();
-        let mut clean = true;
-        self.check_structure(sim, cycle, live, &mut |_| clean = false);
-        if !clean {
-            return 0;
-        }
-        let mut k = k;
-        if self.config.watchdog_cycles > 0 && live > 0 {
-            // In an idle region the progress signature is constant,
-            // so the per-cycle watchdog would count every skipped
-            // cycle as stalled. Cap the region so the threshold is
-            // reached — and the violation recorded — under the full
-            // per-cycle path.
-            let headroom = if self.progress_unchanged(sim) {
-                (self.config.watchdog_cycles - 1).saturating_sub(self.stalled_cycles)
-            } else {
-                self.config.watchdog_cycles
-            };
-            if headroom == 0 {
-                return 0;
-            }
-            k = k.min(headroom);
-        }
-        if self.config.checkpoint_every > 0 {
-            if cycle.is_multiple_of(self.config.checkpoint_every) {
-                return 0;
-            }
-            let next = cycle.next_multiple_of(self.config.checkpoint_every);
-            k = k.min(next - cycle);
-        }
-        k
-    }
-
-    /// Folds `k` compressed idle cycles into the sanitizer's
-    /// bookkeeping — exactly what `k` per-cycle [`Sanitizer::end_of_cycle`]
-    /// calls would have done across a region pre-approved by
-    /// [`Sanitizer::idle_skip_allowance`] (no violations, no watchdog
-    /// firing, no checkpoint multiple, token-overflow acks all
-    /// no-ops).
-    pub(crate) fn advance_idle(&mut self, sim: &HmcSim, k: u64) {
-        self.report.cycles_checked += k;
-        if self.config.watchdog_cycles > 0 {
-            self.observe_progress(sim, sim.live_packets(), k);
-        }
     }
 }
 
@@ -914,23 +828,6 @@ impl HmcSim {
         if let Some(msg) = fatal {
             panic!("{msg}");
         }
-    }
-
-    /// How many of the next `max` idle cycles the attached sanitizer
-    /// permits the skip engine to compress (`max` when none is
-    /// attached).
-    pub(crate) fn sanitizer_skip_allowance(&mut self, cycle: u64, max: u64) -> u64 {
-        let Some(san) = self.sanitizer.take() else { return max };
-        let allow = san.idle_skip_allowance(self, cycle, max);
-        self.sanitizer = Some(san);
-        allow
-    }
-
-    /// Bulk end-of-cycle bookkeeping for a skipped idle region.
-    pub(crate) fn run_sanitizer_idle(&mut self, k: u64) {
-        let Some(mut san) = self.sanitizer.take() else { return };
-        san.advance_idle(self, k);
-        self.sanitizer = Some(san);
     }
 }
 

@@ -823,8 +823,9 @@ impl HmcSim {
     /// Advances up to `max_cycles`, compressing the idle prefix and
     /// stopping after the first full (potentially eventful) cycle
     /// executes. Returns the number of cycles advanced. With
-    /// [`SkipMode::Off`] this executes exactly one full cycle per
-    /// call, so drivers can use it unconditionally.
+    /// [`SkipMode::Off`], or while a sanitizer or a telemetry collector
+    /// is attached, this executes exactly one full cycle per call, so
+    /// drivers can use it unconditionally.
     pub fn clock_until_event(&mut self, max_cycles: u64) -> u64 {
         let start = self.cycle;
         self.advance(start + max_cycles, true);
@@ -860,11 +861,11 @@ impl HmcSim {
         self.warm_pass(cycle);
         self.vaults(cycle);
         self.requests(cycle);
-        // The tail `advance_idle` runs too, for one cycle; only the
-        // sanitizer's call and the skip caches are a full cycle's own.
+        // Power is the tail `advance_idle` runs too, for one cycle; the
+        // per-cycle observers and the skip caches are a full cycle's own.
         self.power(1);
         if self.telemetry.is_some() {
-            self.run_telemetry(cycle, 1);
+            self.run_telemetry(cycle);
         }
         if self.sanitizer.is_some() {
             self.run_sanitizer(cycle);
@@ -1092,32 +1093,29 @@ impl HmcSim {
     }
 
     /// How many of the next `max` cycles are provably idle: every one
-    /// before [`HmcSim::next_event_cycle`]'s horizon, as far as the
-    /// attached sanitizer (if any) guarantees its per-cycle audit is a
-    /// no-op across the whole region. `None` when skipping is off or
-    /// the current cycle must execute the full pipeline.
-    fn skippable(&mut self, max: u64) -> Option<u64> {
-        if !self.skip_mode.is_on() || max == 0 {
+    /// before [`HmcSim::next_event_cycle`]'s horizon. `None` when
+    /// skipping is off, when a per-cycle observer (a sanitizer or a
+    /// telemetry collector) is attached, or when the current cycle must
+    /// execute the full pipeline.
+    fn skippable(&self, max: u64) -> Option<u64> {
+        if !self.skip_mode.is_on()
+            || max == 0
+            || self.sanitizer.is_some()
+            || self.telemetry.is_some()
+        {
             return None;
         }
-        let cycle = self.cycle;
-        let mut k = match self.next_event_cycle() {
+        match self.next_event_cycle() {
             // A maybe-busy device has work (the horizon scan stops at
             // the first one), or an event is due now.
-            Some(h) if h <= cycle => return None,
-            Some(h) => max.min(h - cycle),
-            None => max,
-        };
-        if self.sanitizer.is_some() {
-            k = self.sanitizer_skip_allowance(cycle, k);
+            Some(h) if h <= self.cycle => None,
+            Some(h) => Some(max.min(h - self.cycle)),
+            None => Some(max),
         }
-        (k > 0).then_some(k)
     }
 
-    /// Applies `k` compressed idle cycles in closed form: the tail a
-    /// full cycle ends with, called with `k` — leakage, then telemetry
-    /// samples — except that the sanitizer folds the run into its
-    /// bookkeeping instead of auditing it, and the skip caches stand
+    /// Applies `k` compressed idle cycles in closed form: `k` cycles of
+    /// leakage, the tail a full cycle ends with; the skip caches stand
     /// (nothing moved). Only legal for a region approved by
     /// [`HmcSim::skippable`].
     fn advance_idle(&mut self, k: u64) {
@@ -1130,12 +1128,6 @@ impl HmcSim {
             });
         }
         self.power(k);
-        if self.telemetry.is_some() {
-            self.run_telemetry(cycle, k);
-        }
-        if self.sanitizer.is_some() {
-            self.run_sanitizer_idle(k);
-        }
         self.cycle += k;
     }
 
@@ -1409,6 +1401,8 @@ fn request_expects_response(devices: &[Device], req: &Request) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sanitizer::SanitizerConfig;
+    use crate::telemetry::TelemetryConfig;
     use hmc_types::HmcResponse;
 
     #[test]
@@ -1714,6 +1708,37 @@ mod tests {
         sim.set_skip_mode(SkipMode::Off);
         assert_eq!(sim.clock_until_event(10_000), 1, "Off mode: one full cycle per call");
         assert_eq!(sim.cycle(), 1);
+    }
+
+    #[test]
+    fn per_cycle_observers_turn_skipping_off() {
+        // A drained context with skipping on and a flight recorder: the
+        // recorder sees every `IdleSkip` the engine takes.
+        let drained = || {
+            let mut sim = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+            sim.set_skip_mode(SkipMode::On);
+            let tag = sim.send_simple(0, 0, HmcRqst::Rd16, 0x40, []).unwrap().unwrap();
+            sim.run_until_response(0, 0, tag, 100).unwrap();
+            assert_eq!(sim.next_event_cycle(), None, "drained");
+            sim.enable_flight_recorder(64);
+            sim
+        };
+        let idle_skips = |sim: &HmcSim| {
+            let records = sim.flight_snapshot().unwrap().merged();
+            records.iter().filter(|r| r.kind == TraceKind::IdleSkip).count()
+        };
+        let mut sanitized = drained();
+        sanitized.enable_sanitizer(SanitizerConfig::report());
+        let mut sampled = drained();
+        sampled.enable_telemetry(TelemetryConfig::full());
+        for (observer, sim) in [("sanitizer", &mut sanitized), ("telemetry", &mut sampled)] {
+            assert_eq!(sim.clock_until_event(1_000), 1, "{observer}: one full cycle");
+            assert_eq!(idle_skips(sim), 0, "{observer}");
+        }
+        // A per-event observer alone keeps the skip.
+        let mut recorded = drained();
+        assert_eq!(recorded.clock_until_event(1_000), 1_000);
+        assert_eq!(idle_skips(&recorded), 1);
     }
 
     #[test]

@@ -155,33 +155,21 @@ impl TimeSeries {
         TimeSeries { window, points: Vec::new() }
     }
 
-    /// Records `value` at each of the `n` consecutive cycles starting
-    /// at `start`, in O(windows touched), not O(n): one sample is
-    /// `n = 1`, and the event-horizon engine appends a whole skipped
-    /// idle region (value 0) at once.
-    pub fn record_n(&mut self, start: u64, n: u64, value: u64) {
+    /// Records `value` as the sample of `cycle`.
+    pub fn record(&mut self, cycle: u64, value: u64) {
         if self.window == 0 {
             return;
         }
-        let mut cycle = start;
-        let mut remaining = n;
-        while remaining > 0 {
-            let mut idx = (cycle / self.window) as usize;
-            while idx >= MAX_WINDOWS {
-                self.coarsen();
-                idx = (cycle / self.window) as usize;
-            }
-            // Stay inside the current window; coarsening cannot occur
-            // mid-run because `idx` only grows at window boundaries.
-            let run = remaining.min((idx as u64 + 1) * self.window - cycle);
-            if self.points.len() <= idx {
-                self.points.resize(idx + 1, (0, 0));
-            }
-            self.points[idx].0 += value * run;
-            self.points[idx].1 += run;
-            cycle += run;
-            remaining -= run;
+        let mut idx = (cycle / self.window) as usize;
+        while idx >= MAX_WINDOWS {
+            self.coarsen();
+            idx = (cycle / self.window) as usize;
         }
+        if self.points.len() <= idx {
+            self.points.resize(idx + 1, (0, 0));
+        }
+        self.points[idx].0 += value;
+        self.points[idx].1 += 1;
     }
 
     fn coarsen(&mut self) {
@@ -299,14 +287,9 @@ impl Telemetry {
         }
     }
 
-    /// Samples the `k` cycles from `start` (1 for a full cycle; a
-    /// skipped idle run's length). Read-only over the simulation state;
-    /// called via take/put from the clock. The first cycle reads the
-    /// state (a collector attached mid-run may still hold stale
-    /// `last_*` counters whose first delta is nonzero); the other
-    /// `k - 1` of an idle run are zero-delta, zero-occupancy samples,
-    /// appended in closed form via [`TimeSeries::record_n`].
-    pub(crate) fn sample(&mut self, sim: &HmcSim, start: u64, k: u64) {
+    /// Samples `cycle`. Read-only over the simulation state; called
+    /// via take/put from the clock.
+    pub(crate) fn sample(&mut self, sim: &HmcSim, cycle: u64) {
         if self.config.window == 0 {
             return;
         }
@@ -314,20 +297,13 @@ impl Telemetry {
             for link in 0..t.last_link_flits.len() {
                 let now = sim.links[dev][link].stats.flits_sent;
                 let delta = now - t.last_link_flits[link];
-                t.link_flits[link].record_n(start, 1, delta);
+                t.link_flits[link].record(cycle, delta);
                 t.last_link_flits[link] = now;
             }
-            t.vault_occupancy.record_n(start, 1, sim.devices[dev].vault_rqst_occupancy());
+            t.vault_occupancy.record(cycle, sim.devices[dev].vault_rqst_occupancy());
             let accesses = dram_accesses(sim, dev);
-            t.bank_accesses.record_n(start, 1, accesses - t.last_bank_accesses);
+            t.bank_accesses.record(cycle, accesses - t.last_bank_accesses);
             t.last_bank_accesses = accesses;
-            if k > 1 {
-                for series in t.link_flits.iter_mut() {
-                    series.record_n(start + 1, k - 1, 0);
-                }
-                t.vault_occupancy.record_n(start + 1, k - 1, 0);
-                t.bank_accesses.record_n(start + 1, k - 1, 0);
-            }
         }
     }
 }
@@ -362,13 +338,12 @@ impl HmcSim {
         self.telemetry.is_some()
     }
 
-    /// End-of-cycle sampling hook for the `k` cycles from `start`. The
-    /// collector is taken out of the context for the call (the same
-    /// take/put dance as the sanitizer) so it can read the whole
-    /// simulation state.
-    pub(crate) fn run_telemetry(&mut self, start: u64, k: u64) {
+    /// End-of-cycle sampling hook for `cycle`. The collector is taken
+    /// out of the context for the call (the same take/put dance as the
+    /// sanitizer) so it can read the whole simulation state.
+    pub(crate) fn run_telemetry(&mut self, cycle: u64) {
         let Some(mut tel) = self.telemetry.take() else { return };
-        tel.sample(self, start, k);
+        tel.sample(self, cycle);
         self.telemetry = Some(tel);
     }
 }
@@ -432,9 +407,9 @@ mod tests {
     #[test]
     fn time_series_windows_accumulate() {
         let mut ts = TimeSeries::new(10);
-        ts.record_n(0, 1, 5);
-        ts.record_n(9, 1, 3);
-        ts.record_n(10, 1, 7);
+        ts.record(0, 5);
+        ts.record(9, 3);
+        ts.record(10, 7);
         let points = ts.points();
         assert_eq!(points[0], (0, 8, 2));
         assert_eq!(points[1], (10, 7, 1));
@@ -447,7 +422,7 @@ mod tests {
         // past 512 to 4 cycles a window.
         let mut ts = TimeSeries::new(1);
         for cycle in 0..4 * MAX_WINDOWS as u64 {
-            ts.record_n(cycle, 1, 1);
+            ts.record(cycle, 1);
         }
         assert_eq!(ts.points().len(), MAX_WINDOWS);
         assert_eq!(ts.total(), 4 * MAX_WINDOWS as u64, "coarsening loses no mass");
@@ -456,7 +431,7 @@ mod tests {
 
         let mut again = TimeSeries::new(1);
         for cycle in 0..4 * MAX_WINDOWS as u64 {
-            again.record_n(cycle, 1, 1);
+            again.record(cycle, 1);
         }
         assert_eq!(ts, again, "deterministic");
     }
@@ -464,50 +439,7 @@ mod tests {
     #[test]
     fn zero_window_series_is_inert() {
         let mut ts = TimeSeries::new(0);
-        ts.record_n(100, 1, 42);
+        ts.record(100, 42);
         assert!(ts.points().is_empty());
-        ts.record_n(100, 50, 42);
-        assert!(ts.points().is_empty());
-    }
-
-    #[test]
-    fn record_n_matches_single_cycle_records() {
-        // Differential check across window boundaries, coarsening and
-        // nonzero values: one bulk append must be bit-identical to the
-        // per-cycle loop.
-        for (window, start, n, value) in [
-            (10, 0, 25, 0u64),
-            (10, 7, 25, 3),
-            (1, 0, 1100, 1), // forces repeated coarsening
-            (5, 12, 3000, 2), // coarsening from an offset start
-            (10, 95, 1, 9),   // single-cycle run
-            (10, 42, 0, 9),   // empty run is a no-op
-        ] {
-            let mut bulk = TimeSeries::new(window);
-            bulk.record_n(start, n, value);
-            let mut scalar = TimeSeries::new(window);
-            for cycle in start..start + n {
-                scalar.record_n(cycle, 1, value);
-            }
-            assert_eq!(bulk, scalar, "window={window} start={start} n={n}");
-        }
-    }
-
-    #[test]
-    fn record_n_composes_with_single_cycle_records() {
-        // Interleaving bulk and single-cycle appends behaves like one
-        // per-cycle stream (the skip engine alternates idle runs with
-        // real samples).
-        let mut mixed = TimeSeries::new(10);
-        mixed.record_n(0, 1, 4);
-        mixed.record_n(1, 30, 0);
-        mixed.record_n(31, 1, 6);
-        let mut scalar = TimeSeries::new(10);
-        scalar.record_n(0, 1, 4);
-        for cycle in 1..31 {
-            scalar.record_n(cycle, 1, 0);
-        }
-        scalar.record_n(31, 1, 6);
-        assert_eq!(mixed, scalar);
     }
 }

@@ -27,6 +27,8 @@
 //! with a bounded global window, and reports cycles, FLITs and
 //! bandwidth.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use hmc_sim::jsonv::obj;
 use hmc_sim::{HmcSim, Json, JsonError, ObjReader, SimSnapshot};
 use hmc_types::packet::payload_words;
@@ -124,11 +126,10 @@ fn canonical_number<const RADIX: u64>(s: &[u8]) -> Option<(u64, &[u8])> {
 /// fields, and the error of a line that does not parse.
 fn parse_general(line: &str) -> Result<Option<TraceOp>, HmcError> {
     let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(None);
-    }
     let mut tok = line.split_whitespace();
-    let kind = tok.next().expect("nonempty line");
+    let Some(kind) = tok.next().filter(|kind| !kind.starts_with('#')) else {
+        return Ok(None);
+    };
     let bad = |why: String| HmcError::MalformedPacket(format!("trace line '{line}': {why}"));
     // A trace number is digits only; the integer parsers take a `+`,
     // so a signed token is parsed as the sign alone, which fails as
@@ -336,8 +337,9 @@ impl ReplayCheckpoint {
     }
 
     /// Parses a [`ReplayCheckpoint::to_json_value`] document. Strict:
-    /// unknown fields, missing fields and schema mismatches are errors.
-    /// The snapshot is moved out of the tree and decoded by
+    /// unknown fields, missing fields and schema mismatches are errors,
+    /// and so is a `cycle` other than the snapshot's or a `start_cycle`
+    /// past it. The snapshot is moved out of the tree and decoded by
     /// [`SimSnapshot::from_json_value`], in the order the fields are.
     pub fn from_json_value(mut v: Json) -> Result<ReplayCheckpoint, JsonError> {
         let snapshot = v.take("snapshot");
@@ -370,6 +372,19 @@ impl ReplayCheckpoint {
             },
         };
         r.finish()?;
+        let at = out.snapshot.cycle();
+        if out.cycle != at {
+            return Err(JsonError::new(format!(
+                "replay checkpoint: field `cycle` is {} but its snapshot was taken at cycle {at}",
+                out.cycle
+            )));
+        }
+        if out.start_cycle > at {
+            return Err(JsonError::new(format!(
+                "replay checkpoint: field `start_cycle` {} lies past its snapshot's cycle {at}",
+                out.start_cycle
+            )));
+        }
         Ok(out)
     }
 
@@ -473,6 +488,13 @@ pub fn replay_with_sink(
     let flits_before;
     match resume {
         Some(ckpt) => {
+            if ckpt.start_cycle > ckpt.snapshot.cycle() {
+                return Err(HmcError::MalformedPacket(format!(
+                    "replay checkpoint start_cycle {} lies past its snapshot's cycle {}",
+                    ckpt.start_cycle,
+                    ckpt.snapshot.cycle()
+                )));
+            }
             sim.restore(&ckpt.snapshot)?;
             cursor = ckpt.cursor;
             for (link, tag) in ckpt.inflight {

@@ -8,6 +8,8 @@
 //! kept once; a kernel keeps only what to issue next and what to do
 //! with an answer.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use hmc_sim::{HmcSim, TrackedResponse};
 use hmc_types::{HmcError, Tag};
 use std::collections::BTreeMap;

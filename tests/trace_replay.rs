@@ -147,6 +147,66 @@ fn golden_replay_checkpoint_loads_re_renders_and_resumes() {
     assert!(recorded, "the checkpoint carries records");
 }
 
+/// `replay_ckpt_v8.json` with one top-level field set to `value`.
+fn golden_with(field: &str, value: u64) -> Json {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let text = std::fs::read_to_string(path.join("replay_ckpt_v8.json")).unwrap();
+    let mut doc = Json::parse(&text).unwrap();
+    let Json::Obj(top) = &mut doc else { panic!("a checkpoint is an object") };
+    top.iter_mut().find(|(k, _)| k == field).unwrap().1 = value.into();
+    doc
+}
+
+#[test]
+fn a_checkpoint_cycle_other_than_its_snapshots_is_refused() {
+    let at = ReplayCheckpoint::from_json_value(golden_with("start_cycle", 0)).unwrap();
+    let at = at.snapshot.cycle();
+    for cycle in [at + 1_000, at - 1] {
+        let err = ReplayCheckpoint::from_json_value(golden_with("cycle", cycle)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "replay checkpoint: field `cycle` is {cycle} but its snapshot was taken at cycle \
+                 {at}"
+            )
+        );
+    }
+}
+
+#[test]
+fn a_checkpoint_start_cycle_past_its_snapshot_is_refused() {
+    let golden = ReplayCheckpoint::from_json_value(golden_with("start_cycle", 0)).unwrap();
+    let at = golden.snapshot.cycle();
+    assert!(ReplayCheckpoint::from_json_value(golden_with("start_cycle", at)).is_ok());
+    let err = ReplayCheckpoint::from_json_value(golden_with("start_cycle", at + 500)).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "replay checkpoint: field `start_cycle` {} lies past its snapshot's cycle {at}",
+            at + 500
+        )
+    );
+}
+
+#[test]
+fn a_resume_whose_start_cycle_lies_past_its_snapshot_is_an_error() {
+    // Hand-built, so no decoder stands in the way; refused before
+    // anything is restored.
+    let golden = ReplayCheckpoint::from_json_value(golden_with("start_cycle", 0)).unwrap();
+    let at = golden.snapshot.cycle();
+    let mut sim = small_observed_cube();
+    let resume = ReplayCheckpoint { start_cycle: at + 500, ..golden };
+    let err = replay_resumable(&mut sim, &short_trace(), &CONFIG, Some(resume)).unwrap_err();
+    assert_eq!(
+        err,
+        HmcError::MalformedPacket(format!(
+            "replay checkpoint start_cycle {} lies past its snapshot's cycle {at}",
+            at + 500
+        ))
+    );
+    assert_eq!(sim.cycle(), 0, "nothing was restored");
+}
+
 /// The trace-line reader as it stood before the canonical one joined
 /// it, kept verbatim: the oracle both readers together must match.
 fn reference_parse_line(line: &str) -> Result<Option<TraceOp>, HmcError> {
