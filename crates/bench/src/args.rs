@@ -1,6 +1,9 @@
-//! Command-line lookup shared by the reproduction binaries. A value a
-//! binary cannot use ends the process with status 2: a mistyped flag
-//! must not silently regenerate the default table.
+//! Command-line lookup shared by the reproduction binaries. A flag a
+//! binary does not read, or a value it cannot use, ends the process
+//! with status 2: a mistyped flag must not silently regenerate the
+//! default table.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use hmc_workloads::SpinPolicy;
 use std::str::FromStr;
@@ -15,9 +18,14 @@ fn reject(msg: String) -> ! {
 }
 
 impl Args {
-    /// Captures `std::env::args()`.
-    pub fn from_env() -> Self {
-        Args(std::env::args().skip(1).collect())
+    /// Captures `std::env::args()`; exits 2 on a `--` token that is
+    /// not one of `flags`, the flags the binary reads.
+    pub fn from_env(flags: &[&str]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !flags.contains(&&a[..])) {
+            reject(format!("unknown flag {flag} (known flags: {flags:?})"));
+        }
+        Args(args)
     }
 
     /// The first argument, e.g. a sub-command or an input path.

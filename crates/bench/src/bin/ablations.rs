@@ -3,5 +3,6 @@
 //! `cargo run --release -p hmc-bench --bin ablations > results/ablations.txt`
 
 fn main() {
+    hmc_bench::Args::from_env(&[]);
     print!("{}", hmc_bench::ablations::render());
 }

@@ -36,7 +36,9 @@ fn or_fail<T>(what: &str, result: Result<T, impl Display>) -> T {
 }
 
 fn main() {
-    let args = hmc_bench::Args::from_env();
+    let args = hmc_bench::Args::from_env(&[
+        "--format", "--out", "--threads", "--capacity", "--workload", "--packets-only",
+    ]);
     let format = args.get("--format").unwrap_or("table");
     if !matches!(format, "table" | "prom" | "json" | "perfetto") {
         fail(format!("unknown --format '{format}' (expected table|prom|json|perfetto)"));

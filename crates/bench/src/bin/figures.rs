@@ -12,7 +12,7 @@ use hmc_bench::{mutex_sweep, Args, SweepPoint};
 use hmc_sim::DeviceConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--metric", "--spin", "--links", "--max-threads"]);
     let metric = args.get("--metric").unwrap_or("all");
     if !matches!(metric, "all" | "min" | "max" | "avg" | "p50" | "p99") {
         eprintln!("error: unknown --metric '{metric}' (expected all|min|max|avg|p50|p99)");

@@ -154,7 +154,10 @@ fn reconcile_manifest(dir: &Path, current: &Manifest) {
 }
 
 fn main() {
-    let args = hmc_bench::Args::from_env();
+    let args = hmc_bench::Args::from_env(&[
+        "--links", "--window", "--checkpoint-dir", "--retain", "--resume", "--checkpoint-every",
+        "--sanitize",
+    ]);
     let links: usize = args.num("--links", 4);
     let window: usize = args.num("--window", 64);
     let checkpoint_dir = args.get("--checkpoint-dir");

@@ -57,6 +57,7 @@ fn class(kind: CmdKind) -> &'static str {
 }
 
 fn main() {
+    hmc_bench::Args::from_env(&[]);
     println!("Table I: HMC-Sim 2.0 Gen2 Additional Command Support");
     println!("(request/response lengths in FLITs, from hmc-types metadata)\n");
 

@@ -29,6 +29,7 @@ fn measured_flits(mode: CounterMode) -> u64 {
 }
 
 fn main() {
+    hmc_bench::Args::from_env(&[]);
     println!("Table II: HMC Gen2 Atomic Memory Operation Efficiency\n");
 
     let cache = CacheAtomicModel::new(CacheConfig::default())

@@ -26,6 +26,7 @@ const PSEUDOCODE: &[(&str, &str)] = &[
 ];
 
 fn main() {
+    hmc_bench::Args::from_env(&[]);
     println!("Table V: CMC Mutex Operations\n");
 
     hmc_cmc::ops::register_builtin_libraries();

@@ -14,7 +14,7 @@ use hmc_bench::{mutex_sweep, summarize, Args, TableWriter};
 use hmc_sim::DeviceConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--spin", "--max-threads"]);
     let spin = args.spin();
     let max_threads: usize = args.num("--max-threads", 100);
 

@@ -37,6 +37,15 @@ fn a_flag_is_not_the_value_of_the_flag_before_it() {
 }
 
 #[test]
+fn a_mistyped_flag_exits_2_naming_it() {
+    let out = explain(&["--wrokload", "gups"], "");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --wrokload"), "{stderr}");
+    assert!(out.stdout.is_empty(), "ran the default workload instead");
+}
+
+#[test]
 fn trace_on_stdin_is_summarized() {
     let trace = "\
 run log header

@@ -60,15 +60,16 @@ fn every_owned_results_file_regenerates_byte_identically() {
     assert!(ratio.parse::<f64>().expect("a ratio") >= 12.0, "mesh4x4 vs single1: {ratio}x < 12.0x");
 }
 
-/// A mistyped value or an unreadable input must not quietly
-/// regenerate the default table, fall back to another device or panic.
+/// A mistyped flag or value, a flag the binary does not read, or an
+/// unreadable input must not quietly regenerate the default table,
+/// fall back to another device or panic.
 #[test]
 fn unusable_flag_values_exit_2_and_print_nothing() {
     let malformed =
         std::env::temp_dir().join(format!("malformed-trace-{}.txt", std::process::id()));
     std::fs::write(&malformed, "not a trace line\n").expect("temp dir is writable");
     let malformed = malformed.to_str().expect("UTF-8 temp path");
-    let cases: [(&str, &[&str], &str); 11] = [
+    let cases: [(&str, &[&str], &str); 19] = [
         (env!("CARGO_BIN_EXE_table6"), &["--spin", "hones"], "--spin 'hones'"),
         (env!("CARGO_BIN_EXE_figures"), &["--spin", "hones"], "--spin 'hones'"),
         (env!("CARGO_BIN_EXE_table6"), &["--max-threads", "x"], "--max-threads 'x'"),
@@ -80,6 +81,14 @@ fn unusable_flag_values_exit_2_and_print_nothing() {
         (env!("CARGO_BIN_EXE_replay"), &["--links", "2"], "--links '2'"),
         (env!("CARGO_BIN_EXE_replay"), &["/nonexistent"], "/nonexistent"),
         (env!("CARGO_BIN_EXE_replay"), &[malformed], malformed),
+        (env!("CARGO_BIN_EXE_table1"), &["--links", "8"], "unknown flag --links"),
+        (env!("CARGO_BIN_EXE_table2"), &["--spin", "honest"], "unknown flag --spin"),
+        (env!("CARGO_BIN_EXE_table5"), &["--threads", "4"], "unknown flag --threads"),
+        (env!("CARGO_BIN_EXE_ablations"), &["--quick"], "unknown flag --quick"),
+        (env!("CARGO_BIN_EXE_table6"), &["--max-thread", "20"], "unknown flag --max-thread"),
+        (env!("CARGO_BIN_EXE_figures"), &["--spin", "honest", "--metrc", "x"], "unknown flag --metrc"),
+        (env!("CARGO_BIN_EXE_explain"), &["--skip", "on"], "unknown flag --skip"),
+        (env!("CARGO_BIN_EXE_replay"), &["--checkpoint-evry", "9"], "unknown flag --checkpoint-evry"),
     ];
     for (exe, args, names) in cases {
         let out = run(exe, args);

@@ -26,11 +26,12 @@ USAGE:
         --out (default `corpus-new/`). With --count the scenario
         stream is a fixed length (fully deterministic, CI-friendly);
         with --seconds it is time-boxed. --canary injects a known
-        seeded divergence (a stats increment dropped under skip mode)
-        and asserts the farm finds and shrinks it. Progress is
-        journaled to `<out>/run.journal` after every scenario;
-        --resume continues a killed campaign from that journal
-        (same seed required) without skipping or repeating scenarios.
+        seeded divergence (a stats increment dropped under skip mode,
+        seen as a fingerprint mismatch) and asserts the farm finds
+        and shrinks it. Progress is journaled to `<out>/run.journal`
+        after every scenario; --resume continues a killed campaign
+        from that journal (same seed required) without skipping or
+        repeating scenarios.
 
     hmcfuzz replay [--timeout SECS] FILE... | --corpus DIR
         Replay reproducer files (or a whole corpus directory); exits
@@ -226,7 +227,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 Err(e) => return fail(format!("cannot save reproducer: {e}")),
             }
             if parsed.canary
-                && report.outcome.class() == "mismatch-stats"
+                && report.outcome.class() == "mismatch-fingerprint"
                 && report.scenario.weight() <= 24
             {
                 canary_found = true;

@@ -11,9 +11,9 @@
 //! Each side runs behind `catch_unwind` on a watchdog thread with a
 //! wall-clock budget, so a panicking or runaway engine is classified
 //! instead of killing the fuzzer. The comparison is the pair of
-//! digests: the device-side [`OracleDigest`] (cycle / fingerprint /
-//! stats / latency-histogram axes, each hashed separately so the
-//! mismatch names its axis) plus the workload digest from
+//! digests: the device-side [`OracleDigest`] (cycle and fingerprint
+//! axes, kept apart so the mismatch names its axis) plus the workload
+//! digest from
 //! [`KernelDescriptor::run`](hmc_workloads::KernelDescriptor::run).
 
 use crate::scenario::Scenario;
@@ -64,8 +64,7 @@ pub enum Outcome {
     Pass,
     /// A digest axis diverged between reference and variant.
     Mismatch {
-        /// Which axis: `cycle`, `fingerprint`, `stats`, `latency` or
-        /// `workload`.
+        /// Which axis: `cycle`, `fingerprint` or `workload`.
         axis: &'static str,
         /// Reference-side value of the axis.
         reference: u64,
@@ -245,9 +244,10 @@ pub fn run_scenario(scenario: &Scenario, config: &RunnerConfig) -> Outcome {
     };
     if config.canary && scenario.sim.skip_mode == SkipMode::On {
         // The seeded defect: pretend the skipping engine dropped one
-        // stats increment. A correct fuzzer must flag this as a
-        // stats-axis mismatch and shrink it.
-        variant.oracle.stats = variant.oracle.stats.wrapping_add(1);
+        // stats increment. The fingerprint hashes every stats counter,
+        // so a correct fuzzer must flag this as a fingerprint-axis
+        // mismatch and shrink it.
+        variant.oracle.fingerprint = variant.oracle.fingerprint.wrapping_add(1);
     }
     if variant.watchdog > 0 {
         return Outcome::WatchdogStall { total: variant.violations };
@@ -255,11 +255,9 @@ pub fn run_scenario(scenario: &Scenario, config: &RunnerConfig) -> Outcome {
     if variant.violations > 0 {
         return Outcome::SanitizerViolation { total: variant.violations };
     }
-    let axes: [(&'static str, u64, u64); 5] = [
+    let axes: [(&'static str, u64, u64); 3] = [
         ("cycle", reference.oracle.cycle, variant.oracle.cycle),
         ("fingerprint", reference.oracle.fingerprint, variant.oracle.fingerprint),
-        ("stats", reference.oracle.stats, variant.oracle.stats),
-        ("latency", reference.oracle.latency, variant.oracle.latency),
         ("workload", reference.workload, variant.workload),
     ];
     for (axis, r, v) in axes {
@@ -327,8 +325,8 @@ mod tests {
     fn canary_fires_only_under_skip_mode() {
         let config = RunnerConfig { canary: true, ..Default::default() };
         match run_scenario(&scenario(SkipMode::On), &config) {
-            Outcome::Mismatch { axis: "stats", .. } => {}
-            other => panic!("canary should be a stats mismatch, got {other:?}"),
+            Outcome::Mismatch { axis: "fingerprint", .. } => {}
+            other => panic!("canary should be a fingerprint mismatch, got {other:?}"),
         }
         assert_eq!(run_scenario(&scenario(SkipMode::Off), &config), Outcome::Pass);
     }

@@ -273,9 +273,9 @@ mod tests {
         };
         let config = RunnerConfig { canary: true, ..Default::default() };
         let outcome = run_scenario(&fat, &config);
-        assert_eq!(outcome.class(), "mismatch-stats");
+        assert_eq!(outcome.class(), "mismatch-fingerprint");
         let report = shrink(&fat, &outcome, &config, 400);
-        assert_eq!(report.outcome.class(), "mismatch-stats");
+        assert_eq!(report.outcome.class(), "mismatch-fingerprint");
         assert_eq!(report.scenario.sim.skip_mode, SkipMode::On, "canary requires skip mode");
         assert_eq!(
             report.scenario.sim.devices.len(),

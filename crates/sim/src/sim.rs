@@ -5,6 +5,8 @@
 //! HMC-Sim user API: `send`, `recv`, `clock`, `load_cmc`, the JTAG
 //! register access path and statistics.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use crate::config::{DeviceConfig, ExecMode, LinkTopology, SimConfig, SkipMode};
 use crate::device::{
     Device, Egress, EnvelopePool, RouteOutcome, RqstEnvelope, RspEnvelope, TrackedRequest,
@@ -23,7 +25,6 @@ use hmc_cmc::{CmcOp, CmcRegistration};
 use hmc_types::{
     Cub, Flit, HmcError, HmcRqst, PayloadSource, Request, Response, Tag, TagPool, TagSet,
 };
-use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 
 /// A packet crossing a fabric edge between devices.
@@ -118,19 +119,6 @@ pub struct HmcSim {
     /// beyond this check, and no telemetry state exists to perturb
     /// snapshots or fingerprints).
     pub(crate) telemetry: Option<Box<crate::telemetry::Telemetry>>,
-    /// Whether `clock()` may compress provably-idle cycle runs.
-    pub(crate) skip_mode: SkipMode,
-    /// Per-cube cache for the skip engine's device-queue scan: `true`
-    /// means that device's queues *may* hold packets and must be
-    /// re-scanned before skipping. Set on injection into the device
-    /// and on every full clock where the device ends with pending
-    /// work; cleared when a scan proves its queues empty. A fully
-    /// idle cube therefore contributes O(1) to the global horizon —
-    /// idle-skip jumps never rescan quiet devices. Not simulation
-    /// state — not snapshotted, never observable in results — so
-    /// [`HmcSim::next_event_cycle`] refreshes it through a shared
-    /// reference.
-    dev_maybe_busy: Vec<Cell<bool>>,
     /// Free lists of retired packet envelopes, lent to the device
     /// stages the way the tracer is. Grown lazily (construction
     /// allocates nothing for them). Not simulation state.
@@ -180,7 +168,6 @@ impl HmcSim {
             .collect();
         let zombie_tags = config.devices.iter().map(|_| HashSet::new()).collect();
         let skip_mode = config.skip_mode.resolve_env()?;
-        let n = devices.len();
         let transit_queues = (0..topology.edge_count()).map(|_| EventHeap::new()).collect();
         let mut sim = HmcSim {
             config: SimConfig { skip_mode, timing, ..config },
@@ -197,8 +184,6 @@ impl HmcSim {
             tracer: Tracer::disabled(),
             sanitizer: None,
             telemetry: None,
-            skip_mode,
-            dev_maybe_busy: vec![Cell::new(true); n],
             envelopes: EnvelopePool::default(),
             scratch: CycleScratch::default(),
         };
@@ -286,16 +271,14 @@ impl HmcSim {
 
     /// The effective skip mode (after environment resolution).
     pub fn skip_mode(&self) -> SkipMode {
-        self.skip_mode
+        self.config.skip_mode
     }
 
     /// Switches idle-cycle skipping. Takes effect on the next
     /// `clock()`; both settings produce bit-identical simulation
     /// state, so switching mid-run is safe.
     pub fn set_skip_mode(&mut self, mode: SkipMode) {
-        self.skip_mode = mode;
         self.config.skip_mode = mode;
-        self.mark_fabric_busy();
     }
 
     /// The effective bank-timing backend (after environment
@@ -319,19 +302,6 @@ impl HmcSim {
             dev.set_timing_model(select);
         }
         self.config.timing = select;
-        self.mark_fabric_busy();
-    }
-
-    /// Invalidates every device's skip-engine cache (state was
-    /// mutated outside the clock, e.g. a snapshot restore).
-    pub(crate) fn mark_fabric_busy(&mut self) {
-        self.dev_maybe_busy.fill(Cell::new(true));
-    }
-
-    /// Invalidates one device's skip-engine cache (a packet entered
-    /// that device's queues outside the full clock).
-    fn mark_device_busy(&mut self, dev: usize) {
-        self.dev_maybe_busy[dev].set(true);
     }
 
     /// The fabric's routing tables and edge list.
@@ -456,9 +426,6 @@ impl HmcSim {
                 a: flits as u64,
                 ..TraceRecord::new(cycle, TraceKind::HostSend)
             });
-            // A packet entered this device: the skip engine must
-            // re-scan its queues before compressing again.
-            self.mark_device_busy(dev);
             if let Some(san) = self.sanitizer.as_deref_mut() {
                 san.note_injected(dev, link, tag, tracked, cycle);
             }
@@ -686,7 +653,7 @@ impl HmcSim {
             return Err(HmcError::InvalidDevice(dev));
         }
         let tag = if posted {
-            Tag::new(0).expect("tag 0")
+            Tag::default()
         } else {
             self.tag_pools
                 .get_mut(dev)
@@ -732,10 +699,7 @@ impl HmcSim {
         addr: u64,
         payload: impl PayloadSource,
     ) -> Result<Option<Tag>, HmcError> {
-        if dev >= self.devices.len() {
-            return Err(HmcError::InvalidDevice(dev));
-        }
-        let cub = Cub::new(dev as u8).expect("validated contexts hold at most 16 devices");
+        let cub = self.cub_of(dev)?;
         self.send_to_cube(dev, link, cub, cmd, addr, payload)
     }
 
@@ -772,10 +736,18 @@ impl HmcSim {
     ) -> Result<Option<Tag>, HmcError> {
         let reg = self.device(dev)?.cmc().lookup(code)?.registration();
         let (rqst_len, posted) = (reg.rqst_len, reg.is_posted());
-        let cub = Cub::new(dev as u8).expect("validated contexts hold at most 16 devices");
+        let cub = self.cub_of(dev)?;
         self.send_pooled(dev, link, posted, |req, tag| {
             req.fill_cmc(code, rqst_len, tag, addr, cub, payload)
         })
+    }
+
+    /// Device `dev`'s own cube id; `InvalidDevice` when the context has
+    /// no such device. Validation caps contexts at [`Cub::MAX_CUBES`]
+    /// devices, so every device has one.
+    fn cub_of(&self, dev: usize) -> Result<Cub, HmcError> {
+        self.device(dev)?;
+        Cub::new(dev as u8)
     }
 
     /// Clocks the simulation until the response for `tag` arrives on
@@ -862,7 +834,7 @@ impl HmcSim {
         self.vaults(cycle);
         self.requests(cycle);
         // Power is the tail `advance_idle` runs too, for one cycle; the
-        // per-cycle observers and the skip caches are a full cycle's own.
+        // per-cycle observers are a full cycle's own.
         self.power(1);
         if self.telemetry.is_some() {
             self.run_telemetry(cycle);
@@ -870,7 +842,6 @@ impl HmcSim {
         if self.sanitizer.is_some() {
             self.run_sanitizer(cycle);
         }
-        self.skip_caches();
         self.cycle += 1;
     }
 
@@ -1009,10 +980,12 @@ impl HmcSim {
         // fabrics are symmetric (a response retraces the way back), and
         // `restore` checks every restored packet alike. The next hop is
         // a neighbour of `from`, so the edge exists.
+        #[allow(clippy::expect_used)] // routability is checked on admission and on restore
         let to_dev = self
             .topology
             .next_hop(from, toward)
             .expect("a forwarded packet has a route toward its cube");
+        #[allow(clippy::expect_used)] // a next hop is a neighbour, joined by an edge
         let edge = self
             .topology
             .edge_id(from, to_dev)
@@ -1084,21 +1057,13 @@ impl HmcSim {
         }
     }
 
-    /// Skip caches: an exact end-of-cycle scan (cheap relative to the
-    /// pipeline that just ran) of which devices still hold work.
-    fn skip_caches(&mut self) {
-        for (dev, busy) in self.devices.iter().zip(&self.dev_maybe_busy) {
-            busy.set(dev.has_work());
-        }
-    }
-
     /// How many of the next `max` cycles are provably idle: every one
     /// before [`HmcSim::next_event_cycle`]'s horizon. `None` when
     /// skipping is off, when a per-cycle observer (a sanitizer or a
     /// telemetry collector) is attached, or when the current cycle must
     /// execute the full pipeline.
     fn skippable(&self, max: u64) -> Option<u64> {
-        if !self.skip_mode.is_on()
+        if !self.config.skip_mode.is_on()
             || max == 0
             || self.sanitizer.is_some()
             || self.telemetry.is_some()
@@ -1106,8 +1071,8 @@ impl HmcSim {
             return None;
         }
         match self.next_event_cycle() {
-            // A maybe-busy device has work (the horizon scan stops at
-            // the first one), or an event is due now.
+            // A device has work (the horizon scan stops at the first
+            // one), or an event is due now.
             Some(h) if h <= self.cycle => None,
             Some(h) => Some(max.min(h - self.cycle)),
             None => Some(max),
@@ -1115,9 +1080,8 @@ impl HmcSim {
     }
 
     /// Applies `k` compressed idle cycles in closed form: `k` cycles of
-    /// leakage, the tail a full cycle ends with; the skip caches stand
-    /// (nothing moved). Only legal for a region approved by
-    /// [`HmcSim::skippable`].
+    /// leakage, the tail a full cycle ends with. Only legal for a
+    /// region approved by [`HmcSim::skippable`].
     fn advance_idle(&mut self, k: u64) {
         let cycle = self.cycle;
         if self.tracer.captures(TraceLevel::ENGINE) {
@@ -1143,17 +1107,8 @@ impl HmcSim {
     /// to it and no further.
     pub fn next_event_cycle(&self) -> Option<u64> {
         let cycle = self.cycle;
-        // Only devices flagged maybe-busy are scanned; a cleared flag
-        // is a proof the device's queues are empty (it stays cleared
-        // until an injection or a full clock that leaves work behind
-        // re-sets it), so quiet cubes cost nothing here.
-        for (dev, busy) in self.devices.iter().zip(&self.dev_maybe_busy) {
-            if busy.get() {
-                if dev.has_work() {
-                    return Some(cycle);
-                }
-                busy.set(false);
-            }
+        if self.devices.iter().any(Device::has_work) {
+            return Some(cycle);
         }
         self.transit_queues
             .iter()
@@ -1249,9 +1204,6 @@ impl HmcSim {
             stages: Default::default(),
         };
         self.devices[dev].debug_inject_response(link, item);
-        // The planted response sits in a device queue: the skip
-        // engine must re-scan that device before compressing.
-        self.mark_device_busy(dev);
     }
 
     // ------------------------------------------------------------------

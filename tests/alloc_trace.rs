@@ -578,7 +578,7 @@ fn traced_off_emission_is_allocation_free() {
     }
     let paper = [DeviceConfig::gen2_4link_4gb(), DeviceConfig::gen2_8link_8gb()];
     let built = paper.map(|d| construction_allocations(&SimConfig::single(d)));
-    assert_eq!(built, [31, 31], "4Link-4GB and 8Link-8GB contexts took {built:?} allocations");
+    assert_eq!(built, [30, 30], "4Link-4GB and 8Link-8GB contexts took {built:?} allocations");
     // Twice or half the vaults, the same blocks: no allocation per vault.
     let by_vaults = [4, 8, 16].map(|vaults_per_quad| {
         let device = DeviceConfig { vaults_per_quad, ..DeviceConfig::gen2_4link_4gb() };

@@ -16,7 +16,7 @@
 //! directly.
 
 use hmcsim::prelude::*;
-use hmcsim::sim::{FaultPlan, SimConfig};
+use hmcsim::sim::{FaultPlan, SimConfig, TraceKind};
 use proptest::prelude::*;
 
 /// One host action per simulated cycle.
@@ -145,6 +145,21 @@ fn drive_bursty(
     (fingerprints, sim.stats(0).unwrap().clone())
 }
 
+/// Attaches a flight recorder, the observer that leaves skipping on,
+/// so [`idle_skips`] can prove a run compressed cycles.
+fn recorded_skipping(config: DeviceConfig, mode: ExecMode) -> HmcSim {
+    let mut sim = sim_with(config, mode, SkipMode::On);
+    sim.enable_flight_recorder(256);
+    sim
+}
+
+/// How many idle runs the engine compressed, as the flight recorder
+/// saw them.
+fn idle_skips(sim: &HmcSim) -> usize {
+    let records = sim.flight_snapshot().unwrap().merged();
+    records.iter().filter(|r| r.kind == TraceKind::IdleSkip).count()
+}
+
 fn assert_lockstep_equal(config_name: &str, reference: &[u64], variant: &[u64]) {
     assert_eq!(reference.len(), variant.len());
     for (step, (r, v)) in reference.iter().zip(variant).enumerate() {
@@ -208,25 +223,24 @@ proptest! {
         prop_assert_eq!(run(SkipMode::Off), run(SkipMode::On));
     }
 
-    /// The sanitizer observes the same invariants on the reference
-    /// and on a skipping run that records `Parallel`: zero violations,
-    /// identical fingerprints.
+    /// The sanitizer audits the reference clean, and a skipping run
+    /// that records `Parallel` matches it fingerprint for fingerprint
+    /// and in its stats. A per-cycle observer turns skipping off, so
+    /// the skipping side carries only a flight recorder, which must
+    /// see at least one compressed idle run.
     #[test]
     fn sanitizer_is_bit_identical_and_clean_under_skip(
         ops in prop::collection::vec(arb_op(), 1..60),
     ) {
-        let run = |mode: ExecMode, skip: SkipMode| {
-            let mut sim = sim_with(DeviceConfig::gen2_4link_4gb(), mode, skip);
-            sim.enable_sanitizer(SanitizerConfig::report());
-            let fingerprints = drive(&mut sim, &ops, 60);
-            let violations = sim.sanitizer_report().map(|r| r.total_violations);
-            (fingerprints, violations)
-        };
-        let (reference, ref_violations) = run(ExecMode::Sequential, SkipMode::Off);
-        prop_assert_eq!(ref_violations, Some(0));
-        let (variant, violations) = run(RECORDED, SkipMode::On);
-        assert_lockstep_equal("gen2_4link_4gb+sanitizer", &reference, &variant);
-        prop_assert_eq!(violations, Some(0));
+        let mut reference = plain(DeviceConfig::gen2_4link_4gb());
+        reference.enable_sanitizer(SanitizerConfig::report());
+        let expected = drive(&mut reference, &ops, 60);
+        prop_assert_eq!(reference.sanitizer_report().map(|r| r.total_violations), Some(0));
+        let mut skipped = recorded_skipping(DeviceConfig::gen2_4link_4gb(), RECORDED);
+        let fingerprints = drive(&mut skipped, &ops, 60);
+        assert_lockstep_equal("gen2_4link_4gb+sanitizer", &expected, &fingerprints);
+        prop_assert_eq!(reference.stats(0).unwrap(), skipped.stats(0).unwrap());
+        prop_assert!(idle_skips(&skipped) > 0, "the skipping run compressed no cycle");
     }
 }
 
@@ -296,11 +310,12 @@ fn skip_mode_with_fault_schedule_is_bit_identical() {
     assert_eq!(ref_stats, stats, "stats diverged under fault schedule");
 }
 
-/// Skipping under the full observer stack: sanitizer report mode
-/// (watchdog + periodic checkpoints) and full telemetry must see the
-/// exact same history whether the idle cycles were executed or
-/// compressed — same fingerprints, same stats, a clean audit, and a
-/// bit-identical telemetry export.
+/// The reference under the full observer stack, sanitizer report mode
+/// (its watchdog armed) and full telemetry, audits clean, and a run
+/// that compresses the idle gaps matches it: same fingerprints, same
+/// stats. A per-cycle observer turns skipping off, so the skipping
+/// side carries only a flight recorder, which must see the gaps
+/// compressed.
 #[test]
 fn skip_mode_under_sanitizer_and_telemetry_is_bit_identical_and_clean() {
     let ops: Vec<Op> = (0..48)
@@ -311,22 +326,18 @@ fn skip_mode_under_sanitizer_and_telemetry_is_bit_identical_and_clean() {
             _ => Op::Idle,
         })
         .collect();
-    let run = |skip: SkipMode| {
-        let mut sim = sim_with(DeviceConfig::gen2_4link_4gb(), ExecMode::Sequential, skip);
-        sim.enable_sanitizer(SanitizerConfig::report());
-        sim.enable_telemetry(TelemetryConfig::full());
-        let (fp, stats) = drive_bursty(&mut sim, &ops, 700, 3_000);
-        let violations = sim.sanitizer_report().map(|r| r.total_violations);
-        let telemetry = sim.telemetry_report().map(|r| r.to_json().render());
-        (fp, stats, violations, telemetry)
-    };
-    let reference = run(SkipMode::Off);
-    assert_eq!(reference.2, Some(0), "reference run is invariant-clean");
-    let skipped = run(SkipMode::On);
-    assert_eq!(reference.0, skipped.0, "fingerprints diverged under observers");
-    assert_eq!(reference.1, skipped.1, "stats diverged under observers");
-    assert_eq!(skipped.2, Some(0), "audit stays clean with skipping");
-    assert_eq!(reference.3, skipped.3, "telemetry export diverged");
+    let mut reference = plain(DeviceConfig::gen2_4link_4gb());
+    reference.enable_sanitizer(SanitizerConfig::report());
+    reference.enable_telemetry(TelemetryConfig::full());
+    let (ref_fp, ref_stats) = drive_bursty(&mut reference, &ops, 700, 3_000);
+    let violations = reference.sanitizer_report().map(|r| r.total_violations);
+    assert_eq!(violations, Some(0), "reference run is invariant-clean");
+    assert!(reference.telemetry_report().is_some(), "reference run is sampled");
+    let mut skipped = recorded_skipping(DeviceConfig::gen2_4link_4gb(), ExecMode::Sequential);
+    let (fp, stats) = drive_bursty(&mut skipped, &ops, 700, 3_000);
+    assert_eq!(ref_fp, fp, "fingerprints diverged from the observed reference");
+    assert_eq!(ref_stats, stats, "stats diverged from the observed reference");
+    assert!(idle_skips(&skipped) > 0, "the skipping run compressed no gap");
 }
 
 /// Switching the skip mode mid-run re-synchronizes on the very next

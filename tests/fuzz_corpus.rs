@@ -312,7 +312,7 @@ fn legacy_fabric_counts_beyond_the_cube_space_are_refused() {
 }
 
 /// Satellite 1 end-to-end: with the canary enabled, a scenario running
-/// under skip mode must diverge on the stats axis, and the shrinker
+/// under skip mode must diverge on the fingerprint axis, and the shrinker
 /// must reduce it to a bounded-size reproducer.
 #[test]
 fn canary_divergence_is_found_and_shrunk() {
@@ -331,9 +331,9 @@ fn canary_divergence_is_found_and_shrunk() {
     };
     let config = RunnerConfig { canary: true, ..Default::default() };
     let outcome = run_scenario(&fat, &config);
-    assert_eq!(outcome.class(), "mismatch-stats", "canary must fire under skip mode");
+    assert_eq!(outcome.class(), "mismatch-fingerprint", "canary must fire under skip mode");
     let report = shrink(&fat, &outcome, &config, 400);
-    assert_eq!(report.outcome.class(), "mismatch-stats");
+    assert_eq!(report.outcome.class(), "mismatch-fingerprint");
     assert!(
         report.scenario.weight() <= 24,
         "canary reproducer not minimal (weight {}): {:?}",
