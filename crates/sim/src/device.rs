@@ -185,7 +185,7 @@ impl Vault {
 /// one bit per vault. A hint for the per-cycle vault walks, derived
 /// from the queues and never the other way round: not snapshotted, not
 /// fingerprinted, rebuilt by [`Device::restore_state`] and checked
-/// against the queues by [`Device::queue_bound_violation`].
+/// against the queues by [`Device::audit_queues`].
 #[derive(Debug, Clone)]
 struct VaultSet(Vec<u64>);
 
@@ -949,7 +949,9 @@ impl Device {
     /// [`BoundedQueue`]'s own API, so a hit means memory corruption or
     /// a restore from a mismatched snapshot; the second means a stage
     /// moved a packet without keeping its [`VaultSet`], and the vault
-    /// walks would skip — or needlessly visit — that vault).
+    /// walks would skip — or needlessly visit — that vault). The
+    /// sanitizer asks only once [`Device::audit_queues`] has found one.
+    #[cold]
     pub(crate) fn queue_bound_violation(&self) -> Option<String> {
         for (link, q) in self.xbar_rqst.iter().enumerate() {
             if q.len() > q.depth() {
@@ -990,19 +992,34 @@ impl Device {
         None
     }
 
-    /// Every queue's occupancy, in a fixed order (the stall watchdog's
-    /// progress signature).
-    pub(crate) fn for_each_occupancy(&self, f: &mut impl FnMut(u64)) {
-        for q in &self.xbar_rqst {
-            f(q.len() as u64);
+    /// The sanitizer's one walk of the queues: appends every queue's
+    /// occupancy to `sig` in a fixed order (the stall watchdog's
+    /// progress signature) and returns [`Device::pending_work`], or
+    /// `None` when [`Device::queue_bound_violation`] would name a
+    /// fault. The occupancy bits are compared a [`VaultSet`] word at a
+    /// time; bits that agree with the queues make the sum over every
+    /// vault the sum over the marked ones.
+    pub(crate) fn audit_queues(&self, sig: &mut Vec<u64>) -> Option<usize> {
+        let (mut pending, mut over) = (0, false);
+        let mut note = |len: usize, depth: usize| {
+            sig.push(len as u64);
+            pending += len;
+            over |= len > depth;
+        };
+        self.xbar_rqst.iter().for_each(|q| note(q.len(), q.depth()));
+        self.xbar_rsp.iter().for_each(|q| note(q.len(), q.depth()));
+        let mut drift = false;
+        for (word, vaults) in self.vaults.chunks(64).enumerate() {
+            let mut occupied = [0u64; 2];
+            for (bit, v) in vaults.iter().enumerate() {
+                note(v.rqst.len(), v.rqst.depth());
+                note(v.rsp.len(), v.rsp.depth());
+                occupied[0] |= u64::from(!v.rqst.is_empty()) << bit;
+                occupied[1] |= u64::from(!v.rsp.is_empty()) << bit;
+            }
+            drift |= occupied != [self.rqst_waiting.0[word], self.rsp_waiting.0[word]];
         }
-        for q in &self.xbar_rsp {
-            f(q.len() as u64);
-        }
-        for v in &self.vaults {
-            f(v.rqst.len() as u64);
-            f(v.rsp.len() as u64);
-        }
+        (!over && !drift).then_some(pending)
     }
 
     /// Borrows the state the fingerprint covers.
@@ -1628,6 +1645,31 @@ mod tests {
         ).unwrap())).unwrap();
         let found = dev.queue_bound_violation().expect("missing hint");
         assert_eq!(found, "vault 7 rqst: occupancy bit false but 1 queued");
+    }
+
+    #[test]
+    fn the_sanitizer_reports_a_packet_queued_without_its_occupancy_bit() {
+        use crate::sanitizer::{SanitizerConfig, ViolationKind};
+        // A stale bit is cleared by the next vault walk, so the drift
+        // that lasts is a packet the walks never visit. It is not in
+        // the fabric by `pending_work`'s count either, so conservation
+        // holds and the queue bound is the only thing to fire.
+        let mut sim = crate::sim::HmcSim::new(DeviceConfig::gen2_4link_4gb()).unwrap();
+        sim.enable_sanitizer(SanitizerConfig::report());
+        sim.send_simple(0, 0, HmcRqst::Rd16, 0x40, vec![]).unwrap().unwrap();
+        sim.clock_n(3);
+        let req = Request::new(HmcRqst::Rd16, Tag::new(6).unwrap(), 0x40, Cub::new(0).unwrap(), [])
+            .unwrap();
+        sim.devices[0].vaults[7].rqst.push(tracked(req)).unwrap();
+        sim.clock_n(2);
+        let report = sim.sanitizer_report().unwrap();
+        let found: Vec<_> =
+            report.violations.iter().map(|v| (v.cycle, v.kind, v.detail.as_str())).collect();
+        let detail = "dev 0: vault 7 rqst: occupancy bit false but 1 queued";
+        assert_eq!(
+            found,
+            [(3, ViolationKind::QueueOverflow, detail), (4, ViolationKind::QueueOverflow, detail)]
+        );
     }
 
     #[test]

@@ -270,10 +270,12 @@ pub struct Sanitizer {
     pub(crate) config: SanitizerConfig,
     pub(crate) shadow: SanitizerShadow,
     report: SanitizerReport,
-    /// Watchdog: the values [`Sanitizer::for_each_progress_value`]
-    /// last handed out (empty = nothing observed yet; a real
-    /// signature never is).
+    /// Watchdog: the progress signature last observed (empty = nothing
+    /// observed yet; a real signature never is).
     watch_sig: Vec<u64>,
+    /// This cycle's signature, built by [`Sanitizer::walk`] and swapped
+    /// into `watch_sig` once compared.
+    next_sig: Vec<u64>,
     stalled_cycles: u64,
     last_checkpoint: Option<SimSnapshot>,
     last_dump: Option<ForensicDump>,
@@ -286,6 +288,7 @@ impl Sanitizer {
             shadow: SanitizerShadow::default(),
             report: SanitizerReport::default(),
             watch_sig: Vec::new(),
+            next_sig: Vec::new(),
             stalled_cycles: 0,
             last_checkpoint: None,
             last_dump: None,
@@ -428,15 +431,18 @@ impl Sanitizer {
     pub(crate) fn end_of_cycle(&mut self, sim: &mut HmcSim, cycle: u64) -> Option<String> {
         self.report.cycles_checked += 1;
         let mut violations = std::mem::take(&mut self.shadow.pending);
-        // One walk of the queues serves conservation and the watchdog.
-        // The structural checks are pure reads of `sim` and the shadow;
-        // a clean state formats and allocates nothing.
-        let live = sim.live_packets();
+        // One walk of the queues serves the queue bounds, conservation
+        // and the watchdog; only a fault sends the bounds back to word
+        // it. The structural checks are pure reads of `sim` and the
+        // shadow; a clean state formats and allocates nothing.
+        let (live, queues_sound) = self.walk(sim);
         self.check_tokens(sim, cycle, &mut violations);
         self.check_tags(sim, cycle, &mut violations);
-        self.check_queues(sim, cycle, &mut violations);
+        if !queues_sound {
+            self.check_queues(sim, cycle, &mut violations);
+        }
         self.check_conservation(live, cycle, &mut violations);
-        self.check_watchdog(sim, cycle, live, &mut violations);
+        self.check_watchdog(cycle, live, &mut violations);
 
         let mut fatal = None;
         if !violations.is_empty() {
@@ -570,18 +576,18 @@ impl Sanitizer {
     fn check_tags(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
         for (dev, pools) in sim.tag_pools.iter().enumerate() {
             for (link, pool) in pools.iter().enumerate() {
+                // One pass over the words says the pool is sound and
+                // every registered tag live; the rest is for naming.
+                let registered = &sim.pool_tags[dev][link];
+                if pool.sound_with_live(registered) {
+                    continue;
+                }
                 if let Err(e) = pool.audit() {
                     out.push(Violation {
                         cycle,
                         kind: ViolationKind::TagPoolCorrupt,
                         detail: format!("dev {dev} link {link}: {e}"),
                     });
-                }
-                // One AND per word says every registered tag is live;
-                // the walk is for naming the ones that are not.
-                let registered = &sim.pool_tags[dev][link];
-                if pool.first_not_live(registered).is_none() {
-                    continue;
                 }
                 for tag in registered.iter().filter(|&tag| !pool.is_live(tag)) {
                     out.push(Violation {
@@ -618,6 +624,7 @@ impl Sanitizer {
         }
     }
 
+    /// Words the queue faults [`Sanitizer::walk`] found.
     fn check_queues(&self, sim: &HmcSim, cycle: u64, out: &mut Vec<Violation>) {
         for (dev, d) in sim.devices.iter().enumerate() {
             if let Some(msg) = d.queue_bound_violation() {
@@ -649,11 +656,55 @@ impl Sanitizer {
         }
     }
 
-    fn check_watchdog(&mut self, sim: &HmcSim, cycle: u64, live: u64, out: &mut Vec<Violation>) {
+    /// One walk of the structure: writes this cycle's progress
+    /// signature into `next_sig` and returns the packets resident in
+    /// the fabric (`live_packets`) and whether every device's queues
+    /// are sound. The signature is everything that changes when the
+    /// simulation makes progress, in a fixed order: queue occupancies,
+    /// transit/retry population, shadow counters and link packet
+    /// counts. It deliberately excludes the cycle counter.
+    fn walk(&mut self, sim: &HmcSim) -> (u64, bool) {
+        let sig = &mut self.next_sig;
+        sig.clear();
+        let (mut live, mut sound) = (0, true);
+        for d in &sim.devices {
+            match d.audit_queues(sig) {
+                Some(pending) => live += pending as u64,
+                None => sound = false,
+            }
+        }
+        for q in &sim.transit_queues {
+            sig.push(q.len() as u64);
+            live += q.len() as u64;
+        }
+        sig.extend(sim.host_rx.iter().flatten().map(|q| q.len() as u64));
+        sig.push(sim.retry_pending.len() as u64);
+        live += sim.retry_pending.len() as u64;
+        let shadow = &self.shadow;
+        sig.extend([shadow.injected, shadow.delivered, shadow.absorbed, shadow.zombie_dropped]);
+        sig.extend(sim.links.iter().flatten().map(|l| l.stats.packets_sent));
+        if !sound {
+            // A device whose queue bits drifted counts only its marked
+            // vaults, as `pending_work` does.
+            live = sim.live_packets();
+        }
+        (live, sound)
+    }
+
+    /// Folds this cycle's signature into the stall count and fires
+    /// once the count reaches `watchdog_cycles`: an empty fabric clears
+    /// the watchdog, a signature unlike the last one (compared value by
+    /// value, so no two states alias) restarts the count.
+    fn check_watchdog(&mut self, cycle: u64, live: u64, out: &mut Vec<Violation>) {
         if self.config.watchdog_cycles == 0 {
             return;
         }
-        self.observe_progress(sim, live);
+        if live == 0 {
+            return self.reset_watchdog();
+        }
+        let unchanged = !self.watch_sig.is_empty() && self.watch_sig == self.next_sig;
+        std::mem::swap(&mut self.watch_sig, &mut self.next_sig);
+        self.stalled_cycles = if unchanged { self.stalled_cycles + 1 } else { 0 };
         if self.stalled_cycles >= self.config.watchdog_cycles {
             out.push(Violation {
                 cycle,
@@ -665,58 +716,6 @@ impl Sanitizer {
             });
             // Re-arm instead of firing every subsequent cycle.
             self.stalled_cycles = 0;
-        }
-    }
-
-    /// Folds one observation of the state into the stall count: an
-    /// empty fabric clears the watchdog, a changed signature restarts
-    /// the count. One walk of the state compares it with the signature
-    /// last observed and leaves its own in that place.
-    fn observe_progress(&mut self, sim: &HmcSim, live: u64) {
-        if live == 0 {
-            return self.reset_watchdog();
-        }
-        let (mut at, mut unchanged) = (0, true);
-        let seen = &mut self.watch_sig;
-        Self::for_each_progress_value(&self.shadow, sim, |value| {
-            match seen.get_mut(at) {
-                Some(slot) => {
-                    unchanged &= *slot == value;
-                    *slot = value;
-                }
-                None => {
-                    unchanged = false;
-                    seen.push(value);
-                }
-            }
-            at += 1;
-        });
-        debug_assert_eq!(at, seen.len(), "a context's signature has one length");
-        self.stalled_cycles = if unchanged { self.stalled_cycles + 1 } else { 0 };
-    }
-
-    /// Everything that changes when the simulation makes progress, in
-    /// a fixed order: queue occupancies, transit/retry population,
-    /// shadow counters and link packet counts. Deliberately excludes
-    /// the cycle counter. Compared value by value, so no two states
-    /// alias.
-    fn for_each_progress_value(shadow: &SanitizerShadow, sim: &HmcSim, mut f: impl FnMut(u64)) {
-        for d in &sim.devices {
-            d.for_each_occupancy(&mut f);
-        }
-        for q in &sim.transit_queues {
-            f(q.len() as u64);
-        }
-        for q in sim.host_rx.iter().flatten() {
-            f(q.len() as u64);
-        }
-        f(sim.retry_pending.len() as u64);
-        f(shadow.injected);
-        f(shadow.delivered);
-        f(shadow.absorbed);
-        f(shadow.zombie_dropped);
-        for l in sim.links.iter().flatten() {
-            f(l.stats.packets_sent);
         }
     }
 

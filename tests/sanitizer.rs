@@ -342,20 +342,54 @@ fn stall_watchdog_fires_when_nothing_moves() {
     sim.send_simple(0, 0, HmcRqst::Rd16, 0x40, vec![]).unwrap().unwrap();
     sim.clock_n(200);
 
-    let rep = report(&sim);
-    let fired: Vec<_> = rep
-        .violations
-        .iter()
-        .filter(|v| v.kind == ViolationKind::StallWatchdog)
-        .collect();
-    assert!(!fired.is_empty(), "watchdog fired: {:?}", rep.violations);
-    assert!(
-        fired[0].cycle >= 50 && fired[0].cycle <= 60,
-        "first firing ~50 stalled cycles in, got cycle {}",
-        fired[0].cycle
+    // The response stops moving after cycle 2: the first firing is 50
+    // stalled cycles later, and the watchdog re-arms instead of firing
+    // every cycle after.
+    assert_eq!(
+        watchdog_firings(&sim),
+        [52, 102, 152].map(|cycle| (cycle, "1 packet(s) resident but nothing moved for 50 cycles"))
     );
-    assert!(fired.len() >= 2, "watchdog re-arms instead of firing once");
     assert!(sim.forensic_dump().is_some(), "stall captured a forensic dump");
+}
+
+/// Every violation so far, which must all be the stall watchdog's, as
+/// `(cycle, detail)`.
+fn watchdog_firings(sim: &HmcSim) -> Vec<(u64, &str)> {
+    let rep = report(sim);
+    assert!(rep.violations.iter().all(|v| v.kind == ViolationKind::StallWatchdog), "{rep:?}");
+    rep.violations.iter().map(|v| (v.cycle, v.detail.as_str())).collect()
+}
+
+#[test]
+fn stall_watchdog_restarts_once_the_fabric_drains() {
+    // Every link is down from cycle 1 to 30, so the first read's
+    // response waits 28 cycles; then the fabric drains and sits empty
+    // for 70 cycles, which is no stall; a second read sent as the links
+    // go down again at cycle 100 wedges and is counted from zero.
+    let events = (0..4).map(|link| (1, link, false)).chain([(30, 0, true)]);
+    let events = events.chain((0..4).map(|link| (100, link, false)));
+    let mut cfg = DeviceConfig::gen2_4link_4gb();
+    cfg.fault = events.fold(FaultPlan::seeded(1), |plan, (cycle, link, up)| {
+        plan.with_link_event(cycle, link, up)
+    });
+    let mut sim = HmcSim::new(cfg).unwrap();
+    let mut san = SanitizerConfig::report();
+    san.watchdog_cycles = 20;
+    sim.enable_sanitizer(san);
+
+    sim.send_simple(0, 0, HmcRqst::Rd16, 0x40, vec![]).unwrap().unwrap();
+    sim.clock_n(98);
+    assert!(sim.recv(0, 0).is_some(), "the first read drained");
+    let stalled = "1 packet(s) resident but nothing moved for 20 cycles";
+    assert_eq!(watchdog_firings(&sim), [(22, stalled)], "an empty fabric never stalls");
+
+    sim.send_simple(0, 0, HmcRqst::Rd16, 0x80, vec![]).unwrap().unwrap();
+    sim.clock_n(70);
+    assert_eq!(
+        watchdog_firings(&sim),
+        [22, 120, 140, 160].map(|cycle| (cycle, stalled)),
+        "the second stall is counted from its own start"
+    );
 }
 
 #[test]
